@@ -586,6 +586,26 @@ func TestParallelAggregateDeterminism(t *testing.T) {
 		}
 		rowsEqual(t, "agg via "+via.String(), got, want)
 	}
+
+	// The clustered-index scan feeds the same fold: a grouped float
+	// aggregate over a range of the clustering column is byte-identical
+	// to the table scan's, at one worker and at eight.
+	onCat := QuerySpec{Table: "items", Preds: []Pred{Between("cat", IntVal(5), IntVal(40))},
+		Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "price"}, {Func: Avg, Col: "price"}}, GroupBy: []string{"city"}}
+	_, want, err = serial.SelectAggregate(withVia(onCat, TableScan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("clustered-range aggregate matched nothing; fixture broken")
+	}
+	for _, db := range []*DB{serial, parallel} {
+		_, got, err := db.SelectAggregate(withVia(onCat, ClusteredIndexScan))
+		if err != nil {
+			t.Fatalf("clustered agg workers=%d: %v", db.Workers(), err)
+		}
+		rowsEqual(t, fmt.Sprintf("agg via clustered workers=%d", db.Workers()), got, want)
+	}
 }
 
 // TestExecScriptMixedBatchParity is the regression test for the batch

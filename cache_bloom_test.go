@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,24 +214,37 @@ func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) 
 		t.Fatal(err)
 	}
 
-	queries := map[string][]Pred{
-		"point":        {Eq("u", IntVal(41))},
-		"in":           {In("u", IntVal(3), IntVal(88), IntVal(500))},
-		"absent-point": {Eq("u", IntVal(1234))},
-		"range":        {Ge("u", IntVal(90))},
-	}
 	methods := map[string]AccessMethod{
 		"table": TableScan, "sorted": SortedIndexScan,
 		"pipelined": PipelinedIndexScan, "cm": CMScan,
+		"clustered": ClusteredIndexScan,
+	}
+	// Queries on u run through the scan, both index scans and the CM;
+	// queries on the clustering column through the scan and the
+	// clustered index.
+	onU := []string{"table", "sorted", "pipelined", "cm"}
+	onC := []string{"table", "clustered"}
+	queries := map[string]struct {
+		preds []Pred
+		via   []string
+	}{
+		"point":          {[]Pred{Eq("u", IntVal(41))}, onU},
+		"in":             {[]Pred{In("u", IntVal(3), IntVal(88), IntVal(500))}, onU},
+		"absent-point":   {[]Pred{Eq("u", IntVal(1234))}, onU},
+		"range":          {[]Pred{Ge("u", IntVal(90))}, onU},
+		"c-point":        {[]Pred{Eq("c", IntVal(41))}, onC},
+		"c-in":           {[]Pred{In("c", IntVal(3), IntVal(2500), IntVal(4999)), Ne("u", IntVal(3))}, onC},
+		"c-absent-point": {[]Pred{Eq("c", IntVal(123456))}, onC},
+		"c-range":        {[]Pred{Between("c", IntVal(1200), IntVal(1900)), Ge("u", IntVal(50))}, onC},
 	}
 	out := make(map[string][]string)
-	for qn, preds := range queries {
-		for mn, m := range methods {
+	for qn, q := range queries {
+		for _, mn := range q.via {
 			var got []string
-			if err := tbl.SelectVia(m, func(r Row) bool {
+			if err := tbl.SelectVia(methods[mn], func(r Row) bool {
 				got = append(got, fmt.Sprintf("%v", r))
 				return true
-			}, preds...); err != nil {
+			}, q.preds...); err != nil {
 				t.Fatalf("%s/%s: %v", mn, qn, err)
 			}
 			sort.Strings(got)
@@ -242,12 +256,17 @@ func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) 
 
 // TestBloomEquivalenceAccessMethods checks that admission and blooms
 // never change result bytes: every access method returns the identical
-// row set with each knob on or off, serial and with workers=8.
+// row set with each knob on or off, serial and with workers=8, and
+// within one configuration every method agrees with the table scan.
 func TestBloomEquivalenceAccessMethods(t *testing.T) {
 	baseline := bloomEquivRows(t, false, false, 1)
 	for key, rows := range baseline {
 		if len(rows) == 0 && key[len(key)-len("absent-point"):] != "absent-point" {
 			t.Fatalf("baseline %s returned no rows — fixture broken", key)
+		}
+		query := key[strings.IndexByte(key, '/')+1:]
+		if want := baseline["table/"+query]; strings.Join(rows, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("baseline %s: %d rows differ from the table scan's %d", key, len(rows), len(want))
 		}
 	}
 	for _, workers := range []int{1, 8} {

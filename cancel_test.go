@@ -220,6 +220,7 @@ func TestSelectManyCtxPreCancelled(t *testing.T) {
 	specs := []QuerySpec{
 		{Table: "ft", Preds: []Pred{Eq("u", IntVal(3))}},
 		{Table: "ft", Preds: []Pred{Eq("u", IntVal(4))}},
+		{Table: "ft", Via: ClusteredIndexScan, Preds: []Pred{Between("c", IntVal(10), IntVal(500))}},
 		{Table: "ft", Aggs: []Agg{{Func: Count}}},
 	}
 	for i, r := range db.SelectManyCtx(ctx, specs) {

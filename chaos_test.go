@@ -45,7 +45,7 @@ func stormCtx(rng *rand.Rand) (context.Context, context.CancelFunc) {
 // against writers inserting, updating and deleting volatile rows, some
 // of those also under dying contexts. Every statement must end in
 // success or its context's error, and afterwards the stable row
-// population must be exactly intact on all four access methods.
+// population must be exactly intact on all five access methods.
 func TestChaosCancelStorm(t *testing.T) {
 	db, tbl := buildFaultDB(t, 4)
 	const (
@@ -113,7 +113,7 @@ func TestChaosCancelStorm(t *testing.T) {
 	// The storm is over: stable rows are exactly intact on every access
 	// method, nothing is pinned, and cancellations were actually
 	// exercised (a third of the contexts were born dead).
-	for _, method := range []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan} {
+	for _, method := range stressMethods {
 		if n, err := countVia(tbl, method); err != nil || n != wantRows {
 			t.Errorf("%v after storm: n=%d err=%v, want %d", method, n, err, wantRows)
 		}
@@ -140,7 +140,7 @@ func TestChaosCancelStorm(t *testing.T) {
 func TestChaosFaultStorm(t *testing.T) {
 	db, tbl := buildFaultDB(t, 4)
 	const wantRows = 31 * 25
-	methods := []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan}
+	methods := stressMethods
 	db.SetFaultPlan(&FaultPlan{ReadProb: 0.01, Seed: 42})
 	failures := 0
 	for i := 0; i < 40; i++ {

@@ -58,7 +58,8 @@ func cmaggFixture(t *testing.T, workers int, n int) (*DB, *Table) {
 // cmaggSpecs is the query matrix of the equivalence suite: point,
 // IN-list and range predicates over the identity CM, range predicates
 // over the bucketed CM (interior buckets pure, boundary buckets swept),
-// grouped and ungrouped shapes, and a predicate-free COUNT.
+// grouped and ungrouped shapes, a predicate-free COUNT, and range and
+// IN-list predicates on the clustering column.
 func cmaggSpecs() []QuerySpec {
 	all := []Agg{{Func: Count}, {Func: Sum, Col: "qty"}, {Func: Avg, Col: "qty"},
 		{Func: Min, Col: "qty"}, {Func: Max, Col: "city"}}
@@ -74,6 +75,10 @@ func cmaggSpecs() []QuerySpec {
 		// boundary buckets sweep (Between 10..30 spans buckets 8..28).
 		{Table: "items", Preds: []Pred{Between("wide", IntVal(10), IntVal(30))}, Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "wide"}, {Func: Min, Col: "wide"}}},
 		{Table: "items", Preds: []Pred{Eq("wide", IntVal(13))}, Aggs: []Agg{{Func: Count}, {Func: Avg, Col: "wide"}}},
+		// Predicates on the clustering column: no CM covers them, the
+		// clustered-index scan feeds the heap fold.
+		{Table: "items", Preds: []Pred{Between("cat", IntVal(10), IntVal(40)), Ne("qty", IntVal(9))}, Aggs: all, GroupBy: []string{"city"}},
+		{Table: "items", Preds: []Pred{In("cat", IntVal(2), IntVal(3), IntVal(70))}, Aggs: all},
 	}
 }
 
@@ -90,7 +95,7 @@ func TestCMAggEquivalence(t *testing.T) {
 			t.Fatalf("spec %d reference: %v", si, err)
 		}
 		for _, db := range []*DB{serial, parallel} {
-			for _, via := range []AccessMethod{Auto, TableScan, SortedIndexScan, PipelinedIndexScan, CMScan} {
+			for _, via := range []AccessMethod{Auto, TableScan, SortedIndexScan, PipelinedIndexScan, CMScan, ClusteredIndexScan} {
 				s := withVia(spec, via)
 				if via == SortedIndexScan || via == PipelinedIndexScan {
 					// The secondary index only applies to qty predicates.
@@ -98,8 +103,11 @@ func TestCMAggEquivalence(t *testing.T) {
 						continue
 					}
 				}
-				if via == CMScan && len(spec.Preds) == 0 {
+				if via == CMScan && (len(spec.Preds) == 0 || specCol(spec) == "cat") {
 					continue // forced CM scan needs a predicated CM column
+				}
+				if via == ClusteredIndexScan && specCol(spec) != "cat" {
+					continue // forced clustered scan needs the clustering column
 				}
 				_, got, err := db.SelectAggregate(s)
 				if err != nil {

@@ -20,7 +20,7 @@ const (
 )
 
 // buildStressDB loads a correlated table (c determines u) with a
-// secondary index and a CM on u, so all four access paths apply.
+// secondary index and a CM on u, so all five access paths apply.
 func buildStressDB(t testing.TB, workers int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Config{Workers: workers})
@@ -57,9 +57,29 @@ func buildStressDB(t testing.TB, workers int) (*DB, *Table) {
 	return db, tbl
 }
 
-var stressMethods = []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan}
+// stressMethods is every forcible access path; the fault and chaos
+// suites loop over it too.
+var stressMethods = []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan, ClusteredIndexScan}
 
-// TestConcurrentReadersVsWriters races Selects on all four access
+// stressPreds selects the rows carrying u, phrased so the given method
+// can drive the query. The clustered-index scan needs a predicate on
+// the clustering column, and c determines u: stable rows of u occupy
+// c in [u*rowsPerU, (u+1)*rowsPerU), every volatile row (u >=
+// volatileUBase) has c >= stableUs*rowsPerU — so the clustered path
+// gets that c range beside the u predicate and must return the same
+// rows.
+func stressPreds(method AccessMethod, u int64) []Pred {
+	preds := []Pred{Eq("u", IntVal(u))}
+	if method != ClusteredIndexScan {
+		return preds
+	}
+	if u >= volatileUBase {
+		return append(preds, Ge("c", IntVal(stableUs*rowsPerU)))
+	}
+	return append(preds, Between("c", IntVal(u*rowsPerU), IntVal((u+1)*rowsPerU-1)))
+}
+
+// TestConcurrentReadersVsWriters races Selects on all five access
 // methods against an insert/delete/commit writer. Every read of a
 // stable u must see exactly rowsPerU rows, and every read of a volatile
 // u must see 0 or 1 rows — nothing lost, nothing phantom.
@@ -120,7 +140,7 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 					}
 					n++
 					return true
-				}, Eq("u", IntVal(u)))
+				}, stressPreds(method, u)...)
 				if err != nil {
 					t.Errorf("%v: %v", method, err)
 					return
@@ -136,7 +156,7 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 				err = tbl.SelectVia(method, func(row Row) bool {
 					seen[row[0].String()]++
 					return true
-				}, Eq("u", IntVal(vu)))
+				}, stressPreds(method, vu)...)
 				if err != nil {
 					t.Errorf("%v volatile: %v", method, err)
 					return
@@ -165,7 +185,7 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 // TestConcurrentUpdatesVsReaders is the mixed update/delete/scan
 // stress: one writer churns — inserting volatile rows, rewriting their
 // tags with UPDATE, retagging whole stable slices, deleting the
-// volatile rows — while snapshot readers on all four access methods
+// volatile rows — while snapshot readers on all five access methods
 // assert stable slices stay exactly complete (no lost rows, no
 // phantoms, no half-applied update) and volatile rows are never
 // duplicated. Run with -race.
@@ -233,7 +253,7 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 					}
 					n++
 					return true
-				}, Eq("u", IntVal(u)))
+				}, stressPreds(method, u)...)
 				if err != nil {
 					t.Errorf("%v: %v", method, err)
 					return
@@ -248,7 +268,7 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 				if err := tbl.SelectVia(method, func(row Row) bool {
 					seen[row[0].String()]++
 					return true
-				}, Eq("u", IntVal(vu))); err != nil {
+				}, stressPreds(method, vu)...); err != nil {
 					t.Errorf("%v volatile: %v", method, err)
 					return
 				}
@@ -274,7 +294,7 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 	}
 	for _, m := range stressMethods {
 		n := 0
-		if err := tbl.SelectVia(m, func(Row) bool { n++; return true }, Eq("u", IntVal(1))); err != nil {
+		if err := tbl.SelectVia(m, func(Row) bool { n++; return true }, stressPreds(m, 1)...); err != nil {
 			t.Fatal(err)
 		}
 		if n != rowsPerU {
@@ -316,10 +336,11 @@ func TestSelectManyDuringWrites(t *testing.T) {
 	for round := 0; round < 15 && !stop.Load(); round++ {
 		specs := make([]QuerySpec, 12)
 		for i := range specs {
+			via := stressMethods[i%len(stressMethods)]
 			specs[i] = QuerySpec{
 				Table: "stress",
-				Via:   stressMethods[i%len(stressMethods)],
-				Preds: []Pred{Eq("u", IntVal(int64((round+i)%stableUs)))},
+				Via:   via,
+				Preds: stressPreds(via, int64((round+i)%stableUs)),
 			}
 		}
 		for i, res := range db.SelectMany(specs) {

@@ -58,7 +58,7 @@ func checkAnalyzedPlan(t *testing.T, name string, info PlanInfo, wantRows int, w
 }
 
 // TestExplainAnalyzeAccessMethods reconciles the analyzed actuals
-// against ground truth across all four access paths and the OR union:
+// against ground truth across all five access paths and the OR union:
 // result cardinality against a plain run of the same spec, and the
 // access node's page actuals against the sim.Disk read counter captured
 // around the run.
@@ -71,10 +71,15 @@ func TestExplainAnalyzeAccessMethods(t *testing.T) {
 		{"cm", QuerySpec{Table: "plans", Via: CMScan, Preds: []Pred{Eq("u", IntVal(25))}}},
 		{"sorted", QuerySpec{Table: "plans", Via: SortedIndexScan, Preds: []Pred{Eq("s", IntVal(100))}}},
 		{"pipelined", QuerySpec{Table: "plans", Via: PipelinedIndexScan, Preds: []Pred{Eq("r", IntVal(77))}}},
+		{"clustered", QuerySpec{Table: "plans", Via: ClusteredIndexScan, Preds: []Pred{Between("c", IntVal(50), IntVal(80))}}},
 		{"scan", QuerySpec{Table: "plans", Via: TableScan, Preds: []Pred{Ne("u", IntVal(3))}}},
 		{"auto", QuerySpec{Table: "plans", Preds: []Pred{Eq("u", IntVal(25))}}},
+		{"auto clustered", QuerySpec{Table: "plans", Preds: []Pred{In("c", IntVal(7), IntVal(300))}}},
 		{"union", QuerySpec{Table: "plans", AnyOf: [][]Pred{
 			{Eq("u", IntVal(25))}, {Eq("s", IntVal(100))},
+		}}},
+		{"union clustered", QuerySpec{Table: "plans", AnyOf: [][]Pred{
+			{Eq("u", IntVal(25))}, {Eq("c", IntVal(700))},
 		}}},
 	}
 	for _, c := range cases {
@@ -93,8 +98,11 @@ func TestExplainAnalyzeAccessMethods(t *testing.T) {
 			t.Errorf("%s: cold-cache run read 0 pages — ground truth not engaged", c.name)
 		}
 		access := info.Nodes[0]
-		if c.name == "union" && access.Kind != "union" {
-			t.Errorf("union: access node kind %q", access.Kind)
+		if strings.HasPrefix(c.name, "union") && access.Kind != "union" {
+			t.Errorf("%s: access node kind %q", c.name, access.Kind)
+		}
+		if strings.HasSuffix(c.name, "clustered") && !strings.Contains(access.Detail, "clustered-index-scan(plans.clustered)") {
+			t.Errorf("%s: access node %q does not read the clustered index", c.name, access.Detail)
 		}
 		if access.Actual.Rows != int64(truth) {
 			t.Errorf("%s: access node emitted %d rows, truth %d", c.name, access.Actual.Rows, truth)
@@ -362,6 +370,19 @@ func TestShowMetricsSQL(t *testing.T) {
 	}
 	if l1 := readMetric("query.latency_ns.count"); l1 <= l0 {
 		t.Errorf("query.latency_ns.count flat at %d with metrics on", l1)
+	}
+
+	// Write statements are statements too: an UPDATE and a DELETE each
+	// add exactly one observation to the latency histogram (and so
+	// reach the slow-query log).
+	for _, stmt := range []string{"UPDATE plans SET r = 1 WHERE c = 5", "DELETE FROM plans WHERE c = 6"} {
+		l0 := readMetric("query.latency_ns.count")
+		if res, err := db.Exec(stmt); err != nil || res.Affected != 40 {
+			t.Fatalf("%s: affected %v, err %v", stmt, res, err)
+		}
+		if l1 := readMetric("query.latency_ns.count"); l1 != l0+1 {
+			t.Errorf("%s: query.latency_ns.count %d -> %d, want one observation", stmt, l0, l1)
+		}
 	}
 
 	// Disabled: query-layer counters freeze; storage counters keep

@@ -6,9 +6,10 @@ import (
 )
 
 // planFixture builds a table whose statistics drive the cost model to
-// each of the four access paths:
+// each of the five access paths:
 //
-//   - c clusters 40 tuples per value (1 KiB pages make scans expensive),
+//   - c clusters 40 tuples per value (1 KiB pages make scans expensive);
+//     a predicate on c itself -> clustered-index-scan,
 //   - u tracks c 2:1 and carries the only CM -> cm-scan on u,
 //   - s tracks c 2:1 and carries an index; each s value has 80 tuples,
 //     so per-tuple probing is hopeless but the sorted sweep is tight ->
@@ -82,6 +83,8 @@ func TestExplainAllMethods(t *testing.T) {
 		{"cm", []Pred{Eq("u", IntVal(25))}, CMScan, "cm_u"},
 		{"sorted", []Pred{Eq("s", IntVal(100))}, SortedIndexScan, "ix_s"},
 		{"pipelined", []Pred{Eq("r", IntVal(77))}, PipelinedIndexScan, "ix_r"},
+		{"clustered", []Pred{Eq("c", IntVal(50))}, ClusteredIndexScan, "plans.clustered"},
+		{"clustered-range", []Pred{Between("c", IntVal(50), IntVal(60)), Ne("u", IntVal(27))}, ClusteredIndexScan, "plans.clustered"},
 		{"scan-none", nil, TableScan, ""},
 		{"scan-ne", []Pred{Ne("u", IntVal(3))}, TableScan, ""},
 	}
@@ -110,7 +113,7 @@ func TestExplainAllMethods(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: SelectViaCM(%q): %v", c.name, info.Uses, err)
 			}
-		case SortedIndexScan, PipelinedIndexScan:
+		case SortedIndexScan, PipelinedIndexScan, ClusteredIndexScan:
 			// Explain and execution share plan.singlePlan, so forcing the
 			// reported method must read the structure Explain named;
 			// asserting the rows match the auto plan pins that.
@@ -155,6 +158,8 @@ func TestBoundaryPredicates(t *testing.T) {
 			methods = append(methods, CMScan)
 		case "s", "r":
 			methods = append(methods, SortedIndexScan, PipelinedIndexScan)
+		case "c":
+			methods = append(methods, ClusteredIndexScan)
 		}
 		eqN := count(TableScan, Eq(col, IntVal(pivot)))
 		if eqN == 0 {
@@ -212,6 +217,9 @@ func TestNePlansAsTableScan(t *testing.T) {
 	}
 	if err := tbl.SelectVia(CMScan, func(Row) bool { return true }, Ne("u", IntVal(3))); err == nil {
 		t.Error("forced CM scan accepted Ne-only query")
+	}
+	if err := tbl.SelectVia(ClusteredIndexScan, func(Row) bool { return true }, Ne("c", IntVal(3))); err == nil {
+		t.Error("forced clustered scan accepted Ne-only query")
 	}
 
 	// Eq probes, Ne re-filters: same rows as the table scan truth.

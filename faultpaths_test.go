@@ -14,7 +14,7 @@ import (
 )
 
 // buildFaultDB loads a correlated table (c determines u) with a
-// secondary index and a CM on u, so all four access paths apply, sized
+// secondary index and a CM on u, so all five access paths apply, sized
 // to span a few dozen heap pages.
 func buildFaultDB(t testing.TB, workers int) (*DB, *Table) {
 	t.Helper()
@@ -49,10 +49,16 @@ func buildFaultDB(t testing.TB, workers int) (*DB, *Table) {
 }
 
 // countVia counts the rows matching u BETWEEN 10 AND 40 via the method.
+// The clustered-index scan is driven by the clustering column, and
+// u = c/25, so it gets the same rows as a range on c beside the u
+// predicate.
 func countVia(tbl *Table, method AccessMethod) (int, error) {
+	preds := []Pred{Between("u", IntVal(10), IntVal(40))}
+	if method == ClusteredIndexScan {
+		preds = append(preds, Between("c", IntVal(10*25), IntVal(41*25-1)))
+	}
 	n := 0
-	err := tbl.SelectVia(method, func(Row) bool { n++; return true },
-		Between("u", IntVal(10), IntVal(40)))
+	err := tbl.SelectVia(method, func(Row) bool { n++; return true }, preds...)
 	return n, err
 }
 
@@ -64,7 +70,7 @@ func TestFaultPathsPerAccessMethod(t *testing.T) {
 	const wantRows = 31 * 25 // u in [10,40], 25 rows per u
 	for _, workers := range []int{1, 4} {
 		db, tbl := buildFaultDB(t, workers)
-		for _, method := range []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan} {
+		for _, method := range stressMethods {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, method), func(t *testing.T) {
 				if err := db.ColdCache(); err != nil {
 					t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFuzzAccessMethodEquivalence drives randomized tables, maintenance
-// streams and queries through all four access paths and requires
+// streams and queries through all five access paths and requires
 // identical result sets everywhere. This is the end-to-end guarantee the
 // paper's design rests on: the CM is a lossy structure whose false
 // positives the executor filters, so it must never change query results.
@@ -76,10 +76,15 @@ func TestFuzzAccessMethodEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Random queries over u (indexed + CM'd) with extra preds.
-			for qi := 0; qi < 6; qi++ {
+			// Random queries over u (indexed + CM'd) or over the
+			// clustering column c (clustered-index scan: the inserted
+			// rows sit at the heap tail, outside their clustered
+			// buckets' page ranges, and must still be found), with
+			// extra preds.
+			for qi := 0; qi < 8; qi++ {
 				var preds []Pred
-				switch rng.Intn(3) {
+				methods := []AccessMethod{SortedIndexScan, PipelinedIndexScan, CMScan, Auto}
+				switch rng.Intn(7) {
 				case 0:
 					preds = append(preds, Eq("u", IntVal(rng.Int63n(domain/7+2))))
 				case 1:
@@ -90,6 +95,20 @@ func TestFuzzAccessMethodEquivalence(t *testing.T) {
 						IntVal(rng.Int63n(domain/7+2)),
 						IntVal(rng.Int63n(domain/7+2)),
 						IntVal(rng.Int63n(domain/7+2))))
+				case 3:
+					methods = []AccessMethod{ClusteredIndexScan, Auto}
+					preds = append(preds, Eq("c", IntVal(rng.Int63n(domain))))
+				case 4:
+					methods = []AccessMethod{ClusteredIndexScan, Auto}
+					preds = append(preds, In("c", IntVal(rng.Int63n(domain)),
+						IntVal(rng.Int63n(domain)), IntVal(rng.Int63n(domain))))
+				case 5:
+					methods = []AccessMethod{ClusteredIndexScan, Auto}
+					lo := rng.Int63n(domain)
+					preds = append(preds, Between("c", IntVal(lo), IntVal(lo+domain/5)))
+				case 6:
+					methods = []AccessMethod{ClusteredIndexScan, Auto}
+					preds = append(preds, Gt("c", IntVal(rng.Int63n(domain))))
 				}
 				if rng.Intn(2) == 0 {
 					preds = append(preds, Le("w", FloatVal(float64(domain)*0.7)))
@@ -110,7 +129,7 @@ func TestFuzzAccessMethodEquivalence(t *testing.T) {
 					return got
 				}
 				want := collect(TableScan)
-				for _, m := range []AccessMethod{SortedIndexScan, PipelinedIndexScan, CMScan, Auto} {
+				for _, m := range methods {
 					got := collect(m)
 					if len(got) != len(want) {
 						t.Fatalf("trial %d query %d: %v returned %d rows, scan %d",

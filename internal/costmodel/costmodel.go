@@ -14,6 +14,11 @@
 // The CM variant applies cost_sorted at clustered-bucket granularity:
 // each CM lookup yields c_per_u clustered buckets, each requiring one
 // clustered-index descent plus a sequential sweep of the bucket's pages.
+//
+// A predicate on the clustering attribute itself is the c_per_u = 1
+// case — the CM formula under the identity mapping — and needs no
+// correlation statistics at all: the clustered bucket directory says
+// which buckets the probed key ranges span (see ClusteredRange).
 package costmodel
 
 import (
@@ -77,6 +82,16 @@ func Scan(h Hardware, t TableStats) time.Duration {
 	return dur(ms(h.SeqPageCost) * t.Pages())
 }
 
+// capped converts a cost in milliseconds to a duration, bounded by the
+// sequential scan cost: no heap-visiting path reads more than every
+// page once (the min(..., cost_scan) term of the model).
+func capped(costMs float64, h Hardware, t TableStats) time.Duration {
+	if scan := ms(h.SeqPageCost) * t.Pages(); costMs > scan {
+		costMs = scan
+	}
+	return dur(costMs)
+}
+
 // PipelinedIndex predicts a pipelined (unsorted) secondary index scan,
 // which seeks for every matching tuple: n_lookups * u_tups * seek_cost *
 // btree_height.
@@ -88,12 +103,8 @@ func PipelinedIndex(h Hardware, t TableStats, p PairStats, nLookups int) time.Du
 // the presence of correlations, capped by the sequential scan cost.
 func SortedIndex(h Hardware, t TableStats, p PairStats, nLookups int) time.Duration {
 	cPages := p.CPages(t)
-	cost := float64(nLookups) * p.CPerU *
-		(ms(h.SeekCost)*t.BTreeHeight + ms(h.SeqPageCost)*cPages)
-	if scan := ms(h.SeqPageCost) * t.Pages(); cost > scan {
-		cost = scan
-	}
-	return dur(cost)
+	return capped(float64(nLookups)*p.CPerU*
+		(ms(h.SeekCost)*t.BTreeHeight+ms(h.SeqPageCost)*cPages), h, t)
 }
 
 // CMStats describe a correlation map design at clustered-bucket
@@ -109,12 +120,24 @@ type CMStats struct {
 // table scan cost. The CM probe itself is memory-resident and free at
 // this model's granularity.
 func CMLookup(h Hardware, t TableStats, c CMStats, nLookups int) time.Duration {
-	cost := float64(nLookups) * c.CPerU *
-		(ms(h.SeekCost)*t.BTreeHeight + ms(h.SeqPageCost)*c.PagesPerCBucket)
-	if scan := ms(h.SeqPageCost) * t.Pages(); cost > scan {
-		cost = scan
-	}
-	return dur(cost)
+	return capped(float64(nLookups)*c.CPerU*
+		(ms(h.SeekCost)*t.BTreeHeight+ms(h.SeqPageCost)*c.PagesPerCBucket), h, t)
+}
+
+// ClusteredRange predicts a clustered-index scan driven by predicates
+// on the clustering attribute itself: CMLookup under the identity
+// mapping (c_per_u = 1), with the clustered buckets read off the
+// bucket directory instead of a correlation map. The probed key ranges
+// span `buckets` clustered buckets forming `runs` maximal runs of
+// adjacent buckets; each run is one clustered-index descent, each
+// bucket a sequential sweep of its pages — so a point or IN probe costs
+// exactly CMLookup(c_per_u = 1, n_lookups = buckets), while a range pays
+// one descent for the whole interval plus the pages of every bucket it
+// spans, and a range spanning all buckets costs a scan plus a descent
+// and hits the cap.
+func ClusteredRange(h Hardware, t TableStats, pagesPerCBucket float64, runs, buckets int) time.Duration {
+	return capped(float64(runs)*ms(h.SeekCost)*t.BTreeHeight+
+		float64(buckets)*ms(h.SeqPageCost)*pagesPerCBucket, h, t)
 }
 
 // CMAggregate predicts the index-only aggregation path (cm-agg): the
@@ -126,10 +149,6 @@ func CMLookup(h Hardware, t TableStats, c CMStats, nLookups int) time.Duration {
 // aggregates always beat heap-visiting paths; like every other formula
 // it is capped by the sequential scan cost.
 func CMAggregate(h Hardware, t TableStats, c CMStats, nImpureBuckets int) time.Duration {
-	cost := float64(nImpureBuckets) *
-		(ms(h.SeekCost)*t.BTreeHeight + ms(h.SeqPageCost)*c.PagesPerCBucket)
-	if scan := ms(h.SeqPageCost) * t.Pages(); cost > scan {
-		cost = scan
-	}
-	return dur(cost)
+	return capped(float64(nImpureBuckets)*
+		(ms(h.SeekCost)*t.BTreeHeight+ms(h.SeqPageCost)*c.PagesPerCBucket), h, t)
 }

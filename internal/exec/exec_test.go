@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -456,8 +457,107 @@ func TestPlannerFallsBackToScanWithoutAccessPaths(t *testing.T) {
 	}
 }
 
+// TestPlannerClusteredCrossover pins the clustered path's costing:
+// point, IN and narrow-range predicates on the clustering column plan
+// onto the clustered index with a cost below the scan's, a range
+// spanning most buckets stays a table scan, a predicate the clustered
+// index cannot use (Ne, or none on the leading column) never plans it,
+// and planning itself — live table statistics plus the bucket
+// directory — reads no page even from a cold pool.
+func TestPlannerClusteredCrossover(t *testing.T) {
+	db := buildTestDB(t, 40000, 9, 0)
+	sp := NewExactStats()
+	scan := costmodel.Scan(costmodel.DefaultHardware(), sp.TableStats(db.tbl))
+	if err := db.tbl.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.tbl.Pool().Invalidate()
+	before := db.disk.Stats().Reads
+
+	cases := []struct {
+		name string
+		q    Query
+		want Method
+	}{
+		{"point", NewQuery(Eq(0, value.NewInt(137))), MethodClustered},
+		{"in", NewQuery(In(0, value.NewInt(3), value.NewInt(250), value.NewInt(499))), MethodClustered},
+		{"narrow range", NewQuery(Between(0, value.NewInt(40), value.NewInt(60))), MethodClustered},
+		{"half-open narrow", NewQuery(Gt(0, value.NewInt(480))), MethodClustered},
+		{"most buckets", NewQuery(Between(0, value.NewInt(10), value.NewInt(490))), MethodTableScan},
+		{"every bucket", NewQuery(Ge(0, value.NewInt(0))), MethodTableScan},
+		{"ne only", NewQuery(Ne(0, value.NewInt(7))), MethodTableScan},
+	}
+	var pointCost, rangeCost time.Duration
+	for _, c := range cases {
+		p := ChoosePlan(db.tbl, c.q, sp)
+		if p.Method != c.want {
+			t.Errorf("%s: planned %v (cost %v, scan %v), want %v", c.name, p.Method, p.Cost, scan, c.want)
+			continue
+		}
+		if c.want == MethodClustered {
+			if p.Index != db.tbl.Clustered() {
+				t.Errorf("%s: clustered plan does not carry the clustered index", c.name)
+			}
+			if p.Cost <= 0 || p.Cost >= scan {
+				t.Errorf("%s: clustered cost %v not in (0, scan %v)", c.name, p.Cost, scan)
+			}
+		}
+		switch c.name {
+		case "point":
+			pointCost = p.Cost
+		case "narrow range":
+			rangeCost = p.Cost
+		}
+	}
+	// A range is charged for the buckets it spans, not as one lookup.
+	if rangeCost <= pointCost {
+		t.Errorf("narrow range cost %v not above point cost %v", rangeCost, pointCost)
+	}
+	if reads := db.disk.Stats().Reads - before; reads != 0 {
+		t.Errorf("planning read %d pages, want 0", reads)
+	}
+}
+
+// TestExactStatsTracksTheTable pins the provider's freshness contract:
+// table statistics are read live (heap growth shows in the very next
+// estimate), and Forget drops a table's cached pair statistics.
+func TestExactStatsTracksTheTable(t *testing.T) {
+	db := buildTestDB(t, 2000, 5, 0)
+	sp := NewExactStats()
+	before := sp.TableStats(db.tbl)
+	tx := db.tbl.BeginWrite()
+	var grow []value.Row
+	for i := 0; i < 2000; i++ {
+		grow = append(grow, value.Row{value.NewInt(int64(i % 500)), value.NewInt(int64(i % 50)), value.NewString("grown")})
+	}
+	if err := tx.InsertBatch(grow); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	after := sp.TableStats(db.tbl)
+	if after.TotalTups != before.TotalTups+2000 || after.Pages() <= before.Pages() {
+		t.Errorf("table stats frozen: %+v -> %+v after 2000 inserts", before, after)
+	}
+
+	ps, ok := sp.PairStats(db.tbl, []int{1})
+	if !ok {
+		t.Fatal("pair stats unavailable")
+	}
+	reads := db.disk.Stats().Reads
+	if again, _ := sp.PairStats(db.tbl, []int{1}); again != ps || db.disk.Stats().Reads != reads {
+		t.Error("cached pair stats recomputed")
+	}
+	sp.Forget(db.tbl)
+	db.tbl.Pool().Invalidate()
+	if _, ok := sp.PairStats(db.tbl, []int{1}); !ok || db.disk.Stats().Reads == reads {
+		t.Error("Forget kept the cached pair stats")
+	}
+}
+
 func TestMethodString(t *testing.T) {
-	for _, m := range []Method{MethodTableScan, MethodPipelined, MethodSorted, MethodCM, Method(9)} {
+	for _, m := range []Method{MethodTableScan, MethodPipelined, MethodSorted, MethodCM, MethodClustered, Method(9)} {
 		if m.String() == "" {
 			t.Error("empty method name")
 		}

@@ -187,7 +187,7 @@ func ChooseOrPlan(t *table.Table, oq OrQuery, sp StatsProvider) OrPlan {
 // read, fanning the probe out across the worker pool.
 func collectPlanRIDs(t *table.Table, p Plan, q Query, workers int) ([]heap.RID, error) {
 	switch p.Method {
-	case MethodSorted, MethodPipelined:
+	case MethodSorted, MethodPipelined, MethodClustered:
 		return parallelRangeRIDs(q.Ctx, p.Index, sortRanges(probeRanges(p.Index, q)), workers)
 	case MethodCM:
 		return parallelCMRIDs(t, p.CM, q, workers)

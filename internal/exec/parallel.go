@@ -547,7 +547,7 @@ func (p Plan) RunParallel(t *table.Table, q Query, workers int, fn RowFunc) erro
 		return ParallelTableScan(t, q, workers, fn)
 	case MethodPipelined:
 		return BatchedIndexScan(t, p.Index, q, workers, fn)
-	case MethodSorted:
+	case MethodSorted, MethodClustered:
 		return ParallelSortedIndexScan(t, p.Index, q, workers, fn)
 	case MethodCM:
 		return ParallelCMScan(t, p.CM, q, workers, fn)

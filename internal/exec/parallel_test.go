@@ -5,7 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/heap"
+	"repro/internal/sim"
+	"repro/internal/table"
 	"repro/internal/value"
 )
 
@@ -238,6 +241,145 @@ func TestChunkSlices(t *testing.T) {
 		}
 		if at != tc[0] {
 			t.Fatalf("chunkSlices(%d,%d): covers %d, want %d", tc[0], tc[1], at, tc[0])
+		}
+	}
+}
+
+// clusteredPlan is the clustered-index scan of tbl as the planner
+// dispatches it: the sorted-scan executor over the clustered index.
+func clusteredPlan(db *testDB) Plan {
+	return Plan{Method: MethodClustered, Index: db.tbl.Clustered()}
+}
+
+// TestClusteredScanMatchesTableScan holds the clustered-index scan to
+// the table scan's exact output — same rows, same physical order — for
+// Eq/IN/range predicates on the clustering column, serial and at every
+// worker count, before and after churn that leaves live versions at the
+// heap tail (outside their clustered buckets' page ranges) and dead
+// versions in place.
+func TestClusteredScanMatchesTableScan(t *testing.T) {
+	db := buildTestDB(t, 6000, 42, 0)
+	queries := []Query{
+		NewQuery(Eq(0, value.NewInt(137))),
+		NewQuery(In(0, value.NewInt(3), value.NewInt(250), value.NewInt(251), value.NewInt(3), value.NewInt(499))),
+		NewQuery(Between(0, value.NewInt(40), value.NewInt(90))),
+		NewQuery(Gt(0, value.NewInt(480)), Ne(1, value.NewInt(49))),
+		NewQuery(Le(0, value.NewInt(12)), In(1, value.NewInt(0), value.NewInt(1))),
+		NewQuery(Eq(0, value.NewInt(-5))), // below every key: matches nothing
+	}
+	check := func(stage string) {
+		t.Helper()
+		for qi, q := range queries {
+			want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, fn) })
+			if qi < 5 && len(want) == 0 {
+				t.Fatalf("%s q%d matched nothing; fixture broken", stage, qi)
+			}
+			serial := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(db.tbl, q, fn) })
+			if !sameSlices(want, serial) {
+				t.Errorf("%s q%d: clustered serial (%d rows) != table scan (%d rows)", stage, qi, len(serial), len(want))
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).RunParallel(db.tbl, q, w, fn) })
+				if !sameSlices(want, got) {
+					t.Errorf("%s q%d workers %d: clustered (%d rows) != table scan (%d rows)", stage, qi, w, len(got), len(want))
+				}
+			}
+		}
+	}
+	check("loaded")
+
+	// Churn as one writer statement each: inserts land at the heap
+	// tail, updates end a version in place and append its successor,
+	// deletes leave dead versions behind.
+	write := func(apply func(tx *table.WriteTxn) error) {
+		t.Helper()
+		tx := db.tbl.BeginWrite()
+		if err := apply(tx); err != nil {
+			tx.Abort()
+			t.Fatal(err)
+		}
+		if err := tx.Publish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh []value.Row
+	for i := 0; i < 200; i++ {
+		c := int64(i * 5 % 500)
+		fresh = append(fresh, value.Row{value.NewInt(c), value.NewInt(c / 10), value.NewString(fmt.Sprintf("fresh-%d", i))})
+	}
+	write(func(tx *table.WriteTxn) error { return tx.InsertBatch(fresh) })
+	var olds, dead []heap.RID
+	var news []value.Row
+	if err := TableScan(db.tbl, NewQuery(Between(0, value.NewInt(45), value.NewInt(60))), func(rid heap.RID, row value.Row) bool {
+		if row[0].I%2 == 0 {
+			olds = append(olds, rid)
+			moved := row.Clone()
+			moved[0] = value.NewInt(row[0].I + 200) // the clustering key itself moves
+			news = append(news, moved)
+		} else {
+			dead = append(dead, rid)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(olds) == 0 || len(dead) == 0 {
+		t.Fatal("churn slice empty; fixture broken")
+	}
+	write(func(tx *table.WriteTxn) error { return tx.UpdateBatch(olds, news) })
+	write(func(tx *table.WriteTxn) error { return tx.DeleteBatch(dead) })
+	check("churned")
+}
+
+// TestClusteredScanCompositePrefix runs the clustered path over a
+// two-column clustering key: equality on the leading column, equality
+// plus a range on the second, an IN on the leading column (which ends
+// the usable prefix), and a range on the leading column alone.
+func TestClusteredScanCompositePrefix(t *testing.T) {
+	d := sim.NewDisk(sim.Config{PageSize: 1024})
+	pool := buffer.NewPool(d, 512)
+	sch := table.NewSchema(
+		table.Column{Name: "region", Kind: value.String},
+		table.Column{Name: "day", Kind: value.Int},
+		table.Column{Name: "payload", Kind: value.String},
+	)
+	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := []string{"east", "north", "south", "west"}
+	var rows []value.Row
+	for i := 0; i < 20000; i++ {
+		rows = append(rows, value.Row{
+			value.NewString(regions[i%len(regions)]), value.NewInt(int64(i / 200)),
+			value.NewString(fmt.Sprintf("row-%d", i)),
+		})
+	}
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	db := &testDB{tbl: tbl}
+	queries := []Query{
+		NewQuery(Eq(0, value.NewString("north"))),
+		NewQuery(Eq(0, value.NewString("south")), Between(1, value.NewInt(10), value.NewInt(20))),
+		NewQuery(In(0, value.NewString("east"), value.NewString("west")), Eq(1, value.NewInt(33))),
+		NewQuery(Ge(0, value.NewString("o")), Lt(1, value.NewInt(5))),
+	}
+	for qi, q := range queries {
+		want := collectVia(t, func(fn RowFunc) error { return TableScan(tbl, q, fn) })
+		if len(want) == 0 {
+			t.Fatalf("q%d matched nothing; fixture broken", qi)
+		}
+		for _, w := range []int{1, 4} {
+			got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).RunParallel(tbl, q, w, fn) })
+			if !sameSlices(want, got) {
+				t.Errorf("q%d workers %d: clustered (%d rows) != table scan (%d rows)", qi, w, len(got), len(want))
+			}
+		}
+		// The narrow composite probe must plan onto the clustered index
+		// (the whole-region queries may rightly prefer a scan here).
+		if p := ChoosePlan(tbl, q, NewExactStats()); qi == 1 && p.Method != MethodClustered {
+			t.Errorf("q%d planned %v, want the clustered index", qi, p.Method)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -19,6 +20,10 @@ const (
 	MethodPipelined
 	MethodSorted
 	MethodCM
+	// MethodClustered probes the clustered index with predicates on the
+	// leading clustering column(s) and sweeps the RIDs' pages in
+	// physical order — the sorted-scan executor over t.Clustered().
+	MethodClustered
 )
 
 // String names the method.
@@ -32,6 +37,8 @@ func (m Method) String() string {
 		return "sorted-index-scan"
 	case MethodCM:
 		return "cm-scan"
+	case MethodClustered:
+		return "clustered-index-scan"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -51,7 +58,7 @@ type StatsProvider interface {
 // Plan is a chosen access path with its predicted cost.
 type Plan struct {
 	Method Method
-	Index  *table.Index // for MethodPipelined / MethodSorted
+	Index  *table.Index // for MethodPipelined / MethodSorted / MethodClustered
 	CM     *core.CM     // for MethodCM
 	Cost   time.Duration
 }
@@ -63,7 +70,7 @@ func (p Plan) Run(t *table.Table, q Query, fn RowFunc) error {
 		return TableScan(t, q, fn)
 	case MethodPipelined:
 		return PipelinedIndexScan(t, p.Index, q, fn)
-	case MethodSorted:
+	case MethodSorted, MethodClustered:
 		return SortedIndexScan(t, p.Index, q, fn)
 	case MethodCM:
 		return CMScan(t, p.CM, q, fn)
@@ -74,8 +81,10 @@ func (p Plan) Run(t *table.Table, q Query, fn RowFunc) error {
 
 // ChoosePlan costs every applicable access path with the Section 4 model
 // and returns the cheapest. A secondary index applies when its leading
-// key column is predicated; a CM applies when at least one of its columns
-// is predicated (false positives are filtered after the heap sweep).
+// key column is predicated; the clustered index applies when the leading
+// clustering column is (costed from the bucket directory alone — see
+// clusteredSpan); a CM applies when at least one of its columns is
+// predicated (false positives are filtered after the heap sweep).
 func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 	h := costmodel.DefaultHardware()
 	ts := sp.TableStats(t)
@@ -109,6 +118,18 @@ func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 		})
 	}
 
+	if runs, buckets := clusteredSpan(t, q); buckets > 0 {
+		// One bucket's share of the scan's reads: its heap pages plus
+		// its slice of the clustered index the RIDs come from.
+		pages := t.PagesPerCBucket() +
+			float64(t.Clustered().Tree.PageCount())/float64(t.Buckets().NumBuckets())
+		consider(Plan{
+			Method: MethodClustered,
+			Index:  t.Clustered(),
+			Cost:   costmodel.ClusteredRange(h, ts, pages, runs, buckets),
+		})
+	}
+
 	for _, cm := range t.CMs() {
 		n := 0
 		for _, col := range cm.Spec().UCols {
@@ -135,51 +156,97 @@ func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 	return best
 }
 
-// ExactStats is a StatsProvider computing exact statistics with table
-// scans, caching per attribute set. Fine for tests and moderate tables;
-// production advisors use the sampling estimators instead. Safe for
+// clusteredSpan locates the query's clustered-key probe ranges in the
+// bucket directory: buckets is how many distinct clustered buckets the
+// ranges span, runs how many maximal runs of adjacent buckets those
+// form (one clustered-index descent each). Both are 0 when the
+// clustered index does not apply — no Eq/IN/range predicate on the
+// leading clustering column — or the table has no directory (never
+// bulk-loaded: nothing memory-resident says where a key range lives).
+// Only the directory is consulted — planning reads no page.
+func clusteredSpan(t *table.Table, q Query) (runs, buckets int) {
+	dir := t.Buckets()
+	if q.IndexablePredOn(t.ClusteredCols()[0]) == nil || dir.NumBuckets() == 0 {
+		return 0, 0
+	}
+	ranges, _ := indexProbeRanges(t.ClusteredCols(), q)
+	spans := make([][2]int32, len(ranges))
+	for i, r := range ranges {
+		lo, hi := int32(0), int32(dir.NumBuckets()-1)
+		if len(r.Lo) > 0 {
+			lo = dir.Locate(r.Lo)
+		}
+		if len(r.Hi) > 0 {
+			// Every clustered key carrying the prefix r.Hi sorts below
+			// r.Hi ‖ 0xFF: a following column starts with a kind tag.
+			hi = dir.Locate(append(append([]byte(nil), r.Hi...), 0xFF))
+		}
+		if hi < lo {
+			hi = lo // empty interval: still one descent
+		}
+		spans[i] = [2]int32{lo, hi}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	end := int32(-2) // last bucket counted so far
+	for _, sp := range spans {
+		lo, hi := sp[0], sp[1]
+		if lo > end+1 {
+			runs++
+		}
+		if lo <= end {
+			lo = end + 1
+		}
+		if hi >= lo {
+			buckets += int(hi-lo) + 1
+			end = hi
+		}
+	}
+	return runs, buckets
+}
+
+// ExactStats is a StatsProvider computing exact pair statistics with
+// table scans, caching them per table and attribute set. Fine for tests
+// and moderate tables; production advisors use the sampling estimators
+// instead. Table statistics are O(1) and read live on every plan, so
+// heap growth (and a bulk load) shows in the next estimate. Safe for
 // concurrent use: concurrent planners share one cache under a mutex.
 type ExactStats struct {
 	mu      sync.Mutex
-	cacheTS map[*table.Table]costmodel.TableStats
-	cachePS map[string]costmodel.PairStats
+	cachePS map[*table.Table]map[string]costmodel.PairStats
 }
 
 // NewExactStats creates an empty provider.
 func NewExactStats() *ExactStats {
-	return &ExactStats{
-		cacheTS: make(map[*table.Table]costmodel.TableStats),
-		cachePS: make(map[string]costmodel.PairStats),
-	}
+	return &ExactStats{cachePS: make(map[*table.Table]map[string]costmodel.PairStats)}
 }
 
-// TableStats implements StatsProvider. The mutex is held across the
-// computation so concurrent first queries on a cold cache scan the
-// table once, not once each.
+// TableStats implements StatsProvider, reading the table's current
+// page count, tuple count and clustered tree height.
 func (e *ExactStats) TableStats(t *table.Table) costmodel.TableStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ts, ok := e.cacheTS[t]; ok {
-		return ts
-	}
 	st := t.Stats()
-	ts := costmodel.TableStats{
+	return costmodel.TableStats{
 		TupsPerPage: st.TupsPerPage,
 		TotalTups:   float64(st.TotalTups),
 		BTreeHeight: float64(st.BTreeHeight),
 	}
-	e.cacheTS[t] = ts
-	return ts
 }
 
-// PairStats implements StatsProvider; like TableStats, it computes a
-// missing entry under the mutex to avoid a cache stampede of
-// full-table scans.
-func (e *ExactStats) PairStats(t *table.Table, uCols []int) (costmodel.PairStats, bool) {
-	key := fmt.Sprintf("%s/%v", t.Name(), uCols)
+// Forget drops the table's cached pair statistics; the facade calls it
+// after a bulk load, which invalidates anything computed before it.
+func (e *ExactStats) Forget(t *table.Table) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ps, ok := e.cachePS[key]; ok {
+	delete(e.cachePS, t)
+}
+
+// PairStats implements StatsProvider. The mutex is held across the
+// computation so concurrent first queries on a cold cache scan the
+// table once, not once each.
+func (e *ExactStats) PairStats(t *table.Table, uCols []int) (costmodel.PairStats, bool) {
+	key := fmt.Sprint(uCols)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ps, ok := e.cachePS[t][key]; ok {
 		return ps, true
 	}
 	pc, err := t.PairStats(uCols)
@@ -191,6 +258,9 @@ func (e *ExactStats) PairStats(t *table.Table, uCols []int) (costmodel.PairStats
 		CTups: pc.CTups(),
 		CPerU: pc.CPerU(),
 	}
-	e.cachePS[key] = ps
+	if e.cachePS[t] == nil {
+		e.cachePS[t] = make(map[string]costmodel.PairStats)
+	}
+	e.cachePS[t][key] = ps
 	return ps, true
 }

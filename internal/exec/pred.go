@@ -1,8 +1,9 @@
 // Package exec implements query execution: conjunctive predicates and the
 // four access paths the paper compares — full table scan, pipelined
 // secondary index scan, sorted (bitmap-style) secondary index scan, and
-// the correlation-map scan — plus the cost-based choice among them and
-// the predicate-introduction rewrite of Section 7.1.
+// the correlation-map scan — plus the clustered-index scan they all
+// bottom out in, the cost-based choice among the five and the
+// predicate-introduction rewrite of Section 7.1.
 package exec
 
 import (

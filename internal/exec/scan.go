@@ -187,12 +187,21 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 			consumed++
 			continue
 		case OpIn:
+			// IN (5, 5) is one probe: a pipelined scan emits per probe
+			// and would return the rows twice.
+			encs := make([][]byte, 0, len(p.Vals))
+			seen := make(map[string]struct{}, len(p.Vals))
+			for _, v := range p.Vals {
+				enc := keyenc.EncodeValue(v)
+				if _, dup := seen[string(enc)]; !dup {
+					seen[string(enc)] = struct{}{}
+					encs = append(encs, enc)
+				}
+			}
 			var next [][]byte
 			for _, pre := range prefixes {
-				for _, v := range p.Vals {
-					key := make([]byte, len(pre), len(pre)+10)
-					copy(key, pre)
-					next = append(next, keyenc.AppendValue(key, v))
+				for _, enc := range encs {
+					next = append(next, append(append(make([]byte, 0, len(pre)+len(enc)), pre...), enc...))
 				}
 			}
 			prefixes = next

@@ -9,16 +9,18 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the UPDATE executor. An UPDATE runs in two phases under
-// the table's writer gate: a read phase that collects the RIDs and new
-// images of every matching row through the planned access path, and a
-// write phase that applies them as one MVCC writer statement
-// (WriteTxn.UpdateBatch — Algorithm 1's retraction + reinsert per row).
-// Collecting fully before writing sidesteps the Halloween problem: the
-// scan can never see the rows it is about to produce. Because every
-// access path emits rows in physical heap order at any worker count, the
-// collected RID sequence — and therefore the written table state — is
-// byte-identical for serial and parallel execution.
+// This file is the write-statement executor. An UPDATE or DELETE runs in
+// two phases under the table's writer gate: a read phase that collects
+// the RIDs (and, for UPDATE, the new images) of every matching row
+// through the planned access path, and a write phase that applies them
+// as one MVCC writer statement (WriteTxn.UpdateBatch — Algorithm 1's
+// retraction + reinsert per row — or WriteTxn.DeleteBatch). Collecting
+// fully before writing sidesteps the Halloween problem: the scan can
+// never see the rows it is about to produce. Because every access path
+// emits rows in physical heap order at any worker count, the collected
+// RID sequence — and therefore the written table state — is
+// byte-identical for serial and parallel execution, and for any access
+// path the planner picks.
 
 // SetClause is one assignment of an UPDATE statement: the target column
 // and the literal value it takes. (The SQL surface only admits literal
@@ -65,33 +67,42 @@ func ApplySets(src value.Row, sets []SetClause) value.Row {
 	return out
 }
 
-// UpdateByScan executes an UPDATE: run streams the matching rows (full
-// rows, physical order) out of the chosen access path, and the write
-// phase replaces each under one writer statement. It returns the number
-// of rows updated. The caller must NOT hold the table latch — the writer
+// WriteByScan executes an UPDATE (sets non-nil) or a DELETE (sets nil):
+// run streams the matching rows (physical order; full rows for an
+// UPDATE) out of the chosen access path, and the write phase replaces
+// or ends each under one writer statement. It returns the number of rows
+// written. The caller must NOT hold the table latch — the writer
 // statement takes the writer gate itself and latches per batch. ctx,
 // when non-nil, cancels both phases: the read phase through the access
 // path's own context and the write phase between latched bursts (a
 // cancelled write aborts cleanly, leaving the table untouched).
-func UpdateByScan(ctx context.Context, t *table.Table, run func(fn RowFunc) error, sets []SetClause) (int64, error) {
-	if err := CheckSets(t.Schema(), sets); err != nil {
-		return 0, err
+func WriteByScan(ctx context.Context, t *table.Table, run func(fn RowFunc) error, sets []SetClause) (int64, error) {
+	if sets != nil {
+		if err := CheckSets(t.Schema(), sets); err != nil {
+			return 0, err
+		}
 	}
 	tx := t.BeginWrite()
 	tx.SetContext(ctx)
-	var olds []heap.RID
+	var rids []heap.RID
 	var news []value.Row
 	err := run(func(rid heap.RID, row value.Row) bool {
-		olds = append(olds, rid)
-		news = append(news, ApplySets(row, sets))
+		rids = append(rids, rid)
+		if sets != nil {
+			news = append(news, ApplySets(row, sets))
+		}
 		return true
 	})
 	if err == nil {
-		err = tx.UpdateBatch(olds, news)
+		if sets != nil {
+			err = tx.UpdateBatch(rids, news)
+		} else {
+			err = tx.DeleteBatch(rids)
+		}
 	}
 	if err != nil {
 		tx.Abort()
 		return 0, err
 	}
-	return int64(len(olds)), tx.Publish()
+	return int64(len(rids)), tx.Publish()
 }

@@ -129,6 +129,11 @@ func (tr *Tree) singlePlan(q exec.Query, sp exec.StatsProvider) (exec.Plan, erro
 			}
 		}
 		return exec.Plan{}, fmt.Errorf("plan: no CM applies to %s", q.String())
+	case ForceClustered:
+		if q.IndexablePredOn(tr.t.ClusteredCols()[0]) == nil {
+			return exec.Plan{}, fmt.Errorf("plan: the clustered index does not apply to %s", q.String())
+		}
+		return exec.Plan{Method: exec.MethodClustered, Index: tr.t.Clustered()}, nil
 	default:
 		return exec.Plan{}, fmt.Errorf("plan: unknown access method %v", tr.spec.Force)
 	}
@@ -137,7 +142,7 @@ func (tr *Tree) singlePlan(q exec.Query, sp exec.StatsProvider) (exec.Plan, erro
 // structureName names the index or CM a plan reads, if any.
 func structureName(p exec.Plan) string {
 	switch p.Method {
-	case exec.MethodSorted, exec.MethodPipelined:
+	case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
 		return p.Index.Name
 	case exec.MethodCM:
 		return p.CM.Spec().Name
@@ -178,7 +183,7 @@ func (tr *Tree) computeDecodedCols() int {
 		}
 		scanProj = append(scanProj, spec.GroupBy...)
 	} else if spec.Proj != nil {
-		scanProj = append([]int(nil), spec.Proj...)
+		scanProj = append([]int{}, spec.Proj...) // non-nil even when empty: nil means every column
 		for _, o := range spec.OrderBy {
 			scanProj = append(scanProj, o.Col)
 		}
@@ -228,7 +233,7 @@ func (tr *Tree) buildNodes() {
 		if hasPreds {
 			chain = append(chain, &Node{Kind: KindFilter, Detail: tr.filterDetail()})
 		}
-		if !spec.IsAggregate() && spec.Proj != nil && !tr.identityProj(spec.Proj) {
+		if !spec.IsAggregate() && len(spec.Proj) > 0 && !tr.identityProj(spec.Proj) {
 			chain = append(chain, &Node{Kind: KindProject, Detail: strings.Join(tr.colNames(spec.Proj), ", ")})
 		}
 		if spec.IsAggregate() {

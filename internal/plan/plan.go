@@ -4,22 +4,24 @@
 //
 // Build shapes the resolved query (a plan.Spec of column indices and
 // executor predicates) into a Tree; Optimize chooses the access path
-// with the paper's Section 4 cost model — table scan, pipelined or
-// sorted index scan, CM scan, the OR union, or the cm-agg lowering that
-// answers covered aggregates from the correlation map's per-entry
-// bucket statistics without touching the heap; Run executes the chosen
-// tree on the parallel executors. The facade's five query surfaces
-// (Exec, ExecScript, SelectMany, SelectAggregate and EXPLAIN) all lower
-// through this package, so a statement cannot behave differently
-// between surfaces, and EXPLAIN prints exactly the operator chain Run
-// executes.
+// with the paper's Section 4 cost model — table scan, clustered-index
+// scan, pipelined or sorted index scan, CM scan, the OR union, or the
+// cm-agg lowering that answers covered aggregates from the correlation
+// map's per-entry bucket statistics without touching the heap; Run
+// executes the chosen tree on the parallel executors. UPDATE and DELETE
+// compile their read side the same way (WriteTree). The facade's five
+// query surfaces (Exec, ExecScript, SelectMany, SelectAggregate and
+// EXPLAIN) all lower through this package, so a statement cannot behave
+// differently between surfaces, and EXPLAIN prints exactly the operator
+// chain Run executes.
 //
 // The operator vocabulary: scan | union (access), filter (predicate
 // evaluation — fused into the access path's compiled tuple filter at
 // run time), project (projection pushdown), agg (the streaming grouped
 // fold), cm-agg (index-only aggregation from CM bucket statistics, with
 // an embedded hybrid sweep of impure buckets), having (post-aggregate
-// filter), sort (full sort or bounded top-K heap) and limit. New
+// filter), sort (full sort or bounded top-K heap), limit, and the write
+// nodes update | delete on top of a write statement's read chain. New
 // operators are node insertions here, not new lowering branches.
 package plan
 
@@ -49,6 +51,8 @@ const (
 	ForcePipelined
 	// ForceCM forces the correlation-map scan.
 	ForceCM
+	// ForceClustered forces the clustered-index scan.
+	ForceClustered
 )
 
 // Order is one ORDER BY key of a Spec. For plain selects Col is a table
@@ -137,6 +141,10 @@ const (
 	// replaces each under one MVCC writer statement (Algorithm-1
 	// retraction + reinsert per row).
 	KindUpdate
+	// KindDelete is the write operator of a DELETE statement: it
+	// consumes the matching RIDs from the access chain below it and ends
+	// each row version under one MVCC writer statement.
+	KindDelete
 )
 
 // String names the kind as EXPLAIN prints it.
@@ -162,6 +170,8 @@ func (k Kind) String() string {
 		return "limit"
 	case KindUpdate:
 		return "update"
+	case KindDelete:
+		return "delete"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

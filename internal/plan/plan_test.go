@@ -186,3 +186,99 @@ func TestCMAggMatchesHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTreeShapes pins the one write tree behind UPDATE and DELETE:
+// the write node sits on the compiled read chain, a DELETE's read side
+// materializes only the predicated columns (and shows no project node
+// for it), both statements refuse read-side shapes a write cannot
+// have, and they really write.
+func TestWriteTreeShapes(t *testing.T) {
+	tbl := fixture(t)
+	sp := exec.NewExactStats()
+	where := Spec{Disjuncts: []exec.Query{exec.NewQuery(exec.Between(0, value.NewInt(10), value.NewInt(19)))}}
+	nodeKinds := func(info Info) string {
+		out := make([]string, len(info.Nodes))
+		for i, n := range info.Nodes {
+			out[i] = n.Kind
+		}
+		return strings.Join(out, ",")
+	}
+
+	upd, err := CompileUpdate(tbl, where, []exec.SetClause{{Col: 2, Val: value.NewInt(9)}}, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeKinds(upd.Explain()); got != "scan,filter,update" {
+		t.Errorf("UPDATE chain = %s", got)
+	}
+	if got := upd.Explain().DecodedCols; got != 3 {
+		t.Errorf("UPDATE decodes %d columns, want the whole row", got)
+	}
+	del, err := CompileDelete(tbl, where, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeKinds(del.Explain()); got != "scan,filter,delete" {
+		t.Errorf("DELETE chain = %s", got)
+	}
+	if got := del.Explain().DecodedCols; got != 1 {
+		t.Errorf("DELETE decodes %d columns, want only the predicated one", got)
+	}
+
+	for name, bad := range map[string]Spec{
+		"aggregate":  {Aggs: []exec.AggSpec{{Kind: exec.AggCount, Col: -1}}},
+		"order by":   {OrderBy: []Order{{Col: 0}}},
+		"limit":      {Limit: 1},
+		"projection": {Proj: []int{0}},
+	} {
+		if _, err := CompileDelete(tbl, bad, sp); err == nil || !strings.Contains(err.Error(), "DELETE") {
+			t.Errorf("DELETE with %s: err = %v", name, err)
+		}
+		if _, err := CompileUpdate(tbl, bad, []exec.SetClause{{Col: 2, Val: value.NewInt(9)}}, sp); err == nil || !strings.Contains(err.Error(), "UPDATE") {
+			t.Errorf("UPDATE with %s: err = %v", name, err)
+		}
+	}
+
+	if n, err := upd.Run(2); err != nil || n != 40 {
+		t.Fatalf("UPDATE wrote %d rows, err %v; want 40", n, err)
+	}
+	if n, err := del.Run(2); err != nil || n != 40 {
+		t.Fatalf("DELETE removed %d rows, err %v; want 40", n, err)
+	}
+	left, err := Compile(tbl, Spec{}, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := left.Rows(1)
+	if err != nil || len(rows) != 360 {
+		t.Fatalf("%d rows left, err %v; want 360", len(rows), err)
+	}
+}
+
+// TestForcedClusteredNeedsTheClusteringColumn pins the forced method's
+// contract: it resolves to the clustered index when the leading
+// clustering column carries an indexable predicate and errors otherwise.
+func TestForcedClusteredNeedsTheClusteringColumn(t *testing.T) {
+	tbl := fixture(t)
+	sp := exec.NewExactStats()
+	tr, err := Compile(tbl, Spec{Force: ForceClustered,
+		Disjuncts: []exec.Query{exec.NewQuery(exec.In(0, value.NewInt(3), value.NewInt(70)))}}, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := tr.Explain(); info.Method != exec.MethodClustered || info.Uses != "t.clustered" {
+		t.Errorf("forced clustered plan = %v/%q", info.Method, info.Uses)
+	}
+	rows, err := tr.Rows(4)
+	if err != nil || len(rows) != 8 {
+		t.Errorf("forced clustered scan returned %d rows, err %v; want 8", len(rows), err)
+	}
+	for _, q := range []exec.Query{
+		exec.NewQuery(exec.Eq(1, value.NewInt(10))),
+		exec.NewQuery(exec.Ne(0, value.NewInt(10))),
+	} {
+		if _, err := Compile(tbl, Spec{Force: ForceClustered, Disjuncts: []exec.Query{q}}, sp); err == nil {
+			t.Errorf("forced clustered scan accepted %s", q.String())
+		}
+	}
+}

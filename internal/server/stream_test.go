@@ -497,8 +497,10 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 		Config{Coalesce: true, CoalesceWindow: 50 * time.Millisecond, CoalesceMax: 8})
 	defer stop()
 
-	// Two tables: a stays pool-resident (warmed below), b stays cold so
-	// only its probe touches the disk once the plan is armed.
+	// Two tables: a is made fully pool-resident (warmed below through
+	// every structure a plan could read), b stays fully cold — heap and
+	// clustered index — so whichever access paths the planner picks, the
+	// only statement of the batch that touches the disk is the one on b.
 	results, err := db.ExecScript(
 		"CREATE TABLE a (k INT, v STRING) CLUSTERED BY (k); LOAD INTO a VALUES (1,'a1'), (2,'a2'), (3,'a3');" +
 			"CREATE TABLE b (k INT, v STRING) CLUSTERED BY (k); LOAD INTO b VALUES (1,'b1'), (2,'b2')")
@@ -513,13 +515,16 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 3; k++ {
-		if _, err := db.Exec(fmt.Sprintf("SELECT v FROM a WHERE k = %d", k)); err != nil {
+	for _, via := range []repro.AccessMethod{repro.TableScan, repro.ClusteredIndexScan} {
+		err := db.Table("a").SelectVia(via, func(repro.Row) bool { return true },
+			repro.Ge("k", repro.IntVal(1)))
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Armed now: counters are relative to SetFaultPlan, so the very next
-	// disk read — b's cold probe, a's probes are pool hits — fails once.
+	// disk read — b's first page under any plan, a's probes are pool
+	// hits — fails once.
 	db.SetFaultPlan(&repro.FaultPlan{FailReadN: 1})
 	defer db.SetFaultPlan(nil)
 
@@ -563,6 +568,7 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 			out <- probeResult{sql: sql, resp: resp}
 		}(sql)
 	}
+	failed := 0
 	for i := 0; i < len(stmts); i++ {
 		pr := <-out
 		if pr.err != nil {
@@ -572,6 +578,9 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 			t.Fatalf("%s: %+v", pr.sql, pr.resp)
 		}
 		sr := pr.resp.Results[0]
+		if sr.Error != "" {
+			failed++
+		}
 		if strings.Contains(pr.sql, "FROM b") {
 			if !strings.Contains(sr.Error, "injected") {
 				t.Errorf("%s: error = %q, want the injected fault", pr.sql, sr.Error)
@@ -581,6 +590,9 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 				t.Errorf("%s: batchmate damaged by the fault: %+v", pr.sql, sr)
 			}
 		}
+	}
+	if failed != 1 {
+		t.Errorf("%d statements of the batch failed, want exactly the one on b", failed)
 	}
 
 	if v := metric(t, db, "server.coalesced_batches"); v < 1 {

@@ -681,17 +681,23 @@ type BucketPairStats struct {
 	Keys            int
 }
 
+// PagesPerCBucket returns the average number of heap pages one
+// clustered bucket spans, from the live page count and the bucket
+// directory — memory-resident state only. 0 without a directory (a
+// table that was never bulk-loaded).
+func (t *Table) PagesPerCBucket() float64 {
+	nb := t.cbuckets.NumBuckets()
+	if nb == 0 {
+		return 0
+	}
+	return float64(t.heapf.NumPages()) / float64(nb)
+}
+
 // BucketPairStatsFor derives bucket-level statistics from an existing CM.
 func (t *Table) BucketPairStatsFor(cm *core.CM) BucketPairStats {
-	st := t.Stats()
-	nb := t.cbuckets.NumBuckets()
-	ppb := 0.0
-	if nb > 0 {
-		ppb = float64(st.Pages) / float64(nb)
-	}
 	return BucketPairStats{
 		CPerU:           cm.CPerU(),
-		PagesPerCBucket: ppb,
+		PagesPerCBucket: t.PagesPerCBucket(),
 		Keys:            cm.Keys(),
 	}
 }

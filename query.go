@@ -85,7 +85,8 @@ func buildQuery(t *Table, preds []Pred) (exec.Query, error) {
 // AccessMethod selects a query access path explicitly.
 type AccessMethod int
 
-// The access paths of the paper's comparison.
+// The access paths of the paper's comparison, plus the clustered-index
+// scan they all bottom out in.
 const (
 	// Auto lets the correlation-aware cost model choose.
 	Auto AccessMethod = iota
@@ -98,6 +99,10 @@ const (
 	PipelinedIndexScan
 	// CMScan forces the correlation-map path.
 	CMScan
+	// ClusteredIndexScan forces the clustered-index scan: predicates on
+	// the leading clustering column(s) probe the clustered B+Tree and
+	// the matching pages sweep in physical order.
+	ClusteredIndexScan
 )
 
 // String names the method.
@@ -113,6 +118,8 @@ func (m AccessMethod) String() string {
 		return "pipelined-index-scan"
 	case CMScan:
 		return "cm-scan"
+	case ClusteredIndexScan:
+		return "clustered-index-scan"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -143,7 +150,8 @@ func (t *Table) SelectCtx(ctx context.Context, fn func(Row) bool, preds ...Pred)
 
 // SelectVia is Select with an explicit access method. SortedIndexScan,
 // PipelinedIndexScan and CMScan use the first applicable index or CM
-// (one whose leading column — any column, for CMs — is predicated).
+// (one whose leading column — any column, for CMs — is predicated);
+// ClusteredIndexScan needs the leading clustering column predicated.
 func (t *Table) SelectVia(method AccessMethod, fn func(Row) bool, preds ...Pred) error {
 	return t.runTree(nil, QuerySpec{Table: t.Name(), Via: method, Preds: preds}, t.db.workers,
 		func(r value.Row) bool { return fn(externalRow(r)) })

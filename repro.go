@@ -19,7 +19,7 @@
 //   - secondary B+Tree indexes and correlation maps (CreateIndex,
 //     CreateCM) with bucketing control
 //   - query execution with predicate builders (Eq, Ne, In, Between,
-//     Ge, Le, Gt, Lt) across four access paths, chosen by the paper's
+//     Ge, Le, Gt, Lt) across five access paths, chosen by the paper's
 //     correlation-aware cost model or forced explicitly (Select,
 //     SelectVia, Explain)
 //   - a SQL front-end (Exec, ExecScript) parsing the dialect described
@@ -44,7 +44,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -444,7 +443,13 @@ func (t *Table) Load(rows []Row) error {
 	for i, r := range rows {
 		internal[i] = r.internal()
 	}
-	return t.inner.Load(internal)
+	if err := t.inner.Load(internal); err != nil {
+		return err
+	}
+	// Pair statistics computed against the empty table describe nothing
+	// the loaded one holds.
+	t.stats.Forget(t.inner)
+	return nil
 }
 
 // Insert appends one row, maintaining the clustered index, all secondary
@@ -471,41 +476,18 @@ func (t *Table) Delete(preds ...Pred) (int, error) {
 // DeleteCtx is Delete bounded by a context: the collection scan and
 // the write batches both poll ctx, and a cancelled statement aborts
 // cleanly — the table keeps every row. A nil ctx never cancels; the
-// configured statement timeout applies either way.
+// configured statement timeout applies either way. Like Update, the
+// statement compiles through the plan layer, so its WHERE clause reads
+// through whichever access path the cost model prefers.
 func (t *Table) DeleteCtx(ctx context.Context, preds ...Pred) (int, error) {
-	q, err := buildQuery(t, preds)
-	if err != nil {
-		return 0, err
-	}
 	ctx, cancel := t.db.stmtCtx(ctx)
 	defer cancel()
-	// The scan only collects RIDs: materialize nothing beyond the
-	// predicated columns.
-	q.Proj = []int{}
-	q.Ctx = ctx
-	tx := t.inner.BeginWrite()
-	tx.SetContext(ctx)
-	// Under the writer gate nothing mutates the table, so the collection
-	// scan reads the latest state without holding the latch.
-	var rids []heap.RID
-	err = exec.TableScan(t.inner, q, func(rid heap.RID, _ value.Row) bool {
-		rids = append(rids, rid)
-		return true
-	})
-	if err == nil {
-		err = tx.DeleteBatch(rids)
-	}
-	if err != nil {
-		tx.Abort()
-		t.db.noteOutcome(err)
-		return 0, err
-	}
-	err = tx.Publish()
-	t.db.noteOutcome(err)
+	wt, err := t.compileDelete(ctx, preds)
 	if err != nil {
 		return 0, err
 	}
-	return len(rids), nil
+	n, err := t.runWrite(wt)
+	return int(n), err
 }
 
 // Set is one assignment of an Update statement: the named column takes
@@ -535,18 +517,23 @@ func (t *Table) UpdateCtx(ctx context.Context, sets []Set, preds ...Pred) (int64
 	return t.runUpdate(ctx, sets, [][]Pred{preds})
 }
 
-// runUpdate is the shared execution path of Update, UpdateCtx and
-// SQL's UPDATE: apply the statement timeout, compile, run, classify
-// the outcome.
+// runUpdate executes an UPDATE whose WHERE clause is in disjunctive
+// normal form — the shared path of Update, UpdateCtx and SQL's UPDATE.
 func (t *Table) runUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (int64, error) {
 	ctx, cancel := t.db.stmtCtx(ctx)
 	defer cancel()
-	ut, err := t.compileUpdate(ctx, sets, anyOf)
+	wt, err := t.compileUpdate(ctx, sets, anyOf)
 	if err != nil {
 		return 0, err
 	}
+	return t.runWrite(wt)
+}
+
+// runWrite executes a compiled UPDATE or DELETE — the one place write
+// statements record their latency and classify their outcome.
+func (t *Table) runWrite(wt *plan.WriteTree) (int64, error) {
 	defer t.db.observeQuery(time.Now())
-	n, err := ut.Run(t.db.workers)
+	n, err := wt.Run(t.db.workers)
 	t.db.noteOutcome(err)
 	return n, err
 }
@@ -572,9 +559,9 @@ func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...
 
 // compileUpdate lowers facade sets + a WHERE clause in disjunctive
 // normal form (one []Pred conjunction per disjunct) to a compiled
-// update tree under a shared latch hold. ctx, when non-nil, cancels
-// the compiled tree's read and write phases.
-func (t *Table) compileUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (*plan.UpdateTree, error) {
+// write tree. ctx, when non-nil, cancels the compiled tree's read and
+// write phases.
+func (t *Table) compileUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (*plan.WriteTree, error) {
 	disjuncts := make([]exec.Query, 0, len(anyOf))
 	for _, preds := range anyOf {
 		q, err := buildQuery(t, preds)
@@ -593,11 +580,30 @@ func (t *Table) compileUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (
 	}
 	t.inner.RLock()
 	defer t.inner.RUnlock()
+	return plan.CompileUpdate(t.inner, t.writeSpec(ctx, disjuncts), esets, t.stats)
+}
+
+// compileDelete lowers a DELETE's WHERE conjunction to a compiled
+// write tree, like compileUpdate.
+func (t *Table) compileDelete(ctx context.Context, preds []Pred) (*plan.WriteTree, error) {
+	q, err := buildQuery(t, preds)
+	if err != nil {
+		return nil, err
+	}
+	t.inner.RLock()
+	defer t.inner.RUnlock()
+	return plan.CompileDelete(t.inner, t.writeSpec(ctx, []exec.Query{q}), t.stats)
+}
+
+// writeSpec is the read-side plan spec of a write statement. It carries
+// no snapshot: the read phase runs under the writer gate, where nothing
+// else mutates the table, and reads the latest state.
+func (t *Table) writeSpec(ctx context.Context, disjuncts []exec.Query) plan.Spec {
 	spec := plan.Spec{Disjuncts: disjuncts, Ctx: ctx}
 	if t.db.metricsOn() {
 		spec.Obs = t.db.scanObs
 	}
-	return plan.CompileUpdate(t.inner, spec, esets, t.stats)
+	return spec
 }
 
 // explainUpdate compiles an UPDATE without running it — plain EXPLAIN

@@ -133,10 +133,10 @@ func TestSelectMethodsAgree(t *testing.T) {
 	if err := tbl.CreateCM("u_cm", CMColumn{Name: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	count := func(m AccessMethod) int {
+	count := func(m AccessMethod, extra ...Pred) int {
 		n := 0
 		if err := tbl.SelectVia(m, func(Row) bool { n++; return true },
-			Between("u", IntVal(5), IntVal(8))); err != nil {
+			append([]Pred{Between("u", IntVal(5), IntVal(8))}, extra...)...); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		return n
@@ -149,6 +149,10 @@ func TestSelectMethodsAgree(t *testing.T) {
 		if got := count(m); got != want {
 			t.Errorf("%v returned %d rows, want %d", m, got, want)
 		}
+	}
+	// u = c/10, so the same rows are the clustered range c in [50, 89].
+	if got := count(ClusteredIndexScan, Between("c", IntVal(50), IntVal(89))); got != want {
+		t.Errorf("%v returned %d rows, want %d", ClusteredIndexScan, got, want)
 	}
 }
 
@@ -487,7 +491,7 @@ func TestCMWithExplicitWidth(t *testing.T) {
 }
 
 func TestMethodStrings(t *testing.T) {
-	for _, m := range []AccessMethod{Auto, TableScan, SortedIndexScan, PipelinedIndexScan, CMScan, AccessMethod(77)} {
+	for _, m := range []AccessMethod{Auto, TableScan, SortedIndexScan, PipelinedIndexScan, CMScan, ClusteredIndexScan, AccessMethod(77)} {
 		if m.String() == "" {
 			t.Error("empty method name")
 		}

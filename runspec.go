@@ -306,6 +306,8 @@ func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
 		ps.Force = plan.ForcePipelined
 	case CMScan:
 		ps.Force = plan.ForceCM
+	case ClusteredIndexScan:
+		ps.Force = plan.ForceClustered
 	default:
 		return plan.Spec{}, fmt.Errorf("repro: unknown access method %v", spec.Via)
 	}
@@ -454,6 +456,8 @@ func facadeMethod(m exec.Method) AccessMethod {
 		return PipelinedIndexScan
 	case exec.MethodCM:
 		return CMScan
+	case exec.MethodClustered:
+		return ClusteredIndexScan
 	default:
 		return TableScan
 	}
