@@ -447,9 +447,11 @@ func TestExplainOrUnionNodes(t *testing.T) {
 	}
 	rowsEqual(t, "union rows", or.Rows, want)
 
-	// Summed probe costs past the scan cost fall back by cost: adding
-	// the 44ms sorted sweep on s tips 26+22ms past the 83ms scan.
-	res, err = db.Exec("EXPLAIN SELECT * FROM plans WHERE u = 25 OR s = 100 OR r = 77")
+	// Summed probe costs past the scan cost fall back by cost: the 44ms
+	// sorted sweep on s and two 22ms probes of r tip the CM's 6ms past
+	// the 83ms scan. (One probe of r used to be enough: the CM disjunct
+	// cost 26ms while it still descended the clustered index.)
+	res, err = db.Exec("EXPLAIN SELECT * FROM plans WHERE u = 25 OR s = 100 OR r = 77 OR r = 78")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,7 @@ func BenchmarkAblationClusteredBucketing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return cm.SizeBytes(), tbl.Buckets().DirectorySizeBytes()
+		return cm.SizeBytes(), tbl.DirectorySizeBytes()
 	}
 	var perValueCM, pagedCM int64
 	for i := 0; i < b.N; i++ {

@@ -406,20 +406,21 @@ func TestClusteredCancelAndFault(t *testing.T) {
 }
 
 // TestCostModelTruthClustered is Figure 10 for the engine's planned
-// paths, old and new under one tolerance: from a cold cache, the §4
-// estimate of each statement stays within a factor of three of the
-// virtual disk time its execution is charged (the CM path, which pays
-// a descent per clustered bucket in the model but one per run of
-// adjacent buckets on disk, sets that width; the clustered path's
-// estimates land within a factor of 1.5).
+// paths: from a cold cache, the §4 estimate of each statement stays
+// within a factor of 1.5 of the virtual disk time its execution is
+// charged: the table scan, and the CM and clustered paths, both costed
+// from the bucket directory.
 func TestCostModelTruthClustered(t *testing.T) {
 	db, _ := itemsFixture(t, 1)
 	cases := []struct {
 		name, method string
 		preds        []Pred
 	}{
-		{"cm point", "cm-scan", []Pred{Eq("subcat", IntVal(250))}},
-		{"cm in-list", "cm-scan", []Pred{In("subcat", IntVal(3), IntVal(250), IntVal(480))}},
+		// Not subcat 250: its first heap page happens to continue a write
+		// stream the fixture's first flush left in sim's read-ahead table,
+		// which makes that one probe all-sequential (no seek at all).
+		{"cm point", "cm-scan", []Pred{Eq("subcat", IntVal(251))}},
+		{"cm in-list", "cm-scan", []Pred{In("subcat", IntVal(3), IntVal(251), IntVal(480))}},
 		{"table scan", "table-scan", []Pred{Ne("subcat", IntVal(3))}},
 		{"clustered point", "clustered-index-scan", []Pred{Eq("cat", IntVal(7))}},
 		{"clustered in-list", "clustered-index-scan", []Pred{In("cat", IntVal(7), IntVal(1500), IntVal(3200))}},
@@ -447,10 +448,8 @@ func TestCostModelTruthClustered(t *testing.T) {
 			continue
 		}
 		ratio := float64(info.EstimatedCost) / float64(actual)
-		tol := 3.0
-		if strings.HasPrefix(c.name, "clustered") {
-			tol = 1.5
-		}
+		const tol = 1.5
+		t.Logf("%s: estimated/measured = %.2f", c.name, ratio)
 		if actual <= 0 || ratio < 1/tol || ratio > tol {
 			t.Errorf("%s: estimated %v, measured %v (ratio %.2f) — outside a factor of %.1f",
 				c.name, info.EstimatedCost, actual, ratio, tol)

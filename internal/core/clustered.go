@@ -13,17 +13,41 @@ import (
 // values, and the executor converts IDs back to clustered key ranges.
 //
 // The directory is engine metadata (like a histogram): it lives in memory
-// and its size is charged to the correlation maps that use it via
-// DirectorySizeBytes.
+// beside the table's bucket→page directory (table.PageDirectory), and the
+// two together are reported — not folded into any CM's serialized size —
+// as the table's DirectorySizeBytes.
+//
+// The bounds sit back to back in one byte slab with an offset per bucket,
+// so a bucket costs its key bytes plus four: no slice header each.
 type ClusteredBuckets struct {
-	bounds [][]byte // bounds[i] = encoded first clustered key of bucket i
+	keys []byte   // every bucket's encoded first clustered key, concatenated
+	offs []uint32 // bucket i's bound is keys[offs[i]:offs[i+1]]; len = buckets+1, or 0
 }
 
-// NewClusteredBuckets wraps a sorted list of encoded lower bounds.
-// Bounds must be strictly increasing; bucket i spans [bounds[i],
-// bounds[i+1]).
+// NewClusteredBuckets copies a sorted list of encoded lower bounds into a
+// directory. Bounds must be strictly increasing; bucket i spans
+// [bounds[i], bounds[i+1]).
 func NewClusteredBuckets(bounds [][]byte) *ClusteredBuckets {
-	return &ClusteredBuckets{bounds: bounds}
+	cb := &ClusteredBuckets{}
+	for _, b := range bounds {
+		cb.appendBound(b)
+	}
+	return cb
+}
+
+// appendBound adds the next bucket's lower bound.
+func (cb *ClusteredBuckets) appendBound(key []byte) {
+	if len(cb.offs) == 0 {
+		cb.offs = append(cb.offs, 0)
+	}
+	cb.keys = append(cb.keys, key...)
+	cb.offs = append(cb.offs, uint32(len(cb.keys)))
+}
+
+// bound returns bucket i's encoded lower-bound key (capacity-clipped, so
+// an append by the caller cannot run into the next bound).
+func (cb *ClusteredBuckets) bound(i int) []byte {
+	return cb.keys[cb.offs[i]:cb.offs[i+1]:cb.offs[i+1]]
 }
 
 // Builder incrementally assigns bucket IDs during a clustered scan,
@@ -31,7 +55,7 @@ func NewClusteredBuckets(bounds [][]byte) *ClusteredBuckets {
 // then keep extending it until the clustered key changes.
 type Builder struct {
 	target  int
-	bounds  [][]byte
+	dir     ClusteredBuckets
 	inCur   int    // tuples in the current bucket
 	lastKey []byte // last clustered key seen
 }
@@ -48,39 +72,40 @@ func NewBuilder(targetTuples int) *Builder {
 // Add assigns the next tuple (in clustered order) to a bucket and returns
 // the bucket ID. key is the tuple's encoded clustered key.
 func (b *Builder) Add(key []byte) int32 {
-	switch {
-	case len(b.bounds) == 0:
-		b.bounds = append(b.bounds, append([]byte(nil), key...))
-		b.inCur = 1
-	case b.inCur >= b.target && !bytes.Equal(key, b.lastKey):
-		b.bounds = append(b.bounds, append([]byte(nil), key...))
-		b.inCur = 1
-	default:
-		b.inCur++
+	if b.dir.NumBuckets() == 0 || (b.inCur >= b.target && !bytes.Equal(key, b.lastKey)) {
+		b.dir.appendBound(key)
+		b.inCur = 0
 	}
+	b.inCur++
 	b.lastKey = append(b.lastKey[:0], key...)
-	return int32(len(b.bounds) - 1)
+	return int32(b.dir.NumBuckets() - 1)
 }
 
-// Finish returns the completed directory.
+// Finish returns the completed directory, trimmed of the spare capacity
+// its slab and offsets grew with.
 func (b *Builder) Finish() *ClusteredBuckets {
-	return NewClusteredBuckets(b.bounds)
+	return &ClusteredBuckets{
+		keys: append(make([]byte, 0, len(b.dir.keys)), b.dir.keys...),
+		offs: append(make([]uint32, 0, len(b.dir.offs)), b.dir.offs...),
+	}
 }
 
 // NumBuckets returns the number of buckets.
-func (cb *ClusteredBuckets) NumBuckets() int { return len(cb.bounds) }
+func (cb *ClusteredBuckets) NumBuckets() int {
+	if len(cb.offs) == 0 {
+		return 0
+	}
+	return len(cb.offs) - 1
+}
 
 // Locate returns the bucket containing the encoded clustered key: the
 // rightmost bucket whose lower bound is <= key. Keys below the first
 // bound map to bucket 0 so the function is total (new small keys inserted
 // after load still resolve).
 func (cb *ClusteredBuckets) Locate(key []byte) int32 {
-	if len(cb.bounds) == 0 {
-		return 0
-	}
 	// First bound > key.
-	i := sort.Search(len(cb.bounds), func(i int) bool {
-		return bytes.Compare(cb.bounds[i], key) > 0
+	i := sort.Search(cb.NumBuckets(), func(i int) bool {
+		return bytes.Compare(cb.bound(i), key) > 0
 	})
 	if i == 0 {
 		return 0
@@ -90,25 +115,22 @@ func (cb *ClusteredBuckets) Locate(key []byte) int32 {
 
 // LowerBound returns bucket i's encoded lower-bound key.
 func (cb *ClusteredBuckets) LowerBound(i int32) []byte {
-	return cb.bounds[i]
+	return cb.bound(int(i))
 }
 
 // UpperBound returns the encoded lower bound of bucket i+1 (the exclusive
 // upper bound of bucket i), or ok=false for the last bucket, whose range
 // is unbounded above.
 func (cb *ClusteredBuckets) UpperBound(i int32) (key []byte, ok bool) {
-	if int(i)+1 >= len(cb.bounds) {
+	if int(i)+1 >= cb.NumBuckets() {
 		return nil, false
 	}
-	return cb.bounds[i+1], true
+	return cb.bound(int(i) + 1), true
 }
 
-// DirectorySizeBytes returns the in-memory footprint of the directory,
-// counted against the access method that relies on it.
+// DirectorySizeBytes returns the in-memory footprint of the bounds: the
+// key slab plus one 4-byte offset per bucket. The table adds its page
+// directory to it (table.DirectorySizeBytes).
 func (cb *ClusteredBuckets) DirectorySizeBytes() int64 {
-	var n int64
-	for _, b := range cb.bounds {
-		n += int64(len(b)) + 8 // key bytes + slice header overhead estimate
-	}
-	return n
+	return int64(cap(cb.keys)) + 4*int64(cap(cb.offs))
 }

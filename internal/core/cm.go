@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -107,6 +108,13 @@ type CM struct {
 	// bloomSkips counts probes the bloom answered negatively (atomic:
 	// lookups run concurrently under the table read latch).
 	bloomSkips atomic.Int64
+	// pagesSwept and falsePositivePages are the CM's live health gauges:
+	// heap pages swept by scans this CM drove, and how many of those held
+	// no matching tuple (atomic, like bloomSkips). A rising share of
+	// false-positive pages says the soft functional dependency the CM
+	// compresses has weakened.
+	pagesSwept         atomic.Int64
+	falsePositivePages atomic.Int64
 }
 
 // cmBloomSeed keeps CM bloom hashing deterministic across runs; the
@@ -211,6 +219,20 @@ func (cm *CM) BloomEnabled() bool { return cm.bloom != nil }
 
 // BloomSkips returns how many point probes the bloom pruned.
 func (cm *CM) BloomSkips() int64 { return cm.bloomSkips.Load() }
+
+// NoteSweep records one scan's heap sweep against the CM: pages visited
+// and, of those, the pages on which no tuple survived the re-filter.
+func (cm *CM) NoteSweep(pages, falsePositive int64) {
+	cm.pagesSwept.Add(pages)
+	cm.falsePositivePages.Add(falsePositive)
+}
+
+// PagesSwept returns the heap pages swept by scans this CM drove.
+func (cm *CM) PagesSwept() int64 { return cm.pagesSwept.Load() }
+
+// FalsePositivePages returns how many swept pages held no matching
+// tuple.
+func (cm *CM) FalsePositivePages() int64 { return cm.falsePositivePages.Load() }
 
 // BloomSizeBytes returns the bloom filter's footprint (0 when disabled).
 func (cm *CM) BloomSizeBytes() int64 {
@@ -344,13 +366,16 @@ func (cm *CM) Lookup(vals ...value.Value) []int32 {
 	for b := range set {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // LookupMany unions the clustered buckets for several CM-attribute value
 // combinations (the cm_lookup({vu1..vuN}) API of Section 5.2), sorted.
 func (cm *CM) LookupMany(valLists [][]value.Value) []int32 {
+	if len(valLists) == 1 {
+		return cm.Lookup(valLists[0]...)
+	}
 	seen := make(map[int32]struct{})
 	for _, vals := range valLists {
 		for _, b := range cm.Lookup(vals...) {
@@ -386,7 +411,7 @@ func setToSorted(seen map[int32]struct{}) []int32 {
 	for b := range seen {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

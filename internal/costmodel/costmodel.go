@@ -11,14 +11,29 @@
 //	cost_sorted       = min(n_lookups * c_per_u * (seek_cost*btree_height
 //	                      + seq_page_cost*c_pages), cost_scan)
 //
-// The CM variant applies cost_sorted at clustered-bucket granularity:
-// each CM lookup yields c_per_u clustered buckets, each requiring one
-// clustered-index descent plus a sequential sweep of the bucket's pages.
+// The CM variant applies cost_sorted at clustered-bucket granularity.
+// The engine resolves a bucket to its heap pages through a
+// memory-resident bucket→page directory, not through the clustered
+// index, so the btree_height factor drops out:
 //
-// A predicate on the clustering attribute itself is the c_per_u = 1
-// case — the CM formula under the identity mapping — and needs no
-// correlation statistics at all: the clustered bucket directory says
-// which buckets the probed key ranges span (see ClusteredRange).
+//	cost_cm           = min(n_lookups * c_per_u * (seek_cost
+//	                      + seq_page_cost*pages_per_bucket), cost_scan)
+//
+// That is the statistical form (CMLookup), for the advisor and the
+// figures, which price designs that do not exist yet. For a CM that does
+// exist the planner probes it — CM and directory are both in memory — and
+// prices the page runs the scan will really sweep:
+//
+//	cost_pages        = min(runs * seek_cost + pages * seq_page_cost,
+//	                      cost_scan)
+//
+// (PageRuns; also cm-agg's hybrid sweep of its impure buckets.)
+//
+// A predicate on the clustering attribute itself needs no correlation
+// statistics either: the bucket directory says which buckets the probed
+// key ranges span (see ClusteredRange). That path does read the
+// clustered index — it is key-granular, the page directory only
+// bucket-granular — and pays one descent per run of adjacent buckets.
 package costmodel
 
 import (
@@ -114,41 +129,39 @@ type CMStats struct {
 	PagesPerCBucket float64 // heap pages spanned by one clustered bucket
 }
 
-// CMLookup predicts a CM-driven lookup: per CM key, c_per_u clustered
-// buckets are located through the clustered index (btree_height seeks
-// each) and swept sequentially. Like SortedIndex it is capped by the
-// table scan cost. The CM probe itself is memory-resident and free at
-// this model's granularity.
+// CMLookup predicts a CM-driven lookup from correlation statistics: per
+// CM key, c_per_u clustered buckets are each reached with one seek and
+// swept sequentially. Like SortedIndex it is capped by the table scan
+// cost. The CM probe and the bucket→page directory are memory-resident
+// and free at this model's granularity — no clustered-index descent is
+// paid. This is the advisor's and the figures' formula, for designs that
+// do not exist yet; a live CM is costed from its actual pages (PageRuns).
 func CMLookup(h Hardware, t TableStats, c CMStats, nLookups int) time.Duration {
 	return capped(float64(nLookups)*c.CPerU*
-		(ms(h.SeekCost)*t.BTreeHeight+ms(h.SeqPageCost)*c.PagesPerCBucket), h, t)
+		(ms(h.SeekCost)+ms(h.SeqPageCost)*c.PagesPerCBucket), h, t)
+}
+
+// PageRuns predicts a physical-order sweep of heap pages known before
+// execution: `runs` maximal runs of nearby pages, each opened by one
+// seek, reading `pages` pages in all, capped by the scan. The planner
+// costs the CM scan and cm-agg's hybrid sweep with it, from the page
+// runs the bucket→page directory yields for the probed buckets.
+func PageRuns(h Hardware, t TableStats, runs int, pages int64) time.Duration {
+	return capped(float64(runs)*ms(h.SeekCost)+float64(pages)*ms(h.SeqPageCost), h, t)
 }
 
 // ClusteredRange predicts a clustered-index scan driven by predicates
-// on the clustering attribute itself: CMLookup under the identity
-// mapping (c_per_u = 1), with the clustered buckets read off the
-// bucket directory instead of a correlation map. The probed key ranges
-// span `buckets` clustered buckets forming `runs` maximal runs of
+// on the clustering attribute itself, with the clustered buckets read
+// off the bucket directory instead of a correlation map. The probed key
+// ranges span `buckets` clustered buckets forming `runs` maximal runs of
 // adjacent buckets; each run is one clustered-index descent, each
 // bucket a sequential sweep of its pages — so a point or IN probe costs
-// exactly CMLookup(c_per_u = 1, n_lookups = buckets), while a range pays
-// one descent for the whole interval plus the pages of every bucket it
-// spans, and a range spanning all buckets costs a scan plus a descent
-// and hits the cap.
+// what CMLookup(c_per_u = 1, n_lookups = buckets) does plus the descent
+// the CM path no longer pays (btree_height seeks per run instead of
+// one), while a range pays one descent for the whole interval plus the
+// pages of every bucket it spans, and a range spanning all buckets costs
+// a scan plus a descent and hits the cap.
 func ClusteredRange(h Hardware, t TableStats, pagesPerCBucket float64, runs, buckets int) time.Duration {
 	return capped(float64(runs)*ms(h.SeekCost)*t.BTreeHeight+
 		float64(buckets)*ms(h.SeqPageCost)*pagesPerCBucket, h, t)
-}
-
-// CMAggregate predicts the index-only aggregation path (cm-agg): the
-// pure part of the answer folds from memory-resident per-entry
-// statistics — free at this model's granularity, the same treatment
-// CMLookup gives the probe — and each impure clustered bucket costs one
-// clustered-index descent plus a sequential sweep of its pages. A fully
-// pure plan therefore costs zero I/O, the term that makes covered
-// aggregates always beat heap-visiting paths; like every other formula
-// it is capped by the sequential scan cost.
-func CMAggregate(h Hardware, t TableStats, c CMStats, nImpureBuckets int) time.Duration {
-	return capped(float64(nImpureBuckets)*
-		(ms(h.SeekCost)*t.BTreeHeight+ms(h.SeqPageCost)*c.PagesPerCBucket), h, t)
 }

@@ -378,26 +378,21 @@ func aggNeedCols(ncols int, oq OrQuery, specs []AggSpec, groupBy []int) []int {
 }
 
 // AggregateOr evaluates the aggregation over the OR plan's access
-// paths: the union path probes each disjunct for RIDs and sweeps the
-// deduplicated pages, the fallback path sweeps the whole heap; either
-// way tuples filter on encoded bytes and survivors fold straight into
-// per-chunk partial aggregates (no result-row materialization), merged
-// at the barrier in fixed chunk order. The returned rows are
+// paths: the union path probes each disjunct for its heap pages and
+// sweeps the deduplicated list, the fallback path sweeps the whole heap;
+// either way tuples filter on encoded bytes and survivors fold straight
+// into per-chunk partial aggregates (no result-row materialization),
+// merged at the barrier in fixed chunk order. The returned rows are
 // GroupAgg.Rows of the merged state. A single-conjunction aggregate is
 // the one-disjunct special case.
 func AggregateOr(t *table.Table, oq OrQuery, op OrPlan, workers int, specs []AggSpec, groupBy []int) ([]value.Row, error) {
 	filter := CompileOrFilter(t.Schema(), oq)
 	var pages []int64
 	if op.Union {
-		var rids []heap.RID
-		for i, p := range op.Plans {
-			r, err := collectPlanRIDs(t, p, oq.Disjuncts[i], workers)
-			if err != nil {
-				return nil, err
-			}
-			rids = append(rids, r...)
+		var err error
+		if pages, err = op.unionPages(t, oq, workers); err != nil {
+			return nil, err
 		}
-		pages = pagesOf(rids)
 	} else {
 		n := t.Heap().NumPages()
 		pages = make([]int64, n)
@@ -406,7 +401,15 @@ func AggregateOr(t *table.Table, oq OrQuery, op OrPlan, workers int, specs []Agg
 		}
 	}
 	need := aggNeedCols(len(t.Schema().Cols), oq, specs, groupBy)
-	return aggregatePages(oq.Ctx, t, pages, filter, need, oq.Snap, workers, specs, groupBy, oq.Obs)
+	obs := oq.Obs
+	if op.Union && len(op.Plans) == 1 && op.Plans[0].Method == MethodCM {
+		// One conjunction folded over a cm-scan: the sweep counts against
+		// the CM like a plain cm-scan's.
+		var done func()
+		obs, done = cmSweepObs(op.Plans[0].CM, obs)
+		defer done()
+	}
+	return aggregatePages(oq.Ctx, t, pages, filter, need, oq.Snap, workers, specs, groupBy, obs)
 }
 
 // aggregatePages folds the tuples of the given pages (visible to snap)

@@ -14,10 +14,11 @@ import (
 // default for native callers that never cancel — costs nothing.
 
 // cancelCheckRIDs is how many collected RIDs may pass between two
-// context checks in an index or CM RID-collection loop. RID collection
-// is pure in-memory B+Tree iteration, far cheaper per entry than a heap
-// page visit, so the stride is coarser than the per-page checks of the
-// sweep phase.
+// context checks in an index RID-collection loop. RID collection is
+// B+Tree iteration, far cheaper per entry than a heap page visit, so the
+// stride is coarser than the per-page checks of the sweep phase. (A CM
+// probe collects no RIDs: its page list comes from the in-memory page
+// directory, and only its sweep polls.)
 const cancelCheckRIDs = 1024
 
 // ctxErr is the executor's non-blocking context poll: nil context (or

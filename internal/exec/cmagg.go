@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -53,6 +52,10 @@ type CMAggPlan struct {
 	// hybrid part must sweep; empty means the answer is fully
 	// index-only.
 	ImpureBuckets []int32
+	// ImpurePages are the sorted distinct heap pages of ImpureBuckets,
+	// read off the page directory at plan time: what Run sweeps and what
+	// the optimizer costs the hybrid part from.
+	ImpurePages []int64
 	// MatchedBuckets counts the distinct clustered buckets across every
 	// matched key — what a plain CM scan of the same predicates would
 	// sweep. ImpureBuckets < MatchedBuckets means the statistics saved
@@ -272,6 +275,7 @@ func PlanCMAgg(t *table.Table, cm *core.CM, q Query, specs []AggSpec, groupBy []
 		return plan.ImpureBuckets[i] < plan.ImpureBuckets[j]
 	})
 	plan.MatchedBuckets = len(matchedBuckets)
+	plan.ImpurePages = bucketPages(t, plan.ImpureBuckets)
 
 	// The hybrid sweep decodes predicated + CM + clustered + aggregated
 	// + grouped columns to re-filter and re-fold impure tuples.
@@ -307,15 +311,10 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 		return final.Rows(), nil
 	}
 
-	// Collect the RIDs of the impure clustered buckets and sweep their
-	// pages, folding tuples that (a) satisfy the original predicates and
-	// (b) belong to an impure entry — pure entries' tuples are already
-	// in the statistics partial.
-	rids, err := cmBucketRIDs(p.q.Ctx, t, p.ImpureBuckets, workers)
-	if err != nil {
-		return nil, err
-	}
-	pages := pagesOf(rids)
+	// Sweep the impure clustered buckets' pages, folding tuples that (a)
+	// satisfy the original predicates and (b) belong to an impure entry —
+	// pure entries' tuples are already in the statistics partial.
+	pages := p.ImpurePages
 	// Like every other access path, the sweep filters on encoded bytes
 	// first (the PR 3 contract: zero work per rejected tuple); only
 	// survivors decode, for the entry-membership check and the fold.
@@ -323,7 +322,7 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 	nchunks := (len(pages) + aggChunkPages - 1) / aggChunkPages
 	chunks := chunkSlices(len(pages), nchunks)
 	partials := make([]*GroupAgg, len(chunks))
-	err = runTasks(p.q.Ctx, workers, len(chunks), func(i int) error {
+	err := runTasks(p.q.Ctx, workers, len(chunks), func(i int) error {
 		ga := NewGroupAgg(sch, p.specs, p.groupBy)
 		scratch := make(value.Row, len(sch.Cols))
 		sub := pages[chunks[i][0]:chunks[i][1]]
@@ -377,45 +376,6 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 		final.Merge(part)
 	}
 	return final.Rows(), nil
-}
-
-// cmBucketRIDs collects the clustered-index RIDs of the given sorted
-// clustered buckets, fanning contiguous bucket runs across the worker
-// pool like parallelCMRIDs. ctx, when non-nil, cancels between runs and
-// every cancelCheckRIDs collected RIDs within a run.
-func cmBucketRIDs(ctx context.Context, t *table.Table, buckets []int32, workers int) ([]heap.RID, error) {
-	runs := bucketRuns(buckets)
-	dir := t.Buckets()
-	ridLists := make([][]heap.RID, len(runs))
-	err := runTasks(ctx, workers, len(runs), func(i int) error {
-		lo := dir.LowerBound(runs[i][0])
-		hiExcl, _ := dir.UpperBound(runs[i][1]) // nil means scan to the end
-		var rids []heap.RID
-		var ctxErrSeen error
-		err := t.Clustered().ScanKeyRange(lo, hiExcl, func(rid heap.RID) bool {
-			if ctx != nil && len(rids)&(cancelCheckRIDs-1) == 0 {
-				if err := ctxErr(ctx); err != nil {
-					ctxErrSeen = err
-					return false
-				}
-			}
-			rids = append(rids, rid)
-			return true
-		})
-		if ctxErrSeen != nil {
-			return ctxErrSeen
-		}
-		ridLists[i] = rids
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rids []heap.RID
-	for _, l := range ridLists {
-		rids = append(rids, l...)
-	}
-	return rids, nil
 }
 
 // Describe renders the plan for EXPLAIN: the CM, how much of the answer

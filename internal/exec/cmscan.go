@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -18,7 +17,12 @@ import (
 // predicates mapped through the bucketers: a bucket representative
 // matches a range [lo, hi] iff it lies in [bucket(lo), bucket(hi)],
 // because representatives are bucket lower bounds on the same grid.
-func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
+//
+// prune lets the CM's bloom filter drop point combinations it proves
+// absent before the lookup, counting each skip. The executor prunes; the
+// planner, which probes the same CM to cost it, does not — an absent key
+// has no buckets either way, and a skip must be counted once.
+func cmBuckets(cm *core.CM, q Query, prune bool) ([]int32, error) {
 	spec := cm.Spec()
 	allPoint := true
 	for _, col := range spec.UCols {
@@ -32,7 +36,7 @@ func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
 		combos := [][]value.Value{nil}
 		for _, col := range spec.UCols {
 			p := q.IndexablePredOn(col)
-			var next [][]value.Value
+			next := make([][]value.Value, 0, len(combos)*len(p.Vals))
 			for _, combo := range combos {
 				for _, v := range p.Vals {
 					ext := make([]value.Value, len(combo), len(combo)+1)
@@ -42,7 +46,7 @@ func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
 			}
 			combos = next
 		}
-		if cm.BloomEnabled() {
+		if prune && cm.BloomEnabled() {
 			// The bloom summarizes bucketed keys, so a combo it rejects
 			// has no CM entry and can contribute no buckets — drop it
 			// before the lookup and count the skip.
@@ -99,8 +103,84 @@ func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
 	})
 }
 
+// bucketPages resolves sorted clustered bucket IDs to the sorted distinct
+// heap pages that hold their tuples, from the table's memory-resident
+// page directory: no index page is read and no RID is materialised. By
+// the directory's invariant this is exactly the page set the clustered
+// B+Tree's RIDs for those buckets would give.
+func bucketPages(t *table.Table, buckets []int32) []int64 {
+	dir := t.PageDir()
+	pages := make([]int64, 0, 4*len(buckets))
+	for _, b := range buckets {
+		pages = dir.AppendPages(pages, b)
+	}
+	// Adjacent buckets share their boundary page, and a bucket's tail
+	// versions sit past the next bucket's pages.
+	return distinctPages(pages)
+}
+
+// cmPages probes the CM with the query's predicates and resolves the
+// matching clustered buckets to heap pages — the whole of a CM scan up to
+// its sweep, and what the planner costs the scan from.
+func cmPages(t *table.Table, cm *core.CM, q Query, prune bool) ([]int64, error) {
+	covered := false
+	for _, col := range cm.Spec().UCols {
+		if q.IndexablePredOn(col) != nil {
+			covered = true
+			break
+		}
+	}
+	if !covered {
+		return nil, fmt.Errorf("exec: query predicates none of the CM's columns")
+	}
+	buckets, err := cmBuckets(cm, q, prune)
+	if err != nil {
+		return nil, err
+	}
+	return bucketPages(t, buckets), nil
+}
+
+// CMScan evaluates the query through a correlation map (Section 5.2):
+// the CM probe yields clustered bucket IDs, the page directory turns them
+// into heap pages, and the pages are swept in physical order with the
+// rows re-filtered by the original predicates, discarding the CM's false
+// positives. It is ParallelCMScan at one worker.
+func CMScan(t *table.Table, cm *core.CM, q Query, fn RowFunc) error {
+	return ParallelCMScan(t, cm, q, 1, fn)
+}
+
+// ParallelCMScan is the CM scan with the heap sweep fanned out over the
+// worker pool; rows stream in physical order at any worker count.
+func ParallelCMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
+	pages, err := cmPages(t, cm, q, true)
+	if err != nil {
+		return err
+	}
+	obs, done := cmSweepObs(cm, q.Obs)
+	defer done()
+	q.Obs = obs
+	return parallelSweepPages(t, pages, q, workers, fn)
+}
+
+// cmSweepObs returns the observer the heap sweep of a CM-driven scan
+// tallies into, and the function to call when the sweep ends: it folds
+// the sweep's counts into obs and into the CM's own health gauges — page
+// visits, and how many of them held no matching tuple (the CM's
+// false-positive pages). Without an observer nothing is counted and the
+// sweep pays nothing.
+func cmSweepObs(cm *core.CM, obs *ScanObs) (sweep *ScanObs, done func()) {
+	if obs == nil {
+		return nil, func() {}
+	}
+	sweep = &ScanObs{}
+	return sweep, func() {
+		obs.AddFrom(sweep)
+		cm.NoteSweep(sweep.Pages.Load(), sweep.EmptyPages.Load())
+	}
+}
+
 // bucketRuns coalesces sorted bucket IDs into maximal contiguous runs,
-// so adjacent buckets become one clustered-index range scan.
+// so adjacent buckets become one clustered-key range of the rewrite.
 func bucketRuns(buckets []int32) [][2]int32 {
 	var runs [][2]int32
 	for i := 0; i < len(buckets); {
@@ -112,55 +192,6 @@ func bucketRuns(buckets []int32) [][2]int32 {
 		i = j + 1
 	}
 	return runs
-}
-
-// CMScan evaluates the query through a correlation map (Section 5.2):
-// the CM probe yields clustered bucket IDs; each run of buckets becomes a
-// clustered-index range scan collecting RIDs; the heap pages are then
-// swept in physical order and rows re-filtered with the original
-// predicates, discarding the CM's false positives.
-func CMScan(t *table.Table, cm *core.CM, q Query, fn RowFunc) error {
-	covered := false
-	for _, col := range cm.Spec().UCols {
-		if q.IndexablePredOn(col) != nil {
-			covered = true
-			break
-		}
-	}
-	if !covered {
-		return fmt.Errorf("exec: query predicates none of the CM's columns")
-	}
-	buckets, err := cmBuckets(cm, q)
-	if err != nil {
-		return err
-	}
-	dir := t.Buckets()
-	var rids []heap.RID
-	for _, run := range bucketRuns(buckets) {
-		if err := ctxErr(q.Ctx); err != nil {
-			return err
-		}
-		lo := dir.LowerBound(run[0])
-		hiExcl, _ := dir.UpperBound(run[1]) // nil means scan to the end
-		var ctxErrSeen error
-		err := t.Clustered().ScanKeyRange(lo, hiExcl, func(rid heap.RID) bool {
-			if q.Ctx != nil && len(rids)&(cancelCheckRIDs-1) == 0 {
-				if err := ctxErr(q.Ctx); err != nil {
-					ctxErrSeen = err
-					return false
-				}
-			}
-			rids = append(rids, rid)
-			return true
-		})
-		if ctxErrSeen != nil {
-			return ctxErrSeen
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return sweepPages(t, pagesOf(rids), q, fn)
 }
 
 // CMRewrite describes the predicate-introduction rewrite a CM performs:
@@ -182,7 +213,7 @@ type KeyRange struct {
 // RewriteWithCM computes the rewrite without executing it, for
 // explanation, tests and the advisor's what-if output.
 func RewriteWithCM(t *table.Table, cm *core.CM, q Query) (CMRewrite, error) {
-	buckets, err := cmBuckets(cm, q)
+	buckets, err := cmBuckets(cm, q, false)
 	if err != nil {
 		return CMRewrite{}, err
 	}

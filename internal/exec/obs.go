@@ -24,6 +24,11 @@ type ScanObs struct {
 	// Blooms counts point probes a bloom filter pruned (index or CM):
 	// lookups that returned empty without touching the structure.
 	Blooms atomic.Int64
+	// EmptyPages counts the heap page visits on which no tuple survived
+	// the filter — swept for nothing. For a CM scan these are the CM's
+	// false-positive pages, the paper's signal that a soft functional
+	// dependency has weakened.
+	EmptyPages atomic.Int64
 }
 
 // AddBlooms folds pruned-probe counts into o (nil obs: drop).
@@ -34,9 +39,8 @@ func (o *ScanObs) AddBlooms(n int64) {
 	o.Blooms.Add(n)
 }
 
-// Add folds another observation set into o (used to roll analyzed-run
-// observations into the engine-wide counters).
-func (o *ScanObs) Add(tuples, rows, pages int64) {
+// add folds one chunk's tally into o (nil obs: drop).
+func (o *ScanObs) add(tuples, rows, pages, emptyPages int64) {
 	if o == nil {
 		return
 	}
@@ -49,6 +53,16 @@ func (o *ScanObs) Add(tuples, rows, pages int64) {
 	if pages != 0 {
 		o.Pages.Add(pages)
 	}
+	if emptyPages != 0 {
+		o.EmptyPages.Add(emptyPages)
+	}
+}
+
+// AddFrom folds another observation set into o — an analyzed run's or a
+// CM scan's private counts rolling up into the engine-wide ones.
+func (o *ScanObs) AddFrom(src *ScanObs) {
+	o.add(src.Tuples.Load(), src.Rows.Load(), src.Pages.Load(), src.EmptyPages.Load())
+	o.AddBlooms(src.Blooms.Load())
 }
 
 // tally is a scan worker's local observation buffer: plain ints bumped
@@ -58,6 +72,10 @@ type tally struct {
 	tuples, rows int64
 	pages        int64
 	lastPage     int64 // last heap page seen, -1 before the first
+	// emptyPages counts pages left behind with no survivor: rowsAtPage is
+	// the rows count when lastPage was entered, compared once per page.
+	emptyPages int64
+	rowsAtPage int64
 }
 
 // newTally returns a tally ready to count from the first page.
@@ -67,13 +85,24 @@ func newTally() tally { return tally{lastPage: -1} }
 // run of tuples on one page costs one increment.
 func (ta *tally) page(p int64) {
 	if p != ta.lastPage {
+		ta.leavePage()
 		ta.pages++
 		ta.lastPage = p
 	}
 }
 
+// leavePage closes the current page's account: a page on which the rows
+// count did not move was swept for nothing.
+func (ta *tally) leavePage() {
+	if ta.lastPage >= 0 && ta.rows == ta.rowsAtPage {
+		ta.emptyPages++
+	}
+	ta.rowsAtPage = ta.rows
+}
+
 // flush folds the tally into obs (nil obs: drop) and zeroes it.
 func (ta *tally) flush(obs *ScanObs) {
-	obs.Add(ta.tuples, ta.rows, ta.pages)
+	ta.leavePage()
+	obs.add(ta.tuples, ta.rows, ta.pages, ta.emptyPages)
 	*ta = newTally()
 }

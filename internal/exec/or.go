@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -17,12 +16,12 @@ import (
 //
 //   - RID-dedup union: when every disjunct can drive an index or CM
 //     probe (and the summed probe costs beat one sequential scan), each
-//     disjunct collects the RIDs its own best access path would read,
-//     the union of those RIDs reduces to a sorted distinct page list
-//     (pagesOf, which also deduplicates rows matched by several
-//     disjuncts: emission is by page sweep, not by RID), and one
-//     physical-order sweep re-filters tuples with the compiled
-//     disjunction filter.
+//     disjunct resolves the heap pages its own best access path would
+//     read (an index's RIDs through pagesOf, a CM's buckets through the
+//     page directory), the union reduces to one sorted distinct page
+//     list (which also deduplicates rows matched by several disjuncts:
+//     emission is by page sweep, not by RID), and one physical-order
+//     sweep re-filters tuples with the compiled disjunction filter.
 //   - Filtered scan fallback: when any disjunct cannot probe (a bare
 //     table-scan plan, or no indexable predicate), the whole
 //     disjunction evaluates as a single full scan with the OrFilter —
@@ -183,14 +182,17 @@ func ChooseOrPlan(t *table.Table, oq OrQuery, sp StatsProvider) OrPlan {
 	return OrPlan{Union: true, Plans: plans, Cost: sum}
 }
 
-// collectPlanRIDs gathers the RIDs one disjunct's probe-based plan would
-// read, fanning the probe out across the worker pool.
-func collectPlanRIDs(t *table.Table, p Plan, q Query, workers int) ([]heap.RID, error) {
+// planPages resolves the heap pages one disjunct's probe-based plan
+// would read: an index plan collects its RIDs (fanned out across the
+// worker pool) and reduces them to pages, a CM plan reads its buckets'
+// pages off the page directory.
+func planPages(t *table.Table, p Plan, q Query, workers int) ([]int64, error) {
 	switch p.Method {
 	case MethodSorted, MethodPipelined, MethodClustered:
-		return parallelRangeRIDs(q.Ctx, p.Index, sortRanges(probeRanges(p.Index, q)), workers)
+		rids, err := parallelRangeRIDs(q.Ctx, p.Index, sortRanges(probeRanges(p.Index, q)), workers)
+		return pagesOf(rids), err
 	case MethodCM:
-		return parallelCMRIDs(t, p.CM, q, workers)
+		return cmPages(t, p.CM, q, true)
 	default:
 		// ChooseOrPlan never unions a table-scan disjunct; reaching here
 		// means a hand-built OrPlan — treat it as "probe nothing" and let
@@ -199,9 +201,24 @@ func collectPlanRIDs(t *table.Table, p Plan, q Query, workers int) ([]heap.RID, 
 	}
 }
 
+// unionPages is the union plan's probe phase: every disjunct's pages,
+// merged into one sorted distinct list — which is also what deduplicates
+// rows matched by several disjuncts, since emission is by page sweep.
+func (op OrPlan) unionPages(t *table.Table, oq OrQuery, workers int) ([]int64, error) {
+	var pages []int64
+	for i, p := range op.Plans {
+		pp, err := planPages(t, p, oq.Disjuncts[i], workers)
+		if err != nil {
+			return nil, err
+		}
+		pages = append(pages, pp...)
+	}
+	return distinctPages(pages), nil
+}
+
 // RunParallel executes the OR plan with the given scan fan-out. The
-// union path collects each disjunct's RIDs through its own access path,
-// deduplicates at page granularity and sweeps the pages once in
+// union path resolves each disjunct's heap pages through its own access
+// path, deduplicates at page granularity and sweeps the pages once in
 // physical order, re-filtering with the compiled disjunction; the
 // fallback path is a single filtered scan. Rows emit in physical order
 // either way, identical for any worker count.
@@ -210,13 +227,9 @@ func (op OrPlan) RunParallel(t *table.Table, oq OrQuery, workers int, fn RowFunc
 	if !op.Union {
 		return parallelTableScanLS(t, ls, workers, fn)
 	}
-	var rids []heap.RID
-	for i, p := range op.Plans {
-		r, err := collectPlanRIDs(t, p, oq.Disjuncts[i], workers)
-		if err != nil {
-			return err
-		}
-		rids = append(rids, r...)
+	pages, err := op.unionPages(t, oq, workers)
+	if err != nil {
+		return err
 	}
-	return parallelSweepPagesLS(t, pagesOf(rids), ls, workers, fn)
+	return parallelSweepPagesLS(t, pages, ls, workers, fn)
 }

@@ -7,15 +7,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
 
 // The parallel executors fan a scan's independent units — secondary-index
-// probe ranges, the CM's clustered-bucket runs, and the heap's page
-// ranges — across a bounded worker pool. Each worker collects its
+// probe ranges and the heap's page ranges (a CM scan's page list comes
+// straight from the memory-resident page directory and only its sweep
+// fans out) — across a bounded worker pool. Each worker collects its
 // chunk's matches privately; chunks stream to the caller's RowFunc in
 // physical order as they complete, so parallel scans emit rows in the
 // same order as their serial counterparts. Returning false from the
@@ -339,38 +339,6 @@ func parallelRangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange
 	return rids, nil
 }
 
-// parallelCMRIDs probes the CM for the query's clustered bucket runs and
-// collects the clustered-index RIDs those runs cover, fanning the runs
-// out across the worker pool.
-func parallelCMRIDs(t *table.Table, cm *core.CM, q Query, workers int) ([]heap.RID, error) {
-	buckets, err := cmBuckets(cm, q)
-	if err != nil {
-		return nil, err
-	}
-	runs := bucketRuns(buckets)
-	dir := t.Buckets()
-	ridLists := make([][]heap.RID, len(runs))
-	err = runTasks(q.Ctx, workers, len(runs), func(i int) error {
-		lo := dir.LowerBound(runs[i][0])
-		hiExcl, _ := dir.UpperBound(runs[i][1]) // nil means scan to the end
-		var rids []heap.RID
-		err := t.Clustered().ScanKeyRange(lo, hiExcl, func(rid heap.RID) bool {
-			rids = append(rids, rid)
-			return true
-		})
-		ridLists[i] = rids
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rids []heap.RID
-	for _, l := range ridLists {
-		rids = append(rids, l...)
-	}
-	return rids, nil
-}
-
 // ParallelSortedIndexScan is SortedIndexScan with both phases fanned out:
 // the sorted probe ranges are collected by concurrent workers, and the
 // deduplicated heap pages are swept by concurrent workers. With
@@ -380,33 +348,6 @@ func ParallelSortedIndexScan(t *table.Table, ix *table.Index, q Query, workers i
 		return SortedIndexScan(t, ix, q, fn)
 	}
 	rids, err := parallelRangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
-	if err != nil {
-		return err
-	}
-	return parallelSweepPages(t, pagesOf(rids), q, workers, fn)
-}
-
-// ParallelCMScan is CMScan with the clustered-bucket runs and the heap
-// sweep fanned out over the worker pool: each run of adjacent clustered
-// buckets becomes an independent clustered-index range scan collecting
-// RIDs, then the deduplicated pages are swept concurrently and
-// re-filtered with the original predicates. With workers <= 1 it is
-// exactly CMScan.
-func ParallelCMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
-	if workers <= 1 {
-		return CMScan(t, cm, q, fn)
-	}
-	covered := false
-	for _, col := range cm.Spec().UCols {
-		if q.IndexablePredOn(col) != nil {
-			covered = true
-			break
-		}
-	}
-	if !covered {
-		return fmt.Errorf("exec: query predicates none of the CM's columns")
-	}
-	rids, err := parallelCMRIDs(t, cm, q, workers)
 	if err != nil {
 		return err
 	}

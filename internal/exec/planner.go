@@ -84,7 +84,8 @@ func (p Plan) Run(t *table.Table, q Query, fn RowFunc) error {
 // key column is predicated; the clustered index applies when the leading
 // clustering column is (costed from the bucket directory alone — see
 // clusteredSpan); a CM applies when at least one of its columns is
-// predicated (false positives are filtered after the heap sweep).
+// predicated (false positives are filtered after the heap sweep) and is
+// costed from the heap pages its probe resolves to (see SweepCost).
 func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 	h := costmodel.DefaultHardware()
 	ts := sp.TableStats(t)
@@ -131,29 +132,34 @@ func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 	}
 
 	for _, cm := range t.CMs() {
-		n := 0
-		for _, col := range cm.Spec().UCols {
-			if p := q.IndexablePredOn(col); p != nil {
-				if n == 0 {
-					n = 1
-				}
-				n *= p.NLookups()
-			}
+		// The CM and the page directory are memory-resident, so the plan
+		// probes them (as the paper's prototype resolves the CM before the
+		// query is planned, Section 7.1) and costs the scan from the page
+		// runs it will actually sweep — no c_per_u estimate needed.
+		pages, err := cmPages(t, cm, q, false)
+		if err != nil {
+			continue // no predicate on the CM's columns
 		}
-		if n == 0 {
-			continue
-		}
-		bps := t.BucketPairStatsFor(cm)
-		consider(Plan{
-			Method: MethodCM,
-			CM:     cm,
-			Cost: costmodel.CMLookup(h, ts, costmodel.CMStats{
-				CPerU:           bps.CPerU,
-				PagesPerCBucket: bps.PagesPerCBucket,
-			}, n),
-		})
+		consider(Plan{Method: MethodCM, CM: cm, Cost: SweepCost(t, ts, pages)})
 	}
 	return best
+}
+
+// SweepCost predicts a physical-order sweep of the given sorted distinct
+// heap pages, counted the way sweepPages reads them: pages closer than
+// one seek's worth of sequential reads coalesce into a run that is read
+// straight through, each run opens with one seek, and nothing costs
+// more than the scan. It prices every path whose page list is known
+// before execution — the CM scan and cm-agg's hybrid sweep, both
+// resolved through the page directory without I/O.
+func SweepCost(t *table.Table, ts costmodel.TableStats, pages []int64) time.Duration {
+	runs, read := 0, int64(0)
+	_ = forEachPageRun(pages, maxGapFor(t), func(lo, hi int64) (bool, error) {
+		runs++
+		read += hi - lo + 1
+		return true, nil
+	})
+	return costmodel.PageRuns(costmodel.DefaultHardware(), ts, runs, read)
 }
 
 // clusteredSpan locates the query's clustered-key probe ranges in the

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/heap"
@@ -382,6 +383,13 @@ func pagesOf(rids []heap.RID) []int64 {
 		}
 	}
 	return pages
+}
+
+// distinctPages sorts a page list gathered from several sources (a CM's
+// buckets, an OR's disjuncts) in place and drops the repeats.
+func distinctPages(pages []int64) []int64 {
+	slices.Sort(pages)
+	return slices.Compact(pages)
 }
 
 // maxGapFor returns the largest page gap worth reading straight

@@ -80,6 +80,10 @@ type NodeActuals struct {
 	// query (access nodes only): lookups answered empty with zero tree
 	// descents and zero page reads.
 	BloomSkips int64
+	// FalsePositivePages counts, on a cm-scan node, the heap pages the
+	// sweep visited on which no tuple survived the re-filter (HeapPages
+	// is all it swept). Zero on every other node.
+	FalsePositivePages int64
 }
 
 // Analysis is an analyzed run's full measurement: per-node actuals
@@ -132,8 +136,7 @@ func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (*Analysis, error) {
 	}
 	// Fold the private scan observations into the engine-wide counters
 	// so analyzed queries still show up in SHOW METRICS totals.
-	tr.spec.Obs.Add(st.obs.Tuples.Load(), st.obs.Rows.Load(), st.obs.Pages.Load())
-	tr.spec.Obs.AddBlooms(st.obs.Blooms.Load())
+	tr.spec.Obs.AddFrom(&st.obs)
 
 	an := &Analysis{
 		TotalRows:      st.outRows,
@@ -180,7 +183,7 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			// through the plan layer; the scan's own count is exact.
 			rows = scanRows
 		}
-		return NodeActuals{
+		na := NodeActuals{
 			Rows:       rows,
 			TuplesIn:   tuples,
 			HeapPages:  st.obs.Pages.Load(),
@@ -189,6 +192,10 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			Elapsed:    st.accessTime,
 			BloomSkips: st.obs.Blooms.Load(),
 		}
+		if k == KindScan && !tr.useOr && tr.method == exec.MethodCM {
+			na.FalsePositivePages = st.obs.EmptyPages.Load()
+		}
+		return na
 	case KindCMAgg:
 		// Index-only answers show zero physical work here; a hybrid
 		// sweep's pages/tuples come from the impure-bucket leg.

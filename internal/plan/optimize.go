@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/costmodel"
 	"repro/internal/exec"
 )
 
@@ -56,7 +55,6 @@ func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 	// can see — the lowering stands down and the heap-visiting paths,
 	// which re-filter through tuple visibility, answer instead.
 	if spec.IsAggregate() && spec.Force == Auto && !tr.useOr && !tr.t.WriterActive() {
-		h := costmodel.DefaultHardware()
 		ts := sp.TableStats(tr.t)
 		for _, cm := range tr.t.CMs() {
 			// PlanCMAgg walks the whole (memory-resident) CM directory and
@@ -69,11 +67,10 @@ func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 			if !ok {
 				continue
 			}
-			bps := tr.t.BucketPairStatsFor(cm)
-			cost := costmodel.CMAggregate(h, ts, costmodel.CMStats{
-				CPerU:           bps.CPerU,
-				PagesPerCBucket: bps.PagesPerCBucket,
-			}, len(cp.ImpureBuckets))
+			// The pure part folds from memory-resident statistics and costs
+			// nothing; the hybrid remainder is priced from the heap pages
+			// the page directory gives for its impure buckets.
+			cost := exec.SweepCost(tr.t, ts, cp.ImpurePages)
 			// Engage when the §4 model says the hybrid remainder is
 			// strictly cheaper than the best heap-visiting path — at the
 			// cap (hybrid sweep ~ full scan) the simpler plan wins the

@@ -116,7 +116,7 @@ func (wt *WriteTree) RunAnalyzed(workers int) (int64, *Analysis, error) {
 	if err != nil {
 		return affected, nil, err
 	}
-	tr.spec.Obs.Add(st.obs.Tuples.Load(), st.obs.Rows.Load(), st.obs.Pages.Load())
+	tr.spec.Obs.AddFrom(&st.obs)
 	st.outRows = affected
 
 	an := &Analysis{

@@ -83,6 +83,9 @@ type Table struct {
 	heapf     *heap.File
 	clustered *Index
 	cbuckets  *core.ClusteredBuckets
+	// pageDir mirrors the clustered index at bucket→page granularity
+	// (see PageDirectory); it changes only with the tree.
+	pageDir PageDirectory
 
 	secondary []*Index
 	cms       []*core.CM
@@ -196,8 +199,11 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 
 // Load bulk-loads rows in clustered order: rows are sorted by the
 // clustering key, appended to the heap, indexed, and assigned to
-// clustered buckets with the Section 6.1.1 boundary rule. Load must run
-// before any secondary index or CM is created and only on an empty table.
+// clustered buckets with the Section 6.1.1 boundary rule; the bucket each
+// row is assigned goes straight into the page directory with the row's
+// RID, so the directory is complete when the load is — no second pass
+// over the tree. Load must run before any secondary index or CM is
+// created and only on an empty table.
 //
 // Load is itself an MVCC writer statement: it takes the writer gate (not
 // the table latch) and appends in short batched exclusive holds, so
@@ -260,18 +266,21 @@ func (t *Table) Load(rows []value.Row) error {
 	}
 	builder := core.NewBuilder(target)
 	batch := make([]value.Row, 0, writeBatchRows)
+	batchCBs := make([]int32, 0, writeBatchRows)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := tx.InsertBatch(batch); err != nil {
+		// The bounds are installed only when the load ends, so the rows
+		// carry the builder's bucket IDs instead of locating their own.
+		if err := tx.insertBatch(batch, batchCBs); err != nil {
 			return err
 		}
-		batch = batch[:0]
+		batch, batchCBs = batch[:0], batchCBs[:0]
 		return nil
 	}
 	for _, k := range ks {
-		builder.Add(k.key)
+		batchCBs = append(batchCBs, builder.Add(k.key))
 		batch = append(batch, k.row)
 		if len(batch) >= writeBatchRows {
 			if err := flush(); err != nil {
@@ -284,6 +293,7 @@ func (t *Table) Load(rows []value.Row) error {
 	}
 	t.mu.Lock()
 	t.cbuckets = builder.Finish()
+	t.pageDir.clip()
 	t.loaded = true
 	t.mu.Unlock()
 	return tx.Publish()
@@ -430,7 +440,8 @@ func (t *Table) Insert(row value.Row) (heap.RID, error) {
 	if err != nil {
 		return heap.RID{}, err
 	}
-	if err := t.clustered.Insert(row, rid); err != nil {
+	cb := t.ClusterBucketFor(row)
+	if err := t.clusteredInsert(row, rid, cb); err != nil {
 		return heap.RID{}, err
 	}
 	for _, ix := range t.secondary {
@@ -438,7 +449,6 @@ func (t *Table) Insert(row value.Row) (heap.RID, error) {
 			return heap.RID{}, err
 		}
 	}
-	cb := t.ClusterBucketFor(row)
 	for _, cm := range t.cms {
 		cm.AddRow(row, cb)
 	}
@@ -462,7 +472,8 @@ func (t *Table) Delete(rid heap.RID) error {
 	if err := t.heapf.Delete(rid); err != nil {
 		return err
 	}
-	if _, err := t.clustered.Delete(row, rid); err != nil {
+	cb := t.ClusterBucketFor(row)
+	if err := t.clusteredDelete(row, rid, cb); err != nil {
 		return err
 	}
 	for _, ix := range t.secondary {
@@ -470,7 +481,6 @@ func (t *Table) Delete(rid heap.RID) error {
 			return err
 		}
 	}
-	cb := t.ClusterBucketFor(row)
 	for _, cm := range t.cms {
 		if err := cm.RemoveRow(row, cb); err != nil {
 			return err

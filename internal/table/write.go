@@ -28,8 +28,10 @@ import (
 // deleted versions) are deferred to Publish. Removing a CM pair early
 // could hide rows a pre-publish snapshot must still find through the CM
 // access path. The same deferral covers the clustered and secondary index
-// entries of old versions. WAL records are also queued until Publish, so
-// an aborted statement leaves no trace for CM recovery replay.
+// entries of old versions — and with the clustered entries the page
+// directory's reference counts, which move only inside
+// clusteredInsert/clusteredDelete. WAL records are also queued until
+// Publish, so an aborted statement leaves no trace for CM recovery replay.
 
 // writeBatchRows bounds how many rows one exclusive latch hold applies:
 // small enough that a waiting reader stalls for microseconds, large
@@ -144,6 +146,13 @@ func (tx *WriteTxn) Timestamp() uint64 { return tx.ts }
 // under its own short exclusive hold. The rows stay invisible to readers
 // until Publish.
 func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
+	return tx.insertBatch(rows, nil)
+}
+
+// insertBatch is InsertBatch with the rows' clustered buckets supplied
+// by the caller (Load, whose bucket builder is ahead of the installed
+// bounds); nil cbs locates each row in the bucket directory.
+func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
 	t := tx.t
 	encs := make([][]byte, len(rows))
 	for i, r := range rows {
@@ -166,7 +175,13 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 		}
 		held := t.lockLatched()
 		for i := start; i < end; i++ {
-			if err := tx.applyInsert(rows[i], encs[i]); err != nil {
+			var cb int32
+			if cbs != nil {
+				cb = cbs[i]
+			} else {
+				cb = t.ClusterBucketFor(rows[i])
+			}
+			if err := tx.applyInsert(rows[i], encs[i], cb); err != nil {
 				t.unlockLatched(held)
 				return err
 			}
@@ -176,16 +191,16 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	return nil
 }
 
-// applyInsert installs one new row version. Caller holds the latch.
-func (tx *WriteTxn) applyInsert(row value.Row, enc []byte) error {
+// applyInsert installs one new row version in clustered bucket cb.
+// Caller holds the latch.
+func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	t := tx.t
 	rid, err := t.heapf.AppendAt(enc, tx.ts)
 	if err != nil {
 		return err
 	}
-	cb := t.ClusterBucketFor(row)
 	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
-	if err := t.clustered.Insert(row, rid); err != nil {
+	if err := t.clusteredInsert(row, rid, cb); err != nil {
 		return err
 	}
 	for _, ix := range t.secondary {
@@ -289,7 +304,7 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 				t.unlockLatched(held)
 				return err
 			}
-			if err := tx.applyInsert(news[i], encs[i]); err != nil {
+			if err := tx.applyInsert(news[i], encs[i], t.ClusterBucketFor(news[i])); err != nil {
 				t.unlockLatched(held)
 				return err
 			}
@@ -365,10 +380,10 @@ func (tx *WriteTxn) applyRetractions() error {
 	}
 	for _, r := range tx.retract {
 		r := r
-		if _, err := t.clustered.Delete(r.row, r.rid); err != nil {
+		if err := t.clusteredDelete(r.row, r.rid, r.cb); err != nil {
 			return fail(err)
 		}
-		undo = append(undo, func() { _ = t.clustered.Insert(r.row, r.rid) })
+		undo = append(undo, func() { _ = t.clusteredInsert(r.row, r.rid, r.cb) })
 		for _, ix := range t.secondary {
 			ix := ix
 			if _, err := ix.Delete(r.row, r.rid); err != nil {
@@ -396,7 +411,7 @@ func (tx *WriteTxn) unwind() {
 	t := tx.t
 	for i := len(tx.inserted) - 1; i >= 0; i-- {
 		u := tx.inserted[i]
-		_, _ = t.clustered.Delete(u.row, u.rid)
+		_ = t.clusteredDelete(u.row, u.rid, u.cb)
 		for _, ix := range t.secondary {
 			_, _ = ix.Delete(u.row, u.rid)
 		}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/metrics"
@@ -34,13 +35,23 @@ import (
 //     of commit-flush wall times.
 //   - table.*: MVCC write-path totals — publishes, aborts,
 //     rows_written, and table.latch_hold_ns, the histogram of
-//     exclusive-latch hold times per write batch.
+//     exclusive-latch hold times per write batch — and
+//     table.directory_bytes, the in-memory footprint of every table's
+//     clustered bucket directory (lower-bound keys plus the bucket→page
+//     lists CM probes resolve through).
 //   - index.bloom_skips / cm.bloom_skips: point probes the per-index
 //     and per-CM bloom filters answered negatively without touching a
 //     page (ProbeBlooms), summed over every table's structures.
+//   - cm.<name>.pages_swept / cm.<name>.false_positive_pages: per
+//     correlation map, the heap pages its cm-scans visited and how many
+//     of those held no tuple that survived the re-filter — the paper's
+//     own health signal for a CM (a growing share means the soft
+//     functional dependency has weakened). Counted while metrics are
+//     enabled; read off the CMs at snapshot time, since CMs come and go.
 //   - query.*: scan-level physical work — tuples_examined (tuples the
 //     compiled filter evaluated), rows_scanned (survivors emitted),
-//     heap_pages (heap page visits), bloom_skips (probes pruned by
+//     heap_pages (heap page visits), empty_pages (visits on which no
+//     tuple survived the filter), bloom_skips (probes pruned by
 //     bloom filters) — query.latency_ns, the
 //     per-statement wall-time histogram, and the fault-tolerance
 //     outcomes query.cancelled (statements ended by context
@@ -117,7 +128,18 @@ func (db *DB) initMetrics() {
 	r.Func("query.tuples_examined", func() int64 { return db.scanObs.Tuples.Load() })
 	r.Func("query.rows_scanned", func() int64 { return db.scanObs.Rows.Load() })
 	r.Func("query.heap_pages", func() int64 { return db.scanObs.Pages.Load() })
+	r.Func("query.empty_pages", func() int64 { return db.scanObs.EmptyPages.Load() })
 	r.Func("query.bloom_skips", func() int64 { return db.scanObs.Blooms.Load() })
+
+	r.Func("table.directory_bytes", func() int64 {
+		var n int64
+		for _, t := range db.allTables() {
+			t.inner.RLock()
+			n += t.inner.DirectorySizeBytes()
+			t.inner.RUnlock()
+		}
+		return n
+	})
 
 	// Bloom-filter prune totals, summed over every table's secondary
 	// indexes and CMs at snapshot time (zero without ProbeBlooms).
@@ -177,22 +199,51 @@ func (db *DB) MetricsEnabled() bool { return db.reg.Enabled() }
 // by name — the engine behind SHOW METRICS and the server's
 // /debug/metrics endpoint.
 func (db *DB) Metrics(pattern string) []Metric {
-	samples := db.reg.Snapshot(pattern)
-	out := make([]Metric, len(samples))
-	for i, s := range samples {
-		out[i] = Metric{Name: s.Name, Value: s.Value}
+	// The per-CM gauges are named after CMs, which are created, recovered
+	// and dropped with their tables, so they are read off the live CMs
+	// here instead of being registered.
+	perCM := map[string]int64{}
+	for _, t := range db.allTables() {
+		t.inner.RLock()
+		for _, cm := range t.inner.CMs() {
+			prefix := "cm." + cm.Spec().Name
+			perCM[prefix+".pages_swept"] += cm.PagesSwept()
+			perCM[prefix+".false_positive_pages"] += cm.FalsePositivePages()
+		}
+		t.inner.RUnlock()
 	}
-	return out
+	var extra []Metric
+	for name, v := range perCM {
+		if metrics.Like(name, pattern) {
+			extra = append(extra, Metric{Name: name, Value: v})
+		}
+	}
+	sort.Slice(extra, func(i, j int) bool { return extra[i].Name < extra[j].Name })
+
+	// Merge them into the registry's snapshot, which is already in name
+	// order.
+	samples := db.reg.Snapshot(pattern)
+	out := make([]Metric, 0, len(samples)+len(extra))
+	for _, s := range samples {
+		for len(extra) > 0 && extra[0].Name < s.Name {
+			out = append(out, extra[0])
+			extra = extra[1:]
+		}
+		out = append(out, Metric{Name: s.Name, Value: s.Value})
+	}
+	return append(out, extra...)
 }
 
 // ResetMetrics zeroes the registry's own counters and histograms
 // (query latency, WAL flush times, write-path totals) and the query
 // scan observer. Func-backed storage counters reset through
-// ResetStats instead.
+// ResetStats instead; the per-CM sweep gauges belong to their CMs and
+// run for the CM's lifetime.
 func (db *DB) ResetMetrics() {
 	db.reg.Reset()
 	db.scanObs.Tuples.Store(0)
 	db.scanObs.Rows.Store(0)
 	db.scanObs.Pages.Store(0)
 	db.scanObs.Blooms.Store(0)
+	db.scanObs.EmptyPages.Store(0)
 }

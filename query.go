@@ -334,6 +334,11 @@ type NodeActuals struct {
 	// statement (access nodes only; exact, counted at the probe
 	// sites). Zero without Config.ProbeBlooms.
 	BloomSkips int64
+	// FalsePositivePages counts, on a cm-scan node, the heap pages the
+	// scan visited on which no tuple survived the re-filter: pages the
+	// correlation map pointed at for nothing (HeapPages is the pages it
+	// swept in all). Zero on every other node.
+	FalsePositivePages int64
 }
 
 // RunActuals summarizes an analyzed run: result cardinality, wall

@@ -740,6 +740,12 @@ type CMInfo struct {
 	// is reported separately from SizeBytes, which remains the paper's
 	// serialized-CM metric.
 	StatsBytes int64
+	// DirectoryBytes is the in-memory footprint of the table's clustered
+	// bucket directory — lower-bound keys plus the bucket→page lists a
+	// CM probe resolves through. It is one structure shared by every CM
+	// of the table (the same value on each), engine metadata reported
+	// beside SizeBytes and never folded into it.
+	DirectoryBytes int64
 }
 
 // CMs lists the table's correlation maps.
@@ -750,12 +756,13 @@ func (t *Table) CMs() []CMInfo {
 	sch := t.inner.Schema()
 	for _, cm := range t.inner.CMs() {
 		info := CMInfo{
-			Name:       cm.Spec().Name,
-			SizeBytes:  cm.SizeBytes(),
-			Keys:       cm.Keys(),
-			Pairs:      cm.Pairs(),
-			CPerU:      cm.CPerU(),
-			StatsBytes: cm.StatsSizeBytes(),
+			Name:           cm.Spec().Name,
+			SizeBytes:      cm.SizeBytes(),
+			Keys:           cm.Keys(),
+			Pairs:          cm.Pairs(),
+			CPerU:          cm.CPerU(),
+			StatsBytes:     cm.StatsSizeBytes(),
+			DirectoryBytes: t.inner.DirectorySizeBytes(),
 		}
 		for _, c := range cm.Spec().UCols {
 			info.Columns = append(info.Columns, sch.Cols[c].Name)

@@ -512,13 +512,14 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 		}
 		a := an.Nodes[i]
 		pi.Nodes[i].Actual = &NodeActuals{
-			Rows:       a.Rows,
-			TuplesIn:   a.TuplesIn,
-			HeapPages:  a.HeapPages,
-			DiskReads:  a.DiskReads,
-			BufferHits: a.BufferHits,
-			Elapsed:    a.Elapsed,
-			BloomSkips: a.BloomSkips,
+			Rows:               a.Rows,
+			TuplesIn:           a.TuplesIn,
+			HeapPages:          a.HeapPages,
+			DiskReads:          a.DiskReads,
+			BufferHits:         a.BufferHits,
+			Elapsed:            a.Elapsed,
+			BloomSkips:         a.BloomSkips,
+			FalsePositivePages: a.FalsePositivePages,
 		}
 	}
 	pi.Analyzed = &RunActuals{

@@ -760,6 +760,9 @@ func analyzeResult(info *PlanInfo) *Result {
 		if a.BloomSkips > 0 {
 			res.Message += fmt.Sprintf(", %d bloom skips", a.BloomSkips)
 		}
+		if access := info.Nodes[0].Actual; access != nil && access.FalsePositivePages > 0 {
+			res.Message += fmt.Sprintf(", %d false-positive pages", access.FalsePositivePages)
+		}
 	}
 	return res
 }
