@@ -293,12 +293,12 @@ func BenchmarkAblationSortedVsPipelined(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cold()
-		if err := exec.SortedIndexScan(tbl, ix, q, func(heap.RID, value.Row) bool { return true }); err != nil {
+		if err := exec.SortedIndexScan(tbl, ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 		sortedMS = float64(disk.Elapsed().Microseconds()) / 1000
 		cold()
-		if err := exec.PipelinedIndexScan(tbl, ix, q, func(heap.RID, value.Row) bool { return true }); err != nil {
+		if err := exec.PipelinedIndexScan(tbl, ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 		pipeMS = float64(disk.Elapsed().Microseconds()) / 1000
@@ -641,9 +641,9 @@ func BenchmarkParallelTableScan(b *testing.B) {
 
 // BenchmarkPipelinedProbe measures one cold IN-list lookup through the
 // secondary index via the pipelined path at each fan-out: with workers
-// the probe runs as BatchedIndexScan — probe ranges fan out, RID batches
-// fetch through coalesced page runs — while workers=1 is the serial
-// per-tuple probe loop.
+// exec.PipelinedIndexScan takes its batched arm — probe ranges fan out,
+// RID batches fetch through coalesced page runs — while workers=1 is the
+// per-tuple iterator.
 func BenchmarkPipelinedProbe(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {

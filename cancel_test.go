@@ -14,46 +14,53 @@ import (
 	"time"
 )
 
-// TestSelectCtxCancelStopsWithinChunk cancels a serial full scan from
-// inside its row callback and asserts the scan stops almost
-// immediately: only a few more pages may be read past the cancellation
-// point (the serial scan polls its context at heap-page granularity).
+// TestSelectCtxCancelStopsWithinChunk cancels a full scan from inside
+// its row callback, inline and fanned out, and asserts the scan stops
+// almost immediately: only a few more pages per worker may be read past
+// the cancellation point (every sweep polls its context at heap-page
+// granularity; the exact contract — never past the page it is on — is
+// pinned without the sampling race by exec's
+// TestSweepStopsAtPageBoundary).
 func TestSelectCtxCancelStopsWithinChunk(t *testing.T) {
-	db, tbl := buildFaultDB(t, 1)
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var readsAtCancel uint64
-	rows := 0
-	err := tbl.SelectCtx(ctx, func(Row) bool {
-		rows++
-		if rows == 1 {
-			readsAtCancel = db.Stats().Reads
-			cancel()
-		}
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
-	}
-	if delta := db.Stats().Reads - readsAtCancel; delta > 4 {
-		t.Fatalf("scan read %d pages past the cancellation point", delta)
-	}
-	if rows >= 4000 {
-		t.Fatalf("scan ran to completion (%d rows) despite cancellation", rows)
-	}
-	if pinned := db.pool.PinnedFrames(); pinned != 0 {
-		t.Fatalf("%d frames left pinned after cancelled scan", pinned)
-	}
-	if got := db.Metrics("query.cancelled")[0].Value; got < 1 {
-		t.Fatalf("query.cancelled = %d, want >= 1", got)
-	}
-	// The engine is fully reusable afterwards.
-	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }); err != nil || n != 4000 {
-		t.Fatalf("follow-up scan: n=%d err=%v", n, err)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			db, tbl := buildFaultDB(t, workers)
+			if err := db.ColdCache(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var readsAtCancel uint64
+			rows := 0
+			err := tbl.SelectCtx(ctx, func(Row) bool {
+				rows++
+				if rows == 1 {
+					readsAtCancel = db.Stats().Reads
+					cancel()
+				}
+				return true
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+			}
+			if delta := db.Stats().Reads - readsAtCancel; delta > uint64(4*workers) {
+				t.Fatalf("scan read %d pages past the cancellation point", delta)
+			}
+			if rows >= 4000 {
+				t.Fatalf("scan ran to completion (%d rows) despite cancellation", rows)
+			}
+			if pinned := db.pool.PinnedFrames(); pinned != 0 {
+				t.Fatalf("%d frames left pinned after cancelled scan", pinned)
+			}
+			if got := db.Metrics("query.cancelled")[0].Value; got < 1 {
+				t.Fatalf("query.cancelled = %d, want >= 1", got)
+			}
+			// The engine is fully reusable afterwards.
+			n := 0
+			if err := tbl.Select(func(Row) bool { n++; return true }); err != nil || n != 4000 {
+				t.Fatalf("follow-up scan: n=%d err=%v", n, err)
+			}
+		})
 	}
 }
 

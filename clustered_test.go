@@ -148,7 +148,7 @@ func TestClusteredSnapshotReadMidWrite(t *testing.T) {
 	var olds []heap.RID
 	var news []value.Row
 	tbl.inner.RLock()
-	err := exec.TableScan(tbl.inner, exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55))),
+	err := exec.TableScan(tbl.inner, exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55))), 1,
 		func(rid heap.RID, row value.Row) bool {
 			olds = append(olds, rid)
 			moved := row.Clone()

@@ -100,10 +100,10 @@ func run(scale int, slowdownPct float64) error {
 
 	// Verify the CM answers the training query exactly.
 	var viaCM, viaScan int
-	if err := exec.CMScan(tbl, cm, q, func(heap.RID, value.Row) bool { viaCM++; return true }); err != nil {
+	if err := exec.CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool { viaCM++; return true }); err != nil {
 		return err
 	}
-	if err := exec.TableScan(tbl, q, func(heap.RID, value.Row) bool { viaScan++; return true }); err != nil {
+	if err := exec.TableScan(tbl, q, 1, func(heap.RID, value.Row) bool { viaScan++; return true }); err != nil {
 		return err
 	}
 	fmt.Printf("verification: CM scan %d rows, table scan %d rows — %s\n",

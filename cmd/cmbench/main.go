@@ -11,9 +11,7 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,12 +37,11 @@ var lazyJSON = flag.String("json", "BENCH_3.json", "output path for the -exp laz
 var cmaggJSON = flag.String("cmagg-json", "BENCH_5.json", "output path for the -exp cmagg JSON report")
 var mvccJSON = flag.String("mvcc-json", "BENCH_6.json", "output path for the -exp mvcc JSON report")
 var obsJSON = flag.String("obs-json", "BENCH_7.json", "output path for the -exp obs JSON report")
-var cancelJSON = flag.String("cancel-json", "BENCH_8.json", "output path for the -exp cancel JSON report")
 var cacheJSON = flag.String("cache-json", "BENCH_9.json", "output path for the -exp cache JSON report")
 var wireJSON = flag.String("wire-json", "BENCH_10.json", "output path for the -exp wire JSON report")
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: figure1|figure2|figure3|table3|tables45|figure6|figure7|figure8|figure9|figure10|table6|parallel|lazy|agg|cmagg|mvcc|obs|cancel|cache|wire|all")
+	exp := flag.String("exp", "all", "experiment: figure1|figure2|figure3|table3|tables45|figure6|figure7|figure8|figure9|figure10|table6|parallel|lazy|agg|cmagg|mvcc|obs|cache|wire|all")
 	scale := flag.Int("scale", 1, "row-count multiplier over the bench defaults")
 	flag.Parse()
 
@@ -231,13 +228,6 @@ func run(exp string, scale int) error {
 		}
 		ran = true
 	}
-	if all || exp == "cancel" {
-		section("cancellation responsiveness")
-		if err := runCancel(scale, out); err != nil {
-			return err
-		}
-		ran = true
-	}
 	if all || exp == "cache" {
 		section("scan-resistant caching + bloom probes")
 		if err := runCache(scale, out); err != nil {
@@ -255,7 +245,7 @@ func run(exp string, scale int) error {
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (try %s)", exp,
 			strings.Join([]string{"figure1", "figure2", "figure3", "table3", "tables45",
-				"figure6", "figure7", "figure8", "figure9", "figure10", "table6", "parallel", "lazy", "agg", "cmagg", "mvcc", "obs", "cancel", "cache", "wire", "all"}, "|"))
+				"figure6", "figure7", "figure8", "figure9", "figure10", "table6", "parallel", "lazy", "agg", "cmagg", "mvcc", "obs", "cache", "wire", "all"}, "|"))
 	}
 	return nil
 }
@@ -476,12 +466,12 @@ func runLazy(scale int, out *os.File) error {
 	}
 	compiled := func() (int, error) {
 		n := 0
-		err := exec.TableScan(tbl, q, func(heap.RID, value.Row) bool { n++; return true })
+		err := exec.TableScan(tbl, q, 1, func(heap.RID, value.Row) bool { n++; return true })
 		return n, err
 	}
 	projected := func() (int, error) {
 		n := 0
-		err := exec.TableScan(tbl, proj, func(heap.RID, value.Row) bool { n++; return true })
+		err := exec.TableScan(tbl, proj, 1, func(heap.RID, value.Row) bool { n++; return true })
 		return n, err
 	}
 
@@ -1162,159 +1152,6 @@ func runObs(scale int, out *os.File) error {
 		return err
 	}
 	fmt.Fprintf(out, "wrote %s\n", *obsJSON)
-	return nil
-}
-
-// cancelReport is the BENCH_8.json document: how fast a running scan
-// obeys cancellation. The headline assertion (enforced here, not just
-// reported) is that a client cancellation mid-scan stops the statement
-// within one worker chunk's worth of page reads, and a statement
-// deadline kills a cold scan long before it finishes.
-type cancelReport struct {
-	Experiment      string          `json:"experiment"`
-	Rows            int             `json:"rows"`
-	Workers         int             `json:"workers"`
-	TablePages      int64           `json:"table_pages"`
-	ChunkPages      int64           `json:"chunk_pages"`
-	PagesPastCancel int64           `json:"pages_past_cancel"`
-	CancelToStopMs  float64         `json:"cancel_to_stop_ms"`
-	TimeoutMs       int64           `json:"timeout_ms"`
-	TimeoutPages    int64           `json:"timeout_pages_read"`
-	FullScanMs      float64         `json:"full_scan_ms"`
-	Metrics         metricsSnapshot `json:"metrics"`
-}
-
-// runCancel measures cancellation responsiveness on a 100k-row cold
-// scan with real I/O waits: a full-scan baseline, a client cancellation
-// fired from inside the row callback (the statement must stop within
-// one worker chunk's worth of pages — each in-flight worker quits at
-// its next page boundary), and a statement deadline that expires long
-// before the scan could finish. Written as JSON (BENCH_8.json).
-func runCancel(scale int, out *os.File) error {
-	rows := 100000 * scale
-	const workers = 4
-	db := repro.Open(repro.Config{Workers: workers, IOWaitScale: 1})
-	tbl, err := db.CreateTable(repro.TableSpec{
-		Name:        "wide",
-		Columns:     []repro.Column{{Name: "c", Kind: repro.Int}, {Name: "u", Kind: repro.Int}},
-		ClusteredBy: []string{"c"},
-		BucketPages: 1,
-	})
-	if err != nil {
-		return err
-	}
-	data := make([]repro.Row, rows)
-	for i := range data {
-		data[i] = repro.Row{repro.IntVal(int64(i)), repro.IntVal(int64(i % 50))}
-	}
-	if err := tbl.Load(data); err != nil {
-		return err
-	}
-
-	// Baseline: the full cold scan, which also measures the table's
-	// page count (the chunk-bound denominator).
-	if err := db.ColdCache(); err != nil {
-		return err
-	}
-	readsBefore := int64(db.Stats().Reads)
-	start := time.Now()
-	n := 0
-	if err := tbl.Select(func(repro.Row) bool { n++; return true }); err != nil {
-		return err
-	}
-	fullScanMs := float64(time.Since(start).Nanoseconds()) / 1e6
-	tablePages := int64(db.Stats().Reads) - readsBefore
-	if n != rows {
-		return fmt.Errorf("cancel: baseline scan saw %d rows, want %d", n, rows)
-	}
-
-	// One worker chunk: the parallel scan oversplits the heap into
-	// workers*4 chunks of at least 8 pages each.
-	chunkPages := (tablePages + workers*4 - 1) / (workers * 4)
-	if chunkPages < 8 {
-		chunkPages = 8
-	}
-
-	// Client cancellation mid-scan, fired from the row callback.
-	if err := db.ColdCache(); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var pagesAtCancel int64
-	var cancelledAt time.Time
-	seen := 0
-	err = tbl.SelectCtx(ctx, func(repro.Row) bool {
-		seen++
-		if seen == 1 {
-			pagesAtCancel = int64(db.Stats().Reads)
-			cancelledAt = time.Now()
-			cancel()
-		}
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		return fmt.Errorf("cancel: cancelled scan returned %v, want context.Canceled", err)
-	}
-	cancelToStopMs := float64(time.Since(cancelledAt).Nanoseconds()) / 1e6
-	pagesPastCancel := int64(db.Stats().Reads) - pagesAtCancel
-	if pagesPastCancel > chunkPages {
-		return fmt.Errorf("cancel: scan read %d pages past cancellation, bound is one chunk (%d pages)",
-			pagesPastCancel, chunkPages)
-	}
-
-	// Statement deadline on a fresh cold scan: with scaled real waits
-	// the deadline expires after a handful of pages.
-	const timeoutMs = 2
-	if err := db.ColdCache(); err != nil {
-		return err
-	}
-	db.SetStatementTimeout(timeoutMs * time.Millisecond)
-	readsBefore = int64(db.Stats().Reads)
-	err = tbl.Select(func(repro.Row) bool { return true })
-	db.SetStatementTimeout(0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("cancel: scan under %dms deadline returned %v, want DeadlineExceeded", timeoutMs, err)
-	}
-	timeoutPages := int64(db.Stats().Reads) - readsBefore
-	if timeoutPages >= tablePages {
-		return fmt.Errorf("cancel: timed-out scan still read the whole table (%d pages)", timeoutPages)
-	}
-
-	rep := cancelReport{
-		Experiment:      "cancel",
-		Rows:            rows,
-		Workers:         workers,
-		TablePages:      tablePages,
-		ChunkPages:      chunkPages,
-		PagesPastCancel: pagesPastCancel,
-		CancelToStopMs:  cancelToStopMs,
-		TimeoutMs:       timeoutMs,
-		TimeoutPages:    timeoutPages,
-		FullScanMs:      fullScanMs,
-		Metrics:         snapshotDB(db),
-	}
-	fmt.Fprintf(out, "rows %d over %d heap pages, %d workers (chunk = %d pages)\n",
-		rep.Rows, rep.TablePages, rep.Workers, rep.ChunkPages)
-	fmt.Fprintf(out, "full cold scan          %8.2f ms\n", rep.FullScanMs)
-	fmt.Fprintf(out, "cancel -> stopped       %8.2f ms, %d pages past cancellation\n",
-		rep.CancelToStopMs, rep.PagesPastCancel)
-	fmt.Fprintf(out, "%dms statement deadline  stopped after %d pages\n", rep.TimeoutMs, rep.TimeoutPages)
-
-	f, err := os.Create(*cancelJSON)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", *cancelJSON)
 	return nil
 }
 

@@ -327,8 +327,8 @@ func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
 
 // StatsValid reports whether the per-entry aggregate statistics cover
 // every live row — true for CMs built and maintained in this process and
-// for CMs restored from a current-format checkpoint; false after reading
-// a legacy (stats-less) checkpoint, until rebuilt.
+// for CMs restored from a checkpoint of the same stat-column layout;
+// false after reading one written under another layout, until rebuilt.
 func (cm *CM) StatsValid() bool { return !cm.statsInvalid }
 
 // StatsSizeBytes estimates the in-memory footprint of the per-entry
@@ -458,11 +458,12 @@ func (cm *CM) Keys() int { return len(cm.m) }
 // that determines CM size ("the CM needs to store every unique pair").
 func (cm *CM) Pairs() int64 { return cm.pairs }
 
-// SizeBytes returns the serialized size of the CM's count structure
-// (the legacy v1 checkpoint layout), maintained incrementally. This is
-// the number experiments report against B+Tree footprints; the
-// per-entry aggregate statistics are accounted separately by
-// StatsSizeBytes, and the v2 checkpoint carries both.
+// SizeBytes returns the serialized size of the CM's count structure —
+// per key [klen u16][key][npairs u32], per pair [bucket i32][count u32]
+// — maintained incrementally. This is the number experiments report
+// against B+Tree footprints; the per-entry aggregate statistics are
+// accounted separately by StatsSizeBytes, and the checkpoint carries
+// both.
 func (cm *CM) SizeBytes() int64 { return cm.size }
 
 // CPerU returns the average number of clustered buckets per CM key — the
@@ -474,18 +475,16 @@ func (cm *CM) CPerU() float64 {
 	return float64(cm.pairs) / float64(len(cm.m))
 }
 
-// Checkpoint format versioning. The original (v1) layout opens with the
-// key count; versioned layouts open with a magic word no plausible v1
-// key count can collide with (it decodes as ~3.2 billion keys), so
-// Deserialize distinguishes the formats from the first four bytes.
-// v2 added per-entry statistics; v3 appends an optional key bloom
-// filter after the entries. Deserialize reads all three.
+// The one checkpoint format: a magic word, then the version. Anything
+// else — the unversioned and v2 layouts earlier builds wrote, a foreign
+// or truncated file — is refused with an error rather than guessed at;
+// no data in those layouts was ever deployed.
 const (
 	cmCheckpointMagic   uint32 = 0xC0AB10C5
 	cmCheckpointVersion uint32 = 3
 )
 
-// Serialize writes the CM checkpoint in the current (v3) binary format,
+// Serialize writes the CM checkpoint in its binary format (version 3),
 // which carries the full per-entry statistics so a recovered CM keeps its
 // index-only aggregation pushdown, plus the key bloom when one is
 // enabled:
@@ -591,50 +590,6 @@ func (cm *CM) Serialize(w io.Writer) error {
 	return nil
 }
 
-// SerializeV1 writes the CM in the legacy stats-less checkpoint format:
-// [numKeys u32] then per key [klen u16][key][npairs u32][(bucket i32,
-// count u32)*] with keys and buckets in sorted order. It exists so the
-// v1 read path stays testable; new checkpoints use Serialize.
-func (cm *CM) SerializeV1(w io.Writer) error {
-	keys := make([]string, 0, len(cm.m))
-	for k := range cm.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(keys)))
-	if _, err := w.Write(buf[:4]); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		set := cm.m[k]
-		binary.LittleEndian.PutUint16(buf[:2], uint16(len(k)))
-		if _, err := w.Write(buf[:2]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, k); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(set)))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return err
-		}
-		buckets := make([]int32, 0, len(set))
-		for b := range set {
-			buckets = append(buckets, b)
-		}
-		sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-		for _, b := range buckets {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(b))
-			binary.LittleEndian.PutUint32(buf[4:8], uint32(set[b].Count))
-			if _, err := w.Write(buf[:8]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // writeValue serializes one value as kind byte + payload.
 func writeValue(w io.Writer, buf []byte, v value.Value) error {
 	switch v.K {
@@ -689,39 +644,30 @@ func readValue(r io.Reader, buf []byte) (value.Value, error) {
 	}
 }
 
-// Deserialize replaces the CM's contents from a checkpoint, accepting
-// every format. A v2/v3 checkpoint whose stat-column layout matches the
-// spec restores the per-entry statistics in full, so index-only
-// aggregation (cm-agg) works immediately. A legacy v1 checkpoint — or a
-// newer one written under a different stat-column layout — carries no
-// usable statistics; the pair counts load and the statistics are marked
-// invalid, which the table layer repairs with a heap-scan rebuild at
-// recovery. When the CM has its bloom enabled, a v3 checkpoint's bloom
-// is adopted directly; older checkpoints (or v3 ones written without a
-// bloom) trigger a rebuild from the loaded keys, so negative-probe
-// pruning survives recovery either way. The spec is unchanged: callers
-// pair a checkpoint with the CM it came from.
+// Deserialize replaces the CM's contents from a checkpoint written by
+// Serialize; any other header is an "unsupported checkpoint" error. A
+// checkpoint whose stat-column layout matches the spec restores the
+// per-entry statistics in full, so index-only aggregation (cm-agg) works
+// immediately. One written under a different stat-column layout carries
+// no usable statistics; the pair counts load and the statistics are
+// marked invalid, which the table layer repairs with a heap-scan rebuild
+// at recovery. When the CM has its bloom enabled, the checkpoint's bloom
+// is adopted directly; a checkpoint written without one triggers a
+// rebuild from the loaded keys, so negative-probe pruning survives
+// recovery either way. The spec is unchanged: callers pair a checkpoint
+// with the CM it came from.
 func (cm *CM) Deserialize(r io.Reader) error {
 	var buf [9]byte
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+		return fmt.Errorf("core: unsupported CM checkpoint: header: %w", err)
+	}
+	if magic, ver := binary.LittleEndian.Uint32(buf[:4]), binary.LittleEndian.Uint32(buf[4:8]); magic != cmCheckpointMagic || ver != cmCheckpointVersion {
+		return fmt.Errorf("core: unsupported CM checkpoint (header %#x, version %d)", magic, ver)
+	}
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return err
 	}
-	head := binary.LittleEndian.Uint32(buf[:4])
-	if head != cmCheckpointMagic {
-		if err := cm.deserializeV1(r, head); err != nil {
-			return err
-		}
-		cm.rebuildBloom()
-		return nil
-	}
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
-		return err
-	}
-	ver := binary.LittleEndian.Uint32(buf[:4])
-	if ver != 2 && ver != cmCheckpointVersion {
-		return fmt.Errorf("core: unsupported CM checkpoint version %d", ver)
-	}
-	nstat := int(binary.LittleEndian.Uint32(buf[4:8]))
+	nstat := int(binary.LittleEndian.Uint32(buf[:4]))
 	statCols := make([]int, nstat)
 	for i := range statCols {
 		if _, err := io.ReadFull(r, buf[:4]); err != nil {
@@ -730,7 +676,7 @@ func (cm *CM) Deserialize(r io.Reader) error {
 		statCols[i] = int(int32(binary.LittleEndian.Uint32(buf[:4])))
 	}
 	// Statistics are only meaningful under the layout they were written
-	// with; a mismatched layout degrades to counts-only (like v1).
+	// with; a mismatched layout degrades to counts-only.
 	layoutOK := len(statCols) == len(cm.spec.StatCols)
 	for i := range statCols {
 		if !layoutOK || statCols[i] != cm.spec.StatCols[i] {
@@ -808,17 +754,15 @@ func (cm *CM) Deserialize(r io.Reader) error {
 	cm.size = size
 	cm.statsInvalid = !layoutOK
 	var loaded *filter.Bloom
-	if ver >= 3 {
-		if _, err := io.ReadFull(r, buf[:1]); err != nil {
+	if _, err := io.ReadFull(r, buf[:1]); err != nil {
+		return err
+	}
+	if buf[0] != 0 {
+		b, err := filter.ReadBloom(r)
+		if err != nil {
 			return err
 		}
-		if buf[0] != 0 {
-			b, err := filter.ReadBloom(r)
-			if err != nil {
-				return err
-			}
-			loaded = b
-		}
+		loaded = b
 	}
 	if cm.bloom != nil {
 		if loaded != nil {
@@ -844,50 +788,6 @@ func (cm *CM) rebuildBloom() {
 	for k := range cm.m {
 		cm.bloom.Add([]byte(k))
 	}
-}
-
-// deserializeV1 finishes reading a legacy checkpoint whose leading u32
-// (the key count) was already consumed. Statistics are marked invalid.
-func (cm *CM) deserializeV1(r io.Reader, nk uint32) error {
-	var buf [8]byte
-	m := make(map[string]map[int32]*EntryStats, nk)
-	var pairs, size int64
-	for i := uint32(0); i < nk; i++ {
-		if _, err := io.ReadFull(r, buf[:2]); err != nil {
-			return err
-		}
-		klen := binary.LittleEndian.Uint16(buf[:2])
-		kb := make([]byte, klen)
-		if _, err := io.ReadFull(r, kb); err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return err
-		}
-		np := binary.LittleEndian.Uint32(buf[:4])
-		set := make(map[int32]*EntryStats, np)
-		nstat := len(cm.spec.StatCols)
-		for j := uint32(0); j < np; j++ {
-			if _, err := io.ReadFull(r, buf[:8]); err != nil {
-				return err
-			}
-			set[int32(binary.LittleEndian.Uint32(buf[:4]))] = &EntryStats{
-				Count: int64(binary.LittleEndian.Uint32(buf[4:8])),
-				SumI:  make([]int64, nstat),
-				SumF:  make([]float64, nstat),
-				Min:   make([]value.Value, nstat),
-				Max:   make([]value.Value, nstat),
-			}
-		}
-		m[string(kb)] = set
-		pairs += int64(np)
-		size += keyOverhead + int64(klen) + pairOverhead*int64(np)
-	}
-	cm.m = m
-	cm.pairs = pairs
-	cm.size = size
-	cm.statsInvalid = true
-	return nil
 }
 
 // Reset empties the CM (keys, pairs, size accounting) and marks its

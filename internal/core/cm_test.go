@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -206,23 +207,27 @@ func TestCompositeCM(t *testing.T) {
 
 func TestSizeAccountingMatchesSerializedSize(t *testing.T) {
 	cm := cityStateCM()
-	// SizeBytes incrementally tracks the counts-only (v1) layout; the
-	// real v1 serialization adds only the 4-byte key count header.
-	var v1 bytes.Buffer
-	if err := cm.SerializeV1(&v1); err != nil {
+	// SizeBytes incrementally tracks the counts-only layout (the paper's
+	// CM size): per key [klen u16][key][npairs u32], per pair
+	// [bucket i32][count u32]. Recount it from the entries.
+	var want int64
+	if err := cm.WalkStats(func(key []byte, _ []value.Value, buckets map[int32]*EntryStats) bool {
+		want += 2 + int64(len(key)) + 4 + 8*int64(len(buckets))
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cm.SizeBytes()+4, int64(v1.Len()); got != want {
-		t.Errorf("SizeBytes+4 = %d, v1 serialized = %d", got, want)
+	if got := cm.SizeBytes(); got != want {
+		t.Errorf("SizeBytes = %d, counts-only layout = %d", got, want)
 	}
-	// The v2 checkpoint carries the stats blocks on top, so it is
-	// strictly larger than the count structure alone.
-	var v2 bytes.Buffer
-	if err := cm.Serialize(&v2); err != nil {
+	// The checkpoint carries the stats blocks on top, so it is strictly
+	// larger than the count structure alone.
+	var ckpt bytes.Buffer
+	if err := cm.Serialize(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if int64(v2.Len()) <= int64(v1.Len()) {
-		t.Errorf("v2 checkpoint (%d bytes) not larger than v1 (%d bytes)", v2.Len(), v1.Len())
+	if int64(ckpt.Len()) <= want {
+		t.Errorf("checkpoint (%d bytes) not larger than the count structure (%d bytes)", ckpt.Len(), want)
 	}
 }
 
@@ -314,46 +319,59 @@ func TestSerializeV2PreservesStats(t *testing.T) {
 	}
 }
 
-// TestSerializeV1DropsStats pins the legacy path: a counts-only v1
-// checkpoint deserializes with the pair structure intact but the CM
-// marked statistics-invalid, so the planner will not answer aggregates
-// from it until the table layer rebuilds the stats.
-func TestSerializeV1DropsStats(t *testing.T) {
+// TestDeserializeStatLayoutMismatch: a checkpoint written under another
+// stat-column layout loads its pair counts but marks the statistics
+// invalid rather than misattributing them, so the planner will not
+// answer aggregates from the CM until the table layer rebuilds them.
+func TestDeserializeStatLayoutMismatch(t *testing.T) {
 	cm := statsCM()
-	var buf bytes.Buffer
-	if err := cm.SerializeV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cm2 := New(cm.Spec())
-	if err := cm2.Deserialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if cm2.StatsValid() {
-		t.Fatal("v1 checkpoint must leave statistics invalid")
-	}
-	if cm2.Keys() != cm.Keys() || cm2.Pairs() != cm.Pairs() {
-		t.Fatalf("v1 counts drifted: keys %d/%d pairs %d/%d",
-			cm2.Keys(), cm.Keys(), cm2.Pairs(), cm.Pairs())
-	}
-	got := cm2.Lookup(value.NewInt(2))
-	if len(got) != 4 {
-		t.Fatalf("v1 lookup = %v, want the 4 buckets", got)
-	}
-	// A stats-layout mismatch in a v2 header degrades the same way:
-	// counts load, stats are marked invalid rather than misattributed.
 	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}})
-	var v2 bytes.Buffer
-	if err := cm.Serialize(&v2); err != nil {
+	var buf bytes.Buffer
+	if err := cm.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Deserialize(&v2); err != nil {
+	if err := other.Deserialize(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if other.StatsValid() {
 		t.Fatal("stat-column layout mismatch must invalidate statistics")
 	}
-	if other.Pairs() != cm.Pairs() {
-		t.Fatalf("layout mismatch lost counts: %d vs %d", other.Pairs(), cm.Pairs())
+	if other.Keys() != cm.Keys() || other.Pairs() != cm.Pairs() {
+		t.Fatalf("layout mismatch lost counts: keys %d/%d pairs %d/%d",
+			other.Keys(), cm.Keys(), other.Pairs(), cm.Pairs())
+	}
+	if got := other.Lookup(value.NewInt(2)); len(got) != 4 {
+		t.Fatalf("lookup after mismatch = %v, want the 4 buckets", got)
+	}
+}
+
+// TestDeserializeRejectsUnsupportedHeaders: there is one checkpoint
+// format. The layouts earlier builds wrote — unversioned (opening with
+// the key count) and version 2 — and truncated or empty input are clean
+// errors, never a panic, and leave the CM as it was.
+func TestDeserializeRejectsUnsupportedHeaders(t *testing.T) {
+	var good bytes.Buffer
+	if err := statsCM().Serialize(&good); err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte(nil), good.Bytes()...)
+	binary.LittleEndian.PutUint32(v2[4:8], 2)
+	cases := map[string][]byte{
+		"unversioned":      {5, 0, 0, 0, 3, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+		"version 2":        v2,
+		"empty":            nil,
+		"truncated header": good.Bytes()[:6],
+		"truncated body":   good.Bytes()[:good.Len()/2],
+	}
+	for name, data := range cases {
+		cm := statsCM()
+		keys, pairs := cm.Keys(), cm.Pairs()
+		if err := cm.Deserialize(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Deserialize accepted it", name)
+		}
+		if cm.Keys() != keys || cm.Pairs() != pairs {
+			t.Errorf("%s: rejected checkpoint changed the CM", name)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sort"
 
@@ -362,19 +361,18 @@ func zeroOf(k value.Kind) value.Value {
 // how many chunks run concurrently.
 const aggChunkPages = 64
 
-// aggNeedCols returns the sorted distinct columns aggregation must
-// decode — every predicated column of every disjunct, every aggregated
-// column, and every grouping column — by treating the aggregated +
-// grouped columns as the disjunction's projection.
-func aggNeedCols(ncols int, oq OrQuery, specs []AggSpec, groupBy []int) []int {
+// aggProj returns the aggregated + grouped columns: the projection
+// under which a scan decodes exactly what aggregation needs — those
+// plus every predicated column of every disjunct. Never nil (COUNT(*)
+// alone projects nothing).
+func aggProj(specs []AggSpec, groupBy []int) []int {
 	proj := make([]int, 0, len(specs)+len(groupBy))
 	for _, sp := range specs {
 		if sp.Col >= 0 {
 			proj = append(proj, sp.Col)
 		}
 	}
-	proj = append(proj, groupBy...)
-	return OrQuery{Disjuncts: oq.Disjuncts, Proj: proj}.MaterializeCols(ncols)
+	return append(proj, groupBy...)
 }
 
 // AggregateOr evaluates the aggregation over the OR plan's access
@@ -386,92 +384,52 @@ func aggNeedCols(ncols int, oq OrQuery, specs []AggSpec, groupBy []int) []int {
 // GroupAgg.Rows of the merged state. A single-conjunction aggregate is
 // the one-disjunct special case.
 func AggregateOr(t *table.Table, oq OrQuery, op OrPlan, workers int, specs []AggSpec, groupBy []int) ([]value.Row, error) {
-	filter := CompileOrFilter(t.Schema(), oq)
-	var pages []int64
-	if op.Union {
-		var err error
-		if pages, err = op.unionPages(t, oq, workers); err != nil {
-			return nil, err
-		}
-	} else {
-		n := t.Heap().NumPages()
-		pages = make([]int64, n)
-		for i := range pages {
-			pages[i] = int64(i)
-		}
+	ps, err := op.pages(t, oq, workers)
+	if err != nil {
+		return nil, err
 	}
-	need := aggNeedCols(len(t.Schema().Cols), oq, specs, groupBy)
-	obs := oq.Obs
+	oq.Proj = aggProj(specs, groupBy)
+	ls := newOrLazyScan(t, oq)
 	if op.Union && len(op.Plans) == 1 && op.Plans[0].Method == MethodCM {
 		// One conjunction folded over a cm-scan: the sweep counts against
 		// the CM like a plain cm-scan's.
 		var done func()
-		obs, done = cmSweepObs(op.Plans[0].CM, obs)
+		ls.obs, done = cmSweepObs(op.Plans[0].CM, ls.obs)
 		defer done()
 	}
-	return aggregatePages(oq.Ctx, t, pages, filter, need, oq.Snap, workers, specs, groupBy, obs)
-}
-
-// aggregatePages folds the tuples of the given pages (visible to snap)
-// into partial aggregates, one per fixed-size chunk, and merges the
-// partials in chunk order. obs, when non-nil, receives per-chunk
-// physical-work tallies (tuples examined, rows folded, page visits);
-// ctx, when non-nil, cancels between chunks.
-func aggregatePages(ctx context.Context, t *table.Table, pages []int64, m tupleMatcher, need []int, snap uint64, workers int, specs []AggSpec, groupBy []int, obs *ScanObs) ([]value.Row, error) {
-	sch := t.Schema()
-	nchunks := (len(pages) + aggChunkPages - 1) / aggChunkPages
-	chunks := chunkSlices(len(pages), nchunks)
-	partials := make([]*GroupAgg, len(chunks))
-	err := runTasks(ctx, workers, len(chunks), func(i int) error {
-		ga := NewGroupAgg(sch, specs, groupBy)
-		scratch := make(value.Row, len(sch.Cols))
-		sub := pages[chunks[i][0]:chunks[i][1]]
-		ta := newTally()
-		defer func() { ta.flush(obs) }()
-		err := forEachPageRun(sub, maxGapFor(t), func(lo, hi int64) (bool, error) {
-			var innerErr error
-			err := t.Heap().ScanPagesAt(lo, hi, snap, func(rid heap.RID, tuple []byte) bool {
-				if ctx != nil && rid.Page != ta.lastPage {
-					// Page boundary: poll for cancellation so the fold
-					// stops within one heap page even when the whole
-					// table fits inside a single chunk.
-					if err := ctxErr(ctx); err != nil {
-						innerErr = err
-						return false
-					}
-				}
-				ta.page(rid.Page)
-				ta.tuples++
-				ok, err := m.Matches(tuple)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-				if err := sch.DecodeCols(scratch, tuple, need); err != nil {
-					innerErr = err
-					return false
-				}
-				ta.rows++
-				ga.Add(scratch)
-				return true
-			})
-			if innerErr != nil {
-				return false, innerErr
-			}
-			return err == nil, err
-		})
-		partials[i] = ga
-		return err
+	merged := NewGroupAgg(ls.sch, specs, groupBy)
+	err = foldPages(t, ls, ps, workers, specs, groupBy, merged, func(ga *GroupAgg, row value.Row) bool {
+		ga.Add(row)
+		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := NewGroupAgg(sch, specs, groupBy)
-	for _, p := range partials {
-		merged.Merge(p)
-	}
 	return merged.Rows(), nil
+}
+
+// foldPages is the aggregation driver over the sweep kernel: it sweeps
+// ps in fixed-size chunks (aggChunkPages, fanned out over workers), each
+// chunk's surviving rows going through fold into the chunk's own partial
+// aggregate — fold reports whether it folded the row, which is what the
+// scan counts as a result row — and merges the partials into `into` in
+// chunk order.
+func foldPages(t *table.Table, ls *lazyScan, ps pageSet, workers int, specs []AggSpec, groupBy []int, into *GroupAgg, fold func(ga *GroupAgg, row value.Row) bool) error {
+	nchunks := (ps.len() + aggChunkPages - 1) / aggChunkPages
+	chunks := chunkSlices(ps.len(), nchunks)
+	partials := make([]*GroupAgg, len(chunks))
+	err := runTasks(ls.ctx, workers, len(chunks), func(i int) error {
+		ga := NewGroupAgg(ls.sch, specs, groupBy)
+		partials[i] = ga
+		return ls.sweep(t, ps.slice(chunks[i][0], chunks[i][1]), nil, func(_ heap.RID, row value.Row) (bool, bool) {
+			return fold(ga, row), true
+		})
+	})
+	if err != nil {
+		return err
+	}
+	for _, p := range partials {
+		into.Merge(p)
+	}
+	return nil
 }

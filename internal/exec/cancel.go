@@ -5,13 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// This file is the executor's cancellation support. Every access method
-// checks its query's context at chunk granularity: serial scans at page
-// boundaries (lazyScan.emit), RID collection every cancelCheckRIDs
-// entries, and the parallel harnesses (runTasks, collectEmit) once per
-// task plus through a watcher goroutine that mirrors the context onto
-// the shared early-stop flag workers already poll. A nil context — the
-// default for native callers that never cancel — costs nothing.
+// This file is the executor's cancellation support. Two things end a
+// scan early: the query's context (a client gone, a statement deadline)
+// and, inside a fan-out, the shared early-stop flag (the caller's RowFunc
+// returned false, or a sibling chunk failed). Every loop polls both
+// itself, at chunk granularity: the sweep kernel at each page boundary
+// (sweeper.enterPage — the one poll under every heap-visiting path,
+// inline or fanned out), RID collection every cancelCheckRIDs entries,
+// and the fan-out harnesses (runTasks, collectEmit) before handing out
+// each task. No goroutine watches the context on a scan's behalf. A nil
+// context — the default for native callers that never cancel — costs
+// nothing.
 
 // cancelCheckRIDs is how many collected RIDs may pass between two
 // context checks in an index RID-collection loop. RID collection is
@@ -36,22 +40,10 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// watchCancel mirrors ctx's cancellation onto the executor's shared
-// early-stop flag, so every worker polling the flag stops within one
-// chunk of the cancellation no matter where it is. It returns a stop
-// function the caller must invoke once the run ends (it releases the
-// watcher goroutine). A nil or never-cancelled context spawns nothing.
-func watchCancel(ctx context.Context, cancel *atomic.Bool) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancel.Store(true)
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+// stopRequested is the poll of loops that read no heap page (RID
+// collection, task hand-out): it reports that the fan-out's shared flag
+// is set or the context is done, without saying which — the harness
+// reports a cancelled context once its workers have returned.
+func stopRequested(ctx context.Context, stop *atomic.Bool) bool {
+	return stop.Load() || ctxErr(ctx) != nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -313,67 +312,22 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 
 	// Sweep the impure clustered buckets' pages, folding tuples that (a)
 	// satisfy the original predicates and (b) belong to an impure entry —
-	// pure entries' tuples are already in the statistics partial.
-	pages := p.ImpurePages
-	// Like every other access path, the sweep filters on encoded bytes
-	// first (the PR 3 contract: zero work per rejected tuple); only
-	// survivors decode, for the entry-membership check and the fold.
-	filter := CompileFilter(sch, p.q)
-	nchunks := (len(pages) + aggChunkPages - 1) / aggChunkPages
-	chunks := chunkSlices(len(pages), nchunks)
-	partials := make([]*GroupAgg, len(chunks))
-	err := runTasks(p.q.Ctx, workers, len(chunks), func(i int) error {
-		ga := NewGroupAgg(sch, p.specs, p.groupBy)
-		scratch := make(value.Row, len(sch.Cols))
-		sub := pages[chunks[i][0]:chunks[i][1]]
-		ta := newTally()
-		defer func() { ta.flush(p.q.Obs) }()
-		err := forEachPageRun(sub, maxGapFor(t), func(lo, hi int64) (bool, error) {
-			var innerErr error
-			err := t.Heap().ScanPagesAt(lo, hi, p.q.Snap, func(rid heap.RID, tuple []byte) bool {
-				if p.q.Ctx != nil && rid.Page != ta.lastPage {
-					// Page-boundary cancellation poll, mirroring the
-					// heap-visiting aggregation sweep.
-					if err := ctxErr(p.q.Ctx); err != nil {
-						innerErr = err
-						return false
-					}
-				}
-				ta.page(rid.Page)
-				ta.tuples++
-				ok, err := filter.Matches(tuple)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-				if err := sch.DecodeCols(scratch, tuple, p.NeedCols); err != nil {
-					innerErr = err
-					return false
-				}
-				set := p.impurePairs[string(p.CM.KeyForRow(scratch))]
-				if set == nil || !set[t.ClusterBucketFor(scratch)] {
-					return true
-				}
-				ta.rows++
-				ga.Add(scratch)
-				return true
-			})
-			if innerErr != nil {
-				return false, innerErr
-			}
-			return err == nil, err
-		})
-		partials[i] = ga
-		return err
+	// pure entries' tuples are already in the statistics partial. Like
+	// every other access path, the sweep filters on encoded bytes first
+	// (the PR 3 contract: zero work per rejected tuple); only survivors
+	// decode, for the entry-membership check and the fold.
+	q := p.q
+	q.Proj = p.NeedCols // already holds the predicated columns
+	err := foldPages(t, newLazyScan(t, q), pageSet{list: p.ImpurePages}, workers, p.specs, p.groupBy, final, func(ga *GroupAgg, row value.Row) bool {
+		set := p.impurePairs[string(p.CM.KeyForRow(row))]
+		if set == nil || !set[t.ClusterBucketFor(row)] {
+			return false
+		}
+		ga.Add(row)
+		return true
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, part := range partials {
-		final.Merge(part)
 	}
 	return final.Rows(), nil
 }

@@ -142,16 +142,10 @@ func cmPages(t *table.Table, cm *core.CM, q Query, prune bool) ([]int64, error) 
 
 // CMScan evaluates the query through a correlation map (Section 5.2):
 // the CM probe yields clustered bucket IDs, the page directory turns them
-// into heap pages, and the pages are swept in physical order with the
-// rows re-filtered by the original predicates, discarding the CM's false
-// positives. It is ParallelCMScan at one worker.
-func CMScan(t *table.Table, cm *core.CM, q Query, fn RowFunc) error {
-	return ParallelCMScan(t, cm, q, 1, fn)
-}
-
-// ParallelCMScan is the CM scan with the heap sweep fanned out over the
-// worker pool; rows stream in physical order at any worker count.
-func ParallelCMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
+// into heap pages, and the pages are swept in physical order — fanned out
+// over workers — with the rows re-filtered by the original predicates,
+// discarding the CM's false positives.
+func CMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
 	pages, err := cmPages(t, cm, q, true)
 	if err != nil {
 		return err
@@ -159,7 +153,7 @@ func ParallelCMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFun
 	obs, done := cmSweepObs(cm, q.Obs)
 	defer done()
 	q.Obs = obs
-	return parallelSweepPages(t, pages, q, workers, fn)
+	return sweepEmit(t, newLazyScan(t, q), pageSet{list: pages}, workers, fn)
 }
 
 // cmSweepObs returns the observer the heap sweep of a CM-driven scan

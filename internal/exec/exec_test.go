@@ -86,10 +86,10 @@ func (db *testDB) runAll(t *testing.T, q Query) map[string][]string {
 		sort.Strings(got)
 		out[name] = got
 	}
-	collect("tablescan", func(fn RowFunc) error { return TableScan(db.tbl, q, fn) })
-	collect("pipelined", func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, fn) })
-	collect("sorted", func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, fn) })
-	collect("cm", func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, fn) })
+	collect("tablescan", func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
+	collect("pipelined", func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) })
+	collect("sorted", func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, 1, fn) })
+	collect("cm", func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, 1, fn) })
 	return out
 }
 
@@ -210,7 +210,7 @@ func TestCMScanFiltersFalsePositives(t *testing.T) {
 	}
 	q := NewQuery(Eq(1, value.NewInt(33)))
 	n := 0
-	if err := CMScan(tbl, cm, q, func(_ heap.RID, row value.Row) bool {
+	if err := CMScan(tbl, cm, q, 1, func(_ heap.RID, row value.Row) bool {
 		if row[1].I != 33 {
 			t.Errorf("false positive leaked: u=%d", row[1].I)
 		}
@@ -227,7 +227,7 @@ func TestCMScanFiltersFalsePositives(t *testing.T) {
 func TestCMScanRequiresCoveredPredicate(t *testing.T) {
 	db := buildTestDB(t, 100, 6, 0)
 	q := NewQuery(Eq(0, value.NewInt(5))) // predicate on c, not u
-	if err := CMScan(db.tbl, db.cm, q, func(heap.RID, value.Row) bool { return true }); err == nil {
+	if err := CMScan(db.tbl, db.cm, q, 1, func(heap.RID, value.Row) bool { return true }); err == nil {
 		t.Error("CM scan without covered predicate should fail")
 	}
 }
@@ -238,14 +238,14 @@ func TestSortedScanIOPattern(t *testing.T) {
 	db.tbl.Pool().Invalidate()
 	db.disk.ResetStats()
 	q := NewQuery(Eq(1, value.NewInt(25)))
-	if err := SortedIndexScan(db.tbl, db.ix, q, func(heap.RID, value.Row) bool { return true }); err != nil {
+	if err := SortedIndexScan(db.tbl, db.ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	sorted := db.disk.Stats()
 
 	db.tbl.Pool().Invalidate()
 	db.disk.ResetStats()
-	if err := PipelinedIndexScan(db.tbl, db.ix, q, func(heap.RID, value.Row) bool { return true }); err != nil {
+	if err := PipelinedIndexScan(db.tbl, db.ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	pipelined := db.disk.Stats()
@@ -356,10 +356,10 @@ func TestEarlyStopAllMethods(t *testing.T) {
 	db := buildTestDB(t, 1000, 8, 0)
 	q := NewQuery(Le(1, value.NewInt(100))) // matches everything
 	methods := map[string]func(fn RowFunc) error{
-		"tablescan": func(fn RowFunc) error { return TableScan(db.tbl, q, fn) },
-		"pipelined": func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, fn) },
-		"sorted":    func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, fn) },
-		"cm":        func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, fn) },
+		"tablescan": func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) },
+		"pipelined": func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) },
+		"sorted":    func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, 1, fn) },
+		"cm":        func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, 1, fn) },
 	}
 	for name, run := range methods {
 		n := 0
@@ -425,7 +425,7 @@ func TestPlannerChosenPlanExecutes(t *testing.T) {
 	sp := NewExactStats()
 	q := NewQuery(Eq(1, value.NewInt(25)))
 	plan := ChoosePlan(db.tbl, q, sp)
-	rows, err := Collect(func(fn RowFunc) error { return plan.Run(db.tbl, q, fn) })
+	rows, err := Collect(func(fn RowFunc) error { return plan.Run(db.tbl, q, 1, fn) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,10 +595,10 @@ func TestCompositeCMScanWithPartialPredicates(t *testing.T) {
 	}
 	q := NewQuery(Eq(1, value.NewInt(4)))
 	var got, want int
-	if err := CMScan(tbl, cm, q, func(heap.RID, value.Row) bool { got++; return true }); err != nil {
+	if err := CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := TableScan(tbl, q, func(heap.RID, value.Row) bool { want++; return true }); err != nil {
+	if err := TableScan(tbl, q, 1, func(heap.RID, value.Row) bool { want++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != want || want == 0 {

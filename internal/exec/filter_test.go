@@ -207,7 +207,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	q := NewQuery(Eq(1, value.NewInt(-1))) // matches nothing
 	run := func() {
 		n := 0
-		if err := TableScan(db.tbl, q, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := TableScan(db.tbl, q, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
@@ -226,7 +226,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 
 	parallel := func() {
 		n := 0
-		if err := ParallelTableScan(db.tbl, q, 4, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := TableScan(db.tbl, q, 4, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
@@ -238,7 +238,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	// Parallel machinery allocates per chunk and per worker, never per
 	// rejected tuple.
 	if pallocs > 1000 {
-		t.Errorf("ParallelTableScan with zero matches allocated %.0f times", pallocs)
+		t.Errorf("TableScan at 4 workers with zero matches allocated %.0f times", pallocs)
 	}
 
 	// The probe path reads tuples through the pinned frame (heap.View):
@@ -247,7 +247,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	probeQ := NewQuery(Le(1, value.NewInt(100)), Eq(0, value.NewInt(-1)))
 	probe := func() {
 		n := 0
-		if err := PipelinedIndexScan(db.tbl, db.ix, probeQ, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := PipelinedIndexScan(db.tbl, db.ix, probeQ, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {

@@ -66,8 +66,8 @@ func (o *ScanObs) AddFrom(src *ScanObs) {
 }
 
 // tally is a scan worker's local observation buffer: plain ints bumped
-// in the per-tuple loop, flushed to the shared ScanObs once per chunk
-// (or once per serial scan).
+// in the per-tuple loop, flushed to the shared ScanObs once per sweep
+// (a worker's chunk, or the whole scan when it runs inline).
 type tally struct {
 	tuples, rows int64
 	pages        int64

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"time"
 
@@ -27,8 +28,8 @@ import (
 //     disjunction evaluates as a single full scan with the OrFilter —
 //     never N separate scans.
 //
-// Both paths emit rows in physical heap order, so serial and parallel
-// execution produce identical result sequences.
+// Both paths emit rows in physical heap order, so every worker count
+// produces the identical result sequence.
 
 // OrQuery is a disjunction of conjunctive queries: a row matches when it
 // satisfies at least one disjunct. Proj is the shared projection
@@ -189,47 +190,47 @@ func ChooseOrPlan(t *table.Table, oq OrQuery, sp StatsProvider) OrPlan {
 func planPages(t *table.Table, p Plan, q Query, workers int) ([]int64, error) {
 	switch p.Method {
 	case MethodSorted, MethodPipelined, MethodClustered:
-		rids, err := parallelRangeRIDs(q.Ctx, p.Index, sortRanges(probeRanges(p.Index, q)), workers)
+		rids, err := rangeRIDs(q.Ctx, p.Index, sortRanges(probeRanges(p.Index, q)), workers)
 		return pagesOf(rids), err
 	case MethodCM:
 		return cmPages(t, p.CM, q, true)
 	default:
 		// ChooseOrPlan never unions a table-scan disjunct; reaching here
-		// means a hand-built OrPlan — treat it as "probe nothing" and let
-		// the caller's sweep find nothing for this disjunct.
-		return nil, nil
+		// means a hand-built OrPlan. Probing nothing would silently drop
+		// the disjunct's rows from the union.
+		return nil, fmt.Errorf("exec: %v disjunct cannot join a union: it resolves to no page list", p.Method)
 	}
 }
 
-// unionPages is the union plan's probe phase: every disjunct's pages,
-// merged into one sorted distinct list — which is also what deduplicates
-// rows matched by several disjuncts, since emission is by page sweep.
-func (op OrPlan) unionPages(t *table.Table, oq OrQuery, workers int) ([]int64, error) {
+// pages is the plan's probe phase, shared by Run and AggregateOr: the
+// whole heap for the fallback, otherwise every disjunct's pages merged
+// into one sorted distinct list — which is also what deduplicates rows
+// matched by several disjuncts, since emission is by page sweep.
+func (op OrPlan) pages(t *table.Table, oq OrQuery, workers int) (pageSet, error) {
+	if !op.Union {
+		return pageSet{n: t.Heap().NumPages()}, nil
+	}
 	var pages []int64
 	for i, p := range op.Plans {
 		pp, err := planPages(t, p, oq.Disjuncts[i], workers)
 		if err != nil {
-			return nil, err
+			return pageSet{}, err
 		}
 		pages = append(pages, pp...)
 	}
-	return distinctPages(pages), nil
+	return pageSet{list: distinctPages(pages)}, nil
 }
 
-// RunParallel executes the OR plan with the given scan fan-out. The
-// union path resolves each disjunct's heap pages through its own access
-// path, deduplicates at page granularity and sweeps the pages once in
-// physical order, re-filtering with the compiled disjunction; the
-// fallback path is a single filtered scan. Rows emit in physical order
-// either way, identical for any worker count.
-func (op OrPlan) RunParallel(t *table.Table, oq OrQuery, workers int, fn RowFunc) error {
-	ls := newOrLazyScan(t, oq)
-	if !op.Union {
-		return parallelTableScanLS(t, ls, workers, fn)
-	}
-	pages, err := op.unionPages(t, oq, workers)
+// Run executes the OR plan with the given scan fan-out. The union path
+// resolves each disjunct's heap pages through its own access path,
+// deduplicates at page granularity and sweeps the pages once in physical
+// order, re-filtering with the compiled disjunction; the fallback path is
+// a single filtered scan. Rows emit in physical order either way,
+// identical for any worker count.
+func (op OrPlan) Run(t *table.Table, oq OrQuery, workers int, fn RowFunc) error {
+	ps, err := op.pages(t, oq, workers)
 	if err != nil {
 		return err
 	}
-	return parallelSweepPagesLS(t, pages, ls, workers, fn)
+	return sweepEmit(t, newOrLazyScan(t, oq), ps, workers, fn)
 }

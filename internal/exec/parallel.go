@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,29 +11,28 @@ import (
 	"repro/internal/value"
 )
 
-// The parallel executors fan a scan's independent units — secondary-index
-// probe ranges and the heap's page ranges (a CM scan's page list comes
-// straight from the memory-resident page directory and only its sweep
-// fans out) — across a bounded worker pool. Each worker collects its
-// chunk's matches privately; chunks stream to the caller's RowFunc in
-// physical order as they complete, so parallel scans emit rows in the
-// same order as their serial counterparts. Returning false from the
-// callback cancels the remaining workers at page granularity, keeping
-// the early-stop contract cheap (a LIMIT-style caller stops the scan
-// soon after its limit, it does not pay for a full sweep).
+// This file is the fan-out half of the executor. Every access method is
+// one function taking a worker count; what fans out is a scan's
+// independent units — secondary-index probe ranges (rangeRIDs, the
+// batched arm of PipelinedIndexScan) and chunks of a sweep's page set
+// (sweepEmit, foldPages). Each worker runs the one sweep kernel
+// (lazyScan.sweep) over its chunk with a visit that buffers clones; chunks
+// stream to the caller's RowFunc in physical order as they complete, so a
+// scan emits the same rows in the same order at any worker count.
+// Returning false from the callback, a failing chunk or a cancelled
+// context stops the remaining workers at page granularity, keeping the
+// early-stop contract cheap (a LIMIT-style caller stops the scan soon
+// after its limit, it does not pay for a full sweep).
 //
-// All paths filter on encoded tuple bytes with the compiled TupleFilter;
-// only surviving tuples materialize, and only the query's referenced +
-// projected columns are decoded. Parallel collectors buffer survivors
-// past the scan, so each survivor gets a fresh row (the serial executors
-// reuse a scratch row instead — see the RowFunc contract).
+// One worker, or a page set too small to split, is the degenerate case of
+// the same driver, not a second implementation: the kernel runs inline on
+// the caller's goroutine with the caller's RowFunc as its visit — no
+// buffering, no goroutine — which keeps single-query latency that of a
+// sequential engine.
 //
 // Callers must hold the table latch in shared mode (the repro facade
 // does) so workers see one consistent table state; the buffer pool and
 // simulated disk underneath are thread-safe.
-//
-// With workers <= 1 every executor delegates to its serial twin, keeping
-// single-query latency identical to the sequential engine.
 
 // DefaultWorkers returns the default scan fan-out, GOMAXPROCS.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -47,9 +45,10 @@ type matchRow struct {
 
 // runTasks executes run(0..n-1) across at most workers goroutines and
 // returns the first error. A failing task cancels tasks not yet started,
-// and a cancelled ctx stops the fan-out between tasks and returns the
-// context's error. Used for fan-outs whose results are merged after the
-// barrier (RID collection); ordered streaming emission uses collectEmit
+// and a cancelled ctx stops the fan-out between tasks (the tasks poll it
+// themselves while they run) and returns the context's error. Used for
+// fan-outs whose results are merged after the barrier (RID collection,
+// partial aggregates); ordered streaming emission uses collectEmit
 // instead.
 func runTasks(ctx context.Context, workers, n int, run func(task int) error) error {
 	if workers > n {
@@ -73,15 +72,13 @@ func runTasks(ctx context.Context, workers, n int, run func(task int) error) err
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	stopWatch := watchCancel(ctx, &failed)
-	defer stopWatch()
 	next.Store(-1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if failed.Load() {
+				if stopRequested(ctx, &failed) {
 					return
 				}
 				i := int(next.Add(1))
@@ -98,9 +95,9 @@ func runTasks(ctx context.Context, workers, n int, run func(task int) error) err
 	}
 	wg.Wait()
 	if firstErr == nil {
-		// The run may have stopped because the watcher tripped the flag:
-		// report the cancellation instead of silently returning partial
-		// results.
+		// The workers may have stopped handing out tasks because the
+		// context fired: report the cancellation instead of silently
+		// returning partial results.
 		firstErr = ctxErr(ctx)
 	}
 	return firstErr
@@ -132,17 +129,15 @@ func chunkSlices(n, chunks int) [][2]int {
 // collectEmit runs scan(0..n-1) across the worker pool and streams each
 // chunk's rows to fn in chunk order as soon as all earlier chunks have
 // been emitted. When fn returns false, or a chunk fails, the shared
-// cancel flag stops in-flight and unstarted chunks; a cancelled ctx
-// trips the same flag through a watcher goroutine, so every worker
-// stops within one chunk and the run returns the context's error.
+// cancel flag stops in-flight and unstarted chunks; a cancelled ctx stops
+// them the same way (every scan polls both at page boundaries) and the
+// run returns the context's error.
 func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cancel *atomic.Bool) ([]matchRow, error), fn RowFunc) error {
 	type chunkResult struct {
 		rows []matchRow
 		err  error
 	}
 	var cancel atomic.Bool
-	stopWatch := watchCancel(ctx, &cancel)
-	defer stopWatch()
 	results := make([]chan chunkResult, n)
 	for i := range results {
 		results[i] = make(chan chunkResult, 1)
@@ -163,7 +158,7 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 				if i >= n {
 					return
 				}
-				if cancel.Load() {
+				if stopRequested(ctx, &cancel) {
 					results[i] <- chunkResult{}
 					continue
 				}
@@ -179,13 +174,20 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 	stopped := false
 	for i := 0; i < n; i++ {
 		r := <-results[i]
-		// Errors surfacing after an early stop come from cancelled
-		// in-flight chunks whose results are discarded anyway; the
-		// serial path would never have reached those pages.
-		if r.err != nil && firstErr == nil && !stopped {
-			firstErr = r.err
-		}
 		if firstErr != nil || stopped {
+			// Draining. Errors surfacing after an early stop come from
+			// cancelled in-flight chunks whose results are discarded
+			// anyway; an inline sweep would never have reached those
+			// pages.
+			continue
+		}
+		if r.err == nil {
+			// A cancelled run emits nothing further: chunks skipped
+			// since the context fired are holes in the sequence.
+			r.err = ctxErr(ctx)
+		}
+		if r.err != nil {
+			firstErr = r.err
 			continue
 		}
 		for _, m := range r.rows {
@@ -198,9 +200,9 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 	}
 	wg.Wait()
 	if firstErr == nil && !stopped {
-		// A context cancellation trips the shared flag without failing
-		// any chunk; report it rather than returning partial rows as a
-		// clean result.
+		// A cancelled context skips unstarted chunks without failing
+		// any; report it rather than returning partial rows as a clean
+		// result.
 		firstErr = ctxErr(ctx)
 	}
 	return firstErr
@@ -225,133 +227,25 @@ func scanChunks(workers, pages int) int {
 	return n
 }
 
-// collectPageRange sweeps the contiguous heap pages [lo, hi], filtering
-// tuples on their encoded bytes (lazyScan.collect) and appending
-// surviving rows to out. cancel aborts at page boundaries when the
-// scan's results are no longer needed.
-func collectPageRange(t *table.Table, lo, hi int64, ls *lazyScan, cancel *atomic.Bool, out []matchRow) ([]matchRow, error) {
-	var innerErr error
-	curPage := int64(-1)
-	ta := newTally()
-	defer func() { ta.flush(ls.obs) }()
-	err := t.Heap().ScanPagesAt(lo, hi, ls.snap, func(rid heap.RID, tuple []byte) bool {
-		if rid.Page != curPage {
-			curPage = rid.Page
-			ta.page(rid.Page)
-			if cancel != nil && cancel.Load() {
-				return false
-			}
-		}
-		row, err := ls.collect(tuple, &ta)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if row != nil {
-			out = append(out, matchRow{rid: rid, row: row})
-		}
-		return true
-	})
-	if innerErr != nil {
-		return out, innerErr
+// sweepEmit is the one driver under every page-sweeping access method:
+// it sweeps ps with the kernel and streams surviving rows to fn in
+// physical order. With workers > 1 contiguous chunks of the page set are
+// swept concurrently, each buffering clones of its survivors (they
+// outlive the worker's scratch row and the pinned frame), and
+// collectEmit releases them in chunk order.
+func sweepEmit(t *table.Table, ls *lazyScan, ps pageSet, workers int, fn RowFunc) error {
+	if workers <= 1 || ps.len() < 2 {
+		return ls.sweep(t, ps, nil, emitTo(fn))
 	}
-	return out, err
-}
-
-// collectPages runs the gap-coalescing page sweep over pages, returning
-// the matching rows. It shares the run economics with the serial
-// sweepPages via forEachPageRun.
-func collectPages(t *table.Table, pages []int64, ls *lazyScan, cancel *atomic.Bool) ([]matchRow, error) {
-	var out []matchRow
-	err := forEachPageRun(pages, maxGapFor(t), func(lo, hi int64) (bool, error) {
-		if cancel != nil && cancel.Load() {
-			return false, nil
-		}
-		var err error
-		out, err = collectPageRange(t, lo, hi, ls, cancel, out)
-		return err == nil, err
-	})
-	return out, err
-}
-
-// parallelSweepPages sweeps the sorted distinct heap pages with the
-// worker pool: contiguous chunks of the page list are swept
-// concurrently and stream to fn in physical order.
-func parallelSweepPages(t *table.Table, pages []int64, q Query, workers int, fn RowFunc) error {
-	return parallelSweepPagesLS(t, pages, newLazyScan(t, q), workers, fn)
-}
-
-// parallelSweepPagesLS is parallelSweepPages over a pre-built lazyScan,
-// shared with the OR union executor.
-func parallelSweepPagesLS(t *table.Table, pages []int64, ls *lazyScan, workers int, fn RowFunc) error {
-	if workers <= 1 || len(pages) < 2 {
-		return sweepPagesLS(t, pages, ls, fn)
-	}
-	chunks := chunkSlices(len(pages), scanChunks(workers, len(pages)))
-	return collectEmit(ls.ctx, workers, len(chunks), func(i int, cancel *atomic.Bool) ([]matchRow, error) {
-		return collectPages(t, pages[chunks[i][0]:chunks[i][1]], ls, cancel)
-	}, fn)
-}
-
-// ParallelTableScan evaluates the query with a full heap scan fanned out
-// over the worker pool: the page range [0, n) splits into contiguous
-// chunks swept concurrently. Rows stream to fn in physical order. With
-// workers <= 1 it is exactly TableScan.
-func ParallelTableScan(t *table.Table, q Query, workers int, fn RowFunc) error {
-	return parallelTableScanLS(t, newLazyScan(t, q), workers, fn)
-}
-
-// parallelTableScanLS is ParallelTableScan over a pre-built lazyScan,
-// shared with the OR fallback executor.
-func parallelTableScanLS(t *table.Table, ls *lazyScan, workers int, fn RowFunc) error {
-	n := t.Heap().NumPages()
-	if workers <= 1 || n < 2 {
-		return tableScanLS(t, ls, fn)
-	}
-	chunks := chunkSlices(int(n), scanChunks(workers, int(n)))
-	return collectEmit(ls.ctx, workers, len(chunks), func(i int, cancel *atomic.Bool) ([]matchRow, error) {
-		return collectPageRange(t, int64(chunks[i][0]), int64(chunks[i][1])-1, ls, cancel, nil)
-	}, fn)
-}
-
-// parallelRangeRIDs collects the RIDs of every index entry in the probe
-// ranges, fanning ranges out across the worker pool. The returned order
-// is range-major (range i's RIDs before range i+1's), matching the
-// serial collectRIDs.
-func parallelRangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange, workers int) ([]heap.RID, error) {
-	ridLists := make([][]heap.RID, len(ranges))
-	err := runTasks(ctx, workers, len(ranges), func(i int) error {
-		var rids []heap.RID
-		err := ix.ScanRange(ranges[i].Lo, ranges[i].Hi, func(rid heap.RID) bool {
-			rids = append(rids, rid)
-			return true
+	chunks := chunkSlices(ps.len(), scanChunks(workers, ps.len()))
+	return collectEmit(ls.ctx, workers, len(chunks), func(i int, stop *atomic.Bool) ([]matchRow, error) {
+		var out []matchRow
+		err := ls.sweep(t, ps.slice(chunks[i][0], chunks[i][1]), stop, func(rid heap.RID, row value.Row) (bool, bool) {
+			out = append(out, matchRow{rid: rid, row: row.Clone()})
+			return true, true
 		})
-		ridLists[i] = rids
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rids []heap.RID
-	for _, l := range ridLists {
-		rids = append(rids, l...)
-	}
-	return rids, nil
-}
-
-// ParallelSortedIndexScan is SortedIndexScan with both phases fanned out:
-// the sorted probe ranges are collected by concurrent workers, and the
-// deduplicated heap pages are swept by concurrent workers. With
-// workers <= 1 it is exactly SortedIndexScan.
-func ParallelSortedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
-	if workers <= 1 {
-		return SortedIndexScan(t, ix, q, fn)
-	}
-	rids, err := parallelRangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
-	if err != nil {
-		return err
-	}
-	return parallelSweepPages(t, pagesOf(rids), q, workers, fn)
+		return out, err
+	}, fn)
 }
 
 // probeBatchSize bounds how many RIDs a batched probe fetches per heap
@@ -361,41 +255,14 @@ func ParallelSortedIndexScan(t *table.Table, ix *table.Index, q Query, workers i
 // the range itself — collectEmit buffers one chunk's rows either way.
 const probeBatchSize = 4096
 
-// BatchedIndexScan is the batched async form of PipelinedIndexScan: the
-// probe ranges fan out across the worker pool, each worker accumulates
-// its range's RIDs in index key order and fetches them batch by batch
-// with the gap-coalescing page runs (so scattered fetches become few
-// physical sweeps), and surviving rows stream to fn in the exact order
-// the serial pipelined scan would emit them — range by range, key order
-// within a range. First-match/LIMIT early stops cancel in-flight ranges
-// at page granularity. With workers <= 1, or with a single probe range
-// (nothing to fan out, and the serial iterator keeps first-match
-// economics), it is exactly PipelinedIndexScan.
-func BatchedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
-	ranges, point := indexProbeRanges(ix.Cols, q) // serial emission order: as returned
-	if workers <= 1 || len(ranges) < 2 {
-		// A single probe range has nothing to fan out, and the serial
-		// iterator keeps the pipelined path's first-match economics: a
-		// LIMIT-1 caller stops after a handful of fetches instead of
-		// waiting for the whole range's RIDs to collect. The pipelined
-		// path prunes with the bloom itself, so don't prune here too
-		// (it would double-count the skips).
-		return PipelinedIndexScan(t, ix, q, fn)
-	}
-	ranges = pruneRanges(ix, ranges, point, q.Obs)
-	ls := newLazyScan(t, q)
-	return collectEmit(ls.ctx, workers, len(ranges), func(i int, cancel *atomic.Bool) ([]matchRow, error) {
-		return probeRangeBatched(t, ix, ranges[i], ls, cancel)
-	}, fn)
-}
-
-// probeRangeBatched probes one index range, accumulating its RIDs in key
-// order, then fetches them in probeBatchSize batches through the heap.
-func probeRangeBatched(t *table.Table, ix *table.Index, r probeRange, ls *lazyScan, cancel *atomic.Bool) ([]matchRow, error) {
+// probeRangeBatched is one task of PipelinedIndexScan's batched arm: it
+// probes one index range, accumulating its RIDs in key order, then
+// fetches them in probeBatchSize batches through the heap.
+func probeRangeBatched(t *table.Table, ix *table.Index, r probeRange, ls *lazyScan, stop *atomic.Bool) ([]matchRow, error) {
 	var rids []heap.RID
 	err := ix.ScanRange(r.Lo, r.Hi, func(rid heap.RID) bool {
-		if len(rids)&1023 == 1023 && cancel != nil && cancel.Load() {
-			return false // cancelled: partial results are discarded anyway
+		if len(rids)&(cancelCheckRIDs-1) == cancelCheckRIDs-1 && stopRequested(ls.ctx, stop) {
+			return false // partial results are discarded anyway
 		}
 		rids = append(rids, rid)
 		return true
@@ -405,14 +272,10 @@ func probeRangeBatched(t *table.Table, ix *table.Index, r probeRange, ls *lazySc
 	}
 	var out []matchRow
 	for start := 0; start < len(rids); start += probeBatchSize {
-		if cancel != nil && cancel.Load() {
+		if stop.Load() {
 			return out, nil
 		}
-		end := start + probeBatchSize
-		if end > len(rids) {
-			end = len(rids)
-		}
-		batch, err := fetchRIDBatch(t, rids[start:end], ls, cancel)
+		batch, err := fetchRIDBatch(t, rids[start:min(start+probeBatchSize, len(rids))], ls, stop)
 		if err != nil {
 			return out, err
 		}
@@ -425,46 +288,29 @@ func probeRangeBatched(t *table.Table, ix *table.Index, r probeRange, ls *lazySc
 // page sweep (gap-coalesced runs) and returns the surviving rows in the
 // batch's original (index key) order, preserving the pipelined scan's
 // emission order while paying the sorted scan's I/O pattern.
-func fetchRIDBatch(t *table.Table, batch []heap.RID, ls *lazyScan, cancel *atomic.Bool) ([]matchRow, error) {
+func fetchRIDBatch(t *table.Table, batch []heap.RID, ls *lazyScan, stop *atomic.Bool) ([]matchRow, error) {
 	want := make(map[heap.RID]struct{}, len(batch))
 	for _, rid := range batch {
 		want[rid] = struct{}{}
 	}
 	pages := pagesOf(append([]heap.RID(nil), batch...)) // keep batch order intact
 	rows := make(map[heap.RID]value.Row, len(batch))
-	ta := newTally()
-	defer func() { ta.flush(ls.obs) }()
-	err := forEachPageRun(pages, maxGapFor(t), func(lo, hi int64) (bool, error) {
-		if cancel != nil && cancel.Load() {
-			return false, nil
+	sw := ls.newSweeper(stop, func(rid heap.RID, row value.Row) (bool, bool) {
+		rows[rid] = row.Clone()
+		return true, true
+	})
+	// The kernel's per-tuple step with one check spliced in: a tuple the
+	// probe did not ask for is skipped before the filter sees it, so it
+	// is not counted as examined (the tuples EXPLAIN ANALYZE prints are
+	// the iterator arm's), while its page still counts as visited.
+	err := sw.run(t, pageSet{list: pages}, func(rid heap.RID, tuple []byte) bool {
+		if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
+			return false
 		}
-		var innerErr error
-		curPage := int64(-1)
-		err := t.Heap().ScanPagesAt(lo, hi, ls.snap, func(rid heap.RID, tuple []byte) bool {
-			if rid.Page != curPage {
-				curPage = rid.Page
-				ta.page(rid.Page)
-				if cancel != nil && cancel.Load() {
-					return false
-				}
-			}
-			if _, ok := want[rid]; !ok {
-				return true
-			}
-			row, err := ls.collect(tuple, &ta)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if row != nil {
-				rows[rid] = row
-			}
+		if _, ok := want[rid]; !ok {
 			return true
-		})
-		if innerErr != nil {
-			return false, innerErr
 		}
-		return err == nil, err
+		return sw.survivor(rid, tuple)
 	})
 	if err != nil {
 		return nil, err
@@ -472,27 +318,8 @@ func fetchRIDBatch(t *table.Table, batch []heap.RID, ls *lazyScan, cancel *atomi
 	out := make([]matchRow, 0, len(rows))
 	for _, rid := range batch {
 		if row, ok := rows[rid]; ok {
-			out = append(out, matchRow{rid: rid, row: row})
+			out = append(out, matchRow{rid: rid, row: row.Clone()})
 		}
 	}
 	return out, nil
-}
-
-// RunParallel executes the plan with the given scan fan-out. The
-// pipelined index scan runs as its batched async twin: probe ranges fan
-// out, RID batches fetch through coalesced page runs, and emission order
-// matches the serial scan.
-func (p Plan) RunParallel(t *table.Table, q Query, workers int, fn RowFunc) error {
-	switch p.Method {
-	case MethodTableScan:
-		return ParallelTableScan(t, q, workers, fn)
-	case MethodPipelined:
-		return BatchedIndexScan(t, p.Index, q, workers, fn)
-	case MethodSorted, MethodClustered:
-		return ParallelSortedIndexScan(t, p.Index, q, workers, fn)
-	case MethodCM:
-		return ParallelCMScan(t, p.CM, q, workers, fn)
-	default:
-		return fmt.Errorf("exec: unknown method %v", p.Method)
-	}
 }

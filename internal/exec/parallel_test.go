@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/buffer"
@@ -37,80 +41,245 @@ func sameSlices(a, b []string) bool {
 	return true
 }
 
-// TestParallelMatchesSerial checks that every parallel executor returns
-// exactly the serial executor's rows, in the same (physical) order, for
-// point, IN and range predicates across worker counts.
+// refRow is one row of the reference result.
+type refRow struct {
+	rid heap.RID
+	row value.Row
+}
+
+// refRows is the reference every access method is held to, sharing no
+// code with the sweep kernel: table.Table.Scan decodes every live row and
+// Query.Matches filters the decoded values. Rows come in physical order.
+func refRows(t *testing.T, tbl *table.Table, q Query) []refRow {
+	t.Helper()
+	var out []refRow
+	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+		if q.Matches(row) {
+			out = append(out, refRow{rid, row})
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// firstDiff returns the first position at which got and want differ in
+// RID or in one of cols (their common length when only that differs), or
+// -1 when they are identical.
+func firstDiff(got, want []refRow, cols []int) int {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i].rid != want[i].rid {
+			return i
+		}
+		for _, c := range cols {
+			if got[i].row[c] != want[i].row[c] {
+				return i
+			}
+		}
+	}
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
+}
+
+// pipelinedOrder reorders a physical-order reference the way a pipelined
+// probe of the index on column 1 emits it: probe range by probe range
+// (an IN list's values as written, repeats probed once), index key order
+// within a range, RID order within a key.
+func pipelinedOrder(ref []refRow, q Query) []refRow {
+	out := append([]refRow(nil), ref...)
+	p := q.IndexablePredOn(1)
+	rank := func(r refRow) int64 { return r.row[1].I } // a range, or no probe predicate: key order
+	if p != nil && p.Op != OpRange {
+		rank = func(r refRow) int64 {
+			for i, v := range p.Vals {
+				if v.I == r.row[1].I {
+					return int64(i) // first occurrence: the probe that emits it
+				}
+			}
+			return -1
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return rank(out[i]) < rank(out[j]) })
+	return out
+}
+
+// churn leaves the table the way a write workload does, one writer
+// statement each: inserts land at the heap tail (outside their clustered
+// buckets' page ranges), updates end a version in place and append its
+// successor with a moved clustering key, deletes leave dead versions.
+func churn(t *testing.T, db *testDB) {
+	t.Helper()
+	write := func(apply func(tx *table.WriteTxn) error) {
+		t.Helper()
+		tx := db.tbl.BeginWrite()
+		if err := apply(tx); err != nil {
+			tx.Abort()
+			t.Fatal(err)
+		}
+		if err := tx.Publish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh []value.Row
+	for i := 0; i < 200; i++ {
+		c := int64(i * 5 % 500)
+		fresh = append(fresh, value.Row{value.NewInt(c), value.NewInt(c / 10), value.NewString(fmt.Sprintf("fresh-%d", i))})
+	}
+	write(func(tx *table.WriteTxn) error { return tx.InsertBatch(fresh) })
+	var olds, dead []heap.RID
+	var news []value.Row
+	for _, r := range refRows(t, db.tbl, NewQuery(Between(0, value.NewInt(45), value.NewInt(60)))) {
+		if r.row[0].I%2 == 0 {
+			olds = append(olds, r.rid)
+			moved := r.row.Clone()
+			moved[0] = value.NewInt(r.row[0].I + 200) // the clustering key itself moves
+			news = append(news, moved)
+		} else {
+			dead = append(dead, r.rid)
+		}
+	}
+	if len(olds) == 0 || len(dead) == 0 {
+		t.Fatal("churn slice empty; fixture broken")
+	}
+	write(func(tx *table.WriteTxn) error { return tx.UpdateBatch(olds, news) })
+	write(func(tx *table.WriteTxn) error { return tx.DeleteBatch(dead) })
+}
+
+// TestParallelMatchesSerial is the executor's one equivalence test: every
+// access method, at every worker count, with and without a projection,
+// unlimited and stopped early, on a freshly loaded table and on one left
+// behind by inserts, key-moving updates and deletes, returns exactly the
+// serial reference scan's rows (refRows: RIDs and every materialized
+// column) in exactly the method's emission order — physical order for
+// all but the pipelined probe, which emits in index key order
+// (pipelinedOrder) from both its arms. Subtests are named q<i>/workers<w>;
+// the rest of the matrix is spelled out in each failure.
 func TestParallelMatchesSerial(t *testing.T) {
-	db := buildTestDB(t, 6000, 42, 0)
+	fresh := buildTestDB(t, 6000, 42, 0)
+	churned := buildTestDB(t, 6000, 42, 0)
+	churn(t, churned)
+	states := []struct {
+		name string
+		db   *testDB
+	}{{"loaded", fresh}, {"churned", churned}}
 	queries := []Query{
 		NewQuery(Eq(1, value.NewInt(17))),
-		NewQuery(In(1, value.NewInt(3), value.NewInt(25), value.NewInt(44))),
+		NewQuery(In(1, value.NewInt(25), value.NewInt(3), value.NewInt(25), value.NewInt(44))),
 		NewQuery(Between(1, value.NewInt(10), value.NewInt(14))),
 		NewQuery(In(1, value.NewInt(7), value.NewInt(31)), Ge(0, value.NewInt(50))),
 	}
+	methods := []Method{MethodTableScan, MethodPipelined, MethodSorted, MethodCM, MethodClustered}
 	for qi, q := range queries {
-		serialTS := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, fn) })
-		serialSI := collectVia(t, func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, fn) })
-		serialCM := collectVia(t, func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, fn) })
-		for _, w := range []int{1, 2, 4, 9} {
+		for _, w := range []int{1, 2, 4, 8, 9} {
 			t.Run(fmt.Sprintf("q%d/workers%d", qi, w), func(t *testing.T) {
-				gotTS := collectVia(t, func(fn RowFunc) error { return ParallelTableScan(db.tbl, q, w, fn) })
-				if !sameSlices(serialTS, gotTS) {
-					t.Errorf("table scan: parallel (%d rows) != serial (%d rows)", len(gotTS), len(serialTS))
-				}
-				gotSI := collectVia(t, func(fn RowFunc) error { return ParallelSortedIndexScan(db.tbl, db.ix, q, w, fn) })
-				if !sameSlices(serialSI, gotSI) {
-					t.Errorf("sorted index scan: parallel (%d rows) != serial (%d rows)", len(gotSI), len(serialSI))
-				}
-				gotCM := collectVia(t, func(fn RowFunc) error { return ParallelCMScan(db.tbl, db.cm, q, w, fn) })
-				if !sameSlices(serialCM, gotCM) {
-					t.Errorf("cm scan: parallel (%d rows) != serial (%d rows)", len(gotCM), len(serialCM))
+				for _, st := range states {
+					physical := refRows(t, st.db.tbl, q)
+					if len(physical) < 8 {
+						t.Fatalf("%s: query matched %d rows; fixture broken", st.name, len(physical))
+					}
+					for _, m := range methods {
+						plan := Plan{Method: m, Index: st.db.ix, CM: st.db.cm}
+						want := physical
+						switch m {
+						case MethodPipelined:
+							want = pipelinedOrder(physical, q)
+						case MethodClustered:
+							plan.Index = st.db.tbl.Clustered()
+						}
+						for _, proj := range [][]int{nil, {2}} {
+							// Predicated columns ride along with a projection.
+							cols := []int{0, 1, 2}
+							if proj != nil {
+								cols = append([]int(nil), proj...)
+								for _, p := range q.Preds {
+									cols = append(cols, p.Col)
+								}
+							}
+							pq := q
+							pq.Proj = proj
+							for _, limit := range []int{0, 1, 7} {
+								label := fmt.Sprintf("%s %v proj=%v limit=%d", st.name, m, proj, limit)
+								var got []refRow
+								err := plan.Run(st.db.tbl, pq, w, func(rid heap.RID, row value.Row) bool {
+									got = append(got, refRow{rid, row.Clone()})
+									return len(got) != limit
+								})
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								exp := want
+								if limit > 0 {
+									exp = want[:limit]
+								}
+								if i := firstDiff(got, exp, cols); i >= 0 {
+									t.Errorf("%s: %d rows, reference has %d; first difference at row %d", label, len(got), len(exp), i)
+								}
+							}
+						}
+					}
 				}
 			})
 		}
 	}
-}
 
-// TestBatchedIndexScanMatchesPipelined checks the batched async probe
-// emits exactly the serial pipelined scan's rows in the same (index key)
-// order, across worker counts, for point, IN and range probes.
-func TestBatchedIndexScanMatchesPipelined(t *testing.T) {
-	db := buildTestDB(t, 6000, 21, 0)
-	queries := []Query{
-		NewQuery(Eq(1, value.NewInt(17))),
-		NewQuery(In(1, value.NewInt(3), value.NewInt(25), value.NewInt(44))),
-		NewQuery(Between(1, value.NewInt(10), value.NewInt(14))),
-		NewQuery(In(1, value.NewInt(7), value.NewInt(31)), Ge(0, value.NewInt(50))),
-	}
-	for qi, q := range queries {
-		serial := collectVia(t, func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, fn) })
-		if qi < 3 && len(serial) == 0 {
-			t.Fatalf("q%d matched nothing; fixture broken", qi)
+	// One lazyScan is read-only once built, so a fan-out's workers share
+	// it (filter, column set, observer): sweep overlapping chunks through
+	// one from many goroutines at once and hold each to the reference.
+	// The race detector does the rest.
+	t.Run("shared-lazyscan", func(t *testing.T) {
+		q := queries[2]
+		obs := &ScanObs{}
+		q.Obs = obs
+		ls := newLazyScan(fresh.tbl, q)
+		n := fresh.tbl.Heap().NumPages()
+		want := refRows(t, fresh.tbl, q)
+		const workers = 8
+		errs := make(chan error, workers)
+		for g := 0; g < workers; g++ {
+			go func() {
+				i := 0
+				err := ls.sweep(fresh.tbl, pageSet{n: n}, nil, func(rid heap.RID, row value.Row) (bool, bool) {
+					if i >= len(want) || rid != want[i].rid || row[2] != want[i].row[2] {
+						t.Errorf("shared sweep row %d = %v %v", i, rid, row)
+					}
+					i++
+					return true, true
+				})
+				if err == nil && i != len(want) {
+					err = fmt.Errorf("shared sweep saw %d rows, want %d", i, len(want))
+				}
+				errs <- err
+			}()
 		}
-		for _, w := range []int{1, 2, 4, 9} {
-			got := collectVia(t, func(fn RowFunc) error { return BatchedIndexScan(db.tbl, db.ix, q, w, fn) })
-			if !sameSlices(serial, got) {
-				t.Errorf("q%d workers %d: batched (%d rows) != pipelined (%d rows)", qi, w, len(got), len(serial))
+		for g := 0; g < workers; g++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
 			}
 		}
-	}
+		if got := obs.Rows.Load(); got != int64(workers*len(want)) {
+			t.Errorf("shared observer counted %d rows, want %d", got, workers*len(want))
+		}
+	})
 }
 
-// TestBatchedIndexScanEarlyStop checks LIMIT-style early stops emit
-// exactly a prefix of the serial pipelined result. The IN list fans out
-// into multiple probe ranges, so this exercises the batched path (a
-// single range would fall back to the serial iterator).
+// TestBatchedIndexScanEarlyStop checks LIMIT-style early stops of the
+// pipelined probe's batched arm emit exactly a prefix of the iterator
+// arm's result. The IN list fans out into multiple probe ranges, which
+// with several workers selects the batched arm.
 func TestBatchedIndexScanEarlyStop(t *testing.T) {
 	db := buildTestDB(t, 4000, 13, 0)
 	q := NewQuery(In(1, value.NewInt(5), value.NewInt(9), value.NewInt(14),
 		value.NewInt(21), value.NewInt(28), value.NewInt(30)))
-	full := collectVia(t, func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, fn) })
+	full := collectVia(t, func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) })
 	if len(full) < 10 {
 		t.Fatalf("fixture too selective: %d rows", len(full))
 	}
 	for _, limit := range []int{1, 7} {
 		var got []string
-		err := BatchedIndexScan(db.tbl, db.ix, q, 4, func(_ heap.RID, row value.Row) bool {
+		err := PipelinedIndexScan(db.tbl, db.ix, q, 4, func(_ heap.RID, row value.Row) bool {
 			got = append(got, row[2].S)
 			return len(got) < limit
 		})
@@ -123,28 +292,149 @@ func TestBatchedIndexScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestEarlyStopSkipsUnstartedChunks pins what oversplitting a sweep buys:
+// once the caller's RowFunc returns false, chunks no worker has picked up
+// yet are never scanned. Every chunk but the first waits for the shared
+// flag, so at most one chunk per worker (plus the first) can have started
+// by the time the first chunk's row stops the run.
+func TestEarlyStopSkipsUnstartedChunks(t *testing.T) {
+	const workers, chunks = 2, 16
+	var started atomic.Int64
+	emitted := 0
+	err := collectEmit(nil, workers, chunks, func(i int, stop *atomic.Bool) ([]matchRow, error) {
+		started.Add(1)
+		if i == 0 {
+			return []matchRow{{}, {}}, nil
+		}
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+		return nil, nil
+	}, func(heap.RID, value.Row) bool {
+		emitted++
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != 1 {
+		t.Errorf("emitted %d rows after the stop, want 1", emitted)
+	}
+	if n := started.Load(); n > workers+1 {
+		t.Errorf("%d of %d chunks started; the early stop should have skipped all but %d", n, chunks, workers+1)
+	}
+}
+
+// TestSweepStopsAtPageBoundary pins the kernel's cancellation contract
+// where it is deterministic: when the query context is cancelled, or the
+// fan-out's shared flag set, while a sweep is on page p, the sweep
+// finishes p and never visits p+1 — inline and with four sweeps in
+// flight, over a page range and over a page list. Every worker parks on
+// the first row of the third page it visits until all have arrived, one
+// of them pulls the trigger, and each must then count exactly three pages.
+func TestSweepStopsAtPageBoundary(t *testing.T) {
+	db := buildTestDB(t, 6000, 5, 0)
+	n := db.tbl.Heap().NumPages()
+	var list []int64
+	for p := int64(0); p < n; p++ {
+		if p%5 != 4 { // runs with gap pages read through, like any index's list
+			list = append(list, p)
+		}
+	}
+	const stopAt = 3
+	for _, workers := range []int{1, 4} {
+		for _, set := range []struct {
+			name string
+			ps   pageSet
+		}{{"range", pageSet{n: n}}, {"list", pageSet{list: list}}} {
+			for _, trigger := range []string{"context", "flag"} {
+				t.Run(fmt.Sprintf("workers%d/%s/%s", workers, set.name, trigger), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					obs := &ScanObs{}
+					ls := newLazyScan(db.tbl, Query{Obs: obs, Ctx: ctx}) // no predicate: every tuple survives
+					var stop atomic.Bool
+					var parked, fired sync.WaitGroup
+					parked.Add(workers)
+					fired.Add(1)
+					chunks := chunkSlices(set.ps.len(), workers)
+					results := make(chan error, workers)
+					for w := 0; w < workers; w++ {
+						go func() {
+							pages, last := 0, int64(-1)
+							results <- ls.sweep(db.tbl, set.ps.slice(chunks[w][0], chunks[w][1]), &stop, func(rid heap.RID, _ value.Row) (bool, bool) {
+								if rid.Page != last {
+									last = rid.Page
+									if pages++; pages == stopAt {
+										parked.Done()
+										if w == 0 {
+											parked.Wait()
+											if trigger == "context" {
+												cancel()
+											} else {
+												stop.Store(true)
+											}
+											fired.Done()
+										}
+										fired.Wait()
+									}
+								}
+								return true, true
+							})
+						}()
+					}
+					for w := 0; w < workers; w++ {
+						err := <-results
+						if trigger == "context" && err != context.Canceled {
+							t.Errorf("sweep returned %v, want context.Canceled", err)
+						}
+						if trigger == "flag" && err != nil {
+							t.Errorf("sweep returned %v, want a silent stop", err)
+						}
+					}
+					if got := obs.Pages.Load(); got != int64(workers*stopAt) {
+						t.Errorf("%d pages visited, want %d: a sweep went past the page it was cancelled on", got, workers*stopAt)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOrPlanRejectsTableScanDisjunct: a hand-built union holding a
+// disjunct that resolves to no page list must fail, not quietly drop the
+// disjunct's rows (ChooseOrPlan never builds one).
+func TestOrPlanRejectsTableScanDisjunct(t *testing.T) {
+	db := buildTestDB(t, 1000, 3, 0)
+	oq := NewOrQuery(NewQuery(Eq(1, value.NewInt(7))))
+	op := OrPlan{Union: true, Plans: []Plan{{Method: MethodTableScan}}}
+	if err := op.Run(db.tbl, oq, 1, func(heap.RID, value.Row) bool { return true }); err == nil {
+		t.Error("union over a table-scan disjunct ran; it under-reports")
+	}
+	if rows, err := AggregateOr(db.tbl, oq, op, 1, []AggSpec{{Kind: AggCount, Col: -1}}, nil); err == nil {
+		t.Errorf("aggregate over a table-scan disjunct returned %v; it under-reports", rows)
+	}
+}
+
 // TestProjectionPushdownAcrossMethods checks that a query with Proj set
 // returns the same projected + predicated entries as a full query, on
-// every access method, serial and parallel, and leaves unreferenced
+// every access method, inline and fanned out, and leaves unreferenced
 // entries unmaterialized.
 func TestProjectionPushdownAcrossMethods(t *testing.T) {
 	db := buildTestDB(t, 3000, 31, 0)
 	full := NewQuery(In(1, value.NewInt(5), value.NewInt(19)))
 	proj := full
 	proj.Proj = []int{2} // payload only; u rides along as the predicate column
-	want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, full, fn) })
+	want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, full, 1, fn) })
 	if len(want) == 0 {
 		t.Fatal("fixture query matched nothing")
 	}
-	methods := map[string]func(fn RowFunc) error{
-		"tablescan":          func(fn RowFunc) error { return TableScan(db.tbl, proj, fn) },
-		"pipelined":          func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, proj, fn) },
-		"sorted":             func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, proj, fn) },
-		"cm":                 func(fn RowFunc) error { return CMScan(db.tbl, db.cm, proj, fn) },
-		"parallel-tablescan": func(fn RowFunc) error { return ParallelTableScan(db.tbl, proj, 4, fn) },
-		"batched-probe":      func(fn RowFunc) error { return BatchedIndexScan(db.tbl, db.ix, proj, 4, fn) },
-		"parallel-sorted":    func(fn RowFunc) error { return ParallelSortedIndexScan(db.tbl, db.ix, proj, 4, fn) },
-		"parallel-cm":        func(fn RowFunc) error { return ParallelCMScan(db.tbl, db.cm, proj, 4, fn) },
+	methods := map[string]func(fn RowFunc) error{}
+	for _, w := range []int{1, 4} {
+		methods[fmt.Sprintf("tablescan/%d", w)] = func(fn RowFunc) error { return TableScan(db.tbl, proj, w, fn) }
+		methods[fmt.Sprintf("pipelined/%d", w)] = func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, proj, w, fn) }
+		methods[fmt.Sprintf("sorted/%d", w)] = func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, proj, w, fn) }
+		methods[fmt.Sprintf("cm/%d", w)] = func(fn RowFunc) error { return CMScan(db.tbl, db.cm, proj, w, fn) }
 	}
 	for name, run := range methods {
 		var got []string
@@ -177,18 +467,18 @@ func TestProjectionPushdownAcrossMethods(t *testing.T) {
 }
 
 // TestParallelEarlyStop checks that returning false from the row
-// callback stops emission: the rows seen are exactly a prefix of the
-// serial result.
+// callback stops a fanned-out scan's emission: the rows seen are exactly
+// a prefix of the one-worker result.
 func TestParallelEarlyStop(t *testing.T) {
 	db := buildTestDB(t, 4000, 7, 0)
 	q := NewQuery(Between(1, value.NewInt(5), value.NewInt(30)))
-	full := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, fn) })
+	full := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
 	if len(full) < 10 {
 		t.Fatalf("fixture too selective: %d rows", len(full))
 	}
 	const limit = 7
 	var got []string
-	err := ParallelTableScan(db.tbl, q, 4, func(_ heap.RID, row value.Row) bool {
+	err := TableScan(db.tbl, q, 4, func(_ heap.RID, row value.Row) bool {
 		got = append(got, row[2].S)
 		return len(got) < limit
 	})
@@ -200,11 +490,12 @@ func TestParallelEarlyStop(t *testing.T) {
 	}
 }
 
-// TestParallelCMScanRejectsUncovered mirrors the serial CMScan contract.
+// TestParallelCMScanRejectsUncovered: the CM scan refuses a query that
+// predicates none of the CM's columns before any worker starts.
 func TestParallelCMScanRejectsUncovered(t *testing.T) {
 	db := buildTestDB(t, 1000, 3, 0)
 	q := NewQuery(Eq(0, value.NewInt(1))) // predicate on c only, not the CM's u
-	err := ParallelCMScan(db.tbl, db.cm, q, 4, func(heap.RID, value.Row) bool { return true })
+	err := CMScan(db.tbl, db.cm, q, 4, func(heap.RID, value.Row) bool { return true })
 	if err == nil {
 		t.Fatal("expected error for query not covering the CM")
 	}
@@ -253,10 +544,10 @@ func clusteredPlan(db *testDB) Plan {
 
 // TestClusteredScanMatchesTableScan holds the clustered-index scan to
 // the table scan's exact output — same rows, same physical order — for
-// Eq/IN/range predicates on the clustering column, serial and at every
-// worker count, before and after churn that leaves live versions at the
-// heap tail (outside their clustered buckets' page ranges) and dead
-// versions in place.
+// Eq/IN/range predicates on the clustering column at every worker
+// count, before and after churn that leaves live versions at the heap
+// tail (outside their clustered buckets' page ranges) and dead versions
+// in place.
 func TestClusteredScanMatchesTableScan(t *testing.T) {
 	db := buildTestDB(t, 6000, 42, 0)
 	queries := []Query{
@@ -270,16 +561,12 @@ func TestClusteredScanMatchesTableScan(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for qi, q := range queries {
-			want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, fn) })
+			want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
 			if qi < 5 && len(want) == 0 {
 				t.Fatalf("%s q%d matched nothing; fixture broken", stage, qi)
 			}
-			serial := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(db.tbl, q, fn) })
-			if !sameSlices(want, serial) {
-				t.Errorf("%s q%d: clustered serial (%d rows) != table scan (%d rows)", stage, qi, len(serial), len(want))
-			}
 			for _, w := range []int{1, 2, 4, 8} {
-				got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).RunParallel(db.tbl, q, w, fn) })
+				got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(db.tbl, q, w, fn) })
 				if !sameSlices(want, got) {
 					t.Errorf("%s q%d workers %d: clustered (%d rows) != table scan (%d rows)", stage, qi, w, len(got), len(want))
 				}
@@ -287,47 +574,7 @@ func TestClusteredScanMatchesTableScan(t *testing.T) {
 		}
 	}
 	check("loaded")
-
-	// Churn as one writer statement each: inserts land at the heap
-	// tail, updates end a version in place and append its successor,
-	// deletes leave dead versions behind.
-	write := func(apply func(tx *table.WriteTxn) error) {
-		t.Helper()
-		tx := db.tbl.BeginWrite()
-		if err := apply(tx); err != nil {
-			tx.Abort()
-			t.Fatal(err)
-		}
-		if err := tx.Publish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var fresh []value.Row
-	for i := 0; i < 200; i++ {
-		c := int64(i * 5 % 500)
-		fresh = append(fresh, value.Row{value.NewInt(c), value.NewInt(c / 10), value.NewString(fmt.Sprintf("fresh-%d", i))})
-	}
-	write(func(tx *table.WriteTxn) error { return tx.InsertBatch(fresh) })
-	var olds, dead []heap.RID
-	var news []value.Row
-	if err := TableScan(db.tbl, NewQuery(Between(0, value.NewInt(45), value.NewInt(60))), func(rid heap.RID, row value.Row) bool {
-		if row[0].I%2 == 0 {
-			olds = append(olds, rid)
-			moved := row.Clone()
-			moved[0] = value.NewInt(row[0].I + 200) // the clustering key itself moves
-			news = append(news, moved)
-		} else {
-			dead = append(dead, rid)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(olds) == 0 || len(dead) == 0 {
-		t.Fatal("churn slice empty; fixture broken")
-	}
-	write(func(tx *table.WriteTxn) error { return tx.UpdateBatch(olds, news) })
-	write(func(tx *table.WriteTxn) error { return tx.DeleteBatch(dead) })
+	churn(t, db)
 	check("churned")
 }
 
@@ -366,12 +613,12 @@ func TestClusteredScanCompositePrefix(t *testing.T) {
 		NewQuery(Ge(0, value.NewString("o")), Lt(1, value.NewInt(5))),
 	}
 	for qi, q := range queries {
-		want := collectVia(t, func(fn RowFunc) error { return TableScan(tbl, q, fn) })
+		want := collectVia(t, func(fn RowFunc) error { return TableScan(tbl, q, 1, fn) })
 		if len(want) == 0 {
 			t.Fatalf("q%d matched nothing; fixture broken", qi)
 		}
 		for _, w := range []int{1, 4} {
-			got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).RunParallel(tbl, q, w, fn) })
+			got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(tbl, q, w, fn) })
 			if !sameSlices(want, got) {
 				t.Errorf("q%d workers %d: clustered (%d rows) != table scan (%d rows)", qi, w, len(got), len(want))
 			}

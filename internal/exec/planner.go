@@ -63,17 +63,17 @@ type Plan struct {
 	Cost   time.Duration
 }
 
-// Run executes the plan.
-func (p Plan) Run(t *table.Table, q Query, fn RowFunc) error {
+// Run executes the plan with the given scan fan-out.
+func (p Plan) Run(t *table.Table, q Query, workers int, fn RowFunc) error {
 	switch p.Method {
 	case MethodTableScan:
-		return TableScan(t, q, fn)
+		return TableScan(t, q, workers, fn)
 	case MethodPipelined:
-		return PipelinedIndexScan(t, p.Index, q, fn)
+		return PipelinedIndexScan(t, p.Index, q, workers, fn)
 	case MethodSorted, MethodClustered:
-		return SortedIndexScan(t, p.Index, q, fn)
+		return SortedIndexScan(t, p.Index, q, workers, fn)
 	case MethodCM:
-		return CMScan(t, p.CM, q, fn)
+		return CMScan(t, p.CM, q, workers, fn)
 	default:
 		return fmt.Errorf("exec: unknown method %v", p.Method)
 	}
@@ -146,7 +146,7 @@ func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
 }
 
 // SweepCost predicts a physical-order sweep of the given sorted distinct
-// heap pages, counted the way sweepPages reads them: pages closer than
+// heap pages, counted the way the sweep kernel reads them: pages closer than
 // one seek's worth of sequential reads coalesce into a run that is read
 // straight through, each run opens with one seek, and nothing costs
 // more than the scan. It prices every path whose page list is known

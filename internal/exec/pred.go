@@ -194,9 +194,9 @@ type Query struct {
 	// that. See ScanObs.
 	Obs *ScanObs
 	// Ctx, when non-nil, cancels the scan: every access method polls it
-	// at chunk granularity (serial paths per heap page, RID collection
-	// every cancelCheckRIDs entries, parallel workers per chunk) and the
-	// run returns the context's error. nil never cancels.
+	// itself (every sweep per heap page, RID collection every
+	// cancelCheckRIDs entries, the fan-out before each chunk) and the run
+	// returns the context's error. nil never cancels.
 	Ctx context.Context
 }
 

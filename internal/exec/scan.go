@@ -5,6 +5,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/heap"
 	"repro/internal/keyenc"
@@ -15,7 +16,7 @@ import (
 // RowFunc receives result rows; returning false stops execution early.
 //
 // Scratch-row contract: the row is only valid for the duration of the
-// call — serial executors reuse one scratch row across survivors, so a
+// call — an inline sweep reuses one scratch row across survivors, so a
 // caller that retains rows must Clone them. Extracted scalar values
 // (row[i].I, row[i].S, ...) are plain copies and safe to keep. When the
 // query carries a projection (Query.Proj), only the projected and
@@ -32,32 +33,30 @@ type tupleMatcher interface {
 
 // lazyScan bundles what every lazy access path needs: the compiled
 // filter, the columns to materialize for survivors, the MVCC snapshot the
-// scan reads as of, and a reusable scratch row for serial emission.
+// scan reads as of, where its work is counted and what cancels it. It is
+// read-only once built, so the workers of a fanned-out scan share one.
 type lazyScan struct {
-	sch     table.Schema
-	filter  tupleMatcher
-	need    []int
-	snap    uint64
-	scratch value.Row
-	// obs receives per-chunk tally flushes when the query asked for
+	sch    table.Schema
+	filter tupleMatcher
+	need   []int
+	snap   uint64
+	// obs receives one tally flush per sweep when the query asked for
 	// observation (Query.Obs / OrQuery.Obs); nil drops them.
 	obs *ScanObs
-	// ctx, when non-nil, cancels the scan: emit polls it at page
-	// boundaries, so every serial path (table scan, pipelined probe,
-	// page sweep) stops within one heap page of cancellation.
+	// ctx, when non-nil, cancels the scan: every sweep polls it at page
+	// boundaries, so any path stops within one heap page of cancellation.
 	ctx context.Context
 }
 
 func newLazyScan(t *table.Table, q Query) *lazyScan {
 	sch := t.Schema()
 	return &lazyScan{
-		sch:     sch,
-		filter:  CompileFilter(sch, q),
-		need:    q.MaterializeCols(len(sch.Cols)),
-		snap:    q.Snap,
-		scratch: make(value.Row, len(sch.Cols)),
-		obs:     q.Obs,
-		ctx:     q.Ctx,
+		sch:    sch,
+		filter: CompileFilter(sch, q),
+		need:   q.MaterializeCols(len(sch.Cols)),
+		snap:   q.Snap,
+		obs:    q.Obs,
+		ctx:    q.Ctx,
 	}
 }
 
@@ -67,91 +66,165 @@ func newLazyScan(t *table.Table, q Query) *lazyScan {
 func newOrLazyScan(t *table.Table, oq OrQuery) *lazyScan {
 	sch := t.Schema()
 	return &lazyScan{
-		sch:     sch,
-		filter:  CompileOrFilter(sch, oq),
-		need:    oq.MaterializeCols(len(sch.Cols)),
-		snap:    oq.Snap,
-		scratch: make(value.Row, len(sch.Cols)),
-		obs:     oq.Obs,
-		ctx:     oq.Ctx,
+		sch:    sch,
+		filter: CompileOrFilter(sch, oq),
+		need:   oq.MaterializeCols(len(sch.Cols)),
+		snap:   oq.Snap,
+		obs:    oq.Obs,
+		ctx:    oq.Ctx,
 	}
 }
 
-// emit filters one encoded tuple and, for survivors, decodes the needed
-// columns into the scratch row and calls fn. The returned cont is false
-// when the scan should stop (error or early stop from fn). The tally
-// counts the page visit, the filter evaluation and any survivor; the
-// caller flushes it to ls.obs when its chunk ends.
-func (ls *lazyScan) emit(rid heap.RID, tuple []byte, fn RowFunc, ta *tally) (cont bool, err error) {
-	if ls.ctx != nil && rid.Page != ta.lastPage {
-		// Page boundary: poll for cancellation so a serial scan stops
-		// within one heap page of the context firing.
-		if err := ctxErr(ls.ctx); err != nil {
-			return false, err
-		}
+// pageSet names the heap pages a sweep reads: the contiguous pages
+// [lo, lo+n) of a table scan or, when n is 0, a sorted distinct page
+// list (what an index, a CM or a union resolved). The zero value is
+// empty.
+type pageSet struct {
+	lo, n int64
+	list  []int64
+}
+
+// len counts the pages of the set.
+func (ps pageSet) len() int {
+	if ps.n > 0 {
+		return int(ps.n)
 	}
-	ta.page(rid.Page)
-	ta.tuples++
-	ok, err := ls.filter.Matches(tuple)
+	return len(ps.list)
+}
+
+// slice returns the pages at positions [from, to) of the set.
+func (ps pageSet) slice(from, to int) pageSet {
+	if ps.n > 0 {
+		return pageSet{lo: ps.lo + int64(from), n: int64(to - from)}
+	}
+	return pageSet{list: ps.list[from:to]}
+}
+
+// visitFunc is what a sweep does with a surviving row: stream it to the
+// caller, buffer a clone, fold it into an aggregate. used reports
+// whether the row counted as a result (cm-agg's sweep passes over the
+// tuples its statistics already answered); cont false ends the sweep.
+// The row is the sweep's scratch row, valid only during the call.
+type visitFunc func(rid heap.RID, row value.Row) (used, cont bool)
+
+// emitTo is the streaming visit: every survivor goes to fn.
+func emitTo(fn RowFunc) visitFunc {
+	return func(rid heap.RID, row value.Row) (bool, bool) { return true, fn(rid, row) }
+}
+
+// sweeper is one sweep in progress: the scratch row and tally it owns,
+// plus why it ended. Each sweep (so each worker's chunk) has its own.
+type sweeper struct {
+	ls      *lazyScan
+	stop    *atomic.Bool // a fan-out's shared early-stop flag; nil inline
+	visit   visitFunc
+	scratch value.Row
+	ta      tally
+	halted  bool  // the flag or the visit ended the sweep
+	err     error // the context's error, or a filter/decode failure
+}
+
+func (ls *lazyScan) newSweeper(stop *atomic.Bool, visit visitFunc) *sweeper {
+	return &sweeper{ls: ls, stop: stop, visit: visit, scratch: make(value.Row, len(ls.sch.Cols)), ta: newTally()}
+}
+
+// enterPage runs at every page boundary, before anything on the new page
+// is counted: it polls the shared early-stop flag and the query context —
+// so no sweep, inline or fanned out, outlives either by more than the
+// page it is on — then notes the page visit.
+func (sw *sweeper) enterPage(page int64) bool {
+	if sw.flagged() {
+		return false
+	}
+	if sw.err = ctxErr(sw.ls.ctx); sw.err != nil {
+		return false
+	}
+	sw.ta.page(page)
+	return true
+}
+
+// flagged polls the fan-out's early-stop flag, halting the sweep on it.
+func (sw *sweeper) flagged() bool {
+	if sw.stop != nil && sw.stop.Load() {
+		sw.halted = true
+	}
+	return sw.halted
+}
+
+// survivor filters one encoded tuple and, when it passes, decodes the
+// needed columns into the scratch row and hands it to the visit. A
+// rejected tuple is never copied or decoded.
+func (sw *sweeper) survivor(rid heap.RID, tuple []byte) bool {
+	sw.ta.tuples++
+	ok, err := sw.ls.filter.Matches(tuple)
 	if err != nil {
-		return false, err
+		sw.err = err
+		return false
 	}
 	if !ok {
-		return true, nil
+		return true
 	}
-	if err := ls.sch.DecodeCols(ls.scratch, tuple, ls.need); err != nil {
-		return false, err
+	if sw.err = sw.ls.sch.DecodeCols(sw.scratch, tuple, sw.ls.need); sw.err != nil {
+		return false
 	}
-	ta.rows++
-	return fn(rid, ls.scratch), nil
+	used, cont := sw.visit(rid, sw.scratch)
+	if used {
+		sw.ta.rows++
+	}
+	sw.halted = !cont
+	return cont
 }
 
-// collect is emit's buffering twin for the parallel collectors: a
-// surviving tuple decodes into a fresh row (collected rows outlive the
-// pinned frame and the scan), a rejected one returns nil. Safe to share
-// one lazyScan across workers — collect never touches the scratch row
-// and the filter is read-only after compilation; each worker counts
-// into its own tally (page visits are the caller's, since only it sees
-// RIDs).
-func (ls *lazyScan) collect(tuple []byte, ta *tally) (value.Row, error) {
-	ta.tuples++
-	ok, err := ls.filter.Matches(tuple)
-	if err != nil || !ok {
-		return nil, err
+// tuple is the whole per-tuple step, in the shape heap callbacks take.
+func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
+	if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
+		return false
 	}
-	row := make(value.Row, len(ls.sch.Cols))
-	if err := ls.sch.DecodeCols(row, tuple, ls.need); err != nil {
-		return nil, err
+	return sw.survivor(rid, tuple)
+}
+
+// run reads the pages of ps in physical order — a list coalesced into
+// runs whose gaps are cheaper to read through than to seek over — and
+// feeds every visible tuple to onTuple (sw.tuple, for all but the RID
+// batch fetch), then flushes the tally. It is the executor's only heap
+// page reader.
+func (sw *sweeper) run(t *table.Table, ps pageSet, onTuple func(heap.RID, []byte) bool) error {
+	defer sw.ta.flush(sw.ls.obs)
+	readRun := func(lo, hi int64) (bool, error) {
+		if sw.flagged() { // don't fetch a page only to find the flag set
+			return false, nil
+		}
+		err := t.Heap().ScanPagesAt(lo, hi, sw.ls.snap, onTuple)
+		if sw.err != nil {
+			err = sw.err
+		}
+		return !sw.halted && err == nil, err
 	}
-	ta.rows++
-	return row, nil
+	if ps.n > 0 {
+		_, err := readRun(ps.lo, ps.lo+ps.n-1)
+		return err
+	}
+	return forEachPageRun(ps.list, maxGapFor(t), readRun)
+}
+
+// sweep is the page-sweep kernel, the step every heap-visiting path but
+// the pipelined iterator ends in: sorted distinct heap pages, read in
+// physical order, polled for cancellation at every page boundary,
+// tallied, re-filtered on encoded bytes (rows on gap pages read through
+// by a run drop out like any other non-match), survivors decoded and
+// handed to visit. A sweep ended early by stop or by the visit is not an
+// error.
+func (ls *lazyScan) sweep(t *table.Table, ps pageSet, stop *atomic.Bool, visit visitFunc) error {
+	sw := ls.newSweeper(stop, visit)
+	return sw.run(t, ps, sw.tuple)
 }
 
 // TableScan evaluates the query with a full sequential heap scan,
-// filtering on encoded bytes and materializing only surviving rows.
-func TableScan(t *table.Table, q Query, fn RowFunc) error {
-	return tableScanLS(t, newLazyScan(t, q), fn)
-}
-
-// tableScanLS is TableScan over a pre-built lazyScan, shared with the
-// OR executor (whose filter is a disjunction).
-func tableScanLS(t *table.Table, ls *lazyScan, fn RowFunc) error {
-	h := t.Heap()
-	var innerErr error
-	ta := newTally()
-	defer func() { ta.flush(ls.obs) }()
-	err := h.ScanPagesAt(0, h.NumPages()-1, ls.snap, func(rid heap.RID, tuple []byte) bool {
-		cont, err := ls.emit(rid, tuple, fn, &ta)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return cont
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
+// filtering on encoded bytes and materializing only surviving rows; with
+// workers > 1 the page range splits into chunks swept concurrently, rows
+// still streaming in physical order.
+func TableScan(t *table.Table, q Query, workers int, fn RowFunc) error {
+	return sweepEmit(t, newLazyScan(t, q), pageSet{n: t.Heap().NumPages()}, workers, fn)
 }
 
 // probeRange is an encoded key interval probed in an index: every entry
@@ -271,79 +344,87 @@ func sortRanges(ranges []probeRange) []probeRange {
 	return ranges
 }
 
-// collectRIDs gathers the RIDs of every index entry in the probe
-// ranges, polling ctx every cancelCheckRIDs entries.
-func collectRIDs(ctx context.Context, ix *table.Index, ranges []probeRange) ([]heap.RID, error) {
-	var rids []heap.RID
-	var ctxErrSeen error
-	for _, r := range ranges {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		err := ix.ScanRange(r.Lo, r.Hi, func(rid heap.RID) bool {
+// rangeRIDs collects the RIDs of every index entry in the probe ranges,
+// fanning the ranges out across the worker pool and polling ctx every
+// cancelCheckRIDs entries. The returned order is range-major (range i's
+// RIDs before range i+1's) at any worker count.
+func rangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange, workers int) ([]heap.RID, error) {
+	ridLists := make([][]heap.RID, len(ranges))
+	err := runTasks(ctx, workers, len(ranges), func(i int) error {
+		var rids []heap.RID
+		var cancelled error
+		err := ix.ScanRange(ranges[i].Lo, ranges[i].Hi, func(rid heap.RID) bool {
 			rids = append(rids, rid)
-			if ctx != nil && len(rids)&(cancelCheckRIDs-1) == 0 {
-				if err := ctxErr(ctx); err != nil {
-					ctxErrSeen = err
-					return false
-				}
+			if len(rids)&(cancelCheckRIDs-1) == 0 {
+				cancelled = ctxErr(ctx)
 			}
-			return true
+			return cancelled == nil
 		})
-		if ctxErrSeen != nil {
-			return nil, ctxErrSeen
+		ridLists[i] = rids
+		if cancelled != nil {
+			return cancelled
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rids, nil
+	return slices.Concat(ridLists...), nil
 }
 
 // PipelinedIndexScan evaluates the query by probing the index and
-// fetching each matching tuple immediately (the Section 3.1 iterator
-// pattern): every tuple access is a potential random seek, which is why
-// this path only pays off for very selective lookups. Fetched tuples are
-// filtered on their encoded bytes; only survivors materialize.
-// BatchedIndexScan is its parallel twin.
-func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, fn RowFunc) error {
+// emitting matches in index key order, probe range by probe range. It
+// is two algorithms, chosen from the fan-out and the number of ranges:
+//
+//   - One worker, or a single probe range (nothing to fan out): the
+//     Section 3.1 iterator — each RID's tuple is fetched the moment the
+//     index yields it, so every access is a potential random seek (why
+//     this path only pays off for very selective lookups) but a
+//     first-match/LIMIT-1 caller stops after a handful of fetches instead
+//     of waiting for a whole range's RIDs to collect.
+//   - Otherwise the batched async form: the probe ranges fan out across
+//     the worker pool, each worker accumulates its range's RIDs in key
+//     order and fetches them batch by batch through gap-coalesced page
+//     runs (scattered fetches become few physical sweeps), and rows
+//     stream to fn in exactly the iterator's order. An early stop cancels
+//     in-flight ranges at page granularity.
+//
+// Either way tuples are filtered on their encoded bytes; only survivors
+// materialize.
+func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
+	ranges, point := indexProbeRanges(ix.Cols, q) // emission order: as returned
+	batched := workers > 1 && len(ranges) > 1
+	ranges = pruneRanges(ix, ranges, point, q.Obs)
 	ls := newLazyScan(t, q)
+	if batched {
+		return collectEmit(ls.ctx, workers, len(ranges), func(i int, stop *atomic.Bool) ([]matchRow, error) {
+			return probeRangeBatched(t, ix, ranges[i], ls, stop)
+		}, fn)
+	}
 	h := t.Heap()
-	ranges := probeRanges(ix, q)
-	ta := newTally()
-	defer func() { ta.flush(ls.obs) }()
+	sw := ls.newSweeper(nil, emitTo(fn))
+	defer sw.ta.flush(ls.obs)
 	// One view closure for the whole scan (a fresh closure per probed
 	// RID would allocate per tuple): it reads the current RID from
-	// curRID, set by the probe loop below.
+	// curRID, set by the probe loop below. View hands out the pinned
+	// frame's bytes: a tuple the filter rejects is never copied.
 	var curRID heap.RID
-	stop := false
 	view := func(tuple []byte) error {
-		// View hands out the pinned frame's bytes: a tuple the filter
-		// rejects is never copied or decoded.
-		cont, err := ls.emit(curRID, tuple, fn, &ta)
-		if !cont && err == nil {
-			stop = true
-		}
-		return err
+		sw.tuple(curRID, tuple)
+		return sw.err
 	}
 	for _, r := range ranges {
-		var cbErr error
+		var viewErr error
 		err := ix.ScanRange(r.Lo, r.Hi, func(rid heap.RID) bool {
 			curRID = rid
-			if err := h.ViewAt(rid, ls.snap, view); err != nil {
-				cbErr = err
-				return false
-			}
-			return !stop
+			viewErr = h.ViewAt(rid, ls.snap, view)
+			return viewErr == nil && !sw.halted
 		})
-		if cbErr != nil {
-			return cbErr
+		if viewErr != nil {
+			return viewErr
 		}
-		if err != nil {
+		if err != nil || sw.halted {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
@@ -352,13 +433,15 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, fn RowFunc) er
 // SortedIndexScan evaluates the query with the Section 3.2 optimization:
 // probe the index for all matching RIDs up front, sort them, and sweep
 // the heap pages in physical order (PostgreSQL's bitmap heap scan).
-// Fetched pages are re-filtered with the full predicate set.
-func SortedIndexScan(t *table.Table, ix *table.Index, q Query, fn RowFunc) error {
-	rids, err := collectRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)))
+// Fetched pages are re-filtered with the full predicate set. Both phases
+// fan out over workers: the sorted probe ranges are collected
+// concurrently, then the deduplicated pages are swept concurrently.
+func SortedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
+	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
 	if err != nil {
 		return err
 	}
-	return sweepPages(t, pagesOf(rids), q, fn)
+	return sweepEmit(t, newLazyScan(t, q), pageSet{list: pagesOf(rids)}, workers, fn)
 }
 
 // pagesOf returns the sorted distinct pages referenced by the RIDs. It
@@ -425,44 +508,6 @@ func forEachPageRun(pages []int64, maxGap int64, visit func(lo, hi int64) (cont 
 		i = j + 1
 	}
 	return nil
-}
-
-// sweepPages reads the given heap pages in ascending order, filters
-// tuples on their encoded bytes and emits surviving rows. Rows on gap
-// pages read through by a run are filtered out by the query like any
-// other non-match.
-func sweepPages(t *table.Table, pages []int64, q Query, fn RowFunc) error {
-	return sweepPagesLS(t, pages, newLazyScan(t, q), fn)
-}
-
-// sweepPagesLS is sweepPages over a pre-built lazyScan, shared with the
-// OR union executor.
-func sweepPagesLS(t *table.Table, pages []int64, ls *lazyScan, fn RowFunc) error {
-	ta := newTally()
-	defer func() { ta.flush(ls.obs) }()
-	return forEachPageRun(pages, maxGapFor(t), func(lo, hi int64) (bool, error) {
-		var innerErr error
-		stop := false
-		err := t.Heap().ScanPagesAt(lo, hi, ls.snap, func(rid heap.RID, tuple []byte) bool {
-			cont, err := ls.emit(rid, tuple, fn, &ta)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !cont {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if innerErr != nil {
-			return false, innerErr
-		}
-		if err != nil {
-			return false, err
-		}
-		return !stop, nil
-	})
 }
 
 // Collect runs an access method and gathers all result rows, a

@@ -33,8 +33,8 @@ func CompareRows(keys []OrderKey, a, b value.Row) int {
 
 // sortRow pairs a buffered row with its arrival sequence, the stable
 // tie-break: rows equal on every key keep input (physical emission)
-// order, which makes sorted output deterministic and identical between
-// serial and parallel scans (both emit in physical order).
+// order, which makes sorted output deterministic and identical at any
+// worker count (every scan emits in physical order).
 type sortRow struct {
 	row value.Row
 	seq int

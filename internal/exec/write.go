@@ -19,8 +19,8 @@ import (
 // never see the rows it is about to produce. Because every access path
 // emits rows in physical heap order at any worker count, the collected
 // RID sequence — and therefore the written table state — is
-// byte-identical for serial and parallel execution, and for any access
-// path the planner picks.
+// byte-identical at any worker count, and for any access path the
+// planner picks.
 
 // SetClause is one assignment of an UPDATE statement: the target column
 // and the literal value it takes. (The SQL surface only admits literal

@@ -92,7 +92,7 @@ func RunFigure1(cfg Figure1Config) (*Figure1Result, error) {
 		q := exec.NewQuery(exec.In(c.lookupCol, c.vals...))
 		touched := map[int64]struct{}{}
 		_, _, err = env.Cold(func() error {
-			return exec.SortedIndexScan(tbl, ix, q, func(rid heap.RID, _ value.Row) bool {
+			return exec.SortedIndexScan(tbl, ix, q, 1, func(rid heap.RID, _ value.Row) bool {
 				touched[rid.Page] = struct{}{}
 				return true
 			})

@@ -113,7 +113,7 @@ func RunFigure10(cfg Figure10Config) (*Figure10Result, error) {
 		var sum float64
 		var n int64
 		elapsed, _, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, func(_ heap.RID, row value.Row) bool {
+			return exec.CMScan(tbl, cm, q, 1, func(_ heap.RID, row value.Row) bool {
 				sum += row[datagen.EBayPrice].F
 				n++
 				return true

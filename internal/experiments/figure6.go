@@ -167,7 +167,7 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 			return true
 		}
 		cmT, _, err := fx.env.Cold(func() error {
-			return exec.CMScan(fx.tbl, fx.cm, q, countDistinct)
+			return exec.CMScan(fx.tbl, fx.cm, q, 1, countDistinct)
 		})
 		if err != nil {
 			return nil, err
@@ -175,7 +175,7 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 		cmMatched := matched
 		matched = 0
 		btT, _, err := fx.env.Cold(func() error {
-			return exec.SortedIndexScan(fx.tbl, fx.ix, q, countDistinct)
+			return exec.SortedIndexScan(fx.tbl, fx.ix, q, 1, countDistinct)
 		})
 		if err != nil {
 			return nil, err

@@ -79,7 +79,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 
 	res := &Figure7Result{TreeBytes: ix.SizeBytes(), Rows: tbl.Stats().TotalTups}
 	bt, _, err := env.Cold(func() error {
-		return exec.SortedIndexScan(tbl, ix, q, func(heap.RID, value.Row) bool { return true })
+		return exec.SortedIndexScan(tbl, ix, q, 1, func(heap.RID, value.Row) bool { return true })
 	})
 	if err != nil {
 		return nil, err
@@ -106,7 +106,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 		}
 		matched := 0
 		cmT, _, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, func(heap.RID, value.Row) bool {
+			return exec.CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool {
 				matched++
 				return true
 			})

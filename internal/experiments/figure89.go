@@ -311,9 +311,9 @@ func RunFigure9(cfg Figure9Config) (*Figure9Result, error) {
 				}
 				el, _, err := env.Warm(func() error {
 					if useCM {
-						return exec.CMScan(tbl, cms[ci], q, agg)
+						return exec.CMScan(tbl, cms[ci], q, 1, agg)
 					}
-					return exec.SortedIndexScan(tbl, ixs[ci], q, agg)
+					return exec.SortedIndexScan(tbl, ixs[ci], q, 1, agg)
 				})
 				if err != nil {
 					return Figure9Bar{}, err

@@ -75,7 +75,7 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 			value.NewInt(100+2*int64(cfg.SDSS.FieldsPerStripe)+3),
 		))
 		elapsed, st, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, func(heap.RID, value.Row) bool { return true })
+			return exec.CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool { return true })
 		})
 		if err != nil {
 			return nil, err

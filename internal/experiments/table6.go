@@ -111,16 +111,16 @@ func RunTable6(cfg Table6Config) (*Table6Result, error) {
 	}
 	methods := []method{
 		{"CM(ra)", raB.String(), cmRa.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmRa, q, fn)
+			return exec.CMScan(tbl, cmRa, q, 1, fn)
 		}},
 		{"CM(dec)", decB.String(), cmDec.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmDec, q, fn)
+			return exec.CMScan(tbl, cmDec, q, 1, fn)
 		}},
 		{"CM(ra,dec)", raB.String() + " " + decB.String(), cmPair.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmPair, q, fn)
+			return exec.CMScan(tbl, cmPair, q, 1, fn)
 		}},
 		{"B+Tree(ra,dec)", "-", ixPair.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.SortedIndexScan(tbl, ixPair, q, fn)
+			return exec.SortedIndexScan(tbl, ixPair, q, 1, fn)
 		}},
 	}
 	want := -1

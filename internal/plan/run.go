@@ -49,12 +49,12 @@ func (tr *Tree) runAccess(scanProj []int, workers int, emit exec.RowFunc) error 
 	obs := tr.scanObs()
 	if tr.useOr {
 		oq := exec.OrQuery{Disjuncts: tr.spec.Disjuncts, Proj: scanProj, Snap: tr.spec.Snap, Obs: obs, Ctx: tr.spec.Ctx}
-		return tr.orPlan.RunParallel(tr.t, oq, workers, emit)
+		return tr.orPlan.Run(tr.t, oq, workers, emit)
 	}
 	q := tr.spec.Disjuncts[0]
 	q.Proj = scanProj
 	q.Obs = obs
-	return tr.single.RunParallel(tr.t, q, workers, emit)
+	return tr.single.Run(tr.t, q, workers, emit)
 }
 
 // scanObs picks where the access path's physical-work tallies go: the

@@ -76,8 +76,8 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 // Run executes the statement with the given scan fan-out and returns
 // the number of rows written. The read phase streams matching rows in
 // physical heap order (identical at any worker count and for any access
-// path), so the resulting table state is byte-identical for serial and
-// parallel execution. The caller must not hold the table latch: the
+// path), so the resulting table state is byte-identical at any worker
+// count. The caller must not hold the table latch: the
 // writer statement takes the writer gate for the whole read + write
 // span and latches per batch, so concurrent readers are never blocked
 // for more than one batch.

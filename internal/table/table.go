@@ -569,11 +569,11 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 	if replayErr != nil {
 		return nil, replayErr
 	}
-	// A legacy (stats-less) checkpoint leaves the per-entry statistics
-	// invalid, which would silently disable index-only aggregation on the
-	// recovered CM. Rebuild them from one heap scan before registering:
-	// recovery is already an offline, exclusive operation, so the extra
-	// scan rides on the same bracket.
+	// A checkpoint written under another stat-column layout leaves the
+	// per-entry statistics invalid, which would silently disable
+	// index-only aggregation on the recovered CM. Rebuild them from one
+	// heap scan before registering: recovery is already an offline,
+	// exclusive operation, so the extra scan rides on the same bracket.
 	if !cm.StatsValid() {
 		if err := t.rebuildCMStats(cm); err != nil {
 			return nil, err
@@ -585,7 +585,7 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 
 // rebuildCMStats reconstructs a CM — pair counts and per-entry aggregate
 // statistics — from one scan of the live heap, restoring cm-agg pushdown
-// for CMs recovered from statistics-less checkpoints.
+// for CMs recovered from checkpoints of another stat-column layout.
 func (t *Table) rebuildCMStats(cm *core.CM) error {
 	cm.Reset()
 	return t.Scan(func(rid heap.RID, row value.Row) bool {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/value"
@@ -102,7 +103,7 @@ func TestSnapshotRepeatableScan(t *testing.T) {
 		n := 0
 		inner.RLock()
 		defer inner.RUnlock()
-		err := exec.TableScan(inner, exec.Query{Snap: snapAt}, func(_ heap.RID, row value.Row) bool {
+		err := exec.TableScan(inner, exec.Query{Snap: snapAt}, 1, func(_ heap.RID, row value.Row) bool {
 			if row[1].I == u {
 				n++
 			}
@@ -443,7 +444,7 @@ func assertCMAggAfterRecovery(t *testing.T, db *DB) {
 
 // TestCMCheckpointRoundTripPreservesPushdown serializes a live
 // stats-carrying CM, recovers it into a CM-less twin table, and proves
-// aggregation pushdown survived: the v2 checkpoint carries the
+// aggregation pushdown survived: the checkpoint carries the
 // statistics across the Serialize -> Deserialize round trip.
 func TestCMCheckpointRoundTripPreservesPushdown(t *testing.T) {
 	_, donor := cmaggFixture(t, 2, 600)
@@ -455,16 +456,30 @@ func TestCMCheckpointRoundTripPreservesPushdown(t *testing.T) {
 	assertCMAggAfterRecovery(t, db)
 }
 
-// TestCMLegacyCheckpointTriggersStatsRebuild feeds recovery a v1
-// (counts-only) checkpoint: deserialization marks the stats invalid and
-// the table layer must rebuild them from the heap, so the recovered CM
-// still answers index-only instead of silently losing pushdown.
+// TestCMLegacyCheckpointTriggersStatsRebuild feeds recovery a checkpoint
+// written under another stat-column layout (the same CM before it
+// carried statistics): deserialization keeps the pair counts, marks the
+// stats invalid, and the table layer must rebuild them from the heap, so
+// the recovered CM still answers index-only instead of silently losing
+// pushdown.
 func TestCMLegacyCheckpointTriggersStatsRebuild(t *testing.T) {
 	_, donor := cmaggFixture(t, 2, 600)
-	var legacy bytes.Buffer
-	if err := donor.inner.CMOn(1).SerializeV1(&legacy); err != nil {
+	spec := donor.inner.CMOn(1).Spec()
+	if len(spec.StatCols) == 0 {
+		t.Fatal("donor CM carries no statistics; fixture broken")
+	}
+	spec.StatCols = nil
+	statless := core.New(spec)
+	if err := donor.inner.Scan(func(_ heap.RID, row value.Row) bool {
+		statless.AddRow(row, donor.inner.ClusterBucketFor(row))
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	db, _ := recoverTwin(t, donor, &legacy)
+	var ckpt bytes.Buffer
+	if err := statless.Serialize(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := recoverTwin(t, donor, &ckpt)
 	assertCMAggAfterRecovery(t, db)
 }

@@ -138,9 +138,9 @@ func (t *Table) Select(fn func(Row) bool, preds ...Pred) error {
 }
 
 // SelectCtx is Select bounded by a context: every access method polls
-// ctx at chunk granularity (serial scans per heap page, parallel
-// workers per chunk), so a cancelled or expired statement stops within
-// one chunk's worth of pages and returns the context's error. A nil
+// ctx itself at heap-page granularity, at any worker count, so a
+// cancelled or expired statement stops within a page per worker and
+// returns the context's error. A nil
 // ctx never cancels; the configured statement timeout applies either
 // way.
 func (t *Table) SelectCtx(ctx context.Context, fn func(Row) bool, preds ...Pred) error {
@@ -199,7 +199,7 @@ func (t *Table) SelectViaCM(cmName string, fn func(Row) bool, preds ...Pred) err
 	defer t.inner.RUnlock()
 	for _, cm := range t.inner.CMs() {
 		if cm.Spec().Name == cmName {
-			return exec.ParallelCMScan(t.inner, cm, q, t.db.workers, func(_ heap.RID, row value.Row) bool {
+			return exec.CMScan(t.inner, cm, q, t.db.workers, func(_ heap.RID, row value.Row) bool {
 				return fn(externalRow(row))
 			})
 		}
