@@ -155,7 +155,7 @@ func TestSlowQueryLog(t *testing.T) {
 	var st sessionStats
 
 	// Metadata statements stay under any sane threshold: no slow line.
-	resp := srv.handle(nil, "SHOW TABLES", 7, &st)
+	resp := handleLine(t, srv, "SHOW TABLES", 7, &st)
 	if resp.Error != "" || resp.Results[0].Error != "" {
 		t.Fatalf("show tables: %+v", resp)
 	}
@@ -167,7 +167,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	resp = srv.handle(nil, "SELECT count(*) FROM items WHERE grp = 3", 7, &st)
+	resp = handleLine(t, srv, "SELECT count(*) FROM items WHERE grp = 3", 7, &st)
 	if resp.Error != "" || resp.Results[0].Error != "" {
 		t.Fatalf("scan: %+v", resp)
 	}
@@ -195,7 +195,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	off.handle(nil, "SELECT count(*) FROM items", 1, &st)
+	handleLine(t, off, "SELECT count(*) FROM items", 1, &st)
 	if lines := quiet.slowLines(); len(lines) != 0 {
 		t.Fatalf("slow log fired with the feature off: %q", lines)
 	}

@@ -8,6 +8,8 @@ package server
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 
 	"repro"
 )
@@ -19,8 +21,8 @@ import (
 //	  {"sql": "..."} — lines whose first non-blank byte is '{' are JSON.
 //	client <- server: exactly one JSON line per request:
 //	  {"results": [stmtResult, ...], "error": "..."}
-//	where "error" is set only when the whole line failed to parse (then
-//	"results" is absent), and each stmtResult is
+//	where "error" is set only when the line failed as a whole — it did
+//	not parse — and "results" is then absent, and each stmtResult is
 //	  {"columns": [...], "rows": [[...]], "message": "...",
 //	   "affected": N, "error": "...",
 //	   "elapsed_ns": N, "row_count": N, "pages_read": N}
@@ -29,10 +31,14 @@ import (
 //	count and disk page-read delta (cmsql's \timing prints them; each
 //	statement of a batched SELECT group reports the group's time and
 //	pages). Ints arrive as JSON numbers, floats as numbers, strings as
-//	strings. A statement whose encoded result would exceed the 4 MiB
-//	line cap answers with a per-statement "error" naming the statement
-//	and its row count; the session stays alive and later statements
-//	still run.
+//	strings, every value encoded byte for byte as encoding/json would
+//	(one encoder, appendRow, serves both wire modes). The 4 MiB cap
+//	bounds the whole response line: the statement whose result would
+//	take the line's running total past it answers with only an "error"
+//	naming the statement, that total and its row count, and so does a
+//	statement that produced a value JSON cannot carry (a NaN or infinite
+//	float); the statements before and after it answer as usual and the
+//	session stays alive.
 //
 // Wire protocol v2 — chunked results. A session opts in with
 //
@@ -76,92 +82,98 @@ type Request struct {
 	SQL string `json:"sql"`
 }
 
-// StmtResult is one statement's outcome on the wire.
-type StmtResult struct {
-	Columns  []string `json:"columns,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Message  string   `json:"message,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	Error    string   `json:"error,omitempty"`
-	// ElapsedNS, RowCount and PagesRead carry the statement's execution
-	// measurements (see the protocol comment above).
-	ElapsedNS int64  `json:"elapsed_ns,omitempty"`
-	RowCount  int    `json:"row_count,omitempty"`
-	PagesRead uint64 `json:"pages_read,omitempty"`
-	// Chunks counts the chunk frames that carried this statement's rows
-	// in wire-protocol-v2 streaming mode (0 in buffered responses and
-	// for statements that streamed no rows).
-	Chunks int `json:"chunks,omitempty"`
-}
-
-// Frame is one line of a wire-protocol-v2 response stream: either a
-// chunk of result rows or the terminating summary. Exactly one field
-// is set.
-type Frame struct {
-	Chunk *ChunkFrame `json:"chunk,omitempty"`
-	Done  *Response   `json:"done,omitempty"`
-}
-
-// ChunkFrame carries a run of result rows for one statement of the
-// request line. Columns is set only on the statement's first frame.
-// Rows are pre-encoded exactly as buffered mode encodes them, so
-// reassembled chunked results are byte-identical to buffered ones.
-type ChunkFrame struct {
-	Stmt    int               `json:"stmt"`
-	Columns []string          `json:"columns,omitempty"`
-	Rows    []json.RawMessage `json:"rows"`
-}
-
-// Response is one JSON response line.
-type Response struct {
-	Results []StmtResult `json:"results,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
-// encodeRow renders a result row with native JSON types.
-func encodeRow(r repro.Row) []any {
-	out := make([]any, len(r))
-	for i, v := range r {
-		switch v.Kind() {
-		case repro.Int:
-			out[i] = v.Int()
-		case repro.Float:
-			out[i] = v.Float()
-		default:
-			out[i] = v.Str()
+// appendStmt appends one statement's wire object to dst: the fields in
+// the protocol comment's order, empty ones omitted. rows is the
+// statement's already-encoded rows, comma-separated, spliced in as the
+// "rows" array (a chunked statement's rows went out in its chunk frames
+// instead). Every member is written with a leading comma; the first
+// one's becomes the opening brace.
+func appendStmt(dst []byte, sr repro.ScriptResult, rows []byte, chunks int) []byte {
+	open := len(dst)
+	str := func(member, s string) {
+		if s != "" {
+			dst = appendString(append(dst, member...), s)
 		}
 	}
-	return out
-}
-
-// stmtResult converts one facade result to its wire form.
-func stmtResult(sr repro.ScriptResult) StmtResult {
-	out := StmtResult{
-		ElapsedNS: sr.Elapsed.Nanoseconds(),
-		RowCount:  sr.Rows,
-		PagesRead: sr.PagesRead,
+	num := func(member string, n int64) {
+		if n != 0 {
+			dst = strconv.AppendInt(append(dst, member...), n, 10)
+		}
 	}
 	if sr.Err != nil {
-		out.Error = sr.Err.Error()
-		return out
+		str(`,"error":`, sr.Err.Error())
+	} else if res := sr.Res; res != nil {
+		if len(res.Columns) > 0 {
+			dst = appendColumns(append(dst, `,"columns":`...), res.Columns)
+		}
+		if len(rows) > 0 {
+			dst = append(append(append(dst, `,"rows":[`...), rows...), ']')
+		}
+		str(`,"message":`, res.Message)
+		num(`,"affected":`, int64(res.Affected))
 	}
-	res := sr.Res
-	out.Columns = res.Columns
-	out.Message = res.Message
-	out.Affected = res.Affected
-	for _, row := range res.Rows {
-		out.Rows = append(out.Rows, encodeRow(row))
+	num(`,"elapsed_ns":`, sr.Elapsed.Nanoseconds())
+	num(`,"row_count":`, int64(sr.Rows))
+	num(`,"pages_read":`, int64(sr.PagesRead))
+	num(`,"chunks":`, int64(chunks))
+	if len(dst) == open {
+		return append(dst, "{}"...)
 	}
-	return out
+	dst[open] = '{'
+	return append(dst, '}')
 }
 
-// marshalResponse renders a response line (without the trailing newline).
-// A response that somehow fails to marshal degrades to a JSON error line
-// rather than killing the session.
-func marshalResponse(resp Response) []byte {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		b, _ = json.Marshal(Response{Error: "server: response encoding failed: " + err.Error()})
+// appendRow appends one result row as a JSON array of native values,
+// each byte for byte what encoding/json would produce — see appendFloat
+// and appendString for how that holds by construction.
+func appendRow(dst []byte, row repro.Row) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind() {
+		case repro.Int:
+			dst = strconv.AppendInt(dst, v.Int(), 10)
+		case repro.Float:
+			var err error
+			if dst, err = appendFloat(dst, v.Float()); err != nil {
+				return dst, err
+			}
+		default:
+			dst = appendString(dst, v.Str())
+		}
 	}
-	return b
+	return append(dst, ']'), nil
+}
+
+// appendFloat appends a finite f in the plain decimal form encoding/json
+// gives |f| in [1e-6, 1e21) and zero; the exponent forms outside that
+// range, and the error for NaN and ±Inf, come from json.Marshal itself.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs != 0 && !(abs >= 1e-6 && abs < 1e21) {
+		b, err := json.Marshal(f)
+		return append(dst, b...), err
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
+}
+
+// appendString appends s as a JSON string. Plain printable ASCII with
+// nothing encoding/json escapes is quoted directly; any other string is
+// marshalled by encoding/json (which cannot fail for a string).
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendColumns appends a result header. It is envelope, once per
+// statement, so encoding/json marshals it (strings: it cannot fail).
+func appendColumns(dst []byte, columns []string) []byte {
+	b, _ := json.Marshal(columns)
+	return append(dst, b...)
 }

@@ -19,8 +19,8 @@ import (
 
 // maxLineBytes bounds one request line (a giant INSERT script still
 // fits; a runaway client cannot balloon server memory). The same cap
-// bounds one statement's encoded result on the way out: clients mirror
-// it on their read side, so a response past it would cut their session
+// bounds every line on the way out, newline included: clients mirror it
+// on their read side, so a response past it would cut their session
 // instead of reporting anything useful.
 const maxLineBytes = 4 << 20
 
@@ -60,7 +60,7 @@ type Config struct {
 	// it has its connection failed, which cancels the producing
 	// statement. Zero leaves socket writes unbounded.
 	WriteTimeout time.Duration
-	// ChunkQueue is the per-request send-queue depth (in frames) for
+	// ChunkQueue is the per-session send-queue depth (in frames) for
 	// chunked streaming; when the queue is full the producing statement
 	// blocks — backpressure — until the client drains a frame or the
 	// statement's context dies. Zero means the default of 4.
@@ -80,9 +80,9 @@ type Config struct {
 // Server serves the line/JSON protocol over a shared database. Every
 // connection gets its own session goroutine plus a reader goroutine, so
 // a client disconnect is noticed while a statement is still executing
-// and cancels it; statement execution goes through DB.ExecScriptCtx, so
-// concurrent sessions interleave under the engine's table latches
-// exactly like native concurrent callers.
+// and cancels it; statements run through DB.ExecScriptCtx (chunked
+// sessions: DB.ExecScriptStreamCtx), so concurrent sessions interleave
+// under the engine's table latches exactly like native concurrent callers.
 type Server struct {
 	db           *repro.DB
 	logf         func(format string, args ...any)
@@ -205,8 +205,8 @@ func (s *Server) reject(conn net.Conn) {
 	s.db.RecordRejectedConn()
 	s.logf("cmserver: rejecting %s: %v", conn.RemoteAddr(), ErrServerBusy)
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	b := marshalResponse(Response{Error: ErrServerBusy.Error()})
-	conn.Write(append(b, '\n'))
+	r := responder{w: &connWriter{s: s, conn: conn}}
+	r.fail(ErrServerBusy.Error())
 }
 
 // Close stops accepting, closes every live session — cancelling any
@@ -332,19 +332,16 @@ func (s *Server) run(sess *session) {
 		readErr = scanner.Err()
 	}()
 
-	w := bufio.NewWriter(conn)
-	writeResp := func(resp Response) bool {
-		b := marshalResponse(resp)
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
+	w := &connWriter{s: s, conn: conn, cancel: connCancel, frames: make(chan []byte, s.chunkQueue), idle: make(chan error)}
+	go w.drainQueue()
+	defer close(w.frames)
+	r := &responder{w: w, connCtx: connCtx}
+	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, End: r.end}
 	authed := s.authToken == ""
 	chunkRows := 0 // 0 = buffered v1 responses; set by SET wire_chunk_rows
 	for line := range lines {
 		sess.busy.Store(true)
-		ok := s.dispatch(connCtx, conn, line, id, sess, &st, writeResp, &authed, &chunkRows)
+		ok := s.dispatch(connCtx, line, id, &st, r, &authed, &chunkRows)
 		sess.busy.Store(false)
 		if !ok || s.draining() {
 			return
@@ -368,57 +365,41 @@ type sessionStats struct {
 }
 
 // dispatch routes one request line: AUTH enforcement first, then the
-// SET wire_chunk_rows session intercept, then — when the coalescer is
-// on and the line is a single plain SELECT — the cross-connection
-// batch path, and finally ordinary execution in chunked or buffered
-// mode. It reports false when the session must close (failed auth, a
-// dead connection, a failed write).
-func (s *Server) dispatch(ctx context.Context, conn net.Conn, line string, id int64, sess *session, st *sessionStats, writeResp func(Response) bool, authed *bool, chunkRows *int) bool {
-	if token, isAuth := cutAuth(line); isAuth {
-		if s.authOK(token) {
-			*authed = true
-			return writeResp(Response{Results: []StmtResult{{Message: "AUTH ok"}}})
+// SET wire_chunk_rows session intercept — both answered with a plain v1
+// line whatever the session's mode — and then execution, answered in the
+// session's mode. It reports false when the session must close (failed
+// auth, a dead connection, a failed write).
+func (s *Server) dispatch(ctx context.Context, line string, id int64, st *sessionStats, r *responder, authed *bool, chunkRows *int) bool {
+	r.reset()
+	if token, isAuth := cutAuth(line); isAuth && s.authOK(token) {
+		*authed = true
+		r.result(0, repro.ScriptResult{Res: &repro.Result{Message: "AUTH ok"}})
+		return r.finish()
+	} else if isAuth || !*authed {
+		msg := "server: authentication failed"
+		if !isAuth {
+			msg = "server: authentication required (send AUTH <token> as the first line)"
 		}
 		s.db.RecordAuthFailure()
-		s.logf("cmserver: session %d auth failure", id)
-		writeResp(Response{Error: "server: authentication failed"})
-		return false
-	}
-	if !*authed {
-		s.db.RecordAuthFailure()
-		s.logf("cmserver: session %d auth failure (no AUTH line)", id)
-		writeResp(Response{Error: "server: authentication required (send AUTH <token> as the first line)"})
+		s.logf("cmserver: session %d: %s", id, msg)
+		r.fail(msg)
 		return false
 	}
 	sqlText, jsonErr := requestSQL(line)
 	if jsonErr != nil {
-		if *chunkRows > 0 {
-			p := s.newChunkPump(ctx, func() {}, conn, *chunkRows)
-			return p.finish(Response{Error: jsonErr.Error()}) == nil
-		}
-		return writeResp(Response{Error: jsonErr.Error()})
+		r.chunkRows = *chunkRows
+		return r.fail(jsonErr.Error())
 	}
 	if n, ok := parseWireChunkSet(sqlText); ok {
 		if n < 0 {
-			return writeResp(Response{Error: "server: SET wire_chunk_rows takes a non-negative row count"})
+			return r.fail("server: SET wire_chunk_rows takes a non-negative row count")
 		}
 		*chunkRows = n
-		return writeResp(Response{Results: []StmtResult{{Message: fmt.Sprintf("SET wire_chunk_rows = %d", n)}}})
+		r.result(0, repro.ScriptResult{Res: &repro.Result{Message: fmt.Sprintf("SET wire_chunk_rows = %d", n)}})
+		return r.finish()
 	}
-	if s.coalesce != nil {
-		if prep := s.db.PrepareSelect(sqlText); prep != nil {
-			sr := <-s.coalesce.submit(ctx, prep)
-			s.accountStmt(id, 0, sr, st)
-			if *chunkRows > 0 {
-				return s.respondChunkedResult(ctx, conn, sr, *chunkRows)
-			}
-			return writeResp(Response{Results: []StmtResult{capStmtResult(0, stmtResult(sr))}})
-		}
-	}
-	if *chunkRows > 0 {
-		return s.handleChunked(ctx, conn, sqlText, id, *chunkRows, st)
-	}
-	return writeResp(s.handle(ctx, sqlText, id, st))
+	r.chunkRows = *chunkRows
+	return s.handle(ctx, sqlText, id, st, r)
 }
 
 // cutAuth recognizes an AUTH request line and extracts its token.
@@ -468,69 +449,52 @@ func parseWireChunkSet(sqlText string) (int, bool) {
 	return int(set.Value), true
 }
 
-// accountStmt folds one statement's measurements into the session
-// stats and logs it when it crossed the slow-query threshold — shared
-// by the buffered, chunked and coalesced response paths.
-func (s *Server) accountStmt(sess int64, idx int, r repro.ScriptResult, st *sessionStats) {
-	st.statements++
-	st.rows += int64(r.Rows)
-	st.pages += r.PagesRead
-	st.elapsed += r.Elapsed
-	if s.slowQuery > 0 && r.Elapsed >= s.slowQuery {
-		s.logSlowQuery(sess, idx, r)
+// handle executes one request line's SQL under the connection's context,
+// folds each statement's measurements into the session stats (logging
+// the slow ones) and answers through r in the mode r.chunkRows says. A
+// single plain SELECT goes to the cross-connection coalescer when that is
+// on (the batch holds the statement-gate slot); everything else takes a
+// slot itself and runs through ExecScriptStreamCtx with r as the live row
+// sink (chunked) or ExecScriptCtx (buffered). It reports false when the
+// connection is no longer usable.
+func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *sessionStats, r *responder) bool {
+	var results []repro.ScriptResult
+	var err error
+	var prep *repro.PreparedSelect
+	if s.coalesce != nil {
+		prep = s.db.PrepareSelect(sqlText)
 	}
-}
-
-// respondChunkedResult replays one coalesced (buffered) statement
-// result as a chunked response stream, so coalescing and chunked mode
-// compose: the rows go out in frames through the same pump —
-// backpressure included — followed by the summary frame.
-func (s *Server) respondChunkedResult(connCtx context.Context, conn net.Conn, sr repro.ScriptResult, chunkRows int) bool {
-	reqCtx, cancel := context.WithCancel(connCtx)
-	defer cancel()
-	p := s.newChunkPump(reqCtx, cancel, conn, chunkRows)
-	rs := p.streamer()
-	if sr.Err == nil && sr.Res != nil && len(sr.Res.Columns) > 0 {
-		rs.Ctx(0, reqCtx)
-		rs.Begin(0, sr.Res.Columns)
-		for _, row := range sr.Res.Rows {
-			if !rs.Row(0, row) {
-				break
+	if prep != nil {
+		results = []repro.ScriptResult{<-s.coalesce.submit(ctx, prep)}
+	} else {
+		if s.gate != nil {
+			select {
+			case s.gate <- struct{}{}:
+				defer func() { <-s.gate }()
+			case <-ctx.Done():
+				return r.fail("server: request abandoned at the statement gate: " + ctx.Err().Error())
 			}
 		}
-		rs.End(0)
-	}
-	out := stmtResult(sr)
-	out.Rows = nil // rows went out in chunk frames
-	out.Chunks = p.chunks[0]
-	if fe := p.rowErr[0]; fe != nil {
-		out = StmtResult{Error: fe.Error(), ElapsedNS: out.ElapsedNS, PagesRead: out.PagesRead}
-	}
-	return p.finish(Response{Results: []StmtResult{out}}) == nil
-}
-
-// handle executes one request line's SQL under the connection's
-// context, folds its measurements into the session stats, logs slow
-// statements and returns the buffered response.
-func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *sessionStats) Response {
-	if s.gate != nil {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-		case <-ctx.Done():
-			return Response{Error: "server: request abandoned at the statement gate: " + ctx.Err().Error()}
+		if r.chunkRows > 0 {
+			results, err = s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
+		} else {
+			results, err = s.db.ExecScriptCtx(ctx, sqlText)
 		}
 	}
-	results, err := s.db.ExecScriptCtx(ctx, sqlText)
 	if err != nil {
-		return Response{Error: err.Error()}
+		return r.fail(err.Error())
 	}
-	resp := Response{Results: make([]StmtResult, len(results))}
-	for i, r := range results {
-		s.accountStmt(sess, i, r, st)
-		resp.Results[i] = capStmtResult(i, stmtResult(r))
+	for i, res := range results {
+		st.statements++
+		st.rows += int64(res.Rows)
+		st.pages += res.PagesRead
+		st.elapsed += res.Elapsed
+		if s.slowQuery > 0 && res.Elapsed >= s.slowQuery {
+			s.logSlowQuery(sess, i, res)
+		}
+		r.result(i, res)
 	}
-	return resp
+	return r.finish()
 }
 
 // logSlowQuery emits one structured line for a statement at or past the
@@ -564,20 +528,4 @@ func (s *Server) planSummary(sql string) string {
 		sum += " uses " + res.Plan.Uses
 	}
 	return sum
-}
-
-// capStmtResult enforces the response-size cap per statement: a result
-// whose JSON encoding exceeds maxLineBytes is replaced by a clean
-// per-statement error naming the statement and its row count, so the
-// session survives and every other statement on the line still answers.
-// Without this, an oversized response line kills the connection on the
-// client side, which reads with the same maxLineBytes bound.
-func capStmtResult(i int, sr StmtResult) StmtResult {
-	b, err := json.Marshal(sr)
-	if err != nil || len(b) <= maxLineBytes {
-		return sr
-	}
-	return StmtResult{Error: fmt.Sprintf(
-		"server: statement %d result is %d bytes, past the %d-byte response cap (%d rows); add a LIMIT or a tighter WHERE",
-		i+1, len(b), maxLineBytes, len(sr.Rows))}
 }

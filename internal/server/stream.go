@@ -2,236 +2,274 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 	"time"
 
 	"repro"
 )
 
-// This file is the wire-protocol-v2 streaming engine: a chunk pump
-// that turns the facade's RowStreamer callbacks into bounded,
-// backpressured chunk frames on the connection. The session goroutine
-// produces frames (it is the one running ExecScriptStreamCtx); a
-// dedicated writer goroutine drains them onto the socket with
-// per-frame write deadlines. A full frame queue blocks the producing
-// statement at chunk granularity — real backpressure, accounted into
-// server.backpressure_waits_ns — until the client reads, the statement
-// deadline fires, or the connection dies.
+// This file is the responder: the one path from a statement's rows to
+// the socket, in either wire mode. A responder is a row sink — the
+// facade's RowStreamer callbacks for a live chunked statement, a replay
+// for results that arrive buffered — that encodes each row once
+// (appendRow) onto the rows it holds back. In chunked mode the held rows
+// leave as a chunk frame every wire_chunk_rows rows or at the frame byte
+// budget; in buffered mode nothing leaves before the end, and result
+// splices them into the statement's object on the response line. Every
+// line reaches the socket through the session's connWriter.
 
-// frameSlack reserves room inside maxLineBytes for the chunk frame's
-// JSON envelope ({"chunk":{"stmt":...,"columns":[...],"rows":[...]}})
-// and per-row separators, so a frame flushed just under the row-bytes
-// budget still encodes under the line cap.
-const frameSlack = 64 << 10
+// frameBudget is the most row bytes a chunk frame carries: maxLineBytes
+// less room for the frame's JSON envelope
+// ({"chunk":{"stmt":...,"columns":[...],"rows":[...]}}), so a frame
+// flushed just under the budget still encodes under the line cap.
+const frameBudget = maxLineBytes - 64<<10
 
-// chunkPump adapts one chunked request: the RowStreamer callbacks
-// accumulate encoded rows into the current frame, flushing at the
-// session's wire_chunk_rows count or the frame byte budget. All fields
-// except the frames channel are touched only by the session goroutine.
-type chunkPump struct {
-	s         *Server
-	reqCtx    context.Context // request context: connection + write-failure cancel
-	cancel    context.CancelFunc
-	frames    chan []byte
-	writerErr chan error // writer's exit status, buffered 1
-	chunkRows int
-
-	stmtCtx  context.Context // current statement's effective context
-	stmt     int
-	columns  []string // pending header for the current statement's first frame
-	rows     []json.RawMessage
-	rowBytes int
-	chunks   map[int]int   // statement -> frames sent
-	rowErr   map[int]error // statement -> framing error (row too large)
-	waited   time.Duration // total backpressure block time this request
+// connWriter is a session's socket writer; write is the only call that
+// touches the connection. The session goroutine writes one-line replies
+// directly. A chunked reply's lines go through the bounded frames queue,
+// drained by a goroutine that lives as long as the session, so a full
+// queue blocks the producing statement at chunk granularity — real
+// backpressure — until the client reads, the statement deadline fires,
+// or the connection dies. The two never overlap: a chunked reply ends by
+// waiting for the queue to drain.
+type connWriter struct {
+	s      *Server
+	conn   net.Conn
+	cancel context.CancelFunc // cancels the connection context when a queued write fails
+	frames chan []byte        // depth Config.ChunkQueue; a nil frame asks for the status on idle
+	idle   chan error
 }
 
-// newChunkPump wires a pump and starts its writer goroutine. cancel
-// must cancel the request context; the writer invokes it when a write
-// fails or times out, which aborts the producing statement.
-func (s *Server) newChunkPump(reqCtx context.Context, cancel context.CancelFunc, conn net.Conn, chunkRows int) *chunkPump {
-	p := &chunkPump{
-		s:         s,
-		reqCtx:    reqCtx,
-		cancel:    cancel,
-		frames:    make(chan []byte, s.chunkQueue),
-		writerErr: make(chan error, 1),
-		chunkRows: chunkRows,
-		chunks:    make(map[int]int),
-		rowErr:    make(map[int]error),
-	}
-	go p.writeLoop(conn)
-	return p
+// write puts one complete line (newline included) on the socket.
+func (w *connWriter) write(line []byte) error {
+	_, err := w.conn.Write(line)
+	return err
 }
 
-// writeLoop drains frames onto the socket, one line per frame, flushed
-// immediately so the client streams. On a write error it cancels the
-// request — aborting the producing statement — and keeps draining so
-// the producer can never block forever on a dead connection.
-func (p *chunkPump) writeLoop(conn net.Conn) {
+// drainQueue writes queued frames under the per-frame write deadline
+// until the session closes the queue. On a write error it cancels the
+// connection context — aborting the producing statement — and discards
+// what follows, so the producer never blocks forever on a dead socket.
+func (w *connWriter) drainQueue() {
 	var err error
-	for line := range p.frames {
-		if err != nil {
-			continue // drain after failure
+	timeout := w.s.writeTimeout
+	for line := range w.frames {
+		switch {
+		case line == nil:
+			w.conn.SetWriteDeadline(time.Time{}) // direct writes carry no deadline
+			w.idle <- err
+		case err == nil:
+			if timeout > 0 {
+				w.conn.SetWriteDeadline(time.Now().Add(timeout))
+			}
+			if err = w.write(line); err != nil {
+				w.cancel()
+			}
 		}
-		if p.s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(p.s.writeTimeout))
-		}
-		if _, werr := conn.Write(append(line, '\n')); werr != nil {
-			err = werr
-			p.cancel()
-		}
-	}
-	if p.s.writeTimeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	p.writerErr <- err
-}
-
-// streamer returns the RowStreamer that feeds this pump.
-func (p *chunkPump) streamer() repro.RowStreamer {
-	return repro.RowStreamer{
-		Ctx: func(stmt int, ctx context.Context) {
-			p.stmtCtx = ctx
-		},
-		Begin: func(stmt int, columns []string) {
-			p.stmt = stmt
-			p.columns = columns
-			p.rows = p.rows[:0]
-			p.rowBytes = 0
-		},
-		Row: func(stmt int, row repro.Row) bool {
-			b, err := json.Marshal(encodeRow(row))
-			if err != nil { // unreachable for engine value kinds
-				p.rowErr[stmt] = fmt.Errorf("server: row encoding failed: %v", err)
-				return false
-			}
-			if len(b) > maxLineBytes-frameSlack {
-				p.rowErr[stmt] = fmt.Errorf(
-					"server: statement %d produced a %d-byte row, past the %d-byte frame cap",
-					stmt+1, len(b), maxLineBytes)
-				return false
-			}
-			if p.rowBytes > 0 && p.rowBytes+len(b) > maxLineBytes-frameSlack {
-				if !p.flush() {
-					return false
-				}
-			}
-			p.rows = append(p.rows, b)
-			p.rowBytes += len(b) + 1
-			if len(p.rows) >= p.chunkRows {
-				return p.flush()
-			}
-			return true
-		},
-		End: func(stmt int) {
-			if len(p.rows) > 0 && p.rowErr[stmt] == nil {
-				p.flush()
-			}
-			p.stmtCtx = nil
-		},
 	}
 }
 
-// flush frames the accumulated rows and sends them to the writer,
-// blocking — with backpressure accounting — when the queue is full.
-// It reports false when the statement's context died while blocked,
-// which aborts the statement.
-func (p *chunkPump) flush() bool {
-	cf := &ChunkFrame{Stmt: p.stmt, Columns: p.columns, Rows: p.rows}
-	line, err := json.Marshal(Frame{Chunk: cf})
-	if err != nil { // unreachable: inputs are RawMessage and strings
-		p.rowErr[p.stmt] = fmt.Errorf("server: chunk encoding failed: %v", err)
-		return false
-	}
-	p.columns = nil
-	p.rows = nil
-	p.rowBytes = 0
-	if !p.send(line) {
-		return false
-	}
-	p.chunks[p.stmt]++
-	p.s.db.RecordStreamChunk()
-	return true
-}
-
-// send queues one frame line for the writer. The fast path never
-// blocks; when the queue is full it blocks under the statement's
-// context (falling back to the request context) and records the wait
-// as backpressure.
-func (p *chunkPump) send(line []byte) bool {
+// send queues one chunk frame. When the queue is full it blocks under
+// ctx, recording the wait into server.backpressure_waits_ns, and reports
+// false if ctx died first.
+func (w *connWriter) send(ctx context.Context, line []byte) bool {
 	select {
-	case p.frames <- line:
+	case w.frames <- line:
 		return true
 	default:
 	}
-	ctx := p.stmtCtx
-	if ctx == nil {
-		ctx = p.reqCtx
-	}
 	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		p.waited += d
-		p.s.db.RecordBackpressureWait(d)
-	}()
+	defer func() { w.s.db.RecordBackpressureWait(time.Since(start)) }()
 	select {
-	case p.frames <- line:
+	case w.frames <- line:
 		return true
 	case <-ctx.Done():
 		return false
 	}
 }
 
-// finish sends the done frame, closes the queue and waits for the
-// writer to drain, returning the writer's error (nil when every frame
-// — including the summary — reached the socket).
-func (p *chunkPump) finish(done Response) error {
-	line, err := json.Marshal(Frame{Done: &done})
-	if err != nil {
-		line, _ = json.Marshal(Frame{Done: &Response{
-			Error: "server: response encoding failed: " + err.Error()}})
-	}
-	p.frames <- line // writer drains even after failure; never blocks forever
-	close(p.frames)
-	return <-p.writerErr
+// sendLast queues a chunked reply's final line behind its frames and
+// waits for the queue to drain, returning the first write error (nil
+// when every frame, this one included, reached the socket).
+func (w *connWriter) sendLast(line []byte) error {
+	w.frames <- line // drainQueue keeps receiving after a failure: never blocks forever
+	w.frames <- nil
+	return <-w.idle
 }
 
-// handleChunked executes one request line's SQL in chunked mode: rows
-// stream through the pump as the executor produces them, then the
-// summary frame reports per-statement outcomes with rows omitted. It
-// returns false when the connection is no longer usable (a frame write
-// failed, or the connection died while queued at the statement gate).
-func (s *Server) handleChunked(connCtx context.Context, conn net.Conn, sqlText string, sess int64, chunkRows int, st *sessionStats) bool {
-	if s.gate != nil {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-		case <-connCtx.Done():
-			return false
-		}
+// responder builds one request's reply. It lives as long as its session,
+// reset per request, and only the session goroutine touches it.
+type responder struct {
+	w         *connWriter
+	connCtx   context.Context
+	chunkRows int // this reply's mode: 0 buffered, else rows per chunk frame
+
+	line []byte            // the response line (chunked: the done frame's payload) under construction
+	rs   repro.RowStreamer // the sink as the facade's callbacks
+
+	ctx     context.Context // bounds a blocked frame send: the streaming statement's, else connCtx
+	stmt    int
+	columns []string // current statement's header, until its first frame carries it
+	enc     []byte   // the row being encoded
+	rows    []byte   // held-back encoded rows, comma-separated
+	nrows   int
+	per     []stmtWire
+}
+
+// stmtWire is what the wire side knows about one statement of the line.
+type stmtWire struct {
+	chunks int   // frames that carried its rows
+	err    error // set when its rows could not be put on the wire
+}
+
+// reset starts a reply, buffered until chunkRows says otherwise. The line
+// and row buffers are the request's own, so a big response pins no
+// memory on an idle session.
+func (r *responder) reset() {
+	r.chunkRows, r.ctx, r.per, r.nrows = 0, r.connCtx, r.per[:0], 0
+	r.line, r.rows = make([]byte, 0, 4<<10), make([]byte, 0, 4<<10)
+}
+
+func (r *responder) setCtx(_ int, ctx context.Context) { r.ctx = ctx }
+
+func (r *responder) at(stmt int) *stmtWire {
+	for len(r.per) <= stmt {
+		r.per = append(r.per, stmtWire{})
 	}
-	reqCtx, cancel := context.WithCancel(connCtx)
-	defer cancel()
-	p := s.newChunkPump(reqCtx, cancel, conn, chunkRows)
-	results, err := s.db.ExecScriptStreamCtx(reqCtx, sqlText, p.streamer())
+	return &r.per[stmt]
+}
+
+func (r *responder) begin(stmt int, columns []string) { r.stmt, r.columns = stmt, columns }
+
+// row encodes one result row and holds it back; in chunked mode the
+// held rows leave first when this one would take their frame past the
+// byte budget, and with it at the row count. A row that cannot go on
+// the wire fails its statement alone: result reports the error, its held
+// and later rows are dropped, and the statement runs on — stopping it
+// would make the facade skip the statements after it. It reports false
+// only when a frame could not be queued: the statement's context died.
+func (r *responder) row(stmt int, row repro.Row) bool {
+	st := r.at(stmt)
+	if st.err != nil {
+		return true
+	}
+	var err error
+	r.enc, err = appendRow(r.enc[:0], row)
 	if err != nil {
-		return p.finish(Response{Error: err.Error()}) == nil
+		st.err = fmt.Errorf("server: statement %d row encoding failed: %v", stmt+1, err)
+	} else if r.chunkRows > 0 && len(r.enc) > frameBudget {
+		st.err = fmt.Errorf("server: statement %d produced a %d-byte row, past the %d-byte frame cap",
+			stmt+1, len(r.enc), maxLineBytes)
 	}
-	resp := Response{Results: make([]StmtResult, len(results))}
-	for i, r := range results {
-		if fe := p.rowErr[i]; fe != nil {
-			// A framing failure (row past the frame cap) surfaced to the
-			// facade as an abort; report the real reason instead.
-			r.Err = fe
+	if st.err != nil {
+		r.rows, r.nrows = r.rows[:0], 0
+		return true
+	}
+	if r.chunkRows > 0 && r.nrows > 0 && len(r.rows)+1+len(r.enc) > frameBudget && !r.flush() {
+		return false
+	}
+	if r.nrows > 0 {
+		r.rows = append(r.rows, ',')
+	}
+	r.rows = append(r.rows, r.enc...)
+	r.nrows++
+	return r.chunkRows == 0 || r.nrows < r.chunkRows || r.flush()
+}
+
+func (r *responder) end(stmt int) {
+	if r.chunkRows > 0 && r.nrows > 0 {
+		r.flush()
+	}
+	r.ctx = r.connCtx
+}
+
+// flush frames the held rows and queues the frame. The frame owns its
+// bytes: drainQueue reads them while the next rows are being encoded.
+func (r *responder) flush() bool {
+	f := make([]byte, 0, len(r.rows)+128)
+	f = strconv.AppendInt(append(f, `{"chunk":{"stmt":`...), int64(r.stmt), 10)
+	if len(r.columns) > 0 {
+		f = appendColumns(append(f, `,"columns":`...), r.columns)
+		r.columns = nil
+	}
+	f = append(append(append(f, `,"rows":[`...), r.rows...), "]}}\n"...)
+	r.rows, r.nrows = r.rows[:0], 0
+	if !r.w.send(r.ctx, f) {
+		return false
+	}
+	r.at(r.stmt).chunks++
+	r.w.s.db.RecordStreamChunk()
+	return true
+}
+
+// result appends statement stmt's object to the response line. Rows
+// that arrive buffered in sr (ExecScriptCtx, the coalescer) go through
+// the sink first, as if the statement were producing them now; the rows
+// still held after that — a buffered reply's whole result — are spliced
+// into the object. A statement whose rows could not be put on the wire,
+// or whose object would take the line past maxLineBytes, answers with
+// only an error; the statements around it are untouched.
+func (r *responder) result(stmt int, sr repro.ScriptResult) {
+	if sr.Err == nil && sr.Res != nil && len(sr.Res.Rows) > 0 {
+		r.begin(stmt, sr.Res.Columns)
+		for _, row := range sr.Res.Rows {
+			if !r.row(stmt, row) {
+				break
+			}
 		}
-		s.accountStmt(sess, i, r, st)
-		sr := stmtResult(r)
-		sr.Rows = nil // rows went out in chunk frames
-		sr.Chunks = p.chunks[i]
-		resp.Results[i] = sr
+		r.end(stmt)
 	}
-	return p.finish(resp) == nil
+	st := r.at(stmt)
+	if st.err != nil {
+		sr = repro.ScriptResult{Err: st.err}
+	}
+	if len(r.line) == 0 {
+		r.line = append(r.line, `{"results":[`...)
+	} else {
+		r.line = append(r.line, ',')
+	}
+	mark := len(r.line)
+	r.line = appendStmt(r.line, sr, r.rows, st.chunks)
+	// The line still has to take its closing "]}" and the newline. The
+	// count reported is the line's results up to this one.
+	if r.nrows > 0 && len(r.line)+3 > maxLineBytes {
+		used := len(r.line) - len(`{"results":[`)
+		r.line = appendStmt(r.line[:mark], repro.ScriptResult{Err: fmt.Errorf(
+			"server: statement %d result is %d bytes, past the %d-byte response cap (%d rows); add a LIMIT or a tighter WHERE",
+			stmt+1, used, maxLineBytes, r.nrows)}, nil, 0)
+	}
+	r.rows, r.nrows = r.rows[:0], 0
+}
+
+// finish closes the response line and delivers it, reporting whether
+// the connection is still usable.
+func (r *responder) finish() bool {
+	if len(r.line) == 0 {
+		r.line = append(r.line, "{}"...)
+	} else {
+		r.line = append(r.line, "]}"...)
+	}
+	// Room for the done-frame wrapper and the newline; only a line of very
+	// many small statements gets here.
+	if n := len(r.line) + 10; n > maxLineBytes {
+		return r.fail(fmt.Sprintf("server: response is %d bytes, past the %d-byte response cap", n, maxLineBytes))
+	}
+	return r.deliver()
+}
+
+// fail answers the whole line with one error.
+func (r *responder) fail(msg string) bool {
+	r.line = append(appendString(append(r.line[:0], `{"error":`...), msg), '}')
+	return r.deliver()
+}
+
+// deliver sends the line: as it is in buffered mode, as the payload of
+// the done frame (small: its rows went out in chunk frames) in chunked.
+func (r *responder) deliver() bool {
+	if r.chunkRows > 0 {
+		return r.w.sendLast(append(append([]byte(`{"done":`), r.line...), "}\n"...)) == nil
+	}
+	return r.w.write(append(r.line, '\n')) == nil
 }

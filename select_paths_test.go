@@ -1,0 +1,118 @@
+package repro
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestSelectEntryPointsAgree runs a fixed list of SELECTs — plain,
+// projected, LIMIT 0, LIMIT 3, OR, a grouped aggregate whose ORDER BY
+// names an aggregate the SELECT list hides (so OutPerm drops a column),
+// a bind error and a missing table — through every SQL entry point and
+// asserts identical columns, rows, Rows count and error text: Exec, a
+// two-SELECT ExecScript batch, ExecScriptStreamCtx with a collecting
+// RowStreamer, and ExecPreparedBatch (PrepareSelect declines the
+// statements that do not bind), at one and at four workers.
+func TestSelectEntryPointsAgree(t *testing.T) {
+	stmts := []string{
+		"SELECT * FROM items WHERE qty = 7",
+		"SELECT city, qty FROM items WHERE qty BETWEEN 4 AND 9",
+		"SELECT * FROM items WHERE qty = 7 LIMIT 0",
+		"SELECT city FROM items WHERE qty >= 4 LIMIT 3",
+		"SELECT cat, city FROM items WHERE qty = 7 OR city = 'toledo'",
+		"SELECT city, avg(price) FROM items WHERE qty < 20 GROUP BY city ORDER BY count(*) DESC, city",
+		"SELECT nope FROM items",
+		"SELECT * FROM ghosts",
+	}
+	// render flattens one outcome for comparison.
+	render := func(cols []string, rows []Row, n int, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "%v %d rows", cols, n)
+		for _, r := range rows {
+			sb.WriteString("\n")
+			for _, v := range r {
+				fmt.Fprintf(&sb, "%d:%s|", v.Kind(), v)
+			}
+		}
+		return sb.String()
+	}
+	fromScript := func(sr ScriptResult) string {
+		if sr.Err != nil {
+			return render(nil, nil, 0, sr.Err)
+		}
+		return render(sr.Res.Columns, sr.Res.Rows, sr.Rows, nil)
+	}
+	fixture := fmt.Sprintf(sqlFixtureScript, sqlLiteralRows(fixtureRows(400)))
+	for _, workers := range []int{1, 4} {
+		db := Open(Config{Workers: workers})
+		if results, err := db.ExecScript(fixture); err != nil {
+			t.Fatal(err)
+		} else if len(results) != 4 || results[3].Err != nil {
+			t.Fatalf("fixture: %+v", results)
+		}
+		sawRows, sawHidden := false, false
+		for _, stmt := range stmts {
+			name := fmt.Sprintf("workers=%d %s", workers, stmt)
+			res, err := db.Exec(stmt)
+			var want string
+			if err != nil {
+				want = render(nil, nil, 0, err)
+			} else {
+				want = render(res.Columns, res.Rows, len(res.Rows), nil)
+				sawRows = sawRows || len(res.Rows) > 1
+				sawHidden = sawHidden || (len(res.Columns) == 2 && res.Columns[1] == "avg(price)" && len(res.Rows[0]) == 2)
+			}
+
+			batch, berr := db.ExecScript(stmt + "; " + stmt)
+			if berr != nil || len(batch) != 2 {
+				t.Fatalf("%s: ExecScript: %v (%d results)", name, berr, len(batch))
+			}
+			for k, sr := range batch {
+				if got := fromScript(sr); got != want {
+					t.Errorf("%s: batch[%d]\n got  %s\n want %s", name, k, got, want)
+				}
+			}
+
+			var cols []string
+			var rows []Row
+			streamed, serr := db.ExecScriptStreamCtx(context.Background(), stmt, RowStreamer{
+				Begin: func(_ int, c []string) { cols = c },
+				Row:   func(_ int, r Row) bool { rows = append(rows, r); return true },
+			})
+			if serr != nil || len(streamed) != 1 {
+				t.Fatalf("%s: ExecScriptStreamCtx: %v (%d results)", name, serr, len(streamed))
+			}
+			sr := streamed[0]
+			if sr.Err == nil && (sr.Res.Rows != nil || fmt.Sprint(sr.Res.Columns) != fmt.Sprint(cols)) {
+				t.Errorf("%s: streamed result kept rows or a header %v unlike Begin's %v", name, sr.Res.Columns, cols)
+			}
+			if got := render(cols, rows, sr.Rows, sr.Err); got != want {
+				t.Errorf("%s: streamed\n got  %s\n want %s", name, got, want)
+			}
+
+			prep := db.PrepareSelect(stmt)
+			if (prep == nil) != (err != nil) {
+				t.Fatalf("%s: PrepareSelect = %v with Exec error %v", name, prep, err)
+			}
+			if prep == nil {
+				continue
+			}
+			for k, sr := range db.ExecPreparedBatch([]context.Context{context.Background()}, []*PreparedSelect{prep, prep}) {
+				if got := fromScript(sr); got != want {
+					t.Errorf("%s: prepared[%d]\n got  %s\n want %s", name, k, got, want)
+				}
+				if sr.SQL != stmt {
+					t.Errorf("%s: prepared[%d] SQL = %q", name, k, sr.SQL)
+				}
+			}
+		}
+		if !sawRows || !sawHidden {
+			t.Errorf("workers=%d: fixture too thin (rows %v, hidden ORDER BY aggregate dropped %v)", workers, sawRows, sawHidden)
+		}
+	}
+}

@@ -129,99 +129,52 @@ func (db *DB) ExecScriptCtx(ctx context.Context, script string) ([]ScriptResult,
 		return nil, err
 	}
 	out := make([]ScriptResult, len(stmts))
+	isSelect := func(k int) bool {
+		_, ok := stmts[k].(*sqlfe.SelectStmt)
+		return ok
+	}
 	for i := 0; i < len(stmts); {
-		j := i
-		for j < len(stmts) {
-			if _, ok := stmts[j].(*sqlfe.SelectStmt); !ok {
-				break
-			}
+		j := i + 1
+		for isSelect(i) && j < len(stmts) && isSelect(j) {
 			j++
 		}
-		if j-i > 1 {
-			reads0 := db.disk.Stats().Reads
-			start := time.Now()
-			db.execSelectBatch(ctx, stmts[i:j], out[i:j])
-			elapsed := time.Since(start)
-			pages := db.disk.Stats().Reads - reads0
-			// The batch ran as one SelectMany group: each statement
-			// reports the group's wall time and page delta.
-			for k := i; k < j; k++ {
-				out[k].SQL = texts[k]
-				out[k].Elapsed = elapsed
-				out[k].PagesRead = pages
-				if out[k].Res != nil {
-					out[k].Rows = len(out[k].Res.Rows)
-				}
+		db.measured(texts[i:j], out[i:j], func() {
+			if j-i > 1 {
+				db.execSelectBatch(ctx, stmts[i:j], out[i:j])
+				return
 			}
-			i = j
-			continue
-		}
-		reads0 := db.disk.Stats().Reads
-		start := time.Now()
-		res, err := db.execStmt(ctx, stmts[i])
-		sr := ScriptResult{
-			Res:       res,
-			Err:       err,
-			SQL:       texts[i],
-			Elapsed:   time.Since(start),
-			PagesRead: db.disk.Stats().Reads - reads0,
-		}
-		if res != nil {
-			sr.Rows = len(res.Rows)
-		}
-		out[i] = sr
-		i++
+			res, err := db.execStmt(ctx, stmts[i])
+			out[i] = ScriptResult{Res: res, Err: err}
+			if res != nil {
+				out[i].Rows = len(res.Rows)
+			}
+		})
+		i = j
 	}
 	return out, nil
 }
 
-// execSelectBatch binds a run of SELECTs and evaluates them through
-// SelectMany, so they fan out across the worker pool like concurrent
-// clients. Each statement lowers through specFromBound — the same
-// lowering single-statement execSelect uses — so a batched SELECT
-// (projected or not, aggregate, ordered, OR) behaves exactly like its
-// unbatched twin; LIMIT flows into QuerySpec.Limit and stops plain
-// scans early.
+// execSelectBatch binds a run of consecutive SELECTs and evaluates them
+// as one runSelectBatch fan-out under the script's shared ctx, so they
+// spread across the worker pool like concurrent clients; a statement
+// that fails to bind reports its error and sits the batch out.
 func (db *DB) execSelectBatch(ctx context.Context, stmts []sqlfe.Stmt, out []ScriptResult) {
-	cat := catalogDB{db}
-	bounds := make([]*sqlfe.BoundSelect, len(stmts))
-	specs := make([]QuerySpec, 0, len(stmts))
-	specAt := make([]int, len(stmts)) // statement -> index into specs, -1 = not run
+	preps := make([]*PreparedSelect, len(stmts))
+	ctxs := make([]context.Context, len(stmts))
 	for i, s := range stmts {
-		b, err := sqlfe.BindSelect(cat, s.(*sqlfe.SelectStmt))
+		p, err := db.bindSelect(s.(*sqlfe.SelectStmt))
 		if err != nil {
 			out[i] = ScriptResult{Err: err}
-			specAt[i] = -1
-			continue
 		}
-		bounds[i] = b
-		if b.Limit == 0 { // LIMIT 0: nothing to run
-			out[i] = ScriptResult{Res: &Result{Columns: b.Cols}}
-			specAt[i] = -1
-			continue
-		}
-		specAt[i] = len(specs)
-		specs = append(specs, specFromBound(b))
+		preps[i], ctxs[i] = p, ctx
 	}
-	results := db.SelectManyCtx(ctx, specs)
-	for i, b := range bounds {
-		if b == nil || specAt[i] < 0 {
-			continue
-		}
-		r := results[specAt[i]]
-		if r.Err != nil {
-			out[i] = ScriptResult{Err: r.Err}
-			continue
-		}
-		out[i] = ScriptResult{Res: &Result{Columns: b.Cols, Rows: selectShapeRows(b, r.Rows)}}
-	}
+	db.runSelectBatch(ctxs, preps, out)
 }
 
 // specFromBound lowers a bound SELECT onto the facade QuerySpec — the
-// single lowering shared by Exec, ExecScript batching and EXPLAIN, so
-// the three paths cannot drift. Aggregate results come back in
-// canonical (GroupBy..., Aggs...) shape; selectShapeRows restores the
-// SELECT-list order.
+// single lowering shared by execution (PreparedSelect.run) and EXPLAIN,
+// so the two cannot drift. Aggregate results come back in canonical
+// (GroupBy..., Aggs...) shape; run restores the SELECT-list order.
 func specFromBound(b *sqlfe.BoundSelect) QuerySpec {
 	spec := QuerySpec{Table: b.Table}
 	switch len(b.Where) {
@@ -278,25 +231,6 @@ func aggFuncFrom(fn sqlfe.AggFn) AggFunc {
 	default:
 		return Count
 	}
-}
-
-// selectShapeRows permutes canonical aggregate rows into SELECT-list
-// order via the binder's OutPerm (plain selects pass through: their
-// rows are already projected in list order). Hidden ORDER BY aggregates
-// sit past every OutPerm index and drop out here.
-func selectShapeRows(b *sqlfe.BoundSelect, rows []Row) []Row {
-	if !b.IsAggregate() {
-		return rows
-	}
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		pr := make(Row, len(b.OutPerm))
-		for j, p := range b.OutPerm {
-			pr[j] = r[p]
-		}
-		out[i] = pr
-	}
-	return out
 }
 
 // predsFromBound lowers one bound conjunction to facade predicates.
@@ -416,7 +350,7 @@ func (db *DB) execStmt(ctx context.Context, stmt sqlfe.Stmt) (*Result, error) {
 	cat := catalogDB{db}
 	switch s := stmt.(type) {
 	case *sqlfe.SelectStmt:
-		return db.execSelect(ctx, cat, s)
+		return db.execSelect(ctx, s)
 	case *sqlfe.InsertStmt:
 		return db.execInsert(cat, s)
 	case *sqlfe.DeleteStmt:
@@ -463,23 +397,13 @@ func (db *DB) execSet(s *sqlfe.SetStmt) (*Result, error) {
 	}
 }
 
-func (db *DB) execSelect(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.SelectStmt) (*Result, error) {
-	b, err := sqlfe.BindSelect(cat, s)
+func (db *DB) execSelect(ctx context.Context, s *sqlfe.SelectStmt) (*Result, error) {
+	p, err := db.bindSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: b.Cols}
-	if b.Limit == 0 {
-		return res, nil
-	}
-	// One lowering for every SELECT form (projection pushdown,
-	// aggregates, ORDER BY, OR), shared with the ExecScript batch path.
-	rows, err := db.runSpec(ctx, specFromBound(b), db.workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = selectShapeRows(b, rows)
-	return res, nil
+	sr := p.collect(ctx, db.workers)
+	return sr.Res, sr.Err
 }
 
 func (db *DB) execInsert(cat sqlfe.Catalog, s *sqlfe.InsertStmt) (*Result, error) {

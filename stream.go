@@ -12,14 +12,17 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the streaming twin of sql.go's buffered script
-// execution, plus the prepared-statement batch entry the server's
-// cross-connection coalescer uses. ExecScriptStreamCtx delivers result
-// rows through callbacks as the executor produces them — the wire
-// protocol's chunked mode pumps them straight onto the connection
-// instead of materializing a statement's whole result — and
-// ExecPreparedBatch funnels single SELECTs that arrived on different
-// connections through one SelectMany-style fan-out while keeping
+// This file holds the two things every SQL SELECT shares and the entry
+// points built on them. PreparedSelect is the one bound-SELECT object:
+// Exec, a script's SelectMany batch, the streamed script and the
+// server's cross-connection coalescer all execute a SELECT through its
+// run method, so lowering, LIMIT 0, the table lookup and the
+// SELECT-list permutation exist once. ExecScriptStreamCtx is script
+// execution that delivers result rows through callbacks as the executor
+// produces them — the wire protocol's chunked mode puts them straight
+// onto the connection instead of materializing a statement's whole
+// result — and ExecPreparedBatch funnels single SELECTs that arrived on
+// different connections through one fan-out while keeping
 // per-statement contexts, snapshots and outcomes.
 
 // ErrStreamAborted is the error recorded for a streamed statement whose
@@ -100,19 +103,14 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 	}
 	out := make([]ScriptResult, len(stmts))
 	for i, stmt := range stmts {
-		reads0 := db.disk.Stats().Reads
-		start := time.Now()
-		var sr ScriptResult
-		if sel, ok := stmt.(*sqlfe.SelectStmt); ok {
-			sr = db.streamSelect(ctx, sel, i, rs)
-		} else {
-			sr = db.streamOther(ctx, stmt, i, rs)
-		}
-		sr.SQL = texts[i]
-		sr.Elapsed = time.Since(start)
-		sr.PagesRead = db.disk.Stats().Reads - reads0
-		out[i] = sr
-		if errors.Is(sr.Err, ErrStreamAborted) {
+		db.measured(texts[i:i+1], out[i:i+1], func() {
+			if sel, ok := stmt.(*sqlfe.SelectStmt); ok {
+				out[i] = db.streamSelect(ctx, sel, i, rs)
+			} else {
+				out[i] = db.streamOther(ctx, stmt, i, rs)
+			}
+		})
+		if errors.Is(out[i].Err, ErrStreamAborted) {
 			// The consumer walked away while the context was still
 			// live: there is nobody to stream to, so later statements
 			// fail without running. (A dead context instead flows
@@ -133,33 +131,18 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 // blocked in Row unblocks when the deadline fires; the nested deadline
 // runTree derives internally is a no-op shadow of this one.
 func (db *DB) streamSelect(ctx context.Context, s *sqlfe.SelectStmt, stmt int, rs RowStreamer) ScriptResult {
-	b, err := sqlfe.BindSelect(catalogDB{db}, s)
+	p, err := db.bindSelect(s)
 	if err != nil {
 		return ScriptResult{Err: err}
 	}
 	sctx, cancel := db.stmtCtx(ctx)
 	defer cancel()
 	rs.announceCtx(stmt, sctx)
-	rs.begin(stmt, b.Cols)
+	rs.begin(stmt, p.bound.Cols)
 	defer rs.end(stmt)
-	if b.Limit == 0 {
-		return ScriptResult{Res: &Result{Columns: b.Cols}}
-	}
-	tbl := db.Table(b.Table)
-	if tbl == nil {
-		return ScriptResult{Err: fmt.Errorf("repro: no table %q", b.Table)}
-	}
 	rows := 0
 	aborted := false
-	err = tbl.runTree(sctx, specFromBound(b), db.workers, func(r value.Row) bool {
-		row := externalRow(r)
-		if b.IsAggregate() {
-			pr := make(Row, len(b.OutPerm))
-			for j, p := range b.OutPerm {
-				pr[j] = row[p]
-			}
-			row = pr
-		}
+	err = p.run(sctx, db.workers, func(row Row) bool {
 		if !rs.row(stmt, row) {
 			aborted = true
 			return false
@@ -178,7 +161,7 @@ func (db *DB) streamSelect(ctx context.Context, s *sqlfe.SelectStmt, stmt int, r
 	if err != nil {
 		return ScriptResult{Err: err}
 	}
-	return ScriptResult{Res: &Result{Columns: b.Cols}, Rows: rows}
+	return ScriptResult{Res: &Result{Columns: p.bound.Cols}, Rows: rows}
 }
 
 // streamOther executes a non-SELECT statement buffered (their results
@@ -215,12 +198,12 @@ func (db *DB) streamOther(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStr
 	return sr
 }
 
-// PreparedSelect is one parsed-and-bound plain SELECT line, ready for
-// the server's cross-connection coalescer: PrepareSelect recognizes the
-// line, ExecPreparedBatch executes many of them (from different
-// connections) as one SelectMany-style batch, and ShapeRows is already
-// applied — result rows come back in SELECT-list order.
+// PreparedSelect is one parsed-and-bound plain SELECT, and the one way
+// a SQL SELECT runs: every entry point — Exec, the script batch, the
+// streamed script, ExecPreparedBatch — binds to one and calls run.
+// PrepareSelect hands them to the server's cross-connection coalescer.
 type PreparedSelect struct {
+	db    *DB
 	bound *sqlfe.BoundSelect
 	sql   string
 }
@@ -230,6 +213,15 @@ func (p *PreparedSelect) Columns() []string { return p.bound.Cols }
 
 // SQL returns the statement's verbatim source text.
 func (p *PreparedSelect) SQL() string { return p.sql }
+
+// bindSelect binds a parsed SELECT against the live catalog.
+func (db *DB) bindSelect(s *sqlfe.SelectStmt) (*PreparedSelect, error) {
+	b, err := sqlfe.BindSelect(catalogDB{db}, s)
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedSelect{db: db, bound: b}, nil
+}
 
 // PrepareSelect parses line and returns a PreparedSelect when it is
 // exactly one well-formed SELECT statement over this database — the
@@ -246,60 +238,98 @@ func (db *DB) PrepareSelect(line string) *PreparedSelect {
 	if !ok {
 		return nil
 	}
-	b, err := sqlfe.BindSelect(catalogDB{db}, sel)
+	p, err := db.bindSelect(sel)
 	if err != nil {
 		return nil
 	}
-	return &PreparedSelect{bound: b, sql: texts[0]}
+	p.sql = texts[0]
+	return p
+}
+
+// run executes the SELECT under ctx with the given scan fan-out and
+// hands its result rows, in SELECT-list order, to sink (false stops the
+// scan). The one lowering (specFromBound) covers every SELECT form —
+// projection pushdown, aggregates, ORDER BY, OR; LIMIT flows into
+// QuerySpec.Limit and stops plain scans early.
+func (p *PreparedSelect) run(ctx context.Context, workers int, sink func(Row) bool) error {
+	b := p.bound
+	if b.Limit == 0 { // LIMIT 0: nothing to run
+		return nil
+	}
+	tbl := p.db.Table(b.Table)
+	if tbl == nil {
+		return fmt.Errorf("repro: no table %q", b.Table)
+	}
+	return tbl.runTree(ctx, specFromBound(b), workers, func(r value.Row) bool {
+		row := externalRow(r)
+		if b.IsAggregate() {
+			// Aggregate rows arrive in canonical (GroupBy..., Aggs...)
+			// shape; OutPerm restores the SELECT-list order. Hidden ORDER BY
+			// aggregates sit past every OutPerm index and drop out here.
+			// (Plain selects are already projected in list order.)
+			pr := make(Row, len(b.OutPerm))
+			for j, at := range b.OutPerm {
+				pr[j] = row[at]
+			}
+			row = pr
+		}
+		return sink(row)
+	})
+}
+
+// collect runs the SELECT and buffers its rows.
+func (p *PreparedSelect) collect(ctx context.Context, workers int) ScriptResult {
+	res := &Result{Columns: p.bound.Cols}
+	err := p.run(ctx, workers, func(row Row) bool {
+		res.Rows = append(res.Rows, row)
+		return true
+	})
+	if err != nil {
+		return ScriptResult{Err: err}
+	}
+	return ScriptResult{Res: res, Rows: len(res.Rows)}
+}
+
+// runSelectBatch executes the non-nil entries of preps as one fan-out
+// across the worker pool, each with serial scans — the fan-out is across
+// statements, like concurrent clients — under its own ctxs[i], its own
+// MVCC snapshot (captured inside the run, exactly as if it had executed
+// alone), its own outcome and its own error.
+func (db *DB) runSelectBatch(ctxs []context.Context, preps []*PreparedSelect, out []ScriptResult) {
+	db.fanOut(len(preps), func(i int) {
+		if preps[i] != nil {
+			out[i] = preps[i].collect(ctxAt(ctxs, i), 1)
+		}
+	})
 }
 
 // ExecPreparedBatch executes a batch of prepared SELECTs — typically
 // collected from different connections by the server's coalescer — as
-// one SelectMany fan-out across the worker pool. ctxs[i] bounds
-// statement i alone (nil entries never cancel): each statement keeps
-// its own context, its own MVCC snapshot (captured per statement inside
-// the run, exactly as if it had executed alone), its own outcome and
-// its own error. Like the script batch path, each statement reports the
-// batch group's wall time and page-read delta.
+// one fan-out across the worker pool. ctxs[i] bounds statement i alone
+// (missing or nil entries never cancel). Like the script batch path,
+// each statement reports the batch group's wall time and page-read
+// delta.
 func (db *DB) ExecPreparedBatch(ctxs []context.Context, preps []*PreparedSelect) []ScriptResult {
 	out := make([]ScriptResult, len(preps))
-	specs := make([]QuerySpec, 0, len(preps))
-	specCtxs := make([]context.Context, 0, len(preps))
-	specAt := make([]int, len(preps)) // prep -> index into specs, -1 = not run
+	texts := make([]string, len(preps))
 	for i, p := range preps {
-		if p.bound.Limit == 0 { // LIMIT 0: nothing to run
-			out[i] = ScriptResult{Res: &Result{Columns: p.bound.Cols}, SQL: p.sql}
-			specAt[i] = -1
-			continue
-		}
-		specAt[i] = len(specs)
-		specs = append(specs, specFromBound(p.bound))
-		var ctx context.Context
-		if i < len(ctxs) {
-			ctx = ctxs[i]
-		}
-		specCtxs = append(specCtxs, ctx)
+		texts[i] = p.sql
 	}
+	db.measured(texts, out, func() { db.runSelectBatch(ctxs, preps, out) })
+	return out
+}
+
+// measured runs one statement — or one batch group, whose statements all
+// report the group's numbers — and stamps the results with their source
+// text, the wall time and the engine-wide disk page-read delta.
+func (db *DB) measured(texts []string, out []ScriptResult, run func()) {
 	reads0 := db.disk.Stats().Reads
 	start := time.Now()
-	results := db.selectManyEach(specCtxs, specs)
-	elapsed := time.Since(start)
-	pages := db.disk.Stats().Reads - reads0
-	for i, p := range preps {
-		if specAt[i] < 0 {
-			continue
-		}
-		r := results[specAt[i]]
-		sr := ScriptResult{SQL: p.sql, Elapsed: elapsed, PagesRead: pages}
-		if r.Err != nil {
-			sr.Err = r.Err
-		} else {
-			sr.Res = &Result{Columns: p.bound.Cols, Rows: selectShapeRows(p.bound, r.Rows)}
-			sr.Rows = len(sr.Res.Rows)
-		}
-		out[i] = sr
+	run()
+	elapsed, pages := time.Since(start), db.disk.Stats().Reads-reads0
+	for k := range out {
+		out[k].SQL, out[k].Elapsed, out[k].PagesRead = texts[k], elapsed, pages
 	}
-	return out
 }
 
 // SelectManyEachCtx is SelectManyCtx with one context per query:
@@ -312,17 +342,29 @@ func (db *DB) SelectManyEachCtx(ctxs []context.Context, specs []QuerySpec) []Que
 }
 
 // selectManyEach runs the specs across the worker pool, each under its
-// own context — the engine behind SelectMany, SelectManyCtx and
-// ExecPreparedBatch.
+// own context with serial scans — the engine behind SelectMany and
+// SelectManyCtx.
 func (db *DB) selectManyEach(ctxs []context.Context, specs []QuerySpec) []QueryResult {
 	out := make([]QueryResult, len(specs))
-	workers := db.workers
-	if workers > len(specs) {
-		workers = len(specs)
+	db.fanOut(len(specs), func(i int) {
+		rows, err := db.runSpec(ctxAt(ctxs, i), specs[i], 1)
+		out[i] = QueryResult{Rows: rows, Err: err}
+	})
+	return out
+}
+
+// ctxAt returns ctxs[i], or nil (never cancels) past its end.
+func ctxAt(ctxs []context.Context, i int) context.Context {
+	if i < len(ctxs) {
+		return ctxs[i]
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	return nil
+}
+
+// fanOut calls fn(0..n-1) from up to Config.Workers goroutines and
+// returns when every call has.
+func (db *DB) fanOut(n int, fn func(i int)) {
+	workers := max(min(db.workers, n), 1)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -330,20 +372,10 @@ func (db *DB) selectManyEach(ctxs []context.Context, specs []QuerySpec) []QueryR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(specs) {
-					return
-				}
-				var ctx context.Context
-				if i < len(ctxs) {
-					ctx = ctxs[i]
-				}
-				rows, err := db.runSpec(ctx, specs[i], 1)
-				out[i] = QueryResult{Rows: rows, Err: err}
+			for i := int(next.Add(1)); i < n; i = int(next.Add(1)) {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
