@@ -604,6 +604,10 @@ func BenchmarkParallelCMScan(b *testing.B) {
 					b.Fatal("no rows")
 				}
 			}
+			// A cold probe of 16 scattered runs is what fan-out is for.
+			if chunks := db.scanObs.Chunks.Load(); (chunks > 0) != (w > 1) {
+				b.Fatalf("workers %d: the sweeps fanned out into %d chunks", w, chunks)
+			}
 		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,7 +31,13 @@ import (
 // page), a secondary index and a CM on subcat.
 func itemsFixture(t testing.TB, workers int) (*DB, *Table) {
 	t.Helper()
-	db := Open(Config{BufferPoolPages: 4096, Workers: workers})
+	return itemsFixtureOn(t, Config{BufferPoolPages: 4096, Workers: workers})
+}
+
+// itemsFixtureOn is itemsFixture on an engine opened with cfg.
+func itemsFixtureOn(t testing.TB, cfg Config) (*DB, *Table) {
+	t.Helper()
+	db := Open(cfg)
 	tbl, err := db.CreateTable(TableSpec{
 		Name: "items",
 		Columns: []Column{
@@ -405,28 +412,28 @@ func TestClusteredCancelAndFault(t *testing.T) {
 	}
 }
 
-// TestCostModelTruthClustered is Figure 10 for the engine's planned
-// paths: from a cold cache, the §4 estimate of each statement stays
-// within a factor of 1.5 of the virtual disk time its execution is
-// charged: the table scan, and the CM and clustered paths, both costed
-// from the bucket directory.
-func TestCostModelTruthClustered(t *testing.T) {
-	db, _ := itemsFixture(t, 1)
-	cases := []struct {
-		name, method string
-		preds        []Pred
-	}{
-		// Not subcat 250: its first heap page happens to continue a write
-		// stream the fixture's first flush left in sim's read-ahead table,
-		// which makes that one probe all-sequential (no seek at all).
-		{"cm point", "cm-scan", []Pred{Eq("subcat", IntVal(251))}},
-		{"cm in-list", "cm-scan", []Pred{In("subcat", IntVal(3), IntVal(251), IntVal(480))}},
-		{"table scan", "table-scan", []Pred{Ne("subcat", IntVal(3))}},
-		{"clustered point", "clustered-index-scan", []Pred{Eq("cat", IntVal(7))}},
-		{"clustered in-list", "clustered-index-scan", []Pred{In("cat", IntVal(7), IntVal(1500), IntVal(3200))}},
-		{"clustered narrow range", "clustered-index-scan", []Pred{Between("cat", IntVal(100), IntVal(299))}},
-		{"clustered wide range", "clustered-index-scan", []Pred{Between("cat", IntVal(100), IntVal(2099))}},
-	}
+// truthCase is one statement of a cost-model truth test: the predicates
+// and the access path they must plan as.
+type truthCase struct {
+	name, method string
+	preds        []Pred
+}
+
+// The cm cases of the truth tests. Not subcat 250: its first heap page
+// happens to continue a write stream the fixture's first flush left in
+// sim's read-ahead table, which makes that one probe all-sequential (no
+// seek at all).
+var cmAndScanTruthCases = []truthCase{
+	{"cm point", "cm-scan", []Pred{Eq("subcat", IntVal(251))}},
+	{"cm in-list", "cm-scan", []Pred{In("subcat", IntVal(3), IntVal(251), IntVal(480))}},
+	{"table scan", "table-scan", []Pred{Ne("subcat", IntVal(3))}},
+}
+
+// checkCostModelTruth runs each case from a cold cache and requires its
+// §4 estimate to stay within a factor of 1.5 of the virtual disk time
+// the execution is charged.
+func checkCostModelTruth(t *testing.T, db *DB, cases []truthCase) {
+	t.Helper()
 	for _, c := range cases {
 		spec := QuerySpec{Table: "items", Preds: c.preds}
 		// First planning of an indexed column computes pair statistics
@@ -454,6 +461,57 @@ func TestCostModelTruthClustered(t *testing.T) {
 			t.Errorf("%s: estimated %v, measured %v (ratio %.2f) — outside a factor of %.1f",
 				c.name, info.EstimatedCost, actual, ratio, tol)
 		}
+	}
+}
+
+// TestCostModelTruthClustered is Figure 10 for the engine's planned
+// paths: from a cold cache, the §4 estimate of each statement stays
+// within a factor of 1.5 of the virtual disk time its execution is
+// charged: the table scan, and the CM and clustered paths, both costed
+// from the bucket directory.
+func TestCostModelTruthClustered(t *testing.T) {
+	db, _ := itemsFixture(t, 1)
+	checkCostModelTruth(t, db, slices.Concat(cmAndScanTruthCases, []truthCase{
+		{"clustered point", "clustered-index-scan", []Pred{Eq("cat", IntVal(7))}},
+		{"clustered in-list", "clustered-index-scan", []Pred{In("cat", IntVal(7), IntVal(1500), IntVal(3200))}},
+		{"clustered narrow range", "clustered-index-scan", []Pred{Between("cat", IntVal(100), IntVal(299))}},
+		{"clustered wide range", "clustered-index-scan", []Pred{Between("cat", IntVal(100), IntVal(2099))}},
+	}))
+}
+
+// TestCostModelTruthConfiguredDisk: the planner prices with the disk the
+// engine runs on, not with the paper's. On an engine opened with a 1 ms
+// seek the estimates of a cm point probe, a cm IN-list and a table scan
+// are still within 1.5x of what the disk charges (priced at the paper's
+// 5.5 ms the two cm probes are 4–5x off), and the scan-vs-index
+// crossover moves the way a cheaper seek says it must: an IN-list on the
+// clustering column stays on the clustered index for more values before
+// the plan falls back to the table scan.
+func TestCostModelTruthConfiguredDisk(t *testing.T) {
+	fast, fastTbl := itemsFixtureOn(t, Config{BufferPoolPages: 4096, Workers: 1, SeekCost: time.Millisecond})
+	checkCostModelTruth(t, fast, cmAndScanTruthCases)
+
+	// crossover is the longest IN-list of cats 40 apart (one clustered
+	// index descent each) that still plans onto the clustered index.
+	crossover := func(tbl *Table) int {
+		var cats []Value
+		for n := 1; n <= 100; n++ {
+			cats = append(cats, IntVal(int64(40*(n-1))))
+			info, err := tbl.Explain(In("cat", cats...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Method != ClusteredIndexScan {
+				return n - 1
+			}
+		}
+		return 100
+	}
+	_, paperTbl := itemsFixture(t, 1)
+	atPaper, atFast := crossover(paperTbl), crossover(fastTbl)
+	t.Logf("clustered IN-list crossover: %d values at a 5.5 ms seek, %d at 1 ms", atPaper, atFast)
+	if atPaper < 1 || atPaper >= 100 || atFast <= atPaper {
+		t.Errorf("crossover at %d values with a 5.5 ms seek and %d with a 1 ms seek; the cheaper seek must move it out", atPaper, atFast)
 	}
 }
 

@@ -428,6 +428,21 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 	return fr, nil
 }
 
+// Resident reports whether the page is cached right now. It is a hint
+// for callers deciding how to read a page set, not a reservation: the
+// answer can be stale the moment the shard lock is released. It takes
+// that lock and looks the page up — nothing else: no pin, no hit or miss
+// count, no clock reference bit, no admission-sketch touch — so asking
+// changes neither Stats nor what the pool evicts next.
+func (p *Pool) Resident(file sim.FileID, page int64) bool {
+	key := PageKey{file, page}
+	sh := p.shardFor(key)
+	sh.mu.Lock()
+	_, ok := sh.table[key]
+	sh.mu.Unlock()
+	return ok
+}
+
 // NewPage allocates a fresh page in the file and pins a zeroed frame for
 // it without any read I/O. The page reaches disk when evicted or flushed.
 func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {

@@ -265,3 +265,53 @@ func TestConcurrentGets(t *testing.T) {
 		t.Errorf("dirty frames after read-only load: %d", p.DirtyCount())
 	}
 }
+
+// TestResidentIsOnlyAHint: Resident answers from the page table and
+// touches nothing else. With admission off and on, asking — far more often
+// than a TinyLFU sample window is long — moves no counter (Stats before ==
+// after, so no hit, miss or sketch reset), reads nothing from the disk,
+// pins no frame, and leaves the clock's reference bits alone: the page
+// the second-chance sweep was about to evict is still the one it evicts.
+func TestResidentIsOnlyAHint(t *testing.T) {
+	for _, admission := range []bool{false, true} {
+		p, d, f := newPool(t, 3)
+		if admission {
+			p.EnableAdmission()
+		}
+		newPage := func() int64 {
+			pg, fr, err := p.NewPage(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(fr, true)
+			return pg
+		}
+		pg0, pg1, pg2 := newPage(), newPage(), newPage()
+		// Evicts pg0 after a sweep that clears pg1's and pg2's reference
+		// bits and leaves the hand on pg1: the next victim.
+		pg3 := newPage()
+
+		stats, disk := p.Stats(), d.Stats()
+		for i := 0; i < 5000; i++ {
+			if p.Resident(f, pg0) || !p.Resident(f, pg1) || p.Resident(f, 99) {
+				t.Fatalf("admission %v: Resident(evicted, cached, never allocated) = %v %v %v",
+					admission, p.Resident(f, pg0), p.Resident(f, pg1), p.Resident(f, 99))
+			}
+		}
+		if got := p.Stats(); got != stats {
+			t.Errorf("admission %v: Resident moved the pool's counters: %+v, were %+v", admission, got, stats)
+		}
+		if got := d.Stats(); got != disk {
+			t.Errorf("admission %v: Resident touched the disk: %+v, was %+v", admission, got, disk)
+		}
+		if n := p.PinnedFrames(); n != 0 {
+			t.Errorf("admission %v: Resident left %d frames pinned", admission, n)
+		}
+
+		newPage() // a reference bit set on pg1 would send the hand on to pg2
+		if p.Resident(f, pg1) || !p.Resident(f, pg2) || !p.Resident(f, pg3) {
+			t.Errorf("admission %v: after the next eviction pg1, pg2, pg3 resident = %v %v %v, want false true true: asking about pg1 must not have saved it",
+				admission, p.Resident(f, pg1), p.Resident(f, pg2), p.Resident(f, pg3))
+		}
+	}
+}

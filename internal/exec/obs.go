@@ -29,6 +29,13 @@ type ScanObs struct {
 	// false-positive pages, the paper's signal that a soft functional
 	// dependency has weakened.
 	EmptyPages atomic.Int64
+	// Sweeps counts page sweeps run by the executor's sweep driver (one
+	// per table, index, clustered, CM or union scan), and Chunks the
+	// chunks of those that fanned out: a sweep run inline on the caller's
+	// goroutine adds none, a fan-out adds the number of chunks its page
+	// set was cut into.
+	Sweeps atomic.Int64
+	Chunks atomic.Int64
 }
 
 // AddBlooms folds pruned-probe counts into o (nil obs: drop).
@@ -58,11 +65,32 @@ func (o *ScanObs) add(tuples, rows, pages, emptyPages int64) {
 	}
 }
 
+// addSweep notes one sweep and how many chunks it fanned out into, 0
+// when it ran inline (nil obs: drop).
+func (o *ScanObs) addSweep(chunks int) {
+	if o == nil {
+		return
+	}
+	o.Sweeps.Add(1)
+	if chunks != 0 {
+		o.Chunks.Add(int64(chunks))
+	}
+}
+
 // AddFrom folds another observation set into o — an analyzed run's or a
 // CM scan's private counts rolling up into the engine-wide ones.
 func (o *ScanObs) AddFrom(src *ScanObs) {
+	if o == nil {
+		return
+	}
 	o.add(src.Tuples.Load(), src.Rows.Load(), src.Pages.Load(), src.EmptyPages.Load())
 	o.AddBlooms(src.Blooms.Load())
+	if n := src.Sweeps.Load(); n != 0 {
+		o.Sweeps.Add(n)
+	}
+	if c := src.Chunks.Load(); c != 0 {
+		o.Chunks.Add(c)
+	}
 }
 
 // tally is a scan worker's local observation buffer: plain ints bumped

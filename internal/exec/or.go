@@ -165,7 +165,7 @@ type OrPlan struct {
 // per-disjunct probing pure overhead.
 func ChooseOrPlan(t *table.Table, oq OrQuery, sp StatsProvider) OrPlan {
 	ts := sp.TableStats(t)
-	scanCost := costmodel.Scan(costmodel.DefaultHardware(), ts)
+	scanCost := costmodel.Scan(hardwareFor(t), ts)
 	plans := make([]Plan, len(oq.Disjuncts))
 	var sum time.Duration
 	union := len(oq.Disjuncts) > 0

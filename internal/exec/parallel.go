@@ -12,23 +12,32 @@ import (
 )
 
 // This file is the fan-out half of the executor. Every access method is
-// one function taking a worker count; what fans out is a scan's
-// independent units — secondary-index probe ranges (rangeRIDs, the
-// batched arm of PipelinedIndexScan) and chunks of a sweep's page set
-// (sweepEmit, foldPages). Each worker runs the one sweep kernel
-// (lazyScan.sweep) over its chunk with a visit that buffers clones; chunks
-// stream to the caller's RowFunc in physical order as they complete, so a
-// scan emits the same rows in the same order at any worker count.
-// Returning false from the callback, a failing chunk or a cancelled
-// context stops the remaining workers at page granularity, keeping the
-// early-stop contract cheap (a LIMIT-style caller stops the scan soon
-// after its limit, it does not pay for a full sweep).
+// one function taking a worker count — an upper bound on its fan-out, not
+// an instruction to split; what fans out is a scan's independent units —
+// secondary-index probe ranges (rangeRIDs, the batched arm of
+// PipelinedIndexScan) and chunks of a sweep's page set (sweepEmit,
+// foldPages). Each worker runs the one sweep kernel (lazyScan.sweep)
+// over its chunk with a visit that buffers clones; chunks stream to the
+// caller's RowFunc in physical order as they complete, so a scan emits
+// the same rows in the same order at any worker count. Returning false
+// from the callback, a failing chunk or a cancelled context stops the
+// remaining workers at page granularity, keeping the early-stop contract
+// cheap (a LIMIT-style caller stops the scan soon after its limit, it
+// does not pay for a full sweep).
 //
-// One worker, or a page set too small to split, is the degenerate case of
-// the same driver, not a second implementation: the kernel runs inline on
-// the caller's goroutine with the caller's RowFunc as its visit — no
-// buffering, no goroutine — which keeps single-query latency that of a
-// sequential engine.
+// A row-emitting sweep's chunks are cut by page run (sweepChunks): the
+// paper's CM lookup ends in a few sequential runs of clustered pages,
+// the plan is priced as runs*seek + pages*seq_page, and a chunk boundary
+// on a run boundary is the one cut that adds no seek to that. The sweep
+// fans out only for one of two reasons (sweepEmit): enough pages that
+// there is CPU to split, or a page missing from the buffer pool whose
+// wait another worker can overlap. Everything else — one worker, and at
+// any worker count a point probe's single short run or a few short runs
+// already cached — is the degenerate case of the same driver, not a
+// second implementation: the kernel runs inline on the caller's
+// goroutine with the caller's RowFunc as its visit — no buffering, no
+// goroutine — which keeps single-query latency that of a sequential
+// engine.
 //
 // Callers must hold the table latch in shared mode (the repro facade
 // does) so workers see one consistent table state; the buffer pool and
@@ -208,36 +217,113 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 	return firstErr
 }
 
-// scanChunks oversplits a sweep's work into more chunks than workers,
-// so an early stop's cancellation skips unstarted chunks instead of
-// finding every chunk already in flight; a minimum chunk size keeps
-// boundary seeks amortized.
-func scanChunks(workers, pages int) int {
-	const (
-		oversplit     = 4
-		minChunkPages = 8
-	)
-	n := workers * oversplit
-	if max := pages / minChunkPages; n > max {
-		n = max
+// A sweep's fan-out is counted in chunks of the page set. oversplit cuts
+// more chunks than workers, so an early stop's cancellation skips
+// unstarted chunks instead of finding every chunk already in flight;
+// minChunkPages is the least a chunk cut out of consecutive pages may
+// hold, which keeps the boundary seek such a cut adds amortized and gives
+// the goroutine, channel and row clones a chunk costs enough work to
+// carry.
+const (
+	oversplit     = 4
+	minChunkPages = 8
+)
+
+// sweepChunks cuts a sweep's page set into the ordered [from, to)
+// position ranges a fan-out over workers sweeps concurrently, or returns
+// nil when the set is to be swept whole. Page runs are the unit: a cut
+// falls on a run boundary — a gap wider than maxGap, where the sweep
+// seeks anyway (runEnd is the coalescing the kernel executes and
+// SweepCost prices, so such a cut costs nothing the plan did not pay) —
+// or inside a run (a table scan's page range is one run) long enough to
+// leave minChunkPages on both sides. At most workers*oversplit chunks
+// come back: with fewer runs than that the spare cuts go to the long
+// runs in proportion to their pages, with more the runs are grouped,
+// consecutive ones together, into chunks of balanced page counts. The
+// chunks partition the set in physical order.
+func sweepChunks(ps pageSet, workers int, maxGap int64) [][2]int {
+	total := ps.len()
+	if workers <= 1 || total < 2 {
+		return nil
 	}
-	if n < workers {
-		n = workers
+	budget := workers * oversplit
+	runs := 1
+	if ps.n == 0 {
+		for at := runEnd(ps.list, 0, maxGap); at < total; at = runEnd(ps.list, at, maxGap) {
+			runs++
+		}
 	}
-	return n
+	if runs == 1 && total < 2*minChunkPages {
+		return nil
+	}
+	chunks := make([][2]int, 0, min(runs, budget))
+	if runs > budget {
+		// Group: close a chunk after the run that brings the pages so far
+		// up to the chunk's even share of the total.
+		from, closed := 0, 0
+		for at := 0; at < total; {
+			at = runEnd(ps.list, at, maxGap)
+			if at*budget >= total*(closed+1) {
+				chunks = append(chunks, [2]int{from, at})
+				from, closed = at, at*budget/total
+			}
+		}
+		return chunks
+	}
+	spare := budget - runs
+	for at := 0; at < total; {
+		end := total
+		if ps.n == 0 {
+			end = runEnd(ps.list, at, maxGap)
+		}
+		n := end - at
+		extra := max(0, min(n/minChunkPages-1, spare*n/total))
+		for _, c := range chunkSlices(n, 1+extra) {
+			chunks = append(chunks, [2]int{at + c[0], at + c[1]})
+		}
+		at = end
+	}
+	return chunks
+}
+
+// missing reports whether some page of the (short) list is not in the
+// buffer pool right now: a read that will wait on the disk.
+func missing(t *table.Table, pages []int64) bool {
+	pool, file := t.Pool(), t.Heap().FileID()
+	for _, page := range pages {
+		if !pool.Resident(file, page) {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepEmit is the one driver under every page-sweeping access method:
 // it sweeps ps with the kernel and streams surviving rows to fn in
-// physical order. With workers > 1 contiguous chunks of the page set are
-// swept concurrently, each buffering clones of its survivors (they
-// outlive the worker's scratch row and the pinned frame), and
-// collectEmit releases them in chunk order.
+// physical order, and it is where a sweep's fan-out is decided — once,
+// from the page set. There are exactly two reasons to fan out, and both
+// need a set sweepChunks can cut: the set holds 2*minChunkPages pages
+// or more (CPU to split), or one of its pages is not in the buffer pool
+// (a miss whose wait another worker can overlap — between runs only:
+// cutting a short run in two bought a second seek under real I/O waits,
+// and with the pages cached a goroutine, a channel and a clone per
+// survivor for some 15 µs of work). Then the chunks are swept
+// concurrently, each buffering clones of its survivors (they outlive the
+// worker's scratch row and the pinned frame), and collectEmit releases
+// them in chunk order. Otherwise — one worker, a single short run warm
+// or cold, a few short runs once they are cached — the kernel runs
+// inline on the caller's goroutine with fn as its visit. Pool.Resident
+// is a hint that may be stale; either arm emits the same rows in the
+// same order.
 func sweepEmit(t *table.Table, ls *lazyScan, ps pageSet, workers int, fn RowFunc) error {
-	if workers <= 1 || ps.len() < 2 {
+	chunks := sweepChunks(ps, workers, maxGapFor(t))
+	// A set under 2*minChunkPages pages that was cut is a list of short runs.
+	fanOut := len(chunks) >= 2 && (ps.len() >= 2*minChunkPages || missing(t, ps.list))
+	if !fanOut {
+		ls.obs.addSweep(0)
 		return ls.sweep(t, ps, nil, emitTo(fn))
 	}
-	chunks := chunkSlices(ps.len(), scanChunks(workers, ps.len()))
+	ls.obs.addSweep(len(chunks))
 	return collectEmit(ls.ctx, workers, len(chunks), func(i int, stop *atomic.Bool) ([]matchRow, error) {
 		var out []matchRow
 		err := ls.sweep(t, ps.slice(chunks[i][0], chunks[i][1]), stop, func(rid heap.RID, row value.Row) (bool, bool) {

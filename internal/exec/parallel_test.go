@@ -225,6 +225,71 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
+	// Page sets at the fan-out thresholds, through the sweep driver
+	// itself: 15, 16 and 17 pages as one run, as two runs, and as a run
+	// plus a tail page a gap of exactly maxGap away (read through: still
+	// one run) and one page further (a second run), with the pool warm and
+	// invalidated — every way the inline/fan-out decision can fall. Rows on
+	// the gap pages a run reads through match the query too, so the
+	// reference is every matching row on a page some run covers.
+	t.Run("thresholds", func(t *testing.T) {
+		tbl := fresh.tbl
+		q := NewQuery(Ne(1, value.NewInt(17)))
+		matching := refRows(t, tbl, q)
+		maxGap := maxGapFor(tbl)
+		for _, n := range []int64{15, 16, 17} {
+			for _, shape := range []struct {
+				name  string
+				pages []int64
+			}{
+				{"one run", pageSeq(10, n)},
+				{"two runs", append(pageSeq(10, n/2), pageSeq(10+n/2+maxGap+5, n-n/2)...)},
+				{"run and a tail page inside maxGap", append(pageSeq(10, n-1), 10+n-2+maxGap)},
+				{"run and a tail page outside maxGap", append(pageSeq(10, n-1), 10+n-2+maxGap+1)},
+			} {
+				if last := shape.pages[len(shape.pages)-1]; last >= tbl.Heap().NumPages() {
+					t.Fatalf("page %d is past the fixture's heap", last)
+				}
+				covered := func(p int64) bool {
+					for i, lp := range shape.pages {
+						if p == lp || (i > 0 && shape.pages[i-1] < p && p < lp && lp-shape.pages[i-1] <= maxGap) {
+							return true
+						}
+					}
+					return false
+				}
+				var want []refRow
+				for _, r := range matching {
+					if covered(r.rid.Page) {
+						want = append(want, r)
+					}
+				}
+				for _, w := range []int{1, 2, 4, 9} {
+					for _, cold := range []bool{false, true} {
+						if cold {
+							if err := tbl.Pool().FlushAll(); err != nil {
+								t.Fatal(err)
+							}
+							tbl.Pool().Invalidate()
+						}
+						var got []refRow
+						err := sweepEmit(tbl, newLazyScan(tbl, q), pageSet{list: shape.pages}, w, func(rid heap.RID, row value.Row) bool {
+							got = append(got, refRow{rid, row.Clone()})
+							return true
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i := firstDiff(got, want, []int{0, 1, 2}); i >= 0 {
+							t.Errorf("%d pages, %s, workers %d, cold %v: %d rows, reference has %d; first difference at row %d",
+								n, shape.name, w, cold, len(got), len(want), i)
+						}
+					}
+				}
+			}
+		}
+	})
+
 	// One lazyScan is read-only once built, so a fan-out's workers share
 	// it (filter, column set, observer): sweep overlapping chunks through
 	// one from many goroutines at once and hold each to the reference.

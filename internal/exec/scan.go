@@ -481,31 +481,40 @@ func distinctPages(pages []int64) []int64 {
 // access degrade gracefully toward a sequential scan, the
 // min(..., cost_scan) cap in the paper's model).
 func maxGapFor(t *table.Table) int64 {
-	cfg := t.Pool().Disk().Config()
-	maxGap := int64(cfg.SeekCost / cfg.SeqPageCost)
+	h := hardwareFor(t)
+	maxGap := int64(h.SeekCost / h.SeqPageCost)
 	if maxGap < 1 {
 		maxGap = 1
 	}
 	return maxGap
 }
 
-// forEachPageRun coalesces the sorted distinct pages into maximal runs
-// whose internal gaps are at most maxGap, invoking visit per run.
-// Returning false from visit stops the iteration.
+// runEnd returns the position one past the page run that starts at
+// position i of the sorted distinct pages: the maximal stretch whose
+// internal gaps are at most maxGap. It is the one definition of a run —
+// what the kernel reads straight through, SweepCost prices and
+// sweepChunks cuts between.
+func runEnd(pages []int64, i int, maxGap int64) int {
+	j := i + 1
+	for j < len(pages) && pages[j]-pages[j-1] <= maxGap {
+		j++
+	}
+	return j
+}
+
+// forEachPageRun coalesces the sorted distinct pages into runs (runEnd),
+// invoking visit per run. Returning false from visit stops the iteration.
 func forEachPageRun(pages []int64, maxGap int64, visit func(lo, hi int64) (cont bool, err error)) error {
 	for i := 0; i < len(pages); {
-		j := i
-		for j+1 < len(pages) && pages[j+1]-pages[j] <= maxGap {
-			j++
-		}
-		cont, err := visit(pages[i], pages[j])
+		j := runEnd(pages, i, maxGap)
+		cont, err := visit(pages[i], pages[j-1])
 		if err != nil {
 			return err
 		}
 		if !cont {
 			return nil
 		}
-		i = j + 1
+		i = j
 	}
 	return nil
 }

@@ -84,6 +84,10 @@ type NodeActuals struct {
 	// sweep visited on which no tuple survived the re-filter (HeapPages
 	// is all it swept). Zero on every other node.
 	FalsePositivePages int64
+	// Chunks says whether the access node's page sweep fanned out: 0
+	// when it ran inline on the caller's goroutine, otherwise the number
+	// of chunks its page set was cut into for the worker pool.
+	Chunks int64
 }
 
 // Analysis is an analyzed run's full measurement: per-node actuals
@@ -191,6 +195,7 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			BufferHits: an.BufferHits,
 			Elapsed:    st.accessTime,
 			BloomSkips: st.obs.Blooms.Load(),
+			Chunks:     st.obs.Chunks.Load(),
 		}
 		if k == KindScan && !tr.useOr && tr.method == exec.MethodCM {
 			na.FalsePositivePages = st.obs.EmptyPages.Load()

@@ -130,6 +130,8 @@ func (db *DB) initMetrics() {
 	r.Func("query.heap_pages", func() int64 { return db.scanObs.Pages.Load() })
 	r.Func("query.empty_pages", func() int64 { return db.scanObs.EmptyPages.Load() })
 	r.Func("query.bloom_skips", func() int64 { return db.scanObs.Blooms.Load() })
+	r.Func("query.sweeps", func() int64 { return db.scanObs.Sweeps.Load() })
+	r.Func("query.sweep_chunks", func() int64 { return db.scanObs.Chunks.Load() })
 
 	r.Func("table.directory_bytes", func() int64 {
 		var n int64
@@ -246,4 +248,6 @@ func (db *DB) ResetMetrics() {
 	db.scanObs.Pages.Store(0)
 	db.scanObs.Blooms.Store(0)
 	db.scanObs.EmptyPages.Store(0)
+	db.scanObs.Sweeps.Store(0)
+	db.scanObs.Chunks.Store(0)
 }

@@ -339,6 +339,12 @@ type NodeActuals struct {
 	// correlation map pointed at for nothing (HeapPages is the pages it
 	// swept in all). Zero on every other node.
 	FalsePositivePages int64
+	// Chunks says whether the access node's page sweep fanned out over
+	// the worker pool: 0 when it ran inline on the calling goroutine (one
+	// worker, or a page set with neither enough pages to split nor a
+	// cache miss to overlap), otherwise the number of chunks the page set
+	// was cut into.
+	Chunks int64
 }
 
 // RunActuals summarizes an analyzed run: result cardinality, wall

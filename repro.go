@@ -126,9 +126,11 @@ type Config struct {
 	SeekCost        time.Duration
 	SeqPageCost     time.Duration
 	BufferPoolPages int
-	// Workers bounds the scan fan-out: parallel table scans, sorted
-	// index scans and CM scans split their work across this many
-	// goroutines, and SelectMany runs this many queries concurrently.
+	// Workers bounds the scan fan-out: table scans, sorted index scans
+	// and CM scans sweep their pages on at most this many goroutines —
+	// and on the caller's alone when the page set has neither enough
+	// pages to split nor a cache miss to overlap, as a point probe's does
+	// not — and SelectMany runs this many queries concurrently.
 	// 0 selects GOMAXPROCS; 1 keeps every scan serial.
 	Workers int
 	// IOWaitScale, when positive, makes every simulated disk access

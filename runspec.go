@@ -520,6 +520,7 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 			Elapsed:            a.Elapsed,
 			BloomSkips:         a.BloomSkips,
 			FalsePositivePages: a.FalsePositivePages,
+			Chunks:             a.Chunks,
 		}
 	}
 	pi.Analyzed = &RunActuals{

@@ -684,8 +684,13 @@ func analyzeResult(info *PlanInfo) *Result {
 		if a.BloomSkips > 0 {
 			res.Message += fmt.Sprintf(", %d bloom skips", a.BloomSkips)
 		}
-		if access := info.Nodes[0].Actual; access != nil && access.FalsePositivePages > 0 {
-			res.Message += fmt.Sprintf(", %d false-positive pages", access.FalsePositivePages)
+		if access := info.Nodes[0].Actual; access != nil {
+			if access.FalsePositivePages > 0 {
+				res.Message += fmt.Sprintf(", %d false-positive pages", access.FalsePositivePages)
+			}
+			if access.Chunks > 1 {
+				res.Message += fmt.Sprintf(", %d chunks", access.Chunks)
+			}
 		}
 	}
 	return res
