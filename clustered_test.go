@@ -224,7 +224,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 		cm       []string
 		rebuilt  []string
 	}
-	run := func(workers int, force plan.Force) outcome {
+	run := func(workers int, force exec.Method) outcome {
 		db, tbl := itemsFixture(t, workers)
 		var out outcome
 
@@ -236,7 +236,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := plan.Spec{Disjuncts: []exec.Query{q}, Force: force}
+			spec := plan.Spec{Disjuncts: []exec.Query{q}, Method: force}
 			var wt *plan.WriteTree
 			kind := "delete"
 			if sets == nil {
@@ -253,7 +253,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if nodes := wt.Explain().Nodes; force == plan.Auto &&
+			if nodes := wt.Explain().Nodes; force == exec.MethodAuto &&
 				(nodes[0].Detail != "clustered-index-scan(items.clustered)" || nodes[len(nodes)-1].Kind != kind) {
 				t.Fatalf("%s plan = %+v, want the clustered index under the write node", kind, nodes)
 			}
@@ -294,7 +294,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 		return out
 	}
 
-	ref := run(1, plan.ForceTableScan)
+	ref := run(1, exec.MethodTableScan)
 	for _, n := range ref.affected {
 		if n == 0 {
 			t.Fatalf("a statement matched nothing (affected %v); fixture broken", ref.affected)
@@ -316,7 +316,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 		t.Error("table-scan writes: live CM counts/sums differ from a rebuild")
 	}
 	for _, workers := range []int{1, 8} {
-		got := run(workers, plan.Auto)
+		got := run(workers, exec.MethodAuto)
 		label := fmt.Sprintf("clustered writes workers=%d", workers)
 		if fmt.Sprint(got.affected) != fmt.Sprint(ref.affected) {
 			t.Errorf("%s: affected %v, table-scan writes %v", label, got.affected, ref.affected)

@@ -20,7 +20,13 @@ import (
 //     table-scan.
 func planFixture(t *testing.T) (*DB, *Table) {
 	t.Helper()
-	db := Open(Config{PageSize: 1024})
+	return planFixtureOn(t, Config{PageSize: 1024})
+}
+
+// planFixtureOn is planFixture over an engine configured by cfg.
+func planFixtureOn(t *testing.T, cfg Config) (*DB, *Table) {
+	t.Helper()
+	db := Open(cfg)
 	tbl, err := db.CreateTable(TableSpec{
 		Name: "plans",
 		Columns: []Column{
@@ -114,7 +120,7 @@ func TestExplainAllMethods(t *testing.T) {
 				t.Fatalf("%s: SelectViaCM(%q): %v", c.name, info.Uses, err)
 			}
 		case SortedIndexScan, PipelinedIndexScan, ClusteredIndexScan:
-			// Explain and execution share plan.singlePlan, so forcing the
+			// Explain and execution share one forced-method resolution, so forcing the
 			// reported method must read the structure Explain named;
 			// asserting the rows match the auto plan pins that.
 			named = collectVia(t, tbl, info.Method, c.preds...)

@@ -220,6 +220,10 @@ func (cm *CM) BloomEnabled() bool { return cm.bloom != nil }
 // BloomSkips returns how many point probes the bloom pruned.
 func (cm *CM) BloomSkips() int64 { return cm.bloomSkips.Load() }
 
+// NoteBloomSkips records n point probes the bloom pruned (ProbePossible
+// said no) in a probe a statement went on to act on.
+func (cm *CM) NoteBloomSkips(n int64) { cm.bloomSkips.Add(n) }
+
 // NoteSweep records one scan's heap sweep against the CM: pages visited
 // and, of those, the pages on which no tuple survived the re-filter.
 func (cm *CM) NoteSweep(pages, falsePositive int64) {
@@ -243,18 +247,12 @@ func (cm *CM) BloomSizeBytes() int64 {
 }
 
 // ProbePossible reports whether a point lookup for the given
-// CM-attribute values can possibly match: false (definitive, counted
-// as a bloom skip) only when the bloom proves the bucketed key absent.
-// Without a bloom it always reports true.
+// CM-attribute values can possibly match: false (definitive) only when
+// the bloom proves the bucketed key absent. Without a bloom it always
+// reports true. It counts nothing — the planner probes CMs it may not
+// use; see NoteBloomSkips.
 func (cm *CM) ProbePossible(vals []value.Value) bool {
-	if cm.bloom == nil {
-		return true
-	}
-	if cm.bloom.MayContain(cm.keyForValues(vals)) {
-		return true
-	}
-	cm.bloomSkips.Add(1)
-	return false
+	return cm.bloom == nil || cm.bloom.MayContain(cm.keyForValues(vals))
 }
 
 // entry resolves (creating on first sight) the stats block for a pair.

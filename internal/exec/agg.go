@@ -375,30 +375,16 @@ func aggProj(specs []AggSpec, groupBy []int) []int {
 	return append(proj, groupBy...)
 }
 
-// AggregateOr evaluates the aggregation over the OR plan's access
-// paths: the union path probes each disjunct for its heap pages and
-// sweeps the deduplicated list, the fallback path sweeps the whole heap;
-// either way tuples filter on encoded bytes and survivors fold straight
-// into per-chunk partial aggregates (no result-row materialization),
-// merged at the barrier in fixed chunk order. The returned rows are
-// GroupAgg.Rows of the merged state. A single-conjunction aggregate is
-// the one-disjunct special case.
-func AggregateOr(t *table.Table, oq OrQuery, op OrPlan, workers int, specs []AggSpec, groupBy []int) ([]value.Row, error) {
-	ps, err := op.pages(t, oq, workers)
-	if err != nil {
-		return nil, err
-	}
+// Fold evaluates the aggregation over the rows on the pages of ps that
+// match the disjunction: tuples filter on encoded bytes and survivors
+// fold straight into per-chunk partial aggregates (no result-row
+// materialization), merged at the barrier in fixed chunk order. The
+// returned rows are GroupAgg.Rows of the merged state.
+func Fold(t *table.Table, oq OrQuery, ps PageSet, workers int, specs []AggSpec, groupBy []int) ([]value.Row, error) {
 	oq.Proj = aggProj(specs, groupBy)
-	ls := newOrLazyScan(t, oq)
-	if op.Union && len(op.Plans) == 1 && op.Plans[0].Method == MethodCM {
-		// One conjunction folded over a cm-scan: the sweep counts against
-		// the CM like a plain cm-scan's.
-		var done func()
-		ls.obs, done = cmSweepObs(op.Plans[0].CM, ls.obs)
-		defer done()
-	}
+	ls := newLazyScan(t, oq)
 	merged := NewGroupAgg(ls.sch, specs, groupBy)
-	err = foldPages(t, ls, ps, workers, specs, groupBy, merged, func(ga *GroupAgg, row value.Row) bool {
+	err := foldPages(t, ls, ps, workers, specs, groupBy, merged, func(ga *GroupAgg, row value.Row) bool {
 		ga.Add(row)
 		return true
 	})
@@ -414,7 +400,7 @@ func AggregateOr(t *table.Table, oq OrQuery, op OrPlan, workers int, specs []Agg
 // aggregate — fold reports whether it folded the row, which is what the
 // scan counts as a result row — and merges the partials into `into` in
 // chunk order.
-func foldPages(t *table.Table, ls *lazyScan, ps pageSet, workers int, specs []AggSpec, groupBy []int, into *GroupAgg, fold func(ga *GroupAgg, row value.Row) bool) error {
+func foldPages(t *table.Table, ls *lazyScan, ps PageSet, workers int, specs []AggSpec, groupBy []int, into *GroupAgg, fold func(ga *GroupAgg, row value.Row) bool) error {
 	nchunks := (ps.len() + aggChunkPages - 1) / aggChunkPages
 	chunks := chunkSlices(ps.len(), nchunks)
 	partials := make([]*GroupAgg, len(chunks))

@@ -318,7 +318,7 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 	// decode, for the entry-membership check and the fold.
 	q := p.q
 	q.Proj = p.NeedCols // already holds the predicated columns
-	err := foldPages(t, newLazyScan(t, q), pageSet{list: p.ImpurePages}, workers, p.specs, p.groupBy, final, func(ga *GroupAgg, row value.Row) bool {
+	err := foldPages(t, newLazyScan(t, q.asOr()), PageSet{list: p.ImpurePages}, workers, p.specs, p.groupBy, final, func(ga *GroupAgg, row value.Row) bool {
 		set := p.impurePairs[string(p.CM.KeyForRow(row))]
 		if set == nil || !set[t.ClusterBucketFor(row)] {
 			return false

@@ -9,7 +9,8 @@ import (
 )
 
 // cmBuckets evaluates the query's predicates over the CM and returns the
-// matching clustered bucket IDs, sorted.
+// matching clustered bucket IDs, sorted, and how many point combinations
+// the CM's bloom filter proved absent and dropped before the lookup.
 //
 // When every CM column carries an equality or IN predicate the lookup is
 // a direct probe (the cm_lookup({v1..vN}) API). Otherwise — range
@@ -18,11 +19,10 @@ import (
 // matches a range [lo, hi] iff it lies in [bucket(lo), bucket(hi)],
 // because representatives are bucket lower bounds on the same grid.
 //
-// prune lets the CM's bloom filter drop point combinations it proves
-// absent before the lookup, counting each skip. The executor prunes; the
-// planner, which probes the same CM to cost it, does not — an absent key
-// has no buckets either way, and a skip must be counted once.
-func cmBuckets(cm *core.CM, q Query, prune bool) ([]int32, error) {
+// The skips are returned, not recorded: the planner probes every
+// candidate CM to price it, and only the probe whose pages a statement
+// goes on to sweep counts (CMProbe.Note).
+func cmBuckets(cm *core.CM, q Query) (buckets []int32, blooms int64, err error) {
 	spec := cm.Spec()
 	allPoint := true
 	for _, col := range spec.UCols {
@@ -46,20 +46,20 @@ func cmBuckets(cm *core.CM, q Query, prune bool) ([]int32, error) {
 			}
 			combos = next
 		}
-		if prune && cm.BloomEnabled() {
+		if cm.BloomEnabled() {
 			// The bloom summarizes bucketed keys, so a combo it rejects
 			// has no CM entry and can contribute no buckets — drop it
-			// before the lookup and count the skip.
+			// before the lookup.
 			kept := combos[:0]
 			for _, combo := range combos {
 				if cm.ProbePossible(combo) {
 					kept = append(kept, combo)
 				}
 			}
-			q.Obs.AddBlooms(int64(len(combos) - len(kept)))
+			blooms = int64(len(combos) - len(kept))
 			combos = kept
 		}
-		return cm.LookupMany(combos), nil
+		return cm.LookupMany(combos), blooms, nil
 	}
 
 	// Bucket-transformed predicate match over the whole (small) CM.
@@ -93,7 +93,7 @@ func cmBuckets(cm *core.CM, q Query, prune bool) ([]int32, error) {
 		}
 		bpreds = append(bpreds, bpred{idx: i, p: tp})
 	}
-	return cm.LookupMatch(func(vals []value.Value) bool {
+	buckets, err = cm.LookupMatch(func(vals []value.Value) bool {
 		for _, bp := range bpreds {
 			if !bp.p.Matches(vals) {
 				return false
@@ -101,6 +101,7 @@ func cmBuckets(cm *core.CM, q Query, prune bool) ([]int32, error) {
 		}
 		return true
 	})
+	return buckets, 0, err
 }
 
 // bucketPages resolves sorted clustered bucket IDs to the sorted distinct
@@ -119,10 +120,24 @@ func bucketPages(t *table.Table, buckets []int32) []int64 {
 	return distinctPages(pages)
 }
 
-// cmPages probes the CM with the query's predicates and resolves the
-// matching clustered buckets to heap pages — the whole of a CM scan up to
-// its sweep, and what the planner costs the scan from.
-func cmPages(t *table.Table, cm *core.CM, q Query, prune bool) ([]int64, error) {
+// CMProbe is one resolved probe of a correlation map: the sorted
+// distinct heap pages of the clustered buckets the query's predicates
+// map to, and the point combinations the CM's bloom filter proved absent
+// on the way. Both the CM and the page directory are memory-resident, so
+// a probe reads no page; it holds for as long as the table latch (or
+// writer gate) it was taken under is held.
+type CMProbe struct {
+	CM     *core.CM
+	Pages  []int64
+	Blooms int64
+}
+
+// ProbeCM probes the CM with the query's predicates and resolves the
+// matching clustered buckets to heap pages through the page directory —
+// the whole of a CM scan up to its sweep, and what the planner prices
+// the scan from. It fails when the query predicates none of the CM's
+// columns.
+func ProbeCM(t *table.Table, cm *core.CM, q Query) (CMProbe, error) {
 	covered := false
 	for _, col := range cm.Spec().UCols {
 		if q.IndexablePredOn(col) != nil {
@@ -131,13 +146,38 @@ func cmPages(t *table.Table, cm *core.CM, q Query, prune bool) ([]int64, error) 
 		}
 	}
 	if !covered {
-		return nil, fmt.Errorf("exec: query predicates none of the CM's columns")
+		return CMProbe{}, fmt.Errorf("exec: query predicates none of the CM's columns")
 	}
-	buckets, err := cmBuckets(cm, q, prune)
+	buckets, blooms, err := cmBuckets(cm, q)
 	if err != nil {
-		return nil, err
+		return CMProbe{}, err
 	}
-	return bucketPages(t, buckets), nil
+	return CMProbe{CM: cm, Pages: bucketPages(t, buckets), Blooms: blooms}, nil
+}
+
+// Note records the probe as one a statement acted on: its bloom skips
+// count into obs and against the CM. Call it once, for the probe whose
+// pages are swept.
+func (p CMProbe) Note(obs *ScanObs) {
+	obs.AddBlooms(p.Blooms)
+	p.CM.NoteBloomSkips(p.Blooms)
+}
+
+// SweepObs returns the observer the heap sweep of a scan this probe
+// drives tallies into, and the function to call when the sweep ends: it
+// folds the sweep's counts into obs and into the CM's own health gauges
+// — page visits, and how many of them held no matching tuple (the CM's
+// false-positive pages). Without an observer nothing is counted and the
+// sweep pays nothing.
+func (p CMProbe) SweepObs(obs *ScanObs) (sweep *ScanObs, done func()) {
+	if obs == nil {
+		return nil, func() {}
+	}
+	sweep = &ScanObs{}
+	return sweep, func() {
+		obs.AddFrom(sweep)
+		p.CM.NoteSweep(sweep.Pages.Load(), sweep.EmptyPages.Load())
+	}
 }
 
 // CMScan evaluates the query through a correlation map (Section 5.2):
@@ -146,31 +186,15 @@ func cmPages(t *table.Table, cm *core.CM, q Query, prune bool) ([]int64, error) 
 // over workers — with the rows re-filtered by the original predicates,
 // discarding the CM's false positives.
 func CMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
-	pages, err := cmPages(t, cm, q, true)
+	probe, err := ProbeCM(t, cm, q)
 	if err != nil {
 		return err
 	}
-	obs, done := cmSweepObs(cm, q.Obs)
+	probe.Note(q.Obs)
+	obs, done := probe.SweepObs(q.Obs)
 	defer done()
 	q.Obs = obs
-	return sweepEmit(t, newLazyScan(t, q), pageSet{list: pages}, workers, fn)
-}
-
-// cmSweepObs returns the observer the heap sweep of a CM-driven scan
-// tallies into, and the function to call when the sweep ends: it folds
-// the sweep's counts into obs and into the CM's own health gauges — page
-// visits, and how many of them held no matching tuple (the CM's
-// false-positive pages). Without an observer nothing is counted and the
-// sweep pays nothing.
-func cmSweepObs(cm *core.CM, obs *ScanObs) (sweep *ScanObs, done func()) {
-	if obs == nil {
-		return nil, func() {}
-	}
-	sweep = &ScanObs{}
-	return sweep, func() {
-		obs.AddFrom(sweep)
-		cm.NoteSweep(sweep.Pages.Load(), sweep.EmptyPages.Load())
-	}
+	return Sweep(t, q.asOr(), PageSet{list: probe.Pages}, workers, fn)
 }
 
 // bucketRuns coalesces sorted bucket IDs into maximal contiguous runs,
@@ -207,7 +231,7 @@ type KeyRange struct {
 // RewriteWithCM computes the rewrite without executing it, for
 // explanation, tests and the advisor's what-if output.
 func RewriteWithCM(t *table.Table, cm *core.CM, q Query) (CMRewrite, error) {
-	buckets, err := cmBuckets(cm, q, false)
+	buckets, _, err := cmBuckets(cm, q)
 	if err != nil {
 		return CMRewrite{}, err
 	}

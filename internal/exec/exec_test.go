@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/sim"
@@ -372,149 +370,6 @@ func TestEarlyStopAllMethods(t *testing.T) {
 		if n != 10 {
 			t.Errorf("%s visited %d rows after stop", name, n)
 		}
-	}
-}
-
-// paperScaleStats stubs StatsProvider with statistics shaped like the
-// paper's multi-gigabyte tables, where a 5.5 ms seek is cheap relative to
-// scanning hundreds of thousands of pages.
-type paperScaleStats struct {
-	pair costmodel.PairStats
-}
-
-func (s paperScaleStats) TableStats(*table.Table) costmodel.TableStats {
-	return costmodel.TableStats{TupsPerPage: 60, TotalTups: 18e6, BTreeHeight: 3}
-}
-
-func (s paperScaleStats) PairStats(*table.Table, []int) (costmodel.PairStats, bool) {
-	return s.pair, true
-}
-
-func TestPlannerPrefersIndexAtPaperScale(t *testing.T) {
-	db := buildTestDB(t, 500, 9, 0)
-	// Correlated pair: a selective lookup through the index beats a 300k
-	// page scan.
-	sp := paperScaleStats{pair: costmodel.PairStats{UTups: 7000, CTups: 7000, CPerU: 3}}
-	q := NewQuery(Eq(1, value.NewInt(25)))
-	plan := ChoosePlan(db.tbl, q, sp)
-	if plan.Method == MethodTableScan {
-		t.Errorf("plan = %v, expected an index-based method at paper scale", plan.Method)
-	}
-	if plan.Cost <= 0 {
-		t.Error("plan cost not positive")
-	}
-}
-
-func TestPlannerPrefersScanWhenUncorrelated(t *testing.T) {
-	db := buildTestDB(t, 500, 10, 0)
-	// Uncorrelated pair with many lookups: cost model caps at scan, so
-	// the tie goes to the plain scan (strictly-less comparison).
-	sp := paperScaleStats{pair: costmodel.PairStats{UTups: 7000, CTups: 7000, CPerU: 7000}}
-	q := NewQuery(In(1, value.NewInt(1), value.NewInt(2), value.NewInt(3),
-		value.NewInt(4), value.NewInt(5)))
-	plan := ChoosePlan(db.tbl, q, sp)
-	// The CM on the tiny fixture has few buckets, so it may still win;
-	// the B+Tree paths must not.
-	if plan.Method == MethodSorted || plan.Method == MethodPipelined {
-		t.Errorf("plan = %v, B+Tree should not beat scan when uncorrelated", plan.Method)
-	}
-}
-
-func TestPlannerChosenPlanExecutes(t *testing.T) {
-	db := buildTestDB(t, 5000, 9, 0)
-	sp := NewExactStats()
-	q := NewQuery(Eq(1, value.NewInt(25)))
-	plan := ChoosePlan(db.tbl, q, sp)
-	rows, err := Collect(func(fn RowFunc) error { return plan.Run(db.tbl, q, 1, fn) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int
-	for _, r := range db.rows {
-		if r[1].I == 25 {
-			want++
-		}
-	}
-	if len(rows) != want {
-		t.Errorf("plan (%v) returned %d rows, want %d", plan.Method, len(rows), want)
-	}
-}
-
-func TestPlannerFallsBackToScanWithoutAccessPaths(t *testing.T) {
-	d := sim.NewDisk(sim.Config{PageSize: 1024})
-	pool := buffer.NewPool(d, 64)
-	sch := table.NewSchema(table.Column{Name: "a", Kind: value.Int})
-	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Load([]value.Row{{value.NewInt(1)}, {value.NewInt(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	plan := ChoosePlan(tbl, NewQuery(Eq(0, value.NewInt(1))), NewExactStats())
-	if plan.Method != MethodTableScan {
-		t.Errorf("plan = %v, want table scan", plan.Method)
-	}
-}
-
-// TestPlannerClusteredCrossover pins the clustered path's costing:
-// point, IN and narrow-range predicates on the clustering column plan
-// onto the clustered index with a cost below the scan's, a range
-// spanning most buckets stays a table scan, a predicate the clustered
-// index cannot use (Ne, or none on the leading column) never plans it,
-// and planning itself — live table statistics plus the bucket
-// directory — reads no page even from a cold pool.
-func TestPlannerClusteredCrossover(t *testing.T) {
-	db := buildTestDB(t, 40000, 9, 0)
-	sp := NewExactStats()
-	scan := costmodel.Scan(costmodel.DefaultHardware(), sp.TableStats(db.tbl))
-	if err := db.tbl.Pool().FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	db.tbl.Pool().Invalidate()
-	before := db.disk.Stats().Reads
-
-	cases := []struct {
-		name string
-		q    Query
-		want Method
-	}{
-		{"point", NewQuery(Eq(0, value.NewInt(137))), MethodClustered},
-		{"in", NewQuery(In(0, value.NewInt(3), value.NewInt(250), value.NewInt(499))), MethodClustered},
-		{"narrow range", NewQuery(Between(0, value.NewInt(40), value.NewInt(60))), MethodClustered},
-		{"half-open narrow", NewQuery(Gt(0, value.NewInt(480))), MethodClustered},
-		{"most buckets", NewQuery(Between(0, value.NewInt(10), value.NewInt(490))), MethodTableScan},
-		{"every bucket", NewQuery(Ge(0, value.NewInt(0))), MethodTableScan},
-		{"ne only", NewQuery(Ne(0, value.NewInt(7))), MethodTableScan},
-	}
-	var pointCost, rangeCost time.Duration
-	for _, c := range cases {
-		p := ChoosePlan(db.tbl, c.q, sp)
-		if p.Method != c.want {
-			t.Errorf("%s: planned %v (cost %v, scan %v), want %v", c.name, p.Method, p.Cost, scan, c.want)
-			continue
-		}
-		if c.want == MethodClustered {
-			if p.Index != db.tbl.Clustered() {
-				t.Errorf("%s: clustered plan does not carry the clustered index", c.name)
-			}
-			if p.Cost <= 0 || p.Cost >= scan {
-				t.Errorf("%s: clustered cost %v not in (0, scan %v)", c.name, p.Cost, scan)
-			}
-		}
-		switch c.name {
-		case "point":
-			pointCost = p.Cost
-		case "narrow range":
-			rangeCost = p.Cost
-		}
-	}
-	// A range is charged for the buckets it spans, not as one lookup.
-	if rangeCost <= pointCost {
-		t.Errorf("narrow range cost %v not above point cost %v", rangeCost, pointCost)
-	}
-	if reads := db.disk.Stats().Reads - before; reads != 0 {
-		t.Errorf("planning read %d pages, want 0", reads)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/table"
 )
@@ -16,7 +14,12 @@ type Method int
 
 // The access paths the engine can choose among.
 const (
-	MethodTableScan Method = iota
+	// MethodAuto names no path: a plan spec carrying it leaves the choice
+	// to internal/plan's cost model, and a compiled plan reports it for
+	// the shapes that are no single path (an OR union, cm-agg). No
+	// executor runs it.
+	MethodAuto Method = iota
+	MethodTableScan
 	MethodPipelined
 	MethodSorted
 	MethodCM
@@ -29,6 +32,8 @@ const (
 // String names the method.
 func (m Method) String() string {
 	switch m {
+	case MethodAuto:
+		return "auto"
 	case MethodTableScan:
 		return "table-scan"
 	case MethodPipelined:
@@ -44,7 +49,7 @@ func (m Method) String() string {
 	}
 }
 
-// StatsProvider supplies the correlation statistics the planner's cost
+// StatsProvider supplies the correlation statistics internal/plan's cost
 // model needs. The facade caches these; tests can stub them.
 type StatsProvider interface {
 	// TableStats returns the Table 1 statistics for the table.
@@ -55,123 +60,33 @@ type StatsProvider interface {
 	PairStats(t *table.Table, uCols []int) (costmodel.PairStats, bool)
 }
 
-// Plan is a chosen access path with its predicted cost.
-type Plan struct {
-	Method Method
-	Index  *table.Index // for MethodPipelined / MethodSorted / MethodClustered
-	CM     *core.CM     // for MethodCM
-	Cost   time.Duration
-}
-
-// Run executes the plan with the given scan fan-out.
-func (p Plan) Run(t *table.Table, q Query, workers int, fn RowFunc) error {
-	switch p.Method {
-	case MethodTableScan:
-		return TableScan(t, q, workers, fn)
-	case MethodPipelined:
-		return PipelinedIndexScan(t, p.Index, q, workers, fn)
-	case MethodSorted, MethodClustered:
-		return SortedIndexScan(t, p.Index, q, workers, fn)
-	case MethodCM:
-		return CMScan(t, p.CM, q, workers, fn)
-	default:
-		return fmt.Errorf("exec: unknown method %v", p.Method)
-	}
-}
-
-// ChoosePlan costs every applicable access path with the Section 4 model
-// and returns the cheapest. A secondary index applies when its leading
-// key column is predicated; the clustered index applies when the leading
-// clustering column is (costed from the bucket directory alone — see
-// clusteredSpan); a CM applies when at least one of its columns is
-// predicated (false positives are filtered after the heap sweep) and is
-// costed from the heap pages its probe resolves to (see SweepCost).
-func ChoosePlan(t *table.Table, q Query, sp StatsProvider) Plan {
-	h := hardwareFor(t)
-	ts := sp.TableStats(t)
-	best := Plan{Method: MethodTableScan, Cost: costmodel.Scan(h, ts)}
-
-	consider := func(p Plan) {
-		if p.Cost < best.Cost {
-			best = p
-		}
-	}
-
-	for _, ix := range t.Indexes() {
-		p := q.IndexablePredOn(ix.Cols[0])
-		if p == nil {
-			continue
-		}
-		ps, ok := sp.PairStats(t, ix.Cols)
-		if !ok {
-			continue
-		}
-		n := p.NLookups()
-		consider(Plan{
-			Method: MethodSorted,
-			Index:  ix,
-			Cost:   costmodel.SortedIndex(h, ts, ps, n),
-		})
-		consider(Plan{
-			Method: MethodPipelined,
-			Index:  ix,
-			Cost:   costmodel.PipelinedIndex(h, ts, ps, n),
-		})
-	}
-
-	if runs, buckets := clusteredSpan(t, q); buckets > 0 {
-		// One bucket's share of the scan's reads: its heap pages plus
-		// its slice of the clustered index the RIDs come from.
-		pages := t.PagesPerCBucket() +
-			float64(t.Clustered().Tree.PageCount())/float64(t.Buckets().NumBuckets())
-		consider(Plan{
-			Method: MethodClustered,
-			Index:  t.Clustered(),
-			Cost:   costmodel.ClusteredRange(h, ts, pages, runs, buckets),
-		})
-	}
-
-	for _, cm := range t.CMs() {
-		// The CM and the page directory are memory-resident, so the plan
-		// probes them (as the paper's prototype resolves the CM before the
-		// query is planned, Section 7.1) and costs the scan from the page
-		// runs it will actually sweep — no c_per_u estimate needed.
-		pages, err := cmPages(t, cm, q, false)
-		if err != nil {
-			continue // no predicate on the CM's columns
-		}
-		consider(Plan{Method: MethodCM, CM: cm, Cost: SweepCost(t, ts, pages)})
-	}
-	return best
-}
-
-// SweepCost predicts a physical-order sweep of the given sorted distinct
-// heap pages, counted the way the sweep kernel reads them: pages closer than
-// one seek's worth of sequential reads coalesce into a run that is read
-// straight through, each run opens with one seek, and nothing costs
-// more than the scan. It prices every path whose page list is known
-// before execution — the CM scan and cm-agg's hybrid sweep, both
-// resolved through the page directory without I/O.
-func SweepCost(t *table.Table, ts costmodel.TableStats, pages []int64) time.Duration {
-	runs, read := 0, int64(0)
+// PageRuns counts a physical-order sweep of the given sorted distinct heap
+// pages the way the sweep kernel reads them: pages closer than one seek's
+// worth of sequential reads coalesce into a run that is read straight
+// through (runEnd), so runs is the seeks the sweep pays and read the pages
+// it transfers, gap pages included. It is what the planner prices every
+// path whose page list is known before execution from — the CM scan and
+// cm-agg's hybrid sweep, both resolved through the page directory without
+// I/O.
+func PageRuns(t *table.Table, pages []int64) (runs int, read int64) {
 	_ = forEachPageRun(pages, maxGapFor(t), func(lo, hi int64) (bool, error) {
 		runs++
 		read += hi - lo + 1
 		return true, nil
 	})
-	return costmodel.PageRuns(hardwareFor(t), ts, runs, read)
+	return runs, read
 }
 
-// hardwareFor returns the cost model's two constants as the disk under t
+// Hardware returns the cost model's two constants as the disk under t
 // charges them, so every estimate — and the gap the sweep reads through
 // (maxGapFor) — is priced on the disk the plan will run on: the paper's
 // 5.5 ms / 0.078 ms unless the engine was configured otherwise.
-func hardwareFor(t *table.Table) costmodel.Hardware {
+func Hardware(t *table.Table) costmodel.Hardware {
 	cfg := t.Pool().Disk().Config()
 	return costmodel.Hardware{SeekCost: cfg.SeekCost, SeqPageCost: cfg.SeqPageCost}
 }
 
-// clusteredSpan locates the query's clustered-key probe ranges in the
+// ClusteredSpan locates the query's clustered-key probe ranges in the
 // bucket directory: buckets is how many distinct clustered buckets the
 // ranges span, runs how many maximal runs of adjacent buckets those
 // form (one clustered-index descent each). Both are 0 when the
@@ -179,7 +94,7 @@ func hardwareFor(t *table.Table) costmodel.Hardware {
 // leading clustering column — or the table has no directory (never
 // bulk-loaded: nothing memory-resident says where a key range lives).
 // Only the directory is consulted — planning reads no page.
-func clusteredSpan(t *table.Table, q Query) (runs, buckets int) {
+func ClusteredSpan(t *table.Table, q Query) (runs, buckets int) {
 	dir := t.Buckets()
 	if q.IndexablePredOn(t.ClusteredCols()[0]) == nil || dir.NumBuckets() == 0 {
 		return 0, 0

@@ -15,7 +15,7 @@ import (
 // one function taking a worker count — an upper bound on its fan-out, not
 // an instruction to split; what fans out is a scan's independent units —
 // secondary-index probe ranges (rangeRIDs, the batched arm of
-// PipelinedIndexScan) and chunks of a sweep's page set (sweepEmit,
+// PipelinedIndexScan) and chunks of a sweep's page set (Sweep,
 // foldPages). Each worker runs the one sweep kernel (lazyScan.sweep)
 // over its chunk with a visit that buffers clones; chunks stream to the
 // caller's RowFunc in physical order as they complete, so a scan emits
@@ -29,7 +29,7 @@ import (
 // paper's CM lookup ends in a few sequential runs of clustered pages,
 // the plan is priced as runs*seek + pages*seq_page, and a chunk boundary
 // on a run boundary is the one cut that adds no seek to that. The sweep
-// fans out only for one of two reasons (sweepEmit): enough pages that
+// fans out only for one of two reasons (Sweep): enough pages that
 // there is CPU to split, or a page missing from the buffer pool whose
 // wait another worker can overlap. Everything else — one worker, and at
 // any worker count a point probe's single short run or a few short runs
@@ -234,14 +234,14 @@ const (
 // nil when the set is to be swept whole. Page runs are the unit: a cut
 // falls on a run boundary — a gap wider than maxGap, where the sweep
 // seeks anyway (runEnd is the coalescing the kernel executes and
-// SweepCost prices, so such a cut costs nothing the plan did not pay) —
+// PageRuns counts, so such a cut costs nothing the plan did not pay) —
 // or inside a run (a table scan's page range is one run) long enough to
 // leave minChunkPages on both sides. At most workers*oversplit chunks
 // come back: with fewer runs than that the spare cuts go to the long
 // runs in proportion to their pages, with more the runs are grouped,
 // consecutive ones together, into chunks of balanced page counts. The
 // chunks partition the set in physical order.
-func sweepChunks(ps pageSet, workers int, maxGap int64) [][2]int {
+func sweepChunks(ps PageSet, workers int, maxGap int64) [][2]int {
 	total := ps.len()
 	if workers <= 1 || total < 2 {
 		return nil
@@ -298,10 +298,10 @@ func missing(t *table.Table, pages []int64) bool {
 	return false
 }
 
-// sweepEmit is the one driver under every page-sweeping access method:
-// it sweeps ps with the kernel and streams surviving rows to fn in
-// physical order, and it is where a sweep's fan-out is decided — once,
-// from the page set. There are exactly two reasons to fan out, and both
+// Sweep is the one driver under every page-sweeping access method,
+// whatever resolved the pages: it sweeps ps with the kernel, streams the
+// rows matching the disjunction to fn in physical order, and it is where
+// a sweep's fan-out is decided — once, from the page set. There are exactly two reasons to fan out, and both
 // need a set sweepChunks can cut: the set holds 2*minChunkPages pages
 // or more (CPU to split), or one of its pages is not in the buffer pool
 // (a miss whose wait another worker can overlap — between runs only:
@@ -315,7 +315,8 @@ func missing(t *table.Table, pages []int64) bool {
 // inline on the caller's goroutine with fn as its visit. Pool.Resident
 // is a hint that may be stale; either arm emits the same rows in the
 // same order.
-func sweepEmit(t *table.Table, ls *lazyScan, ps pageSet, workers int, fn RowFunc) error {
+func Sweep(t *table.Table, oq OrQuery, ps PageSet, workers int, fn RowFunc) error {
+	ls := newLazyScan(t, oq)
 	chunks := sweepChunks(ps, workers, maxGapFor(t))
 	// A set under 2*minChunkPages pages that was cut is a list of short runs.
 	fanOut := len(chunks) >= 2 && (ps.len() >= 2*minChunkPages || missing(t, ps.list))
@@ -389,7 +390,7 @@ func fetchRIDBatch(t *table.Table, batch []heap.RID, ls *lazyScan, stop *atomic.
 	// probe did not ask for is skipped before the filter sees it, so it
 	// is not counted as examined (the tuples EXPLAIN ANALYZE prints are
 	// the iterator arm's), while its page still counts as visited.
-	err := sw.run(t, pageSet{list: pages}, func(rid heap.RID, tuple []byte) bool {
+	err := sw.run(t, PageSet{list: pages}, func(rid heap.RID, tuple []byte) bool {
 		if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
 			return false
 		}

@@ -172,6 +172,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 		NewQuery(In(1, value.NewInt(7), value.NewInt(31)), Ge(0, value.NewInt(50))),
 	}
 	methods := []Method{MethodTableScan, MethodPipelined, MethodSorted, MethodCM, MethodClustered}
+	// run is each method's executor entry point — what internal/plan
+	// dispatches a leg of that method to.
+	run := func(db *testDB, m Method, q Query, w int, fn RowFunc) error {
+		switch m {
+		case MethodPipelined:
+			return PipelinedIndexScan(db.tbl, db.ix, q, w, fn)
+		case MethodSorted:
+			return SortedIndexScan(db.tbl, db.ix, q, w, fn)
+		case MethodCM:
+			return CMScan(db.tbl, db.cm, q, w, fn)
+		case MethodClustered:
+			return clusteredScan(db.tbl, q, w, fn)
+		default:
+			return TableScan(db.tbl, q, w, fn)
+		}
+	}
 	for qi, q := range queries {
 		for _, w := range []int{1, 2, 4, 8, 9} {
 			t.Run(fmt.Sprintf("q%d/workers%d", qi, w), func(t *testing.T) {
@@ -181,13 +197,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 						t.Fatalf("%s: query matched %d rows; fixture broken", st.name, len(physical))
 					}
 					for _, m := range methods {
-						plan := Plan{Method: m, Index: st.db.ix, CM: st.db.cm}
 						want := physical
-						switch m {
-						case MethodPipelined:
+						if m == MethodPipelined {
 							want = pipelinedOrder(physical, q)
-						case MethodClustered:
-							plan.Index = st.db.tbl.Clustered()
 						}
 						for _, proj := range [][]int{nil, {2}} {
 							// Predicated columns ride along with a projection.
@@ -203,7 +215,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 							for _, limit := range []int{0, 1, 7} {
 								label := fmt.Sprintf("%s %v proj=%v limit=%d", st.name, m, proj, limit)
 								var got []refRow
-								err := plan.Run(st.db.tbl, pq, w, func(rid heap.RID, row value.Row) bool {
+								err := run(st.db, m, pq, w, func(rid heap.RID, row value.Row) bool {
 									got = append(got, refRow{rid, row.Clone()})
 									return len(got) != limit
 								})
@@ -273,7 +285,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 							tbl.Pool().Invalidate()
 						}
 						var got []refRow
-						err := sweepEmit(tbl, newLazyScan(tbl, q), pageSet{list: shape.pages}, w, func(rid heap.RID, row value.Row) bool {
+						err := Sweep(tbl, q.asOr(), PageSet{list: shape.pages}, w, func(rid heap.RID, row value.Row) bool {
 							got = append(got, refRow{rid, row.Clone()})
 							return true
 						})
@@ -298,7 +310,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		q := queries[2]
 		obs := &ScanObs{}
 		q.Obs = obs
-		ls := newLazyScan(fresh.tbl, q)
+		ls := newLazyScan(fresh.tbl, q.asOr())
 		n := fresh.tbl.Heap().NumPages()
 		want := refRows(t, fresh.tbl, q)
 		const workers = 8
@@ -306,7 +318,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for g := 0; g < workers; g++ {
 			go func() {
 				i := 0
-				err := ls.sweep(fresh.tbl, pageSet{n: n}, nil, func(rid heap.RID, row value.Row) (bool, bool) {
+				err := ls.sweep(fresh.tbl, PageSet{n: n}, nil, func(rid heap.RID, row value.Row) (bool, bool) {
 					if i >= len(want) || rid != want[i].rid || row[2] != want[i].row[2] {
 						t.Errorf("shared sweep row %d = %v %v", i, rid, row)
 					}
@@ -410,14 +422,14 @@ func TestSweepStopsAtPageBoundary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, set := range []struct {
 			name string
-			ps   pageSet
-		}{{"range", pageSet{n: n}}, {"list", pageSet{list: list}}} {
+			ps   PageSet
+		}{{"range", PageSet{n: n}}, {"list", PageSet{list: list}}} {
 			for _, trigger := range []string{"context", "flag"} {
 				t.Run(fmt.Sprintf("workers%d/%s/%s", workers, set.name, trigger), func(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
 					obs := &ScanObs{}
-					ls := newLazyScan(db.tbl, Query{Obs: obs, Ctx: ctx}) // no predicate: every tuple survives
+					ls := newLazyScan(db.tbl, Query{Obs: obs, Ctx: ctx}.asOr()) // no predicate: every tuple survives
 					var stop atomic.Bool
 					var parked, fired sync.WaitGroup
 					parked.Add(workers)
@@ -463,21 +475,6 @@ func TestSweepStopsAtPageBoundary(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestOrPlanRejectsTableScanDisjunct: a hand-built union holding a
-// disjunct that resolves to no page list must fail, not quietly drop the
-// disjunct's rows (ChooseOrPlan never builds one).
-func TestOrPlanRejectsTableScanDisjunct(t *testing.T) {
-	db := buildTestDB(t, 1000, 3, 0)
-	oq := NewOrQuery(NewQuery(Eq(1, value.NewInt(7))))
-	op := OrPlan{Union: true, Plans: []Plan{{Method: MethodTableScan}}}
-	if err := op.Run(db.tbl, oq, 1, func(heap.RID, value.Row) bool { return true }); err == nil {
-		t.Error("union over a table-scan disjunct ran; it under-reports")
-	}
-	if rows, err := AggregateOr(db.tbl, oq, op, 1, []AggSpec{{Kind: AggCount, Col: -1}}, nil); err == nil {
-		t.Errorf("aggregate over a table-scan disjunct returned %v; it under-reports", rows)
 	}
 }
 
@@ -601,10 +598,10 @@ func TestChunkSlices(t *testing.T) {
 	}
 }
 
-// clusteredPlan is the clustered-index scan of tbl as the planner
+// clusteredScan is the clustered-index scan of tbl as the planner
 // dispatches it: the sorted-scan executor over the clustered index.
-func clusteredPlan(db *testDB) Plan {
-	return Plan{Method: MethodClustered, Index: db.tbl.Clustered()}
+func clusteredScan(tbl *table.Table, q Query, workers int, fn RowFunc) error {
+	return SortedIndexScan(tbl, tbl.Clustered(), q, workers, fn)
 }
 
 // TestClusteredScanMatchesTableScan holds the clustered-index scan to
@@ -631,7 +628,7 @@ func TestClusteredScanMatchesTableScan(t *testing.T) {
 				t.Fatalf("%s q%d matched nothing; fixture broken", stage, qi)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(db.tbl, q, w, fn) })
+				got := collectVia(t, func(fn RowFunc) error { return clusteredScan(db.tbl, q, w, fn) })
 				if !sameSlices(want, got) {
 					t.Errorf("%s q%d workers %d: clustered (%d rows) != table scan (%d rows)", stage, qi, w, len(got), len(want))
 				}
@@ -670,7 +667,6 @@ func TestClusteredScanCompositePrefix(t *testing.T) {
 	if err := tbl.Load(rows); err != nil {
 		t.Fatal(err)
 	}
-	db := &testDB{tbl: tbl}
 	queries := []Query{
 		NewQuery(Eq(0, value.NewString("north"))),
 		NewQuery(Eq(0, value.NewString("south")), Between(1, value.NewInt(10), value.NewInt(20))),
@@ -683,15 +679,10 @@ func TestClusteredScanCompositePrefix(t *testing.T) {
 			t.Fatalf("q%d matched nothing; fixture broken", qi)
 		}
 		for _, w := range []int{1, 4} {
-			got := collectVia(t, func(fn RowFunc) error { return clusteredPlan(db).Run(tbl, q, w, fn) })
+			got := collectVia(t, func(fn RowFunc) error { return clusteredScan(tbl, q, w, fn) })
 			if !sameSlices(want, got) {
 				t.Errorf("q%d workers %d: clustered (%d rows) != table scan (%d rows)", qi, w, len(got), len(want))
 			}
-		}
-		// The narrow composite probe must plan onto the clustered index
-		// (the whole-region queries may rightly prefer a scan here).
-		if p := ChoosePlan(tbl, q, NewExactStats()); qi == 1 && p.Method != MethodClustered {
-			t.Errorf("q%d planned %v, want the clustered index", qi, p.Method)
 		}
 	}
 }

@@ -2,8 +2,12 @@
 // four access paths the paper compares — full table scan, pipelined
 // secondary index scan, sorted (bitmap-style) secondary index scan, and
 // the correlation-map scan — plus the clustered-index scan they all
-// bottom out in, the cost-based choice among the five and the
-// predicate-introduction rewrite of Section 7.1.
+// bottom out in and the predicate-introduction rewrite of Section 7.1.
+// It holds executors only: the sweep and fold drivers over a page set
+// (Sweep, Fold), the pipelined probe, the write executor, and the
+// physical facts the Section 4 cost model is priced from (CMPages,
+// PageRuns, ClusteredSpan, Hardware, the statistics providers). Which
+// path runs a statement is internal/plan's decision.
 package exec
 
 import (
@@ -124,19 +128,27 @@ func (p Pred) NLookups() int {
 // read essentially the whole structure; it is evaluated by re-filtering.
 func (p Pred) Indexable() bool { return p.Op != OpNe }
 
-// String renders the predicate for logs and advisor output.
-func (p Pred) String() string {
+// String renders the predicate for logs and advisor output, its column
+// by position.
+func (p Pred) String() string { return p.Describe(fmt.Sprintf("col%d", p.Col)) }
+
+// Describe renders the predicate over a column shown as name — EXPLAIN's
+// filter and HAVING details pass the schema or output name. It is built
+// from the predicate struct rather than by substituting into String's
+// output, so a column literally named "colN" (or a string literal
+// containing one) cannot corrupt it.
+func (p Pred) Describe(name string) string {
 	switch p.Op {
 	case OpEq:
-		return fmt.Sprintf("col%d = %v", p.Col, p.Vals[0])
+		return fmt.Sprintf("%s = %v", name, p.Vals[0])
 	case OpIn:
 		parts := make([]string, len(p.Vals))
 		for i, v := range p.Vals {
 			parts[i] = v.String()
 		}
-		return fmt.Sprintf("col%d IN (%s)", p.Col, strings.Join(parts, ", "))
+		return fmt.Sprintf("%s IN (%s)", name, strings.Join(parts, ", "))
 	case OpNe:
-		return fmt.Sprintf("col%d != %v", p.Col, p.Vals[0])
+		return fmt.Sprintf("%s != %v", name, p.Vals[0])
 	default:
 		switch {
 		case p.Lo != nil && p.Hi == nil:
@@ -144,13 +156,13 @@ func (p Pred) String() string {
 			if p.LoExcl {
 				op = ">"
 			}
-			return fmt.Sprintf("col%d %s %v", p.Col, op, *p.Lo)
+			return fmt.Sprintf("%s %s %v", name, op, *p.Lo)
 		case p.Lo == nil && p.Hi != nil:
 			op := "<="
 			if p.HiExcl {
 				op = "<"
 			}
-			return fmt.Sprintf("col%d %s %v", p.Col, op, *p.Hi)
+			return fmt.Sprintf("%s %s %v", name, op, *p.Hi)
 		case p.LoExcl || p.HiExcl:
 			loOp, hiOp := ">=", "<="
 			if p.LoExcl {
@@ -159,7 +171,7 @@ func (p Pred) String() string {
 			if p.HiExcl {
 				hiOp = "<"
 			}
-			return fmt.Sprintf("col%d %s %v AND col%d %s %v", p.Col, loOp, *p.Lo, p.Col, hiOp, *p.Hi)
+			return fmt.Sprintf("%s %s %v AND %s %s %v", name, loOp, *p.Lo, name, hiOp, *p.Hi)
 		default:
 			lo, hi := "-inf", "+inf"
 			if p.Lo != nil {
@@ -168,7 +180,7 @@ func (p Pred) String() string {
 			if p.Hi != nil {
 				hi = p.Hi.String()
 			}
-			return fmt.Sprintf("col%d BETWEEN %s AND %s", p.Col, lo, hi)
+			return fmt.Sprintf("%s BETWEEN %s AND %s", name, lo, hi)
 		}
 	}
 }
@@ -208,36 +220,7 @@ func NewQuery(preds ...Pred) Query { return Query{Preds: preds} }
 // projection, otherwise the union of the projection and every
 // predicated column. EXPLAIN surfaces its length so tests (and users)
 // can verify projection pushdown engaged.
-func (q Query) MaterializeCols(ncols int) []int {
-	if q.Proj == nil {
-		out := make([]int, ncols)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	seen := make([]bool, ncols)
-	n := 0
-	mark := func(c int) {
-		if c >= 0 && c < ncols && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	for _, c := range q.Proj {
-		mark(c)
-	}
-	for _, p := range q.Preds {
-		mark(p.Col)
-	}
-	out := make([]int, 0, n)
-	for c, ok := range seen {
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func (q Query) MaterializeCols(ncols int) []int { return q.asOr().MaterializeCols(ncols) }
 
 // Matches reports whether the row satisfies every predicate.
 func (q Query) Matches(row value.Row) bool {

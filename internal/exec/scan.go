@@ -24,20 +24,13 @@ import (
 // values.
 type RowFunc func(rid heap.RID, row value.Row) bool
 
-// tupleMatcher evaluates a predicate structure directly on an encoded
-// heap tuple: a compiled conjunction (TupleFilter) or disjunction
-// (OrFilter). The error contract matches DecodeRow's structural check.
-type tupleMatcher interface {
-	Matches(tuple []byte) (bool, error)
-}
-
 // lazyScan bundles what every lazy access path needs: the compiled
 // filter, the columns to materialize for survivors, the MVCC snapshot the
 // scan reads as of, where its work is counted and what cancels it. It is
 // read-only once built, so the workers of a fanned-out scan share one.
 type lazyScan struct {
 	sch    table.Schema
-	filter tupleMatcher
+	filter *OrFilter
 	need   []int
 	snap   uint64
 	// obs receives one tally flush per sweep when the query asked for
@@ -48,22 +41,10 @@ type lazyScan struct {
 	ctx context.Context
 }
 
-func newLazyScan(t *table.Table, q Query) *lazyScan {
-	sch := t.Schema()
-	return &lazyScan{
-		sch:    sch,
-		filter: CompileFilter(sch, q),
-		need:   q.MaterializeCols(len(sch.Cols)),
-		snap:   q.Snap,
-		obs:    q.Obs,
-		ctx:    q.Ctx,
-	}
-}
-
-// newOrLazyScan is newLazyScan's disjunctive twin: the filter passes
-// tuples matching any disjunct, and the materialized column set is the
-// union over every disjunct's predicated columns plus the projection.
-func newOrLazyScan(t *table.Table, oq OrQuery) *lazyScan {
+// newLazyScan compiles the disjunction against t's schema: the filter
+// passes tuples matching any disjunct, and the materialized column set is
+// the union of the projection and every disjunct's predicated columns.
+func newLazyScan(t *table.Table, oq OrQuery) *lazyScan {
 	sch := t.Schema()
 	return &lazyScan{
 		sch:    sch,
@@ -75,17 +56,25 @@ func newOrLazyScan(t *table.Table, oq OrQuery) *lazyScan {
 	}
 }
 
-// pageSet names the heap pages a sweep reads: the contiguous pages
+// PageSet names the heap pages a sweep reads: the contiguous pages
 // [lo, lo+n) of a table scan or, when n is 0, a sorted distinct page
 // list (what an index, a CM or a union resolved). The zero value is
 // empty.
-type pageSet struct {
+type PageSet struct {
 	lo, n int64
 	list  []int64
 }
 
+// WholeHeap is the page set of a table scan: every page of t's heap.
+func WholeHeap(t *table.Table) PageSet { return PageSet{n: t.Heap().NumPages()} }
+
+// PageList is the set of the given heap pages, which may come in any
+// order and repeat (several disjuncts' pages appended to one another);
+// the slice is sorted in place.
+func PageList(pages []int64) PageSet { return PageSet{list: distinctPages(pages)} }
+
 // len counts the pages of the set.
-func (ps pageSet) len() int {
+func (ps PageSet) len() int {
 	if ps.n > 0 {
 		return int(ps.n)
 	}
@@ -93,11 +82,11 @@ func (ps pageSet) len() int {
 }
 
 // slice returns the pages at positions [from, to) of the set.
-func (ps pageSet) slice(from, to int) pageSet {
+func (ps PageSet) slice(from, to int) PageSet {
 	if ps.n > 0 {
-		return pageSet{lo: ps.lo + int64(from), n: int64(to - from)}
+		return PageSet{lo: ps.lo + int64(from), n: int64(to - from)}
 	}
-	return pageSet{list: ps.list[from:to]}
+	return PageSet{list: ps.list[from:to]}
 }
 
 // visitFunc is what a sweep does with a surviving row: stream it to the
@@ -188,7 +177,7 @@ func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
 // feeds every visible tuple to onTuple (sw.tuple, for all but the RID
 // batch fetch), then flushes the tally. It is the executor's only heap
 // page reader.
-func (sw *sweeper) run(t *table.Table, ps pageSet, onTuple func(heap.RID, []byte) bool) error {
+func (sw *sweeper) run(t *table.Table, ps PageSet, onTuple func(heap.RID, []byte) bool) error {
 	defer sw.ta.flush(sw.ls.obs)
 	readRun := func(lo, hi int64) (bool, error) {
 		if sw.flagged() { // don't fetch a page only to find the flag set
@@ -214,7 +203,7 @@ func (sw *sweeper) run(t *table.Table, ps pageSet, onTuple func(heap.RID, []byte
 // by a run drop out like any other non-match), survivors decoded and
 // handed to visit. A sweep ended early by stop or by the visit is not an
 // error.
-func (ls *lazyScan) sweep(t *table.Table, ps pageSet, stop *atomic.Bool, visit visitFunc) error {
+func (ls *lazyScan) sweep(t *table.Table, ps PageSet, stop *atomic.Bool, visit visitFunc) error {
 	sw := ls.newSweeper(stop, visit)
 	return sw.run(t, ps, sw.tuple)
 }
@@ -224,7 +213,7 @@ func (ls *lazyScan) sweep(t *table.Table, ps pageSet, stop *atomic.Bool, visit v
 // workers > 1 the page range splits into chunks swept concurrently, rows
 // still streaming in physical order.
 func TableScan(t *table.Table, q Query, workers int, fn RowFunc) error {
-	return sweepEmit(t, newLazyScan(t, q), pageSet{n: t.Heap().NumPages()}, workers, fn)
+	return Sweep(t, q.asOr(), WholeHeap(t), workers, fn)
 }
 
 // probeRange is an encoded key interval probed in an index: every entry
@@ -395,7 +384,7 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, f
 	ranges, point := indexProbeRanges(ix.Cols, q) // emission order: as returned
 	batched := workers > 1 && len(ranges) > 1
 	ranges = pruneRanges(ix, ranges, point, q.Obs)
-	ls := newLazyScan(t, q)
+	ls := newLazyScan(t, q.asOr())
 	if batched {
 		return collectEmit(ls.ctx, workers, len(ranges), func(i int, stop *atomic.Bool) ([]matchRow, error) {
 			return probeRangeBatched(t, ix, ranges[i], ls, stop)
@@ -430,6 +419,16 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, f
 	return nil
 }
 
+// IndexPages probes the index with the query's predicates over its key
+// columns — the probe ranges sorted, the ones a bloom proves empty
+// dropped, the rest collected concurrently across workers — and returns
+// the sorted distinct heap pages the matching RIDs sit on: what a sorted
+// or clustered index scan, or such a disjunct of a union, sweeps.
+func IndexPages(ix *table.Index, q Query, workers int) ([]int64, error) {
+	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
+	return pagesOf(rids), err
+}
+
 // SortedIndexScan evaluates the query with the Section 3.2 optimization:
 // probe the index for all matching RIDs up front, sort them, and sweep
 // the heap pages in physical order (PostgreSQL's bitmap heap scan).
@@ -437,11 +436,11 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, f
 // fan out over workers: the sorted probe ranges are collected
 // concurrently, then the deduplicated pages are swept concurrently.
 func SortedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
-	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
+	pages, err := IndexPages(ix, q, workers)
 	if err != nil {
 		return err
 	}
-	return sweepEmit(t, newLazyScan(t, q), pageSet{list: pagesOf(rids)}, workers, fn)
+	return Sweep(t, q.asOr(), PageSet{list: pages}, workers, fn)
 }
 
 // pagesOf returns the sorted distinct pages referenced by the RIDs. It
@@ -481,7 +480,7 @@ func distinctPages(pages []int64) []int64 {
 // access degrade gracefully toward a sequential scan, the
 // min(..., cost_scan) cap in the paper's model).
 func maxGapFor(t *table.Table) int64 {
-	h := hardwareFor(t)
+	h := Hardware(t)
 	maxGap := int64(h.SeekCost / h.SeqPageCost)
 	if maxGap < 1 {
 		maxGap = 1
@@ -492,7 +491,7 @@ func maxGapFor(t *table.Table) int64 {
 // runEnd returns the position one past the page run that starts at
 // position i of the sorted distinct pages: the maximal stretch whose
 // internal gaps are at most maxGap. It is the one definition of a run —
-// what the kernel reads straight through, SweepCost prices and
+// what the kernel reads straight through, PageRuns counts and
 // sweepChunks cuts between.
 func runEnd(pages []int64, i int, maxGap int64) int {
 	j := i + 1

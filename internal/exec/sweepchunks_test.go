@@ -27,7 +27,7 @@ func refScanChunks(workers, pages int) int {
 
 // checkSweepChunks holds sweepChunks(ps, workers, maxGap) to its contract
 // and returns the chunks (a set left whole as its one chunk).
-func checkSweepChunks(t testing.TB, ps pageSet, workers int, maxGap int64) [][2]int {
+func checkSweepChunks(t testing.TB, ps PageSet, workers int, maxGap int64) [][2]int {
 	t.Helper()
 	n := ps.len()
 	chunks := sweepChunks(ps, workers, maxGap)
@@ -132,25 +132,25 @@ func TestSweepChunks(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name    string
-		ps      pageSet
+		ps      PageSet
 		workers int
 		maxGap  int64
 		want    string
 	}{
-		{"empty", pageSet{}, 4, 70, "[]"},
-		{"one page", pageSet{list: []int64{9}}, 4, 70, "[[0 1]]"},
-		{"the benchmark's point probe: one short run", pageSet{list: pageSeq(40, 5)}, 2, 70, "[[0 5]]"},
-		{"15-page run stays whole", pageSet{list: pageSeq(40, 15)}, 9, 70, "[[0 15]]"},
-		{"16-page run may be halved", pageSet{list: pageSeq(40, 16)}, 2, 70, "[[0 8] [8 16]]"},
-		{"15-page range stays whole", pageSet{lo: 3, n: 15}, 4, 70, "[[0 15]]"},
-		{"17-page range", pageSet{lo: 3, n: 17}, 4, 70, "[[0 9] [9 17]]"},
-		{"gap inside maxGap is one run", pageSet{list: cat(pageSeq(0, 5), pageSeq(60, 5))}, 4, 70, "[[0 10]]"},
-		{"gap past maxGap is a free cut", pageSet{list: cat(pageSeq(0, 5), pageSeq(100, 5))}, 4, 70, "[[0 5] [5 10]]"},
-		{"run plus a tail page", pageSet{list: cat(pageSeq(0, 14), []int64{500})}, 4, 70, "[[0 14] [14 15]]"},
-		{"three short runs", pageSet{list: cat(pageSeq(0, 3), pageSeq(200, 4), pageSeq(400, 2))}, 4, 70, "[[0 3] [3 7] [7 9]]"},
-		{"spare cuts go to the long run", pageSet{list: cat(pageSeq(0, 4), pageSeq(200, 32))}, 2, 70, "[[0 4] [4 12] [12 20] [20 28] [28 36]]"},
-		{"one worker never cuts", pageSet{lo: 0, n: 1334}, 1, 70, "[[0 1334]]"},
-		{"more runs than chunks are grouped", pageSet{list: pagesFromGaps(0, []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})}, 1 + 1, 5,
+		{"empty", PageSet{}, 4, 70, "[]"},
+		{"one page", PageSet{list: []int64{9}}, 4, 70, "[[0 1]]"},
+		{"the benchmark's point probe: one short run", PageSet{list: pageSeq(40, 5)}, 2, 70, "[[0 5]]"},
+		{"15-page run stays whole", PageSet{list: pageSeq(40, 15)}, 9, 70, "[[0 15]]"},
+		{"16-page run may be halved", PageSet{list: pageSeq(40, 16)}, 2, 70, "[[0 8] [8 16]]"},
+		{"15-page range stays whole", PageSet{lo: 3, n: 15}, 4, 70, "[[0 15]]"},
+		{"17-page range", PageSet{lo: 3, n: 17}, 4, 70, "[[0 9] [9 17]]"},
+		{"gap inside maxGap is one run", PageSet{list: cat(pageSeq(0, 5), pageSeq(60, 5))}, 4, 70, "[[0 10]]"},
+		{"gap past maxGap is a free cut", PageSet{list: cat(pageSeq(0, 5), pageSeq(100, 5))}, 4, 70, "[[0 5] [5 10]]"},
+		{"run plus a tail page", PageSet{list: cat(pageSeq(0, 14), []int64{500})}, 4, 70, "[[0 14] [14 15]]"},
+		{"three short runs", PageSet{list: cat(pageSeq(0, 3), pageSeq(200, 4), pageSeq(400, 2))}, 4, 70, "[[0 3] [3 7] [7 9]]"},
+		{"spare cuts go to the long run", PageSet{list: cat(pageSeq(0, 4), pageSeq(200, 32))}, 2, 70, "[[0 4] [4 12] [12 20] [20 28] [28 36]]"},
+		{"one worker never cuts", PageSet{lo: 0, n: 1334}, 1, 70, "[[0 1334]]"},
+		{"more runs than chunks are grouped", PageSet{list: pagesFromGaps(0, []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})}, 1 + 1, 5,
 			"[[0 2] [2 3] [3 5] [5 6] [6 8] [8 9] [9 11] [11 12]]"},
 	} {
 		if got := fmt.Sprint(checkSweepChunks(t, c.ps, c.workers, c.maxGap)); got != c.want {
@@ -162,7 +162,7 @@ func TestSweepChunks(t *testing.T) {
 	// around each worker count's threshold, are cut as before.
 	for workers := 2; workers <= 9; workers++ {
 		for _, n := range []int{workers * minChunkPages, workers*minChunkPages + 1, workers * minChunkPages * oversplit, 1334, 100000} {
-			checkSweepChunks(t, pageSet{lo: 7, n: int64(n)}, workers, 70)
+			checkSweepChunks(t, PageSet{lo: 7, n: int64(n)}, workers, 70)
 		}
 	}
 
@@ -171,7 +171,7 @@ func TestSweepChunks(t *testing.T) {
 		workers, maxGap := 1+rng.Intn(9), int64(1+rng.Intn(100))
 		n := rng.Intn(400)
 		if rng.Intn(4) == 0 {
-			checkSweepChunks(t, pageSet{lo: int64(rng.Intn(50)), n: int64(n)}, workers, maxGap)
+			checkSweepChunks(t, PageSet{lo: int64(rng.Intn(50)), n: int64(n)}, workers, maxGap)
 			continue
 		}
 		// Mostly-dense lists with a tunable share of wide gaps: from a
@@ -185,7 +185,7 @@ func TestSweepChunks(t *testing.T) {
 				gaps[j] = byte(rng.Intn(3))
 			}
 		}
-		checkSweepChunks(t, pageSet{list: pagesFromGaps(int64(rng.Intn(50)), gaps)}, workers, maxGap)
+		checkSweepChunks(t, PageSet{list: pagesFromGaps(int64(rng.Intn(50)), gaps)}, workers, maxGap)
 	}
 }
 
@@ -205,14 +205,14 @@ func FuzzSweepChunks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gaps []byte, workers, maxGap uint8, asRange bool) {
 		w, g := 1+int(workers%9), 1+int64(maxGap%100)
 		if asRange {
-			checkSweepChunks(t, pageSet{lo: 11, n: int64(len(gaps))}, w, g)
+			checkSweepChunks(t, PageSet{lo: 11, n: int64(len(gaps))}, w, g)
 			return
 		}
-		checkSweepChunks(t, pageSet{list: pagesFromGaps(3, gaps)}, w, g)
+		checkSweepChunks(t, PageSet{list: pagesFromGaps(3, gaps)}, w, g)
 	})
 }
 
-// TestSweepFanOutDecision pins the one decision sweepEmit takes, read
+// TestSweepFanOutDecision pins the one decision Sweep takes, read
 // off the observer's chunk count: a set the splitter cannot cut, or one
 // worker, always runs inline; a set of 2*minChunkPages pages or more
 // fans out cached or not; a few short runs fan out only while one of
@@ -226,16 +226,16 @@ func TestSweepFanOutDecision(t *testing.T) {
 	twoRuns := append(pageSeq(3, 5), pageSeq(100, 5)...) // 93 pages apart: past maxGap (70)
 	for _, c := range []struct {
 		name       string
-		ps         pageSet
+		ps         PageSet
 		workers    int
 		warm, cold int64 // chunks with every page cached / with none
 	}{
-		{"one short run", pageSet{list: pageSeq(3, 15)}, 4, 0, 0},
-		{"two short runs", pageSet{list: twoRuns}, 4, 0, 2},
-		{"two short runs, one worker", pageSet{list: twoRuns}, 1, 0, 0},
-		{"one long run", pageSet{list: pageSeq(3, 16)}, 4, 2, 2},
-		{"short run and a long one", pageSet{list: append(pageSeq(3, 5), pageSeq(100, 16)...)}, 4, 3, 3},
-		{"table scan", pageSet{n: db.tbl.Heap().NumPages()}, 2, 8, 8},
+		{"one short run", PageSet{list: pageSeq(3, 15)}, 4, 0, 0},
+		{"two short runs", PageSet{list: twoRuns}, 4, 0, 2},
+		{"two short runs, one worker", PageSet{list: twoRuns}, 1, 0, 0},
+		{"one long run", PageSet{list: pageSeq(3, 16)}, 4, 2, 2},
+		{"short run and a long one", PageSet{list: append(pageSeq(3, 5), pageSeq(100, 16)...)}, 4, 3, 3},
+		{"table scan", PageSet{n: db.tbl.Heap().NumPages()}, 2, 8, 8},
 	} {
 		for _, state := range []string{"warm", "cold"} {
 			want := c.warm
@@ -247,14 +247,13 @@ func TestSweepFanOutDecision(t *testing.T) {
 				pool.Invalidate()
 			}
 			obs := &ScanObs{}
-			ls := newLazyScan(db.tbl, Query{Obs: obs})
 			if state == "warm" {
-				if err := newLazyScan(db.tbl, Query{}).sweep(db.tbl, c.ps, nil, emitTo(func(heap.RID, value.Row) bool { return true })); err != nil {
+				if err := newLazyScan(db.tbl, Query{}.asOr()).sweep(db.tbl, c.ps, nil, emitTo(func(heap.RID, value.Row) bool { return true })); err != nil {
 					t.Fatal(err)
 				}
 			}
 			rows := 0
-			if err := sweepEmit(db.tbl, ls, c.ps, c.workers, func(heap.RID, value.Row) bool { rows++; return true }); err != nil {
+			if err := Sweep(db.tbl, Query{Obs: obs}.asOr(), c.ps, c.workers, func(heap.RID, value.Row) bool { rows++; return true }); err != nil {
 				t.Fatal(err)
 			}
 			if rows == 0 {

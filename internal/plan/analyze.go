@@ -121,6 +121,20 @@ func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (*Analysis, error) {
 	if !tr.optimized {
 		return nil, fmt.Errorf("plan: RunAnalyzed before Optimize")
 	}
+	return tr.measure(func(st *analysisState) error {
+		return tr.Run(workers, func(row value.Row) bool {
+			st.outRows++
+			return sink(row)
+		})
+	})
+}
+
+// measure is the one measured run under a SELECT's and a write
+// statement's RunAnalyzed: it activates the analysis hooks, captures the
+// engine-wide disk and pool deltas around run — which leaves the
+// statement's row count in st.outRows — and distributes the measurements
+// over the tree's operator chain.
+func (tr *Tree) measure(run func(st *analysisState) error) (*Analysis, error) {
 	st := &analysisState{}
 	tr.an = st
 	defer func() { tr.an = nil }()
@@ -129,10 +143,7 @@ func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (*Analysis, error) {
 	disk := pool.Disk()
 	d0, p0 := disk.Stats(), pool.Stats()
 	start := time.Now()
-	err := tr.Run(workers, func(row value.Row) bool {
-		st.outRows++
-		return sink(row)
-	})
+	err := run(st)
 	elapsed := time.Since(start)
 	d1, p1 := disk.Stats(), pool.Stats()
 	if err != nil {
@@ -197,7 +208,7 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			BloomSkips: st.obs.Blooms.Load(),
 			Chunks:     st.obs.Chunks.Load(),
 		}
-		if k == KindScan && !tr.useOr && tr.method == exec.MethodCM {
+		if l := tr.soleLeg(); k == KindScan && l != nil && l.method == exec.MethodCM {
 			na.FalsePositivePages = st.obs.EmptyPages.Load()
 		}
 		return na

@@ -3,157 +3,217 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/exec"
 )
 
-// Optimize finalizes the tree: it chooses the access path with the
-// Section 4 cost model (or resolves a forced method to its structure),
-// attempts the cm-agg lowering for covered aggregates, and materializes
-// the operator node chain EXPLAIN prints. It must run under the same
-// shared table latch hold as Run.
+// Optimize finalizes the tree: it chooses the access path (chooseAccess)
+// and materializes the operator node chain EXPLAIN prints. It must run
+// under the same shared table latch hold as Run.
 func (tr *Tree) Optimize(sp exec.StatsProvider) error {
-	spec := tr.spec
-	if len(spec.Disjuncts) > 1 {
-		tr.useOr = true
-		oq := exec.OrQuery{Disjuncts: spec.Disjuncts}
-		tr.orPlan = exec.ChooseOrPlan(tr.t, oq, sp)
-		tr.cost, tr.costEstimated = tr.orPlan.Cost, true
-		if !tr.orPlan.Union {
-			tr.method = exec.MethodTableScan
-		}
-	} else {
-		p, err := tr.singlePlan(spec.Disjuncts[0], sp)
-		if err != nil {
-			return err
-		}
-		tr.single = p
-		tr.method, tr.uses = p.Method, structureName(p)
-		if spec.Force == Auto {
-			tr.cost, tr.costEstimated = p.Cost, true
-		}
-		if spec.IsAggregate() {
-			// The aggregate executor runs through the OR plan shape even
-			// for one conjunction: a probe method unions its own RIDs, a
-			// table scan sweeps the heap.
-			if p.Method == exec.MethodTableScan {
-				tr.orPlan = exec.OrPlan{Union: false, Cost: p.Cost}
-			} else {
-				tr.orPlan = exec.OrPlan{Union: true, Plans: []exec.Plan{p}, Cost: p.Cost}
-			}
-		}
+	if err := tr.chooseAccess(sp); err != nil {
+		return err
 	}
-
-	// The cm-agg lowering: under Auto, a single-conjunction aggregate
-	// whose predicates, grouping and aggregated columns are all covered
-	// by one CM answers from the bucket statistics when the §4 model says
-	// the hybrid remainder (impure buckets only) beats the best
-	// heap-visiting path. A fully pure plan costs zero I/O and always
-	// wins. While a writer statement is mid-flight the CM directory
-	// already carries the statement's additions (its retractions are
-	// deferred to publish), so the statistics describe a state no snapshot
-	// can see — the lowering stands down and the heap-visiting paths,
-	// which re-filter through tuple visibility, answer instead.
-	if spec.IsAggregate() && spec.Force == Auto && !tr.useOr && !tr.t.WriterActive() {
-		ts := sp.TableStats(tr.t)
-		for _, cm := range tr.t.CMs() {
-			// PlanCMAgg walks the whole (memory-resident) CM directory and
-			// eagerly folds the pure statistics — the same full-walk
-			// economics the range CM scan already accepts (LookupMatch),
-			// paid only for CMs that pass the cheap eligibility checks.
-			// If planning latency over very large directories ever
-			// matters, split classification (costing) from the fold.
-			cp, ok := exec.PlanCMAgg(tr.t, cm, spec.Disjuncts[0], spec.Aggs, spec.GroupBy)
-			if !ok {
-				continue
-			}
-			// The pure part folds from memory-resident statistics and costs
-			// nothing; the hybrid remainder is priced from the heap pages
-			// the page directory gives for its impure buckets.
-			cost := exec.SweepCost(tr.t, ts, cp.ImpurePages)
-			// Engage when the §4 model says the hybrid remainder is
-			// strictly cheaper than the best heap-visiting path — at the
-			// cap (hybrid sweep ~ full scan) the simpler plan wins the
-			// tie — or when the alternative is a CM scan of the same CM,
-			// which cm-agg dominates outright whenever the statistics
-			// retire any of the buckets that scan would sweep (the fold
-			// is free; the sweep is a strict subset).
-			dominatesCMScan := tr.single.Method == exec.MethodCM && tr.single.CM == cm &&
-				len(cp.ImpureBuckets) < cp.MatchedBuckets
-			if (cost >= tr.single.Cost && !dominatesCMScan) || (tr.cmagg != nil && cost >= tr.cost) {
-				continue
-			}
-			tr.cmagg = cp
-			tr.cost, tr.costEstimated = cost, true
-		}
-		if tr.cmagg != nil {
-			tr.uses = tr.cmagg.CM.Spec().Name
-		}
-	}
-
 	tr.decodedCols = tr.computeDecodedCols()
 	tr.buildNodes()
 	tr.optimized = true
 	return nil
 }
 
-// singlePlan resolves one conjunction's access plan: the cost model's
-// choice under Auto, or the first applicable structure for a forced
-// method.
-func (tr *Tree) singlePlan(q exec.Query, sp exec.StatsProvider) (exec.Plan, error) {
-	switch tr.spec.Force {
-	case Auto:
-		return exec.ChoosePlan(tr.t, q, sp), nil
-	case ForceTableScan:
-		return exec.Plan{Method: exec.MethodTableScan}, nil
-	case ForceSorted, ForcePipelined:
+// pricing is what one Optimize call prices paths with: the statistics
+// provider, the table's Table 1 numbers, the two constants of the disk
+// under it and the sequential scan's cost they imply.
+type pricing struct {
+	sp   exec.StatsProvider
+	ts   costmodel.TableStats
+	h    costmodel.Hardware
+	scan time.Duration
+}
+
+// chooseAccess is the one place an access path is chosen. A forced
+// method resolves to its structure, unpriced. Otherwise every disjunct
+// takes the cheapest leg the Section 4 model finds (cheapestLeg) and the
+// legs stand only while they are worth it: a single conjunction keeps a
+// leg that beats the sequential scan; an OR keeps its union only when
+// every disjunct found a probing leg and their summed costs beat one
+// scan — a disjunct that would scan anyway makes per-disjunct probing
+// pure overhead — and otherwise falls back to a single filtered scan of
+// the whole heap. Last, an aggregate over one conjunction may lower onto
+// a CM's bucket statistics (chooseCMAgg).
+func (tr *Tree) chooseAccess(sp exec.StatsProvider) error {
+	spec := tr.spec
+	if spec.Method != exec.MethodAuto {
+		l, err := tr.forcedLeg(spec.Disjuncts[0])
+		if err != nil || l.method == exec.MethodTableScan {
+			return err
+		}
+		tr.legs = []leg{l}
+		return nil
+	}
+	pr := pricing{sp: sp, ts: sp.TableStats(tr.t), h: exec.Hardware(tr.t)}
+	pr.scan = costmodel.Scan(pr.h, pr.ts)
+	for _, q := range spec.Disjuncts {
+		l := tr.cheapestLeg(q, pr)
+		if l.method == exec.MethodTableScan {
+			tr.cost = pr.scan
+			break
+		}
+		tr.legs = append(tr.legs, l)
+		tr.cost += l.cost
+	}
+	if tr.cost >= pr.scan {
+		tr.legs, tr.cost = nil, pr.scan
+	}
+	if spec.IsAggregate() && len(spec.Disjuncts) == 1 {
+		tr.chooseCMAgg(pr)
+	}
+	return nil
+}
+
+// cheapestLeg costs every access path applicable to one conjunction with
+// the Section 4 model and returns the cheapest; a table-scan leg means
+// nothing beat the sequential scan (ties go to the scan). A secondary
+// index applies when its leading key column is predicated; the clustered
+// index applies when the leading clustering column is (costed from the
+// bucket directory alone — see exec.ClusteredSpan); a CM applies when at
+// least one of its columns is predicated (false positives are filtered
+// after the heap sweep) and is costed from the heap pages its probe
+// resolves to (sweepCost) — no c_per_u estimate needed.
+func (tr *Tree) cheapestLeg(q exec.Query, pr pricing) leg {
+	t := tr.t
+	best := leg{method: exec.MethodTableScan, cost: pr.scan}
+	consider := func(l leg) {
+		if l.cost < best.cost {
+			best = l
+		}
+	}
+	for _, ix := range t.Indexes() {
+		p := q.IndexablePredOn(ix.Cols[0])
+		if p == nil {
+			continue
+		}
+		ps, ok := pr.sp.PairStats(t, ix.Cols)
+		if !ok {
+			continue
+		}
+		n := p.NLookups()
+		consider(leg{method: exec.MethodSorted, index: ix, cost: costmodel.SortedIndex(pr.h, pr.ts, ps, n)})
+		consider(leg{method: exec.MethodPipelined, index: ix, cost: costmodel.PipelinedIndex(pr.h, pr.ts, ps, n)})
+	}
+	if runs, buckets := exec.ClusteredSpan(t, q); buckets > 0 {
+		// One bucket's share of the scan's reads: its heap pages plus
+		// its slice of the clustered index the RIDs come from.
+		pages := t.PagesPerCBucket() +
+			float64(t.Clustered().Tree.PageCount())/float64(t.Buckets().NumBuckets())
+		consider(leg{method: exec.MethodClustered, index: t.Clustered(),
+			cost: costmodel.ClusteredRange(pr.h, pr.ts, pages, runs, buckets)})
+	}
+	for _, cm := range t.CMs() {
+		probe, err := exec.ProbeCM(t, cm, q)
+		if err != nil {
+			continue // no predicate on the CM's columns
+		}
+		consider(leg{method: exec.MethodCM, probe: probe, cost: tr.sweepCost(pr, probe.Pages)})
+	}
+	return best
+}
+
+// sweepCost predicts a physical-order sweep of the given sorted distinct
+// heap pages, counted the way the sweep kernel reads them
+// (exec.PageRuns): each run opens with one seek, and nothing costs more
+// than the scan. It prices every path whose page list is known before
+// execution — the CM scan and cm-agg's hybrid sweep.
+func (tr *Tree) sweepCost(pr pricing, pages []int64) time.Duration {
+	runs, read := exec.PageRuns(tr.t, pages)
+	return costmodel.PageRuns(pr.h, pr.ts, runs, read)
+}
+
+// forcedLeg resolves a forced method to the first structure it applies
+// to (or the CM the spec names); a table-scan leg reads none.
+func (tr *Tree) forcedLeg(q exec.Query) (leg, error) {
+	m := tr.spec.Method
+	switch m {
+	case exec.MethodTableScan:
+		return leg{method: m}, nil
+	case exec.MethodSorted, exec.MethodPipelined:
 		for _, ix := range tr.t.Indexes() {
 			if q.IndexablePredOn(ix.Cols[0]) != nil {
-				m := exec.MethodSorted
-				if tr.spec.Force == ForcePipelined {
-					m = exec.MethodPipelined
-				}
-				return exec.Plan{Method: m, Index: ix}, nil
+				return leg{method: m, index: ix}, nil
 			}
 		}
-		return exec.Plan{}, fmt.Errorf("plan: no secondary index applies to %s", q.String())
-	case ForceCM:
-		for _, cm := range tr.t.CMs() {
-			for _, c := range cm.Spec().UCols {
-				if q.IndexablePredOn(c) != nil {
-					return exec.Plan{Method: exec.MethodCM, CM: cm}, nil
-				}
-			}
-		}
-		return exec.Plan{}, fmt.Errorf("plan: no CM applies to %s", q.String())
-	case ForceClustered:
-		if q.IndexablePredOn(tr.t.ClusteredCols()[0]) == nil {
-			return exec.Plan{}, fmt.Errorf("plan: the clustered index does not apply to %s", q.String())
-		}
-		return exec.Plan{Method: exec.MethodClustered, Index: tr.t.Clustered()}, nil
-	default:
-		return exec.Plan{}, fmt.Errorf("plan: unknown access method %v", tr.spec.Force)
-	}
-}
-
-// structureName names the index or CM a plan reads, if any.
-func structureName(p exec.Plan) string {
-	switch p.Method {
-	case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
-		return p.Index.Name
+		return leg{}, fmt.Errorf("plan: no secondary index applies to %s", q.String())
 	case exec.MethodCM:
-		return p.CM.Spec().Name
+		named := tr.spec.CM != ""
+		for _, cm := range tr.t.CMs() {
+			if named && cm.Spec().Name != tr.spec.CM {
+				continue
+			}
+			probe, err := exec.ProbeCM(tr.t, cm, q)
+			if err != nil && !named {
+				continue // not this CM's columns: try the next
+			}
+			return leg{method: m, probe: probe}, err
+		}
+		if named {
+			return leg{}, fmt.Errorf("plan: table %s has no CM %q", tr.t.Name(), tr.spec.CM)
+		}
+		return leg{}, fmt.Errorf("plan: no CM applies to %s", q.String())
+	case exec.MethodClustered:
+		if q.IndexablePredOn(tr.t.ClusteredCols()[0]) == nil {
+			return leg{}, fmt.Errorf("plan: the clustered index does not apply to %s", q.String())
+		}
+		return leg{method: m, index: tr.t.Clustered()}, nil
 	default:
-		return ""
+		return leg{}, fmt.Errorf("plan: unknown access method %v", m)
 	}
 }
 
-// describePlan renders one access plan for node details.
-func describePlan(p exec.Plan) string {
-	if name := structureName(p); name != "" {
-		return fmt.Sprintf("%s(%s)", p.Method, name)
+// chooseCMAgg attempts the cm-agg lowering: under Auto, a
+// single-conjunction aggregate whose predicates, grouping and aggregated
+// columns are all covered by one CM answers from the bucket statistics
+// when the §4 model says the hybrid remainder (impure buckets only) beats
+// the best heap-visiting path. A fully pure plan costs zero I/O and
+// always wins. While a writer statement is mid-flight the CM directory
+// already carries the statement's additions (its retractions are
+// deferred to publish), so the statistics describe a state no snapshot
+// can see — the lowering stands down and the heap-visiting paths, which
+// re-filter through tuple visibility, answer instead.
+func (tr *Tree) chooseCMAgg(pr pricing) {
+	if tr.t.WriterActive() {
+		return
 	}
-	return p.Method.String()
+	spec, heapCost, heapLeg := tr.spec, tr.cost, tr.soleLeg()
+	for _, cm := range tr.t.CMs() {
+		// PlanCMAgg walks the whole (memory-resident) CM directory and
+		// eagerly folds the pure statistics — the same full-walk
+		// economics the range CM scan already accepts (LookupMatch),
+		// paid only for CMs that pass the cheap eligibility checks.
+		// If planning latency over very large directories ever
+		// matters, split classification (costing) from the fold.
+		cp, ok := exec.PlanCMAgg(tr.t, cm, spec.Disjuncts[0], spec.Aggs, spec.GroupBy)
+		if !ok {
+			continue
+		}
+		// The pure part folds from memory-resident statistics and costs
+		// nothing; the hybrid remainder is priced from the heap pages
+		// the page directory gives for its impure buckets.
+		cost := tr.sweepCost(pr, cp.ImpurePages)
+		// Engage when the §4 model says the hybrid remainder is
+		// strictly cheaper than the best heap-visiting path — at the
+		// cap (hybrid sweep ~ full scan) the simpler plan wins the
+		// tie — or when the alternative is a CM scan of the same CM,
+		// which cm-agg dominates outright whenever the statistics
+		// retire any of the buckets that scan would sweep (the fold
+		// is free; the sweep is a strict subset).
+		dominatesCMScan := heapLeg != nil && heapLeg.method == exec.MethodCM && heapLeg.probe.CM == cm &&
+			len(cp.ImpureBuckets) < cp.MatchedBuckets
+		if (cost >= heapCost && !dominatesCMScan) || (tr.cmagg != nil && cost >= tr.cost) {
+			continue
+		}
+		tr.cmagg, tr.cost = cp, cost
+	}
 }
 
 // computeDecodedCols mirrors what execution materializes per surviving
@@ -185,13 +245,8 @@ func (tr *Tree) computeDecodedCols() int {
 			scanProj = append(scanProj, o.Col)
 		}
 	}
-	if tr.useOr {
-		oq := exec.OrQuery{Disjuncts: spec.Disjuncts, Proj: scanProj}
-		return len(oq.MaterializeCols(ncols))
-	}
-	q := spec.Disjuncts[0]
-	q.Proj = scanProj
-	return len(q.MaterializeCols(ncols))
+	oq := exec.OrQuery{Disjuncts: spec.Disjuncts, Proj: scanProj}
+	return len(oq.MaterializeCols(ncols))
 }
 
 // buildNodes materializes the operator chain from the physical
@@ -209,22 +264,25 @@ func (tr *Tree) buildNodes() {
 		}
 	}
 
+	access := &Node{Kind: KindScan, Cost: tr.cost}
+	parts := make([]string, len(tr.legs))
+	for i, l := range tr.legs {
+		parts[i] = fmt.Sprintf("%s(%s)", l.method, l.uses())
+	}
 	switch {
 	case tr.cmagg != nil:
-		chain = append(chain, &Node{Kind: KindCMAgg, Detail: tr.cmagg.Describe(), Cost: tr.cost})
-	case tr.useOr && tr.orPlan.Union:
-		parts := make([]string, len(tr.orPlan.Plans))
-		for i, p := range tr.orPlan.Plans {
-			parts[i] = describePlan(p)
-		}
-		chain = append(chain, &Node{Kind: KindUnion, Cost: tr.cost, Detail: fmt.Sprintf(
-			"%d disjuncts, rid-dedup union: %s", len(tr.orPlan.Plans), strings.Join(parts, " + "))})
-	case tr.useOr:
-		chain = append(chain, &Node{Kind: KindScan, Cost: tr.cost, Detail: fmt.Sprintf(
-			"table-scan (filtered-scan fallback over %d disjuncts)", len(spec.Disjuncts))})
+		access.Kind, access.Detail = KindCMAgg, tr.cmagg.Describe()
+	case len(tr.legs) > 1:
+		access.Kind, access.Detail = KindUnion, fmt.Sprintf(
+			"%d disjuncts, rid-dedup union: %s", len(tr.legs), strings.Join(parts, " + "))
+	case len(tr.legs) == 1:
+		access.Detail = parts[0]
+	case len(spec.Disjuncts) > 1:
+		access.Detail = fmt.Sprintf("table-scan (filtered-scan fallback over %d disjuncts)", len(spec.Disjuncts))
 	default:
-		chain = append(chain, &Node{Kind: KindScan, Detail: describePlan(tr.single), Cost: tr.cost})
+		access.Detail = exec.MethodTableScan.String()
 	}
+	chain = append(chain, access)
 
 	if tr.cmagg == nil {
 		if hasPreds {
@@ -334,7 +392,7 @@ func (tr *Tree) outName(pos int) string {
 
 // havingDetail renders one HAVING predicate over output-column names.
 func (tr *Tree) havingDetail(p exec.Pred) string {
-	return predDetail(tr.outName(p.Col), p)
+	return p.Describe(tr.outName(p.Col))
 }
 
 // filterDetail renders the WHERE clause with schema column names: each
@@ -345,7 +403,7 @@ func (tr *Tree) filterDetail() string {
 	conj := func(q exec.Query) string {
 		parts := make([]string, len(q.Preds))
 		for i, p := range q.Preds {
-			parts[i] = predDetail(sch.Cols[p.Col].Name, p)
+			parts[i] = p.Describe(sch.Cols[p.Col].Name)
 		}
 		return strings.Join(parts, " AND ")
 	}
@@ -357,57 +415,4 @@ func (tr *Tree) filterDetail() string {
 		parts[i] = "(" + conj(q) + ")"
 	}
 	return strings.Join(parts, " OR ")
-}
-
-// predDetail renders one executor predicate against a display name —
-// the named twin of exec.Pred.String, built from the predicate struct
-// rather than by placeholder substitution so a column literally named
-// "colN" (or a string literal containing one) cannot corrupt the
-// output.
-func predDetail(name string, p exec.Pred) string {
-	switch p.Op {
-	case exec.OpEq:
-		return fmt.Sprintf("%s = %v", name, p.Vals[0])
-	case exec.OpIn:
-		parts := make([]string, len(p.Vals))
-		for i, v := range p.Vals {
-			parts[i] = v.String()
-		}
-		return fmt.Sprintf("%s IN (%s)", name, strings.Join(parts, ", "))
-	case exec.OpNe:
-		return fmt.Sprintf("%s != %v", name, p.Vals[0])
-	default:
-		switch {
-		case p.Lo != nil && p.Hi == nil:
-			op := ">="
-			if p.LoExcl {
-				op = ">"
-			}
-			return fmt.Sprintf("%s %s %v", name, op, *p.Lo)
-		case p.Lo == nil && p.Hi != nil:
-			op := "<="
-			if p.HiExcl {
-				op = "<"
-			}
-			return fmt.Sprintf("%s %s %v", name, op, *p.Hi)
-		case p.LoExcl || p.HiExcl:
-			loOp, hiOp := ">=", "<="
-			if p.LoExcl {
-				loOp = ">"
-			}
-			if p.HiExcl {
-				hiOp = "<"
-			}
-			return fmt.Sprintf("%s %s %v AND %s %s %v", name, loOp, *p.Lo, name, hiOp, *p.Hi)
-		default:
-			lo, hi := "-inf", "+inf"
-			if p.Lo != nil {
-				lo = p.Lo.String()
-			}
-			if p.Hi != nil {
-				hi = p.Hi.String()
-			}
-			return fmt.Sprintf("%s BETWEEN %s AND %s", name, lo, hi)
-		}
-	}
 }

@@ -1,19 +1,33 @@
-// Package plan is the engine's physical plan layer: every query —
-// whatever surface it arrives on — compiles to an explicit tree of
-// operator nodes through one Build → Optimize → Run pipeline.
+// Package plan is the engine's physical plan layer, and the only place an
+// access path is chosen: every query — whatever surface it arrives on —
+// compiles to one Tree through one Build → Optimize → Run pipeline.
 //
 // Build shapes the resolved query (a plan.Spec of column indices and
-// executor predicates) into a Tree; Optimize chooses the access path
-// with the paper's Section 4 cost model — table scan, clustered-index
-// scan, pipelined or sorted index scan, CM scan, the OR union, or the
-// cm-agg lowering that answers covered aggregates from the correlation
-// map's per-entry bucket statistics without touching the heap; Run
-// executes the chosen tree on the parallel executors. UPDATE and DELETE
-// compile their read side the same way (WriteTree). The facade's five
-// query surfaces (Exec, ExecScript, SelectMany, SelectAggregate and
-// EXPLAIN) all lower through this package, so a statement cannot behave
-// differently between surfaces, and EXPLAIN prints exactly the operator
-// chain Run executes.
+// executor predicates) into a Tree. Optimize fills the tree's access — a
+// list of legs, one per disjunct of the WHERE clause, each naming a
+// method, the index or CM it reads and its Section 4 cost; an empty list
+// is the whole-heap sweep (a table scan, or an OR some disjunct of which
+// cannot probe), one leg is a single conjunction's index, clustered or CM
+// scan, several are the OR union — with the paper's cost model (or
+// resolves a forced method to its structure), and attempts the cm-agg
+// lowering that answers covered aggregates from the correlation map's
+// per-entry bucket statistics without touching the heap. A candidate CM
+// is priced from the heap pages its probe resolves to — the CM and the
+// bucket→page directory are memory-resident, as the paper's prototype
+// resolves the CM before the query is planned (Section 7.1) — and a CM
+// leg keeps that probe. Run turns the legs into one page set and hands
+// it to internal/exec's sweep or fold driver (a lone pipelined probe,
+// the one access that is not a page sweep, runs its own executor).
+//
+// A SELECT holds the table latch in shared mode from Compile through Run,
+// so its CM leg sweeps the pages the planner resolved: one CM probe and
+// one directory walk per statement. UPDATE and DELETE compile their read
+// side the same way (WriteTree), but a WriteTree runs after its compile
+// latch is released, so it probes its CM legs again under the writer
+// gate before sweeping. The facade's query surfaces (Exec, ExecScript,
+// SelectMany, SelectAggregate, the Select* family and EXPLAIN) all lower
+// through this package, so a statement cannot behave differently between
+// surfaces, and EXPLAIN prints exactly the operator chain Run executes.
 //
 // The operator vocabulary: scan | union (access), filter (predicate
 // evaluation — fused into the access path's compiled tuple filter at
@@ -34,27 +48,6 @@ import (
 	"repro/internal/table"
 )
 
-// Force pins the access path of a single-conjunction query; Auto lets
-// the cost model choose (and is required for OR queries, whose
-// disjuncts plan independently).
-type Force int
-
-// The forcible access paths, mirroring the facade's AccessMethod enum.
-const (
-	// Auto lets the Section 4 cost model choose (including cm-agg).
-	Auto Force = iota
-	// ForceTableScan forces a full sequential scan.
-	ForceTableScan
-	// ForceSorted forces a sorted (bitmap-style) secondary index scan.
-	ForceSorted
-	// ForcePipelined forces per-tuple index probing.
-	ForcePipelined
-	// ForceCM forces the correlation-map scan.
-	ForceCM
-	// ForceClustered forces the clustered-index scan.
-	ForceClustered
-)
-
 // Order is one ORDER BY key of a Spec. For plain selects Col is a table
 // column index; for aggregate specs it is a position in the canonical
 // output row (GroupBy columns, then Aggs).
@@ -68,11 +61,16 @@ type Order struct {
 // bound SQL statement) into before compilation.
 type Spec struct {
 	// Disjuncts holds the WHERE clause in disjunctive normal form; a
-	// query without predicates is one empty conjunction. More than one
-	// disjunct requires Force == Auto.
+	// query without predicates is one empty conjunction.
 	Disjuncts []exec.Query
-	// Force pins the access path; see Force.
-	Force Force
+	// Method pins the access path of a single-conjunction query: the
+	// first index or CM the method applies to runs it. The zero value,
+	// exec.MethodAuto, lets the cost model choose (cm-agg included) and
+	// is required for OR queries, whose disjuncts plan independently.
+	Method exec.Method
+	// CM, with Method == exec.MethodCM, names the correlation map to go
+	// through instead of the first applicable one.
+	CM string
 	// Proj lists the projected columns of a plain select (nil = all
 	// columns). Ignored for aggregate specs.
 	Proj []int
@@ -189,6 +187,25 @@ type Node struct {
 	Child  *Node
 }
 
+// leg is one disjunct's access path: the method, the index or CM it
+// reads and its predicted cost (zero under a forced method, which is not
+// priced). A CM leg carries the probe that priced it: the heap pages a
+// SELECT then sweeps.
+type leg struct {
+	method exec.Method
+	index  *table.Index // pipelined, sorted and clustered legs
+	probe  exec.CMProbe // CM legs
+	cost   time.Duration
+}
+
+// uses names the index or CM the leg reads.
+func (l leg) uses() string {
+	if l.method == exec.MethodCM {
+		return l.probe.CM.Spec().Name
+	}
+	return l.index.Name
+}
+
 // Tree is a compiled query: the operator chain plus the physical
 // decisions Run executes. Build constructs it, Optimize finalizes it,
 // and Run/Rows execute it; all three must happen under one shared table
@@ -200,20 +217,28 @@ type Tree struct {
 	spec Spec
 
 	optimized bool
-	useOr     bool
-	single    exec.Plan   // single-conjunction access plan
-	orPlan    exec.OrPlan // multi-disjunct plan, or the aggregate wrapper
-	cmagg     *exec.CMAggPlan
-
-	method        exec.Method
-	uses          string
-	cost          time.Duration
-	costEstimated bool
-	decodedCols   int
+	// legs is the access path, one leg per disjunct; empty sweeps the
+	// whole heap. cmagg, when set, answers the aggregate instead.
+	legs  []leg
+	cmagg *exec.CMAggPlan
+	// cost is the chosen path's predicted cost; zero when the method was
+	// forced.
+	cost        time.Duration
+	decodedCols int
 
 	// an is the live analysis state of a RunAnalyzed call; nil for
 	// plain runs, so the hooks in the run functions cost one branch.
 	an *analysisState
+}
+
+// soleLeg returns the one leg of a single-path plan — an index,
+// clustered or CM scan of one conjunction — or nil for every other shape
+// (whole-heap sweep, union).
+func (tr *Tree) soleLeg() *leg {
+	if len(tr.legs) != 1 {
+		return nil
+	}
+	return &tr.legs[0]
 }
 
 // Build validates a spec against a table and returns the unoptimized
@@ -226,7 +251,7 @@ func Build(t *table.Table, spec Spec) (*Tree, error) {
 		spec.Disjuncts[i].Snap = spec.Snap
 		spec.Disjuncts[i].Ctx = spec.Ctx
 	}
-	if len(spec.Disjuncts) > 1 && spec.Force != Auto {
+	if len(spec.Disjuncts) > 1 && spec.Method != exec.MethodAuto {
 		return nil, fmt.Errorf("plan: OR queries plan access paths per disjunct; the method must be Auto")
 	}
 	if !spec.IsAggregate() && len(spec.Having) > 0 {
@@ -263,21 +288,16 @@ type NodeInfo struct {
 type Info struct {
 	// Nodes is the operator chain bottom-up, one entry per node.
 	Nodes []NodeInfo
-	// Single reports a single-path access plan whose Method and Uses
-	// are meaningful; Union and CMAgg mark the other two access shapes.
-	Single bool
-	Union  bool
-	CMAgg  bool
-	// Fallback marks the OR filtered-scan fallback.
-	Fallback bool
-	// Method and Uses name the single access path (see Single).
+	// Method and Uses name the access path of a single-path plan: the
+	// method and the index or CM it reads (a table scan, and the OR
+	// fallback, read none). A union and a cm-agg plan are no single
+	// path — Method is exec.MethodAuto and Nodes[0] is authoritative —
+	// and cm-agg puts its CM in Uses.
 	Method exec.Method
 	Uses   string
-	// Cost is the predicted cost; CostEstimated reports whether the
-	// cost model produced it (false for forced methods, whose cost is
-	// not computed).
-	Cost          time.Duration
-	CostEstimated bool
+	// Cost is the cost model's prediction; zero under a forced method,
+	// whose cost is not computed.
+	Cost time.Duration
 	// DecodedCols counts the columns the executor materializes per
 	// surviving tuple; TotalCols is the schema arity.
 	DecodedCols int
@@ -287,30 +307,22 @@ type Info struct {
 // Explain flattens the optimized tree into an Info.
 func (tr *Tree) Explain() Info {
 	info := Info{
-		Method:        tr.method,
-		Uses:          tr.uses,
-		Cost:          tr.cost,
-		CostEstimated: tr.costEstimated,
-		DecodedCols:   tr.decodedCols,
-		TotalCols:     len(tr.t.Schema().Cols),
+		Method:      exec.MethodTableScan,
+		Cost:        tr.cost,
+		DecodedCols: tr.decodedCols,
+		TotalCols:   len(tr.t.Schema().Cols),
+	}
+	switch l := tr.soleLeg(); {
+	case tr.cmagg != nil:
+		info.Method, info.Uses = exec.MethodAuto, tr.cmagg.CM.Spec().Name
+	case l != nil:
+		info.Method, info.Uses = l.method, l.uses()
+	case len(tr.legs) > 1:
+		info.Method = exec.MethodAuto
 	}
 	for n := tr.Root; n != nil; n = n.Child {
 		// The chain is rooted at the top operator; collect bottom-up.
 		info.Nodes = append([]NodeInfo{{Kind: n.Kind.String(), Detail: n.Detail, Cost: n.Cost}}, info.Nodes...)
-	}
-	if len(info.Nodes) > 0 {
-		switch info.Nodes[0].Kind {
-		case "union":
-			info.Union = true
-		case "cm-agg":
-			info.CMAgg = true
-		default:
-			if tr.useOr {
-				info.Fallback = true
-			} else {
-				info.Single = true
-			}
-		}
 	}
 	return info
 }

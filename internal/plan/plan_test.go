@@ -14,7 +14,11 @@ import (
 
 // fixture builds a small correlated table with an identity CM on col 1
 // (u) and no secondary index, directly on the internal layers.
-func fixture(t *testing.T) *table.Table {
+func fixture(t *testing.T) *table.Table { return fixtureOf(t, 400, false) }
+
+// fixtureOf is fixture at n rows (c = i/4, u = c/2), with key bloom
+// filters on its structures when blooms is set.
+func fixtureOf(t *testing.T, n int, blooms bool) *table.Table {
 	t.Helper()
 	disk := sim.NewDisk(sim.Config{})
 	pool := buffer.NewPool(disk, 1024)
@@ -23,11 +27,11 @@ func fixture(t *testing.T) *table.Table {
 		table.Column{Name: "u", Kind: value.Int},
 		table.Column{Name: "v", Kind: value.Int},
 	)
-	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0}, BucketTuples: 4})
+	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0}, BucketTuples: 4, ProbeBlooms: blooms})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]value.Row, 400)
+	rows := make([]value.Row, n)
 	for i := range rows {
 		c := int64(i / 4)
 		rows[i] = value.Row{value.NewInt(c), value.NewInt(c / 2), value.NewInt(int64(i % 7))}
@@ -125,11 +129,11 @@ func TestPipelineContract(t *testing.T) {
 		t.Errorf("Rows = %d, want 8", len(rows))
 	}
 
-	if _, err := Build(tbl, Spec{Force: ForceCM,
+	if _, err := Build(tbl, Spec{Method: exec.MethodCM,
 		Disjuncts: []exec.Query{eqU, eqU}}); err == nil {
 		t.Error("OR with forced method accepted")
 	}
-	if _, err := Compile(tbl, Spec{Force: ForceSorted, Disjuncts: []exec.Query{eqU}}, sp); err == nil {
+	if _, err := Compile(tbl, Spec{Method: exec.MethodSorted, Disjuncts: []exec.Query{eqU}}, sp); err == nil {
 		t.Error("forced index scan without an index accepted")
 	}
 	if _, err := Build(tbl, Spec{Disjuncts: []exec.Query{eqU},
@@ -162,7 +166,7 @@ func TestCMAggMatchesHeap(t *testing.T) {
 		t.Errorf("cm-agg decoded cols = %d, want 0", cmTree.Explain().DecodedCols)
 	}
 	forced := spec
-	forced.Force = ForceTableScan
+	forced.Method = exec.MethodTableScan
 	heapTree, err := Compile(tbl, forced, sp)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +265,7 @@ func TestWriteTreeShapes(t *testing.T) {
 func TestForcedClusteredNeedsTheClusteringColumn(t *testing.T) {
 	tbl := fixture(t)
 	sp := exec.NewExactStats()
-	tr, err := Compile(tbl, Spec{Force: ForceClustered,
+	tr, err := Compile(tbl, Spec{Method: exec.MethodClustered,
 		Disjuncts: []exec.Query{exec.NewQuery(exec.In(0, value.NewInt(3), value.NewInt(70)))}}, sp)
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +281,170 @@ func TestForcedClusteredNeedsTheClusteringColumn(t *testing.T) {
 		exec.NewQuery(exec.Eq(1, value.NewInt(10))),
 		exec.NewQuery(exec.Ne(0, value.NewInt(10))),
 	} {
-		if _, err := Compile(tbl, Spec{Force: ForceClustered, Disjuncts: []exec.Query{q}}, sp); err == nil {
+		if _, err := Compile(tbl, Spec{Method: exec.MethodClustered, Disjuncts: []exec.Query{q}}, sp); err == nil {
 			t.Errorf("forced clustered scan accepted %s", q.String())
+		}
+	}
+}
+
+// TestSelectProbesItsCMOnce pins the SELECT half of "one probe": a
+// compiled SELECT tree sweeps the heap pages its planner resolved, so
+// emptying the CM between Compile and Run — what a second probe would
+// then find is nothing — loses no row, for a plain cm-scan, a fold over
+// one and an OR union of two CM legs; a tree compiled after the Reset
+// finds nothing.
+func TestSelectProbesItsCMOnce(t *testing.T) {
+	sp := exec.NewExactStats()
+	eq := func(u int64) exec.Query { return exec.NewQuery(exec.Eq(1, value.NewInt(u))) }
+	count := []exec.AggSpec{{Kind: exec.AggCount, Col: -1}}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string // node kind of the access path
+		rows int
+	}{
+		{"cm-scan", Spec{Disjuncts: []exec.Query{eq(10)}, Method: exec.MethodCM}, "scan", 8},
+		{"fold over a cm-scan", Spec{Disjuncts: []exec.Query{eq(10)}, Method: exec.MethodCM, Aggs: count, GroupBy: []int{2}}, "scan", 7},
+		{"union of cm-scans", Spec{Disjuncts: []exec.Query{eq(10), eq(700)}}, "union", 16},
+	} {
+		tbl := fixtureOf(t, 60000, false)
+		tr, err := Compile(tbl, c.spec, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := kinds(tr)[0]; got != c.want {
+			t.Fatalf("%s: access node %q, want %q", c.name, got, c.want)
+		}
+		tbl.CMs()[0].Reset()
+		rows, err := tr.Rows(2)
+		if err != nil || len(rows) != c.rows {
+			t.Errorf("%s: %d rows after the CM was emptied, err %v; want %d — the run probed again", c.name, len(rows), err, c.rows)
+		}
+		if c.spec.IsAggregate() {
+			continue // an empty fold still yields its groups' zero rows
+		}
+		again, err := Compile(tbl, c.spec, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rows, err := again.Rows(2); err != nil || len(rows) != 0 {
+			t.Errorf("%s: a tree compiled over the emptied CM returned %d rows, err %v", c.name, len(rows), err)
+		}
+	}
+}
+
+// TestWriteTreeProbesAgainAtRun pins the other half: a WriteTree runs
+// after its compile latch is released, so a matching row another writer
+// published in between — in a clustered bucket, on a heap page, the
+// compiled probe never resolved — is still written.
+func TestWriteTreeProbesAgainAtRun(t *testing.T) {
+	tbl := fixtureOf(t, 20000, false)
+	sp := exec.NewExactStats()
+	where := Spec{Disjuncts: []exec.Query{exec.NewQuery(exec.Eq(1, value.NewInt(10)))}, Method: exec.MethodCM}
+	upd, err := CompileUpdate(tbl, where, []exec.SetClause{{Col: 2, Val: value.NewInt(9)}}, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := CompileDelete(tbl, where, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := tbl.BeginWrite()
+	if err := tx.InsertBatch([]value.Row{{value.NewInt(4000), value.NewInt(10), value.NewInt(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := upd.Run(2); err != nil || n != 9 {
+		t.Errorf("UPDATE wrote %d rows, err %v; want 9: the 8 loaded and the one published after Compile", n, err)
+	}
+	if n, err := del.Run(2); err != nil || n != 9 {
+		t.Errorf("DELETE removed %d rows, err %v; want 9", n, err)
+	}
+}
+
+// TestBloomSkipsCountOncePerStatement pins the bloom accounting with
+// ProbeBlooms on: the planner probes every candidate CM and counts
+// nothing; a statement that runs counts the absent keys of its WHERE
+// once — into its observer and against the CM it chose, never a CM it
+// only priced — whether it runs plainly, analyzed, or as a write (whose
+// second probe is the one that counts).
+func TestBloomSkipsCountOncePerStatement(t *testing.T) {
+	tbl := fixtureOf(t, 60000, true)
+	if _, err := tbl.CreateCM(core.Spec{Name: "cm_u_wide", UCols: []int{1}, Bucketers: []core.Bucketer{core.IntWidth{Width: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	sp := exec.NewExactStats()
+	obs := &exec.ScanObs{}
+	spec := Spec{Obs: obs, Disjuncts: []exec.Query{
+		exec.NewQuery(exec.In(1, value.NewInt(10), value.NewInt(99990), value.NewInt(99995)))}}
+	skips := func() (chosen, priced int64) {
+		return tbl.CMs()[0].BloomSkips(), tbl.CMs()[1].BloomSkips()
+	}
+	check := func(stage string, wantObs, wantChosen int64) {
+		t.Helper()
+		chosen, priced := skips()
+		if obs.Blooms.Load() != wantObs || chosen != wantChosen || priced != 0 {
+			t.Errorf("%s: observer %d, chosen CM %d, priced-only CM %d bloom skips; want %d, %d, 0",
+				stage, obs.Blooms.Load(), chosen, priced, wantObs, wantChosen)
+		}
+	}
+
+	tr, err := Compile(tbl, spec, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := tr.Explain(); info.Method != exec.MethodCM || info.Uses != "cm_u" {
+		t.Fatalf("planned %v(%s), want cm-scan(cm_u)", info.Method, info.Uses)
+	}
+	check("compiled, not run", 0, 0)
+	if rows, err := tr.Rows(2); err != nil || len(rows) != 8 {
+		t.Fatalf("%d rows, err %v; want 8", len(rows), err)
+	}
+	check("run", 2, 2)
+
+	if tr, err = Compile(tbl, spec, sp); err != nil {
+		t.Fatal(err)
+	}
+	an, err := tr.RunAnalyzed(2, func(value.Row) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.BloomSkips != 2 || an.Nodes[0].BloomSkips != 2 {
+		t.Errorf("analysis reports %d bloom skips, its access node %d; want 2 and 2", an.BloomSkips, an.Nodes[0].BloomSkips)
+	}
+	check("run analyzed", 4, 4)
+
+	del, err := CompileDelete(tbl, spec, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("write compiled, not run", 4, 4)
+	if n, err := del.Run(2); err != nil || n != 8 {
+		t.Fatalf("DELETE removed %d rows, err %v; want 8", n, err)
+	}
+	check("write run", 6, 6)
+}
+
+// TestTableScanLegRejected: a hand-built access path holding a leg that
+// resolves to no page list must fail, not quietly drop the disjunct's
+// rows (chooseAccess never builds one: a disjunct that can only scan
+// sends the whole statement to the whole-heap sweep).
+func TestTableScanLegRejected(t *testing.T) {
+	tbl := fixture(t)
+	eqU := exec.NewQuery(exec.Eq(1, value.NewInt(10)))
+	for name, spec := range map[string]Spec{
+		"select":    {Disjuncts: []exec.Query{eqU}},
+		"aggregate": {Disjuncts: []exec.Query{eqU}, Method: exec.MethodTableScan, Aggs: []exec.AggSpec{{Kind: exec.AggCount, Col: -1}}},
+	} {
+		tr, err := Compile(tbl, spec, exec.NewExactStats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.legs = []leg{{method: exec.MethodTableScan}}
+		if rows, err := tr.Rows(1); err == nil {
+			t.Errorf("%s over a table-scan leg returned %v; it under-reports", name, rows)
 		}
 	}
 }

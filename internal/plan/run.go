@@ -42,19 +42,80 @@ func (tr *Tree) Rows(workers int) ([]value.Row, error) {
 	return out, err
 }
 
-// runAccess dispatches the access leg of the tree: the single
-// conjunction's plan, or the OR plan (RID-dedup union / filtered-scan
-// fallback), with the scan-level projection pushed down.
+// runAccess streams the rows the access path matches to emit, with the
+// scan-level projection pushed down: a lone pipelined probe runs its own
+// executor (it emits in index key order, RID by RID — the one access
+// that is not a page sweep); everything else resolves to a page set
+// (pageSet) that exec.Sweep reads in physical order.
 func (tr *Tree) runAccess(scanProj []int, workers int, emit exec.RowFunc) error {
-	obs := tr.scanObs()
-	if tr.useOr {
-		oq := exec.OrQuery{Disjuncts: tr.spec.Disjuncts, Proj: scanProj, Snap: tr.spec.Snap, Obs: obs, Ctx: tr.spec.Ctx}
-		return tr.orPlan.Run(tr.t, oq, workers, emit)
+	if tr.an != nil {
+		rows, inner := &tr.an.accessRows, emit
+		emit = func(rid heap.RID, row value.Row) bool {
+			*rows++
+			return inner(rid, row)
+		}
 	}
-	q := tr.spec.Disjuncts[0]
-	q.Proj = scanProj
-	q.Obs = obs
-	return tr.single.Run(tr.t, q, workers, emit)
+	defer tr.an.addAccessTime(tr.an.now())
+	if l := tr.soleLeg(); l != nil && l.method == exec.MethodPipelined {
+		q := tr.spec.Disjuncts[0]
+		q.Proj, q.Obs = scanProj, tr.scanObs()
+		return exec.PipelinedIndexScan(tr.t, l.index, q, workers, emit)
+	}
+	return tr.sweep(scanProj, workers, func(oq exec.OrQuery, ps exec.PageSet) error {
+		return exec.Sweep(tr.t, oq, ps, workers, emit)
+	})
+}
+
+// sweep resolves the access path to a page set and runs drive — one of
+// exec's two drivers, Sweep for rows or Fold for aggregates — over it
+// with the disjunction to re-filter by.
+func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec.PageSet) error) error {
+	obs := tr.scanObs()
+	if l := tr.soleLeg(); l != nil && l.method == exec.MethodCM {
+		// A lone CM leg's sweep counts against the CM's health gauges.
+		var done func()
+		obs, done = l.probe.SweepObs(obs)
+		defer done()
+	}
+	ps, err := tr.pageSet(obs, workers)
+	if err != nil {
+		return err
+	}
+	return drive(exec.OrQuery{Disjuncts: tr.spec.Disjuncts, Proj: scanProj, Snap: tr.spec.Snap, Obs: obs, Ctx: tr.spec.Ctx}, ps)
+}
+
+// pageSet turns the tree's legs into the one page set a sweep reads, and
+// is the only place a method becomes pages: without legs the whole heap,
+// otherwise every leg's pages merged (which is also what deduplicates
+// rows matched by several disjuncts, since emission is by page sweep).
+// An index leg collects its RIDs' pages now; a CM leg already holds the
+// pages its probe resolved to, and is noted here as the probe the
+// statement acted on.
+func (tr *Tree) pageSet(obs *exec.ScanObs, workers int) (exec.PageSet, error) {
+	if len(tr.legs) == 0 {
+		return exec.WholeHeap(tr.t), nil
+	}
+	var pages []int64
+	for i, l := range tr.legs {
+		switch l.method {
+		case exec.MethodCM:
+			l.probe.Note(obs)
+			pages = append(pages, l.probe.Pages...)
+		case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
+			q := tr.spec.Disjuncts[i]
+			q.Obs = obs
+			legPages, err := exec.IndexPages(l.index, q, workers)
+			if err != nil {
+				return exec.PageSet{}, err
+			}
+			pages = append(pages, legPages...)
+		default:
+			// chooseAccess never makes a leg of a table scan; probing
+			// nothing would silently drop the disjunct's rows.
+			return exec.PageSet{}, fmt.Errorf("plan: a %v leg resolves to no page list", l.method)
+		}
+	}
+	return exec.PageList(pages), nil
 }
 
 // scanObs picks where the access path's physical-work tallies go: the
@@ -79,10 +140,7 @@ func (tr *Tree) runPlain(workers int, sink RowSink) error {
 		projScratch = make(value.Row, len(proj))
 	}
 	count := 0
-	emit := func(_ heap.RID, row value.Row) bool {
-		if tr.an != nil {
-			tr.an.accessRows++
-		}
+	return tr.runAccess(proj, workers, func(_ heap.RID, row value.Row) bool {
 		out := row
 		if proj != nil {
 			for i, c := range proj {
@@ -95,11 +153,7 @@ func (tr *Tree) runPlain(workers int, sink RowSink) error {
 		}
 		count++
 		return tr.spec.Limit <= 0 || count < tr.spec.Limit
-	}
-	start := tr.an.now()
-	err := tr.runAccess(proj, workers, emit)
-	tr.an.addAccessTime(start)
-	return err
+	})
 }
 
 // runSorted evaluates an ordered plain select: the scan materializes
@@ -141,10 +195,7 @@ func (tr *Tree) runSorted(workers int, sink RowSink) error {
 	if proj != nil {
 		compactScratch = make(value.Row, len(compact))
 	}
-	emit := func(_ heap.RID, row value.Row) bool {
-		if tr.an != nil {
-			tr.an.accessRows++
-		}
+	err := tr.runAccess(scanProj, workers, func(_ heap.RID, row value.Row) bool {
 		if proj == nil {
 			sorter.Add(row)
 			return true
@@ -154,12 +205,10 @@ func (tr *Tree) runSorted(workers int, sink RowSink) error {
 		}
 		sorter.Add(compactScratch) // Sorter clones what it retains
 		return true
-	}
-	start := tr.an.now()
-	if err := tr.runAccess(scanProj, workers, emit); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	tr.an.addAccessTime(start)
 	sortStart := tr.an.now()
 	sorted := sorter.Rows()
 	if tr.an != nil {
@@ -181,7 +230,8 @@ func (tr *Tree) runSorted(workers int, sink RowSink) error {
 
 // runAggregate evaluates an aggregate spec: the cm-agg node answers
 // from CM bucket statistics (sweeping only impure buckets), otherwise
-// the streaming grouped fold runs over the access plan's pages; the
+// the streaming grouped fold runs over the access path's pages (a
+// pipelined leg folds over its RIDs' pages like a sorted one); the
 // small group rows then pass HAVING, sort and limit.
 func (tr *Tree) runAggregate(workers int, sink RowSink) error {
 	spec := tr.spec
@@ -192,8 +242,10 @@ func (tr *Tree) runAggregate(workers int, sink RowSink) error {
 		tr.cmagg.SetObs(tr.scanObs())
 		rows, err = tr.cmagg.Run(tr.t, workers)
 	} else {
-		oq := exec.OrQuery{Disjuncts: spec.Disjuncts, Snap: spec.Snap, Obs: tr.scanObs(), Ctx: spec.Ctx}
-		rows, err = exec.AggregateOr(tr.t, oq, tr.orPlan, workers, spec.Aggs, spec.GroupBy)
+		err = tr.sweep(nil, workers, func(oq exec.OrQuery, ps exec.PageSet) (err error) {
+			rows, err = exec.Fold(tr.t, oq, ps, workers, spec.Aggs, spec.GroupBy)
+			return err
+		})
 	}
 	tr.an.addAccessTime(start)
 	if err != nil {

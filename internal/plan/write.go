@@ -3,12 +3,9 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
-	"repro/internal/value"
 )
 
 // WriteTree is a compiled write statement — UPDATE or DELETE: a write
@@ -81,9 +78,23 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 // writer statement takes the writer gate for the whole read + write
 // span and latches per batch, so concurrent readers are never blocked
 // for more than one batch.
+//
+// The latch the tree was compiled under is gone by now, and another
+// writer may have published in between, so the pages its CM legs were
+// priced from are dropped: the read phase probes each CM again under the
+// writer gate and sweeps what it resolves to now.
 func (wt *WriteTree) Run(workers int) (int64, error) {
 	tr := wt.inner
 	return exec.WriteByScan(tr.spec.Ctx, tr.t, func(fn exec.RowFunc) error {
+		for i := range tr.legs {
+			if l := &tr.legs[i]; l.method == exec.MethodCM {
+				probe, err := exec.ProbeCM(tr.t, l.probe.CM, tr.spec.Disjuncts[i])
+				if err != nil {
+					return err
+				}
+				l.probe = probe
+			}
+		}
 		return tr.runAccess(tr.spec.Proj, workers, fn)
 	}, wt.sets)
 }
@@ -94,44 +105,18 @@ func (wt *WriteTree) Run(workers int) (int64, error) {
 // statement's wall time (read, write batches and publish together,
 // since the MVCC writer interleaves them).
 func (wt *WriteTree) RunAnalyzed(workers int) (int64, *Analysis, error) {
-	tr := wt.inner
-	st := &analysisState{}
-	tr.an = st
-	defer func() { tr.an = nil }()
-
-	pool := tr.t.Pool()
-	disk := pool.Disk()
-	d0, p0 := disk.Stats(), pool.Stats()
-	start := time.Now()
-	affected, err := exec.WriteByScan(tr.spec.Ctx, tr.t, func(fn exec.RowFunc) error {
-		accessStart := time.Now()
-		defer func() { st.accessTime += time.Since(accessStart) }()
-		return tr.runAccess(tr.spec.Proj, workers, func(rid heap.RID, row value.Row) bool {
-			st.accessRows++
-			return fn(rid, row)
-		})
-	}, wt.sets)
-	elapsed := time.Since(start)
-	d1, p1 := disk.Stats(), pool.Stats()
+	var affected, read int64
+	an, err := wt.inner.measure(func(st *analysisState) (err error) {
+		affected, err = wt.Run(workers)
+		st.outRows, read = affected, st.accessRows
+		return err
+	})
 	if err != nil {
 		return affected, nil, err
 	}
-	tr.spec.Obs.AddFrom(&st.obs)
-	st.outRows = affected
-
-	an := &Analysis{
-		TotalRows:      affected,
-		Elapsed:        elapsed,
-		DiskReads:      d1.Reads - d0.Reads,
-		BufferHits:     p1.Hits - p0.Hits,
-		BufferMisses:   p1.Misses - p0.Misses,
-		TuplesExamined: st.obs.Tuples.Load(),
-		HeapPages:      st.obs.Pages.Load(),
-	}
-	an.Nodes = tr.nodeActuals(st, an)
 	// The write node sits above the read chain; its phase time is the
 	// whole statement (the writer interleaves reading and writing).
-	an.Nodes = append(an.Nodes, NodeActuals{Rows: affected, TuplesIn: st.accessRows, Elapsed: elapsed})
+	an.Nodes = append(an.Nodes, NodeActuals{Rows: affected, TuplesIn: read, Elapsed: an.Elapsed})
 	return affected, an, nil
 }
 

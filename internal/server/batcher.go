@@ -129,7 +129,8 @@ func (st *stripe) flush(batch []batchReq) {
 		preps[i] = r.prep
 	}
 	results := s.db.ExecPreparedBatch(ctxs, preps)
-	s.db.RecordCoalescedBatch(len(batch))
+	s.m.batches.Inc()
+	s.m.batchStmts.Add(int64(len(batch)))
 	for i, r := range batch {
 		r.out <- results[i]
 	}

@@ -22,6 +22,14 @@ import (
 func startServerCfg(t *testing.T, dbCfg repro.Config, cfg Config) (*repro.DB, *Server, string, func()) {
 	t.Helper()
 	db := repro.Open(dbCfg)
+	srv, addr, stop := startServerOn(t, db, cfg)
+	return db, srv, addr, stop
+}
+
+// startServerOn starts a server over an existing DB — a second one
+// shares the DB's server.* counters with the first.
+func startServerOn(t *testing.T, db *repro.DB, cfg Config) (*Server, string, func()) {
+	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
@@ -33,7 +41,7 @@ func startServerCfg(t *testing.T, dbCfg repro.Config, cfg Config) (*repro.DB, *S
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	stopped := false
-	return db, srv, ln.Addr().String(), func() {
+	return srv, ln.Addr().String(), func() {
 		if stopped {
 			return
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/metrics"
 	sqlfe "repro/internal/sql"
 )
 
@@ -93,6 +94,7 @@ type Server struct {
 	writeTimeout time.Duration
 	chunkQueue   int
 	coalesce     *batcher // nil means no cross-connection coalescing
+	m            counters
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -102,6 +104,21 @@ type Server struct {
 	wg       sync.WaitGroup
 	nextSess atomic.Int64
 	active   atomic.Int64
+}
+
+// counters are the server's own metrics. The server owns and bumps them;
+// they are registered in the DB's metric registry (DB.MetricCounter)
+// under server.* names, so SHOW METRICS, DB.Metrics and ResetMetrics
+// cover them, and every server over one DB adds into the same counters.
+// They record regardless of SetMetricsEnabled: one atomic add per chunk
+// frame, batch flush or refused connection, nowhere near a scan hot path.
+type counters struct {
+	rejected       *metrics.Counter // server.rejected: connections refused at admission (MaxConns)
+	chunks         *metrics.Counter // server.stream_chunks: chunk frames sent in streaming mode
+	backpressureNS *metrics.Counter // server.backpressure_waits_ns: time producing statements spent blocked on a full per-connection send queue
+	batches        *metrics.Counter // server.coalesced_batches: cross-connection batches the coalescer flushed
+	batchStmts     *metrics.Counter // server.coalesced_stmts: the statements those batches carried
+	authFailures   *metrics.Counter // server.auth_failures: connections that failed token authentication
 }
 
 // session is one connection's server-side state. busy flips around each
@@ -136,6 +153,14 @@ func New(db *repro.DB, cfg Config) *Server {
 		writeTimeout: cfg.WriteTimeout,
 		chunkQueue:   chunkQueue,
 		sessions:     make(map[*session]struct{}),
+		m: counters{
+			rejected:       db.MetricCounter("server.rejected"),
+			chunks:         db.MetricCounter("server.stream_chunks"),
+			backpressureNS: db.MetricCounter("server.backpressure_waits_ns"),
+			batches:        db.MetricCounter("server.coalesced_batches"),
+			batchStmts:     db.MetricCounter("server.coalesced_stmts"),
+			authFailures:   db.MetricCounter("server.auth_failures"),
+		},
 	}
 	if cfg.Coalesce {
 		s.coalesce = newBatcher(s, cfg.CoalesceWindow, cfg.CoalesceMax, cfg.CoalesceStripes)
@@ -202,7 +227,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // stalled client cannot hold up the accept loop.
 func (s *Server) reject(conn net.Conn) {
 	defer conn.Close()
-	s.db.RecordRejectedConn()
+	s.m.rejected.Inc()
 	s.logf("cmserver: rejecting %s: %v", conn.RemoteAddr(), ErrServerBusy)
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
 	r := responder{w: &connWriter{s: s, conn: conn}}
@@ -380,7 +405,7 @@ func (s *Server) dispatch(ctx context.Context, line string, id int64, st *sessio
 		if !isAuth {
 			msg = "server: authentication required (send AUTH <token> as the first line)"
 		}
-		s.db.RecordAuthFailure()
+		s.m.authFailures.Inc()
 		s.logf("cmserver: session %d: %s", id, msg)
 		r.fail(msg)
 		return false

@@ -81,7 +81,7 @@ func (w *connWriter) send(ctx context.Context, line []byte) bool {
 	default:
 	}
 	start := time.Now()
-	defer func() { w.s.db.RecordBackpressureWait(time.Since(start)) }()
+	defer func() { w.s.m.backpressureNS.Add(int64(time.Since(start))) }()
 	select {
 	case w.frames <- line:
 		return true
@@ -200,7 +200,7 @@ func (r *responder) flush() bool {
 		return false
 	}
 	r.at(r.stmt).chunks++
-	r.w.s.db.RecordStreamChunk()
+	r.w.s.m.chunks.Inc()
 	return true
 }
 

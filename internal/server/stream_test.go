@@ -629,7 +629,7 @@ func TestStreamMetricsReset(t *testing.T) {
 
 	// Backpressure waits depend on a full queue at the right instant;
 	// record one directly — the counter wiring is what this test pins.
-	db.RecordBackpressureWait(time.Millisecond)
+	db.MetricCounter("server.backpressure_waits_ns").Add(int64(time.Millisecond))
 
 	names := []string{"server.stream_chunks", "server.backpressure_waits_ns",
 		"server.coalesced_batches", "server.coalesced_stmts", "server.auth_failures"}
@@ -690,6 +690,17 @@ func TestAuthToken(t *testing.T) {
 	c.close()
 	if v := metric(t, db, "server.auth_failures"); v != 2 {
 		t.Fatalf("server.auth_failures = %d, want 2", v)
+	}
+
+	// A second server over the same DB registers the same names and adds
+	// into the same counters.
+	_, addr2, stop2 := startServerOn(t, db, Config{AuthToken: "open-sesame"})
+	defer stop2()
+	c = dial(t, addr2)
+	c.roundTrip(t, "AUTH wrong")
+	c.close()
+	if v := metric(t, db, "server.auth_failures"); v != 3 {
+		t.Fatalf("server.auth_failures = %d with a second server's failure, want 3", v)
 	}
 
 	// A token-less server accepts any AUTH line, so clients can always

@@ -56,16 +56,8 @@ import (
 //     per-statement wall-time histogram, and the fault-tolerance
 //     outcomes query.cancelled (statements ended by context
 //     cancellation) and query.timed_out (by statement deadline).
-//   - server.rejected: connections refused at admission (MaxConns).
-//   - server.stream_chunks / server.backpressure_waits_ns: chunk
-//     frames sent in wire-protocol-v2 streaming mode, and nanoseconds
-//     producing statements spent blocked on full per-connection send
-//     queues (real backpressure, not buffering).
-//   - server.coalesced_batches / server.coalesced_stmts:
-//     cross-connection batches the server's coalescer flushed and the
-//     statements they carried (stmts/batches = achieved batch size).
-//   - server.auth_failures: connections that failed token
-//     authentication.
+//   - server.*: owned and documented by internal/server, which
+//     registers its counters here through MetricCounter.
 //   - disk.injected_faults: faults fired by the active sim.FaultPlan.
 type Metric struct {
 	Name  string
@@ -164,27 +156,42 @@ func (db *DB) initMetrics() {
 		return n
 	})
 
-	// Fault-tolerance counters (this PR): statements ended by
-	// cancellation or deadline, and connections the server turned away
-	// at admission. They count regardless of SetMetricsEnabled — these
-	// are rare events on error paths, not hot-path instrumentation.
+	// Fault-tolerance counters: statements ended by cancellation or
+	// deadline. They count regardless of SetMetricsEnabled — these are
+	// rare events on error paths, not hot-path instrumentation.
 	db.qCancelled = r.Counter("query.cancelled")
 	db.qTimedOut = r.Counter("query.timed_out")
-	db.srvRejected = r.Counter("server.rejected")
+}
 
-	// Wire protocol v2 counters: chunked streaming, backpressure,
-	// cross-connection coalescing, auth. Like the fault-tolerance
-	// counters they record regardless of SetMetricsEnabled — one atomic
-	// add per chunk frame or batch flush, nowhere near a scan hot path.
-	db.srvChunks = r.Counter("server.stream_chunks")
-	db.srvBackpressure = r.Counter("server.backpressure_waits_ns")
-	db.srvBatches = r.Counter("server.coalesced_batches")
-	db.srvBatchStmts = r.Counter("server.coalesced_stmts")
-	db.srvAuthFailures = r.Counter("server.auth_failures")
+// MetricCounter returns the counter registered under name in the DB's
+// metric registry, registering it on first use: how a layer above the
+// engine — internal/server, with its server.* counters — owns what it
+// counts and still has SHOW METRICS, Metrics and ResetMetrics cover it.
+// Every caller naming the same counter shares it, so two servers over
+// one DB add into one server.rejected. Such counters record regardless
+// of SetMetricsEnabled.
+func (db *DB) MetricCounter(name string) *metrics.Counter {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	c := db.shared[name]
+	if c == nil {
+		c = db.reg.Counter(name)
+		db.shared[name] = c
+	}
+	return c
 }
 
 // metricsOn reports whether hot-path instrumentation should record.
 func (db *DB) metricsOn() bool { return db.reg.Enabled() }
+
+// obs returns the engine-wide scan observer a statement counts its
+// physical work into, or nil while metrics are disabled.
+func (db *DB) obs() *exec.ScanObs {
+	if !db.metricsOn() {
+		return nil
+	}
+	return db.scanObs
+}
 
 // SetMetricsEnabled turns hot-path metrics collection on or off
 // (default on). Disabling detaches the scan observer and latency

@@ -51,10 +51,24 @@ func TestNoDirtyReads(t *testing.T) {
 	if err := tx.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
+	// Every way to read the rows of one u: each forcible access method,
+	// and the front door that names its CM.
+	counters := map[string]func(u int64) int{
+		`SelectViaCM("u_cm")`: func(u int64) int {
+			n := 0
+			if err := tbl.SelectViaCM("u_cm", func(Row) bool { n++; return true }, Eq("u", IntVal(u))); err != nil {
+				t.Fatalf("SelectViaCM: %v", err)
+			}
+			return n
+		},
+	}
+	for _, m := range stressMethods {
+		counters[m.String()] = func(u int64) int { return countU(t, tbl, m, u) }
+	}
 	// The statement is applied but unpublished: heap versions, index
 	// entries and CM pairs exist, yet no reader snapshot admits them.
-	for _, m := range stressMethods {
-		if n := countU(t, tbl, m, dirtyU); n != 0 {
+	for m, count := range counters {
+		if n := count(dirtyU); n != 0 {
 			t.Fatalf("%v: dirty read — %d unpublished rows visible", m, n)
 		}
 	}
@@ -67,8 +81,8 @@ func TestNoDirtyReads(t *testing.T) {
 	if tbl.inner.WriterActive() {
 		t.Fatal("writer gate still active after Publish")
 	}
-	for _, m := range stressMethods {
-		if n := countU(t, tbl, m, dirtyU); n != 5 {
+	for m, count := range counters {
+		if n := count(dirtyU); n != 5 {
 			t.Fatalf("%v: %d rows after Publish, want 5", m, n)
 		}
 	}
@@ -80,8 +94,8 @@ func TestNoDirtyReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	for _, m := range stressMethods {
-		if n := countU(t, tbl, m, dirtyU+1); n != 0 {
+	for m, count := range counters {
+		if n := count(dirtyU + 1); n != 0 {
 			t.Fatalf("%v: aborted row visible", m)
 		}
 	}
@@ -186,12 +200,8 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ut, err := natTbl.compileUpdate(nil, []Set{{Col: "wide", Val: IntVal(7)}},
-		[][]Pred{{Eq("qty", IntVal(42))}, {Eq("cat", IntVal(9))}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err = ut.Run(natDB.Workers())
+	n, _, err = natTbl.writeStmt(nil, false, []Set{{Col: "wide", Val: IntVal(7)}},
+		[][]Pred{{Eq("qty", IntVal(42))}, {Eq("cat", IntVal(9))}}, runPlain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/value"
 )
 
@@ -188,23 +187,14 @@ func (t *Table) projIndices(cols []string) ([]int, error) {
 	return proj, nil
 }
 
-// SelectViaCM evaluates the predicates through the named correlation
-// map, for benchmarking specific designs against each other.
+// SelectViaCM is SelectVia(CMScan, ...) through the named correlation
+// map rather than the first applicable one, for benchmarking specific
+// designs against each other. It is a statement like any other Select:
+// it reads one MVCC snapshot, obeys the statement timeout and counts
+// into the query.* metrics.
 func (t *Table) SelectViaCM(cmName string, fn func(Row) bool, preds ...Pred) error {
-	q, err := buildQuery(t, preds)
-	if err != nil {
-		return err
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	for _, cm := range t.inner.CMs() {
-		if cm.Spec().Name == cmName {
-			return exec.CMScan(t.inner, cm, q, t.db.workers, func(_ heap.RID, row value.Row) bool {
-				return fn(externalRow(row))
-			})
-		}
-	}
-	return fmt.Errorf("repro: table %s has no CM %q", t.inner.Name(), cmName)
+	return t.runTree(nil, QuerySpec{Table: t.Name(), Via: CMScan, viaCM: cmName, Preds: preds}, t.db.workers,
+		func(r value.Row) bool { return fn(externalRow(r)) })
 }
 
 // QuerySpec names one query of a batch: the target table, the access
@@ -250,6 +240,9 @@ type QuerySpec struct {
 	Having []Pred
 	// OrderBy sorts the result rows; see Order.
 	OrderBy []Order
+	// viaCM, with Via == CMScan, names the correlation map to go through
+	// (SelectViaCM).
+	viaCM string
 }
 
 // isAggregate reports whether the spec computes aggregates or groups.
@@ -281,11 +274,12 @@ func (db *DB) SelectMany(specs []QuerySpec) []QueryResult {
 // fail immediately. A nil ctx never cancels; the configured statement
 // timeout still applies to each query individually.
 func (db *DB) SelectManyCtx(ctx context.Context, specs []QuerySpec) []QueryResult {
-	ctxs := make([]context.Context, len(specs))
-	for i := range ctxs {
-		ctxs[i] = ctx
-	}
-	return db.selectManyEach(ctxs, specs)
+	out := make([]QueryResult, len(specs))
+	db.fanOut(len(specs), func(i int) {
+		rows, err := db.runSpec(ctx, specs[i], 1)
+		out[i] = QueryResult{Rows: rows, Err: err}
+	})
+	return out
 }
 
 // PlanNode is one operator of an explained plan, bottom-up: an access

@@ -45,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -193,24 +192,16 @@ type DB struct {
 	// Fault tolerance (see cancel-related code in runspec.go):
 	// stmtTimeout is the per-statement deadline in nanoseconds (0 =
 	// none); the counters tally statements ended by cancellation or
-	// deadline and connections the server rejected at admission.
+	// deadline.
 	stmtTimeout atomic.Int64
 	qCancelled  *metrics.Counter
 	qTimedOut   *metrics.Counter
-	srvRejected *metrics.Counter
 
-	// Wire protocol v2 (see stream.go and internal/server): chunked
-	// streaming, send-queue backpressure, cross-connection coalescing
-	// and token-auth failures, recorded by the server through the
-	// Record* methods in runspec.go.
-	srvChunks       *metrics.Counter
-	srvBackpressure *metrics.Counter
-	srvBatches      *metrics.Counter
-	srvBatchStmts   *metrics.Counter
-	srvAuthFailures *metrics.Counter
-
-	mu     sync.RWMutex // guards the tables map
+	mu     sync.RWMutex // guards the tables map and shared
 	tables map[string]*Table
+	// shared holds the counters other layers registered through
+	// MetricCounter (internal/server's server.*), by name.
+	shared map[string]*metrics.Counter
 }
 
 // Open creates a database.
@@ -239,6 +230,7 @@ func Open(cfg Config) *DB {
 		log:         wal.NewLog(disk),
 		workers:     workers,
 		tables:      make(map[string]*Table),
+		shared:      make(map[string]*metrics.Counter),
 		probeBlooms: cfg.ProbeBlooms,
 	}
 	db.initMetrics()
@@ -482,13 +474,7 @@ func (t *Table) Delete(preds ...Pred) (int, error) {
 // statement compiles through the plan layer, so its WHERE clause reads
 // through whichever access path the cost model prefers.
 func (t *Table) DeleteCtx(ctx context.Context, preds ...Pred) (int, error) {
-	ctx, cancel := t.db.stmtCtx(ctx)
-	defer cancel()
-	wt, err := t.compileDelete(ctx, preds)
-	if err != nil {
-		return 0, err
-	}
-	n, err := t.runWrite(wt)
+	n, _, err := t.writeStmt(ctx, true, nil, [][]Pred{preds}, runPlain)
 	return int(n), err
 }
 
@@ -516,27 +502,7 @@ func (t *Table) Update(sets []Set, preds ...Pred) (int64, error) {
 // nil ctx never cancels; the configured statement timeout applies
 // either way.
 func (t *Table) UpdateCtx(ctx context.Context, sets []Set, preds ...Pred) (int64, error) {
-	return t.runUpdate(ctx, sets, [][]Pred{preds})
-}
-
-// runUpdate executes an UPDATE whose WHERE clause is in disjunctive
-// normal form — the shared path of Update, UpdateCtx and SQL's UPDATE.
-func (t *Table) runUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (int64, error) {
-	ctx, cancel := t.db.stmtCtx(ctx)
-	defer cancel()
-	wt, err := t.compileUpdate(ctx, sets, anyOf)
-	if err != nil {
-		return 0, err
-	}
-	return t.runWrite(wt)
-}
-
-// runWrite executes a compiled UPDATE or DELETE — the one place write
-// statements record their latency and classify their outcome.
-func (t *Table) runWrite(wt *plan.WriteTree) (int64, error) {
-	defer t.db.observeQuery(time.Now())
-	n, err := wt.Run(t.db.workers)
-	t.db.noteOutcome(err)
+	n, _, err := t.writeStmt(ctx, false, sets, [][]Pred{preds}, runPlain)
 	return n, err
 }
 
@@ -557,86 +523,6 @@ func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...
 		return 0, fmt.Errorf("repro: no table %q", table)
 	}
 	return t.UpdateCtx(ctx, sets, preds...)
-}
-
-// compileUpdate lowers facade sets + a WHERE clause in disjunctive
-// normal form (one []Pred conjunction per disjunct) to a compiled
-// write tree. ctx, when non-nil, cancels the compiled tree's read and
-// write phases.
-func (t *Table) compileUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (*plan.WriteTree, error) {
-	disjuncts := make([]exec.Query, 0, len(anyOf))
-	for _, preds := range anyOf {
-		q, err := buildQuery(t, preds)
-		if err != nil {
-			return nil, err
-		}
-		disjuncts = append(disjuncts, q)
-	}
-	esets := make([]exec.SetClause, len(sets))
-	for i, s := range sets {
-		ci, err := t.colIndex(s.Col)
-		if err != nil {
-			return nil, err
-		}
-		esets[i] = exec.SetClause{Col: ci, Val: s.Val.v}
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	return plan.CompileUpdate(t.inner, t.writeSpec(ctx, disjuncts), esets, t.stats)
-}
-
-// compileDelete lowers a DELETE's WHERE conjunction to a compiled
-// write tree, like compileUpdate.
-func (t *Table) compileDelete(ctx context.Context, preds []Pred) (*plan.WriteTree, error) {
-	q, err := buildQuery(t, preds)
-	if err != nil {
-		return nil, err
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	return plan.CompileDelete(t.inner, t.writeSpec(ctx, []exec.Query{q}), t.stats)
-}
-
-// writeSpec is the read-side plan spec of a write statement. It carries
-// no snapshot: the read phase runs under the writer gate, where nothing
-// else mutates the table, and reads the latest state.
-func (t *Table) writeSpec(ctx context.Context, disjuncts []exec.Query) plan.Spec {
-	spec := plan.Spec{Disjuncts: disjuncts, Ctx: ctx}
-	if t.db.metricsOn() {
-		spec.Obs = t.db.scanObs
-	}
-	return spec
-}
-
-// explainUpdate compiles an UPDATE without running it — plain EXPLAIN
-// UPDATE. The read side's access path is chosen exactly as Run would.
-func (t *Table) explainUpdate(sets []Set, anyOf [][]Pred) (PlanInfo, error) {
-	ut, err := t.compileUpdate(nil, sets, anyOf)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	return facadePlan(ut.Explain()), nil
-}
-
-// analyzeUpdate compiles and executes an UPDATE while measuring
-// per-node actuals. EXPLAIN ANALYZE UPDATE really writes (PostgreSQL
-// semantics); it returns the rows updated and the measured plan.
-func (t *Table) analyzeUpdate(ctx context.Context, sets []Set, anyOf [][]Pred) (int64, PlanInfo, error) {
-	ctx, cancel := t.db.stmtCtx(ctx)
-	defer cancel()
-	ut, err := t.compileUpdate(ctx, sets, anyOf)
-	if err != nil {
-		return 0, PlanInfo{}, err
-	}
-	defer t.db.observeQuery(time.Now())
-	n, an, err := ut.RunAnalyzed(t.db.workers)
-	t.db.noteOutcome(err)
-	if err != nil {
-		return 0, PlanInfo{}, err
-	}
-	pi := facadePlan(ut.Explain())
-	attachActuals(&pi, an)
-	return n, pi, nil
 }
 
 // Commit flushes the WAL with the prototype's two-phase-commit

@@ -157,39 +157,138 @@ func (db *DB) runSpec(ctx context.Context, spec QuerySpec, workers int) ([]Row, 
 	return rows, nil
 }
 
+// stmtMode says what a statement entry point wants done with the tree
+// its prologue compiled.
+type stmtMode int
+
+const (
+	runPlain    stmtMode = iota // execute
+	runAnalyzed                 // execute, measuring per-node actuals
+	explainOnly                 // compile only; nothing runs, nothing is timed
+)
+
 // runTree compiles the spec through the plan layer and runs it under a
 // shared latch hold, streaming output rows to sink. ctx (plus the
 // configured statement timeout) bounds the run; a cancelled or expired
 // statement returns the context's error and counts into
 // query.cancelled / query.timed_out.
 func (t *Table) runTree(ctx context.Context, spec QuerySpec, workers int, sink plan.RowSink) error {
+	_, err := t.readStmt(ctx, spec, workers, runPlain, sink)
+	return err
+}
+
+// readStmt is the one prologue of every read statement — each Select*,
+// SQL SELECT, EXPLAIN and EXPLAIN ANALYZE: lower the spec, apply the
+// statement timeout, refuse a context that is already dead, take the
+// table latch shared, capture the MVCC snapshot under it, attach the
+// scan observer, compile, then run as mode says, time the statement and
+// classify its outcome. The latch is held from compile through run, so
+// the tree sweeps the pages its planner resolved. The PlanInfo is built
+// for the explaining modes only.
+func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode stmtMode, sink plan.RowSink) (PlanInfo, error) {
 	ps, err := t.planSpec(spec)
 	if err != nil {
-		return err
+		return PlanInfo{}, err
 	}
 	ctx, cancel := t.db.stmtCtx(ctx)
 	defer cancel()
-	ps.Ctx = ctx
 	if err := t.db.ctxDead(ctx); err != nil {
-		return err
+		return PlanInfo{}, err
 	}
 	t.inner.RLock()
 	defer t.inner.RUnlock()
 	// Capture the MVCC snapshot under the shared hold: the whole
 	// statement reads the table as of this published version, so a writer
 	// statement publishing mid-scan changes nothing the query sees.
-	ps.Snap = t.inner.Snapshot()
-	if t.db.metricsOn() {
-		ps.Obs = t.db.scanObs
+	ps.Ctx, ps.Snap, ps.Obs = ctx, t.inner.Snapshot(), t.db.obs()
+	if mode != explainOnly {
+		defer t.db.observeQuery(time.Now())
 	}
-	defer t.db.observeQuery(time.Now())
 	tree, err := plan.Compile(t.inner, ps, t.stats)
 	if err != nil {
-		return err
+		return PlanInfo{}, err
 	}
-	err = tree.Run(workers, sink)
+	if mode == explainOnly {
+		return facadePlan(tree.Explain(), nil), nil
+	}
+	var an *plan.Analysis
+	if mode == runAnalyzed {
+		an, err = tree.RunAnalyzed(workers, sink)
+	} else {
+		err = tree.Run(workers, sink)
+	}
 	t.db.noteOutcome(err)
-	return err
+	if err != nil || an == nil {
+		return PlanInfo{}, err
+	}
+	return facadePlan(tree.Explain(), an), nil
+}
+
+// writeStmt is the one prologue of every write statement — UPDATE (sets
+// are its assignments) and DELETE (del; no sets), whose WHERE clause
+// arrives in disjunctive normal form, one []Pred conjunction per
+// disjunct: lower names to indices, apply the statement timeout, refuse a
+// context that is already dead, compile the read side under a shared
+// latch hold — so the WHERE clause reads through whichever access path
+// the cost model prefers — release the latch, then run as mode says
+// under the writer gate (where the tree probes its CMs afresh), time the
+// statement and classify its outcome. It returns the rows written.
+func (t *Table) writeStmt(ctx context.Context, del bool, sets []Set, anyOf [][]Pred, mode stmtMode) (int64, PlanInfo, error) {
+	// The read side carries no snapshot: it runs under the writer gate,
+	// where nothing else mutates the table, and reads the latest state.
+	spec := plan.Spec{Disjuncts: make([]exec.Query, 0, len(anyOf))}
+	for _, preds := range anyOf {
+		q, err := buildQuery(t, preds)
+		if err != nil {
+			return 0, PlanInfo{}, err
+		}
+		spec.Disjuncts = append(spec.Disjuncts, q)
+	}
+	esets := make([]exec.SetClause, len(sets))
+	for i, s := range sets {
+		ci, err := t.colIndex(s.Col)
+		if err != nil {
+			return 0, PlanInfo{}, err
+		}
+		esets[i] = exec.SetClause{Col: ci, Val: s.Val.v}
+	}
+	ctx, cancel := t.db.stmtCtx(ctx)
+	defer cancel()
+	if err := t.db.ctxDead(ctx); err != nil {
+		return 0, PlanInfo{}, err
+	}
+	spec.Ctx, spec.Obs = ctx, t.db.obs()
+	wt, err := t.compileWrite(del, spec, esets)
+	if err != nil {
+		return 0, PlanInfo{}, err
+	}
+	if mode == explainOnly {
+		return 0, facadePlan(wt.Explain(), nil), nil
+	}
+	defer t.db.observeQuery(time.Now())
+	var n int64
+	var an *plan.Analysis
+	if mode == runAnalyzed {
+		n, an, err = wt.RunAnalyzed(t.db.workers)
+	} else {
+		n, err = wt.Run(t.db.workers)
+	}
+	t.db.noteOutcome(err)
+	if err != nil || an == nil {
+		return n, PlanInfo{}, err
+	}
+	return n, facadePlan(wt.Explain(), an), nil
+}
+
+// compileWrite compiles a write statement's tree under a shared latch
+// hold, released before the statement runs.
+func (t *Table) compileWrite(del bool, spec plan.Spec, sets []exec.SetClause) (*plan.WriteTree, error) {
+	t.inner.RLock()
+	defer t.inner.RUnlock()
+	if del {
+		return plan.CompileDelete(t.inner, spec, t.stats)
+	}
+	return plan.CompileUpdate(t.inner, spec, sets, t.stats)
 }
 
 // observeQuery records one statement's wall time (started at start)
@@ -265,52 +364,15 @@ func StatementOutcome(err error) string {
 	}
 }
 
-// RecordRejectedConn bumps the server.rejected counter; the TCP server
-// calls it when admission control turns a connection away.
-func (db *DB) RecordRejectedConn() { db.srvRejected.Inc() }
-
-// RecordStreamChunk bumps the server.stream_chunks counter; the TCP
-// server calls it per chunk frame sent in wire-protocol-v2 streaming.
-func (db *DB) RecordStreamChunk() { db.srvChunks.Inc() }
-
-// RecordBackpressureWait adds d to server.backpressure_waits_ns; the
-// TCP server calls it after a producing statement blocked on a full
-// per-connection send queue for d.
-func (db *DB) RecordBackpressureWait(d time.Duration) { db.srvBackpressure.Add(int64(d)) }
-
-// RecordCoalescedBatch counts one flushed cross-connection batch of n
-// statements into server.coalesced_batches / server.coalesced_stmts.
-func (db *DB) RecordCoalescedBatch(n int) {
-	db.srvBatches.Inc()
-	db.srvBatchStmts.Add(int64(n))
-}
-
-// RecordAuthFailure bumps the server.auth_failures counter; the TCP
-// server calls it when a connection fails token authentication.
-func (db *DB) RecordAuthFailure() { db.srvAuthFailures.Inc() }
-
 // planSpec resolves a QuerySpec's names against the table schema and
 // lowers it to the plan layer's index-based Spec — the single
 // translation between the public facade vocabulary and the physical
 // plan tree.
 func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
-	ps := plan.Spec{Limit: spec.Limit}
-	switch spec.Via {
-	case Auto:
-		ps.Force = plan.Auto
-	case TableScan:
-		ps.Force = plan.ForceTableScan
-	case SortedIndexScan:
-		ps.Force = plan.ForceSorted
-	case PipelinedIndexScan:
-		ps.Force = plan.ForcePipelined
-	case CMScan:
-		ps.Force = plan.ForceCM
-	case ClusteredIndexScan:
-		ps.Force = plan.ForceClustered
-	default:
+	if spec.Via < 0 || int(spec.Via) >= len(execMethods) {
 		return plan.Spec{}, fmt.Errorf("repro: unknown access method %v", spec.Via)
 	}
+	ps := plan.Spec{Limit: spec.Limit, Method: execMethods[spec.Via], CM: spec.viaCM}
 
 	// The WHERE clause — Preds AND (AnyOf[0] OR ...) — lowers to
 	// disjunctive normal form: one conjunctive exec.Query per disjunct.
@@ -447,58 +509,49 @@ func (db *DB) ExplainSpec(spec QuerySpec) (PlanInfo, error) {
 	return tbl.explainSpec(spec)
 }
 
-// facadeMethod maps an executor method onto the facade enum.
-func facadeMethod(m exec.Method) AccessMethod {
-	switch m {
-	case exec.MethodSorted:
-		return SortedIndexScan
-	case exec.MethodPipelined:
-		return PipelinedIndexScan
-	case exec.MethodCM:
-		return CMScan
-	case exec.MethodClustered:
-		return ClusteredIndexScan
-	default:
-		return TableScan
-	}
-}
-
 // explainSpec compiles the spec under a shared latch and converts the
 // plan layer's Info into the facade PlanInfo.
 func (t *Table) explainSpec(spec QuerySpec) (PlanInfo, error) {
-	ps, err := t.planSpec(spec)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	ps.Snap = t.inner.Snapshot()
-	tree, err := plan.Compile(t.inner, ps, t.stats)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	return facadePlan(tree.Explain()), nil
+	return t.readStmt(nil, spec, 0, explainOnly, nil)
 }
 
-// facadePlan converts the plan layer's Info into the facade PlanInfo.
-func facadePlan(info plan.Info) PlanInfo {
-	pi := PlanInfo{TotalCols: info.TotalCols, DecodedCols: info.DecodedCols}
-	switch {
-	case info.CMAgg:
-		// No single heap access path; Nodes[0] is the cm-agg node.
-		pi.Method, pi.Uses, pi.EstimatedCost = Auto, info.Uses, info.Cost
-	case info.Union:
-		pi.Method, pi.EstimatedCost = Auto, info.Cost // Nodes[0] is authoritative
-	case info.Fallback:
-		pi.Method, pi.EstimatedCost = TableScan, info.Cost
-	default:
-		pi.Method, pi.Uses = facadeMethod(info.Method), info.Uses
-		if info.CostEstimated {
-			pi.EstimatedCost = info.Cost
+// execMethods is the one translation between the facade's AccessMethod
+// and the executor's Method, indexed by the former; accessMethod reads
+// it backwards.
+var execMethods = [...]exec.Method{
+	Auto:               exec.MethodAuto,
+	TableScan:          exec.MethodTableScan,
+	SortedIndexScan:    exec.MethodSorted,
+	PipelinedIndexScan: exec.MethodPipelined,
+	CMScan:             exec.MethodCM,
+	ClusteredIndexScan: exec.MethodClustered,
+}
+
+// accessMethod maps an executor method onto the facade enum.
+func accessMethod(m exec.Method) AccessMethod {
+	for am, em := range execMethods {
+		if em == m {
+			return AccessMethod(am)
 		}
+	}
+	return Auto
+}
+
+// facadePlan converts the plan layer's Info into the facade PlanInfo,
+// attaching an analyzed run's measurements when there are any.
+func facadePlan(info plan.Info, an *plan.Analysis) PlanInfo {
+	pi := PlanInfo{
+		Method:        accessMethod(info.Method),
+		Uses:          info.Uses,
+		EstimatedCost: info.Cost,
+		TotalCols:     info.TotalCols,
+		DecodedCols:   info.DecodedCols,
 	}
 	for _, n := range info.Nodes {
 		pi.Nodes = append(pi.Nodes, PlanNode{Kind: n.Kind, Detail: n.Detail, EstCost: n.Cost})
+	}
+	if an != nil {
+		attachActuals(&pi, an)
 	}
 	return pi
 }
@@ -554,33 +607,5 @@ func (db *DB) ExplainAnalyzeSpec(spec QuerySpec) (PlanInfo, error) {
 // hold, measuring per-node actuals. ctx (plus the statement timeout)
 // bounds the run like runTree.
 func (t *Table) analyzeSpec(ctx context.Context, spec QuerySpec) (PlanInfo, error) {
-	ps, err := t.planSpec(spec)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	ctx, cancel := t.db.stmtCtx(ctx)
-	defer cancel()
-	ps.Ctx = ctx
-	if err := t.db.ctxDead(ctx); err != nil {
-		return PlanInfo{}, err
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	ps.Snap = t.inner.Snapshot()
-	if t.db.metricsOn() {
-		ps.Obs = t.db.scanObs
-	}
-	defer t.db.observeQuery(time.Now())
-	tree, err := plan.Compile(t.inner, ps, t.stats)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	an, err := tree.RunAnalyzed(t.db.workers, func(value.Row) bool { return true })
-	t.db.noteOutcome(err)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	pi := facadePlan(tree.Explain())
-	attachActuals(&pi, an)
-	return pi, nil
+	return t.readStmt(ctx, spec, t.db.workers, runAnalyzed, func(value.Row) bool { return true })
 }

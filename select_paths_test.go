@@ -14,7 +14,9 @@ import (
 // asserts identical columns, rows, Rows count and error text: Exec, a
 // two-SELECT ExecScript batch, ExecScriptStreamCtx with a collecting
 // RowStreamer, and ExecPreparedBatch (PrepareSelect declines the
-// statements that do not bind), at one and at four workers.
+// statements that do not bind), at one and at four workers. The native
+// named-CM front door, SelectViaCM, answers the statement it can express
+// with the same rows.
 func TestSelectEntryPointsAgree(t *testing.T) {
 	stmts := []string{
 		"SELECT * FROM items WHERE qty = 7",
@@ -26,6 +28,9 @@ func TestSelectEntryPointsAgree(t *testing.T) {
 		"SELECT nope FROM items",
 		"SELECT * FROM ghosts",
 	}
+	// viaCM gives the native predicates of the statements the named-CM
+	// front door can answer (SELECT * over one conjunction on qty).
+	viaCM := map[string][]Pred{stmts[0]: {Eq("qty", IntVal(7))}}
 	// render flattens one outcome for comparison.
 	render := func(cols []string, rows []Row, n int, err error) string {
 		if err != nil {
@@ -66,6 +71,17 @@ func TestSelectEntryPointsAgree(t *testing.T) {
 				want = render(res.Columns, res.Rows, len(res.Rows), nil)
 				sawRows = sawRows || len(res.Rows) > 1
 				sawHidden = sawHidden || (len(res.Columns) == 2 && res.Columns[1] == "avg(price)" && len(res.Rows[0]) == 2)
+			}
+
+			if preds, ok := viaCM[stmt]; ok {
+				var rows []Row
+				verr := db.Table("items").SelectViaCM("cm_qty", func(r Row) bool {
+					rows = append(rows, r)
+					return true
+				}, preds...)
+				if got := render(res.Columns, rows, len(rows), verr); got != want {
+					t.Errorf("%s: SelectViaCM\n got  %s\n want %s", name, got, want)
+				}
 			}
 
 			batch, berr := db.ExecScript(stmt + "; " + stmt)

@@ -463,7 +463,7 @@ func (db *DB) execUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.Update
 	if err != nil {
 		return nil, err
 	}
-	n, err := tbl.runUpdate(ctx, sets, anyOf)
+	n, _, err := tbl.writeStmt(ctx, false, sets, anyOf, runPlain)
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +594,7 @@ func (db *DB) execExplainUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe
 		return nil, err
 	}
 	if s.Analyze {
-		n, info, err := tbl.analyzeUpdate(ctx, sets, anyOf)
+		n, info, err := tbl.writeStmt(ctx, false, sets, anyOf, runAnalyzed)
 		if err != nil {
 			return nil, err
 		}
@@ -602,7 +602,7 @@ func (db *DB) execExplainUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe
 		res.Affected = int(n)
 		return res, nil
 	}
-	info, err := tbl.explainUpdate(sets, anyOf)
+	_, info, err := tbl.writeStmt(nil, false, sets, anyOf, explainOnly)
 	if err != nil {
 		return nil, err
 	}

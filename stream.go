@@ -332,27 +332,6 @@ func (db *DB) measured(texts []string, out []ScriptResult, run func()) {
 	}
 }
 
-// SelectManyEachCtx is SelectManyCtx with one context per query:
-// ctxs[i] bounds specs[i] alone, so cancelling one caller's context
-// stops only that caller's query — the semantics a server needs when
-// queries from independent clients share a batch. ctxs may be shorter
-// than specs; missing or nil entries never cancel.
-func (db *DB) SelectManyEachCtx(ctxs []context.Context, specs []QuerySpec) []QueryResult {
-	return db.selectManyEach(ctxs, specs)
-}
-
-// selectManyEach runs the specs across the worker pool, each under its
-// own context with serial scans — the engine behind SelectMany and
-// SelectManyCtx.
-func (db *DB) selectManyEach(ctxs []context.Context, specs []QuerySpec) []QueryResult {
-	out := make([]QueryResult, len(specs))
-	db.fanOut(len(specs), func(i int) {
-		rows, err := db.runSpec(ctxAt(ctxs, i), specs[i], 1)
-		out[i] = QueryResult{Rows: rows, Err: err}
-	})
-	return out
-}
-
 // ctxAt returns ctxs[i], or nil (never cancels) past its end.
 func ctxAt(ctxs []context.Context, i int) context.Context {
 	if i < len(ctxs) {
