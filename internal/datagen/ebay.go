@@ -3,7 +3,7 @@
 // deterministic given a seed and scale freely: tests run thousands of
 // rows, benchmarks can run millions.
 //
-// Substitutions relative to the paper (see DESIGN.md): the eBay category
+// Substitutions relative to the paper (see ARCHITECTURE.md §7): the eBay category
 // feed, TPC-H dbgen output and the SDSS sky catalog are reproduced as
 // synthetic equivalents preserving the attribute correlations (soft FDs)
 // that the experiments measure.

@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// CorrelatedItem is one row of the Figure-6-style workload the parallel
-// scan benchmarks and cmbench's parallel experiment share: a table
-// clustered on Cat with the soft functional dependency Cat -> Subcat,
-// and a wide Desc payload so sweeps stay page- rather than CPU-bound.
+// CorrelatedItem is one row of the Figure-6-style workload the root
+// tests and the bench/ module share: a table clustered on Cat with the
+// soft functional dependency Cat -> Subcat, and a wide Desc payload so
+// sweeps stay page- rather than CPU-bound.
 type CorrelatedItem struct {
 	Cat, Subcat, Price int64
 	Desc               string

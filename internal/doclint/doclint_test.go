@@ -33,7 +33,6 @@ var lintedDirs = []string{
 	"../table",   // table latches + MVCC write path
 	"../costmodel",
 	"../filter", // count-min sketch + bloom filters (PR 9)
-	"../load",   // wire load generator + coalescing A/B harness (PR 10)
 }
 
 // TestExportedSymbolsAreDocumented parses every non-test file of the

@@ -7,8 +7,8 @@ import "sync/atomic"
 // the caller, and heap page visits. The executor keeps per-chunk local
 // tallies and flushes them here in one shot, so the hot per-tuple loop
 // never touches an atomic — attaching a ScanObs to a query costs a few
-// atomic adds per chunk, which is what keeps the instrumentation
-// overhead gate (BENCH_7) honest. A nil *ScanObs disables counting.
+// atomic adds per chunk, which is what keeps instrumentation off the
+// per-row path. A nil *ScanObs disables counting.
 //
 // The same ScanObs may be shared by every disjunct of an OR query and
 // by concurrent scan workers; all fields are atomics.

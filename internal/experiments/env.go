@@ -1,15 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7 plus the motivating experiments of Section 3.4).
 // Each experiment returns a structured result and can print itself in the
-// paper's format; cmd/cmbench drives them from the command line and
-// bench_test.go wraps them as Go benchmarks.
+// paper's format. Paper (paper.go) is the one table of the paper-scale
+// configurations; cmd/cmbench selects from it and prints.
 //
 // Times reported as "elapsed" are virtual, disk-bound milliseconds from
 // the simulated disk (paper constants: 5.5 ms seek, 0.078 ms/page) — the
 // same methodology the paper itself uses for Table 3. Scales are reduced
 // from the paper's multi-gigabyte tables but chosen so the page-count
-// ratios that produce each result's shape are preserved; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// ratios that produce each result's shape are preserved; ARCHITECTURE.md
+// §7 describes the method, and experiments_test.go asserts the shapes.
 package experiments
 
 import (

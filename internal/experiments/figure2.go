@@ -195,7 +195,8 @@ func selectWindow(rows []value.Row, col int, selectivity float64) []int {
 	return out
 }
 
-// Print renders the histogram like the paper's Figure 2.
+// Print renders the histogram like the paper's Figure 2, then the
+// clustering Best picks.
 func (r *Figure2Result) Print(w io.Writer) {
 	fprintf(w, "Figure 2: queries accelerated by clustering choice (%d rows, %d queries, scan=%.1fms)\n",
 		r.TableRows, r.Queries, r.TableScanMS)
@@ -204,6 +205,8 @@ func (r *Figure2Result) Print(w io.Writer) {
 		fprintf(w, "%-12s %6d %6d %6d %6d\n",
 			row.ClusterAttr, row.Speedup2x, row.Speedup4x, row.Speedup8x, row.Speedup16x)
 	}
+	best := r.Best()
+	fprintf(w, "best clustering: %s (%d queries >=2x)\n", best.ClusterAttr, best.Speedup2x)
 }
 
 // Best returns the clustering attribute accelerating the most queries at

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -111,12 +112,8 @@ func populatedBase(rows []value.Row) float64 {
 	for i, r := range rows {
 		prices[i] = r[datagen.EBayPrice].F
 	}
-	sortFloats(prices)
+	sort.Float64s(prices)
 	return prices[int(float64(len(prices))*0.4)]
-}
-
-func sortFloats(s []float64) {
-	sort.Float64s(s)
 }
 
 // Figure6Point is one x position: a price range width.
@@ -181,7 +178,7 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 			return nil, err
 		}
 		if matched != cmMatched {
-			return nil, errMismatch(cmMatched, matched)
+			return nil, fmt.Errorf("experiments: CM matched %d rows, B+Tree %d", cmMatched, matched)
 		}
 		res.Points = append(res.Points, Figure6Point{
 			RangeDollars: r,
@@ -191,14 +188,6 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 		})
 	}
 	return res, nil
-}
-
-type mismatchError struct{ cm, bt int }
-
-func errMismatch(cm, bt int) error { return mismatchError{cm, bt} }
-
-func (e mismatchError) Error() string {
-	return "experiments: CM and B+Tree row counts disagree"
 }
 
 // Print renders the figure.

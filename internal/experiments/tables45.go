@@ -62,10 +62,9 @@ func sx6Query() exec.Query {
 	)
 }
 
-// RunAdvisorTables reproduces Table 4 (bucketings considered per
-// attribute of the SX6 query) and Table 5 (candidate CM designs ranked
-// by estimated slowdown vs a secondary B+Tree, with size ratios).
-func RunAdvisorTables(cfg AdvisorTablesConfig) (*AdvisorTablesResult, error) {
+// sx6Advisor loads the PhotoTag table clustered on objID and prepares
+// an advisor over a sample of it.
+func sx6Advisor(cfg AdvisorTablesConfig) (*advisor.Advisor, table.Schema, error) {
 	cfg.defaults()
 	env := NewEnv(4096)
 	tbl, err := env.LoadTable(table.Config{
@@ -74,15 +73,22 @@ func RunAdvisorTables(cfg AdvisorTablesConfig) (*AdvisorTablesResult, error) {
 		ClusteredCols: []int{datagen.SDSSObjID},
 	}, datagen.PhotoTag(cfg.SDSS))
 	if err != nil {
-		return nil, err
+		return nil, table.Schema{}, err
 	}
 	adv, err := advisor.New(tbl, advisor.Config{SampleSize: cfg.SampleSize, Seed: 1})
+	return adv, tbl.Schema(), err
+}
+
+// RunAdvisorTables reproduces Table 4 (bucketings considered per
+// attribute of the SX6 query) and Table 5 (candidate CM designs ranked
+// by estimated slowdown vs a secondary B+Tree, with size ratios).
+func RunAdvisorTables(cfg AdvisorTablesConfig) (*AdvisorTablesResult, error) {
+	adv, sch, err := sx6Advisor(cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &AdvisorTablesResult{}
-	sch := tbl.Schema()
 	for _, col := range []int{datagen.SDSSMode, datagen.SDSSType, datagen.SDSSPsfMagG, datagen.SDSSFieldID} {
 		opts := adv.BucketingsFor(col)
 		row := Table4Row{
@@ -139,9 +145,9 @@ func (r *AdvisorTablesResult) Print(w io.Writer) {
 		widths := "none"
 		if row.MaxLevel > 0 {
 			if row.MinLevel == 0 {
-				widths = fprintfs("none ~ 2^%d", row.MaxLevel)
+				widths = sprintf("none ~ 2^%d", row.MaxLevel)
 			} else {
-				widths = fprintfs("2^%d ~ 2^%d", row.MinLevel, row.MaxLevel)
+				widths = sprintf("2^%d ~ 2^%d", row.MinLevel, row.MaxLevel)
 			}
 		}
 		fprintf(w, "%-12s %14.0f %18s\n", row.Column, row.Cardinality, widths)
@@ -152,8 +158,4 @@ func (r *AdvisorTablesResult) Print(w io.Writer) {
 		fprintf(w, "%+9.1f%%  %-44s %12.1f %9.2f%%\n",
 			row.SlowdownPct, row.Design, float64(row.SizeBytes)/1024, row.SizeRatio*100)
 	}
-}
-
-func fprintfs(format string, args ...any) string {
-	return sprintf(format, args...)
 }

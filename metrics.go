@@ -15,8 +15,7 @@ import (
 // surface as zero-cost func metrics read at snapshot time; only the
 // query-scan observer and the latency histograms add work to hot
 // paths, and those are gated by SetMetricsEnabled (an uncontended
-// counter update costs about one atomic add; disabled costs nothing —
-// see the BENCH_7 overhead experiment).
+// counter update costs about one atomic add; disabled costs nothing).
 //
 // The metric vocabulary (all values int64; durations in nanoseconds
 // under *_ns names; histograms expand to .count/.sum/.max/.p50/.p95/
