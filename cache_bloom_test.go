@@ -1,9 +1,10 @@
 // Mixed-workload cache and bloom-probe tests for the PR-9 layers: the
 // W-TinyLFU admission filter must keep a hot point-lookup working set
 // resident through concurrent full-table sweeps without changing any
-// query result, and the ProbeBlooms filters must answer absent-key
-// point probes with zero page reads — through churn and through a
-// CheckpointCM -> RecoverCM round trip. Named TestCache*/TestBloom* so
+// query result, and absent-key point probes must read zero pages —
+// through a secondary index's ProbeBlooms filter, and through a CM with
+// or without the knob — through churn and through a CheckpointCM ->
+// RecoverCM round trip. Named TestCache*/TestBloom* so
 // CI's `-race -count 2 -run 'Cache|Bloom|Sketch'` step exercises them.
 package repro
 
@@ -251,6 +252,18 @@ func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) 
 			out[mn+"/"+qn] = got
 		}
 	}
+	// Whatever the knobs, a CM probe for an absent key is a missed hash
+	// lookup: it reads no page, even from a cold cache.
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().Reads
+	if err := tbl.SelectVia(CMScan, func(Row) bool { return true }, queries["absent-point"].preds...); err != nil {
+		t.Fatal(err)
+	}
+	if reads := db.Stats().Reads - before; reads != 0 {
+		t.Fatalf("scanResistant=%v probeBlooms=%v: absent-key cm probe read %d pages, want 0", scanResistant, probeBlooms, reads)
+	}
 	return out
 }
 
@@ -295,14 +308,23 @@ func TestBloomEquivalenceAccessMethods(t *testing.T) {
 }
 
 // TestBloomChurnAndCheckpointRoundTrip drives insert/delete/update
-// churn through a ProbeBlooms table and checks the index and CM blooms
-// stay consistent (present keys always found, fully-retracted keys
-// pruned with zero page reads), then round-trips the CM through
-// CheckpointCM -> RecoverCM and asserts a negative probe through the
-// recovered CM still reads zero pages from a cold cache.
+// churn through a table with ProbeBlooms on and off and checks the index
+// and the CM stay consistent (present keys always found), that a probe
+// for a fully-retracted or never-present key reads zero pages — through
+// the CM always (a missed hash lookup; a CM carries no bloom), through
+// the index when its bloom is armed — then round-trips the CM through
+// CheckpointCM -> RecoverCM and asserts the recovered CM equals the live
+// one and a negative probe through it still reads zero pages from a cold
+// cache.
 func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
+	for _, blooms := range []bool{true, false} {
+		t.Run(fmt.Sprintf("ProbeBlooms=%v", blooms), func(t *testing.T) { bloomChurnAndCheckpointRoundTrip(t, blooms) })
+	}
+}
+
+func bloomChurnAndCheckpointRoundTrip(t *testing.T, blooms bool) {
 	const rows = 2000
-	db := Open(Config{Workers: 2, BufferPoolPages: 128, ProbeBlooms: true})
+	db := Open(Config{Workers: 2, BufferPoolPages: 128, ProbeBlooms: blooms})
 	tbl, err := db.CreateTable(TableSpec{
 		Name:        "churn",
 		Columns:     []Column{{Name: "c", Kind: Int}, {Name: "u", Kind: Int}},
@@ -355,8 +377,8 @@ func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
 	check("after load")
 
 	// Churn: new u values appear, one u value is fully retracted, and
-	// updates move rows between u values — the bloom must follow
-	// through the Algorithm-1 retraction hooks.
+	// updates move rows between u values — the CM follows through
+	// Algorithm 1, the index bloom through its retraction hooks.
 	for i := 0; i < 30; i++ {
 		if err := tbl.Insert(Row{IntVal(int64(rows + i)), IntVal(int64(100 + i%5))}); err != nil {
 			t.Fatal(err)
@@ -371,32 +393,33 @@ func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
 	check("after churn")
 
 	// The fully-retracted key and a never-present key must now be
-	// pruned without touching a page.
+	// answered without touching a page: by the CM as it is, by the
+	// index when it has a bloom to ask.
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
 	for _, absent := range []int64{17, 23, 5000} {
 		before := db.Stats().Reads
-		if n := countVia(PipelinedIndexScan, absent); n != 0 {
-			t.Fatalf("index probe for absent u=%d saw %d rows", absent, n)
-		}
 		if n := countCM(absent); n != 0 {
 			t.Fatalf("cm probe for absent u=%d saw %d rows", absent, n)
 		}
 		if reads := db.Stats().Reads - before; reads != 0 {
-			t.Fatalf("absent-key probes for u=%d read %d pages, want 0", absent, reads)
+			t.Fatalf("absent-key cm probe for u=%d read %d pages, want 0", absent, reads)
+		}
+		if n := countVia(PipelinedIndexScan, absent); n != 0 {
+			t.Fatalf("index probe for absent u=%d saw %d rows", absent, n)
+		}
+		if reads := db.Stats().Reads - before; blooms && reads != 0 {
+			t.Fatalf("absent-key index probe for u=%d read %d pages through its bloom, want 0", absent, reads)
 		}
 	}
 
-	// Checkpoint, more churn, recover under a new name, then a cold
-	// negative probe through the recovered CM: still zero reads, and
-	// the recovered bloom (not the live one) must answer it.
+	// Checkpoint, more churn, recover under a new name: checkpoint +
+	// log tail must give the live CM back, and a cold negative probe
+	// through the recovered CM still reads nothing.
 	live := tbl.inner.CMOn(1)
 	if live == nil {
 		t.Fatal("live CM missing")
-	}
-	if !live.BloomEnabled() {
-		t.Fatal("live CM has no bloom under ProbeBlooms")
 	}
 	var checkpoint bytes.Buffer
 	lsn, err := tbl.inner.CheckpointCM(live, &checkpoint)
@@ -419,8 +442,19 @@ func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.BloomEnabled() {
-		t.Fatal("recovered CM has no bloom")
+	// Serialize is canonical (keys sorted, runs as stored), so equal
+	// checkpoints mean Walk-equal CMs: keys, runs, counts, statistics
+	// and MMDirty flags.
+	var liveBytes, recBytes bytes.Buffer
+	if err := live.Serialize(&liveBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Serialize(&recBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recBytes.Bytes(), liveBytes.Bytes()) {
+		t.Fatalf("recovered CM (%d keys, %d pairs) differs from the live one (%d keys, %d pairs)",
+			rec.Keys(), rec.Pairs(), live.Keys(), live.Pairs())
 	}
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
@@ -441,7 +475,6 @@ func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	skipsBefore := rec.BloomSkips()
 	readsBefore := db.Stats().Reads
 	for _, absent := range []int64{17, 31, 9999} {
 		if n := countRec(absent); n != 0 {
@@ -450,8 +483,5 @@ func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
 	}
 	if reads := db.Stats().Reads - readsBefore; reads != 0 {
 		t.Fatalf("absent-key probes through recovered CM read %d pages, want 0", reads)
-	}
-	if rec.BloomSkips() == skipsBefore {
-		t.Fatal("recovered CM's bloom answered no probe — the serialized bloom was not adopted")
 	}
 }

@@ -193,9 +193,10 @@ func TestClusteredSnapshotReadMidWrite(t *testing.T) {
 func cmFingerprint(t *testing.T, cm *core.CM) []string {
 	t.Helper()
 	var out []string
-	err := cm.WalkStats(func(key []byte, _ []value.Value, buckets map[int32]*core.EntryStats) bool {
-		for b, st := range buckets {
-			line := fmt.Sprintf("%x|%d|n=%d si=%v sf=%v", key, b, st.Count, st.SumI, st.SumF)
+	err := cm.Walk(func(e core.Entry, _ []value.Value) bool {
+		for i, b := range e.Buckets {
+			st := &e.Stats[i]
+			line := fmt.Sprintf("%x|%d|n=%d si=%v sf=%v", e.Key, b, st.Count, st.SumI, st.SumF)
 			if !st.MMDirty {
 				line += fmt.Sprintf(" min=%v max=%v", st.Min, st.Max)
 			}

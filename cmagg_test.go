@@ -56,10 +56,11 @@ func cmaggFixture(t *testing.T, workers int, n int) (*DB, *Table) {
 }
 
 // cmaggSpecs is the query matrix of the equivalence suite: point,
-// IN-list and range predicates over the identity CM, range predicates
-// over the bucketed CM (interior buckets pure, boundary buckets swept),
-// grouped and ungrouped shapes, a predicate-free COUNT, and range and
-// IN-list predicates on the clustering column.
+// IN-list (also with repeated keys) and range predicates over the
+// identity CM, range and point predicates over the bucketed CM (interior
+// buckets pure, boundary buckets swept), grouped and ungrouped shapes, a
+// predicate-free COUNT, and range and IN-list predicates on the
+// clustering column.
 func cmaggSpecs() []QuerySpec {
 	all := []Agg{{Func: Count}, {Func: Sum, Col: "qty"}, {Func: Avg, Col: "qty"},
 		{Func: Min, Col: "qty"}, {Func: Max, Col: "city"}}
@@ -75,6 +76,13 @@ func cmaggSpecs() []QuerySpec {
 		// boundary buckets sweep (Between 10..30 spans buckets 8..28).
 		{Table: "items", Preds: []Pred{Between("wide", IntVal(10), IntVal(30))}, Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "wide"}, {Func: Min, Col: "wide"}}},
 		{Table: "items", Preds: []Pred{Eq("wide", IntVal(13))}, Aggs: []Agg{{Func: Count}, {Func: Avg, Col: "wide"}}},
+		// One key spelled twice — the literal IN (5, 5), and IN values of
+		// one bucket — is one entry: statistics folded twice would show
+		// as a doubled COUNT. A second predicate on the column still
+		// applies to a key found by direct lookup.
+		{Table: "items", Preds: []Pred{In("qty", IntVal(5), IntVal(5))}, Aggs: all},
+		{Table: "items", Preds: []Pred{In("wide", IntVal(13), IntVal(14), IntVal(15), IntVal(40))}, Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "wide"}}},
+		{Table: "items", Preds: []Pred{In("qty", IntVal(7), IntVal(3), IntVal(12)), Gt("qty", IntVal(3))}, Aggs: all},
 		// Predicates on the clustering column: no CM covers them, the
 		// clustered-index scan feeds the heap fold.
 		{Table: "items", Preds: []Pred{Between("cat", IntVal(10), IntVal(40)), Ne("qty", IntVal(9))}, Aggs: all, GroupBy: []string{"city"}},

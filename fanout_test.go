@@ -170,3 +170,53 @@ func TestInlineProbeStaysInline(t *testing.T) {
 		t.Errorf("a warm point probe allocates %.1f times with metrics on and %.1f with metrics off, want at most one more", one, off)
 	}
 }
+
+// TestPointAggregateStaysPoint guards the index-only point aggregate by
+// count: `COUNT(*), AVG(price) WHERE subcat = k` resolves its one CM
+// entry by direct lookup, so a warm statement allocates a small constant
+// number of objects whether the CM holds 500 keys (the benchmark's
+// fixture shape) or 5,000 — planning a point aggregate does not scale
+// with the CM.
+func TestPointAggregateStaysPoint(t *testing.T) {
+	for _, keys := range []int{500, 5000} {
+		db := Open(Config{BufferPoolPages: 4096})
+		tbl, err := db.CreateTable(TableSpec{
+			Name:        "items",
+			Columns:     []Column{{Name: "cat", Kind: Int}, {Name: "subcat", Kind: Int}, {Name: "price", Kind: Int}},
+			ClusteredBy: []string{"cat"},
+			BucketPages: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]Row, 8*keys)
+		for i := range rows {
+			rows[i] = Row{IntVal(int64(i)), IntVal(int64(i / 8)), IntVal(int64(i % 97))}
+		}
+		if err := tbl.Load(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}); err != nil {
+			t.Fatal(err)
+		}
+		spec := QuerySpec{Table: "items", Preds: []Pred{Eq("subcat", IntVal(int64(keys/2)))},
+			Aggs: []Agg{{Func: Count}, {Func: Avg, Col: "price"}}}
+		info, err := db.ExplainSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Nodes[0].Kind != "cm-agg" || !strings.Contains(info.Nodes[0].Detail, "1 keys") || !strings.Contains(info.Nodes[0].Detail, "index-only") {
+			t.Fatalf("%d keys: planned %s %q, want an index-only cm-agg over 1 key", keys, info.Nodes[0].Kind, info.Nodes[0].Detail)
+		}
+		run := func() {
+			_, got, err := db.SelectAggregate(spec)
+			if err != nil || len(got) != 1 || got[0][0].Int() != 8 {
+				t.Fatalf("%d keys: aggregate = %v, err %v; want one row counting 8", keys, got, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(100, run); allocs > 100 {
+			t.Errorf("a warm point aggregate over a %d-key CM allocates %.0f objects, want at most 100", keys, allocs)
+		}
+	}
+}

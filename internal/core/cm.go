@@ -24,10 +24,8 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
-	"repro/internal/filter"
 	"repro/internal/keyenc"
 	"repro/internal/value"
 )
@@ -83,49 +81,43 @@ type EntryStats struct {
 	MMDirty bool
 }
 
+// Entry is one CM entry: a distinct bucketed key with the clustered
+// buckets it co-occurs with, ascending, and each pair's statistics at
+// the same position. Lookup, Find and Walk hand out the stored slices —
+// the CM's live state, valid under the table latch the caller holds and
+// not to be mutated.
+type Entry struct {
+	Key     string // the encoded bucketed key
+	Buckets []int32
+	Stats   []EntryStats
+}
+
 // CM is a correlation map. Lookups may run concurrently with each other;
 // AddRow/RemoveRow require exclusive access. The engine enforces this
 // with the table latch (readers under RLock, maintenance under Lock), so
 // the CM itself carries no lock.
+//
+// Every key is stored once, as its sorted run of clustered buckets: the
+// form a probe returns, a checkpoint writes and Algorithm 1 maintains by
+// binary search (c_per_u is small by the paper's premise). An absent key
+// is a missed hash lookup — no page read, nothing in front of the map.
 type CM struct {
 	spec  Spec
-	m     map[string]map[int32]*EntryStats
+	m     map[string]*Entry
 	pairs int64
 	size  int64 // serialized-size accounting
 	// statsInvalid marks per-entry statistics as incomplete: a CM
-	// restored from a checkpoint (whose format predates the statistics)
-	// cannot answer aggregates index-only until rebuilt.
+	// restored from a checkpoint written under another stat-column
+	// layout cannot answer aggregates index-only until rebuilt.
 	statsInvalid bool
-	// bloom, when enabled, summarizes the CM's distinct (bucketed) keys
-	// so a point probe for an absent key skips the lookup (and the heap
-	// fetches behind it) entirely. Maintained through the Algorithm-1
-	// hooks: entry adds a key on first sight, RemoveRow retracts it when
-	// its last pair disappears. nil means no bloom (the default).
-	bloom *filter.Bloom
-	// bloomExpected remembers the sizing EnableBloom was called with so
-	// Reset and checkpoint recovery can rebuild an equivalent filter.
-	bloomExpected int64
-	// bloomSkips counts probes the bloom answered negatively (atomic:
-	// lookups run concurrently under the table read latch).
-	bloomSkips atomic.Int64
 	// pagesSwept and falsePositivePages are the CM's live health gauges:
 	// heap pages swept by scans this CM drove, and how many of those held
-	// no matching tuple (atomic, like bloomSkips). A rising share of
-	// false-positive pages says the soft functional dependency the CM
-	// compresses has weakened.
+	// no matching tuple (atomic: lookups run concurrently under the table
+	// read latch). A rising share of false-positive pages says the soft
+	// functional dependency the CM compresses has weakened.
 	pagesSwept         atomic.Int64
 	falsePositivePages atomic.Int64
 }
-
-// cmBloomSeed keeps CM bloom hashing deterministic across runs; the
-// bloom also serializes its seed, so a recovered filter answers
-// identically.
-const cmBloomSeed = 0xC0AB10C5F17E
-
-// cmBloomFPP is the CM bloom's target false-positive rate. A false
-// positive only costs the probe the bloom would have skipped, so a
-// modest rate keeps the filter small (CMs are the compact structure).
-const cmBloomFPP = 0.01
 
 // entry size accounting: per distinct key 2 (len) + len + 4 (pair count);
 // per pair 4 (bucket id) + 4 (count).
@@ -143,7 +135,7 @@ func New(spec Spec) *CM {
 	if len(spec.Bucketers) != len(spec.UCols) {
 		panic("core: spec bucketer count mismatch")
 	}
-	return &CM{spec: spec, m: make(map[string]map[int32]*EntryStats)}
+	return &CM{spec: spec, m: make(map[string]*Entry)}
 }
 
 // Spec returns the CM's design.
@@ -167,20 +159,11 @@ func (cm *CM) KeyForRow(row value.Row) []byte {
 	return dst
 }
 
-// keyForValues buckets and encodes explicit CM-attribute values.
-func (cm *CM) keyForValues(vals []value.Value) []byte {
-	dst := make([]byte, 0, 10*len(vals))
-	for i, v := range vals {
-		dst = keyenc.AppendValue(dst, cm.spec.Bucketers[i].Bucket(v))
-	}
-	return dst
-}
-
 // AddRow records the co-occurrence of the row's CM attribute with the
 // clustered bucket, incrementing the pair's count and folding the row's
 // stat-column values into the entry statistics (Algorithm 1, extended).
 func (cm *CM) AddRow(row value.Row, cbucket int32) {
-	st := cm.entry(cm.KeyForRow(row), cbucket)
+	st := cm.pair(cm.KeyForRow(row), cbucket)
 	st.Count++
 	for i, c := range cm.spec.StatCols {
 		v := row[c]
@@ -203,27 +186,6 @@ func (cm *CM) AddRow(row value.Row, cbucket int32) {
 	}
 }
 
-// EnableBloom arms the CM's key bloom filter, sized for expectedN
-// distinct keys, and seeds it with the keys already present. Callers
-// hold the table write latch (like AddRow).
-func (cm *CM) EnableBloom(expectedN int64) {
-	cm.bloomExpected = expectedN
-	cm.bloom = filter.NewBloom(expectedN, cmBloomFPP, cmBloomSeed)
-	for k := range cm.m {
-		cm.bloom.Add([]byte(k))
-	}
-}
-
-// BloomEnabled reports whether the CM maintains a key bloom filter.
-func (cm *CM) BloomEnabled() bool { return cm.bloom != nil }
-
-// BloomSkips returns how many point probes the bloom pruned.
-func (cm *CM) BloomSkips() int64 { return cm.bloomSkips.Load() }
-
-// NoteBloomSkips records n point probes the bloom pruned (ProbePossible
-// said no) in a probe a statement went on to act on.
-func (cm *CM) NoteBloomSkips(n int64) { cm.bloomSkips.Add(n) }
-
 // NoteSweep records one scan's heap sweep against the CM: pages visited
 // and, of those, the pages on which no tuple survived the re-filter.
 func (cm *CM) NoteSweep(pages, falsePositive int64) {
@@ -238,48 +200,35 @@ func (cm *CM) PagesSwept() int64 { return cm.pagesSwept.Load() }
 // tuple.
 func (cm *CM) FalsePositivePages() int64 { return cm.falsePositivePages.Load() }
 
-// BloomSizeBytes returns the bloom filter's footprint (0 when disabled).
-func (cm *CM) BloomSizeBytes() int64 {
-	if cm.bloom == nil {
-		return 0
+// newStats returns an empty statistics block shaped for the spec.
+func (cm *CM) newStats() EntryStats {
+	n := len(cm.spec.StatCols)
+	return EntryStats{
+		SumI: make([]int64, n),
+		SumF: make([]float64, n),
+		Min:  make([]value.Value, n),
+		Max:  make([]value.Value, n),
 	}
-	return cm.bloom.SizeBytes()
 }
 
-// ProbePossible reports whether a point lookup for the given
-// CM-attribute values can possibly match: false (definitive) only when
-// the bloom proves the bucketed key absent. Without a bloom it always
-// reports true. It counts nothing — the planner probes CMs it may not
-// use; see NoteBloomSkips.
-func (cm *CM) ProbePossible(vals []value.Value) bool {
-	return cm.bloom == nil || cm.bloom.MayContain(cm.keyForValues(vals))
-}
-
-// entry resolves (creating on first sight) the stats block for a pair.
-func (cm *CM) entry(key []byte, cbucket int32) *EntryStats {
-	set, ok := cm.m[string(key)]
+// pair resolves (creating on first sight) the stats block for a pair,
+// keeping the key's run sorted. The pointer holds until the next
+// insertion into the same run.
+func (cm *CM) pair(key []byte, cbucket int32) *EntryStats {
+	e, ok := cm.m[string(key)]
 	if !ok {
-		set = make(map[int32]*EntryStats, 2)
-		cm.m[string(key)] = set
+		e = &Entry{Key: string(key)}
+		cm.m[e.Key] = e
 		cm.size += keyOverhead + int64(len(key))
-		if cm.bloom != nil {
-			cm.bloom.Add(key)
-		}
 	}
-	st, ok := set[cbucket]
-	if !ok {
-		nstat := len(cm.spec.StatCols)
-		st = &EntryStats{
-			SumI: make([]int64, nstat),
-			SumF: make([]float64, nstat),
-			Min:  make([]value.Value, nstat),
-			Max:  make([]value.Value, nstat),
-		}
-		set[cbucket] = st
+	i, found := slices.BinarySearch(e.Buckets, cbucket)
+	if !found {
+		e.Buckets = slices.Insert(e.Buckets, i, cbucket)
+		e.Stats = slices.Insert(e.Stats, i, cm.newStats())
 		cm.pairs++
 		cm.size += pairOverhead
 	}
-	return st
+	return &e.Stats[i]
 }
 
 // RemoveRow retracts one co-occurrence, deleting the pair when its count
@@ -289,34 +238,36 @@ func (cm *CM) entry(key []byte, cbucket int32) *EntryStats {
 // rescan), which index-only MIN/MAX answers treat as impure.
 func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
 	key := cm.KeyForRow(row)
-	set, ok := cm.m[string(key)]
-	if !ok || set[cbucket] == nil || set[cbucket].Count == 0 {
+	e, found := cm.m[string(key)]
+	i := 0
+	if found {
+		i, found = slices.BinarySearch(e.Buckets, cbucket)
+	}
+	if !found {
 		return fmt.Errorf("core: remove of unrecorded pair (%x, %d)", key, cbucket)
 	}
-	st := set[cbucket]
+	st := &e.Stats[i]
 	st.Count--
 	if st.Count == 0 {
-		delete(set, cbucket)
+		e.Buckets = slices.Delete(e.Buckets, i, i+1)
+		e.Stats = slices.Delete(e.Stats, i, i+1)
 		cm.pairs--
 		cm.size -= pairOverhead
-		if len(set) == 0 {
-			delete(cm.m, string(key))
+		if len(e.Buckets) == 0 {
+			delete(cm.m, e.Key)
 			cm.size -= keyOverhead + int64(len(key))
-			if cm.bloom != nil {
-				cm.bloom.Remove(key)
-			}
 		}
 		return nil
 	}
-	for i, c := range cm.spec.StatCols {
+	for s, c := range cm.spec.StatCols {
 		v := row[c]
 		switch v.K {
 		case value.Int:
-			st.SumI[i] -= v.I
+			st.SumI[s] -= v.I
 		case value.Float:
-			st.SumF[i] -= v.F
+			st.SumF[s] -= v.F
 		}
-		if v.Compare(st.Min[i]) == 0 || v.Compare(st.Max[i]) == 0 {
+		if v.Compare(st.Min[s]) == 0 || v.Compare(st.Max[s]) == 0 {
 			st.MMDirty = true
 		}
 	}
@@ -341,8 +292,8 @@ func (cm *CM) StatsSizeBytes() int64 {
 		perPair += 8 + 8 + 2*16 // SumI + SumF + two value headers
 	}
 	total := cm.pairs * perPair
-	for _, set := range cm.m {
-		for _, st := range set {
+	for _, e := range cm.m {
+		for _, st := range e.Stats {
 			for i := range cm.spec.StatCols {
 				if st.Min[i].K == value.String {
 					total += int64(len(st.Min[i].S) + len(st.Max[i].S))
@@ -353,96 +304,68 @@ func (cm *CM) StatsSizeBytes() int64 {
 	return total
 }
 
+// Find returns the entry stored under an encoded bucketed key (the
+// concatenated keyenc encodings of one bucket representative per CM
+// column), or false when the CM has none: an absent key costs one missed
+// hash lookup and reads nothing.
+func (cm *CM) Find(key []byte) (Entry, bool) {
+	e, ok := cm.m[string(key)]
+	if !ok {
+		return Entry{}, false
+	}
+	return *e, true
+}
+
 // Lookup returns the clustered buckets co-occurring with the given CM
-// attribute values (one value per CM column), sorted ascending.
+// attribute values (one value per CM column), ascending: the stored run
+// itself, not a copy.
 func (cm *CM) Lookup(vals ...value.Value) []int32 {
 	if len(vals) != len(cm.spec.UCols) {
 		panic("core: Lookup arity mismatch")
 	}
-	set := cm.m[string(cm.keyForValues(vals))]
-	out := make([]int32, 0, len(set))
-	for b := range set {
-		out = append(out, b)
+	key := make([]byte, 0, 10*len(vals))
+	for i, v := range vals {
+		key = keyenc.AppendValue(key, cm.spec.Bucketers[i].Bucket(v))
 	}
-	slices.Sort(out)
-	return out
+	e, _ := cm.Find(key)
+	return e.Buckets
 }
 
 // LookupMany unions the clustered buckets for several CM-attribute value
 // combinations (the cm_lookup({vu1..vuN}) API of Section 5.2), sorted.
 func (cm *CM) LookupMany(valLists [][]value.Value) []int32 {
-	if len(valLists) == 1 {
-		return cm.Lookup(valLists[0]...)
-	}
-	seen := make(map[int32]struct{})
+	var out []int32
 	for _, vals := range valLists {
-		for _, b := range cm.Lookup(vals...) {
-			seen[b] = struct{}{}
-		}
+		out = append(out, cm.Lookup(vals...)...)
 	}
-	return setToSorted(seen)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // LookupMatch returns the clustered buckets of every CM entry whose
-// bucketed attribute values satisfy match. Range predicates use this
-// path: the whole CM is scanned, which is cheap because CMs are small
-// and memory-resident.
+// bucketed attribute values satisfy match, sorted: one Walk, which is
+// cheap because CMs are small and memory-resident.
 func (cm *CM) LookupMatch(match func(vals []value.Value) bool) ([]int32, error) {
-	seen := make(map[int32]struct{})
-	for key, set := range cm.m {
-		vals, err := keyenc.DecodeAll([]byte(key))
-		if err != nil {
-			return nil, err
+	var out []int32
+	err := cm.Walk(func(e Entry, vals []value.Value) bool {
+		if match(vals) {
+			out = append(out, e.Buckets...)
 		}
-		if !match(vals) {
-			continue
-		}
-		for b := range set {
-			seen[b] = struct{}{}
-		}
-	}
-	return setToSorted(seen), nil
-}
-
-func setToSorted(seen map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
+		return true
+	})
 	slices.Sort(out)
-	return out
+	return slices.Compact(out), err
 }
 
-// Walk visits every entry (decoded bucketed values, bucket->count map).
-// Iteration order is unspecified. Returning false stops the walk.
-func (cm *CM) Walk(fn func(vals []value.Value, buckets map[int32]uint32) bool) error {
-	for key, set := range cm.m {
+// Walk visits every entry with its decoded bucketed values. Iteration
+// order is unspecified; returning false stops the walk.
+func (cm *CM) Walk(fn func(e Entry, vals []value.Value) bool) error {
+	for key, e := range cm.m {
 		vals, err := keyenc.DecodeAll([]byte(key))
 		if err != nil {
 			return err
 		}
-		counts := make(map[int32]uint32, len(set))
-		for b, st := range set {
-			counts[b] = uint32(st.Count)
-		}
-		if !fn(vals, counts) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// WalkStats visits every key with its encoded form, decoded bucketed
-// values and the per-clustered-bucket statistics blocks. The stats are
-// the CM's live state: callers must not mutate them. Iteration order is
-// unspecified; returning false stops the walk.
-func (cm *CM) WalkStats(fn func(key []byte, vals []value.Value, buckets map[int32]*EntryStats) bool) error {
-	for key, set := range cm.m {
-		vals, err := keyenc.DecodeAll([]byte(key))
-		if err != nil {
-			return err
-		}
-		if !fn([]byte(key), vals, set) {
+		if !fn(*e, vals) {
 			return nil
 		}
 	}
@@ -474,330 +397,252 @@ func (cm *CM) CPerU() float64 {
 }
 
 // The one checkpoint format: a magic word, then the version. Anything
-// else — the unversioned and v2 layouts earlier builds wrote, a foreign
-// or truncated file — is refused with an error rather than guessed at;
-// no data in those layouts was ever deployed.
+// else — the layouts earlier builds wrote (unversioned, v2, v3), a
+// foreign or truncated file — is refused with an error rather than
+// guessed at; no data in those layouts was ever deployed.
 const (
 	cmCheckpointMagic   uint32 = 0xC0AB10C5
-	cmCheckpointVersion uint32 = 3
+	cmCheckpointVersion uint32 = 4
+	// maxCheckpointStatCols bounds the stat-column count a checkpoint may
+	// declare: far above any table's width, far below what a corrupt
+	// header could make Deserialize allocate.
+	maxCheckpointStatCols = 1 << 12
 )
 
-// Serialize writes the CM checkpoint in its binary format (version 3),
+// Serialize writes the CM checkpoint in its binary format (version 4),
 // which carries the full per-entry statistics so a recovered CM keeps its
-// index-only aggregation pushdown, plus the key bloom when one is
-// enabled:
+// index-only aggregation pushdown:
 //
 //	[magic u32][version u32][nStatCols u32][statCol i32]*
 //	[numKeys u32] then per key
-//	  [klen u16][key][npairs u32] per pair (buckets sorted)
+//	  [klen u16][key][npairs u32] per pair (buckets ascending)
 //	    [bucket i32][count i64][mmdirty u8]
 //	    per stat col [sumI i64][sumF f64][min value][max value]
-//	[bloomPresent u8][bloom bytes when present]
 //
 // Values serialize as a kind byte (0 int, 1 float, 2 string) and their
-// payload (i64, f64, or u32-length-prefixed bytes). Keys and buckets are
-// written in sorted order, making the output stable.
+// payload (i64, f64, or u32-length-prefixed bytes). Keys are written in
+// sorted order and each key's run as it is stored, making the output
+// stable.
 func (cm *CM) Serialize(w io.Writer) error {
-	var buf [9]byte // writeValue needs kind byte + 8-byte payload
-	u32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(buf[:4], v)
-		_, err := w.Write(buf[:4])
-		return err
-	}
-	for _, v := range []uint32{cmCheckpointMagic, cmCheckpointVersion, uint32(len(cm.spec.StatCols))} {
-		if err := u32(v); err != nil {
-			return err
-		}
-	}
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, cmCheckpointMagic)
+	b = le.AppendUint32(b, cmCheckpointVersion)
+	b = le.AppendUint32(b, uint32(len(cm.spec.StatCols)))
 	for _, c := range cm.spec.StatCols {
-		if err := u32(uint32(int32(c))); err != nil {
-			return err
-		}
+		b = le.AppendUint32(b, uint32(int32(c)))
 	}
 	keys := make([]string, 0, len(cm.m))
 	for k := range cm.m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	if err := u32(uint32(len(keys))); err != nil {
-		return err
-	}
+	slices.Sort(keys)
+	b = le.AppendUint32(b, uint32(len(keys)))
 	for _, k := range keys {
-		set := cm.m[k]
-		binary.LittleEndian.PutUint16(buf[:2], uint16(len(k)))
-		if _, err := w.Write(buf[:2]); err != nil {
+		e := cm.m[k]
+		b = le.AppendUint16(b, uint16(len(k)))
+		b = append(b, k...)
+		b = le.AppendUint32(b, uint32(len(e.Buckets)))
+		for i, cb := range e.Buckets {
+			b = appendStats(le.AppendUint32(b, uint32(cb)), &e.Stats[i])
+		}
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		if _, err := io.WriteString(w, k); err != nil {
-			return err
-		}
-		if err := u32(uint32(len(set))); err != nil {
-			return err
-		}
-		buckets := make([]int32, 0, len(set))
-		for b := range set {
-			buckets = append(buckets, b)
-		}
-		sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-		for _, b := range buckets {
-			st := set[b]
-			if err := u32(uint32(b)); err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint64(buf[:8], uint64(st.Count))
-			if _, err := w.Write(buf[:8]); err != nil {
-				return err
-			}
-			dirty := byte(0)
-			if st.MMDirty {
-				dirty = 1
-			}
-			if _, err := w.Write([]byte{dirty}); err != nil {
-				return err
-			}
-			for i := range cm.spec.StatCols {
-				binary.LittleEndian.PutUint64(buf[:8], uint64(st.SumI[i]))
-				if _, err := w.Write(buf[:8]); err != nil {
-					return err
-				}
-				binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(st.SumF[i]))
-				if _, err := w.Write(buf[:8]); err != nil {
-					return err
-				}
-				if err := writeValue(w, buf[:], st.Min[i]); err != nil {
-					return err
-				}
-				if err := writeValue(w, buf[:], st.Max[i]); err != nil {
-					return err
-				}
-			}
-		}
+		b = b[:0]
 	}
-	present := byte(0)
-	if cm.bloom != nil {
-		present = 1
-	}
-	if _, err := w.Write([]byte{present}); err != nil {
-		return err
-	}
-	if cm.bloom != nil {
-		if _, err := cm.bloom.WriteTo(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(b) // the header, when there was no key to carry it
+	return err
 }
 
-// writeValue serializes one value as kind byte + payload.
-func writeValue(w io.Writer, buf []byte, v value.Value) error {
+// appendStats serializes one pair's statistics block: count, the
+// MMDirty flag, then the carriers of each stat column.
+func appendStats(b []byte, st *EntryStats) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(st.Count))
+	if st.MMDirty {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	for s := range st.SumI {
+		b = le.AppendUint64(b, uint64(st.SumI[s]))
+		b = le.AppendUint64(b, math.Float64bits(st.SumF[s]))
+		b = appendValue(appendValue(b, st.Min[s]), st.Max[s])
+	}
+	return b
+}
+
+// appendValue serializes one value as kind byte + payload.
+func appendValue(b []byte, v value.Value) []byte {
+	le := binary.LittleEndian
 	switch v.K {
 	case value.Int:
-		buf[0] = 0
-		binary.LittleEndian.PutUint64(buf[1:9], uint64(v.I))
-		_, err := w.Write(buf[:9])
-		return err
+		return le.AppendUint64(append(b, 0), uint64(v.I))
 	case value.Float:
-		buf[0] = 1
-		binary.LittleEndian.PutUint64(buf[1:9], math.Float64bits(v.F))
-		_, err := w.Write(buf[:9])
-		return err
+		return le.AppendUint64(append(b, 1), math.Float64bits(v.F))
 	default:
-		buf[0] = 2
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(v.S)))
-		if _, err := w.Write(buf[:5]); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, v.S)
-		return err
+		return append(le.AppendUint32(append(b, 2), uint32(len(v.S))), v.S...)
 	}
 }
 
-// readValue reads one value written by writeValue.
-func readValue(r io.Reader, buf []byte) (value.Value, error) {
-	if _, err := io.ReadFull(r, buf[:1]); err != nil {
-		return value.Value{}, err
+// checkpointReader reads a checkpoint's fields with a sticky error: after
+// the first failure every read returns zero, and the caller checks err
+// once per loop turn. Nothing is allocated from a length the input
+// declares until that many bytes have actually arrived.
+type checkpointReader struct {
+	r   io.Reader
+	buf [8]byte
+	err error
+}
+
+func (c *checkpointReader) fixed(n int) []byte {
+	if c.err == nil {
+		_, c.err = io.ReadFull(c.r, c.buf[:n])
 	}
-	switch buf[0] {
+	if c.err != nil {
+		clear(c.buf[:n])
+	}
+	return c.buf[:n]
+}
+
+func (c *checkpointReader) u8() byte    { return c.fixed(1)[0] }
+func (c *checkpointReader) u16() uint16 { return binary.LittleEndian.Uint16(c.fixed(2)) }
+func (c *checkpointReader) u32() uint32 { return binary.LittleEndian.Uint32(c.fixed(4)) }
+func (c *checkpointReader) u64() uint64 { return binary.LittleEndian.Uint64(c.fixed(8)) }
+
+// bytes reads n declared bytes. A length beyond directRead is not trusted
+// with an allocation: the result grows as the bytes arrive, so a lying
+// length costs no more memory than the input that backs it.
+func (c *checkpointReader) bytes(n int64) []byte {
+	const directRead = 1 << 16
+	if c.err != nil {
+		return nil
+	}
+	if n <= directRead {
+		b := make([]byte, n)
+		_, c.err = io.ReadFull(c.r, b)
+		return b
+	}
+	b, err := io.ReadAll(io.LimitReader(c.r, n))
+	if err == nil && int64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	c.err = err
+	return b
+}
+
+// value reads one value written by appendValue.
+func (c *checkpointReader) value() value.Value {
+	switch kind := c.u8(); kind {
 	case 0:
-		if _, err := io.ReadFull(r, buf[:8]); err != nil {
-			return value.Value{}, err
-		}
-		return value.NewInt(int64(binary.LittleEndian.Uint64(buf[:8]))), nil
+		return value.NewInt(int64(c.u64()))
 	case 1:
-		if _, err := io.ReadFull(r, buf[:8]); err != nil {
-			return value.Value{}, err
-		}
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))), nil
+		return value.NewFloat(math.Float64frombits(c.u64()))
 	case 2:
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return value.Value{}, err
-		}
-		sb := make([]byte, binary.LittleEndian.Uint32(buf[:4]))
-		if _, err := io.ReadFull(r, sb); err != nil {
-			return value.Value{}, err
-		}
-		return value.NewString(string(sb)), nil
+		return value.NewString(string(c.bytes(int64(c.u32()))))
 	default:
-		return value.Value{}, fmt.Errorf("core: bad value kind byte %d in checkpoint", buf[0])
+		if c.err == nil {
+			c.err = fmt.Errorf("bad value kind byte %d", kind)
+		}
+		return value.Value{}
 	}
 }
 
 // Deserialize replaces the CM's contents from a checkpoint written by
-// Serialize; any other header is an "unsupported checkpoint" error. A
-// checkpoint whose stat-column layout matches the spec restores the
-// per-entry statistics in full, so index-only aggregation (cm-agg) works
-// immediately. One written under a different stat-column layout carries
-// no usable statistics; the pair counts load and the statistics are
-// marked invalid, which the table layer repairs with a heap-scan rebuild
-// at recovery. When the CM has its bloom enabled, the checkpoint's bloom
-// is adopted directly; a checkpoint written without one triggers a
-// rebuild from the loaded keys, so negative-probe pruning survives
-// recovery either way. The spec is unchanged: callers pair a checkpoint
-// with the CM it came from.
+// Serialize; any other header is an "unsupported checkpoint" error, and
+// a truncated or corrupt body — a key that does not decode to the spec's
+// arity or repeats, a run that is not strictly ascending, a pair without
+// a positive count, an implausible stat-column count — is an error that
+// leaves the CM as it was. A checkpoint whose stat-column layout matches
+// the spec restores the per-entry statistics in full, so index-only
+// aggregation (cm-agg) works immediately. One written under a different
+// stat-column layout carries no usable statistics; the pair counts load
+// and the statistics are marked invalid, which the table layer repairs
+// with a heap-scan rebuild at recovery. The spec is unchanged: callers
+// pair a checkpoint with the CM it came from.
 func (cm *CM) Deserialize(r io.Reader) error {
-	var buf [9]byte
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
-		return fmt.Errorf("core: unsupported CM checkpoint: header: %w", err)
+	c := &checkpointReader{r: r}
+	magic, ver := c.u32(), c.u32()
+	if c.err != nil {
+		return fmt.Errorf("core: unsupported CM checkpoint: header: %w", c.err)
 	}
-	if magic, ver := binary.LittleEndian.Uint32(buf[:4]), binary.LittleEndian.Uint32(buf[4:8]); magic != cmCheckpointMagic || ver != cmCheckpointVersion {
+	if magic != cmCheckpointMagic || ver != cmCheckpointVersion {
 		return fmt.Errorf("core: unsupported CM checkpoint (header %#x, version %d)", magic, ver)
 	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return err
+	m, layoutOK, err := cm.readEntries(c)
+	if err != nil {
+		return fmt.Errorf("core: CM checkpoint: %w", err)
 	}
-	nstat := int(binary.LittleEndian.Uint32(buf[:4]))
-	statCols := make([]int, nstat)
-	for i := range statCols {
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return err
-		}
-		statCols[i] = int(int32(binary.LittleEndian.Uint32(buf[:4])))
-	}
-	// Statistics are only meaningful under the layout they were written
-	// with; a mismatched layout degrades to counts-only.
-	layoutOK := len(statCols) == len(cm.spec.StatCols)
-	for i := range statCols {
-		if !layoutOK || statCols[i] != cm.spec.StatCols[i] {
-			layoutOK = false
-			break
-		}
-	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return err
-	}
-	nk := binary.LittleEndian.Uint32(buf[:4])
-	m := make(map[string]map[int32]*EntryStats, nk)
-	var pairs, size int64
-	specStats := len(cm.spec.StatCols)
-	for i := uint32(0); i < nk; i++ {
-		if _, err := io.ReadFull(r, buf[:2]); err != nil {
-			return err
-		}
-		klen := binary.LittleEndian.Uint16(buf[:2])
-		kb := make([]byte, klen)
-		if _, err := io.ReadFull(r, kb); err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return err
-		}
-		np := binary.LittleEndian.Uint32(buf[:4])
-		set := make(map[int32]*EntryStats, np)
-		for j := uint32(0); j < np; j++ {
-			if _, err := io.ReadFull(r, buf[:4]); err != nil {
-				return err
-			}
-			bucket := int32(binary.LittleEndian.Uint32(buf[:4]))
-			if _, err := io.ReadFull(r, buf[:9]); err != nil {
-				return err
-			}
-			st := &EntryStats{
-				Count:   int64(binary.LittleEndian.Uint64(buf[:8])),
-				MMDirty: buf[8] != 0,
-				SumI:    make([]int64, specStats),
-				SumF:    make([]float64, specStats),
-				Min:     make([]value.Value, specStats),
-				Max:     make([]value.Value, specStats),
-			}
-			for s := 0; s < nstat; s++ {
-				if _, err := io.ReadFull(r, buf[:8]); err != nil {
-					return err
-				}
-				sumI := int64(binary.LittleEndian.Uint64(buf[:8]))
-				if _, err := io.ReadFull(r, buf[:8]); err != nil {
-					return err
-				}
-				sumF := math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
-				minV, err := readValue(r, buf[:])
-				if err != nil {
-					return err
-				}
-				maxV, err := readValue(r, buf[:])
-				if err != nil {
-					return err
-				}
-				if layoutOK {
-					st.SumI[s], st.SumF[s] = sumI, sumF
-					st.Min[s], st.Max[s] = minV, maxV
-				}
-			}
-			set[bucket] = st
-		}
-		m[string(kb)] = set
-		pairs += int64(np)
-		size += keyOverhead + int64(klen) + pairOverhead*int64(np)
-	}
-	cm.m = m
-	cm.pairs = pairs
-	cm.size = size
-	cm.statsInvalid = !layoutOK
-	var loaded *filter.Bloom
-	if _, err := io.ReadFull(r, buf[:1]); err != nil {
-		return err
-	}
-	if buf[0] != 0 {
-		b, err := filter.ReadBloom(r)
-		if err != nil {
-			return err
-		}
-		loaded = b
-	}
-	if cm.bloom != nil {
-		if loaded != nil {
-			cm.bloom = loaded
-		} else {
-			cm.rebuildBloom()
-		}
+	cm.m, cm.pairs, cm.size, cm.statsInvalid = m, 0, 0, !layoutOK
+	for k, e := range m {
+		cm.pairs += int64(len(e.Buckets))
+		cm.size += keyOverhead + int64(len(k)) + pairOverhead*int64(len(e.Buckets))
 	}
 	return nil
 }
 
-// rebuildBloom repopulates an enabled bloom from the CM's current keys
-// (no-op when the bloom is disabled), growing the sizing when the
-// loaded key count outstrips the original expectation.
-func (cm *CM) rebuildBloom() {
-	if cm.bloom == nil {
-		return
+// readEntries reads a checkpoint's body — everything after the version
+// word — into a fresh key map. layoutOK reports that the stat columns it
+// declares are the spec's, so the statistics it carries were kept.
+func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, layoutOK bool, err error) {
+	nstat := int(c.u32())
+	if nstat > maxCheckpointStatCols {
+		return nil, false, fmt.Errorf("%d stat columns declared", nstat)
 	}
-	if n := int64(len(cm.m)); n > cm.bloomExpected {
-		cm.bloomExpected = n
+	// Statistics are only meaningful under the layout they were written
+	// with; a mismatched layout degrades to counts-only.
+	layoutOK = nstat == len(cm.spec.StatCols)
+	for i := 0; i < nstat && c.err == nil; i++ {
+		if col := int(int32(c.u32())); layoutOK && col != cm.spec.StatCols[i] {
+			layoutOK = false
+		}
 	}
-	cm.bloom = filter.NewBloom(cm.bloomExpected, cmBloomFPP, cmBloomSeed)
-	for k := range cm.m {
-		cm.bloom.Add([]byte(k))
+	nk := c.u32()
+	m = make(map[string]*Entry, min(nk, 1<<10)) // a hint, capped: nk is unread input
+	for ; nk > 0; nk-- {
+		key := c.bytes(int64(c.u16()))
+		np := c.u32()
+		if c.err != nil {
+			return nil, false, c.err
+		}
+		if vals, err := keyenc.DecodeAll(key); err != nil || len(vals) != len(cm.spec.UCols) {
+			return nil, false, fmt.Errorf("key %x is not %d encoded values", key, len(cm.spec.UCols))
+		}
+		if _, dup := m[string(key)]; dup || np == 0 {
+			return nil, false, fmt.Errorf("key %x repeats or has no pairs", key)
+		}
+		e := &Entry{Key: string(key)}
+		for ; np > 0; np-- {
+			bucket := int32(c.u32())
+			st := cm.newStats()
+			st.Count, st.MMDirty = int64(c.u64()), c.u8() != 0
+			for s := 0; s < nstat && c.err == nil; s++ {
+				sumI, sumF := int64(c.u64()), math.Float64frombits(c.u64())
+				minV, maxV := c.value(), c.value()
+				if layoutOK {
+					st.SumI[s], st.SumF[s], st.Min[s], st.Max[s] = sumI, sumF, minV, maxV
+				}
+			}
+			if c.err != nil {
+				return nil, false, c.err
+			}
+			if n := len(e.Buckets); st.Count <= 0 || (n > 0 && bucket <= e.Buckets[n-1]) {
+				return nil, false, fmt.Errorf("key %x: bucket %d (count %d) breaks the ascending run", key, bucket, st.Count)
+			}
+			e.Buckets = append(e.Buckets, bucket)
+			e.Stats = append(e.Stats, st)
+		}
+		m[e.Key] = e
 	}
+	return m, layoutOK, c.err
 }
 
 // Reset empties the CM (keys, pairs, size accounting) and marks its
 // statistics valid again: the entry point for a full rebuild, after which
-// the caller re-adds every live row with AddRow. An enabled bloom is
-// rebuilt empty at its original sizing.
+// the caller re-adds every live row with AddRow.
 func (cm *CM) Reset() {
-	cm.m = make(map[string]map[int32]*EntryStats)
+	cm.m = make(map[string]*Entry)
 	cm.pairs = 0
 	cm.size = 0
 	cm.statsInvalid = false
-	if cm.bloom != nil {
-		cm.bloom = filter.NewBloom(cm.bloomExpected, cmBloomFPP, cmBloomSeed)
-	}
 }

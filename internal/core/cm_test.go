@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -211,8 +213,8 @@ func TestSizeAccountingMatchesSerializedSize(t *testing.T) {
 	// CM size): per key [klen u16][key][npairs u32], per pair
 	// [bucket i32][count u32]. Recount it from the entries.
 	var want int64
-	if err := cm.WalkStats(func(key []byte, _ []value.Value, buckets map[int32]*EntryStats) bool {
-		want += 2 + int64(len(key)) + 4 + 8*int64(len(buckets))
+	if err := cm.Walk(func(e Entry, _ []value.Value) bool {
+		want += 2 + int64(len(e.Key)) + 4 + 8*int64(len(e.Buckets))
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -243,50 +245,6 @@ func statsCM() *CM {
 	return cm
 }
 
-// flatStats flattens a CM's per-entry statistic blocks into a
-// comparable map keyed by (key bytes, clustered bucket).
-func flatStats(t *testing.T, cm *CM) map[string]EntryStats {
-	t.Helper()
-	out := map[string]EntryStats{}
-	err := cm.WalkStats(func(key []byte, _ []value.Value, buckets map[int32]*EntryStats) bool {
-		for cb, es := range buckets {
-			flat := *es
-			out[string(key)+"/"+string(rune(cb))] = flat
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func statsEqual(a, b EntryStats) bool {
-	if a.Count != b.Count || a.MMDirty != b.MMDirty {
-		return false
-	}
-	if len(a.SumI) != len(b.SumI) || len(a.SumF) != len(b.SumF) ||
-		len(a.Min) != len(b.Min) || len(a.Max) != len(b.Max) {
-		return false
-	}
-	for i := range a.SumI {
-		if a.SumI[i] != b.SumI[i] {
-			return false
-		}
-	}
-	for i := range a.SumF {
-		if a.SumF[i] != b.SumF[i] {
-			return false
-		}
-	}
-	for i := range a.Min {
-		if a.Min[i] != b.Min[i] || a.Max[i] != b.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSerializeV2PreservesStats pins the versioned checkpoint: a
 // Serialize -> Deserialize round trip keeps every per-entry statistic
 // block bit-exact and the CM still reports StatsValid, so index-only
@@ -304,19 +262,7 @@ func TestSerializeV2PreservesStats(t *testing.T) {
 	if !cm2.StatsValid() {
 		t.Fatal("v2 round trip lost statistics validity")
 	}
-	want, got := flatStats(t, cm), flatStats(t, cm2)
-	if len(got) != len(want) {
-		t.Fatalf("round trip has %d entries, want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("entry %q missing after round trip", k)
-		}
-		if !statsEqual(g, w) {
-			t.Errorf("entry %q stats drifted: got %+v want %+v", k, g, w)
-		}
-	}
+	requireSameCM(t, cm2, cm)
 }
 
 // TestDeserializeStatLayoutMismatch: a checkpoint written under another
@@ -347,21 +293,28 @@ func TestDeserializeStatLayoutMismatch(t *testing.T) {
 
 // TestDeserializeRejectsUnsupportedHeaders: there is one checkpoint
 // format. The layouts earlier builds wrote — unversioned (opening with
-// the key count) and version 2 — and truncated or empty input are clean
-// errors, never a panic, and leave the CM as it was.
+// the key count), version 2 and version 3 — a header that declares
+// counts no input backs, and input cut short at any offset are clean
+// errors, never a panic or an allocation sized from an unread count, and
+// leave the CM as it was.
 func TestDeserializeRejectsUnsupportedHeaders(t *testing.T) {
 	var good bytes.Buffer
 	if err := statsCM().Serialize(&good); err != nil {
 		t.Fatal(err)
 	}
-	v2 := append([]byte(nil), good.Bytes()...)
-	binary.LittleEndian.PutUint32(v2[4:8], 2)
+	reversion := func(v uint32) []byte {
+		b := append([]byte(nil), good.Bytes()...)
+		binary.LittleEndian.PutUint32(b[4:8], v)
+		return b
+	}
 	cases := map[string][]byte{
-		"unversioned":      {5, 0, 0, 0, 3, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
-		"version 2":        v2,
-		"empty":            nil,
-		"truncated header": good.Bytes()[:6],
-		"truncated body":   good.Bytes()[:good.Len()/2],
+		"unversioned":     {5, 0, 0, 0, 3, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+		"version 2":       reversion(2),
+		"version 3":       reversion(3),
+		"4G keys, no key": killerCheckpoint(),
+	}
+	for cut := 0; cut < good.Len(); cut++ {
+		cases[fmt.Sprintf("truncated at %d", cut)] = good.Bytes()[:cut]
 	}
 	for name, data := range cases {
 		cm := statsCM()
@@ -445,9 +398,12 @@ func TestCPerU(t *testing.T) {
 func TestWalk(t *testing.T) {
 	cm := cityStateCM()
 	n := 0
-	if err := cm.Walk(func(vals []value.Value, buckets map[int32]uint32) bool {
+	if err := cm.Walk(func(e Entry, vals []value.Value) bool {
 		if len(vals) != 1 || vals[0].K != value.String {
 			t.Error("walk decoded wrong shape")
+		}
+		if len(e.Stats) != len(e.Buckets) || !slices.Equal(e.Buckets, cm.Lookup(vals...)) {
+			t.Errorf("walk handed %v (%d stat blocks) for %v, lookup says %v", e.Buckets, len(e.Stats), vals, cm.Lookup(vals...))
 		}
 		n++
 		return true
@@ -459,7 +415,7 @@ func TestWalk(t *testing.T) {
 	}
 	// Early stop.
 	n = 0
-	if err := cm.Walk(func([]value.Value, map[int32]uint32) bool { n++; return false }); err != nil {
+	if err := cm.Walk(func(Entry, []value.Value) bool { n++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -475,4 +431,116 @@ func TestLookupArityPanics(t *testing.T) {
 		}
 	}()
 	cm.Lookup(value.NewString("a"), value.NewString("b"))
+}
+
+// TestLookupReturnsTheStoredRun: a probe hands out the key's sorted run
+// as it is stored — no set, no sort, no copy — so the only allocation is
+// the encoded key; and an absent key allocates no more than that.
+func TestLookupReturnsTheStoredRun(t *testing.T) {
+	cm := cityStateCM()
+	for _, city := range []string{"boston", "nowhere"} {
+		vals := []value.Value{value.NewString(city)}
+		if allocs := testing.AllocsPerRun(100, func() { cm.Lookup(vals...) }); allocs > 1 {
+			t.Errorf("Lookup(%s) allocates %.0f objects, want at most the encoded key", city, allocs)
+		}
+	}
+	a, b := cm.Lookup(value.NewString("boston")), cm.Lookup(value.NewString("boston"))
+	if &a[0] != &b[0] {
+		t.Error("two lookups of one key returned different backing arrays")
+	}
+}
+
+// killerCheckpoint is a 16-byte header declaring no stat columns and
+// 2^32-1 keys: sizing anything from that count is an out-of-memory
+// crash, not an error.
+func killerCheckpoint() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, cmCheckpointMagic)
+	b = binary.LittleEndian.AppendUint32(b, cmCheckpointVersion)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF)
+}
+
+// entriesOf collects a CM's entries by key, checking on the way that
+// every stored run is strictly ascending with one stat block per bucket.
+func entriesOf(t testing.TB, cm *CM) map[string]Entry {
+	t.Helper()
+	out := map[string]Entry{}
+	err := cm.Walk(func(e Entry, vals []value.Value) bool {
+		if len(e.Stats) != len(e.Buckets) || len(e.Buckets) == 0 || len(vals) != len(cm.Spec().UCols) {
+			t.Fatalf("key %x: %d buckets, %d stat blocks, %d values", e.Key, len(e.Buckets), len(e.Stats), len(vals))
+		}
+		for i := 1; i < len(e.Buckets); i++ {
+			if e.Buckets[i] <= e.Buckets[i-1] {
+				t.Fatalf("key %x: run %v is not strictly ascending", e.Key, e.Buckets)
+			}
+		}
+		out[e.Key] = e
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// requireSameCM fails unless the two CMs are Walk-equal — the same keys,
+// runs, counts, statistics (floats by their bits) and MMDirty flags —
+// with matching totals.
+func requireSameCM(t testing.TB, got, want *CM) {
+	t.Helper()
+	if got.Keys() != want.Keys() || got.Pairs() != want.Pairs() || got.SizeBytes() != want.SizeBytes() {
+		t.Fatalf("keys %d pairs %d size %d, want %d %d %d",
+			got.Keys(), got.Pairs(), got.SizeBytes(), want.Keys(), want.Pairs(), want.SizeBytes())
+	}
+	g, w := entriesOf(t, got), entriesOf(t, want)
+	if len(g) != len(w) {
+		t.Fatalf("%d entries, want %d", len(g), len(w))
+	}
+	for k, we := range w {
+		ge, ok := g[k]
+		if !ok || !slices.Equal(ge.Buckets, we.Buckets) {
+			t.Fatalf("key %x: run %v, want %v", k, ge.Buckets, we.Buckets)
+		}
+		// The checkpoint form compares every statistic bit for bit.
+		var gs, ws []byte
+		for i := range we.Stats {
+			gs, ws = appendStats(gs, &ge.Stats[i]), appendStats(ws, &we.Stats[i])
+		}
+		if !bytes.Equal(gs, ws) {
+			t.Fatalf("key %x: statistics %+v, want %+v", k, ge.Stats, we.Stats)
+		}
+	}
+}
+
+// FuzzCMDeserialize: whatever the bytes, Deserialize returns an error or
+// a CM that round-trips through its own checkpoint — never a panic, and
+// (the 16-byte seed) never memory sized from a count the input only
+// declares.
+func FuzzCMDeserialize(f *testing.F) {
+	var good bytes.Buffer
+	if err := statsCM().Serialize(&good); err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut <= good.Len(); cut++ {
+		f.Add(good.Bytes()[:cut])
+	}
+	f.Add(killerCheckpoint())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cm := New(statsCM().Spec())
+		if err := cm.Deserialize(bytes.NewReader(data)); err != nil {
+			if cm.Keys() != 0 {
+				t.Fatalf("rejected checkpoint left %d keys behind", cm.Keys())
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := cm.Serialize(&again); err != nil {
+			t.Fatal(err)
+		}
+		cm2 := New(cm.Spec())
+		if err := cm2.Deserialize(&again); err != nil {
+			t.Fatalf("a CM's own checkpoint is refused: %v", err)
+		}
+		requireSameCM(t, cm2, cm)
+	})
 }

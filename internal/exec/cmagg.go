@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/table"
@@ -68,47 +68,9 @@ type CMAggPlan struct {
 	groupKeyPos []int // position within the CM key per groupBy column
 	q           Query
 	stats       *GroupAgg
-	impurePairs map[string]map[int32]bool
-}
-
-// cmKeyPred is one query predicate mapped onto a CM key position, with
-// its bucket-transformed form for truncation-bucketed columns.
-type cmKeyPred struct {
-	orig     Pred // rebased to the key position
-	identity bool
-	trans    Pred // bucket-transformed, inclusive bounds (superset match)
-	lo, hi   *value.Value
-}
-
-// matches reports whether a key's bucketed values can contain tuples
-// satisfying the predicate.
-func (kp *cmKeyPred) matches(vals []value.Value) bool {
-	if kp.identity {
-		return kp.orig.Matches(vals)
-	}
-	return kp.trans.Matches(vals)
-}
-
-// pure reports whether every tuple under a matching key satisfies the
-// predicate exactly: always for identity bucketing, and for range
-// predicates whose transformed bounds the key lies strictly inside
-// (bucket representatives are interval lower bounds, so a key strictly
-// between the boundary buckets covers only in-range values).
-func (kp *cmKeyPred) pure(vals []value.Value) bool {
-	if kp.identity {
-		return true
-	}
-	if kp.orig.Op != OpRange {
-		return false
-	}
-	v := vals[kp.orig.Col]
-	if kp.lo != nil && v.Compare(*kp.lo) <= 0 {
-		return false
-	}
-	if kp.hi != nil && v.Compare(*kp.hi) >= 0 {
-		return false
-	}
-	return true
+	// impurePairs holds, per encoded key, the ascending clustered buckets
+	// of its impure pairs: the tuples the sweep must fold itself.
+	impurePairs map[string][]int32
 }
 
 // PlanCMAgg decides whether the aggregate query (one conjunction,
@@ -170,40 +132,17 @@ func PlanCMAgg(t *table.Table, cm *core.CM, q Query, specs []AggSpec, groupBy []
 		groupKeyPos[i] = kp
 	}
 
-	// Every predicate must be an indexable predicate over a CM column.
-	var kpreds []cmKeyPred
+	// Every predicate must be an indexable predicate over a CM column:
+	// then the entries the resolver selects are all the CM knows of the
+	// matching tuples, and its purity verdict is about the whole WHERE.
 	for _, p := range q.Preds {
-		kp, ok := pos[p.Col]
-		if !ok || !p.Indexable() {
+		if _, ok := pos[p.Col]; !ok || !p.Indexable() {
 			return nil, false
 		}
-		b := spec.Bucketers[kp]
-		_, identity := b.(core.Identity)
-		rebased := p
-		rebased.Col = kp
-		ckp := cmKeyPred{orig: rebased, identity: identity}
-		if !identity {
-			trans := Pred{Col: kp, Op: p.Op}
-			switch p.Op {
-			case OpEq, OpIn:
-				trans.Vals = make([]value.Value, len(p.Vals))
-				for j, v := range p.Vals {
-					trans.Vals[j] = b.Bucket(v)
-				}
-			case OpRange:
-				if p.Lo != nil {
-					lo := b.Bucket(*p.Lo)
-					trans.Lo, ckp.lo = &lo, &lo
-				}
-				if p.Hi != nil {
-					hi := b.Bucket(*p.Hi)
-					trans.Hi, ckp.hi = &hi, &hi
-				}
-			}
-			ckp.trans = trans
-		}
-		kpreds = append(kpreds, ckp)
 	}
+	// Without predicates the resolver has nothing to map; every entry
+	// matches, purely.
+	r, _ := newCMResolver(cm, q)
 
 	plan := &CMAggPlan{
 		CM:          cm,
@@ -212,44 +151,32 @@ func PlanCMAgg(t *table.Table, cm *core.CM, q Query, specs []AggSpec, groupBy []
 		groupKeyPos: groupKeyPos,
 		q:           q,
 		stats:       NewGroupAgg(sch, specs, groupBy),
-		impurePairs: make(map[string]map[int32]bool),
+		impurePairs: make(map[string][]int32),
 	}
 
-	// One walk over the (small, memory-resident) CM: fold pure entries
-	// into the statistics aggregator, set impure ones aside for the
-	// sweep.
-	impureBuckets := make(map[int32]bool)
-	matchedBuckets := make(map[int32]bool)
+	// Fold the selected entries' pure pairs into the statistics
+	// aggregator, set the impure ones aside for the sweep.
+	var matched []int32
 	parts := make([]Partial, len(specs))
-	_ = cm.WalkStats(func(key []byte, vals []value.Value, buckets map[int32]*core.EntryStats) bool {
-		pure := true
-		for i := range kpreds {
-			if !kpreds[i].matches(vals) {
-				return true
-			}
-			if !kpreds[i].pure(vals) {
-				pure = false
-			}
-		}
+	groupVals := make(value.Row, len(groupBy))
+	err := r.each(func(e core.Entry, vals []value.Value, pure bool) {
 		plan.MatchedKeys++
-		var groupVals value.Row
-		if pure && len(groupBy) > 0 {
-			groupVals = make(value.Row, len(groupBy))
-			for i, kp := range groupKeyPos {
-				groupVals[i] = vals[kp]
-			}
+		matched = append(matched, e.Buckets...)
+		if !pure {
+			// The stored run, shared: the CM does not change under the
+			// latch the plan runs under.
+			plan.ImpureEntries += len(e.Buckets)
+			plan.impurePairs[e.Key] = e.Buckets
+			return
 		}
-		for cb, st := range buckets {
-			matchedBuckets[cb] = true
-			if !pure || (needMM && st.MMDirty) {
+		for i, kp := range groupKeyPos {
+			groupVals[i] = vals[kp]
+		}
+		for j, cb := range e.Buckets {
+			st := &e.Stats[j]
+			if needMM && st.MMDirty {
 				plan.ImpureEntries++
-				set, ok := plan.impurePairs[string(key)]
-				if !ok {
-					set = make(map[int32]bool, 2)
-					plan.impurePairs[string(key)] = set
-				}
-				set[cb] = true
-				impureBuckets[cb] = true
+				plan.impurePairs[e.Key] = append(plan.impurePairs[e.Key], cb)
 				continue
 			}
 			plan.PureEntries++
@@ -265,15 +192,15 @@ func PlanCMAgg(t *table.Table, cm *core.CM, q Query, specs []AggSpec, groupBy []
 			}
 			plan.stats.FoldPartial(groupVals, parts)
 		}
-		return true
 	})
-	for cb := range impureBuckets {
-		plan.ImpureBuckets = append(plan.ImpureBuckets, cb)
+	if err != nil {
+		return nil, false // an undecodable key: let a heap-visiting path answer
 	}
-	sort.Slice(plan.ImpureBuckets, func(i, j int) bool {
-		return plan.ImpureBuckets[i] < plan.ImpureBuckets[j]
-	})
-	plan.MatchedBuckets = len(matchedBuckets)
+	for _, cbs := range plan.impurePairs {
+		plan.ImpureBuckets = append(plan.ImpureBuckets, cbs...)
+	}
+	plan.ImpureBuckets = sortedDistinct(plan.ImpureBuckets)
+	plan.MatchedBuckets = len(sortedDistinct(matched))
 	plan.ImpurePages = bucketPages(t, plan.ImpureBuckets)
 
 	// The hybrid sweep decodes predicated + CM + clustered + aggregated
@@ -319,8 +246,8 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 	q := p.q
 	q.Proj = p.NeedCols // already holds the predicated columns
 	err := foldPages(t, newLazyScan(t, q.asOr()), PageSet{list: p.ImpurePages}, workers, p.specs, p.groupBy, final, func(ga *GroupAgg, row value.Row) bool {
-		set := p.impurePairs[string(p.CM.KeyForRow(row))]
-		if set == nil || !set[t.ClusterBucketFor(row)] {
+		impure := p.impurePairs[string(p.CM.KeyForRow(row))]
+		if _, ok := slices.BinarySearch(impure, t.ClusterBucketFor(row)); !ok {
 			return false
 		}
 		ga.Add(row)

@@ -1,107 +1,209 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/keyenc"
 	"repro/internal/table"
 	"repro/internal/value"
 )
 
-// cmBuckets evaluates the query's predicates over the CM and returns the
-// matching clustered bucket IDs, sorted, and how many point combinations
-// the CM's bloom filter proved absent and dropped before the lookup.
-//
-// When every CM column carries an equality or IN predicate the lookup is
-// a direct probe (the cm_lookup({v1..vN}) API). Otherwise — range
-// predicates or partially covered composites — the CM is scanned with the
-// predicates mapped through the bucketers: a bucket representative
-// matches a range [lo, hi] iff it lies in [bucket(lo), bucket(hi)],
-// because representatives are bucket lower bounds on the same grid.
-//
-// The skips are returned, not recorded: the planner probes every
-// candidate CM to price it, and only the probe whose pages a statement
-// goes on to sweep counts (CMProbe.Note).
-func cmBuckets(cm *core.CM, q Query) (buckets []int32, blooms int64, err error) {
-	spec := cm.Spec()
-	allPoint := true
-	for _, col := range spec.UCols {
-		p := q.IndexablePredOn(col)
-		if p == nil || p.Op == OpRange {
-			allPoint = false
-			break
-		}
-	}
-	if allPoint {
-		combos := [][]value.Value{nil}
-		for _, col := range spec.UCols {
-			p := q.IndexablePredOn(col)
-			next := make([][]value.Value, 0, len(combos)*len(p.Vals))
-			for _, combo := range combos {
-				for _, v := range p.Vals {
-					ext := make([]value.Value, len(combo), len(combo)+1)
-					copy(ext, combo)
-					next = append(next, append(ext, v))
-				}
-			}
-			combos = next
-		}
-		if cm.BloomEnabled() {
-			// The bloom summarizes bucketed keys, so a combo it rejects
-			// has no CM entry and can contribute no buckets — drop it
-			// before the lookup.
-			kept := combos[:0]
-			for _, combo := range combos {
-				if cm.ProbePossible(combo) {
-					kept = append(kept, combo)
-				}
-			}
-			blooms = int64(len(combos) - len(kept))
-			combos = kept
-		}
-		return cm.LookupMany(combos), blooms, nil
-	}
+// cmKeyPred is one indexable query predicate mapped into the CM's key
+// space: its column rebased to the key position and, on a bucketed
+// column, its constants replaced by their bucket representatives with
+// the bounds made inclusive — a representative matches [lo, hi] iff it
+// lies in [bucket(lo), bucket(hi)], because representatives are bucket
+// lower bounds on the same grid. On an unbucketed (Identity) column the
+// key is the value, so the predicate stands as written, strict bounds
+// included.
+type cmKeyPred struct {
+	p        Pred
+	identity bool
+}
 
-	// Bucket-transformed predicate match over the whole (small) CM.
-	type bpred struct {
-		idx int // position within the CM key
-		p   Pred
+// pure reports whether every tuple under a key the predicate matches
+// satisfies the original predicate: always for identity bucketing, and
+// for a range whose boundary buckets the key lies strictly between
+// (representatives are interval lower bounds, so such a key covers only
+// in-range values). A bucketed point match is never pure.
+func (kp *cmKeyPred) pure(vals []value.Value) bool {
+	if kp.identity {
+		return true
 	}
-	var bpreds []bpred
-	for i, col := range spec.UCols {
-		p := q.IndexablePredOn(col)
-		if p == nil {
+	if kp.p.Op != OpRange {
+		return false
+	}
+	v := vals[kp.p.Col]
+	return (kp.p.Lo == nil || v.Compare(*kp.p.Lo) > 0) && (kp.p.Hi == nil || v.Compare(*kp.p.Hi) < 0)
+}
+
+// cmResolver answers "which entries of this CM do these predicates
+// select" — the one question under a CM scan (which wants the entries'
+// clustered buckets) and under cm-agg (which wants their statistics and
+// whether each entry is pure).
+type cmResolver struct {
+	cm     *core.CM
+	kpreds []cmKeyPred
+}
+
+// newCMResolver maps the query's indexable predicates over the CM's
+// columns into key space; predicates on other columns, and Ne, are left
+// to the re-filter. ok is false when none of the CM's columns is
+// predicated: the CM has nothing to say about the query.
+func newCMResolver(cm *core.CM, q Query) (r cmResolver, ok bool) {
+	spec := cm.Spec()
+	r.cm = cm
+	for _, p := range q.Preds {
+		pos := slices.Index(spec.UCols, p.Col)
+		if pos < 0 || !p.Indexable() {
 			continue
 		}
-		tp := Pred{Col: i, Op: p.Op}
-		b := spec.Bucketers[i]
-		switch p.Op {
-		case OpEq, OpIn:
-			tp.Vals = make([]value.Value, len(p.Vals))
+		b := spec.Bucketers[pos]
+		kp := cmKeyPred{p: p}
+		kp.p.Col = pos
+		if _, kp.identity = b.(core.Identity); !kp.identity {
+			kp.p.LoExcl, kp.p.HiExcl = false, false
+			kp.p.Vals = make([]value.Value, len(p.Vals))
 			for j, v := range p.Vals {
-				tp.Vals[j] = b.Bucket(v)
+				kp.p.Vals[j] = b.Bucket(v)
 			}
-		case OpRange:
 			if p.Lo != nil {
 				lo := b.Bucket(*p.Lo)
-				tp.Lo = &lo
+				kp.p.Lo = &lo
 			}
 			if p.Hi != nil {
 				hi := b.Bucket(*p.Hi)
-				tp.Hi = &hi
+				kp.p.Hi = &hi
 			}
 		}
-		bpreds = append(bpreds, bpred{idx: i, p: tp})
+		r.kpreds = append(r.kpreds, kp)
 	}
-	buckets, err = cm.LookupMatch(func(vals []value.Value) bool {
-		for _, bp := range bpreds {
-			if !bp.p.Matches(vals) {
-				return false
-			}
+	return r, len(r.kpreds) > 0
+}
+
+// cmEntryFunc receives one selected entry: the stored entry, its key's
+// bucketed values, and whether the entry is pure. Both are valid during
+// the call.
+type cmEntryFunc func(e core.Entry, vals []value.Value, pure bool)
+
+// visit classifies one entry against every predicate and hands the
+// selected ones on with their purity.
+func (r *cmResolver) visit(e core.Entry, vals []value.Value, fn cmEntryFunc) {
+	pure := true
+	for i := range r.kpreds {
+		kp := &r.kpreds[i]
+		if !kp.p.Matches(vals) {
+			return
 		}
+		pure = pure && kp.pure(vals)
+	}
+	fn(e, vals, pure)
+}
+
+// each calls fn for every entry the predicates select, in no particular
+// order, each entry once. When every CM column carries an equality or IN
+// predicate the distinct bucketed keys those spell are looked up
+// directly (the cm_lookup({v1..vN}) API: an absent key is a missed hash
+// lookup); otherwise — a range, or a composite covered in part — the
+// whole CM is walked, which is cheap because it is small and
+// memory-resident.
+func (r *cmResolver) each(fn cmEntryFunc) error {
+	if parts := r.pointParts(); parts != nil {
+		r.lookup(parts, fn)
+		return nil
+	}
+	return r.walk(fn)
+}
+
+// walk is the arm of each that visits every entry of the CM.
+func (r *cmResolver) walk(fn cmEntryFunc) error {
+	return r.cm.Walk(func(e core.Entry, vals []value.Value) bool {
+		r.visit(e, vals, fn)
 		return true
 	})
-	return buckets, 0, err
+}
+
+// keyPart is one bucketed value a key column can take, with its key
+// encoding.
+type keyPart struct {
+	enc []byte
+	val value.Value
+}
+
+// pointParts returns, per key column, the distinct bucketed values its
+// first equality or IN predicate admits — IN (5, 5), or two values of
+// one bucket, spell one key, and a statistic folded twice is a wrong
+// answer — or nil when some column has no such predicate.
+func (r *cmResolver) pointParts() [][]keyPart {
+	parts := make([][]keyPart, len(r.cm.Spec().UCols))
+	for i := range r.kpreds {
+		p := &r.kpreds[i].p
+		if p.Op == OpRange || parts[p.Col] != nil {
+			continue
+		}
+		col := make([]keyPart, len(p.Vals))
+		for j, v := range p.Vals {
+			col[j] = keyPart{enc: keyenc.EncodeValue(v), val: v}
+		}
+		if len(col) > 1 {
+			slices.SortFunc(col, func(a, b keyPart) int { return bytes.Compare(a.enc, b.enc) })
+			col = slices.CompactFunc(col, func(a, b keyPart) bool { return bytes.Equal(a.enc, b.enc) })
+		}
+		parts[p.Col] = col
+	}
+	for _, col := range parts {
+		if len(col) == 0 { // unpredicated, or IN ()
+			return nil
+		}
+	}
+	return parts
+}
+
+// lookup is the arm of each that probes the cross product of the
+// columns' parts, one hash lookup per key. A found entry still goes
+// through visit: a second predicate on a column may reject it.
+func (r *cmResolver) lookup(parts [][]keyPart, fn cmEntryFunc) {
+	at := make([]int, len(parts)) // odometer over parts
+	vals := make([]value.Value, len(parts))
+	var key []byte
+	for {
+		key = key[:0]
+		for i, col := range parts {
+			key = append(key, col[at[i]].enc...)
+			vals[i] = col[at[i]].val
+		}
+		if e, ok := r.cm.Find(key); ok {
+			r.visit(e, vals, fn)
+		}
+		i := len(at) - 1
+		for ; i >= 0; i-- {
+			if at[i]++; at[i] < len(parts[i]) {
+				break
+			}
+			at[i] = 0
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// cmBuckets returns the sorted distinct clustered buckets of the entries
+// the query's predicates select. It fails when the query predicates none
+// of the CM's columns.
+func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
+	r, ok := newCMResolver(cm, q)
+	if !ok {
+		return nil, fmt.Errorf("exec: query predicates none of the CM's columns")
+	}
+	var buckets []int32
+	err := r.each(func(e core.Entry, _ []value.Value, _ bool) {
+		buckets = append(buckets, e.Buckets...)
+	})
+	return sortedDistinct(buckets), err
 }
 
 // bucketPages resolves sorted clustered bucket IDs to the sorted distinct
@@ -117,19 +219,18 @@ func bucketPages(t *table.Table, buckets []int32) []int64 {
 	}
 	// Adjacent buckets share their boundary page, and a bucket's tail
 	// versions sit past the next bucket's pages.
-	return distinctPages(pages)
+	return sortedDistinct(pages)
 }
 
 // CMProbe is one resolved probe of a correlation map: the sorted
 // distinct heap pages of the clustered buckets the query's predicates
-// map to, and the point combinations the CM's bloom filter proved absent
-// on the way. Both the CM and the page directory are memory-resident, so
-// a probe reads no page; it holds for as long as the table latch (or
-// writer gate) it was taken under is held.
+// map to. Both the CM and the page directory are memory-resident, so a
+// probe reads no page — an absent key included — and builds no set; it
+// holds for as long as the table latch (or writer gate) it was taken
+// under is held.
 type CMProbe struct {
-	CM     *core.CM
-	Pages  []int64
-	Blooms int64
+	CM    *core.CM
+	Pages []int64
 }
 
 // ProbeCM probes the CM with the query's predicates and resolves the
@@ -138,29 +239,11 @@ type CMProbe struct {
 // the scan from. It fails when the query predicates none of the CM's
 // columns.
 func ProbeCM(t *table.Table, cm *core.CM, q Query) (CMProbe, error) {
-	covered := false
-	for _, col := range cm.Spec().UCols {
-		if q.IndexablePredOn(col) != nil {
-			covered = true
-			break
-		}
-	}
-	if !covered {
-		return CMProbe{}, fmt.Errorf("exec: query predicates none of the CM's columns")
-	}
-	buckets, blooms, err := cmBuckets(cm, q)
+	buckets, err := cmBuckets(cm, q)
 	if err != nil {
 		return CMProbe{}, err
 	}
-	return CMProbe{CM: cm, Pages: bucketPages(t, buckets), Blooms: blooms}, nil
-}
-
-// Note records the probe as one a statement acted on: its bloom skips
-// count into obs and against the CM. Call it once, for the probe whose
-// pages are swept.
-func (p CMProbe) Note(obs *ScanObs) {
-	obs.AddBlooms(p.Blooms)
-	p.CM.NoteBloomSkips(p.Blooms)
+	return CMProbe{CM: cm, Pages: bucketPages(t, buckets)}, nil
 }
 
 // SweepObs returns the observer the heap sweep of a scan this probe
@@ -190,7 +273,6 @@ func CMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error
 	if err != nil {
 		return err
 	}
-	probe.Note(q.Obs)
 	obs, done := probe.SweepObs(q.Obs)
 	defer done()
 	q.Obs = obs
@@ -231,7 +313,7 @@ type KeyRange struct {
 // RewriteWithCM computes the rewrite without executing it, for
 // explanation, tests and the advisor's what-if output.
 func RewriteWithCM(t *table.Table, cm *core.CM, q Query) (CMRewrite, error) {
-	buckets, _, err := cmBuckets(cm, q)
+	buckets, err := cmBuckets(cm, q)
 	if err != nil {
 		return CMRewrite{}, err
 	}

@@ -420,8 +420,8 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestCompositeCMScanWithPartialPredicates(t *testing.T) {
-	// CM on (u1, u2); query predicates only u1. The scan path must use
-	// LookupMatch and stay exact.
+	// CM on (u1, u2); query predicates only u1. The resolver must take
+	// its walk arm and the scan stay exact.
 	d := sim.NewDisk(sim.Config{PageSize: 1024})
 	pool := buffer.NewPool(d, 256)
 	sch := table.NewSchema(

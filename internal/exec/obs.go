@@ -17,11 +17,11 @@ type ScanObs struct {
 	Tuples atomic.Int64
 	// Rows counts survivors emitted to the caller.
 	Rows atomic.Int64
-	// Pages counts heap page visits (a page revisited by a later probe
-	// batch or chunk counts again; buffer-pool hit/miss deltas say
-	// whether a visit touched the disk).
+	// Pages counts heap page visits (a page revisited by a later chunk
+	// counts again; buffer-pool hit/miss deltas say whether a visit
+	// touched the disk).
 	Pages atomic.Int64
-	// Blooms counts point probes a bloom filter pruned (index or CM):
+	// Blooms counts point probes a secondary index's bloom filter pruned:
 	// lookups that returned empty without touching the structure.
 	Blooms atomic.Int64
 	// EmptyPages counts the heap page visits on which no tuple survived

@@ -14,16 +14,15 @@ import (
 // This file is the fan-out half of the executor. Every access method is
 // one function taking a worker count — an upper bound on its fan-out, not
 // an instruction to split; what fans out is a scan's independent units —
-// secondary-index probe ranges (rangeRIDs, the batched arm of
-// PipelinedIndexScan) and chunks of a sweep's page set (Sweep,
-// foldPages). Each worker runs the one sweep kernel (lazyScan.sweep)
-// over its chunk with a visit that buffers clones; chunks stream to the
-// caller's RowFunc in physical order as they complete, so a scan emits
-// the same rows in the same order at any worker count. Returning false
-// from the callback, a failing chunk or a cancelled context stops the
-// remaining workers at page granularity, keeping the early-stop contract
-// cheap (a LIMIT-style caller stops the scan soon after its limit, it
-// does not pay for a full sweep).
+// secondary-index probe ranges (rangeRIDs) and chunks of a sweep's page
+// set (Sweep, foldPages). Each worker runs the one sweep kernel
+// (lazyScan.sweep) over its chunk with a visit that buffers clones;
+// chunks stream to the caller's RowFunc in physical order as they
+// complete, so a scan emits the same rows in the same order at any
+// worker count. Returning false from the callback, a failing chunk or a
+// cancelled context stops the remaining workers at page granularity,
+// keeping the early-stop contract cheap (a LIMIT-style caller stops the
+// scan soon after its limit, it does not pay for a full sweep).
 //
 // A row-emitting sweep's chunks are cut by page run (sweepChunks): the
 // paper's CM lookup ends in a few sequential runs of clustered pages,
@@ -333,80 +332,4 @@ func Sweep(t *table.Table, oq OrQuery, ps PageSet, workers int, fn RowFunc) erro
 		})
 		return out, err
 	}, fn)
-}
-
-// probeBatchSize bounds how many RIDs a batched probe fetches per heap
-// pass: it sets the fetch granularity (and the size of the per-batch
-// lookup structures), and an early stop (LIMIT) cancels between
-// batches. A range's RID list and its collected rows still scale with
-// the range itself — collectEmit buffers one chunk's rows either way.
-const probeBatchSize = 4096
-
-// probeRangeBatched is one task of PipelinedIndexScan's batched arm: it
-// probes one index range, accumulating its RIDs in key order, then
-// fetches them in probeBatchSize batches through the heap.
-func probeRangeBatched(t *table.Table, ix *table.Index, r probeRange, ls *lazyScan, stop *atomic.Bool) ([]matchRow, error) {
-	var rids []heap.RID
-	err := ix.ScanRange(r.Lo, r.Hi, func(rid heap.RID) bool {
-		if len(rids)&(cancelCheckRIDs-1) == cancelCheckRIDs-1 && stopRequested(ls.ctx, stop) {
-			return false // partial results are discarded anyway
-		}
-		rids = append(rids, rid)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []matchRow
-	for start := 0; start < len(rids); start += probeBatchSize {
-		if stop.Load() {
-			return out, nil
-		}
-		batch, err := fetchRIDBatch(t, rids[start:min(start+probeBatchSize, len(rids))], ls, stop)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, batch...)
-	}
-	return out, nil
-}
-
-// fetchRIDBatch reads the rows of one RID batch via a physical-order
-// page sweep (gap-coalesced runs) and returns the surviving rows in the
-// batch's original (index key) order, preserving the pipelined scan's
-// emission order while paying the sorted scan's I/O pattern.
-func fetchRIDBatch(t *table.Table, batch []heap.RID, ls *lazyScan, stop *atomic.Bool) ([]matchRow, error) {
-	want := make(map[heap.RID]struct{}, len(batch))
-	for _, rid := range batch {
-		want[rid] = struct{}{}
-	}
-	pages := pagesOf(append([]heap.RID(nil), batch...)) // keep batch order intact
-	rows := make(map[heap.RID]value.Row, len(batch))
-	sw := ls.newSweeper(stop, func(rid heap.RID, row value.Row) (bool, bool) {
-		rows[rid] = row.Clone()
-		return true, true
-	})
-	// The kernel's per-tuple step with one check spliced in: a tuple the
-	// probe did not ask for is skipped before the filter sees it, so it
-	// is not counted as examined (the tuples EXPLAIN ANALYZE prints are
-	// the iterator arm's), while its page still counts as visited.
-	err := sw.run(t, PageSet{list: pages}, func(rid heap.RID, tuple []byte) bool {
-		if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
-			return false
-		}
-		if _, ok := want[rid]; !ok {
-			return true
-		}
-		return sw.survivor(rid, tuple)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]matchRow, 0, len(rows))
-	for _, rid := range batch {
-		if row, ok := rows[rid]; ok {
-			out = append(out, matchRow{rid: rid, row: row.Clone()})
-		}
-	}
-	return out, nil
 }

@@ -343,9 +343,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedIndexScanEarlyStop checks LIMIT-style early stops of the
-// pipelined probe's batched arm emit exactly a prefix of the iterator
-// arm's result. The IN list fans out into multiple probe ranges, which
-// with several workers selects the batched arm.
+// pipelined probe emit exactly a prefix of the full result. The IN list
+// is several probe ranges, and the worker count is above one: the scan is
+// the Section 3.1 iterator all the same (the batched arm this test is
+// named after is gone), so the stop lands within the range it is in.
 func TestBatchedIndexScanEarlyStop(t *testing.T) {
 	db := buildTestDB(t, 4000, 13, 0)
 	q := NewQuery(In(1, value.NewInt(5), value.NewInt(9), value.NewInt(14),

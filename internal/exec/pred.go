@@ -38,9 +38,11 @@ type Pred struct {
 	Lo   *value.Value
 	Hi   *value.Value
 	// LoExcl / HiExcl make the bound strict (<, > instead of <=, >=).
-	// Index and CM probes ignore them — the boundary entries they admit
-	// are discarded by the executor's re-filter — so exclusive ranges
-	// cost at most one extra boundary value of I/O.
+	// Index probes, and CM probes over a bucketed column, ignore them —
+	// the boundary entries they admit are discarded by the executor's
+	// re-filter — so exclusive ranges cost at most one extra boundary
+	// value of I/O. A CM's unbucketed column keys on the value itself
+	// and honours them.
 	LoExcl bool
 	HiExcl bool
 }

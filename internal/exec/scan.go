@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -71,7 +72,7 @@ func WholeHeap(t *table.Table) PageSet { return PageSet{n: t.Heap().NumPages()} 
 // PageList is the set of the given heap pages, which may come in any
 // order and repeat (several disjuncts' pages appended to one another);
 // the slice is sorted in place.
-func PageList(pages []int64) PageSet { return PageSet{list: distinctPages(pages)} }
+func PageList(pages []int64) PageSet { return PageSet{list: sortedDistinct(pages)} }
 
 // len counts the pages of the set.
 func (ps PageSet) len() int {
@@ -140,10 +141,14 @@ func (sw *sweeper) flagged() bool {
 	return sw.halted
 }
 
-// survivor filters one encoded tuple and, when it passes, decodes the
-// needed columns into the scratch row and hands it to the visit. A
-// rejected tuple is never copied or decoded.
-func (sw *sweeper) survivor(rid heap.RID, tuple []byte) bool {
+// tuple is the whole per-tuple step, in the shape heap callbacks take:
+// enter the tuple's page if it is a new one, filter the encoded tuple
+// and, when it passes, decode the needed columns into the scratch row
+// and hand it to the visit. A rejected tuple is never copied or decoded.
+func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
+	if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
+		return false
+	}
 	sw.ta.tuples++
 	ok, err := sw.ls.filter.Matches(tuple)
 	if err != nil {
@@ -164,26 +169,17 @@ func (sw *sweeper) survivor(rid heap.RID, tuple []byte) bool {
 	return cont
 }
 
-// tuple is the whole per-tuple step, in the shape heap callbacks take.
-func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
-	if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
-		return false
-	}
-	return sw.survivor(rid, tuple)
-}
-
 // run reads the pages of ps in physical order — a list coalesced into
 // runs whose gaps are cheaper to read through than to seek over — and
-// feeds every visible tuple to onTuple (sw.tuple, for all but the RID
-// batch fetch), then flushes the tally. It is the executor's only heap
-// page reader.
-func (sw *sweeper) run(t *table.Table, ps PageSet, onTuple func(heap.RID, []byte) bool) error {
+// feeds every visible tuple to sw.tuple, then flushes the tally. It is
+// the executor's only heap page reader.
+func (sw *sweeper) run(t *table.Table, ps PageSet) error {
 	defer sw.ta.flush(sw.ls.obs)
 	readRun := func(lo, hi int64) (bool, error) {
 		if sw.flagged() { // don't fetch a page only to find the flag set
 			return false, nil
 		}
-		err := t.Heap().ScanPagesAt(lo, hi, sw.ls.snap, onTuple)
+		err := t.Heap().ScanPagesAt(lo, hi, sw.ls.snap, sw.tuple)
 		if sw.err != nil {
 			err = sw.err
 		}
@@ -204,8 +200,7 @@ func (sw *sweeper) run(t *table.Table, ps PageSet, onTuple func(heap.RID, []byte
 // handed to visit. A sweep ended early by stop or by the visit is not an
 // error.
 func (ls *lazyScan) sweep(t *table.Table, ps PageSet, stop *atomic.Bool, visit visitFunc) error {
-	sw := ls.newSweeper(stop, visit)
-	return sw.run(t, ps, sw.tuple)
+	return ls.newSweeper(stop, visit).run(t, ps)
 }
 
 // TableScan evaluates the query with a full sequential heap scan,
@@ -301,14 +296,7 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 // tree descents and zero page reads. Pruned probes are counted into the
 // query's observation set.
 func probeRanges(ix *table.Index, q Query) []probeRange {
-	ranges, point := indexProbeRanges(ix.Cols, q)
-	return pruneRanges(ix, ranges, point, q.Obs)
-}
-
-// pruneRanges drops point-complete probe ranges the index bloom proves
-// empty, counting each into obs. Non-point ranges (or a bloom-less
-// index) pass through untouched.
-func pruneRanges(ix *table.Index, ranges []probeRange, pointComplete bool, obs *ScanObs) []probeRange {
+	ranges, pointComplete := indexProbeRanges(ix.Cols, q)
 	if !pointComplete || !ix.BloomEnabled() {
 		return ranges
 	}
@@ -318,7 +306,7 @@ func pruneRanges(ix *table.Index, ranges []probeRange, pointComplete bool, obs *
 			kept = append(kept, r)
 		}
 	}
-	obs.AddBlooms(int64(len(ranges) - len(kept)))
+	q.Obs.AddBlooms(int64(len(ranges) - len(kept)))
 	return kept
 }
 
@@ -362,34 +350,20 @@ func rangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange, worker
 }
 
 // PipelinedIndexScan evaluates the query by probing the index and
-// emitting matches in index key order, probe range by probe range. It
-// is two algorithms, chosen from the fan-out and the number of ranges:
-//
-//   - One worker, or a single probe range (nothing to fan out): the
-//     Section 3.1 iterator — each RID's tuple is fetched the moment the
-//     index yields it, so every access is a potential random seek (why
-//     this path only pays off for very selective lookups) but a
-//     first-match/LIMIT-1 caller stops after a handful of fetches instead
-//     of waiting for a whole range's RIDs to collect.
-//   - Otherwise the batched async form: the probe ranges fan out across
-//     the worker pool, each worker accumulates its range's RIDs in key
-//     order and fetches them batch by batch through gap-coalesced page
-//     runs (scattered fetches become few physical sweeps), and rows
-//     stream to fn in exactly the iterator's order. An early stop cancels
-//     in-flight ranges at page granularity.
-//
-// Either way tuples are filtered on their encoded bytes; only survivors
-// materialize.
-func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
-	ranges, point := indexProbeRanges(ix.Cols, q) // emission order: as returned
-	batched := workers > 1 && len(ranges) > 1
-	ranges = pruneRanges(ix, ranges, point, q.Obs)
+// emitting matches in index key order, probe range by probe range: the
+// Section 3.1 iterator, which is what the cost model prices
+// (costmodel.PipelinedIndex). Each RID's tuple is fetched the moment the
+// index yields it, so every access is a potential random seek (why this
+// path only pays off for very selective lookups) but a first-match /
+// LIMIT-1 caller stops after a handful of fetches instead of waiting for
+// a whole range's RIDs to collect. It takes the worker count every
+// access method takes and runs on the caller's goroutine whatever it is:
+// a multi-range probe that wants its I/O overlapped has the sorted scan,
+// whose sweep fans out on a miss. Tuples are filtered on their encoded
+// bytes; only survivors materialize.
+func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, _ int, fn RowFunc) error {
+	ranges := probeRanges(ix, q) // emission order: as returned
 	ls := newLazyScan(t, q.asOr())
-	if batched {
-		return collectEmit(ls.ctx, workers, len(ranges), func(i int, stop *atomic.Bool) ([]matchRow, error) {
-			return probeRangeBatched(t, ix, ranges[i], ls, stop)
-		}, fn)
-	}
 	h := t.Heap()
 	sw := ls.newSweeper(nil, emitTo(fn))
 	defer sw.ta.flush(ls.obs)
@@ -467,11 +441,12 @@ func pagesOf(rids []heap.RID) []int64 {
 	return pages
 }
 
-// distinctPages sorts a page list gathered from several sources (a CM's
-// buckets, an OR's disjuncts) in place and drops the repeats.
-func distinctPages(pages []int64) []int64 {
-	slices.Sort(pages)
-	return slices.Compact(pages)
+// sortedDistinct sorts a list gathered from several sources — pages from
+// a CM's buckets or an OR's disjuncts, clustered buckets from a CM's
+// entries — in place and drops the repeats.
+func sortedDistinct[T cmp.Ordered](list []T) []T {
+	slices.Sort(list)
+	return slices.Compact(list)
 }
 
 // maxGapFor returns the largest page gap worth reading straight

@@ -74,8 +74,8 @@ func RunFigure10(cfg Figure10Config) (*Figure10Result, error) {
 		cperu int
 	}
 	var all []kv
-	if err := cm.Walk(func(vals []value.Value, buckets map[int32]uint32) bool {
-		all = append(all, kv{name: vals[0].S, cperu: len(buckets)})
+	if err := cm.Walk(func(e core.Entry, vals []value.Value) bool {
+		all = append(all, kv{name: vals[0].S, cperu: len(e.Buckets)})
 		return true
 	}); err != nil {
 		return nil, err

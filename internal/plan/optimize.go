@@ -186,12 +186,9 @@ func (tr *Tree) chooseCMAgg(pr pricing) {
 	}
 	spec, heapCost, heapLeg := tr.spec, tr.cost, tr.soleLeg()
 	for _, cm := range tr.t.CMs() {
-		// PlanCMAgg walks the whole (memory-resident) CM directory and
-		// eagerly folds the pure statistics — the same full-walk
-		// economics the range CM scan already accepts (LookupMatch),
-		// paid only for CMs that pass the cheap eligibility checks.
-		// If planning latency over very large directories ever
-		// matters, split classification (costing) from the fold.
+		// PlanCMAgg resolves the predicates to their CM entries the way a
+		// CM probe does — direct lookups for a point aggregate, one walk
+		// for a range — and eagerly folds the pure statistics.
 		cp, ok := exec.PlanCMAgg(tr.t, cm, spec.Disjuncts[0], spec.Aggs, spec.GroupBy)
 		if !ok {
 			continue

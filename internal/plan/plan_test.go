@@ -17,7 +17,7 @@ import (
 func fixture(t *testing.T) *table.Table { return fixtureOf(t, 400, false) }
 
 // fixtureOf is fixture at n rows (c = i/4, u = c/2), with key bloom
-// filters on its structures when blooms is set.
+// filters on the secondary indexes built over it when blooms is set.
 func fixtureOf(t *testing.T, n int, blooms bool) *table.Table {
 	t.Helper()
 	disk := sim.NewDisk(sim.Config{})
@@ -365,29 +365,26 @@ func TestWriteTreeProbesAgainAtRun(t *testing.T) {
 }
 
 // TestBloomSkipsCountOncePerStatement pins the bloom accounting with
-// ProbeBlooms on: the planner probes every candidate CM and counts
-// nothing; a statement that runs counts the absent keys of its WHERE
-// once — into its observer and against the CM it chose, never a CM it
-// only priced — whether it runs plainly, analyzed, or as a write (whose
-// second probe is the one that counts).
+// ProbeBlooms on: compiling a statement probes no index and counts
+// nothing; a statement that runs through a secondary index counts the
+// absent keys of its WHERE once — into its observer and against the
+// index — whether it runs plainly, analyzed, or as a write. A CM carries
+// no bloom: the CM beside the index counts nowhere.
 func TestBloomSkipsCountOncePerStatement(t *testing.T) {
-	tbl := fixtureOf(t, 60000, true)
-	if _, err := tbl.CreateCM(core.Spec{Name: "cm_u_wide", UCols: []int{1}, Bucketers: []core.Bucketer{core.IntWidth{Width: 4}}}); err != nil {
+	tbl := fixtureOf(t, 400, true)
+	ix, err := tbl.CreateIndex("ix_u", []int{1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sp := exec.NewExactStats()
 	obs := &exec.ScanObs{}
-	spec := Spec{Obs: obs, Disjuncts: []exec.Query{
+	spec := Spec{Obs: obs, Method: exec.MethodSorted, Disjuncts: []exec.Query{
 		exec.NewQuery(exec.In(1, value.NewInt(10), value.NewInt(99990), value.NewInt(99995)))}}
-	skips := func() (chosen, priced int64) {
-		return tbl.CMs()[0].BloomSkips(), tbl.CMs()[1].BloomSkips()
-	}
-	check := func(stage string, wantObs, wantChosen int64) {
+	check := func(stage string, want int64) {
 		t.Helper()
-		chosen, priced := skips()
-		if obs.Blooms.Load() != wantObs || chosen != wantChosen || priced != 0 {
-			t.Errorf("%s: observer %d, chosen CM %d, priced-only CM %d bloom skips; want %d, %d, 0",
-				stage, obs.Blooms.Load(), chosen, priced, wantObs, wantChosen)
+		if obs.Blooms.Load() != want || ix.BloomSkips() != want {
+			t.Errorf("%s: observer %d, index %d bloom skips; want %d and %d",
+				stage, obs.Blooms.Load(), ix.BloomSkips(), want, want)
 		}
 	}
 
@@ -395,14 +392,14 @@ func TestBloomSkipsCountOncePerStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := tr.Explain(); info.Method != exec.MethodCM || info.Uses != "cm_u" {
-		t.Fatalf("planned %v(%s), want cm-scan(cm_u)", info.Method, info.Uses)
+	if info := tr.Explain(); info.Method != exec.MethodSorted || info.Uses != "ix_u" {
+		t.Fatalf("planned %v(%s), want sorted-index-scan(ix_u)", info.Method, info.Uses)
 	}
-	check("compiled, not run", 0, 0)
+	check("compiled, not run", 0)
 	if rows, err := tr.Rows(2); err != nil || len(rows) != 8 {
 		t.Fatalf("%d rows, err %v; want 8", len(rows), err)
 	}
-	check("run", 2, 2)
+	check("run", 2)
 
 	if tr, err = Compile(tbl, spec, sp); err != nil {
 		t.Fatal(err)
@@ -414,17 +411,28 @@ func TestBloomSkipsCountOncePerStatement(t *testing.T) {
 	if an.BloomSkips != 2 || an.Nodes[0].BloomSkips != 2 {
 		t.Errorf("analysis reports %d bloom skips, its access node %d; want 2 and 2", an.BloomSkips, an.Nodes[0].BloomSkips)
 	}
-	check("run analyzed", 4, 4)
+	check("run analyzed", 4)
 
 	del, err := CompileDelete(tbl, spec, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("write compiled, not run", 4, 4)
+	check("write compiled, not run", 4)
 	if n, err := del.Run(2); err != nil || n != 8 {
 		t.Fatalf("DELETE removed %d rows, err %v; want 8", n, err)
 	}
-	check("write run", 6, 6)
+	check("write run", 6)
+
+	// The same statement through the CM: absent keys are missed lookups,
+	// not bloom skips.
+	spec.Method = exec.MethodCM
+	if tr, err = Compile(tbl, spec, sp); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := tr.Rows(2); err != nil || len(rows) != 0 {
+		t.Fatalf("%d rows after the DELETE, err %v; want 0", len(rows), err)
+	}
+	check("cm-scan run", 6)
 }
 
 // TestTableScanLegRejected: a hand-built access path holding a leg that

@@ -88,9 +88,9 @@ func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec
 // is the only place a method becomes pages: without legs the whole heap,
 // otherwise every leg's pages merged (which is also what deduplicates
 // rows matched by several disjuncts, since emission is by page sweep).
-// An index leg collects its RIDs' pages now; a CM leg already holds the
-// pages its probe resolved to, and is noted here as the probe the
-// statement acted on.
+// An index leg collects its RIDs' pages now — and counts the absent keys
+// its bloom pruned, here and nowhere earlier: planning probes no index;
+// a CM leg already holds the pages its probe resolved to.
 func (tr *Tree) pageSet(obs *exec.ScanObs, workers int) (exec.PageSet, error) {
 	if len(tr.legs) == 0 {
 		return exec.WholeHeap(tr.t), nil
@@ -99,7 +99,6 @@ func (tr *Tree) pageSet(obs *exec.ScanObs, workers int) (exec.PageSet, error) {
 	for i, l := range tr.legs {
 		switch l.method {
 		case exec.MethodCM:
-			l.probe.Note(obs)
 			pages = append(pages, l.probe.Pages...)
 		case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
 			q := tr.spec.Disjuncts[i]

@@ -37,9 +37,11 @@ type Config struct {
 	// distinct clustered value its own bucket (an unbucketed clustered
 	// attribute, as in the paper's Figure 4 example).
 	BucketTuples int
-	// ProbeBlooms arms key bloom filters on every secondary index and CM
-	// the table builds (and on CMs it recovers), so point probes for
-	// absent keys answer negatively without touching a page.
+	// ProbeBlooms arms a key bloom filter on every secondary index the
+	// table builds, so a point probe for an absent key answers
+	// negatively without descending the B+Tree. CMs need none: a CM is a
+	// memory-resident hash map, and a missed lookup already reads no
+	// page.
 	ProbeBlooms bool
 }
 
@@ -350,19 +352,12 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 		spec.StatCols = t.allCols()
 	}
 	cm := core.New(spec)
-	var err error
-	scanErr := t.Scan(func(rid heap.RID, row value.Row) bool {
+	err := t.Scan(func(rid heap.RID, row value.Row) bool {
 		cm.AddRow(row, t.ClusterBucketFor(row))
 		return true
 	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
 	if err != nil {
 		return nil, err
-	}
-	if t.cfg.ProbeBlooms {
-		cm.EnableBloom(int64(cm.Keys()))
 	}
 	t.cms = append(t.cms, cm)
 	return cm, nil
@@ -530,12 +525,6 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 		spec.StatCols = t.allCols()
 	}
 	cm := core.New(spec)
-	if t.cfg.ProbeBlooms {
-		// Enabled before the checkpoint loads so Deserialize adopts a
-		// serialized bloom (or rebuilds one from the loaded keys) and
-		// log replay maintains it through AddRow/RemoveRow.
-		cm.EnableBloom(1)
-	}
 	if checkpoint != nil {
 		if err := cm.Deserialize(checkpoint); err != nil {
 			return nil, err

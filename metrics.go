@@ -38,9 +38,9 @@ import (
 //     table.directory_bytes, the in-memory footprint of every table's
 //     clustered bucket directory (lower-bound keys plus the bucket→page
 //     lists CM probes resolve through).
-//   - index.bloom_skips / cm.bloom_skips: point probes the per-index
-//     and per-CM bloom filters answered negatively without touching a
-//     page (ProbeBlooms), summed over every table's structures.
+//   - index.bloom_skips: point probes the per-index bloom filters
+//     answered negatively without touching a page (ProbeBlooms), summed
+//     over every table's secondary indexes.
 //   - cm.<name>.pages_swept / cm.<name>.false_positive_pages: per
 //     correlation map, the heap pages its cm-scans visited and how many
 //     of those held no tuple that survived the re-filter — the paper's
@@ -134,22 +134,13 @@ func (db *DB) initMetrics() {
 		return n
 	})
 
-	// Bloom-filter prune totals, summed over every table's secondary
-	// indexes and CMs at snapshot time (zero without ProbeBlooms).
+	// Bloom-filter prune total, summed over every table's secondary
+	// indexes at snapshot time (zero without ProbeBlooms).
 	r.Func("index.bloom_skips", func() int64 {
 		var n int64
 		for _, t := range db.allTables() {
 			for _, ix := range t.inner.Indexes() {
 				n += ix.BloomSkips()
-			}
-		}
-		return n
-	})
-	r.Func("cm.bloom_skips", func() int64 {
-		var n int64
-		for _, t := range db.allTables() {
-			for _, cm := range t.inner.CMs() {
-				n += cm.BloomSkips()
 			}
 		}
 		return n

@@ -352,7 +352,7 @@ type RunActuals struct {
 	TuplesExamined int64
 	HeapPages      int64
 	// BloomSkips totals the point probes bloom filters pruned during
-	// the run (index and CM blooms combined).
+	// the run (secondary-index blooms; a CM carries none).
 	BloomSkips int64
 }
 

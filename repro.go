@@ -152,10 +152,11 @@ type Config struct {
 	// set. Query results are unaffected — admission changes only which
 	// pages stay cached. Off by default.
 	ScanResistant bool
-	// ProbeBlooms arms key bloom filters on every secondary index and
-	// correlation map built (or recovered) after Open: point probes for
-	// absent keys then answer without touching a single page. Off by
-	// default.
+	// ProbeBlooms arms a key bloom filter on every secondary index built
+	// after Open: a point probe for an absent key then answers without
+	// descending the B+Tree. Correlation maps need none — a CM is a
+	// memory-resident hash map, so a probe for an absent key is a missed
+	// lookup that already reads no page. Off by default.
 	ProbeBlooms bool
 }
 
