@@ -2,8 +2,8 @@
 // carrying SQL statements in and JSON results out (see the README's
 // "cmserver wire protocol" section). Each connection is an independent
 // session; concurrent sessions multiplex onto one shared database
-// through the engine's table latches, and a request line carrying
-// several SELECTs fans out across the scan worker pool.
+// through the engine's table latches, and a request line's statements
+// run in order, each streaming its rows into the session's reply.
 //
 // Run with: go run ./cmd/cmserver -addr :7433 -demo
 // then talk to it with: go run ./cmd/cmsql -addr localhost:7433
@@ -42,7 +42,6 @@ func main() {
 	coalesce := flag.Bool("coalesce", false, "coalesce single-SELECT lines from different sessions into cross-connection batches")
 	coalesceWindowUs := flag.Int("coalesce-window-us", 200, "coalescing window in µs: a batch flushes this long after its first statement")
 	coalesceMax := flag.Int("coalesce-max", 32, "statements per coalesced batch; a full batch flushes immediately")
-	coalesceStripes := flag.Int("coalesce-stripes", 1, "independent coalescing stripes (cuts submit-side lock contention)")
 	flag.Parse()
 
 	db := repro.Open(repro.Config{
@@ -73,7 +72,6 @@ func main() {
 		Coalesce:           *coalesce,
 		CoalesceWindow:     time.Duration(*coalesceWindowUs) * time.Microsecond,
 		CoalesceMax:        *coalesceMax,
-		CoalesceStripes:    *coalesceStripes,
 	})
 
 	if dln, err := server.StartDebug(*debugAddr, db); err != nil {

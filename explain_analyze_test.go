@@ -3,6 +3,7 @@ package repro
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // analyzeGround runs spec through ExplainAnalyzeSpec from a cold cache
@@ -435,7 +436,7 @@ func TestShowMetricsSQL(t *testing.T) {
 // TestScriptResultMeasurements pins the per-statement measurements
 // ExecScript reports (the wire protocol and the slow-query log read
 // them): statement text, elapsed wall time, result rows and the disk
-// page-read delta.
+// page-read delta — each statement's own, never a group's.
 func TestScriptResultMeasurements(t *testing.T) {
 	db, _ := planFixture(t)
 	if err := db.ColdCache(); err != nil {
@@ -466,5 +467,32 @@ func TestScriptResultMeasurements(t *testing.T) {
 	}
 	if results[1].SQL != "SHOW TABLES" {
 		t.Errorf("second statement text = %q", results[1].SQL)
+	}
+
+	// Two identical probes from a cold cache: the first reads the pages,
+	// the second finds them pooled, and their wall times are disjoint
+	// slices of the script's. At the parent commit the two ran as one
+	// SELECT batch and both reported the batch's 10 pages and wall time.
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	twice, err := db.ExecScript("SELECT * FROM plans WHERE u = 25; SELECT * FROM plans WHERE u = 25")
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range twice {
+		if r.Err != nil || r.Rows != sel.Rows || r.Elapsed <= 0 {
+			t.Fatalf("probe %d: err %v, %d rows (want %d), elapsed %v", i+1, r.Err, r.Rows, sel.Rows, r.Elapsed)
+		}
+	}
+	if twice[0].PagesRead == 0 || twice[1].PagesRead != 0 {
+		t.Errorf("pages read = %d then %d, want >0 from the cold cache then 0 from the pool",
+			twice[0].PagesRead, twice[1].PagesRead)
+	}
+	if sum := twice[0].Elapsed + twice[1].Elapsed; sum > wall {
+		t.Errorf("elapsed %v + %v = %v exceeds the script's %v wall time: not each statement's own",
+			twice[0].Elapsed, twice[1].Elapsed, sum, wall)
 	}
 }

@@ -1,17 +1,12 @@
 package filter
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-)
+import "math"
 
 // Bloom is a counting bloom filter over byte keys, sized for an
 // expected membership count and target false-positive rate. Counters
 // (uint8) instead of bits make deletion possible — Remove decrements
 // what Add incremented — which is what lets the engine maintain a
-// bloom through the Algorithm-1 retraction hooks of indexes and CMs.
+// bloom through the Algorithm-1 retraction hooks of secondary indexes.
 //
 // Counters saturate sticky at 255: a saturated counter is never
 // incremented or decremented again, so it errs permanently toward
@@ -23,10 +18,9 @@ type Bloom struct {
 	mask     uint64
 	k        int
 	seed     uint64
-	adds     int64
 }
 
-// bloomMinCounters keeps degenerate sizings (empty tables, tiny CMs)
+// bloomMinCounters keeps degenerate sizings (empty tables, tiny indexes)
 // from building an always-colliding filter.
 const bloomMinCounters = 1024
 
@@ -84,7 +78,6 @@ func (b *Bloom) Add(key []byte) {
 			b.counters[i]++
 		}
 	})
-	b.adds++
 }
 
 // Remove retracts one prior Add of key. Saturated counters stay put
@@ -98,9 +91,6 @@ func (b *Bloom) Remove(key []byte) {
 			b.counters[i] = c - 1
 		}
 	})
-	if b.adds > 0 {
-		b.adds--
-	}
 }
 
 // MayContain reports whether key may be a member: false is definitive
@@ -116,59 +106,5 @@ func (b *Bloom) MayContain(key []byte) bool {
 	return out
 }
 
-// Members returns the current net Add count (Adds minus Removes).
-func (b *Bloom) Members() int64 { return b.adds }
-
 // SizeBytes returns the counter array's footprint.
 func (b *Bloom) SizeBytes() int64 { return int64(len(b.counters)) }
-
-// bloomMagic opens a serialized bloom so a corrupted or misaligned
-// checkpoint fails loudly instead of loading garbage counters.
-const bloomMagic uint32 = 0xB100F17E
-
-// WriteTo serializes the filter: magic, k, seed, counter length,
-// net-add count, then the raw counters. The format is
-// position-independent, so it embeds in larger checkpoint streams.
-func (b *Bloom) WriteTo(w io.Writer) (int64, error) {
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], bloomMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(b.k))
-	binary.LittleEndian.PutUint64(hdr[8:16], b.seed)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(b.counters)))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(b.adds))
-	n, err := w.Write(hdr[:])
-	if err != nil {
-		return int64(n), err
-	}
-	n2, err := w.Write(b.counters)
-	return int64(n + n2), err
-}
-
-// ReadBloom deserializes a filter written by WriteTo.
-func ReadBloom(r io.Reader) (*Bloom, error) {
-	var hdr [28]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != bloomMagic {
-		return nil, fmt.Errorf("filter: bad bloom magic %#x", m)
-	}
-	size := binary.LittleEndian.Uint32(hdr[16:20])
-	if size == 0 || size&(size-1) != 0 || size > 1<<30 {
-		return nil, fmt.Errorf("filter: bad bloom counter length %d", size)
-	}
-	b := &Bloom{
-		k:        int(binary.LittleEndian.Uint32(hdr[4:8])),
-		seed:     binary.LittleEndian.Uint64(hdr[8:16]),
-		counters: make([]uint8, size),
-		mask:     uint64(size) - 1,
-		adds:     int64(binary.LittleEndian.Uint64(hdr[20:28])),
-	}
-	if b.k < 1 || b.k > 16 {
-		return nil, fmt.Errorf("filter: bad bloom hash count %d", b.k)
-	}
-	if _, err := io.ReadFull(r, b.counters); err != nil {
-		return nil, err
-	}
-	return b, nil
-}

@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -116,49 +115,6 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 	if rate := float64(fp) / probes; rate > 2*target {
 		t.Fatalf("false-positive rate %.4f exceeds 2x target %.4f", rate, target)
-	}
-}
-
-// TestBloomRoundTrip serializes a loaded filter and asserts the
-// reloaded filter answers identically over members and non-members.
-func TestBloomRoundTrip(t *testing.T) {
-	b := NewBloom(1000, 0.01, 123)
-	for i := 0; i < 1000; i++ {
-		b.Add([]byte(fmt.Sprintf("k%d", i)))
-	}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	r, err := ReadBloom(&buf)
-	if err != nil {
-		t.Fatalf("ReadBloom: %v", err)
-	}
-	if r.Members() != b.Members() {
-		t.Fatalf("round trip changed member count: %d vs %d", r.Members(), b.Members())
-	}
-	for i := 0; i < 2000; i++ {
-		key := []byte(fmt.Sprintf("k%d", i))
-		if b.MayContain(key) != r.MayContain(key) {
-			t.Fatalf("round trip changed answer for %q", key)
-		}
-	}
-}
-
-// TestReadBloomRejectsGarbage feeds ReadBloom a non-bloom stream and a
-// truncated one; both must fail instead of building a bogus filter.
-func TestReadBloomRejectsGarbage(t *testing.T) {
-	if _, err := ReadBloom(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatalf("ReadBloom accepted zero garbage")
-	}
-	b := NewBloom(100, 0.01, 1)
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBloom(bytes.NewReader(trunc)); err == nil {
-		t.Fatalf("ReadBloom accepted a truncated stream")
 	}
 }
 

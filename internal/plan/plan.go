@@ -24,8 +24,9 @@
 // one directory walk per statement. UPDATE and DELETE compile their read
 // side the same way (WriteTree), but a WriteTree runs after its compile
 // latch is released, so it probes its CM legs again under the writer
-// gate before sweeping. The facade's query surfaces (Exec, ExecScript,
-// SelectMany, SelectAggregate, the Select* family and EXPLAIN) all lower
+// gate before sweeping. The facade's query surfaces (Exec, the one
+// script executor, ExecPreparedBatch, SelectMany, SelectAggregate, the
+// Select* family and EXPLAIN) all lower
 // through this package, so a statement cannot behave differently between
 // surfaces, and EXPLAIN prints exactly the operator chain Run executes.
 //

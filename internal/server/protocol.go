@@ -2,8 +2,9 @@
 // TCP protocol carrying SQL in and JSON results out, multiplexing
 // per-connection sessions onto one shared repro.DB. Reads from
 // concurrent sessions run in parallel under the engine's table latches;
-// a line carrying several ';'-separated SELECTs additionally fans out
-// across the worker pool through DB.ExecScript / SelectMany.
+// a line's ';'-separated statements run in order through
+// DB.ExecScriptStreamCtx, each streaming its rows into the session's
+// responder in either wire mode.
 package server
 
 import (
@@ -27,9 +28,9 @@ import (
 //	   "affected": N, "error": "...",
 //	   "elapsed_ns": N, "row_count": N, "pages_read": N}
 //	with "error" set when that statement failed. The three measurement
-//	fields report the statement's server-side wall time, result row
-//	count and disk page-read delta (cmsql's \timing prints them; each
-//	statement of a batched SELECT group reports the group's time and
+//	fields report the statement's own server-side wall time, result row
+//	count and disk page-read delta (cmsql's \timing prints them; a
+//	coalesced SELECT reports its cross-connection batch's time and
 //	pages). Ints arrive as JSON numbers, floats as numbers, strings as
 //	strings, every value encoded byte for byte as encoding/json would
 //	(one encoder, appendRow, serves both wire modes). The 4 MiB cap
@@ -38,7 +39,10 @@ import (
 //	naming the statement, that total and its row count, and so does a
 //	statement that produced a value JSON cannot carry (a NaN or infinite
 //	float); the statements before and after it answer as usual and the
-//	session stays alive.
+//	session stays alive. The server holds at most the cap of a line's
+//	encoded rows while its script runs, so an oversized result costs
+//	its error, not its size in memory. Statements run strictly in
+//	order in both modes (no intra-line SELECT batching).
 //
 // Wire protocol v2 — chunked results. A session opts in with
 //
@@ -63,9 +67,7 @@ import (
 // failures exactly as in v1. The 4 MiB line cap still bounds every
 // frame — it is a framing limit now, not a result-size limit, so a
 // streamed result of any size completes as long as each single row
-// fits in a frame. Statements inside one chunked request run strictly
-// in order (no intra-line SELECT batching: rows must leave in
-// statement order).
+// fits in a frame.
 //
 // Authentication. When the server is started with a token, the first
 // line of every connection must be

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -193,14 +194,129 @@ func TestStreamLineCapBoundsTheLine(t *testing.T) {
 	if r := resp.Results[0]; r.Error != "" || len(r.Rows) != 1300 {
 		t.Errorf("statement 1, which fits: error %q, %d rows", r.Error, len(r.Rows))
 	}
-	e := resp.Results[1].Error
-	for _, want := range []string{"statement 2", "past the 4194304-byte response cap", "(1260 rows)", "add a LIMIT or a tighter WHERE"} {
-		if !strings.Contains(e, want) {
-			t.Errorf("statement 2 error = %q, want it to contain %q", e, want)
-		}
-	}
+	// 5,267,499 bytes of the line are fixed; statement 1's elapsed_ns
+	// width is on the line, statement 2's is not.
+	fixed := 5267499 + len(strconv.FormatInt(resp.Results[0].ElapsedNS, 10))
+	checkCapError(t, resp.Results[1].Error, 2, fixed, 1260)
 	if r := resp.Results[2]; r.Error != "" || len(r.Rows) != 1 {
 		t.Errorf("statement 3, after the capped one: error %q, %d rows", r.Error, len(r.Rows))
+	}
+}
+
+// capError is the per-statement cap error in full: statement stmt, the
+// line's running total through it in bytes, and its row count.
+func capError(stmt, bytes, rows int) string {
+	return fmt.Sprintf("server: statement %d result is %d bytes, past the 4194304-byte response cap (%d rows); add a LIMIT or a tighter WHERE",
+		stmt, bytes, rows)
+}
+
+// checkCapError asserts got is capError(stmt, fixed+width, rows), width
+// being that of the statement's own elapsed_ns: the one number a run
+// moves that the reply does not carry. At the parent commit every width
+// was 7 digits.
+func checkCapError(t *testing.T, got string, stmt, fixed, rows int) {
+	t.Helper()
+	for width := 1; width <= 19; width++ {
+		if got == capError(stmt, fixed+width, rows) {
+			return
+		}
+	}
+	t.Errorf("cap error = %q, want %q (elapsed_ns of any width)", got, capError(stmt, fixed+7, rows))
+}
+
+// TestStreamBufferedHoldIsBounded feeds a buffered reply, through the
+// callbacks the facade calls, a 20 MiB statement between two one-row
+// ones. The rows held never pass the line cap plus one row; the big
+// statement still answers the cap error a reply holding every row
+// reports — built here by appendStmt over all of them — and its
+// neighbours answer. At the parent commit the hold grew to 20 MiB.
+func TestStreamBufferedHoldIsBounded(t *testing.T) {
+	body := strings.Repeat("x", 1<<10)
+	mkRow := func(i int) repro.Row { return repro.Row{repro.IntVal(int64(i)), repro.StringVal(body)} }
+	cols := []string{"k", "body"}
+	counts := []int{1, 20 << 10, 1} // the middle statement's ~1 KiB rows pass 20 MiB
+	srs := make([]repro.ScriptResult, len(counts))
+	for i, n := range counts {
+		srs[i] = repro.ScriptResult{Res: &repro.Result{Columns: cols}, Rows: n, Elapsed: time.Duration(i+1) * time.Millisecond}
+	}
+
+	conn := &captureConn{}
+	r := newResponder(&connWriter{conn: conn}, nil)
+	r.reset()
+	held, fed := 0, 0
+	for stmt, n := range counts {
+		r.rs.Begin(stmt, cols)
+		for i := 0; i < n; i++ {
+			enc, _ := appendRow(nil, mkRow(i))
+			if !r.rs.Row(stmt, mkRow(i)) {
+				t.Fatal("a buffered reply stopped a statement")
+			}
+			fed += len(enc)
+			if held = len(r.rows); held > maxLineBytes+len(enc) {
+				t.Fatalf("statement %d row %d: %d bytes held, past the %d-byte cap plus one %d-byte row",
+					stmt+1, i+1, held, maxLineBytes, len(enc))
+			}
+		}
+		r.rs.End(stmt)
+	}
+	if fed < 20<<20 {
+		t.Fatalf("fed %d bytes of rows, want at least 20 MiB", fed)
+	}
+	for stmt, sr := range srs {
+		r.result(stmt, sr)
+	}
+	if !r.finish() {
+		t.Fatal("finish reported a dead connection")
+	}
+
+	var all []byte
+	for i := 0; i < counts[1]; i++ {
+		if i > 0 {
+			all = append(all, ',')
+		}
+		all, _ = appendRow(all, mkRow(i))
+	}
+	one, _ := appendRow(nil, mkRow(0))
+	ref := appendStmt([]byte(`{"results":[`), srs[0], one, 0)
+	ref = appendStmt(append(ref, ','), srs[1], all, 0)
+	var resp Response
+	if err := json.Unmarshal(conn.buf.Bytes(), &resp); err != nil || len(resp.Results) != 3 {
+		t.Fatalf("response (%d bytes) did not decode to 3 results: %v", conn.buf.Len(), err)
+	}
+	if got, want := resp.Results[1].Error, capError(2, len(ref)-len(`{"results":[`), counts[1]); got != want {
+		t.Errorf("capped statement's error\n got  %s\n want %s", got, want)
+	}
+	for _, i := range []int{0, 2} {
+		if r := resp.Results[i]; r.Error != "" || len(r.Rows) != 1 {
+			t.Errorf("statement %d beside the capped one: error %q, %d rows", i+1, r.Error, len(r.Rows))
+		}
+	}
+
+	// Two ~3 MiB statements, the first of which then fails: its held
+	// rows stay off the line, and the second — which they crowded out of
+	// the hold — still reports a count past the cap, not the ~3 MiB its
+	// own object would have been.
+	conn.buf.Reset()
+	r.reset()
+	for stmt := 0; stmt < 2; stmt++ {
+		r.rs.Begin(stmt, cols)
+		for i := 0; i < 3<<10; i++ {
+			r.rs.Row(stmt, mkRow(i))
+		}
+		r.rs.End(stmt)
+	}
+	r.result(0, repro.ScriptResult{Err: fmt.Errorf("failed after its rows")})
+	r.result(1, repro.ScriptResult{Res: &repro.Result{Columns: cols}, Rows: 3 << 10})
+	if !r.finish() {
+		t.Fatal("finish reported a dead connection")
+	}
+	resp = Response{}
+	if err := json.Unmarshal(conn.buf.Bytes(), &resp); err != nil || len(resp.Results) != 2 {
+		t.Fatalf("response (%d bytes) did not decode to 2 results: %v", conn.buf.Len(), err)
+	}
+	var used int
+	if _, err := fmt.Sscanf(resp.Results[1].Error, "server: statement 2 result is %d bytes", &used); err != nil || used <= maxLineBytes {
+		t.Errorf("crowded-out statement's error = %q, want a count past the %d-byte cap", resp.Results[1].Error, maxLineBytes)
 	}
 }
 
@@ -215,7 +331,7 @@ func TestStreamBufferedResponseAllocs(t *testing.T) {
 	}
 	sr := repro.ScriptResult{Res: res, Rows: 120, Elapsed: 85 * time.Microsecond, PagesRead: 5}
 	conn := &captureConn{}
-	r := &responder{w: &connWriter{conn: conn}}
+	r := newResponder(&connWriter{conn: conn}, nil)
 	frame := func() {
 		conn.buf.Reset()
 		r.reset()

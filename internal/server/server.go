@@ -69,21 +69,19 @@ type Config struct {
 	// Coalesce enables the cross-connection batch coalescer: single
 	// SELECT request lines from different sessions arriving within
 	// CoalesceWindow (default 200µs) are collected — up to CoalesceMax
-	// (default 32) per batch, across CoalesceStripes stripes (default
-	// 1) — and executed as one ExecPreparedBatch fan-out under one
-	// statement-gate slot.
-	Coalesce        bool
-	CoalesceWindow  time.Duration
-	CoalesceMax     int
-	CoalesceStripes int
+	// (default 32) per batch — and executed as one ExecPreparedBatch
+	// fan-out under one statement-gate slot.
+	Coalesce       bool
+	CoalesceWindow time.Duration
+	CoalesceMax    int
 }
 
 // Server serves the line/JSON protocol over a shared database. Every
 // connection gets its own session goroutine plus a reader goroutine, so
 // a client disconnect is noticed while a statement is still executing
-// and cancels it; statements run through DB.ExecScriptCtx (chunked
-// sessions: DB.ExecScriptStreamCtx), so concurrent sessions interleave
-// under the engine's table latches exactly like native concurrent callers.
+// and cancels it; statements run through DB.ExecScriptStreamCtx in both
+// wire modes, so concurrent sessions interleave under the engine's table
+// latches exactly like native concurrent callers.
 type Server struct {
 	db           *repro.DB
 	logf         func(format string, args ...any)
@@ -163,7 +161,7 @@ func New(db *repro.DB, cfg Config) *Server {
 		},
 	}
 	if cfg.Coalesce {
-		s.coalesce = newBatcher(s, cfg.CoalesceWindow, cfg.CoalesceMax, cfg.CoalesceStripes)
+		s.coalesce = newBatcher(s, cfg.CoalesceWindow, cfg.CoalesceMax)
 	}
 	return s
 }
@@ -360,8 +358,7 @@ func (s *Server) run(sess *session) {
 	w := &connWriter{s: s, conn: conn, cancel: connCancel, frames: make(chan []byte, s.chunkQueue), idle: make(chan error)}
 	go w.drainQueue()
 	defer close(w.frames)
-	r := &responder{w: w, connCtx: connCtx}
-	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, End: r.end}
+	r := newResponder(w, connCtx)
 	authed := s.authToken == ""
 	chunkRows := 0 // 0 = buffered v1 responses; set by SET wire_chunk_rows
 	for line := range lines {
@@ -480,8 +477,8 @@ func parseWireChunkSet(sqlText string) (int, bool) {
 // single plain SELECT goes to the cross-connection coalescer when that is
 // on (the batch holds the statement-gate slot); everything else takes a
 // slot itself and runs through ExecScriptStreamCtx with r as the live row
-// sink (chunked) or ExecScriptCtx (buffered). It reports false when the
-// connection is no longer usable.
+// sink in either mode. It reports false when the connection is no longer
+// usable.
 func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *sessionStats, r *responder) bool {
 	var results []repro.ScriptResult
 	var err error
@@ -500,11 +497,7 @@ func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *ses
 				return r.fail("server: request abandoned at the statement gate: " + ctx.Err().Error())
 			}
 		}
-		if r.chunkRows > 0 {
-			results, err = s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
-		} else {
-			results, err = s.db.ExecScriptCtx(ctx, sqlText)
-		}
+		results, err = s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
 	}
 	if err != nil {
 		return r.fail(err.Error())

@@ -12,13 +12,15 @@ import (
 
 // This file is the responder: the one path from a statement's rows to
 // the socket, in either wire mode. A responder is a row sink — the
-// facade's RowStreamer callbacks for a live chunked statement, a replay
-// for results that arrive buffered — that encodes each row once
-// (appendRow) onto the rows it holds back. In chunked mode the held rows
-// leave as a chunk frame every wire_chunk_rows rows or at the frame byte
-// budget; in buffered mode nothing leaves before the end, and result
-// splices them into the statement's object on the response line. Every
-// line reaches the socket through the session's connWriter.
+// facade's RowStreamer callbacks for a live statement, a replay for the
+// coalescer's buffered results — that encodes each row once (appendRow)
+// onto the rows it holds back. In chunked mode the held rows leave as a
+// chunk frame every wire_chunk_rows rows or at the frame byte budget. A
+// buffered reply is the responder that never flushes: it holds each
+// statement's rows, at most maxLineBytes of them across the line, until
+// the statement's result arrives after the script, and result splices
+// them into the statement's object on the response line. Every line
+// reaches the socket through the session's connWriter.
 
 // frameBudget is the most row bytes a chunk frame carries: maxLineBytes
 // less room for the frame's JSON envelope
@@ -113,22 +115,34 @@ type responder struct {
 	stmt    int
 	columns []string // current statement's header, until its first frame carries it
 	enc     []byte   // the row being encoded
-	rows    []byte   // held-back encoded rows, comma-separated
-	nrows   int
+	rows    []byte   // held-back encoded rows: chunked, the next frame's; buffered, the line's
+	nrows   int      // rows in the next frame (chunked)
+	spilled int      // bytes of held rows that result left off the line
 	per     []stmtWire
 }
 
 // stmtWire is what the wire side knows about one statement of the line.
 type stmtWire struct {
-	chunks int   // frames that carried its rows
-	err    error // set when its rows could not be put on the wire
+	from, to int   // its held rows, comma-separated, are rows[from:to] once it ends
+	nrows    int   // rows it produced
+	size     int   // bytes of those rows encoded, held or not
+	over     bool  // buffered: its rows stopped being held at the line cap
+	chunks   int   // frames that carried its rows
+	err      error // set when its rows could not be put on the wire
+}
+
+// newResponder builds a session's responder over w.
+func newResponder(w *connWriter, connCtx context.Context) *responder {
+	r := &responder{w: w, connCtx: connCtx}
+	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, End: r.end}
+	return r
 }
 
 // reset starts a reply, buffered until chunkRows says otherwise. The line
 // and row buffers are the request's own, so a big response pins no
 // memory on an idle session.
 func (r *responder) reset() {
-	r.chunkRows, r.ctx, r.per, r.nrows = 0, r.connCtx, r.per[:0], 0
+	r.chunkRows, r.ctx, r.per, r.nrows, r.spilled = 0, r.connCtx, r.per[:0], 0, 0
 	r.line, r.rows = make([]byte, 0, 4<<10), make([]byte, 0, 4<<10)
 }
 
@@ -141,7 +155,10 @@ func (r *responder) at(stmt int) *stmtWire {
 	return &r.per[stmt]
 }
 
-func (r *responder) begin(stmt int, columns []string) { r.stmt, r.columns = stmt, columns }
+func (r *responder) begin(stmt int, columns []string) {
+	r.stmt, r.columns = stmt, columns
+	r.at(stmt).from = len(r.rows)
+}
 
 // row encodes one result row and holds it back; in chunked mode the
 // held rows leave first when this one would take their frame past the
@@ -164,13 +181,24 @@ func (r *responder) row(stmt int, row repro.Row) bool {
 			stmt+1, len(r.enc), maxLineBytes)
 	}
 	if st.err != nil {
-		r.rows, r.nrows = r.rows[:0], 0
+		r.rows, r.nrows = r.rows[:st.from], 0
 		return true
 	}
+	st.nrows++
+	st.size += len(r.enc)
 	if r.chunkRows > 0 && r.nrows > 0 && len(r.rows)+1+len(r.enc) > frameBudget && !r.flush() {
 		return false
 	}
-	if r.nrows > 0 {
+	// A buffered line carries every held row, so once they could no
+	// longer fit under the cap this statement answers the cap error:
+	// stop holding its rows, keep counting them for that error.
+	if r.chunkRows == 0 && !st.over && len(r.rows)+1+len(r.enc) > maxLineBytes {
+		st.over, r.rows = true, r.rows[:st.from]
+	}
+	if st.over {
+		return true
+	}
+	if len(r.rows) > st.from {
 		r.rows = append(r.rows, ',')
 	}
 	r.rows = append(r.rows, r.enc...)
@@ -182,6 +210,7 @@ func (r *responder) end(stmt int) {
 	if r.chunkRows > 0 && r.nrows > 0 {
 		r.flush()
 	}
+	r.at(stmt).to = len(r.rows)
 	r.ctx = r.connCtx
 }
 
@@ -205,12 +234,12 @@ func (r *responder) flush() bool {
 }
 
 // result appends statement stmt's object to the response line. Rows
-// that arrive buffered in sr (ExecScriptCtx, the coalescer) go through
-// the sink first, as if the statement were producing them now; the rows
-// still held after that — a buffered reply's whole result — are spliced
-// into the object. A statement whose rows could not be put on the wire,
-// or whose object would take the line past maxLineBytes, answers with
-// only an error; the statements around it are untouched.
+// that arrive buffered in sr (the coalescer) go through the sink first,
+// as if the statement were producing them now; the rows held for the
+// statement — a buffered reply's whole result — are spliced into the
+// object. A statement whose rows could not be put on the wire, or whose
+// object would take the line past maxLineBytes, answers with only an
+// error; the statements around it are untouched.
 func (r *responder) result(stmt int, sr repro.ScriptResult) {
 	if sr.Err == nil && sr.Res != nil && len(sr.Res.Rows) > 0 {
 		r.begin(stmt, sr.Res.Columns)
@@ -225,22 +254,32 @@ func (r *responder) result(stmt int, sr repro.ScriptResult) {
 	if st.err != nil {
 		sr = repro.ScriptResult{Err: st.err}
 	}
+	held := r.rows[st.from:st.to]
+	if sr.Err != nil {
+		r.spilled, held = r.spilled+len(held), nil
+	}
 	if len(r.line) == 0 {
 		r.line = append(r.line, `{"results":[`...)
 	} else {
 		r.line = append(r.line, ',')
 	}
 	mark := len(r.line)
-	r.line = appendStmt(r.line, sr, r.rows, st.chunks)
+	r.line = appendStmt(r.line, sr, held, st.chunks)
 	// The line still has to take its closing "]}" and the newline. The
-	// count reported is the line's results up to this one.
-	if r.nrows > 0 && len(r.line)+3 > maxLineBytes {
+	// count reported is the line's results up to this one with its rows
+	// in it — and, for rows it stopped holding, with the rows held for
+	// earlier statements that then stayed off the line, which crowded
+	// them out.
+	if sr.Err == nil && (st.over || len(held) > 0 && len(r.line)+3 > maxLineBytes) {
 		used := len(r.line) - len(`{"results":[`)
+		if st.over {
+			used += len(`,"rows":[]`) + st.size + st.nrows - 1 + r.spilled
+		}
+		r.spilled += len(held)
 		r.line = appendStmt(r.line[:mark], repro.ScriptResult{Err: fmt.Errorf(
 			"server: statement %d result is %d bytes, past the %d-byte response cap (%d rows); add a LIMIT or a tighter WHERE",
-			stmt+1, used, maxLineBytes, r.nrows)}, nil, 0)
+			stmt+1, used, maxLineBytes, st.nrows)}, nil, 0)
 	}
-	r.rows, r.nrows = r.rows[:0], 0
 }
 
 // finish closes the response line and delivers it, reporting whether

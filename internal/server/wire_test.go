@@ -51,7 +51,7 @@ func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 func handleLine(t *testing.T, srv *Server, sql string, sess int64, st *sessionStats) Response {
 	t.Helper()
 	conn := &captureConn{}
-	r := &responder{w: &connWriter{s: srv, conn: conn}}
+	r := newResponder(&connWriter{s: srv, conn: conn}, nil)
 	r.reset()
 	if !srv.handle(nil, sql, sess, st, r) {
 		t.Fatalf("%s: handle reported a dead connection", sql)

@@ -22,9 +22,10 @@
 //     Ge, Le, Gt, Lt) across five access paths, chosen by the paper's
 //     correlation-aware cost model or forced explicitly (Select,
 //     SelectVia, Explain)
-//   - a SQL front-end (Exec, ExecScript) parsing the dialect described
-//     in the README onto the same engine, and batch execution
-//     (SelectMany) for multi-client workloads
+//   - a SQL front-end (Exec; ExecScript over ExecScriptStreamCtx, the
+//     one in-order script executor) parsing the dialect described in
+//     the README onto the same engine, and batch execution (SelectMany,
+//     ExecPreparedBatch) for multi-client workloads
 //   - the CM Advisor (Advise, DiscoverFDs): soft-FD discovery, bucketing
 //     enumeration and design recommendation under a performance target
 //

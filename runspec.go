@@ -13,8 +13,9 @@ import (
 
 // This file lowers QuerySpecs onto the physical plan layer — the one
 // lowering every query surface shares. DB.Exec (single SQL statement),
-// DB.ExecScript (the SelectMany batch path), the native SelectMany /
-// SelectAggregate / SelectAny / Select APIs and EXPLAIN all resolve
+// a script (DB.ExecScriptStreamCtx, statement by statement),
+// DB.ExecPreparedBatch, the native SelectMany / SelectAggregate /
+// SelectAny / Select APIs and EXPLAIN all resolve
 // names here and compile through internal/plan's Build → Optimize → Run
 // pipeline, so a statement cannot behave differently batched vs alone
 // (or explained vs executed): projection, LIMIT, OR, aggregation,

@@ -12,7 +12,7 @@ import (
 // names an aggregate the SELECT list hides (so OutPerm drops a column),
 // a bind error and a missing table — through every SQL entry point and
 // asserts identical columns, rows, Rows count and error text: Exec, a
-// two-SELECT ExecScript batch, ExecScriptStreamCtx with a collecting
+// two-SELECT ExecScript, ExecScriptStreamCtx with a collecting
 // RowStreamer, and ExecPreparedBatch (PrepareSelect declines the
 // statements that do not bind), at one and at four workers. The native
 // named-CM front door, SelectViaCM, answers the statement it can express

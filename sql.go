@@ -16,7 +16,10 @@ import (
 // Update, CreateTable, CreateIndex, CreateCM, Explain, Advise,
 // DiscoverFDs, Commit). Every SQL statement therefore has exactly the semantics of
 // the equivalent native call — the equivalence tests in sql_test.go
-// assert this statement form by statement form.
+// assert this statement form by statement form. A script runs through
+// one loop, ExecScriptStreamCtx (stream.go): statements in order, each
+// measured alone; ExecScript is that loop with a sink that collects the
+// rows.
 
 // Result is the outcome of one SQL statement. Row-producing statements
 // (SELECT, EXPLAIN, ADVISE, SHOW) fill Columns and Rows; mutating
@@ -42,12 +45,11 @@ type ScriptResult struct {
 	// here; their row count is Res.Affected).
 	Rows int
 	// PagesRead is the engine-wide disk page-read delta across the
-	// statement (per batch group for batched SELECTs) — exact when the
-	// script runs alone, approximate under concurrent load.
+	// statement — exact when the script runs alone, approximate under
+	// concurrent load. (ExecPreparedBatch reports its batch's delta.)
 	PagesRead uint64
-	// Elapsed is the statement's wall time. Consecutive SELECTs run as
-	// one SelectMany batch (see ExecScript), so each statement of a
-	// batch reports the batch group's wall time.
+	// Elapsed is the statement's wall time. (ExecPreparedBatch reports
+	// its batch's wall time.)
 	Elapsed time.Duration
 }
 
@@ -108,67 +110,35 @@ func (db *DB) ExecCtx(ctx context.Context, stmt string) (*Result, error) {
 }
 
 // ExecScript parses a ';'-separated script and executes its statements
-// in order. Consecutive SELECT statements run as one SelectMany batch
-// across the worker pool, the multi-client fast path the cmserver uses
-// for pipelined clients. A parse error fails the whole script (nothing
-// executes); execution errors are per-statement and do not stop later
-// statements.
+// in order, each reporting its own measurements. A parse error fails
+// the whole script (nothing executes); execution errors are
+// per-statement and do not stop later statements.
 func (db *DB) ExecScript(script string) ([]ScriptResult, error) {
 	return db.ExecScriptCtx(nil, script)
 }
 
 // ExecScriptCtx is ExecScript bounded by a context shared by every
 // statement of the script: cancelling ctx fails the running statement
-// (and any in-flight batch) with the context's error; later statements
-// still execute and fail the same way until the script ends. A nil ctx
-// never cancels; the configured statement timeout applies per
-// statement either way.
+// with the context's error; later statements still execute and fail the
+// same way until the script ends. A nil ctx never cancels; the
+// configured statement timeout applies per statement either way. It is
+// ExecScriptStreamCtx with a sink that collects each statement's rows
+// into its Res.Rows.
 func (db *DB) ExecScriptCtx(ctx context.Context, script string) ([]ScriptResult, error) {
-	stmts, texts, err := sqlfe.ParseScriptSpans(script)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ScriptResult, len(stmts))
-	isSelect := func(k int) bool {
-		_, ok := stmts[k].(*sqlfe.SelectStmt)
-		return ok
-	}
-	for i := 0; i < len(stmts); {
-		j := i + 1
-		for isSelect(i) && j < len(stmts) && isSelect(j) {
-			j++
+	var rows [][]Row
+	out, err := db.ExecScriptStreamCtx(ctx, script, RowStreamer{Row: func(stmt int, row Row) bool {
+		for len(rows) <= stmt {
+			rows = append(rows, nil)
 		}
-		db.measured(texts[i:j], out[i:j], func() {
-			if j-i > 1 {
-				db.execSelectBatch(ctx, stmts[i:j], out[i:j])
-				return
-			}
-			res, err := db.execStmt(ctx, stmts[i])
-			out[i] = ScriptResult{Res: res, Err: err}
-			if res != nil {
-				out[i].Rows = len(res.Rows)
-			}
-		})
-		i = j
-	}
-	return out, nil
-}
-
-// execSelectBatch binds a run of consecutive SELECTs and evaluates them
-// as one runSelectBatch fan-out under the script's shared ctx, so they
-// spread across the worker pool like concurrent clients; a statement
-// that fails to bind reports its error and sits the batch out.
-func (db *DB) execSelectBatch(ctx context.Context, stmts []sqlfe.Stmt, out []ScriptResult) {
-	preps := make([]*PreparedSelect, len(stmts))
-	ctxs := make([]context.Context, len(stmts))
-	for i, s := range stmts {
-		p, err := db.bindSelect(s.(*sqlfe.SelectStmt))
-		if err != nil {
-			out[i] = ScriptResult{Err: err}
+		rows[stmt] = append(rows[stmt], row)
+		return true
+	}})
+	for i, r := range rows {
+		if out[i].Res != nil {
+			out[i].Res.Rows = r
 		}
-		preps[i], ctxs[i] = p, ctx
 	}
-	db.runSelectBatch(ctxs, preps, out)
+	return out, err
 }
 
 // specFromBound lowers a bound SELECT onto the facade QuerySpec — the
@@ -237,28 +207,7 @@ func aggFuncFrom(fn sqlfe.AggFn) AggFunc {
 func predsFromBound(conds []sqlfe.BoundCond) []Pred {
 	out := make([]Pred, len(conds))
 	for i, c := range conds {
-		vals := make([]Value, len(c.Vals))
-		for k, v := range c.Vals {
-			vals[k] = Value{v}
-		}
-		switch c.Op {
-		case sqlfe.CondEq:
-			out[i] = Eq(c.Col, vals[0])
-		case sqlfe.CondNe:
-			out[i] = Ne(c.Col, vals[0])
-		case sqlfe.CondLt:
-			out[i] = Lt(c.Col, vals[0])
-		case sqlfe.CondLe:
-			out[i] = Le(c.Col, vals[0])
-		case sqlfe.CondGt:
-			out[i] = Gt(c.Col, vals[0])
-		case sqlfe.CondGe:
-			out[i] = Ge(c.Col, vals[0])
-		case sqlfe.CondBetween:
-			out[i] = Between(c.Col, vals[0], vals[1])
-		default:
-			out[i] = In(c.Col, vals...)
-		}
+		out[i] = predFromBound(c.Col, c.Op, c.Vals)
 	}
 	return out
 }
@@ -270,30 +219,36 @@ func predsFromBound(conds []sqlfe.BoundCond) []Pred {
 func havingFromBound(conds []sqlfe.BoundHaving) []Pred {
 	out := make([]Pred, len(conds))
 	for i, c := range conds {
-		vals := make([]Value, len(c.Vals))
-		for k, v := range c.Vals {
-			vals[k] = Value{v}
-		}
-		switch c.Op {
-		case sqlfe.CondEq:
-			out[i] = Eq(c.Name, vals[0])
-		case sqlfe.CondNe:
-			out[i] = Ne(c.Name, vals[0])
-		case sqlfe.CondLt:
-			out[i] = Lt(c.Name, vals[0])
-		case sqlfe.CondLe:
-			out[i] = Le(c.Name, vals[0])
-		case sqlfe.CondGt:
-			out[i] = Gt(c.Name, vals[0])
-		case sqlfe.CondGe:
-			out[i] = Ge(c.Name, vals[0])
-		case sqlfe.CondBetween:
-			out[i] = Between(c.Name, vals[0], vals[1])
-		default:
-			out[i] = In(c.Name, vals...)
-		}
+		out[i] = predFromBound(c.Name, c.Op, c.Vals)
 	}
 	return out
+}
+
+// predFromBound is the one lowering of a bound condition — a WHERE
+// conjunct or a HAVING conjunct — onto a facade predicate over name.
+func predFromBound(name string, op sqlfe.CondOp, vals []value.Value) Pred {
+	vs := make([]Value, len(vals))
+	for k, v := range vals {
+		vs[k] = Value{v}
+	}
+	switch op {
+	case sqlfe.CondEq:
+		return Eq(name, vs[0])
+	case sqlfe.CondNe:
+		return Ne(name, vs[0])
+	case sqlfe.CondLt:
+		return Lt(name, vs[0])
+	case sqlfe.CondLe:
+		return Le(name, vs[0])
+	case sqlfe.CondGt:
+		return Gt(name, vs[0])
+	case sqlfe.CondGe:
+		return Ge(name, vs[0])
+	case sqlfe.CondBetween:
+		return Between(name, vs[0], vs[1])
+	default:
+		return In(name, vs...)
+	}
 }
 
 // conjFromBound extracts the single conjunction of a bound WHERE, for

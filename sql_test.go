@@ -553,10 +553,10 @@ func TestSQLCommitAndErrors(t *testing.T) {
 	}
 }
 
-// TestExecScriptBatching asserts a script's consecutive SELECTs (the
-// SelectMany path) return exactly what statement-at-a-time execution
-// returns, including LIMIT, projection, and per-statement errors that
-// do not abort the rest of the script.
+// TestExecScriptBatching asserts a script's consecutive SELECTs return
+// exactly what statement-at-a-time Exec returns, including LIMIT,
+// projection, and per-statement errors that do not abort the rest of
+// the script.
 func TestExecScriptBatching(t *testing.T) {
 	rows := fixtureRows(300)
 	db := sqlFixture(t, rows)

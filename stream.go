@@ -14,14 +14,14 @@ import (
 
 // This file holds the two things every SQL SELECT shares and the entry
 // points built on them. PreparedSelect is the one bound-SELECT object:
-// Exec, a script's SelectMany batch, the streamed script and the
-// server's cross-connection coalescer all execute a SELECT through its
-// run method, so lowering, LIMIT 0, the table lookup and the
-// SELECT-list permutation exist once. ExecScriptStreamCtx is script
-// execution that delivers result rows through callbacks as the executor
-// produces them — the wire protocol's chunked mode puts them straight
-// onto the connection instead of materializing a statement's whole
-// result — and ExecPreparedBatch funnels single SELECTs that arrived on
+// Exec, a script and the server's cross-connection coalescer all
+// execute a SELECT through its run method, so lowering, LIMIT 0, the
+// table lookup and the SELECT-list permutation exist once.
+// ExecScriptStreamCtx is the one script executor: statements in order,
+// each measured alone, result rows delivered through callbacks as the
+// executor produces them — the server's responder encodes them straight
+// onto the wire in both modes, and ExecScriptCtx collects them into
+// Res.Rows. ExecPreparedBatch funnels single SELECTs that arrived on
 // different connections through one fan-out while keeping
 // per-statement contexts, snapshots and outcomes.
 
@@ -81,15 +81,14 @@ func (rs RowStreamer) announceCtx(stmt int, ctx context.Context) {
 	}
 }
 
-// ExecScriptStreamCtx executes a ';'-separated script like
-// ExecScriptCtx, but streams result rows to rs instead of buffering
-// them: each returned ScriptResult carries the statement's header,
-// measurements and error while its Res.Rows stays nil — the rows went
-// through rs.Row as the scan produced them, so a SELECT of any size
-// runs in bounded memory. Statements execute strictly in order (the
-// buffered path's consecutive-SELECT batching does not apply; rows must
-// leave in statement order), each under ctx plus the configured
-// statement timeout.
+// ExecScriptStreamCtx executes a ';'-separated script, streaming result
+// rows to rs instead of buffering them: each returned ScriptResult
+// carries the statement's header, its own measurements and its error
+// while its Res.Rows stays nil — the rows went through rs.Row as the
+// scan produced them, so a SELECT of any size runs in bounded memory.
+// Statements execute strictly in order, each under ctx plus the
+// configured statement timeout. ExecScriptCtx is this loop with a
+// collecting sink.
 //
 // When rs.Row returns false the running statement stops at row
 // granularity and fails with the context's error if ctx is dead, or
@@ -103,19 +102,12 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 	}
 	out := make([]ScriptResult, len(stmts))
 	for i, stmt := range stmts {
-		db.measured(texts[i:i+1], out[i:i+1], func() {
-			if sel, ok := stmt.(*sqlfe.SelectStmt); ok {
-				out[i] = db.streamSelect(ctx, sel, i, rs)
-			} else {
-				out[i] = db.streamOther(ctx, stmt, i, rs)
-			}
-		})
+		db.measured(texts[i:i+1], out[i:i+1], func() { out[i] = db.streamStmt(ctx, stmt, i, rs) })
 		if errors.Is(out[i].Err, ErrStreamAborted) {
 			// The consumer walked away while the context was still
 			// live: there is nobody to stream to, so later statements
 			// fail without running. (A dead context instead flows
-			// through each remaining statement and fails it fast, the
-			// same way the buffered path behaves.)
+			// through each remaining statement and fails it fast.)
 			for j := i + 1; j < len(stmts); j++ {
 				out[j] = ScriptResult{Err: ErrStreamAborted, SQL: texts[j]}
 			}
@@ -125,29 +117,53 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 	return out, nil
 }
 
-// streamSelect executes one SELECT, streaming its rows through rs. It
-// derives the statement's effective context (caller ctx + statement
-// timeout) up front and announces it through rs.Ctx, so a consumer
-// blocked in Row unblocks when the deadline fires; the nested deadline
-// runTree derives internally is a no-op shadow of this one.
-func (db *DB) streamSelect(ctx context.Context, s *sqlfe.SelectStmt, stmt int, rs RowStreamer) ScriptResult {
-	p, err := db.bindSelect(s)
-	if err != nil {
-		return ScriptResult{Err: err}
+// streamStmt executes one statement, streaming its result rows through
+// rs: a SELECT's as the scan produces them; any other statement's — its
+// result is small (SHOW, EXPLAIN, ADVISE output or a message) — by
+// executing it buffered and replaying them, so the consumer sees one
+// uniform row stream and the returned Res keeps only the header. The
+// statement's effective context (caller ctx + statement timeout) is
+// announced through rs.Ctx before Begin, so a consumer blocked in Row
+// unblocks when the deadline fires; the nested deadline runTree derives
+// internally is a no-op shadow of this one.
+func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStreamer) ScriptResult {
+	var res *Result
+	var produce func(ctx context.Context, sink func(Row) bool) error
+	if sel, ok := stmt.(*sqlfe.SelectStmt); ok {
+		p, err := db.bindSelect(sel)
+		if err != nil {
+			return ScriptResult{Err: err}
+		}
+		res = &Result{Columns: p.bound.Cols}
+		produce = func(ctx context.Context, sink func(Row) bool) error { return p.run(ctx, db.workers, sink) }
+	} else {
+		var err error
+		if res, err = db.execStmt(ctx, stmt); err != nil || len(res.Columns) == 0 {
+			return ScriptResult{Res: res, Err: err}
+		}
+		rows := res.Rows
+		res.Rows = nil
+		produce = func(_ context.Context, sink func(Row) bool) error {
+			for _, row := range rows {
+				if !sink(row) {
+					break
+				}
+			}
+			return nil
+		}
 	}
 	sctx, cancel := db.stmtCtx(ctx)
 	defer cancel()
-	rs.announceCtx(stmt, sctx)
-	rs.begin(stmt, p.bound.Cols)
-	defer rs.end(stmt)
-	rows := 0
-	aborted := false
-	err = p.run(sctx, db.workers, func(row Row) bool {
-		if !rs.row(stmt, row) {
+	rs.announceCtx(i, sctx)
+	rs.begin(i, res.Columns)
+	defer rs.end(i)
+	n, aborted := 0, false
+	err := produce(sctx, func(row Row) bool {
+		if !rs.row(i, row) {
 			aborted = true
 			return false
 		}
-		rows++
+		n++
 		return true
 	})
 	if err == nil && aborted {
@@ -161,46 +177,12 @@ func (db *DB) streamSelect(ctx context.Context, s *sqlfe.SelectStmt, stmt int, r
 	if err != nil {
 		return ScriptResult{Err: err}
 	}
-	return ScriptResult{Res: &Result{Columns: p.bound.Cols}, Rows: rows}
-}
-
-// streamOther executes a non-SELECT statement buffered (their results
-// are small — SHOW, EXPLAIN, ADVISE output or a message) and then
-// replays any result rows through rs so the consumer sees one uniform
-// row stream; the returned Res keeps its header but drops the rows.
-func (db *DB) streamOther(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStreamer) ScriptResult {
-	res, err := db.execStmt(ctx, stmt)
-	if err != nil {
-		return ScriptResult{Err: err}
-	}
-	sr := ScriptResult{Res: res}
-	if len(res.Columns) == 0 {
-		return sr
-	}
-	sctx, cancel := db.stmtCtx(ctx)
-	defer cancel()
-	rs.announceCtx(i, sctx)
-	rs.begin(i, res.Columns)
-	defer rs.end(i)
-	for _, row := range res.Rows {
-		if !rs.row(i, row) {
-			if sctx != nil && sctx.Err() != nil {
-				sr.Err = sctx.Err()
-			} else {
-				sr.Err = ErrStreamAborted
-			}
-			sr.Res = nil
-			return sr
-		}
-		sr.Rows++
-	}
-	res.Rows = nil
-	return sr
+	return ScriptResult{Res: res, Rows: n}
 }
 
 // PreparedSelect is one parsed-and-bound plain SELECT, and the one way
-// a SQL SELECT runs: every entry point — Exec, the script batch, the
-// streamed script, ExecPreparedBatch — binds to one and calls run.
+// a SQL SELECT runs: every entry point — Exec, a script,
+// ExecPreparedBatch — binds to one and calls run.
 // PrepareSelect hands them to the server's cross-connection coalescer.
 type PreparedSelect struct {
 	db    *DB
@@ -290,38 +272,36 @@ func (p *PreparedSelect) collect(ctx context.Context, workers int) ScriptResult 
 	return ScriptResult{Res: res, Rows: len(res.Rows)}
 }
 
-// runSelectBatch executes the non-nil entries of preps as one fan-out
-// across the worker pool, each with serial scans — the fan-out is across
-// statements, like concurrent clients — under its own ctxs[i], its own
-// MVCC snapshot (captured inside the run, exactly as if it had executed
-// alone), its own outcome and its own error.
-func (db *DB) runSelectBatch(ctxs []context.Context, preps []*PreparedSelect, out []ScriptResult) {
-	db.fanOut(len(preps), func(i int) {
-		if preps[i] != nil {
-			out[i] = preps[i].collect(ctxAt(ctxs, i), 1)
-		}
-	})
-}
-
 // ExecPreparedBatch executes a batch of prepared SELECTs — typically
 // collected from different connections by the server's coalescer — as
-// one fan-out across the worker pool. ctxs[i] bounds statement i alone
-// (missing or nil entries never cancel). Like the script batch path,
-// each statement reports the batch group's wall time and page-read
-// delta.
+// one fan-out across the worker pool, each with serial scans (the
+// fan-out is across statements, like concurrent clients) under its own
+// ctxs[i] (missing or nil entries never cancel), its own MVCC snapshot
+// (captured inside the run, exactly as if it had executed alone), its
+// own outcome and its own error. Each statement reports the batch's
+// wall time and page-read delta.
 func (db *DB) ExecPreparedBatch(ctxs []context.Context, preps []*PreparedSelect) []ScriptResult {
 	out := make([]ScriptResult, len(preps))
 	texts := make([]string, len(preps))
 	for i, p := range preps {
 		texts[i] = p.sql
 	}
-	db.measured(texts, out, func() { db.runSelectBatch(ctxs, preps, out) })
+	db.measured(texts, out, func() {
+		db.fanOut(len(preps), func(i int) {
+			var ctx context.Context
+			if i < len(ctxs) {
+				ctx = ctxs[i]
+			}
+			out[i] = preps[i].collect(ctx, 1)
+		})
+	})
 	return out
 }
 
-// measured runs one statement — or one batch group, whose statements all
-// report the group's numbers — and stamps the results with their source
-// text, the wall time and the engine-wide disk page-read delta.
+// measured runs one statement — or one ExecPreparedBatch, whose
+// statements all report the batch's numbers — and stamps the results
+// with their source text, the wall time and the engine-wide disk
+// page-read delta.
 func (db *DB) measured(texts []string, out []ScriptResult, run func()) {
 	reads0 := db.disk.Stats().Reads
 	start := time.Now()
@@ -330,14 +310,6 @@ func (db *DB) measured(texts []string, out []ScriptResult, run func()) {
 	for k := range out {
 		out[k].SQL, out[k].Elapsed, out[k].PagesRead = texts[k], elapsed, pages
 	}
-}
-
-// ctxAt returns ctxs[i], or nil (never cancels) past its end.
-func ctxAt(ctxs []context.Context, i int) context.Context {
-	if i < len(ctxs) {
-		return ctxs[i]
-	}
-	return nil
 }
 
 // fanOut calls fn(0..n-1) from up to Config.Workers goroutines and
