@@ -404,7 +404,7 @@ func foldPages(t *table.Table, ls *lazyScan, ps PageSet, workers int, specs []Ag
 	nchunks := (ps.len() + aggChunkPages - 1) / aggChunkPages
 	chunks := chunkSlices(ps.len(), nchunks)
 	partials := make([]*GroupAgg, len(chunks))
-	err := runTasks(ls.ctx, workers, len(chunks), func(i int) error {
+	err := runTasks(ls.oq.Ctx, workers, len(chunks), func(i int) error {
 		ga := NewGroupAgg(ls.sch, specs, groupBy)
 		partials[i] = ga
 		return ls.sweep(t, ps.slice(chunks[i][0], chunks[i][1]), nil, func(_ heap.RID, row value.Row) (bool, bool) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/table"
 	"repro/internal/value"
@@ -178,6 +179,86 @@ func (f *TupleFilter) matchPred(cp *compiledPred, tuple []byte) (bool, error) {
 		}
 		return true, nil
 	}
+}
+
+// Projection is a result projection compiled against a schema, the
+// output-side twin of TupleFilter: it encodes the projected columns of
+// an encoded heap tuple as the row's JSON array, straight from the
+// tuple's fields, so a row that only goes on the wire is never
+// materialized. Compilation happens once per statement; encoding
+// allocates nothing beyond dst's growth.
+//
+// A compiled projection is exactly DecodeRow, then the projection, then
+// value.AppendRow: the same bytes for every tuple DecodeRow accepts, the
+// same error for every tuple it rejects (the structural check runs
+// first), and the value encoder's error for a float JSON cannot carry.
+// FuzzProjectionJSON pins the equivalence.
+type Projection struct {
+	sch  table.Schema
+	cols []projCol
+}
+
+// projCol is one output column: its schema index and kind, and — for an
+// int or float column at a constant offset — that offset, -1 otherwise.
+type projCol struct {
+	col, off int
+	kind     value.Kind
+}
+
+// CompileProjection compiles proj — column indices in output order; nil
+// projects every column in schema order — against the schema.
+func CompileProjection(sch table.Schema, proj []int) *Projection {
+	sch = sch.Normalized()
+	if proj == nil {
+		proj = make([]int, len(sch.Cols))
+		for i := range proj {
+			proj[i] = i
+		}
+	}
+	p := &Projection{sch: sch, cols: make([]projCol, len(proj))}
+	for i, c := range proj {
+		pc := projCol{col: c, off: -1, kind: sch.Cols[c].Kind}
+		if off, fixed := sch.FixedOffset(c); fixed && pc.kind != value.String {
+			pc.off = off
+		}
+		p.cols[i] = pc
+	}
+	return p
+}
+
+// AppendJSON appends the tuple's projected columns to dst as a JSON
+// array in value.AppendRow's format.
+func (p *Projection) AppendJSON(dst, tuple []byte) ([]byte, error) {
+	if err := p.sch.CheckTuple(tuple); err != nil {
+		return dst, err
+	}
+	dst = append(dst, '[')
+	for i, pc := range p.cols {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var b []byte
+		if pc.off >= 0 {
+			b = tuple[pc.off : pc.off+8] // in range: the tuple passed CheckTuple
+		} else {
+			var err error
+			if b, err = p.sch.Field(tuple, pc.col); err != nil {
+				return dst, err
+			}
+		}
+		switch pc.kind {
+		case value.Int:
+			dst = strconv.AppendInt(dst, int64(binary.LittleEndian.Uint64(b)), 10)
+		case value.Float:
+			var err error
+			if dst, err = value.AppendFloat(dst, math.Float64frombits(binary.LittleEndian.Uint64(b))); err != nil {
+				return dst, err
+			}
+		default:
+			dst = value.AppendString(dst, b)
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // fieldCompare orders a raw tuple field against a compiled constant with

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -194,6 +195,100 @@ func FuzzTupleFilter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for qi, q := range queries {
 			matchesEqual(t, sch, q, data, fmt.Sprintf("query %d", qi))
+		}
+	})
+}
+
+// FuzzProjectionJSON holds the tuple projection encoder to the value
+// encoder and to encoding/json. From the fuzzer's seed it draws a schema
+// of one to six columns, a row (the fuzzer's string and float among its
+// values) and a projection — nil, empty, or columns reordered and
+// repeated. The encoded tuple, cut short or padded by the fuzzer's
+// length, must give the same bytes, or the same error, three ways:
+// Projection.AppendJSON over the tuple, value.AppendRow over DecodeRow's
+// row projected, and encoding/json over the projected values.
+func FuzzProjectionJSON(f *testing.F) {
+	f.Add(int64(1), "boston", 1.5, -1)
+	f.Add(int64(2), "", math.NaN(), -1)
+	f.Add(int64(3), "<tag> & \"quote\"", math.Inf(-1), 5)
+	f.Add(int64(4), "bad\xffutf8\x00", 1e21, 3)
+	f.Add(int64(5), "日本語", 5e-324, 1000)
+	f.Add(int64(6), "x", math.Copysign(0, -1), 0)
+	f.Fuzz(func(t *testing.T, seed int64, s string, x float64, cut int) {
+		rng := rand.New(rand.NewSource(seed))
+		cols := make([]table.Column, 1+rng.Intn(6))
+		row := make(value.Row, len(cols))
+		for i := range cols {
+			cols[i] = table.Column{Name: fmt.Sprintf("c%d", i), Kind: value.Kind(rng.Intn(3))}
+			switch cols[i].Kind {
+			case value.Int:
+				row[i] = value.NewInt(rng.Int63() - rng.Int63())
+			case value.Float:
+				row[i] = value.NewFloat(x)
+				if rng.Intn(2) == 0 {
+					row[i] = randFilterRow(rng)[1]
+				}
+			default:
+				row[i] = value.NewString(s)
+				if rng.Intn(2) == 0 {
+					row[i] = randFilterRow(rng)[2]
+				}
+			}
+		}
+		var proj []int
+		if rng.Intn(4) > 0 {
+			proj = make([]int, rng.Intn(len(cols)+2))
+			for i := range proj {
+				proj[i] = rng.Intn(len(cols))
+			}
+		}
+		sch := table.NewSchema(cols...)
+		tuple, err := sch.EncodeRow(row)
+		if err != nil {
+			t.Skip(err) // a string past the 64 KiB column limit
+		}
+		if cut >= 0 && cut < len(tuple) {
+			tuple = tuple[:cut]
+		} else if extra := cut - len(tuple); extra > 0 && extra < 4 {
+			tuple = append(tuple, make([]byte, extra)...)
+		}
+
+		got, gotErr := CompileProjection(sch, proj).AppendJSON([]byte("keep"), tuple)
+		decoded, err := sch.DecodeRow(tuple)
+		if err != nil {
+			if gotErr == nil || gotErr.Error() != err.Error() {
+				t.Fatalf("tuple %x: projection error %v, DecodeRow error %v", tuple, gotErr, err)
+			}
+			return
+		}
+		projected := decoded
+		if proj != nil {
+			projected = make(value.Row, len(proj))
+			for i, c := range proj {
+				projected[i] = decoded[c]
+			}
+		}
+		want, wantErr := value.AppendRow([]byte("keep"), projected)
+		boxed := make([]any, len(projected))
+		for i, v := range projected {
+			switch v.K {
+			case value.Int:
+				boxed[i] = v.I
+			case value.Float:
+				boxed[i] = v.F
+			default:
+				boxed[i] = v.S
+			}
+		}
+		ref, refErr := json.Marshal(boxed)
+		if gotErr != nil || wantErr != nil || refErr != nil {
+			if gotErr == nil || wantErr == nil || refErr == nil || gotErr.Error() != wantErr.Error() || wantErr.Error() != refErr.Error() {
+				t.Fatalf("row %v: projection error %v, value encoder error %v, encoding/json error %v", projected, gotErr, wantErr, refErr)
+			}
+			return
+		}
+		if string(got) != string(want) || string(want) != "keep"+string(ref) {
+			t.Fatalf("row %v:\n projection     %s\n value encoder  %s\n encoding/json  keep%s", projected, got, want, ref)
 		}
 	})
 }

@@ -8,17 +8,18 @@ import (
 
 	"repro/internal/heap"
 	"repro/internal/table"
-	"repro/internal/value"
 )
 
 // This file is the fan-out half of the executor. Every access method is
 // one function taking a worker count — an upper bound on its fan-out, not
 // an instruction to split; what fans out is a scan's independent units —
 // secondary-index probe ranges (rangeRIDs) and chunks of a sweep's page
-// set (Sweep, foldPages). Each worker runs the one sweep kernel
-// (lazyScan.sweep) over its chunk with a visit that buffers clones;
-// chunks stream to the caller's RowFunc in physical order as they
-// complete, so a scan emits the same rows in the same order at any
+// set (Sweep, foldPages). Each worker runs the one sweep kernel over its
+// chunk with a visit that copies each survivor's encoded bytes into the
+// chunk's arena — one growing buffer per chunk, no row built; chunks
+// then stream in physical order as they complete, each kept tuple going
+// through the caller's TupleFunc exactly as an inline sweep would have
+// handed it over, so a scan emits the same rows in the same order at any
 // worker count. Returning false from the callback, a failing chunk or a
 // cancelled context stops the remaining workers at page granularity,
 // keeping the early-stop contract cheap (a LIMIT-style caller stops the
@@ -34,7 +35,7 @@ import (
 // any worker count a point probe's single short run or a few short runs
 // already cached — is the degenerate case of the same driver, not a
 // second implementation: the kernel runs inline on the caller's
-// goroutine with the caller's RowFunc as its visit — no buffering, no
+// goroutine with the caller's TupleFunc as its visit — no buffering, no
 // goroutine — which keeps single-query latency that of a sequential
 // engine.
 //
@@ -45,10 +46,35 @@ import (
 // DefaultWorkers returns the default scan fan-out, GOMAXPROCS.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// matchRow is one collected result row.
-type matchRow struct {
-	rid heap.RID
-	row value.Row
+// chunkTuples is one fanned-out chunk's survivors, held for the ordered
+// emitter: their encoded bytes back to back in one arena, with each
+// one's RID and end offset.
+type chunkTuples struct {
+	arena []byte
+	rids  []heap.RID
+	ends  []int
+}
+
+// keep is the visit a fanned-out chunk sweeps with: the survivor's bytes
+// outlive the pinned frame in the arena.
+func (c *chunkTuples) keep(rid heap.RID, tuple []byte) (used, cont bool, err error) {
+	c.arena = append(c.arena, tuple...)
+	c.rids = append(c.rids, rid)
+	c.ends = append(c.ends, len(c.arena))
+	return true, true, nil
+}
+
+// emit hands the kept tuples to fn in order, as the inline sweep would
+// have, and reports whether fn asked for more after the last.
+func (c *chunkTuples) emit(fn TupleFunc) (bool, error) {
+	start := 0
+	for i, end := range c.ends {
+		if cont, err := fn(c.rids[i], c.arena[start:end:end]); !cont || err != nil {
+			return false, err
+		}
+		start = end
+	}
+	return true, nil
 }
 
 // runTasks executes run(0..n-1) across at most workers goroutines and
@@ -135,15 +161,15 @@ func chunkSlices(n, chunks int) [][2]int {
 }
 
 // collectEmit runs scan(0..n-1) across the worker pool and streams each
-// chunk's rows to fn in chunk order as soon as all earlier chunks have
-// been emitted. When fn returns false, or a chunk fails, the shared
-// cancel flag stops in-flight and unstarted chunks; a cancelled ctx stops
-// them the same way (every scan polls both at page boundaries) and the
-// run returns the context's error.
-func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cancel *atomic.Bool) ([]matchRow, error), fn RowFunc) error {
+// chunk's tuples to fn in chunk order as soon as all earlier chunks have
+// been emitted. When fn returns false or fails, or a chunk fails, the
+// shared cancel flag stops in-flight and unstarted chunks; a cancelled
+// ctx stops them the same way (every scan polls both at page boundaries)
+// and the run returns the context's error.
+func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cancel *atomic.Bool) (*chunkTuples, error), fn TupleFunc) error {
 	type chunkResult struct {
-		rows []matchRow
-		err  error
+		tuples *chunkTuples
+		err    error
 	}
 	var cancel atomic.Bool
 	results := make([]chan chunkResult, n)
@@ -170,11 +196,11 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 					results[i] <- chunkResult{}
 					continue
 				}
-				rows, err := scan(i, &cancel)
+				tuples, err := scan(i, &cancel)
 				if err != nil {
 					cancel.Store(true)
 				}
-				results[i] <- chunkResult{rows: rows, err: err}
+				results[i] <- chunkResult{tuples: tuples, err: err}
 			}
 		}()
 	}
@@ -194,16 +220,16 @@ func collectEmit(ctx context.Context, workers, n int, scan func(chunk int, cance
 			// since the context fired are holes in the sequence.
 			r.err = ctxErr(ctx)
 		}
-		if r.err != nil {
-			firstErr = r.err
-			continue
-		}
-		for _, m := range r.rows {
-			if !fn(m.rid, m.row) {
+		if r.err == nil && r.tuples != nil {
+			var cont bool
+			if cont, r.err = r.tuples.emit(fn); !cont && r.err == nil {
 				stopped = true
 				cancel.Store(true)
-				break
 			}
+		}
+		if r.err != nil {
+			firstErr = r.err
+			cancel.Store(true)
 		}
 	}
 	wg.Wait()
@@ -297,39 +323,41 @@ func missing(t *table.Table, pages []int64) bool {
 	return false
 }
 
-// Sweep is the one driver under every page-sweeping access method,
+// SweepTuples is the one driver under every page-sweeping access method,
 // whatever resolved the pages: it sweeps ps with the kernel, streams the
-// rows matching the disjunction to fn in physical order, and it is where
-// a sweep's fan-out is decided — once, from the page set. There are exactly two reasons to fan out, and both
-// need a set sweepChunks can cut: the set holds 2*minChunkPages pages
-// or more (CPU to split), or one of its pages is not in the buffer pool
-// (a miss whose wait another worker can overlap — between runs only:
-// cutting a short run in two bought a second seek under real I/O waits,
-// and with the pages cached a goroutine, a channel and a clone per
-// survivor for some 15 µs of work). Then the chunks are swept
-// concurrently, each buffering clones of its survivors (they outlive the
-// worker's scratch row and the pinned frame), and collectEmit releases
-// them in chunk order. Otherwise — one worker, a single short run warm
-// or cold, a few short runs once they are cached — the kernel runs
-// inline on the caller's goroutine with fn as its visit. Pool.Resident
-// is a hint that may be stale; either arm emits the same rows in the
-// same order.
-func Sweep(t *table.Table, oq OrQuery, ps PageSet, workers int, fn RowFunc) error {
+// tuples matching the disjunction to fn in physical order, and it is
+// where a sweep's fan-out is decided — once, from the page set. There
+// are exactly two reasons to fan out, and both need a set sweepChunks
+// can cut: the set holds 2*minChunkPages pages or more (CPU to split),
+// or one of its pages is not in the buffer pool (a miss whose wait
+// another worker can overlap — between runs only: cutting a short run in
+// two bought a second seek under real I/O waits, and with the pages
+// cached a goroutine, a channel and a copy per survivor for some 15 µs
+// of work). Then the chunks are swept concurrently, each keeping its
+// survivors' bytes in its arena (they outlive the pinned frame), and
+// collectEmit hands them to fn in chunk order. Otherwise — one worker, a
+// single short run warm or cold, a few short runs once they are cached —
+// the kernel runs inline on the caller's goroutine with fn as its visit.
+// Pool.Resident is a hint that may be stale; either arm emits the same
+// tuples in the same order. Sweep is the same driver for a caller that
+// wants each survivor decoded (DecodeTo).
+func SweepTuples(t *table.Table, oq OrQuery, ps PageSet, workers int, fn TupleFunc) error {
 	ls := newLazyScan(t, oq)
 	chunks := sweepChunks(ps, workers, maxGapFor(t))
 	// A set under 2*minChunkPages pages that was cut is a list of short runs.
 	fanOut := len(chunks) >= 2 && (ps.len() >= 2*minChunkPages || missing(t, ps.list))
 	if !fanOut {
-		ls.obs.addSweep(0)
-		return ls.sweep(t, ps, nil, emitTo(fn))
+		oq.Obs.addSweep(0)
+		return ls.newSweeper(nil, emitting(fn)).run(t, ps)
 	}
-	ls.obs.addSweep(len(chunks))
-	return collectEmit(ls.ctx, workers, len(chunks), func(i int, stop *atomic.Bool) ([]matchRow, error) {
-		var out []matchRow
-		err := ls.sweep(t, ps.slice(chunks[i][0], chunks[i][1]), stop, func(rid heap.RID, row value.Row) (bool, bool) {
-			out = append(out, matchRow{rid: rid, row: row.Clone()})
-			return true, true
-		})
-		return out, err
+	oq.Obs.addSweep(len(chunks))
+	return collectEmit(oq.Ctx, workers, len(chunks), func(i int, stop *atomic.Bool) (*chunkTuples, error) {
+		c := &chunkTuples{}
+		return c, ls.newSweeper(stop, c.keep).run(t, ps.slice(chunks[i][0], chunks[i][1]))
 	}, fn)
+}
+
+// Sweep is SweepTuples handing fn each survivor decoded.
+func Sweep(t *table.Table, oq OrQuery, ps PageSet, workers int, fn RowFunc) error {
+	return SweepTuples(t, oq, ps, workers, DecodeTo(t.Schema(), oq, fn))
 }

@@ -379,18 +379,18 @@ func TestEarlyStopSkipsUnstartedChunks(t *testing.T) {
 	const workers, chunks = 2, 16
 	var started atomic.Int64
 	emitted := 0
-	err := collectEmit(nil, workers, chunks, func(i int, stop *atomic.Bool) ([]matchRow, error) {
+	err := collectEmit(nil, workers, chunks, func(i int, stop *atomic.Bool) (*chunkTuples, error) {
 		started.Add(1)
 		if i == 0 {
-			return []matchRow{{}, {}}, nil
+			return &chunkTuples{rids: make([]heap.RID, 2), ends: make([]int, 2)}, nil
 		}
 		for !stop.Load() {
 			runtime.Gosched()
 		}
 		return nil, nil
-	}, func(heap.RID, value.Row) bool {
+	}, func(heap.RID, []byte) (bool, error) {
 		emitted++
-		return false
+		return false, nil
 	})
 	if err != nil {
 		t.Fatal(err)

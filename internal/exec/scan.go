@@ -17,44 +17,55 @@ import (
 // RowFunc receives result rows; returning false stops execution early.
 //
 // Scratch-row contract: the row is only valid for the duration of the
-// call — an inline sweep reuses one scratch row across survivors, so a
-// caller that retains rows must Clone them. Extracted scalar values
+// call — a scan decodes every survivor into one scratch row (DecodeTo),
+// so a caller that retains rows must Clone them. Extracted scalar values
 // (row[i].I, row[i].S, ...) are plain copies and safe to keep. When the
 // query carries a projection (Query.Proj), only the projected and
 // predicated entries of the row are materialized; the rest are zero
 // values.
 type RowFunc func(rid heap.RID, row value.Row) bool
 
+// TupleFunc receives result tuples where a RowFunc receives rows: each
+// survivor's RID and its encoded bytes, valid only during the call (they
+// alias a pinned frame, or a fanned-out chunk's arena) and never
+// decoded unless the callback decodes them. cont false stops the scan
+// early; a non-nil err fails it.
+type TupleFunc func(rid heap.RID, tuple []byte) (cont bool, err error)
+
+// DecodeTo adapts fn to the tuple level: each tuple's columns oq
+// materializes (MaterializeCols) decode into one scratch row reused
+// across the calls — RowFunc's scratch-row contract.
+func DecodeTo(sch table.Schema, oq OrQuery, fn RowFunc) TupleFunc {
+	sch = sch.Normalized()
+	need := oq.MaterializeCols(len(sch.Cols))
+	scratch := make(value.Row, len(sch.Cols))
+	return func(rid heap.RID, tuple []byte) (bool, error) {
+		if err := sch.DecodeCols(scratch, tuple, need); err != nil {
+			return false, err
+		}
+		return fn(rid, scratch), nil
+	}
+}
+
 // lazyScan bundles what every lazy access path needs: the compiled
-// filter, the columns to materialize for survivors, the MVCC snapshot the
-// scan reads as of, where its work is counted and what cancels it. It is
-// read-only once built, so the workers of a fanned-out scan share one.
+// filter and the query it was compiled from, which carries the MVCC
+// snapshot the scan reads as of, where its work is counted (Obs: one
+// tally flush per sweep; nil drops them), what cancels it (Ctx: every
+// sweep polls it at page boundaries, so any path stops within one heap
+// page of cancellation) and the projection a decoding visit
+// materializes. It is read-only once built, so the workers of a
+// fanned-out scan share one.
 type lazyScan struct {
 	sch    table.Schema
 	filter *OrFilter
-	need   []int
-	snap   uint64
-	// obs receives one tally flush per sweep when the query asked for
-	// observation (Query.Obs / OrQuery.Obs); nil drops them.
-	obs *ScanObs
-	// ctx, when non-nil, cancels the scan: every sweep polls it at page
-	// boundaries, so any path stops within one heap page of cancellation.
-	ctx context.Context
+	oq     OrQuery
 }
 
 // newLazyScan compiles the disjunction against t's schema: the filter
-// passes tuples matching any disjunct, and the materialized column set is
-// the union of the projection and every disjunct's predicated columns.
+// passes tuples matching any disjunct.
 func newLazyScan(t *table.Table, oq OrQuery) *lazyScan {
 	sch := t.Schema()
-	return &lazyScan{
-		sch:    sch,
-		filter: CompileOrFilter(sch, oq),
-		need:   oq.MaterializeCols(len(sch.Cols)),
-		snap:   oq.Snap,
-		obs:    oq.Obs,
-		ctx:    oq.Ctx,
-	}
+	return &lazyScan{sch: sch, filter: CompileOrFilter(sch, oq), oq: oq}
 }
 
 // PageSet names the heap pages a sweep reads: the contiguous pages
@@ -90,32 +101,55 @@ func (ps PageSet) slice(from, to int) PageSet {
 	return PageSet{list: ps.list[from:to]}
 }
 
-// visitFunc is what a sweep does with a surviving row: stream it to the
-// caller, buffer a clone, fold it into an aggregate. used reports
-// whether the row counted as a result (cm-agg's sweep passes over the
-// tuples its statistics already answered); cont false ends the sweep.
-// The row is the sweep's scratch row, valid only during the call.
+// tupleVisit is what a sweep does with a tuple that passed its filter —
+// the RID and the encoded bytes, valid only during the call: hand it to
+// the caller, keep it in a fanned-out chunk's arena, or decode it and
+// fold it into an aggregate. used reports whether the tuple counted as a
+// result row (cm-agg's sweep passes over the tuples its statistics
+// already answered); cont false ends the sweep and a non-nil err fails
+// it.
+type tupleVisit func(rid heap.RID, tuple []byte) (used, cont bool, err error)
+
+// emitting is the streaming visit: every survivor goes to fn.
+func emitting(fn TupleFunc) tupleVisit {
+	return func(rid heap.RID, tuple []byte) (bool, bool, error) {
+		cont, err := fn(rid, tuple)
+		return true, cont, err
+	}
+}
+
+// visitFunc is the decoded form of a visit, for the sweeps that fold
+// rows: the survivor's needed columns materialized into the sweep's
+// scratch row, valid only during the call.
 type visitFunc func(rid heap.RID, row value.Row) (used, cont bool)
 
-// emitTo is the streaming visit: every survivor goes to fn.
-func emitTo(fn RowFunc) visitFunc {
-	return func(rid heap.RID, row value.Row) (bool, bool) { return true, fn(rid, row) }
+// decoding lifts a decoded visit to the kernel's: each survivor's
+// needed columns decode into one scratch row, reused across the sweep.
+func (ls *lazyScan) decoding(visit visitFunc) tupleVisit {
+	need := ls.oq.MaterializeCols(len(ls.sch.Cols))
+	scratch := make(value.Row, len(ls.sch.Cols))
+	return func(rid heap.RID, tuple []byte) (bool, bool, error) {
+		if err := ls.sch.DecodeCols(scratch, tuple, need); err != nil {
+			return false, false, err
+		}
+		used, cont := visit(rid, scratch)
+		return used, cont, nil
+	}
 }
 
-// sweeper is one sweep in progress: the scratch row and tally it owns,
-// plus why it ended. Each sweep (so each worker's chunk) has its own.
+// sweeper is one sweep in progress: the tally it owns, plus why it
+// ended. Each sweep (so each worker's chunk) has its own.
 type sweeper struct {
-	ls      *lazyScan
-	stop    *atomic.Bool // a fan-out's shared early-stop flag; nil inline
-	visit   visitFunc
-	scratch value.Row
-	ta      tally
-	halted  bool  // the flag or the visit ended the sweep
-	err     error // the context's error, or a filter/decode failure
+	ls     *lazyScan
+	stop   *atomic.Bool // a fan-out's shared early-stop flag; nil inline
+	visit  tupleVisit
+	ta     tally
+	halted bool  // the flag or the visit ended the sweep
+	err    error // the context's error, or a filter/visit failure
 }
 
-func (ls *lazyScan) newSweeper(stop *atomic.Bool, visit visitFunc) *sweeper {
-	return &sweeper{ls: ls, stop: stop, visit: visit, scratch: make(value.Row, len(ls.sch.Cols)), ta: newTally()}
+func (ls *lazyScan) newSweeper(stop *atomic.Bool, visit tupleVisit) *sweeper {
+	return &sweeper{ls: ls, stop: stop, visit: visit, ta: newTally()}
 }
 
 // enterPage runs at every page boundary, before anything on the new page
@@ -126,7 +160,7 @@ func (sw *sweeper) enterPage(page int64) bool {
 	if sw.flagged() {
 		return false
 	}
-	if sw.err = ctxErr(sw.ls.ctx); sw.err != nil {
+	if sw.err = ctxErr(sw.ls.oq.Ctx); sw.err != nil {
 		return false
 	}
 	sw.ta.page(page)
@@ -143,8 +177,8 @@ func (sw *sweeper) flagged() bool {
 
 // tuple is the whole per-tuple step, in the shape heap callbacks take:
 // enter the tuple's page if it is a new one, filter the encoded tuple
-// and, when it passes, decode the needed columns into the scratch row
-// and hand it to the visit. A rejected tuple is never copied or decoded.
+// and, when it passes, hand its bytes to the visit. A rejected tuple is
+// never copied or decoded.
 func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
 	if rid.Page != sw.ta.lastPage && !sw.enterPage(rid.Page) {
 		return false
@@ -158,10 +192,11 @@ func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
 	if !ok {
 		return true
 	}
-	if sw.err = sw.ls.sch.DecodeCols(sw.scratch, tuple, sw.ls.need); sw.err != nil {
+	used, cont, err := sw.visit(rid, tuple)
+	if err != nil {
+		sw.err = err
 		return false
 	}
-	used, cont := sw.visit(rid, sw.scratch)
 	if used {
 		sw.ta.rows++
 	}
@@ -174,12 +209,12 @@ func (sw *sweeper) tuple(rid heap.RID, tuple []byte) bool {
 // feeds every visible tuple to sw.tuple, then flushes the tally. It is
 // the executor's only heap page reader.
 func (sw *sweeper) run(t *table.Table, ps PageSet) error {
-	defer sw.ta.flush(sw.ls.obs)
+	defer sw.ta.flush(sw.ls.oq.Obs)
 	readRun := func(lo, hi int64) (bool, error) {
 		if sw.flagged() { // don't fetch a page only to find the flag set
 			return false, nil
 		}
-		err := t.Heap().ScanPagesAt(lo, hi, sw.ls.snap, sw.tuple)
+		err := t.Heap().ScanPagesAt(lo, hi, sw.ls.oq.Snap, sw.tuple)
 		if sw.err != nil {
 			err = sw.err
 		}
@@ -198,9 +233,10 @@ func (sw *sweeper) run(t *table.Table, ps PageSet) error {
 // tallied, re-filtered on encoded bytes (rows on gap pages read through
 // by a run drop out like any other non-match), survivors decoded and
 // handed to visit. A sweep ended early by stop or by the visit is not an
-// error.
+// error. It is the kernel's decoded form, what folds sweep with; Sweep
+// hands survivors on undecoded.
 func (ls *lazyScan) sweep(t *table.Table, ps PageSet, stop *atomic.Bool, visit visitFunc) error {
-	return ls.newSweeper(stop, visit).run(t, ps)
+	return ls.newSweeper(stop, ls.decoding(visit)).run(t, ps)
 }
 
 // TableScan evaluates the query with a full sequential heap scan,
@@ -362,11 +398,17 @@ func rangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange, worker
 // whose sweep fans out on a miss. Tuples are filtered on their encoded
 // bytes; only survivors materialize.
 func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, _ int, fn RowFunc) error {
+	return PipelinedTuples(t, ix, q, DecodeTo(t.Schema(), q.asOr(), fn))
+}
+
+// PipelinedTuples is PipelinedIndexScan handing each survivor to fn as
+// its encoded tuple, undecoded.
+func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) error {
 	ranges := probeRanges(ix, q) // emission order: as returned
 	ls := newLazyScan(t, q.asOr())
 	h := t.Heap()
-	sw := ls.newSweeper(nil, emitTo(fn))
-	defer sw.ta.flush(ls.obs)
+	sw := ls.newSweeper(nil, emitting(fn))
+	defer sw.ta.flush(ls.oq.Obs)
 	// One view closure for the whole scan (a fresh closure per probed
 	// RID would allocate per tuple): it reads the current RID from
 	// curRID, set by the probe loop below. View hands out the pinned
@@ -380,7 +422,7 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, _ int, fn RowF
 		var viewErr error
 		err := ix.ScanRange(r.Lo, r.Hi, func(rid heap.RID) bool {
 			curRID = rid
-			viewErr = h.ViewAt(rid, ls.snap, view)
+			viewErr = h.ViewAt(rid, ls.oq.Snap, view)
 			return viewErr == nil && !sw.halted
 		})
 		if viewErr != nil {

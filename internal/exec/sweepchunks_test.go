@@ -248,7 +248,7 @@ func TestSweepFanOutDecision(t *testing.T) {
 			}
 			obs := &ScanObs{}
 			if state == "warm" {
-				if err := newLazyScan(db.tbl, Query{}.asOr()).sweep(db.tbl, c.ps, nil, emitTo(func(heap.RID, value.Row) bool { return true })); err != nil {
+				if err := newLazyScan(db.tbl, Query{}.asOr()).sweep(db.tbl, c.ps, nil, func(heap.RID, value.Row) (bool, bool) { return true, true }); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -122,10 +122,10 @@ func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (*Analysis, error) {
 		return nil, fmt.Errorf("plan: RunAnalyzed before Optimize")
 	}
 	return tr.measure(func(st *analysisState) error {
-		return tr.Run(workers, func(row value.Row) bool {
+		return tr.Run(workers, Sink{Row: func(row value.Row) bool {
 			st.outRows++
 			return sink(row)
-		})
+		}})
 	})
 }
 
@@ -173,7 +173,7 @@ func (tr *Tree) nodeActuals(st *analysisState, an *Analysis) []NodeActuals {
 	var out []NodeActuals
 	// Walk bottom-up like Explain: collect the chain, then reverse.
 	var chain []*Node
-	for n := tr.Root; n != nil; n = n.Child {
+	for n := tr.chain(); n != nil; n = n.Child {
 		chain = append(chain, n)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {

@@ -9,17 +9,28 @@ import (
 	"repro/internal/exec"
 )
 
-// Optimize finalizes the tree: it chooses the access path (chooseAccess)
-// and materializes the operator node chain EXPLAIN prints. It must run
-// under the same shared table latch hold as Run.
+// Optimize finalizes the tree: it chooses the access path
+// (chooseAccess). The operator node chain EXPLAIN prints is built from
+// that choice the first time something asks for it (chain). Optimize
+// must run under the same shared table latch hold as Run.
 func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 	if err := tr.chooseAccess(sp); err != nil {
 		return err
 	}
-	tr.decodedCols = tr.computeDecodedCols()
-	tr.buildNodes()
 	tr.optimized = true
 	return nil
+}
+
+// chain returns the top of the operator node chain, building it — and
+// the decoded-column count EXPLAIN reports beside it — on first use:
+// only EXPLAIN, EXPLAIN ANALYZE and a write tree read them, so a plain
+// run never renders a detail string.
+func (tr *Tree) chain() *Node {
+	if tr.root == nil {
+		tr.decodedCols = tr.computeDecodedCols()
+		tr.buildNodes()
+	}
+	return tr.root
 }
 
 // pricing is what one Optimize call prices paths with: the statistics
@@ -332,12 +343,12 @@ func (tr *Tree) buildNodes() {
 		chain = append(chain, &Node{Kind: KindLimit, Detail: fmt.Sprintf("first %d rows", spec.Limit)})
 	}
 
-	// Link top-down: Root is the topmost operator, Child points toward
+	// Link top-down: root is the topmost operator, Child points toward
 	// the access leaf.
 	for i := len(chain) - 1; i > 0; i-- {
 		chain[i].Child = chain[i-1]
 	}
-	tr.Root = chain[len(chain)-1]
+	tr.root = chain[len(chain)-1]
 }
 
 // identityProj reports a projection that selects every column in schema

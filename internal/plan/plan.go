@@ -212,8 +212,6 @@ func (l leg) uses() string {
 // and Run/Rows execute it; all three must happen under one shared table
 // latch hold so the plan sees a consistent table state.
 type Tree struct {
-	Root *Node
-
 	t    *table.Table
 	spec Spec
 
@@ -224,7 +222,10 @@ type Tree struct {
 	cmagg *exec.CMAggPlan
 	// cost is the chosen path's predicted cost; zero when the method was
 	// forced.
-	cost        time.Duration
+	cost time.Duration
+	// root tops the operator chain and decodedCols counts the columns a
+	// surviving tuple materializes; both are EXPLAIN's, built by chain.
+	root        *Node
 	decodedCols int
 
 	// an is the live analysis state of a RunAnalyzed call; nil for
@@ -307,6 +308,7 @@ type Info struct {
 
 // Explain flattens the optimized tree into an Info.
 func (tr *Tree) Explain() Info {
+	root := tr.chain()
 	info := Info{
 		Method:      exec.MethodTableScan,
 		Cost:        tr.cost,
@@ -321,7 +323,7 @@ func (tr *Tree) Explain() Info {
 	case len(tr.legs) > 1:
 		info.Method = exec.MethodAuto
 	}
-	for n := tr.Root; n != nil; n = n.Child {
+	for n := root; n != nil; n = n.Child {
 		// The chain is rooted at the top operator; collect bottom-up.
 		info.Nodes = append([]NodeInfo{{Kind: n.Kind.String(), Detail: n.Detail, Cost: n.Cost}}, info.Nodes...)
 	}

@@ -115,7 +115,7 @@ func TestPipelineContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Run(1, func(value.Row) bool { return true }); err == nil {
+	if err := tr.Run(1, Sink{Row: func(value.Row) bool { return true }}); err == nil {
 		t.Error("Run before Optimize succeeded")
 	}
 	if err := tr.Optimize(sp); err != nil {

@@ -15,60 +15,80 @@ import (
 // reuse scratch rows); return false to stop early.
 type RowSink func(row value.Row) bool
 
+// Sink is where Run delivers a tree's result rows. Row receives them
+// decoded. JSON, when set, takes an unordered plain select's rows
+// instead: each one the JSON array value.AppendRow gives its projected
+// columns, encoded straight from the heap tuple (exec.Projection), so
+// no row is built, and valid only during the call; a row JSON cannot
+// carry — a NaN or infinite float — arrives as the encoder's error and
+// no bytes. Returning false from either stops the run early.
+type Sink struct {
+	Row  RowSink
+	JSON func(row []byte, err error) bool
+}
+
 // Run executes the optimized tree with the given scan fan-out,
-// streaming result rows to sink. Callers must hold the table latch in
+// streaming result rows to out. Callers must hold the table latch in
 // shared mode across Optimize and Run.
-func (tr *Tree) Run(workers int, sink RowSink) error {
+func (tr *Tree) Run(workers int, out Sink) error {
 	if !tr.optimized {
 		return fmt.Errorf("plan: Run before Optimize")
 	}
 	if tr.spec.IsAggregate() {
-		return tr.runAggregate(workers, sink)
+		return tr.runAggregate(workers, out.Row)
 	}
 	if len(tr.spec.OrderBy) == 0 {
-		return tr.runPlain(workers, sink)
+		return tr.runPlain(workers, out)
 	}
-	return tr.runSorted(workers, sink)
+	return tr.runSorted(workers, out.Row)
 }
 
 // Rows is Run with the result buffered; rows are cloned out of the
 // executor's scratch space.
 func (tr *Tree) Rows(workers int) ([]value.Row, error) {
 	var out []value.Row
-	err := tr.Run(workers, func(r value.Row) bool {
+	err := tr.Run(workers, Sink{Row: func(r value.Row) bool {
 		out = append(out, r.Clone())
 		return true
-	})
+	}})
 	return out, err
 }
 
-// runAccess streams the rows the access path matches to emit, with the
-// scan-level projection pushed down: a lone pipelined probe runs its own
-// executor (it emits in index key order, RID by RID — the one access
-// that is not a page sweep); everything else resolves to a page set
-// (pageSet) that exec.Sweep reads in physical order.
-func (tr *Tree) runAccess(scanProj []int, workers int, emit exec.RowFunc) error {
+// runAccess streams the tuples the access path matches to emit: a lone
+// pipelined probe runs its own executor (it emits in index key order,
+// RID by RID — the one access that is not a page sweep); everything else
+// resolves to a page set (pageSet) that exec.SweepTuples reads in
+// physical order. scanProj is the scan-level projection, what a
+// decoding emit materializes (runRows).
+func (tr *Tree) runAccess(scanProj []int, workers int, emit exec.TupleFunc) error {
 	if tr.an != nil {
 		rows, inner := &tr.an.accessRows, emit
-		emit = func(rid heap.RID, row value.Row) bool {
+		emit = func(rid heap.RID, tuple []byte) (bool, error) {
 			*rows++
-			return inner(rid, row)
+			return inner(rid, tuple)
 		}
 	}
 	defer tr.an.addAccessTime(tr.an.now())
 	if l := tr.soleLeg(); l != nil && l.method == exec.MethodPipelined {
 		q := tr.spec.Disjuncts[0]
 		q.Proj, q.Obs = scanProj, tr.scanObs()
-		return exec.PipelinedIndexScan(tr.t, l.index, q, workers, emit)
+		return exec.PipelinedTuples(tr.t, l.index, q, emit)
 	}
 	return tr.sweep(scanProj, workers, func(oq exec.OrQuery, ps exec.PageSet) error {
-		return exec.Sweep(tr.t, oq, ps, workers, emit)
+		return exec.SweepTuples(tr.t, oq, ps, workers, emit)
 	})
 }
 
+// runRows is runAccess for a consumer of rows: each tuple's projected
+// and predicated columns decode into one scratch row.
+func (tr *Tree) runRows(scanProj []int, workers int, fn exec.RowFunc) error {
+	oq := exec.OrQuery{Disjuncts: tr.spec.Disjuncts, Proj: scanProj}
+	return tr.runAccess(scanProj, workers, exec.DecodeTo(tr.t.Schema(), oq, fn))
+}
+
 // sweep resolves the access path to a page set and runs drive — one of
-// exec's two drivers, Sweep for rows or Fold for aggregates — over it
-// with the disjunction to re-filter by.
+// exec's two drivers, SweepTuples for result tuples or Fold for
+// aggregates — over it with the disjunction to re-filter by.
 func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec.PageSet) error) error {
 	obs := tr.scanObs()
 	if l := tr.soleLeg(); l != nil && l.method == exec.MethodCM {
@@ -129,29 +149,42 @@ func (tr *Tree) scanObs() *exec.ScanObs {
 }
 
 // runPlain evaluates an unordered plain select: rows stream out of the
-// access path in physical order, the projection narrows them in place,
-// and a positive limit stops the scan early through the executor's
-// cancellation path.
-func (tr *Tree) runPlain(workers int, sink RowSink) error {
+// access path in physical order, and a positive limit stops the scan
+// early through the executor's cancellation path. For out.JSON each
+// tuple is encoded straight into its projected JSON row; for out.Row
+// its columns decode and the projection narrows them in place.
+func (tr *Tree) runPlain(workers int, out Sink) error {
 	proj := tr.spec.Proj
+	count := 0
+	more := func(delivered bool) bool {
+		count++
+		return delivered && (tr.spec.Limit <= 0 || count < tr.spec.Limit)
+	}
+	if out.JSON != nil {
+		enc := exec.CompileProjection(tr.t.Schema(), proj)
+		var buf []byte
+		return tr.runAccess(proj, workers, func(_ heap.RID, tuple []byte) (bool, error) {
+			// The sweep's filter has checked the tuple's structure, so an
+			// error here is the value encoder's: the row has no JSON form.
+			var err error
+			if buf, err = enc.AppendJSON(buf[:0], tuple); err != nil {
+				return more(out.JSON(nil, err)), nil
+			}
+			return more(out.JSON(buf, nil)), nil
+		})
+	}
 	var projScratch value.Row
 	if proj != nil {
 		projScratch = make(value.Row, len(proj))
 	}
-	count := 0
-	return tr.runAccess(proj, workers, func(_ heap.RID, row value.Row) bool {
-		out := row
+	return tr.runRows(proj, workers, func(_ heap.RID, row value.Row) bool {
 		if proj != nil {
 			for i, c := range proj {
 				projScratch[i] = row[c]
 			}
-			out = projScratch
+			row = projScratch
 		}
-		if !sink(out) {
-			return false
-		}
-		count++
-		return tr.spec.Limit <= 0 || count < tr.spec.Limit
+		return more(out.Row(row))
 	})
 }
 
@@ -194,7 +227,7 @@ func (tr *Tree) runSorted(workers int, sink RowSink) error {
 	if proj != nil {
 		compactScratch = make(value.Row, len(compact))
 	}
-	err := tr.runAccess(scanProj, workers, func(_ heap.RID, row value.Row) bool {
+	err := tr.runRows(scanProj, workers, func(_ heap.RID, row value.Row) bool {
 		if proj == nil {
 			sorter.Add(row)
 			return true

@@ -66,7 +66,7 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 	if err != nil {
 		return nil, err
 	}
-	root.Child = inner.Root
+	root.Child = inner.chain()
 	return &WriteTree{Root: root, inner: inner, sets: sets}, nil
 }
 
@@ -95,7 +95,7 @@ func (wt *WriteTree) Run(workers int) (int64, error) {
 				l.probe = probe
 			}
 		}
-		return tr.runAccess(tr.spec.Proj, workers, fn)
+		return tr.runRows(tr.spec.Proj, workers, fn)
 	}, wt.sets)
 }
 

@@ -8,11 +8,10 @@
 package server
 
 import (
-	"encoding/json"
-	"math"
 	"strconv"
 
 	"repro"
+	"repro/internal/value"
 )
 
 // The wire protocol, newline-delimited in both directions:
@@ -32,17 +31,19 @@ import (
 //	count and disk page-read delta (cmsql's \timing prints them; a
 //	coalesced SELECT reports its cross-connection batch's time and
 //	pages). Ints arrive as JSON numbers, floats as numbers, strings as
-//	strings, every value encoded byte for byte as encoding/json would
-//	(one encoder, appendRow, serves both wire modes). The 4 MiB cap
-//	bounds the whole response line: the statement whose result would
-//	take the line's running total past it answers with only an "error"
-//	naming the statement, that total and its row count, and so does a
-//	statement that produced a value JSON cannot carry (a NaN or infinite
-//	float); the statements before and after it answer as usual and the
-//	session stays alive. The server holds at most the cap of a line's
-//	encoded rows while its script runs, so an oversized result costs
-//	its error, not its size in memory. Statements run strictly in
-//	order in both modes (no intra-line SELECT batching).
+//	strings, every value encoded byte for byte as encoding/json would,
+//	in both wire modes, by the engine's one JSON row format
+//	(internal/value's AppendRow; a plain SELECT's rows are encoded
+//	straight from the heap tuples). The 4 MiB cap bounds the whole
+//	response line: the statement whose result would take the line's
+//	running total past it answers with only an "error" naming the
+//	statement, that total and its row count, and so does a statement
+//	that produced a value JSON cannot carry (a NaN or infinite float);
+//	the statements before and after it answer as usual and the session
+//	stays alive. The server holds at most the cap of a line's encoded
+//	rows while its script runs, so an oversized result costs its error,
+//	not its size in memory. Statements run strictly in order in both
+//	modes (no intra-line SELECT batching).
 //
 // Wire protocol v2 — chunked results. A session opts in with
 //
@@ -94,7 +95,7 @@ func appendStmt(dst []byte, sr repro.ScriptResult, rows []byte, chunks int) []by
 	open := len(dst)
 	str := func(member, s string) {
 		if s != "" {
-			dst = appendString(append(dst, member...), s)
+			dst = value.AppendString(append(dst, member...), s)
 		}
 	}
 	num := func(member string, n int64) {
@@ -125,57 +126,16 @@ func appendStmt(dst []byte, sr repro.ScriptResult, rows []byte, chunks int) []by
 	return append(dst, '}')
 }
 
-// appendRow appends one result row as a JSON array of native values,
-// each byte for byte what encoding/json would produce — see appendFloat
-// and appendString for how that holds by construction.
-func appendRow(dst []byte, row repro.Row) ([]byte, error) {
-	dst = append(dst, '[')
-	for i, v := range row {
-		if i > 0 {
+// appendColumns appends a non-empty result header as a JSON array of
+// strings.
+func appendColumns(dst []byte, columns []string) []byte {
+	for i, c := range columns {
+		if i == 0 {
+			dst = append(dst, '[')
+		} else {
 			dst = append(dst, ',')
 		}
-		switch v.Kind() {
-		case repro.Int:
-			dst = strconv.AppendInt(dst, v.Int(), 10)
-		case repro.Float:
-			var err error
-			if dst, err = appendFloat(dst, v.Float()); err != nil {
-				return dst, err
-			}
-		default:
-			dst = appendString(dst, v.Str())
-		}
+		dst = value.AppendString(dst, c)
 	}
-	return append(dst, ']'), nil
-}
-
-// appendFloat appends a finite f in the plain decimal form encoding/json
-// gives |f| in [1e-6, 1e21) and zero; the exponent forms outside that
-// range, and the error for NaN and ±Inf, come from json.Marshal itself.
-func appendFloat(dst []byte, f float64) ([]byte, error) {
-	if abs := math.Abs(f); abs != 0 && !(abs >= 1e-6 && abs < 1e21) {
-		b, err := json.Marshal(f)
-		return append(dst, b...), err
-	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
-}
-
-// appendString appends s as a JSON string. Plain printable ASCII with
-// nothing encoding/json escapes is quoted directly; any other string is
-// marshalled by encoding/json (which cannot fail for a string).
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			return append(dst, q...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
-}
-
-// appendColumns appends a result header. It is envelope, once per
-// statement, so encoding/json marshals it (strings: it cannot fail).
-func appendColumns(dst []byte, columns []string) []byte {
-	b, _ := json.Marshal(columns)
-	return append(dst, b...)
+	return append(dst, ']')
 }

@@ -1,9 +1,9 @@
-// Responder tests: the one row encoder is pinned to encoding/json (not
-// to itself), one bad value or one oversized statement costs only its
-// own statement in either wire mode, the response line as a whole
-// honours the 4 MiB cap, and framing a buffered response stays free of
-// per-row allocations. Every test name matches the CI race sweep's
-// Stream|Coalesce|Auth filter.
+// Responder tests: one bad value or one oversized statement costs only
+// its own statement in either wire mode, the response line as a whole
+// honours the 4 MiB cap, and framing a buffered response into buffers
+// the session keeps allocates nothing. (The row encoder itself is pinned
+// to encoding/json beside it, in internal/value.) Every test name
+// matches the CI race sweep's Stream|Coalesce|Auth filter.
 package server
 
 import (
@@ -17,11 +17,12 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/value"
 )
 
-// encodeRow is the encoder the wire had before appendRow, kept as the
-// reference implementation: box every value and let encoding/json
-// marshal the row.
+// encodeRow is the encoder the wire had before the value encoder, kept
+// as the reference implementation: box every value and let
+// encoding/json marshal the row.
 func encodeRow(r repro.Row) []any {
 	out := make([]any, len(r))
 	for i, v := range r {
@@ -37,8 +38,12 @@ func encodeRow(r repro.Row) []any {
 	return out
 }
 
-// FuzzAppendRow asserts appendRow produces encoding/json's bytes for a
-// row of every value kind, or fails with the same error.
+// FuzzAppendRow holds the responder's Row callback — a facade row turned
+// into the engine's values and put through the value encoder — to
+// encoding/json: the bytes it holds back for a row of every value kind
+// are encoding/json's, and a value JSON cannot carry fails the
+// statement with encoding/json's error. (FuzzAppendRow in internal/value
+// pins the encoder itself.)
 func FuzzAppendRow(f *testing.F) {
 	for _, s := range []string{"", "plain ascii", "<>&", `"quoted" back\slash`, "ctl\x00\x01\b\f\n\r\t\x1f\x7f",
 		"sep  ", "bad\xff\xfeutf8", "156µs", "日本語"} {
@@ -54,17 +59,37 @@ func FuzzAppendRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, i int64, x float64) {
 		row := repro.Row{repro.StringVal(s), repro.IntVal(i), repro.FloatVal(x), repro.StringVal(s)}
 		want, wantErr := json.Marshal(encodeRow(row))
-		got, err := appendRow([]byte("keep"), row)
-		if err != nil || wantErr != nil {
-			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("appendRow error %v, encoding/json error %v", err, wantErr)
+		r := newResponder(&connWriter{conn: &captureConn{}}, nil)
+		r.rs.Begin(0, []string{"s", "i", "x", "s"})
+		r.rs.Row(0, row)
+		r.rs.End(0)
+		if err := r.at(0).err; err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || !strings.HasSuffix(err.Error(), ": "+wantErr.Error()) {
+				t.Fatalf("Row callback error %v, encoding/json error %v", err, wantErr)
 			}
 			return
 		}
-		if string(got) != "keep"+string(want) {
-			t.Fatalf("appendRow\n got  %s\n want keep%s", got, want)
+		if string(r.rows) != string(want) {
+			t.Fatalf("Row callback held\n got  %s\n want %s", r.rows, want)
 		}
 	})
+}
+
+// appendRow is the value encoder over a facade row: what the
+// responder's Row callback puts on the wire for it.
+func appendRow(dst []byte, row repro.Row) ([]byte, error) {
+	vals := make(value.Row, len(row))
+	for i, v := range row {
+		switch v.Kind() {
+		case repro.Int:
+			vals[i] = value.NewInt(v.Int())
+		case repro.Float:
+			vals[i] = value.NewFloat(v.Float())
+		default:
+			vals[i] = value.NewString(v.Str())
+		}
+	}
+	return value.AppendRow(dst, vals)
 }
 
 // TestStreamNonFiniteFloat pins what a value JSON cannot carry costs: in
@@ -322,8 +347,11 @@ func TestStreamBufferedHoldIsBounded(t *testing.T) {
 
 // TestStreamBufferedResponseAllocs bounds the allocations of framing the
 // benchmark's own reply shape, 120 one-int rows, as a buffered response:
-// the rows are appended once into a buffer the session reuses. Boxing
-// each value for a reflective marshal cost 254 allocations a response.
+// the rows are appended once into a buffer the session reuses, and so is
+// the line, so once the first reply has grown them framing allocates
+// nothing. Boxing each value for a reflective marshal cost 254
+// allocations a response; fresh line and row buffers per request and a
+// marshalled header, 4.
 func TestStreamBufferedResponseAllocs(t *testing.T) {
 	res := &repro.Result{Columns: []string{"price"}}
 	for i := 0; i < 120; i++ {
@@ -350,7 +378,7 @@ func TestStreamBufferedResponseAllocs(t *testing.T) {
 	if got := conn.buf.String(); got != want {
 		t.Fatalf("framed line\n got  %s want %s", got, want)
 	}
-	if allocs := testing.AllocsPerRun(200, frame); allocs > 8 {
-		t.Errorf("framing a 120-row buffered response allocates %.0f times, want single digits", allocs)
+	if allocs := testing.AllocsPerRun(200, frame); allocs > 0 {
+		t.Errorf("framing a 120-row buffered response allocates %.0f times, want none", allocs)
 	}
 }

@@ -390,9 +390,10 @@ type sessionStats struct {
 // SET wire_chunk_rows session intercept — both answered with a plain v1
 // line whatever the session's mode — and then execution, answered in the
 // session's mode. It reports false when the session must close (failed
-// auth, a dead connection, a failed write).
+// auth, a dead connection, a failed write). The responder is reset once
+// the reply is out, ready for the next line.
 func (s *Server) dispatch(ctx context.Context, line string, id int64, st *sessionStats, r *responder, authed *bool, chunkRows *int) bool {
-	r.reset()
+	defer r.reset()
 	if token, isAuth := cutAuth(line); isAuth && s.authOK(token) {
 		*authed = true
 		r.result(0, repro.ScriptResult{Res: &repro.Result{Message: "AUTH ok"}})
@@ -458,8 +459,14 @@ func requestSQL(line string) (string, error) {
 // parseWireChunkSet recognizes a request line that is exactly one
 // SET wire_chunk_rows = N statement — the session-level setting the
 // server intercepts before the engine (which only knows engine-wide
-// settings) would reject it.
+// settings) would reject it. Only a line that spells wire_chunk_rows is
+// parsed here, so every other line is parsed once, by the engine. The
+// test is exact: an identifier token is a raw slice of the line, made
+// of ASCII letters, digits and '_', whose letter case the parser folds.
 func parseWireChunkSet(sqlText string) (int, bool) {
+	if !containsFold(sqlText, "wire_chunk_rows") {
+		return 0, false
+	}
 	stmts, _, err := sqlfe.ParseScriptSpans(sqlText)
 	if err != nil || len(stmts) != 1 {
 		return 0, false
@@ -469,6 +476,23 @@ func parseWireChunkSet(sqlText string) (int, bool) {
 		return 0, false
 	}
 	return int(set.Value), true
+}
+
+// containsFold reports whether s contains word, a lower-case ASCII
+// string, in any ASCII letter case.
+func containsFold(s, word string) bool {
+	for i := 0; i+len(word) <= len(s); i++ {
+		j := 0
+		for ; j < len(word); j++ {
+			if c := s[i+j]; c != word[j] && !('A' <= c && c <= 'Z' && c+'a'-'A' == word[j]) {
+				break
+			}
+		}
+		if j == len(word) {
+			return true
+		}
+	}
+	return false
 }
 
 // handle executes one request line's SQL under the connection's context,

@@ -6,15 +6,20 @@ import (
 	"net"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"repro"
+	"repro/internal/value"
 )
 
 // This file is the responder: the one path from a statement's rows to
 // the socket, in either wire mode. A responder is a row sink — the
 // facade's RowStreamer callbacks for a live statement, a replay for the
-// coalescer's buffered results — that encodes each row once (appendRow)
-// onto the rows it holds back. In chunked mode the held rows leave as a
+// coalescer's buffered results — that takes each row as the engine's
+// JSON row encoding (RowJSON: a plain SELECT's rows come encoded
+// straight from the heap tuples; Row: the rows the engine hands over
+// decoded, encoded here by the same value encoder) and appends it onto
+// the rows it holds back. In chunked mode the held rows leave as a
 // chunk frame every wire_chunk_rows rows or at the frame byte budget. A
 // buffered reply is the responder that never flushes: it holds each
 // statement's rows, at most maxLineBytes of them across the line, until
@@ -27,6 +32,12 @@ import (
 // ({"chunk":{"stmt":...,"columns":[...],"rows":[...]}}), so a frame
 // flushed just under the budget still encodes under the line cap.
 const frameBudget = maxLineBytes - 64<<10
+
+// retainBytes is the most capacity a responder keeps in any one of its
+// buffers between replies: replies up to it reuse the session's buffers
+// and allocate none, and a buffer a bigger reply grew is dropped when
+// that reply ends, so an idle session pins at most this much per buffer.
+const retainBytes = 64 << 10
 
 // connWriter is a session's socket writer; write is the only call that
 // touches the connection. The session goroutine writes one-line replies
@@ -102,7 +113,7 @@ func (w *connWriter) sendLast(line []byte) error {
 }
 
 // responder builds one request's reply. It lives as long as its session,
-// reset per request, and only the session goroutine touches it.
+// reset after every reply, and only the session goroutine touches it.
 type responder struct {
 	w         *connWriter
 	connCtx   context.Context
@@ -113,11 +124,12 @@ type responder struct {
 
 	ctx     context.Context // bounds a blocked frame send: the streaming statement's, else connCtx
 	stmt    int
-	columns []string // current statement's header, until its first frame carries it
-	enc     []byte   // the row being encoded
-	rows    []byte   // held-back encoded rows: chunked, the next frame's; buffered, the line's
-	nrows   int      // rows in the next frame (chunked)
-	spilled int      // bytes of held rows that result left off the line
+	columns []string  // current statement's header, until its first frame carries it
+	vals    value.Row // a Row callback's row, as the value encoder takes it
+	enc     []byte    // a Row callback's row, encoded
+	rows    []byte    // held-back encoded rows: chunked, the next frame's; buffered, the line's
+	nrows   int       // rows in the next frame (chunked)
+	spilled int       // bytes of held rows that result left off the line
 	per     []stmtWire
 }
 
@@ -134,16 +146,29 @@ type stmtWire struct {
 // newResponder builds a session's responder over w.
 func newResponder(w *connWriter, connCtx context.Context) *responder {
 	r := &responder{w: w, connCtx: connCtx}
-	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, End: r.end}
+	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, RowJSON: r.rowJSON, End: r.end}
 	return r
 }
 
-// reset starts a reply, buffered until chunkRows says otherwise. The line
-// and row buffers are the request's own, so a big response pins no
-// memory on an idle session.
+// reset readies the responder for the next reply, buffered until
+// chunkRows says otherwise. The session's buffers carry over emptied, so
+// a run of small replies allocates none; one that a reply grew past
+// retainBytes is dropped here instead (the session resets after every
+// reply), so a big response pins no memory on an idle session.
 func (r *responder) reset() {
-	r.chunkRows, r.ctx, r.per, r.nrows, r.spilled = 0, r.connCtx, r.per[:0], 0, 0
-	r.line, r.rows = make([]byte, 0, 4<<10), make([]byte, 0, 4<<10)
+	r.chunkRows, r.ctx, r.nrows, r.spilled = 0, r.connCtx, 0, 0
+	r.line, r.rows, r.enc = reuse(r.line), reuse(r.rows), reuse(r.enc)
+	r.vals, r.per = reuse(r.vals), reuse(r.per)
+}
+
+// reuse empties buf for the next reply, or drops it when the last reply
+// grew it past retainBytes.
+func reuse[T any](buf []T) []T {
+	var elem T
+	if uintptr(cap(buf))*unsafe.Sizeof(elem) > retainBytes {
+		return nil
+	}
+	return buf[:0]
 }
 
 func (r *responder) setCtx(_ int, ctx context.Context) { r.ctx = ctx }
@@ -160,39 +185,58 @@ func (r *responder) begin(stmt int, columns []string) {
 	r.at(stmt).from = len(r.rows)
 }
 
-// row encodes one result row and holds it back; in chunked mode the
-// held rows leave first when this one would take their frame past the
-// byte budget, and with it at the row count. A row that cannot go on
-// the wire fails its statement alone: result reports the error, its held
-// and later rows are dropped, and the statement runs on — stopping it
-// would make the facade skip the statements after it. It reports false
-// only when a frame could not be queued: the statement's context died.
+// row is the Row callback, for the rows the engine hands over decoded —
+// the coalescer's replay: they go through the value encoder here and
+// then on as rowJSON's.
 func (r *responder) row(stmt int, row repro.Row) bool {
+	r.vals = r.vals[:0]
+	for _, v := range row {
+		switch v.Kind() {
+		case repro.Int:
+			r.vals = append(r.vals, value.NewInt(v.Int()))
+		case repro.Float:
+			r.vals = append(r.vals, value.NewFloat(v.Float()))
+		default:
+			r.vals = append(r.vals, value.NewString(v.Str()))
+		}
+	}
+	var err error
+	r.enc, err = value.AppendRow(r.enc[:0], r.vals)
+	return r.rowJSON(stmt, r.enc, err)
+}
+
+// rowJSON is the RowJSON callback: it holds back one encoded row
+// (encErr: the row has no JSON form). In chunked mode the held rows
+// leave first when this one would take their frame past the byte
+// budget, and with it at the row count. A row that cannot go on the wire
+// fails its statement alone: result reports the error, its held and
+// later rows are dropped, and the statement runs on — stopping it would
+// make the facade skip the statements after it. It reports false only
+// when a frame could not be queued: the statement's context died.
+func (r *responder) rowJSON(stmt int, enc []byte, encErr error) bool {
 	st := r.at(stmt)
 	if st.err != nil {
 		return true
 	}
-	var err error
-	r.enc, err = appendRow(r.enc[:0], row)
-	if err != nil {
-		st.err = fmt.Errorf("server: statement %d row encoding failed: %v", stmt+1, err)
-	} else if r.chunkRows > 0 && len(r.enc) > frameBudget {
+	if encErr != nil {
+		st.err = fmt.Errorf("server: statement %d row encoding failed: %v", stmt+1, encErr)
+	} else if r.chunkRows > 0 && len(enc) > frameBudget {
 		st.err = fmt.Errorf("server: statement %d produced a %d-byte row, past the %d-byte frame cap",
-			stmt+1, len(r.enc), maxLineBytes)
+			stmt+1, len(enc), maxLineBytes)
 	}
 	if st.err != nil {
 		r.rows, r.nrows = r.rows[:st.from], 0
 		return true
 	}
 	st.nrows++
-	st.size += len(r.enc)
-	if r.chunkRows > 0 && r.nrows > 0 && len(r.rows)+1+len(r.enc) > frameBudget && !r.flush() {
+	st.size += len(enc)
+	if r.chunkRows > 0 && r.nrows > 0 && len(r.rows)+1+len(enc) > frameBudget && !r.flush() {
 		return false
 	}
 	// A buffered line carries every held row, so once they could no
 	// longer fit under the cap this statement answers the cap error:
 	// stop holding its rows, keep counting them for that error.
-	if r.chunkRows == 0 && !st.over && len(r.rows)+1+len(r.enc) > maxLineBytes {
+	if r.chunkRows == 0 && !st.over && len(r.rows)+1+len(enc) > maxLineBytes {
 		st.over, r.rows = true, r.rows[:st.from]
 	}
 	if st.over {
@@ -201,7 +245,7 @@ func (r *responder) row(stmt int, row repro.Row) bool {
 	if len(r.rows) > st.from {
 		r.rows = append(r.rows, ',')
 	}
-	r.rows = append(r.rows, r.enc...)
+	r.rows = append(r.rows, enc...)
 	r.nrows++
 	return r.chunkRows == 0 || r.nrows < r.chunkRows || r.flush()
 }
@@ -300,7 +344,7 @@ func (r *responder) finish() bool {
 
 // fail answers the whole line with one error.
 func (r *responder) fail(msg string) bool {
-	r.line = append(appendString(append(r.line[:0], `{"error":`...), msg), '}')
+	r.line = append(value.AppendString(append(r.line[:0], `{"error":`...), msg), '}')
 	return r.deliver()
 }
 

@@ -207,8 +207,14 @@ func (s Schema) CheckTuple(data []byte) error {
 		}
 		return truncatedErr(s.Cols[len(data)/8])
 	}
-	off := 0
-	for _, c := range s.Cols {
+	// Every column before the first string is fixed-width, so that
+	// string's offset is constant: a shorter tuple ends inside the fixed
+	// prefix, in the column its length says.
+	off := l.off[l.firstVar]
+	if off > len(data) {
+		return truncatedErr(s.Cols[len(data)/8])
+	}
+	for _, c := range s.Cols[l.firstVar:] {
 		if c.Kind != value.String {
 			if off+8 > len(data) {
 				return truncatedErr(c)

@@ -174,7 +174,7 @@ const (
 // statement returns the context's error and counts into
 // query.cancelled / query.timed_out.
 func (t *Table) runTree(ctx context.Context, spec QuerySpec, workers int, sink plan.RowSink) error {
-	_, err := t.readStmt(ctx, spec, workers, runPlain, sink)
+	_, err := t.readStmt(ctx, spec, workers, runPlain, plan.Sink{Row: sink})
 	return err
 }
 
@@ -186,7 +186,7 @@ func (t *Table) runTree(ctx context.Context, spec QuerySpec, workers int, sink p
 // classify its outcome. The latch is held from compile through run, so
 // the tree sweeps the pages its planner resolved. The PlanInfo is built
 // for the explaining modes only.
-func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode stmtMode, sink plan.RowSink) (PlanInfo, error) {
+func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode stmtMode, out plan.Sink) (PlanInfo, error) {
 	ps, err := t.planSpec(spec)
 	if err != nil {
 		return PlanInfo{}, err
@@ -214,9 +214,9 @@ func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode 
 	}
 	var an *plan.Analysis
 	if mode == runAnalyzed {
-		an, err = tree.RunAnalyzed(workers, sink)
+		an, err = tree.RunAnalyzed(workers, out.Row)
 	} else {
-		err = tree.Run(workers, sink)
+		err = tree.Run(workers, out)
 	}
 	t.db.noteOutcome(err)
 	if err != nil || an == nil {
@@ -513,7 +513,7 @@ func (db *DB) ExplainSpec(spec QuerySpec) (PlanInfo, error) {
 // explainSpec compiles the spec under a shared latch and converts the
 // plan layer's Info into the facade PlanInfo.
 func (t *Table) explainSpec(spec QuerySpec) (PlanInfo, error) {
-	return t.readStmt(nil, spec, 0, explainOnly, nil)
+	return t.readStmt(nil, spec, 0, explainOnly, plan.Sink{})
 }
 
 // execMethods is the one translation between the facade's AccessMethod
@@ -608,5 +608,5 @@ func (db *DB) ExplainAnalyzeSpec(spec QuerySpec) (PlanInfo, error) {
 // hold, measuring per-node actuals. ctx (plus the statement timeout)
 // bounds the run like runTree.
 func (t *Table) analyzeSpec(ctx context.Context, spec QuerySpec) (PlanInfo, error) {
-	return t.readStmt(ctx, spec, t.db.workers, runAnalyzed, func(value.Row) bool { return true })
+	return t.readStmt(ctx, spec, t.db.workers, runAnalyzed, plan.Sink{Row: func(value.Row) bool { return true }})
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/plan"
 	sqlfe "repro/internal/sql"
 	"repro/internal/value"
 )
@@ -26,10 +27,10 @@ import (
 // per-statement contexts, snapshots and outcomes.
 
 // ErrStreamAborted is the error recorded for a streamed statement whose
-// consumer returned false from RowStreamer.Row while the statement's
-// context was still live — the server maps a dead client connection to
-// it. The executor unwinds cleanly (no pinned frames, no goroutines);
-// rows already delivered stay delivered.
+// consumer returned false from RowStreamer.Row or RowJSON while the
+// statement's context was still live — the server maps a dead client
+// connection to it. The executor unwinds cleanly (no pinned frames, no
+// goroutines); rows already delivered stay delivered.
 var ErrStreamAborted = errors.New("repro: stream consumer aborted the statement")
 
 // RowStreamer receives a script's result rows as the executor produces
@@ -45,7 +46,15 @@ var ErrStreamAborted = errors.New("repro: stream consumer aborted the statement"
 type RowStreamer struct {
 	Begin func(stmt int, columns []string)
 	Row   func(stmt int, row Row) bool
-	End   func(stmt int)
+	// RowJSON, when set, receives the rows instead of Row, each encoded
+	// as a JSON array of its values — ints and floats as numbers, strings
+	// as strings, byte for byte what encoding/json gives — and valid only
+	// during the call. A plain SELECT's rows are encoded straight from
+	// the heap tuples, so no Row is ever built for them. A row JSON
+	// cannot carry (a NaN or infinite float) arrives as encoding/json's
+	// error and no bytes, and the consumer decides what it costs.
+	RowJSON func(stmt int, row []byte, err error) bool
+	End     func(stmt int)
 	// Ctx, when set, receives the statement's effective context — the
 	// caller's ctx plus the configured statement timeout — just before
 	// Begin. A consumer whose Row callback can block (a bounded send
@@ -62,13 +71,6 @@ func (rs RowStreamer) begin(stmt int, cols []string) {
 	}
 }
 
-func (rs RowStreamer) row(stmt int, row Row) bool {
-	if rs.Row == nil {
-		return true
-	}
-	return rs.Row(stmt, row)
-}
-
 func (rs RowStreamer) end(stmt int) {
 	if rs.End != nil {
 		rs.End(stmt)
@@ -81,16 +83,57 @@ func (rs RowStreamer) announceCtx(stmt int, ctx context.Context) {
 	}
 }
 
+// rowOut is one statement's end of a RowStreamer: it hands each result
+// row to RowJSON, encoded, when the consumer takes encoded rows and to
+// Row otherwise, counting the rows delivered and noting a consumer that
+// asked to stop.
+type rowOut struct {
+	rs      RowStreamer
+	stmt    int
+	enc     []byte // the row being encoded
+	n       int
+	aborted bool
+}
+
+// put delivers one result row.
+func (o *rowOut) put(r value.Row) bool {
+	if o.rs.RowJSON == nil {
+		return o.delivered(o.rs.Row == nil || o.rs.Row(o.stmt, externalRow(r)))
+	}
+	var err error
+	o.enc, err = value.AppendRow(o.enc[:0], r)
+	if err != nil {
+		return o.putJSON(nil, err)
+	}
+	return o.putJSON(o.enc, nil)
+}
+
+// putJSON delivers one encoded row, or the error of a row with no JSON
+// form (a plain SELECT's come from its heap tuples: plan.Sink.JSON).
+func (o *rowOut) putJSON(enc []byte, err error) bool {
+	return o.delivered(o.rs.RowJSON(o.stmt, enc, err))
+}
+
+func (o *rowOut) delivered(more bool) bool {
+	if !more {
+		o.aborted = true
+		return false
+	}
+	o.n++
+	return true
+}
+
 // ExecScriptStreamCtx executes a ';'-separated script, streaming result
 // rows to rs instead of buffering them: each returned ScriptResult
 // carries the statement's header, its own measurements and its error
-// while its Res.Rows stays nil — the rows went through rs.Row as the
-// scan produced them, so a SELECT of any size runs in bounded memory.
+// while its Res.Rows stays nil — the rows went through rs.Row (or
+// rs.RowJSON) as the scan produced them, so a SELECT of any size runs in
+// bounded memory.
 // Statements execute strictly in order, each under ctx plus the
 // configured statement timeout. ExecScriptCtx is this loop with a
 // collecting sink.
 //
-// When rs.Row returns false the running statement stops at row
+// When the row callback returns false the running statement stops at row
 // granularity and fails with the context's error if ctx is dead, or
 // ErrStreamAborted otherwise; statements not yet started fail the same
 // way without executing. A parse error fails the whole script and
@@ -128,14 +171,14 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 // internally is a no-op shadow of this one.
 func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStreamer) ScriptResult {
 	var res *Result
-	var produce func(ctx context.Context, sink func(Row) bool) error
+	var produce func(ctx context.Context, out *rowOut) error
 	if sel, ok := stmt.(*sqlfe.SelectStmt); ok {
 		p, err := db.bindSelect(sel)
 		if err != nil {
 			return ScriptResult{Err: err}
 		}
 		res = &Result{Columns: p.bound.Cols}
-		produce = func(ctx context.Context, sink func(Row) bool) error { return p.run(ctx, db.workers, sink) }
+		produce = func(ctx context.Context, out *rowOut) error { return p.run(ctx, db.workers, out) }
 	} else {
 		var err error
 		if res, err = db.execStmt(ctx, stmt); err != nil || len(res.Columns) == 0 {
@@ -143,9 +186,9 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 		}
 		rows := res.Rows
 		res.Rows = nil
-		produce = func(_ context.Context, sink func(Row) bool) error {
+		produce = func(_ context.Context, out *rowOut) error {
 			for _, row := range rows {
-				if !sink(row) {
+				if !out.put(row.internal()) {
 					break
 				}
 			}
@@ -157,16 +200,9 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 	rs.announceCtx(i, sctx)
 	rs.begin(i, res.Columns)
 	defer rs.end(i)
-	n, aborted := 0, false
-	err := produce(sctx, func(row Row) bool {
-		if !rs.row(i, row) {
-			aborted = true
-			return false
-		}
-		n++
-		return true
-	})
-	if err == nil && aborted {
+	out := &rowOut{rs: rs, stmt: i}
+	err := produce(sctx, out)
+	if err == nil && out.aborted {
 		if sctx != nil && sctx.Err() != nil {
 			err = sctx.Err()
 			db.noteOutcome(err)
@@ -177,7 +213,7 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 	if err != nil {
 		return ScriptResult{Err: err}
 	}
-	return ScriptResult{Res: res, Rows: n}
+	return ScriptResult{Res: res, Rows: out.n}
 }
 
 // PreparedSelect is one parsed-and-bound plain SELECT, and the one way
@@ -229,11 +265,13 @@ func (db *DB) PrepareSelect(line string) *PreparedSelect {
 }
 
 // run executes the SELECT under ctx with the given scan fan-out and
-// hands its result rows, in SELECT-list order, to sink (false stops the
-// scan). The one lowering (specFromBound) covers every SELECT form —
-// projection pushdown, aggregates, ORDER BY, OR; LIMIT flows into
-// QuerySpec.Limit and stops plain scans early.
-func (p *PreparedSelect) run(ctx context.Context, workers int, sink func(Row) bool) error {
+// hands its result rows, in SELECT-list order, to out (a consumer that
+// stops stops the scan). The one lowering (specFromBound) covers every
+// SELECT form — projection pushdown, aggregates, ORDER BY, OR; LIMIT
+// flows into QuerySpec.Limit and stops plain scans early. A plain
+// SELECT's rows reach an encoding consumer straight from the heap
+// tuples (plan.Sink.JSON).
+func (p *PreparedSelect) run(ctx context.Context, workers int, out *rowOut) error {
 	b := p.bound
 	if b.Limit == 0 { // LIMIT 0: nothing to run
 		return nil
@@ -242,30 +280,34 @@ func (p *PreparedSelect) run(ctx context.Context, workers int, sink func(Row) bo
 	if tbl == nil {
 		return fmt.Errorf("repro: no table %q", b.Table)
 	}
-	return tbl.runTree(ctx, specFromBound(b), workers, func(r value.Row) bool {
-		row := externalRow(r)
+	sink := plan.Sink{Row: func(r value.Row) bool {
 		if b.IsAggregate() {
 			// Aggregate rows arrive in canonical (GroupBy..., Aggs...)
 			// shape; OutPerm restores the SELECT-list order. Hidden ORDER BY
 			// aggregates sit past every OutPerm index and drop out here.
 			// (Plain selects are already projected in list order.)
-			pr := make(Row, len(b.OutPerm))
+			pr := make(value.Row, len(b.OutPerm))
 			for j, at := range b.OutPerm {
-				pr[j] = row[at]
+				pr[j] = r[at]
 			}
-			row = pr
+			r = pr
 		}
-		return sink(row)
-	})
+		return out.put(r)
+	}}
+	if out.rs.RowJSON != nil {
+		sink.JSON = out.putJSON
+	}
+	_, err := tbl.readStmt(ctx, specFromBound(b), workers, runPlain, sink)
+	return err
 }
 
 // collect runs the SELECT and buffers its rows.
 func (p *PreparedSelect) collect(ctx context.Context, workers int) ScriptResult {
 	res := &Result{Columns: p.bound.Cols}
-	err := p.run(ctx, workers, func(row Row) bool {
+	err := p.run(ctx, workers, &rowOut{rs: RowStreamer{Row: func(_ int, row Row) bool {
 		res.Rows = append(res.Rows, row)
 		return true
-	})
+	}}})
 	if err != nil {
 		return ScriptResult{Err: err}
 	}
