@@ -37,6 +37,12 @@ func itemsFixture(t testing.TB, workers int) (*DB, *Table) {
 // itemsFixtureOn is itemsFixture on an engine opened with cfg.
 func itemsFixtureOn(t testing.TB, cfg Config) (*DB, *Table) {
 	t.Helper()
+	return itemsTable(t, cfg, 60000)
+}
+
+// itemsTable is itemsFixtureOn over the first n correlated items.
+func itemsTable(t testing.TB, cfg Config, n int) (*DB, *Table) {
+	t.Helper()
 	db := Open(cfg)
 	tbl, err := db.CreateTable(TableSpec{
 		Name: "items",
@@ -50,7 +56,7 @@ func itemsFixtureOn(t testing.TB, cfg Config) (*DB, *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := datagen.CorrelatedItems(60000)
+	items := datagen.CorrelatedItems(n)
 	rows := make([]Row, len(items))
 	for i, it := range items {
 		rows[i] = Row{IntVal(it.Cat), IntVal(it.Subcat), IntVal(it.Price), StringVal(it.Desc)}

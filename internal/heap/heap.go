@@ -12,11 +12,24 @@
 // unset. Bulk-loaded and legacy appends begin at 0 ("since forever"), so
 // single-threaded callers that never use snapshots observe the historical
 // behavior: a tuple is live until ended or physically deleted.
+//
+// Space is reclaimed inside its page. An ended version that no snapshot
+// can read any more is marked dead (MarkDead), and a physically deleted
+// tuple leaves an erased slot; both slots are reusable at once, and their
+// bytes come back when a placement needs the page's contiguous gap: the
+// prune erases the dead slots, packs the remaining tuples toward the end
+// of the page, and trims empty slots off the directory's end. Slot numbers
+// of surviving tuples never change, so RIDs stay valid. An in-memory
+// account per page (contiguous free bytes plus reclaimable bytes) answers
+// Room without reading the page, and the pages that have anything to
+// reclaim sit in size classes so BestFit finds the tightest one in a few
+// word operations. Appends (Load's) still go to the tail, in order.
 package heap
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/buffer"
 	"repro/internal/sim"
@@ -29,6 +42,14 @@ const (
 	headerSize   = 4
 	slotSize     = 4 // offset uint16, length uint16
 )
+
+// classWidth is the granularity, in bytes of room, of the size classes
+// BestFit searches: a reclaimable page files under class Room/classWidth.
+const classWidth = 64
+
+// gone is the begin and end timestamp of a slot no snapshot will read
+// again: a dead version waiting for its page's prune, or an erased slot.
+const gone = ^uint64(0)
 
 // RID identifies a tuple: heap page number and slot within the page.
 type RID struct {
@@ -64,11 +85,31 @@ func visibleAt(v tupleVersion, snap uint64) bool {
 	return v.begin <= snap && (v.end == 0 || v.end > snap)
 }
 
+// pageSpace is a page's in-memory space account: free is the contiguous
+// gap between the slot directory and the tuple bytes, garbage the bytes
+// of dead and erased tuples that a prune gives back. Their sum is the
+// page's Room.
+type pageSpace struct {
+	free, garbage uint16
+}
+
+// pageReuse is what a page has to give back: its dead slots (the bytes
+// still on the page), its erased slots (length 0) and its place in the
+// size classes. Only pages with a dead or erased slot or garbage bytes
+// have one.
+type pageReuse struct {
+	dead, erased []uint16
+	class, pos   int // classes[class][pos] is this page; class -1 when unfiled
+}
+
 // File is a heap file of slotted pages.
 //
 // Concurrency matches the owning table's latch discipline: the version side
-// arrays are plain slices, so mutators (Append, SetEnd, Delete) must hold
-// the table latch exclusively while readers hold it shared.
+// arrays and the space accounts are plain slices and maps, so mutators
+// (AppendAt, PutAt, SetEnd, ClearEnd, MarkDead, Delete) must hold the
+// table latch exclusively while readers hold it shared. A placement may
+// prune its page, moving tuple bytes within it, so no reader keeps a
+// tuple slice across a release of the latch.
 type File struct {
 	pool *buffer.Pool
 	file sim.FileID
@@ -76,14 +117,29 @@ type File struct {
 	numPages int64
 	tuples   int64
 
-	// vers[page][slot] carries the tuple's MVCC timestamps. Grown in
-	// lockstep with the slot directories.
+	// vers[page][slot] carries the tuple's MVCC timestamps. Grown and
+	// trimmed in lockstep with the slot directories.
 	vers [][]tupleVersion
+
+	// space[page] is the page's space account; reuse the pages that
+	// have something to give back, each filed in classes by its room
+	// (nonEmpty has bit c set while classes[c] has a page).
+	space    []pageSpace
+	reuse    map[int64]*pageReuse
+	classes  [][]int64
+	nonEmpty []uint64
+
+	dead, reclaimed int64
+	scratch         []byte // one page of packing space for prune
 }
 
 // NewFile creates an empty heap file on the pool's disk.
 func NewFile(pool *buffer.Pool) *File {
-	return &File{pool: pool, file: pool.Disk().CreateFile()}
+	h := &File{pool: pool, file: pool.Disk().CreateFile(), reuse: map[int64]*pageReuse{}}
+	n := h.EmptyRoom()/classWidth + 1
+	h.classes = make([][]int64, n)
+	h.nonEmpty = make([]uint64, (n+63)/64)
+	return h
 }
 
 // FileID returns the simulated-disk file backing the heap.
@@ -94,6 +150,142 @@ func (h *File) NumPages() int64 { return h.numPages }
 
 // TupleCount returns the number of live tuples.
 func (h *File) TupleCount() int64 { return h.tuples }
+
+// DeadVersions returns how many versions are marked dead and not yet
+// pruned away or overwritten.
+func (h *File) DeadVersions() int64 { return h.dead }
+
+// ReclaimedVersions returns the running total of dead versions whose
+// slot and bytes a prune or a placement took back.
+func (h *File) ReclaimedVersions() int64 { return h.reclaimed }
+
+// Slots returns the number of slot-directory entries over all pages —
+// live, ended, dead and erased — which pruning keeps bounded.
+func (h *File) Slots() int64 {
+	var n int64
+	for _, pv := range h.vers {
+		n += int64(len(pv))
+	}
+	return n
+}
+
+// EmptyRoom returns the room of an empty page: the most a placement can
+// ask of one page.
+func (h *File) EmptyRoom() int { return h.pool.Disk().PageSize() - headerSize }
+
+// TupleCost returns the room a tuple of n bytes takes on a page: its
+// bytes plus a slot entry.
+func TupleCost(n int) int { return n + slotSize }
+
+// Room returns the tuple bytes page can take — its contiguous gap plus
+// what a prune would give back — from memory, without reading the page.
+// Out-of-range pages have none.
+func (h *File) Room(page int64) int {
+	if page < 0 || page >= h.numPages {
+		return 0
+	}
+	s := h.space[page]
+	return int(s.free) + int(s.garbage)
+}
+
+// Fits reports, from memory, whether page can take a group of new
+// tuples (tuples of them) whose TupleCosts sum to cost: every tuple pays
+// its slot entry, except those that reuse one of the page's dead or
+// erased slots. It is exact —
+// PutAt succeeds on a page that Fits one TupleCost(len(tuple)).
+func (h *File) Fits(page int64, cost, tuples int) bool {
+	if page < 0 || page >= h.numPages {
+		return false
+	}
+	credit := 0
+	if r := h.reuse[page]; r != nil {
+		credit = slotSize * min(tuples, len(r.dead)+len(r.erased))
+	}
+	return cost <= h.Room(page)+credit
+}
+
+// BestFit returns a page with something to reclaim that Fits the group
+// (tuples new tuples of total cost), with the least room to within one
+// size class, or false when none does. Only the classes where slot reuse
+// decides the fit are searched page by page; above them every page fits.
+func (h *File) BestFit(cost, tuples int) (int64, bool) {
+	sure := (cost + classWidth - 1) / classWidth
+	for c := max(0, cost-slotSize*tuples) / classWidth; c < len(h.classes); c++ {
+		if c >= sure {
+			return h.firstIn(c)
+		}
+		for _, page := range h.classes[c] {
+			if h.Fits(page, cost, tuples) {
+				return page, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// firstIn returns a page of the lowest non-empty size class at or above c.
+func (h *File) firstIn(c int) (int64, bool) {
+	for w := c / 64; w < len(h.nonEmpty); w++ {
+		word := h.nonEmpty[w]
+		if w == c/64 {
+			word &= ^uint64(0) << (c % 64)
+		}
+		if word != 0 {
+			pages := h.classes[w*64+bits.TrailingZeros64(word)]
+			return pages[len(pages)-1], true
+		}
+	}
+	return 0, false
+}
+
+// reuseOf returns the page's reuse state, creating it.
+func (h *File) reuseOf(page int64) *pageReuse {
+	r := h.reuse[page]
+	if r == nil {
+		r = &pageReuse{class: -1}
+		h.reuse[page] = r
+	}
+	return r
+}
+
+// refile moves the page to the size class its room now falls in, or
+// drops its reuse state once it has nothing left to give back.
+func (h *File) refile(page int64) {
+	r := h.reuse[page]
+	if r == nil {
+		return
+	}
+	if len(r.dead) == 0 && len(r.erased) == 0 && h.space[page].garbage == 0 && h.Room(page) < classWidth {
+		h.unfile(r)
+		delete(h.reuse, page)
+		return
+	}
+	c := h.Room(page) / classWidth
+	if c == r.class {
+		return
+	}
+	h.unfile(r)
+	r.class, r.pos = c, len(h.classes[c])
+	h.classes[c] = append(h.classes[c], page)
+	h.nonEmpty[c/64] |= 1 << (c % 64)
+}
+
+// unfile takes the page out of its size class.
+func (h *File) unfile(r *pageReuse) {
+	if r.class < 0 {
+		return
+	}
+	pages := h.classes[r.class]
+	last := pages[len(pages)-1]
+	pages[r.pos] = last
+	h.reuse[last].pos = r.pos
+	pages = pages[:len(pages)-1]
+	h.classes[r.class] = pages
+	if len(pages) == 0 {
+		h.nonEmpty[r.class/64] &^= 1 << (r.class % 64)
+	}
+	r.class = -1
+}
 
 func pageNumSlots(d []byte) int {
 	return int(binary.LittleEndian.Uint16(d[offNumSlots:]))
@@ -139,48 +331,149 @@ func (h *File) Append(tuple []byte) (RID, error) {
 	return h.AppendAt(tuple, 0)
 }
 
-// AppendAt stores tuple at the end of the file with the given MVCC begin
-// timestamp: the tuple is invisible to snapshots older than begin, which
-// is how a writer statement keeps its new row versions hidden until it
-// publishes.
+// AppendAt stores tuple at the end of the file — on the last page when it
+// has room, else on a new one — with the given MVCC begin timestamp: the
+// tuple is invisible to snapshots older than begin, which is how a writer
+// statement keeps its new row versions hidden until it publishes.
 func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
-	need := len(tuple) + slotSize
-	ps := h.pool.Disk().PageSize()
-	if need > ps-headerSize {
+	page := h.numPages
+	if page > 0 && h.Room(page-1) >= TupleCost(len(tuple)) {
+		page--
+	}
+	return h.PutAt(page, tuple, begin)
+}
+
+// PutAt stores tuple on page with the given MVCC begin timestamp and
+// returns its RID; page NumPages() allocates a new page at the end. The
+// tuple takes an erased slot, else a dead one, else a new slot, and a
+// page whose contiguous gap is too short is pruned first. The caller
+// chooses page by Room; a page short of room is an error.
+func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
+	if TupleCost(len(tuple)) > h.EmptyRoom() {
 		return RID{}, fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(tuple))
 	}
-	if h.numPages > 0 {
-		last := h.numPages - 1
-		fr, err := h.pool.Get(h.file, last)
-		if err != nil {
+	var fr *buffer.Frame
+	var err error
+	switch {
+	case page == h.numPages:
+		if page, fr, err = h.pool.NewPage(h.file); err != nil {
 			return RID{}, err
 		}
-		if pageFree(fr.Data) >= need {
-			rid := placeTuple(fr.Data, last, tuple)
-			h.pool.Unpin(fr, true)
-			h.vers[last] = append(h.vers[last], tupleVersion{begin: begin})
-			h.tuples++
-			return rid, nil
+		initPage(fr.Data)
+		h.vers = append(h.vers, nil)
+		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
+		h.numPages++
+	case page < 0 || page > h.numPages:
+		return RID{}, fmt.Errorf("heap: page %d out of range (pages=%d)", page, h.numPages)
+	default:
+		if fr, err = h.pool.Get(h.file, page); err != nil {
+			return RID{}, err
 		}
+	}
+	d := fr.Data
+	if !h.Fits(page, TupleCost(len(tuple)), 1) {
 		h.pool.Unpin(fr, false)
+		return RID{}, fmt.Errorf("heap: page %d has %d bytes of room, tuple needs %d", page, h.Room(page), len(tuple))
 	}
-	page, fr, err := h.pool.NewPage(h.file)
-	if err != nil {
-		return RID{}, err
+	r := h.reuse[page]
+	need := TupleCost(len(tuple))
+	if r != nil && len(r.dead)+len(r.erased) > 0 {
+		need = len(tuple)
 	}
-	initPage(fr.Data)
-	rid := placeTuple(fr.Data, page, tuple)
+	if int(h.space[page].free) < need {
+		// Pruning frees at least the garbage bytes, plus a slot entry for
+		// every slot it trims, so a tuple that Fits fits afterwards
+		// whether or not a reusable slot survives.
+		h.prune(page, d, r)
+	}
+	slot := h.takeSlot(page, d)
+	start := pageCellStart(d) - len(tuple)
+	copy(d[start:], tuple)
+	setSlotAt(d, slot, start, len(tuple))
+	if slot == pageNumSlots(d) {
+		setPageNumSlots(d, slot+1)
+		h.vers[page] = append(h.vers[page], tupleVersion{begin: begin})
+	} else {
+		h.vers[page][slot] = tupleVersion{begin: begin}
+	}
+	setPageCellStart(d, start)
+	h.space[page].free = uint16(pageFree(d))
 	h.pool.Unpin(fr, true)
-	h.vers = append(h.vers, []tupleVersion{{begin: begin}})
-	h.numPages++
 	h.tuples++
-	return rid, nil
+	h.refile(page)
+	return RID{Page: page, Slot: uint16(slot)}, nil
+}
+
+// takeSlot picks the slot a new tuple on the page goes into: an erased
+// one, else a dead one (its bytes stay garbage until the next prune),
+// else the next new slot.
+func (h *File) takeSlot(page int64, d []byte) int {
+	if r := h.reuse[page]; r != nil {
+		if n := len(r.erased); n > 0 {
+			s := r.erased[n-1]
+			r.erased = r.erased[:n-1]
+			return int(s)
+		}
+		if n := len(r.dead); n > 0 {
+			s := r.dead[n-1]
+			r.dead = r.dead[:n-1]
+			h.dead--
+			h.reclaimed++
+			return int(s)
+		}
+	}
+	return pageNumSlots(d)
+}
+
+// prune reclaims the page in place: dead slots are erased, the remaining
+// tuples are packed against the end of the page (their slot numbers do
+// not change), and empty slots at the directory's end are trimmed off.
+func (h *File) prune(page int64, d []byte, r *pageReuse) {
+	for _, s := range r.dead {
+		setSlotAt(d, int(s), 0, 0)
+	}
+	h.dead -= int64(len(r.dead))
+	h.reclaimed += int64(len(r.dead))
+	r.erased = append(r.erased, r.dead...)
+	r.dead = r.dead[:0]
+
+	n := pageNumSlots(d)
+	for n > 0 && h.vers[page][n-1].begin == gone {
+		n--
+	}
+	if h.scratch == nil {
+		h.scratch = make([]byte, len(d))
+	}
+	at := len(d)
+	for s := 0; s < n; s++ {
+		off, length := slotAt(d, s)
+		if length == 0 {
+			continue
+		}
+		at -= length
+		copy(h.scratch[at:], d[off:off+length])
+		setSlotAt(d, s, at, length)
+	}
+	copy(d[at:], h.scratch[at:])
+	setPageNumSlots(d, n)
+	setPageCellStart(d, at)
+
+	kept := r.erased[:0]
+	for _, s := range r.erased {
+		if int(s) < n {
+			kept = append(kept, s)
+		}
+	}
+	r.erased = kept
+	h.vers[page] = h.vers[page][:n]
+	h.space[page] = pageSpace{free: uint16(pageFree(d))}
 }
 
 // SetEnd marks the tuple at rid logically deleted as of timestamp end: it
 // stays readable by snapshots older than end (the tuple bytes are
 // untouched) and disappears from newer ones. The live-tuple count drops by
-// one. Space is not reclaimed.
+// one. Once no snapshot older than end can read it any more, the owner
+// hands it back with MarkDead.
 func (h *File) SetEnd(rid RID, end uint64) error {
 	v, err := h.version(rid)
 	if err != nil {
@@ -201,11 +494,36 @@ func (h *File) ClearEnd(rid RID) error {
 	if err != nil {
 		return err
 	}
-	if v.end == 0 {
-		return fmt.Errorf("heap: RID %v is not ended", rid)
+	if v.end == 0 || v.begin == gone {
+		return fmt.Errorf("heap: RID %v is not an ended version", rid)
 	}
 	v.end = 0
 	h.tuples++
+	return nil
+}
+
+// MarkDead hands an ended version back to its page: no snapshot reads it
+// again, its slot is reusable at once, and its size bytes — the tuple's
+// length, as Get returned it — count as the page's garbage until a prune
+// packs them away. The caller vouches that no snapshot older than the
+// version's end timestamp remains. Marking reads no page.
+func (h *File) MarkDead(rid RID, size int) error {
+	v, err := h.version(rid)
+	if err != nil {
+		return err
+	}
+	if v.end == 0 || v.begin == gone {
+		return fmt.Errorf("heap: RID %v is not an ended version", rid)
+	}
+	if size <= 0 || h.Room(rid.Page)+TupleCost(size) > h.EmptyRoom() {
+		return fmt.Errorf("heap: dead tuple of %d bytes does not fit page %d's account", size, rid.Page)
+	}
+	*v = tupleVersion{begin: gone, end: gone}
+	r := h.reuseOf(rid.Page)
+	r.dead = append(r.dead, rid.Slot)
+	h.space[rid.Page].garbage += uint16(size)
+	h.dead++
+	h.refile(rid.Page)
 	return nil
 }
 
@@ -229,17 +547,6 @@ func (h *File) Visible(rid RID, snap uint64) bool {
 		return false
 	}
 	return visibleAt(*v, snap)
-}
-
-// placeTuple writes the tuple into the page, assuming space was checked.
-func placeTuple(d []byte, page int64, tuple []byte) RID {
-	n := pageNumSlots(d)
-	start := pageCellStart(d) - len(tuple)
-	copy(d[start:], tuple)
-	setSlotAt(d, n, start, len(tuple))
-	setPageNumSlots(d, n+1)
-	setPageCellStart(d, start)
-	return RID{Page: page, Slot: uint16(n)}
 }
 
 // Get returns a copy of the tuple at rid as the latest state sees it.
@@ -295,12 +602,12 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	return fn(fr.Data[off : off+length])
 }
 
-// Delete physically erases the tuple at rid: the slot bytes are zeroed,
-// so no snapshot can read it afterward. Writer statements use it only to
-// discard their own never-published appends (abort); published history
-// instead ends logically with SetEnd so older snapshots keep reading the
-// bytes. Space is not reclaimed; the engine's workloads (like the
-// paper's) are append-and-delete light.
+// Delete physically erases the tuple at rid: the slot's length is zeroed,
+// so no snapshot can read it afterward, and the slot is reusable at once
+// (its bytes come back at the page's next prune). Writer statements use
+// it only to discard their own never-published appends (abort); published
+// history instead ends logically with SetEnd so older snapshots keep
+// reading the bytes. Erasing a deleted or dead tuple is a no-op.
 func (h *File) Delete(rid RID) error {
 	if rid.Page < 0 || rid.Page >= h.numPages {
 		return fmt.Errorf("heap: RID %v out of range", rid)
@@ -314,14 +621,19 @@ func (h *File) Delete(rid RID) error {
 		return fmt.Errorf("heap: RID %v slot out of range", rid)
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
-	if length == 0 {
-		return nil // already deleted
+	v := &h.vers[rid.Page][rid.Slot]
+	if length == 0 || v.begin == gone {
+		return nil // already deleted, or dead and awaiting its prune
 	}
 	setSlotAt(fr.Data, int(rid.Slot), off, 0)
-	if h.vers[rid.Page][rid.Slot].end == 0 {
+	if v.end == 0 {
 		h.tuples-- // erasing a live tuple; ended ones were already counted out
 	}
-	h.vers[rid.Page][rid.Slot].end = ^uint64(0)
+	*v = tupleVersion{begin: gone, end: gone}
+	r := h.reuseOf(rid.Page)
+	r.erased = append(r.erased, rid.Slot)
+	h.space[rid.Page].garbage += uint16(length)
+	h.refile(rid.Page)
 	return nil
 }
 

@@ -97,6 +97,15 @@ func (d *PageDirectory) remove(b int32, page int64) {
 	}
 }
 
+// refsOf returns bucket b's packed page references; none for a bucket
+// the directory has never seen.
+func (d *PageDirectory) refsOf(b int32) []uint64 {
+	if b < 0 || int(b) >= len(d.buckets) {
+		return nil
+	}
+	return d.buckets[b]
+}
+
 // NumBuckets returns the number of buckets the directory has entries
 // for: one past the highest bucket that ever held a page.
 func (d *PageDirectory) NumBuckets() int { return len(d.buckets) }
@@ -104,10 +113,7 @@ func (d *PageDirectory) NumBuckets() int { return len(d.buckets) }
 // AppendPages appends bucket b's heap pages, ascending, to dst. A bucket
 // the directory has never seen has none.
 func (d *PageDirectory) AppendPages(dst []int64, b int32) []int64 {
-	if int(b) >= len(d.buckets) {
-		return dst
-	}
-	for _, ref := range d.buckets[b] {
+	for _, ref := range d.refsOf(b) {
 		dst = append(dst, refPage(ref))
 	}
 	return dst
@@ -117,10 +123,7 @@ func (d *PageDirectory) AppendPages(dst []int64, b int32) []int64 {
 // clustered-index entries on each — the form tests compare against
 // RebuildPageDirectory.
 func (d *PageDirectory) Refs(b int32) (pages []int64, counts []uint32) {
-	if int(b) >= len(d.buckets) {
-		return nil, nil
-	}
-	for _, ref := range d.buckets[b] {
+	for _, ref := range d.refsOf(b) {
 		pages = append(pages, refPage(ref))
 		counts = append(counts, refCount(ref))
 	}

@@ -96,6 +96,16 @@ type Table struct {
 	// installed by SetWriteObs and read atomically by writer statements.
 	writeObs atomic.Pointer[WriteObs]
 
+	// placing is the running statement's per-bucket placement state
+	// (reclaim.go), owned by the writer gate and cleared by BeginWrite.
+	placing map[int32]placement
+	// pins are the snapshots PinSnapshot holds, guarded by pinMu;
+	// retired are published statements' old versions some pin can
+	// still read, oldest first, guarded by the latch.
+	pinMu   sync.Mutex
+	pins    []uint64
+	retired []retiredStmt
+
 	loaded bool
 }
 
@@ -120,7 +130,7 @@ func New(pool *buffer.Pool, log *wal.Log, cfg Config) (*Table, error) {
 	// Attach the shared schema layout (name map, field offsets) so every
 	// Schema() copy handed to binders and executors has the fast paths.
 	cfg.Schema = cfg.Schema.Normalized()
-	t := &Table{cfg: cfg, pool: pool, log: log}
+	t := &Table{cfg: cfg, pool: pool, log: log, placing: map[int32]placement{}}
 	t.heapf = heap.NewFile(pool)
 	tree, err := newTree(pool)
 	if err != nil {
@@ -213,7 +223,9 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // load publishes, then all of it.
 func (t *Table) Load(rows []value.Row) error {
 	tx := t.BeginWrite()
-	tx.logged = false // bulk loads predate every CM; replay starts after them
+	// Bulk loads predate every CM, so replay starts after them, and they
+	// append in clustered-key order.
+	tx.load = true
 	if t.loaded || t.heapf.TupleCount() > 0 {
 		tx.Abort()
 		return fmt.Errorf("table %s: already loaded", t.cfg.Name)

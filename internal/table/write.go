@@ -32,6 +32,19 @@ import (
 // directory's reference counts, which move only inside
 // clusteredInsert/clusteredDelete. WAL records are also queued until
 // Publish, so an aborted statement leaves no trace for CM recovery replay.
+//
+// After Publish only the heap slot of an old version remains, and one
+// last step reclaims it (reclaim.go): the version is handed to the heap
+// as dead — its slot and bytes reusable — unless a pinned snapshot older
+// than the statement can still read it, in which case it waits in a
+// queue drained at a later exclusive hold. A facade reader's snapshot
+// lives inside one shared latch hold, and reclamation runs only under
+// the exclusive latch, so no such reader can be left holding a reclaimed
+// version. New versions do not go to the heap's tail: each clustered
+// bucket's new versions are placed together on one page — one of the
+// bucket's own pages with room, else the reclaimed page that fits them
+// most tightly, else the tail — which keeps the heap clustered and the
+// page directory's lists short. Only Load appends at the tail.
 
 // writeBatchRows bounds how many rows one exclusive latch hold applies:
 // small enough that a waiting reader stalls for microseconds, large
@@ -54,14 +67,17 @@ type WriteObs struct {
 	LatchHold *metrics.Histogram
 }
 
-// lockLatched takes the exclusive latch and, when latch observation is
+// lockLatched takes the exclusive latch, reclaims the retired versions
+// no pin holds any more (drainRetired), and, when latch observation is
 // wired, returns the acquisition time for unlockLatched to record.
 func (t *Table) lockLatched() time.Time {
 	t.mu.Lock()
+	var start time.Time
 	if o := t.writeObs.Load(); o != nil && o.LatchHold != nil {
-		return time.Now()
+		start = time.Now()
 	}
-	return time.Time{}
+	t.drainRetired()
+	return start
 }
 
 // unlockLatched releases the exclusive latch and records the hold time
@@ -75,12 +91,14 @@ func (t *Table) unlockLatched(start time.Time) {
 	}
 }
 
-// retraction is one old row version whose index entries and CM pairs are
-// removed when the statement publishes.
+// retraction is one old row version the statement ended: its index
+// entries and CM pairs are removed when the statement publishes, and then
+// its heap slot (size bytes) is reclaimed.
 type retraction struct {
-	row value.Row
-	rid heap.RID
-	cb  int32
+	row  value.Row
+	rid  heap.RID
+	cb   int32
+	size int
 }
 
 // undoInsert is one new row version to unwind if the statement aborts.
@@ -99,10 +117,9 @@ type WriteTxn struct {
 	ts uint64
 
 	inserted []undoInsert
-	ended    []heap.RID
 	retract  []retraction
 	recs     []wal.Record
-	logged   bool
+	load     bool // a bulk load: unlogged, appended at the heap's tail
 	done     bool
 	ctx      context.Context
 }
@@ -133,7 +150,8 @@ func (tx *WriteTxn) ctxErr() error {
 func (t *Table) BeginWrite() *WriteTxn {
 	t.wmu.Lock()
 	t.writerActive.Store(true)
-	return &WriteTxn{t: t, ts: t.clock.Load() + 1, logged: true}
+	clear(t.placing)
+	return &WriteTxn{t: t, ts: t.clock.Load() + 1}
 }
 
 // Timestamp returns the version timestamp new rows are stamped with.
@@ -141,10 +159,10 @@ func (tx *WriteTxn) Timestamp() uint64 { return tx.ts }
 
 // InsertBatch appends the rows as new versions: heap append at the
 // statement timestamp, clustered and secondary index entries, and CM
-// additions (Algorithm 1's insert half). Validation and encoding happen
-// outside the latch; the mutations apply in writeBatchRows chunks, each
-// under its own short exclusive hold. The rows stay invisible to readers
-// until Publish.
+// additions (Algorithm 1's insert half). Validation, encoding and the
+// per-bucket space reservation happen outside the latch; the mutations
+// apply in writeBatchRows chunks, each under its own short exclusive
+// hold. The rows stay invisible to readers until Publish.
 func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	return tx.insertBatch(rows, nil)
 }
@@ -154,16 +172,12 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 // bounds); nil cbs locates each row in the bucket directory.
 func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
 	t := tx.t
-	encs := make([][]byte, len(rows))
-	for i, r := range rows {
-		if err := t.cfg.Schema.Validate(r); err != nil {
-			return err
-		}
-		enc, err := t.cfg.Schema.EncodeRow(r)
-		if err != nil {
-			return err
-		}
-		encs[i] = enc
+	encs, err := tx.encode(rows)
+	if err != nil {
+		return err
+	}
+	if cbs == nil {
+		cbs = tx.reserve(rows, encs)
 	}
 	for start := 0; start < len(rows); start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
@@ -175,13 +189,7 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
 		}
 		held := t.lockLatched()
 		for i := start; i < end; i++ {
-			var cb int32
-			if cbs != nil {
-				cb = cbs[i]
-			} else {
-				cb = t.ClusterBucketFor(rows[i])
-			}
-			if err := tx.applyInsert(rows[i], encs[i], cb); err != nil {
+			if err := tx.applyInsert(rows[i], encs[i], cbs[i]); err != nil {
 				t.unlockLatched(held)
 				return err
 			}
@@ -191,11 +199,35 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
 	return nil
 }
 
-// applyInsert installs one new row version in clustered bucket cb.
+// encode validates and encodes the statement's new row images.
+func (tx *WriteTxn) encode(rows []value.Row) ([][]byte, error) {
+	sch := tx.t.cfg.Schema
+	encs := make([][]byte, len(rows))
+	for i, r := range rows {
+		if err := sch.Validate(r); err != nil {
+			return nil, err
+		}
+		enc, err := sch.EncodeRow(r)
+		if err != nil {
+			return nil, err
+		}
+		encs[i] = enc
+	}
+	return encs, nil
+}
+
+// applyInsert installs one new row version in clustered bucket cb: at the
+// heap's tail for a load, else where place puts the bucket's versions.
 // Caller holds the latch.
 func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	t := tx.t
-	rid, err := t.heapf.AppendAt(enc, tx.ts)
+	var rid heap.RID
+	var err error
+	if tx.load {
+		rid, err = t.heapf.AppendAt(enc, tx.ts)
+	} else {
+		rid, err = tx.place(enc, cb)
+	}
 	if err != nil {
 		return err
 	}
@@ -211,7 +243,7 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	for _, cm := range t.cms {
 		cm.AddRow(row, cb)
 	}
-	if tx.logged {
+	if !tx.load {
 		tx.recs = append(tx.recs, wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc})
 	}
 	return nil
@@ -260,9 +292,8 @@ func (tx *WriteTxn) applyDelete(rid heap.RID) error {
 	if err := t.heapf.SetEnd(rid, tx.ts); err != nil {
 		return err
 	}
-	tx.ended = append(tx.ended, rid)
-	tx.retract = append(tx.retract, retraction{row: row, rid: rid, cb: t.ClusterBucketFor(row)})
-	if tx.logged {
+	tx.retract = append(tx.retract, retraction{row: row, rid: rid, cb: t.ClusterBucketFor(row), size: len(data)})
+	if !tx.load {
 		tx.recs = append(tx.recs, wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: data})
 	}
 	return nil
@@ -271,25 +302,20 @@ func (tx *WriteTxn) applyDelete(rid heap.RID) error {
 // UpdateBatch replaces the rows at olds with news (position-matched) —
 // Algorithm 1's retraction + reinsert: the old version is logically ended
 // and queued for index/CM retraction at Publish, the new version is
-// appended, indexed and added to every CM, so per-entry statistics come
-// out exact once the statement publishes. Mutations apply in
-// writeBatchRows chunks under short exclusive latch holds.
+// placed with its bucket's others, indexed and added to every CM, so
+// per-entry statistics come out exact once the statement publishes.
+// Mutations apply in writeBatchRows chunks under short exclusive latch
+// holds.
 func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 	t := tx.t
 	if len(olds) != len(news) {
 		return fmt.Errorf("table %s: update batch mismatch: %d rids, %d rows", t.cfg.Name, len(olds), len(news))
 	}
-	encs := make([][]byte, len(news))
-	for i, r := range news {
-		if err := t.cfg.Schema.Validate(r); err != nil {
-			return err
-		}
-		enc, err := t.cfg.Schema.EncodeRow(r)
-		if err != nil {
-			return err
-		}
-		encs[i] = enc
+	encs, err := tx.encode(news)
+	if err != nil {
+		return err
 	}
+	cbs := tx.reserve(news, encs)
 	for start := 0; start < len(olds); start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
@@ -304,7 +330,7 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 				t.unlockLatched(held)
 				return err
 			}
-			if err := tx.applyInsert(news[i], encs[i], t.ClusterBucketFor(news[i])); err != nil {
+			if err := tx.applyInsert(news[i], encs[i], cbs[i]); err != nil {
 				t.unlockLatched(held)
 				return err
 			}
@@ -317,9 +343,9 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 // Publish commits the statement: under one final exclusive latch hold it
 // appends the statement's WAL records, applies the deferred retractions
 // (index entries and CM pairs of replaced and deleted versions —
-// Algorithm 1's retraction half), and advances the published clock so
-// new reader snapshots see the statement's versions. Then it releases
-// the writer gate.
+// Algorithm 1's retraction half), advances the published clock so new
+// reader snapshots see the statement's versions, and retires the old
+// versions' heap slots (see retire). Then it releases the writer gate.
 //
 // WAL appends go first on purpose: a failing log (injected or real disk
 // fault) then leaves the in-memory structures untouched, and the
@@ -348,6 +374,7 @@ func (tx *WriteTxn) Publish() error {
 	}
 	if err == nil {
 		t.clock.Store(tx.ts)
+		t.retire(tx.ts, tx.retract)
 	} else {
 		tx.unwind()
 	}
@@ -355,7 +382,7 @@ func (tx *WriteTxn) Publish() error {
 	if o := t.writeObs.Load(); o != nil {
 		if err == nil {
 			o.Publishes.Inc()
-			o.Rows.Add(int64(len(tx.inserted) + len(tx.ended)))
+			o.Rows.Add(int64(len(tx.inserted) + len(tx.retract)))
 		} else {
 			o.Aborts.Inc()
 		}
@@ -403,8 +430,9 @@ func (tx *WriteTxn) applyRetractions() error {
 }
 
 // unwind physically removes the statement's work: appended versions are
-// deleted (heap, indexes, CMs) in reverse order and logically-ended old
-// versions are restored to live. Caller holds the latch. Inverse
+// deleted (heap, indexes, CMs) in reverse order — their heap slots
+// reusable at once — and logically-ended old versions are restored to
+// live. Caller holds the latch. Inverse
 // operations are best-effort — they undo work that was just applied, so
 // a failure here means the structure was already inconsistent.
 func (tx *WriteTxn) unwind() {
@@ -420,8 +448,8 @@ func (tx *WriteTxn) unwind() {
 		}
 		_ = t.heapf.Delete(u.rid)
 	}
-	for i := len(tx.ended) - 1; i >= 0; i-- {
-		_ = t.heapf.ClearEnd(tx.ended[i])
+	for i := len(tx.retract) - 1; i >= 0; i-- {
+		_ = t.heapf.ClearEnd(tx.retract[i].rid)
 	}
 }
 

@@ -37,7 +37,13 @@ import (
 //     exclusive-latch hold times per write batch — and
 //     table.directory_bytes, the in-memory footprint of every table's
 //     clustered bucket directory (lower-bound keys plus the bucket→page
-//     lists CM probes resolve through).
+//     lists CM probes resolve through). Heap reclamation, summed over
+//     tables: table.dead_versions (old row versions awaiting reuse —
+//     dead in the heap and not yet pruned, plus those queued behind a
+//     pinned snapshot), table.reclaimed_versions (running total of dead
+//     versions whose slot and bytes were taken back) and
+//     table.oldest_pin_age (commits the oldest pinned snapshot lags the
+//     published clock; 0 without pins).
 //   - index.bloom_skips: point probes the per-index bloom filters
 //     answered negatively without touching a page (ProbeBlooms), summed
 //     over every table's secondary indexes.
@@ -132,6 +138,28 @@ func (db *DB) initMetrics() {
 			t.inner.RUnlock()
 		}
 		return n
+	})
+
+	// Heap reclamation, read under each table's shared latch.
+	perTable := func(fn func(t *table.Table) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, t := range db.allTables() {
+				t.inner.RLock()
+				n += fn(t.inner)
+				t.inner.RUnlock()
+			}
+			return n
+		}
+	}
+	r.Func("table.dead_versions", perTable((*table.Table).DeadVersions))
+	r.Func("table.reclaimed_versions", perTable(func(t *table.Table) int64 { return t.Heap().ReclaimedVersions() }))
+	r.Func("table.oldest_pin_age", func() int64 {
+		var age int64
+		for _, t := range db.allTables() {
+			age = max(age, t.inner.OldestPinAge())
+		}
+		return age
 	})
 
 	// Bloom-filter prune total, summed over every table's secondary

@@ -104,14 +104,16 @@ func TestNoDirtyReads(t *testing.T) {
 	}
 }
 
-// TestSnapshotRepeatableScan captures a snapshot, churns the table with
-// published writer statements, and replays the scan at the captured
+// TestSnapshotRepeatableScan pins a snapshot, churns the table with
+// published writer statements, and replays the scan at the pinned
 // snapshot: the old state must come back exactly, while a latest-state
-// scan sees the churn.
+// scan sees the churn. The snapshot outlives every shared latch hold, so
+// it must be pinned, or the churn's old versions are reclaimed.
 func TestSnapshotRepeatableScan(t *testing.T) {
 	_, tbl := buildStressDB(t, 2)
 	inner := tbl.inner
-	snap := inner.Snapshot()
+	snap, release := inner.PinSnapshot()
+	defer release()
 
 	scanU := func(snapAt uint64, u int64) int {
 		n := 0
