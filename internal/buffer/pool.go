@@ -12,15 +12,6 @@
 // table and clock hand, so parallel scan workers and concurrent queries
 // contend only when they touch the same shard. Small pools collapse to a
 // single shard and behave exactly like the classic one-clock pool.
-//
-// EnableAdmission arms scan resistance: a per-shard W-TinyLFU filter
-// (count-min sketch + doorkeeper, internal/filter) estimates page
-// frequencies, and on a miss the incoming page only takes the clock
-// victim's frame when its frequency beats the victim's. Rejected pages
-// recycle a single probation frame per shard instead, so a one-pass
-// analytic sweep churns one frame while the hot working set stays
-// resident. Admission changes only which frames stay cached — Get
-// always returns correct page bytes — so results are unaffected.
 package buffer
 
 import (
@@ -28,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/filter"
 	"repro/internal/sim"
 )
 
@@ -47,15 +37,6 @@ type Stats struct {
 	Misses      uint64
 	Evictions   uint64
 	DirtyWrites uint64 // evictions (or flushes) that wrote a dirty page
-	// Admitted and Rejected split the misses decided by the admission
-	// filter (EnableAdmission): admitted pages evicted the clock victim,
-	// rejected ones recycled the shard's probation frame. Both stay zero
-	// without admission.
-	Admitted uint64
-	Rejected uint64
-	// SketchResets counts closed TinyLFU sample windows (sketch
-	// halvings) — the aging cadence of the admission filter.
-	SketchResets uint64
 }
 
 // Frame is a pinned page in the pool. Callers mutate Data in place and
@@ -84,23 +65,13 @@ const (
 )
 
 // shard is one lock domain: a slice of frames with its own page table and
-// clock hand, plus (under admission) its own TinyLFU filter and the
-// probation frame rejected pages recycle.
+// clock hand.
 type shard struct {
 	mu     sync.Mutex
 	frames []Frame
 	table  map[PageKey]int
 	hand   int
 	stats  Stats
-
-	// adm is the shard's W-TinyLFU admission filter; nil when admission
-	// is off (the default), in which case Get behaves exactly like the
-	// classic clock pool.
-	adm *filter.TinyLFU
-	// transient indexes the shard's probation frame — the one slot a
-	// run of rejected pages churns — or -1 when none is designated. A
-	// hit on the probation frame promotes it (clears the designation).
-	transient int
 }
 
 // Pool is a sharded clock-sweep buffer pool, safe for concurrent use.
@@ -132,48 +103,11 @@ func NewPool(disk *sim.Disk, capacity int) *Pool {
 		sh := &p.shards[i]
 		sh.frames = make([]Frame, sz)
 		sh.table = make(map[PageKey]int, sz)
-		sh.transient = -1
 		for j := range sh.frames {
 			sh.frames[j].Data = make([]byte, ps)
 		}
 	}
 	return p
-}
-
-// admissionSeed keeps the admission filter's hashing deterministic
-// across runs, preserving the engine's reproducibility contract.
-const admissionSeed = 0xC0FFEE5EED
-
-// EnableAdmission arms W-TinyLFU admission control (scan resistance)
-// on every shard. Call it right after NewPool, before the pool serves
-// traffic; the filters size themselves to each shard's frame count.
-func (p *Pool) EnableAdmission() {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.adm = filter.NewTinyLFU(len(sh.frames), admissionSeed+uint64(i))
-		sh.transient = -1
-		sh.mu.Unlock()
-	}
-}
-
-// AdmissionEnabled reports whether the pool runs admission control.
-func (p *Pool) AdmissionEnabled() bool {
-	sh := &p.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.adm != nil
-}
-
-// pageHash mixes a page identity into the 64-bit key the admission
-// filter consumes.
-func pageHash(key PageKey) uint64 {
-	h := (uint64(key.File) + 1) * 0x9E3779B97F4A7C15
-	h ^= uint64(key.Page) * 0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	h *= 0x94D049BB133111EB
-	h ^= h >> 32
-	return h
 }
 
 // shardFor maps a page identity to its shard.
@@ -212,9 +146,6 @@ func (p *Pool) Stats() Stats {
 		out.Misses += sh.stats.Misses
 		out.Evictions += sh.stats.Evictions
 		out.DirtyWrites += sh.stats.DirtyWrites
-		out.Admitted += sh.stats.Admitted
-		out.Rejected += sh.stats.Rejected
-		out.SketchResets += sh.stats.SketchResets
 		sh.mu.Unlock()
 	}
 	return out
@@ -244,17 +175,19 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// clockCandidate advances the shard's clock to the next evictable
-// frame — an unused slot or an unpinned frame whose reference bit has
-// expired — without evicting it. It returns an error if every frame is
-// pinned. Called with the shard lock held.
-func (sh *shard) clockCandidate() (int, error) {
+// victim advances the shard's clock to the next evictable frame — an
+// unused slot or an unpinned frame whose reference bit has expired —
+// and evicts it, writing back dirty contents and dropping its page-table
+// entry. It returns the frame index and the deferred real-wait cost of
+// any write-back, or an error if every frame is pinned. Called with the
+// shard lock held.
+func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 	for scanned := 0; scanned < 2*len(sh.frames); scanned++ {
 		i := sh.hand
 		sh.hand = (sh.hand + 1) % len(sh.frames)
 		fr := &sh.frames[i]
 		if !fr.used {
-			return i, nil
+			return i, 0, nil
 		}
 		if fr.pin > 0 {
 			continue
@@ -263,104 +196,21 @@ func (sh *shard) clockCandidate() (int, error) {
 			fr.ref = false
 			continue
 		}
-		return i, nil
-	}
-	return 0, fmt.Errorf("buffer: all %d frames of shard pinned", len(sh.frames))
-}
-
-// evictFrame finalizes eviction of frame i, writing back dirty
-// contents and dropping the page-table entry; an unused slot is a
-// no-op. It returns the deferred real-wait cost of any write-back.
-// Called with the shard lock held.
-func (sh *shard) evictFrame(disk *sim.Disk, i int) (time.Duration, error) {
-	var owed time.Duration
-	fr := &sh.frames[i]
-	if !fr.used {
-		return 0, nil
-	}
-	if fr.dirty {
-		cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
-		owed += cost
-		if err != nil {
-			return owed, err
+		var owed time.Duration
+		if fr.dirty {
+			cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
+			owed += cost
+			if err != nil {
+				return i, owed, err
+			}
+			sh.stats.DirtyWrites++
 		}
-		sh.stats.DirtyWrites++
+		delete(sh.table, fr.key)
+		sh.stats.Evictions++
+		fr.used = false
+		return i, owed, nil
 	}
-	delete(sh.table, fr.key)
-	sh.stats.Evictions++
-	fr.used = false
-	return owed, nil
-}
-
-// victim finds an evictable frame using the shard's clock and evicts
-// it, writing back dirty contents — the classic no-admission path,
-// used for fresh-page allocation and for pools without admission.
-// Called with the shard lock held.
-func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
-	i, err := sh.clockCandidate()
-	if err != nil {
-		return 0, 0, err
-	}
-	owed, err := sh.evictFrame(disk, i)
-	return i, owed, err
-}
-
-// admit chooses the frame an incoming missed page loads into under
-// admission control (sh.adm != nil). The clock candidate is evicted
-// only when the newcomer's TinyLFU frequency beats the resident's
-// (W-TinyLFU); a rejected newcomer recycles the shard's probation
-// frame instead, so a cold sweep churns one slot while the hot set
-// stays resident. Called with the shard lock held.
-func (sh *shard) admit(disk *sim.Disk, key PageKey) (int, time.Duration, error) {
-	i, err := sh.clockCandidate()
-	if err != nil {
-		return 0, 0, err
-	}
-	fr := &sh.frames[i]
-	if !fr.used {
-		// Free slot: nothing to displace, no decision to make.
-		return i, 0, nil
-	}
-	if sh.adm.Estimate(pageHash(key)) > sh.adm.Estimate(pageHash(fr.key)) {
-		sh.stats.Admitted++
-		if sh.transient == i {
-			sh.transient = -1
-		}
-		owed, err := sh.evictFrame(disk, i)
-		return i, owed, err
-	}
-	sh.stats.Rejected++
-	// Rejected: reuse the probation frame when one exists and is free,
-	// leaving the clock victim resident.
-	if t := sh.transient; t >= 0 && t != i && sh.frames[t].used && sh.frames[t].pin == 0 {
-		owed, err := sh.evictFrame(disk, t)
-		return t, owed, err
-	}
-	// No usable probation frame (first rejection, or an admission just
-	// consumed it). Designate a fresh one: the unpinned frame with the
-	// lowest frequency estimate — never the clock candidate the filter
-	// just voted to keep, unless it genuinely is the coldest resident.
-	// The linear scan runs only on this rare path; steady-state
-	// rejections recycle in O(1) above.
-	best, bestEst := -1, uint32(0)
-	for j := range sh.frames {
-		cand := &sh.frames[j]
-		if cand.pin > 0 || !cand.used {
-			continue
-		}
-		e := sh.adm.Estimate(pageHash(cand.key))
-		if best == -1 || e < bestEst {
-			best, bestEst = j, e
-		}
-	}
-	if best == -1 {
-		// The clock candidate itself is used and unpinned, so this is
-		// unreachable; keep the classic behavior as a safety net.
-		best = i
-	}
-	sh.transient = best
-	owed, err := sh.evictFrame(disk, best)
-	return best, owed, err
+	return 0, 0, fmt.Errorf("buffer: all %d frames of shard pinned", len(sh.frames))
 }
 
 // Get pins the page into the pool, reading it from disk on a miss. The
@@ -377,33 +227,11 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 		fr.pin++
 		fr.ref = true
 		sh.stats.Hits++
-		if sh.adm != nil {
-			if sh.adm.Touch(pageHash(key)) {
-				sh.stats.SketchResets++
-			}
-			// A hit on the probation frame proves the page re-referenced:
-			// promote it to ordinary residency.
-			if sh.transient == i {
-				sh.transient = -1
-			}
-		}
 		sh.mu.Unlock()
 		return fr, nil
 	}
 	sh.stats.Misses++
-	var (
-		i    int
-		owed time.Duration
-		err  error
-	)
-	if sh.adm != nil {
-		if sh.adm.Touch(pageHash(key)) {
-			sh.stats.SketchResets++
-		}
-		i, owed, err = sh.admit(p.disk, key)
-	} else {
-		i, owed, err = sh.victim(p.disk)
-	}
+	i, owed, err := sh.victim(p.disk)
 	if err != nil {
 		sh.mu.Unlock()
 		p.disk.PayWait(owed)
@@ -432,7 +260,7 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 // for callers deciding how to read a page set, not a reservation: the
 // answer can be stale the moment the shard lock is released. It takes
 // that lock and looks the page up — nothing else: no pin, no hit or miss
-// count, no clock reference bit, no admission-sketch touch — so asking
+// count, no clock reference bit — so asking
 // changes neither Stats nor what the pool evicts next.
 func (p *Pool) Resident(file sim.FileID, page int64) bool {
 	key := PageKey{file, page}

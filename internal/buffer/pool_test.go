@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -267,51 +268,92 @@ func TestConcurrentGets(t *testing.T) {
 }
 
 // TestResidentIsOnlyAHint: Resident answers from the page table and
-// touches nothing else. With admission off and on, asking — far more often
-// than a TinyLFU sample window is long — moves no counter (Stats before ==
-// after, so no hit, miss or sketch reset), reads nothing from the disk,
-// pins no frame, and leaves the clock's reference bits alone: the page
-// the second-chance sweep was about to evict is still the one it evicts.
+// touches nothing else. Asking thousands of times moves no counter (Stats
+// before == after, so no hit or miss), reads nothing from the disk, pins
+// no frame, and leaves the clock's reference bits alone: the page the
+// second-chance sweep was about to evict is still the one it evicts.
 func TestResidentIsOnlyAHint(t *testing.T) {
-	for _, admission := range []bool{false, true} {
-		p, d, f := newPool(t, 3)
-		if admission {
-			p.EnableAdmission()
+	p, d, f := newPool(t, 3)
+	newPage := func() int64 {
+		pg, fr, err := p.NewPage(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		newPage := func() int64 {
-			pg, fr, err := p.NewPage(f)
+		p.Unpin(fr, true)
+		return pg
+	}
+	pg0, pg1, pg2 := newPage(), newPage(), newPage()
+	// Evicts pg0 after a sweep that clears pg1's and pg2's reference
+	// bits and leaves the hand on pg1: the next victim.
+	pg3 := newPage()
+
+	stats, disk := p.Stats(), d.Stats()
+	for i := 0; i < 5000; i++ {
+		if p.Resident(f, pg0) || !p.Resident(f, pg1) || p.Resident(f, 99) {
+			t.Fatalf("Resident(evicted, cached, never allocated) = %v %v %v",
+				p.Resident(f, pg0), p.Resident(f, pg1), p.Resident(f, 99))
+		}
+	}
+	if got := p.Stats(); got != stats {
+		t.Errorf("Resident moved the pool's counters: %+v, were %+v", got, stats)
+	}
+	if got := d.Stats(); got != disk {
+		t.Errorf("Resident touched the disk: %+v, was %+v", got, disk)
+	}
+	if n := p.PinnedFrames(); n != 0 {
+		t.Errorf("Resident left %d frames pinned", n)
+	}
+
+	newPage() // a reference bit set on pg1 would send the hand on to pg2
+	if p.Resident(f, pg1) || !p.Resident(f, pg2) || !p.Resident(f, pg3) {
+		t.Errorf("after the next eviction pg1, pg2, pg3 resident = %v %v %v, want false true true: asking about pg1 must not have saved it",
+			p.Resident(f, pg1), p.Resident(f, pg2), p.Resident(f, pg3))
+	}
+}
+
+// TestCacheResetStatsCoversEveryField drives traffic that moves every
+// Stats field, resets, and asserts — by reflection, so a future field
+// cannot dodge the test — that every field reads zero after ResetStats,
+// in the total and in every shard.
+func TestCacheResetStatsCoversEveryField(t *testing.T) {
+	p, _, f := newPool(t, 16)
+	var pages []int64
+	for i := 0; i < 256; i++ { // evicts dirty pages through 16 frames
+		pg, fr, err := p.NewPage(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(fr, true)
+		pages = append(pages, pg)
+	}
+	for r := 0; r < 2; r++ { // misses on the first pass, hits on the second
+		for _, pg := range pages[:4] {
+			fr, err := p.Get(f, pg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Unpin(fr, true)
-			return pg
+			p.Unpin(fr, false)
 		}
-		pg0, pg1, pg2 := newPage(), newPage(), newPage()
-		// Evicts pg0 after a sweep that clears pg1's and pg2's reference
-		// bits and leaves the hand on pg1: the next victim.
-		pg3 := newPage()
-
-		stats, disk := p.Stats(), d.Stats()
-		for i := 0; i < 5000; i++ {
-			if p.Resident(f, pg0) || !p.Resident(f, pg1) || p.Resident(f, 99) {
-				t.Fatalf("admission %v: Resident(evicted, cached, never allocated) = %v %v %v",
-					admission, p.Resident(f, pg0), p.Resident(f, pg1), p.Resident(f, 99))
+	}
+	st := reflect.ValueOf(p.Stats())
+	for i := 0; i < st.NumField(); i++ {
+		if st.Field(i).Uint() == 0 {
+			t.Errorf("workload left Stats.%s at zero; extend the workload so reset coverage is meaningful", st.Type().Field(i).Name)
+		}
+	}
+	p.ResetStats()
+	after := reflect.ValueOf(p.Stats())
+	for i := 0; i < after.NumField(); i++ {
+		if v := after.Field(i).Uint(); v != 0 {
+			t.Errorf("ResetStats left Stats.%s = %d, want 0", after.Type().Field(i).Name, v)
+		}
+	}
+	for si, ss := range p.ShardStats() {
+		sv := reflect.ValueOf(ss)
+		for i := 0; i < sv.NumField(); i++ {
+			if v := sv.Field(i).Uint(); v != 0 {
+				t.Errorf("ResetStats left shard %d %s = %d, want 0", si, sv.Type().Field(i).Name, v)
 			}
-		}
-		if got := p.Stats(); got != stats {
-			t.Errorf("admission %v: Resident moved the pool's counters: %+v, were %+v", admission, got, stats)
-		}
-		if got := d.Stats(); got != disk {
-			t.Errorf("admission %v: Resident touched the disk: %+v, was %+v", admission, got, disk)
-		}
-		if n := p.PinnedFrames(); n != 0 {
-			t.Errorf("admission %v: Resident left %d frames pinned", admission, n)
-		}
-
-		newPage() // a reference bit set on pg1 would send the hand on to pg2
-		if p.Resident(f, pg1) || !p.Resident(f, pg2) || !p.Resident(f, pg3) {
-			t.Errorf("admission %v: after the next eviction pg1, pg2, pg3 resident = %v %v %v, want false true true: asking about pg1 must not have saved it",
-				admission, p.Resident(f, pg1), p.Resident(f, pg2), p.Resident(f, pg3))
 		}
 	}
 }

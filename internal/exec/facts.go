@@ -99,7 +99,7 @@ func ClusteredSpan(t *table.Table, q Query) (runs, buckets int) {
 	if q.IndexablePredOn(t.ClusteredCols()[0]) == nil || dir.NumBuckets() == 0 {
 		return 0, 0
 	}
-	ranges, _ := indexProbeRanges(t.ClusteredCols(), q)
+	ranges := indexProbeRanges(t.ClusteredCols(), q)
 	spans := make([][2]int32, len(ranges))
 	for i, r := range ranges {
 		lo, hi := int32(0), int32(dir.NumBuckets()-1)

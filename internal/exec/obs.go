@@ -21,9 +21,6 @@ type ScanObs struct {
 	// counts again; buffer-pool hit/miss deltas say whether a visit
 	// touched the disk).
 	Pages atomic.Int64
-	// Blooms counts point probes a secondary index's bloom filter pruned:
-	// lookups that returned empty without touching the structure.
-	Blooms atomic.Int64
 	// EmptyPages counts the heap page visits on which no tuple survived
 	// the filter — swept for nothing. For a CM scan these are the CM's
 	// false-positive pages, the paper's signal that a soft functional
@@ -36,14 +33,6 @@ type ScanObs struct {
 	// set was cut into.
 	Sweeps atomic.Int64
 	Chunks atomic.Int64
-}
-
-// AddBlooms folds pruned-probe counts into o (nil obs: drop).
-func (o *ScanObs) AddBlooms(n int64) {
-	if o == nil || n == 0 {
-		return
-	}
-	o.Blooms.Add(n)
 }
 
 // add folds one chunk's tally into o (nil obs: drop).
@@ -84,7 +73,6 @@ func (o *ScanObs) AddFrom(src *ScanObs) {
 		return
 	}
 	o.add(src.Tuples.Load(), src.Rows.Load(), src.Pages.Load(), src.EmptyPages.Load())
-	o.AddBlooms(src.Blooms.Load())
 	if n := src.Sweeps.Load(); n != 0 {
 		o.Sweeps.Add(n)
 	}

@@ -259,15 +259,8 @@ type probeRange struct {
 // predicate terminates the key prefix — matching how a composite B+Tree
 // can only use the prefix of its key for ranges (the effect behind the
 // paper's Table 6, where B+Tree(ra, dec) degrades on two-range queries).
-//
-// pointComplete reports that every index column was consumed by an
-// equality or IN predicate: each returned range is then a single full
-// attribute key (Lo == Hi), which is the precondition for bloom-filter
-// pruning — a partial prefix or range endpoint is not a key the bloom
-// ever saw.
-func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete bool) {
+func indexProbeRanges(cols []int, q Query) []probeRange {
 	prefixes := [][]byte{nil}
-	consumed := 0
 	for _, col := range cols {
 		p := q.IndexablePredOn(col)
 		if p == nil {
@@ -278,7 +271,6 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 			for i := range prefixes {
 				prefixes[i] = keyenc.AppendValue(prefixes[i], p.Vals[0])
 			}
-			consumed++
 			continue
 		case OpIn:
 			// IN (5, 5) is one probe: a pipelined scan emits per probe
@@ -299,7 +291,6 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 				}
 			}
 			prefixes = next
-			consumed++
 			// Further key columns could extend each branch; stop here
 			// and re-filter instead, as real optimizers commonly do.
 		case OpRange:
@@ -315,7 +306,7 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 				}
 				out = append(out, probeRange{Lo: lo, Hi: hi})
 			}
-			return out, false
+			return out
 		}
 		break
 	}
@@ -323,27 +314,7 @@ func indexProbeRanges(cols []int, q Query) (ranges []probeRange, pointComplete b
 	for i, pre := range prefixes {
 		out[i] = probeRange{Lo: pre, Hi: pre}
 	}
-	return out, consumed == len(cols)
-}
-
-// probeRanges builds the query's probe ranges over ix and, when every
-// range is a complete point key and the index carries a bloom filter,
-// drops the ranges the bloom proves empty — those probes then cost zero
-// tree descents and zero page reads. Pruned probes are counted into the
-// query's observation set.
-func probeRanges(ix *table.Index, q Query) []probeRange {
-	ranges, pointComplete := indexProbeRanges(ix.Cols, q)
-	if !pointComplete || !ix.BloomEnabled() {
-		return ranges
-	}
-	kept := ranges[:0]
-	for _, r := range ranges {
-		if ix.ProbePossible(r.Lo) {
-			kept = append(kept, r)
-		}
-	}
-	q.Obs.AddBlooms(int64(len(ranges) - len(kept)))
-	return kept
+	return out
 }
 
 // sortRanges orders probe ranges by their lower bound — the paper's
@@ -404,7 +375,7 @@ func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, _ int, fn RowF
 // PipelinedTuples is PipelinedIndexScan handing each survivor to fn as
 // its encoded tuple, undecoded.
 func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) error {
-	ranges := probeRanges(ix, q) // emission order: as returned
+	ranges := indexProbeRanges(ix.Cols, q) // emission order: as returned
 	ls := newLazyScan(t, q.asOr())
 	h := t.Heap()
 	sw := ls.newSweeper(nil, emitting(fn))
@@ -436,12 +407,12 @@ func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) err
 }
 
 // IndexPages probes the index with the query's predicates over its key
-// columns — the probe ranges sorted, the ones a bloom proves empty
-// dropped, the rest collected concurrently across workers — and returns
-// the sorted distinct heap pages the matching RIDs sit on: what a sorted
-// or clustered index scan, or such a disjunct of a union, sweeps.
+// columns — the probe ranges sorted, then collected concurrently across
+// workers — and returns the sorted distinct heap pages the matching RIDs
+// sit on: what a sorted or clustered index scan, or such a disjunct of a
+// union, sweeps.
 func IndexPages(ix *table.Index, q Query, workers int) ([]int64, error) {
-	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(probeRanges(ix, q)), workers)
+	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(indexProbeRanges(ix.Cols, q)), workers)
 	return pagesOf(rids), err
 }
 

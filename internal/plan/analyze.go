@@ -76,10 +76,6 @@ type NodeActuals struct {
 	// filter/project/agg into the access sweep, so their shared phase
 	// reports on the access node and fused nodes show zero.
 	Elapsed time.Duration
-	// BloomSkips counts point probes a bloom filter pruned for this
-	// query (access nodes only): lookups answered empty with zero tree
-	// descents and zero page reads.
-	BloomSkips int64
 	// FalsePositivePages counts, on a cm-scan node, the heap pages the
 	// sweep visited on which no tuple survived the re-filter (HeapPages
 	// is all it swept). Zero on every other node.
@@ -108,9 +104,6 @@ type Analysis struct {
 	// (exact, from the per-chunk tallies).
 	TuplesExamined int64
 	HeapPages      int64
-	// BloomSkips totals the point probes bloom filters pruned during
-	// the run (exact, counted at the probe sites).
-	BloomSkips int64
 }
 
 // RunAnalyzed executes the optimized tree like Run while measuring
@@ -161,7 +154,6 @@ func (tr *Tree) measure(run func(st *analysisState) error) (*Analysis, error) {
 		BufferMisses:   p1.Misses - p0.Misses,
 		TuplesExamined: st.obs.Tuples.Load(),
 		HeapPages:      st.obs.Pages.Load(),
-		BloomSkips:     st.obs.Blooms.Load(),
 	}
 	an.Nodes = tr.nodeActuals(st, an)
 	return an, nil
@@ -205,7 +197,6 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			DiskReads:  an.DiskReads,
 			BufferHits: an.BufferHits,
 			Elapsed:    st.accessTime,
-			BloomSkips: st.obs.Blooms.Load(),
 			Chunks:     st.obs.Chunks.Load(),
 		}
 		if l := tr.soleLeg(); k == KindScan && l != nil && l.method == exec.MethodCM {
@@ -222,7 +213,6 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			DiskReads:  an.DiskReads,
 			BufferHits: an.BufferHits,
 			Elapsed:    st.accessTime,
-			BloomSkips: st.obs.Blooms.Load(),
 		}
 	case KindFilter:
 		return NodeActuals{Rows: scanRows, TuplesIn: tuples}

@@ -14,11 +14,10 @@ import (
 
 // fixture builds a small correlated table with an identity CM on col 1
 // (u) and no secondary index, directly on the internal layers.
-func fixture(t *testing.T) *table.Table { return fixtureOf(t, 400, false) }
+func fixture(t *testing.T) *table.Table { return fixtureOf(t, 400) }
 
-// fixtureOf is fixture at n rows (c = i/4, u = c/2), with key bloom
-// filters on the secondary indexes built over it when blooms is set.
-func fixtureOf(t *testing.T, n int, blooms bool) *table.Table {
+// fixtureOf is fixture at n rows (c = i/4, u = c/2).
+func fixtureOf(t *testing.T, n int) *table.Table {
 	t.Helper()
 	disk := sim.NewDisk(sim.Config{})
 	pool := buffer.NewPool(disk, 1024)
@@ -27,7 +26,7 @@ func fixtureOf(t *testing.T, n int, blooms bool) *table.Table {
 		table.Column{Name: "u", Kind: value.Int},
 		table.Column{Name: "v", Kind: value.Int},
 	)
-	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0}, BucketTuples: 4, ProbeBlooms: blooms})
+	tbl, err := table.New(pool, nil, table.Config{Name: "t", Schema: sch, ClusteredCols: []int{0}, BucketTuples: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestSelectProbesItsCMOnce(t *testing.T) {
 		{"fold over a cm-scan", Spec{Disjuncts: []exec.Query{eq(10)}, Method: exec.MethodCM, Aggs: count, GroupBy: []int{2}}, "scan", 7},
 		{"union of cm-scans", Spec{Disjuncts: []exec.Query{eq(10), eq(700)}}, "union", 16},
 	} {
-		tbl := fixtureOf(t, 60000, false)
+		tbl := fixtureOf(t, 60000)
 		tr, err := Compile(tbl, c.spec, sp)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -338,7 +337,7 @@ func TestSelectProbesItsCMOnce(t *testing.T) {
 // published in between — in a clustered bucket, on a heap page, the
 // compiled probe never resolved — is still written.
 func TestWriteTreeProbesAgainAtRun(t *testing.T) {
-	tbl := fixtureOf(t, 20000, false)
+	tbl := fixtureOf(t, 20000)
 	sp := exec.NewExactStats()
 	where := Spec{Disjuncts: []exec.Query{exec.NewQuery(exec.Eq(1, value.NewInt(10)))}, Method: exec.MethodCM}
 	upd, err := CompileUpdate(tbl, where, []exec.SetClause{{Col: 2, Val: value.NewInt(9)}}, sp)
@@ -362,77 +361,6 @@ func TestWriteTreeProbesAgainAtRun(t *testing.T) {
 	if n, err := del.Run(2); err != nil || n != 9 {
 		t.Errorf("DELETE removed %d rows, err %v; want 9", n, err)
 	}
-}
-
-// TestBloomSkipsCountOncePerStatement pins the bloom accounting with
-// ProbeBlooms on: compiling a statement probes no index and counts
-// nothing; a statement that runs through a secondary index counts the
-// absent keys of its WHERE once — into its observer and against the
-// index — whether it runs plainly, analyzed, or as a write. A CM carries
-// no bloom: the CM beside the index counts nowhere.
-func TestBloomSkipsCountOncePerStatement(t *testing.T) {
-	tbl := fixtureOf(t, 400, true)
-	ix, err := tbl.CreateIndex("ix_u", []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := exec.NewExactStats()
-	obs := &exec.ScanObs{}
-	spec := Spec{Obs: obs, Method: exec.MethodSorted, Disjuncts: []exec.Query{
-		exec.NewQuery(exec.In(1, value.NewInt(10), value.NewInt(99990), value.NewInt(99995)))}}
-	check := func(stage string, want int64) {
-		t.Helper()
-		if obs.Blooms.Load() != want || ix.BloomSkips() != want {
-			t.Errorf("%s: observer %d, index %d bloom skips; want %d and %d",
-				stage, obs.Blooms.Load(), ix.BloomSkips(), want, want)
-		}
-	}
-
-	tr, err := Compile(tbl, spec, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := tr.Explain(); info.Method != exec.MethodSorted || info.Uses != "ix_u" {
-		t.Fatalf("planned %v(%s), want sorted-index-scan(ix_u)", info.Method, info.Uses)
-	}
-	check("compiled, not run", 0)
-	if rows, err := tr.Rows(2); err != nil || len(rows) != 8 {
-		t.Fatalf("%d rows, err %v; want 8", len(rows), err)
-	}
-	check("run", 2)
-
-	if tr, err = Compile(tbl, spec, sp); err != nil {
-		t.Fatal(err)
-	}
-	an, err := tr.RunAnalyzed(2, func(value.Row) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.BloomSkips != 2 || an.Nodes[0].BloomSkips != 2 {
-		t.Errorf("analysis reports %d bloom skips, its access node %d; want 2 and 2", an.BloomSkips, an.Nodes[0].BloomSkips)
-	}
-	check("run analyzed", 4)
-
-	del, err := CompileDelete(tbl, spec, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("write compiled, not run", 4)
-	if n, err := del.Run(2); err != nil || n != 8 {
-		t.Fatalf("DELETE removed %d rows, err %v; want 8", n, err)
-	}
-	check("write run", 6)
-
-	// The same statement through the CM: absent keys are missed lookups,
-	// not bloom skips.
-	spec.Method = exec.MethodCM
-	if tr, err = Compile(tbl, spec, sp); err != nil {
-		t.Fatal(err)
-	}
-	if rows, err := tr.Rows(2); err != nil || len(rows) != 0 {
-		t.Fatalf("%d rows after the DELETE, err %v; want 0", len(rows), err)
-	}
-	check("cm-scan run", 6)
 }
 
 // TestTableScanLegRejected: a hand-built access path holding a leg that

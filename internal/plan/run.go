@@ -97,7 +97,7 @@ func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec
 		obs, done = l.probe.SweepObs(obs)
 		defer done()
 	}
-	ps, err := tr.pageSet(obs, workers)
+	ps, err := tr.pageSet(workers)
 	if err != nil {
 		return err
 	}
@@ -108,10 +108,9 @@ func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec
 // is the only place a method becomes pages: without legs the whole heap,
 // otherwise every leg's pages merged (which is also what deduplicates
 // rows matched by several disjuncts, since emission is by page sweep).
-// An index leg collects its RIDs' pages now — and counts the absent keys
-// its bloom pruned, here and nowhere earlier: planning probes no index;
+// An index leg collects its RIDs' pages now — planning probes no index;
 // a CM leg already holds the pages its probe resolved to.
-func (tr *Tree) pageSet(obs *exec.ScanObs, workers int) (exec.PageSet, error) {
+func (tr *Tree) pageSet(workers int) (exec.PageSet, error) {
 	if len(tr.legs) == 0 {
 		return exec.WholeHeap(tr.t), nil
 	}
@@ -121,9 +120,7 @@ func (tr *Tree) pageSet(obs *exec.ScanObs, workers int) (exec.PageSet, error) {
 		case exec.MethodCM:
 			pages = append(pages, l.probe.Pages...)
 		case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
-			q := tr.spec.Disjuncts[i]
-			q.Obs = obs
-			legPages, err := exec.IndexPages(l.index, q, workers)
+			legPages, err := exec.IndexPages(l.index, tr.spec.Disjuncts[i], workers)
 			if err != nil {
 				return exec.PageSet{}, err
 			}

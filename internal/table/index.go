@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/btree"
-	"repro/internal/filter"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/value"
@@ -45,68 +43,6 @@ type Index struct {
 	Name string
 	Cols []int // indexed column positions, in key order
 	Tree *btree.Tree
-
-	// bloom, when enabled, summarizes the index's distinct attribute
-	// keys (the encoded column prefix, without the RID suffix) so a
-	// point probe for an absent key skips the B+Tree descent — and the
-	// page reads it would cost — entirely. Maintained by Insert/Delete;
-	// nil means no bloom (the default).
-	bloom *filter.Bloom
-	// bloomSkips counts probes the bloom pruned (atomic: probes run
-	// concurrently under the table read latch).
-	bloomSkips atomic.Int64
-}
-
-// indexBloomSeed and indexBloomFPP fix the index bloom's hashing and
-// target false-positive rate; determinism preserves the engine's
-// reproducibility contract, and a false positive only costs the tree
-// descent the bloom would have skipped.
-const (
-	indexBloomSeed uint64 = 0x1DEBB100F
-	indexBloomFPP         = 0.01
-)
-
-// EnableBloom arms the index's key bloom filter, sized for expectedN
-// entries. Call under the table write latch; existing entries are
-// folded in by scanning the tree.
-func (ix *Index) EnableBloom(expectedN int64) error {
-	ix.bloom = filter.NewBloom(expectedN, indexBloomFPP, indexBloomSeed)
-	it, err := ix.Tree.SeekFirst()
-	if err != nil {
-		return err
-	}
-	for it.Valid() {
-		k := it.Key()
-		if len(k) < ridKeyLen {
-			return fmt.Errorf("table: index key too short for RID suffix")
-		}
-		ix.bloom.Add(k[:len(k)-ridKeyLen])
-		if err := it.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BloomEnabled reports whether the index maintains a key bloom filter.
-func (ix *Index) BloomEnabled() bool { return ix.bloom != nil }
-
-// BloomSkips returns how many point probes the bloom pruned.
-func (ix *Index) BloomSkips() int64 { return ix.bloomSkips.Load() }
-
-// ProbePossible reports whether an equality probe for the encoded
-// attribute prefix can possibly match: false (definitive, counted as a
-// bloom skip) only when the bloom proves the key absent. Without a
-// bloom it always reports true.
-func (ix *Index) ProbePossible(prefix []byte) bool {
-	if ix.bloom == nil {
-		return true
-	}
-	if ix.bloom.MayContain(prefix) {
-		return true
-	}
-	ix.bloomSkips.Add(1)
-	return false
 }
 
 // keyFor builds the full entry key for a row at rid.
@@ -116,26 +52,12 @@ func (ix *Index) keyFor(row value.Row, rid heap.RID) []byte {
 
 // Insert adds the entry for row at rid.
 func (ix *Index) Insert(row value.Row, rid heap.RID) error {
-	prefix := keyenc.EncodeRowPrefix(row, ix.Cols)
-	if err := ix.Tree.Insert(AppendRID(prefix, rid), nil); err != nil {
-		return err
-	}
-	if ix.bloom != nil {
-		// AppendRID may share prefix's backing array; re-slice the
-		// attribute bytes for the bloom.
-		ix.bloom.Add(prefix[:len(prefix):len(prefix)])
-	}
-	return nil
+	return ix.Tree.Insert(ix.keyFor(row, rid), nil)
 }
 
 // Delete removes the entry for row at rid, reporting whether it existed.
 func (ix *Index) Delete(row value.Row, rid heap.RID) (bool, error) {
-	prefix := keyenc.EncodeRowPrefix(row, ix.Cols)
-	existed, err := ix.Tree.Delete(AppendRID(prefix, rid))
-	if err == nil && existed && ix.bloom != nil {
-		ix.bloom.Remove(prefix[:len(prefix):len(prefix)])
-	}
-	return existed, err
+	return ix.Tree.Delete(ix.keyFor(row, rid))
 }
 
 // maxSuffix extends an encoded prefix so every entry sharing the prefix

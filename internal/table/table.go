@@ -37,12 +37,6 @@ type Config struct {
 	// distinct clustered value its own bucket (an unbucketed clustered
 	// attribute, as in the paper's Figure 4 example).
 	BucketTuples int
-	// ProbeBlooms arms a key bloom filter on every secondary index the
-	// table builds, so a point probe for an absent key answers
-	// negatively without descending the B+Tree. CMs need none: a CM is a
-	// memory-resident hash map, and a missed lookup already reads no
-	// page.
-	ProbeBlooms bool
 }
 
 // DefaultBucketPages is the clustered bucketing granularity used when the
@@ -326,24 +320,15 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{Name: name, Cols: cols, Tree: tree}
-	var n int64
 	err = t.Scan(func(rid heap.RID, row value.Row) bool {
 		if e := ix.Insert(row, rid); e != nil {
 			err = e
 			return false
 		}
-		n++
 		return true
 	})
 	if err != nil {
 		return nil, err
-	}
-	if t.cfg.ProbeBlooms {
-		// The build scan left the tree's pages hot, so folding the
-		// entries into the bloom re-reads them from cache.
-		if err := ix.EnableBloom(n); err != nil {
-			return nil, err
-		}
 	}
 	t.secondary = append(t.secondary, ix)
 	return ix, nil

@@ -27,9 +27,7 @@ import (
 //     I/O wait slept under IOWaitScale (io_wait_ns) and read-ahead
 //     stream churn (stream_starts, stream_evictions, active_streams).
 //   - pool.*: buffer-pool totals (hits, misses, evictions,
-//     dirty_writes, and — under ScanResistant — admitted, rejected,
-//     sketch_resets) plus the same counters per shard
-//     (pool.shard3.hits).
+//     dirty_writes) plus the same counters per shard (pool.shard3.hits).
 //   - wal.*: appends, flushes, bytes, and the wal.flush_ns histogram
 //     of commit-flush wall times.
 //   - table.*: MVCC write-path totals — publishes, aborts,
@@ -44,9 +42,6 @@ import (
 //     versions whose slot and bytes were taken back) and
 //     table.oldest_pin_age (commits the oldest pinned snapshot lags the
 //     published clock; 0 without pins).
-//   - index.bloom_skips: point probes the per-index bloom filters
-//     answered negatively without touching a page (ProbeBlooms), summed
-//     over every table's secondary indexes.
 //   - cm.<name>.pages_swept / cm.<name>.false_positive_pages: per
 //     correlation map, the heap pages its cm-scans visited and how many
 //     of those held no tuple that survived the re-filter — the paper's
@@ -56,9 +51,9 @@ import (
 //   - query.*: scan-level physical work — tuples_examined (tuples the
 //     compiled filter evaluated), rows_scanned (survivors emitted),
 //     heap_pages (heap page visits), empty_pages (visits on which no
-//     tuple survived the filter), bloom_skips (probes pruned by
-//     bloom filters) — query.latency_ns, the
-//     per-statement wall-time histogram, and the fault-tolerance
+//     tuple survived the filter), sweeps and sweep_chunks (page sweeps
+//     run, and the chunks of those that fanned out) — query.latency_ns,
+//     the per-statement wall-time histogram, and the fault-tolerance
 //     outcomes query.cancelled (statements ended by context
 //     cancellation) and query.timed_out (by statement deadline).
 //   - server.*: owned and documented by internal/server, which
@@ -96,9 +91,6 @@ func (db *DB) initMetrics() {
 	r.Func("pool.misses", func() int64 { return int64(db.pool.Stats().Misses) })
 	r.Func("pool.evictions", func() int64 { return int64(db.pool.Stats().Evictions) })
 	r.Func("pool.dirty_writes", func() int64 { return int64(db.pool.Stats().DirtyWrites) })
-	r.Func("pool.admitted", func() int64 { return int64(db.pool.Stats().Admitted) })
-	r.Func("pool.rejected", func() int64 { return int64(db.pool.Stats().Rejected) })
-	r.Func("pool.sketch_resets", func() int64 { return int64(db.pool.Stats().SketchResets) })
 	for i := 0; i < db.pool.Shards(); i++ {
 		shard := i
 		prefix := fmt.Sprintf("pool.shard%d.", shard)
@@ -106,8 +98,6 @@ func (db *DB) initMetrics() {
 		r.Func(prefix+"misses", func() int64 { return int64(db.pool.ShardStats()[shard].Misses) })
 		r.Func(prefix+"evictions", func() int64 { return int64(db.pool.ShardStats()[shard].Evictions) })
 		r.Func(prefix+"dirty_writes", func() int64 { return int64(db.pool.ShardStats()[shard].DirtyWrites) })
-		r.Func(prefix+"admitted", func() int64 { return int64(db.pool.ShardStats()[shard].Admitted) })
-		r.Func(prefix+"rejected", func() int64 { return int64(db.pool.ShardStats()[shard].Rejected) })
 	}
 
 	r.Func("wal.appends", func() int64 { return int64(db.log.Appends()) })
@@ -126,7 +116,6 @@ func (db *DB) initMetrics() {
 	r.Func("query.rows_scanned", func() int64 { return db.scanObs.Rows.Load() })
 	r.Func("query.heap_pages", func() int64 { return db.scanObs.Pages.Load() })
 	r.Func("query.empty_pages", func() int64 { return db.scanObs.EmptyPages.Load() })
-	r.Func("query.bloom_skips", func() int64 { return db.scanObs.Blooms.Load() })
 	r.Func("query.sweeps", func() int64 { return db.scanObs.Sweeps.Load() })
 	r.Func("query.sweep_chunks", func() int64 { return db.scanObs.Chunks.Load() })
 
@@ -160,18 +149,6 @@ func (db *DB) initMetrics() {
 			age = max(age, t.inner.OldestPinAge())
 		}
 		return age
-	})
-
-	// Bloom-filter prune total, summed over every table's secondary
-	// indexes at snapshot time (zero without ProbeBlooms).
-	r.Func("index.bloom_skips", func() int64 {
-		var n int64
-		for _, t := range db.allTables() {
-			for _, ix := range t.inner.Indexes() {
-				n += ix.BloomSkips()
-			}
-		}
-		return n
 	})
 
 	// Fault-tolerance counters: statements ended by cancellation or
@@ -271,7 +248,6 @@ func (db *DB) ResetMetrics() {
 	db.scanObs.Tuples.Store(0)
 	db.scanObs.Rows.Store(0)
 	db.scanObs.Pages.Store(0)
-	db.scanObs.Blooms.Store(0)
 	db.scanObs.EmptyPages.Store(0)
 	db.scanObs.Sweeps.Store(0)
 	db.scanObs.Chunks.Store(0)

@@ -1,11 +1,8 @@
-// Mixed-workload cache and bloom-probe tests for the PR-9 layers: the
-// W-TinyLFU admission filter must keep a hot point-lookup working set
-// resident through concurrent full-table sweeps without changing any
-// query result, and absent-key point probes must read zero pages —
-// through a secondary index's ProbeBlooms filter, and through a CM with
-// or without the knob — through churn and through a CheckpointCM ->
-// RecoverCM round trip. Named TestCache*/TestBloom* so
-// CI's `-race -count 2 -run 'Cache|Bloom|Sketch'` step exercises them.
+// Mixed-workload probe tests: hot point lookups racing full-table sweeps
+// stay exact and leak no pinned frame; every access method returns the
+// same rows at one worker and at eight; and an absent-key CM probe reads
+// zero pages from a cold cache — on a fresh CM, through insert/delete/
+// update churn, and through a CheckpointCM -> RecoverCM round trip.
 package repro
 
 import (
@@ -18,21 +15,17 @@ import (
 	"testing"
 )
 
-// stressHotRatio runs the mixed workload — concurrent hot probes racing
-// full-table sweeps on a pool far smaller than the table — and returns
-// the pool hit ratio of one serial pass over the hot keys afterwards.
-// The sweeper always completes one full sweep after the last probe, so
-// the final residency reflects the admission policy, not goroutine
-// timing: without admission the last sweep flushes the hot set, with
-// admission it cannot.
-func stressHotRatio(t *testing.T, scanResistant bool) float64 {
-	t.Helper()
+// TestHotProbesRaceFullSweeps races hot point lookups against repeated
+// full-table sweeps on a pool far smaller than the table, under the race
+// detector: every probe and every sweep returns exactly its rows, and no
+// frame stays pinned afterwards.
+func TestHotProbesRaceFullSweeps(t *testing.T) {
 	const (
 		rows      = 24000
 		poolPages = 256
 		hotKeys   = 32
 	)
-	db := Open(Config{Workers: 4, BufferPoolPages: poolPages, ScanResistant: scanResistant})
+	db := Open(Config{Workers: 4, BufferPoolPages: poolPages})
 	tbl, err := db.CreateTable(TableSpec{
 		Name: "stress",
 		Columns: []Column{
@@ -46,13 +39,10 @@ func stressHotRatio(t *testing.T, scanResistant bool) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pad := make([]byte, 300)
-	for i := range pad {
-		pad[i] = 'x'
-	}
+	pad := strings.Repeat("x", 300)
 	data := make([]Row, rows)
 	for i := range data {
-		data[i] = Row{IntVal(int64(i)), IntVal(int64(i)), StringVal(string(pad))}
+		data[i] = Row{IntVal(int64(i)), IntVal(int64(i)), StringVal(pad)}
 	}
 	if err := tbl.Load(data); err != nil {
 		t.Fatal(err)
@@ -77,17 +67,10 @@ func stressHotRatio(t *testing.T, scanResistant bool) float64 {
 			Eq("u", IntVal(key)))
 		return n, err
 	}
-	for round := 0; round < 16; round++ {
-		for _, k := range hot {
-			if n, err := probe(k); err != nil || n != 1 {
-				t.Fatalf("warm probe key=%d: n=%d err=%v", k, n, err)
-			}
-		}
-	}
 
-	// The race: four probers doing fixed point-lookup work against a
-	// sweeper that keeps scanning until they finish, then sweeps once
-	// more. Every result is asserted exact — no lost or phantom rows.
+	// Four probers doing fixed point-lookup work against a sweeper that
+	// keeps scanning until they finish, then sweeps once more. Every
+	// result is asserted exact — no lost or phantom rows.
 	var probersDone atomic.Bool
 	var errMu sync.Mutex
 	var firstErr error
@@ -135,7 +118,7 @@ func stressHotRatio(t *testing.T, scanResistant bool) float64 {
 				return
 			}
 		}
-		sweep() // guaranteed post-probe sweep: the flush admission must resist
+		sweep() // one sweep after the last probe
 	}()
 	wg.Wait()
 	probersDone.Store(true)
@@ -149,46 +132,15 @@ func stressHotRatio(t *testing.T, scanResistant bool) float64 {
 	if pinned := db.pool.PinnedFrames(); pinned != 0 {
 		t.Fatalf("%d frames still pinned after the stress workload", pinned)
 	}
-
-	// Residency census: one serial pass over the hot keys, hit ratio
-	// from the pool-stat deltas.
-	before := db.pool.Stats()
-	for _, k := range hot {
-		if n, err := probe(k); err != nil || n != 1 {
-			t.Fatalf("census probe key=%d: n=%d err=%v", k, n, err)
-		}
-	}
-	after := db.pool.Stats()
-	hits := after.Hits - before.Hits
-	misses := after.Misses - before.Misses
-	if hits+misses == 0 {
-		t.Fatal("census probes touched no pages")
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
-// TestCacheScanResistantStress races hot point lookups against repeated
-// full-table scans under the race detector: results stay exact, no
-// frame leaks, and the admission filter keeps the hot working set's hit
-// ratio strictly above the no-admission baseline on the same cold
-// 256-page pool.
-func TestCacheScanResistantStress(t *testing.T) {
-	base := stressHotRatio(t, false)
-	adm := stressHotRatio(t, true)
-	t.Logf("hot-set hit ratio after sweeps: baseline %.3f, scan-resistant %.3f", base, adm)
-	if adm <= base {
-		t.Fatalf("scan-resistant hot hit ratio %.3f not above the no-admission baseline %.3f", adm, base)
-	}
-}
-
-// bloomEquivRows loads the equivalence fixture into a DB with the given
-// knobs and returns, per access method and query, the sorted row
+// equivRows loads the equivalence fixture into a DB with the given
+// worker count and returns, per access method and query, the sorted row
 // fingerprints.
-func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) map[string][]string {
+func equivRows(t *testing.T, workers int) map[string][]string {
 	t.Helper()
 	const rows = 5000
-	db := Open(Config{Workers: workers, BufferPoolPages: 64,
-		ScanResistant: scanResistant, ProbeBlooms: probeBlooms})
+	db := Open(Config{Workers: workers, BufferPoolPages: 64})
 	tbl, err := db.CreateTable(TableSpec{
 		Name:        "equiv",
 		Columns:     []Column{{Name: "c", Kind: Int}, {Name: "u", Kind: Int}, {Name: "s", Kind: String}},
@@ -252,8 +204,8 @@ func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) 
 			out[mn+"/"+qn] = got
 		}
 	}
-	// Whatever the knobs, a CM probe for an absent key is a missed hash
-	// lookup: it reads no page, even from a cold cache.
+	// A CM probe for an absent key is a missed hash lookup: it reads no
+	// page, even from a cold cache.
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,17 +214,17 @@ func bloomEquivRows(t *testing.T, scanResistant, probeBlooms bool, workers int) 
 		t.Fatal(err)
 	}
 	if reads := db.Stats().Reads - before; reads != 0 {
-		t.Fatalf("scanResistant=%v probeBlooms=%v: absent-key cm probe read %d pages, want 0", scanResistant, probeBlooms, reads)
+		t.Fatalf("workers=%d: absent-key cm probe read %d pages, want 0", workers, reads)
 	}
 	return out
 }
 
-// TestBloomEquivalenceAccessMethods checks that admission and blooms
-// never change result bytes: every access method returns the identical
-// row set with each knob on or off, serial and with workers=8, and
-// within one configuration every method agrees with the table scan.
-func TestBloomEquivalenceAccessMethods(t *testing.T) {
-	baseline := bloomEquivRows(t, false, false, 1)
+// TestAccessMethodsAgreeAcrossWorkers checks that the worker count never
+// changes result bytes: every access method returns the identical row
+// set serial and with workers=8, and every method agrees with the table
+// scan.
+func TestAccessMethodsAgreeAcrossWorkers(t *testing.T) {
+	baseline := equivRows(t, 1)
 	for key, rows := range baseline {
 		if len(rows) == 0 && key[len(key)-len("absent-point"):] != "absent-point" {
 			t.Fatalf("baseline %s returned no rows — fixture broken", key)
@@ -282,49 +234,30 @@ func TestBloomEquivalenceAccessMethods(t *testing.T) {
 			t.Fatalf("baseline %s: %d rows differ from the table scan's %d", key, len(rows), len(want))
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		for _, sr := range []bool{false, true} {
-			for _, pb := range []bool{false, true} {
-				if workers == 1 && !sr && !pb {
-					continue
-				}
-				got := bloomEquivRows(t, sr, pb, workers)
-				for key, want := range baseline {
-					g := got[key]
-					if len(g) != len(want) {
-						t.Fatalf("workers=%d scanResistant=%v probeBlooms=%v %s: %d rows, baseline %d",
-							workers, sr, pb, key, len(g), len(want))
-					}
-					for i := range want {
-						if g[i] != want[i] {
-							t.Fatalf("workers=%d scanResistant=%v probeBlooms=%v %s row %d: %q != baseline %q",
-								workers, sr, pb, key, i, g[i], want[i])
-						}
-					}
-				}
-			}
+	got := equivRows(t, 8)
+	for key, want := range baseline {
+		if g := got[key]; strings.Join(g, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("workers=8 %s: %d rows differ from the serial run's %d", key, len(g), len(want))
 		}
 	}
 }
 
-// TestBloomChurnAndCheckpointRoundTrip drives insert/delete/update
-// churn through a table with ProbeBlooms on and off and checks the index
-// and the CM stay consistent (present keys always found), that a probe
-// for a fully-retracted or never-present key reads zero pages — through
-// the CM always (a missed hash lookup; a CM carries no bloom), through
-// the index when its bloom is armed — then round-trips the CM through
-// CheckpointCM -> RecoverCM and asserts the recovered CM equals the live
-// one and a negative probe through it still reads zero pages from a cold
-// cache.
+// TestBloomChurnAndCheckpointRoundTrip drives insert/delete/update churn
+// through a table and checks the index and the CM stay consistent
+// (present keys always found) and that a CM probe for a fully-retracted
+// or never-present key reads zero pages (a missed hash lookup), then
+// round-trips the CM through CheckpointCM -> RecoverCM and asserts the
+// recovered CM equals the live one and a negative probe through it still
+// reads zero pages from a cold cache. The test and its one case keep the
+// names they had when secondary indexes could carry probe blooms; with
+// those gone, the ProbeBlooms=false case is the only configuration.
 func TestBloomChurnAndCheckpointRoundTrip(t *testing.T) {
-	for _, blooms := range []bool{true, false} {
-		t.Run(fmt.Sprintf("ProbeBlooms=%v", blooms), func(t *testing.T) { bloomChurnAndCheckpointRoundTrip(t, blooms) })
-	}
+	t.Run("ProbeBlooms=false", churnAndCheckpointRoundTrip)
 }
 
-func bloomChurnAndCheckpointRoundTrip(t *testing.T, blooms bool) {
+func churnAndCheckpointRoundTrip(t *testing.T) {
 	const rows = 2000
-	db := Open(Config{Workers: 2, BufferPoolPages: 128, ProbeBlooms: blooms})
+	db := Open(Config{Workers: 2, BufferPoolPages: 128})
 	tbl, err := db.CreateTable(TableSpec{
 		Name:        "churn",
 		Columns:     []Column{{Name: "c", Kind: Int}, {Name: "u", Kind: Int}},
@@ -378,7 +311,7 @@ func bloomChurnAndCheckpointRoundTrip(t *testing.T, blooms bool) {
 
 	// Churn: new u values appear, one u value is fully retracted, and
 	// updates move rows between u values — the CM follows through
-	// Algorithm 1, the index bloom through its retraction hooks.
+	// Algorithm 1.
 	for i := 0; i < 30; i++ {
 		if err := tbl.Insert(Row{IntVal(int64(rows + i)), IntVal(int64(100 + i%5))}); err != nil {
 			t.Fatal(err)
@@ -392,9 +325,8 @@ func bloomChurnAndCheckpointRoundTrip(t *testing.T, blooms bool) {
 	}
 	check("after churn")
 
-	// The fully-retracted key and a never-present key must now be
-	// answered without touching a page: by the CM as it is, by the
-	// index when it has a bloom to ask.
+	// The CM must answer the fully-retracted keys and a never-present key
+	// without touching a page; the index must find no row for them.
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +340,6 @@ func bloomChurnAndCheckpointRoundTrip(t *testing.T, blooms bool) {
 		}
 		if n := countVia(PipelinedIndexScan, absent); n != 0 {
 			t.Fatalf("index probe for absent u=%d saw %d rows", absent, n)
-		}
-		if reads := db.Stats().Reads - before; blooms && reads != 0 {
-			t.Fatalf("absent-key index probe for u=%d read %d pages through its bloom, want 0", absent, reads)
 		}
 	}
 

@@ -324,10 +324,6 @@ type NodeActuals struct {
 	// filter/project/agg into the access sweep, so the shared phase
 	// reports on the access node and fused nodes show zero.
 	Elapsed time.Duration
-	// BloomSkips counts point probes a bloom filter pruned for this
-	// statement (access nodes only; exact, counted at the probe
-	// sites). Zero without Config.ProbeBlooms.
-	BloomSkips int64
 	// FalsePositivePages counts, on a cm-scan node, the heap pages the
 	// scan visited on which no tuple survived the re-filter: pages the
 	// correlation map pointed at for nothing (HeapPages is the pages it
@@ -351,9 +347,6 @@ type RunActuals struct {
 	BufferMisses   uint64
 	TuplesExamined int64
 	HeapPages      int64
-	// BloomSkips totals the point probes bloom filters pruned during
-	// the run (secondary-index blooms; a CM carries none).
-	BloomSkips int64
 }
 
 // PlanInfo describes the plan the engine would execute. Method, Uses

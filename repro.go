@@ -121,6 +121,9 @@ func externalRow(r value.Row) Row {
 // Config holds engine parameters. Zero values select the paper's
 // defaults: 8 KiB pages, 5.5 ms seeks, 0.078 ms sequential page reads,
 // a 4096-page buffer pool and a GOMAXPROCS-sized scan worker pool.
+// Every field changes something a caller can observe, and
+// TestConfigFieldsHaveEffect holds each one to that; a setting that
+// would ship off by default and change nothing measurable has no field.
 type Config struct {
 	PageSize        int
 	SeekCost        time.Duration
@@ -146,19 +149,6 @@ type Config struct {
 	// disables the deadline. Adjustable at runtime with
 	// SetStatementTimeout or SQL's SET statement_timeout.
 	StatementTimeout time.Duration
-	// ScanResistant arms W-TinyLFU admission control on the buffer
-	// pool: on a miss, the incoming page takes a resident frame only
-	// when its access frequency beats the eviction candidate's, so a
-	// one-pass analytic sweep cannot flush the hot point-lookup working
-	// set. Query results are unaffected — admission changes only which
-	// pages stay cached. Off by default.
-	ScanResistant bool
-	// ProbeBlooms arms a key bloom filter on every secondary index built
-	// after Open: a point probe for an absent key then answers without
-	// descending the B+Tree. Correlation maps need none — a CM is a
-	// memory-resident hash map, so a probe for an absent key is a missed
-	// lookup that already reads no page. Off by default.
-	ProbeBlooms bool
 }
 
 // DB is a database instance: one simulated disk, buffer pool and WAL
@@ -178,9 +168,6 @@ type DB struct {
 	pool    *buffer.Pool
 	log     *wal.Log
 	workers int
-	// probeBlooms mirrors Config.ProbeBlooms into every table created
-	// through this DB.
-	probeBlooms bool
 
 	// Observability (see metrics.go): the registry names every layer's
 	// counters, scanObs receives engine-wide scan work when metrics are
@@ -222,18 +209,13 @@ func Open(cfg Config) *DB {
 	if workers <= 0 {
 		workers = exec.DefaultWorkers()
 	}
-	pool := buffer.NewPool(disk, pages)
-	if cfg.ScanResistant {
-		pool.EnableAdmission()
-	}
 	db := &DB{
-		disk:        disk,
-		pool:        pool,
-		log:         wal.NewLog(disk),
-		workers:     workers,
-		tables:      make(map[string]*Table),
-		shared:      make(map[string]*metrics.Counter),
-		probeBlooms: cfg.ProbeBlooms,
+		disk:    disk,
+		pool:    buffer.NewPool(disk, pages),
+		log:     wal.NewLog(disk),
+		workers: workers,
+		tables:  make(map[string]*Table),
+		shared:  make(map[string]*metrics.Counter),
 	}
 	db.initMetrics()
 	db.stmtTimeout.Store(int64(cfg.StatementTimeout))
@@ -303,7 +285,6 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		ClusteredCols: ccols,
 		BucketPages:   spec.BucketPages,
 		BucketTuples:  spec.BucketTuples,
-		ProbeBlooms:   db.probeBlooms,
 	})
 	if err != nil {
 		return nil, err

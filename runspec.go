@@ -572,7 +572,6 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 			DiskReads:          a.DiskReads,
 			BufferHits:         a.BufferHits,
 			Elapsed:            a.Elapsed,
-			BloomSkips:         a.BloomSkips,
 			FalsePositivePages: a.FalsePositivePages,
 			Chunks:             a.Chunks,
 		}
@@ -585,7 +584,6 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 		BufferMisses:   an.BufferMisses,
 		TuplesExamined: an.TuplesExamined,
 		HeapPages:      an.HeapPages,
-		BloomSkips:     an.BloomSkips,
 	}
 }
 

@@ -636,9 +636,6 @@ func analyzeResult(info *PlanInfo) *Result {
 		res.Message = fmt.Sprintf(
 			"analyzed: %d rows in %s; %d tuples examined, %d heap pages, %d disk reads, %d buffer hits",
 			a.Rows, a.Elapsed, a.TuplesExamined, a.HeapPages, a.DiskReads, a.BufferHits)
-		if a.BloomSkips > 0 {
-			res.Message += fmt.Sprintf(", %d bloom skips", a.BloomSkips)
-		}
 		if access := info.Nodes[0].Actual; access != nil {
 			if access.FalsePositivePages > 0 {
 				res.Message += fmt.Sprintf(", %d false-positive pages", access.FalsePositivePages)
