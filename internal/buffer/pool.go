@@ -1,4 +1,4 @@
-// Package buffer implements a fixed-size buffer pool over the simulated
+// Package buffer implements a bounded buffer pool over the simulated
 // disk with clock-sweep eviction and dirty-page write-back.
 //
 // The buffer pool is central to the paper's Experiment 3: maintaining many
@@ -6,6 +6,12 @@
 // and random write-back I/O, while correlation maps are small enough to
 // live outside the pool entirely. The pool therefore tracks hits, misses,
 // evictions and dirty write-backs so experiments can report them.
+//
+// Capacity bounds residency; it is not an allocation. A new pool holds
+// only its frame table, and a frame gets its page buffer the first time
+// it is handed a page, keeping it through every later eviction and
+// Invalidate. The memory the pool holds (FrameBytes) therefore follows
+// the pages the workload has touched, up to capacity × page size.
 //
 // The pool is safe for concurrent use. Frames are partitioned into shards
 // (pages hash to a shard by identity), each with its own lock, frame
@@ -44,7 +50,7 @@ type Stats struct {
 // be read concurrently by multiple pinners; mutation requires external
 // write serialization (the table-level write lock in this engine).
 type Frame struct {
-	Data []byte
+	Data []byte // nil until the frame first holds a page
 
 	key   PageKey
 	pin   int
@@ -80,7 +86,9 @@ type Pool struct {
 	shards []shard
 }
 
-// NewPool creates a pool of capacity pages over disk.
+// NewPool creates a pool of at most capacity pages over disk. Only the
+// frame table is allocated; each frame's page buffer comes with its
+// first use (shard.frame).
 func NewPool(disk *sim.Disk, capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
@@ -93,7 +101,6 @@ func NewPool(disk *sim.Disk, capacity int) *Pool {
 		n = 1
 	}
 	p := &Pool{disk: disk, shards: make([]shard, n)}
-	ps := disk.PageSize()
 	base, extra := capacity/n, capacity%n
 	for i := range p.shards {
 		sz := base
@@ -103,9 +110,6 @@ func NewPool(disk *sim.Disk, capacity int) *Pool {
 		sh := &p.shards[i]
 		sh.frames = make([]Frame, sz)
 		sh.table = make(map[PageKey]int, sz)
-		for j := range sh.frames {
-			sh.frames[j].Data = make([]byte, ps)
-		}
 	}
 	return p
 }
@@ -135,6 +139,22 @@ func (p *Pool) Capacity() int {
 
 // Shards returns the number of lock domains the frames are split into.
 func (p *Pool) Shards() int { return len(p.shards) }
+
+// FrameBytes returns the bytes of page buffer the frames hold: one page
+// for every frame that has ever held a page, so at most Capacity() ×
+// the page size.
+func (p *Pool) FrameBytes() int64 {
+	var n int64
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for j := range sh.frames {
+			n += int64(len(sh.frames[j].Data))
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // Stats returns a snapshot of the counters, aggregated over shards.
 func (p *Pool) Stats() Stats {
@@ -213,6 +233,18 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 	return 0, 0, fmt.Errorf("buffer: all %d frames of shard pinned", len(sh.frames))
 }
 
+// frame returns the victim frame i with its page buffer, allocating the
+// buffer on the frame's first use; fresh reports that it did, so the
+// buffer is still all zero. Called with the shard lock held.
+func (sh *shard) frame(i, pageSize int) (fr *Frame, fresh bool) {
+	fr = &sh.frames[i]
+	if fr.Data == nil {
+		fr.Data = make([]byte, pageSize)
+		return fr, true
+	}
+	return fr, false
+}
+
 // Get pins the page into the pool, reading it from disk on a miss. The
 // shard lock is held across the disk read so concurrent requests for the
 // same missing page load it exactly once; the real I/O wait (when the
@@ -237,7 +269,7 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 		p.disk.PayWait(owed)
 		return nil, err
 	}
-	fr := &sh.frames[i]
+	fr, _ := sh.frame(i, p.disk.PageSize())
 	cost, err := p.disk.ReadPageDeferWait(file, page, fr.Data)
 	owed += cost
 	if err != nil {
@@ -284,9 +316,9 @@ func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 		p.disk.PayWait(owed)
 		return 0, nil, err
 	}
-	fr := &sh.frames[i]
-	for j := range fr.Data {
-		fr.Data[j] = 0
+	fr, fresh := sh.frame(i, p.disk.PageSize())
+	if !fresh {
+		clear(fr.Data) // a reused buffer still holds its last page
 	}
 	fr.key = key
 	fr.pin = 1
@@ -344,6 +376,13 @@ func (p *Pool) FlushAll() error {
 // models the paper's cold-cache methodology (dropping OS caches between
 // runs); callers flush first when contents must survive, and must ensure
 // no frames are pinned (no queries in flight).
+//
+// Frames keep their page buffers, and each shard's clock hand rewinds to
+// its first frame: the clock fills an empty shard in order from the
+// hand, so the next misses land on frames that already have buffers
+// instead of walking the hand onto ones that never held a page. An empty
+// shard fills and then evicts in the same page order from any starting
+// frame, so the rewind changes no hit, miss or eviction.
 func (p *Pool) Invalidate() {
 	for si := range p.shards {
 		sh := &p.shards[si]
@@ -357,7 +396,8 @@ func (p *Pool) Invalidate() {
 			fr.used = false
 			fr.dirty = false
 		}
-		sh.table = make(map[PageKey]int, len(sh.frames))
+		clear(sh.table)
+		sh.hand = 0
 		sh.mu.Unlock()
 	}
 }

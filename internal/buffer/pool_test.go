@@ -311,6 +311,82 @@ func TestResidentIsOnlyAHint(t *testing.T) {
 	}
 }
 
+// TestFramesAllocateOnFirstUse pins capacity as a bound, not an
+// allocation: a frame gets its page buffer the first time it holds a
+// page and keeps it through Invalidate and eviction, and Invalidate's
+// rewound clock hand sends the next misses to frames that already have
+// buffers — without the rewind, rounds of Invalidate plus a few reads
+// walk the hand across every frame and give each one a buffer.
+func TestFramesAllocateOnFirstUse(t *testing.T) {
+	const frames, filePages = 64, 200
+	d := sim.NewDisk(sim.Config{PageSize: 64})
+	ps := int64(d.PageSize())
+	f := d.CreateFile()
+	full := make([]byte, ps)
+	for i := range full {
+		full[i] = 0xA5
+	}
+	for i := 0; i < filePages; i++ {
+		if err := d.WritePage(f, d.AllocPage(f), full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewPool(d, frames)
+	if p.Shards() != 1 {
+		t.Fatalf("a %d-frame pool has %d shards, want 1", frames, p.Shards())
+	}
+	read := func(page int64) {
+		t.Helper()
+		fr, err := p.Get(f, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(fr, false)
+	}
+	want := func(stage string, bytes int64) {
+		t.Helper()
+		if got := p.FrameBytes(); got != bytes {
+			t.Errorf("%s: frames hold %d bytes, want %d", stage, got, bytes)
+		}
+	}
+
+	want("a new pool", 0)
+	const n = 10
+	for pg := int64(0); pg < n; pg++ {
+		read(pg)
+	}
+	want("after reading 10 pages", n*ps)
+	p.Invalidate()
+	for pg := int64(0); pg < n; pg++ {
+		read(pg)
+	}
+	want("after Invalidate and reading them again", n*ps)
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 1000; round++ {
+		p.Invalidate()
+		for i := 0; i < 5; i++ {
+			read(int64(rng.Intn(filePages)))
+		}
+	}
+	want("after 1,000 rounds of Invalidate plus 5 random pages", n*ps)
+	for pg := int64(0); pg < filePages; pg++ {
+		read(pg)
+	}
+	want("after reading past capacity", frames*ps)
+
+	_, fr, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range fr.Data {
+		if b != 0 {
+			t.Fatalf("NewPage on a reused frame: byte %d is %#x, want a zeroed page", i, b)
+		}
+	}
+	p.Unpin(fr, false)
+	want("after NewPage on a reused frame", frames*ps)
+}
+
 // TestCacheResetStatsCoversEveryField drives traffic that moves every
 // Stats field, resets, and asserts — by reflection, so a future field
 // cannot dodge the test — that every field reads zero after ResetStats,

@@ -30,10 +30,13 @@ type TupleFilter struct {
 // pre-extracted: int and float payloads are read once from the
 // value.Value, string constants keep a byte-slice form so field
 // comparisons run bytes.Compare against the raw tuple without building
-// a string.
+// a string. An int or float column at a constant offset keeps that
+// offset in off (-1 otherwise), as projCol does, so its field is read in
+// place without walking the schema.
 type compiledPred struct {
 	op     Op
 	col    int
+	off    int
 	kind   value.Kind // column kind, not constant kind
 	vals   []constVal
 	lo, hi *constVal
@@ -69,9 +72,13 @@ func CompileFilter(sch table.Schema, q Query) *TupleFilter {
 		cp := compiledPred{
 			op:     p.Op,
 			col:    p.Col,
+			off:    -1,
 			kind:   sch.Cols[p.Col].Kind,
 			loExcl: p.LoExcl,
 			hiExcl: p.HiExcl,
+		}
+		if off, fixed := sch.FixedOffset(p.Col); fixed && cp.kind != value.String {
+			cp.off = off
 		}
 		for _, v := range p.Vals {
 			cp.vals = append(cp.vals, newConstVal(v))
@@ -140,9 +147,14 @@ func (f *TupleFilter) matchPreds(tuple []byte) (bool, error) {
 
 // matchPred evaluates one compiled predicate on the tuple's raw field.
 func (f *TupleFilter) matchPred(cp *compiledPred, tuple []byte) (bool, error) {
-	b, err := f.sch.Field(tuple, cp.col)
-	if err != nil {
-		return false, err
+	var b []byte
+	if cp.off >= 0 {
+		b = tuple[cp.off : cp.off+8] // in range: the tuple passed CheckTuple
+	} else {
+		var err error
+		if b, err = f.sch.Field(tuple, cp.col); err != nil {
+			return false, err
+		}
 	}
 	var fi int64
 	var ff float64
@@ -232,6 +244,14 @@ func (p *Projection) AppendJSON(dst, tuple []byte) ([]byte, error) {
 	if err := p.sch.CheckTuple(tuple); err != nil {
 		return dst, err
 	}
+	return p.AppendCheckedJSON(dst, tuple)
+}
+
+// AppendCheckedJSON is AppendJSON for a tuple that has already passed
+// the schema's structural check — a survivor of a sweep's filter, which
+// ran it — so the check does not run twice. Its only error is the value
+// encoder's, for a float JSON cannot carry.
+func (p *Projection) AppendCheckedJSON(dst, tuple []byte) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, pc := range p.cols {
 		if i > 0 {
@@ -242,7 +262,7 @@ func (p *Projection) AppendJSON(dst, tuple []byte) ([]byte, error) {
 			b = tuple[pc.off : pc.off+8] // in range: the tuple passed CheckTuple
 		} else {
 			var err error
-			if b, err = p.sch.Field(tuple, pc.col); err != nil {
+			if b, err = p.sch.Field(tuple, pc.col); err != nil { // unreachable on a checked tuple
 				return dst, err
 			}
 		}

@@ -206,7 +206,9 @@ func FuzzTupleFilter(f *testing.F) {
 // repeated. The encoded tuple, cut short or padded by the fuzzer's
 // length, must give the same bytes, or the same error, three ways:
 // Projection.AppendJSON over the tuple, value.AppendRow over DecodeRow's
-// row projected, and encoding/json over the projected values.
+// row projected, and encoding/json over the projected values. A tuple
+// that decodes has passed the structural check, so AppendCheckedJSON
+// must give AppendJSON's bytes and error on it too.
 func FuzzProjectionJSON(f *testing.F) {
 	f.Add(int64(1), "boston", 1.5, -1)
 	f.Add(int64(2), "", math.NaN(), -1)
@@ -253,13 +255,18 @@ func FuzzProjectionJSON(f *testing.F) {
 			tuple = append(tuple, make([]byte, extra)...)
 		}
 
-		got, gotErr := CompileProjection(sch, proj).AppendJSON([]byte("keep"), tuple)
+		enc := CompileProjection(sch, proj)
+		got, gotErr := enc.AppendJSON([]byte("keep"), tuple)
 		decoded, err := sch.DecodeRow(tuple)
 		if err != nil {
 			if gotErr == nil || gotErr.Error() != err.Error() {
 				t.Fatalf("tuple %x: projection error %v, DecodeRow error %v", tuple, gotErr, err)
 			}
 			return
+		}
+		checked, checkedErr := enc.AppendCheckedJSON([]byte("keep"), tuple)
+		if string(checked) != string(got) || fmt.Sprint(checkedErr) != fmt.Sprint(gotErr) {
+			t.Fatalf("tuple %x: AppendCheckedJSON gave %q (error %v), AppendJSON %q (error %v)", tuple, checked, checkedErr, got, gotErr)
 		}
 		projected := decoded
 		if proj != nil {

@@ -161,10 +161,12 @@ func (tr *Tree) runPlain(workers int, out Sink) error {
 		enc := exec.CompileProjection(tr.t.Schema(), proj)
 		var buf []byte
 		return tr.runAccess(proj, workers, func(_ heap.RID, tuple []byte) (bool, error) {
-			// The sweep's filter has checked the tuple's structure, so an
-			// error here is the value encoder's: the row has no JSON form.
+			// Every route here — the inline sweep, a fanned-out chunk's
+			// replay, the pipelined probe — emits only tuples its filter
+			// has checked, so the encoder trusts the structure and an error
+			// is the value encoder's: the row has no JSON form.
 			var err error
-			if buf, err = enc.AppendJSON(buf[:0], tuple); err != nil {
+			if buf, err = enc.AppendCheckedJSON(buf[:0], tuple); err != nil {
 				return more(out.JSON(nil, err)), nil
 			}
 			return more(out.JSON(buf, nil)), nil

@@ -90,9 +90,9 @@ func TestPointProbeRequestAllocs(t *testing.T) {
 	}
 	allocs, bytes := requestCost(200, probe)
 	t.Logf("warm point probe: %.1f allocations, %.0f bytes per request", allocs, bytes)
-	if allocs > 80 || bytes > 6<<10 {
-		t.Errorf("a warm point probe costs %.1f allocations and %.0f bytes per request, want at most 80 and %d",
-			allocs, bytes, 6<<10)
+	if allocs > 64 || bytes > 4<<10 {
+		t.Errorf("a warm point probe costs %.1f allocations and %.0f bytes per request, want at most 64 and %d",
+			allocs, bytes, 4<<10)
 	}
 }
 

@@ -92,7 +92,10 @@ type Token struct {
 // lex tokenizes src in full. It never panics: malformed input returns an
 // error naming the offending byte offset.
 func lex(src string) ([]Token, error) {
-	var toks []Token
+	// Room for a token per four source bytes (rounded up) plus EOF covers
+	// ordinary SQL in one allocation instead of a doubling series; denser
+	// input still grows by append.
+	toks := make([]Token, 0, len(src)/4+2)
 	i := 0
 	for i < len(src) {
 		c := src[i]

@@ -27,7 +27,10 @@ import (
 //     I/O wait slept under IOWaitScale (io_wait_ns) and read-ahead
 //     stream churn (stream_starts, stream_evictions, active_streams).
 //   - pool.*: buffer-pool totals (hits, misses, evictions,
-//     dirty_writes) plus the same counters per shard (pool.shard3.hits).
+//     dirty_writes) plus the same counters per shard (pool.shard3.hits),
+//     and pool.frame_bytes, the page buffers the frames hold — frames
+//     get theirs on first use, so it follows the pages touched, up to
+//     the pool's capacity.
 //   - wal.*: appends, flushes, bytes, and the wal.flush_ns histogram
 //     of commit-flush wall times.
 //   - table.*: MVCC write-path totals — publishes, aborts,
@@ -91,6 +94,7 @@ func (db *DB) initMetrics() {
 	r.Func("pool.misses", func() int64 { return int64(db.pool.Stats().Misses) })
 	r.Func("pool.evictions", func() int64 { return int64(db.pool.Stats().Evictions) })
 	r.Func("pool.dirty_writes", func() int64 { return int64(db.pool.Stats().DirtyWrites) })
+	r.Func("pool.frame_bytes", db.pool.FrameBytes)
 	for i := 0; i < db.pool.Shards(); i++ {
 		shard := i
 		prefix := fmt.Sprintf("pool.shard%d.", shard)
