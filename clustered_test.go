@@ -44,6 +44,23 @@ func itemsFixtureOn(t testing.TB, cfg Config) (*DB, *Table) {
 func itemsTable(t testing.TB, cfg Config, n int) (*DB, *Table) {
 	t.Helper()
 	db := Open(cfg)
+	tbl := emptyItems(t, db)
+	if err := tbl.Load(itemsRows(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("ix_subcat", "subcat"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}); err != nil {
+		t.Fatal(err)
+	}
+	return db, tbl
+}
+
+// emptyItems creates the items table, clustered on cat with one
+// clustered bucket per page, and loads nothing.
+func emptyItems(t testing.TB, db *DB) *Table {
+	t.Helper()
 	tbl, err := db.CreateTable(TableSpec{
 		Name: "items",
 		Columns: []Column{
@@ -56,21 +73,17 @@ func itemsTable(t testing.TB, cfg Config, n int) (*DB, *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tbl
+}
+
+// itemsRows is the first n correlated items as rows of the items table.
+func itemsRows(n int) []Row {
 	items := datagen.CorrelatedItems(n)
 	rows := make([]Row, len(items))
 	for i, it := range items {
 		rows[i] = Row{IntVal(it.Cat), IntVal(it.Subcat), IntVal(it.Price), StringVal(it.Desc)}
 	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateIndex("ix_subcat", "subcat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}); err != nil {
-		t.Fatal(err)
-	}
-	return db, tbl
+	return rows
 }
 
 // clusteredQueries is the predicate matrix on the clustering column:

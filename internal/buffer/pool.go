@@ -7,6 +7,12 @@
 // live outside the pool entirely. The pool therefore tracks hits, misses,
 // evictions and dirty write-backs so experiments can report them.
 //
+// A dirty page normally reaches disk when the clock evicts it, in each
+// shard's own order. WriteBack lets a writer that is done with a page
+// write it now instead: a bulk load writes each heap page as it leaves
+// it, so the heap goes to disk as one sequential stream and the clock
+// later evicts clean pages. It changes no hit, miss or eviction.
+//
 // Capacity bounds residency; it is not an allocation. A new pool holds
 // only its frame table, and a frame gets its page buffer the first time
 // it is handed a page, keeping it through every later eviction and
@@ -218,12 +224,11 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 		}
 		var owed time.Duration
 		if fr.dirty {
-			cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
+			cost, err := sh.write(disk, fr)
 			owed += cost
 			if err != nil {
 				return i, owed, err
 			}
-			sh.stats.DirtyWrites++
 		}
 		delete(sh.table, fr.key)
 		sh.stats.Evictions++
@@ -231,6 +236,19 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 		return i, owed, nil
 	}
 	return 0, 0, fmt.Errorf("buffer: all %d frames of shard pinned", len(sh.frames))
+}
+
+// write puts the frame's dirty page on disk, counts it in DirtyWrites and
+// marks the frame clean; on an error the frame stays dirty. It returns
+// the deferred real-wait cost. Called with the shard lock held.
+func (sh *shard) write(disk *sim.Disk, fr *Frame) (time.Duration, error) {
+	cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
+	if err != nil {
+		return cost, err
+	}
+	sh.stats.DirtyWrites++
+	fr.dirty = false
+	return cost, nil
 }
 
 // frame returns the victim frame i with its page buffer, allocating the
@@ -346,6 +364,29 @@ func (p *Pool) Unpin(fr *Frame, dirty bool) {
 	}
 }
 
+// WriteBack writes the page to disk now when it is resident and dirty,
+// and leaves it cached and clean, so evicting it later costs no write. A
+// writer that is done with a page calls it to put its pages on disk in
+// the order it finished them, instead of the order each shard's clock
+// happens to evict them. A clean or absent page costs no I/O. The write
+// counts in DirtyWrites; its real wait is paid after the shard lock is
+// released, as Get's is. On a write error the frame stays dirty. Nothing
+// may mutate the page during the call (callers hold the table latch).
+func (p *Pool) WriteBack(file sim.FileID, page int64) error {
+	key := PageKey{file, page}
+	sh := p.shardFor(key)
+	sh.mu.Lock()
+	i, ok := sh.table[key]
+	if !ok || !sh.frames[i].dirty {
+		sh.mu.Unlock()
+		return nil
+	}
+	cost, err := sh.write(p.disk, &sh.frames[i])
+	sh.mu.Unlock()
+	p.disk.PayWait(cost)
+	return err
+}
+
 // FlushAll writes every dirty page back to disk. Pages stay cached.
 func (p *Pool) FlushAll() error {
 	for si := range p.shards {
@@ -355,15 +396,13 @@ func (p *Pool) FlushAll() error {
 		for i := range sh.frames {
 			fr := &sh.frames[i]
 			if fr.used && fr.dirty {
-				cost, err := p.disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
+				cost, err := sh.write(p.disk, fr)
 				owed += cost
 				if err != nil {
 					sh.mu.Unlock()
 					p.disk.PayWait(owed)
 					return err
 				}
-				sh.stats.DirtyWrites++
-				fr.dirty = false
 			}
 		}
 		sh.mu.Unlock()

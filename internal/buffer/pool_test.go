@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -113,6 +114,85 @@ func TestFlushAll(t *testing.T) {
 	}
 	if buf[0] != 0xAB {
 		t.Error("flush did not reach disk")
+	}
+}
+
+// TestWriteBack: a dirty resident page is written once, counted in
+// DirtyWrites, and stays cached and clean — so a second WriteBack and
+// its later eviction write nothing. A clean or absent page costs no
+// I/O, and a failed write leaves the frame dirty.
+func TestWriteBack(t *testing.T) {
+	p, d, f := newPool(t, 2)
+	pg, fr, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(fr.Data, "written back")
+	p.Unpin(fr, true)
+	disk, pool := d.Stats(), p.Stats()
+
+	if err := p.WriteBack(f, pg); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Writes - disk.Writes; got != 1 {
+		t.Errorf("WriteBack of a dirty page: %d disk writes, want 1", got)
+	}
+	if got := p.Stats(); got.DirtyWrites != pool.DirtyWrites+1 || got.Hits != pool.Hits || got.Misses != pool.Misses || got.Evictions != pool.Evictions {
+		t.Errorf("WriteBack moved the counters %+v → %+v, want DirtyWrites +1 only", pool, got)
+	}
+	if !p.Resident(f, pg) || p.DirtyCount() != 0 {
+		t.Errorf("after WriteBack: resident %v, %d dirty frames; want resident and clean", p.Resident(f, pg), p.DirtyCount())
+	}
+	buf := make([]byte, d.PageSize())
+	if err := d.ReadPage(f, pg, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:12]) != "written back" {
+		t.Errorf("disk holds %q, want the page's bytes", buf[:12])
+	}
+
+	// Clean, absent and never-allocated pages: no I/O, no count.
+	disk, pool = d.Stats(), p.Stats()
+	for _, page := range []int64{pg, 99} {
+		if err := p.WriteBack(f, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.WriteBack(d.CreateFile(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats() != disk || p.Stats() != pool {
+		t.Errorf("WriteBack of a clean or absent page touched the disk or the counters")
+	}
+
+	// Evicting the written-back page costs no write: the second of two
+	// new pages pushes it out of the two-frame pool.
+	var last int64
+	for i := 0; i < 2; i++ {
+		if last, fr, err = p.NewPage(f); err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(fr, true)
+	}
+	if p.Resident(f, pg) {
+		t.Fatal("page still resident after two new pages in a two-frame pool")
+	}
+	if got := d.Stats().Writes - disk.Writes; got != 0 {
+		t.Errorf("evicting the written-back page: %d writes, want 0", got)
+	}
+
+	// An injected write fault surfaces and leaves the frame dirty.
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	err = p.WriteBack(f, last)
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) {
+		t.Fatalf("WriteBack under a write fault returned %v", err)
+	}
+	if n := p.DirtyCount(); n != 2 {
+		t.Errorf("after a failed WriteBack %d frames are dirty, want both new pages", n)
+	}
+	if err := p.WriteBack(f, last); err != nil || p.DirtyCount() != 1 {
+		t.Errorf("retried WriteBack: %v, %d dirty frames, want 1", err, p.DirtyCount())
 	}
 }
 

@@ -23,7 +23,9 @@
 // account per page (contiguous free bytes plus reclaimable bytes) answers
 // Room without reading the page, and the pages that have anything to
 // reclaim sit in size classes so BestFit finds the tightest one in a few
-// word operations. Appends (Load's) still go to the tail, in order.
+// word operations. Appends (Load's) still go to the tail, in order, and
+// Load writes each full tail page back as it opens the next, so a bulk
+// load reaches disk as one sequential run of heap pages.
 package heap
 
 import (

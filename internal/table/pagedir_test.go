@@ -302,11 +302,12 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 }
 
 // TestPageDirectoryLoadAbort fails a bulk load half way on an injected
-// fault: the unwind must take every page back out of the directory.
+// fault: the unwind must take every page back out of the directory and
+// leave no frame pinned.
 func TestPageDirectoryLoadAbort(t *testing.T) {
 	d := sim.NewDisk(sim.Config{PageSize: 512})
-	// A pool far smaller than the load: evictions write dirty pages, and
-	// the 40th such write fails.
+	// A pool far smaller than the load: the load's write-backs and
+	// evictions write dirty pages, and the 40th such write fails.
 	tbl, err := New(buffer.NewPool(d, 16), wal.NewLog(d), Config{
 		Name:          "dir",
 		Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
@@ -325,6 +326,9 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 	d.SetFaultPlan(nil)
 	if !errors.Is(err, sim.ErrInjected) {
 		t.Fatalf("Load under a write fault returned %v", err)
+	}
+	if n := tbl.Pool().PinnedFrames(); n != 0 {
+		t.Errorf("%d frames still pinned after the failed Load", n)
 	}
 	checkPageDir(t, tbl, "after the failed Load")
 	for b := int32(0); int(b) < tbl.PageDir().NumBuckets(); b++ {

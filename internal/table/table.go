@@ -8,9 +8,10 @@ package table
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -209,7 +210,14 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // row is assigned goes straight into the page directory with the row's
 // RID, so the directory is complete when the load is — no second pass
 // over the tree. Load must run before any secondary index or CM is
-// created and only on an empty table.
+// created and only on an empty table. Each row is validated and encoded
+// once, and equal keys keep their input order.
+//
+// The heap is written once, in page order: as the append moves on to a
+// new tail page, the full page it leaves is written back
+// (buffer.Pool.WriteBack) and stays cached, clean. The pool's shards
+// would otherwise evict the load's dirty pages as interleaved ascending
+// runs, and the disk prices every switch between them as a seek.
 //
 // Load is itself an MVCC writer statement: it takes the writer gate (not
 // the table latch) and appends in short batched exclusive holds, so
@@ -228,30 +236,32 @@ func (t *Table) Load(rows []value.Row) error {
 		tx.Abort()
 		return err
 	}
-	for _, r := range rows {
-		if err := t.cfg.Schema.Validate(r); err != nil {
-			return abort(err)
-		}
+	encs, err := tx.encode(rows)
+	if err != nil {
+		return abort(err)
 	}
+	// Rows with equal keys keep their input order: the position breaks
+	// the tie, so an unstable sort gives the stable order.
 	type keyed struct {
 		key []byte
-		row value.Row
+		pos int
 	}
 	ks := make([]keyed, len(rows))
-	var rowBytes int64
 	for i, r := range rows {
-		ks[i] = keyed{key: t.clusteredKey(r), row: r}
+		ks[i] = keyed{key: t.clusteredKey(r), pos: i}
 	}
-	sort.SliceStable(ks, func(i, j int) bool { return bytes.Compare(ks[i].key, ks[j].key) < 0 })
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 
 	// Estimate tuples per page to convert the pages-per-bucket setting
 	// into the bucket builder's tuples-per-bucket target.
+	var rowBytes int64
 	for i := 0; i < len(ks) && i < 100; i++ {
-		enc, err := t.cfg.Schema.EncodeRow(ks[i].row)
-		if err != nil {
-			return abort(err)
-		}
-		rowBytes += int64(len(enc) + 4)
+		rowBytes += int64(len(encs[ks[i].pos]) + 4)
 	}
 	target := 1
 	switch {
@@ -272,31 +282,17 @@ func (t *Table) Load(rows []value.Row) error {
 		}
 		target = int(tpp) * t.cfg.BucketPages
 	}
+	// The bounds are installed only when the load ends, so the rows carry
+	// the builder's bucket IDs instead of locating their own.
 	builder := core.NewBuilder(target)
-	batch := make([]value.Row, 0, writeBatchRows)
-	batchCBs := make([]int32, 0, writeBatchRows)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		// The bounds are installed only when the load ends, so the rows
-		// carry the builder's bucket IDs instead of locating their own.
-		if err := tx.insertBatch(batch, batchCBs); err != nil {
-			return err
-		}
-		batch, batchCBs = batch[:0], batchCBs[:0]
-		return nil
+	sorted := make([]value.Row, len(ks))
+	sortedEncs := make([][]byte, len(ks))
+	cbs := make([]int32, len(ks))
+	for i, k := range ks {
+		sorted[i], sortedEncs[i] = rows[k.pos], encs[k.pos]
+		cbs[i] = builder.Add(k.key)
 	}
-	for _, k := range ks {
-		batchCBs = append(batchCBs, builder.Add(k.key))
-		batch = append(batch, k.row)
-		if len(batch) >= writeBatchRows {
-			if err := flush(); err != nil {
-				return abort(err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	if err := tx.insertBatch(sorted, sortedEncs, cbs); err != nil {
 		return abort(err)
 	}
 	t.mu.Lock()

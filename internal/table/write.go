@@ -44,7 +44,8 @@ import (
 // bucket's new versions are placed together on one page — one of the
 // bucket's own pages with room, else the reclaimed page that fits them
 // most tightly, else the tail — which keeps the heap clustered and the
-// page directory's lists short. Only Load appends at the tail.
+// page directory's lists short. Only Load appends at the tail, and it
+// writes each full tail page back as it leaves it (applyInsert).
 
 // writeBatchRows bounds how many rows one exclusive latch hold applies:
 // small enough that a waiting reader stalls for microseconds, large
@@ -164,21 +165,18 @@ func (tx *WriteTxn) Timestamp() uint64 { return tx.ts }
 // apply in writeBatchRows chunks, each under its own short exclusive
 // hold. The rows stay invisible to readers until Publish.
 func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
-	return tx.insertBatch(rows, nil)
-}
-
-// insertBatch is InsertBatch with the rows' clustered buckets supplied
-// by the caller (Load, whose bucket builder is ahead of the installed
-// bounds); nil cbs locates each row in the bucket directory.
-func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
-	t := tx.t
 	encs, err := tx.encode(rows)
 	if err != nil {
 		return err
 	}
-	if cbs == nil {
-		cbs = tx.reserve(rows, encs)
-	}
+	return tx.insertBatch(rows, encs, tx.reserve(rows, encs))
+}
+
+// insertBatch applies rows, already encoded as encs, in clustered buckets
+// cbs: InsertBatch's reserved buckets, or Load's from its bucket builder,
+// which is ahead of the installed bounds.
+func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) error {
+	t := tx.t
 	for start := 0; start < len(rows); start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
@@ -199,14 +197,12 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, cbs []int32) error {
 	return nil
 }
 
-// encode validates and encodes the statement's new row images.
+// encode validates and encodes the statement's new row images
+// (EncodeRow validates).
 func (tx *WriteTxn) encode(rows []value.Row) ([][]byte, error) {
 	sch := tx.t.cfg.Schema
 	encs := make([][]byte, len(rows))
 	for i, r := range rows {
-		if err := sch.Validate(r); err != nil {
-			return nil, err
-		}
 		enc, err := sch.EncodeRow(r)
 		if err != nil {
 			return nil, err
@@ -224,6 +220,13 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	var rid heap.RID
 	var err error
 	if tx.load {
+		// A load never returns to a page it has left: before the append
+		// opens a new tail, the full one goes to disk (see Load).
+		if tail := t.heapf.NumPages() - 1; tail >= 0 && t.heapf.Room(tail) < heap.TupleCost(len(enc)) {
+			if err := t.pool.WriteBack(t.heapf.FileID(), tail); err != nil {
+				return err
+			}
+		}
 		rid, err = t.heapf.AppendAt(enc, tx.ts)
 	} else {
 		rid, err = tx.place(enc, cb)
