@@ -260,7 +260,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 			var wt *plan.WriteTree
 			kind := "delete"
 			if sets == nil {
-				wt, err = plan.CompileDelete(tbl.inner, spec, tbl.stats)
+				wt, err = plan.CompileDelete(tbl.inner, spec, planStats)
 			} else {
 				kind = "update"
 				esets := make([]exec.SetClause, len(sets))
@@ -268,7 +268,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 					ci, _ := tbl.colIndex(s.Col)
 					esets[i] = exec.SetClause{Col: ci, Val: s.Val.v}
 				}
-				wt, err = plan.CompileUpdate(tbl.inner, spec, esets, tbl.stats)
+				wt, err = plan.CompileUpdate(tbl.inner, spec, esets, planStats)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -456,11 +456,6 @@ func checkCostModelTruth(t *testing.T, db *DB, cases []truthCase) {
 	t.Helper()
 	for _, c := range cases {
 		spec := QuerySpec{Table: "items", Preds: c.preds}
-		// First planning of an indexed column computes pair statistics
-		// with a heap scan; keep it out of the measured run.
-		if _, err := db.ExplainSpec(spec); err != nil {
-			t.Fatal(err)
-		}
 		if err := db.ColdCache(); err != nil {
 			t.Fatal(err)
 		}

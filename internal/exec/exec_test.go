@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/sim"
@@ -373,12 +374,17 @@ func TestEarlyStopAllMethods(t *testing.T) {
 	}
 }
 
-// TestExactStatsTracksTheTable pins the provider's freshness contract:
-// table statistics are read live (heap growth shows in the very next
-// estimate), and Forget drops a table's cached pair statistics.
+// TestExactStatsTracksTheTable pins the provider's contract: table
+// statistics are read live (heap growth shows in the very next
+// estimate), and an index's pair statistics are the ones counted when
+// it was built — planning reads no page for them, even from a cold pool.
 func TestExactStatsTracksTheTable(t *testing.T) {
 	db := buildTestDB(t, 2000, 5, 0)
 	sp := NewExactStats()
+	built, err := db.tbl.PairStats([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := sp.TableStats(db.tbl)
 	tx := db.tbl.BeginWrite()
 	var grow []value.Row
@@ -396,18 +402,24 @@ func TestExactStatsTracksTheTable(t *testing.T) {
 		t.Errorf("table stats frozen: %+v -> %+v after 2000 inserts", before, after)
 	}
 
+	if err := db.tbl.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.tbl.Pool().Invalidate()
+	reads := db.disk.Stats().Reads
 	ps, ok := sp.PairStats(db.tbl, []int{1})
 	if !ok {
 		t.Fatal("pair stats unavailable")
 	}
-	reads := db.disk.Stats().Reads
-	if again, _ := sp.PairStats(db.tbl, []int{1}); again != ps || db.disk.Stats().Reads != reads {
-		t.Error("cached pair stats recomputed")
+	if got := db.disk.Stats().Reads - reads; got != 0 {
+		t.Errorf("pair stats read %d pages, want 0: they are kept on the index", got)
 	}
-	sp.Forget(db.tbl)
-	db.tbl.Pool().Invalidate()
-	if _, ok := sp.PairStats(db.tbl, []int{1}); !ok || db.disk.Stats().Reads == reads {
-		t.Error("Forget kept the cached pair stats")
+	want := costmodel.PairStats{UTups: built.UTups(), CTups: built.CTups(), CPerU: built.CPerU()}
+	if ps != want {
+		t.Errorf("pair stats %+v, want the build's count %+v", ps, want)
+	}
+	if _, ok := sp.PairStats(db.tbl, []int{0, 1}); ok {
+		t.Error("pair stats for columns no index has")
 	}
 }
 

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/table"
@@ -50,7 +49,7 @@ func (m Method) String() string {
 }
 
 // StatsProvider supplies the correlation statistics internal/plan's cost
-// model needs. The facade caches these; tests can stub them.
+// model needs. The engine plans with ExactStats; tests can stub them.
 type StatsProvider interface {
 	// TableStats returns the Table 1 statistics for the table.
 	TableStats(t *table.Table) costmodel.TableStats
@@ -134,21 +133,16 @@ func ClusteredSpan(t *table.Table, q Query) (runs, buckets int) {
 	return runs, buckets
 }
 
-// ExactStats is a StatsProvider computing exact pair statistics with
-// table scans, caching them per table and attribute set. Fine for tests
-// and moderate tables; production advisors use the sampling estimators
-// instead. Table statistics are O(1) and read live on every plan, so
-// heap growth (and a bulk load) shows in the next estimate. Safe for
-// concurrent use: concurrent planners share one cache under a mutex.
-type ExactStats struct {
-	mu      sync.Mutex
-	cachePS map[*table.Table]map[string]costmodel.PairStats
-}
+// ExactStats is the StatsProvider the engine plans with. Pair statistics
+// are the exact ones each secondary index carries (table.Index.Pairs),
+// counted in the scan that built it or by a bulk load, so planning reads
+// no page for them. Table statistics are O(1) and read live on every
+// plan, so heap growth (and a bulk load) shows in the next estimate. It
+// holds no state: safe for concurrent use.
+type ExactStats struct{}
 
-// NewExactStats creates an empty provider.
-func NewExactStats() *ExactStats {
-	return &ExactStats{cachePS: make(map[*table.Table]map[string]costmodel.PairStats)}
-}
+// NewExactStats creates a provider.
+func NewExactStats() *ExactStats { return &ExactStats{} }
 
 // TableStats implements StatsProvider, reading the table's current
 // page count, tuple count and clustered tree height.
@@ -161,36 +155,10 @@ func (e *ExactStats) TableStats(t *table.Table) costmodel.TableStats {
 	}
 }
 
-// Forget drops the table's cached pair statistics; the facade calls it
-// after a bulk load, which invalidates anything computed before it.
-func (e *ExactStats) Forget(t *table.Table) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.cachePS, t)
-}
-
-// PairStats implements StatsProvider. The mutex is held across the
-// computation so concurrent first queries on a cold cache scan the
-// table once, not once each.
+// PairStats implements StatsProvider with the statistics of the index
+// whose columns are exactly uCols (table.Table.IndexPairs); ok is false
+// when the table has no such index.
 func (e *ExactStats) PairStats(t *table.Table, uCols []int) (costmodel.PairStats, bool) {
-	key := fmt.Sprint(uCols)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ps, ok := e.cachePS[t][key]; ok {
-		return ps, true
-	}
-	pc, err := t.PairStats(uCols)
-	if err != nil {
-		return costmodel.PairStats{}, false
-	}
-	ps := costmodel.PairStats{
-		UTups: pc.UTups(),
-		CTups: pc.CTups(),
-		CPerU: pc.CPerU(),
-	}
-	if e.cachePS[t] == nil {
-		e.cachePS[t] = make(map[string]costmodel.PairStats)
-	}
-	e.cachePS[t][key] = ps
-	return ps, true
+	p, ok := t.IndexPairs(uCols)
+	return costmodel.PairStats{UTups: p.UTups, CTups: p.CTups, CPerU: p.CPerU}, ok
 }

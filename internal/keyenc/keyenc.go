@@ -78,7 +78,12 @@ func EncodeValue(v value.Value) []byte {
 // EncodeRowPrefix encodes the given columns of row, in order, as one
 // composite key.
 func EncodeRowPrefix(row value.Row, cols []int) []byte {
-	dst := make([]byte, 0, 10*len(cols))
+	return AppendRowPrefix(make([]byte, 0, 10*len(cols)), row, cols)
+}
+
+// AppendRowPrefix appends the EncodeRowPrefix encoding of the given
+// columns of row to dst.
+func AppendRowPrefix(dst []byte, row value.Row, cols []int) []byte {
 	for _, c := range cols {
 		dst = AppendValue(dst, row[c])
 	}

@@ -90,8 +90,8 @@ func TestPointProbeRequestAllocs(t *testing.T) {
 	}
 	allocs, bytes := requestCost(200, probe)
 	t.Logf("warm point probe: %.1f allocations, %.0f bytes per request", allocs, bytes)
-	if allocs > 64 || bytes > 4<<10 {
-		t.Errorf("a warm point probe costs %.1f allocations and %.0f bytes per request, want at most 64 and %d",
+	if allocs > 58 || bytes > 4<<10 {
+		t.Errorf("a warm point probe costs %.1f allocations and %.0f bytes per request, want at most 58 and %d",
 			allocs, bytes, 4<<10)
 	}
 }

@@ -222,33 +222,43 @@ func CPerUExact(dU, dUC float64) float64 {
 }
 
 // PairCounter computes exact D(Au), D(Ac), D(Au,Ac), u_tups and c_tups
-// for one attribute pair in a single pass, for tests and for small tables
-// where sampling is unnecessary.
+// for one attribute pair in a single pass. The engine feeds one from the
+// scan that builds each secondary index, so the planner prices the index
+// from exact counts without a scan of its own.
 type PairCounter struct {
-	u  map[uint64]int64
-	c  map[uint64]int64
-	uc map[uint64]struct{}
-	n  int64
+	u, c, uc map[uint64]struct{} // distinct Au, Ac and (Au, Ac) hashes
+	n        int64
+	// lastU and lastC are the previous tuple's hashes. A scan in
+	// clustered order feeds runs of equal keys; a repeat adds nothing to
+	// a set, so Add skips the map for it.
+	lastU, lastC uint64
 }
 
 // NewPairCounter creates an empty counter.
 func NewPairCounter() *PairCounter {
 	return &PairCounter{
-		u:  make(map[uint64]int64),
-		c:  make(map[uint64]int64),
+		u:  make(map[uint64]struct{}),
+		c:  make(map[uint64]struct{}),
 		uc: make(map[uint64]struct{}),
 	}
 }
 
 // Add feeds one tuple's encoded Au and Ac keys.
 func (p *PairCounter) Add(uKey, cKey []byte) {
-	p.n++
 	hu, hc := hash64(uKey), hash64(cKey)
-	p.u[hu]++
-	p.c[hc]++
-	// Combine the two hashes order-dependently for the pair count.
-	comb := hu*0x9E3779B97F4A7C15 ^ hc
-	p.uc[comb] = struct{}{}
+	newU, newC := p.n == 0 || hu != p.lastU, p.n == 0 || hc != p.lastC
+	p.n++
+	p.lastU, p.lastC = hu, hc
+	if newU {
+		p.u[hu] = struct{}{}
+	}
+	if newC {
+		p.c[hc] = struct{}{}
+	}
+	if newU || newC {
+		// Combine the two hashes order-dependently for the pair count.
+		p.uc[hu*0x9E3779B97F4A7C15^hc] = struct{}{}
+	}
 }
 
 // DU returns D(Au).

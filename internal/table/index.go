@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
+	"repro/internal/stats"
 	"repro/internal/value"
 )
 
@@ -43,6 +45,36 @@ type Index struct {
 	Name string
 	Cols []int // indexed column positions, in key order
 	Tree *btree.Tree
+
+	// pairs are the secondary index's Table 2 statistics, nil until
+	// counted (see Pairs).
+	pairs atomic.Pointer[Pairs]
+}
+
+// Pairs are a secondary index's Table 2 correlation statistics against
+// the clustering attribute — u_tups, c_tups and c_per_u — the triple the
+// Section 4 cost model prices an index path from. At is the table's
+// count of published row writes when they were counted (see
+// Table.RowsSincePairStats).
+type Pairs struct {
+	UTups, CTups, CPerU float64
+	At                  int64
+}
+
+// Pairs returns the index's pair statistics, and false when they were
+// never counted: the index was created over an empty table that has not
+// been loaded since.
+func (ix *Index) Pairs() (Pairs, bool) {
+	if p := ix.pairs.Load(); p != nil {
+		return *p, true
+	}
+	return Pairs{}, false
+}
+
+// countedPairs keeps only the triple pc counted, stamped at, so the
+// counter's maps do not outlive the count.
+func countedPairs(pc *stats.PairCounter, at int64) *Pairs {
+	return &Pairs{UTups: pc.UTups(), CTups: pc.CTups(), CPerU: pc.CPerU(), At: at}
 }
 
 // keyFor builds the full entry key for a row at rid.

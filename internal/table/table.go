@@ -71,6 +71,11 @@ type Table struct {
 	// publishes by storing that value after its last exclusive hold.
 	clock atomic.Uint64
 
+	// written counts the row versions published writer statements have
+	// written (inserted plus ended), the clock secondary indexes' pair
+	// statistics are stamped with.
+	written atomic.Int64
+
 	// writerActive is true while a writer statement is between BeginWrite
 	// and Publish/Abort. The optimizer consults it to skip cm-agg
 	// lowering: mid-statement CM statistics include the writer's
@@ -209,9 +214,11 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // clustered buckets with the Section 6.1.1 boundary rule; the bucket each
 // row is assigned goes straight into the page directory with the row's
 // RID, so the directory is complete when the load is — no second pass
-// over the tree. Load must run before any secondary index or CM is
-// created and only on an empty table. Each row is validated and encoded
-// once, and equal keys keep their input order.
+// over the tree. Load runs only on an empty table, and before any CM is
+// created. A secondary index created before it gets the loaded rows'
+// entries, and its pair statistics are recounted from the sorted rows in
+// hand, not from a scan. Each row is validated and encoded once, and
+// equal keys keep their input order.
 //
 // The heap is written once, in page order: as the append moves on to a
 // new tail page, the full page it leaves is written back
@@ -295,16 +302,37 @@ func (t *Table) Load(rows []value.Row) error {
 	if err := tx.insertBatch(sorted, sortedEncs, cbs); err != nil {
 		return abort(err)
 	}
+	// The loaded rows are the whole table. Their statistics are stamped
+	// as of after the Publish below, which adds them to the written count.
+	var pairs []*Pairs
+	if len(ks) > 0 {
+		at := t.written.Load() + int64(len(ks))
+		var ukey []byte
+		for _, ix := range t.secondary {
+			pc := stats.NewPairCounter()
+			for i, k := range ks {
+				ukey = keyenc.AppendRowPrefix(ukey[:0], sorted[i], ix.Cols)
+				pc.Add(ukey, k.key)
+			}
+			pairs = append(pairs, countedPairs(pc, at))
+		}
+	}
 	t.mu.Lock()
 	t.cbuckets = builder.Finish()
 	t.pageDir.clip()
 	t.loaded = true
+	for j, p := range pairs {
+		t.secondary[j].pairs.Store(p)
+	}
 	t.mu.Unlock()
 	return tx.Publish()
 }
 
 // CreateIndex builds a dense secondary B+Tree index over cols by scanning
-// the heap.
+// the heap, and counts the index's pair statistics (Index.Pairs) in the
+// same scan, from each entry's encoded key and the row's clustered key:
+// the planner prices the index from them without reading the heap again.
+// Over an empty table it counts nothing; a later Load does.
 func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 	for _, c := range cols {
 		if c < 0 || c >= len(t.cfg.Schema.Cols) {
@@ -316,8 +344,16 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{Name: name, Cols: cols, Tree: tree}
+	pc := stats.NewPairCounter()
+	// Both keys are encoded into buffers reused across rows (the tree
+	// copies what it keeps), so the count allocates nothing per row.
+	var key, ckey []byte
 	err = t.Scan(func(rid heap.RID, row value.Row) bool {
-		if e := ix.Insert(row, rid); e != nil {
+		key = keyenc.AppendRowPrefix(key[:0], row, cols)
+		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
+		pc.Add(key, ckey)
+		key = AppendRID(key, rid)
+		if e := ix.Tree.Insert(key, nil); e != nil {
 			err = e
 			return false
 		}
@@ -326,8 +362,52 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if pc.Rows() > 0 {
+		ix.pairs.Store(countedPairs(pc, t.written.Load()))
+	}
 	t.secondary = append(t.secondary, ix)
 	return ix, nil
+}
+
+// IndexPairs returns the pair statistics of the secondary index whose
+// columns are exactly cols, as counted by CreateIndex or Load. An index
+// created over an empty table and never loaded has none: on a non-empty
+// table they are counted now, with one scan, and kept on the index. ok
+// is false when no index has these columns or the scan fails. Caller
+// holds the latch (shared suffices).
+func (t *Table) IndexPairs(cols []int) (Pairs, bool) {
+	for _, ix := range t.secondary {
+		if !slices.Equal(ix.Cols, cols) {
+			continue
+		}
+		if p, ok := ix.Pairs(); ok || t.heapf.TupleCount() == 0 {
+			return p, true
+		}
+		pc, err := t.PairStats(cols)
+		if err != nil {
+			return Pairs{}, false
+		}
+		p := countedPairs(pc, t.written.Load())
+		ix.pairs.Store(p)
+		return *p, true
+	}
+	return Pairs{}, false
+}
+
+// RowsSincePairStats returns how many row versions published writer
+// statements have written (inserted plus ended) since the stalest of the
+// secondary indexes' pair statistics were counted; 0 when none were.
+// Nothing maintains the statistics between counts, so this is how far
+// the cost model's c_per_u may have drifted from the table. Caller holds
+// the latch (shared suffices).
+func (t *Table) RowsSincePairStats() int64 {
+	var gap int64
+	for _, ix := range t.secondary {
+		if p, ok := ix.Pairs(); ok {
+			gap = max(gap, t.written.Load()-p.At)
+		}
+	}
+	return gap
 }
 
 // CreateCM builds a correlation map per Algorithm 1: one scan recording

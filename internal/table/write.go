@@ -376,6 +376,7 @@ func (tx *WriteTxn) Publish() error {
 		err = tx.applyRetractions()
 	}
 	if err == nil {
+		t.written.Add(int64(len(tx.inserted) + len(tx.retract)))
 		t.clock.Store(tx.ts)
 		t.retire(tx.ts, tx.retract)
 	} else {

@@ -44,7 +44,11 @@ import (
 //     pinned snapshot), table.reclaimed_versions (running total of dead
 //     versions whose slot and bytes were taken back) and
 //     table.oldest_pin_age (commits the oldest pinned snapshot lags the
-//     published clock; 0 without pins).
+//     published clock; 0 without pins). table.rows_since_pair_stats is
+//     the planner's staleness: the most row versions (counted as
+//     rows_written counts them) any one table has written since its
+//     stalest secondary index's pair statistics were counted, by
+//     CreateIndex or a bulk load. Nothing maintains them in between.
 //   - cm.<name>.pages_swept / cm.<name>.false_positive_pages: per
 //     correlation map, the heap pages its cm-scans visited and how many
 //     of those held no tuple that survived the re-filter — the paper's
@@ -153,6 +157,15 @@ func (db *DB) initMetrics() {
 			age = max(age, t.inner.OldestPinAge())
 		}
 		return age
+	})
+	r.Func("table.rows_since_pair_stats", func() int64 {
+		var gap int64
+		for _, t := range db.allTables() {
+			t.inner.RLock()
+			gap = max(gap, t.inner.RowsSincePairStats())
+			t.inner.RUnlock()
+		}
+		return gap
 	})
 
 	// Fault-tolerance counters: statements ended by cancellation or

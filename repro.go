@@ -290,7 +290,7 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		return nil, err
 	}
 	inner.SetWriteObs(db.writeObs)
-	t := &Table{db: db, inner: inner, stats: exec.NewExactStats()}
+	t := &Table{db: db, inner: inner}
 	db.tables[spec.Name] = t
 	return t, nil
 }
@@ -396,8 +396,11 @@ func (db *DB) ColdCache() error {
 type Table struct {
 	db    *DB
 	inner *table.Table
-	stats *exec.ExactStats
 }
+
+// planStats is the statistics provider every table plans with. It holds
+// no state — pair statistics live on the indexes — so one serves all.
+var planStats = exec.NewExactStats()
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.inner.Name() }
@@ -411,22 +414,17 @@ func (t *Table) colIndex(name string) (int, error) {
 	return i, nil
 }
 
-// Load bulk-loads rows in clustered order. It must run before indexes or
-// CMs are created, and only once. The load runs as one MVCC writer
-// statement: concurrent readers proceed against the empty table until it
-// publishes.
+// Load bulk-loads rows in clustered order. It must run before CMs are
+// created, and only once; an index created before it gets the rows, and
+// its pair statistics are counted from them. The load runs as one MVCC
+// writer statement: concurrent readers proceed against the empty table
+// until it publishes.
 func (t *Table) Load(rows []Row) error {
 	internal := make([]value.Row, len(rows))
 	for i, r := range rows {
 		internal[i] = r.internal()
 	}
-	if err := t.inner.Load(internal); err != nil {
-		return err
-	}
-	// Pair statistics computed against the empty table describe nothing
-	// the loaded one holds.
-	t.stats.Forget(t.inner)
-	return nil
+	return t.inner.Load(internal)
 }
 
 // Insert appends one row, maintaining the clustered index, all secondary

@@ -205,7 +205,7 @@ func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode 
 	if mode != explainOnly {
 		defer t.db.observeQuery(time.Now())
 	}
-	tree, err := plan.Compile(t.inner, ps, t.stats)
+	tree, err := plan.Compile(t.inner, ps, planStats)
 	if err != nil {
 		return PlanInfo{}, err
 	}
@@ -287,9 +287,9 @@ func (t *Table) compileWrite(del bool, spec plan.Spec, sets []exec.SetClause) (*
 	t.inner.RLock()
 	defer t.inner.RUnlock()
 	if del {
-		return plan.CompileDelete(t.inner, spec, t.stats)
+		return plan.CompileDelete(t.inner, spec, planStats)
 	}
-	return plan.CompileUpdate(t.inner, spec, sets, t.stats)
+	return plan.CompileUpdate(t.inner, spec, sets, planStats)
 }
 
 // observeQuery records one statement's wall time (started at start)
