@@ -99,6 +99,15 @@ func TestStatementTimeoutConfig(t *testing.T) {
 	if got := db.Metrics("query.timed_out")[0].Value; got < 2 {
 		t.Fatalf("query.timed_out = %d, want >= 2", got)
 	}
+	// An INSERT is bounded the same way, and no row of it lands (the
+	// follow-up select still counts 200).
+	timedOut := db.Metrics("query.timed_out")[0].Value
+	if _, err := db.Exec("INSERT INTO tt VALUES (500, 1), (501, 2)"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("insert under 1ns deadline returned %v, want DeadlineExceeded", err)
+	}
+	if got := db.Metrics("query.timed_out")[0].Value; got != timedOut+1 {
+		t.Fatalf("query.timed_out %d -> %d across the insert, want one more", timedOut, got)
+	}
 	db.SetStatementTimeout(0)
 	n := 0
 	if err := tbl.Select(func(Row) bool { n++; return true }); err != nil || n != 200 {
@@ -193,6 +202,25 @@ func TestShowMetricsQueryOutcomes(t *testing.T) {
 		if vals[name] < want {
 			t.Errorf("%s = %d, want >= %d (rows: %v)", name, vals[name], want, vals)
 		}
+	}
+}
+
+// TestInsertPreCancelled runs an INSERT under an already-cancelled
+// context: like any statement it does no work, fails with the context's
+// error and counts into query.cancelled.
+func TestInsertPreCancelled(t *testing.T) {
+	db, tbl := buildFaultDB(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := db.Metrics("query.cancelled")[0].Value
+	if _, err := db.ExecCtx(ctx, "INSERT INTO ft VALUES (999999, 1, 'late')"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("INSERT under a cancelled context returned %v, want context.Canceled", err)
+	}
+	if got := db.Metrics("query.cancelled")[0].Value; got != cancelled+1 {
+		t.Fatalf("query.cancelled %d -> %d across the insert, want one more", cancelled, got)
+	}
+	if n := tbl.RowCount(); n != 4000 {
+		t.Fatalf("%d rows after a cancelled INSERT, want 4000", n)
 	}
 }
 

@@ -399,10 +399,11 @@ func TestShowMetricsSQL(t *testing.T) {
 		t.Errorf("query.latency_ns.count flat at %d with metrics on", l1)
 	}
 
-	// Write statements are statements too: an UPDATE and a DELETE each
-	// add exactly one observation to the latency histogram (and so
-	// reach the slow-query log).
-	for _, stmt := range []string{"UPDATE plans SET r = 1 WHERE c = 5", "DELETE FROM plans WHERE c = 6"} {
+	// Write statements are statements too: an UPDATE, a DELETE and a
+	// 40-row INSERT each add exactly one observation to the latency
+	// histogram (and so reach the slow-query log).
+	insert := "INSERT INTO plans VALUES " + strings.TrimSuffix(strings.Repeat("(6, 3, 3, 1), ", 40), ", ")
+	for _, stmt := range []string{"UPDATE plans SET r = 1 WHERE c = 5", "DELETE FROM plans WHERE c = 6", insert} {
 		l0 := readMetric("query.latency_ns.count")
 		if res, err := db.Exec(stmt); err != nil || res.Affected != 40 {
 			t.Fatalf("%s: affected %v, err %v", stmt, res, err)

@@ -8,6 +8,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -105,6 +106,45 @@ func TestFaultPathsPerAccessMethod(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMultiRowInsertIsAtomic fails the WAL write of a three-row INSERT's
+// second record: the statement fails with the injected fault and none
+// of its rows lands, because all three are one writer statement.
+func TestMultiRowInsertIsAtomic(t *testing.T) {
+	db := Open(Config{PageSize: 1024})
+	tbl, err := db.CreateTable(TableSpec{
+		Name:        "padded",
+		Columns:     []Column{{Name: "c", Kind: Int}, {Name: "pad", Kind: String}},
+		ClusteredBy: []string{"c"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Load([]Row{{IntVal(0), StringVal("seed")}}); err != nil {
+		t.Fatal(err)
+	}
+	// Each row logs a 623-byte record (7 framing bytes, the table name,
+	// a 610-byte row). Load logs nothing, so the first record fits the
+	// log's first 1 KiB page and the second fills it: that page write is
+	// the first disk write after arming, as the pool evicts nothing.
+	pad := strings.Repeat("x", 600)
+	stmt := fmt.Sprintf("INSERT INTO padded VALUES (1, '%s'), (2, '%s'), (3, '%s')", pad, pad, pad)
+	db.SetFaultPlan(&FaultPlan{FailWriteN: 1})
+	_, err = db.Exec(stmt)
+	db.SetFaultPlan(nil)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("INSERT under a WAL write fault returned %v, want ErrInjected", err)
+	}
+	if n := tbl.RowCount(); n != 1 {
+		t.Fatalf("%d rows after the failed INSERT, want the 1 loaded", n)
+	}
+	if res, err := db.Exec(stmt); err != nil || res.Affected != 3 {
+		t.Fatalf("INSERT after disarming: %v, err %v", res, err)
+	}
+	if n := tbl.RowCount(); n != 4 {
+		t.Fatalf("%d rows after the INSERT, want 4", n)
 	}
 }
 

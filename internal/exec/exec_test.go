@@ -150,18 +150,24 @@ func TestAllMethodsAgreeWithExtraPredicates(t *testing.T) {
 
 func TestAllMethodsAgreeAfterInserts(t *testing.T) {
 	db := buildTestDB(t, 2000, 5, 0)
-	// Appended rows land on out-of-order heap pages; every method must
-	// still find them.
-	for i := 0; i < 200; i++ {
+	// One writer statement places the rows with their clustered buckets,
+	// on pages outside the load's clustered run once a bucket's own page
+	// is full; every method must still find them.
+	rows := make([]value.Row, 200)
+	for i := range rows {
 		c := int64(i % 500)
-		row := value.Row{
+		rows[i] = value.Row{
 			value.NewInt(c),
 			value.NewInt(c / 10),
 			value.NewString(fmt.Sprintf("new-%d", i)),
 		}
-		if _, err := db.tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+	}
+	tx := db.tbl.BeginWrite()
+	if err := tx.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
 	}
 	q := NewQuery(Eq(1, value.NewInt(11)))
 	results := db.runAll(t, q)

@@ -117,10 +117,8 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 					if end > len(batch) {
 						end = len(batch)
 					}
-					for _, row := range batch[off:end] {
-						if _, err := tbl.Insert(row); err != nil {
-							return err
-						}
+					if err := insertStmt(tbl, batch[off:end]); err != nil {
+						return err
 					}
 					if err := tbl.Commit(); err != nil {
 						return err
@@ -156,6 +154,18 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// insertStmt inserts rows as one writer statement, the engine's only
+// write path, so the maintenance both figures time is what a user's
+// INSERT pays.
+func insertStmt(tbl *table.Table, rows []value.Row) error {
+	tx := tbl.BeginWrite()
+	if err := tx.InsertBatch(rows); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Publish()
 }
 
 func rate(rows int, d time.Duration) float64 {
@@ -284,10 +294,8 @@ func RunFigure9(cfg Figure9Config) (*Figure9Result, error) {
 		for round := 0; round < cfg.Rounds; round++ {
 			ins := batch[round*cfg.InsertsPer : (round+1)*cfg.InsertsPer]
 			el, _, err := env.Warm(func() error {
-				for _, row := range ins {
-					if _, err := tbl.Insert(row); err != nil {
-						return err
-					}
+				if err := insertStmt(tbl, ins); err != nil {
+					return err
 				}
 				return tbl.Commit()
 			})

@@ -9,9 +9,9 @@
 // in an in-memory side array. A tuple is visible to a snapshot when it was
 // created at or before the snapshot and not ended by it; snapshot 0 is the
 // "latest" sentinel that sees exactly the tuples whose end timestamp is
-// unset. Bulk-loaded and legacy appends begin at 0 ("since forever"), so
-// single-threaded callers that never use snapshots observe the historical
-// behavior: a tuple is live until ended or physically deleted.
+// unset. Every tuple begins at its writer statement's timestamp, which is
+// never 0 — a bulk load's included — so no snapshot taken before the
+// statement sees it.
 //
 // Space is reclaimed inside its page. An ended version that no snapshot
 // can read any more is marked dead (MarkDead), and a physically deleted
@@ -71,9 +71,9 @@ func (r RID) Less(o RID) bool {
 // String renders the RID as page:slot.
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
-// tupleVersion holds the MVCC begin/end timestamps of one slot. A zero
-// begin means "visible since forever" (bulk loads, legacy appends); a zero
-// end means "not ended".
+// tupleVersion holds the MVCC begin/end timestamps of one slot: begin is
+// the writing statement's timestamp (never 0); a zero end means "not
+// ended".
 type tupleVersion struct {
 	begin, end uint64
 }
@@ -327,12 +327,6 @@ func pageFree(d []byte) int {
 	return pageCellStart(d) - headerSize - pageNumSlots(d)*slotSize
 }
 
-// Append stores tuple at the end of the file and returns its RID. The
-// tuple begins at timestamp 0, visible to every snapshot.
-func (h *File) Append(tuple []byte) (RID, error) {
-	return h.AppendAt(tuple, 0)
-}
-
 // AppendAt stores tuple at the end of the file — on the last page when it
 // has room, else on a new one — with the given MVCC begin timestamp: the
 // tuple is invisible to snapshots older than begin, which is how a writer
@@ -349,8 +343,12 @@ func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 // returns its RID; page NumPages() allocates a new page at the end. The
 // tuple takes an erased slot, else a dead one, else a new slot, and a
 // page whose contiguous gap is too short is pruned first. The caller
-// chooses page by Room; a page short of room is an error.
+// chooses page by Room; a page short of room is an error, and so is a
+// zero begin, which would make the tuple visible to every snapshot.
 func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
+	if begin == 0 {
+		return RID{}, fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
+	}
 	if TupleCost(len(tuple)) > h.EmptyRoom() {
 		return RID{}, fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(tuple))
 	}

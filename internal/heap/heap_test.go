@@ -19,7 +19,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	var rids []RID
 	for i := 0; i < 50; i++ {
-		rid, err := h.Append([]byte(fmt.Sprintf("tuple-%03d", i)))
+		rid, err := h.AppendAt([]byte(fmt.Sprintf("tuple-%03d", i)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 func TestTuplesSpanMultiplePages(t *testing.T) {
 	h := newHeap(t, 128, 8)
 	for i := 0; i < 40; i++ {
-		if _, err := h.Append(make([]byte, 40)); err != nil {
+		if _, err := h.AppendAt(make([]byte, 40), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,8 +54,20 @@ func TestTuplesSpanMultiplePages(t *testing.T) {
 
 func TestOversizedTupleRejected(t *testing.T) {
 	h := newHeap(t, 128, 4)
-	if _, err := h.Append(make([]byte, 130)); err == nil {
+	if _, err := h.AppendAt(make([]byte, 130), 1); err == nil {
 		t.Error("oversized tuple accepted")
+	}
+}
+
+// TestZeroBeginRejected pins that no tuple can begin at timestamp 0,
+// which would make it visible to snapshots taken before its statement.
+func TestZeroBeginRejected(t *testing.T) {
+	h := newHeap(t, 128, 4)
+	if _, err := h.AppendAt([]byte("x"), 0); err == nil {
+		t.Error("tuple with a zero begin timestamp accepted")
+	}
+	if h.NumPages() != 0 || h.TupleCount() != 0 {
+		t.Errorf("rejected tuple left %d pages, %d tuples", h.NumPages(), h.TupleCount())
 	}
 }
 
@@ -63,7 +75,7 @@ func TestScanOrderAndCompleteness(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if _, err := h.Append([]byte{byte(i)}); err != nil {
+		if _, err := h.AppendAt([]byte{byte(i)}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +106,7 @@ func TestScanOrderAndCompleteness(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	for i := 0; i < 20; i++ {
-		if _, err := h.Append([]byte{byte(i)}); err != nil {
+		if _, err := h.AppendAt([]byte{byte(i)}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,11 +124,11 @@ func TestScanEarlyStop(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	h := newHeap(t, 256, 8)
-	rid1, err := h.Append([]byte("one"))
+	rid1, err := h.AppendAt([]byte("one"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid2, err := h.Append([]byte("two"))
+	rid2, err := h.AppendAt([]byte("two"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func TestGetErrors(t *testing.T) {
 	if _, err := h.Get(RID{Page: 0, Slot: 0}); err == nil {
 		t.Error("Get on empty heap should fail")
 	}
-	if _, err := h.Append([]byte("x")); err != nil {
+	if _, err := h.AppendAt([]byte("x"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Get(RID{Page: 0, Slot: 9}); err == nil {
@@ -168,7 +180,7 @@ func TestGetErrors(t *testing.T) {
 func TestScanPagesRange(t *testing.T) {
 	h := newHeap(t, 128, 8)
 	for i := 0; i < 60; i++ {
-		if _, err := h.Append(make([]byte, 30)); err != nil {
+		if _, err := h.AppendAt(make([]byte, 30), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +216,7 @@ func TestTuplesOnPage(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	var rids []RID
 	for i := 0; i < 10; i++ {
-		rid, err := h.Append([]byte("abcdef"))
+		rid, err := h.AppendAt([]byte("abcdef"), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +265,7 @@ func TestAppendGetPropertyRandomSizes(t *testing.T) {
 		if len(raw) > 100 {
 			raw = raw[:100]
 		}
-		rid, err := h.Append(raw)
+		rid, err := h.AppendAt(raw, 1)
 		if err != nil {
 			return false
 		}
@@ -283,11 +295,11 @@ func TestView(t *testing.T) {
 	disk := sim.NewDisk(sim.Config{})
 	pool := buffer.NewPool(disk, 16)
 	h := NewFile(pool)
-	a, err := h.Append([]byte("alpha"))
+	a, err := h.AppendAt([]byte("alpha"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Append([]byte("beta"))
+	b, err := h.AppendAt([]byte("beta"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

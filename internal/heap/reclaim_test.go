@@ -254,7 +254,7 @@ func TestPruneKeepsSlotsAndReusesSpace(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	var rids []RID
 	for i := 0; i < 4; i++ {
-		rid, err := h.Append(bytes.Repeat([]byte{byte('a' + i)}, 50))
+		rid, err := h.AppendAt(bytes.Repeat([]byte{byte('a' + i)}, 50), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

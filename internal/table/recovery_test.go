@@ -21,7 +21,7 @@ func TestRecoverCMFromCheckpointAndLog(t *testing.T) {
 	}
 
 	// Some maintenance before the checkpoint.
-	if _, err := tbl.Insert(value.Row{
+	if _, err := insertRows(tbl, value.Row{
 		value.NewString("OH"), value.NewString("boston"), value.NewInt(1),
 	}); err != nil {
 		t.Fatal(err)
@@ -39,8 +39,9 @@ func TestRecoverCMFromCheckpointAndLog(t *testing.T) {
 		t.Fatal("checkpoint LSN not positive")
 	}
 
-	// Post-checkpoint maintenance: an insert and a delete.
-	if _, err := tbl.Insert(value.Row{
+	// Post-checkpoint maintenance: an insert and a delete, each the
+	// records its statement's Publish logged.
+	if _, err := insertRows(tbl, value.Row{
 		value.NewString("MN"), value.NewString("boston"), value.NewInt(2),
 	}); err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestRecoverCMFromCheckpointAndLog(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Delete(target); err != nil {
+	if err := deleteRows(tbl, target); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Commit(); err != nil {
@@ -91,12 +92,14 @@ func TestRecoverCMFromCheckpointAndLog(t *testing.T) {
 // CM: only the logged (post-load) changes are reconstructed.
 func TestRecoverCMFullLogWithoutCheckpoint(t *testing.T) {
 	tbl, _ := newPeople(t)
+	var rows []value.Row
 	for i := 0; i < 5; i++ {
-		if _, err := tbl.Insert(value.Row{
+		rows = append(rows, value.Row{
 			value.NewString("WY"), value.NewString("newtown"), value.NewInt(int64(i)),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
+	}
+	if _, err := insertRows(tbl, rows...); err != nil {
+		t.Fatal(err)
 	}
 	if err := tbl.Commit(); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,11 @@ const DefaultBucketPages = 10
 // Concurrency: the table carries a reader/writer latch but its methods do
 // not take it themselves — callers bracket whole operations so a
 // multi-step read (index probe, then heap sweep) observes one consistent
-// state. Readers (Scan, FetchRow, index and CM probes) run concurrently
-// under RLock; mutators (Load, Insert, Delete, Commit, CreateIndex,
-// CreateCM, RecoverCM, CheckpointCM) require Lock. The repro facade
+// state. Readers (Scan, index and CM probes) run concurrently under
+// RLock; mutators (Commit, CreateIndex, CreateCM, RecoverCM,
+// CheckpointCM) require Lock, while writer statements (Load, and
+// BeginWrite through Publish) take the writer gate and their own short
+// exclusive holds. The repro facade
 // acquires the latch automatically; code driving Table directly
 // single-threaded (experiments, tests) may skip it entirely.
 type Table struct {
@@ -113,8 +115,8 @@ type Table struct {
 // set. Safe to call while writer statements run.
 func (t *Table) SetWriteObs(o *WriteObs) { t.writeObs.Store(o) }
 
-// New creates an empty table. Rows are added either with Load (bulk,
-// clustered) or Insert (appended, as in the paper's update experiments).
+// New creates an empty table. Rows arrive only through writer
+// statements: Load (bulk, clustered) or BeginWrite's WriteTxn.
 func New(pool *buffer.Pool, log *wal.Log, cfg Config) (*Table, error) {
 	if len(cfg.ClusteredCols) == 0 {
 		return nil, fmt.Errorf("table %s: clustered columns required", cfg.Name)
@@ -495,77 +497,6 @@ func (t *Table) CMOn(cols ...int) *core.CM {
 	return nil
 }
 
-// Insert appends a row: heap, clustered index, secondary indexes and CMs
-// are all maintained, and the operation is WAL-logged. The row's bucket
-// comes from the directory built at load time, so CM lookups keep finding
-// tuples inserted after the load.
-func (t *Table) Insert(row value.Row) (heap.RID, error) {
-	enc, err := t.cfg.Schema.EncodeRow(row)
-	if err != nil {
-		return heap.RID{}, err
-	}
-	rid, err := t.heapf.Append(enc)
-	if err != nil {
-		return heap.RID{}, err
-	}
-	cb := t.ClusterBucketFor(row)
-	if err := t.clusteredInsert(row, rid, cb); err != nil {
-		return heap.RID{}, err
-	}
-	for _, ix := range t.secondary {
-		if err := ix.Insert(row, rid); err != nil {
-			return heap.RID{}, err
-		}
-	}
-	for _, cm := range t.cms {
-		cm.AddRow(row, cb)
-	}
-	if t.log != nil {
-		if err := t.log.Append(wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc}); err != nil {
-			return heap.RID{}, err
-		}
-	}
-	return rid, nil
-}
-
-// Delete removes the row at rid from the heap and all access methods.
-func (t *Table) Delete(rid heap.RID) error {
-	row, err := t.FetchRow(rid)
-	if err != nil {
-		return err
-	}
-	if row == nil {
-		return fmt.Errorf("table %s: delete of missing row %v", t.cfg.Name, rid)
-	}
-	if err := t.heapf.Delete(rid); err != nil {
-		return err
-	}
-	cb := t.ClusterBucketFor(row)
-	if err := t.clusteredDelete(row, rid, cb); err != nil {
-		return err
-	}
-	for _, ix := range t.secondary {
-		if _, err := ix.Delete(row, rid); err != nil {
-			return err
-		}
-	}
-	for _, cm := range t.cms {
-		if err := cm.RemoveRow(row, cb); err != nil {
-			return err
-		}
-	}
-	if t.log != nil {
-		enc, err := t.cfg.Schema.EncodeRow(row)
-		if err != nil {
-			return err
-		}
-		if err := t.log.Append(wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: enc}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Commit makes pending logged work durable with the prototype's 2PC
 // discipline: PREPARE flush then COMMIT PREPARED flush (Section 7.1).
 func (t *Table) Commit() error {
@@ -673,18 +604,6 @@ func (t *Table) CheckpointCM(cm *core.CM, w io.Writer) (lsn int64, err error) {
 		return t.log.Len(), nil
 	}
 	return 0, nil
-}
-
-// FetchRow reads and decodes the row at rid; nil for deleted rows.
-func (t *Table) FetchRow(rid heap.RID) (value.Row, error) {
-	data, err := t.heapf.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	if data == nil {
-		return nil, nil
-	}
-	return t.cfg.Schema.DecodeRow(data)
 }
 
 // Scan visits every live row in physical order.

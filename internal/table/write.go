@@ -198,14 +198,15 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) er
 }
 
 // encode validates and encodes the statement's new row images
-// (EncodeRow validates).
+// (EncodeRow validates); a rejected row's error carries its 1-based
+// position in rows.
 func (tx *WriteTxn) encode(rows []value.Row) ([][]byte, error) {
 	sch := tx.t.cfg.Schema
 	encs := make([][]byte, len(rows))
 	for i, r := range rows {
 		enc, err := sch.EncodeRow(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("row %d: %w", i+1, err)
 		}
 		encs[i] = enc
 	}

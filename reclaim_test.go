@@ -12,8 +12,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -180,8 +180,10 @@ func updatePass(t *testing.T, tbl *Table, p int64, span int) {
 // TestReclaimChurnInvariants drives a generated statement stream over the
 // correlated items — payload and key-moving UPDATEs, INSERTs, DELETEs,
 // statements cancelled part way through their batches, publishes failed
-// by an injected WAL fault, and legacy Table.Delete — with readers
-// running beside it. After every statement the page directory equals its
+// by an injected WAL fault, and multi-row SQL INSERTs — with readers
+// running beside it, each holding a pinned snapshot that must read the
+// same tuples across every writer statement. After every statement the
+// page directory equals its
 // rebuild from the clustered tree, the CM equals one built from scratch,
 // and the rows equal a plain-row model; at the end a CM recovered from a
 // checkpoint plus the log equals the live one. The old versions' index
@@ -217,7 +219,6 @@ func TestReclaimChurnInvariants(t *testing.T) {
 	}
 	checkpoint()
 
-	var legacyDeletes atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -232,11 +233,8 @@ func TestReclaimChurnInvariants(t *testing.T) {
 				default:
 				}
 				// A pinned snapshot reads the same tuples before and
-				// after whatever the writer publishes in between —
-				// except a legacy Table.Delete, which erases the tuple
-				// for every snapshot.
+				// after whatever the writer publishes in between.
 				snap, release := inner.PinSnapshot()
-				erasures := legacyDeletes.Load()
 				before := snapDigest(t, inner, snap)
 				k := int64(rng.Intn(datagen.CorrelatedSubcats))
 				if err := tbl.SelectVia(CMScan, func(row Row) bool {
@@ -251,7 +249,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 				}
 				after := snapDigest(t, inner, snap)
 				release()
-				if after != before && legacyDeletes.Load() == erasures {
+				if after != before {
 					t.Errorf("snapshot %d pinned across writer statements read %v, then %v", snap, before, after)
 					return
 				}
@@ -351,18 +349,18 @@ func TestReclaimChurnInvariants(t *testing.T) {
 				t.Fatalf("%s: update under a WAL fault returned %v", stage, err)
 			}
 			stage += " (publish failed)"
-		case 9: // legacy physical delete of one row
-			inner.LockWrite()
-			rids, rows := liveTableRows(t, inner)
-			at := rng.Intn(len(rids))
-			err := inner.Delete(rids[at])
-			legacyDeletes.Add(1)
-			inner.UnlockWrite()
-			if err != nil {
-				t.Fatalf("%s: %v", stage, err)
+		case 9: // multi-row SQL INSERT, one writer statement
+			var vals []string
+			for i := 0; i < 3; i++ {
+				c, p := rng.Int63n(cats), rng.Int63n(10000)
+				vals = append(vals, fmt.Sprintf("(%d, %d, %d, 'sql')", c, c/8, p))
+				row := value.Row{value.NewInt(c), value.NewInt(c / 8), value.NewInt(p), value.NewString("sql")}
+				model = append(model, fmt.Sprint(row))
 			}
-			i, _ := slices.BinarySearch(model, fmt.Sprint(rows[at]))
-			model = slices.Delete(model, i, i+1)
+			slices.Sort(model)
+			if res, err := db.Exec("INSERT INTO items VALUES " + strings.Join(vals, ", ")); err != nil || res.Affected != 3 {
+				t.Fatalf("%s: multi-row insert %v, err %v", stage, res, err)
+			}
 		}
 		inner.RLock()
 		diff := dirDiff(inner)

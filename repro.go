@@ -431,12 +431,31 @@ func (t *Table) Load(rows []Row) error {
 // indexes and all CMs, under WAL logging. It runs as a writer statement:
 // the row becomes visible to new snapshots atomically at publish.
 func (t *Table) Insert(row Row) error {
-	tx := t.inner.BeginWrite()
-	if err := tx.InsertBatch([]value.Row{row.internal()}); err != nil {
-		tx.Abort()
+	return t.insertRows(nil, []value.Row{row.internal()})
+}
+
+// insertRows is the one INSERT statement, native or SQL: every row goes
+// into one writer statement, so the rows publish together or not at all,
+// under the bracket writeStmt gives UPDATE and DELETE — the statement
+// timeout, a dead context refused, the context polled between latch
+// bursts, the latency observed and the outcome counted.
+func (t *Table) insertRows(ctx context.Context, rows []value.Row) error {
+	ctx, cancel := t.db.stmtCtx(ctx)
+	defer cancel()
+	if err := t.db.ctxDead(ctx); err != nil {
 		return err
 	}
-	return tx.Publish()
+	defer t.db.observeQuery(time.Now())
+	tx := t.inner.BeginWrite()
+	tx.SetContext(ctx)
+	err := tx.InsertBatch(rows)
+	if err == nil {
+		err = tx.Publish()
+	} else {
+		tx.Abort()
+	}
+	t.db.noteOutcome(err)
+	return err
 }
 
 // Delete removes every row matching the predicates and returns how many

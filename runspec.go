@@ -225,8 +225,8 @@ func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode 
 	return facadePlan(tree.Explain(), an), nil
 }
 
-// writeStmt is the one prologue of every write statement — UPDATE (sets
-// are its assignments) and DELETE (del; no sets), whose WHERE clause
+// writeStmt is the one prologue of the planned write statements — UPDATE
+// (sets are its assignments) and DELETE (del; no sets), whose WHERE clause
 // arrives in disjunctive normal form, one []Pred conjunction per
 // disjunct: lower names to indices, apply the statement timeout, refuse a
 // context that is already dead, compile the read side under a shared

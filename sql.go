@@ -307,7 +307,7 @@ func (db *DB) execStmt(ctx context.Context, stmt sqlfe.Stmt) (*Result, error) {
 	case *sqlfe.SelectStmt:
 		return db.execSelect(ctx, s)
 	case *sqlfe.InsertStmt:
-		return db.execInsert(cat, s)
+		return db.execInsert(ctx, cat, s)
 	case *sqlfe.DeleteStmt:
 		return db.execDelete(ctx, cat, s)
 	case *sqlfe.UpdateStmt:
@@ -361,7 +361,11 @@ func (db *DB) execSelect(ctx context.Context, s *sqlfe.SelectStmt) (*Result, err
 	return sr.Res, sr.Err
 }
 
-func (db *DB) execInsert(cat sqlfe.Catalog, s *sqlfe.InsertStmt) (*Result, error) {
+// execInsert lowers INSERT onto the statement Table.Insert runs — one
+// writer statement for all of its rows, so a failure at any row leaves
+// none of them — and LOAD onto Table.Load. A rejected row's error names
+// its 1-based position.
+func (db *DB) execInsert(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.InsertStmt) (*Result, error) {
 	b, err := sqlfe.BindInsert(cat, s)
 	if err != nil {
 		return nil, err
@@ -370,27 +374,19 @@ func (db *DB) execInsert(cat sqlfe.Catalog, s *sqlfe.InsertStmt) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	verb := "INSERT"
 	if s.Load {
-		rows := make([]Row, len(b.Rows))
-		for i, row := range b.Rows {
-			rows[i] = externalRow(row)
-		}
-		if err := tbl.Load(rows); err != nil {
-			return nil, err
-		}
-		return &Result{
-			Affected: len(rows),
-			Message:  fmt.Sprintf("LOAD %d", len(rows)),
-		}, nil
+		verb = "LOAD"
+		err = tbl.inner.Load(b.Rows)
+	} else {
+		err = tbl.insertRows(ctx, b.Rows)
 	}
-	for i, row := range b.Rows {
-		if err := tbl.Insert(externalRow(row)); err != nil {
-			return nil, fmt.Errorf("sql: INSERT row %d: %w", i+1, err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Affected: len(b.Rows),
-		Message:  fmt.Sprintf("INSERT %d", len(b.Rows)),
+		Message:  fmt.Sprintf("%s %d", verb, len(b.Rows)),
 	}, nil
 }
 
