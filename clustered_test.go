@@ -1,6 +1,6 @@
 // Clustered-index access path tests: predicates on the clustering
-// column plan onto the clustered B+Tree and return exactly the table
-// scan's rows through churn and concurrent writers; UPDATE and DELETE
+// column plan onto the clustered index (bucket bounds plus page
+// directory) and return exactly the table scan's rows through churn and concurrent writers; UPDATE and DELETE
 // plan their read side like a SELECT and leave byte-identical tables
 // and CMs whichever path finds the rows; the §4 estimate tracks the
 // simulated disk for the new path as it does for the others; and the
@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -381,6 +382,66 @@ func TestWriteStatementsUseTheClusteredIndex(t *testing.T) {
 	}
 }
 
+// TestClusteredWriteReadsOnlyHeapPages counts what a write statement
+// reads from a cold cache on the Figure 6 items table with a CM on subcat
+// and no secondary index. The clustered index is memory-resident (bucket
+// bounds plus page directory), so a write reads heap pages alone: a
+// single-row INSERT reads the one page its row is placed on, and an
+// UPDATE of one cat reads the pages of that cat's clustered bucket and at
+// most one more page to place the new versions on.
+func TestClusteredWriteReadsOnlyHeapPages(t *testing.T) {
+	db := Open(Config{BufferPoolPages: 4096})
+	tbl := emptyItems(t, db)
+	if err := tbl.Load(itemsRows(60000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}); err != nil {
+		t.Fatal(err)
+	}
+	inner := tbl.inner
+	// coldReads runs one statement from a cold cache and returns the
+	// pages it read.
+	coldReads := func(sql string) uint64 {
+		t.Helper()
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats().Reads
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if res.Affected == 0 {
+			t.Fatalf("%s changed no row", sql)
+		}
+		return db.Stats().Reads - before
+	}
+	rng := rand.New(rand.NewSource(5))
+	desc := strings.Repeat("x", 150)
+	var updateReads, updates uint64
+	for i := 0; i < 40; i++ {
+		cat := int64(rng.Intn(datagen.CorrelatedCats))
+		if i%2 == 0 {
+			sql := fmt.Sprintf("INSERT INTO items VALUES (%d, %d, %d, '%s')", cat, cat/8, rng.Intn(10000), desc)
+			if reads := coldReads(sql); reads != 1 {
+				t.Errorf("statement %d: a cold single-row INSERT read %d pages, want 1", i, reads)
+			}
+			continue
+		}
+		inner.RLock()
+		pages, _ := inner.PageDir().Refs(inner.ClusterBucketFor(value.Row{value.NewInt(cat)}))
+		inner.RUnlock()
+		reads := coldReads(fmt.Sprintf("UPDATE items SET price = %d WHERE cat = %d", rng.Intn(10000), cat))
+		if reads > uint64(len(pages))+1 {
+			t.Errorf("statement %d: a cold UPDATE of cat %d read %d pages, want at most its bucket's %d plus 1",
+				i, cat, reads, len(pages))
+		}
+		updateReads += reads
+		updates++
+	}
+	t.Logf("a cold UPDATE of one cat read %.2f pages on average", float64(updateReads)/float64(updates))
+}
+
 // TestClusteredCancelAndFault covers the new path's failure edges: a
 // clustered read cancelled from its own row callback stops with the
 // context's error, a cancelled DELETE and a faulted UPDATE that plan
@@ -506,8 +567,8 @@ func TestCostModelTruthConfiguredDisk(t *testing.T) {
 	fast, fastTbl := itemsFixtureOn(t, Config{BufferPoolPages: 4096, Workers: 1, SeekCost: time.Millisecond})
 	checkCostModelTruth(t, fast, cmAndScanTruthCases)
 
-	// crossover is the longest IN-list of cats 40 apart (one clustered
-	// index descent each) that still plans onto the clustered index.
+	// crossover is the longest IN-list of cats 40 apart (one bucket and
+	// one seek each) that still plans onto the clustered index.
 	crossover := func(tbl *Table) int {
 		var cats []Value
 		for n := 1; n <= 100; n++ {
@@ -532,9 +593,11 @@ func TestCostModelTruthConfiguredDisk(t *testing.T) {
 
 // TestClusteredCrossover walks a range on the clustering column from
 // one value to the whole domain: narrow ranges plan onto the clustered
-// index, a range spanning most buckets plans as the table scan, the
-// estimate never exceeds the scan's and never decreases as the range
-// widens — and a subcat probe on the same fixture is still the CM's.
+// index, a range spanning all but a seek's worth of the heap (3,800 of
+// the 4,000 cats; the estimate crosses the scan's at 3,787) plans as the
+// table scan, the estimate never exceeds the scan's and never decreases
+// as the range widens — and a subcat probe on the same fixture is still
+// the CM's.
 func TestClusteredCrossover(t *testing.T) {
 	db, tbl := itemsFixture(t, 1)
 	scan, err := tbl.Explain()
@@ -546,7 +609,7 @@ func TestClusteredCrossover(t *testing.T) {
 		span int64
 		want AccessMethod
 	}{{0, ClusteredIndexScan}, {10, ClusteredIndexScan}, {199, ClusteredIndexScan}, {1000, ClusteredIndexScan},
-		{3700, TableScan}, {3999, TableScan}} {
+		{3700, ClusteredIndexScan}, {3800, TableScan}, {3999, TableScan}} {
 		info, err := tbl.Explain(Between("cat", IntVal(0), IntVal(c.span)))
 		if err != nil {
 			t.Fatal(err)

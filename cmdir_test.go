@@ -65,7 +65,7 @@ var cmQueries = []struct {
 // aggregate that lowers to cm-agg (index-only on the loaded table,
 // hybrid once the DELETE has dirtied an entry's extremes) — on the
 // loaded table and again after churn. From a cold cache each of them
-// reads exactly the heap pages its sweep visits: no tree page.
+// reads exactly the heap pages its sweep visits: no index page.
 func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 	db, tbl := itemsFixture(t, 1)
 	// runs executes spec at the given fan-out, from a cold cache, and
@@ -97,19 +97,18 @@ func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 			}
 		}
 
-		// OR: two CM disjuncts union their page lists with zero index
-		// I/O; a CM disjunct beside a clustered-index disjunct still
-		// returns the scan's rows (that one reads the tree, by design).
+		// OR: two CM disjuncts, or a CM disjunct beside a clustered-index
+		// disjunct, union their page lists with zero index I/O — the
+		// clustered index resolves through the page directory too.
 		for _, or := range []struct {
-			name       string
-			anyOf      [][]Pred
-			match      func(cat, subcat int64) bool
-			indexReads bool
+			name  string
+			anyOf [][]Pred
+			match func(cat, subcat int64) bool
 		}{
 			{"cm OR cm", [][]Pred{{Eq("subcat", IntVal(125))}, {Eq("subcat", IntVal(493))}},
-				func(_, subcat int64) bool { return subcat == 125 || subcat == 493 }, false},
+				func(_, subcat int64) bool { return subcat == 125 || subcat == 493 }},
 			{"cm OR clustered", [][]Pred{{Eq("subcat", IntVal(125))}, {Eq("cat", IntVal(7))}},
-				func(cat, subcat int64) bool { return subcat == 125 || cat == 7 }, true},
+				func(cat, subcat int64) bool { return subcat == 125 || cat == 7 }},
 		} {
 			spec := QuerySpec{Table: "items", AnyOf: or.anyOf}
 			info, err := db.ExplainSpec(spec)
@@ -127,15 +126,7 @@ func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 			}
 			for _, w := range []int{1, 4} {
 				label := fmt.Sprintf("%s %s workers=%d", stage, or.name, w)
-				var got []Row
-				if or.indexReads {
-					if got, err = db.runSpec(nil, spec, w); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-				} else {
-					got = runs(label, w, spec)
-				}
-				rowsEqual(t, label, got, want)
+				rowsEqual(t, label, runs(label, w, spec), want)
 			}
 		}
 
@@ -177,8 +168,8 @@ func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 // TestCMSnapshotReadMidWrite is TestClusteredSnapshotReadMidWrite for
 // the CM path. While a writer statement is applied but unpublished the
 // page directory already counts the new versions' tail pages and still
-// counts the ended versions' pages — exactly as the clustered tree holds
-// both sets of entries — so a cm-scan sweeps a superset and visibility
+// counts the ended versions' pages — neither set is retracted yet — so
+// a cm-scan sweeps a superset and visibility
 // leaves exactly the pre-statement rows; once it publishes, exactly the
 // post-statement rows.
 func TestCMSnapshotReadMidWrite(t *testing.T) {

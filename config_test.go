@@ -107,7 +107,7 @@ func TestPoolFrameBytesFollowResidentPages(t *testing.T) {
 	}
 
 	inner := tbl.inner
-	files := []sim.FileID{inner.Heap().FileID(), inner.Clustered().Tree.FileID()}
+	files := []sim.FileID{inner.Heap().FileID()}
 	for _, ix := range inner.Indexes() {
 		files = append(files, ix.Tree.FileID())
 	}

@@ -1,13 +1,11 @@
 // Package btree implements a disk-backed B+Tree over the buffer pool.
 //
 // The tree stores variable-length byte keys (order-preserving encodings
-// from internal/keyenc) with small byte values. It backs two structures in
-// the engine:
-//
-//   - the clustered index: a sparse mapping from clustered-key values to
-//     heap page numbers, and
-//   - dense secondary indexes: one (attribute key ‖ RID) entry per tuple,
-//     the structure the paper's correlation maps compress away.
+// from internal/keyenc) with small byte values. It backs the engine's
+// dense secondary indexes: one (attribute key ‖ RID) entry per tuple, the
+// structure the paper's correlation maps compress away. (The clustered
+// index is sparse and memory-resident — see internal/table — and
+// PackedHeight gives the height a dense tree over it would have.)
 //
 // Leaves are chained through right-sibling pointers for range scans.
 // Deletion is by key removal without rebalancing ("lazy" deletion, as in
@@ -477,6 +475,34 @@ func (t *Tree) splitInternalAndInsert(d []byte, idx int, sepKey []byte, newChild
 		writeInternalCell(d, i, e.k, e.child)
 	}
 	return splitResult{split: true, sepKey: upKey, newPage: newPage}, nil
+}
+
+// PackedHeight returns the height Insert gives a tree of n entries, each
+// a key of keyLen bytes with an empty value, inserted in ascending key
+// order on pages of pageSize bytes — without building it.
+// Such inserts fill every leaf before the 100/0 split opens the next, so
+// there are ceil(n / leaf capacity) leaves; each new node sends one
+// separator (a keyLen-byte key) to the level above, whose rightmost node
+// takes separators until full and then splits at its middle entry,
+// sending that one up. The height is 1 for an empty tree.
+func PackedHeight(pageSize int, n int64, keyLen int) int {
+	room := int64(pageSize - headerSize)
+	leafCap := max(room/int64(4+keyLen+slotSize), 1)   // leafCellSize
+	innerCap := max(room/int64(10+keyLen+slotSize), 2) // internalCellSize
+	// A level that receives s separators makes its first node from the
+	// first, splits on the (innerCap+1)-th and then on every
+	// (mid+1)-th: splitInternalAndInsert leaves innerCap-mid entries on
+	// the right, the node the next separators go to.
+	mid := (innerCap + 1) / 2
+	height := 1
+	for s := (n+leafCap-1)/leafCap - 1; s > 0; {
+		height++
+		if s <= innerCap {
+			break
+		}
+		s = 1 + (s-innerCap-1)/(mid+1)
+	}
+	return height
 }
 
 // Get returns the value stored for key, or (nil, false) when absent.

@@ -422,3 +422,32 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 		t.Errorf("height = %d after 5000 inserts on tiny pages", lastHeight)
 	}
 }
+
+// TestPackedHeightMatchesSortedInserts holds PackedHeight to the tree
+// ascending inserts really build, after every insert, on pages small
+// enough that every internal level splits many times.
+func TestPackedHeightMatchesSortedInserts(t *testing.T) {
+	for _, c := range []struct{ pageSize, keyLen, n int }{
+		{128, 19, 6000},
+		{256, 19, 20000},
+		{256, 40, 8000},
+		{512, 9, 20000},
+	} {
+		t.Run(fmt.Sprintf("page=%d/key=%d", c.pageSize, c.keyLen), func(t *testing.T) {
+			tr := newTree(t, c.pageSize, 1<<14)
+			key := make([]byte, c.keyLen)
+			for i := 0; i < c.n; i++ {
+				if got := PackedHeight(c.pageSize, int64(i), c.keyLen); got != tr.Height() {
+					t.Fatalf("after %d inserts: PackedHeight %d, the tree's height %d", i, got, tr.Height())
+				}
+				binary.BigEndian.PutUint64(key[c.keyLen-8:], uint64(i))
+				if err := tr.Insert(key, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.Height() < 3 {
+				t.Errorf("the tree only reached height %d", tr.Height())
+			}
+		})
+	}
+}

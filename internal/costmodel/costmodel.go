@@ -30,10 +30,9 @@
 // (PageRuns; also cm-agg's hybrid sweep of its impure buckets.)
 //
 // A predicate on the clustering attribute itself needs no correlation
-// statistics either: the bucket directory says which buckets the probed
-// key ranges span (see ClusteredRange). That path does read the
-// clustered index — it is key-granular, the page directory only
-// bucket-granular — and pays one descent per run of adjacent buckets.
+// statistics either: the bucket bounds say which buckets the probed key
+// ranges span, the page directory which pages those hold, and the path
+// is priced like a live CM's, by PageRuns.
 package costmodel
 
 import (
@@ -148,20 +147,4 @@ func CMLookup(h Hardware, t TableStats, c CMStats, nLookups int) time.Duration {
 // runs the bucket→page directory yields for the probed buckets.
 func PageRuns(h Hardware, t TableStats, runs int, pages int64) time.Duration {
 	return capped(float64(runs)*ms(h.SeekCost)+float64(pages)*ms(h.SeqPageCost), h, t)
-}
-
-// ClusteredRange predicts a clustered-index scan driven by predicates
-// on the clustering attribute itself, with the clustered buckets read
-// off the bucket directory instead of a correlation map. The probed key
-// ranges span `buckets` clustered buckets forming `runs` maximal runs of
-// adjacent buckets; each run is one clustered-index descent, each
-// bucket a sequential sweep of its pages — so a point or IN probe costs
-// what CMLookup(c_per_u = 1, n_lookups = buckets) does plus the descent
-// the CM path no longer pays (btree_height seeks per run instead of
-// one), while a range pays one descent for the whole interval plus the
-// pages of every bucket it spans, and a range spanning all buckets costs
-// a scan plus a descent and hits the cap.
-func ClusteredRange(h Hardware, t TableStats, pagesPerCBucket float64, runs, buckets int) time.Duration {
-	return capped(float64(runs)*ms(h.SeekCost)*t.BTreeHeight+
-		float64(buckets)*ms(h.SeqPageCost)*pagesPerCBucket, h, t)
 }

@@ -140,36 +140,3 @@ func TestTable3Reproduction(t *testing.T) {
 		t.Errorf("bucket widening delta = %v, want ~%v", delta, want)
 	}
 }
-
-func TestClusteredRangeIsTheIdentityCMPlusDescent(t *testing.T) {
-	h, ts := paperStats()
-	const ppb = 10.0
-	// Point and IN probes — one bucket per value, none adjacent — cost
-	// what a CM with c_per_u = 1 would, plus the clustered-index descent
-	// the CM path skips: btree_height seeks per bucket instead of one.
-	for _, n := range []int{1, 3, 25} {
-		got := ClusteredRange(h, ts, ppb, n, n)
-		want := CMLookup(h, ts, CMStats{CPerU: 1, PagesPerCBucket: ppb}, n) +
-			time.Duration(float64(n)*(ts.BTreeHeight-1)*float64(h.SeekCost))
-		if diff := got - want; diff < -time.Microsecond || diff > time.Microsecond {
-			t.Errorf("%d scattered buckets: clustered %v, identity CM + descent %v", n, got, want)
-		}
-	}
-	// A range is charged for every bucket it spans but descends once:
-	// widening it adds sequential pages only.
-	one := ClusteredRange(h, ts, ppb, 1, 1)
-	wide := ClusteredRange(h, ts, ppb, 1, 101)
-	want := time.Duration(100 * ppb * float64(h.SeqPageCost))
-	if delta := wide - one; delta < want-time.Millisecond || delta > want+time.Millisecond {
-		t.Errorf("100 more buckets cost %v, want ~%v of sequential reads", delta, want)
-	}
-	if scattered := ClusteredRange(h, ts, ppb, 101, 101); scattered <= wide {
-		t.Errorf("101 scattered buckets (%v) not dearer than one run of 101 (%v)", scattered, wide)
-	}
-	// A range spanning every bucket is a scan plus a descent: capped, so
-	// the planner's strict comparison keeps the table scan.
-	allBuckets := int(ts.Pages() / ppb)
-	if got := ClusteredRange(h, ts, ppb, 1, allBuckets); got != Scan(h, ts) {
-		t.Errorf("whole-table range = %v, want the scan cap %v", got, Scan(h, ts))
-	}
-}

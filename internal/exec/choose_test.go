@@ -146,7 +146,7 @@ func TestPlannerClusteredCrossover(t *testing.T) {
 			continue
 		}
 		if c.want == exec.MethodClustered {
-			if p.Uses != tbl.Clustered().Name {
+			if p.Uses != tbl.Name()+".clustered" {
 				t.Errorf("%s: clustered plan reads %q, not the clustered index", c.name, p.Uses)
 			}
 			if p.Cost <= 0 || p.Cost >= scan {

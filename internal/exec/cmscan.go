@@ -208,9 +208,7 @@ func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
 
 // bucketPages resolves sorted clustered bucket IDs to the sorted distinct
 // heap pages that hold their tuples, from the table's memory-resident
-// page directory: no index page is read and no RID is materialised. By
-// the directory's invariant this is exactly the page set the clustered
-// B+Tree's RIDs for those buckets would give.
+// page directory: no index page is read and no RID is materialised.
 func bucketPages(t *table.Table, buckets []int32) []int64 {
 	dir := t.PageDir()
 	pages := make([]int64, 0, 4*len(buckets))
@@ -222,13 +220,15 @@ func bucketPages(t *table.Table, buckets []int32) []int64 {
 	return sortedDistinct(pages)
 }
 
-// CMProbe is one resolved probe of a correlation map: the sorted
-// distinct heap pages of the clustered buckets the query's predicates
-// map to. Both the CM and the page directory are memory-resident, so a
-// probe reads no page — an absent key included — and builds no set; it
-// holds for as long as the table latch (or writer gate) it was taken
-// under is held.
-type CMProbe struct {
+// Probe is one resolved probe of a memory-resident access structure: the
+// sorted distinct heap pages of the clustered buckets the query's
+// predicates map to, through a correlation map (ProbeCM) or, with CM
+// nil, through the clustered bucket bounds (ProbeClustered). The bounds,
+// the CM and the page directory are all memory-resident, so a probe
+// reads no page — an absent key included — and builds no set; it holds
+// for as long as the table latch (or writer gate) it was taken under is
+// held.
+type Probe struct {
 	CM    *core.CM
 	Pages []int64
 }
@@ -238,21 +238,35 @@ type CMProbe struct {
 // the whole of a CM scan up to its sweep, and what the planner prices
 // the scan from. It fails when the query predicates none of the CM's
 // columns.
-func ProbeCM(t *table.Table, cm *core.CM, q Query) (CMProbe, error) {
+func ProbeCM(t *table.Table, cm *core.CM, q Query) (Probe, error) {
 	buckets, err := cmBuckets(cm, q)
 	if err != nil {
-		return CMProbe{}, err
+		return Probe{}, err
 	}
-	return CMProbe{CM: cm, Pages: bucketPages(t, buckets)}, nil
+	return Probe{CM: cm, Pages: bucketPages(t, buckets)}, nil
 }
 
-// SweepObs returns the observer the heap sweep of a scan this probe
+// ProbeClustered resolves the query's predicates on the leading
+// clustering column to the clustered buckets their key ranges span and
+// those to heap pages through the page directory — the whole of a
+// clustered-index scan up to its sweep, and what the planner prices it
+// from. ok is false when the leading clustering column is not
+// predicated: the clustered index does not apply.
+func ProbeClustered(t *table.Table, q Query) (p Probe, ok bool) {
+	buckets, ok := clusteredBuckets(t, q)
+	if !ok {
+		return Probe{}, false
+	}
+	return Probe{Pages: bucketPages(t, buckets)}, true
+}
+
+// SweepObs returns the observer the heap sweep of a scan this CM probe
 // drives tallies into, and the function to call when the sweep ends: it
 // folds the sweep's counts into obs and into the CM's own health gauges
 // — page visits, and how many of them held no matching tuple (the CM's
 // false-positive pages). Without an observer nothing is counted and the
 // sweep pays nothing.
-func (p CMProbe) SweepObs(obs *ScanObs) (sweep *ScanObs, done func()) {
+func (p Probe) SweepObs(obs *ScanObs) (sweep *ScanObs, done func()) {
 	if obs == nil {
 		return nil, func() {}
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/costmodel"
 	"repro/internal/table"
@@ -22,9 +21,11 @@ const (
 	MethodPipelined
 	MethodSorted
 	MethodCM
-	// MethodClustered probes the clustered index with predicates on the
-	// leading clustering column(s) and sweeps the RIDs' pages in
-	// physical order — the sorted-scan executor over t.Clustered().
+	// MethodClustered resolves predicates on the leading clustering
+	// column(s) to clustered buckets through the bucket bounds and the
+	// buckets to heap pages through the page directory, then sweeps the
+	// pages in physical order (ProbeClustered): a CM scan with the
+	// bounds in the CM's place.
 	MethodClustered
 )
 
@@ -85,23 +86,20 @@ func Hardware(t *table.Table) costmodel.Hardware {
 	return costmodel.Hardware{SeekCost: cfg.SeekCost, SeqPageCost: cfg.SeqPageCost}
 }
 
-// ClusteredSpan locates the query's clustered-key probe ranges in the
-// bucket directory: buckets is how many distinct clustered buckets the
-// ranges span, runs how many maximal runs of adjacent buckets those
-// form (one clustered-index descent each). Both are 0 when the
-// clustered index does not apply — no Eq/IN/range predicate on the
-// leading clustering column — or the table has no directory (never
-// bulk-loaded: nothing memory-resident says where a key range lives).
-// Only the directory is consulted — planning reads no page.
-func ClusteredSpan(t *table.Table, q Query) (runs, buckets int) {
-	dir := t.Buckets()
-	if q.IndexablePredOn(t.ClusteredCols()[0]) == nil || dir.NumBuckets() == 0 {
-		return 0, 0
+// clusteredBuckets locates the query's clustered-key probe ranges in the
+// bucket bounds and returns the sorted distinct clustered buckets they
+// span; ok is false when the clustered index does not apply — no
+// Eq/IN/range predicate on the leading clustering column. A table never
+// bulk-loaded has no bounds: every row is in bucket 0. Only memory is
+// consulted.
+func clusteredBuckets(t *table.Table, q Query) (buckets []int32, ok bool) {
+	if q.IndexablePredOn(t.ClusteredCols()[0]) == nil {
+		return nil, false
 	}
-	ranges := indexProbeRanges(t.ClusteredCols(), q)
-	spans := make([][2]int32, len(ranges))
-	for i, r := range ranges {
-		lo, hi := int32(0), int32(dir.NumBuckets()-1)
+	dir := t.Buckets()
+	last := int32(max(dir.NumBuckets()-1, 0))
+	for _, r := range indexProbeRanges(t.ClusteredCols(), q) {
+		lo, hi := int32(0), last
 		if len(r.Lo) > 0 {
 			lo = dir.Locate(r.Lo)
 		}
@@ -110,27 +108,11 @@ func ClusteredSpan(t *table.Table, q Query) (runs, buckets int) {
 			// r.Hi ‖ 0xFF: a following column starts with a kind tag.
 			hi = dir.Locate(append(append([]byte(nil), r.Hi...), 0xFF))
 		}
-		if hi < lo {
-			hi = lo // empty interval: still one descent
-		}
-		spans[i] = [2]int32{lo, hi}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
-	end := int32(-2) // last bucket counted so far
-	for _, sp := range spans {
-		lo, hi := sp[0], sp[1]
-		if lo > end+1 {
-			runs++
-		}
-		if lo <= end {
-			lo = end + 1
-		}
-		if hi >= lo {
-			buckets += int(hi-lo) + 1
-			end = hi
+		for b := lo; b <= hi; b++ {
+			buckets = append(buckets, b)
 		}
 	}
-	return runs, buckets
+	return sortedDistinct(buckets), true
 }
 
 // ExactStats is the StatsProvider the engine plans with. Pair statistics
@@ -145,7 +127,8 @@ type ExactStats struct{}
 func NewExactStats() *ExactStats { return &ExactStats{} }
 
 // TableStats implements StatsProvider, reading the table's current
-// page count, tuple count and clustered tree height.
+// page count, tuple count and the height of a packed dense B+Tree over
+// its clustering key (table.Stats).
 func (e *ExactStats) TableStats(t *table.Table) costmodel.TableStats {
 	st := t.Stats()
 	return costmodel.TableStats{

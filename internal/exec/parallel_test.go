@@ -600,9 +600,19 @@ func TestChunkSlices(t *testing.T) {
 }
 
 // clusteredScan is the clustered-index scan of tbl as the planner
-// dispatches it: the sorted-scan executor over the clustered index.
+// dispatches it: the pages the clustered probe resolves to, swept. A
+// query that does not predicate the clustering column, which the planner
+// never sends this way, sweeps the pages of every clustered bucket, as
+// a key range open at both ends would.
 func clusteredScan(tbl *table.Table, q Query, workers int, fn RowFunc) error {
-	return SortedIndexScan(tbl, tbl.Clustered(), q, workers, fn)
+	probe, ok := ProbeClustered(tbl, q)
+	if !ok {
+		dir := tbl.PageDir()
+		for b := int32(0); int(b) < dir.NumBuckets(); b++ {
+			probe.Pages = dir.AppendPages(probe.Pages, b)
+		}
+	}
+	return Sweep(tbl, q.asOr(), PageList(probe.Pages), workers, fn)
 }
 
 // TestClusteredScanMatchesTableScan holds the clustered-index scan to

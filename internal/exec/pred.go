@@ -5,8 +5,8 @@
 // bottom out in and the predicate-introduction rewrite of Section 7.1.
 // It holds executors only: the sweep and fold drivers over a page set
 // (Sweep, Fold), the pipelined probe, the write executor, and the
-// physical facts the Section 4 cost model is priced from (CMPages,
-// PageRuns, ClusteredSpan, Hardware, the statistics providers). Which
+// physical facts the Section 4 cost model is priced from (ProbeCM,
+// ProbeClustered, PageRuns, Hardware, the statistics providers). Which
 // path runs a statement is internal/plan's decision.
 package exec
 

@@ -409,8 +409,8 @@ func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) err
 // IndexPages probes the index with the query's predicates over its key
 // columns — the probe ranges sorted, then collected concurrently across
 // workers — and returns the sorted distinct heap pages the matching RIDs
-// sit on: what a sorted or clustered index scan, or such a disjunct of a
-// union, sweeps.
+// sit on: what a sorted index scan, or such a disjunct of a union,
+// sweeps.
 func IndexPages(ix *table.Index, q Query, workers int) ([]int64, error) {
 	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(indexProbeRanges(ix.Cols, q)), workers)
 	return pagesOf(rids), err

@@ -122,8 +122,8 @@ func RunFigure10(cfg Figure10Config) (*Figure10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The model, per predicated value: c_per_u clustered-index
-		// descents plus a sweep of the value's buckets.
+		// The model, per predicated value: c_per_u seeks, one per
+		// clustered bucket, plus a sweep of the value's buckets.
 		model := costmodel.CMLookup(hw, ts, costmodel.CMStats{
 			CPerU:           float64(pick.cperu),
 			PagesPerCBucket: bps.PagesPerCBucket,

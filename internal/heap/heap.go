@@ -681,6 +681,35 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 	return nil
 }
 
+// ScanUnretracted visits, in physical order, every version that no
+// statement published at or before timestamp published has ended: the
+// live ones, and those begun or ended by a statement stamped later (one
+// not yet published), whatever snapshot could read them. Dead and
+// erased slots are skipped. It is ScanPagesAt's loop under another
+// predicate, kept as its own loop so the sweep's hot loop tests one.
+func (h *File) ScanUnretracted(published uint64, fn func(rid RID, tuple []byte) bool) error {
+	for p := int64(0); p < h.numPages; p++ {
+		fr, err := h.pool.Get(h.file, p)
+		if err != nil {
+			return err
+		}
+		n := pageNumSlots(fr.Data)
+		pv := h.vers[p]
+		for s := 0; s < n; s++ {
+			off, length := slotAt(fr.Data, s)
+			if v := pv[s]; length == 0 || v.begin == gone || (v.end != 0 && v.end <= published) {
+				continue
+			}
+			if !fn(RID{Page: p, Slot: uint16(s)}, fr.Data[off:off+length]) {
+				h.pool.Unpin(fr, false)
+				return nil
+			}
+		}
+		h.pool.Unpin(fr, false)
+	}
+	return nil
+}
+
 // TuplesOnPage returns the number of live tuples on a page, used by the
 // statistics collector for tups_per_page.
 func (h *File) TuplesOnPage(page int64) (int, error) {

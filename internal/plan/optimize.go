@@ -87,11 +87,11 @@ func (tr *Tree) chooseAccess(sp exec.StatsProvider) error {
 // the Section 4 model and returns the cheapest; a table-scan leg means
 // nothing beat the sequential scan (ties go to the scan). A secondary
 // index applies when its leading key column is predicated; the clustered
-// index applies when the leading clustering column is (costed from the
-// bucket directory alone — see exec.ClusteredSpan); a CM applies when at
-// least one of its columns is predicated (false positives are filtered
-// after the heap sweep) and is costed from the heap pages its probe
-// resolves to (sweepCost) — no c_per_u estimate needed.
+// index applies when the leading clustering column is; a CM applies when
+// at least one of its columns is predicated (false positives are
+// filtered after the heap sweep). The clustered index and a CM are
+// costed from the heap pages their probe resolves to (sweepCost), which
+// reads only memory — no c_per_u estimate needed.
 func (tr *Tree) cheapestLeg(q exec.Query, pr pricing) leg {
 	t := tr.t
 	best := leg{method: exec.MethodTableScan, cost: pr.scan}
@@ -113,13 +113,8 @@ func (tr *Tree) cheapestLeg(q exec.Query, pr pricing) leg {
 		consider(leg{method: exec.MethodSorted, index: ix, cost: costmodel.SortedIndex(pr.h, pr.ts, ps, n)})
 		consider(leg{method: exec.MethodPipelined, index: ix, cost: costmodel.PipelinedIndex(pr.h, pr.ts, ps, n)})
 	}
-	if runs, buckets := exec.ClusteredSpan(t, q); buckets > 0 {
-		// One bucket's share of the scan's reads: its heap pages plus
-		// its slice of the clustered index the RIDs come from.
-		pages := t.PagesPerCBucket() +
-			float64(t.Clustered().Tree.PageCount())/float64(t.Buckets().NumBuckets())
-		consider(leg{method: exec.MethodClustered, index: t.Clustered(),
-			cost: costmodel.ClusteredRange(pr.h, pr.ts, pages, runs, buckets)})
+	if probe, ok := exec.ProbeClustered(t, q); ok {
+		consider(leg{method: exec.MethodClustered, probe: probe, cost: tr.sweepCost(pr, probe.Pages)})
 	}
 	for _, cm := range t.CMs() {
 		probe, err := exec.ProbeCM(t, cm, q)
@@ -135,7 +130,7 @@ func (tr *Tree) cheapestLeg(q exec.Query, pr pricing) leg {
 // heap pages, counted the way the sweep kernel reads them
 // (exec.PageRuns): each run opens with one seek, and nothing costs more
 // than the scan. It prices every path whose page list is known before
-// execution — the CM scan and cm-agg's hybrid sweep.
+// execution — the clustered and CM scans and cm-agg's hybrid sweep.
 func (tr *Tree) sweepCost(pr pricing, pages []int64) time.Duration {
 	runs, read := exec.PageRuns(tr.t, pages)
 	return costmodel.PageRuns(pr.h, pr.ts, runs, read)
@@ -172,10 +167,11 @@ func (tr *Tree) forcedLeg(q exec.Query) (leg, error) {
 		}
 		return leg{}, fmt.Errorf("plan: no CM applies to %s", q.String())
 	case exec.MethodClustered:
-		if q.IndexablePredOn(tr.t.ClusteredCols()[0]) == nil {
+		probe, ok := exec.ProbeClustered(tr.t, q)
+		if !ok {
 			return leg{}, fmt.Errorf("plan: the clustered index does not apply to %s", q.String())
 		}
-		return leg{method: m, index: tr.t.Clustered()}, nil
+		return leg{method: m, probe: probe}, nil
 	default:
 		return leg{}, fmt.Errorf("plan: unknown access method %v", m)
 	}
@@ -275,7 +271,7 @@ func (tr *Tree) buildNodes() {
 	access := &Node{Kind: KindScan, Cost: tr.cost}
 	parts := make([]string, len(tr.legs))
 	for i, l := range tr.legs {
-		parts[i] = fmt.Sprintf("%s(%s)", l.method, l.uses())
+		parts[i] = fmt.Sprintf("%s(%s)", l.method, tr.uses(l))
 	}
 	switch {
 	case tr.cmagg != nil:

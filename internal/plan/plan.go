@@ -190,19 +190,23 @@ type Node struct {
 
 // leg is one disjunct's access path: the method, the index or CM it
 // reads and its predicted cost (zero under a forced method, which is not
-// priced). A CM leg carries the probe that priced it: the heap pages a
-// SELECT then sweeps.
+// priced). A CM or clustered leg carries the probe that priced it: the
+// heap pages a SELECT then sweeps.
 type leg struct {
 	method exec.Method
-	index  *table.Index // pipelined, sorted and clustered legs
-	probe  exec.CMProbe // CM legs
+	index  *table.Index // pipelined and sorted legs
+	probe  exec.Probe   // CM and clustered legs
 	cost   time.Duration
 }
 
-// uses names the index or CM the leg reads.
-func (l leg) uses() string {
-	if l.method == exec.MethodCM {
+// uses names the index or CM the leg reads; a clustered leg reads the
+// table's clustered index, <table>.clustered.
+func (tr *Tree) uses(l leg) string {
+	switch l.method {
+	case exec.MethodCM:
 		return l.probe.CM.Spec().Name
+	case exec.MethodClustered:
+		return tr.t.Name() + ".clustered"
 	}
 	return l.index.Name
 }
@@ -319,7 +323,7 @@ func (tr *Tree) Explain() Info {
 	case tr.cmagg != nil:
 		info.Method, info.Uses = exec.MethodAuto, tr.cmagg.CM.Spec().Name
 	case l != nil:
-		info.Method, info.Uses = l.method, l.uses()
+		info.Method, info.Uses = l.method, tr.uses(*l)
 	case len(tr.legs) > 1:
 		info.Method = exec.MethodAuto
 	}

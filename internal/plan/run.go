@@ -108,8 +108,9 @@ func (tr *Tree) sweep(scanProj []int, workers int, drive func(exec.OrQuery, exec
 // is the only place a method becomes pages: without legs the whole heap,
 // otherwise every leg's pages merged (which is also what deduplicates
 // rows matched by several disjuncts, since emission is by page sweep).
-// An index leg collects its RIDs' pages now — planning probes no index;
-// a CM leg already holds the pages its probe resolved to.
+// A secondary index leg collects its RIDs' pages now — planning probes
+// no index; a CM or clustered leg already holds the pages its probe
+// resolved to.
 func (tr *Tree) pageSet(workers int) (exec.PageSet, error) {
 	if len(tr.legs) == 0 {
 		return exec.WholeHeap(tr.t), nil
@@ -117,9 +118,9 @@ func (tr *Tree) pageSet(workers int) (exec.PageSet, error) {
 	var pages []int64
 	for i, l := range tr.legs {
 		switch l.method {
-		case exec.MethodCM:
+		case exec.MethodCM, exec.MethodClustered:
 			pages = append(pages, l.probe.Pages...)
-		case exec.MethodSorted, exec.MethodPipelined, exec.MethodClustered:
+		case exec.MethodSorted, exec.MethodPipelined:
 			legPages, err := exec.IndexPages(l.index, tr.spec.Disjuncts[i], workers)
 			if err != nil {
 				return exec.PageSet{}, err

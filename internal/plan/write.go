@@ -80,19 +80,24 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 // for more than one batch.
 //
 // The latch the tree was compiled under is gone by now, and another
-// writer may have published in between, so the pages its CM legs were
-// priced from are dropped: the read phase probes each CM again under the
-// writer gate and sweeps what it resolves to now.
+// writer may have published in between, so the pages its CM and
+// clustered legs were priced from are dropped: the read phase probes
+// again under the writer gate and sweeps what they resolve to now.
 func (wt *WriteTree) Run(workers int) (int64, error) {
 	tr := wt.inner
 	return exec.WriteByScan(tr.spec.Ctx, tr.t, func(fn exec.RowFunc) error {
 		for i := range tr.legs {
-			if l := &tr.legs[i]; l.method == exec.MethodCM {
-				probe, err := exec.ProbeCM(tr.t, l.probe.CM, tr.spec.Disjuncts[i])
-				if err != nil {
-					return err
-				}
-				l.probe = probe
+			l, q := &tr.legs[i], tr.spec.Disjuncts[i]
+			var err error
+			switch l.method {
+			case exec.MethodCM:
+				l.probe, err = exec.ProbeCM(tr.t, l.probe.CM, q)
+			case exec.MethodClustered:
+				// The leg was planned: the clustered index applies to q.
+				l.probe, _ = exec.ProbeClustered(tr.t, q)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		return tr.runRows(tr.spec.Proj, workers, fn)

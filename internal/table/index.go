@@ -37,10 +37,10 @@ func ridFromKey(key []byte) (heap.RID, error) {
 	}, nil
 }
 
-// Index is a dense B+Tree index: one (attribute key ‖ RID) entry per
-// tuple. It serves both as the clustered index (over the clustering
-// attribute of a physically sorted heap) and as the secondary indexes the
-// paper's correlation maps compress away.
+// Index is a dense secondary B+Tree index: one (attribute key ‖ RID)
+// entry per tuple, the structure the paper's correlation maps compress
+// away. (The clustered index is sparse: the bucket bounds plus the page
+// directory.)
 type Index struct {
 	Name string
 	Cols []int // indexed column positions, in key order
@@ -131,41 +131,6 @@ func (ix *Index) ScanRange(lo, hi []byte, fn func(rid heap.RID) bool) error {
 	for it.Valid() {
 		k := it.Key()
 		if hiMax != nil && bytes.Compare(k, hiMax) > 0 {
-			return nil
-		}
-		rid, err := ridFromKey(k)
-		if err != nil {
-			return err
-		}
-		if !fn(rid) {
-			return nil
-		}
-		if err := it.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanKeyRange visits the RIDs of entries whose full key is >= lo and
-// strictly below hiExcl in raw byte order (nil bounds are open). The CM
-// executor uses this form for clustered-bucket runs, whose upper bound is
-// the next bucket's lower bound. Column encodings of a fixed column count
-// are prefix-free, so the raw comparison respects value order.
-func (ix *Index) ScanKeyRange(lo, hiExcl []byte, fn func(rid heap.RID) bool) error {
-	var it *btree.Iterator
-	var err error
-	if lo == nil {
-		it, err = ix.Tree.SeekFirst()
-	} else {
-		it, err = ix.Tree.SeekGE(lo)
-	}
-	if err != nil {
-		return err
-	}
-	for it.Valid() {
-		k := it.Key()
-		if hiExcl != nil && bytes.Compare(k, hiExcl) >= 0 {
 			return nil
 		}
 		rid, err := ridFromKey(k)

@@ -5,25 +5,28 @@ import (
 	"sort"
 
 	"repro/internal/heap"
-	"repro/internal/value"
 )
 
-// PageDirectory is the bucket→page half of the clustered bucket
-// directory: for every clustered bucket, the sorted distinct heap pages
-// that hold at least one clustered-index entry of that bucket, each with
-// the number of entries on it. It is what lets a correlation-map probe go
-// bucket IDs → heap pages without reading the clustered B+Tree — the
-// tree's leaves say which RIDs a bucket holds, the directory remembers
-// only which pages those RIDs sit on, a few bytes per bucket.
+// PageDirectory is the bucket→page half of the table's clustered index:
+// for every clustered bucket, the sorted distinct heap pages that hold a
+// version of one of its rows, each with the number of such versions on
+// it. With the bucket bounds (core.ClusteredBuckets), which map a
+// clustered key range to buckets, it is the whole clustered index — a
+// sparse one, which is all a physically sorted heap needs: a
+// correlation-map probe, and a predicate on the clustering attribute
+// itself, go bucket IDs → heap pages from memory and read no index page.
 //
-// The invariant is Pages(b) == distinct pages of the tree's RIDs in
-// bucket b, at every release of the table latch. It holds because the
-// directory changes only inside clusteredInsert/clusteredDelete, the one
-// pair of functions that changes the tree, so it follows the tree's
-// snapshot rules exactly: a writer statement's new versions are counted
-// when they are indexed, its replaced versions leave at Publish, and an
-// unwind takes back precisely what was added. Readers hold the latch
-// shared, like every reader of the tree.
+// The invariant is: bucket b's pages are the pages holding a version of
+// b that has not been retracted — a live version, or one begun or ended
+// by a writer statement that has not yet published — counted once per
+// version, at every release of the table latch. A writer statement's new
+// versions are counted as they are placed; the versions it ends leave
+// the directory at Publish, when their index entries and CM pairs do; an
+// unwind takes back precisely what was added. A version's bucket is
+// Locate of its clustering key (Load's builder assigns the same ones, and
+// bounds move only at Load), so the invariant can be checked, or the
+// directory rebuilt, from the heap alone (RebuildPageDirectory). Readers
+// hold the latch shared.
 //
 // Layout: one flat []uint64 per bucket, sorted; a word packs a page
 // number (high bits) with its reference count (low pageRefCountBits), so
@@ -34,8 +37,8 @@ type PageDirectory struct {
 }
 
 // pageRefCountBits is the width of a packed reference count. A heap slot
-// number is a uint16 and every RID has one clustered-index entry, so no
-// page carries more than 65 536 entries of a bucket; 2^44 pages remain.
+// number is a uint16 and a slot holds one version, so no page carries
+// more than 65 536 versions of a bucket; 2^44 pages remain.
 const pageRefCountBits = 20
 
 func refPage(ref uint64) int64 { return int64(ref >> pageRefCountBits) }
@@ -50,7 +53,7 @@ func (d *PageDirectory) find(b int32, page int64) (at int, found bool) {
 	return at, at < len(refs) && refPage(refs[at]) == page
 }
 
-// add counts one more clustered-index entry of bucket b on page.
+// add counts one more version of bucket b on page.
 func (d *PageDirectory) add(b int32, page int64) {
 	if page < 0 || page >= 1<<(64-pageRefCountBits) {
 		panic(fmt.Sprintf("table: heap page %d outside the page directory's range", page))
@@ -80,9 +83,9 @@ func (d *PageDirectory) clip() {
 	d.buckets = append(make([][]uint64, 0, len(d.buckets)), d.buckets...)
 }
 
-// remove takes back one entry of bucket b on page; the page leaves the
-// bucket when its count reaches zero. Removing an entry that was never
-// counted is a no-op (the caller removes only what the tree held).
+// remove takes back one version of bucket b on page; the page leaves the
+// bucket when its count reaches zero. Removing from a page the bucket
+// does not list is a no-op.
 func (d *PageDirectory) remove(b int32, page int64) {
 	if int(b) >= len(d.buckets) {
 		return
@@ -119,8 +122,8 @@ func (d *PageDirectory) AppendPages(dst []int64, b int32) []int64 {
 	return dst
 }
 
-// Refs returns bucket b's heap pages, ascending, and the number of
-// clustered-index entries on each — the form tests compare against
+// Refs returns bucket b's heap pages, ascending, and the number of its
+// versions on each — the form tests compare against
 // RebuildPageDirectory.
 func (d *PageDirectory) Refs(b int32) (pages []int64, counts []uint32) {
 	for _, ref := range d.refsOf(b) {
@@ -141,7 +144,7 @@ func (d *PageDirectory) SizeBytes() int64 {
 }
 
 // PageDir returns the table's bucket→page directory. Read it under the
-// table latch (shared suffices), like the clustered index it mirrors.
+// table latch (shared suffices).
 func (t *Table) PageDir() *PageDirectory { return &t.pageDir }
 
 // DirectorySizeBytes returns the in-memory footprint of the clustered
@@ -153,54 +156,30 @@ func (t *Table) DirectorySizeBytes() int64 {
 	return t.cbuckets.DirectorySizeBytes() + t.pageDir.SizeBytes()
 }
 
-// clusteredInsert adds row's clustered-index entry at rid and counts
-// rid's page into clustered bucket cb. With clusteredDelete it is the
-// only way the clustered tree changes, which is what keeps the page
-// directory equal to it. Caller holds the latch.
-func (t *Table) clusteredInsert(row value.Row, rid heap.RID, cb int32) error {
-	if err := t.clustered.Insert(row, rid); err != nil {
-		return err
-	}
-	t.pageDir.add(cb, rid.Page)
-	return nil
-}
-
-// clusteredDelete removes row's clustered-index entry at rid and, when
-// the tree held it, takes rid's page back out of clustered bucket cb.
-// Caller holds the latch.
-func (t *Table) clusteredDelete(row value.Row, rid heap.RID, cb int32) error {
-	existed, err := t.clustered.Delete(row, rid)
-	if err == nil && existed {
-		t.pageDir.remove(cb, rid.Page)
-	}
-	return err
-}
-
-// RebuildPageDirectory derives the page directory from scratch, one
-// clustered-index range scan per bucket — what the live directory must
-// equal. Bucket 0 is scanned from the start of the tree (keys below the
-// first bound locate to it), and a table that was never bulk-loaded is
-// the single bucket 0. It is the tests' oracle and reads the tree; no
-// query path calls it. Caller holds the latch.
+// RebuildPageDirectory derives the page directory from scratch, from one
+// pass over the heap — what the live directory must equal: every slot
+// holding a version that has not been retracted (live, or begun or ended
+// by a writer statement that has not yet published) counts its page into
+// ClusterBucketFor of its row. It is the tests' oracle, and what a
+// restart can rebuild the directory from; no query path calls it. Caller
+// holds the latch.
 func (t *Table) RebuildPageDirectory() (*PageDirectory, error) {
 	d := &PageDirectory{}
-	nb := t.cbuckets.NumBuckets()
-	if nb == 0 {
-		nb = 1
-	}
-	for b := int32(0); int(b) < nb; b++ {
-		var lo []byte
-		if b > 0 {
-			lo = t.cbuckets.LowerBound(b)
-		}
-		hiExcl, _ := t.cbuckets.UpperBound(b) // nil: to the end of the tree
-		err := t.clustered.ScanKeyRange(lo, hiExcl, func(rid heap.RID) bool {
-			d.add(b, rid.Page)
-			return true
-		})
+	var decodeErr error
+	err := t.heapf.ScanUnretracted(t.clock.Load(), func(rid heap.RID, tuple []byte) bool {
+		row, err := t.cfg.Schema.DecodeRow(tuple)
 		if err != nil {
-			return nil, err
+			decodeErr = err
+			return false
 		}
+		d.add(t.ClusterBucketFor(row), rid.Page)
+		return true
+	})
+	if decodeErr != nil {
+		return nil, decodeErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }

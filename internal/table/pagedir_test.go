@@ -60,7 +60,7 @@ func pageDirDiff(tbl *Table) string {
 		gp, gc := got.Refs(b)
 		wp, wc := want.Refs(b)
 		if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
-			return fmt.Sprintf("bucket %d: directory has pages %v counts %v, the tree has pages %v counts %v",
+			return fmt.Sprintf("bucket %d: directory has pages %v counts %v, the heap has pages %v counts %v",
 				b, gp, gc, wp, wc)
 		}
 	}
@@ -95,7 +95,7 @@ func liveRows(t *testing.T, tbl *Table) (rids []heap.RID, rows []value.Row) {
 // inserts, updates (some moving the clustering key), deletes, aborted
 // and cancelled statements, publishes failing on an injected WAL fault —
 // and while statements are applied but unpublished, every bucket's pages
-// and counts equal a directory rebuilt from the clustered tree. Odd
+// and counts equal a directory rebuilt from the heap. Odd
 // seeds never bulk-load (everything lives in bucket 0); even seeds load
 // first and later insert keys below the first bound.
 func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {

@@ -1,9 +1,10 @@
 // Package table ties the storage substrates together: a slotted-page heap
-// holding rows physically sorted by the clustered attribute, a dense
-// clustered B+Tree index, optional secondary B+Tree indexes, and
-// correlation maps maintained alongside them. It also collects the
-// statistics the cost model and CM Advisor consume (Tables 1 and 2 of the
-// paper).
+// holding rows physically sorted by the clustered attribute, the sparse
+// clustered index over it (the clustered bucket bounds plus the
+// bucket→page directory, both memory-resident), optional secondary
+// B+Tree indexes, and correlation maps maintained alongside them. It also
+// collects the statistics the cost model and CM Advisor consume (Tables 1
+// and 2 of the paper).
 package table
 
 import (
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/heap"
@@ -84,12 +86,14 @@ type Table struct {
 	// additions but not its deferred retractions.
 	writerActive atomic.Bool
 
-	heapf     *heap.File
-	clustered *Index
-	cbuckets  *core.ClusteredBuckets
-	// pageDir mirrors the clustered index at bucket→page granularity
-	// (see PageDirectory); it changes only with the tree.
+	heapf    *heap.File
+	cbuckets *core.ClusteredBuckets
+	// pageDir resolves a clustered bucket to its heap pages (see
+	// PageDirectory); with cbuckets it is the table's clustered index.
 	pageDir PageDirectory
+	// keyWidth is the mean encoded width of the clustering keys Load
+	// sorted, rounded up; 0 before a load (see Stats).
+	keyWidth int
 
 	secondary []*Index
 	cms       []*core.CM
@@ -134,11 +138,6 @@ func New(pool *buffer.Pool, log *wal.Log, cfg Config) (*Table, error) {
 	cfg.Schema = cfg.Schema.Normalized()
 	t := &Table{cfg: cfg, pool: pool, log: log, placing: map[int32]placement{}}
 	t.heapf = heap.NewFile(pool)
-	tree, err := newTree(pool)
-	if err != nil {
-		return nil, err
-	}
-	t.clustered = &Index{Name: cfg.Name + ".clustered", Cols: cfg.ClusteredCols, Tree: tree}
 	t.cbuckets = core.NewClusteredBuckets(nil)
 	// The clock starts published at 1 so snapshot 0 stays free as the
 	// "latest" sentinel: every facade reader gets a real timestamp.
@@ -191,9 +190,6 @@ func (t *Table) ClusteredCols() []int { return t.cfg.ClusteredCols }
 // Heap returns the underlying heap file.
 func (t *Table) Heap() *heap.File { return t.heapf }
 
-// Clustered returns the clustered index.
-func (t *Table) Clustered() *Index { return t.clustered }
-
 // Buckets returns the clustered bucket directory.
 func (t *Table) Buckets() *core.ClusteredBuckets { return t.cbuckets }
 
@@ -215,12 +211,12 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // clustering key, appended to the heap, indexed, and assigned to
 // clustered buckets with the Section 6.1.1 boundary rule; the bucket each
 // row is assigned goes straight into the page directory with the row's
-// RID, so the directory is complete when the load is — no second pass
-// over the tree. Load runs only on an empty table, and before any CM is
-// created. A secondary index created before it gets the loaded rows'
-// entries, and its pair statistics are recounted from the sorted rows in
-// hand, not from a scan. Each row is validated and encoded once, and
-// equal keys keep their input order.
+// page, so the directory is complete when the load is. Load runs only on
+// an empty table, and before any CM is created. A secondary index
+// created before it gets the loaded rows' entries, and its pair
+// statistics are recounted from the sorted rows in hand, not from a
+// scan. Each row is validated and encoded once, and equal keys keep
+// their input order.
 //
 // The heap is written once, in page order: as the append moves on to a
 // new tail page, the full page it leaves is written back
@@ -256,8 +252,10 @@ func (t *Table) Load(rows []value.Row) error {
 		pos int
 	}
 	ks := make([]keyed, len(rows))
+	keyBytes := 0
 	for i, r := range rows {
 		ks[i] = keyed{key: t.clusteredKey(r), pos: i}
+		keyBytes += len(ks[i].key)
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if c := bytes.Compare(a.key, b.key); c != 0 {
@@ -322,6 +320,9 @@ func (t *Table) Load(rows []value.Row) error {
 	t.mu.Lock()
 	t.cbuckets = builder.Finish()
 	t.pageDir.clip()
+	if len(ks) > 0 {
+		t.keyWidth = (keyBytes + len(ks) - 1) / len(ks)
+	}
 	t.loaded = true
 	for j, p := range pairs {
 		t.secondary[j].pairs.Store(p)
@@ -341,7 +342,7 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 			return nil, fmt.Errorf("table %s: index column %d out of range", t.cfg.Name, c)
 		}
 	}
-	tree, err := newTree(t.pool)
+	tree, err := btree.New(t.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -628,10 +629,17 @@ type Stats struct {
 	Pages       int64
 	TotalTups   int64
 	TupsPerPage float64
-	BTreeHeight int // clustered index height
+	// BTreeHeight is the paper's btree_height: the levels of a dense
+	// B+Tree with one (clustering key ‖ RID) entry per live row, packed
+	// the way internal/btree builds it from sorted inserts.
+	BTreeHeight int
 }
 
-// Stats computes the current table statistics.
+// Stats computes the current table statistics. The table keeps no dense
+// tree, so BTreeHeight is computed (btree.PackedHeight) from the live row
+// count and the clustering key's encoded width: the mean Load measured,
+// or, on a table never loaded, 9 bytes per clustering column — a
+// numeric column's encoding.
 func (t *Table) Stats() Stats {
 	pages := t.heapf.NumPages()
 	tups := t.heapf.TupleCount()
@@ -639,11 +647,15 @@ func (t *Table) Stats() Stats {
 	if pages > 0 {
 		tpp = float64(tups) / float64(pages)
 	}
+	width := t.keyWidth
+	if width == 0 {
+		width = 9 * len(t.cfg.ClusteredCols)
+	}
 	return Stats{
 		Pages:       pages,
 		TotalTups:   tups,
 		TupsPerPage: tpp,
-		BTreeHeight: t.clustered.Tree.Height(),
+		BTreeHeight: btree.PackedHeight(t.pool.Disk().PageSize(), tups, width+ridKeyLen),
 	}
 }
 

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,28 +94,49 @@ func TestLoadTwiceFails(t *testing.T) {
 	}
 }
 
+// TestClusteredIndexFindsRows resolves a clustering-key value the way
+// the clustered index does — its bucket through the bounds, the bucket's
+// pages through the page directory — and finds exactly its rows there.
 func TestClusteredIndexFindsRows(t *testing.T) {
 	tbl, _ := newPeople(t)
-	prefix := keyenc.EncodeValue(value.NewString("MA"))
-	var rids []heap.RID
-	if err := tbl.Clustered().ScanPrefix(prefix, func(rid heap.RID) bool {
-		rids = append(rids, rid)
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	rows := bucketRows(t, tbl, "MA")
+	if len(rows) != 4 {
+		t.Fatalf("MA rows = %d, want 4", len(rows))
 	}
-	if len(rids) != 4 {
-		t.Fatalf("MA rows = %d, want 4", len(rids))
-	}
-	for _, rid := range rids {
-		row, err := fetchRow(tbl, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, row := range rows {
 		if row[0].S != "MA" {
 			t.Errorf("clustered index returned %v", row)
 		}
 	}
+}
+
+// bucketRows returns the live rows on the pages the page directory lists
+// for state's clustered bucket whose state is the bucket's, and fails
+// the test when a page holds none of them.
+func bucketRows(t *testing.T, tbl *Table, state string) []value.Row {
+	t.Helper()
+	b := tbl.Buckets().Locate(keyenc.EncodeValue(value.NewString(state)))
+	pages, _ := tbl.PageDir().Refs(b)
+	var rows []value.Row
+	for _, page := range pages {
+		before := len(rows)
+		if err := tbl.Heap().ScanPages(page, page, func(rid heap.RID, tuple []byte) bool {
+			row, err := tbl.Schema().DecodeRow(tuple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tbl.ClusterBucketFor(row) == b {
+				rows = append(rows, row)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == before {
+			t.Errorf("bucket of %s lists page %d, which holds none of its rows", state, page)
+		}
+	}
+	return rows
 }
 
 func TestCreateIndexAndScanRange(t *testing.T) {
@@ -217,17 +239,12 @@ func TestInsertMaintainsEverything(t *testing.T) {
 	}
 	// Clustered index finds the row by state, wherever its bucket's
 	// placement put it.
-	found := false
-	if err := tbl.Clustered().ScanPrefix(keyenc.EncodeValue(value.NewString("OH")), func(r heap.RID) bool {
-		if r == rid {
-			found = true
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	b := tbl.Buckets().Locate(keyenc.EncodeValue(value.NewString("OH")))
+	if pages, _ := tbl.PageDir().Refs(b); !slices.Contains(pages, rid.Page) {
+		t.Errorf("clustered index: OH's bucket lists pages %v, not the appended row's %d", pages, rid.Page)
 	}
-	if !found {
-		t.Error("clustered index missing appended row")
+	if n := len(bucketRows(t, tbl, "OH")); n != 3 {
+		t.Errorf("clustered index finds %d OH rows, want 3", n)
 	}
 }
 

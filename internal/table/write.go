@@ -27,11 +27,10 @@ import (
 // re-filter on heap bytes — while retractions (RemoveRow for replaced or
 // deleted versions) are deferred to Publish. Removing a CM pair early
 // could hide rows a pre-publish snapshot must still find through the CM
-// access path. The same deferral covers the clustered and secondary index
-// entries of old versions — and with the clustered entries the page
-// directory's reference counts, which move only inside
-// clusteredInsert/clusteredDelete. WAL records are also queued until
-// Publish, so an aborted statement leaves no trace for CM recovery replay.
+// access path. The same deferral covers the old versions' secondary index
+// entries and their references in the page directory (the clustered
+// index). WAL records are also queued until Publish, so an aborted
+// statement leaves no trace for CM recovery replay.
 //
 // After Publish only the heap slot of an old version remains, and one
 // last step reclaims it (reclaim.go): the version is handed to the heap
@@ -93,8 +92,8 @@ func (t *Table) unlockLatched(start time.Time) {
 }
 
 // retraction is one old row version the statement ended: its index
-// entries and CM pairs are removed when the statement publishes, and then
-// its heap slot (size bytes) is reclaimed.
+// entries, page-directory reference and CM pairs are removed when the
+// statement publishes, and then its heap slot (size bytes) is reclaimed.
 type retraction struct {
 	row  value.Row
 	rid  heap.RID
@@ -158,9 +157,9 @@ func (t *Table) BeginWrite() *WriteTxn {
 // Timestamp returns the version timestamp new rows are stamped with.
 func (tx *WriteTxn) Timestamp() uint64 { return tx.ts }
 
-// InsertBatch appends the rows as new versions: heap append at the
-// statement timestamp, clustered and secondary index entries, and CM
-// additions (Algorithm 1's insert half). Validation, encoding and the
+// InsertBatch appends the rows as new versions: heap placement at the
+// statement timestamp, page-directory references, secondary index
+// entries, and CM additions (Algorithm 1's insert half). Validation, encoding and the
 // per-bucket space reservation happen outside the latch; the mutations
 // apply in writeBatchRows chunks, each under its own short exclusive
 // hold. The rows stay invisible to readers until Publish.
@@ -236,9 +235,7 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 		return err
 	}
 	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
-	if err := t.clusteredInsert(row, rid, cb); err != nil {
-		return err
-	}
+	t.pageDir.add(cb, rid.Page)
 	for _, ix := range t.secondary {
 		if err := ix.Insert(row, rid); err != nil {
 			return err
@@ -346,7 +343,8 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 
 // Publish commits the statement: under one final exclusive latch hold it
 // appends the statement's WAL records, applies the deferred retractions
-// (index entries and CM pairs of replaced and deleted versions —
+// (index entries, page-directory references and CM pairs of replaced and
+// deleted versions —
 // Algorithm 1's retraction half), advances the published clock so new
 // reader snapshots see the statement's versions, and retires the old
 // versions' heap slots (see retire). Then it releases the writer gate.
@@ -396,8 +394,8 @@ func (tx *WriteTxn) Publish() error {
 	return err
 }
 
-// applyRetractions removes the index entries and CM pairs of every
-// retracted old version. Caller holds the latch. On error every
+// applyRetractions removes the index entries, page-directory references
+// and CM pairs of every retracted old version. Caller holds the latch. On error every
 // operation already applied is reverted (in reverse order, best
 // effort), so the old versions stay fully indexed and counted and the
 // caller sees a clean pre-retraction state.
@@ -412,10 +410,8 @@ func (tx *WriteTxn) applyRetractions() error {
 	}
 	for _, r := range tx.retract {
 		r := r
-		if err := t.clusteredDelete(r.row, r.rid, r.cb); err != nil {
-			return fail(err)
-		}
-		undo = append(undo, func() { _ = t.clusteredInsert(r.row, r.rid, r.cb) })
+		t.pageDir.remove(r.cb, r.rid.Page)
+		undo = append(undo, func() { t.pageDir.add(r.cb, r.rid.Page) })
 		for _, ix := range t.secondary {
 			ix := ix
 			if _, err := ix.Delete(r.row, r.rid); err != nil {
@@ -435,7 +431,7 @@ func (tx *WriteTxn) applyRetractions() error {
 }
 
 // unwind physically removes the statement's work: appended versions are
-// deleted (heap, indexes, CMs) in reverse order — their heap slots
+// deleted (heap, page directory, indexes, CMs) in reverse order — their heap slots
 // reusable at once — and logically-ended old versions are restored to
 // live. Caller holds the latch. Inverse
 // operations are best-effort — they undo work that was just applied, so
@@ -444,7 +440,7 @@ func (tx *WriteTxn) unwind() {
 	t := tx.t
 	for i := len(tx.inserted) - 1; i >= 0; i-- {
 		u := tx.inserted[i]
-		_ = t.clusteredDelete(u.row, u.rid, u.cb)
+		t.pageDir.remove(u.cb, u.rid.Page)
 		for _, ix := range t.secondary {
 			_, _ = ix.Delete(u.row, u.rid)
 		}

@@ -99,8 +99,9 @@ const (
 	// CMScan forces the correlation-map path.
 	CMScan
 	// ClusteredIndexScan forces the clustered-index scan: predicates on
-	// the leading clustering column(s) probe the clustered B+Tree and
-	// the matching pages sweep in physical order.
+	// the leading clustering column(s) resolve to clustered buckets and
+	// their heap pages, from memory, and the pages sweep in physical
+	// order.
 	ClusteredIndexScan
 )
 

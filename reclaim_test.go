@@ -23,8 +23,8 @@ import (
 	"repro/internal/value"
 )
 
-// dirDiff holds the live page directory to a rebuild from the clustered
-// tree and describes the first difference ("" when there is none).
+// dirDiff holds the live page directory to a rebuild from the heap and
+// describes the first difference ("" when there is none).
 // Caller holds the latch.
 func dirDiff(inner *table.Table) string {
 	want, err := inner.RebuildPageDirectory()
@@ -36,7 +36,7 @@ func dirDiff(inner *table.Table) string {
 		gp, gc := got.Refs(b)
 		wp, wc := want.Refs(b)
 		if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
-			return fmt.Sprintf("bucket %d: directory has pages %v counts %v, the tree has pages %v counts %v", b, gp, gc, wp, wc)
+			return fmt.Sprintf("bucket %d: directory has pages %v counts %v, the heap has pages %v counts %v", b, gp, gc, wp, wc)
 		}
 	}
 	return ""
@@ -184,7 +184,7 @@ func updatePass(t *testing.T, tbl *Table, p int64, span int) {
 // running beside it, each holding a pinned snapshot that must read the
 // same tuples across every writer statement. After every statement the
 // page directory equals its
-// rebuild from the clustered tree, the CM equals one built from scratch,
+// rebuild from the heap, the CM equals one built from scratch,
 // and the rows equal a plain-row model; at the end a CM recovered from a
 // checkpoint plus the log equals the live one. The old versions' index
 // entries and CM pairs left at Publish, so reclamation, which touches
