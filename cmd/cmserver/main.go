@@ -37,8 +37,7 @@ func main() {
 	maxStmts := flag.Int("max-stmts", 0, "cap on request lines executing at once across all sessions; a coalesced batch takes one slot (0 = unlimited)")
 	drainMs := flag.Int("drain-ms", 5000, "grace period in ms for in-flight statements on shutdown before connections are cut")
 	authToken := flag.String("auth-token", "", "require AUTH <token> as each connection's first line (empty = no auth)")
-	writeTimeoutMs := flag.Int("write-timeout-ms", 30000, "per-frame write deadline in ms for chunked streaming; clients that stop reading past it are cut (0 = none)")
-	chunkQueue := flag.Int("chunk-queue", 0, "per-session send-queue depth in frames for chunked streaming (0 = default 4)")
+	writeTimeoutMs := flag.Int("write-timeout-ms", 30000, "write deadline in ms for each reply line or chunk frame; clients that stop reading past it are cut (0 = none)")
 	coalesce := flag.Bool("coalesce", false, "coalesce single-SELECT lines from different sessions into cross-connection batches")
 	coalesceWindowUs := flag.Int("coalesce-window-us", 200, "coalescing window in µs: a batch flushes this long after its first statement")
 	coalesceMax := flag.Int("coalesce-max", 32, "statements per coalesced batch; a full batch flushes immediately")
@@ -68,7 +67,6 @@ func main() {
 		MaxConcurrentStmts: *maxStmts,
 		AuthToken:          *authToken,
 		WriteTimeout:       time.Duration(*writeTimeoutMs) * time.Millisecond,
-		ChunkQueue:         *chunkQueue,
 		Coalesce:           *coalesce,
 		CoalesceWindow:     time.Duration(*coalesceWindowUs) * time.Microsecond,
 		CoalesceMax:        *coalesceMax,

@@ -19,6 +19,8 @@ import (
 //	client -> server: one line per request, either raw SQL (which may
 //	  contain several ';'-separated statements) or a JSON object
 //	  {"sql": "..."} — lines whose first non-blank byte is '{' are JSON.
+//	  A line past 4 MiB is answered with one error and the connection
+//	  closes.
 //	client <- server: exactly one JSON line per request:
 //	  {"results": [stmtResult, ...], "error": "..."}
 //	where "error" is set only when the line failed as a whole — it did

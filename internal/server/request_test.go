@@ -8,10 +8,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/datagen"
@@ -22,6 +24,8 @@ import (
 type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // requestCost runs f n times after one warm-up call and returns the mean
 // heap allocations and bytes allocated per call, on one P as
@@ -178,5 +182,53 @@ func TestStreamWireChunkSetIntercept(t *testing.T) {
 	}
 	if chunkRows != 0 || resp.Error != "" || len(resp.Results) != 1 || resp.Results[0].RowCount != 1 {
 		t.Errorf("a SELECT naming the setting in a literal answered %q (session chunk rows %d), want its one row", got, chunkRows)
+	}
+}
+
+// BenchmarkReplyWrite frames the point probe's reply shape, 120 one-int
+// rows on one buffered line, and writes it to a loopback TCP socket that
+// a goroutine drains — a warm probe's reply write — with and without a
+// WriteTimeout, which sets a write deadline on every write.
+func BenchmarkReplyWrite(b *testing.B) {
+	res := &repro.Result{Columns: []string{"price"}}
+	for i := 0; i < 120; i++ {
+		res.Rows = append(res.Rows, repro.Row{repro.IntVal(int64(1000 + i))})
+	}
+	sr := repro.ScriptResult{Res: res, Rows: 120, Elapsed: 85 * time.Microsecond, PagesRead: 5}
+	for _, timeout := range []time.Duration{0, 30 * time.Second} {
+		b.Run("write-timeout="+timeout.String(), func(b *testing.B) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			client, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer client.Close()
+			conn, err := ln.Accept()
+			if err != nil {
+				b.Fatal(err)
+			}
+			copied := make(chan struct{})
+			go func() {
+				defer close(copied)
+				io.Copy(io.Discard, client)
+			}()
+			defer func() {
+				conn.Close() // the client reads EOF
+				<-copied
+			}()
+			r := newResponder(&connWriter{conn: conn, timeout: timeout}, context.Background())
+			b.ReportAllocs()
+			for b.Loop() {
+				r.reset()
+				r.result(0, sr)
+				if !r.finish() {
+					b.Fatal("the reply write failed")
+				}
+			}
+		})
 	}
 }

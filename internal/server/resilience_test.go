@@ -1,7 +1,10 @@
 // Resilience tests: admission control rejects connections over the
 // cap with a clean wire-level error, a client disconnect cancels the
-// statement it left running, and Shutdown drains in-flight work
-// without leaking goroutines.
+// statement it left running, Shutdown drains in-flight work without
+// leaking goroutines, a client that stops reading is cut by
+// WriteTimeout, an oversized request line is answered, an idle
+// connection holds one goroutine, and pipelined lines survive the
+// disconnect watcher.
 package server
 
 import (
@@ -9,7 +12,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -290,4 +295,186 @@ func TestStatementGate(t *testing.T) {
 			t.Fatal("gated statements deadlocked")
 		}
 	}
+}
+
+// waitSessions polls until srv has at most n sessions, failing after
+// within.
+func waitSessions(t *testing.T, srv *Server, n int, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for srv.ActiveSessions() > n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still open after %v, want at most %d", srv.ActiveSessions(), within, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWriteTimeoutBoundsBufferedReplies pipelines near-cap buffered
+// SELECTs from a client that never reads. Once the socket buffers fill,
+// the session's reply write blocks; WriteTimeout must cut it and close
+// the session long before the test stops the server.
+func TestWriteTimeoutBoundsBufferedReplies(t *testing.T) {
+	db, srv, addr, stop := startServerCfg(t, repro.Config{}, Config{WriteTimeout: 200 * time.Millisecond})
+	defer stop()
+	if _, err := db.CreateTable(repro.TableSpec{
+		Name:        "fat",
+		Columns:     []repro.Column{{Name: "k", Kind: repro.Int}, {Name: "pad", Kind: repro.String}},
+		ClusteredBy: []string{"k"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("y", 2<<10)
+	rows := make([]repro.Row, 1780) // ≈ 3.5 MiB encoded: under the line cap
+	for i := range rows {
+		rows[i] = repro.Row{repro.IntVal(int64(i)), repro.StringVal(pad)}
+	}
+	if err := db.Table("fat").Load(rows); err != nil {
+		t.Fatal(err)
+	}
+
+	c := dial(t, addr)
+	defer c.close()
+	if _, err := c.conn.Write([]byte(strings.Repeat("SELECT * FROM fat\n", 8))); err != nil {
+		t.Fatal(err)
+	}
+	waitSessions(t, srv, 0, 2*time.Second)
+}
+
+// TestOversizedRequestLineAnswered sends a line past the 4 MiB request
+// cap with no newline: the session answers one error line naming the
+// cap and then closes, so the client reads the reason and then EOF.
+func TestOversizedRequestLineAnswered(t *testing.T) {
+	_, srv, addr, stop := startServerCfg(t, repro.Config{}, Config{})
+	defer stop()
+	c := dial(t, addr)
+	defer c.close()
+	if _, err := c.conn.Write(make([]byte, maxLineBytes+1)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading the answer to an oversized line: %v", err)
+	}
+	if want := `{"error":"server: request line is past the 4194304-byte cap"}` + "\n"; string(raw) != want {
+		t.Fatalf("oversized line answered %q, want %q", raw, want)
+	}
+	if extra, err := c.r.ReadBytes('\n'); err != io.EOF {
+		t.Fatalf("after the error line: %q, %v; want EOF", extra, err)
+	}
+	c.close()
+	waitSessions(t, srv, 0, 2*time.Second)
+}
+
+// TestIdleSessionHoldsOneGoroutine pins what an idle connection costs
+// the server: its session goroutine, blocked reading the next line, and
+// nothing else.
+func TestIdleSessionHoldsOneGoroutine(t *testing.T) {
+	_, _, addr, stop := startServerCfg(t, repro.Config{}, Config{})
+	defer stop()
+	before := runtime.NumGoroutine()
+	const conns = 16
+	var cs []*client
+	for i := 0; i < conns; i++ {
+		c := dial(t, addr)
+		defer c.close()
+		mustOK(t, c.roundTrip(t, "SHOW TABLES"))
+		cs = append(cs, c)
+	}
+	// A watcher a slow round trip started may still be exiting.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+conns+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d idle connections: goroutines %d → %d, want a rise of at most %d",
+				conns, before, runtime.NumGoroutine(), conns+2)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, c := range cs {
+		c.close()
+	}
+	waitGoroutines(t, before)
+}
+
+// TestPipelinedLinesSurviveWatcher pipelines cold statements, each of
+// which outlives watchDelay and so starts a watcher: all in one write,
+// or some sent while the first runs, when a watcher reads their first
+// byte — also while the next line still waits whole in the session's
+// buffer, so bytes queue for it across two watchers. Every reply
+// arrives in order, each what its statement gets alone. A client that
+// pipelines and then disconnects mid-statement leaves no session,
+// goroutine or pinned frame behind.
+func TestPipelinedLinesSurviveWatcher(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db, srv, addr, stop := startServerCfg(t, slowDiskCfg(), Config{})
+	loadWideTable(t, db, 12000)
+	// The first two lines read disjoint halves of the table's pages, so
+	// each is cold when it runs, and each runs well past 2 × watchDelay.
+	lines := []string{"SELECT count(*) FROM wide WHERE u = 3 AND c < 6000\n",
+		"SELECT count(*) FROM wide WHERE u = 3 AND c >= 6000\n", "SELECT c, u FROM wide WHERE c < 4\n"}
+	c := dial(t, addr)
+	var want []rawResponse
+	for _, line := range lines {
+		want = append(want, c.rawTrip(t, strings.TrimSpace(line)))
+	}
+	c.close()
+	// Each pattern splits the lines into writes 2 × watchDelay apart: by
+	// then the statement running has a watcher reading.
+	patterns := map[string][]string{
+		"one write":        {lines[0] + lines[1] + lines[2]},
+		"second mid-run":   {lines[0], lines[1] + lines[2]},
+		"third behind two": {lines[0] + lines[1], lines[2]},
+	}
+	send := func(c *client, writes []string) {
+		t.Helper()
+		for i, w := range writes {
+			if i > 0 {
+				time.Sleep(2 * watchDelay)
+			}
+			if _, err := c.conn.Write([]byte(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for name, writes := range patterns {
+		t.Run(name, func(t *testing.T) {
+			if err := db.ColdCache(); err != nil {
+				t.Fatal(err)
+			}
+			c := dial(t, addr)
+			send(c, writes)
+			for i := range lines {
+				raw, err := c.r.ReadBytes('\n')
+				if err != nil {
+					t.Fatalf("reply %d: %v", i+1, err)
+				}
+				var got rawResponse
+				if err := json.Unmarshal(raw, &got); err != nil {
+					t.Fatalf("reply %d %q: %v", i+1, raw, err)
+				}
+				for j := range got.Results { // a cold run reads more pages
+					got.Results[j].PagesRead = want[i].Results[j].PagesRead
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("reply %d to the pipelined lines\n got  %+v\n want %+v", i+1, got, want[i])
+				}
+			}
+			c.close()
+
+			if err := db.ColdCache(); err != nil {
+				t.Fatal(err)
+			}
+			d := dial(t, addr)
+			send(d, writes)
+			time.Sleep(5 * time.Millisecond)
+			d.close()
+			waitSessions(t, srv, 0, 5*time.Second)
+		})
+	}
+	stop()
+	if pinned := db.PinnedFrames(); pinned != 0 {
+		t.Errorf("%d pinned frames after the pipelined sessions", pinned)
+	}
+	waitGoroutines(t, before)
 }

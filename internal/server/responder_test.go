@@ -346,12 +346,12 @@ func TestStreamBufferedHoldIsBounded(t *testing.T) {
 }
 
 // TestStreamBufferedResponseAllocs bounds the allocations of framing the
-// benchmark's own reply shape, 120 one-int rows, as a buffered response:
-// the rows are appended once into a buffer the session reuses, and so is
-// the line, so once the first reply has grown them framing allocates
-// nothing. Boxing each value for a reflective marshal cost 254
-// allocations a response; fresh line and row buffers per request and a
-// marshalled header, 4.
+// benchmark's own reply shape, 120 one-int rows, as a buffered response
+// and as chunk frames of 32 rows: the rows are appended once into a
+// buffer the session reuses, and so are the line and each frame, so once
+// the first reply has grown them framing allocates nothing. Boxing each
+// value for a reflective marshal cost 254 allocations a response; fresh
+// line and row buffers per request and a marshalled header, 4.
 func TestStreamBufferedResponseAllocs(t *testing.T) {
 	res := &repro.Result{Columns: []string{"price"}}
 	for i := 0; i < 120; i++ {
@@ -359,10 +359,12 @@ func TestStreamBufferedResponseAllocs(t *testing.T) {
 	}
 	sr := repro.ScriptResult{Res: res, Rows: 120, Elapsed: 85 * time.Microsecond, PagesRead: 5}
 	conn := &captureConn{}
-	r := newResponder(&connWriter{conn: conn}, nil)
+	r := newResponder(&connWriter{s: New(repro.Open(repro.Config{}), Config{}), conn: conn}, nil)
+	chunkRows := 0
 	frame := func() {
 		conn.buf.Reset()
 		r.reset()
+		r.chunkRows = chunkRows
 		r.result(0, sr)
 		if !r.finish() {
 			t.Fatal("finish reported a dead connection")
@@ -380,5 +382,33 @@ func TestStreamBufferedResponseAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, frame); allocs > 0 {
 		t.Errorf("framing a 120-row buffered response allocates %.0f times, want none", allocs)
+	}
+
+	chunkRows = 32
+	frame()
+	var streamed []string
+	var done *rawResponse
+	for _, line := range strings.SplitAfter(conn.buf.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		var f rawFrame
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			t.Fatalf("frame %q: %v", line, err)
+		}
+		if f.Chunk != nil {
+			for _, row := range f.Chunk.Rows {
+				streamed = append(streamed, string(row))
+			}
+		} else {
+			done = f.Done
+		}
+	}
+	if strings.Join(streamed, ",") != strings.Join(rows, ",") || done == nil ||
+		len(done.Results) != 1 || done.Results[0].RowCount != 120 || done.Results[0].Chunks != 4 {
+		t.Fatalf("chunked reply: rows %v, done %+v; want the 120 rows in 4 frames", streamed, done)
+	}
+	if allocs := testing.AllocsPerRun(200, frame); allocs > 0 {
+		t.Errorf("framing a 120-row reply in 32-row chunks allocates %.0f times, want none", allocs)
 	}
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
 	"time"
 	"unsafe"
@@ -24,8 +26,9 @@ import (
 // buffered reply is the responder that never flushes: it holds each
 // statement's rows, at most maxLineBytes of them across the line, until
 // the statement's result arrives after the script, and result splices
-// them into the statement's object on the response line. Every line
-// reaches the socket through the session's connWriter.
+// them into the statement's object on the response line. Every line,
+// frames included, is written inline by the session goroutine through
+// its connWriter.
 
 // frameBudget is the most row bytes a chunk frame carries: maxLineBytes
 // less room for the frame's JSON envelope
@@ -40,76 +43,47 @@ const frameBudget = maxLineBytes - 64<<10
 const retainBytes = 64 << 10
 
 // connWriter is a session's socket writer; write is the only call that
-// touches the connection. The session goroutine writes one-line replies
-// directly. A chunked reply's lines go through the bounded frames queue,
-// drained by a goroutine that lives as long as the session, so a full
-// queue blocks the producing statement at chunk granularity — real
-// backpressure — until the client reads, the statement deadline fires,
-// or the connection dies. The two never overlap: a chunked reply ends by
-// waiting for the queue to drain.
+// touches the connection, and only the session goroutine calls it. A
+// client that stops reading blocks the statement in the write —
+// backpressure at frame granularity — until the client reads, the write
+// deadline fires, or the connection dies.
 type connWriter struct {
-	s      *Server
-	conn   net.Conn
-	cancel context.CancelFunc // cancels the connection context when a queued write fails
-	frames chan []byte        // depth Config.ChunkQueue; a nil frame asks for the status on idle
-	idle   chan error
+	s       *Server
+	conn    net.Conn      // a session's: closing it cancels the connection context
+	timeout time.Duration // Config.WriteTimeout; 0 leaves writes unbounded
 }
 
-// write puts one complete line (newline included) on the socket.
-func (w *connWriter) write(line []byte) error {
-	_, err := w.conn.Write(line)
-	return err
-}
-
-// drainQueue writes queued frames under the per-frame write deadline
-// until the session closes the queue. On a write error it cancels the
-// connection context — aborting the producing statement — and discards
-// what follows, so the producer never blocks forever on a dead socket.
-func (w *connWriter) drainQueue() {
-	var err error
-	timeout := w.s.writeTimeout
-	for line := range w.frames {
-		switch {
-		case line == nil:
-			w.conn.SetWriteDeadline(time.Time{}) // direct writes carry no deadline
-			w.idle <- err
-		case err == nil:
-			if timeout > 0 {
-				w.conn.SetWriteDeadline(time.Now().Add(timeout))
-			}
-			if err = w.write(line); err != nil {
-				w.cancel()
-			}
+// write puts one complete line (newline included) on the socket under a
+// write deadline: the earlier of now + timeout and, while ctx (nil: none)
+// is live, ctx's deadline. It reports false if the line did not get out.
+// A write that ctx's deadline cut waits for ctx, so the statement ends
+// timed out; if none of the line went out, the stream is whole and the
+// session goes on. Any other failure may leave the socket mid-line, so
+// it closes the connection, which fails the rest of the request line
+// fast.
+func (w *connWriter) write(ctx context.Context, line []byte) bool {
+	var stmtDeadline time.Time
+	if ctx != nil && ctx.Err() == nil {
+		stmtDeadline, _ = ctx.Deadline()
+	}
+	deadline := stmtDeadline
+	if w.timeout > 0 && (deadline.IsZero() || time.Until(deadline) > w.timeout) {
+		deadline = time.Now().Add(w.timeout)
+	}
+	n, err := 0, w.conn.SetWriteDeadline(deadline)
+	if err == nil {
+		if n, err = w.conn.Write(line); err == nil {
+			return true
 		}
 	}
-}
-
-// send queues one chunk frame. When the queue is full it blocks under
-// ctx, recording the wait into server.backpressure_waits_ns, and reports
-// false if ctx died first.
-func (w *connWriter) send(ctx context.Context, line []byte) bool {
-	select {
-	case w.frames <- line:
-		return true
-	default:
+	if !stmtDeadline.IsZero() && deadline.Equal(stmtDeadline) && errors.Is(err, os.ErrDeadlineExceeded) {
+		<-ctx.Done() // so the statement ends timed out, not cancelled by the close
+		if n == 0 {
+			return false
+		}
 	}
-	start := time.Now()
-	defer func() { w.s.m.backpressureNS.Add(int64(time.Since(start))) }()
-	select {
-	case w.frames <- line:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sendLast queues a chunked reply's final line behind its frames and
-// waits for the queue to drain, returning the first write error (nil
-// when every frame, this one included, reached the socket).
-func (w *connWriter) sendLast(line []byte) error {
-	w.frames <- line // drainQueue keeps receiving after a failure: never blocks forever
-	w.frames <- nil
-	return <-w.idle
+	w.conn.Close()
+	return false
 }
 
 // responder builds one request's reply. It lives as long as its session,
@@ -122,13 +96,14 @@ type responder struct {
 	line []byte            // the response line (chunked: the done frame's payload) under construction
 	rs   repro.RowStreamer // the sink as the facade's callbacks
 
-	ctx     context.Context // bounds a blocked frame send: the streaming statement's, else connCtx
+	ctx     context.Context // its deadline bounds the writes: the streaming statement's, else connCtx
 	stmt    int
 	columns []string  // current statement's header, until its first frame carries it
 	vals    value.Row // a Row callback's row, as the value encoder takes it
 	enc     []byte    // a Row callback's row, encoded
 	rows    []byte    // held-back encoded rows: chunked, the next frame's; buffered, the line's
 	nrows   int       // rows in the next frame (chunked)
+	frame   []byte    // the chunk or done frame being written (chunked)
 	spilled int       // bytes of held rows that result left off the line
 	per     []stmtWire
 }
@@ -157,7 +132,7 @@ func newResponder(w *connWriter, connCtx context.Context) *responder {
 // reply), so a big response pins no memory on an idle session.
 func (r *responder) reset() {
 	r.chunkRows, r.ctx, r.nrows, r.spilled = 0, r.connCtx, 0, 0
-	r.line, r.rows, r.enc = reuse(r.line), reuse(r.rows), reuse(r.enc)
+	r.line, r.rows, r.enc, r.frame = reuse(r.line), reuse(r.rows), reuse(r.enc), reuse(r.frame)
 	r.vals, r.per = reuse(r.vals), reuse(r.per)
 }
 
@@ -212,7 +187,7 @@ func (r *responder) row(stmt int, row repro.Row) bool {
 // fails its statement alone: result reports the error, its held and
 // later rows are dropped, and the statement runs on — stopping it would
 // make the facade skip the statements after it. It reports false only
-// when a frame could not be queued: the statement's context died.
+// when a frame could not be written.
 func (r *responder) rowJSON(stmt int, enc []byte, encErr error) bool {
 	st := r.at(stmt)
 	if st.err != nil {
@@ -258,18 +233,20 @@ func (r *responder) end(stmt int) {
 	r.ctx = r.connCtx
 }
 
-// flush frames the held rows and queues the frame. The frame owns its
-// bytes: drainQueue reads them while the next rows are being encoded.
+// flush frames the held rows and writes the frame, recording the time
+// the statement spends in the write into server.backpressure_waits_ns.
 func (r *responder) flush() bool {
-	f := make([]byte, 0, len(r.rows)+128)
-	f = strconv.AppendInt(append(f, `{"chunk":{"stmt":`...), int64(r.stmt), 10)
+	f := strconv.AppendInt(append(r.frame[:0], `{"chunk":{"stmt":`...), int64(r.stmt), 10)
 	if len(r.columns) > 0 {
 		f = appendColumns(append(f, `,"columns":`...), r.columns)
 		r.columns = nil
 	}
-	f = append(append(append(f, `,"rows":[`...), r.rows...), "]}}\n"...)
+	r.frame = append(append(append(f, `,"rows":[`...), r.rows...), "]}}\n"...)
 	r.rows, r.nrows = r.rows[:0], 0
-	if !r.w.send(r.ctx, f) {
+	start := time.Now()
+	ok := r.w.write(r.ctx, r.frame)
+	r.w.s.m.backpressureNS.Add(int64(time.Since(start)))
+	if !ok {
 		return false
 	}
 	r.at(r.stmt).chunks++
@@ -352,7 +329,9 @@ func (r *responder) fail(msg string) bool {
 // the done frame (small: its rows went out in chunk frames) in chunked.
 func (r *responder) deliver() bool {
 	if r.chunkRows > 0 {
-		return r.w.sendLast(append(append([]byte(`{"done":`), r.line...), "}\n"...)) == nil
+		r.frame = append(append(append(r.frame[:0], `{"done":`...), r.line...), "}\n"...)
+		return r.w.write(r.ctx, r.frame)
 	}
-	return r.w.write(append(r.line, '\n')) == nil
+	r.line = append(r.line, '\n')
+	return r.w.write(r.ctx, r.line)
 }

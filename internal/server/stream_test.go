@@ -10,6 +10,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -285,15 +286,15 @@ func TestStreamLargeResultBeyondLineCap(t *testing.T) {
 	}
 }
 
-// TestStreamSlowReaderBackpressure stalls a chunked client behind a
-// tiny send queue and asserts the producing statement blocks (counted
-// in server.backpressure_waits_ns), dies by its statement timeout, and
+// TestStreamSlowReaderBackpressure stalls a chunked client and asserts
+// the producing statement blocks in its frame writes (counted in
+// server.backpressure_waits_ns), dies by its statement timeout, and
 // leaves no pinned frames or goroutines behind.
 func TestStreamSlowReaderBackpressure(t *testing.T) {
 	before := runtime.NumGoroutine()
 	db, _, addr, stop := startServerCfg(t,
 		repro.Config{StatementTimeout: 300 * time.Millisecond},
-		Config{ChunkQueue: 1, WriteTimeout: 600 * time.Millisecond})
+		Config{WriteTimeout: 600 * time.Millisecond})
 	// A fat-row table so the socket buffers fill fast.
 	if _, err := db.CreateTable(repro.TableSpec{
 		Name:        "fat",
@@ -316,8 +317,8 @@ func TestStreamSlowReaderBackpressure(t *testing.T) {
 	if _, err := fmt.Fprintf(c.conn, "SELECT * FROM fat\n"); err != nil {
 		t.Fatal(err)
 	}
-	// Do not read: the queue fills, the producer blocks, the statement
-	// timeout fires, and the write timeout fails the stalled connection.
+	// Do not read: the socket buffers fill, the producer blocks in its
+	// frame write, and the statement timeout cuts the write.
 	deadline := time.Now().Add(10 * time.Second)
 	for metric(t, db, "query.timed_out") < 1 {
 		if time.Now().After(deadline) {
@@ -333,6 +334,51 @@ func TestStreamSlowReaderBackpressure(t *testing.T) {
 
 	if pinned := db.PinnedFrames(); pinned != 0 {
 		t.Errorf("%d pinned frames after the aborted stream", pinned)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestStreamTimeoutMidStreamKeepsSession runs chunked cold scans that
+// their statement timeout cuts while the client keeps reading. Frames
+// flow until the deadline; the rows held when it passes still go out in
+// a frame (at 100,000 rows per frame every row is held until the
+// statement ends, so that frame is the only one); the done frame carries
+// the timed-out error; and the session answers the next line.
+func TestStreamTimeoutMidStreamKeepsSession(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db, _, addr, stop := startServerCfg(t, slowDiskCfg(), Config{WriteTimeout: time.Second})
+	loadWideTable(t, db, 12000)
+	c := dial(t, addr)
+	for _, chunkRows := range []int{100, 100000} {
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		c.setChunk(t, chunkRows)
+		db.SetStatementTimeout(40 * time.Millisecond)
+		chunks, done := c.chunkTrip(t, "SELECT * FROM wide")
+		db.SetStatementTimeout(0)
+		if len(done.Results) != 1 || done.Results[0].Error != context.DeadlineExceeded.Error() {
+			t.Fatalf("%d rows per frame: done frame %+v, want one result timed out", chunkRows, done)
+		}
+		streamed := 0
+		for _, ch := range chunks {
+			streamed += len(ch.Rows)
+		}
+		if streamed == 0 || streamed >= 12000 || len(chunks) != done.Results[0].Chunks ||
+			chunkRows > 12000 && len(chunks) != 1 {
+			t.Fatalf("%d rows per frame: %d rows in %d frames before the timeout, done reports %d frames",
+				chunkRows, streamed, len(chunks), done.Results[0].Chunks)
+		}
+
+		chunks, done = c.chunkTrip(t, "SELECT count(*) FROM wide")
+		if len(done.Results) != 1 || done.Results[0].Error != "" || len(chunks) != 1 || string(chunks[0].Rows[0]) != "[12000]" {
+			t.Fatalf("%d rows per frame: the next line got frames %+v, done %+v", chunkRows, chunks, done)
+		}
+	}
+	c.close()
+	stop()
+	if pinned := db.PinnedFrames(); pinned != 0 {
+		t.Errorf("%d pinned frames after the timed-out streams", pinned)
 	}
 	waitGoroutines(t, before)
 }
@@ -627,7 +673,7 @@ func TestStreamMetricsReset(t *testing.T) {
 	bad.roundTrip(t, "AUTH wrong")
 	bad.close()
 
-	// Backpressure waits depend on a full queue at the right instant;
+	// Backpressure waits are the time spent in frame writes, a timing;
 	// record one directly — the counter wiring is what this test pins.
 	db.MetricCounter("server.backpressure_waits_ns").Add(int64(time.Millisecond))
 

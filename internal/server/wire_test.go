@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"testing"
+	"time"
 )
 
 // The server writes its lines with append-style encoders and has no
@@ -45,6 +46,8 @@ type captureConn struct {
 }
 
 func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
 
 // handleLine runs one request line through srv.handle in buffered mode,
 // off the network, and decodes the response line.

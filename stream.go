@@ -57,11 +57,11 @@ type RowStreamer struct {
 	End     func(stmt int)
 	// Ctx, when set, receives the statement's effective context — the
 	// caller's ctx plus the configured statement timeout — just before
-	// Begin. A consumer whose Row callback can block (a bounded send
-	// queue with backpressure) selects on this context so a statement
-	// deadline or cancellation unblocks it; the statement then fails
-	// with the context's error rather than hanging on a stalled
-	// consumer. The context is only valid until End.
+	// Begin. A consumer whose Row callback can block (a socket write to
+	// a client that stopped reading) bounds the wait by this context's
+	// deadline, so a statement deadline or cancellation unblocks it; the
+	// statement then fails with the context's error rather than hanging
+	// on a stalled consumer. The context is only valid until End.
 	Ctx func(stmt int, ctx context.Context)
 }
 
