@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -61,9 +62,9 @@ func aggRef(rows []Row, groupIdx, qtyIdx, priceIdx int) []Row {
 }
 
 // TestSQLAggregateEquivalence pins every aggregate statement form to a
-// naively computed reference and to the native SelectAggregate API, on
-// both the natively built and SQL-built databases, through both Exec
-// and the ExecScript (SelectMany) batch path.
+// naively computed reference and to the native SelectAggregateCtx API,
+// on both the natively built and SQL-built databases, through both Exec
+// and a script (ExecScriptCtx).
 func TestSQLAggregateEquivalence(t *testing.T) {
 	rows := fixtureRows(400)
 	nat := nativeFixture(t, rows)
@@ -93,7 +94,7 @@ func TestSQLAggregateEquivalence(t *testing.T) {
 			}
 			rowsEqual(t, name+" "+stmt, res.Rows, want)
 
-			hdr, aggRows, err := db.SelectAggregate(QuerySpec{
+			hdr, aggRows, err := db.SelectAggregateCtx(context.Background(), QuerySpec{
 				Table: "items",
 				Preds: c.preds,
 				Aggs: []Agg{
@@ -103,7 +104,7 @@ func TestSQLAggregateEquivalence(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatalf("%s SelectAggregate%s: %v", name, c.where, err)
+				t.Fatalf("%s SelectAggregateCtx%s: %v", name, c.where, err)
 			}
 			if !reflect.DeepEqual(hdr, res.Columns) {
 				t.Errorf("%s native header %v != SQL %v", name, hdr, res.Columns)
@@ -122,7 +123,7 @@ func TestSQLAggregateEquivalence(t *testing.T) {
 			rowsEqual(t, name+" "+stmt, res.Rows, want)
 
 			// The batch path must agree statement for statement.
-			script, err := db.ExecScript(stmt + "; " + stmt)
+			script, err := db.ExecScriptCtx(context.Background(), stmt+"; "+stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +252,7 @@ func TestSQLOrderByEquivalence(t *testing.T) {
 			}
 			rowsEqual(t, name+" "+c.stmt, res.Rows, c.want)
 
-			script, err := db.ExecScript(c.stmt + "; " + c.stmt)
+			script, err := db.ExecScriptCtx(context.Background(), c.stmt+"; "+c.stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +292,7 @@ func orKey(r Row) string { return r[0].String() + "|" + r[2].String() }
 
 // TestSQLOrEquivalence pins OR queries — both union-of-probes and the
 // filtered-scan fallback — against a set-union reference, through SQL,
-// the batch path and the native SelectAny / QuerySpec.AnyOf forms.
+// a script and the native QuerySpec.AnyOf form.
 func TestSQLOrEquivalence(t *testing.T) {
 	rows := fixtureRows(400)
 	nat := nativeFixture(t, rows)
@@ -335,7 +336,7 @@ func TestSQLOrEquivalence(t *testing.T) {
 			}
 			rowsEqual(t, name+" "+stmt, res.Rows, want)
 
-			script, err := db.ExecScript(stmt + "; " + stmt)
+			script, err := db.ExecScriptCtx(context.Background(), stmt+"; "+stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,21 +347,11 @@ func TestSQLOrEquivalence(t *testing.T) {
 				rowsEqual(t, fmt.Sprintf("%s batched OR [%d]", name, k), sr.Res.Rows, want)
 			}
 
-			var got []Row
-			err = db.Table("items").SelectAny(func(r Row) bool {
-				got = append(got, r)
-				return true
-			}, c.disjuncts...)
+			got, err := selectRows(db, QuerySpec{Table: "items", AnyOf: c.disjuncts})
 			if err != nil {
-				t.Fatalf("%s SelectAny(%s): %v", name, c.where, err)
+				t.Fatalf("%s AnyOf spec (%s): %v", name, c.where, err)
 			}
-			rowsEqual(t, name+" SelectAny "+c.where, got, want)
-
-			batch := db.SelectMany([]QuerySpec{{Table: "items", AnyOf: c.disjuncts}})
-			if batch[0].Err != nil {
-				t.Fatal(batch[0].Err)
-			}
-			rowsEqual(t, name+" AnyOf spec "+c.where, batch[0].Rows, want)
+			rowsEqual(t, name+" AnyOf spec "+c.where, got, want)
 		}
 	}
 
@@ -384,9 +375,8 @@ func TestSQLOrEquivalence(t *testing.T) {
 		t.Errorf("or count = %v, want %d", res.Rows[0][0], len(full.Rows))
 	}
 	// Via must be Auto for OR specs.
-	bad := sql.SelectMany([]QuerySpec{{Table: "items", Via: TableScan,
-		AnyOf: [][]Pred{{Eq("qty", IntVal(3))}, {Eq("qty", IntVal(8))}}}})
-	if bad[0].Err == nil {
+	if _, err := selectRows(sql, QuerySpec{Table: "items", Via: TableScan,
+		AnyOf: [][]Pred{{Eq("qty", IntVal(3))}, {Eq("qty", IntVal(8))}}}); err == nil {
 		t.Error("forced Via with AnyOf accepted")
 	}
 }
@@ -423,27 +413,18 @@ func TestExplainOrUnionNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	member := map[string]bool{}
-	tbl := db.Table("plans")
 	for _, preds := range [][]Pred{
 		{Eq("u", IntVal(25))}, {Eq("r", IntVal(77))},
 	} {
-		err := tbl.Select(func(r Row) bool {
+		for _, r := range mustSelect(t, db, QuerySpec{Table: "plans", Preds: preds}) {
 			member[r[3].String()] = true // r is unique
-			return true
-		}, preds...)
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	var want []Row
-	err = tbl.Select(func(r Row) bool {
+	for _, r := range mustSelect(t, db, QuerySpec{Table: "plans"}) {
 		if member[r[3].String()] {
 			want = append(want, r)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	rowsEqual(t, "union rows", or.Rows, want)
 
@@ -558,11 +539,11 @@ func TestParallelAggregateDeterminism(t *testing.T) {
 			Aggs: []Agg{{Func: Sum, Col: "price"}}},
 	}
 	for i, spec := range specs {
-		sh, sr, err := serial.SelectAggregate(spec)
+		sh, sr, err := serial.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("spec %d serial: %v", i, err)
 		}
-		ph, pr, err := parallel.SelectAggregate(spec)
+		ph, pr, err := parallel.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("spec %d parallel: %v", i, err)
 		}
@@ -575,14 +556,14 @@ func TestParallelAggregateDeterminism(t *testing.T) {
 	// Forced access methods agree with Auto (single-conjunction specs).
 	base := QuerySpec{Table: "items", Preds: []Pred{Eq("qty", IntVal(7))},
 		Aggs: []Agg{{Func: Count}, {Func: Avg, Col: "price"}}}
-	_, want, err := parallel.SelectAggregate(base)
+	_, want, err := parallel.SelectAggregateCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, via := range []AccessMethod{TableScan, SortedIndexScan, PipelinedIndexScan, CMScan} {
 		spec := base
 		spec.Via = via
-		_, got, err := parallel.SelectAggregate(spec)
+		_, got, err := parallel.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("via %v: %v", via, err)
 		}
@@ -594,7 +575,7 @@ func TestParallelAggregateDeterminism(t *testing.T) {
 	// to the table scan's, at one worker and at eight.
 	onCat := QuerySpec{Table: "items", Preds: []Pred{Between("cat", IntVal(5), IntVal(40))},
 		Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "price"}, {Func: Avg, Col: "price"}}, GroupBy: []string{"city"}}
-	_, want, err = serial.SelectAggregate(withVia(onCat, TableScan))
+	_, want, err = serial.SelectAggregateCtx(context.Background(), withVia(onCat, TableScan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +583,7 @@ func TestParallelAggregateDeterminism(t *testing.T) {
 		t.Fatal("clustered-range aggregate matched nothing; fixture broken")
 	}
 	for _, db := range []*DB{serial, parallel} {
-		_, got, err := db.SelectAggregate(withVia(onCat, ClusteredIndexScan))
+		_, got, err := db.SelectAggregateCtx(context.Background(), withVia(onCat, ClusteredIndexScan))
 		if err != nil {
 			t.Fatalf("clustered agg workers=%d: %v", db.Workers(), err)
 		}
@@ -626,7 +607,7 @@ func TestExecScriptMixedBatchParity(t *testing.T) {
 		"SELECT ghost FROM items", // binds per-statement, fails alone
 		"SELECT price FROM items WHERE qty >= 3 ORDER BY price DESC LIMIT 5",
 	}
-	results, err := db.ExecScript(strings.Join(stmts, ";\n"))
+	results, err := db.ExecScriptCtx(context.Background(), strings.Join(stmts, ";\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,16 +655,23 @@ func TestAggregateValidation(t *testing.T) {
 			t.Errorf("Exec(%q) did not fail", bad)
 		}
 	}
-	if _, _, err := db.SelectAggregate(QuerySpec{Table: "items"}); err == nil {
-		t.Error("SelectAggregate without Aggs/GroupBy accepted")
+	if _, _, err := db.SelectAggregateCtx(context.Background(), QuerySpec{Table: "items"}); err == nil {
+		t.Error("SelectAggregateCtx without Aggs/GroupBy accepted")
 	}
-	if _, _, err := db.SelectAggregate(QuerySpec{Table: "items",
+	if _, _, err := db.SelectAggregateCtx(context.Background(), QuerySpec{Table: "items",
 		Aggs: []Agg{{Func: Sum, Col: "city"}}}); err == nil {
 		t.Error("native sum over string accepted")
 	}
-	if _, _, err := db.SelectAggregate(QuerySpec{Table: "items",
+	if _, _, err := db.SelectAggregateCtx(context.Background(), QuerySpec{Table: "items",
 		Aggs: []Agg{{Func: Count}}, OrderBy: []Order{{Col: "qty"}}}); err == nil {
 		t.Error("aggregate ORDER BY over non-output column accepted")
+	}
+	// An aggregate function outside the enum is named by its number, not
+	// mistaken for max.
+	_, _, err := db.SelectAggregateCtx(context.Background(), QuerySpec{Table: "items",
+		Aggs: []Agg{{Func: AggFunc(42), Col: "qty"}}})
+	if err == nil || err.Error() != "repro: unknown aggregate function aggfunc(42)" {
+		t.Errorf("AggFunc(42): err = %v", err)
 	}
 	// ORDER BY a hidden aggregate is allowed in SQL (computed, not shown).
 	res, err := db.Exec("SELECT city FROM items GROUP BY city ORDER BY count(*) DESC LIMIT 2")

@@ -14,8 +14,9 @@ import (
 	"time"
 )
 
-// TestSelectCtxCancelStopsWithinChunk cancels a full scan from inside
-// its row callback, inline and fanned out, and asserts the scan stops
+// TestSelectCtxCancelStopsWithinChunk (named for the context-taking
+// Select door SelectSpec replaced) cancels a full scan from inside its
+// row callback, inline and fanned out, and asserts the scan stops
 // almost immediately: only a few more pages per worker may be read past
 // the cancellation point (every sweep polls its context at heap-page
 // granularity; the exact contract — never past the page it is on — is
@@ -32,7 +33,7 @@ func TestSelectCtxCancelStopsWithinChunk(t *testing.T) {
 			defer cancel()
 			var readsAtCancel uint64
 			rows := 0
-			err := tbl.SelectCtx(ctx, func(Row) bool {
+			err := db.SelectSpec(ctx, QuerySpec{Table: tbl.Name()}, func(Row) bool {
 				rows++
 				if rows == 1 {
 					readsAtCancel = db.Stats().Reads
@@ -56,9 +57,8 @@ func TestSelectCtxCancelStopsWithinChunk(t *testing.T) {
 				t.Fatalf("query.cancelled = %d, want >= 1", got)
 			}
 			// The engine is fully reusable afterwards.
-			n := 0
-			if err := tbl.Select(func(Row) bool { n++; return true }); err != nil || n != 4000 {
-				t.Fatalf("follow-up scan: n=%d err=%v", n, err)
+			if rows, err := selectRows(db, QuerySpec{Table: tbl.Name()}); err != nil || len(rows) != 4000 {
+				t.Fatalf("follow-up scan: n=%d err=%v", len(rows), err)
 			}
 		})
 	}
@@ -89,11 +89,10 @@ func TestStatementTimeoutConfig(t *testing.T) {
 	if got := db.StatementTimeout(); got != time.Nanosecond {
 		t.Fatalf("StatementTimeout() = %v", got)
 	}
-	err = tbl.Select(func(Row) bool { return true })
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := selectRows(db, QuerySpec{Table: "tt"}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("select under 1ns deadline returned %v, want DeadlineExceeded", err)
 	}
-	if _, err := tbl.Update([]Set{{Col: "u", Val: IntVal(1)}}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.UpdateCtx(context.Background(), "tt", []Set{{Col: "u", Val: IntVal(1)}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("update under 1ns deadline returned %v, want DeadlineExceeded", err)
 	}
 	if got := db.Metrics("query.timed_out")[0].Value; got < 2 {
@@ -109,9 +108,8 @@ func TestStatementTimeoutConfig(t *testing.T) {
 		t.Fatalf("query.timed_out %d -> %d across the insert, want one more", timedOut, got)
 	}
 	db.SetStatementTimeout(0)
-	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }); err != nil || n != 200 {
-		t.Fatalf("select after lifting deadline: n=%d err=%v", n, err)
+	if rows, err := selectRows(db, QuerySpec{Table: "tt"}); err != nil || len(rows) != 200 {
+		t.Fatalf("select after lifting deadline: n=%d err=%v", len(rows), err)
 	}
 }
 
@@ -167,7 +165,7 @@ func TestSQLSetStatementTimeout(t *testing.T) {
 // mustScript runs a script and fails the test on a parse error.
 func mustScript(t *testing.T, db *DB, script string) []ScriptResult {
 	t.Helper()
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +179,11 @@ func TestShowMetricsQueryOutcomes(t *testing.T) {
 	db, tbl := buildFaultDB(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := tbl.SelectCtx(ctx, func(Row) bool { return true }); !errors.Is(err, context.Canceled) {
+	if err := db.SelectSpec(ctx, QuerySpec{Table: tbl.Name()}, func(Row) bool { return true }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled select returned %v", err)
 	}
 	db.SetStatementTimeout(time.Nanosecond)
-	if err := tbl.Select(func(Row) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name()}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("select under 1ns deadline returned %v", err)
 	}
 	db.SetStatementTimeout(0)
@@ -213,8 +211,12 @@ func TestInsertPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cancelled := db.Metrics("query.cancelled")[0].Value
-	if _, err := db.ExecCtx(ctx, "INSERT INTO ft VALUES (999999, 1, 'late')"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("INSERT under a cancelled context returned %v, want context.Canceled", err)
+	results, err := db.ExecScriptCtx(ctx, "INSERT INTO ft VALUES (999999, 1, 'late')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(results[0].Err, context.Canceled) {
+		t.Fatalf("INSERT under a cancelled context returned %v, want context.Canceled", results[0].Err)
 	}
 	if got := db.Metrics("query.cancelled")[0].Value; got != cancelled+1 {
 		t.Fatalf("query.cancelled %d -> %d across the insert, want one more", cancelled, got)
@@ -245,26 +247,37 @@ func TestStatementOutcome(t *testing.T) {
 	}
 }
 
-// TestSelectManyCtxPreCancelled runs a batch under an already-cancelled
-// context: every query of the batch must fail with the context's error
-// and the engine must stay usable.
+// TestSelectManyCtxPreCancelled (named for the batch door SelectSpec
+// replaced) runs every query form under an already-cancelled context: each must fail with the context's error
+// having done zero work — no row delivered and no page read, even for
+// index-only aggregation — and the engine must stay usable.
 func TestSelectManyCtxPreCancelled(t *testing.T) {
-	db, tbl := buildFaultDB(t, 4)
+	db, _ := buildFaultDB(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	reads := db.Stats().Reads
 	specs := []QuerySpec{
 		{Table: "ft", Preds: []Pred{Eq("u", IntVal(3))}},
 		{Table: "ft", Preds: []Pred{Eq("u", IntVal(4))}},
 		{Table: "ft", Via: ClusteredIndexScan, Preds: []Pred{Between("c", IntVal(10), IntVal(500))}},
 		{Table: "ft", Aggs: []Agg{{Func: Count}}},
 	}
-	for i, r := range db.SelectManyCtx(ctx, specs) {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("batch query %d returned %v, want context.Canceled", i, r.Err)
+	for i, spec := range specs {
+		err := db.SelectSpec(ctx, spec, func(Row) bool {
+			t.Errorf("query %d delivered a row under a dead context", i)
+			return false
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("query %d returned %v, want context.Canceled", i, err)
 		}
 	}
-	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }, Eq("u", IntVal(3))); err != nil || n != 25 {
-		t.Fatalf("follow-up query: n=%d err=%v", n, err)
+	if got := db.Stats().Reads; got != reads {
+		t.Errorf("dead-context queries read %d pages, want 0", got-reads)
+	}
+	if rows, err := selectRows(db, QuerySpec{Table: "ft", Preds: []Pred{Eq("u", IntVal(3))}}); err != nil || len(rows) != 25 {
+		t.Fatalf("follow-up query: n=%d err=%v", len(rows), err)
 	}
 }

@@ -64,8 +64,7 @@ func TestChaosCancelStorm(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				ctx, cancel := stormCtx(rng)
 				n := 0
-				err := tbl.SelectCtx(ctx, func(Row) bool { n++; return true },
-					Between("u", IntVal(10), IntVal(40)))
+				err := db.SelectSpec(ctx, QuerySpec{Table: tbl.Name(), Preds: []Pred{Between("u", IntVal(10), IntVal(40))}}, func(Row) bool { n++; return true })
 				cancel()
 				if err == nil && n != wantRows {
 					errCh <- fmt.Errorf("reader %d iter %d: %d rows, want %d", gid, i, n, wantRows)
@@ -90,13 +89,13 @@ func TestChaosCancelStorm(t *testing.T) {
 					continue
 				}
 				ctx, cancel := stormCtx(rng)
-				_, err := tbl.UpdateCtx(ctx, []Set{{Col: "tag", Val: StringVal("touched")}}, Eq("c", IntVal(c)))
+				_, err := db.UpdateCtx(ctx, tbl.Name(), []Set{{Col: "tag", Val: StringVal("touched")}}, Eq("c", IntVal(c)))
 				cancel()
 				if !ctxOutcome(err) {
 					errCh <- fmt.Errorf("writer %d iter %d update: unexpected error %v", gid, i, err)
 				}
 				ctx, cancel = stormCtx(rng)
-				_, err = tbl.DeleteCtx(ctx, Eq("c", IntVal(c)))
+				_, err = db.DeleteCtx(ctx, tbl.Name(), Eq("c", IntVal(c)))
 				cancel()
 				if !ctxOutcome(err) {
 					errCh <- fmt.Errorf("writer %d iter %d delete: unexpected error %v", gid, i, err)
@@ -118,10 +117,7 @@ func TestChaosCancelStorm(t *testing.T) {
 			t.Errorf("%v after storm: n=%d err=%v, want %d", method, n, err, wantRows)
 		}
 	}
-	stable := 0
-	if err := tbl.Select(func(Row) bool { stable++; return true }, Lt("c", IntVal(4000))); err != nil {
-		t.Fatal(err)
-	}
+	stable := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Preds: []Pred{Lt("c", IntVal(4000))}}))
 	if stable != 4000 {
 		t.Errorf("stable rows after storm = %d, want 4000", stable)
 	}
@@ -177,13 +173,13 @@ func TestChaosFaultStorm(t *testing.T) {
 		}
 	}
 	total := 0
-	if err := tbl.Select(func(Row) bool { total++; return true }); err != nil || total != 4000 {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name()}, func(Row) bool { total++; return true }); err != nil || total != 4000 {
 		t.Fatalf("total after disarm: n=%d err=%v, want 4000", total, err)
 	}
 	if err := tbl.Insert(Row{IntVal(999999), IntVal(1), StringVal("probe")}); err != nil {
 		t.Fatalf("insert after storm: %v", err)
 	}
-	if n, err := tbl.Delete(Eq("c", IntVal(999999))); err != nil || n != 1 {
+	if n, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("c", IntVal(999999))); err != nil || n != 1 {
 		t.Fatalf("delete after storm: n=%d err=%v", n, err)
 	}
 }
@@ -260,7 +256,7 @@ func TestWriterKilledMidTxnThenRecovered(t *testing.T) {
 	}
 	tx.Abort()
 	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }, Ge("c", IntVal(2000))); err != nil || n != 0 {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Preds: []Pred{Ge("c", IntVal(2000))}}, func(Row) bool { n++; return true }); err != nil || n != 0 {
 		t.Fatalf("killed txn leaked %d rows (err=%v)", n, err)
 	}
 
@@ -273,7 +269,7 @@ func TestWriterKilledMidTxnThenRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	if err := tbl.Select(func(Row) bool { total++; return true }); err != nil || total != 650 {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name()}, func(Row) bool { total++; return true }); err != nil || total != 650 {
 		t.Fatalf("population after kill+commit: n=%d err=%v, want 650", total, err)
 	}
 

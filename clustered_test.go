@@ -115,13 +115,13 @@ func churnCats(t *testing.T, tbl *Table) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := tbl.Update([]Set{{Col: "cat", Val: IntVal(7)}}, Eq("cat", IntVal(1000))); err != nil || n == 0 {
+	if n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "cat", Val: IntVal(7)}}, Eq("cat", IntVal(1000))); err != nil || n == 0 {
 		t.Fatalf("moving update: n=%d err=%v", n, err)
 	}
-	if n, err := tbl.Update([]Set{{Col: "price", Val: IntVal(1)}}, Between("cat", IntVal(200), IntVal(210))); err != nil || n == 0 {
+	if n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(1)}}, Between("cat", IntVal(200), IntVal(210))); err != nil || n == 0 {
 		t.Fatalf("payload update: n=%d err=%v", n, err)
 	}
-	if n, err := tbl.Delete(In("cat", IntVal(120), IntVal(3999))); err != nil || n == 0 {
+	if n, err := tbl.db.DeleteCtx(context.Background(), tbl.Name(), In("cat", IntVal(120), IntVal(3999))); err != nil || n == 0 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 }
@@ -147,7 +147,7 @@ func TestClusteredEquivalenceThroughChurn(t *testing.T) {
 				rowsEqual(t, label, collectVia(t, tbl, ClusteredIndexScan, q.preds...), want)
 				rowsEqual(t, label+" auto", collectVia(t, tbl, Auto, q.preds...), want)
 			}
-			info, err := tbl.Explain(q.preds...)
+			info, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: q.preds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +370,7 @@ func TestWriteStatementsUseTheClusteredIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.Stats().Reads
-	n, err := tbl.Delete(Eq("cat", IntVal(1234)))
+	n, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("cat", IntVal(1234)))
 	if err != nil || n == 0 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
@@ -456,19 +456,21 @@ func TestClusteredCancelAndFault(t *testing.T) {
 	// so the cancellation must cut the emission short.
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	err := tbl.runTree(ctx, QuerySpec{Table: "items", Via: ClusteredIndexScan, Preds: preds}, 1,
-		func(value.Row) bool {
+	var err error
+	atWorkers(db, 1, func() {
+		err = db.SelectSpec(ctx, QuerySpec{Table: "items", Via: ClusteredIndexScan, Preds: preds}, func(Row) bool {
 			seen++
 			cancel()
 			return true
 		})
+	})
 	if !errors.Is(err, context.Canceled) || seen >= want {
 		t.Fatalf("cancelled clustered read: err=%v after %d of %d rows", err, seen, want)
 	}
 
 	dead, kill := context.WithCancel(context.Background())
 	kill()
-	if _, err := tbl.DeleteCtx(dead, preds...); !errors.Is(err, context.Canceled) {
+	if _, err := db.DeleteCtx(dead, tbl.Name(), preds...); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DELETE under a dead context returned %v", err)
 	}
 
@@ -476,7 +478,7 @@ func TestClusteredCancelAndFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetFaultPlan(&FaultPlan{EveryKth: 3})
-	_, err = tbl.Update([]Set{{Col: "price", Val: IntVal(-7)}}, preds...)
+	_, err = db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(-7)}}, preds...)
 	db.SetFaultPlan(nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("UPDATE under a fault plan returned %v", err)
@@ -573,7 +575,7 @@ func TestCostModelTruthConfiguredDisk(t *testing.T) {
 		var cats []Value
 		for n := 1; n <= 100; n++ {
 			cats = append(cats, IntVal(int64(40*(n-1))))
-			info, err := tbl.Explain(In("cat", cats...))
+			info, err := tbl.db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{In("cat", cats...)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -600,7 +602,7 @@ func TestCostModelTruthConfiguredDisk(t *testing.T) {
 // the CM's.
 func TestClusteredCrossover(t *testing.T) {
 	db, tbl := itemsFixture(t, 1)
-	scan, err := tbl.Explain()
+	scan, err := db.ExplainSpec(QuerySpec{Table: tbl.Name()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +612,7 @@ func TestClusteredCrossover(t *testing.T) {
 		want AccessMethod
 	}{{0, ClusteredIndexScan}, {10, ClusteredIndexScan}, {199, ClusteredIndexScan}, {1000, ClusteredIndexScan},
 		{3700, ClusteredIndexScan}, {3800, TableScan}, {3999, TableScan}} {
-		info, err := tbl.Explain(Between("cat", IntVal(0), IntVal(c.span)))
+		info, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Between("cat", IntVal(0), IntVal(c.span))}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -667,7 +669,7 @@ func TestPlannerStatsFollowTheTable(t *testing.T) {
 	mustExec(sb.String())
 
 	tbl := db.Table("b")
-	byV, err := tbl.Explain(Eq("v", IntVal(17)))
+	byV, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("v", IntVal(17))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,14 +677,14 @@ func TestPlannerStatsFollowTheTable(t *testing.T) {
 		t.Errorf("after LOAD, v = 17 planned %v/%q est %v, want ix_v with a real estimate",
 			byV.Method, byV.Uses, byV.EstimatedCost)
 	}
-	byK, err := tbl.Explain(Eq("k", IntVal(1)))
+	byK, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("k", IntVal(1))}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if byK.Method != ClusteredIndexScan {
 		t.Errorf("after LOAD, k = 1 planned %v, want the clustered index", byK.Method)
 	}
-	scan0, err := tbl.Explain()
+	scan0, err := db.ExplainSpec(QuerySpec{Table: tbl.Name()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +698,7 @@ func TestPlannerStatsFollowTheTable(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustExec("UPDATE b SET v = 1 WHERE k < 1500")
 	}
-	scan1, err := tbl.Explain()
+	scan1, err := db.ExplainSpec(QuerySpec{Table: tbl.Name()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -98,7 +99,7 @@ func TestCMAggEquivalence(t *testing.T) {
 	serial, _ := cmaggFixture(t, 1, 600)
 	parallel, _ := cmaggFixture(t, 8, 600)
 	for si, spec := range cmaggSpecs() {
-		_, want, err := serial.SelectAggregate(withVia(spec, TableScan))
+		_, want, err := serial.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 		if err != nil {
 			t.Fatalf("spec %d reference: %v", si, err)
 		}
@@ -117,7 +118,7 @@ func TestCMAggEquivalence(t *testing.T) {
 				if via == ClusteredIndexScan && specCol(spec) != "cat" {
 					continue // forced clustered scan needs the clustering column
 				}
-				_, got, err := db.SelectAggregate(s)
+				_, got, err := db.SelectAggregateCtx(context.Background(), s)
 				if err != nil {
 					t.Fatalf("spec %d via %v (workers=%d): %v", si, via, db.Workers(), err)
 				}
@@ -175,7 +176,7 @@ func TestCMAggIndexOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	_, got, err := db.SelectAggregate(spec)
+	_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCMAggIndexOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+	_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestCMAggHybridImpureBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	_, got, err := db.SelectAggregate(spec)
+	_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCMAggHybridImpureBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+	_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +301,10 @@ func TestCMAggRetraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tbl.Delete(Eq("city", StringVal("aaaa"))); err != nil {
+	if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("city", StringVal("aaaa"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Delete(Eq("qty", IntVal(3))); err != nil {
+	if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("qty", IntVal(3))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,11 +316,11 @@ func TestCMAggRetraction(t *testing.T) {
 			Aggs: []Agg{{Func: Count}, {Func: Avg, Col: "qty"}}, GroupBy: []string{"qty"}},
 	}
 	for i, spec := range specs {
-		_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+		_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := db.SelectAggregate(spec)
+		_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestCMAggRetraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	if _, _, err := db.SelectAggregate(specs[1]); err != nil {
+	if _, _, err := db.SelectAggregateCtx(context.Background(), specs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if reads := db.Stats().Reads; reads != 0 {
@@ -364,11 +365,11 @@ func TestCMAggIneligibleShapes(t *testing.T) {
 		if info.Nodes[0].Kind == "cm-agg" {
 			t.Errorf("spec %d planned cm-agg: %+v", i, info.Nodes)
 		}
-		_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+		_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := db.SelectAggregate(spec)
+		_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

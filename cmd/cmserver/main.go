@@ -6,7 +6,7 @@
 // run in order, each streaming its rows into the session's reply.
 //
 // Run with: go run ./cmd/cmserver -addr :7433 -demo
-// then talk to it with: go run ./cmd/cmsql -addr localhost:7433
+// then send it one SQL line at a time, e.g. with: nc localhost 7433
 package main
 
 import (
@@ -109,7 +109,7 @@ LOAD INTO people VALUES
  ('OH', 'toledo', 70000);
 CREATE CORRELATION MAP city_cm ON people (city);
 `
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		return err
 	}

@@ -74,10 +74,7 @@ func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 		t.Helper()
 		var rows []Row
 		reads, heapPages := coldReads(t, db, func() {
-			var err error
-			if rows, err = db.runSpec(nil, spec, workers); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			atWorkers(db, workers, func() { rows = mustSelect(t, db, spec) })
 		})
 		if reads != heapPages || reads == 0 {
 			t.Errorf("%s: %d disk reads for %d heap pages swept — the probe read index pages", label, reads, heapPages)
@@ -143,20 +140,16 @@ func TestCMDirectoryEquivalenceThroughChurn(t *testing.T) {
 		}
 		scan := agg
 		scan.Via = TableScan
-		want, err := db.runSpec(nil, scan, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var want []Row
+		atWorkers(db, 1, func() { want = mustSelect(t, db, scan) })
 		for _, w := range []int{1, 4} {
 			label := fmt.Sprintf("%s cm-agg workers=%d", stage, w)
 			if hybrid {
 				rowsEqual(t, label, runs(label, w, agg), want)
 				continue
 			}
-			got, err := db.runSpec(nil, agg, w)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			var got []Row
+			atWorkers(db, w, func() { got = mustSelect(t, db, agg) })
 			rowsEqual(t, label, got, want)
 		}
 	}
@@ -177,15 +170,12 @@ func TestCMSnapshotReadMidWrite(t *testing.T) {
 	preds := []Pred{Between("subcat", IntVal(5), IntVal(7))}
 	agg := QuerySpec{Table: "items", Preds: preds, Aggs: []Agg{{Func: Count}, {Func: Sum, Col: "price"}}}
 	before := collectVia(t, tbl, TableScan, preds...)
-	aggBefore, err := db.runSpec(nil, agg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggBefore := mustSelect(t, db, agg)
 
 	var olds []heap.RID
 	var news []value.Row
 	tbl.inner.RLock()
-	err = exec.TableScan(tbl.inner, exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55))), 1,
+	err := exec.TableScan(tbl.inner, exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55))), 1,
 		func(rid heap.RID, row value.Row) bool {
 			olds = append(olds, rid)
 			moved := row.Clone()
@@ -208,10 +198,7 @@ func TestCMSnapshotReadMidWrite(t *testing.T) {
 	}
 	rowsEqual(t, "mid-flight cm-scan", collectVia(t, tbl, CMScan, preds...), before)
 	rowsEqual(t, "mid-flight auto", collectVia(t, tbl, Auto, preds...), before)
-	aggMid, err := db.runSpec(nil, agg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggMid := mustSelect(t, db, agg)
 	rowsEqual(t, "mid-flight aggregate", aggMid, aggBefore)
 	if err := tx.Publish(); err != nil {
 		t.Fatal(err)
@@ -223,14 +210,9 @@ func TestCMSnapshotReadMidWrite(t *testing.T) {
 	rowsEqual(t, "published cm-scan", collectVia(t, tbl, CMScan, preds...), after)
 	scan := agg
 	scan.Via = TableScan
-	aggWant, err := db.runSpec(nil, scan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggAfter, err := db.runSpec(nil, agg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var aggWant []Row
+	atWorkers(db, 1, func() { aggWant = mustSelect(t, db, scan) })
+	aggAfter := mustSelect(t, db, agg)
 	rowsEqual(t, "published aggregate", aggAfter, aggWant)
 }
 

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -114,7 +115,7 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 					return
 				}
 			}
-			if _, err := tbl.Delete(Eq("u", IntVal(u)), Eq("c", IntVal(c))); err != nil {
+			if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(u)), Eq("c", IntVal(c))); err != nil {
 				writerErr <- err
 				return
 			}
@@ -134,13 +135,13 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 				// Stable slice: must always be fully visible.
 				u := int64((r*7 + i) % stableUs)
 				n := 0
-				err := tbl.SelectVia(method, func(row Row) bool {
+				err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: method, Preds: stressPreds(method, u)}, func(row Row) bool {
 					if row[1].Int() != u {
 						t.Errorf("%v: row with u=%d in result for u=%d", method, row[1].Int(), u)
 					}
 					n++
 					return true
-				}, stressPreds(method, u)...)
+				})
 				if err != nil {
 					t.Errorf("%v: %v", method, err)
 					return
@@ -153,10 +154,10 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 				// Volatile slice: each (c,u) pair exists 0 or 1 times.
 				vu := int64(volatileUBase + i%7)
 				seen := map[string]int{}
-				err = tbl.SelectVia(method, func(row Row) bool {
+				err = db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: method, Preds: stressPreds(method, vu)}, func(row Row) bool {
 					seen[row[0].String()]++
 					return true
-				}, stressPreds(method, vu)...)
+				})
 				if err != nil {
 					t.Errorf("%v volatile: %v", method, err)
 					return
@@ -190,7 +191,7 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 // phantoms, no half-applied update) and volatile rows are never
 // duplicated. Run with -race.
 func TestConcurrentUpdatesVsReaders(t *testing.T) {
-	_, tbl := buildStressDB(t, 4)
+	db, tbl := buildStressDB(t, 4)
 
 	const (
 		readers        = 4
@@ -219,18 +220,16 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 				return
 			}
 			// Rewrite the volatile row in place (same u, new tag).
-			if _, err := tbl.Update([]Set{{Col: "tag", Val: StringVal("v1")}},
-				Eq("u", IntVal(vu)), Eq("c", IntVal(c))); fail(err) {
+			if _, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "tag", Val: StringVal("v1")}}, Eq("u", IntVal(vu)), Eq("c", IntVal(c))); fail(err) {
 				return
 			}
 			// Retag an entire stable slice: readers must see the whole
 			// slice before or after, never a torn mix losing rows.
 			su := int64(k % stableUs)
-			if _, err := tbl.Update([]Set{{Col: "tag", Val: StringVal(fmt.Sprintf("gen-%d", k))}},
-				Eq("u", IntVal(su))); fail(err) {
+			if _, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "tag", Val: StringVal(fmt.Sprintf("gen-%d", k))}}, Eq("u", IntVal(su))); fail(err) {
 				return
 			}
-			if _, err := tbl.Delete(Eq("u", IntVal(vu)), Eq("c", IntVal(c))); fail(err) {
+			if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(vu)), Eq("c", IntVal(c))); fail(err) {
 				return
 			}
 			if k%8 == 0 && fail(tbl.Commit()) {
@@ -247,13 +246,13 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 				method := stressMethods[(r+i)%len(stressMethods)]
 				u := int64((r*5 + i) % stableUs)
 				n := 0
-				err := tbl.SelectVia(method, func(row Row) bool {
+				err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: method, Preds: stressPreds(method, u)}, func(row Row) bool {
 					if row[1].Int() != u {
 						t.Errorf("%v: row with u=%d in result for u=%d", method, row[1].Int(), u)
 					}
 					n++
 					return true
-				}, stressPreds(method, u)...)
+				})
 				if err != nil {
 					t.Errorf("%v: %v", method, err)
 					return
@@ -265,10 +264,10 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 
 				vu := int64(volatileUBase + i%5)
 				seen := map[string]int{}
-				if err := tbl.SelectVia(method, func(row Row) bool {
+				if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: method, Preds: stressPreds(method, vu)}, func(row Row) bool {
 					seen[row[0].String()]++
 					return true
-				}, stressPreds(method, vu)...); err != nil {
+				}); err != nil {
 					t.Errorf("%v volatile: %v", method, err)
 					return
 				}
@@ -293,18 +292,17 @@ func TestConcurrentUpdatesVsReaders(t *testing.T) {
 		t.Fatalf("final row count %d, want %d", got, stableUs*rowsPerU)
 	}
 	for _, m := range stressMethods {
-		n := 0
-		if err := tbl.SelectVia(m, func(Row) bool { n++; return true }, stressPreds(m, 1)...); err != nil {
-			t.Fatal(err)
-		}
+		n := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Via: m, Preds: stressPreds(m, 1)}))
 		if n != rowsPerU {
 			t.Fatalf("%v: quiesced u=1 has %d rows, want %d", m, n, rowsPerU)
 		}
 	}
 }
 
-// TestSelectManyDuringWrites drives the batch API concurrently with a
-// writer: every per-query result over stable values must be complete.
+// TestSelectManyDuringWrites (named for the batch door SelectSpec
+// replaced) runs rounds of twelve concurrent queries, one per goroutine
+// across every forced access method, beside a writer: every result over
+// stable values must be complete.
 func TestSelectManyDuringWrites(t *testing.T) {
 	db, tbl := buildStressDB(t, 8)
 
@@ -320,7 +318,7 @@ func TestSelectManyDuringWrites(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := tbl.Delete(Eq("u", IntVal(u))); err != nil {
+			if _, err := db.DeleteCtx(context.Background(), "stress", Eq("u", IntVal(u))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -334,33 +332,42 @@ func TestSelectManyDuringWrites(t *testing.T) {
 	}()
 
 	for round := 0; round < 15 && !stop.Load(); round++ {
-		specs := make([]QuerySpec, 12)
-		for i := range specs {
+		var batch sync.WaitGroup
+		for i := 0; i < 12; i++ {
 			via := stressMethods[i%len(stressMethods)]
-			specs[i] = QuerySpec{
-				Table: "stress",
-				Via:   via,
-				Preds: stressPreds(via, int64((round+i)%stableUs)),
-			}
+			spec := QuerySpec{Table: "stress", Via: via, Preds: stressPreds(via, int64((round+i)%stableUs))}
+			batch.Add(1)
+			go func() {
+				defer batch.Done()
+				rows, err := selectRows(db, spec)
+				if err != nil {
+					t.Errorf("spec %d: %v", i, err)
+				} else if len(rows) != rowsPerU {
+					t.Errorf("spec %d (%v): got %d rows, want %d", i, via, len(rows), rowsPerU)
+				}
+			}()
 		}
-		for i, res := range db.SelectMany(specs) {
-			if res.Err != nil {
-				t.Fatalf("spec %d: %v", i, res.Err)
-			}
-			if len(res.Rows) != rowsPerU {
-				t.Fatalf("spec %d (%v): got %d rows, want %d", i, specs[i].Via, len(res.Rows), rowsPerU)
-			}
-		}
+		batch.Wait()
 	}
 	wg.Wait()
 }
 
-// TestSelectManyUnknownTable returns a per-query error, not a panic.
+// TestSelectManyUnknownTable (named for the batch door SelectSpec
+// replaced) pins that every statement door naming a missing table
+// returns an error, not a panic.
 func TestSelectManyUnknownTable(t *testing.T) {
 	db, _ := buildStressDB(t, 2)
-	res := db.SelectMany([]QuerySpec{{Table: "absent"}})
-	if len(res) != 1 || res[0].Err == nil {
-		t.Fatalf("want error for unknown table, got %+v", res)
+	if _, err := selectRows(db, QuerySpec{Table: "absent"}); err == nil {
+		t.Error("query on unknown table accepted")
+	}
+	if _, err := db.UpdateCtx(context.Background(), "absent", nil); err == nil {
+		t.Error("update on unknown table accepted")
+	}
+	if _, err := db.DeleteCtx(context.Background(), "absent"); err == nil {
+		t.Error("delete on unknown table accepted")
+	}
+	if _, err := db.ExplainSpec(QuerySpec{Table: "absent"}); err == nil {
+		t.Error("explain on unknown table accepted")
 	}
 }
 
@@ -415,7 +422,7 @@ func TestConcurrentTablesShareEngine(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 80; k++ {
 				n := 0
-				err := b.SelectVia(CMScan, func(Row) bool { n++; return true }, Eq("u", IntVal(7)))
+				err := b.db.SelectSpec(context.Background(), QuerySpec{Table: b.Name(), Via: CMScan, Preds: []Pred{Eq("u", IntVal(7))}}, func(Row) bool { n++; return true })
 				if err != nil {
 					t.Error(err)
 					return

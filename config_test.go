@@ -51,7 +51,7 @@ func measureConfig(t *testing.T, cfg Config) configEffect {
 	metric := func(name string) int64 { return db.Metrics(name)[0].Value }
 	scan := func() error {
 		n := 0
-		if err := tbl.SelectVia(TableScan, func(Row) bool { n++; return true }); err != nil {
+		if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan}, func(Row) bool { n++; return true }); err != nil {
 			return err
 		}
 		if n != rows {
@@ -130,7 +130,7 @@ func TestPoolFrameBytesFollowResidentPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := tbl.SelectVia(TableScan, func(Row) bool { n++; return true }); err != nil || n != len(data) {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan}, func(Row) bool { n++; return true }); err != nil || n != len(data) {
 		t.Fatalf("cold scan saw %d rows, err %v", n, err)
 	}
 	if after := metric("pool.frame_bytes"); after != got {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -36,7 +37,7 @@ func TestSQLDistinct(t *testing.T) {
 		}
 		rowsEqual(t, c.distinct, got.Rows, want.Rows)
 
-		script, err := db.ExecScript(c.distinct + "; " + c.distinct)
+		script, err := db.ExecScriptCtx(context.Background(), c.distinct+"; "+c.distinct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestSQLHaving(t *testing.T) {
 	}
 
 	// The native surface: QuerySpec.Having names output columns.
-	_, natRows, err := db.SelectAggregate(QuerySpec{
+	_, natRows, err := db.SelectAggregateCtx(context.Background(), QuerySpec{
 		Table:   "items",
 		Preds:   []Pred{Between("qty", IntVal(3), IntVal(9))},
 		Aggs:    []Agg{{Func: Count}, {Func: Sum, Col: "qty"}},
@@ -201,7 +202,7 @@ func TestSQLHaving(t *testing.T) {
 			t.Errorf("Exec(%q) did not fail", bad)
 		}
 	}
-	if _, _, err := db.SelectAggregate(QuerySpec{
+	if _, _, err := db.SelectAggregateCtx(context.Background(), QuerySpec{
 		Table:  "items",
 		Aggs:   []Agg{{Func: Count}},
 		Having: []Pred{Gt("ghost", IntVal(1))},

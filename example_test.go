@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -58,13 +59,18 @@ func Example_quickstart() {
 	//   WHERE city = 'boston' OR city = 'springfield'
 	// The CM rewrites it into a scan of the MA, NH and OH state ranges,
 	// re-filtered on city.
+	ctx := context.Background()
 	var sum, n int64
-	err = people.SelectVia(repro.CMScan, func(r repro.Row) bool {
+	err = db.SelectSpec(ctx, repro.QuerySpec{
+		Table: "people",
+		Via:   repro.CMScan,
+		Preds: []repro.Pred{repro.In("city", repro.StringVal("boston"), repro.StringVal("springfield"))},
+	}, func(r repro.Row) bool {
 		fmt.Printf("  %s / %-12s salary %6d\n", r[0].Str(), r[1].Str(), r[2].Int())
 		sum += r[2].Int()
 		n++
 		return true
-	}, repro.In("city", repro.StringVal("boston"), repro.StringVal("springfield")))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,15 +85,17 @@ func Example_quickstart() {
 	if err := people.Commit(); err != nil {
 		log.Fatal(err)
 	}
+	boston := []repro.Pred{repro.Eq("city", repro.StringVal("boston"))}
 	count := 0
-	if err := people.SelectVia(repro.CMScan, func(repro.Row) bool { count++; return true },
-		repro.Eq("city", repro.StringVal("boston"))); err != nil {
+	err = db.SelectSpec(ctx, repro.QuerySpec{Table: "people", Via: repro.CMScan, Preds: boston},
+		func(repro.Row) bool { count++; return true })
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after insert, boston matches %d rows (CM now maps boston to MA, NH and OH)\n", count)
 
 	// What does the optimizer think?
-	plan, err := people.Explain(repro.Eq("city", repro.StringVal("boston")))
+	plan, err := db.ExplainSpec(repro.QuerySpec{Table: "people", Preds: boston})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -261,7 +269,7 @@ CREATE CORRELATION MAP city_cm ON people (city);
 
 // mustScript runs a multi-statement script, stopping on the first error.
 func mustScript(db *repro.DB, script string) {
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -273,7 +281,7 @@ func mustScript(db *repro.DB, script string) {
 }
 
 // runStatements executes each statement and prints it with its result
-// the way the cmsql client renders them.
+// as a line client would render them.
 func runStatements(db *repro.DB, stmts ...string) {
 	for _, stmt := range stmts {
 		fmt.Printf("cm> %s\n", stmt)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -84,11 +85,11 @@ func TestExplainAnalyzeAccessMethods(t *testing.T) {
 		}}},
 	}
 	for _, c := range cases {
-		res := db.SelectMany([]QuerySpec{c.spec})[0]
-		if res.Err != nil {
-			t.Fatalf("%s: truth run: %v", c.name, res.Err)
+		rows, err := selectRows(db, c.spec)
+		if err != nil {
+			t.Fatalf("%s: truth run: %v", c.name, err)
 		}
-		truth := len(res.Rows)
+		truth := len(rows)
 		if truth == 0 {
 			t.Fatalf("%s: fixture matches no rows", c.name)
 		}
@@ -137,20 +138,14 @@ func TestExplainAnalyzeOperatorChain(t *testing.T) {
 		OrderBy: []Order{{Col: "count(*)", Desc: true}},
 		Limit:   5,
 	}
-	res := db.SelectMany([]QuerySpec{spec})[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	truth := len(res.Rows)
+	truth := len(mustSelect(t, db, spec))
 	noLimit := spec
 	noLimit.Limit = 0
-	groups := len(db.SelectMany([]QuerySpec{noLimit})[0].Rows)
+	groups := len(mustSelect(t, db, noLimit))
 	if truth != 5 || groups <= truth {
 		t.Fatalf("fixture: limit run %d rows, unlimited %d groups — want truncation", truth, groups)
 	}
-	matched := len(db.SelectMany([]QuerySpec{{
-		Table: "plans", Via: TableScan, Preds: spec.Preds,
-	}})[0].Rows)
+	matched := len(mustSelect(t, db, QuerySpec{Table: "plans", Via: TableScan, Preds: spec.Preds}))
 
 	info, reads := analyzeGround(t, db, spec)
 	checkAnalyzedPlan(t, "chain", info, truth, reads)
@@ -230,7 +225,7 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 CREATE TABLE kv (k INT, v INT) CLUSTERED BY (k);
 LOAD INTO kv VALUES (1, 10), (2, 20), (3, 30), (4, 40);
 `
-	if _, err := db.ExecScript(script); err != nil {
+	if _, err := db.ExecScriptCtx(context.Background(), script); err != nil {
 		t.Fatal(err)
 	}
 
@@ -431,7 +426,7 @@ func TestShowMetricsSQL(t *testing.T) {
 }
 
 // TestScriptResultMeasurements pins the per-statement measurements
-// ExecScript reports (the wire protocol and the slow-query log read
+// ExecScriptCtx reports (the wire protocol and the slow-query log read
 // them): statement text, elapsed wall time, result rows and the disk
 // page-read delta — each statement's own, never a group's.
 func TestScriptResultMeasurements(t *testing.T) {
@@ -439,7 +434,7 @@ func TestScriptResultMeasurements(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.ExecScript("SELECT * FROM plans WHERE u = 25; SHOW TABLES")
+	results, err := db.ExecScriptCtx(context.Background(), "SELECT * FROM plans WHERE u = 25; SHOW TABLES")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +469,7 @@ func TestScriptResultMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	twice, err := db.ExecScript("SELECT * FROM plans WHERE u = 25; SELECT * FROM plans WHERE u = 25")
+	twice, err := db.ExecScriptCtx(context.Background(), "SELECT * FROM plans WHERE u = 25; SELECT * FROM plans WHERE u = 25")
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

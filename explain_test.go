@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"sort"
 	"testing"
 )
@@ -64,14 +65,7 @@ func planFixtureOn(t *testing.T, cfg Config) (*DB, *Table) {
 // collectVia gathers rows through an access method.
 func collectVia(t *testing.T, tbl *Table, m AccessMethod, preds ...Pred) []Row {
 	t.Helper()
-	var out []Row
-	if err := tbl.SelectVia(m, func(r Row) bool {
-		out = append(out, r)
-		return true
-	}, preds...); err != nil {
-		t.Fatalf("SelectVia(%v): %v", m, err)
-	}
-	return out
+	return mustSelect(t, tbl.db, QuerySpec{Table: tbl.Name(), Via: m, Preds: preds})
 }
 
 // TestExplainAllMethods drives the planner to every access path and
@@ -79,7 +73,7 @@ func collectVia(t *testing.T, tbl *Table, m AccessMethod, preds ...Pred) []Row {
 // executing through the reported structure returns exactly the rows the
 // auto-planned Select returns — Uses names what the executor reads.
 func TestExplainAllMethods(t *testing.T) {
-	_, tbl := planFixture(t)
+	db, tbl := planFixture(t)
 	cases := []struct {
 		name       string
 		preds      []Pred
@@ -95,7 +89,7 @@ func TestExplainAllMethods(t *testing.T) {
 		{"scan-ne", []Pred{Ne("u", IntVal(3))}, TableScan, ""},
 	}
 	for _, c := range cases {
-		info, err := tbl.Explain(c.preds...)
+		info, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: c.preds})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -112,13 +106,7 @@ func TestExplainAllMethods(t *testing.T) {
 		var named []Row
 		switch info.Method {
 		case CMScan:
-			err = tbl.SelectViaCM(info.Uses, func(r Row) bool {
-				named = append(named, r)
-				return true
-			}, c.preds...)
-			if err != nil {
-				t.Fatalf("%s: SelectViaCM(%q): %v", c.name, info.Uses, err)
-			}
+			named = mustSelect(t, db, QuerySpec{Table: tbl.Name(), Via: CMScan, CM: info.Uses, Preds: c.preds})
 		case SortedIndexScan, PipelinedIndexScan, ClusteredIndexScan:
 			// Explain and execution share one forced-method resolution, so forcing the
 			// reported method must read the structure Explain named;
@@ -209,8 +197,8 @@ func TestBoundaryPredicates(t *testing.T) {
 // a table scan, and alongside an indexable predicate the probe uses the
 // indexable one while Ne re-filters.
 func TestNePlansAsTableScan(t *testing.T) {
-	_, tbl := planFixture(t)
-	info, err := tbl.Explain(Ne("s", IntVal(3)), Ne("r", IntVal(4)), Ne("u", IntVal(5)))
+	db, tbl := planFixture(t)
+	info, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Ne("s", IntVal(3)), Ne("r", IntVal(4)), Ne("u", IntVal(5))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,19 +206,19 @@ func TestNePlansAsTableScan(t *testing.T) {
 		t.Errorf("all-Ne query planned %v", info.Method)
 	}
 	// Forced index/CM scans refuse Ne-only queries.
-	if err := tbl.SelectVia(SortedIndexScan, func(Row) bool { return true }, Ne("s", IntVal(3))); err == nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: SortedIndexScan, Preds: []Pred{Ne("s", IntVal(3))}}); err == nil {
 		t.Error("forced index scan accepted Ne-only query")
 	}
-	if err := tbl.SelectVia(CMScan, func(Row) bool { return true }, Ne("u", IntVal(3))); err == nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{Ne("u", IntVal(3))}}); err == nil {
 		t.Error("forced CM scan accepted Ne-only query")
 	}
-	if err := tbl.SelectVia(ClusteredIndexScan, func(Row) bool { return true }, Ne("c", IntVal(3))); err == nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: ClusteredIndexScan, Preds: []Pred{Ne("c", IntVal(3))}}); err == nil {
 		t.Error("forced clustered scan accepted Ne-only query")
 	}
 
 	// Eq probes, Ne re-filters: same rows as the table scan truth.
 	preds := []Pred{Eq("u", IntVal(25)), Ne("c", IntVal(50))}
-	info, err = tbl.Explain(preds...)
+	info, err = db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: preds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,79 +228,61 @@ func TestNePlansAsTableScan(t *testing.T) {
 	rowsEqual(t, "eq+ne", collectVia(t, tbl, Auto, preds...), collectVia(t, tbl, TableScan, preds...))
 }
 
-// TestSelectManyLimit asserts QuerySpec.Limit returns exactly the first
-// rows of the unlimited result and actually stops the scan early (the
-// cancellation path PR 1 built for single queries).
+// TestSelectManyLimit (named for the batch door SelectSpec replaced)
+// asserts QuerySpec.Limit returns exactly the first rows of the
+// unlimited result and actually stops the scan early (the cancellation
+// path single queries use).
 func TestSelectManyLimit(t *testing.T) {
 	db, tbl := planFixture(t)
 	full := collectVia(t, tbl, Auto, Ge("s", IntVal(10)))
 	if len(full) < 50 {
 		t.Fatalf("fixture too small: %d rows", len(full))
 	}
-	specs := []QuerySpec{
-		{Table: "plans", Preds: []Pred{Ge("s", IntVal(10))}, Limit: 7},
-		{Table: "plans", Preds: []Pred{Ge("s", IntVal(10))}},
-		{Table: "plans", Preds: []Pred{Eq("u", IntVal(25))}, Limit: 1},
-		{Table: "plans", Via: TableScan, Preds: []Pred{Ge("s", IntVal(10))}, Limit: 3},
+	rowsEqual(t, "limit 7", mustSelect(t, db, QuerySpec{Table: "plans", Preds: []Pred{Ge("s", IntVal(10))}, Limit: 7}), full[:7])
+	if rows := mustSelect(t, db, QuerySpec{Table: "plans", Preds: []Pred{Eq("u", IntVal(25))}, Limit: 1}); len(rows) != 1 {
+		t.Errorf("limit 1 returned %d rows", len(rows))
 	}
-	db.ResetStats()
-	results := db.SelectMany(specs)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-	}
-	rowsEqual(t, "limit 7", results[0].Rows, full[:7])
-	rowsEqual(t, "unlimited", results[1].Rows, full)
-	if len(results[2].Rows) != 1 {
-		t.Errorf("limit 1 returned %d rows", len(results[2].Rows))
-	}
-	rowsEqual(t, "limit 3 scan", results[3].Rows, full[:3])
+	rowsEqual(t, "limit 3 scan", mustSelect(t, db, QuerySpec{Table: "plans", Via: TableScan, Preds: []Pred{Ge("s", IntVal(10))}, Limit: 3}), full[:3])
 
-	// Early stop is real: a LIMIT-1 table scan alone must read fewer
-	// pages than the full sweep (cold cache so reads hit the disk).
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
+	// Early stop is real: a serial LIMIT-1 table scan alone must read
+	// fewer pages than the full sweep (cold cache so reads hit the disk;
+	// one worker, so no chunk was read ahead before the stop).
+	coldScanReads := func(limit int) uint64 {
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		atWorkers(db, 1, func() { mustSelect(t, db, QuerySpec{Table: "plans", Via: TableScan, Limit: limit}) })
+		return db.Stats().Reads
 	}
-	db.ResetStats()
-	db.SelectMany([]QuerySpec{{Table: "plans", Via: TableScan, Preds: nil, Limit: 1}})
-	limited := db.Stats().Reads
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetStats()
-	db.SelectMany([]QuerySpec{{Table: "plans", Via: TableScan, Preds: nil}})
-	fullReads := db.Stats().Reads
-	if limited*2 >= fullReads {
-		t.Errorf("LIMIT 1 read %d pages, full scan %d — early stop not engaged", limited, fullReads)
+	if limited, full := coldScanReads(1), coldScanReads(0); limited*2 >= full {
+		t.Errorf("LIMIT 1 read %d pages, full scan %d — early stop not engaged", limited, full)
 	}
 }
 
-// TestSelectManyLimitOrderMatchesSerial pins that limited batch queries
-// see the same physical row order as serial execution (the executors
-// emit in physical order even when parallel).
+// TestSelectManyLimitOrderMatchesSerial (named for the batch door
+// SelectSpec replaced) pins that a limited query fanned out over four
+// workers sees the same physical row order as a one-worker scan stopped
+// by its callback.
 func TestSelectManyLimitOrderMatchesSerial(t *testing.T) {
-	db, tbl := planFixture(t)
+	db, _ := planFixture(t)
+	between := []Pred{Between("u", IntVal(20), IntVal(40))}
 	var serial []Row
-	err := tbl.Select(func(r Row) bool {
-		serial = append(serial, r)
-		return len(serial) < 9
-	}, Between("u", IntVal(20), IntVal(40)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := db.SelectMany([]QuerySpec{
-		{Table: "plans", Preds: []Pred{Between("u", IntVal(20), IntVal(40))}, Limit: 9},
-	})[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	rowsEqual(t, "batch vs serial limit", res.Rows, serial)
+	atWorkers(db, 1, func() {
+		err := db.SelectSpec(context.Background(), QuerySpec{Table: "plans", Preds: between}, func(r Row) bool {
+			serial = append(serial, r)
+			return len(serial) < 9
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	var limited []Row
+	atWorkers(db, 4, func() { limited = mustSelect(t, db, QuerySpec{Table: "plans", Preds: between, Limit: 9}) })
+	rowsEqual(t, "parallel vs serial limit", limited, serial)
 
 	// Sanity: both are ascending in the clustering column.
-	if !sort.SliceIsSorted(res.Rows, func(i, j int) bool {
-		return res.Rows[i][0].Int() < res.Rows[j][0].Int()
-	}) {
+	if !sort.SliceIsSorted(limited, func(i, j int) bool { return limited[i][0].Int() < limited[j][0].Int() }) {
 		t.Error("limited rows not in physical order")
 	}
 }

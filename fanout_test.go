@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -209,7 +210,7 @@ func TestPointAggregateStaysPoint(t *testing.T) {
 			t.Fatalf("%d keys: planned %s %q, want an index-only cm-agg over 1 key", keys, info.Nodes[0].Kind, info.Nodes[0].Detail)
 		}
 		run := func() {
-			_, got, err := db.SelectAggregate(spec)
+			_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 			if err != nil || len(got) != 1 || got[0][0].Int() != 8 {
 				t.Fatalf("%d keys: aggregate = %v, err %v; want one row counting 8", keys, got, err)
 			}

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -58,9 +59,8 @@ func countVia(tbl *Table, method AccessMethod) (int, error) {
 	if method == ClusteredIndexScan {
 		preds = append(preds, Between("c", IntVal(10*25), IntVal(41*25-1)))
 	}
-	n := 0
-	err := tbl.SelectVia(method, func(Row) bool { n++; return true }, preds...)
-	return n, err
+	rows, err := selectRows(tbl.db, QuerySpec{Table: tbl.Name(), Via: method, Preds: preds})
+	return len(rows), err
 }
 
 // TestFaultPathsPerAccessMethod injects a read fault into a cold scan on
@@ -94,7 +94,7 @@ func TestFaultPathsPerAccessMethod(t *testing.T) {
 				if err := tbl.Insert(Row{IntVal(999999), IntVal(10), StringVal("probe")}); err != nil {
 					t.Fatalf("insert after fault: %v", err)
 				}
-				if n, err := tbl.Delete(Eq("c", IntVal(999999))); err != nil || n != 1 {
+				if n, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("c", IntVal(999999))); err != nil || n != 1 {
 					t.Fatalf("delete after fault: n=%d err=%v", n, err)
 				}
 				n, err := countVia(tbl, method)
@@ -189,10 +189,7 @@ func TestWALFaultFailsPublishCleanly(t *testing.T) {
 	}
 
 	// Nothing from the failed statement may be visible.
-	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }, Ge("c", IntVal(100000))); err != nil {
-		t.Fatal(err)
-	}
+	n := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Preds: []Pred{Ge("c", IntVal(100000))}}))
 	if n != 0 {
 		t.Fatalf("failed publish leaked %d rows", n)
 	}
@@ -204,10 +201,7 @@ func TestWALFaultFailsPublishCleanly(t *testing.T) {
 	if err := insertBatch(); err != nil {
 		t.Fatalf("retry after disarm: %v", err)
 	}
-	n = 0
-	if err := tbl.Select(func(Row) bool { n++; return true }, Ge("c", IntVal(100000))); err != nil {
-		t.Fatal(err)
-	}
+	n = len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Preds: []Pred{Ge("c", IntVal(100000))}}))
 	if n != len(batch) {
 		t.Fatalf("retried batch shows %d rows, want %d", n, len(batch))
 	}
@@ -227,7 +221,7 @@ func TestFaultDuringUpdateLeavesTableUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetFaultPlan(&FaultPlan{EveryKth: 3})
-	_, err := tbl.Update([]Set{{Col: "tag", Val: StringVal("mutated")}}, Between("u", IntVal(10), IntVal(40)))
+	_, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "tag", Val: StringVal("mutated")}}, Between("u", IntVal(10), IntVal(40)))
 	db.SetFaultPlan(nil)
 	if err == nil {
 		t.Fatal("update with an armed fault plan succeeded")
@@ -235,17 +229,14 @@ func TestFaultDuringUpdateLeavesTableUnchanged(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("update error %v does not wrap ErrInjected", err)
 	}
-	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return true }, Eq("tag", StringVal("mutated"))); err != nil {
-		t.Fatal(err)
-	}
+	n := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("tag", StringVal("mutated"))}}))
 	if n != 0 {
 		t.Fatalf("failed update mutated %d rows", n)
 	}
 	if pinned := db.pool.PinnedFrames(); pinned != 0 {
 		t.Fatalf("%d frames left pinned after update fault", pinned)
 	}
-	changed, err := tbl.Update([]Set{{Col: "tag", Val: StringVal("mutated")}}, Between("u", IntVal(10), IntVal(40)))
+	changed, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "tag", Val: StringVal("mutated")}}, Between("u", IntVal(10), IntVal(40)))
 	if err != nil {
 		t.Fatalf("update after disarm: %v", err)
 	}

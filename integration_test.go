@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -69,7 +70,7 @@ func TestFuzzAccessMethodEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := tbl.Delete(Eq("u", IntVal(rng.Int63n(domain/7+1)))); err != nil {
+			if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(rng.Int63n(domain/7+1)))); err != nil {
 				t.Fatal(err)
 			}
 			if err := tbl.Commit(); err != nil {
@@ -119,10 +120,10 @@ func TestFuzzAccessMethodEquivalence(t *testing.T) {
 
 				collect := func(m AccessMethod) []string {
 					var got []string
-					if err := tbl.SelectVia(m, func(r Row) bool {
+					if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: m, Preds: preds}, func(r Row) bool {
 						got = append(got, fmt.Sprintf("%v|%v|%v|%v", r[0], r[1], r[2], r[3]))
 						return true
-					}, preds...); err != nil {
+					}); err != nil {
 						t.Fatalf("trial %d query %d method %v: %v", trial, qi, m, err)
 					}
 					sort.Strings(got)

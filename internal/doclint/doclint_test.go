@@ -1,7 +1,9 @@
-// Package doclint is a revive-style doc-comment lint that runs as part
-// of the ordinary test suite (and therefore in CI): every exported
-// top-level symbol of the linted packages must carry a doc comment
-// starting with the symbol's name, per standard godoc convention.
+// Package doclint holds repository lints that run as part of the
+// ordinary test suite (and therefore in CI): a revive-style doc-comment
+// lint — every exported top-level symbol of the linted packages must
+// carry a doc comment starting with the symbol's name, per standard
+// godoc convention — and a check that every test CI names by -run still
+// exists.
 package doclint
 
 import (
@@ -10,7 +12,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -103,4 +107,74 @@ func lintGenDecl(report func(token.Pos, string), d *ast.GenDecl) {
 			}
 		}
 	}
+}
+
+// ciRunPattern matches the pattern of a go test -run or -fuzz flag in
+// the CI workflow, quoted or bare.
+var ciRunPattern = regexp.MustCompile(`-(?:run|fuzz) +(?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// testIdent matches a test, fuzz target or example name inside a -run
+// pattern.
+var testIdent = regexp.MustCompile(`\b(?:Test|Fuzz|Example)\w*`)
+
+// testFunc matches a test, fuzz target or example declaration.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+
+// TestCIRunPatternsNameTests fails when a Test…, Fuzz… or Example… name
+// inside a -run (or -fuzz) pattern of .github/workflows/ci.yml matches
+// no function of the repository's _test.go files, so deleting or
+// renaming a test cannot leave a CI step that silently runs nothing. A
+// -run pattern is an unanchored regexp, so a name resolves when it
+// appears anywhere in some function's name.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs []string
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "../.." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, m := range ciRunPattern.FindAllStringSubmatch(string(ci), -1) {
+		pattern := m[1] + m[2] + m[3]
+		for _, name := range testIdent.FindAllString(pattern, -1) {
+			names++
+			if !containsAny(funcs, name) {
+				t.Errorf("ci.yml -run %q names %s, which no _test.go function matches", pattern, name)
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("found no test names in ci.yml's -run patterns; the pattern scan is broken")
+	}
+}
+
+// containsAny reports whether any of names contains sub.
+func containsAny(names []string, sub string) bool {
+	for _, n := range names {
+		if strings.Contains(n, sub) {
+			return true
+		}
+	}
+	return false
 }

@@ -24,11 +24,11 @@
 // one directory walk per statement. UPDATE and DELETE compile their read
 // side the same way (WriteTree), but a WriteTree runs after its compile
 // latch is released, so it probes its CM legs again under the writer
-// gate before sweeping. The facade's query surfaces (Exec, the one
-// script executor, ExecPreparedBatch, SelectMany, SelectAggregate, the
-// Select* family and EXPLAIN) all lower
-// through this package, so a statement cannot behave differently between
-// surfaces, and EXPLAIN prints exactly the operator chain Run executes.
+// gate before sweeping. The facade's query surfaces (SelectSpec and its
+// sugar, Exec, the one script executor, ExecPreparedBatch and EXPLAIN)
+// all lower through this package, so a statement cannot behave
+// differently between surfaces, and EXPLAIN prints exactly the operator
+// chain Run executes.
 //
 // The operator vocabulary: scan | union (access), filter (predicate
 // evaluation — fused into the access path's compiled tuple filter at

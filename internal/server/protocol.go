@@ -30,10 +30,10 @@ import (
 //	   "elapsed_ns": N, "row_count": N, "pages_read": N}
 //	with "error" set when that statement failed. The three measurement
 //	fields report the statement's own server-side wall time, result row
-//	count and disk page-read delta (cmsql's \timing prints them; a
-//	coalesced SELECT reports its cross-connection batch's time and
-//	pages). Ints arrive as JSON numbers, floats as numbers, strings as
-//	strings, every value encoded byte for byte as encoding/json would,
+//	count and disk page-read delta (a coalesced SELECT reports its
+//	cross-connection batch's time and pages). Ints arrive as JSON
+//	numbers, floats as numbers, strings as strings, every value encoded
+//	byte for byte as encoding/json would,
 //	in both wire modes, by the engine's one JSON row format
 //	(internal/value's AppendRow; a plain SELECT's rows are encoded
 //	straight from the heap tuples). The 4 MiB cap bounds the whole

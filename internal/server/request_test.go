@@ -161,7 +161,7 @@ func TestStreamResponderRetentionCap(t *testing.T) {
 // still runs as SQL.
 func TestStreamWireChunkSetIntercept(t *testing.T) {
 	db := repro.Open(repro.Config{})
-	if _, err := db.ExecScript("CREATE TABLE notes (k INT, s STRING) CLUSTERED BY (k); " +
+	if _, err := db.ExecScriptCtx(context.Background(), "CREATE TABLE notes (k INT, s STRING) CLUSTERED BY (k); "+
 		"INSERT INTO notes VALUES (1, 'wire_chunk_rows'); INSERT INTO notes VALUES (2, 'other')"); err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func loadWideTable(t *testing.T, db *repro.DB, rows int) {
 		}
 		fmt.Fprintf(&sb, "(%d, %d)", i, i%50)
 	}
-	results, err := db.ExecScript(sb.String())
+	results, err := db.ExecScriptCtx(context.Background(), sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}

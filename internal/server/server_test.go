@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -144,7 +145,7 @@ func TestServerBasicRoundTrips(t *testing.T) {
 
 // TestServerConcurrentClients runs 12 client connections hammering one
 // table with mixed reads and writes. Under -race this exercises the
-// session goroutines, ExecScript batching and the engine latches
+// session goroutines, multi-statement lines and the engine latches
 // together; every client must see internally consistent results.
 func TestServerConcurrentClients(t *testing.T) {
 	db, addr, stop := startServer(t)
@@ -219,7 +220,7 @@ func TestServerConcurrentClients(t *testing.T) {
 						errs <- fmt.Errorf("client %d lost its insert %q", w, tag)
 						return
 					}
-				case 1: // batch reader: ';'-separated SELECTs hit SelectMany
+				case 1: // batch reader: ';'-separated SELECTs on one line
 					resp, err := trip(fmt.Sprintf(
 						"SELECT * FROM grid WHERE u = %d; SELECT c FROM grid WHERE u BETWEEN %d AND %d LIMIT 5; EXPLAIN SELECT * FROM grid WHERE u = %d",
 						u, u, u+3, u))
@@ -375,7 +376,7 @@ func paperFixture(t *testing.T, db *repro.DB) {
 		fmt.Fprintf(&sb, "('%s', '%s', %d)", states[si], cities[ci], 20000+(i*37)%90000)
 	}
 	sb.WriteString(";\nCREATE CORRELATION MAP cm_city ON employees (city);")
-	results, err := db.ExecScript(sb.String())
+	results, err := db.ExecScriptCtx(context.Background(), sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func paperFixture(t *testing.T, db *repro.DB) {
 
 // TestServerPaperAggregateWorkload runs the paper's own query shape —
 // SELECT AVG(salary) FROM employees WHERE city = ... — through the wire
-// protocol and pins it to the native SelectAggregate result, with the
+// protocol and pins it to the native SelectAggregateCtx result, with the
 // EXPLAIN plan showing the agg/sort nodes and a workers=8 server
 // byte-identical to a serial engine.
 func TestServerPaperAggregateWorkload(t *testing.T) {
@@ -418,7 +419,7 @@ func TestServerPaperAggregateWorkload(t *testing.T) {
 		t.Fatalf("avg response: %+v", resp)
 	}
 	wireAvg := resp.Results[0].Rows[0][0].(float64)
-	hdr, rows, err := db.SelectAggregate(repro.QuerySpec{
+	hdr, rows, err := db.SelectAggregateCtx(context.Background(), repro.QuerySpec{
 		Table: "employees",
 		Preds: []repro.Pred{repro.Eq("city", repro.StringVal("boston"))},
 		Aggs:  []repro.Agg{{Func: repro.Avg, Col: "salary"}},
@@ -436,7 +437,7 @@ func TestServerPaperAggregateWorkload(t *testing.T) {
 	// Grouped + ordered + limited, still one wire line.
 	stmt := "SELECT city, avg(salary), count(*) FROM employees GROUP BY city ORDER BY avg(salary) DESC, city LIMIT 4"
 	resp = mustOK(t, c.roundTrip(t, stmt))
-	_, nativeRows, err := db.SelectAggregate(repro.QuerySpec{
+	_, nativeRows, err := db.SelectAggregateCtx(context.Background(), repro.QuerySpec{
 		Table:   "employees",
 		Aggs:    []repro.Agg{{Func: repro.Avg, Col: "salary"}, {Func: repro.Count}},
 		GroupBy: []string{"city"},
@@ -463,7 +464,7 @@ func TestServerPaperAggregateWorkload(t *testing.T) {
 	// Workers=8 must be byte-identical to a fully serial engine.
 	serial := repro.Open(repro.Config{Workers: 1})
 	paperFixture(t, serial)
-	_, serialRows, err := serial.SelectAggregate(repro.QuerySpec{
+	_, serialRows, err := serial.SelectAggregateCtx(context.Background(), repro.QuerySpec{
 		Table:   "employees",
 		Aggs:    []repro.Agg{{Func: repro.Avg, Col: "salary"}, {Func: repro.Count}},
 		GroupBy: []string{"city"},

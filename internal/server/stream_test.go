@@ -118,7 +118,7 @@ func streamFixture(t *testing.T, db *repro.DB) {
 		fmt.Fprintf(&sb, "(%d, %d, 'row-%d')", i, i%20, i)
 	}
 	sb.WriteString("; CREATE CORRELATION MAP cm_u ON t (u); CREATE TABLE ins (k INT) CLUSTERED BY (k)")
-	results, err := db.ExecScript(sb.String())
+	results, err := db.ExecScriptCtx(context.Background(), sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,8 +547,8 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 	// every structure a plan could read), b stays fully cold — heap and
 	// clustered index — so whichever access paths the planner picks, the
 	// only statement of the batch that touches the disk is the one on b.
-	results, err := db.ExecScript(
-		"CREATE TABLE a (k INT, v STRING) CLUSTERED BY (k); LOAD INTO a VALUES (1,'a1'), (2,'a2'), (3,'a3');" +
+	results, err := db.ExecScriptCtx(context.Background(),
+		"CREATE TABLE a (k INT, v STRING) CLUSTERED BY (k); LOAD INTO a VALUES (1,'a1'), (2,'a2'), (3,'a3');"+
 			"CREATE TABLE b (k INT, v STRING) CLUSTERED BY (k); LOAD INTO b VALUES (1,'b1'), (2,'b2')")
 	if err != nil {
 		t.Fatal(err)
@@ -562,8 +562,8 @@ func TestCoalesceFaultIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, via := range []repro.AccessMethod{repro.TableScan, repro.ClusteredIndexScan} {
-		err := db.Table("a").SelectVia(via, func(repro.Row) bool { return true },
-			repro.Ge("k", repro.IntVal(1)))
+		err := db.SelectSpec(context.Background(), repro.QuerySpec{Table: "a", Via: via,
+			Preds: []repro.Pred{repro.Ge("k", repro.IntVal(1))}}, func(repro.Row) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // scanPairs counts the table's pair statistics for cols with a fresh
-// scan (Table.PairStats), in the stamp-free form Index.Pairs keeps.
+// scan (PairStats), in the stamp-free form Index.Pairs keeps.
 func scanPairs(t *testing.T, tbl *table.Table, cols []int) table.Pairs {
 	t.Helper()
 	pc, err := tbl.PairStats(cols)

@@ -3,6 +3,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestLoadKeepsInputOrderWithinAKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, lastK, lastSeq := 0, int64(-1), int64(-1)
-	err = tbl.SelectVia(TableScan, func(r Row) bool {
+	err = db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan}, func(r Row) bool {
 		k, seq := r[0].Int(), r[1].Int()
 		switch {
 		case k < lastK:

@@ -212,9 +212,6 @@ func (db *DB) obs() *exec.ScanObs {
 // by their layers regardless and keep reporting.
 func (db *DB) SetMetricsEnabled(on bool) { db.reg.SetEnabled(on) }
 
-// MetricsEnabled reports whether hot-path metrics collection is on.
-func (db *DB) MetricsEnabled() bool { return db.reg.Enabled() }
-
 // Metrics snapshots every metric whose name matches the SQL-LIKE
 // pattern ('%' matches any run, '_' any byte, "" matches all), sorted
 // by name — the engine behind SHOW METRICS and the server's

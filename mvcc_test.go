@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -28,19 +29,18 @@ func stressRow(c, u int64, tag string) value.Row {
 // captures its own read snapshot like every statement.
 func countU(t *testing.T, tbl *Table, method AccessMethod, u int64) int {
 	t.Helper()
-	n := 0
-	err := tbl.SelectVia(method, func(Row) bool { n++; return true }, stressPreds(method, u)...)
+	rows, err := selectRows(tbl.db, QuerySpec{Table: tbl.Name(), Via: method, Preds: stressPreds(method, u)})
 	if err != nil {
 		t.Fatalf("%v: %v", method, err)
 	}
-	return n
+	return len(rows)
 }
 
 // TestNoDirtyReads pins statement atomicity: rows inserted by an active
 // writer statement are invisible to every access method until Publish,
 // visible on every one after, and an aborted statement leaves no trace.
 func TestNoDirtyReads(t *testing.T) {
-	_, tbl := buildStressDB(t, 2)
+	db, tbl := buildStressDB(t, 2)
 	const dirtyU = 900
 
 	tx := tbl.inner.BeginWrite()
@@ -52,14 +52,14 @@ func TestNoDirtyReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every way to read the rows of one u: each forcible access method,
-	// and the front door that names its CM.
+	// and a query that names its CM.
 	counters := map[string]func(u int64) int{
-		`SelectViaCM("u_cm")`: func(u int64) int {
-			n := 0
-			if err := tbl.SelectViaCM("u_cm", func(Row) bool { n++; return true }, Eq("u", IntVal(u))); err != nil {
-				t.Fatalf("SelectViaCM: %v", err)
+		`CM "u_cm"`: func(u int64) int {
+			rows, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: CMScan, CM: "u_cm", Preds: []Pred{Eq("u", IntVal(u))}})
+			if err != nil {
+				t.Fatalf(`CM "u_cm": %v`, err)
 			}
-			return n
+			return len(rows)
 		},
 	}
 	for _, m := range stressMethods {
@@ -110,7 +110,7 @@ func TestNoDirtyReads(t *testing.T) {
 // scan sees the churn. The snapshot outlives every shared latch hold, so
 // it must be pinned, or the churn's old versions are reclaimed.
 func TestSnapshotRepeatableScan(t *testing.T) {
-	_, tbl := buildStressDB(t, 2)
+	db, tbl := buildStressDB(t, 2)
 	inner := tbl.inner
 	snap, release := inner.PinSnapshot()
 	defer release()
@@ -138,7 +138,7 @@ func TestSnapshotRepeatableScan(t *testing.T) {
 
 	// Churn: delete the whole u=3 slice and insert fresh rows carrying
 	// the same u, each op its own published statement advancing the clock.
-	if _, err := tbl.Delete(Eq("u", IntVal(victimU))); err != nil {
+	if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(victimU))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -161,14 +161,7 @@ func TestSnapshotRepeatableScan(t *testing.T) {
 // allRows collects the full table contents in physical order.
 func allRows(t *testing.T, tbl *Table) []Row {
 	t.Helper()
-	var out []Row
-	if err := tbl.SelectVia(TableScan, func(r Row) bool {
-		out = append(out, append(Row(nil), r...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return mustSelect(t, tbl.db, QuerySpec{Table: tbl.Name(), Via: TableScan})
 }
 
 // TestUpdateSQLNativeEquivalence runs the same UPDATE through the SQL
@@ -179,13 +172,13 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 	sqlDB, sqlTbl := cmaggFixture(t, 4, 240)
 	natDB, natTbl := cmaggFixture(t, 4, 240)
 
-	// Single-conjunction WHERE through Table.Update.
+	// Single-conjunction WHERE through DB.UpdateCtx.
 	res, err := sqlDB.Exec("UPDATE items SET qty = 42, city = 'lowell' WHERE cat = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sets := []Set{{Col: "qty", Val: IntVal(42)}, {Col: "city", Val: StringVal("lowell")}}
-	n, err := natTbl.Update(sets, Eq("cat", IntVal(3)))
+	n, err := natTbl.db.UpdateCtx(context.Background(), natTbl.Name(), sets, Eq("cat", IntVal(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +206,7 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 	rowsEqual(t, "after OR update", allRows(t, sqlTbl), allRows(t, natTbl))
 
 	// DB-level wrapper resolves the table by name.
-	n2, err := natDB.Update("items", []Set{{Col: "price", Val: FloatVal(1.5)}}, Eq("cat", IntVal(0)))
+	n2, err := natDB.UpdateCtx(context.Background(), "items", []Set{{Col: "price", Val: FloatVal(1.5)}}, Eq("cat", IntVal(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +218,8 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 		t.Fatalf("wrapper affected: sql %d vs native %d", res.Affected, n2)
 	}
 	rowsEqual(t, "after wrapper update", allRows(t, sqlTbl), allRows(t, natTbl))
-	if _, err := natDB.Update("ghost", sets); err == nil {
-		t.Fatal("DB.Update on missing table must error")
+	if _, err := natDB.UpdateCtx(context.Background(), "ghost", sets); err == nil {
+		t.Fatal("DB.UpdateCtx on missing table must error")
 	}
 }
 
@@ -235,7 +228,7 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 // table byte-identical — same affected count, same rows in the same
 // physical order.
 func TestUpdateByteIdentitySerialVsParallel(t *testing.T) {
-	_, serialT := cmaggFixture(t, 1, 600)
+	db, serialT := cmaggFixture(t, 1, 600)
 	_, parallelT := cmaggFixture(t, 8, 600)
 
 	sets := []Set{{Col: "wide", Val: IntVal(123)}, {Col: "city", Val: StringVal("churned")}}
@@ -248,11 +241,11 @@ func TestUpdateByteIdentitySerialVsParallel(t *testing.T) {
 		{Between("qty", IntVal(3), IntVal(9))},
 		{Between("cat", IntVal(2), IntVal(30)), Ne("qty", IntVal(5))},
 	} {
-		n1, err := serialT.Update(sets, preds...)
+		n1, err := db.UpdateCtx(context.Background(), serialT.Name(), sets, preds...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n8, err := parallelT.Update(sets, preds...)
+		n8, err := parallelT.db.UpdateCtx(context.Background(), parallelT.Name(), sets, preds...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +280,7 @@ func TestUpdateValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.sql, err, c.wantSub)
 		}
 	}
-	if _, err := tbl.Update([]Set{{Col: "nope", Val: IntVal(1)}}); err == nil {
+	if _, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "nope", Val: IntVal(1)}}); err == nil {
 		t.Error("native update with unknown column must error")
 	}
 	// Nothing above may have changed the table.
@@ -303,16 +296,14 @@ func churnItems(t *testing.T, tbl *Table) {
 	t.Helper()
 	// Updates: move qty values across CM keys, twice, including a
 	// multi-column set that shifts stat carriers.
-	if n, err := tbl.Update([]Set{{Col: "qty", Val: IntVal(8)}}, Eq("qty", IntVal(7))); err != nil || n == 0 {
+	if n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "qty", Val: IntVal(8)}}, Eq("qty", IntVal(7))); err != nil || n == 0 {
 		t.Fatalf("churn update 1: n=%d err=%v", n, err)
 	}
-	if n, err := tbl.Update(
-		[]Set{{Col: "qty", Val: IntVal(5)}, {Col: "price", Val: FloatVal(2.25)}},
-		Between("qty", IntVal(10), IntVal(14))); err != nil || n == 0 {
+	if n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "qty", Val: IntVal(5)}, {Col: "price", Val: FloatVal(2.25)}}, Between("qty", IntVal(10), IntVal(14))); err != nil || n == 0 {
 		t.Fatalf("churn update 2: n=%d err=%v", n, err)
 	}
 	// Deletes: remove a whole qty slice (boundary values mark MMDirty).
-	if n, err := tbl.Delete(Eq("qty", IntVal(3))); err != nil || n == 0 {
+	if n, err := tbl.db.DeleteCtx(context.Background(), tbl.Name(), Eq("qty", IntVal(3))); err != nil || n == 0 {
 		t.Fatalf("churn delete: n=%d err=%v", n, err)
 	}
 	// Inserts: fresh rows, some restoring the deleted key.
@@ -337,11 +328,11 @@ func TestEntryStatsExactAfterUpdateChurn(t *testing.T) {
 	}
 
 	for si, spec := range cmaggSpecs() {
-		_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+		_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 		if err != nil {
 			t.Fatalf("spec %d reference: %v", si, err)
 		}
-		_, got, err := db.SelectAggregate(spec)
+		_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("spec %d auto: %v", si, err)
 		}
@@ -366,7 +357,7 @@ func TestEntryStatsExactAfterUpdateChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	if _, _, err := db.SelectAggregate(spec); err != nil {
+	if _, _, err := db.SelectAggregateCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if reads := db.Stats().Reads; reads != 0 {
@@ -436,7 +427,7 @@ func assertCMAggAfterRecovery(t *testing.T, db *DB) {
 	if len(info.Nodes) == 0 || info.Nodes[0].Kind != "cm-agg" {
 		t.Fatalf("plan after recovery = %+v, want cm-agg", info.Nodes)
 	}
-	_, want, err := db.SelectAggregate(withVia(spec, TableScan))
+	_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +435,7 @@ func assertCMAggAfterRecovery(t *testing.T, db *DB) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	_, got, err := db.SelectAggregate(spec)
+	_, got, err := db.SelectAggregateCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package repro
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestFirstColdPlanScansNoHeap builds the Figure 6 fixture on a 128-page
 // pool and runs one subcat point probe from a cold cache. The plan that
@@ -13,10 +16,7 @@ func TestFirstColdPlanScansNoHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.Stats().Reads
-	rows := 0
-	if err := tbl.Select(func(Row) bool { rows++; return true }, Eq("subcat", IntVal(125))); err != nil {
-		t.Fatal(err)
-	}
+	rows := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("subcat", IntVal(125))}}))
 	reads := db.Stats().Reads - before
 	t.Logf("first cold subcat probe: %d rows, %d pages read", rows, reads)
 	if rows == 0 {
@@ -57,7 +57,7 @@ func TestRowsSincePairStats(t *testing.T) {
 	written := metricValue(t, db, "table.rows_written")
 	var updated int64
 	for _, where := range []Pred{Lt("cat", IntVal(40)), Between("cat", IntVal(1000), IntVal(1019))} {
-		n, err := tbl.Update([]Set{{Col: "price", Val: IntVal(1)}}, where)
+		n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(1)}}, where)
 		if err != nil {
 			t.Fatal(err)
 		}

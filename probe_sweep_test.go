@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,8 +64,7 @@ func TestHotProbesRaceFullSweeps(t *testing.T) {
 	}
 	probe := func(key int64) (int, error) {
 		n := 0
-		err := tbl.SelectVia(PipelinedIndexScan, func(Row) bool { n++; return true },
-			Eq("u", IntVal(key)))
+		err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: PipelinedIndexScan, Preds: []Pred{Eq("u", IntVal(key))}}, func(Row) bool { n++; return true })
 		return n, err
 	}
 
@@ -103,7 +103,7 @@ func TestHotProbesRaceFullSweeps(t *testing.T) {
 		defer close(sweepDone)
 		sweep := func() bool {
 			n := 0
-			if err := tbl.SelectVia(TableScan, func(Row) bool { n++; return true }); err != nil {
+			if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan}, func(Row) bool { n++; return true }); err != nil {
 				fail(err)
 				return false
 			}
@@ -194,10 +194,10 @@ func equivRows(t *testing.T, workers int) map[string][]string {
 	for qn, q := range queries {
 		for _, mn := range q.via {
 			var got []string
-			if err := tbl.SelectVia(methods[mn], func(r Row) bool {
+			if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: methods[mn], Preds: q.preds}, func(r Row) bool {
 				got = append(got, fmt.Sprintf("%v", r))
 				return true
-			}, q.preds...); err != nil {
+			}); err != nil {
 				t.Fatalf("%s/%s: %v", mn, qn, err)
 			}
 			sort.Strings(got)
@@ -210,7 +210,7 @@ func equivRows(t *testing.T, workers int) map[string][]string {
 		t.Fatal(err)
 	}
 	before := db.Stats().Reads
-	if err := tbl.SelectVia(CMScan, func(Row) bool { return true }, queries["absent-point"].preds...); err != nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: queries["absent-point"].preds}); err != nil {
 		t.Fatal(err)
 	}
 	if reads := db.Stats().Reads - before; reads != 0 {
@@ -283,14 +283,14 @@ func churnAndCheckpointRoundTrip(t *testing.T) {
 
 	countVia := func(m AccessMethod, u int64) int {
 		n := 0
-		if err := tbl.SelectVia(m, func(Row) bool { n++; return true }, Eq("u", IntVal(u))); err != nil {
+		if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: m, Preds: []Pred{Eq("u", IntVal(u))}}, func(Row) bool { n++; return true }); err != nil {
 			t.Fatalf("count via %v u=%d: %v", m, u, err)
 		}
 		return n
 	}
 	countCM := func(u int64) int {
 		n := 0
-		if err := tbl.SelectViaCM("u_cm", func(Row) bool { n++; return true }, Eq("u", IntVal(u))); err != nil {
+		if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, CM: "u_cm", Preds: []Pred{Eq("u", IntVal(u))}}, func(Row) bool { n++; return true }); err != nil {
 			t.Fatalf("count via cm u=%d: %v", u, err)
 		}
 		return n
@@ -317,10 +317,10 @@ func churnAndCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := tbl.Delete(Eq("u", IntVal(17))); err != nil || n != rows/40 {
+	if n, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(17))); err != nil || n != rows/40 {
 		t.Fatalf("delete u=17: n=%d err=%v, want %d", n, err, rows/40)
 	}
-	if n, err := tbl.Update([]Set{{Col: "u", Val: IntVal(77)}}, Eq("u", IntVal(23))); err != nil || n != rows/40 {
+	if n, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "u", Val: IntVal(77)}}, Eq("u", IntVal(23))); err != nil || n != rows/40 {
 		t.Fatalf("update u=23->77: n=%d err=%v, want %d", n, err, rows/40)
 	}
 	check("after churn")
@@ -360,7 +360,7 @@ func churnAndCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tbl.Delete(Eq("u", IntVal(31))); err != nil {
+	if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("u", IntVal(31))); err != nil {
 		t.Fatal(err)
 	}
 	spec := live.Spec()
@@ -390,7 +390,7 @@ func churnAndCheckpointRoundTrip(t *testing.T) {
 	}
 	countRec := func(u int64) int {
 		n := 0
-		if err := tbl.SelectViaCM("u_cm_rec", func(Row) bool { n++; return true }, Eq("u", IntVal(u))); err != nil {
+		if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, CM: "u_cm_rec", Preds: []Pred{Eq("u", IntVal(u))}}, func(Row) bool { n++; return true }); err != nil {
 			t.Fatalf("count via recovered cm u=%d: %v", u, err)
 		}
 		return n

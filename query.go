@@ -8,11 +8,13 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
 // Pred is a predicate over a named column. Build with Eq, Ne, In,
-// Between, Ge, Le, Gt or Lt; predicates combine conjunctively in Select.
+// Between, Ge, Le, Gt or Lt; the predicates of a list combine
+// conjunctively.
 type Pred struct {
 	col   string
 	build func(col int) exec.Pred
@@ -125,51 +127,48 @@ func (m AccessMethod) String() string {
 	}
 }
 
-// Select streams the rows matching all predicates to fn, choosing the
-// access path with the cost model. Return false from fn to stop early.
+// SelectSpec runs one query and streams its result rows to fn — the one
+// native query door. Every QuerySpec form is accepted: a projection
+// (Cols), an OR (AnyOf), aggregates (Aggs, GroupBy, Having), ORDER BY,
+// LIMIT, a forced access method (Via) and a named correlation map (CM).
+// Return false from fn to stop early.
 //
-// Select holds the table latch shared for the whole query, so concurrent
-// Selects run in parallel and a racing Insert/Delete/Commit waits;
-// result rows reflect one consistent table state. Scans fan out across
-// the DB's worker pool (Config.Workers); parallel scans still emit rows
-// in physical order.
-func (t *Table) Select(fn func(Row) bool, preds ...Pred) error {
-	return t.SelectVia(Auto, fn, preds...)
+// The statement reads one MVCC snapshot under the table latch held
+// shared, so concurrent queries run in parallel and never observe a
+// half-applied write. Scans fan out across the DB's worker pool
+// (Config.Workers) and still emit rows in physical order. Every access
+// method polls ctx at heap-page granularity: a cancelled or expired
+// statement stops within a page per worker and returns the context's
+// error. A nil ctx never cancels; the configured statement timeout
+// applies either way.
+func (db *DB) SelectSpec(ctx context.Context, spec QuerySpec, fn func(Row) bool) error {
+	tbl, err := db.lookup(spec.Table)
+	if err != nil {
+		return err
+	}
+	_, err = tbl.readStmt(ctx, spec, db.workers, runPlain, externalSink(fn))
+	return err
 }
 
-// SelectCtx is Select bounded by a context: every access method polls
-// ctx itself at heap-page granularity, at any worker count, so a
-// cancelled or expired statement stops within a page per worker and
-// returns the context's error. A nil
-// ctx never cancels; the configured statement timeout applies either
-// way.
-func (t *Table) SelectCtx(ctx context.Context, fn func(Row) bool, preds ...Pred) error {
-	return t.runTree(ctx, QuerySpec{Table: t.Name(), Preds: preds}, t.db.workers,
-		func(r value.Row) bool { return fn(externalRow(r)) })
+// externalSink adapts a facade row callback to the plan layer's sink.
+func externalSink(fn func(Row) bool) plan.Sink {
+	return plan.Sink{Row: func(r value.Row) bool { return fn(externalRow(r)) }}
 }
 
-// SelectVia is Select with an explicit access method. SortedIndexScan,
-// PipelinedIndexScan and CMScan use the first applicable index or CM
-// (one whose leading column — any column, for CMs — is predicated);
-// ClusteredIndexScan needs the leading clustering column predicated.
-func (t *Table) SelectVia(method AccessMethod, fn func(Row) bool, preds ...Pred) error {
-	return t.runTree(nil, QuerySpec{Table: t.Name(), Via: method, Preds: preds}, t.db.workers,
-		func(r value.Row) bool { return fn(externalRow(r)) })
-}
-
-// SelectProject is Select with projection pushdown: only the named
-// columns reach fn, in the given order, and the executor decodes just
-// those columns (plus predicated ones, for filtering) from each
-// surviving tuple — unreferenced columns are never materialized. The
-// rows fn receives have arity len(cols).
+// SelectProject streams the named columns of the rows matching all
+// predicates to fn, in the given order, choosing the access path with
+// the cost model. The executor decodes just those columns (plus
+// predicated ones, for filtering) from each surviving tuple —
+// unreferenced columns are never materialized. The rows fn receives
+// have arity len(cols).
 func (t *Table) SelectProject(cols []string, fn func(Row) bool, preds ...Pred) error {
 	return t.SelectProjectVia(Auto, cols, fn, preds...)
 }
 
 // SelectProjectVia is SelectProject with an explicit access method.
 func (t *Table) SelectProjectVia(method AccessMethod, cols []string, fn func(Row) bool, preds ...Pred) error {
-	return t.runTree(nil, QuerySpec{Table: t.Name(), Via: method, Preds: preds, Cols: cols}, t.db.workers,
-		func(r value.Row) bool { return fn(externalRow(r)) })
+	_, err := t.readStmt(nil, QuerySpec{Table: t.Name(), Via: method, Preds: preds, Cols: cols}, t.db.workers, runPlain, externalSink(fn))
+	return err
 }
 
 // projIndices resolves projection column names to schema positions.
@@ -188,22 +187,17 @@ func (t *Table) projIndices(cols []string) ([]int, error) {
 	return proj, nil
 }
 
-// SelectViaCM is SelectVia(CMScan, ...) through the named correlation
-// map rather than the first applicable one, for benchmarking specific
-// designs against each other. It is a statement like any other Select:
-// it reads one MVCC snapshot, obeys the statement timeout and counts
-// into the query.* metrics.
-func (t *Table) SelectViaCM(cmName string, fn func(Row) bool, preds ...Pred) error {
-	return t.runTree(nil, QuerySpec{Table: t.Name(), Via: CMScan, viaCM: cmName, Preds: preds}, t.db.workers,
-		func(r value.Row) bool { return fn(externalRow(r)) })
-}
-
-// QuerySpec names one query of a batch: the target table, the access
-// method (Auto lets the cost model choose) and the predicates. A positive
-// Limit caps the result rows and stops the scan early through the
-// executor's cancellation path, so a LIMIT-style batch query does not pay
-// for a full sweep (with OrderBy the limit instead bounds the top-K
-// heap: every matching row is still scanned, but only K are retained).
+// QuerySpec names one query: the target table, the access method (Auto
+// lets the cost model choose) and the predicates. A positive Limit caps
+// the result rows and stops the scan early through the executor's
+// cancellation path, so a LIMIT query does not pay for a full sweep
+// (with OrderBy the limit instead bounds the top-K heap: every matching
+// row is still scanned, but only K are retained).
+//
+// A forced Via of SortedIndexScan, PipelinedIndexScan or CMScan uses the
+// first applicable index or CM (one whose leading column — any column,
+// for CMs — is predicated), or with CMScan the correlation map CM names;
+// ClusteredIndexScan needs the leading clustering column predicated.
 //
 // A spec's WHERE clause is Preds AND (AnyOf[0] OR AnyOf[1] OR ...):
 // Preds is a conjunction applied to every row, and each AnyOf entry is
@@ -212,8 +206,8 @@ func (t *Table) SelectViaCM(cmName string, fn func(Row) bool, preds ...Pred) err
 // one filtered scan when a disjunct cannot probe; they require Via ==
 // Auto.
 //
-// Aggs (optionally with GroupBy) turns the spec into an aggregate
-// query evaluated by DB.SelectAggregate or SelectMany: result rows are
+// Aggs (optionally with GroupBy) turns the spec into an aggregate query,
+// evaluated by DB.SelectSpec or DB.SelectAggregateCtx: result rows are
 // the GroupBy columns in order followed by the aggregates in order
 // (groups sorted by group key), Cols is ignored, and OrderBy names
 // resolve against that output — a GroupBy column or a canonical
@@ -221,6 +215,10 @@ func (t *Table) SelectViaCM(cmName string, fn func(Row) bool, preds ...Pred) err
 type QuerySpec struct {
 	Table string
 	Via   AccessMethod
+	// CM, with Via == CMScan, names the correlation map to go through
+	// rather than the first applicable one; with any other Via it is an
+	// error.
+	CM    string
 	Preds []Pred
 	// AnyOf holds the OR disjuncts, each a conjunction ANDed with Preds.
 	AnyOf [][]Pred
@@ -241,47 +239,10 @@ type QuerySpec struct {
 	Having []Pred
 	// OrderBy sorts the result rows; see Order.
 	OrderBy []Order
-	// viaCM, with Via == CMScan, names the correlation map to go through
-	// (SelectViaCM).
-	viaCM string
 }
 
 // isAggregate reports whether the spec computes aggregates or groups.
 func (spec QuerySpec) isAggregate() bool { return len(spec.Aggs) > 0 || len(spec.GroupBy) > 0 }
-
-// QueryResult is the outcome of one query of a batch: the matching rows,
-// or the error that stopped it.
-type QueryResult struct {
-	Rows []Row
-	Err  error
-}
-
-// SelectMany evaluates the queries concurrently across the DB's worker
-// pool (Config.Workers), modeling a multi-client workload: each query
-// takes its table's latch shared, so the batch runs in parallel with
-// other readers and serializes only against writers. Results are
-// returned positionally. Individual queries run with serial scans —
-// the fan-out here is across queries, not within them. Every QuerySpec
-// form is accepted, including OR (AnyOf), aggregates (Aggs/GroupBy) and
-// ORDER BY; each evaluates exactly as its single-query equivalent
-// (runSpec is shared), so batched and unbatched execution cannot drift.
-func (db *DB) SelectMany(specs []QuerySpec) []QueryResult {
-	return db.SelectManyCtx(nil, specs)
-}
-
-// SelectManyCtx is SelectMany bounded by a context shared across the
-// whole batch: cancelling ctx stops every in-flight query of the batch
-// (each fails with the context's error) and queries not yet started
-// fail immediately. A nil ctx never cancels; the configured statement
-// timeout still applies to each query individually.
-func (db *DB) SelectManyCtx(ctx context.Context, specs []QuerySpec) []QueryResult {
-	out := make([]QueryResult, len(specs))
-	db.fanOut(len(specs), func(i int) {
-		rows, err := db.runSpec(ctx, specs[i], 1)
-		out[i] = QueryResult{Rows: rows, Err: err}
-	})
-	return out
-}
 
 // PlanNode is one operator of an explained plan, bottom-up: an access
 // node first ("scan", "union" or "cm-agg"), then "filter", "project",
@@ -372,19 +333,6 @@ type PlanInfo struct {
 	Analyzed *RunActuals
 }
 
-// Explain returns the plan the cost model picks for the predicates,
-// with every column materialized (no projection).
-func (t *Table) Explain(preds ...Pred) (PlanInfo, error) {
-	return t.ExplainProject(nil, preds...)
-}
-
-// ExplainProject is Explain under a projection: DecodedCols reflects
-// what a SelectProject with the same columns would actually decode per
-// surviving row.
-func (t *Table) ExplainProject(cols []string, preds ...Pred) (PlanInfo, error) {
-	return t.explainSpec(QuerySpec{Table: t.Name(), Preds: preds, Cols: cols})
-}
-
 // Recommendation is one CM design proposed by the advisor.
 type Recommendation struct {
 	Design      string
@@ -462,15 +410,6 @@ func (t *Table) Advise(maxSlowdownPct float64, preds ...Pred) ([]Recommendation,
 	return out, nil
 }
 
-// CreateRecommended materializes an advisor recommendation as a CM.
-func (t *Table) CreateRecommended(name string, rec Recommendation) error {
-	cols := make([]CMColumn, len(rec.Columns))
-	for i, c := range rec.Columns {
-		cols[i] = CMColumn{Name: c, Width: rec.Widths[i], Prefix: rec.Prefixes[i]}
-	}
-	return t.CreateCM(name, cols...)
-}
-
 // SoftFD is a discovered approximate functional dependency between
 // columns.
 type SoftFD struct {
@@ -512,128 +451,6 @@ func (t *Table) DiscoverFDs(minStrength float64, pairs bool, cols ...string) ([]
 			sfd.Determinant = append(sfd.Determinant, sch.Cols[d].Name)
 		}
 		out = append(out, sfd)
-	}
-	return out, nil
-}
-
-// PairStats returns the paper's Table 2 correlation statistics between
-// the named columns and the table's clustering attribute.
-type PairStatsInfo struct {
-	DistinctU  int64   // D(Au)
-	DistinctUC int64   // D(Au, Ac)
-	CPerU      float64 // D(Au,Ac)/D(Au)
-	UTups      float64
-	CTups      float64
-}
-
-// PairStats computes exact pair statistics with one scan.
-func (t *Table) PairStats(cols ...string) (PairStatsInfo, error) {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		ci, err := t.colIndex(c)
-		if err != nil {
-			return PairStatsInfo{}, err
-		}
-		idxs[i] = ci
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	pc, err := t.inner.PairStats(idxs)
-	if err != nil {
-		return PairStatsInfo{}, err
-	}
-	return PairStatsInfo{
-		DistinctU:  pc.DU(),
-		DistinctUC: pc.DUC(),
-		CPerU:      pc.CPerU(),
-		UTups:      pc.UTups(),
-		CTups:      pc.CTups(),
-	}, nil
-}
-
-// VarBucketBounds derives a variable-width bucketing for a column from a
-// table sample — the paper's future-work extension for skewed value
-// distributions (Section 8). Adjacent values are merged while their
-// clustered buckets fit within maxCBucketsPerBucket; the returned bounds
-// plug into CreateVarCM.
-func (t *Table) VarBucketBounds(col string, maxCBucketsPerBucket int) ([]Value, error) {
-	ci, err := t.colIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	adv, err := advisor.New(t.inner, advisor.Config{})
-	if err != nil {
-		return nil, err
-	}
-	vb := adv.VariableBucketing(ci, maxCBucketsPerBucket)
-	out := make([]Value, len(vb.Bounds))
-	for i, b := range vb.Bounds {
-		out[i] = Value{b}
-	}
-	return out, nil
-}
-
-// CreateVarCM builds a single-column CM using an explicit variable-width
-// bucketing (lower bounds ascending), typically from VarBucketBounds.
-func (t *Table) CreateVarCM(name, col string, bounds []Value) error {
-	ci, err := t.colIndex(col)
-	if err != nil {
-		return err
-	}
-	vb := core.VarWidth{Bounds: make([]value.Value, len(bounds))}
-	for i, b := range bounds {
-		vb.Bounds[i] = b.v
-	}
-	t.inner.Lock()
-	defer t.inner.Unlock()
-	_, err = t.inner.CreateCM(core.Spec{
-		Name:      name,
-		UCols:     []int{ci},
-		Bucketers: []core.Bucketer{vb},
-	})
-	return err
-}
-
-// ClusteringSuggestion scores one attribute as a clustered-index choice
-// (see SuggestClustering).
-type ClusteringSuggestion struct {
-	Column          string
-	CorrelatedAttrs int     // attributes with low c_per_u against this clustering
-	CPages          float64 // expected pages per clustered value
-	MeanCPerU       float64
-}
-
-// SuggestClustering ranks the named columns as clustering choices using
-// the Section 4.1 criteria — small c_pages and correlations to many
-// other attributes — generalizing the paper's Figure 2 observation into
-// the physical-design direction its conclusions sketch.
-func (t *Table) SuggestClustering(threshold float64, cols ...string) ([]ClusteringSuggestion, error) {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		ci, err := t.colIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		idxs[i] = ci
-	}
-	t.inner.RLock()
-	defer t.inner.RUnlock()
-	adv, err := advisor.New(t.inner, advisor.Config{})
-	if err != nil {
-		return nil, err
-	}
-	sch := t.inner.Schema()
-	cands := adv.SuggestClustering(idxs, threshold)
-	out := make([]ClusteringSuggestion, len(cands))
-	for i, c := range cands {
-		out[i] = ClusteringSuggestion{
-			Column:          sch.Cols[c.Col].Name,
-			CorrelatedAttrs: c.CorrelatedAttrs,
-			CPages:          c.CPages,
-			MeanCPerU:       c.MeanCPerU,
-		}
 	}
 	return out, nil
 }

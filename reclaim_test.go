@@ -170,8 +170,7 @@ func (c *cancelAfter) Err() error {
 func updatePass(t *testing.T, tbl *Table, p int64, span int) {
 	t.Helper()
 	for lo := 0; lo < datagen.CorrelatedCats; lo += span {
-		if _, err := tbl.Update([]Set{{Col: "price", Val: IntVal(p)}},
-			Between("cat", IntVal(int64(lo)), IntVal(int64(lo+span-1)))); err != nil {
+		if _, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(p)}}, Between("cat", IntVal(int64(lo)), IntVal(int64(lo+span-1)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,12 +236,12 @@ func TestReclaimChurnInvariants(t *testing.T) {
 				snap, release := inner.PinSnapshot()
 				before := snapDigest(t, inner, snap)
 				k := int64(rng.Intn(datagen.CorrelatedSubcats))
-				if err := tbl.SelectVia(CMScan, func(row Row) bool {
+				if err := tbl.db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{Eq("subcat", IntVal(k))}}, func(row Row) bool {
 					if row[1].Int() != k {
 						t.Errorf("cm-scan for subcat %d returned %v", k, row)
 					}
 					return true
-				}, Eq("subcat", IntVal(k))); err != nil {
+				}); err != nil {
 					t.Errorf("reader: %v", err)
 					release()
 					return
@@ -294,7 +293,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 		case 0, 1, 2: // payload UPDATE
 			p := rng.Int63n(10000)
 			want := apply(lo, hi, func(r value.Row) value.Row { r[2] = value.NewInt(p); return r })
-			n, err := tbl.Update([]Set{{Col: "price", Val: IntVal(p)}}, Between("cat", IntVal(lo), IntVal(hi)))
+			n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(p)}}, Between("cat", IntVal(lo), IntVal(hi)))
 			if err != nil || int(n) != want {
 				t.Fatalf("%s: update n=%d err=%v, want %d rows", stage, n, err, want)
 			}
@@ -304,8 +303,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 				r[0], r[1] = value.NewInt(to), value.NewInt(to/8)
 				return r
 			})
-			n, err := tbl.Update([]Set{{Col: "cat", Val: IntVal(to)}, {Col: "subcat", Val: IntVal(to / 8)}},
-				Between("cat", IntVal(lo), IntVal(lo+3)))
+			n, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "cat", Val: IntVal(to)}, {Col: "subcat", Val: IntVal(to / 8)}}, Between("cat", IntVal(lo), IntVal(lo+3)))
 			if err != nil || int(n) != want {
 				t.Fatalf("%s: moving update n=%d err=%v, want %d rows", stage, n, err, want)
 			}
@@ -319,7 +317,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 			slices.Sort(model)
 		case 6: // DELETE
 			want := apply(lo, lo+3, func(value.Row) value.Row { return nil })
-			if n, err := tbl.Delete(Between("cat", IntVal(lo), IntVal(lo+3))); err != nil || n != want {
+			if n, err := tbl.db.DeleteCtx(context.Background(), tbl.Name(), Between("cat", IntVal(lo), IntVal(lo+3))); err != nil || n != int64(want) {
 				t.Fatalf("%s: delete n=%d err=%v, want %d rows", stage, n, err, want)
 			}
 		case 7: // an UPDATE cancelled after its first batch
@@ -343,7 +341,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 			stage += " (cancelled)"
 		case 8: // the publish fails on an injected WAL write fault
 			db.SetFaultPlan(&FaultPlan{FailWriteN: 1})
-			_, err := tbl.Update([]Set{{Col: "price", Val: IntVal(-2)}}, Between("cat", IntVal(lo), IntVal(lo+60)))
+			_, err := tbl.db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(-2)}}, Between("cat", IntVal(lo), IntVal(lo+60)))
 			db.SetFaultPlan(nil)
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("%s: update under a WAL fault returned %v", stage, err)
@@ -457,7 +455,7 @@ func updateEachCat(t *testing.T, inner *table.Table, p int64) {
 // and one more statement has run, the queued versions are reclaimed and
 // further passes fit in the heap as it is.
 func TestPinnedSnapshotSurvivesReclaim(t *testing.T) {
-	_, tbl := itemsTable(t, Config{BufferPoolPages: 4096, Workers: 2}, 600)
+	db, tbl := itemsTable(t, Config{BufferPoolPages: 4096, Workers: 2}, 600)
 	inner := tbl.inner
 	h := inner.Heap()
 	scanAt := func(snap uint64) [][]byte {
@@ -495,7 +493,7 @@ func TestPinnedSnapshotSurvivesReclaim(t *testing.T) {
 	}
 
 	release()
-	if _, err := tbl.Update([]Set{{Col: "price", Val: IntVal(3)}}, Between("cat", IntVal(0), IntVal(499))); err != nil {
+	if _, err := db.UpdateCtx(context.Background(), tbl.Name(), []Set{{Col: "price", Val: IntVal(3)}}, Between("cat", IntVal(0), IntVal(499))); err != nil {
 		t.Fatal(err)
 	}
 	pages := h.NumPages()

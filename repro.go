@@ -14,18 +14,19 @@
 //
 // The package exposes:
 //
-//   - a DB/Table API with clustered bulk loads, inserts, deletes and
-//     2PC-style commits (Open, CreateTable, Load, Insert, Delete, Commit)
+//   - a DB/Table API with clustered bulk loads, inserts and 2PC-style
+//     commits (Open, CreateTable, Load, Insert, Commit)
 //   - secondary B+Tree indexes and correlation maps (CreateIndex,
 //     CreateCM) with bucketing control
-//   - query execution with predicate builders (Eq, Ne, In, Between,
-//     Ge, Le, Gt, Lt) across five access paths, chosen by the paper's
-//     correlation-aware cost model or forced explicitly (Select,
-//     SelectVia, Explain)
-//   - a SQL front-end (Exec; ExecScript over ExecScriptStreamCtx, the
-//     one in-order script executor) parsing the dialect described in
-//     the README onto the same engine, and batch execution (SelectMany,
-//     ExecPreparedBatch) for multi-client workloads
+//   - one context-taking door per statement kind: queries through
+//     SelectSpec (predicate builders Eq, Ne, In, Between, Ge, Le, Gt, Lt
+//     across five access paths, chosen by the paper's correlation-aware
+//     cost model or forced explicitly), writes through UpdateCtx and
+//     DeleteCtx, plans through ExplainSpec and ExplainAnalyzeSpec
+//   - a SQL front-end (ExecScriptStreamCtx, the one in-order script
+//     executor, with ExecScriptCtx and Exec as sugar) parsing the
+//     dialect described in the README onto the same engine, and
+//     ExecPreparedBatch for multi-client workloads
 //   - the CM Advisor (Advise, DiscoverFDs): soft-FD discovery, bucketing
 //     enumeration and design recommendation under a performance target
 //
@@ -133,7 +134,7 @@ type Config struct {
 	// and CM scans sweep their pages on at most this many goroutines —
 	// and on the caller's alone when the page set has neither enough
 	// pages to split nor a cache miss to overlap, as a point probe's does
-	// not — and SelectMany runs this many queries concurrently.
+	// not — and ExecPreparedBatch runs this many statements concurrently.
 	// 0 selects GOMAXPROCS; 1 keeps every scan serial.
 	Workers int
 	// IOWaitScale, when positive, makes every simulated disk access
@@ -156,9 +157,9 @@ type Config struct {
 //
 // DB is safe for concurrent use, with MVCC snapshot reads: every query
 // captures the table's published version at statement start and filters
-// heap tuples through per-tuple begin/end timestamps, so Select and the
-// other read APIs never wait on a concurrent Insert, Delete, Update or
-// Load and never observe a half-applied statement. Writer statements
+// heap tuples through per-tuple begin/end timestamps, so SelectSpec and
+// the other read APIs never wait on a concurrent Insert, DeleteCtx,
+// UpdateCtx or Load and never observe a half-applied statement. Writer statements
 // serialize against each other (and DDL) on a per-table writer gate and
 // apply their mutations in small latched batches. The buffer pool
 // (sharded locks), simulated disk and WAL are thread-safe underneath, so
@@ -300,6 +301,14 @@ func (db *DB) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tables[name]
+}
+
+// lookup resolves a statement's target table.
+func (db *DB) lookup(name string) (*Table, error) {
+	if t := db.Table(name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("repro: no table %q", name)
 }
 
 // allTables snapshots the tables sorted by name, for operations that
@@ -458,71 +467,49 @@ func (t *Table) insertRows(ctx context.Context, rows []value.Row) error {
 	return err
 }
 
-// Delete removes every row matching the predicates and returns how many
-// were deleted. It runs as one writer statement: snapshots taken before
-// publish keep seeing every matching row, snapshots taken after see
-// none — concurrent readers never block and never observe a partial
-// delete.
-func (t *Table) Delete(preds ...Pred) (int, error) {
-	return t.DeleteCtx(nil, preds...)
-}
-
-// DeleteCtx is Delete bounded by a context: the collection scan and
-// the write batches both poll ctx, and a cancelled statement aborts
-// cleanly — the table keeps every row. A nil ctx never cancels; the
-// configured statement timeout applies either way. Like Update, the
-// statement compiles through the plan layer, so its WHERE clause reads
-// through whichever access path the cost model prefers.
-func (t *Table) DeleteCtx(ctx context.Context, preds ...Pred) (int, error) {
-	n, _, err := t.writeStmt(ctx, true, nil, [][]Pred{preds}, runPlain)
-	return int(n), err
-}
-
-// Set is one assignment of an Update statement: the named column takes
-// the given value for every matching row.
+// Set is one assignment of an UpdateCtx statement: the named column
+// takes the given value for every matching row.
 type Set struct {
 	Col string
 	Val Value
 }
 
-// Update replaces the named columns of every row matching the predicates
-// and returns how many rows changed. It compiles through the plan layer
-// (EXPLAIN-able, cost-based access path for the WHERE clause) and runs
-// as one writer statement: each row is retracted and reinserted per the
-// paper's Algorithm 1, so CM per-entry statistics stay exact, and
-// concurrent snapshot readers see the whole update or none of it. The
-// resulting table state is byte-identical for any Config.Workers.
-func (t *Table) Update(sets []Set, preds ...Pred) (int64, error) {
-	return t.UpdateCtx(nil, sets, preds...)
-}
-
-// UpdateCtx is Update bounded by a context: the read phase polls ctx
-// through its access path and the write phase between latched bursts,
-// so a cancelled statement aborts cleanly with the table unchanged. A
-// nil ctx never cancels; the configured statement timeout applies
-// either way.
-func (t *Table) UpdateCtx(ctx context.Context, sets []Set, preds ...Pred) (int64, error) {
+// UpdateCtx replaces the named columns of every row of the named table
+// matching the predicates and returns how many rows changed — the native
+// form of SQL's UPDATE. It compiles through the plan layer (EXPLAIN-able,
+// cost-based access path for the WHERE clause) and runs as one writer
+// statement: each row is retracted and reinserted per the paper's
+// Algorithm 1, so CM per-entry statistics stay exact, and concurrent
+// snapshot readers see the whole update or none of it. The resulting
+// table state is byte-identical for any Config.Workers. The read phase
+// polls ctx through its access path and the write phase between latched
+// bursts, so a cancelled statement aborts cleanly with the table
+// unchanged. A nil ctx never cancels; the configured statement timeout
+// applies either way.
+func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...Pred) (int64, error) {
+	t, err := db.lookup(table)
+	if err != nil {
+		return 0, err
+	}
 	n, _, err := t.writeStmt(ctx, false, sets, [][]Pred{preds}, runPlain)
 	return n, err
 }
 
-// Update is the DB-level form of Table.Update, resolving the table by
-// name — the native twin of SQL's UPDATE statement through DB.Exec.
-func (db *DB) Update(table string, sets []Set, preds ...Pred) (int64, error) {
-	t := db.Table(table)
-	if t == nil {
-		return 0, fmt.Errorf("repro: no table %q", table)
+// DeleteCtx removes every row of the named table matching the
+// predicates and returns how many were deleted — the native form of
+// SQL's DELETE. Like UpdateCtx it compiles through the plan layer and
+// runs as one writer statement: snapshots taken before publish keep
+// seeing every matching row, snapshots taken after see none, and a
+// cancelled statement aborts cleanly with the table keeping every row.
+// A nil ctx never cancels; the configured statement timeout applies
+// either way.
+func (db *DB) DeleteCtx(ctx context.Context, table string, preds ...Pred) (int64, error) {
+	t, err := db.lookup(table)
+	if err != nil {
+		return 0, err
 	}
-	return t.Update(sets, preds...)
-}
-
-// UpdateCtx is the DB-level form of Table.UpdateCtx.
-func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...Pred) (int64, error) {
-	t := db.Table(table)
-	if t == nil {
-		return 0, fmt.Errorf("repro: no table %q", table)
-	}
-	return t.UpdateCtx(ctx, sets, preds...)
+	n, _, err := t.writeStmt(ctx, true, nil, [][]Pred{preds}, runPlain)
+	return n, err
 }
 
 // Commit flushes the WAL with the prototype's two-phase-commit

@@ -1,11 +1,41 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 )
+
+// selectRows collects the rows DB.SelectSpec streams for spec.
+func selectRows(db *DB, spec QuerySpec) ([]Row, error) {
+	var rows []Row
+	err := db.SelectSpec(context.Background(), spec, func(r Row) bool {
+		rows = append(rows, r)
+		return true
+	})
+	return rows, err
+}
+
+// atWorkers runs fn with the DB's scan fan-out (Config.Workers) set to
+// workers, for tests comparing fan-outs over one fixture; nothing else
+// may run a statement on the DB meanwhile.
+func atWorkers(db *DB, workers int, fn func()) {
+	defer func(w int) { db.workers = w }(db.workers)
+	db.workers = workers
+	fn()
+}
+
+// mustSelect is selectRows failing the test on an error.
+func mustSelect(t testing.TB, db *DB, spec QuerySpec) []Row {
+	t.Helper()
+	rows, err := selectRows(db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 // demoTable loads the Figure 4 people table through the public API.
 func demoTable(t *testing.T) (*DB, *Table) {
@@ -43,15 +73,15 @@ func demoTable(t *testing.T) (*DB, *Table) {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	_, tbl := demoTable(t)
+	db, tbl := demoTable(t)
 	if err := tbl.CreateCM("city_cm", CMColumn{Name: "city"}); err != nil {
 		t.Fatal(err)
 	}
 	var cities []string
-	err := tbl.SelectVia(CMScan, func(r Row) bool {
+	err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{In("city", StringVal("boston"), StringVal("springfield"))}}, func(r Row) bool {
 		cities = append(cities, r[1].Str())
 		return true
-	}, In("city", StringVal("boston"), StringVal("springfield")))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +165,7 @@ func TestSelectMethodsAgree(t *testing.T) {
 	}
 	count := func(m AccessMethod, extra ...Pred) int {
 		n := 0
-		if err := tbl.SelectVia(m, func(Row) bool { n++; return true },
-			append([]Pred{Between("u", IntVal(5), IntVal(8))}, extra...)...); err != nil {
+		if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: m, Preds: append([]Pred{Between("u", IntVal(5), IntVal(8))}, extra...)}, func(Row) bool { n++; return true }); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		return n
@@ -157,7 +186,7 @@ func TestSelectMethodsAgree(t *testing.T) {
 }
 
 func TestInsertDeleteCommit(t *testing.T) {
-	_, tbl := demoTable(t)
+	db, tbl := demoTable(t)
 	if err := tbl.CreateCM("city_cm", CMColumn{Name: "city"}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +199,7 @@ func TestInsertDeleteCommit(t *testing.T) {
 	if tbl.RowCount() != 11 {
 		t.Errorf("rows = %d", tbl.RowCount())
 	}
-	n, err := tbl.Delete(Eq("city", StringVal("boston")))
+	n, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("city", StringVal("boston")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +210,7 @@ func TestInsertDeleteCommit(t *testing.T) {
 		t.Errorf("rows after delete = %d", tbl.RowCount())
 	}
 	// CM no longer finds boston.
-	found := 0
-	if err := tbl.SelectVia(CMScan, func(Row) bool { found++; return true },
-		Eq("city", StringVal("boston"))); err != nil {
-		t.Fatal(err)
-	}
+	found := len(mustSelect(t, db, QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{Eq("city", StringVal("boston"))}}))
 	if found != 0 {
 		t.Errorf("boston still found %d times after delete", found)
 	}
@@ -222,8 +247,8 @@ func TestCMInfoAndIndexInfo(t *testing.T) {
 }
 
 func TestExplain(t *testing.T) {
-	_, tbl := demoTable(t)
-	info, err := tbl.Explain(Eq("city", StringVal("boston")))
+	db, tbl := demoTable(t)
+	info, err := db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("city", StringVal("boston"))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +261,7 @@ func TestExplain(t *testing.T) {
 	if err := tbl.CreateCM("city_cm", CMColumn{Name: "city"}); err != nil {
 		t.Fatal(err)
 	}
-	info, err = tbl.Explain(Eq("city", StringVal("boston")))
+	info, err = db.ExplainSpec(QuerySpec{Table: tbl.Name(), Preds: []Pred{Eq("city", StringVal("boston"))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +276,7 @@ func TestStatsAndColdCache(t *testing.T) {
 	db, tbl := demoTable(t)
 	// Warm scan: everything is still cached from the load, so no I/O.
 	db.ResetStats()
-	if err := tbl.SelectVia(TableScan, func(Row) bool { return true }); err != nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: TableScan}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Reads != 0 {
@@ -262,7 +287,7 @@ func TestStatsAndColdCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	if err := tbl.SelectVia(TableScan, func(Row) bool { return true }); err != nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: TableScan}); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
@@ -315,7 +340,12 @@ func TestAdviseAndCreateRecommended(t *testing.T) {
 			t.Fatal("recommendations not sorted by size")
 		}
 	}
-	if err := tbl.CreateRecommended("advised", recs[0]); err != nil {
+	// A recommendation carries what CreateCM needs to build its design.
+	cols := make([]CMColumn, len(recs[0].Columns))
+	for i, c := range recs[0].Columns {
+		cols[i] = CMColumn{Name: c, Width: recs[0].Widths[i], Prefix: recs[0].Prefixes[i]}
+	}
+	if err := tbl.CreateCM("advised", cols...); err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.CMs()) != 1 {
@@ -335,10 +365,10 @@ func TestAdviseAndCreateRecommended(t *testing.T) {
 		t.Fatalf("recommendation covers no training columns: %+v", recs[0])
 	}
 	var viaCM, viaScan int
-	if err := tbl.SelectVia(CMScan, func(Row) bool { viaCM++; return true }, preds...); err != nil {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: preds}, func(Row) bool { viaCM++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.SelectVia(TableScan, func(Row) bool { viaScan++; return true }, preds...); err != nil {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan, Preds: preds}, func(Row) bool { viaScan++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if viaCM != viaScan || viaScan == 0 {
@@ -388,32 +418,31 @@ func TestDiscoverFDs(t *testing.T) {
 	}
 }
 
+// TestPairStats reads the paper's Table 2 correlation statistics for
+// city against the clustering attribute state off an unbucketed CM on
+// city over per-state buckets: D(city) keys, D(city, state) pairs, and
+// c_per_u their ratio.
 func TestPairStats(t *testing.T) {
 	_, tbl := demoTable(t)
-	ps, err := tbl.PairStats("city")
-	if err != nil {
+	if err := tbl.CreateCM("city_cm", CMColumn{Name: "city"}); err != nil {
 		t.Fatal(err)
 	}
-	if ps.DistinctU != 6 || ps.DistinctUC != 9 {
-		t.Errorf("pair stats = %+v", ps)
+	info := tbl.CMs()[0]
+	if info.Keys != 6 || info.Pairs != 9 {
+		t.Errorf("pair stats = %+v", info)
 	}
 	want := 9.0 / 6.0
-	if ps.CPerU < want-1e-9 || ps.CPerU > want+1e-9 {
-		t.Errorf("c_per_u = %v", ps.CPerU)
-	}
-	if _, err := tbl.PairStats("nope"); err == nil {
-		t.Error("unknown column accepted")
+	if info.CPerU < want-1e-9 || info.CPerU > want+1e-9 {
+		t.Errorf("c_per_u = %v", info.CPerU)
 	}
 }
 
 func TestErrorPaths(t *testing.T) {
-	_, tbl := demoTable(t)
-	if err := tbl.SelectVia(SortedIndexScan, func(Row) bool { return true },
-		Eq("city", StringVal("boston"))); err == nil {
+	db, tbl := demoTable(t)
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: SortedIndexScan, Preds: []Pred{Eq("city", StringVal("boston"))}}); err == nil {
 		t.Error("index scan without index should fail")
 	}
-	if err := tbl.SelectVia(CMScan, func(Row) bool { return true },
-		Eq("city", StringVal("boston"))); err == nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{Eq("city", StringVal("boston"))}}); err == nil {
 		t.Error("CM scan without CM should fail")
 	}
 	if err := tbl.CreateCM("empty"); err == nil {
@@ -425,18 +454,18 @@ func TestErrorPaths(t *testing.T) {
 	if err := tbl.CreateIndex("bad", "zzz"); err == nil {
 		t.Error("index on unknown column accepted")
 	}
-	if err := tbl.SelectVia(AccessMethod(42), func(Row) bool { return true }); err == nil {
+	if _, err := selectRows(db, QuerySpec{Table: tbl.Name(), Via: AccessMethod(42)}); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := tbl.Delete(Eq("zzz", IntVal(1))); err == nil {
+	if _, err := db.DeleteCtx(context.Background(), tbl.Name(), Eq("zzz", IntVal(1))); err == nil {
 		t.Error("delete with unknown column accepted")
 	}
 }
 
 func TestSelectEarlyStop(t *testing.T) {
-	_, tbl := demoTable(t)
+	db, tbl := demoTable(t)
 	n := 0
-	if err := tbl.Select(func(Row) bool { n++; return false }); err != nil {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name()}, func(Row) bool { n++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -473,10 +502,10 @@ func TestCMWithExplicitWidth(t *testing.T) {
 	}
 	// Queries through the wide buckets stay exact.
 	var got []float64
-	if err := tbl.SelectVia(CMScan, func(r Row) bool {
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: CMScan, Preds: []Pred{Eq("temp", FloatVal(7.5))}}, func(r Row) bool {
 		got = append(got, r[1].Float())
 		return true
-	}, Eq("temp", FloatVal(7.5))); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 10 {
@@ -495,96 +524,5 @@ func TestMethodStrings(t *testing.T) {
 		if m.String() == "" {
 			t.Error("empty method name")
 		}
-	}
-}
-
-func TestVarBucketCMViaFacade(t *testing.T) {
-	db := Open(Config{})
-	tbl, err := db.CreateTable(TableSpec{
-		Name: "sk",
-		Columns: []Column{
-			{Name: "c", Kind: Int},
-			{Name: "u", Kind: Int},
-		},
-		ClusteredBy:  []string{"c"},
-		BucketTuples: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []Row
-	for i := 0; i < 4000; i++ {
-		u := int64(i % 500)
-		c := int64(1)
-		if u >= 250 {
-			c = u / 10
-		}
-		rows = append(rows, Row{IntVal(c), IntVal(u)})
-	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	bounds, err := tbl.VarBucketBounds("u", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounds) == 0 || len(bounds) >= 250 {
-		t.Fatalf("bounds = %d, expected skew compression", len(bounds))
-	}
-	if err := tbl.CreateVarCM("u_var", "u", bounds); err != nil {
-		t.Fatal(err)
-	}
-	// Exactness through the variable-width CM.
-	var viaCM, viaScan int
-	preds := []Pred{Eq("u", IntVal(300))}
-	if err := tbl.SelectViaCM("u_var", func(Row) bool { viaCM++; return true }, preds...); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.SelectVia(TableScan, func(Row) bool { viaScan++; return true }, preds...); err != nil {
-		t.Fatal(err)
-	}
-	if viaCM != viaScan || viaScan == 0 {
-		t.Errorf("var CM %d rows vs scan %d", viaCM, viaScan)
-	}
-}
-
-func TestSuggestClusteringViaFacade(t *testing.T) {
-	db := Open(Config{})
-	tbl, err := db.CreateTable(TableSpec{
-		Name: "sg",
-		Columns: []Column{
-			{Name: "id", Kind: Int},
-			{Name: "hub", Kind: Int},
-			{Name: "dep", Kind: Int},
-			{Name: "noise", Kind: Int},
-		},
-		ClusteredBy: []string{"id"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []Row
-	for i := 0; i < 3000; i++ {
-		hub := int64(i % 150)
-		rows = append(rows, Row{
-			IntVal(int64(i)), IntVal(hub), IntVal(hub / 2),
-			IntVal(int64((i * 6151) % 3000)),
-		})
-	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	sugs, err := tbl.SuggestClustering(5, "hub", "dep", "noise")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sugs) != 3 {
-		t.Fatalf("suggestions = %d", len(sugs))
-	}
-	if sugs[0].Column == "noise" {
-		t.Errorf("noise ranked first: %+v", sugs)
-	}
-	if _, err := tbl.SuggestClustering(5, "zzz"); err == nil {
-		t.Error("unknown column accepted")
 	}
 }

@@ -12,15 +12,15 @@ import (
 )
 
 // This file lowers QuerySpecs onto the physical plan layer — the one
-// lowering every query surface shares. DB.Exec (single SQL statement),
-// a script (DB.ExecScriptStreamCtx, statement by statement),
-// DB.ExecPreparedBatch, the native SelectMany / SelectAggregate /
-// SelectAny / Select APIs and EXPLAIN all resolve
-// names here and compile through internal/plan's Build → Optimize → Run
-// pipeline, so a statement cannot behave differently batched vs alone
-// (or explained vs executed): projection, LIMIT, OR, aggregation,
-// HAVING and ORDER BY are lowered exactly once, and EXPLAIN prints the
-// operator tree Run executes.
+// lowering every query surface shares. DB.SelectSpec (and its sugar
+// SelectProject, SelectProjectVia and SelectAggregateCtx), every SQL
+// SELECT (DB.Exec, a script through DB.ExecScriptStreamCtx,
+// DB.ExecPreparedBatch) and EXPLAIN [ANALYZE] all resolve names here and
+// compile through internal/plan's Build → Optimize → Run pipeline, so a
+// statement cannot behave differently batched vs alone (or explained vs
+// executed): projection, LIMIT, OR, aggregation, HAVING and ORDER BY are
+// lowered exactly once, and EXPLAIN prints the operator tree Run
+// executes.
 
 // AggFunc identifies an aggregate function of a QuerySpec.
 type AggFunc int
@@ -53,8 +53,10 @@ func (f AggFunc) String() string {
 		return "avg"
 	case Min:
 		return "min"
-	default:
+	case Max:
 		return "max"
+	default:
+		return fmt.Sprintf("aggfunc(%d)", int(f))
 	}
 }
 
@@ -66,7 +68,7 @@ type Agg struct {
 }
 
 // Name renders the canonical result-column name of the aggregate —
-// "avg(salary)", "count(*)" — the header SelectAggregate returns and
+// "avg(salary)", "count(*)" — the header SelectAggregateCtx returns and
 // the name QuerySpec.OrderBy (or Having) uses to address an aggregate.
 func (a Agg) Name() string {
 	if a.Func == Count && (a.Col == "" || a.Col == "*") {
@@ -84,10 +86,11 @@ type Order struct {
 	Desc bool
 }
 
-// SelectAggregate evaluates an aggregate QuerySpec (Aggs, optionally
+// SelectAggregateCtx evaluates an aggregate QuerySpec (Aggs, optionally
 // GroupBy, Having, OrderBy, Limit, AnyOf) and returns the result header
 // and rows: the GroupBy columns in order, then the aggregates in order,
-// with groups sorted by group key unless OrderBy says otherwise.
+// with groups sorted by group key unless OrderBy says otherwise. It is
+// DB.SelectSpec collecting the rows, under the same context rules.
 //
 // When a correlation map covers the whole query — every predicate and
 // grouping column on the CM attribute, every aggregate answerable from
@@ -99,19 +102,15 @@ type Order struct {
 // aggregates, and partials merge in fixed chunk order — so results are
 // byte-identical for any Config.Workers and any access path, float sums
 // included.
-func (db *DB) SelectAggregate(spec QuerySpec) ([]string, []Row, error) {
-	return db.SelectAggregateCtx(nil, spec)
-}
-
-// SelectAggregateCtx is SelectAggregate bounded by a context: the
-// aggregation stops at chunk granularity when ctx is cancelled or
-// expires and the error is the context's. A nil ctx never cancels
-// (the configured statement timeout still applies either way).
 func (db *DB) SelectAggregateCtx(ctx context.Context, spec QuerySpec) ([]string, []Row, error) {
 	if !spec.isAggregate() {
-		return nil, nil, fmt.Errorf("repro: SelectAggregate needs Aggs or GroupBy")
+		return nil, nil, fmt.Errorf("repro: SelectAggregateCtx needs Aggs or GroupBy")
 	}
-	rows, err := db.runSpec(ctx, spec, db.workers)
+	var rows []Row
+	err := db.SelectSpec(ctx, spec, func(r Row) bool {
+		rows = append(rows, r)
+		return true
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,37 +126,6 @@ func aggHeader(spec QuerySpec) []string {
 	return out
 }
 
-// SelectAny streams the rows matching at least one of the disjunct
-// conjunctions to fn — the native form of a WHERE ... OR ... query.
-// Each disjunct's access path is planned independently; when every
-// disjunct can probe an index or CM, their RID sets union (deduplicated
-// at page granularity) into one physical-order heap sweep, otherwise
-// the whole disjunction evaluates as one filtered table scan. Rows
-// arrive in physical order; return false from fn to stop early.
-func (t *Table) SelectAny(fn func(Row) bool, disjuncts ...[]Pred) error {
-	return t.runTree(nil, QuerySpec{Table: t.Name(), AnyOf: disjuncts}, t.db.workers,
-		func(r value.Row) bool { return fn(externalRow(r)) })
-}
-
-// runSpec evaluates one QuerySpec with the given scan fan-out,
-// returning the buffered result rows (projected for plain selects,
-// canonical GroupBy-then-Aggs shape for aggregate specs).
-func (db *DB) runSpec(ctx context.Context, spec QuerySpec, workers int) ([]Row, error) {
-	tbl := db.Table(spec.Table)
-	if tbl == nil {
-		return nil, fmt.Errorf("repro: no table %q", spec.Table)
-	}
-	var rows []Row
-	err := tbl.runTree(ctx, spec, workers, func(r value.Row) bool {
-		rows = append(rows, externalRow(r))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // stmtMode says what a statement entry point wants done with the tree
 // its prologue compiled.
 type stmtMode int
@@ -168,18 +136,8 @@ const (
 	explainOnly                 // compile only; nothing runs, nothing is timed
 )
 
-// runTree compiles the spec through the plan layer and runs it under a
-// shared latch hold, streaming output rows to sink. ctx (plus the
-// configured statement timeout) bounds the run; a cancelled or expired
-// statement returns the context's error and counts into
-// query.cancelled / query.timed_out.
-func (t *Table) runTree(ctx context.Context, spec QuerySpec, workers int, sink plan.RowSink) error {
-	_, err := t.readStmt(ctx, spec, workers, runPlain, plan.Sink{Row: sink})
-	return err
-}
-
-// readStmt is the one prologue of every read statement — each Select*,
-// SQL SELECT, EXPLAIN and EXPLAIN ANALYZE: lower the spec, apply the
+// readStmt is the one prologue of every read statement — SelectSpec and
+// its sugar, SQL SELECT, EXPLAIN and EXPLAIN ANALYZE: lower the spec, apply the
 // statement timeout, refuse a context that is already dead, take the
 // table latch shared, capture the MVCC snapshot under it, attach the
 // scan observer, compile, then run as mode says, time the statement and
@@ -373,7 +331,10 @@ func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
 	if spec.Via < 0 || int(spec.Via) >= len(execMethods) {
 		return plan.Spec{}, fmt.Errorf("repro: unknown access method %v", spec.Via)
 	}
-	ps := plan.Spec{Limit: spec.Limit, Method: execMethods[spec.Via], CM: spec.viaCM}
+	if spec.CM != "" && spec.Via != CMScan {
+		return plan.Spec{}, fmt.Errorf("repro: CM %q needs Via CMScan, not %v", spec.CM, spec.Via)
+	}
+	ps := plan.Spec{Limit: spec.Limit, Method: execMethods[spec.Via], CM: spec.CM}
 
 	// The WHERE clause — Preds AND (AnyOf[0] OR ...) — lowers to
 	// disjunctive normal form: one conjunctive exec.Query per disjunct.
@@ -503,17 +464,11 @@ func (t *Table) aggSpecs(aggs []Agg) ([]exec.AggSpec, error) {
 // the access node (scan, union or cm-agg), then filter, project, agg,
 // having, sort and limit as applicable — without running it.
 func (db *DB) ExplainSpec(spec QuerySpec) (PlanInfo, error) {
-	tbl := db.Table(spec.Table)
-	if tbl == nil {
-		return PlanInfo{}, fmt.Errorf("repro: no table %q", spec.Table)
+	tbl, err := db.lookup(spec.Table)
+	if err != nil {
+		return PlanInfo{}, err
 	}
-	return tbl.explainSpec(spec)
-}
-
-// explainSpec compiles the spec under a shared latch and converts the
-// plan layer's Info into the facade PlanInfo.
-func (t *Table) explainSpec(spec QuerySpec) (PlanInfo, error) {
-	return t.readStmt(nil, spec, 0, explainOnly, plan.Sink{})
+	return tbl.readStmt(nil, spec, 0, explainOnly, plan.Sink{})
 }
 
 // execMethods is the one translation between the facade's AccessMethod
@@ -592,19 +547,19 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 // SQL's EXPLAIN ANALYZE. Result rows are consumed and counted, not
 // returned (PostgreSQL semantics: the plan is the result). The run is
 // the exact Run code path, so side effects, locking and row flow are
-// identical to SelectAggregate/Select; its physical work still counts
-// into the engine-wide query.* metrics.
+// identical to SelectSpec; its physical work still counts into the
+// engine-wide query.* metrics.
 func (db *DB) ExplainAnalyzeSpec(spec QuerySpec) (PlanInfo, error) {
-	tbl := db.Table(spec.Table)
-	if tbl == nil {
-		return PlanInfo{}, fmt.Errorf("repro: no table %q", spec.Table)
+	tbl, err := db.lookup(spec.Table)
+	if err != nil {
+		return PlanInfo{}, err
 	}
 	return tbl.analyzeSpec(nil, spec)
 }
 
 // analyzeSpec compiles and executes the spec under a shared latch
 // hold, measuring per-node actuals. ctx (plus the statement timeout)
-// bounds the run like runTree.
+// bounds the run like SelectSpec.
 func (t *Table) analyzeSpec(ctx context.Context, spec QuerySpec) (PlanInfo, error) {
 	return t.readStmt(ctx, spec, t.db.workers, runAnalyzed, plan.Sink{Row: func(value.Row) bool { return true }})
 }

@@ -10,16 +10,19 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the top of the SQL front-end: Exec and ExecScript parse
-// statements with internal/sql, bind them against the live catalog and
-// lower them onto the native facade API (Select, Insert, Delete,
-// Update, CreateTable, CreateIndex, CreateCM, Explain, Advise,
-// DiscoverFDs, Commit). Every SQL statement therefore has exactly the semantics of
-// the equivalent native call — the equivalence tests in sql_test.go
-// assert this statement form by statement form. A script runs through
-// one loop, ExecScriptStreamCtx (stream.go): statements in order, each
-// measured alone; ExecScript is that loop with a sink that collects the
-// rows.
+// This file is the top of the SQL front-end: ExecScriptStreamCtx
+// (stream.go) parses a script with internal/sql, binds each statement
+// against the live catalog and lowers it onto the native facade: SELECT
+// and EXPLAIN [ANALYZE] onto the QuerySpec lowering SelectSpec and
+// ExplainSpec share (runspec.go), UPDATE and DELETE onto the writer
+// statement UpdateCtx and DeleteCtx run, INSERT onto Insert's, and DDL,
+// ADVISE, SHOW SOFT FDS and COMMIT onto CreateTable, CreateIndex,
+// CreateCM, Advise, DiscoverFDs and Commit. Every SQL statement
+// therefore has exactly the semantics of the equivalent native call —
+// the equivalence tests in sql_test.go assert this statement form by
+// statement form. Scripts run statements in order, each measured alone;
+// ExecScriptCtx is that loop with a sink that collects the rows, and
+// Exec runs one statement.
 
 // Result is the outcome of one SQL statement. Row-producing statements
 // (SELECT, EXPLAIN, ADVISE, SHOW) fill Columns and Rows; mutating
@@ -82,45 +85,32 @@ func (c catalogDB) TableMeta(name string) (sqlfe.TableMeta, bool) {
 	return tm, true
 }
 
-// Tables returns the table names, sorted.
-func (db *DB) Tables() []string {
-	tables := db.allTables()
-	out := make([]string, len(tables))
-	for i, t := range tables {
-		out[i] = t.Name()
-	}
-	return out
-}
-
-// Exec parses and executes one SQL statement.
+// Exec parses and executes one SQL statement, collecting its result
+// rows. It runs through the script executor's per-statement step with no
+// context of its own; the configured statement timeout still applies.
 func (db *DB) Exec(stmt string) (*Result, error) {
-	return db.ExecCtx(nil, stmt)
-}
-
-// ExecCtx is Exec bounded by a context: a cancelled or expired ctx
-// stops the statement at chunk granularity (see SelectCtx) and the
-// statement fails with the context's error. A nil ctx never cancels;
-// the configured statement timeout applies either way.
-func (db *DB) ExecCtx(ctx context.Context, stmt string) (*Result, error) {
 	parsed, err := sqlfe.Parse(stmt)
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmt(ctx, parsed)
+	var rows []Row
+	sr := db.streamStmt(nil, parsed, 0, RowStreamer{Row: func(_ int, row Row) bool {
+		rows = append(rows, row)
+		return true
+	}})
+	if sr.Res != nil {
+		sr.Res.Rows = rows
+	}
+	return sr.Res, sr.Err
 }
 
-// ExecScript parses a ';'-separated script and executes its statements
-// in order, each reporting its own measurements. A parse error fails
-// the whole script (nothing executes); execution errors are
-// per-statement and do not stop later statements.
-func (db *DB) ExecScript(script string) ([]ScriptResult, error) {
-	return db.ExecScriptCtx(nil, script)
-}
-
-// ExecScriptCtx is ExecScript bounded by a context shared by every
-// statement of the script: cancelling ctx fails the running statement
-// with the context's error; later statements still execute and fail the
-// same way until the script ends. A nil ctx never cancels; the
+// ExecScriptCtx parses a ';'-separated script and executes its
+// statements in order, each reporting its own measurements, under a
+// context shared by every statement: cancelling ctx fails the running
+// statement with the context's error; later statements still execute
+// and fail the same way until the script ends. A parse error fails the
+// whole script (nothing executes); execution errors are per-statement
+// and do not stop later statements. A nil ctx never cancels; the
 // configured statement timeout applies per statement either way. It is
 // ExecScriptStreamCtx with a sink that collects each statement's rows
 // into its Res.Rows.
@@ -252,8 +242,7 @@ func predFromBound(name string, op sqlfe.CondOp, vals []value.Value) Pred {
 }
 
 // conjFromBound extracts the single conjunction of a bound WHERE, for
-// the statement forms (ADVISE, PredsForWhere) that cannot consume a
-// disjunction.
+// ADVISE, which cannot consume a disjunction.
 func conjFromBound(b *sqlfe.BoundSelect) ([]Pred, error) {
 	switch len(b.Where) {
 	case 0:
@@ -265,33 +254,6 @@ func conjFromBound(b *sqlfe.BoundSelect) ([]Pred, error) {
 	}
 }
 
-// PredsForWhere parses a WHERE conjunction (the text after the WHERE
-// keyword) against a table and returns the equivalent native
-// predicates. It bridges the two query surfaces: a SQL-described filter
-// can drive Select, Delete, Explain, Advise or a QuerySpec batch.
-// Disjunctions are rejected — a []Pred is a pure conjunction; OR
-// queries go through QuerySpec.AnyOf or full SQL instead.
-func (db *DB) PredsForWhere(table, where string) ([]Pred, error) {
-	stmt, err := sqlfe.Parse("SELECT * FROM " + table + " WHERE " + where)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlfe.SelectStmt)
-	if !ok || sel.Table != table || sel.Limit != -1 || sel.Distinct ||
-		len(sel.GroupBy) > 0 || len(sel.Having) > 0 || len(sel.OrderBy) > 0 {
-		return nil, fmt.Errorf("sql: %q is not a WHERE conjunction", where)
-	}
-	b, err := sqlfe.BindSelect(catalogDB{db}, sel)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := conjFromBound(b)
-	if err != nil {
-		return nil, fmt.Errorf("sql: %q is not a WHERE conjunction", where)
-	}
-	return preds, nil
-}
-
 // sqlTable resolves a statement's target table.
 func (db *DB) sqlTable(name string) (*Table, error) {
 	t := db.Table(name)
@@ -301,11 +263,11 @@ func (db *DB) sqlTable(name string) (*Table, error) {
 	return t, nil
 }
 
+// execStmt executes one statement other than a SELECT, which streamStmt
+// runs itself, and returns its result with any rows buffered.
 func (db *DB) execStmt(ctx context.Context, stmt sqlfe.Stmt) (*Result, error) {
 	cat := catalogDB{db}
 	switch s := stmt.(type) {
-	case *sqlfe.SelectStmt:
-		return db.execSelect(ctx, s)
 	case *sqlfe.InsertStmt:
 		return db.execInsert(ctx, cat, s)
 	case *sqlfe.DeleteStmt:
@@ -352,15 +314,6 @@ func (db *DB) execSet(s *sqlfe.SetStmt) (*Result, error) {
 	}
 }
 
-func (db *DB) execSelect(ctx context.Context, s *sqlfe.SelectStmt) (*Result, error) {
-	p, err := db.bindSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	sr := p.collect(ctx, db.workers)
-	return sr.Res, sr.Err
-}
-
 // execInsert lowers INSERT onto the statement Table.Insert runs — one
 // writer statement for all of its rows, so a failure at any row leaves
 // none of them — and LOAD onto Table.Load. A rejected row's error names
@@ -399,15 +352,15 @@ func (db *DB) execDelete(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.Delete
 	if err != nil {
 		return nil, err
 	}
-	n, err := tbl.DeleteCtx(ctx, predsFromBound(b.Where)...)
+	n, _, err := tbl.writeStmt(ctx, true, nil, [][]Pred{predsFromBound(b.Where)}, runPlain)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Message: fmt.Sprintf("DELETE %d", n)}, nil
+	return &Result{Affected: int(n), Message: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
 // execUpdate lowers a bound UPDATE onto the same compiled update path
-// Table.Update uses, carrying the full WHERE disjunction through so
+// DB.UpdateCtx uses, carrying the full WHERE disjunction through so
 // UPDATE ... WHERE a OR b plans its access per disjunct like a SELECT.
 func (db *DB) execUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.UpdateStmt) (*Result, error) {
 	tbl, sets, anyOf, err := db.boundUpdateParts(cat, s)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -82,7 +83,7 @@ func sqlFixture(t *testing.T, rows []Row) *DB {
 	t.Helper()
 	db := Open(Config{})
 	script := fmt.Sprintf(sqlFixtureScript, sqlLiteralRows(rows))
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +98,7 @@ func sqlFixture(t *testing.T, rows []Row) *DB {
 // collectNative gathers rows from the native API.
 func collectNative(t *testing.T, db *DB, preds ...Pred) []Row {
 	t.Helper()
-	var out []Row
-	err := db.Table("items").Select(func(r Row) bool {
-		out = append(out, r)
-		return true
-	}, preds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return mustSelect(t, db, QuerySpec{Table: "items", Preds: preds})
 }
 
 // rowsEqual compares result sets positionally.
@@ -191,8 +184,8 @@ func projectNative(t *testing.T, db *DB, cols []string, rows []Row) []Row {
 
 // TestSQLProjectionPushdownEquivalence re-runs every WHERE operator form
 // of TestSQLSelectEquivalence with a non-trivial projection, through
-// three pushdown paths: Exec (single SELECT), ExecScript (the SelectMany
-// batch with QuerySpec.Cols), and the native SelectProject API. Each
+// three pushdown paths: Exec (single SELECT), ExecScriptCtx (a script
+// of the same statements), and the native SelectProject API. Each
 // must equal the full native result projected after the fact.
 func TestSQLProjectionPushdownEquivalence(t *testing.T) {
 	rows := fixtureRows(400)
@@ -230,9 +223,9 @@ func TestSQLProjectionPushdownEquivalence(t *testing.T) {
 			}
 			rowsEqual(t, name+" projected "+c.where, res.Rows, want)
 
-			script, err := db.ExecScript(stmt + "; " + stmt)
+			script, err := db.ExecScriptCtx(context.Background(), stmt+"; "+stmt)
 			if err != nil {
-				t.Fatalf("%s ExecScript(%q): %v", name, stmt, err)
+				t.Fatalf("%s ExecScriptCtx(%q): %v", name, stmt, err)
 			}
 			for k, sr := range script {
 				if sr.Err != nil {
@@ -285,38 +278,32 @@ func TestSQLExplainDecodedCols(t *testing.T) {
 		}
 	}
 	// Native surface agrees.
-	info, err := db.Table("items").ExplainProject([]string{"qty"}, Eq("qty", IntVal(7)))
+	info, err := db.ExplainSpec(QuerySpec{Table: "items", Preds: []Pred{Eq("qty", IntVal(7))}, Cols: []string{"qty"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.DecodedCols != 1 || info.TotalCols != 4 {
-		t.Errorf("ExplainProject = %d/%d, want 1/4", info.DecodedCols, info.TotalCols)
+		t.Errorf("ExplainSpec with Cols = %d/%d, want 1/4", info.DecodedCols, info.TotalCols)
 	}
 }
 
-// TestSelectManyProjection pins QuerySpec.Cols: rows come back projected
-// with the scan decoding only the named + predicated columns, and
-// unknown projection columns fail per query.
+// TestSelectManyProjection (named for the batch door SelectSpec
+// replaced) pins QuerySpec.Cols: rows come back projected
+// with the scan decoding only the named + predicated columns, and an
+// unknown projection column fails the query.
 func TestSelectManyProjection(t *testing.T) {
 	rows := fixtureRows(300)
 	db := nativeFixture(t, rows)
-	specs := []QuerySpec{
-		{Table: "items", Preds: []Pred{Eq("qty", IntVal(5))}, Cols: []string{"price", "city"}},
-		{Table: "items", Preds: []Pred{Eq("qty", IntVal(5))}},
-		{Table: "items", Preds: []Pred{Eq("qty", IntVal(5))}, Cols: []string{"ghost"}},
-		{Table: "items", Via: CMScan, Preds: []Pred{Eq("qty", IntVal(5))}, Cols: []string{"cat"}, Limit: 3},
-	}
-	res := db.SelectMany(specs)
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatal(res[0].Err, res[1].Err)
-	}
-	want := projectNative(t, db, []string{"price", "city"}, res[1].Rows)
-	rowsEqual(t, "SelectMany projected", res[0].Rows, want)
-	if res[2].Err == nil {
+	qty5 := []Pred{Eq("qty", IntVal(5))}
+	projected := mustSelect(t, db, QuerySpec{Table: "items", Preds: qty5, Cols: []string{"price", "city"}})
+	want := projectNative(t, db, []string{"price", "city"}, mustSelect(t, db, QuerySpec{Table: "items", Preds: qty5}))
+	rowsEqual(t, "SelectSpec projected", projected, want)
+	if _, err := selectRows(db, QuerySpec{Table: "items", Preds: qty5, Cols: []string{"ghost"}}); err == nil {
 		t.Error("unknown projection column did not fail")
 	}
-	if res[3].Err != nil || len(res[3].Rows) != 3 || len(res[3].Rows[0]) != 1 {
-		t.Errorf("projected CM scan with limit: %+v", res[3])
+	limited, err := selectRows(db, QuerySpec{Table: "items", Via: CMScan, Preds: qty5, Cols: []string{"cat"}, Limit: 3})
+	if err != nil || len(limited) != 3 || len(limited[0]) != 1 {
+		t.Errorf("projected CM scan with limit: %v, %v", limited, err)
 	}
 }
 
@@ -332,10 +319,10 @@ func TestSQLProjectionAndLimit(t *testing.T) {
 		t.Errorf("columns = %v", res.Columns)
 	}
 	var want []Row
-	err = db.Table("items").Select(func(r Row) bool {
+	err = db.SelectSpec(context.Background(), QuerySpec{Table: "items", Preds: []Pred{Eq("qty", IntVal(5))}}, func(r Row) bool {
 		want = append(want, Row{r[3], r[1]})
 		return true
-	}, Eq("qty", IntVal(5)))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +376,7 @@ func TestSQLInsertDeleteEquivalence(t *testing.T) {
 		collectNative(t, nat, Ge("qty", IntVal(500))))
 
 	// DELETE: same predicate through both paths, same count.
-	wantN, err := nat.Table("items").Delete(Eq("qty", IntVal(5)))
+	wantN, err := nat.DeleteCtx(context.Background(), "items", Eq("qty", IntVal(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +384,7 @@ func TestSQLInsertDeleteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Affected != wantN {
+	if int64(res.Affected) != wantN {
 		t.Errorf("delete affected %d, native deleted %d", res.Affected, wantN)
 	}
 	rowsEqual(t, "post-delete", collectNative(t, sql), collectNative(t, nat))
@@ -408,18 +395,17 @@ func TestSQLInsertDeleteEquivalence(t *testing.T) {
 func TestSQLExplainEquivalence(t *testing.T) {
 	rows := fixtureRows(400)
 	db := sqlFixture(t, rows)
-	for _, where := range []string{
-		"qty = 7",
-		"qty IN (3, 8)",
-		"cat = 11",
-		"city != 'boston'",
+	for where, pred := range map[string]Pred{
+		"qty = 7":          Eq("qty", IntVal(7)),
+		"qty IN (3, 8)":    In("qty", IntVal(3), IntVal(8)),
+		"cat = 11":         Eq("cat", IntVal(11)),
+		"city != 'boston'": Ne("city", StringVal("boston")),
 	} {
 		res, err := db.Exec("EXPLAIN SELECT * FROM items WHERE " + where)
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds := mustPredsForWhere(t, db, where)
-		want, err := db.Table("items").Explain(preds...)
+		want, err := db.ExplainSpec(QuerySpec{Table: "items", Preds: []Pred{pred}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,18 +417,6 @@ func TestSQLExplainEquivalence(t *testing.T) {
 			t.Errorf("EXPLAIN row method %q != %q", res.Rows[0][0].Str(), want.Method)
 		}
 	}
-}
-
-// mustPredsForWhere parses a WHERE clause through the SQL front-end into
-// native predicates, so EXPLAIN tests compare plans for identical
-// predicate structures.
-func mustPredsForWhere(t *testing.T, db *DB, where string) []Pred {
-	t.Helper()
-	preds, err := db.PredsForWhere("items", where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return preds
 }
 
 func TestSQLAdviseEquivalence(t *testing.T) {
@@ -568,7 +542,7 @@ func TestExecScriptBatching(t *testing.T) {
 		INSERT INTO items VALUES (777, 888, 9.5, 'later');
 		SELECT * FROM items WHERE qty = 888;
 	`
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +589,7 @@ func TestSQLLoadBuildsBucketDirectory(t *testing.T) {
 		LOAD INTO p VALUES ('MA', 'boston'), ('NH', 'boston'), ('OH', 'toledo'), ('MA', 'cambridge');
 		CREATE CORRELATION MAP cm ON p (city);
 	`
-	results, err := db.ExecScript(script)
+	results, err := db.ExecScriptCtx(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,23 +635,5 @@ func TestAdviseSkipsNePredicates(t *testing.T) {
 	}
 	if _, err := db.Exec("ADVISE CM FOR SELECT * FROM items WHERE qty != 7"); err == nil {
 		t.Error("Ne-only ADVISE statement did not fail")
-	}
-}
-
-// TestPredsForWhereRejectsNonConjunction pins that PredsForWhere only
-// accepts a bare WHERE conjunction — a smuggled LIMIT (which the caller
-// would silently lose) is rejected.
-func TestPredsForWhereRejectsNonConjunction(t *testing.T) {
-	rows := fixtureRows(50)
-	db := sqlFixture(t, rows)
-	if _, err := db.PredsForWhere("items", "qty = 1 LIMIT 5"); err == nil {
-		t.Error("LIMIT smuggled through PredsForWhere")
-	}
-	if _, err := db.PredsForWhere("items", "qty = 1; DELETE FROM items"); err == nil {
-		t.Error("second statement smuggled through PredsForWhere")
-	}
-	preds, err := db.PredsForWhere("items", "qty = 1 AND city != 'boston'")
-	if err != nil || len(preds) != 2 {
-		t.Errorf("valid conjunction rejected: %v, %d preds", err, len(preds))
 	}
 }

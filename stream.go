@@ -167,7 +167,7 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 // uniform row stream and the returned Res keeps only the header. The
 // statement's effective context (caller ctx + statement timeout) is
 // announced through rs.Ctx before Begin, so a consumer blocked in Row
-// unblocks when the deadline fires; the nested deadline runTree derives
+// unblocks when the deadline fires; the nested deadline readStmt derives
 // internally is a no-op shadow of this one.
 func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStreamer) ScriptResult {
 	var res *Result
