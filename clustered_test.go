@@ -175,7 +175,8 @@ func TestClusteredSnapshotReadMidWrite(t *testing.T) {
 	var olds []heap.RID
 	var news []value.Row
 	tbl.inner.RLock()
-	err := exec.TableScan(tbl.inner, exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55))), 1,
+	victims := exec.OrQuery{Disjuncts: []exec.Query{exec.NewQuery(exec.Between(0, value.NewInt(45), value.NewInt(55)))}}
+	err := exec.SweepTuples(tbl.inner, victims, exec.WholeHeap(tbl.inner), 1, exec.DecodeTo(tbl.inner.Schema(), victims,
 		func(rid heap.RID, row value.Row) bool {
 			olds = append(olds, rid)
 			moved := row.Clone()
@@ -183,7 +184,7 @@ func TestClusteredSnapshotReadMidWrite(t *testing.T) {
 			moved[2] = value.NewInt(-1)
 			news = append(news, moved)
 			return true
-		})
+		}))
 	tbl.inner.RUnlock()
 	if err != nil || len(olds) == 0 {
 		t.Fatalf("collecting the victim slice: n=%d err=%v", len(olds), err)

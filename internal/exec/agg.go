@@ -305,9 +305,6 @@ func (g *GroupAgg) Rows() []value.Row {
 	return out
 }
 
-// NumGroups reports how many groups have been seen so far.
-func (g *GroupAgg) NumGroups() int { return len(g.keys) }
-
 // finalize computes one aggregate's result value from its cell.
 func (g *GroupAgg) finalize(cell *aggCell, i int) value.Value {
 	sp := g.specs[i]

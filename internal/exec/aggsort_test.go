@@ -189,10 +189,10 @@ func TestOrFilterMatchesRowSemantics(t *testing.T) {
 	sch := filterTestSchema()
 	iv, fv, sv := value.NewInt, value.NewFloat, value.NewString
 	oqs := []OrQuery{
-		NewOrQuery(NewQuery(Eq(0, iv(3))), NewQuery(Eq(2, sv("boston")))),
-		NewOrQuery(NewQuery(Ge(0, iv(2)), Lt(1, fv(1))), NewQuery(Ne(4, sv("x")))),
-		NewOrQuery(NewQuery(In(0, iv(1), iv(2))), NewQuery(Between(1, fv(-1), fv(1))), NewQuery(Eq(3, iv(7)))),
-		NewOrQuery(NewQuery(Eq(0, iv(-99)))), // single disjunct
+		{Disjuncts: []Query{NewQuery(Eq(0, iv(3))), NewQuery(Eq(2, sv("boston")))}},
+		{Disjuncts: []Query{NewQuery(Ge(0, iv(2)), Lt(1, fv(1))), NewQuery(Ne(4, sv("x")))}},
+		{Disjuncts: []Query{NewQuery(In(0, iv(1), iv(2))), NewQuery(Between(1, fv(-1), fv(1))), NewQuery(Eq(3, iv(7)))}},
+		{Disjuncts: []Query{NewQuery(Eq(0, iv(-99)))}}, // single disjunct
 	}
 	rng := rand.New(rand.NewSource(5))
 	rows := make([]value.Row, 400)

@@ -276,67 +276,3 @@ func (p Probe) SweepObs(obs *ScanObs) (sweep *ScanObs, done func()) {
 		p.CM.NoteSweep(sweep.Pages.Load(), sweep.EmptyPages.Load())
 	}
 }
-
-// CMScan evaluates the query through a correlation map (Section 5.2):
-// the CM probe yields clustered bucket IDs, the page directory turns them
-// into heap pages, and the pages are swept in physical order — fanned out
-// over workers — with the rows re-filtered by the original predicates,
-// discarding the CM's false positives.
-func CMScan(t *table.Table, cm *core.CM, q Query, workers int, fn RowFunc) error {
-	probe, err := ProbeCM(t, cm, q)
-	if err != nil {
-		return err
-	}
-	obs, done := probe.SweepObs(q.Obs)
-	defer done()
-	q.Obs = obs
-	return Sweep(t, q.asOr(), PageSet{list: probe.Pages}, workers, fn)
-}
-
-// bucketRuns coalesces sorted bucket IDs into maximal contiguous runs,
-// so adjacent buckets become one clustered-key range of the rewrite.
-func bucketRuns(buckets []int32) [][2]int32 {
-	var runs [][2]int32
-	for i := 0; i < len(buckets); {
-		j := i
-		for j+1 < len(buckets) && buckets[j+1] == buckets[j]+1 {
-			j++
-		}
-		runs = append(runs, [2]int32{buckets[i], buckets[j]})
-		i = j + 1
-	}
-	return runs
-}
-
-// CMRewrite describes the predicate-introduction rewrite a CM performs:
-// the clustered-attribute key ranges that will be added to the query, as
-// the prototype added "AND shipdate IN (s1 ... sn)" (Section 7.1). For
-// single-value clustered buckets the ranges degenerate to the IN list.
-type CMRewrite struct {
-	Buckets []int32
-	Ranges  []KeyRange
-}
-
-// KeyRange is a clustered-key interval [Lo, HiExcl); HiExcl nil means
-// unbounded.
-type KeyRange struct {
-	Lo     []byte
-	HiExcl []byte
-}
-
-// RewriteWithCM computes the rewrite without executing it, for
-// explanation, tests and the advisor's what-if output.
-func RewriteWithCM(t *table.Table, cm *core.CM, q Query) (CMRewrite, error) {
-	buckets, err := cmBuckets(cm, q)
-	if err != nil {
-		return CMRewrite{}, err
-	}
-	dir := t.Buckets()
-	rw := CMRewrite{Buckets: buckets}
-	for _, run := range bucketRuns(buckets) {
-		lo := dir.LowerBound(run[0])
-		hiExcl, _ := dir.UpperBound(run[1])
-		rw.Ranges = append(rw.Ranges, KeyRange{Lo: lo, HiExcl: hiExcl})
-	}
-	return rw, nil
-}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -85,10 +86,10 @@ func (db *testDB) runAll(t *testing.T, q Query) map[string][]string {
 		sort.Strings(got)
 		out[name] = got
 	}
-	collect("tablescan", func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
-	collect("pipelined", func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) })
-	collect("sorted", func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, 1, fn) })
-	collect("cm", func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, 1, fn) })
+	collect("tablescan", func(fn RowFunc) error { return scanVia(db.tbl, MethodTableScan, nil, nil, q, 1, fn) })
+	collect("pipelined", func(fn RowFunc) error { return scanVia(db.tbl, MethodPipelined, db.ix, nil, q, 1, fn) })
+	collect("sorted", func(fn RowFunc) error { return scanVia(db.tbl, MethodSorted, db.ix, nil, q, 1, fn) })
+	collect("cm", func(fn RowFunc) error { return scanVia(db.tbl, MethodCM, nil, db.cm, q, 1, fn) })
 	return out
 }
 
@@ -215,7 +216,7 @@ func TestCMScanFiltersFalsePositives(t *testing.T) {
 	}
 	q := NewQuery(Eq(1, value.NewInt(33)))
 	n := 0
-	if err := CMScan(tbl, cm, q, 1, func(_ heap.RID, row value.Row) bool {
+	if err := scanVia(tbl, MethodCM, nil, cm, q, 1, func(_ heap.RID, row value.Row) bool {
 		if row[1].I != 33 {
 			t.Errorf("false positive leaked: u=%d", row[1].I)
 		}
@@ -232,7 +233,7 @@ func TestCMScanFiltersFalsePositives(t *testing.T) {
 func TestCMScanRequiresCoveredPredicate(t *testing.T) {
 	db := buildTestDB(t, 100, 6, 0)
 	q := NewQuery(Eq(0, value.NewInt(5))) // predicate on c, not u
-	if err := CMScan(db.tbl, db.cm, q, 1, func(heap.RID, value.Row) bool { return true }); err == nil {
+	if err := scanVia(db.tbl, MethodCM, nil, db.cm, q, 1, func(heap.RID, value.Row) bool { return true }); err == nil {
 		t.Error("CM scan without covered predicate should fail")
 	}
 }
@@ -243,14 +244,14 @@ func TestSortedScanIOPattern(t *testing.T) {
 	db.tbl.Pool().Invalidate()
 	db.disk.ResetStats()
 	q := NewQuery(Eq(1, value.NewInt(25)))
-	if err := SortedIndexScan(db.tbl, db.ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
+	if err := scanVia(db.tbl, MethodSorted, db.ix, nil, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	sorted := db.disk.Stats()
 
 	db.tbl.Pool().Invalidate()
 	db.disk.ResetStats()
-	if err := PipelinedIndexScan(db.tbl, db.ix, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
+	if err := scanVia(db.tbl, MethodPipelined, db.ix, nil, q, 1, func(heap.RID, value.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	pipelined := db.disk.Stats()
@@ -263,8 +264,9 @@ func TestSortedScanIOPattern(t *testing.T) {
 }
 
 func TestRewriteWithCMBostonExample(t *testing.T) {
-	// Rebuild the Figure 4 people table and check the rewrite yields
-	// state IN (MA, NH) for city = boston.
+	// Rebuild the Figure 4 people table and check the CM maps
+	// city = boston to the clustered buckets of MA and NH only — the
+	// rewrite state IN (MA, NH) — and the probe to exactly their pages.
 	d := sim.NewDisk(sim.Config{PageSize: 512})
 	pool := buffer.NewPool(d, 64)
 	sch := table.NewSchema(
@@ -292,13 +294,14 @@ func TestRewriteWithCMBostonExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := RewriteWithCM(tbl, cm, NewQuery(Eq(1, value.NewString("boston"))))
+	q := NewQuery(Eq(1, value.NewString("boston")))
+	buckets, err := cmBuckets(cm, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var states []string
-	for _, r := range rw.Ranges {
-		vals, err := keyenc.DecodeAll(r.Lo)
+	for _, b := range buckets {
+		vals, err := keyenc.DecodeAll(tbl.Buckets().LowerBound(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,6 +310,13 @@ func TestRewriteWithCMBostonExample(t *testing.T) {
 	sort.Strings(states)
 	if len(states) != 2 || states[0] != "MA" || states[1] != "NH" {
 		t.Errorf("rewrite states = %v, want [MA NH]", states)
+	}
+	probe, err := ProbeCM(tbl, cm, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bucketPages(tbl, buckets); !slices.Equal(probe.Pages, want) {
+		t.Errorf("probe pages = %v, want the MA and NH buckets' %v", probe.Pages, want)
 	}
 }
 
@@ -340,8 +350,8 @@ func TestPredMatches(t *testing.T) {
 
 func TestQueryHelpers(t *testing.T) {
 	q := NewQuery(Eq(2, value.NewInt(1)), Between(0, value.NewInt(1), value.NewInt(2)))
-	if q.PredOn(2) == nil || q.PredOn(5) != nil {
-		t.Error("PredOn wrong")
+	if q.IndexablePredOn(2) == nil || q.IndexablePredOn(5) != nil {
+		t.Error("IndexablePredOn wrong")
 	}
 	cols := q.Cols()
 	if len(cols) != 2 || cols[0] != 2 || cols[1] != 0 {
@@ -360,15 +370,15 @@ func TestQueryHelpers(t *testing.T) {
 func TestEarlyStopAllMethods(t *testing.T) {
 	db := buildTestDB(t, 1000, 8, 0)
 	q := NewQuery(Le(1, value.NewInt(100))) // matches everything
-	methods := map[string]func(fn RowFunc) error{
-		"tablescan": func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) },
-		"pipelined": func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) },
-		"sorted":    func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, q, 1, fn) },
-		"cm":        func(fn RowFunc) error { return CMScan(db.tbl, db.cm, q, 1, fn) },
+	methods := map[string]Method{
+		"tablescan": MethodTableScan,
+		"pipelined": MethodPipelined,
+		"sorted":    MethodSorted,
+		"cm":        MethodCM,
 	}
-	for name, run := range methods {
+	for name, m := range methods {
 		n := 0
-		if err := run(func(heap.RID, value.Row) bool {
+		if err := scanVia(db.tbl, m, db.ix, db.cm, q, 1, func(heap.RID, value.Row) bool {
 			n++
 			return n < 10
 		}); err != nil {
@@ -468,10 +478,10 @@ func TestCompositeCMScanWithPartialPredicates(t *testing.T) {
 	}
 	q := NewQuery(Eq(1, value.NewInt(4)))
 	var got, want int
-	if err := CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool { got++; return true }); err != nil {
+	if err := scanVia(tbl, MethodCM, nil, cm, q, 1, func(heap.RID, value.Row) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := TableScan(tbl, q, 1, func(heap.RID, value.Row) bool { want++; return true }); err != nil {
+	if err := scanVia(tbl, MethodTableScan, nil, nil, q, 1, func(heap.RID, value.Row) bool { want++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != want || want == 0 {

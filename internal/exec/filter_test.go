@@ -309,7 +309,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	q := NewQuery(Eq(1, value.NewInt(-1))) // matches nothing
 	run := func() {
 		n := 0
-		if err := TableScan(db.tbl, q, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := scanVia(db.tbl, MethodTableScan, nil, nil, q, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
@@ -323,12 +323,12 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	// setup. The bound is loose against test-harness noise but far below
 	// one allocation per tuple.
 	if allocs > 100 {
-		t.Errorf("TableScan with zero matches allocated %.0f times (want per-scan setup only)", allocs)
+		t.Errorf("table scan with zero matches allocated %.0f times (want per-scan setup only)", allocs)
 	}
 
 	parallel := func() {
 		n := 0
-		if err := TableScan(db.tbl, q, 4, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := scanVia(db.tbl, MethodTableScan, nil, nil, q, 4, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
@@ -340,7 +340,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	// Parallel machinery allocates per chunk and per worker, never per
 	// rejected tuple.
 	if pallocs > 1000 {
-		t.Errorf("TableScan at 4 workers with zero matches allocated %.0f times", pallocs)
+		t.Errorf("table scan at 4 workers with zero matches allocated %.0f times", pallocs)
 	}
 
 	// The probe path reads tuples through the pinned frame (heap.View):
@@ -349,7 +349,7 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	probeQ := NewQuery(Le(1, value.NewInt(100)), Eq(0, value.NewInt(-1)))
 	probe := func() {
 		n := 0
-		if err := PipelinedIndexScan(db.tbl, db.ix, probeQ, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
+		if err := scanVia(db.tbl, MethodPipelined, db.ix, nil, probeQ, 1, func(heap.RID, value.Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
@@ -359,6 +359,6 @@ func TestScanRejectionDoesNotAllocate(t *testing.T) {
 	probe()
 	ballocs := testing.AllocsPerRun(10, probe)
 	if ballocs > 200 {
-		t.Errorf("PipelinedIndexScan with zero matches allocated %.0f times", ballocs)
+		t.Errorf("pipelined index scan with zero matches allocated %.0f times", ballocs)
 	}
 }

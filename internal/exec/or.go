@@ -11,7 +11,7 @@ import (
 // This file is the disjunction (OR) a sweep filters by. A WHERE clause is
 // held in disjunctive normal form — a list of conjunctive Query values,
 // a single conjunction being the one-disjunct case — and every page
-// sweep (Sweep, Fold) re-filters the tuples of its page set with the
+// sweep (SweepTuples, Fold) re-filters the tuples of its page set with the
 // compiled disjunction. Which pages those are is internal/plan's
 // decision: the union of what each disjunct's own access path resolves
 // to — emission is by page sweep, not by RID, so a row matched by
@@ -43,9 +43,6 @@ type OrQuery struct {
 func (q Query) asOr() OrQuery {
 	return OrQuery{Disjuncts: []Query{q}, Proj: q.Proj, Snap: q.Snap, Obs: q.Obs, Ctx: q.Ctx}
 }
-
-// NewOrQuery builds a disjunctive query from conjunctions.
-func NewOrQuery(disjuncts ...Query) OrQuery { return OrQuery{Disjuncts: disjuncts} }
 
 // Matches reports whether the row satisfies at least one disjunct.
 func (oq OrQuery) Matches(row value.Row) bool {

@@ -10,11 +10,11 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the fan-out half of the executor. Every access method is
-// one function taking a worker count — an upper bound on its fan-out, not
-// an instruction to split; what fans out is a scan's independent units —
-// secondary-index probe ranges (rangeRIDs) and chunks of a sweep's page
-// set (Sweep, foldPages). Each worker runs the one sweep kernel over its
+// This file is the fan-out half of the executor. Every driver takes a
+// worker count — an upper bound on its fan-out, not an instruction to
+// split; what fans out is a scan's independent units — secondary-index
+// probe ranges (rangeRIDs) and chunks of a sweep's page set
+// (SweepTuples, foldPages). Each worker runs the one sweep kernel over its
 // chunk with a visit that copies each survivor's encoded bytes into the
 // chunk's arena — one growing buffer per chunk, no row built; chunks
 // then stream in physical order as they complete, each kept tuple going
@@ -29,7 +29,7 @@ import (
 // paper's CM lookup ends in a few sequential runs of clustered pages,
 // the plan is priced as runs*seek + pages*seq_page, and a chunk boundary
 // on a run boundary is the one cut that adds no seek to that. The sweep
-// fans out only for one of two reasons (Sweep): enough pages that
+// fans out only for one of two reasons (SweepTuples): enough pages that
 // there is CPU to split, or a page missing from the buffer pool whose
 // wait another worker can overlap. Everything else — one worker, and at
 // any worker count a point probe's single short run or a few short runs
@@ -339,8 +339,8 @@ func missing(t *table.Table, pages []int64) bool {
 // single short run warm or cold, a few short runs once they are cached —
 // the kernel runs inline on the caller's goroutine with fn as its visit.
 // Pool.Resident is a hint that may be stale; either arm emits the same
-// tuples in the same order. Sweep is the same driver for a caller that
-// wants each survivor decoded (DecodeTo).
+// tuples in the same order. A caller that wants each survivor decoded
+// wraps its row callback in DecodeTo.
 func SweepTuples(t *table.Table, oq OrQuery, ps PageSet, workers int, fn TupleFunc) error {
 	ls := newLazyScan(t, oq)
 	chunks := sweepChunks(ps, workers, maxGapFor(t))
@@ -355,9 +355,4 @@ func SweepTuples(t *table.Table, oq OrQuery, ps PageSet, workers int, fn TupleFu
 		c := &chunkTuples{}
 		return c, ls.newSweeper(stop, c.keep).run(t, ps.slice(chunks[i][0], chunks[i][1]))
 	}, fn)
-}
-
-// Sweep is SweepTuples handing fn each survivor decoded.
-func Sweep(t *table.Table, oq OrQuery, ps PageSet, workers int, fn RowFunc) error {
-	return SweepTuples(t, oq, ps, workers, DecodeTo(t.Schema(), oq, fn))
 }

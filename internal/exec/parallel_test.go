@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/sim"
 	"repro/internal/table"
@@ -172,22 +173,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		NewQuery(In(1, value.NewInt(7), value.NewInt(31)), Ge(0, value.NewInt(50))),
 	}
 	methods := []Method{MethodTableScan, MethodPipelined, MethodSorted, MethodCM, MethodClustered}
-	// run is each method's executor entry point — what internal/plan
-	// dispatches a leg of that method to.
-	run := func(db *testDB, m Method, q Query, w int, fn RowFunc) error {
-		switch m {
-		case MethodPipelined:
-			return PipelinedIndexScan(db.tbl, db.ix, q, w, fn)
-		case MethodSorted:
-			return SortedIndexScan(db.tbl, db.ix, q, w, fn)
-		case MethodCM:
-			return CMScan(db.tbl, db.cm, q, w, fn)
-		case MethodClustered:
-			return clusteredScan(db.tbl, q, w, fn)
-		default:
-			return TableScan(db.tbl, q, w, fn)
-		}
-	}
 	for qi, q := range queries {
 		for _, w := range []int{1, 2, 4, 8, 9} {
 			t.Run(fmt.Sprintf("q%d/workers%d", qi, w), func(t *testing.T) {
@@ -215,7 +200,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 							for _, limit := range []int{0, 1, 7} {
 								label := fmt.Sprintf("%s %v proj=%v limit=%d", st.name, m, proj, limit)
 								var got []refRow
-								err := run(st.db, m, pq, w, func(rid heap.RID, row value.Row) bool {
+								err := scanVia(st.db.tbl, m, st.db.ix, st.db.cm, pq, w, func(rid heap.RID, row value.Row) bool {
 									got = append(got, refRow{rid, row.Clone()})
 									return len(got) != limit
 								})
@@ -285,10 +270,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 							tbl.Pool().Invalidate()
 						}
 						var got []refRow
-						err := Sweep(tbl, q.asOr(), PageSet{list: shape.pages}, w, func(rid heap.RID, row value.Row) bool {
+						err := SweepTuples(tbl, q.asOr(), PageSet{list: shape.pages}, w, DecodeTo(tbl.Schema(), q.asOr(), func(rid heap.RID, row value.Row) bool {
 							got = append(got, refRow{rid, row.Clone()})
 							return true
-						})
+						}))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -351,13 +336,13 @@ func TestBatchedIndexScanEarlyStop(t *testing.T) {
 	db := buildTestDB(t, 4000, 13, 0)
 	q := NewQuery(In(1, value.NewInt(5), value.NewInt(9), value.NewInt(14),
 		value.NewInt(21), value.NewInt(28), value.NewInt(30)))
-	full := collectVia(t, func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, q, 1, fn) })
+	full := collectVia(t, func(fn RowFunc) error { return scanVia(db.tbl, MethodPipelined, db.ix, nil, q, 1, fn) })
 	if len(full) < 10 {
 		t.Fatalf("fixture too selective: %d rows", len(full))
 	}
 	for _, limit := range []int{1, 7} {
 		var got []string
-		err := PipelinedIndexScan(db.tbl, db.ix, q, 4, func(_ heap.RID, row value.Row) bool {
+		err := scanVia(db.tbl, MethodPipelined, db.ix, nil, q, 4, func(_ heap.RID, row value.Row) bool {
 			got = append(got, row[2].S)
 			return len(got) < limit
 		})
@@ -488,16 +473,15 @@ func TestProjectionPushdownAcrossMethods(t *testing.T) {
 	full := NewQuery(In(1, value.NewInt(5), value.NewInt(19)))
 	proj := full
 	proj.Proj = []int{2} // payload only; u rides along as the predicate column
-	want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, full, 1, fn) })
+	want := collectVia(t, func(fn RowFunc) error { return scanVia(db.tbl, MethodTableScan, nil, nil, full, 1, fn) })
 	if len(want) == 0 {
 		t.Fatal("fixture query matched nothing")
 	}
 	methods := map[string]func(fn RowFunc) error{}
 	for _, w := range []int{1, 4} {
-		methods[fmt.Sprintf("tablescan/%d", w)] = func(fn RowFunc) error { return TableScan(db.tbl, proj, w, fn) }
-		methods[fmt.Sprintf("pipelined/%d", w)] = func(fn RowFunc) error { return PipelinedIndexScan(db.tbl, db.ix, proj, w, fn) }
-		methods[fmt.Sprintf("sorted/%d", w)] = func(fn RowFunc) error { return SortedIndexScan(db.tbl, db.ix, proj, w, fn) }
-		methods[fmt.Sprintf("cm/%d", w)] = func(fn RowFunc) error { return CMScan(db.tbl, db.cm, proj, w, fn) }
+		for name, m := range map[string]Method{"tablescan": MethodTableScan, "pipelined": MethodPipelined, "sorted": MethodSorted, "cm": MethodCM} {
+			methods[fmt.Sprintf("%s/%d", name, w)] = func(fn RowFunc) error { return scanVia(db.tbl, m, db.ix, db.cm, proj, w, fn) }
+		}
 	}
 	for name, run := range methods {
 		var got []string
@@ -535,13 +519,13 @@ func TestProjectionPushdownAcrossMethods(t *testing.T) {
 func TestParallelEarlyStop(t *testing.T) {
 	db := buildTestDB(t, 4000, 7, 0)
 	q := NewQuery(Between(1, value.NewInt(5), value.NewInt(30)))
-	full := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
+	full := collectVia(t, func(fn RowFunc) error { return scanVia(db.tbl, MethodTableScan, nil, nil, q, 1, fn) })
 	if len(full) < 10 {
 		t.Fatalf("fixture too selective: %d rows", len(full))
 	}
 	const limit = 7
 	var got []string
-	err := TableScan(db.tbl, q, 4, func(_ heap.RID, row value.Row) bool {
+	err := scanVia(db.tbl, MethodTableScan, nil, nil, q, 4, func(_ heap.RID, row value.Row) bool {
 		got = append(got, row[2].S)
 		return len(got) < limit
 	})
@@ -558,7 +542,7 @@ func TestParallelEarlyStop(t *testing.T) {
 func TestParallelCMScanRejectsUncovered(t *testing.T) {
 	db := buildTestDB(t, 1000, 3, 0)
 	q := NewQuery(Eq(0, value.NewInt(1))) // predicate on c only, not the CM's u
-	err := CMScan(db.tbl, db.cm, q, 4, func(heap.RID, value.Row) bool { return true })
+	err := scanVia(db.tbl, MethodCM, nil, db.cm, q, 4, func(heap.RID, value.Row) bool { return true })
 	if err == nil {
 		t.Fatal("expected error for query not covering the CM")
 	}
@@ -599,20 +583,53 @@ func TestChunkSlices(t *testing.T) {
 	}
 }
 
-// clusteredScan is the clustered-index scan of tbl as the planner
-// dispatches it: the pages the clustered probe resolves to, swept. A
+// scanVia runs q through access method m the way internal/plan composes
+// a leg of that method: the page set the method resolves to — the whole
+// heap, the pages of ix's matching RIDs (IndexPages), of cm's buckets
+// (ProbeCM) or of the clustered buckets (ProbeClustered) — swept by
+// SweepTuples with each survivor decoded (DecodeTo), or, for a pipelined
+// scan, ix probed by PipelinedTuples. ix serves the two index methods
+// and cm the CM scan; the others ignore them. A CM sweep counts against
+// the CM's health gauges, as the plan's does. A clustered scan of a
 // query that does not predicate the clustering column, which the planner
-// never sends this way, sweeps the pages of every clustered bucket, as
-// a key range open at both ends would.
-func clusteredScan(tbl *table.Table, q Query, workers int, fn RowFunc) error {
-	probe, ok := ProbeClustered(tbl, q)
-	if !ok {
-		dir := tbl.PageDir()
-		for b := int32(0); int(b) < dir.NumBuckets(); b++ {
-			probe.Pages = dir.AppendPages(probe.Pages, b)
+// never sends this way, sweeps the pages of every clustered bucket, as a
+// key range open at both ends would.
+func scanVia(tbl *table.Table, m Method, ix *table.Index, cm *core.CM, q Query, workers int, fn RowFunc) error {
+	oq := q.asOr()
+	emit := DecodeTo(tbl.Schema(), oq, fn)
+	var pages []int64
+	switch m {
+	case MethodTableScan:
+		return SweepTuples(tbl, oq, WholeHeap(tbl), workers, emit)
+	case MethodPipelined:
+		return PipelinedTuples(tbl, ix, q, emit)
+	case MethodSorted:
+		var err error
+		if pages, err = IndexPages(ix, q, workers); err != nil {
+			return err
 		}
+	case MethodCM:
+		probe, err := ProbeCM(tbl, cm, q)
+		if err != nil {
+			return err
+		}
+		var done func()
+		oq.Obs, done = probe.SweepObs(q.Obs)
+		defer done()
+		pages = probe.Pages
+	case MethodClustered:
+		probe, ok := ProbeClustered(tbl, q)
+		if !ok {
+			dir := tbl.PageDir()
+			for b := int32(0); int(b) < dir.NumBuckets(); b++ {
+				probe.Pages = dir.AppendPages(probe.Pages, b)
+			}
+		}
+		pages = probe.Pages
+	default:
+		return fmt.Errorf("scanVia: unknown method %v", m)
 	}
-	return Sweep(tbl, q.asOr(), PageList(probe.Pages), workers, fn)
+	return SweepTuples(tbl, oq, PageList(pages), workers, emit)
 }
 
 // TestClusteredScanMatchesTableScan holds the clustered-index scan to
@@ -634,12 +651,12 @@ func TestClusteredScanMatchesTableScan(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for qi, q := range queries {
-			want := collectVia(t, func(fn RowFunc) error { return TableScan(db.tbl, q, 1, fn) })
+			want := collectVia(t, func(fn RowFunc) error { return scanVia(db.tbl, MethodTableScan, nil, nil, q, 1, fn) })
 			if qi < 5 && len(want) == 0 {
 				t.Fatalf("%s q%d matched nothing; fixture broken", stage, qi)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				got := collectVia(t, func(fn RowFunc) error { return clusteredScan(db.tbl, q, w, fn) })
+				got := collectVia(t, func(fn RowFunc) error { return scanVia(db.tbl, MethodClustered, nil, nil, q, w, fn) })
 				if !sameSlices(want, got) {
 					t.Errorf("%s q%d workers %d: clustered (%d rows) != table scan (%d rows)", stage, qi, w, len(got), len(want))
 				}
@@ -685,12 +702,12 @@ func TestClusteredScanCompositePrefix(t *testing.T) {
 		NewQuery(Ge(0, value.NewString("o")), Lt(1, value.NewInt(5))),
 	}
 	for qi, q := range queries {
-		want := collectVia(t, func(fn RowFunc) error { return TableScan(tbl, q, 1, fn) })
+		want := collectVia(t, func(fn RowFunc) error { return scanVia(tbl, MethodTableScan, nil, nil, q, 1, fn) })
 		if len(want) == 0 {
 			t.Fatalf("q%d matched nothing; fixture broken", qi)
 		}
 		for _, w := range []int{1, 4} {
-			got := collectVia(t, func(fn RowFunc) error { return clusteredScan(tbl, q, w, fn) })
+			got := collectVia(t, func(fn RowFunc) error { return scanVia(tbl, MethodClustered, nil, nil, q, w, fn) })
 			if !sameSlices(want, got) {
 				t.Errorf("q%d workers %d: clustered (%d rows) != table scan (%d rows)", qi, w, len(got), len(want))
 			}

@@ -1,13 +1,14 @@
 // Package exec implements query execution: conjunctive predicates and the
-// four access paths the paper compares — full table scan, pipelined
-// secondary index scan, sorted (bitmap-style) secondary index scan, and
-// the correlation-map scan — plus the clustered-index scan they all
-// bottom out in and the predicate-introduction rewrite of Section 7.1.
-// It holds executors only: the sweep and fold drivers over a page set
-// (Sweep, Fold), the pipelined probe, the write executor, and the
-// physical facts the Section 4 cost model is priced from (ProbeCM,
-// ProbeClustered, PageRuns, Hardware, the statistics providers). Which
-// path runs a statement is internal/plan's decision.
+// pieces the four access paths the paper compares — full table scan,
+// pipelined secondary index scan, sorted (bitmap-style) secondary index
+// scan, and the correlation-map scan — plus the clustered-index scan are
+// built from. It holds executors only: the page set each path resolves
+// to (WholeHeap, IndexPages, ProbeCM, ProbeClustered, PageList), the
+// sweep and fold drivers over a page set (SweepTuples, Fold), the
+// pipelined probe (PipelinedTuples), the write executor, and the
+// physical facts the Section 4 cost model is priced from (PageRuns,
+// Hardware, the statistics providers). Which path runs a statement, and
+// how its pieces compose, is internal/plan's decision.
 package exec
 
 import (
@@ -232,16 +233,6 @@ func (q Query) Matches(row value.Row) bool {
 		}
 	}
 	return true
-}
-
-// PredOn returns the first predicate over col, or nil.
-func (q Query) PredOn(col int) *Pred {
-	for i := range q.Preds {
-		if q.Preds[i].Col == col {
-			return &q.Preds[i]
-		}
-	}
-	return nil
 }
 
 // IndexablePredOn returns the first predicate over col that can drive an

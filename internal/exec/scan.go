@@ -233,18 +233,10 @@ func (sw *sweeper) run(t *table.Table, ps PageSet) error {
 // tallied, re-filtered on encoded bytes (rows on gap pages read through
 // by a run drop out like any other non-match), survivors decoded and
 // handed to visit. A sweep ended early by stop or by the visit is not an
-// error. It is the kernel's decoded form, what folds sweep with; Sweep
-// hands survivors on undecoded.
+// error. It is the kernel's decoded form, what folds sweep with;
+// SweepTuples hands survivors on undecoded.
 func (ls *lazyScan) sweep(t *table.Table, ps PageSet, stop *atomic.Bool, visit visitFunc) error {
 	return ls.newSweeper(stop, ls.decoding(visit)).run(t, ps)
-}
-
-// TableScan evaluates the query with a full sequential heap scan,
-// filtering on encoded bytes and materializing only surviving rows; with
-// workers > 1 the page range splits into chunks swept concurrently, rows
-// still streaming in physical order.
-func TableScan(t *table.Table, q Query, workers int, fn RowFunc) error {
-	return Sweep(t, q.asOr(), WholeHeap(t), workers, fn)
 }
 
 // probeRange is an encoded key interval probed in an index: every entry
@@ -356,24 +348,17 @@ func rangeRIDs(ctx context.Context, ix *table.Index, ranges []probeRange, worker
 	return slices.Concat(ridLists...), nil
 }
 
-// PipelinedIndexScan evaluates the query by probing the index and
-// emitting matches in index key order, probe range by probe range: the
+// PipelinedTuples evaluates the query by probing the index and handing
+// matches to fn in index key order, probe range by probe range: the
 // Section 3.1 iterator, which is what the cost model prices
 // (costmodel.PipelinedIndex). Each RID's tuple is fetched the moment the
 // index yields it, so every access is a potential random seek (why this
 // path only pays off for very selective lookups) but a first-match /
 // LIMIT-1 caller stops after a handful of fetches instead of waiting for
-// a whole range's RIDs to collect. It takes the worker count every
-// access method takes and runs on the caller's goroutine whatever it is:
-// a multi-range probe that wants its I/O overlapped has the sorted scan,
+// a whole range's RIDs to collect. It runs on the caller's goroutine: a
+// multi-range probe that wants its I/O overlapped has the sorted scan,
 // whose sweep fans out on a miss. Tuples are filtered on their encoded
-// bytes; only survivors materialize.
-func PipelinedIndexScan(t *table.Table, ix *table.Index, q Query, _ int, fn RowFunc) error {
-	return PipelinedTuples(t, ix, q, DecodeTo(t.Schema(), q.asOr(), fn))
-}
-
-// PipelinedTuples is PipelinedIndexScan handing each survivor to fn as
-// its encoded tuple, undecoded.
+// bytes and reach fn undecoded.
 func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) error {
 	ranges := indexProbeRanges(ix.Cols, q) // emission order: as returned
 	ls := newLazyScan(t, q.asOr())
@@ -414,20 +399,6 @@ func PipelinedTuples(t *table.Table, ix *table.Index, q Query, fn TupleFunc) err
 func IndexPages(ix *table.Index, q Query, workers int) ([]int64, error) {
 	rids, err := rangeRIDs(q.Ctx, ix, sortRanges(indexProbeRanges(ix.Cols, q)), workers)
 	return pagesOf(rids), err
-}
-
-// SortedIndexScan evaluates the query with the Section 3.2 optimization:
-// probe the index for all matching RIDs up front, sort them, and sweep
-// the heap pages in physical order (PostgreSQL's bitmap heap scan).
-// Fetched pages are re-filtered with the full predicate set. Both phases
-// fan out over workers: the sorted probe ranges are collected
-// concurrently, then the deduplicated pages are swept concurrently.
-func SortedIndexScan(t *table.Table, ix *table.Index, q Query, workers int, fn RowFunc) error {
-	pages, err := IndexPages(ix, q, workers)
-	if err != nil {
-		return err
-	}
-	return Sweep(t, q.asOr(), PageSet{list: pages}, workers, fn)
 }
 
 // pagesOf returns the sorted distinct pages referenced by the RIDs. It
@@ -504,15 +475,4 @@ func forEachPageRun(pages []int64, maxGap int64, visit func(lo, hi int64) (cont 
 		i = j
 	}
 	return nil
-}
-
-// Collect runs an access method and gathers all result rows, a
-// convenience for tests and examples.
-func Collect(run func(fn RowFunc) error) ([]value.Row, error) {
-	var out []value.Row
-	err := run(func(_ heap.RID, row value.Row) bool {
-		out = append(out, row.Clone())
-		return true
-	})
-	return out, err
 }

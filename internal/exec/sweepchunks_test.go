@@ -253,7 +253,8 @@ func TestSweepFanOutDecision(t *testing.T) {
 				}
 			}
 			rows := 0
-			if err := Sweep(db.tbl, Query{Obs: obs}.asOr(), c.ps, c.workers, func(heap.RID, value.Row) bool { rows++; return true }); err != nil {
+			oq := Query{Obs: obs}.asOr()
+			if err := SweepTuples(db.tbl, oq, c.ps, c.workers, DecodeTo(db.tbl.Schema(), oq, func(heap.RID, value.Row) bool { rows++; return true })); err != nil {
 				t.Fatal(err)
 			}
 			if rows == 0 {

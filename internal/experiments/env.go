@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -76,6 +78,32 @@ func (e *Env) LoadTable(cfg table.Config, rows []value.Row) (*table.Table, error
 		return nil, err
 	}
 	return t, nil
+}
+
+// runForced runs q the way a user's statement with a forced access path
+// runs (QuerySpec.Via): a one-conjunction plan.Spec with method m,
+// compiled and run on one worker under the table's shared latch, each
+// result row handed to fn. uses names the structure the figure measures:
+// the CM a CM scan goes through, the index a sorted or pipelined scan
+// must resolve to (the first index the query applies to), "" for a table
+// scan. A forced method reads no statistics, and runForced fails when the
+// plan reads anything but uses, so a figure cannot silently time another
+// index or CM.
+func runForced(tbl *table.Table, m exec.Method, uses string, q exec.Query, fn plan.RowSink) error {
+	spec := plan.Spec{Disjuncts: []exec.Query{q}, Method: m}
+	if m == exec.MethodCM {
+		spec.CM = uses
+	}
+	tbl.RLock()
+	defer tbl.RUnlock()
+	tr, err := plan.Compile(tbl, spec, nil)
+	if err != nil {
+		return err
+	}
+	if got := tr.Explain().Uses; got != uses {
+		return fmt.Errorf("experiments: forced %v reads %q, want %q", m, got, uses)
+	}
+	return tr.Run(1, plan.Sink{Row: fn})
 }
 
 // ms formats a duration as milliseconds with two decimals.

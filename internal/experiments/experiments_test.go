@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/value"
 )
 
 // Small scales keep the test suite fast; shape assertions (who wins, by
@@ -253,6 +255,39 @@ func TestFigure7SizeRuntimeTradeoff(t *testing.T) {
 		if p.MatchedRows != first.MatchedRows {
 			t.Errorf("level %d matched %d rows, want %d", p.Level, p.MatchedRows, first.MatchedRows)
 		}
+	}
+}
+
+// runForced times the structure a figure names or nothing: a CM name
+// the table lacks fails the compile, and a forced sorted scan whose
+// first applicable index is another one fails the plan's Uses check.
+func TestRunForcedChecksTheNamedStructure(t *testing.T) {
+	fx, _, err := buildEBay(tinyEBay(), 256, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.tbl.CreateIndex("price2", []int{datagen.EBayPrice}); err != nil {
+		t.Fatal(err)
+	}
+	q := exec.NewQuery(exec.Between(datagen.EBayPrice, value.NewFloat(0), value.NewFloat(1e9)))
+	var rows [2]int
+	for i, c := range []struct {
+		via  exec.Method
+		uses string
+	}{{exec.MethodCM, fx.cm.Spec().Name}, {exec.MethodSorted, fx.ix.Name}} {
+		if err := runForced(fx.tbl, c.via, c.uses, q, func(value.Row) bool { rows[i]++; return true }); err != nil {
+			t.Fatalf("forced %v through %q: %v", c.via, c.uses, err)
+		}
+	}
+	if rows[0] == 0 || rows[0] != rows[1] {
+		t.Fatalf("CM scan returned %d rows, sorted scan %d", rows[0], rows[1])
+	}
+	none := func(value.Row) bool { return true }
+	if err := runForced(fx.tbl, exec.MethodCM, "nope", q, none); err == nil {
+		t.Error("a forced CM scan through an unknown CM ran")
+	}
+	if err := runForced(fx.tbl, exec.MethodSorted, "price2", q, none); err == nil {
+		t.Errorf("a forced sorted scan named price2 ran, but the first index on price is %q", fx.ix.Name)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -89,14 +88,9 @@ func RunFigure1(cfg Figure1Config) (*Figure1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		q := exec.NewQuery(exec.In(c.lookupCol, c.vals...))
-		touched := map[int64]struct{}{}
-		_, _, err = env.Cold(func() error {
-			return exec.SortedIndexScan(tbl, ix, q, 1, func(rid heap.RID, _ value.Row) bool {
-				touched[rid.Page] = struct{}{}
-				return true
-			})
-		})
+		// The pages a sorted index scan sweeps: what the plan's sorted
+		// leg resolves the probe to.
+		touched, err := exec.IndexPages(ix, exec.NewQuery(exec.In(c.lookupCol, c.vals...)), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -127,22 +121,23 @@ func pickDistinct(rows []value.Row, col, n int, rng *rand.Rand) []value.Value {
 	return out
 }
 
-func countRuns(pages map[int64]struct{}) int {
+// countRuns counts the contiguous runs of sorted distinct pages.
+func countRuns(pages []int64) int {
 	runs := 0
-	for p := range pages {
-		if _, ok := pages[p-1]; !ok {
+	for i, p := range pages {
+		if i == 0 || pages[i-1] != p-1 {
 			runs++
 		}
 	}
 	return runs
 }
 
-func renderStrip(pages map[int64]struct{}, total int64, width int) string {
+func renderStrip(pages []int64, total int64, width int) string {
 	if total == 0 {
 		return ""
 	}
 	cells := make([]bool, width)
-	for p := range pages {
+	for _, p := range pages {
 		idx := int(p * int64(width) / total)
 		if idx >= width {
 			idx = width - 1

@@ -9,7 +9,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -113,7 +112,7 @@ func RunFigure10(cfg Figure10Config) (*Figure10Result, error) {
 		var sum float64
 		var n int64
 		elapsed, _, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, 1, func(_ heap.RID, row value.Row) bool {
+			return runForced(tbl, exec.MethodCM, cm.Spec().Name, q, func(row value.Row) bool {
 				sum += row[datagen.EBayPrice].F
 				n++
 				return true

@@ -8,7 +8,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -119,7 +118,7 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 			var sum float64
 			var cnt int64
 			elapsed, st, err := s.env.Cold(func() error {
-				return exec.SortedIndexScan(s.tbl, s.ix, q, 1, func(_ heap.RID, row value.Row) bool {
+				return runForced(s.tbl, exec.MethodSorted, s.ix.Name, q, func(row value.Row) bool {
 					sum += row[datagen.LExtendedPrice].F * row[datagen.LDiscount].F
 					cnt++
 					return true
@@ -137,7 +136,7 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 			return nil, err
 		}
 		scanT, _, err := corr.env.Cold(func() error {
-			return exec.TableScan(corr.tbl, q, 1, func(heap.RID, value.Row) bool { return true })
+			return runForced(corr.tbl, exec.MethodTableScan, "", q, func(value.Row) bool { return true })
 		})
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -158,13 +157,13 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 		q := exec.NewQuery(exec.Between(datagen.EBayPrice,
 			value.NewFloat(base), value.NewFloat(base+float64(r))))
 		matched := 0
-		countDistinct := func(_ heap.RID, row value.Row) bool {
+		countDistinct := func(row value.Row) bool {
 			matched++
 			_ = row[datagen.EBayCAT2].S
 			return true
 		}
 		cmT, _, err := fx.env.Cold(func() error {
-			return exec.CMScan(fx.tbl, fx.cm, q, 1, countDistinct)
+			return runForced(fx.tbl, exec.MethodCM, fx.cm.Spec().Name, q, countDistinct)
 		})
 		if err != nil {
 			return nil, err
@@ -172,7 +171,7 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 		cmMatched := matched
 		matched = 0
 		btT, _, err := fx.env.Cold(func() error {
-			return exec.SortedIndexScan(fx.tbl, fx.ix, q, 1, countDistinct)
+			return runForced(fx.tbl, exec.MethodSorted, fx.ix.Name, q, countDistinct)
 		})
 		if err != nil {
 			return nil, err

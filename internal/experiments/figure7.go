@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -79,7 +79,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 
 	res := &Figure7Result{TreeBytes: ix.SizeBytes(), Rows: tbl.Stats().TotalTups}
 	bt, _, err := env.Cold(func() error {
-		return exec.SortedIndexScan(tbl, ix, q, 1, func(heap.RID, value.Row) bool { return true })
+		return runForced(tbl, exec.MethodSorted, ix.Name, q, func(value.Row) bool { return true })
 	})
 	if err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 	for _, level := range cfg.Levels {
 		width := priceWidthForTuples(rows, 1<<uint(level))
 		cm, err := tbl.CreateCM(core.Spec{
-			Name:      "price",
+			Name:      fmt.Sprintf("price%d", level),
 			UCols:     []int{datagen.EBayPrice},
 			Bucketers: []core.Bucketer{core.FloatWidth{Width: width}},
 		})
@@ -106,7 +106,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 		}
 		matched := 0
 		cmT, _, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool {
+			return runForced(tbl, exec.MethodCM, cm.Spec().Name, q, func(value.Row) bool {
 				matched++
 				return true
 			})

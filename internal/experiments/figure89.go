@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"sort"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -96,7 +96,7 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 			}
 			for i := 0; i < k; i++ {
 				if useCM {
-					spec := core.Spec{Name: "cm", UCols: cols[i]}
+					spec := core.Spec{Name: fmt.Sprintf("cm%d", i), UCols: cols[i]}
 					if cols[i][0] == datagen.EBayPrice {
 						spec.Bucketers = []core.Bucketer{core.FloatWidth{Width: 100}}
 					}
@@ -104,7 +104,7 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 						return 0, 0, 0, err
 					}
 				} else {
-					if _, err := tbl.CreateIndex("ix", cols[i]); err != nil {
+					if _, err := tbl.CreateIndex(fmt.Sprintf("ix%d", i), cols[i]); err != nil {
 						return 0, 0, 0, err
 					}
 				}
@@ -262,13 +262,13 @@ func RunFigure9(cfg Figure9Config) (*Figure9Result, error) {
 		var ixs []*table.Index
 		for i := 0; i < cfg.Indexes; i++ {
 			if useCM {
-				cm, err := tbl.CreateCM(core.Spec{Name: "cm", UCols: []int{catCols[i]}})
+				cm, err := tbl.CreateCM(core.Spec{Name: fmt.Sprintf("cm%d", i), UCols: []int{catCols[i]}})
 				if err != nil {
 					return Figure9Bar{}, err
 				}
 				cms = append(cms, cm)
 			} else {
-				ix, err := tbl.CreateIndex("ix", []int{catCols[i]})
+				ix, err := tbl.CreateIndex(fmt.Sprintf("ix%d", i), []int{catCols[i]})
 				if err != nil {
 					return Figure9Bar{}, err
 				}
@@ -312,16 +312,16 @@ func RunFigure9(cfg Figure9Config) (*Figure9Result, error) {
 				q := exec.NewQuery(exec.Eq(catCols[ci], value.NewString(val)))
 				var sum float64
 				var n int64
-				agg := func(_ heap.RID, row value.Row) bool {
+				agg := func(row value.Row) bool {
 					sum += row[datagen.EBayPrice].F
 					n++
 					return true
 				}
 				el, _, err := env.Warm(func() error {
 					if useCM {
-						return exec.CMScan(tbl, cms[ci], q, 1, agg)
+						return runForced(tbl, exec.MethodCM, cms[ci].Spec().Name, q, agg)
 					}
-					return exec.SortedIndexScan(tbl, ixs[ci], q, 1, agg)
+					return runForced(tbl, exec.MethodSorted, ixs[ci].Name, q, agg)
 				})
 				if err != nil {
 					return Figure9Bar{}, err

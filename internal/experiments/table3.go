@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -75,7 +74,7 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 			value.NewInt(100+2*int64(cfg.SDSS.FieldsPerStripe)+3),
 		))
 		elapsed, st, err := env.Cold(func() error {
-			return exec.CMScan(tbl, cm, q, 1, func(heap.RID, value.Row) bool { return true })
+			return runForced(tbl, exec.MethodCM, cm.Spec().Name, q, func(value.Row) bool { return true })
 		})
 		if err != nil {
 			return nil, err

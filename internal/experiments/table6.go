@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -107,27 +106,20 @@ func RunTable6(cfg Table6Config) (*Table6Result, error) {
 	type method struct {
 		label, bucketing string
 		size             int64
-		run              func(fn exec.RowFunc) error
+		via              exec.Method
+		uses             string
 	}
 	methods := []method{
-		{"CM(ra)", raB.String(), cmRa.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmRa, q, 1, fn)
-		}},
-		{"CM(dec)", decB.String(), cmDec.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmDec, q, 1, fn)
-		}},
-		{"CM(ra,dec)", raB.String() + " " + decB.String(), cmPair.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.CMScan(tbl, cmPair, q, 1, fn)
-		}},
-		{"B+Tree(ra,dec)", "-", ixPair.SizeBytes(), func(fn exec.RowFunc) error {
-			return exec.SortedIndexScan(tbl, ixPair, q, 1, fn)
-		}},
+		{"CM(ra)", raB.String(), cmRa.SizeBytes(), exec.MethodCM, cmRa.Spec().Name},
+		{"CM(dec)", decB.String(), cmDec.SizeBytes(), exec.MethodCM, cmDec.Spec().Name},
+		{"CM(ra,dec)", raB.String() + " " + decB.String(), cmPair.SizeBytes(), exec.MethodCM, cmPair.Spec().Name},
+		{"B+Tree(ra,dec)", "-", ixPair.SizeBytes(), exec.MethodSorted, ixPair.Name},
 	}
 	want := -1
 	for _, m := range methods {
 		count := 0
 		elapsed, st, err := env.Cold(func() error {
-			return m.run(func(heap.RID, value.Row) bool {
+			return runForced(tbl, m.via, m.uses, q, func(value.Row) bool {
 				count++
 				return true
 			})

@@ -119,12 +119,13 @@ func TestSnapshotRepeatableScan(t *testing.T) {
 		n := 0
 		inner.RLock()
 		defer inner.RUnlock()
-		err := exec.TableScan(inner, exec.Query{Snap: snapAt}, 1, func(_ heap.RID, row value.Row) bool {
+		all := exec.OrQuery{Disjuncts: []exec.Query{{}}, Snap: snapAt}
+		err := exec.SweepTuples(inner, all, exec.WholeHeap(inner), 1, exec.DecodeTo(inner.Schema(), all, func(_ heap.RID, row value.Row) bool {
 			if row[1].I == u {
 				n++
 			}
 			return true
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
