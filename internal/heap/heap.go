@@ -26,9 +26,19 @@
 // word operations. Appends (Load's) still go to the tail, in order, and
 // Load writes each full tail page back as it opens the next, so a bulk
 // load reaches disk as one sequential run of heap pages.
+//
+// A version can also be replaced in its slot (ReplaceAt): the new bytes
+// overwrite the old ones, of the same length, and a copy of the old ones
+// stays in memory as the slot's pre-image, ended at the new version's
+// begin. A snapshot that cannot see the slot's own version reads the
+// pre-image instead when it can see that, until the owner drops it
+// (DropPreImage) or an abort puts it back (RestoreAt). A per-page count
+// guards the lookup, so a sweep of a page without pre-images pays one
+// check for the page.
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -87,6 +97,13 @@ func visibleAt(v tupleVersion, snap uint64) bool {
 	return v.begin <= snap && (v.end == 0 || v.end > snap)
 }
 
+// preImage is the version an in-place replacement overwrote: a copy of its
+// bytes and its timestamps, ended at the replacement's begin.
+type preImage struct {
+	tuple []byte
+	ver   tupleVersion
+}
+
 // pageSpace is a page's in-memory space account: free is the contiguous
 // gap between the slot directory and the tuple bytes, garbage the bytes
 // of dead and erased tuples that a prune gives back. Their sum is the
@@ -108,7 +125,8 @@ type pageReuse struct {
 //
 // Concurrency matches the owning table's latch discipline: the version side
 // arrays and the space accounts are plain slices and maps, so mutators
-// (AppendAt, PutAt, SetEnd, ClearEnd, MarkDead, Delete) must hold the
+// (AppendAt, PutAt, ReplaceAt, RestoreAt, DropPreImage, SetEnd,
+// ClearEnd, MarkDead, Delete) must hold the
 // table latch exclusively while readers hold it shared. A placement may
 // prune its page, moving tuple bytes within it, so no reader keeps a
 // tuple slice across a release of the latch.
@@ -130,6 +148,14 @@ type File struct {
 	reuse    map[int64]*pageReuse
 	classes  [][]int64
 	nonEmpty []uint64
+
+	// pre holds the pre-images of slots replaced in place, and
+	// preOn[page] how many of them the page has: the per-page guard
+	// that keeps a sweep of a page without any off the map. Both stay
+	// nil until the first ReplaceAt, so a heap never updated in place
+	// carries nothing for them.
+	pre   map[RID]preImage
+	preOn map[int64]int
 
 	dead, reclaimed int64
 	scratch         []byte // one page of packing space for prune
@@ -158,7 +184,8 @@ func (h *File) TupleCount() int64 { return h.tuples }
 func (h *File) DeadVersions() int64 { return h.dead }
 
 // ReclaimedVersions returns the running total of dead versions whose
-// slot and bytes a prune or a placement took back.
+// slot and bytes a prune or a placement took back, plus the pre-images
+// DropPreImage handed back.
 func (h *File) ReclaimedVersions() int64 { return h.reclaimed }
 
 // Slots returns the number of slot-directory entries over all pages —
@@ -469,6 +496,117 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 	h.space[page] = pageSpace{free: uint16(pageFree(d))}
 }
 
+// ReplaceAt overwrites the live tuple at rid in its slot with tuple, a new
+// version begun at ts, and keeps a copy of the old bytes as the slot's
+// pre-image, ended at ts: snapshots older than ts read it until
+// DropPreImage. The RID, the page's space and the live-tuple count do not
+// change. It refuses a tuple of another length, a slot whose version is
+// ended, dead or erased, and a slot that already holds a pre-image.
+func (h *File) ReplaceAt(rid RID, tuple []byte, ts uint64) error {
+	if ts == 0 {
+		return fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
+	}
+	v, err := h.version(rid)
+	if err != nil {
+		return err
+	}
+	if v.end != 0 || v.begin == gone {
+		return fmt.Errorf("heap: RID %v is not a live version", rid)
+	}
+	if h.HasPreImage(rid) {
+		return fmt.Errorf("heap: RID %v already holds a pre-image", rid)
+	}
+	fr, err := h.pool.Get(h.file, rid.Page)
+	if err != nil {
+		return err
+	}
+	off, length := slotAt(fr.Data, int(rid.Slot))
+	if length != len(tuple) {
+		h.pool.Unpin(fr, false)
+		return fmt.Errorf("heap: RID %v holds %d bytes, replacement has %d", rid, length, len(tuple))
+	}
+	old := fr.Data[off : off+length]
+	if h.pre == nil {
+		h.pre, h.preOn = map[RID]preImage{}, map[int64]int{}
+	}
+	h.pre[rid] = preImage{tuple: bytes.Clone(old), ver: tupleVersion{begin: v.begin, end: ts}}
+	h.preOn[rid.Page]++
+	copy(old, tuple)
+	*v = tupleVersion{begin: ts}
+	h.pool.Unpin(fr, true)
+	return nil
+}
+
+// RestoreAt undoes a ReplaceAt (writer-statement abort): the pre-image's
+// bytes go back into the slot, live under their old begin timestamp, and
+// the pre-image is gone. The slot's version must be live.
+func (h *File) RestoreAt(rid RID) error {
+	p, ok := h.pre[rid]
+	if !ok {
+		return fmt.Errorf("heap: RID %v holds no pre-image", rid)
+	}
+	v, err := h.version(rid)
+	if err != nil {
+		return err
+	}
+	if v.end != 0 || v.begin == gone {
+		return fmt.Errorf("heap: RID %v is not a live version", rid)
+	}
+	fr, err := h.pool.Get(h.file, rid.Page)
+	if err != nil {
+		return err
+	}
+	off, length := slotAt(fr.Data, int(rid.Slot))
+	copy(fr.Data[off:off+length], p.tuple)
+	*v = tupleVersion{begin: p.ver.begin}
+	h.dropPre(rid)
+	h.pool.Unpin(fr, true)
+	return nil
+}
+
+// DropPreImage hands back the pre-image at rid, counted as a reclaimed
+// version. The caller vouches that no snapshot older than its end
+// remains.
+func (h *File) DropPreImage(rid RID) error {
+	if !h.HasPreImage(rid) {
+		return fmt.Errorf("heap: RID %v holds no pre-image", rid)
+	}
+	h.dropPre(rid)
+	h.reclaimed++
+	return nil
+}
+
+// HasPreImage reports whether the slot at rid holds a pre-image.
+func (h *File) HasPreImage(rid RID) bool {
+	_, ok := h.pre[rid]
+	return ok
+}
+
+// PreImages returns how many slots hold a pre-image.
+func (h *File) PreImages() int { return len(h.pre) }
+
+func (h *File) dropPre(rid RID) {
+	delete(h.pre, rid)
+	h.preOn[rid.Page]--
+	if h.preOn[rid.Page] == 0 {
+		delete(h.preOn, rid.Page)
+	}
+}
+
+// hasPreOn reports whether any slot on page holds a pre-image.
+func (h *File) hasPreOn(page int64) bool {
+	return len(h.pre) != 0 && h.preOn[page] != 0
+}
+
+// preImageAt returns the pre-image bytes at rid when the snapshot sees
+// them, else nil. Snapshot 0 never does: a pre-image is ended.
+func (h *File) preImageAt(rid RID, snap uint64) []byte {
+	if p, ok := h.pre[rid]; ok && visibleAt(p.ver, snap) {
+		return p.tuple
+	}
+	return nil
+}
+
 // SetEnd marks the tuple at rid logically deleted as of timestamp end: it
 // stays readable by snapshots older than end (the tuple bytes are
 // untouched) and disappears from newer ones. The live-tuple count drops by
@@ -539,14 +677,14 @@ func (h *File) version(rid RID) (*tupleVersion, error) {
 	return &pv[rid.Slot], nil
 }
 
-// Visible reports whether the tuple at rid is visible to the snapshot
-// (false for out-of-range RIDs).
+// Visible reports whether a version at rid — the slot's own or its
+// pre-image — is visible to the snapshot (false for out-of-range RIDs).
 func (h *File) Visible(rid RID, snap uint64) bool {
 	v, err := h.version(rid)
 	if err != nil {
 		return false
 	}
-	return visibleAt(*v, snap)
+	return visibleAt(*v, snap) || h.preImageAt(rid, snap) != nil
 }
 
 // Get returns a copy of the tuple at rid as the latest state sees it.
@@ -581,8 +719,9 @@ func (h *File) View(rid RID, fn func(tuple []byte) error) error {
 	return h.ViewAt(rid, 0, fn)
 }
 
-// ViewAt is View as of a snapshot: fn runs only when the tuple at rid is
-// visible to snap.
+// ViewAt is View as of a snapshot: fn runs only when a version at rid is
+// visible to snap, with the slot's bytes or, when only its pre-image is
+// visible, the pre-image's.
 func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	if rid.Page < 0 || rid.Page >= h.numPages {
 		return fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
@@ -596,10 +735,16 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 		return fmt.Errorf("heap: RID %v slot out of range", rid)
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
+	tuple := fr.Data[off : off+length]
 	if length == 0 || !visibleAt(h.vers[rid.Page][rid.Slot], snap) {
-		return nil // deleted or invisible to this snapshot
+		if !h.hasPreOn(rid.Page) {
+			return nil // deleted or invisible to this snapshot
+		}
+		if tuple = h.preImageAt(rid, snap); tuple == nil {
+			return nil
+		}
 	}
-	return fn(fr.Data[off : off+length])
+	return fn(tuple)
 }
 
 // Delete physically erases the tuple at rid: the slot's length is zeroed,
@@ -607,7 +752,8 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 // (its bytes come back at the page's next prune). Writer statements use
 // it only to discard their own never-published appends (abort); published
 // history instead ends logically with SetEnd so older snapshots keep
-// reading the bytes. Erasing a deleted or dead tuple is a no-op.
+// reading the bytes. The slot's pre-image, if any, goes too. Erasing a
+// deleted or dead tuple is a no-op.
 func (h *File) Delete(rid RID) error {
 	if rid.Page < 0 || rid.Page >= h.numPages {
 		return fmt.Errorf("heap: RID %v out of range", rid)
@@ -630,6 +776,9 @@ func (h *File) Delete(rid RID) error {
 		h.tuples-- // erasing a live tuple; ended ones were already counted out
 	}
 	*v = tupleVersion{begin: gone, end: gone}
+	if h.HasPreImage(rid) {
+		h.dropPre(rid)
+	}
 	r := h.reuseOf(rid.Page)
 	r.erased = append(r.erased, rid.Slot)
 	h.space[rid.Page].garbage += uint16(length)
@@ -651,7 +800,8 @@ func (h *File) ScanPages(from, to int64, fn func(rid RID, tuple []byte) bool) er
 }
 
 // ScanPagesAt visits the tuples on pages [from, to] visible to the given
-// snapshot, in physical order. Snapshot 0 means latest.
+// snapshot, in physical order: a slot's own version, or its pre-image
+// when only that is visible. Snapshot 0 means latest.
 func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple []byte) bool) error {
 	if from < 0 {
 		from = 0
@@ -666,12 +816,19 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 		}
 		n := pageNumSlots(fr.Data)
 		pv := h.vers[p]
+		pre := h.hasPreOn(p)
 		for s := 0; s < n; s++ {
 			off, length := slotAt(fr.Data, s)
+			tuple := fr.Data[off : off+length]
 			if length == 0 || !visibleAt(pv[s], snap) {
-				continue
+				if !pre {
+					continue
+				}
+				if tuple = h.preImageAt(RID{Page: p, Slot: uint16(s)}, snap); tuple == nil {
+					continue
+				}
 			}
-			if !fn(RID{Page: p, Slot: uint16(s)}, fr.Data[off:off+length]) {
+			if !fn(RID{Page: p, Slot: uint16(s)}, tuple) {
 				h.pool.Unpin(fr, false)
 				return nil
 			}
@@ -685,7 +842,8 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 // statement published at or before timestamp published has ended: the
 // live ones, and those begun or ended by a statement stamped later (one
 // not yet published), whatever snapshot could read them. Dead and
-// erased slots are skipped. It is ScanPagesAt's loop under another
+// erased slots are skipped, and so are pre-images, which sit on their
+// slot's page. It is ScanPagesAt's loop under another
 // predicate, kept as its own loop so the sweep's hot loop tests one.
 func (h *File) ScanUnretracted(published uint64, fn func(rid RID, tuple []byte) bool) error {
 	for p := int64(0); p < h.numPages; p++ {

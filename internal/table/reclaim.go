@@ -19,7 +19,9 @@ import (
 // Without such a pin the version is marked dead in the heap at once;
 // with one it waits in t.retired until an exclusive hold finds the pin
 // gone. The version's index entries, CM pairs and page-directory
-// reference left at Publish; reclamation touches the heap slot alone.
+// reference left at Publish; reclamation touches the heap slot alone. A
+// version an UPDATE replaced in place has no slot of its own, only the
+// slot's pre-image, and the same rule drops that.
 
 // placement is one clustered bucket's share of the running statement:
 // the versions it still has to place and their heap.TupleCosts, and the
@@ -98,24 +100,33 @@ func (t *Table) drainRetired() {
 	t.retired = slices.Delete(t.retired, 0, n)
 }
 
-// markDead hands the versions' slots back to the heap.
+// markDead hands the versions' slots, or pre-images, back to the heap.
 func (t *Table) markDead(versions []retraction) {
 	for _, r := range versions {
 		// The statement has published; a failure (a bug) can only leave
 		// the slot unreclaimed, never make a row wrong.
-		_ = t.heapf.MarkDead(r.rid, r.size)
+		if r.inPlace {
+			_ = t.heapf.DropPreImage(r.rid)
+		} else {
+			_ = t.heapf.MarkDead(r.rid, r.size)
+		}
 	}
 }
 
 // reserve locates the clustered bucket of each new row and adds the
 // row's bytes to its bucket's need, so the bucket's first placement can
-// pick one page for all of them. It runs under the writer gate, outside
-// the latch: only Load, which holds the gate, moves bucket bounds.
-func (tx *WriteTxn) reserve(rows []value.Row, encs [][]byte) []int32 {
+// pick one page for all of them; a row that stays in its slot (a
+// non-zero stays[i]) needs no room. It runs under the writer gate,
+// outside the latch: only Load, which holds the gate, moves bucket
+// bounds.
+func (tx *WriteTxn) reserve(rows []value.Row, encs [][]byte, stays []stay) []int32 {
 	t := tx.t
 	cbs := make([]int32, len(rows))
 	for i, r := range rows {
 		cbs[i] = t.ClusterBucketFor(r)
+		if stays != nil && stays[i].data != nil {
+			continue
+		}
 		p := t.placing[cbs[i]]
 		p.cost += heap.TupleCost(len(encs[i]))
 		p.tuples++

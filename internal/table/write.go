@@ -45,6 +45,14 @@ import (
 // most tightly, else the tail — which keeps the heap clustered and the
 // page directory's lists short. Only Load appends at the tail, and it
 // writes each full tail page back as it leaves it (applyInsert).
+//
+// An updated row whose new image can stay where it is does not move at
+// all (applyReplace): the new bytes overwrite the old in their slot, and
+// the heap keeps the old bytes as the slot's pre-image for the snapshots
+// that still read them. The row keeps its RID and page, so its index
+// entries and page-directory reference stand; its CM pairs and WAL
+// records are an UPDATE's like any other, and reclamation drops the
+// pre-image behind the same pin rule as a dead slot.
 
 // writeBatchRows bounds how many rows one exclusive latch hold applies:
 // small enough that a waiting reader stalls for microseconds, large
@@ -94,18 +102,33 @@ func (t *Table) unlockLatched(start time.Time) {
 // retraction is one old row version the statement ended: its index
 // entries, page-directory reference and CM pairs are removed when the
 // statement publishes, and then its heap slot (size bytes) is reclaimed.
+// An old version replaced in place (inPlace) keeps its index entries and
+// reference, which its new version inherits, and leaves a pre-image
+// where the others leave a slot.
 type retraction struct {
-	row  value.Row
-	rid  heap.RID
-	cb   int32
-	size int
+	row     value.Row
+	rid     heap.RID
+	cb      int32
+	size    int
+	inPlace bool
 }
 
-// undoInsert is one new row version to unwind if the statement aborts.
+// undoInsert is one new row version to unwind if the statement aborts;
+// one written in place (inPlace) has only its CM pairs to take back.
 type undoInsert struct {
-	row value.Row
-	rid heap.RID
-	cb  int32
+	row     value.Row
+	rid     heap.RID
+	cb      int32
+	inPlace bool
+}
+
+// stay is the current version of an updated row that its new image
+// overwrites in place: its bytes, logged as the update's RecDelete, and
+// its row, retracted from the CMs at Publish. The zero stay marks a row
+// that relocates.
+type stay struct {
+	data []byte
+	row  value.Row
 }
 
 // WriteTxn is one MVCC writer statement on a table: a sequence of
@@ -168,7 +191,7 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	if err != nil {
 		return err
 	}
-	return tx.insertBatch(rows, encs, tx.reserve(rows, encs))
+	return tx.insertBatch(rows, encs, tx.reserve(rows, encs, nil))
 }
 
 // insertBatch applies rows, already encoded as encs, in clustered buckets
@@ -301,12 +324,16 @@ func (tx *WriteTxn) applyDelete(rid heap.RID) error {
 }
 
 // UpdateBatch replaces the rows at olds with news (position-matched) —
-// Algorithm 1's retraction + reinsert: the old version is logically ended
-// and queued for index/CM retraction at Publish, the new version is
-// placed with its bucket's others, indexed and added to every CM, so
-// per-entry statistics come out exact once the statement publishes.
-// Mutations apply in writeBatchRows chunks under short exclusive latch
-// holds.
+// Algorithm 1's retraction + reinsert: the old version is ended and
+// queued for CM retraction at Publish and the new version is added to
+// every CM, so per-entry statistics come out exact once the statement
+// publishes. A new image that may stay in its old one's slot (see
+// stayers) overwrites it there; any other ends the old version, whose
+// index entries and page-directory reference go at Publish too, and is
+// placed with its bucket's others and indexed. Which rows stay is
+// decided before placement is reserved, so only the rows that move
+// reserve room. Mutations apply in writeBatchRows chunks under short
+// exclusive latch holds.
 func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 	t := tx.t
 	if len(olds) != len(news) {
@@ -316,7 +343,11 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 	if err != nil {
 		return err
 	}
-	cbs := tx.reserve(news, encs)
+	stays, err := tx.stayers(olds, news, encs)
+	if err != nil {
+		return err
+	}
+	cbs := tx.reserve(news, encs, stays)
 	for start := 0; start < len(olds); start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
@@ -327,17 +358,86 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 		}
 		held := t.lockLatched()
 		for i := start; i < end; i++ {
-			if err := tx.applyDelete(olds[i]); err != nil {
-				t.unlockLatched(held)
-				return err
+			if stays[i].data != nil {
+				err = tx.applyReplace(olds[i], stays[i], news[i], encs[i], cbs[i])
+			} else if err = tx.applyDelete(olds[i]); err == nil {
+				err = tx.applyInsert(news[i], encs[i], cbs[i])
 			}
-			if err := tx.applyInsert(news[i], encs[i], cbs[i]); err != nil {
+			if err != nil {
 				t.unlockLatched(held)
 				return err
 			}
 		}
 		t.unlockLatched(held)
 	}
+	return nil
+}
+
+// stayers reads, under a shared latch hold, the current version of each
+// updated row and returns those its new image may overwrite in its slot,
+// by the eligibility rule of PostgreSQL's HOT updates: the same clustered
+// bucket, the same encoded length, no secondary-index column changed, and
+// no pre-image still in the slot. The others come back zero
+// and relocate (a missing row among them fails in applyDelete). Under the
+// writer gate nothing else changes the versions read here.
+func (tx *WriteTxn) stayers(olds []heap.RID, news []value.Row, encs [][]byte) ([]stay, error) {
+	t := tx.t
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	stays := make([]stay, len(olds))
+	for i, rid := range olds {
+		data, err := t.heapf.Get(rid)
+		if err != nil {
+			return nil, err
+		}
+		if data == nil || len(data) != len(encs[i]) || t.heapf.HasPreImage(rid) {
+			continue
+		}
+		row, err := t.cfg.Schema.DecodeRow(data)
+		if err != nil {
+			return nil, err
+		}
+		if t.ClusterBucketFor(row) != t.ClusterBucketFor(news[i]) || t.indexedChange(row, news[i]) {
+			continue
+		}
+		stays[i] = stay{data: data, row: row}
+	}
+	return stays, nil
+}
+
+// indexedChange reports whether a secondary-index key differs between
+// two images of a row: a value of another kind or payload, floats
+// compared bit for bit as the key encodes them.
+func (t *Table) indexedChange(old, new value.Row) bool {
+	for _, ix := range t.secondary {
+		for _, c := range ix.Cols {
+			a, b := old[c], new[c]
+			if a.K != b.K || a.I != b.I || a.S != b.S || floatBits(a.F) != floatBits(b.F) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// applyReplace overwrites the version at rid, read as old, with the new
+// image row (encoded enc, in old's bucket cb) in its slot. The heap keeps
+// old's bytes as the slot's pre-image; the statement adds the new image
+// to every CM now and retracts old from them at Publish, and logs the
+// pair an UPDATE always logs. Caller holds the latch.
+func (tx *WriteTxn) applyReplace(rid heap.RID, old stay, row value.Row, enc []byte, cb int32) error {
+	t := tx.t
+	if err := t.heapf.ReplaceAt(rid, enc, tx.ts); err != nil {
+		return err
+	}
+	tx.retract = append(tx.retract, retraction{row: old.row, rid: rid, cb: cb, inPlace: true})
+	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb, inPlace: true})
+	for _, cm := range t.cms {
+		cm.AddRow(row, cb)
+	}
+	tx.recs = append(tx.recs,
+		wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: old.data},
+		wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc})
 	return nil
 }
 
@@ -395,7 +495,8 @@ func (tx *WriteTxn) Publish() error {
 }
 
 // applyRetractions removes the index entries, page-directory references
-// and CM pairs of every retracted old version. Caller holds the latch. On error every
+// and CM pairs of every retracted old version — only the CM pairs of one
+// replaced in place. Caller holds the latch. On error every
 // operation already applied is reverted (in reverse order, best
 // effort), so the old versions stay fully indexed and counted and the
 // caller sees a clean pre-retraction state.
@@ -410,14 +511,16 @@ func (tx *WriteTxn) applyRetractions() error {
 	}
 	for _, r := range tx.retract {
 		r := r
-		t.pageDir.remove(r.cb, r.rid.Page)
-		undo = append(undo, func() { t.pageDir.add(r.cb, r.rid.Page) })
-		for _, ix := range t.secondary {
-			ix := ix
-			if _, err := ix.Delete(r.row, r.rid); err != nil {
-				return fail(err)
+		if !r.inPlace {
+			t.pageDir.remove(r.cb, r.rid.Page)
+			undo = append(undo, func() { t.pageDir.add(r.cb, r.rid.Page) })
+			for _, ix := range t.secondary {
+				ix := ix
+				if _, err := ix.Delete(r.row, r.rid); err != nil {
+					return fail(err)
+				}
+				undo = append(undo, func() { _ = ix.Insert(r.row, r.rid) })
 			}
-			undo = append(undo, func() { _ = ix.Insert(r.row, r.rid) })
 		}
 		for _, cm := range t.cms {
 			cm := cm
@@ -433,13 +536,21 @@ func (tx *WriteTxn) applyRetractions() error {
 // unwind physically removes the statement's work: appended versions are
 // deleted (heap, page directory, indexes, CMs) in reverse order — their heap slots
 // reusable at once — and logically-ended old versions are restored to
-// live. Caller holds the latch. Inverse
+// live and versions replaced in place get their old bytes back, also in
+// reverse order, so a slot replaced and then ended is live again before
+// its bytes go back. Caller holds the latch. Inverse
 // operations are best-effort — they undo work that was just applied, so
 // a failure here means the structure was already inconsistent.
 func (tx *WriteTxn) unwind() {
 	t := tx.t
 	for i := len(tx.inserted) - 1; i >= 0; i-- {
 		u := tx.inserted[i]
+		if u.inPlace {
+			for _, cm := range t.cms {
+				_ = cm.RemoveRow(u.row, u.cb)
+			}
+			continue
+		}
 		t.pageDir.remove(u.cb, u.rid.Page)
 		for _, ix := range t.secondary {
 			_, _ = ix.Delete(u.row, u.rid)
@@ -450,7 +561,11 @@ func (tx *WriteTxn) unwind() {
 		_ = t.heapf.Delete(u.rid)
 	}
 	for i := len(tx.retract) - 1; i >= 0; i-- {
-		_ = t.heapf.ClearEnd(tx.retract[i].rid)
+		if r := tx.retract[i]; r.inPlace {
+			_ = t.heapf.RestoreAt(r.rid)
+		} else {
+			_ = t.heapf.ClearEnd(r.rid)
+		}
 	}
 }
 

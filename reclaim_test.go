@@ -177,7 +177,8 @@ func updatePass(t *testing.T, tbl *Table, p int64, span int) {
 }
 
 // TestReclaimChurnInvariants drives a generated statement stream over the
-// correlated items — payload and key-moving UPDATEs, INSERTs, DELETEs,
+// correlated items — payload UPDATEs, which overwrite their rows in
+// place, and key-moving ones, which relocate them, INSERTs, DELETEs,
 // statements cancelled part way through their batches, publishes failed
 // by an injected WAL fault, and multi-row SQL INSERTs — with readers
 // running beside it, each holding a pinned snapshot that must read the
@@ -187,7 +188,9 @@ func updatePass(t *testing.T, tbl *Table, p int64, span int) {
 // and the rows equal a plain-row model; at the end a CM recovered from a
 // checkpoint plus the log equals the live one. The old versions' index
 // entries and CM pairs left at Publish, so reclamation, which touches
-// only heap slots, must keep all of that exact.
+// only heap slots and pre-images, must keep all of that exact: both
+// reclamation paths run, dead slots from the relocations and deletes and
+// pre-images from the payload UPDATEs, some queued behind a reader's pin.
 func TestReclaimChurnInvariants(t *testing.T) {
 	_, tbl := itemsTable(t, Config{BufferPoolPages: 4096, Workers: 2}, 6000)
 	inner := tbl.inner
