@@ -221,7 +221,7 @@ func TestWriterKilledMidTxnThenRecovered(t *testing.T) {
 	if err := tbl.CreateCM("u_cm", CMColumn{Name: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	live := tbl.inner.CMOn(1)
+	live := cmOn(tbl.inner, 1)
 	if live == nil {
 		t.Fatal("live CM missing")
 	}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/plan"
+	"repro/internal/table"
 	"repro/internal/value"
 )
 
@@ -39,6 +40,16 @@ func itemsFixture(t testing.TB, workers int) (*DB, *Table) {
 func itemsFixtureOn(t testing.TB, cfg Config) (*DB, *Table) {
 	t.Helper()
 	return itemsTable(t, cfg, 60000)
+}
+
+// cmOn returns the table's CM over exactly column col, or nil.
+func cmOn(inner *table.Table, col int) *core.CM {
+	for _, cm := range inner.CMs() {
+		if slices.Equal(cm.Spec().UCols, []int{col}) {
+			return cm
+		}
+	}
+	return nil
 }
 
 // itemsTable is itemsFixtureOn over the first n correlated items.
@@ -300,7 +311,7 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 		del(Between("cat", IntVal(5), IntVal(12)))
 
 		out.rows = allRows(t, tbl)
-		live := tbl.inner.CMOn(1)
+		live := cmOn(tbl.inner, 1)
 		out.cm = cmFingerprint(t, live)
 		tbl.inner.LockWrite()
 		rebuilt, err := tbl.inner.CreateCM(core.Spec{Name: "rebuilt", UCols: []int{1}})

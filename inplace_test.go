@@ -40,7 +40,7 @@ func TestPayloadUpdateKeepsHeapClustered(t *testing.T) {
 		inner.RLock()
 		defer inner.RUnlock()
 		dir := inner.PageDir()
-		out := make([]dirRefs, dir.NumBuckets())
+		out := make([]dirRefs, inner.Buckets().NumBuckets())
 		for b := range out {
 			pages, counts := dir.Refs(int32(b))
 			out[b] = dirRefs{slices.Clone(pages), slices.Clone(counts)}
@@ -139,7 +139,7 @@ func readAt(t *testing.T, inner *table.Table, m AccessMethod, ix *table.Index, q
 		}
 	case CMScan:
 		var probe exec.Probe
-		if probe, err = exec.ProbeCM(inner, inner.CMOn(1), q); err == nil {
+		if probe, err = exec.ProbeCM(inner, cmOn(inner, 1), q); err == nil {
 			err = exec.SweepTuples(inner, oq, exec.PageList(probe.Pages), 1, emit)
 		}
 	case ClusteredIndexScan:
@@ -167,7 +167,7 @@ func TestPinnedSnapshotReadsPreImages(t *testing.T) {
 	db, tbl := itemsTable(t, Config{BufferPoolPages: 4096, Workers: 2}, 6000)
 	inner := tbl.inner
 	h := inner.Heap()
-	ix := inner.IndexOn(1)
+	ix := inner.Indexes()[0] // ix_subcat, itemsTable's one secondary index
 	// Subcats 12 to 17 are cats 96 to 143: the same rows, whichever
 	// column an access method predicates.
 	bySubcat := exec.NewQuery(exec.Between(1, value.NewInt(12), value.NewInt(17)))

@@ -145,9 +145,6 @@ func decodeSampleRow(sch table.Schema, b []byte) (value.Row, error) {
 	return vals, nil
 }
 
-// SampleSize returns the number of sampled rows.
-func (a *Advisor) SampleSize() int { return len(a.rows) }
-
 // DistinctEstimate returns the Distinct Sampling estimate for a column.
 func (a *Advisor) DistinctEstimate(col int) float64 { return a.du[col] }
 

@@ -235,9 +235,9 @@ func TestDiscoverMultiAttributeFD(t *testing.T) {
 
 func TestSampleSize(t *testing.T) {
 	_, adv := sdssFixture(t)
-	if adv.SampleSize() != 2000 {
+	if len(adv.rows) != 2000 {
 		// 5*10*40 = 2000 rows, all fit in the 4000 reservoir.
-		t.Errorf("sample size = %d, want 2000", adv.SampleSize())
+		t.Errorf("sample size = %d, want 2000", len(adv.rows))
 	}
 }
 

@@ -505,32 +505,6 @@ func PackedHeight(pageSize int, n int64, keyLen int) int {
 	return height
 }
 
-// Get returns the value stored for key, or (nil, false) when absent.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	page := t.root
-	for {
-		fr, err := t.pool.Get(t.file, page)
-		if err != nil {
-			return nil, false, err
-		}
-		d := fr.Data
-		if nodeType(d) == nodeInternal {
-			next := childPage(d, childIndexFor(d, key))
-			t.pool.Unpin(fr, false)
-			page = next
-			continue
-		}
-		pos := searchLeaf(d, key)
-		if pos < numKeys(d) && bytes.Equal(leafCellKey(d, pos), key) {
-			out := append([]byte(nil), leafCellVal(d, pos)...)
-			t.pool.Unpin(fr, false)
-			return out, true, nil
-		}
-		t.pool.Unpin(fr, false)
-		return nil, false, nil
-	}
-}
-
 // Delete removes the entry for key, reporting whether it existed.
 func (t *Tree) Delete(key []byte) (bool, error) {
 	page := t.root
@@ -654,9 +628,6 @@ func (it *Iterator) Valid() bool { return !it.invalid && it.idx < len(it.keys) }
 // Key returns the current key. The slice aliases the iterator's arena:
 // it is valid only until the next call to Next — copy it to retain.
 func (it *Iterator) Key() []byte { return it.keys[it.idx] }
-
-// Value returns the current value, with Key's lifetime.
-func (it *Iterator) Value() []byte { return it.vals[it.idx] }
 
 // Next advances to the following entry.
 func (it *Iterator) Next() error {

@@ -41,7 +41,7 @@ func TestInsertGetSmall(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 10; i++ {
-		v, ok, err := tr.Get(ikey(i))
+		v, ok, err := get(tr, ikey(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestInsertGetSmall(t *testing.T) {
 			t.Errorf("Get(%d) = %d", i, got)
 		}
 	}
-	if _, ok, _ := tr.Get(ikey(99)); ok {
+	if _, ok, _ := get(tr, ikey(99)); ok {
 		t.Error("missing key found")
 	}
 	if tr.Len() != 10 {
@@ -68,7 +68,7 @@ func TestOverwrite(t *testing.T) {
 	if err := tr.Insert(ikey(1), []byte("newvalue")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := tr.Get(ikey(1))
+	v, ok, err := get(tr, ikey(1))
 	if err != nil || !ok {
 		t.Fatal(err, ok)
 	}
@@ -92,7 +92,7 @@ func TestSplitsAscending(t *testing.T) {
 		t.Errorf("height = %d, expected splits", tr.Height())
 	}
 	for i := int64(0); i < n; i += 17 {
-		v, ok, err := tr.Get(ikey(i))
+		v, ok, err := get(tr, ikey(i))
 		if err != nil || !ok {
 			t.Fatalf("key %d missing after splits: %v", i, err)
 		}
@@ -115,7 +115,7 @@ func TestSplitsRandomOrder(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	for i := int64(0); i < 3000; i++ {
-		if _, ok, err := tr.Get(ikey(i)); err != nil || !ok {
+		if _, ok, err := get(tr, ikey(i)); err != nil || !ok {
 			t.Fatalf("key %d missing: %v", i, err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestDelete(t *testing.T) {
 		t.Errorf("len = %d", tr.Len())
 	}
 	for i := int64(0); i < 500; i++ {
-		_, ok, err := tr.Get(ikey(i))
+		_, ok, err := get(tr, ikey(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestDelete(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := newTree(t, 256, 8)
-	if _, ok, err := tr.Get(ikey(1)); ok || err != nil {
+	if _, ok, err := get(tr, ikey(1)); ok || err != nil {
 		t.Error("empty tree Get should be absent")
 	}
 	it, err := tr.SeekFirst()
@@ -344,7 +344,7 @@ func TestAgainstModel(t *testing.T) {
 		if string(it.Key()) != keys[i] {
 			t.Fatalf("key %d mismatch", i)
 		}
-		if string(it.Value()) != model[keys[i]] {
+		if string(it.vals[it.idx]) != model[keys[i]] {
 			t.Fatalf("value mismatch for key %d", i)
 		}
 		i++
@@ -368,14 +368,14 @@ func TestInsertGetQuick(t *testing.T) {
 			return false
 		}
 		seen[k] = append([]byte(nil), v...)
-		got, ok, err := tr.Get(ikey(k))
+		got, ok, err := get(tr, ikey(k))
 		return err == nil && ok && bytes.Equal(got, v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range seen {
-		got, ok, err := tr.Get(ikey(k))
+		got, ok, err := get(tr, ikey(k))
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %d lost or wrong", k)
 		}
@@ -450,4 +450,14 @@ func TestPackedHeightMatchesSortedInserts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// get is a point lookup through SeekGE: the value stored for key, or
+// ok=false when the tree has no such key.
+func get(tr *Tree, key []byte) (val []byte, ok bool, err error) {
+	it, err := tr.SeekGE(key)
+	if err != nil || !it.Valid() || !bytes.Equal(it.Key(), key) {
+		return nil, false, err
+	}
+	return it.vals[it.idx], true, nil
 }

@@ -65,9 +65,6 @@ type Frame struct {
 	used  bool
 }
 
-// Key returns the page identity held by the frame.
-func (f *Frame) Key() PageKey { return f.key }
-
 // Sharding parameters: shards hold at least minShardFrames frames so tiny
 // pools (unit tests, height-bounded trees) keep one deterministic clock,
 // and at most maxShards so shard state stays cache-friendly.
@@ -134,21 +131,12 @@ func (p *Pool) shardFor(key PageKey) *shard {
 // Disk returns the underlying simulated disk.
 func (p *Pool) Disk() *sim.Disk { return p.disk }
 
-// Capacity returns the number of frames.
-func (p *Pool) Capacity() int {
-	n := 0
-	for i := range p.shards {
-		n += len(p.shards[i].frames)
-	}
-	return n
-}
-
 // Shards returns the number of lock domains the frames are split into.
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // FrameBytes returns the bytes of page buffer the frames hold: one page
-// for every frame that has ever held a page, so at most Capacity() ×
-// the page size.
+// for every frame that has ever held a page, so at most the frame count
+// × the page size.
 func (p *Pool) FrameBytes() int64 {
 	var n int64
 	for i := range p.shards {
@@ -451,23 +439,6 @@ func (p *Pool) PinnedFrames() int {
 		sh.mu.Lock()
 		for i := range sh.frames {
 			if sh.frames[i].used && sh.frames[i].pin > 0 {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// DirtyCount returns the number of dirty frames, used by experiments to
-// observe pool pressure.
-func (p *Pool) DirtyCount() int {
-	n := 0
-	for si := range p.shards {
-		sh := &p.shards[si]
-		sh.mu.Lock()
-		for i := range sh.frames {
-			if sh.frames[i].used && sh.frames[i].dirty {
 				n++
 			}
 		}

@@ -109,7 +109,7 @@ func TestFlushAll(t *testing.T) {
 	}
 	// Verify on-disk contents directly.
 	buf := make([]byte, 64)
-	if err := d.ReadPage(f, pg, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, pg, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xAB {
@@ -144,7 +144,7 @@ func TestWriteBack(t *testing.T) {
 		t.Errorf("after WriteBack: resident %v, %d dirty frames; want resident and clean", p.Resident(f, pg), p.DirtyCount())
 	}
 	buf := make([]byte, d.PageSize())
-	if err := d.ReadPage(f, pg, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, pg, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf[:12]) != "written back" {
@@ -407,7 +407,7 @@ func TestFramesAllocateOnFirstUse(t *testing.T) {
 		full[i] = 0xA5
 	}
 	for i := 0; i < filePages; i++ {
-		if err := d.WritePage(f, d.AllocPage(f), full); err != nil {
+		if _, err := d.WritePageDeferWait(f, d.AllocPage(f), full); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,4 +512,29 @@ func TestCacheResetStatsCoversEveryField(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Capacity returns the number of frames.
+func (p *Pool) Capacity() int {
+	n := 0
+	for i := range p.shards {
+		n += len(p.shards[i].frames)
+	}
+	return n
+}
+
+// DirtyCount returns the number of dirty frames.
+func (p *Pool) DirtyCount() int {
+	n := 0
+	for si := range p.shards {
+		sh := &p.shards[si]
+		sh.mu.Lock()
+		for i := range sh.frames {
+			if sh.frames[i].used && sh.frames[i].dirty {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }

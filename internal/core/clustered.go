@@ -118,16 +118,6 @@ func (cb *ClusteredBuckets) LowerBound(i int32) []byte {
 	return cb.bound(int(i))
 }
 
-// UpperBound returns the encoded lower bound of bucket i+1 (the exclusive
-// upper bound of bucket i), or ok=false for the last bucket, whose range
-// is unbounded above.
-func (cb *ClusteredBuckets) UpperBound(i int32) (key []byte, ok bool) {
-	if int(i)+1 >= cb.NumBuckets() {
-		return nil, false
-	}
-	return cb.bound(int(i) + 1), true
-}
-
 // DirectorySizeBytes returns the in-memory footprint of the bounds: the
 // key slab plus one 4-byte offset per bucket. The table adds its page
 // directory to it (table.DirectorySizeBytes).

@@ -138,3 +138,13 @@ func TestBuilderStringKeys(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", ids)
 }
+
+// UpperBound returns the encoded lower bound of bucket i+1 (the exclusive
+// upper bound of bucket i), or ok=false for the last bucket, whose range
+// is unbounded above.
+func (cb *ClusteredBuckets) UpperBound(i int32) (key []byte, ok bool) {
+	if int(i)+1 >= cb.NumBuckets() {
+		return nil, false
+	}
+	return cb.bound(int(i) + 1), true
+}

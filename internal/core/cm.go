@@ -141,15 +141,6 @@ func New(spec Spec) *CM {
 // Spec returns the CM's design.
 func (cm *CM) Spec() Spec { return cm.spec }
 
-// BucketValues applies the spec's bucketers to the CM-attribute values.
-func (cm *CM) BucketValues(vals []value.Value) []value.Value {
-	out := make([]value.Value, len(vals))
-	for i, v := range vals {
-		out[i] = cm.spec.Bucketers[i].Bucket(v)
-	}
-	return out
-}
-
 // KeyForRow buckets and encodes the CM attribute of a full table row.
 func (cm *CM) KeyForRow(row value.Row) []byte {
 	dst := make([]byte, 0, 10*len(cm.spec.UCols))
@@ -329,32 +320,6 @@ func (cm *CM) Lookup(vals ...value.Value) []int32 {
 	}
 	e, _ := cm.Find(key)
 	return e.Buckets
-}
-
-// LookupMany unions the clustered buckets for several CM-attribute value
-// combinations (the cm_lookup({vu1..vuN}) API of Section 5.2), sorted.
-func (cm *CM) LookupMany(valLists [][]value.Value) []int32 {
-	var out []int32
-	for _, vals := range valLists {
-		out = append(out, cm.Lookup(vals...)...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// LookupMatch returns the clustered buckets of every CM entry whose
-// bucketed attribute values satisfy match, sorted: one Walk, which is
-// cheap because CMs are small and memory-resident.
-func (cm *CM) LookupMatch(match func(vals []value.Value) bool) ([]int32, error) {
-	var out []int32
-	err := cm.Walk(func(e Entry, vals []value.Value) bool {
-		if match(vals) {
-			out = append(out, e.Buckets...)
-		}
-		return true
-	})
-	slices.Sort(out)
-	return slices.Compact(out), err
 }
 
 // Walk visits every entry with its decoded bucketed values. Iteration

@@ -36,15 +36,3 @@ func CorrelatedItems(rows int) []CorrelatedItem {
 	}
 	return out
 }
-
-// CorrelatedLookup returns query q's IN-list of n subcategories
-// scattered across the domain — answered through a CM as many disjoint
-// clustered-bucket runs, the unit of work the parallel executor fans
-// out.
-func CorrelatedLookup(q, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64((q*131 + i*31) % CorrelatedSubcats)
-	}
-	return out
-}

@@ -1,9 +1,10 @@
 // Package doclint holds repository lints that run as part of the
-// ordinary test suite (and therefore in CI): a revive-style doc-comment
-// lint — every exported top-level symbol of the linted packages must
-// carry a doc comment starting with the symbol's name, per standard
-// godoc convention — and a check that every test CI names by -run still
-// exists.
+// ordinary test suite (and therefore in CI), over every non-test package
+// of both modules (the engine's and bench/'s): a revive-style doc-comment
+// lint — every exported top-level symbol must carry a doc comment — a
+// type-checked lint that every exported function and method under
+// internal/ has a caller outside test files, and a check that every test
+// CI names by -run still exists.
 package doclint
 
 import (
@@ -19,41 +20,22 @@ import (
 	"testing"
 )
 
-// lintedDirs are the packages held to the exported-doc-comment rule,
-// relative to this package. The public query surface (the repro facade
-// and the execution engine) is linted in full; grow this list as other
-// packages are brought up to standard.
-var lintedDirs = []string{
-	"../..",      // package repro: the public facade
-	"../exec",    // the execution engine (PR 4's godoc pass)
-	"../plan",    // the physical plan layer (PR 5)
-	"../sql",     // the SQL front-end
-	"../server",  // the wire protocol
-	"../value",   // the scalar kernel every layer shares
-	"../metrics", // the observability core (PR 7)
-	"../sim",     // the simulated disk
-	"../buffer",  // the buffer pool
-	"../wal",     // the write-ahead log
-	"../table",   // table latches + MVCC write path
-	"../costmodel",
-}
-
-// TestExportedSymbolsAreDocumented parses every non-test file of the
-// linted packages and fails with one line per undocumented exported
-// symbol.
+// TestExportedSymbolsAreDocumented parses every non-test file of every
+// package of both modules and fails with one line per undocumented
+// exported symbol.
 func TestExportedSymbolsAreDocumented(t *testing.T) {
-	for _, dir := range lintedDirs {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, pkg := range pkgs {
-			for path, file := range pkg.Files {
-				lintFile(t, fset, filepath.Base(path), file)
+	pkgs, err := goPackages("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, p := range pkgs {
+		for _, name := range p.files {
+			file, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
 			}
+			lintFile(t, fset, filepath.Join(p.path, name), file)
 		}
 	}
 }

@@ -119,19 +119,10 @@ func predCost(sch table.Schema, p Pred) int {
 	return c
 }
 
-// Matches evaluates the conjunction on an encoded tuple. The structural
-// check mirrors DecodeRow exactly; afterwards each predicate reads its
-// field in place and compares without allocating.
-func (f *TupleFilter) Matches(tuple []byte) (bool, error) {
-	if err := f.sch.CheckTuple(tuple); err != nil {
-		return false, err
-	}
-	return f.matchPreds(tuple)
-}
-
 // matchPreds evaluates the conjunction on a tuple that already passed
-// the structural check — the per-disjunct step of an OrFilter, which
-// checks structure once for the whole disjunction.
+// the structural check, each predicate reading its field in place and
+// comparing without allocating — the per-disjunct step of an OrFilter,
+// which checks structure once for the whole disjunction.
 func (f *TupleFilter) matchPreds(tuple []byte) (bool, error) {
 	for i := range f.preds {
 		ok, err := f.matchPred(&f.preds[i], tuple)
@@ -238,19 +229,11 @@ func CompileProjection(sch table.Schema, proj []int) *Projection {
 	return p
 }
 
-// AppendJSON appends the tuple's projected columns to dst as a JSON
-// array in value.AppendRow's format.
-func (p *Projection) AppendJSON(dst, tuple []byte) ([]byte, error) {
-	if err := p.sch.CheckTuple(tuple); err != nil {
-		return dst, err
-	}
-	return p.AppendCheckedJSON(dst, tuple)
-}
-
-// AppendCheckedJSON is AppendJSON for a tuple that has already passed
-// the schema's structural check — a survivor of a sweep's filter, which
-// ran it — so the check does not run twice. Its only error is the value
-// encoder's, for a float JSON cannot carry.
+// AppendCheckedJSON appends the tuple's projected columns to dst as a
+// JSON array in value.AppendRow's format. The tuple must already have
+// passed the schema's structural check (Schema.CheckTuple) — a survivor
+// of a sweep's filter, which ran it — so the check does not run twice.
+// Its only error is the value encoder's, for a float JSON cannot carry.
 func (p *Projection) AppendCheckedJSON(dst, tuple []byte) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, pc := range p.cols {

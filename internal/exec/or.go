@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/table"
-	"repro/internal/value"
 )
 
 // This file is the disjunction (OR) a sweep filters by. A WHERE clause is
@@ -42,16 +41,6 @@ type OrQuery struct {
 // its projection, snapshot, observer and context.
 func (q Query) asOr() OrQuery {
 	return OrQuery{Disjuncts: []Query{q}, Proj: q.Proj, Snap: q.Snap, Obs: q.Obs, Ctx: q.Ctx}
-}
-
-// Matches reports whether the row satisfies at least one disjunct.
-func (oq OrQuery) Matches(row value.Row) bool {
-	for _, q := range oq.Disjuncts {
-		if q.Matches(row) {
-			return true
-		}
-	}
-	return false
 }
 
 // MaterializeCols returns the sorted distinct columns the executor must

@@ -621,7 +621,7 @@ func scanVia(tbl *table.Table, m Method, ix *table.Index, cm *core.CM, q Query, 
 		probe, ok := ProbeClustered(tbl, q)
 		if !ok {
 			dir := tbl.PageDir()
-			for b := int32(0); int(b) < dir.NumBuckets(); b++ {
+			for b := int32(0); int(b) <= tbl.Buckets().NumBuckets(); b++ {
 				probe.Pages = dir.AppendPages(probe.Pages, b)
 			}
 		}

@@ -225,16 +225,6 @@ func NewQuery(preds ...Pred) Query { return Query{Preds: preds} }
 // can verify projection pushdown engaged.
 func (q Query) MaterializeCols(ncols int) []int { return q.asOr().MaterializeCols(ncols) }
 
-// Matches reports whether the row satisfies every predicate.
-func (q Query) Matches(row value.Row) bool {
-	for _, p := range q.Preds {
-		if !p.Matches(row) {
-			return false
-		}
-	}
-	return true
-}
-
 // IndexablePredOn returns the first predicate over col that can drive an
 // index or CM probe, or nil. A query with only a Ne predicate on col has
 // no indexable predicate there: the probe would cover the whole domain.

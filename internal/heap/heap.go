@@ -69,15 +69,6 @@ type RID struct {
 	Slot uint16
 }
 
-// Less orders RIDs by physical position, which a sorted index scan uses to
-// turn scattered lookups into one forward sweep.
-func (r RID) Less(o RID) bool {
-	if r.Page != o.Page {
-		return r.Page < o.Page
-	}
-	return r.Slot < o.Slot
-}
-
 // String renders the RID as page:slot.
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
@@ -677,16 +668,6 @@ func (h *File) version(rid RID) (*tupleVersion, error) {
 	return &pv[rid.Slot], nil
 }
 
-// Visible reports whether a version at rid — the slot's own or its
-// pre-image — is visible to the snapshot (false for out-of-range RIDs).
-func (h *File) Visible(rid RID, snap uint64) bool {
-	v, err := h.version(rid)
-	if err != nil {
-		return false
-	}
-	return visibleAt(*v, snap) || h.preImageAt(rid, snap) != nil
-}
-
 // Get returns a copy of the tuple at rid as the latest state sees it.
 // Deleted (physically or logically) tuples return nil data.
 func (h *File) Get(rid RID) ([]byte, error) {
@@ -710,18 +691,12 @@ func (h *File) Get(rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// View calls fn with the latest-visible tuple bytes at rid; the slice
-// aliases the pinned frame and is only valid during the call. Deleted
-// tuples skip fn. Unlike Get, View copies nothing — the executor's probe
-// path uses it so tuples rejected by the compiled filter cost no
-// allocation.
-func (h *File) View(rid RID, fn func(tuple []byte) error) error {
-	return h.ViewAt(rid, 0, fn)
-}
-
-// ViewAt is View as of a snapshot: fn runs only when a version at rid is
-// visible to snap, with the slot's bytes or, when only its pre-image is
-// visible, the pre-image's.
+// ViewAt calls fn with the tuple bytes at rid that the snapshot sees
+// (snapshot 0 means latest): the slot's own bytes or, when only its
+// pre-image is visible, the pre-image's. fn does not run when no version
+// is visible. The slice aliases the pinned frame and is only valid
+// during the call; unlike Get, ViewAt copies nothing, so tuples the
+// executor's compiled filter rejects cost no allocation.
 func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	if rid.Page < 0 || rid.Page >= h.numPages {
 		return fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
@@ -793,12 +768,6 @@ func (h *File) Scan(fn func(rid RID, tuple []byte) bool) error {
 	return h.ScanPagesAt(0, h.numPages-1, 0, fn)
 }
 
-// ScanPages visits latest-visible tuples on pages [from, to] in physical
-// order.
-func (h *File) ScanPages(from, to int64, fn func(rid RID, tuple []byte) bool) error {
-	return h.ScanPagesAt(from, to, 0, fn)
-}
-
 // ScanPagesAt visits the tuples on pages [from, to] visible to the given
 // snapshot, in physical order: a slot's own version, or its pre-image
 // when only that is visible. Snapshot 0 means latest.
@@ -866,23 +835,4 @@ func (h *File) ScanUnretracted(published uint64, fn func(rid RID, tuple []byte) 
 		h.pool.Unpin(fr, false)
 	}
 	return nil
-}
-
-// TuplesOnPage returns the number of live tuples on a page, used by the
-// statistics collector for tups_per_page.
-func (h *File) TuplesOnPage(page int64) (int, error) {
-	fr, err := h.pool.Get(h.file, page)
-	if err != nil {
-		return 0, err
-	}
-	defer h.pool.Unpin(fr, false)
-	n := pageNumSlots(fr.Data)
-	pv := h.vers[page]
-	live := 0
-	for s := 0; s < n; s++ {
-		if _, length := slotAt(fr.Data, s); length > 0 && pv[s].end == 0 {
-			live++
-		}
-	}
-	return live, nil
 }

@@ -83,7 +83,7 @@ func TestScanOrderAndCompleteness(t *testing.T) {
 	var last RID
 	first := true
 	err := h.Scan(func(rid RID, tuple []byte) bool {
-		if !first && !last.Less(rid) {
+		if !first && (rid.Page < last.Page || rid.Page == last.Page && rid.Slot <= last.Slot) {
 			t.Errorf("scan out of order: %v then %v", last, rid)
 		}
 		last, first = rid, false
@@ -188,7 +188,7 @@ func TestScanPagesRange(t *testing.T) {
 		t.Skip("need at least 3 pages")
 	}
 	var pages []int64
-	if err := h.ScanPages(1, 1, func(rid RID, _ []byte) bool {
+	if err := h.ScanPagesAt(1, 1, 0, func(rid RID, _ []byte) bool {
 		pages = append(pages, rid.Page)
 		return true
 	}); err != nil {
@@ -199,12 +199,12 @@ func TestScanPagesRange(t *testing.T) {
 	}
 	for _, p := range pages {
 		if p != 1 {
-			t.Errorf("ScanPages(1,1) visited page %d", p)
+			t.Errorf("ScanPagesAt(1,1) visited page %d", p)
 		}
 	}
 	// Out-of-range bounds clamp instead of failing.
 	n := 0
-	if err := h.ScanPages(-5, 999, func(RID, []byte) bool { n++; return true }); err != nil {
+	if err := h.ScanPagesAt(-5, 999, 0, func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 60 {
@@ -222,35 +222,21 @@ func TestTuplesOnPage(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	n, err := h.TuplesOnPage(0)
-	if err != nil {
-		t.Fatal(err)
+	onPage := func() int {
+		n := 0
+		if err := h.ScanPagesAt(0, 0, 0, func(RID, []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	if n != 10 {
-		t.Errorf("TuplesOnPage = %d", n)
+	if n := onPage(); n != 10 {
+		t.Errorf("tuples on page 0 = %d", n)
 	}
 	if err := h.Delete(rids[3]); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := h.TuplesOnPage(0); n != 9 {
-		t.Errorf("TuplesOnPage after delete = %d", n)
-	}
-}
-
-func TestRIDLess(t *testing.T) {
-	cases := []struct {
-		a, b RID
-		want bool
-	}{
-		{RID{1, 0}, RID{2, 0}, true},
-		{RID{2, 0}, RID{1, 5}, false},
-		{RID{1, 1}, RID{1, 2}, true},
-		{RID{1, 2}, RID{1, 2}, false},
-	}
-	for _, c := range cases {
-		if got := c.a.Less(c.b); got != c.want {
-			t.Errorf("%v.Less(%v) = %v", c.a, c.b, got)
-		}
+	if n := onPage(); n != 9 {
+		t.Errorf("tuples on page 0 after delete = %d", n)
 	}
 }
 
@@ -304,30 +290,30 @@ func TestView(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got string
-	if err := h.View(a, func(tuple []byte) error {
+	if err := h.ViewAt(a, 0, func(tuple []byte) error {
 		got = string(tuple)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if got != "alpha" {
-		t.Errorf("View = %q, want alpha", got)
+		t.Errorf("ViewAt = %q, want alpha", got)
 	}
 	if err := h.Delete(b); err != nil {
 		t.Fatal(err)
 	}
 	called := false
-	if err := h.View(b, func([]byte) error { called = true; return nil }); err != nil {
+	if err := h.ViewAt(b, 0, func([]byte) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
-		t.Error("View invoked fn for a deleted tuple")
+		t.Error("ViewAt invoked fn for a deleted tuple")
 	}
-	if err := h.View(RID{Page: 99, Slot: 0}, func([]byte) error { return nil }); err == nil {
-		t.Error("View accepted an out-of-range RID")
+	if err := h.ViewAt(RID{Page: 99, Slot: 0}, 0, func([]byte) error { return nil }); err == nil {
+		t.Error("ViewAt accepted an out-of-range RID")
 	}
 	boom := fmt.Errorf("boom")
-	if err := h.View(a, func([]byte) error { return boom }); err != boom {
-		t.Errorf("View swallowed fn's error: %v", err)
+	if err := h.ViewAt(a, 0, func([]byte) error { return boom }); err != boom {
+		t.Errorf("ViewAt swallowed fn's error: %v", err)
 	}
 }

@@ -107,12 +107,12 @@ func TestPreImageVisibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := h.ViewAt(rid, snap, func(tuple []byte) error {
-			view = string(tuple)
+			view, visible = string(tuple), true
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return scan, view, h.Visible(rid, snap)
+		return scan, view, visible
 	}
 	expect := func(stage string, want map[uint64]string) {
 		t.Helper()

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -34,13 +35,7 @@ func (rm *reclaimModel) pick(n byte, keep func(*modelTuple) bool) (RID, *modelTu
 		return RID{}, nil, false
 	}
 	slices.SortFunc(rids, func(a, b RID) int {
-		if a.Less(b) {
-			return -1
-		}
-		if b.Less(a) {
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
 	})
 	rid := rids[int(n)%len(rids)]
 	return rid, rm.m[rid], true
@@ -137,8 +132,12 @@ func (rm *reclaimModel) checkErr() error {
 		if !mt.ended {
 			liveN++
 		}
-		if h.Visible(rid, 0) == mt.ended {
-			return fmt.Errorf("%v: latest visibility %v, model ended=%v", rid, h.Visible(rid, 0), mt.ended)
+		visible := false
+		if err := h.ViewAt(rid, 0, func([]byte) error { visible = true; return nil }); err != nil {
+			return err
+		}
+		if visible == mt.ended {
+			return fmt.Errorf("%v: latest visibility %v, model ended=%v", rid, visible, mt.ended)
 		}
 	}
 	if h.TupleCount() != liveN {

@@ -1,7 +1,7 @@
 // Package metrics is the engine's observability core: race-clean,
-// low-overhead counters, gauges and fixed-bucket histograms, collected
-// into a Registry that SHOW METRICS, the debug HTTP endpoint and the
-// benchmarks all read from. The design constraint is the hot path: an
+// low-overhead counters, fixed-bucket histograms and callback gauges
+// (Registry.Func), collected into a Registry that SHOW METRICS, the
+// debug HTTP endpoint and the benchmarks all read from. The design constraint is the hot path: an
 // uncontended Counter.Add is one atomic add on a padded cell (sharded
 // so contended adds do not false-share), a Histogram.Observe is one
 // bounded search plus three atomic adds, and every recording method is
@@ -77,34 +77,6 @@ func (c *Counter) Reset() {
 	for i := range c.cells {
 		c.cells[i].n.Store(0)
 	}
-}
-
-// Gauge is a single settable value (pool pages pinned, active
-// sessions). A nil Gauge ignores writes and reads zero.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram of int64 observations
@@ -185,27 +157,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge folds a snapshot (from a histogram built over the same bounds)
-// into h, for combining per-worker histograms into one.
-func (h *Histogram) Merge(s HistSnapshot) {
-	if h == nil || s.Count == 0 {
-		return
-	}
-	for i, c := range s.Counts {
-		if i < len(h.counts) && c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for {
-		m := h.max.Load()
-		if s.Max <= m || h.max.CompareAndSwap(m, s.Max) {
-			break
-		}
-	}
-}
-
 // HistSnapshot is a point-in-time copy of a Histogram.
 type HistSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one extra
@@ -265,10 +216,6 @@ var DurationBounds = []int64{
 	int64(1 * time.Second), int64(4 * time.Second),
 }
 
-// SizeBounds is the default size bucket layout (rows, pages, bytes):
-// powers of four from 1 to ~1M.
-var SizeBounds = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
-
 // Sample is one named value in a registry snapshot. Histograms expand
 // into several samples (.count, .sum, .max, .p50, .p95, .p99).
 type Sample struct {
@@ -284,9 +231,9 @@ type Sample struct {
 type Registry struct {
 	enabled atomic.Bool
 
-	mu    sync.Mutex
-	names []string
-	byName map[string]any // *Counter | *Gauge | *Histogram | func() int64
+	mu     sync.Mutex
+	names  []string
+	byName map[string]any // *Counter | *Histogram | func() int64
 }
 
 // NewRegistry creates an enabled registry.
@@ -326,13 +273,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.register(name, c)
 	return c
-}
-
-// Gauge registers and returns a new gauge under name.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.register(name, g)
-	return g
 }
 
 // Histogram registers and returns a new histogram under name with the
@@ -379,8 +319,6 @@ func (r *Registry) Snapshot(pattern string) []Sample {
 		switch m := byName[name].(type) {
 		case *Counter:
 			add(name, m.Value())
-		case *Gauge:
-			add(name, m.Value())
 		case *Histogram:
 			s := m.Snapshot()
 			add(name+".count", s.Count)
@@ -396,7 +334,7 @@ func (r *Registry) Snapshot(pattern string) []Sample {
 	return out
 }
 
-// Reset zeroes every counter, gauge and histogram in the registry.
+// Reset zeroes every counter and histogram in the registry.
 // Func metrics read live state and are untouched.
 func (r *Registry) Reset() {
 	if r == nil {
@@ -412,8 +350,6 @@ func (r *Registry) Reset() {
 		switch m := m.(type) {
 		case *Counter:
 			m.Reset()
-		case *Gauge:
-			m.Set(0)
 		case *Histogram:
 			m.Reset()
 		}

@@ -12,6 +12,17 @@ import (
 	"repro/internal/value"
 )
 
+// Rows is Run with the result buffered; rows are cloned out of the
+// executor's scratch space.
+func (tr *Tree) Rows(workers int) ([]value.Row, error) {
+	var out []value.Row
+	err := tr.Run(workers, Sink{Row: func(r value.Row) bool {
+		out = append(out, r.Clone())
+		return true
+	}})
+	return out, err
+}
+
 // fixture builds a small correlated table with an identity CM on col 1
 // (u) and no secondary index, directly on the internal layers.
 func fixture(t *testing.T) *table.Table { return fixtureOf(t, 400) }

@@ -43,17 +43,6 @@ func (tr *Tree) Run(workers int, out Sink) error {
 	return tr.runSorted(workers, out.Row)
 }
 
-// Rows is Run with the result buffered; rows are cloned out of the
-// executor's scratch space.
-func (tr *Tree) Rows(workers int) ([]value.Row, error) {
-	var out []value.Row
-	err := tr.Run(workers, Sink{Row: func(r value.Row) bool {
-		out = append(out, r.Clone())
-		return true
-	}})
-	return out, err
-}
-
 // runAccess streams the tuples the access path matches to emit: a lone
 // pipelined probe runs its own executor (it emits in index key order,
 // RID by RID — the one access that is not a page sweep); everything else

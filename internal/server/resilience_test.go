@@ -302,9 +302,9 @@ func TestStatementGate(t *testing.T) {
 func waitSessions(t *testing.T, srv *Server, n int, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for srv.ActiveSessions() > n {
+	for srv.active.Load() > int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions still open after %v, want at most %d", srv.ActiveSessions(), within, n)
+			t.Fatalf("%d sessions still open after %v, want at most %d", srv.active.Load(), within, n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

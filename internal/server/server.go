@@ -172,9 +172,6 @@ func New(db *repro.DB, cfg Config) *Server {
 	return s
 }
 
-// ActiveSessions reports the number of connected sessions.
-func (s *Server) ActiveSessions() int { return int(s.active.Load()) }
-
 // ListenAndServe listens on addr and serves until Close or Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)

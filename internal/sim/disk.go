@@ -387,18 +387,11 @@ func (d *Disk) wait(cost time.Duration) {
 	}
 }
 
-// ReadPage reads page p of file f into dst (which must be PageSize bytes)
-// and charges the access.
-func (d *Disk) ReadPage(f FileID, p int64, dst []byte) error {
-	cost, err := d.ReadPageDeferWait(f, p, dst)
-	d.PayWait(cost)
-	return err
-}
-
-// ReadPageDeferWait is ReadPage without the real wait: it returns the
-// access's virtual cost for the caller to pay with PayWait once it has
-// released its own locks (the buffer pool holds a shard lock across the
-// read, and sleeping inside it would convoy unrelated accessors).
+// ReadPageDeferWait reads page p of file f into dst (which must be
+// PageSize bytes) and charges the access. It does not wait: it returns
+// the access's virtual cost for the caller to pay with PayWait once it
+// has released its own locks (the buffer pool holds a shard lock across
+// the read, and sleeping inside it would convoy unrelated accessors).
 func (d *Disk) ReadPageDeferWait(f FileID, p int64, dst []byte) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -414,15 +407,8 @@ func (d *Disk) ReadPageDeferWait(f FileID, p int64, dst []byte) (time.Duration, 
 	return cost, nil
 }
 
-// WritePage writes src to page p of file f and charges the access.
-func (d *Disk) WritePage(f FileID, p int64, src []byte) error {
-	cost, err := d.WritePageDeferWait(f, p, src)
-	d.PayWait(cost)
-	return err
-}
-
-// WritePageDeferWait is WritePage without the real wait; see
-// ReadPageDeferWait.
+// WritePageDeferWait writes src to page p of file f and charges the
+// access, returning its cost for PayWait; see ReadPageDeferWait.
 func (d *Disk) WritePageDeferWait(f FileID, p int64, src []byte) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -446,12 +432,8 @@ func (d *Disk) PayWait(cost time.Duration) {
 	}
 }
 
-// Sync models an fsync barrier: one random access.
-func (d *Disk) Sync() {
-	d.PayWait(d.SyncDeferWait())
-}
-
-// SyncDeferWait is Sync without the real wait; see ReadPageDeferWait.
+// SyncDeferWait models an fsync barrier, one random access, and returns
+// its cost for PayWait; see ReadPageDeferWait.
 func (d *Disk) SyncDeferWait() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -25,11 +25,11 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	p := d.AllocPage(f)
 	src := make([]byte, 128)
 	copy(src, "hello")
-	if err := d.WritePage(f, p, src); err != nil {
+	if _, err := d.WritePageDeferWait(f, p, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 128)
-	if err := d.ReadPage(f, p, dst); err != nil {
+	if _, err := d.ReadPageDeferWait(f, p, dst); err != nil {
 		t.Fatal(err)
 	}
 	if string(dst[:5]) != "hello" {
@@ -46,7 +46,7 @@ func TestSequentialVsRandomClassification(t *testing.T) {
 	buf := make([]byte, 128)
 	// Pages 0..9 in order: first read is a seek, the rest sequential.
 	for p := int64(0); p < 10; p++ {
-		if err := d.ReadPage(f, p, buf); err != nil {
+		if _, err := d.ReadPageDeferWait(f, p, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestSequentialVsRandomClassification(t *testing.T) {
 		t.Errorf("rand=%d seq=%d, want 1/9", st.RandReads, st.SeqReads)
 	}
 	// Jumping backwards is a seek.
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 2 {
@@ -69,10 +69,10 @@ func TestCrossFileAccessIsSeek(t *testing.T) {
 	d.AllocPage(f1)
 	d.AllocPage(f2)
 	buf := make([]byte, 128)
-	if err := d.ReadPage(f1, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f1, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(f2, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f2, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 2 {
@@ -88,7 +88,7 @@ func TestElapsedAccounting(t *testing.T) {
 	}
 	buf := make([]byte, 128)
 	for p := int64(0); p < 4; p++ {
-		if err := d.ReadPage(f, p, buf); err != nil {
+		if _, err := d.ReadPageDeferWait(f, p, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,11 +104,11 @@ func TestSyncCostsOneSeekAndForgetsPosition(t *testing.T) {
 	d.AllocPage(f)
 	d.AllocPage(f)
 	buf := make([]byte, 128)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	d.Sync()
-	if err := d.ReadPage(f, 1, buf); err != nil {
+	d.SyncDeferWait()
+	if _, err := d.ReadPageDeferWait(f, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -130,7 +130,7 @@ func TestResetStats(t *testing.T) {
 	f := d.CreateFile()
 	d.AllocPage(f)
 	buf := make([]byte, 128)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	d.ResetStats()
@@ -138,7 +138,7 @@ func TestResetStats(t *testing.T) {
 		t.Error("reset did not clear stats")
 	}
 	// First access after reset is a seek again (cold cache methodology).
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 1 {
@@ -149,14 +149,14 @@ func TestResetStats(t *testing.T) {
 func TestErrors(t *testing.T) {
 	d := newTestDisk()
 	buf := make([]byte, 128)
-	if err := d.ReadPage(5, 0, buf); err == nil {
+	if _, err := d.ReadPageDeferWait(5, 0, buf); err == nil {
 		t.Error("read of missing file should fail")
 	}
 	f := d.CreateFile()
-	if err := d.ReadPage(f, 0, buf); err == nil {
+	if _, err := d.ReadPageDeferWait(f, 0, buf); err == nil {
 		t.Error("read of missing page should fail")
 	}
-	if err := d.WritePage(f, 3, buf); err == nil {
+	if _, err := d.WritePageDeferWait(f, 3, buf); err == nil {
 		t.Error("write of missing page should fail")
 	}
 }
@@ -169,7 +169,7 @@ func TestWriteClassification(t *testing.T) {
 	}
 	buf := make([]byte, 128)
 	for p := int64(0); p < 3; p++ {
-		if err := d.WritePage(f, p, buf); err != nil {
+		if _, err := d.WritePageDeferWait(f, p, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,10 +195,10 @@ func TestStreamStatsAndReset(t *testing.T) {
 	}
 	// Two interleaved sequential runs: two live streams.
 	for i := 0; i < 8; i++ {
-		if err := d.ReadPage(f, int64(i), buf); err != nil {
+		if _, err := d.ReadPageDeferWait(f, int64(i), buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ReadPage(f, int64(32+i), buf); err != nil {
+		if _, err := d.ReadPageDeferWait(f, int64(32+i), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestStreamStatsAndReset(t *testing.T) {
 	// The stream table was dropped with the counters: continuing one of
 	// the pre-reset runs is a fresh stream start (a seek), not a
 	// sequential continuation of forgotten history.
-	if err := d.ReadPage(f, 8, buf); err != nil {
+	if _, err := d.ReadPageDeferWait(f, 8, buf); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Stats()

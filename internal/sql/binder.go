@@ -59,19 +59,9 @@ type BoundAgg struct {
 	ColIdx int
 }
 
-// Name renders the aggregate's canonical result-column name, e.g.
-// "avg(salary)" or "count(*)" — the same form the facade derives for
-// its QuerySpec.Aggs headers, so ORDER BY targets resolve by name.
-func (a BoundAgg) Name() string {
-	if a.ColIdx < 0 {
-		return a.Fn.String() + "(*)"
-	}
-	return a.Fn.String() + "(" + a.Col + ")"
-}
-
 // BoundOrder is one resolved ORDER BY key. For plain selects Name is a
 // table column; for aggregate selects it is an output column — a
-// GROUP BY column name or a canonical aggregate name (BoundAgg.Name).
+// GROUP BY column name or a canonical aggregate name (SelExpr.Name).
 type BoundOrder struct {
 	Name string
 	Desc bool

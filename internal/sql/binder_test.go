@@ -107,7 +107,7 @@ func TestBindAggSelect(t *testing.T) {
 	if !reflect.DeepEqual(b.OutPerm, []int{1, 0, 2}) {
 		t.Errorf("OutPerm = %v", b.OutPerm)
 	}
-	if len(b.Aggs) != 2 || b.Aggs[0].Name() != "count(*)" || b.Aggs[1].Name() != "avg(price)" {
+	if want := []BoundAgg{{Fn: AggCount, ColIdx: -1}, {Fn: AggAvg, Col: "price", ColIdx: 1}}; !reflect.DeepEqual(b.Aggs, want) {
 		t.Errorf("aggs = %+v", b.Aggs)
 	}
 	if !reflect.DeepEqual(b.GroupBy, []string{"title"}) || !reflect.DeepEqual(b.GroupByIdx, []int{2}) {
@@ -123,7 +123,7 @@ func TestBindAggSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Aggs) != 1 || b.Aggs[0].Name() != "sum(price)" || !reflect.DeepEqual(b.OutPerm, []int{0}) {
+	if want := []BoundAgg{{Fn: AggSum, Col: "price", ColIdx: 1}}; !reflect.DeepEqual(b.Aggs, want) || !reflect.DeepEqual(b.OutPerm, []int{0}) {
 		t.Errorf("hidden agg: aggs=%+v perm=%v", b.Aggs, b.OutPerm)
 	}
 	if b.OrderBy[0].Name != "sum(price)" {

@@ -77,9 +77,6 @@ func (d *DistinctSampler) Estimate() float64 {
 	return float64(len(d.sample)) * math.Pow(2, float64(d.level))
 }
 
-// Total returns the number of values fed to the sampler.
-func (d *DistinctSampler) Total() uint64 { return d.total }
-
 // FreqCounts summarizes a random sample for distinct-value estimation:
 // F[i] is the number of distinct values occurring exactly i times in the
 // sample (i >= 1), d the number of distinct values, n the sample size.
@@ -209,9 +206,6 @@ func (r *Reservoir) Add(item []byte) {
 // Items returns the sampled items (do not modify).
 func (r *Reservoir) Items() [][]byte { return r.items }
 
-// Seen returns how many items were offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // CPerUExact computes the paper's soft-FD strength measure from exact
 // distinct counts: c_per_u = D(Au,Ac) / D(Au).
 func CPerUExact(dU, dUC float64) float64 {
@@ -263,9 +257,6 @@ func (p *PairCounter) Add(uKey, cKey []byte) {
 
 // DU returns D(Au).
 func (p *PairCounter) DU() int64 { return int64(len(p.u)) }
-
-// DC returns D(Ac).
-func (p *PairCounter) DC() int64 { return int64(len(p.c)) }
 
 // DUC returns D(Au,Ac).
 func (p *PairCounter) DUC() int64 { return int64(len(p.uc)) }

@@ -18,8 +18,8 @@ func TestDistinctSamplerExactWhenSmall(t *testing.T) {
 	if got := d.Estimate(); got != 100 {
 		t.Errorf("estimate = %v, want exactly 100 (fits in sample)", got)
 	}
-	if d.Total() != 500 {
-		t.Errorf("total = %d", d.Total())
+	if d.total != 500 {
+		t.Errorf("total = %d", d.total)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestReservoirSmallStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(key(i))
 	}
-	if len(r.Items()) != 5 || r.Seen() != 5 {
+	if len(r.Items()) != 5 || r.seen != 5 {
 		t.Error("reservoir should keep everything when under capacity")
 	}
 }
@@ -220,8 +220,8 @@ func TestPairCounterExactCPerU(t *testing.T) {
 	if p.DU() != 3 {
 		t.Errorf("D(city) = %d", p.DU())
 	}
-	if p.DC() != 3 {
-		t.Errorf("D(state) = %d", p.DC())
+	if len(p.c) != 3 {
+		t.Errorf("D(state) = %d", len(p.c))
 	}
 	if p.DUC() != 5 {
 		t.Errorf("D(city,state) = %d", p.DUC())

@@ -103,13 +103,6 @@ func maxSuffix(prefix []byte) []byte {
 	return out
 }
 
-// ScanPrefix visits the RIDs of every entry whose attribute key equals the
-// encoded prefix (an equality lookup). Field encodings are prefix-free, so
-// a bytes prefix match is an exact attribute match.
-func (ix *Index) ScanPrefix(prefix []byte, fn func(rid heap.RID) bool) error {
-	return ix.ScanRange(prefix, prefix, fn)
-}
-
 // ScanRange visits the RIDs of entries with attribute keys in [lo, hi]
 // (both inclusive encoded prefixes; nil means open). Entries stream in
 // key order.

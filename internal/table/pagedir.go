@@ -109,10 +109,6 @@ func (d *PageDirectory) refsOf(b int32) []uint64 {
 	return d.buckets[b]
 }
 
-// NumBuckets returns the number of buckets the directory has entries
-// for: one past the highest bucket that ever held a page.
-func (d *PageDirectory) NumBuckets() int { return len(d.buckets) }
-
 // AppendPages appends bucket b's heap pages, ascending, to dst. A bucket
 // the directory has never seen has none.
 func (d *PageDirectory) AppendPages(dst []int64, b int32) []int64 {

@@ -56,7 +56,7 @@ func pageDirDiff(tbl *Table) string {
 		return "rebuild: " + err.Error()
 	}
 	got := tbl.PageDir()
-	for b := int32(0); int(b) < max(got.NumBuckets(), want.NumBuckets()); b++ {
+	for b := int32(0); int(b) < max(len(got.buckets), len(want.buckets)); b++ {
 		gp, gc := got.Refs(b)
 		wp, wc := want.Refs(b)
 		if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
@@ -113,8 +113,8 @@ func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkPageDir(t, tbl, "after Load")
-				if nb := tbl.Buckets().NumBuckets(); nb < 20 || tbl.PageDir().NumBuckets() != nb {
-					t.Fatalf("Load left %d buckets in the bounds, %d in the page directory", nb, tbl.PageDir().NumBuckets())
+				if nb := tbl.Buckets().NumBuckets(); nb < 20 || len(tbl.PageDir().buckets) != nb {
+					t.Fatalf("Load left %d buckets in the bounds, %d in the page directory", nb, len(tbl.PageDir().buckets))
 				}
 			}
 			loadedPages := tbl.Heap().NumPages()
@@ -212,7 +212,7 @@ func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {
 
 			// The stream must have exercised what it claims to.
 			tail := int64(0)
-			for b := int32(0); int(b) < tbl.PageDir().NumBuckets(); b++ {
+			for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
 				pages, _ := tbl.PageDir().Refs(b)
 				if len(pages) > 0 {
 					tail = max(tail, pages[len(pages)-1])
@@ -331,7 +331,7 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 		t.Errorf("%d frames still pinned after the failed Load", n)
 	}
 	checkPageDir(t, tbl, "after the failed Load")
-	for b := int32(0); int(b) < tbl.PageDir().NumBuckets(); b++ {
+	for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
 		if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
 			t.Fatalf("bucket %d still holds pages %v after the load unwound", b, pages)
 		}

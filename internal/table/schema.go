@@ -117,16 +117,6 @@ func (s Schema) ColIndex(name string) int {
 	return -1
 }
 
-// MustCol returns the position of the named column, panicking when absent;
-// used by experiment code where schemas are static.
-func (s Schema) MustCol(name string) int {
-	i := s.ColIndex(name)
-	if i < 0 {
-		panic(fmt.Sprintf("table: no column %q", name))
-	}
-	return i
-}
-
 // FixedOffset returns col's constant byte offset within every encoded
 // tuple, ok=false when the offset depends on preceding string columns.
 func (s Schema) FixedOffset(col int) (int, bool) {

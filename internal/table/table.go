@@ -455,49 +455,6 @@ func (t *Table) Indexes() []*Index { return t.secondary }
 // CMs returns the table's correlation maps.
 func (t *Table) CMs() []*core.CM { return t.cms }
 
-// IndexOn returns the first secondary index whose key starts with cols,
-// or nil.
-func (t *Table) IndexOn(cols ...int) *Index {
-	for _, ix := range t.secondary {
-		if len(ix.Cols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.Cols[i] != c {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix
-		}
-	}
-	return nil
-}
-
-// CMOn returns the first CM whose attribute columns are exactly cols, or
-// nil.
-func (t *Table) CMOn(cols ...int) *core.CM {
-	for _, cm := range t.cms {
-		sc := cm.Spec().UCols
-		if len(sc) != len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if sc[i] != c {
-				match = false
-				break
-			}
-		}
-		if match {
-			return cm
-		}
-	}
-	return nil
-}
-
 // Commit makes pending logged work durable with the prototype's 2PC
 // discipline: PREPARE flush then COMMIT PREPARED flush (Section 7.1).
 func (t *Table) Commit() error {

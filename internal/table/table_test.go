@@ -120,7 +120,7 @@ func bucketRows(t *testing.T, tbl *Table, state string) []value.Row {
 	var rows []value.Row
 	for _, page := range pages {
 		before := len(rows)
-		if err := tbl.Heap().ScanPages(page, page, func(rid heap.RID, tuple []byte) bool {
+		if err := tbl.Heap().ScanPagesAt(page, page, 0, func(rid heap.RID, tuple []byte) bool {
 			row, err := tbl.Schema().DecodeRow(tuple)
 			if err != nil {
 				t.Fatal(err)
@@ -223,8 +223,8 @@ func TestInsertMaintainsEverything(t *testing.T) {
 		t.Fatalf("fetch after insert: %v %v", got, err)
 	}
 	// Secondary index sees it.
-	n := 0
-	if err := ix.ScanPrefix(keyenc.EncodeValue(value.NewString("boston")), func(heap.RID) bool {
+	n, boston := 0, keyenc.EncodeValue(value.NewString("boston"))
+	if err := ix.ScanRange(boston, boston, func(heap.RID) bool {
 		n++
 		return true
 	}); err != nil {
@@ -275,8 +275,8 @@ func TestDeleteMaintainsEverything(t *testing.T) {
 	if row, _ := fetchRow(tbl, target); row != nil {
 		t.Error("row still readable after delete")
 	}
-	n := 0
-	if err := ix.ScanPrefix(keyenc.EncodeValue(value.NewString("boston")), func(heap.RID) bool {
+	n, boston := 0, keyenc.EncodeValue(value.NewString("boston"))
+	if err := ix.ScanRange(boston, boston, func(heap.RID) bool {
 		n++
 		return true
 	}); err != nil {
@@ -365,17 +365,11 @@ func TestIndexAndCMDiscovery(t *testing.T) {
 	if _, err := tbl.CreateCM(core.Spec{Name: "citycm", UCols: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.IndexOn(1) == nil {
-		t.Error("IndexOn(1) not found")
+	if ixs := tbl.Indexes(); len(ixs) != 1 || !slices.Equal(ixs[0].Cols, []int{1}) {
+		t.Errorf("Indexes() = %v, want the one index on column 1", ixs)
 	}
-	if tbl.IndexOn(2) != nil {
-		t.Error("IndexOn(2) should be nil")
-	}
-	if tbl.CMOn(1) == nil {
-		t.Error("CMOn(1) not found")
-	}
-	if tbl.CMOn(0) != nil {
-		t.Error("CMOn(0) should be nil")
+	if cms := tbl.CMs(); len(cms) != 1 || !slices.Equal(cms[0].Spec().UCols, []int{1}) {
+		t.Errorf("CMs() = %v, want the one CM on column 1", cms)
 	}
 }
 

@@ -177,9 +177,6 @@ func (t *Table) BeginWrite() *WriteTxn {
 	return &WriteTxn{t: t, ts: t.clock.Load() + 1}
 }
 
-// Timestamp returns the version timestamp new rows are stamped with.
-func (tx *WriteTxn) Timestamp() uint64 { return tx.ts }
-
 // InsertBatch appends the rows as new versions: heap placement at the
 // statement timestamp, page-directory references, secondary index
 // entries, and CM additions (Algorithm 1's insert half). Validation, encoding and the

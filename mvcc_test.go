@@ -390,7 +390,7 @@ func recoverTwin(t *testing.T, donor *Table, checkpoint *bytes.Buffer) (*DB, *Ta
 	if err := tbl.Load(rows); err != nil {
 		t.Fatal(err)
 	}
-	dcm := donor.inner.CMOn(1) // qty is column 1
+	dcm := cmOn(donor.inner, 1) // qty is column 1
 	if dcm == nil {
 		t.Fatal("donor fixture lost its qty CM")
 	}
@@ -453,7 +453,7 @@ func assertCMAggAfterRecovery(t *testing.T, db *DB) {
 func TestCMCheckpointRoundTripPreservesPushdown(t *testing.T) {
 	_, donor := cmaggFixture(t, 2, 600)
 	var ckpt bytes.Buffer
-	if _, err := donor.inner.CheckpointCM(donor.inner.CMOn(1), &ckpt); err != nil {
+	if _, err := donor.inner.CheckpointCM(cmOn(donor.inner, 1), &ckpt); err != nil {
 		t.Fatal(err)
 	}
 	db, _ := recoverTwin(t, donor, &ckpt)
@@ -468,7 +468,7 @@ func TestCMCheckpointRoundTripPreservesPushdown(t *testing.T) {
 // pushdown.
 func TestCMLegacyCheckpointTriggersStatsRebuild(t *testing.T) {
 	_, donor := cmaggFixture(t, 2, 600)
-	spec := donor.inner.CMOn(1).Spec()
+	spec := cmOn(donor.inner, 1).Spec()
 	if len(spec.StatCols) == 0 {
 		t.Fatal("donor CM carries no statistics; fixture broken")
 	}

@@ -346,7 +346,7 @@ func churnAndCheckpointRoundTrip(t *testing.T) {
 	// Checkpoint, more churn, recover under a new name: checkpoint +
 	// log tail must give the live CM back, and a cold negative probe
 	// through the recovered CM still reads nothing.
-	live := tbl.inner.CMOn(1)
+	live := cmOn(tbl.inner, 1)
 	if live == nil {
 		t.Fatal("live CM missing")
 	}
