@@ -227,10 +227,14 @@ func cmFingerprint(t *testing.T, cm *core.CM) []string {
 	var out []string
 	err := cm.Walk(func(e core.Entry, _ []value.Value) bool {
 		for i, b := range e.Buckets {
-			st := &e.Stats[i]
-			line := fmt.Sprintf("%x|%d|n=%d si=%v sf=%v", e.Key, b, st.Count, st.SumI, st.SumF)
-			if !st.MMDirty {
-				line += fmt.Sprintf(" min=%v max=%v", st.Min, st.Max)
+			s, n := e.Slots[i], len(cm.Spec().StatCols)
+			si, sf, lo, hi := make([]int64, n), make([]float64, n), make([]value.Value, n), make([]value.Value, n)
+			for c := range n {
+				si[c], sf[c], lo[c], hi[c] = cm.PairStat(s, c)
+			}
+			line := fmt.Sprintf("%x|%d|n=%d si=%v sf=%v", e.Key, b, cm.PairCount(s), si, sf)
+			if !cm.PairDirty(s) {
+				line += fmt.Sprintf(" min=%v max=%v", lo, hi)
 			}
 			out = append(out, line)
 		}

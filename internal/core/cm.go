@@ -43,6 +43,10 @@ type Spec struct {
 	// defaults it to every column when a CM is created through the
 	// engine.
 	StatCols []int
+	// StatKinds gives each stat column's value kind, indexed like
+	// StatCols: the kind of the column arrays its statistics live in. The
+	// table layer fills it from the schema.
+	StatKinds []value.Kind
 }
 
 // normalize fills nil bucketers with Identity.
@@ -57,39 +61,16 @@ func (s *Spec) normalize() {
 	}
 }
 
-// EntryStats is the per-(key, clustered-bucket) statistic block of one
-// CM entry: the co-occurrence count (Algorithm 1's reference count) plus
-// optional per-column aggregate carriers over the tuples the entry
-// covers. Count and the sums retract exactly on delete; Min/Max cannot
-// shrink, so a delete that removes a boundary value marks the entry
-// MMDirty and index-only MIN/MAX answers fall back to sweeping it.
-type EntryStats struct {
-	// Count is how many live tuples share this (bucketed key, clustered
-	// bucket) pair — the uint32 reference count of the original layout,
-	// widened.
-	Count int64
-	// SumI / SumF accumulate each stat column's values (int columns in
-	// SumI exactly, float columns in SumF), indexed like Spec.StatCols.
-	SumI []int64
-	SumF []float64
-	// Min / Max track each stat column's extreme values, valid while
-	// Count > 0 and !MMDirty.
-	Min, Max []value.Value
-	// MMDirty reports that a retraction removed a value equal to a
-	// recorded Min or Max, so the extremes may be stale (count and sums
-	// stay exact).
-	MMDirty bool
-}
-
 // Entry is one CM entry: a distinct bucketed key with the clustered
-// buckets it co-occurs with, ascending, and each pair's statistics at
-// the same position. Lookup, Find and Walk hand out the stored slices —
-// the CM's live state, valid under the table latch the caller holds and
-// not to be mutated.
+// buckets it co-occurs with, ascending, and at the same position each
+// pair's slot in the CM's statistics columns (read with PairCount,
+// PairDirty and PairStat). Lookup, Find and Walk hand out the stored
+// slices — the CM's live state, valid under the table latch the caller
+// holds and not to be mutated.
 type Entry struct {
 	Key     string // the encoded bucketed key
 	Buckets []int32
-	Stats   []EntryStats
+	Slots   []int32
 }
 
 // CM is a correlation map. Lookups may run concurrently with each other;
@@ -106,6 +87,11 @@ type CM struct {
 	m     map[string]*Entry
 	pairs int64
 	size  int64 // serialized-size accounting
+	// stats holds every pair's count and statistics by slot.
+	stats pairStats
+	// keyBuf is AddRow's and RemoveRow's key scratch; both run under the
+	// exclusive latch.
+	keyBuf []byte
 	// statsInvalid marks per-entry statistics as incomplete: a CM
 	// restored from a checkpoint written under another stat-column
 	// layout cannot answer aggregates index-only until rebuilt.
@@ -135,15 +121,18 @@ func New(spec Spec) *CM {
 	if len(spec.Bucketers) != len(spec.UCols) {
 		panic("core: spec bucketer count mismatch")
 	}
-	return &CM{spec: spec, m: make(map[string]*Entry)}
+	if len(spec.StatKinds) != len(spec.StatCols) {
+		panic("core: spec stat kind count mismatch")
+	}
+	return &CM{spec: spec, m: make(map[string]*Entry), stats: newPairStats(spec.StatKinds)}
 }
 
 // Spec returns the CM's design.
 func (cm *CM) Spec() Spec { return cm.spec }
 
-// KeyForRow buckets and encodes the CM attribute of a full table row.
-func (cm *CM) KeyForRow(row value.Row) []byte {
-	dst := make([]byte, 0, 10*len(cm.spec.UCols))
+// AppendKeyForRow appends the bucketed, encoded CM attribute of a full
+// table row to dst.
+func (cm *CM) AppendKeyForRow(dst []byte, row value.Row) []byte {
 	for i, c := range cm.spec.UCols {
 		dst = keyenc.AppendValue(dst, cm.spec.Bucketers[i].Bucket(row[c]))
 	}
@@ -154,26 +143,12 @@ func (cm *CM) KeyForRow(row value.Row) []byte {
 // clustered bucket, incrementing the pair's count and folding the row's
 // stat-column values into the entry statistics (Algorithm 1, extended).
 func (cm *CM) AddRow(row value.Row, cbucket int32) {
-	st := cm.pair(cm.KeyForRow(row), cbucket)
-	st.Count++
+	cm.keyBuf = cm.AppendKeyForRow(cm.keyBuf[:0], row)
+	s := cm.pair(cm.keyBuf, cbucket)
+	cm.stats.count[s]++
+	first := cm.stats.count[s] == 1
 	for i, c := range cm.spec.StatCols {
-		v := row[c]
-		switch v.K {
-		case value.Int:
-			st.SumI[i] += v.I
-		case value.Float:
-			st.SumF[i] += v.F
-		}
-		if st.Count == 1 {
-			st.Min[i], st.Max[i] = v, v
-			continue
-		}
-		if v.Compare(st.Min[i]) < 0 {
-			st.Min[i] = v
-		}
-		if v.Compare(st.Max[i]) > 0 {
-			st.Max[i] = v
-		}
+		cm.stats.cols[i].add(s, row[c], first)
 	}
 }
 
@@ -191,21 +166,9 @@ func (cm *CM) PagesSwept() int64 { return cm.pagesSwept.Load() }
 // tuple.
 func (cm *CM) FalsePositivePages() int64 { return cm.falsePositivePages.Load() }
 
-// newStats returns an empty statistics block shaped for the spec.
-func (cm *CM) newStats() EntryStats {
-	n := len(cm.spec.StatCols)
-	return EntryStats{
-		SumI: make([]int64, n),
-		SumF: make([]float64, n),
-		Min:  make([]value.Value, n),
-		Max:  make([]value.Value, n),
-	}
-}
-
-// pair resolves (creating on first sight) the stats block for a pair,
-// keeping the key's run sorted. The pointer holds until the next
-// insertion into the same run.
-func (cm *CM) pair(key []byte, cbucket int32) *EntryStats {
+// pair resolves (creating on first sight) the slot of a pair, keeping
+// the key's run sorted.
+func (cm *CM) pair(key []byte, cbucket int32) int32 {
 	e, ok := cm.m[string(key)]
 	if !ok {
 		e = &Entry{Key: string(key)}
@@ -215,11 +178,11 @@ func (cm *CM) pair(key []byte, cbucket int32) *EntryStats {
 	i, found := slices.BinarySearch(e.Buckets, cbucket)
 	if !found {
 		e.Buckets = slices.Insert(e.Buckets, i, cbucket)
-		e.Stats = slices.Insert(e.Stats, i, cm.newStats())
+		e.Slots = slices.Insert(e.Slots, i, cm.stats.newSlot())
 		cm.pairs++
 		cm.size += pairOverhead
 	}
-	return &e.Stats[i]
+	return e.Slots[i]
 }
 
 // RemoveRow retracts one co-occurrence, deleting the pair when its count
@@ -228,41 +191,53 @@ func (cm *CM) pair(key []byte, cbucket int32) *EntryStats {
 // max marks the entry MMDirty (the new extreme cannot be known without a
 // rescan), which index-only MIN/MAX answers treat as impure.
 func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
-	key := cm.KeyForRow(row)
-	e, found := cm.m[string(key)]
+	cm.keyBuf = cm.AppendKeyForRow(cm.keyBuf[:0], row)
+	e, found := cm.m[string(cm.keyBuf)]
 	i := 0
 	if found {
 		i, found = slices.BinarySearch(e.Buckets, cbucket)
 	}
 	if !found {
-		return fmt.Errorf("core: remove of unrecorded pair (%x, %d)", key, cbucket)
+		return fmt.Errorf("core: remove of unrecorded pair (%x, %d)", cm.keyBuf, cbucket)
 	}
-	st := &e.Stats[i]
-	st.Count--
-	if st.Count == 0 {
+	s := e.Slots[i]
+	cm.stats.count[s]--
+	if cm.stats.count[s] == 0 {
+		cm.stats.freeSlot(s)
 		e.Buckets = slices.Delete(e.Buckets, i, i+1)
-		e.Stats = slices.Delete(e.Stats, i, i+1)
+		e.Slots = slices.Delete(e.Slots, i, i+1)
 		cm.pairs--
 		cm.size -= pairOverhead
 		if len(e.Buckets) == 0 {
 			delete(cm.m, e.Key)
-			cm.size -= keyOverhead + int64(len(key))
+			cm.size -= keyOverhead + int64(len(e.Key))
 		}
 		return nil
 	}
-	for s, c := range cm.spec.StatCols {
-		v := row[c]
-		switch v.K {
-		case value.Int:
-			st.SumI[s] -= v.I
-		case value.Float:
-			st.SumF[s] -= v.F
-		}
-		if v.Compare(st.Min[s]) == 0 || v.Compare(st.Max[s]) == 0 {
-			st.MMDirty = true
+	for i, c := range cm.spec.StatCols {
+		if cm.stats.cols[i].retract(s, row[c]) {
+			cm.stats.setDirty(s)
 		}
 	}
 	return nil
+}
+
+// PairCount returns how many live tuples share the pair in slot (an
+// Entry.Slots element): its bucketed key and clustered bucket.
+func (cm *CM) PairCount(slot int32) int64 { return cm.stats.count[slot] }
+
+// PairDirty reports that a retraction removed a value equal to a
+// recorded minimum or maximum of the pair in slot, so its extremes may
+// be stale (count and sums stay exact).
+func (cm *CM) PairDirty(slot int32) bool { return cm.stats.isDirty(slot) }
+
+// PairStat returns the statistics of stat column s (an index into
+// Spec.StatCols) over the pair in slot: the sum in the carrier of the
+// column's kind — sumI for an int column, sumF for a float one, both
+// zero for a string one — and the extremes, valid while the pair is not
+// dirty.
+func (cm *CM) PairStat(slot int32, s int) (sumI int64, sumF float64, lo, hi value.Value) {
+	return cm.stats.cols[s].stat(slot)
 }
 
 // StatsValid reports whether the per-entry aggregate statistics cover
@@ -271,28 +246,18 @@ func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
 // false after reading one written under another layout, until rebuilt.
 func (cm *CM) StatsValid() bool { return !cm.statsInvalid }
 
-// StatsSizeBytes estimates the in-memory footprint of the per-entry
-// aggregate statistics (not counted in SizeBytes, which remains the
-// paper's serialized-CM metric): per pair, the widened count plus sum
-// carriers and min/max value headers for each stat column, plus the
-// string payloads the min/max values of string columns retain. The walk
-// is O(pairs) — CMs are small and memory-resident by design.
+// StatsSizeBytes returns the memory the per-pair statistics own (not
+// counted in SizeBytes, which remains the paper's serialized-CM
+// metric): each entry's slot run, the count, MMDirty and stat-column
+// arrays at their capacities, the free slot list, and the bytes of the
+// distinct strings the string columns' extremes hold. The walk is
+// O(pairs) — CMs are small and memory-resident by design.
 func (cm *CM) StatsSizeBytes() int64 {
-	perPair := int64(8) // widened count
-	for range cm.spec.StatCols {
-		perPair += 8 + 8 + 2*16 // SumI + SumF + two value headers
-	}
-	total := cm.pairs * perPair
+	n := cm.stats.sizeBytes()
 	for _, e := range cm.m {
-		for _, st := range e.Stats {
-			for i := range cm.spec.StatCols {
-				if st.Min[i].K == value.String {
-					total += int64(len(st.Min[i].S) + len(st.Max[i].S))
-				}
-			}
-		}
+		n += 4 * int64(cap(e.Slots))
 	}
-	return total
+	return n
 }
 
 // Find returns the entry stored under an encoded bucketed key (the
@@ -408,7 +373,7 @@ func (cm *CM) Serialize(w io.Writer) error {
 		b = append(b, k...)
 		b = le.AppendUint32(b, uint32(len(e.Buckets)))
 		for i, cb := range e.Buckets {
-			b = appendStats(le.AppendUint32(b, uint32(cb)), &e.Stats[i])
+			b = cm.appendPair(le.AppendUint32(b, uint32(cb)), e.Slots[i])
 		}
 		if _, err := w.Write(b); err != nil {
 			return err
@@ -419,20 +384,21 @@ func (cm *CM) Serialize(w io.Writer) error {
 	return err
 }
 
-// appendStats serializes one pair's statistics block: count, the
+// appendPair serializes the statistics of the pair in slot: count, the
 // MMDirty flag, then the carriers of each stat column.
-func appendStats(b []byte, st *EntryStats) []byte {
+func (cm *CM) appendPair(b []byte, slot int32) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint64(b, uint64(st.Count))
-	if st.MMDirty {
+	b = le.AppendUint64(b, uint64(cm.PairCount(slot)))
+	if cm.PairDirty(slot) {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	for s := range st.SumI {
-		b = le.AppendUint64(b, uint64(st.SumI[s]))
-		b = le.AppendUint64(b, math.Float64bits(st.SumF[s]))
-		b = appendValue(appendValue(b, st.Min[s]), st.Max[s])
+	for s := range cm.spec.StatCols {
+		sumI, sumF, lo, hi := cm.PairStat(slot, s)
+		b = le.AppendUint64(b, uint64(sumI))
+		b = le.AppendUint64(b, math.Float64bits(sumF))
+		b = appendValue(appendValue(b, lo), hi)
 	}
 	return b
 }
@@ -517,8 +483,9 @@ func (c *checkpointReader) value() value.Value {
 // Serialize; any other header is an "unsupported checkpoint" error, and
 // a truncated or corrupt body — a key that does not decode to the spec's
 // arity or repeats, a run that is not strictly ascending, a pair without
-// a positive count, an implausible stat-column count — is an error that
-// leaves the CM as it was. A checkpoint whose stat-column layout matches
+// a positive count, an implausible stat-column count, a statistic that
+// cannot be its column's kind — is an error that leaves the CM as it
+// was. A checkpoint whose stat-column layout matches
 // the spec restores the per-entry statistics in full, so index-only
 // aggregation (cm-agg) works immediately. One written under a different
 // stat-column layout carries no usable statistics; the pair counts load
@@ -534,11 +501,11 @@ func (cm *CM) Deserialize(r io.Reader) error {
 	if magic != cmCheckpointMagic || ver != cmCheckpointVersion {
 		return fmt.Errorf("core: unsupported CM checkpoint (header %#x, version %d)", magic, ver)
 	}
-	m, layoutOK, err := cm.readEntries(c)
+	m, stats, layoutOK, err := cm.readEntries(c)
 	if err != nil {
 		return fmt.Errorf("core: CM checkpoint: %w", err)
 	}
-	cm.m, cm.pairs, cm.size, cm.statsInvalid = m, 0, 0, !layoutOK
+	cm.m, cm.stats, cm.pairs, cm.size, cm.statsInvalid = m, stats, 0, 0, !layoutOK
 	for k, e := range m {
 		cm.pairs += int64(len(e.Buckets))
 		cm.size += keyOverhead + int64(len(k)) + pairOverhead*int64(len(e.Buckets))
@@ -547,12 +514,14 @@ func (cm *CM) Deserialize(r io.Reader) error {
 }
 
 // readEntries reads a checkpoint's body — everything after the version
-// word — into a fresh key map. layoutOK reports that the stat columns it
-// declares are the spec's, so the statistics it carries were kept.
-func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, layoutOK bool, err error) {
+// word — into a fresh key map and statistics columns. layoutOK reports
+// that the stat columns it declares are the spec's, so the statistics it
+// carries were kept; each must then be of its column's kind.
+func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, stats pairStats, layoutOK bool, err error) {
+	fail := func(err error) (map[string]*Entry, pairStats, bool, error) { return nil, pairStats{}, false, err }
 	nstat := int(c.u32())
 	if nstat > maxCheckpointStatCols {
-		return nil, false, fmt.Errorf("%d stat columns declared", nstat)
+		return fail(fmt.Errorf("%d stat columns declared", nstat))
 	}
 	// Statistics are only meaningful under the layout they were written
 	// with; a mismatched layout degrades to counts-only.
@@ -564,42 +533,51 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, layoutOK bo
 	}
 	nk := c.u32()
 	m = make(map[string]*Entry, min(nk, 1<<10)) // a hint, capped: nk is unread input
+	stats = newPairStats(cm.spec.StatKinds)
 	for ; nk > 0; nk-- {
 		key := c.bytes(int64(c.u16()))
 		np := c.u32()
 		if c.err != nil {
-			return nil, false, c.err
+			return fail(c.err)
 		}
 		if vals, err := keyenc.DecodeAll(key); err != nil || len(vals) != len(cm.spec.UCols) {
-			return nil, false, fmt.Errorf("key %x is not %d encoded values", key, len(cm.spec.UCols))
+			return fail(fmt.Errorf("key %x is not %d encoded values", key, len(cm.spec.UCols)))
 		}
 		if _, dup := m[string(key)]; dup || np == 0 {
-			return nil, false, fmt.Errorf("key %x repeats or has no pairs", key)
+			return fail(fmt.Errorf("key %x repeats or has no pairs", key))
 		}
 		e := &Entry{Key: string(key)}
 		for ; np > 0; np-- {
 			bucket := int32(c.u32())
-			st := cm.newStats()
-			st.Count, st.MMDirty = int64(c.u64()), c.u8() != 0
+			slot := stats.newSlot()
+			count, dirty := int64(c.u64()), c.u8() != 0
 			for s := 0; s < nstat && c.err == nil; s++ {
 				sumI, sumF := int64(c.u64()), math.Float64frombits(c.u64())
-				minV, maxV := c.value(), c.value()
-				if layoutOK {
-					st.SumI[s], st.SumF[s], st.Min[s], st.Max[s] = sumI, sumF, minV, maxV
+				lo, hi := c.value(), c.value()
+				if layoutOK && c.err == nil && !stats.cols[s].set(slot, sumI, sumF, lo, hi) {
+					return fail(fmt.Errorf("key %x bucket %d: %s stat column %d cannot hold sums %d, %v and %s, %s extremes",
+						key, bucket, stats.cols[s].kind, cm.spec.StatCols[s], sumI, sumF, lo.K, hi.K))
 				}
 			}
 			if c.err != nil {
-				return nil, false, c.err
+				return fail(c.err)
 			}
-			if n := len(e.Buckets); st.Count <= 0 || (n > 0 && bucket <= e.Buckets[n-1]) {
-				return nil, false, fmt.Errorf("key %x: bucket %d (count %d) breaks the ascending run", key, bucket, st.Count)
+			if n := len(e.Buckets); count <= 0 || (n > 0 && bucket <= e.Buckets[n-1]) {
+				return fail(fmt.Errorf("key %x: bucket %d (count %d) breaks the ascending run", key, bucket, count))
+			}
+			stats.count[slot] = count
+			if dirty {
+				stats.setDirty(slot)
 			}
 			e.Buckets = append(e.Buckets, bucket)
-			e.Stats = append(e.Stats, st)
+			e.Slots = append(e.Slots, slot)
 		}
 		m[e.Key] = e
 	}
-	return m, layoutOK, c.err
+	if c.err != nil {
+		return fail(c.err)
+	}
+	return m, stats, layoutOK, nil
 }
 
 // Reset empties the CM (keys, pairs, size accounting) and marks its
@@ -607,6 +585,7 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, layoutOK bo
 // the caller re-adds every live row with AddRow.
 func (cm *CM) Reset() {
 	cm.m = make(map[string]*Entry)
+	cm.stats = newPairStats(cm.spec.StatKinds)
 	cm.pairs = 0
 	cm.size = 0
 	cm.statsInvalid = false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -241,7 +242,7 @@ func TestSizeAccountingMatchesSerializedSize(t *testing.T) {
 // row shape (col 0 an int key, col 1 a float measure), exercising both
 // sum carriers plus min/max.
 func statsCM() *CM {
-	cm := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{0, 1}})
+	cm := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{0, 1}, StatKinds: []value.Kind{value.Int, value.Float}})
 	for i := 0; i < 40; i++ {
 		row := value.Row{value.NewInt(int64(i % 5)), value.NewFloat(float64(i) + 0.25)}
 		cm.AddRow(row, int32(i/10))
@@ -275,7 +276,7 @@ func TestSerializeV2PreservesStats(t *testing.T) {
 // answer aggregates from the CM until the table layer rebuilds them.
 func TestDeserializeStatLayoutMismatch(t *testing.T) {
 	cm := statsCM()
-	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}})
+	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}, StatKinds: []value.Kind{value.Float}})
 	var buf bytes.Buffer
 	if err := cm.Serialize(&buf); err != nil {
 		t.Fatal(err)
@@ -312,10 +313,12 @@ func TestDeserializeRejectsUnsupportedHeaders(t *testing.T) {
 		return b
 	}
 	cases := map[string][]byte{
-		"unversioned":     {5, 0, 0, 0, 3, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
-		"version 2":       reversion(2),
-		"version 3":       reversion(3),
-		"4G keys, no key": killerCheckpoint(),
+		"unversioned":                    {5, 0, 0, 0, 3, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+		"version 2":                      reversion(2),
+		"version 3":                      reversion(3),
+		"4G keys, no key":                killerCheckpoint(),
+		"float extreme in an int column": misKindedCheckpoint(good.Bytes(), false),
+		"float sum in an int column":     misKindedCheckpoint(good.Bytes(), true),
 	}
 	for cut := 0; cut < good.Len(); cut++ {
 		cases[fmt.Sprintf("truncated at %d", cut)] = good.Bytes()[:cut]
@@ -406,8 +409,8 @@ func TestWalk(t *testing.T) {
 		if len(vals) != 1 || vals[0].K != value.String {
 			t.Error("walk decoded wrong shape")
 		}
-		if len(e.Stats) != len(e.Buckets) || !slices.Equal(e.Buckets, cm.Lookup(vals...)) {
-			t.Errorf("walk handed %v (%d stat blocks) for %v, lookup says %v", e.Buckets, len(e.Stats), vals, cm.Lookup(vals...))
+		if len(e.Slots) != len(e.Buckets) || !slices.Equal(e.Buckets, cm.Lookup(vals...)) {
+			t.Errorf("walk handed %v (%d slots) for %v, lookup says %v", e.Buckets, len(e.Slots), vals, cm.Lookup(vals...))
 		}
 		n++
 		return true
@@ -464,14 +467,32 @@ func killerCheckpoint() []byte {
 	return binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF)
 }
 
+// misKindedCheckpoint rewrites statsCM's checkpoint so the first pair's
+// int stat column (column 0) holds what no int column can: its minimum
+// re-kinded as a float, or, with sum, a nonzero float sum beside the int
+// one.
+func misKindedCheckpoint(good []byte, sum bool) []byte {
+	b := append([]byte(nil), good...)
+	// header 12 + 2 stat columns × 4 + key count 4, then the first key's
+	// length, key and pair count, then the pair's bucket, count and
+	// MMDirty byte, then column 0's sumI.
+	at := 24 + 2 + int(binary.LittleEndian.Uint16(b[24:])) + 4 + 4 + 8 + 1 + 8
+	if sum {
+		binary.LittleEndian.PutUint64(b[at:], math.Float64bits(1))
+	} else {
+		b[at+8] = 1 // the min value's kind byte: float
+	}
+	return b
+}
+
 // entriesOf collects a CM's entries by key, checking on the way that
-// every stored run is strictly ascending with one stat block per bucket.
+// every stored run is strictly ascending with one slot per bucket.
 func entriesOf(t testing.TB, cm *CM) map[string]Entry {
 	t.Helper()
 	out := map[string]Entry{}
 	err := cm.Walk(func(e Entry, vals []value.Value) bool {
-		if len(e.Stats) != len(e.Buckets) || len(e.Buckets) == 0 || len(vals) != len(cm.Spec().UCols) {
-			t.Fatalf("key %x: %d buckets, %d stat blocks, %d values", e.Key, len(e.Buckets), len(e.Stats), len(vals))
+		if len(e.Slots) != len(e.Buckets) || len(e.Buckets) == 0 || len(vals) != len(cm.Spec().UCols) {
+			t.Fatalf("key %x: %d buckets, %d slots, %d values", e.Key, len(e.Buckets), len(e.Slots), len(vals))
 		}
 		for i := 1; i < len(e.Buckets); i++ {
 			if e.Buckets[i] <= e.Buckets[i-1] {
@@ -507,11 +528,11 @@ func requireSameCM(t testing.TB, got, want *CM) {
 		}
 		// The checkpoint form compares every statistic bit for bit.
 		var gs, ws []byte
-		for i := range we.Stats {
-			gs, ws = appendStats(gs, &ge.Stats[i]), appendStats(ws, &we.Stats[i])
+		for i := range we.Slots {
+			gs, ws = got.appendPair(gs, ge.Slots[i]), want.appendPair(ws, we.Slots[i])
 		}
 		if !bytes.Equal(gs, ws) {
-			t.Fatalf("key %x: statistics %+v, want %+v", k, ge.Stats, we.Stats)
+			t.Fatalf("key %x: statistics %x, want %x", k, gs, ws)
 		}
 	}
 }
@@ -529,6 +550,8 @@ func FuzzCMDeserialize(f *testing.F) {
 		f.Add(good.Bytes()[:cut])
 	}
 	f.Add(killerCheckpoint())
+	f.Add(misKindedCheckpoint(good.Bytes(), false))
+	f.Add(misKindedCheckpoint(good.Bytes(), true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cm := New(statsCM().Spec())
 		if err := cm.Deserialize(bytes.NewReader(data)); err != nil {

@@ -10,10 +10,10 @@ import (
 )
 
 // This file implements aggregation pushdown into the correlation map —
-// the cm-agg access path. The CM's bucket directory already stores one
-// statistics block per (bucketed key, clustered bucket) pair: the
-// Algorithm-1 reference count, extended with per-column sums and
-// min/max (core.EntryStats). A COUNT/SUM/AVG/MIN/MAX query whose
+// the cm-agg access path. The CM already keeps statistics per
+// (bucketed key, clustered bucket) pair: the Algorithm-1 reference
+// count, extended with per-column sums and min/max (core.CM.PairCount,
+// PairStat). A COUNT/SUM/AVG/MIN/MAX query whose
 // predicates and aggregated columns are all covered by one CM therefore
 // folds its answer from the memory-resident directory without touching
 // a single heap page, the way Hermit answers queries from its
@@ -26,7 +26,7 @@ import (
 // bucket lies strictly inside a range predicate (every value the bucket
 // covers satisfies the range). Entries on bucket boundaries, entries of
 // truncation-bucketed point lookups, and entries whose min/max went
-// stale after a delete (EntryStats.MMDirty) are impure: the hybrid plan
+// stale after a delete (core.CM.PairDirty) are impure: the hybrid plan
 // answers them by sweeping only their clustered buckets, re-filtering
 // tuples with the original predicates and an entry-membership check so
 // statistics-fed and swept tuples never double count.
@@ -173,20 +173,17 @@ func PlanCMAgg(t *table.Table, cm *core.CM, q Query, specs []AggSpec, groupBy []
 			groupVals[i] = vals[kp]
 		}
 		for j, cb := range e.Buckets {
-			st := &e.Stats[j]
-			if needMM && st.MMDirty {
+			slot := e.Slots[j]
+			if needMM && cm.PairDirty(slot) {
 				plan.ImpureEntries++
 				plan.impurePairs[e.Key] = append(plan.impurePairs[e.Key], cb)
 				continue
 			}
 			plan.PureEntries++
 			for i := range specs {
-				p := Partial{Count: st.Count}
+				p := Partial{Count: cm.PairCount(slot)}
 				if si := aggStat[i]; si >= 0 {
-					p.SumI = st.SumI[si]
-					p.SumF = st.SumF[si]
-					p.Min = st.Min[si]
-					p.Max = st.Max[si]
+					p.SumI, p.SumF, p.Min, p.Max = cm.PairStat(slot, si)
 				}
 				parts[i] = p
 			}
@@ -246,7 +243,10 @@ func (p *CMAggPlan) Run(t *table.Table, workers int) ([]value.Row, error) {
 	q := p.q
 	q.Proj = p.NeedCols // already holds the predicated columns
 	err := foldPages(t, newLazyScan(t, q.asOr()), PageSet{list: p.ImpurePages}, workers, p.specs, p.groupBy, final, func(ga *GroupAgg, row value.Row) bool {
-		impure := p.impurePairs[string(p.CM.KeyForRow(row))]
+		// The chunk's own aggregator lends its key scratch: Add below
+		// overwrites it only after the lookup.
+		ga.keyBuf = p.CM.AppendKeyForRow(ga.keyBuf[:0], row)
+		impure := p.impurePairs[string(ga.keyBuf)]
 		if _, ok := slices.BinarySearch(impure, t.ClusterBucketFor(row)); !ok {
 			return false
 		}

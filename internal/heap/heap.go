@@ -189,6 +189,25 @@ func (h *File) Slots() int64 {
 	return n
 }
 
+// Clip gives back the spare capacity appends left in the per-page side
+// arrays once a bulk load has filled the file: every page's versions move
+// into one exact slab, each page's share capped at its length, so a later
+// placement on a page grows that page alone into an array of its own.
+func (h *File) Clip() {
+	n := 0
+	for _, pv := range h.vers {
+		n += len(pv)
+	}
+	slab := make([]tupleVersion, n)
+	vers := make([][]tupleVersion, len(h.vers))
+	for p, pv := range h.vers {
+		k := copy(slab, pv)
+		vers[p], slab = slab[:k:k], slab[k:]
+	}
+	h.vers = vers
+	h.space = append(make([]pageSpace, 0, len(h.space)), h.space...)
+}
+
 // EmptyRoom returns the room of an empty page: the most a placement can
 // ask of one page.
 func (h *File) EmptyRoom() int { return h.pool.Disk().PageSize() - headerSize }

@@ -34,7 +34,6 @@ type DistinctSampler struct {
 	capacity int
 	level    uint
 	sample   map[uint64]struct{}
-	total    uint64
 }
 
 // NewDistinctSampler creates a sampler retaining at most capacity distinct
@@ -48,7 +47,6 @@ func NewDistinctSampler(capacity int) *DistinctSampler {
 
 // Add feeds one attribute value (in any canonical byte encoding).
 func (d *DistinctSampler) Add(key []byte) {
-	d.total++
 	h := hash64(key)
 	if leadingZeros(h) < d.level {
 		return

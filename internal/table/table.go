@@ -320,6 +320,7 @@ func (t *Table) Load(rows []value.Row) error {
 	t.mu.Lock()
 	t.cbuckets = builder.Finish()
 	t.pageDir.clip()
+	t.heapf.Clip()
 	if len(ks) > 0 {
 		t.keyWidth = (keyBytes + len(ks) - 1) / len(ks)
 	}
@@ -424,11 +425,12 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 			return nil, fmt.Errorf("table %s: CM column %d out of range", t.cfg.Name, c)
 		}
 	}
-	if spec.StatCols == nil {
-		spec.StatCols = t.allCols()
+	spec, err := t.statSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	cm := core.New(spec)
-	err := t.Scan(func(rid heap.RID, row value.Row) bool {
+	err = t.Scan(func(rid heap.RID, row value.Row) bool {
 		cm.AddRow(row, t.ClusterBucketFor(row))
 		return true
 	})
@@ -439,14 +441,25 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 	return cm, nil
 }
 
-// allCols lists every column position, the default stat-column set for
-// CMs created through the engine.
-func (t *Table) allCols() []int {
-	out := make([]int, len(t.cfg.Schema.Cols))
-	for i := range out {
-		out[i] = i
+// statSpec completes a CM spec's statistics: every column when it names
+// no stat columns (the default for CMs created through the engine), and
+// each stat column's kind from the schema.
+func (t *Table) statSpec(spec core.Spec) (core.Spec, error) {
+	cols := t.cfg.Schema.Cols
+	if spec.StatCols == nil {
+		spec.StatCols = make([]int, len(cols))
+		for i := range spec.StatCols {
+			spec.StatCols[i] = i
+		}
 	}
-	return out
+	spec.StatKinds = make([]value.Kind, len(spec.StatCols))
+	for i, c := range spec.StatCols {
+		if c < 0 || c >= len(cols) {
+			return spec, fmt.Errorf("table %s: CM stat column %d out of range", t.cfg.Name, c)
+		}
+		spec.StatKinds[i] = cols[c].Kind
+	}
+	return spec, nil
 }
 
 // Indexes returns the secondary indexes.
@@ -483,8 +496,9 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 	if t.log == nil {
 		return nil, fmt.Errorf("table %s: no WAL to recover from", t.cfg.Name)
 	}
-	if spec.StatCols == nil {
-		spec.StatCols = t.allCols()
+	spec, err := t.statSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	cm := core.New(spec)
 	if checkpoint != nil {
@@ -493,7 +507,7 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 		}
 	}
 	var replayErr error
-	err := t.log.ReplayFrom(fromLSN, func(rec wal.Record) bool {
+	err = t.log.ReplayFrom(fromLSN, func(rec wal.Record) bool {
 		if rec.Target != t.cfg.Name {
 			return true
 		}

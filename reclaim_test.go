@@ -62,19 +62,21 @@ func cmEntriesDiff(got, want *core.CM) string {
 		if !ok || !slices.Equal(ge.Buckets, we.Buckets) {
 			return fmt.Sprintf("key %x: buckets %v, want %v", k, ge.Buckets, we.Buckets)
 		}
-		for i, ws := range we.Stats {
-			gs := ge.Stats[i]
-			if gs.Count != ws.Count || !slices.Equal(gs.SumI, ws.SumI) || !slices.Equal(gs.SumF, ws.SumF) {
-				return fmt.Sprintf("key %x bucket %d: count %d sums %v %v, want %d %v %v",
-					k, we.Buckets[i], gs.Count, gs.SumI, gs.SumF, ws.Count, ws.SumI, ws.SumF)
+		for i, ws := range we.Slots {
+			gs := ge.Slots[i]
+			if gc, wc := got.PairCount(gs), want.PairCount(ws); gc != wc {
+				return fmt.Sprintf("key %x bucket %d: count %d, want %d", k, we.Buckets[i], gc, wc)
 			}
-			if gs.MMDirty || ws.MMDirty {
-				continue
-			}
-			for c := range ws.Min {
-				if gs.Min[c].Compare(ws.Min[c]) != 0 || gs.Max[c].Compare(ws.Max[c]) != 0 {
+			dirty := got.PairDirty(gs) || want.PairDirty(ws)
+			for c := range want.Spec().StatCols {
+				gi, gf, glo, ghi := got.PairStat(gs, c)
+				wi, wf, wlo, whi := want.PairStat(ws, c)
+				if gi != wi || gf != wf {
+					return fmt.Sprintf("key %x bucket %d col %d: sums %d %v, want %d %v", k, we.Buckets[i], c, gi, gf, wi, wf)
+				}
+				if !dirty && (glo.Compare(wlo) != 0 || ghi.Compare(whi) != 0) {
 					return fmt.Sprintf("key %x bucket %d col %d: extremes %v..%v, want %v..%v",
-						k, we.Buckets[i], c, gs.Min[c], gs.Max[c], ws.Min[c], ws.Max[c])
+						k, we.Buckets[i], c, glo, ghi, wlo, whi)
 				}
 			}
 		}

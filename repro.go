@@ -610,10 +610,11 @@ type CMInfo struct {
 	Keys      int
 	Pairs     int64
 	CPerU     float64
-	// StatsBytes estimates the in-memory footprint of the per-entry
-	// aggregate statistics powering index-only aggregation (cm-agg). It
-	// is reported separately from SizeBytes, which remains the paper's
-	// serialized-CM metric.
+	// StatsBytes is the memory the per-pair aggregate statistics powering
+	// index-only aggregation (cm-agg) own: their column arrays at their
+	// capacities plus the distinct strings they hold. It is reported
+	// separately from SizeBytes, which remains the paper's serialized-CM
+	// metric.
 	StatsBytes int64
 	// DirectoryBytes is the in-memory footprint of the table's clustered
 	// bucket directory — lower-bound keys plus the bucket→page lists a
