@@ -177,7 +177,7 @@ CREATE CORRELATION MAP city_cm ON people (city);
 	// Output:
 	// cm> SHOW CMS FOR people
 	// cm | columns | size_bytes | keys | pairs | c_per_u | stats_bytes
-	// city_cm | city | 175 | 6 | 9 | 1.5 | 1139
+	// city_cm | city | 175 | 6 | 9 | 1.5 | 2555
 	// (1 rows)
 	// cm> SELECT * FROM people WHERE city IN ('boston', 'springfield')
 	// state | city | salary

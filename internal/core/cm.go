@@ -43,10 +43,6 @@ type Spec struct {
 	// defaults it to every column when a CM is created through the
 	// engine.
 	StatCols []int
-	// StatKinds gives each stat column's value kind, indexed like
-	// StatCols: the kind of the column arrays its statistics live in. The
-	// table layer fills it from the schema.
-	StatKinds []value.Kind
 }
 
 // normalize fills nil bucketers with Identity.
@@ -94,7 +90,9 @@ type CM struct {
 	keyBuf []byte
 	// statsInvalid marks per-entry statistics as incomplete: a CM
 	// restored from a checkpoint written under another stat-column
-	// layout cannot answer aggregates index-only until rebuilt.
+	// layout, or one whose checkpoint typed a stat column otherwise than
+	// the rows replayed into it, cannot answer aggregates index-only
+	// until rebuilt.
 	statsInvalid bool
 	// pagesSwept and falsePositivePages are the CM's live health gauges:
 	// heap pages swept by scans this CM drove, and how many of those held
@@ -121,10 +119,7 @@ func New(spec Spec) *CM {
 	if len(spec.Bucketers) != len(spec.UCols) {
 		panic("core: spec bucketer count mismatch")
 	}
-	if len(spec.StatKinds) != len(spec.StatCols) {
-		panic("core: spec stat kind count mismatch")
-	}
-	return &CM{spec: spec, m: make(map[string]*Entry), stats: newPairStats(spec.StatKinds)}
+	return &CM{spec: spec, m: make(map[string]*Entry), stats: newPairStats(len(spec.StatCols))}
 }
 
 // Spec returns the CM's design.
@@ -142,13 +137,19 @@ func (cm *CM) AppendKeyForRow(dst []byte, row value.Row) []byte {
 // AddRow records the co-occurrence of the row's CM attribute with the
 // clustered bucket, incrementing the pair's count and folding the row's
 // stat-column values into the entry statistics (Algorithm 1, extended).
+// Each stat column takes the kind of the first value it holds; a later
+// value of another kind is not folded and marks the statistics invalid.
 func (cm *CM) AddRow(row value.Row, cbucket int32) {
 	cm.keyBuf = cm.AppendKeyForRow(cm.keyBuf[:0], row)
 	s := cm.pair(cm.keyBuf, cbucket)
 	cm.stats.count[s]++
 	first := cm.stats.count[s] == 1
 	for i, c := range cm.spec.StatCols {
-		cm.stats.cols[i].add(s, row[c], first)
+		if col, ok := cm.stats.col(i, row[c].K); ok {
+			col.add(s, row[c], first)
+		} else {
+			cm.statsInvalid = true
+		}
 	}
 }
 
@@ -215,8 +216,10 @@ func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
 		return nil
 	}
 	for i, c := range cm.spec.StatCols {
-		if cm.stats.cols[i].retract(s, row[c]) {
-			cm.stats.setDirty(s)
+		if col, ok := cm.stats.col(i, row[c].K); !ok {
+			cm.statsInvalid = true
+		} else if col.retract(s, row[c]) {
+			cm.stats.dirty[s] = true
 		}
 	}
 	return nil
@@ -229,7 +232,7 @@ func (cm *CM) PairCount(slot int32) int64 { return cm.stats.count[slot] }
 // PairDirty reports that a retraction removed a value equal to a
 // recorded minimum or maximum of the pair in slot, so its extremes may
 // be stale (count and sums stay exact).
-func (cm *CM) PairDirty(slot int32) bool { return cm.stats.isDirty(slot) }
+func (cm *CM) PairDirty(slot int32) bool { return cm.stats.dirty[slot] }
 
 // PairStat returns the statistics of stat column s (an index into
 // Spec.StatCols) over the pair in slot: the sum in the carrier of the
@@ -243,15 +246,17 @@ func (cm *CM) PairStat(slot int32, s int) (sumI int64, sumF float64, lo, hi valu
 // StatsValid reports whether the per-entry aggregate statistics cover
 // every live row — true for CMs built and maintained in this process and
 // for CMs restored from a checkpoint of the same stat-column layout;
-// false after reading one written under another layout, until rebuilt.
+// false after reading one written under another layout, or after a row
+// whose stat value is not of its column's kind, until rebuilt.
 func (cm *CM) StatsValid() bool { return !cm.statsInvalid }
 
 // StatsSizeBytes returns the memory the per-pair statistics own (not
 // counted in SizeBytes, which remains the paper's serialized-CM
 // metric): each entry's slot run, the count, MMDirty and stat-column
-// arrays at their capacities, the free slot list, and the bytes of the
-// distinct strings the string columns' extremes hold. The walk is
-// O(pairs) — CMs are small and memory-resident by design.
+// arrays at their capacities, the free slot list, and the distinct
+// strings the string columns' extremes hold with their interning
+// entries. The walk is O(pairs) — CMs are small and memory-resident by
+// design.
 func (cm *CM) StatsSizeBytes() int64 {
 	n := cm.stats.sizeBytes()
 	for _, e := range cm.m {
@@ -533,7 +538,7 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, stats pairS
 	}
 	nk := c.u32()
 	m = make(map[string]*Entry, min(nk, 1<<10)) // a hint, capped: nk is unread input
-	stats = newPairStats(cm.spec.StatKinds)
+	stats = newPairStats(len(cm.spec.StatCols))
 	for ; nk > 0; nk-- {
 		key := c.bytes(int64(c.u16()))
 		np := c.u32()
@@ -554,9 +559,12 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, stats pairS
 			for s := 0; s < nstat && c.err == nil; s++ {
 				sumI, sumF := int64(c.u64()), math.Float64frombits(c.u64())
 				lo, hi := c.value(), c.value()
-				if layoutOK && c.err == nil && !stats.cols[s].set(slot, sumI, sumF, lo, hi) {
+				if !layoutOK || c.err != nil {
+					continue
+				}
+				if col, ok := stats.col(s, lo.K); !ok || !col.set(slot, sumI, sumF, lo, hi) {
 					return fail(fmt.Errorf("key %x bucket %d: %s stat column %d cannot hold sums %d, %v and %s, %s extremes",
-						key, bucket, stats.cols[s].kind, cm.spec.StatCols[s], sumI, sumF, lo.K, hi.K))
+						key, bucket, col.kind, cm.spec.StatCols[s], sumI, sumF, lo.K, hi.K))
 				}
 			}
 			if c.err != nil {
@@ -566,9 +574,7 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, stats pairS
 				return fail(fmt.Errorf("key %x: bucket %d (count %d) breaks the ascending run", key, bucket, count))
 			}
 			stats.count[slot] = count
-			if dirty {
-				stats.setDirty(slot)
-			}
+			stats.dirty[slot] = dirty
 			e.Buckets = append(e.Buckets, bucket)
 			e.Slots = append(e.Slots, slot)
 		}
@@ -585,7 +591,7 @@ func (cm *CM) readEntries(c *checkpointReader) (m map[string]*Entry, stats pairS
 // the caller re-adds every live row with AddRow.
 func (cm *CM) Reset() {
 	cm.m = make(map[string]*Entry)
-	cm.stats = newPairStats(cm.spec.StatKinds)
+	cm.stats = newPairStats(len(cm.spec.StatCols))
 	cm.pairs = 0
 	cm.size = 0
 	cm.statsInvalid = false

@@ -242,7 +242,7 @@ func TestSizeAccountingMatchesSerializedSize(t *testing.T) {
 // row shape (col 0 an int key, col 1 a float measure), exercising both
 // sum carriers plus min/max.
 func statsCM() *CM {
-	cm := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{0, 1}, StatKinds: []value.Kind{value.Int, value.Float}})
+	cm := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{0, 1}})
 	for i := 0; i < 40; i++ {
 		row := value.Row{value.NewInt(int64(i % 5)), value.NewFloat(float64(i) + 0.25)}
 		cm.AddRow(row, int32(i/10))
@@ -276,7 +276,7 @@ func TestSerializeV2PreservesStats(t *testing.T) {
 // answer aggregates from the CM until the table layer rebuilds them.
 func TestDeserializeStatLayoutMismatch(t *testing.T) {
 	cm := statsCM()
-	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}, StatKinds: []value.Kind{value.Float}})
+	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}})
 	var buf bytes.Buffer
 	if err := cm.Serialize(&buf); err != nil {
 		t.Fatal(err)
@@ -293,6 +293,34 @@ func TestDeserializeStatLayoutMismatch(t *testing.T) {
 	}
 	if got := other.Lookup(value.NewInt(2)); len(got) != 4 {
 		t.Fatalf("lookup after mismatch = %v, want the 4 buckets", got)
+	}
+}
+
+// TestStatKindMismatchInvalidatesStats: a stat column takes the kind
+// of the first value it holds. A later value of another kind — what a
+// checkpoint typed otherwise than the rows replayed into it would meet —
+// is neither folded nor misread as the column's kind: the statistics are
+// marked invalid until a Reset rebuilds them.
+func TestStatKindMismatchInvalidatesStats(t *testing.T) {
+	cm := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}})
+	intRow, floatRow := value.Row{value.NewInt(1), value.NewInt(10)}, value.Row{value.NewInt(1), value.NewFloat(2.5)}
+	cm.AddRow(intRow, 0)
+	cm.AddRow(floatRow, 0)
+	if cm.StatsValid() {
+		t.Fatal("a float folded into an int stat column left the statistics valid")
+	}
+	e, _ := cm.Find(cm.AppendKeyForRow(nil, intRow))
+	if sumI, sumF, lo, hi := cm.PairStat(e.Slots[0], 0); cm.PairCount(e.Slots[0]) != 2 || sumI != 10 || sumF != 0 || lo.I != 10 || hi.I != 10 {
+		t.Fatalf("pair count %d, stats %d %v %v %v; want count 2 and the int row's alone", cm.PairCount(e.Slots[0]), sumI, sumF, lo, hi)
+	}
+	cm.Reset()
+	cm.AddRow(intRow, 0)
+	cm.AddRow(intRow, 0)
+	if !cm.StatsValid() {
+		t.Fatal("Reset did not make the statistics valid again")
+	}
+	if err := cm.RemoveRow(floatRow, 0); err != nil || cm.StatsValid() || cm.Pairs() != 1 {
+		t.Fatalf("retracting a float from an int stat column: err %v, valid %v, %d pairs", err, cm.StatsValid(), cm.Pairs())
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // retraction removed its minimum (MMDirty) and one pair removed
 // outright and then added again.
 func goldenCheckpointCM() *CM {
-	cm := New(Spec{Name: "golden", UCols: []int{0}, StatCols: []int{0, 1, 2, 3},
-		StatKinds: []value.Kind{value.Int, value.Float, value.String, value.Int}})
+	cm := New(Spec{Name: "golden", UCols: []int{0}, StatCols: []int{0, 1, 2, 3}})
 	row := func(k int64, f float64, s string, n int64) value.Row {
 		return value.Row{value.NewInt(k), value.NewFloat(f), value.NewString(s), value.NewInt(n)}
 	}

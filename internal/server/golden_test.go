@@ -79,7 +79,7 @@ func goldenSession(t *testing.T) []string {
 // response, a json.Marshal per chunked row), elapsed_ns digits masked.
 var wireGolden = []string{
 	`{"results":[{"message":"AUTH ok"}]}`,
-	`{"results":[{"columns":["c","u","s"],"rows":[[3,3,"row-3"],[23,3,"row-23"],[43,3,"row-43"],[63,3,"row-63"],[83,3,"row-83"],[103,3,"row-103"],[123,3,"row-123"],[143,3,"row-143"],[163,3,"row-163"],[183,3,"row-183"],[203,3,"row-203"],[223,3,"row-223"],[243,3,"row-243"],[263,3,"row-263"],[283,3,"row-283"],[303,3,"row-303"],[323,3,"row-323"],[343,3,"row-343"],[363,3,"row-363"],[383,3,"row-383"],[403,3,"row-403"],[423,3,"row-423"],[443,3,"row-443"],[463,3,"row-463"],[483,3,"row-483"]],"elapsed_ns":N,"row_count":25},{"columns":["s"],"rows":[["row-499"],["row-498"],["row-497"],["row-496"],["row-495"],["row-494"],["row-493"],["row-492"],["row-491"],["row-490"]],"elapsed_ns":N,"row_count":10},{"columns":["u","count(*)","avg(c)"],"rows":[[0,25,240],[1,25,241],[2,25,242],[3,25,243],[4,25,244]],"elapsed_ns":N,"row_count":5},{"columns":["c","u","s"],"elapsed_ns":N},{"columns":["cm","columns","size_bytes","keys","pairs","c_per_u","stats_bytes"],"rows":[["cm_u","u",620,20,40,2,5309]],"elapsed_ns":N,"row_count":1},{"columns":["method","uses","est_cost","decoded_cols"],"rows":[["table-scan","","156µs",3],["filter","u = 3","",0]],"elapsed_ns":N,"row_count":2},{"message":"INSERT 1","affected":1,"elapsed_ns":N},{"error":"sql: no table \"ghosts\"","elapsed_ns":N}]}`,
+	`{"results":[{"columns":["c","u","s"],"rows":[[3,3,"row-3"],[23,3,"row-23"],[43,3,"row-43"],[63,3,"row-63"],[83,3,"row-83"],[103,3,"row-103"],[123,3,"row-123"],[143,3,"row-143"],[163,3,"row-163"],[183,3,"row-183"],[203,3,"row-203"],[223,3,"row-223"],[243,3,"row-243"],[263,3,"row-263"],[283,3,"row-283"],[303,3,"row-303"],[323,3,"row-323"],[343,3,"row-343"],[363,3,"row-363"],[383,3,"row-383"],[403,3,"row-403"],[423,3,"row-423"],[443,3,"row-443"],[463,3,"row-463"],[483,3,"row-483"]],"elapsed_ns":N,"row_count":25},{"columns":["s"],"rows":[["row-499"],["row-498"],["row-497"],["row-496"],["row-495"],["row-494"],["row-493"],["row-492"],["row-491"],["row-490"]],"elapsed_ns":N,"row_count":10},{"columns":["u","count(*)","avg(c)"],"rows":[[0,25,240],[1,25,241],[2,25,242],[3,25,243],[4,25,244]],"elapsed_ns":N,"row_count":5},{"columns":["c","u","s"],"elapsed_ns":N},{"columns":["cm","columns","size_bytes","keys","pairs","c_per_u","stats_bytes"],"rows":[["cm_u","u",620,20,40,2,15605]],"elapsed_ns":N,"row_count":1},{"columns":["method","uses","est_cost","decoded_cols"],"rows":[["table-scan","","156µs",3],["filter","u = 3","",0]],"elapsed_ns":N,"row_count":2},{"message":"INSERT 1","affected":1,"elapsed_ns":N},{"error":"sql: no table \"ghosts\"","elapsed_ns":N}]}`,
 	`{"results":[{"columns":["avg(u)","sum(c)","min(s)"],"rows":[[1.5,6,"row-0"]],"elapsed_ns":N,"row_count":1}]}`,
 	`{"error":"server: bad JSON request: invalid character 'n' looking for beginning of object key string"}`,
 	`{"error":"sql: expected a statement keyword, got \"SELEKT\" (at offset 0)"}`,
@@ -93,7 +93,7 @@ var wireGolden = []string{
 	`{"chunk":{"stmt":1,"columns":["s"],"rows":[["row-499"],["row-498"],["row-497"],["row-496"],["row-495"],["row-494"],["row-493"]]}}`,
 	`{"chunk":{"stmt":1,"rows":[["row-492"],["row-491"],["row-490"]]}}`,
 	`{"chunk":{"stmt":2,"columns":["u","count(*)","avg(c)"],"rows":[[0,25,240],[1,25,241],[2,25,242],[3,25,243],[4,25,244]]}}`,
-	`{"chunk":{"stmt":4,"columns":["cm","columns","size_bytes","keys","pairs","c_per_u","stats_bytes"],"rows":[["cm_u","u",620,20,40,2,5309]]}}`,
+	`{"chunk":{"stmt":4,"columns":["cm","columns","size_bytes","keys","pairs","c_per_u","stats_bytes"],"rows":[["cm_u","u",620,20,40,2,15605]]}}`,
 	`{"chunk":{"stmt":5,"columns":["method","uses","est_cost","decoded_cols"],"rows":[["table-scan","","156µs",3],["filter","u = 3","",0]]}}`,
 	`{"done":{"results":[{"columns":["c","u","s"],"elapsed_ns":N,"row_count":25,"chunks":4},{"columns":["s"],"elapsed_ns":N,"row_count":10,"chunks":2},{"columns":["u","count(*)","avg(c)"],"elapsed_ns":N,"row_count":5,"chunks":1},{"columns":["c","u","s"],"elapsed_ns":N},{"columns":["cm","columns","size_bytes","keys","pairs","c_per_u","stats_bytes"],"elapsed_ns":N,"row_count":1,"chunks":1},{"columns":["method","uses","est_cost","decoded_cols"],"elapsed_ns":N,"row_count":2,"chunks":1},{"message":"INSERT 1","affected":1,"elapsed_ns":N},{"error":"sql: no table \"ghosts\"","elapsed_ns":N}]}}`,
 	`{"done":{"error":"server: bad JSON request: invalid character 'n' looking for beginning of object key string"}}`,

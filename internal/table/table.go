@@ -442,8 +442,7 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 }
 
 // statSpec completes a CM spec's statistics: every column when it names
-// no stat columns (the default for CMs created through the engine), and
-// each stat column's kind from the schema.
+// no stat columns (the default for CMs created through the engine).
 func (t *Table) statSpec(spec core.Spec) (core.Spec, error) {
 	cols := t.cfg.Schema.Cols
 	if spec.StatCols == nil {
@@ -452,12 +451,10 @@ func (t *Table) statSpec(spec core.Spec) (core.Spec, error) {
 			spec.StatCols[i] = i
 		}
 	}
-	spec.StatKinds = make([]value.Kind, len(spec.StatCols))
-	for i, c := range spec.StatCols {
+	for _, c := range spec.StatCols {
 		if c < 0 || c >= len(cols) {
 			return spec, fmt.Errorf("table %s: CM stat column %d out of range", t.cfg.Name, c)
 		}
-		spec.StatKinds[i] = cols[c].Kind
 	}
 	return spec, nil
 }

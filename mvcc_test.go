@@ -472,7 +472,7 @@ func TestCMLegacyCheckpointTriggersStatsRebuild(t *testing.T) {
 	if len(spec.StatCols) == 0 {
 		t.Fatal("donor CM carries no statistics; fixture broken")
 	}
-	spec.StatCols, spec.StatKinds = nil, nil
+	spec.StatCols = nil
 	statless := core.New(spec)
 	if err := donor.inner.Scan(func(_ heap.RID, row value.Row) bool {
 		statless.AddRow(row, donor.inner.ClusterBucketFor(row))

@@ -612,9 +612,9 @@ type CMInfo struct {
 	CPerU     float64
 	// StatsBytes is the memory the per-pair aggregate statistics powering
 	// index-only aggregation (cm-agg) own: their column arrays at their
-	// capacities plus the distinct strings they hold. It is reported
-	// separately from SizeBytes, which remains the paper's serialized-CM
-	// metric.
+	// capacities plus the distinct strings they hold with their interning
+	// entries. It is reported separately from SizeBytes, which remains
+	// the paper's serialized-CM metric.
 	StatsBytes int64
 	// DirectoryBytes is the in-memory footprint of the table's clustered
 	// bucket directory — lower-bound keys plus the bucket→page lists a
