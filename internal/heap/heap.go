@@ -6,12 +6,15 @@
 // opaque byte strings; the table layer encodes and decodes rows.
 //
 // Every tuple additionally carries a pair of MVCC timestamps (begin, end)
-// in an in-memory side array. A tuple is visible to a snapshot when it was
-// created at or before the snapshot and not ended by it; snapshot 0 is the
-// "latest" sentinel that sees exactly the tuples whose end timestamp is
-// unset. Every tuple begins at its writer statement's timestamp, which is
-// never 0 — a bulk load's included — so no snapshot taken before the
-// statement sees it.
+// in memory. A tuple is visible to a snapshot when it was created at or
+// before the snapshot and not ended by it; snapshot 0 is the "latest"
+// sentinel that sees exactly the tuples whose end timestamp is unset.
+// Every tuple begins at its writer statement's timestamp, which is never
+// 0 — a bulk load's included — so no snapshot taken before the statement
+// sees it. Version state grows with writes, not with rows: a page whose
+// slots all share one begin and none has ended (a bulk load's pages, once
+// Clip folds them) keeps that one page-level version, and the first write
+// to the page builds its per-slot array.
 //
 // Space is reclaimed inside its page. An ended version that no snapshot
 // can read any more is marked dead (MarkDead), and a physically deleted
@@ -42,6 +45,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/buffer"
 	"repro/internal/sim"
@@ -88,6 +92,51 @@ func visibleAt(v tupleVersion, snap uint64) bool {
 	return v.begin <= snap && (v.end == 0 || v.end > snap)
 }
 
+// retracted reports whether ScanUnretracted skips a version: dead or
+// erased, or ended by a statement published at or before published.
+func retracted(v tupleVersion, published uint64) bool {
+	return v.begin == gone || (v.end != 0 && v.end <= published)
+}
+
+// versionSize is the bytes one slot's version takes in a per-slot array.
+const versionSize = int64(unsafe.Sizeof(tupleVersion{}))
+
+// pageVersions holds one page's MVCC versions in one of two forms. A
+// folded page — every slot begun at the same timestamp, none ended, dead
+// or erased, no pre-image — keeps that begin and its slot count and no
+// per-slot array; any other page keeps slots, one version per slot of its
+// directory. Clip folds; exact, which every write to a page's versions
+// goes through, builds a folded page's array. Reads go through at and
+// len, which see both forms alike.
+type pageVersions struct {
+	slots []tupleVersion
+	begin uint64 // the folded page's one begin; 0 when slots holds the versions
+	n     int    // the folded page's slot count
+}
+
+// pageLevelSize is the bytes of a page's page-level version: the folded
+// form's begin and slot count, which every page carries beside slots.
+const pageLevelSize = int64(unsafe.Sizeof(pageVersions{}) - unsafe.Sizeof([]tupleVersion(nil)))
+
+// folded reports whether the page keeps one page-level version.
+func (pv *pageVersions) folded() bool { return pv.begin != 0 }
+
+// len returns the page's slot count.
+func (pv *pageVersions) len() int {
+	if pv.folded() {
+		return pv.n
+	}
+	return len(pv.slots)
+}
+
+// at returns slot s's version; s must be below len.
+func (pv *pageVersions) at(s int) tupleVersion {
+	if pv.folded() {
+		return tupleVersion{begin: pv.begin}
+	}
+	return pv.slots[s]
+}
+
 // preImage is the version an in-place replacement overwrote: a copy of its
 // bytes and its timestamps, ended at the replacement's begin.
 type preImage struct {
@@ -128,9 +177,9 @@ type File struct {
 	numPages int64
 	tuples   int64
 
-	// vers[page][slot] carries the tuple's MVCC timestamps. Grown and
-	// trimmed in lockstep with the slot directories.
-	vers [][]tupleVersion
+	// vers[page] carries the page's MVCC timestamps, folded or per slot.
+	// Grown and trimmed in lockstep with the slot directories.
+	vers []pageVersions
 
 	// space[page] is the page's space account; reuse the pages that
 	// have something to give back, each filed in classes by its room
@@ -183,29 +232,74 @@ func (h *File) ReclaimedVersions() int64 { return h.reclaimed }
 // live, ended, dead and erased — which pruning keeps bounded.
 func (h *File) Slots() int64 {
 	var n int64
-	for _, pv := range h.vers {
-		n += int64(len(pv))
+	for i := range h.vers {
+		n += int64(h.vers[i].len())
 	}
 	return n
 }
 
-// Clip gives back the spare capacity appends left in the per-page side
-// arrays once a bulk load has filled the file: every page's versions move
-// into one exact slab, each page's share capped at its length, so a later
-// placement on a page grows that page alone into an array of its own.
-func (h *File) Clip() {
-	n := 0
+// VersionBytes returns the bytes the MVCC versions take in memory: the
+// per-slot arrays' capacities plus every page's page-level version. A
+// file no write has touched since Clip holds only the latter.
+func (h *File) VersionBytes() int64 {
+	n := int64(len(h.vers)) * pageLevelSize
 	for _, pv := range h.vers {
-		n += len(pv)
+		n += int64(cap(pv.slots)) * versionSize
 	}
-	slab := make([]tupleVersion, n)
-	vers := make([][]tupleVersion, len(h.vers))
+	return n
+}
+
+// Clip gives back what a bulk load's appends left in memory once it has
+// filled the file. A page whose slots all share one begin and none has
+// ended, with no pre-image, folds into its page-level version; any other
+// page's versions move into an array of exactly its length. A later write
+// to a page builds or grows that page's array alone.
+func (h *File) Clip() {
+	vers := make([]pageVersions, len(h.vers))
 	for p, pv := range h.vers {
-		k := copy(slab, pv)
-		vers[p], slab = slab[:k:k], slab[k:]
+		switch {
+		case pv.folded():
+			vers[p] = pv
+		case h.foldable(int64(p)):
+			vers[p] = pageVersions{begin: pv.slots[0].begin, n: len(pv.slots)}
+		default:
+			vers[p].slots = make([]tupleVersion, len(pv.slots))
+			copy(vers[p].slots, pv.slots)
+		}
 	}
 	h.vers = vers
 	h.space = append(make([]pageSpace, 0, len(h.space)), h.space...)
+}
+
+// foldable reports whether a page's per-slot versions can fold into one:
+// it has a slot, every slot carries the first one's begin and no end (a
+// dead or erased slot's begin is gone), and no slot holds a pre-image.
+func (h *File) foldable(page int64) bool {
+	slots := h.vers[page].slots
+	if len(slots) == 0 || slots[0].begin == gone || h.hasPreOn(page) {
+		return false
+	}
+	for _, v := range slots {
+		if v != (tupleVersion{begin: slots[0].begin}) {
+			return false
+		}
+	}
+	return true
+}
+
+// exact returns the page's per-slot versions for a write to change,
+// building a folded page's array first. Every write to a version goes
+// through it.
+func (h *File) exact(page int64) []tupleVersion {
+	pv := &h.vers[page]
+	if pv.folded() {
+		slots := make([]tupleVersion, pv.n)
+		for i := range slots {
+			slots[i].begin = pv.begin
+		}
+		*pv = pageVersions{slots: slots}
+	}
+	return pv.slots
 }
 
 // EmptyRoom returns the room of an empty page: the most a placement can
@@ -397,7 +491,7 @@ func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
 			return RID{}, err
 		}
 		initPage(fr.Data)
-		h.vers = append(h.vers, nil)
+		h.vers = append(h.vers, pageVersions{})
 		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
 		h.numPages++
 	case page < 0 || page > h.numPages:
@@ -427,11 +521,11 @@ func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
 	start := pageCellStart(d) - len(tuple)
 	copy(d[start:], tuple)
 	setSlotAt(d, slot, start, len(tuple))
-	if slot == pageNumSlots(d) {
+	if v := (tupleVersion{begin: begin}); slot == pageNumSlots(d) {
 		setPageNumSlots(d, slot+1)
-		h.vers[page] = append(h.vers[page], tupleVersion{begin: begin})
+		h.vers[page].slots = append(h.exact(page), v)
 	} else {
-		h.vers[page][slot] = tupleVersion{begin: begin}
+		h.exact(page)[slot] = v
 	}
 	setPageCellStart(d, start)
 	h.space[page].free = uint16(pageFree(d))
@@ -475,7 +569,8 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 	r.dead = r.dead[:0]
 
 	n := pageNumSlots(d)
-	for n > 0 && h.vers[page][n-1].begin == gone {
+	pv := &h.vers[page]
+	for n > 0 && pv.at(n-1).begin == gone {
 		n--
 	}
 	if h.scratch == nil {
@@ -502,7 +597,9 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 		}
 	}
 	r.erased = kept
-	h.vers[page] = h.vers[page][:n]
+	if n < pv.len() {
+		pv.slots = h.exact(page)[:n]
+	}
 	h.space[page] = pageSpace{free: uint16(pageFree(d))}
 }
 
@@ -542,7 +639,7 @@ func (h *File) ReplaceAt(rid RID, tuple []byte, ts uint64) error {
 	h.pre[rid] = preImage{tuple: bytes.Clone(old), ver: tupleVersion{begin: v.begin, end: ts}}
 	h.preOn[rid.Page]++
 	copy(old, tuple)
-	*v = tupleVersion{begin: ts}
+	h.setVersion(rid, tupleVersion{begin: ts})
 	h.pool.Unpin(fr, true)
 	return nil
 }
@@ -568,7 +665,7 @@ func (h *File) RestoreAt(rid RID) error {
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
 	copy(fr.Data[off:off+length], p.tuple)
-	*v = tupleVersion{begin: p.ver.begin}
+	h.setVersion(rid, tupleVersion{begin: p.ver.begin})
 	h.dropPre(rid)
 	h.pool.Unpin(fr, true)
 	return nil
@@ -630,7 +727,7 @@ func (h *File) SetEnd(rid RID, end uint64) error {
 	if v.end != 0 {
 		return fmt.Errorf("heap: RID %v already ended at %d", rid, v.end)
 	}
-	v.end = end
+	h.setVersion(rid, tupleVersion{begin: v.begin, end: end})
 	h.tuples--
 	return nil
 }
@@ -645,7 +742,7 @@ func (h *File) ClearEnd(rid RID) error {
 	if v.end == 0 || v.begin == gone {
 		return fmt.Errorf("heap: RID %v is not an ended version", rid)
 	}
-	v.end = 0
+	h.setVersion(rid, tupleVersion{begin: v.begin})
 	h.tuples++
 	return nil
 }
@@ -666,7 +763,7 @@ func (h *File) MarkDead(rid RID, size int) error {
 	if size <= 0 || h.Room(rid.Page)+TupleCost(size) > h.EmptyRoom() {
 		return fmt.Errorf("heap: dead tuple of %d bytes does not fit page %d's account", size, rid.Page)
 	}
-	*v = tupleVersion{begin: gone, end: gone}
+	h.setVersion(rid, tupleVersion{begin: gone, end: gone})
 	r := h.reuseOf(rid.Page)
 	r.dead = append(r.dead, rid.Slot)
 	h.space[rid.Page].garbage += uint16(size)
@@ -676,15 +773,20 @@ func (h *File) MarkDead(rid RID, size int) error {
 }
 
 // version resolves the MVCC timestamps of a slot, checking bounds.
-func (h *File) version(rid RID) (*tupleVersion, error) {
+func (h *File) version(rid RID) (tupleVersion, error) {
 	if rid.Page < 0 || rid.Page >= h.numPages {
-		return nil, fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
+		return tupleVersion{}, fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
 	}
-	pv := h.vers[rid.Page]
-	if int(rid.Slot) >= len(pv) {
-		return nil, fmt.Errorf("heap: RID %v slot out of range", rid)
+	pv := &h.vers[rid.Page]
+	if int(rid.Slot) >= pv.len() {
+		return tupleVersion{}, fmt.Errorf("heap: RID %v slot out of range", rid)
 	}
-	return &pv[rid.Slot], nil
+	return pv.at(int(rid.Slot)), nil
+}
+
+// setVersion writes the MVCC timestamps of a slot within bounds.
+func (h *File) setVersion(rid RID, v tupleVersion) {
+	h.exact(rid.Page)[rid.Slot] = v
 }
 
 // Get returns a copy of the tuple at rid as the latest state sees it.
@@ -702,7 +804,7 @@ func (h *File) Get(rid RID) ([]byte, error) {
 		return nil, fmt.Errorf("heap: RID %v slot out of range", rid)
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
-	if length == 0 || !visibleAt(h.vers[rid.Page][rid.Slot], 0) {
+	if length == 0 || !visibleAt(h.vers[rid.Page].at(int(rid.Slot)), 0) {
 		return nil, nil // deleted
 	}
 	out := make([]byte, length)
@@ -730,7 +832,7 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
 	tuple := fr.Data[off : off+length]
-	if length == 0 || !visibleAt(h.vers[rid.Page][rid.Slot], snap) {
+	if length == 0 || !visibleAt(h.vers[rid.Page].at(int(rid.Slot)), snap) {
 		if !h.hasPreOn(rid.Page) {
 			return nil // deleted or invisible to this snapshot
 		}
@@ -761,7 +863,7 @@ func (h *File) Delete(rid RID) error {
 		return fmt.Errorf("heap: RID %v slot out of range", rid)
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
-	v := &h.vers[rid.Page][rid.Slot]
+	v := h.vers[rid.Page].at(int(rid.Slot))
 	if length == 0 || v.begin == gone {
 		return nil // already deleted, or dead and awaiting its prune
 	}
@@ -769,7 +871,7 @@ func (h *File) Delete(rid RID) error {
 	if v.end == 0 {
 		h.tuples-- // erasing a live tuple; ended ones were already counted out
 	}
-	*v = tupleVersion{begin: gone, end: gone}
+	h.setVersion(rid, tupleVersion{begin: gone, end: gone})
 	if h.HasPreImage(rid) {
 		h.dropPre(rid)
 	}
@@ -803,12 +905,18 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 			return err
 		}
 		n := pageNumSlots(fr.Data)
-		pv := h.vers[p]
+		pv := &h.vers[p]
 		pre := h.hasPreOn(p)
+		// A folded page's one version is tested once: the snapshot sees
+		// every slot or none (and a folded page holds no pre-image).
+		all := pv.folded()
+		if all && !visibleAt(pv.at(0), snap) {
+			n = 0
+		}
 		for s := 0; s < n; s++ {
 			off, length := slotAt(fr.Data, s)
 			tuple := fr.Data[off : off+length]
-			if length == 0 || !visibleAt(pv[s], snap) {
+			if length == 0 || !all && !visibleAt(pv.slots[s], snap) {
 				if !pre {
 					continue
 				}
@@ -840,10 +948,11 @@ func (h *File) ScanUnretracted(published uint64, fn func(rid RID, tuple []byte) 
 			return err
 		}
 		n := pageNumSlots(fr.Data)
-		pv := h.vers[p]
+		pv := &h.vers[p]
+		all := pv.folded() // one live version: nothing on the page is retracted
 		for s := 0; s < n; s++ {
 			off, length := slotAt(fr.Data, s)
-			if v := pv[s]; length == 0 || v.begin == gone || (v.end != 0 && v.end <= published) {
+			if length == 0 || !all && retracted(pv.slots[s], published) {
 				continue
 			}
 			if !fn(RID{Page: p, Slot: uint16(s)}, fr.Data[off:off+length]) {

@@ -152,8 +152,9 @@ func (rm *reclaimModel) checkErr() error {
 		h.pool.Unpin(fr, false)
 
 		n, cell := pageNumSlots(d), pageCellStart(d)
-		if len(h.vers[p]) != n {
-			return fmt.Errorf("page %d: %d slots, %d versions", p, n, len(h.vers[p]))
+		pv := &h.vers[p]
+		if pv.len() != n {
+			return fmt.Errorf("page %d: %d slots, %d versions", p, n, pv.len())
 		}
 		if headerSize+n*slotSize > cell {
 			return fmt.Errorf("page %d: slot directory runs into the tuple bytes", p)
@@ -163,7 +164,7 @@ func (rm *reclaimModel) checkErr() error {
 		held := 0
 		for s := 0; s < n; s++ {
 			off, length := slotAt(d, s)
-			v := h.vers[p][s]
+			v := pv.at(s)
 			rid := RID{Page: p, Slot: uint16(s)}
 			mt, inModel := rm.m[rid]
 			switch {

@@ -38,8 +38,11 @@ import (
 //     exclusive-latch hold times per write batch — and
 //     table.directory_bytes, the in-memory footprint of every table's
 //     clustered bucket directory (lower-bound keys plus the bucket→page
-//     lists CM probes resolve through). Heap reclamation, summed over
-//     tables: table.dead_versions (old row versions awaiting reuse —
+//     lists CM probes resolve through), and table.version_bytes, the
+//     memory every table's heap MVCC versions take (a page no write has
+//     touched since its bulk load keeps one page-level version; a
+//     written page one 16-byte version per slot). Heap reclamation,
+//     summed over tables: table.dead_versions (old row versions awaiting reuse —
 //     dead in the heap and not yet pruned, plus those queued behind a
 //     pinned snapshot), table.reclaimed_versions (running total of dead
 //     versions whose slot and bytes were taken back) and
@@ -149,6 +152,7 @@ func (db *DB) initMetrics() {
 			return n
 		}
 	}
+	r.Func("table.version_bytes", perTable(func(t *table.Table) int64 { return t.Heap().VersionBytes() }))
 	r.Func("table.dead_versions", perTable((*table.Table).DeadVersions))
 	r.Func("table.reclaimed_versions", perTable(func(t *table.Table) int64 { return t.Heap().ReclaimedVersions() }))
 	r.Func("table.oldest_pin_age", func() int64 {
