@@ -34,13 +34,10 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional HTTP listen address for /debug/metrics, /debug/vars and /debug/pprof (empty = no listener)")
 	stmtTimeoutMs := flag.Int("stmt-timeout-ms", 0, "statement deadline in ms; statements past it fail with a timeout (0 = off)")
 	maxConns := flag.Int("max-conns", 0, "admission cap on concurrent sessions; excess connections are rejected with a busy error (0 = unlimited)")
-	maxStmts := flag.Int("max-stmts", 0, "cap on request lines executing at once across all sessions; a coalesced batch takes one slot (0 = unlimited)")
+	maxStmts := flag.Int("max-stmts", 0, "cap on request lines executing at once across all sessions (0 = unlimited)")
 	drainMs := flag.Int("drain-ms", 5000, "grace period in ms for in-flight statements on shutdown before connections are cut")
 	authToken := flag.String("auth-token", "", "require AUTH <token> as each connection's first line (empty = no auth)")
 	writeTimeoutMs := flag.Int("write-timeout-ms", 30000, "write deadline in ms for each reply line or chunk frame; clients that stop reading past it are cut (0 = none)")
-	coalesce := flag.Bool("coalesce", false, "coalesce single-SELECT lines from different sessions into cross-connection batches")
-	coalesceWindowUs := flag.Int("coalesce-window-us", 200, "coalescing window in µs: a batch flushes this long after its first statement")
-	coalesceMax := flag.Int("coalesce-max", 32, "statements per coalesced batch; a full batch flushes immediately")
 	flag.Parse()
 
 	db := repro.Open(repro.Config{
@@ -67,9 +64,6 @@ func main() {
 		MaxConcurrentStmts: *maxStmts,
 		AuthToken:          *authToken,
 		WriteTimeout:       time.Duration(*writeTimeoutMs) * time.Millisecond,
-		Coalesce:           *coalesce,
-		CoalesceWindow:     time.Duration(*coalesceWindowUs) * time.Microsecond,
-		CoalesceMax:        *coalesceMax,
 	})
 
 	if dln, err := server.StartDebug(*debugAddr, db); err != nil {

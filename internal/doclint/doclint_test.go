@@ -99,6 +99,11 @@ var ciRunPattern = regexp.MustCompile(`-(?:run|fuzz) +(?:'([^']*)'|"([^"]*)"|(\S
 // pattern.
 var testIdent = regexp.MustCompile(`\b(?:Test|Fuzz|Example)\w*`)
 
+// docTestIdent matches a test, fuzz target or example name in a
+// document's prose. It follows go test's rule that no lower-case letter
+// comes right after the prefix, which keeps words like "Examples" out.
+var docTestIdent = regexp.MustCompile(`\b(?:Test|Fuzz|Example)(?:[^a-z\W]\w*)?\b`)
+
 // testFunc matches a test, fuzz target or example declaration.
 var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 
@@ -107,7 +112,9 @@ var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 // no function of the repository's _test.go files, so deleting or
 // renaming a test cannot leave a CI step that silently runs nothing. A
 // -run pattern is an unanchored regexp, so a name resolves when it
-// appears anywhere in some function's name.
+// appears anywhere in some function's name. The documents that tell a
+// reader which test to run (docNames) are held to the same rule, so they
+// cannot keep a deleted test's name either.
 func TestCIRunPatternsNameTests(t *testing.T) {
 	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -149,7 +156,26 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 	if names == 0 {
 		t.Fatal("found no test names in ci.yml's -run patterns; the pattern scan is broken")
 	}
+	for _, doc := range docNames {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := docTestIdent.FindAllString(string(text), -1)
+		for _, name := range names {
+			if !containsAny(funcs, name) {
+				t.Errorf("%s names %s, which no _test.go function matches", doc, name)
+			}
+		}
+		if len(names) == 0 {
+			t.Errorf("found no test names in %s; the scan is broken", doc)
+		}
+	}
 }
+
+// docNames are the documents, relative to the repository root, whose
+// Test…, Fuzz… and Example… names must each match a _test.go function.
+var docNames = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
 
 // containsAny reports whether any of names contains sub.
 func containsAny(names []string, sub string) bool {

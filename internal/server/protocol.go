@@ -30,13 +30,11 @@ import (
 //	   "elapsed_ns": N, "row_count": N, "pages_read": N}
 //	with "error" set when that statement failed. The three measurement
 //	fields report the statement's own server-side wall time, result row
-//	count and disk page-read delta (a coalesced SELECT reports its
-//	cross-connection batch's time and pages). Ints arrive as JSON
-//	numbers, floats as numbers, strings as strings, every value encoded
-//	byte for byte as encoding/json would,
-//	in both wire modes, by the engine's one JSON row format
-//	(internal/value's AppendRow; a plain SELECT's rows are encoded
-//	straight from the heap tuples). The 4 MiB cap bounds the whole
+//	count and disk page-read delta. Ints arrive as JSON numbers, floats
+//	as numbers, strings as strings, every value encoded byte for byte as
+//	encoding/json would, in both wire modes, by the engine's one JSON
+//	row format (internal/value's AppendRow; a plain SELECT's rows are
+//	encoded straight from the heap tuples). The 4 MiB cap bounds the whole
 //	response line: the statement whose result would take the line's
 //	running total past it answers with only an "error" naming the
 //	statement, that total and its row count, and so does a statement

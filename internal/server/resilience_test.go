@@ -269,15 +269,17 @@ func TestShutdownDrains(t *testing.T) {
 
 // TestStatementGate bounds concurrent statements to one and asserts a
 // second session's statement still completes (it queues at the gate
-// rather than erroring) while both sessions stay correct.
+// rather than erroring) while both sessions stay correct. Then a slow
+// cold scan holds the one slot, and a session whose client goes away
+// while its plain SELECT is queued behind it must end while the scan
+// still runs; the slot it never took is not lost, so a third statement
+// completes after the scan.
 func TestStatementGate(t *testing.T) {
-	db, _, addr, stop := startServerCfg(t, repro.Config{}, Config{MaxConcurrentStmts: 1})
+	db, srv, addr, stop := startServerCfg(t, slowDiskCfg(), Config{MaxConcurrentStmts: 1})
 	defer stop()
-	loadWideTable(t, db, 2000)
+	loadWideTable(t, db, 40000) // a cold full scan: ≈ 0.25 s of real I/O waits
 
 	a, b := dial(t, addr), dial(t, addr)
-	defer a.close()
-	defer b.close()
 	done := make(chan Response, 2)
 	for _, c := range []*client{a, b} {
 		go func(c *client) {
@@ -294,6 +296,81 @@ func TestStatementGate(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("gated statements deadlocked")
 		}
+	}
+	a.close()
+	b.close()
+	waitSessions(t, srv, 0, 2*time.Second)
+
+	busy := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		n := 0
+		for sess := range srv.sessions {
+			if sess.busy.Load() {
+				n++
+			}
+		}
+		return n
+	}
+	waitBusy := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for busy() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sessions busy after 2s, want %d", busy(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	holder := dial(t, addr)
+	defer holder.close()
+	held := make(chan Response, 1)
+	go func() {
+		resp, _ := tryRoundTrip(holder, "SELECT count(*) FROM wide WHERE u = 3")
+		held <- resp
+	}()
+	waitBusy(1)
+	time.Sleep(5 * time.Millisecond) // let the scan take the slot
+
+	queued := dial(t, addr)
+	if _, err := fmt.Fprintf(queued.conn, "SELECT u FROM wide WHERE c = 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitBusy(2)
+	queued.close()
+	waitSessions(t, srv, 1, 2*time.Second)
+	select {
+	case resp := <-held:
+		t.Fatalf("the slot holder finished (%+v) before the queued session ended", resp)
+	default:
+	}
+
+	select {
+	case resp := <-held:
+		if resp.Error != "" || len(resp.Results) != 1 || resp.Results[0].Error != "" || resp.Results[0].RowCount != 1 {
+			t.Fatalf("slot holder: %+v", resp)
+		}
+		t.Logf("the slot holder ran %v", time.Duration(resp.Results[0].ElapsedNS))
+	case <-time.After(10 * time.Second):
+		t.Fatal("the slot holder never finished")
+	}
+	third := dial(t, addr)
+	defer third.close()
+	go func() {
+		resp, _ := tryRoundTrip(third, "SELECT u FROM wide WHERE c = 7")
+		done <- resp
+	}()
+	select {
+	case resp := <-done:
+		if resp.Error != "" || len(resp.Results) != 1 || len(resp.Results[0].Rows) != 1 {
+			t.Fatalf("statement after the abandoned request: %+v", resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the statement after the abandoned request never ran: its gate slot leaked")
 	}
 }
 

@@ -3,7 +3,7 @@
 // honours the 4 MiB cap, and framing a buffered response into buffers
 // the session keeps allocates nothing. (The row encoder itself is pinned
 // to encoding/json beside it, in internal/value.) Every test name
-// matches the CI race sweep's Stream|Coalesce|Auth filter.
+// matches the CI race sweep's Stream|Auth filter.
 package server
 
 import (
@@ -38,8 +38,8 @@ func encodeRow(r repro.Row) []any {
 	return out
 }
 
-// FuzzAppendRow holds the responder's Row callback — a facade row turned
-// into the engine's values and put through the value encoder — to
+// FuzzAppendRow holds the responder's RowJSON callback, fed what the
+// facade hands it — a row's value encoding, or the encoder's error — to
 // encoding/json: the bytes it holds back for a row of every value kind
 // are encoding/json's, and a value JSON cannot carry fails the
 // statement with encoding/json's error. (FuzzAppendRow in internal/value
@@ -61,22 +61,23 @@ func FuzzAppendRow(f *testing.F) {
 		want, wantErr := json.Marshal(encodeRow(row))
 		r := newResponder(&connWriter{conn: &captureConn{}}, nil)
 		r.rs.Begin(0, []string{"s", "i", "x", "s"})
-		r.rs.Row(0, row)
+		enc, err := appendRow(nil, row)
+		r.rs.RowJSON(0, enc, err)
 		r.rs.End(0)
 		if err := r.at(0).err; err != nil || wantErr != nil {
 			if err == nil || wantErr == nil || !strings.HasSuffix(err.Error(), ": "+wantErr.Error()) {
-				t.Fatalf("Row callback error %v, encoding/json error %v", err, wantErr)
+				t.Fatalf("RowJSON callback error %v, encoding/json error %v", err, wantErr)
 			}
 			return
 		}
 		if string(r.rows) != string(want) {
-			t.Fatalf("Row callback held\n got  %s\n want %s", r.rows, want)
+			t.Fatalf("RowJSON callback held\n got  %s\n want %s", r.rows, want)
 		}
 	})
 }
 
-// appendRow is the value encoder over a facade row: what the
-// responder's Row callback puts on the wire for it.
+// appendRow is the value encoder over a facade row: what the facade
+// hands the responder's RowJSON callback for it.
 func appendRow(dst []byte, row repro.Row) ([]byte, error) {
 	vals := make(value.Row, len(row))
 	for i, v := range row {
@@ -273,7 +274,7 @@ func TestStreamBufferedHoldIsBounded(t *testing.T) {
 		r.rs.Begin(stmt, cols)
 		for i := 0; i < n; i++ {
 			enc, _ := appendRow(nil, mkRow(i))
-			if !r.rs.Row(stmt, mkRow(i)) {
+			if !r.rs.RowJSON(stmt, enc, nil) {
 				t.Fatal("a buffered reply stopped a statement")
 			}
 			fed += len(enc)
@@ -326,7 +327,8 @@ func TestStreamBufferedHoldIsBounded(t *testing.T) {
 	for stmt := 0; stmt < 2; stmt++ {
 		r.rs.Begin(stmt, cols)
 		for i := 0; i < 3<<10; i++ {
-			r.rs.Row(stmt, mkRow(i))
+			enc, _ := appendRow(nil, mkRow(i))
+			r.rs.RowJSON(stmt, enc, nil)
 		}
 		r.rs.End(stmt)
 	}
@@ -346,18 +348,21 @@ func TestStreamBufferedHoldIsBounded(t *testing.T) {
 }
 
 // TestStreamBufferedResponseAllocs bounds the allocations of framing the
-// benchmark's own reply shape, 120 one-int rows, as a buffered response
-// and as chunk frames of 32 rows: the rows are appended once into a
+// benchmark's own reply shape, 120 one-int rows fed encoded through the
+// callbacks as the facade feeds them, as a buffered response and as
+// chunk frames of 32 rows: the rows are appended once into a
 // buffer the session reuses, and so are the line and each frame, so once
 // the first reply has grown them framing allocates nothing. Boxing each
 // value for a reflective marshal cost 254 allocations a response; fresh
 // line and row buffers per request and a marshalled header, 4.
 func TestStreamBufferedResponseAllocs(t *testing.T) {
-	res := &repro.Result{Columns: []string{"price"}}
+	cols := []string{"price"}
+	var encs [][]byte
 	for i := 0; i < 120; i++ {
-		res.Rows = append(res.Rows, repro.Row{repro.IntVal(int64(1000 + i))})
+		enc, _ := appendRow(nil, repro.Row{repro.IntVal(int64(1000 + i))})
+		encs = append(encs, enc)
 	}
-	sr := repro.ScriptResult{Res: res, Rows: 120, Elapsed: 85 * time.Microsecond, PagesRead: 5}
+	sr := repro.ScriptResult{Res: &repro.Result{Columns: cols}, Rows: 120, Elapsed: 85 * time.Microsecond, PagesRead: 5}
 	conn := &captureConn{}
 	r := newResponder(&connWriter{s: New(repro.Open(repro.Config{}), Config{}), conn: conn}, nil)
 	chunkRows := 0
@@ -365,6 +370,11 @@ func TestStreamBufferedResponseAllocs(t *testing.T) {
 		conn.buf.Reset()
 		r.reset()
 		r.chunkRows = chunkRows
+		r.rs.Begin(0, cols)
+		for _, enc := range encs {
+			r.rs.RowJSON(0, enc, nil)
+		}
+		r.rs.End(0)
 		r.result(0, sr)
 		if !r.finish() {
 			t.Fatal("finish reported a dead connection")

@@ -50,8 +50,7 @@ type Config struct {
 	MaxConns int
 	// MaxConcurrentStmts, when positive, bounds request lines executing
 	// at once across all sessions; excess requests wait at the gate and
-	// give up cleanly if their connection goes away while queued. A
-	// coalesced batch takes one slot for the whole batch.
+	// give up cleanly if their connection goes away while queued.
 	MaxConcurrentStmts int
 	// AuthToken, when non-empty, requires every connection's first line
 	// to be "AUTH <token>" (constant-time compare). A wrong or missing
@@ -63,14 +62,6 @@ type Config struct {
 	// closed, stopping a statement blocked on it. A statement's deadline
 	// bounds its frame writes too. Zero leaves the rest unbounded.
 	WriteTimeout time.Duration
-	// Coalesce enables the cross-connection batch coalescer: single
-	// SELECT request lines from different sessions arriving within
-	// CoalesceWindow (default 200µs) are collected — up to CoalesceMax
-	// (default 32) per batch — and executed as one ExecPreparedBatch
-	// fan-out under one statement-gate slot.
-	Coalesce       bool
-	CoalesceWindow time.Duration
-	CoalesceMax    int
 }
 
 // Server serves the line/JSON protocol over a shared database. Every
@@ -88,7 +79,6 @@ type Server struct {
 	gate         chan struct{} // nil means unbounded statement concurrency
 	authToken    string
 	writeTimeout time.Duration
-	coalesce     *batcher // nil means no cross-connection coalescing
 	m            counters
 
 	mu       sync.Mutex
@@ -106,13 +96,11 @@ type Server struct {
 // under server.* names, so SHOW METRICS, DB.Metrics and ResetMetrics
 // cover them, and every server over one DB adds into the same counters.
 // They record regardless of SetMetricsEnabled: one atomic add per chunk
-// frame, batch flush or refused connection, nowhere near a scan hot path.
+// frame or refused connection, nowhere near a scan hot path.
 type counters struct {
 	rejected       *metrics.Counter // server.rejected: connections refused at admission (MaxConns)
 	chunks         *metrics.Counter // server.stream_chunks: chunk frames sent in streaming mode
 	backpressureNS *metrics.Counter // server.backpressure_waits_ns: time producing statements spent inside chunk-frame writes
-	batches        *metrics.Counter // server.coalesced_batches: cross-connection batches the coalescer flushed
-	batchStmts     *metrics.Counter // server.coalesced_stmts: the statements those batches carried
 	authFailures   *metrics.Counter // server.auth_failures: connections that failed token authentication
 }
 
@@ -148,7 +136,7 @@ func New(db *repro.DB, cfg Config) *Server {
 	if cfg.MaxConcurrentStmts > 0 {
 		gate = make(chan struct{}, cfg.MaxConcurrentStmts)
 	}
-	s := &Server{
+	return &Server{
 		db:           db,
 		logf:         logf,
 		slowQuery:    time.Duration(cfg.SlowQueryMs) * time.Millisecond,
@@ -161,15 +149,9 @@ func New(db *repro.DB, cfg Config) *Server {
 			rejected:       db.MetricCounter("server.rejected"),
 			chunks:         db.MetricCounter("server.stream_chunks"),
 			backpressureNS: db.MetricCounter("server.backpressure_waits_ns"),
-			batches:        db.MetricCounter("server.coalesced_batches"),
-			batchStmts:     db.MetricCounter("server.coalesced_stmts"),
 			authFailures:   db.MetricCounter("server.auth_failures"),
 		},
 	}
-	if cfg.Coalesce {
-		s.coalesce = newBatcher(s, cfg.CoalesceWindow, cfg.CoalesceMax)
-	}
-	return s
 }
 
 // ListenAndServe listens on addr and serves until Close or Shutdown.
@@ -538,32 +520,20 @@ func containsFold(s, word string) bool {
 
 // handle executes one request line's SQL under the connection's context,
 // folds each statement's measurements into the session stats (logging
-// the slow ones) and answers through r in the mode r.chunkRows says. A
-// single plain SELECT goes to the cross-connection coalescer when that is
-// on (the batch holds the statement-gate slot); everything else takes a
-// slot itself and runs through ExecScriptStreamCtx with r as the live row
-// sink in either mode. It reports false when the connection is no longer
-// usable.
+// the slow ones) and answers through r in the mode r.chunkRows says. The
+// line takes a statement-gate slot and runs through ExecScriptStreamCtx
+// with r as the live row sink in either mode. It reports false when the
+// connection is no longer usable.
 func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *sessionStats, r *responder) bool {
-	var results []repro.ScriptResult
-	var err error
-	var prep *repro.PreparedSelect
-	if s.coalesce != nil {
-		prep = s.db.PrepareSelect(sqlText)
-	}
-	if prep != nil {
-		results = []repro.ScriptResult{<-s.coalesce.submit(ctx, prep)}
-	} else {
-		if s.gate != nil {
-			select {
-			case s.gate <- struct{}{}:
-				defer func() { <-s.gate }()
-			case <-ctx.Done():
-				return r.fail("server: request abandoned at the statement gate: " + ctx.Err().Error())
-			}
+	if s.gate != nil {
+		select {
+		case s.gate <- struct{}{}:
+			defer func() { <-s.gate }()
+		case <-ctx.Done():
+			return r.fail("server: request abandoned at the statement gate: " + ctx.Err().Error())
 		}
-		results, err = s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
 	}
+	results, err := s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
 	if err != nil {
 		return r.fail(err.Error())
 	}

@@ -16,19 +16,17 @@ import (
 
 // This file is the responder: the one path from a statement's rows to
 // the socket, in either wire mode. A responder is a row sink — the
-// facade's RowStreamer callbacks for a live statement, a replay for the
-// coalescer's buffered results — that takes each row as the engine's
-// JSON row encoding (RowJSON: a plain SELECT's rows come encoded
-// straight from the heap tuples; Row: the rows the engine hands over
-// decoded, encoded here by the same value encoder) and appends it onto
-// the rows it holds back. In chunked mode the held rows leave as a
-// chunk frame every wire_chunk_rows rows or at the frame byte budget. A
-// buffered reply is the responder that never flushes: it holds each
-// statement's rows, at most maxLineBytes of them across the line, until
-// the statement's result arrives after the script, and result splices
-// them into the statement's object on the response line. Every line,
-// frames included, is written inline by the session goroutine through
-// its connWriter.
+// facade's RowStreamer callbacks for a live statement — that takes each
+// row as the engine's JSON row encoding (RowJSON: a plain SELECT's rows
+// come encoded straight from the heap tuples, every other statement's
+// through the same value encoder) and appends it onto the rows it holds
+// back. In chunked mode the held rows leave as a chunk frame every
+// wire_chunk_rows rows or at the frame byte budget. A buffered reply is
+// the responder that never flushes: it holds each statement's rows, at
+// most maxLineBytes of them across the line, until the statement's
+// result arrives after the script, and result splices them into the
+// statement's object on the response line. Every line, frames included,
+// is written inline by the session goroutine through its connWriter.
 
 // frameBudget is the most row bytes a chunk frame carries: maxLineBytes
 // less room for the frame's JSON envelope
@@ -98,13 +96,11 @@ type responder struct {
 
 	ctx     context.Context // its deadline bounds the writes: the streaming statement's, else connCtx
 	stmt    int
-	columns []string  // current statement's header, until its first frame carries it
-	vals    value.Row // a Row callback's row, as the value encoder takes it
-	enc     []byte    // a Row callback's row, encoded
-	rows    []byte    // held-back encoded rows: chunked, the next frame's; buffered, the line's
-	nrows   int       // rows in the next frame (chunked)
-	frame   []byte    // the chunk or done frame being written (chunked)
-	spilled int       // bytes of held rows that result left off the line
+	columns []string // current statement's header, until its first frame carries it
+	rows    []byte   // held-back encoded rows: chunked, the next frame's; buffered, the line's
+	nrows   int      // rows in the next frame (chunked)
+	frame   []byte   // the chunk or done frame being written (chunked)
+	spilled int      // bytes of held rows that result left off the line
 	per     []stmtWire
 }
 
@@ -121,7 +117,7 @@ type stmtWire struct {
 // newResponder builds a session's responder over w.
 func newResponder(w *connWriter, connCtx context.Context) *responder {
 	r := &responder{w: w, connCtx: connCtx}
-	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, Row: r.row, RowJSON: r.rowJSON, End: r.end}
+	r.rs = repro.RowStreamer{Ctx: r.setCtx, Begin: r.begin, RowJSON: r.rowJSON, End: r.end}
 	return r
 }
 
@@ -132,8 +128,7 @@ func newResponder(w *connWriter, connCtx context.Context) *responder {
 // reply), so a big response pins no memory on an idle session.
 func (r *responder) reset() {
 	r.chunkRows, r.ctx, r.nrows, r.spilled = 0, r.connCtx, 0, 0
-	r.line, r.rows, r.enc, r.frame = reuse(r.line), reuse(r.rows), reuse(r.enc), reuse(r.frame)
-	r.vals, r.per = reuse(r.vals), reuse(r.per)
+	r.line, r.rows, r.frame, r.per = reuse(r.line), reuse(r.rows), reuse(r.frame), reuse(r.per)
 }
 
 // reuse empties buf for the next reply, or drops it when the last reply
@@ -158,26 +153,6 @@ func (r *responder) at(stmt int) *stmtWire {
 func (r *responder) begin(stmt int, columns []string) {
 	r.stmt, r.columns = stmt, columns
 	r.at(stmt).from = len(r.rows)
-}
-
-// row is the Row callback, for the rows the engine hands over decoded —
-// the coalescer's replay: they go through the value encoder here and
-// then on as rowJSON's.
-func (r *responder) row(stmt int, row repro.Row) bool {
-	r.vals = r.vals[:0]
-	for _, v := range row {
-		switch v.Kind() {
-		case repro.Int:
-			r.vals = append(r.vals, value.NewInt(v.Int()))
-		case repro.Float:
-			r.vals = append(r.vals, value.NewFloat(v.Float()))
-		default:
-			r.vals = append(r.vals, value.NewString(v.Str()))
-		}
-	}
-	var err error
-	r.enc, err = value.AppendRow(r.enc[:0], r.vals)
-	return r.rowJSON(stmt, r.enc, err)
 }
 
 // rowJSON is the RowJSON callback: it holds back one encoded row
@@ -254,23 +229,12 @@ func (r *responder) flush() bool {
 	return true
 }
 
-// result appends statement stmt's object to the response line. Rows
-// that arrive buffered in sr (the coalescer) go through the sink first,
-// as if the statement were producing them now; the rows held for the
-// statement — a buffered reply's whole result — are spliced into the
-// object. A statement whose rows could not be put on the wire, or whose
+// result appends statement stmt's object to the response line. The rows
+// held for the statement — a buffered reply's whole result — are
+// spliced into the object. A statement whose rows could not be put on the wire, or whose
 // object would take the line past maxLineBytes, answers with only an
 // error; the statements around it are untouched.
 func (r *responder) result(stmt int, sr repro.ScriptResult) {
-	if sr.Err == nil && sr.Res != nil && len(sr.Res.Rows) > 0 {
-		r.begin(stmt, sr.Res.Columns)
-		for _, row := range sr.Res.Rows {
-			if !r.row(stmt, row) {
-				break
-			}
-		}
-		r.end(stmt)
-	}
 	st := r.at(stmt)
 	if st.err != nil {
 		sr = repro.ScriptResult{Err: st.err}

@@ -1,22 +1,17 @@
-// Wire-protocol-v2 and coalescing tests: chunked responses are
-// byte-identical to buffered ones at any worker count, oversized
-// results complete in frames where buffered mode caps them, slow and
-// vanished readers cancel the producing statement without leaking
-// goroutines or pinned frames, cross-connection coalescing preserves
-// per-statement results and fault isolation, and token auth gates the
-// session. Every test name matches the CI race sweep's
-// Stream|Coalesce|Auth filter.
+// Wire-protocol-v2 tests: chunked responses are byte-identical to
+// buffered ones at any worker count, oversized results complete in
+// frames where buffered mode caps them, slow and vanished readers
+// cancel the producing statement without leaking goroutines or pinned
+// frames, and token auth gates the session. Every test name matches the
+// CI race sweep's Stream|Auth filter.
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -447,217 +442,11 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestCoalesceCrossConnection sends point probes from many connections
-// into a coalescing server and asserts every session gets its own
-// correct rows, the batcher actually formed cross-connection batches,
-// and a chunked session's coalesced result still arrives in frames.
-func TestCoalesceCrossConnection(t *testing.T) {
-	db, _, addr, stop := startServerCfg(t, repro.Config{Workers: 4},
-		Config{Coalesce: true, CoalesceWindow: 20 * time.Millisecond, MaxConcurrentStmts: 2})
-	defer stop()
-	streamFixture(t, db)
-
-	const conns = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			r := bufio.NewReaderSize(conn, 1<<20)
-			for round := 0; round < 5; round++ {
-				k := i*5 + round // distinct key per probe: c = k, s = "row-k"
-				if _, err := fmt.Fprintf(conn, "SELECT s FROM t WHERE c = %d\n", k); err != nil {
-					errs <- err
-					return
-				}
-				raw, err := r.ReadBytes('\n')
-				if err != nil {
-					errs <- err
-					return
-				}
-				var resp Response
-				if err := json.Unmarshal(raw, &resp); err != nil {
-					errs <- err
-					return
-				}
-				if resp.Error != "" || len(resp.Results) != 1 || resp.Results[0].Error != "" {
-					errs <- fmt.Errorf("probe %d: %+v", k, resp)
-					return
-				}
-				rows := resp.Results[0].Rows
-				if len(rows) != 1 || rows[0][0] != fmt.Sprintf("row-%d", k) {
-					errs <- fmt.Errorf("probe %d got %v", k, rows)
-					return
-				}
-			}
-			errs <- nil
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	batches := metric(t, db, "server.coalesced_batches")
-	stmts := metric(t, db, "server.coalesced_stmts")
-	if batches < 1 || stmts != conns*5 {
-		t.Fatalf("coalesced_batches = %d, coalesced_stmts = %d (want >=1 and %d)", batches, stmts, conns*5)
-	}
-	if stmts <= batches {
-		t.Errorf("no cross-connection batching: %d stmts in %d batches", stmts, batches)
-	}
-
-	// Coalesced + chunked compose: a chunked session's coalescible probe
-	// streams its rows in frames with the summary after.
-	cc := dial(t, addr)
-	defer cc.close()
-	cc.setChunk(t, 2)
-	chunks, done := cc.chunkTrip(t, "SELECT * FROM t WHERE u = 3")
-	if done.Error != "" || done.Results[0].Error != "" {
-		t.Fatalf("chunked coalesced probe: %+v", done)
-	}
-	total := 0
-	for _, cf := range chunks {
-		total += len(cf.Rows)
-	}
-	if total == 0 || total != done.Results[0].RowCount {
-		t.Fatalf("chunked coalesced probe streamed %d rows, summary %d", total, done.Results[0].RowCount)
-	}
-}
-
-// TestCoalesceFaultIsolation injects a single disk fault into one
-// statement of a coalesced batch and asserts only that statement fails
-// while its batchmates succeed, with no pinned frames left behind.
-func TestCoalesceFaultIsolation(t *testing.T) {
-	db, _, addr, stop := startServerCfg(t, repro.Config{Workers: 4},
-		Config{Coalesce: true, CoalesceWindow: 50 * time.Millisecond, CoalesceMax: 8})
-	defer stop()
-
-	// Two tables: a is made fully pool-resident (warmed below through
-	// every structure a plan could read), b stays fully cold — heap and
-	// clustered index — so whichever access paths the planner picks, the
-	// only statement of the batch that touches the disk is the one on b.
-	results, err := db.ExecScriptCtx(context.Background(),
-		"CREATE TABLE a (k INT, v STRING) CLUSTERED BY (k); LOAD INTO a VALUES (1,'a1'), (2,'a2'), (3,'a3');"+
-			"CREATE TABLE b (k INT, v STRING) CLUSTERED BY (k); LOAD INTO b VALUES (1,'b1'), (2,'b2')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	for _, via := range []repro.AccessMethod{repro.TableScan, repro.ClusteredIndexScan} {
-		err := db.SelectSpec(context.Background(), repro.QuerySpec{Table: "a", Via: via,
-			Preds: []repro.Pred{repro.Ge("k", repro.IntVal(1))}}, func(repro.Row) bool { return true })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Armed now: counters are relative to SetFaultPlan, so the very next
-	// disk read — b's first page under any plan, a's probes are pool
-	// hits — fails once.
-	db.SetFaultPlan(&repro.FaultPlan{FailReadN: 1})
-	defer db.SetFaultPlan(nil)
-
-	// Fire the batch: three warm probes on a and one cold probe on b,
-	// concurrently, inside one coalescing window.
-	type probeResult struct {
-		sql  string
-		resp Response
-		err  error
-	}
-	stmts := []string{
-		"SELECT v FROM a WHERE k = 1",
-		"SELECT v FROM a WHERE k = 2",
-		"SELECT v FROM a WHERE k = 3",
-		"SELECT v FROM b WHERE k = 1",
-	}
-	out := make(chan probeResult, len(stmts))
-	for _, sql := range stmts {
-		go func(sql string) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				out <- probeResult{sql: sql, err: err}
-				return
-			}
-			defer conn.Close()
-			r := bufio.NewReaderSize(conn, 1<<20)
-			if _, err := fmt.Fprintf(conn, "%s\n", sql); err != nil {
-				out <- probeResult{sql: sql, err: err}
-				return
-			}
-			raw, err := r.ReadBytes('\n')
-			if err != nil {
-				out <- probeResult{sql: sql, err: err}
-				return
-			}
-			var resp Response
-			if err := json.Unmarshal(raw, &resp); err != nil {
-				out <- probeResult{sql: sql, err: err}
-				return
-			}
-			out <- probeResult{sql: sql, resp: resp}
-		}(sql)
-	}
-	failed := 0
-	for i := 0; i < len(stmts); i++ {
-		pr := <-out
-		if pr.err != nil {
-			t.Fatalf("%s: %v", pr.sql, pr.err)
-		}
-		if pr.resp.Error != "" || len(pr.resp.Results) != 1 {
-			t.Fatalf("%s: %+v", pr.sql, pr.resp)
-		}
-		sr := pr.resp.Results[0]
-		if sr.Error != "" {
-			failed++
-		}
-		if strings.Contains(pr.sql, "FROM b") {
-			if !strings.Contains(sr.Error, "injected") {
-				t.Errorf("%s: error = %q, want the injected fault", pr.sql, sr.Error)
-			}
-		} else {
-			if sr.Error != "" || len(sr.Rows) != 1 {
-				t.Errorf("%s: batchmate damaged by the fault: %+v", pr.sql, sr)
-			}
-		}
-	}
-	if failed != 1 {
-		t.Errorf("%d statements of the batch failed, want exactly the one on b", failed)
-	}
-
-	if v := metric(t, db, "server.coalesced_batches"); v < 1 {
-		t.Errorf("server.coalesced_batches = %d, want >= 1", v)
-	}
-	if v := metric(t, db, "disk.injected_faults"); v != 1 {
-		t.Errorf("disk.injected_faults = %d, want 1", v)
-	}
-	if pinned := db.PinnedFrames(); pinned != 0 {
-		t.Errorf("%d pinned frames after the injected fault", pinned)
-	}
-}
-
 // TestStreamMetricsReset drives every wire-v2 counter nonzero —
 // through real traffic where deterministic, directly where timing
-// would be flaky — and asserts ResetMetrics zeroes all five.
+// would be flaky — and asserts ResetMetrics zeroes all three.
 func TestStreamMetricsReset(t *testing.T) {
-	db, _, addr, stop := startServerCfg(t, repro.Config{},
-		Config{Coalesce: true, AuthToken: "sesame"})
+	db, _, addr, stop := startServerCfg(t, repro.Config{}, Config{AuthToken: "sesame"})
 	defer stop()
 	streamFixture(t, db)
 
@@ -677,8 +466,7 @@ func TestStreamMetricsReset(t *testing.T) {
 	// record one directly — the counter wiring is what this test pins.
 	db.MetricCounter("server.backpressure_waits_ns").Add(int64(time.Millisecond))
 
-	names := []string{"server.stream_chunks", "server.backpressure_waits_ns",
-		"server.coalesced_batches", "server.coalesced_stmts", "server.auth_failures"}
+	names := []string{"server.stream_chunks", "server.backpressure_waits_ns", "server.auth_failures"}
 	for _, name := range names {
 		if v := metric(t, db, name); v <= 0 {
 			t.Fatalf("%s = %d before reset, want > 0", name, v)

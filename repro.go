@@ -25,8 +25,7 @@
 //     DeleteCtx, plans through ExplainSpec and ExplainAnalyzeSpec
 //   - a SQL front-end (ExecScriptStreamCtx, the one in-order script
 //     executor, with ExecScriptCtx and Exec as sugar) parsing the
-//     dialect described in the README onto the same engine, and
-//     ExecPreparedBatch for multi-client workloads
+//     dialect described in the README onto the same engine
 //   - the CM Advisor (Advise, DiscoverFDs): soft-FD discovery, bucketing
 //     enumeration and design recommendation under a performance target
 //
@@ -134,8 +133,7 @@ type Config struct {
 	// and CM scans sweep their pages on at most this many goroutines —
 	// and on the caller's alone when the page set has neither enough
 	// pages to split nor a cache miss to overlap, as a point probe's does
-	// not — and ExecPreparedBatch runs this many statements concurrently.
-	// 0 selects GOMAXPROCS; 1 keeps every scan serial.
+	// not. 0 selects GOMAXPROCS; 1 keeps every scan serial.
 	Workers int
 	// IOWaitScale, when positive, makes every simulated disk access
 	// block for its virtual cost divided by this factor (10 turns a

@@ -14,11 +14,10 @@ import (
 // This file lowers QuerySpecs onto the physical plan layer — the one
 // lowering every query surface shares. DB.SelectSpec (and its sugar
 // SelectProject, SelectProjectVia and SelectAggregateCtx), every SQL
-// SELECT (DB.Exec, a script through DB.ExecScriptStreamCtx,
-// DB.ExecPreparedBatch) and EXPLAIN [ANALYZE] all resolve names here and
-// compile through internal/plan's Build → Optimize → Run pipeline, so a
-// statement cannot behave differently batched vs alone (or explained vs
-// executed): projection, LIMIT, OR, aggregation, HAVING and ORDER BY are
+// SELECT (DB.Exec, a script through DB.ExecScriptStreamCtx) and EXPLAIN
+// [ANALYZE] all resolve names here and compile through internal/plan's
+// Build → Optimize → Run pipeline, so a statement cannot behave
+// differently between surfaces (or explained vs executed): projection, LIMIT, OR, aggregation, HAVING and ORDER BY are
 // lowered exactly once, and EXPLAIN prints the operator tree Run
 // executes.
 

@@ -49,10 +49,9 @@ type ScriptResult struct {
 	Rows int
 	// PagesRead is the engine-wide disk page-read delta across the
 	// statement — exact when the script runs alone, approximate under
-	// concurrent load. (ExecPreparedBatch reports its batch's delta.)
+	// concurrent load.
 	PagesRead uint64
-	// Elapsed is the statement's wall time. (ExecPreparedBatch reports
-	// its batch's wall time.)
+	// Elapsed is the statement's wall time.
 	Elapsed time.Duration
 }
 

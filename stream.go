@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/plan"
@@ -15,16 +13,13 @@ import (
 
 // This file holds the two things every SQL SELECT shares and the entry
 // points built on them. PreparedSelect is the one bound-SELECT object:
-// Exec, a script and the server's cross-connection coalescer all
-// execute a SELECT through its run method, so lowering, LIMIT 0, the
-// table lookup and the SELECT-list permutation exist once.
-// ExecScriptStreamCtx is the one script executor: statements in order,
-// each measured alone, result rows delivered through callbacks as the
-// executor produces them — the server's responder encodes them straight
-// onto the wire in both modes, and ExecScriptCtx collects them into
-// Res.Rows. ExecPreparedBatch funnels single SELECTs that arrived on
-// different connections through one fan-out while keeping
-// per-statement contexts, snapshots and outcomes.
+// Exec and a script both execute a SELECT through its run method, so
+// lowering, LIMIT 0, the table lookup and the SELECT-list permutation
+// exist once. ExecScriptStreamCtx is the one script executor:
+// statements in order, each measured alone, result rows delivered
+// through callbacks as the executor produces them — the server's
+// responder encodes them straight onto the wire in both modes, and
+// ExecScriptCtx collects them into Res.Rows.
 
 // ErrStreamAborted is the error recorded for a streamed statement whose
 // consumer returned false from RowStreamer.Row or RowJSON while the
@@ -145,7 +140,7 @@ func (db *DB) ExecScriptStreamCtx(ctx context.Context, script string, rs RowStre
 	}
 	out := make([]ScriptResult, len(stmts))
 	for i, stmt := range stmts {
-		db.measured(texts[i:i+1], out[i:i+1], func() { out[i] = db.streamStmt(ctx, stmt, i, rs) })
+		out[i] = db.measured(texts[i], func() ScriptResult { return db.streamStmt(ctx, stmt, i, rs) })
 		if errors.Is(out[i].Err, ErrStreamAborted) {
 			// The consumer walked away while the context was still
 			// live: there is nobody to stream to, so later statements
@@ -178,7 +173,7 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 			return ScriptResult{Err: err}
 		}
 		res = &Result{Columns: p.bound.Cols}
-		produce = func(ctx context.Context, out *rowOut) error { return p.run(ctx, db.workers, out) }
+		produce = p.run
 	} else {
 		var err error
 		if res, err = db.execStmt(ctx, stmt); err != nil || len(res.Columns) == 0 {
@@ -217,20 +212,12 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 }
 
 // PreparedSelect is one parsed-and-bound plain SELECT, and the one way
-// a SQL SELECT runs: every entry point — Exec, a script,
-// ExecPreparedBatch — binds to one and calls run.
-// PrepareSelect hands them to the server's cross-connection coalescer.
+// a SQL SELECT runs: every entry point — Exec and a script — binds to
+// one and calls run.
 type PreparedSelect struct {
 	db    *DB
 	bound *sqlfe.BoundSelect
-	sql   string
 }
-
-// Columns returns the SELECT's result header.
-func (p *PreparedSelect) Columns() []string { return p.bound.Cols }
-
-// SQL returns the statement's verbatim source text.
-func (p *PreparedSelect) SQL() string { return p.sql }
 
 // bindSelect binds a parsed SELECT against the live catalog.
 func (db *DB) bindSelect(s *sqlfe.SelectStmt) (*PreparedSelect, error) {
@@ -242,13 +229,13 @@ func (db *DB) bindSelect(s *sqlfe.SelectStmt) (*PreparedSelect, error) {
 }
 
 // PrepareSelect parses line and returns a PreparedSelect when it is
-// exactly one well-formed SELECT statement over this database — the
-// coalescible shape. Anything else (a multi-statement script, another
-// statement form, a parse or bind error) returns nil, and the caller
-// falls back to the ordinary execution path, which reports any error
-// with identical text.
+// exactly one well-formed SELECT statement over this database: it
+// parses and binds as executing the line would, without running it.
+// Anything else (a multi-statement script, another statement form, a
+// parse or bind error) returns nil; executing the line reports any
+// error.
 func (db *DB) PrepareSelect(line string) *PreparedSelect {
-	stmts, texts, err := sqlfe.ParseScriptSpans(line)
+	stmts, _, err := sqlfe.ParseScriptSpans(line)
 	if err != nil || len(stmts) != 1 {
 		return nil
 	}
@@ -260,18 +247,17 @@ func (db *DB) PrepareSelect(line string) *PreparedSelect {
 	if err != nil {
 		return nil
 	}
-	p.sql = texts[0]
 	return p
 }
 
-// run executes the SELECT under ctx with the given scan fan-out and
-// hands its result rows, in SELECT-list order, to out (a consumer that
-// stops stops the scan). The one lowering (specFromBound) covers every
-// SELECT form — projection pushdown, aggregates, ORDER BY, OR; LIMIT
-// flows into QuerySpec.Limit and stops plain scans early. A plain
+// run executes the SELECT under ctx with the configured scan fan-out
+// and hands its result rows, in SELECT-list order, to out (a consumer
+// that stops stops the scan). The one lowering (specFromBound) covers
+// every SELECT form — projection pushdown, aggregates, ORDER BY, OR;
+// LIMIT flows into QuerySpec.Limit and stops plain scans early. A plain
 // SELECT's rows reach an encoding consumer straight from the heap
 // tuples (plan.Sink.JSON).
-func (p *PreparedSelect) run(ctx context.Context, workers int, out *rowOut) error {
+func (p *PreparedSelect) run(ctx context.Context, out *rowOut) error {
 	b := p.bound
 	if b.Limit == 0 { // LIMIT 0: nothing to run
 		return nil
@@ -297,78 +283,16 @@ func (p *PreparedSelect) run(ctx context.Context, workers int, out *rowOut) erro
 	if out.rs.RowJSON != nil {
 		sink.JSON = out.putJSON
 	}
-	_, err := tbl.readStmt(ctx, specFromBound(b), workers, runPlain, sink)
+	_, err := tbl.readStmt(ctx, specFromBound(b), p.db.workers, runPlain, sink)
 	return err
 }
 
-// collect runs the SELECT and buffers its rows.
-func (p *PreparedSelect) collect(ctx context.Context, workers int) ScriptResult {
-	res := &Result{Columns: p.bound.Cols}
-	err := p.run(ctx, workers, &rowOut{rs: RowStreamer{Row: func(_ int, row Row) bool {
-		res.Rows = append(res.Rows, row)
-		return true
-	}}})
-	if err != nil {
-		return ScriptResult{Err: err}
-	}
-	return ScriptResult{Res: res, Rows: len(res.Rows)}
-}
-
-// ExecPreparedBatch executes a batch of prepared SELECTs — typically
-// collected from different connections by the server's coalescer — as
-// one fan-out across the worker pool, each with serial scans (the
-// fan-out is across statements, like concurrent clients) under its own
-// ctxs[i] (missing or nil entries never cancel), its own MVCC snapshot
-// (captured inside the run, exactly as if it had executed alone), its
-// own outcome and its own error. Each statement reports the batch's
-// wall time and page-read delta.
-func (db *DB) ExecPreparedBatch(ctxs []context.Context, preps []*PreparedSelect) []ScriptResult {
-	out := make([]ScriptResult, len(preps))
-	texts := make([]string, len(preps))
-	for i, p := range preps {
-		texts[i] = p.sql
-	}
-	db.measured(texts, out, func() {
-		db.fanOut(len(preps), func(i int) {
-			var ctx context.Context
-			if i < len(ctxs) {
-				ctx = ctxs[i]
-			}
-			out[i] = preps[i].collect(ctx, 1)
-		})
-	})
-	return out
-}
-
-// measured runs one statement — or one ExecPreparedBatch, whose
-// statements all report the batch's numbers — and stamps the results
-// with their source text, the wall time and the engine-wide disk
-// page-read delta.
-func (db *DB) measured(texts []string, out []ScriptResult, run func()) {
+// measured runs one statement and stamps its result with its source
+// text, the wall time and the engine-wide disk page-read delta.
+func (db *DB) measured(text string, run func() ScriptResult) ScriptResult {
 	reads0 := db.disk.Stats().Reads
 	start := time.Now()
-	run()
-	elapsed, pages := time.Since(start), db.disk.Stats().Reads-reads0
-	for k := range out {
-		out[k].SQL, out[k].Elapsed, out[k].PagesRead = texts[k], elapsed, pages
-	}
-}
-
-// fanOut calls fn(0..n-1) from up to Config.Workers goroutines and
-// returns when every call has.
-func (db *DB) fanOut(n int, fn func(i int)) {
-	workers := max(min(db.workers, n), 1)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)); i < n; i = int(next.Add(1)) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	sr := run()
+	sr.SQL, sr.Elapsed, sr.PagesRead = text, time.Since(start), db.disk.Stats().Reads-reads0
+	return sr
 }
