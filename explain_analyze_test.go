@@ -331,7 +331,8 @@ func TestShowMetricsSQL(t *testing.T) {
 	// them through MetricCounter when a server is built over the DB; do
 	// as it does. Registering a name again hands back the same counter —
 	// two servers over one DB add into one.
-	serverNames := []string{"server.stream_chunks", "server.backpressure_waits_ns", "server.auth_failures"}
+	serverNames := []string{"server.stream_chunks", "server.backpressure_waits_ns", "server.auth_failures",
+		"server.gate_wait_ns", "server.gate_waits"}
 	for _, name := range serverNames {
 		db.MetricCounter(name).Inc()
 		db.MetricCounter(name).Inc()

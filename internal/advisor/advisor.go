@@ -75,7 +75,9 @@ func New(tbl *table.Table, cfg Config) (*Advisor, error) {
 	colMin := make(map[int]float64, ncols)
 	colMax := make(map[int]float64, ncols)
 	var rows []value.Row
-	err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	// Every column is sampled; the scratch row is read within the call
+	// (the reservoir keeps an encoded copy).
+	err := tbl.Scan(nil, func(_ heap.RID, row value.Row) bool {
 		for i := range row {
 			samplers[i].Add(keyenc.EncodeValue(row[i]))
 			if row[i].K != value.String {

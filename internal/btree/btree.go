@@ -13,6 +13,18 @@
 // paper are insert- and read-heavy, so under-full pages only waste space.
 // Sorted (rightmost) insertion uses the classic 100/0 split so bulk loads
 // produce nearly full pages, matching the size of a freshly built index.
+//
+// Ascending inserts take a shortcut, after PostgreSQL nbtree's fastpath
+// for monotonically increasing keys: the tree remembers the largest key
+// it was ever given, and a key above it goes after the last entry of
+// every node it passes, so its descent runs no binary search and the
+// leaf no overwrite check. It reads the same pages, in the same order, as
+// a searching descent. When the full rightmost leaf then splits 100/0
+// and its cells already lie packed in slot order, as ascending inserts
+// leave them, its cells stay where they are rather than being copied
+// out and rewritten: the new right leaf, holding just the new entry, is
+// the only page the split writes cells to. Both shortcuts write exactly
+// the bytes the general path writes.
 package btree
 
 import (
@@ -53,6 +65,10 @@ type Tree struct {
 	root   int64
 	height int // number of levels; 1 = root is a leaf
 	count  int64
+	// top is the largest key ever inserted, so at least every key in the
+	// tree: a key above it goes after the last entry of every node on its
+	// way down (see Insert).
+	top []byte
 }
 
 // New creates an empty tree in a fresh file on the pool's disk.
@@ -275,7 +291,15 @@ func (t *Tree) Insert(key, val []byte) error {
 	if leafCellSize(key, val) > maxCell {
 		return fmt.Errorf("btree: entry of %d bytes too large for page", leafCellSize(key, val))
 	}
-	res, err := t.insertRec(t.root, key, val)
+	// A key above every key in the tree (asc) needs no search: it
+	// descends through each node's last child and lands after the last
+	// slot of the rightmost leaf. It still reads every node a search
+	// would, so the pool sees the same accesses in the same order.
+	asc := bytes.Compare(key, t.top) > 0
+	if asc {
+		t.top = append(t.top[:0], key...)
+	}
+	res, err := t.insertRec(t.root, key, val, asc)
 	if err != nil {
 		return err
 	}
@@ -297,22 +321,25 @@ func (t *Tree) Insert(key, val []byte) error {
 	return nil
 }
 
-func (t *Tree) insertRec(page int64, key, val []byte) (splitResult, error) {
+func (t *Tree) insertRec(page int64, key, val []byte, asc bool) (splitResult, error) {
 	fr, err := t.pool.Get(t.file, page)
 	if err != nil {
 		return splitResult{}, err
 	}
 	d := fr.Data
 	if nodeType(d) == nodeLeaf {
-		res, dirty, err := t.insertLeaf(d, key, val)
+		res, dirty, err := t.insertLeaf(d, key, val, asc)
 		t.pool.Unpin(fr, dirty)
 		return res, err
 	}
-	idx := childIndexFor(d, key)
+	idx := numKeys(d)
+	if !asc {
+		idx = childIndexFor(d, key)
+	}
 	child := childPage(d, idx)
 	// Recurse without holding the parent pinned? We must keep it pinned so
 	// that a child split can be applied; pool capacity covers tree height.
-	res, err := t.insertRec(child, key, val)
+	res, err := t.insertRec(child, key, val, asc)
 	if err != nil {
 		t.pool.Unpin(fr, false)
 		return splitResult{}, err
@@ -327,9 +354,13 @@ func (t *Tree) insertRec(page int64, key, val []byte) (splitResult, error) {
 }
 
 // insertLeaf places (key, val) into the leaf, splitting when necessary.
-// An existing entry for key is replaced (delete-then-insert).
-func (t *Tree) insertLeaf(d []byte, key, val []byte) (splitResult, bool, error) {
-	pos := searchLeaf(d, key)
+// An existing entry for key is replaced (delete-then-insert). A key above
+// every key in the tree (asc) goes last, with no search.
+func (t *Tree) insertLeaf(d []byte, key, val []byte, asc bool) (splitResult, bool, error) {
+	pos := numKeys(d)
+	if !asc {
+		pos = searchLeaf(d, key)
+	}
 	if pos < numKeys(d) && bytes.Equal(leafCellKey(d, pos), key) {
 		removeSlot(d, pos)
 		t.count--
@@ -352,6 +383,9 @@ func (t *Tree) insertLeaf(d []byte, key, val []byte) (splitResult, bool, error) 
 // at slot position pos.
 func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int) (splitResult, bool, error) {
 	n := numKeys(d)
+	if pos == n && aux(d) == noSibling && packed(d) {
+		return t.splitLast(d, key, val)
+	}
 	type entry struct{ k, v []byte }
 	entries := make([]entry, 0, n+1)
 	for i := 0; i < n; i++ {
@@ -416,6 +450,39 @@ func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int) (splitResu
 	sep := append([]byte(nil), entries[splitAt].k...)
 	t.pool.Unpin(nfr, true)
 	return splitResult{split: true, sepKey: sep, newPage: newPage}, true, nil
+}
+
+// packed reports whether a leaf's cells lie back to back from the end of
+// the page in slot order, with nothing below them: the layout rewriting
+// them in slot order gives.
+func packed(d []byte) bool {
+	off := len(d)
+	for i := range numKeys(d) {
+		off -= len(leafCellKey(d, i)) + len(leafCellVal(d, i)) + 4
+		if slotOff(d, i) != off {
+			return false
+		}
+	}
+	return cellStart(d) == off
+}
+
+// splitLast is the 100/0 split of the full rightmost leaf d around
+// (key, val), which sorts after all of d's keys, when d is packed: the
+// left half keeps every cell where it is and only gains its new right
+// sibling, which takes the one new entry.
+func (t *Tree) splitLast(d []byte, key, val []byte) (splitResult, bool, error) {
+	newPage, nfr, err := t.pool.NewPage(t.file)
+	if err != nil {
+		return splitResult{}, false, err
+	}
+	nd := nfr.Data
+	initNode(nd, nodeLeaf)
+	insertSlot(nd, 0)
+	writeLeafCell(nd, 0, key, val)
+	t.pool.Unpin(nfr, true)
+	setAux(d, newPage)
+	t.count++
+	return splitResult{split: true, sepKey: append([]byte(nil), key...), newPage: newPage}, true, nil
 }
 
 // insertInternal places (sepKey, newChild) after child index idx,

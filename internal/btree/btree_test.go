@@ -461,3 +461,204 @@ func get(tr *Tree, key []byte) (val []byte, ok bool, err error) {
 	}
 	return it.vals[it.idx], true, nil
 }
+
+// TestAscendingShortcutAgainstModel drives the search-free ascending
+// insert and the packed 100/0 split against a sorted model: random
+// streams of inserts above the largest key, inserts into the middle,
+// overwrites (the largest key's too, with values of other lengths, so
+// the rightmost leaf stops being packed) and deletes, a share of them of
+// the largest keys, so the rightmost leaf empties and refills. Every few
+// hundred operations the tree must hold exactly the model, in order.
+func TestAscendingShortcutAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		tr := newTree(t, 256, 64)
+		model := map[string]string{}
+		rng := rand.New(rand.NewSource(seed))
+		next := int64(0) // above every key inserted so far
+		largest := func() (string, bool) {
+			best, ok := "", false
+			for k := range model {
+				if !ok || k > best {
+					best, ok = k, true
+				}
+			}
+			return best, ok
+		}
+		for op := 0; op < 6000; op++ {
+			v := fmt.Sprintf("v%d%s", op, bytes.Repeat([]byte{'x'}, rng.Intn(6)))
+			var k []byte
+			del := false
+			// Mostly ascending, so runs of appends pack leaves for the
+			// split to keep; the rest unpack them again.
+			switch r := rng.Intn(20); {
+			case r < 16: // above every key so far
+				next += 1 + int64(rng.Intn(3))
+				k = ikey(next)
+			case r < 17: // into the middle
+				k = ikey(rng.Int63n(next + 1))
+			case r < 18: // overwrite, the largest key half the time
+				if l, ok := largest(); ok && rng.Intn(2) == 0 {
+					k = []byte(l)
+				} else {
+					k = ikey(rng.Int63n(next + 1))
+				}
+			case r < 19: // delete the largest key
+				l, ok := largest()
+				if !ok {
+					continue
+				}
+				k, del = []byte(l), true
+			default: // delete anywhere
+				k, del = ikey(rng.Int63n(next+1)), true
+			}
+			if del {
+				ok, err := tr.Delete(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, in := model[string(k)]; ok != in {
+					t.Fatalf("seed %d op %d: Delete reported %v, model %v", seed, op, ok, in)
+				}
+				delete(model, string(k))
+			} else {
+				if err := tr.Insert(k, []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				model[string(k)] = v
+			}
+			if op%500 == 499 || op == 5999 {
+				requireModel(t, tr, model)
+			}
+		}
+		if tr.Height() < 3 {
+			t.Errorf("seed %d: height %d, want the stream to grow a 3-level tree", seed, tr.Height())
+		}
+	}
+}
+
+// requireModel fails unless the tree holds exactly the model's entries.
+func requireModel(t *testing.T, tr *Tree, model map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if tr.Len() != int64(len(keys)) {
+		t.Fatalf("Len %d, model %d", tr.Len(), len(keys))
+	}
+	it, err := tr.SeekFirst()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for ; it.Valid(); i++ {
+		if i >= len(keys) || string(it.Key()) != keys[i] || string(it.vals[it.idx]) != model[keys[i]] {
+			t.Fatalf("entry %d: tree has %x=%q, model has %d entries", i, it.Key(), it.vals[it.idx], len(keys))
+		}
+		if err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if i != len(keys) {
+		t.Fatalf("iteration ends after %d entries, model has %d", i, len(keys))
+	}
+	for _, k := range keys {
+		if v, ok, err := get(tr, []byte(k)); err != nil || !ok || string(v) != model[k] {
+			t.Fatalf("Get(%x) = %q, %v, %v; model %q", k, v, ok, err, model[k])
+		}
+	}
+}
+
+// TestAscendingInsertReadsTheSearchPath: an insert above every key skips
+// the searches but not the pages — in two- and three-level trees it
+// reads one page per level, as an insert below every key does, so the
+// pool's clock sees what it saw before the shortcut (the B+Tree
+// maintenance of Figure 8 depends on it).
+func TestAscendingInsertReadsTheSearchPath(t *testing.T) {
+	tr := newTree(t, 256, 64)
+	n := int64(0)
+	gets := func(key []byte) uint64 {
+		before := tr.pool.Stats()
+		if err := tr.Insert(key, nil); err != nil {
+			t.Fatal(err)
+		}
+		after := tr.pool.Stats()
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	for _, height := range []int{2, 3} {
+		for ; tr.Height() < height; n++ {
+			if err := tr.Insert(ikey(n), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g := gets(ikey(n)); g != uint64(height) {
+			t.Errorf("ascending insert into a height-%d tree: %d pool Gets, want %d", height, g, height)
+		}
+		n++
+		if g := gets(ikey(-n)); g != uint64(height) {
+			t.Errorf("insert below every key of a height-%d tree: %d pool Gets, want %d", height, g, height)
+		}
+	}
+}
+
+// TestPackedLeafRewritesToItself holds the split's shortcut to the bytes
+// of the general path: on leaves shaped by random inserts, deletes,
+// overwrites and compactions, whenever packed reports a leaf packed,
+// rewriting its cells in slot order (what splitLeafAndInsert does to
+// the left half) leaves every byte of the page as it was.
+func TestPackedLeafRewritesToItself(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	checked := 0
+	for round := 0; round < 300; round++ {
+		d := make([]byte, 256)
+		initNode(d, nodeLeaf)
+		for op := 0; op < 40; op++ {
+			n := numKeys(d)
+			switch r := rng.Intn(10); {
+			case r < 6: // append, or insert at a random slot
+				key := bytes.Repeat([]byte{byte(rng.Intn(256))}, 1+rng.Intn(8))
+				val := bytes.Repeat([]byte{'v'}, rng.Intn(4))
+				if freeSpace(d) < leafCellSize(key, val)+slotSize {
+					continue
+				}
+				pos := n
+				if rng.Intn(3) == 0 {
+					pos = rng.Intn(n + 1)
+				}
+				insertSlot(d, pos)
+				writeLeafCell(d, pos, key, val)
+			case r < 8 && n > 0: // delete, the last slot half the time
+				pos := n - 1
+				if rng.Intn(2) == 0 {
+					pos = rng.Intn(n)
+				}
+				removeSlot(d, pos)
+			case r < 9:
+				compact(d)
+			}
+			if !packed(d) {
+				continue
+			}
+			checked++
+			want := append([]byte(nil), d...)
+			keys, vals := make([][]byte, numKeys(d)), make([][]byte, numKeys(d))
+			for i := range keys {
+				keys[i] = append([]byte(nil), leafCellKey(d, i)...)
+				vals[i] = append([]byte(nil), leafCellVal(d, i)...)
+			}
+			setNumKeys(d, 0)
+			setCellStart(d, len(d))
+			for i := range keys {
+				insertSlot(d, i)
+				writeLeafCell(d, i, keys[i], vals[i])
+			}
+			if !bytes.Equal(d, want) {
+				t.Fatalf("round %d op %d: a packed leaf of %d cells changed when rewritten", round, op, len(keys))
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d packed leaves checked", checked)
+	}
+}

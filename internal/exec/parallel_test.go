@@ -54,9 +54,9 @@ type refRow struct {
 func refRows(t *testing.T, tbl *table.Table, q Query) []refRow {
 	t.Helper()
 	var out []refRow
-	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		if q.Matches(row) {
-			out = append(out, refRow{rid, row})
+			out = append(out, refRow{rid, row.Clone()})
 		}
 		return true
 	}); err != nil {

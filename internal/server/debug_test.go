@@ -177,7 +177,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	line := lines[0]
 	for _, want := range []string{
-		"session=7", "stmt=1", "elapsed_ms=", "rows=1", "pages=",
+		"session=7", "stmt=1", "elapsed_ms=", "gate_wait_ms=0", "rows=1", "pages=",
 		`sql="SELECT count(*) FROM items WHERE grp = 3"`,
 	} {
 		if !strings.Contains(line, want) {

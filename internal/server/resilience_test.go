@@ -273,7 +273,9 @@ func TestShutdownDrains(t *testing.T) {
 // cold scan holds the one slot, and a session whose client goes away
 // while its plain SELECT is queued behind it must end while the scan
 // still runs; the slot it never took is not lost, so a third statement
-// completes after the scan.
+// completes after the scan. The queued request is counted in
+// server.gate_waits and adds to server.gate_wait_ns; the scan, which
+// found the slot free, is not.
 func TestStatementGate(t *testing.T) {
 	db, srv, addr, stop := startServerCfg(t, slowDiskCfg(), Config{MaxConcurrentStmts: 1})
 	defer stop()
@@ -326,6 +328,7 @@ func TestStatementGate(t *testing.T) {
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
+	waits, waitNS := metric(t, db, "server.gate_waits"), metric(t, db, "server.gate_wait_ns")
 	holder := dial(t, addr)
 	defer holder.close()
 	held := make(chan Response, 1)
@@ -335,6 +338,9 @@ func TestStatementGate(t *testing.T) {
 	}()
 	waitBusy(1)
 	time.Sleep(5 * time.Millisecond) // let the scan take the slot
+	if n := metric(t, db, "server.gate_waits"); n != waits {
+		t.Errorf("server.gate_waits = %d after the scan took the free slot, want %d", n, waits)
+	}
 
 	queued := dial(t, addr)
 	if _, err := fmt.Fprintf(queued.conn, "SELECT u FROM wide WHERE c = 7\n"); err != nil {
@@ -343,6 +349,12 @@ func TestStatementGate(t *testing.T) {
 	waitBusy(2)
 	queued.close()
 	waitSessions(t, srv, 1, 2*time.Second)
+	if n := metric(t, db, "server.gate_waits"); n != waits+1 {
+		t.Errorf("server.gate_waits = %d after one request queued, want %d", n, waits+1)
+	}
+	if ns := metric(t, db, "server.gate_wait_ns"); ns <= waitNS {
+		t.Errorf("server.gate_wait_ns = %d after a request queued, want more than %d", ns, waitNS)
+	}
 	select {
 	case resp := <-held:
 		t.Fatalf("the slot holder finished (%+v) before the queued session ended", resp)

@@ -102,6 +102,8 @@ type counters struct {
 	chunks         *metrics.Counter // server.stream_chunks: chunk frames sent in streaming mode
 	backpressureNS *metrics.Counter // server.backpressure_waits_ns: time producing statements spent inside chunk-frame writes
 	authFailures   *metrics.Counter // server.auth_failures: connections that failed token authentication
+	gateWaitNS     *metrics.Counter // server.gate_wait_ns: time requests spent queued at the statement gate
+	gateWaits      *metrics.Counter // server.gate_waits: requests that found the statement gate full and queued
 }
 
 // session is one connection's server-side state, and the connection as
@@ -150,6 +152,8 @@ func New(db *repro.DB, cfg Config) *Server {
 			chunks:         db.MetricCounter("server.stream_chunks"),
 			backpressureNS: db.MetricCounter("server.backpressure_waits_ns"),
 			authFailures:   db.MetricCounter("server.auth_failures"),
+			gateWaitNS:     db.MetricCounter("server.gate_wait_ns"),
+			gateWaits:      db.MetricCounter("server.gate_waits"),
 		},
 	}
 }
@@ -525,13 +529,13 @@ func containsFold(s, word string) bool {
 // with r as the live row sink in either mode. It reports false when the
 // connection is no longer usable.
 func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *sessionStats, r *responder) bool {
+	var gateWait time.Duration
 	if s.gate != nil {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-		case <-ctx.Done():
+		var ok bool
+		if gateWait, ok = s.enterGate(ctx); !ok {
 			return r.fail("server: request abandoned at the statement gate: " + ctx.Err().Error())
 		}
+		defer func() { <-s.gate }()
 	}
 	results, err := s.db.ExecScriptStreamCtx(ctx, sqlText, r.rs)
 	if err != nil {
@@ -543,23 +547,47 @@ func (s *Server) handle(ctx context.Context, sqlText string, sess int64, st *ses
 		st.pages += res.PagesRead
 		st.elapsed += res.Elapsed
 		if s.slowQuery > 0 && res.Elapsed >= s.slowQuery {
-			s.logSlowQuery(sess, i, res)
+			s.logSlowQuery(sess, i, res, gateWait)
 		}
 		r.result(i, res)
 	}
 	return r.finish()
 }
 
+// enterGate takes a statement-gate slot, reporting false when ctx ends
+// first. A slot free at once costs one channel send and no clock read;
+// only a request that queues is timed, and its wait is added to
+// server.gate_wait_ns and counted in server.gate_waits, whether it then
+// gets the slot or gives up.
+func (s *Server) enterGate(ctx context.Context) (wait time.Duration, ok bool) {
+	select {
+	case s.gate <- struct{}{}:
+		return 0, true
+	default:
+	}
+	start := time.Now()
+	select {
+	case s.gate <- struct{}{}:
+		ok = true
+	case <-ctx.Done():
+	}
+	wait = time.Since(start)
+	s.m.gateWaitNS.Add(wait.Nanoseconds())
+	s.m.gateWaits.Inc()
+	return wait, ok
+}
+
 // logSlowQuery emits one structured line for a statement at or past the
 // slow-query threshold, including how it ended — completed, timeout,
-// cancelled (client disconnect) or error.
-func (s *Server) logSlowQuery(sess int64, idx int, r repro.ScriptResult) {
+// cancelled (client disconnect) or error — and how long its request
+// queued at the statement gate first (gate_wait_ms, 0 without a wait).
+func (s *Server) logSlowQuery(sess int64, idx int, r repro.ScriptResult, gateWait time.Duration) {
 	plan := ""
 	if r.Err == nil {
 		plan = s.planSummary(r.SQL)
 	}
-	s.logf("cmserver: slow query session=%d stmt=%d elapsed_ms=%d rows=%d pages=%d outcome=%s plan=%q sql=%q",
-		sess, idx+1, r.Elapsed.Milliseconds(), r.Rows, r.PagesRead, repro.StatementOutcome(r.Err), plan, r.SQL)
+	s.logf("cmserver: slow query session=%d stmt=%d elapsed_ms=%d gate_wait_ms=%d rows=%d pages=%d outcome=%s plan=%q sql=%q",
+		sess, idx+1, r.Elapsed.Milliseconds(), gateWait.Milliseconds(), r.Rows, r.PagesRead, repro.StatementOutcome(r.Err), plan, r.SQL)
 }
 
 // planSummary derives a one-line operator summary for the slow-query

@@ -442,9 +442,10 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestStreamMetricsReset drives every wire-v2 counter nonzero —
-// through real traffic where deterministic, directly where timing
-// would be flaky — and asserts ResetMetrics zeroes all three.
+// TestStreamMetricsReset drives every wire-v2 counter and the statement
+// gate's two nonzero — through real traffic where deterministic,
+// directly where timing would be flaky — and asserts ResetMetrics
+// zeroes all five.
 func TestStreamMetricsReset(t *testing.T) {
 	db, _, addr, stop := startServerCfg(t, repro.Config{}, Config{AuthToken: "sesame"})
 	defer stop()
@@ -462,11 +463,15 @@ func TestStreamMetricsReset(t *testing.T) {
 	bad.roundTrip(t, "AUTH wrong")
 	bad.close()
 
-	// Backpressure waits are the time spent in frame writes, a timing;
-	// record one directly — the counter wiring is what this test pins.
+	// Backpressure and gate waits are timings, and this server has no
+	// gate; record them directly — the counter wiring is what this test
+	// pins.
 	db.MetricCounter("server.backpressure_waits_ns").Add(int64(time.Millisecond))
+	db.MetricCounter("server.gate_wait_ns").Add(int64(time.Millisecond))
+	db.MetricCounter("server.gate_waits").Inc()
 
-	names := []string{"server.stream_chunks", "server.backpressure_waits_ns", "server.auth_failures"}
+	names := []string{"server.stream_chunks", "server.backpressure_waits_ns", "server.auth_failures",
+		"server.gate_wait_ns", "server.gate_waits"}
 	for _, name := range names {
 		if v := metric(t, db, name); v <= 0 {
 			t.Fatalf("%s = %d before reset, want > 0", name, v)

@@ -59,7 +59,7 @@ func TestBTreeHeightMatchesPackedTree(t *testing.T) {
 			// A loaded heap is in clustering-key order, equal keys by
 			// ascending RID: the entries arrive sorted.
 			var key []byte
-			err = tbl.Scan(func(rid heap.RID, row value.Row) bool {
+			err = tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 				key = table.AppendRID(keyenc.AppendRowPrefix(key[:0], row, f.cols), rid)
 				if e := tree.Insert(key, nil); e != nil {
 					err = e

@@ -79,7 +79,7 @@ func checkPageDir(t *testing.T, tbl *Table, stage string) {
 // liveRows lists the table's live rows in physical order.
 func liveRows(t *testing.T, tbl *Table) (rids []heap.RID, rows []value.Row) {
 	t.Helper()
-	err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		rids = append(rids, rid)
 		rows = append(rows, row.Clone())
 		return true

@@ -47,7 +47,7 @@ func TestRecoverCMFromCheckpointAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var target heap.RID
-	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		if row[0].S == "NH" && row[1].S == "boston" {
 			target = rid
 			return false

@@ -140,33 +140,53 @@ func (s Schema) Validate(row value.Row) error {
 // EncodeRow serializes a row for heap storage: ints and floats as 8
 // little-endian bytes, strings as a 2-byte length prefix plus bytes.
 func (s Schema) EncodeRow(row value.Row) ([]byte, error) {
-	if err := s.Validate(row); err != nil {
+	if err := s.checkRow(row); err != nil {
 		return nil, err
 	}
-	size := 0
+	return s.appendRow(make([]byte, 0, encodedSize(row)), row), nil
+}
+
+// checkRow is EncodeRow's validation: Validate, and every string short
+// enough for its length prefix.
+func (s Schema) checkRow(row value.Row) error {
+	if err := s.Validate(row); err != nil {
+		return err
+	}
 	for i, c := range s.Cols {
-		if c.Kind == value.String {
-			size += 2 + len(row[i].S)
+		if c.Kind == value.String && len(row[i].S) > 0xFFFF {
+			return fmt.Errorf("table: string too long in column %s", c.Name)
+		}
+	}
+	return nil
+}
+
+// appendRow appends the encoding of a row checkRow accepts.
+func (s Schema) appendRow(dst []byte, row value.Row) []byte {
+	for i, c := range s.Cols {
+		switch c.Kind {
+		case value.Int:
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(row[i].I))
+		case value.Float:
+			dst = binary.LittleEndian.AppendUint64(dst, floatBits(row[i].F))
+		default:
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(row[i].S)))
+			dst = append(dst, row[i].S...)
+		}
+	}
+	return dst
+}
+
+// encodedSize returns the bytes appendRow appends for row.
+func encodedSize(row value.Row) int {
+	size := 0
+	for _, v := range row {
+		if v.K == value.String {
+			size += 2 + len(v.S)
 		} else {
 			size += 8
 		}
 	}
-	out := make([]byte, 0, size)
-	for i, c := range s.Cols {
-		switch c.Kind {
-		case value.Int:
-			out = binary.LittleEndian.AppendUint64(out, uint64(row[i].I))
-		case value.Float:
-			out = binary.LittleEndian.AppendUint64(out, floatBits(row[i].F))
-		default:
-			if len(row[i].S) > 0xFFFF {
-				return nil, fmt.Errorf("table: string too long in column %s", c.Name)
-			}
-			out = binary.LittleEndian.AppendUint16(out, uint16(len(row[i].S)))
-			out = append(out, row[i].S...)
-		}
-	}
-	return out, nil
+	return size
 }
 
 func truncatedErr(c Column) error {

@@ -9,7 +9,6 @@ package table
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -231,8 +230,9 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 func (t *Table) Load(rows []value.Row) error {
 	tx := t.BeginWrite()
 	// Bulk loads predate every CM, so replay starts after them, and they
-	// append in clustered-key order.
+	// append in clustered-key order. The undo log holds every row.
 	tx.load = true
+	tx.inserted = make([]undoInsert, 0, len(rows))
 	if t.loaded || t.heapf.TupleCount() > 0 {
 		tx.Abort()
 		return fmt.Errorf("table %s: already loaded", t.cfg.Name)
@@ -241,41 +241,39 @@ func (t *Table) Load(rows []value.Row) error {
 		tx.Abort()
 		return err
 	}
-	encs, err := tx.encode(rows)
-	if err != nil {
-		return abort(err)
-	}
-	// Rows with equal keys keep their input order: the position breaks
-	// the tie, so an unstable sort gives the stable order.
-	type keyed struct {
-		key []byte
-		pos int
-	}
-	ks := make([]keyed, len(rows))
-	keyBytes := 0
+	sch := t.cfg.Schema
 	for i, r := range rows {
-		ks[i] = keyed{key: t.clusteredKey(r), pos: i}
-		keyBytes += len(ks[i].key)
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := bytes.Compare(a.key, b.key); c != 0 {
-			return c
+		if err := sch.checkRow(r); err != nil {
+			return abort(fmt.Errorf("row %d: %w", i+1, err))
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	}
+	// The clustering keys share one arena, sized from the first key (a
+	// fixed-width key fills it exactly); key i is keys[offs[i]:offs[i+1]].
+	// Rows with equal keys keep their input order (keyOrder is stable).
+	offs := make([]int, len(rows)+1)
+	var keys []byte
+	for i, r := range rows {
+		keys = keyenc.AppendRowPrefix(keys, r, t.cfg.ClusteredCols)
+		if i == 0 {
+			keys = slices.Grow(keys, len(keys)*(len(rows)-1))
+		}
+		offs[i+1] = len(keys)
+	}
+	key := func(pos int) []byte { return keys[offs[pos]:offs[pos+1]] }
+	order := keyOrder(keys, offs)
 
 	// Estimate tuples per page to convert the pages-per-bucket setting
 	// into the bucket builder's tuples-per-bucket target.
 	var rowBytes int64
-	for i := 0; i < len(ks) && i < 100; i++ {
-		rowBytes += int64(len(encs[ks[i].pos]) + 4)
+	for i := 0; i < len(order) && i < 100; i++ {
+		rowBytes += int64(encodedSize(rows[order[i]]) + 4)
 	}
 	target := 1
 	switch {
 	case t.cfg.BucketTuples > 0:
 		target = t.cfg.BucketTuples
-	case len(ks) > 0 && rowBytes > 0:
-		sampled := int64(len(ks))
+	case len(rows) > 0 && rowBytes > 0:
+		sampled := int64(len(rows))
 		if sampled > 100 {
 			sampled = 100
 		}
@@ -292,27 +290,44 @@ func (t *Table) Load(rows []value.Row) error {
 	// The bounds are installed only when the load ends, so the rows carry
 	// the builder's bucket IDs instead of locating their own.
 	builder := core.NewBuilder(target)
-	sorted := make([]value.Row, len(ks))
-	sortedEncs := make([][]byte, len(ks))
-	cbs := make([]int32, len(ks))
-	for i, k := range ks {
-		sorted[i], sortedEncs[i] = rows[k.pos], encs[k.pos]
-		cbs[i] = builder.Add(k.key)
+	sorted := make([]value.Row, len(rows))
+	cbs := make([]int32, len(rows))
+	for i, pos := range order {
+		sorted[i] = rows[pos]
+		cbs[i] = builder.Add(key(pos))
 	}
-	if err := tx.insertBatch(sorted, sortedEncs, cbs); err != nil {
-		return abort(err)
+	// Each latch batch of rows is encoded into one buffer reused for the
+	// next (the heap copies what it stores), so every row is encoded
+	// once and the encodings never all exist at once.
+	var buf []byte
+	encs := make([][]byte, writeBatchRows)
+	for start := 0; start < len(sorted); start += writeBatchRows {
+		batch := sorted[start:min(start+writeBatchRows, len(sorted))]
+		size := 0
+		for _, r := range batch {
+			size += encodedSize(r)
+		}
+		buf = slices.Grow(buf[:0], size)
+		for i, r := range batch {
+			end := len(buf)
+			buf = sch.appendRow(buf, r)
+			encs[i] = buf[end:]
+		}
+		if err := tx.insertBatch(batch, encs[:len(batch)], cbs[start:]); err != nil {
+			return abort(err)
+		}
 	}
 	// The loaded rows are the whole table. Their statistics are stamped
 	// as of after the Publish below, which adds them to the written count.
 	var pairs []*Pairs
-	if len(ks) > 0 {
-		at := t.written.Load() + int64(len(ks))
+	if len(rows) > 0 {
+		at := t.written.Load() + int64(len(rows))
 		var ukey []byte
 		for _, ix := range t.secondary {
 			pc := stats.NewPairCounter()
-			for i, k := range ks {
+			for i, pos := range order {
 				ukey = keyenc.AppendRowPrefix(ukey[:0], sorted[i], ix.Cols)
-				pc.Add(ukey, k.key)
+				pc.Add(ukey, key(pos))
 			}
 			pairs = append(pairs, countedPairs(pc, at))
 		}
@@ -321,8 +336,8 @@ func (t *Table) Load(rows []value.Row) error {
 	t.cbuckets = builder.Finish()
 	t.pageDir.clip()
 	t.heapf.Clip()
-	if len(ks) > 0 {
-		t.keyWidth = (keyBytes + len(ks) - 1) / len(ks)
+	if len(rows) > 0 {
+		t.keyWidth = (len(keys) + len(rows) - 1) / len(rows)
 	}
 	t.loaded = true
 	for j, p := range pairs {
@@ -352,7 +367,7 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 	// Both keys are encoded into buffers reused across rows (the tree
 	// copies what it keeps), so the count allocates nothing per row.
 	var key, ckey []byte
-	err = t.Scan(func(rid heap.RID, row value.Row) bool {
+	err = t.Scan(scanCols(cols, t.cfg.ClusteredCols), func(rid heap.RID, row value.Row) bool {
 		key = keyenc.AppendRowPrefix(key[:0], row, cols)
 		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
 		pc.Add(key, ckey)
@@ -430,15 +445,31 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 		return nil, err
 	}
 	cm := core.New(spec)
-	err = t.Scan(func(rid heap.RID, row value.Row) bool {
-		cm.AddRow(row, t.ClusterBucketFor(row))
-		return true
-	})
-	if err != nil {
+	if err := t.fillCM(cm); err != nil {
 		return nil, err
 	}
 	t.cms = append(t.cms, cm)
 	return cm, nil
+}
+
+// fillCM adds every live row to cm in its clustered bucket (Algorithm
+// 1's scan), decoding only the columns the CM keys, keeps statistics on
+// or clusters by.
+func (t *Table) fillCM(cm *core.CM) error {
+	spec := cm.Spec()
+	// The heap is in clustered order, so a row's clustering key is
+	// mostly its predecessor's, and so is its bucket. (No key is empty,
+	// so the first row locates its own.)
+	var ckey, prev []byte
+	var cb int32
+	return t.Scan(scanCols(spec.UCols, spec.StatCols, t.cfg.ClusteredCols), func(_ heap.RID, row value.Row) bool {
+		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
+		if !bytes.Equal(ckey, prev) {
+			cb, prev = t.cbuckets.Locate(ckey), append(prev[:0], ckey...)
+		}
+		cm.AddRow(row, cb)
+		return true
+	})
 }
 
 // statSpec completes a CM spec's statistics: every column when it names
@@ -550,10 +581,7 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 // for CMs recovered from checkpoints of another stat-column layout.
 func (t *Table) rebuildCMStats(cm *core.CM) error {
 	cm.Reset()
-	return t.Scan(func(rid heap.RID, row value.Row) bool {
-		cm.AddRow(row, t.ClusterBucketFor(row))
-		return true
-	})
+	return t.fillCM(cm)
 }
 
 // CheckpointCM serializes a CM to the writer, appends a checkpoint
@@ -575,21 +603,45 @@ func (t *Table) CheckpointCM(cm *core.CM, w io.Writer) (lsn int64, err error) {
 	return 0, nil
 }
 
-// Scan visits every live row in physical order.
-func (t *Table) Scan(fn func(rid heap.RID, row value.Row) bool) error {
+// Scan visits every live row in physical order, decoding only the
+// columns cols lists (every column when cols is nil; ascending, as
+// scanCols gives them, decodes in one walk of the tuple) into one
+// scratch row reused for every tuple: the row fn gets is valid only
+// during the call, like the executor's RowFunc, and a caller that keeps
+// it keeps a Clone. Every tuple is checked whole first
+// (Schema.CheckTuple), so a malformed one fails the scan with DecodeRow's
+// error whichever columns are decoded. Returning false stops the scan.
+func (t *Table) Scan(cols []int, fn func(rid heap.RID, row value.Row) bool) error {
+	sch := t.cfg.Schema
+	if cols == nil {
+		cols = make([]int, len(sch.Cols))
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	row := make(value.Row, len(sch.Cols))
 	var decodeErr error
 	err := t.heapf.Scan(func(rid heap.RID, tuple []byte) bool {
-		row, err := t.cfg.Schema.DecodeRow(tuple)
-		if err != nil {
-			decodeErr = err
-			return false
+		if decodeErr = sch.CheckTuple(tuple); decodeErr == nil {
+			decodeErr = sch.DecodeCols(row, tuple, cols)
 		}
-		return fn(rid, row)
+		return decodeErr == nil && fn(rid, row)
 	})
 	if decodeErr != nil {
 		return decodeErr
 	}
 	return err
+}
+
+// scanCols returns the distinct columns of the lists, ascending: what a
+// Scan feeding all of them must decode.
+func scanCols(lists ...[]int) []int {
+	var cols []int
+	for _, l := range lists {
+		cols = append(cols, l...)
+	}
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }
 
 // Stats are the per-table quantities of the paper's Table 1.
@@ -632,8 +684,11 @@ func (t *Table) Stats() Stats {
 // clustering attribute: u_tups, c_tups and c_per_u.
 func (t *Table) PairStats(uCols []int) (*stats.PairCounter, error) {
 	pc := stats.NewPairCounter()
-	err := t.Scan(func(rid heap.RID, row value.Row) bool {
-		pc.Add(keyenc.EncodeRowPrefix(row, uCols), t.clusteredKey(row))
+	var ukey, ckey []byte
+	err := t.Scan(scanCols(uCols, t.cfg.ClusteredCols), func(_ heap.RID, row value.Row) bool {
+		ukey = keyenc.AppendRowPrefix(ukey[:0], row, uCols)
+		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
+		pc.Add(ukey, ckey)
 		return true
 	})
 	if err != nil {

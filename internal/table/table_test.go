@@ -71,7 +71,7 @@ func newPeople(t *testing.T) (*Table, *sim.Disk) {
 func TestLoadSortsByClusteredKey(t *testing.T) {
 	tbl, _ := newPeople(t)
 	var states []string
-	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		states = append(states, row[0].S)
 		return true
 	}); err != nil {
@@ -260,7 +260,7 @@ func TestDeleteMaintainsEverything(t *testing.T) {
 	}
 	// Find the single NH boston row and delete it.
 	var target heap.RID
-	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		if row[0].S == "NH" && row[1].S == "boston" {
 			target = rid
 			return false
@@ -413,7 +413,7 @@ func TestLargerTableClusteredCorrelation(t *testing.T) {
 	for _, b := range buckets {
 		inBuckets[b] = true
 	}
-	if err := tbl.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		if row[1].I == 42 && !inBuckets[tbl.ClusterBucketFor(row)] {
 			t.Errorf("row a=%d b=42 in bucket %d not covered by CM", row[0].I, tbl.ClusterBucketFor(row))
 			return false

@@ -474,7 +474,7 @@ func TestCMLegacyCheckpointTriggersStatsRebuild(t *testing.T) {
 	}
 	spec.StatCols = nil
 	statless := core.New(spec)
-	if err := donor.inner.Scan(func(_ heap.RID, row value.Row) bool {
+	if err := donor.inner.Scan(nil, func(_ heap.RID, row value.Row) bool {
 		statless.AddRow(row, donor.inner.ClusterBucketFor(row))
 		return true
 	}); err != nil {

@@ -88,7 +88,7 @@ func cmEntriesDiff(got, want *core.CM) string {
 // Caller holds the latch.
 func cmDiff(inner *table.Table, live *core.CM) string {
 	scratch := core.New(live.Spec())
-	if err := inner.Scan(func(_ heap.RID, row value.Row) bool {
+	if err := inner.Scan(nil, func(_ heap.RID, row value.Row) bool {
 		scratch.AddRow(row, inner.ClusterBucketFor(row))
 		return true
 	}); err != nil {
@@ -110,7 +110,7 @@ func rowStrings(rows []value.Row) []string {
 // liveTableRows returns the table's live rows. Caller holds the latch.
 func liveTableRows(t *testing.T, inner *table.Table) (rids []heap.RID, rows []value.Row) {
 	t.Helper()
-	if err := inner.Scan(func(rid heap.RID, row value.Row) bool {
+	if err := inner.Scan(nil, func(rid heap.RID, row value.Row) bool {
 		rids = append(rids, rid)
 		rows = append(rows, row.Clone())
 		return true

@@ -427,9 +427,19 @@ func (t *Table) colIndex(name string) (int, error) {
 // writer statement: concurrent readers proceed against the empty table
 // until it publishes.
 func (t *Table) Load(rows []Row) error {
+	// Every converted row is a window of one backing array.
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals := make([]value.Value, 0, n)
 	internal := make([]value.Row, len(rows))
 	for i, r := range rows {
-		internal[i] = r.internal()
+		start := len(vals)
+		for _, v := range r {
+			vals = append(vals, v.v)
+		}
+		internal[i] = vals[start:len(vals):len(vals)]
 	}
 	return t.inner.Load(internal)
 }
