@@ -191,7 +191,7 @@ func TestCMSnapshotReadMidWrite(t *testing.T) {
 		t.Fatalf("collecting the victim slice: n=%d err=%v", len(olds), err)
 	}
 	tx := tbl.inner.BeginWrite()
-	if err := tx.UpdateBatch(olds, news); err != nil {
+	if err := tx.UpdateBatch(imagesOf(t, tbl.inner, olds), withRows(news)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.InsertBatch([]value.Row{{value.NewInt(50), value.NewInt(6), value.NewInt(-2), value.NewString("unpublished")}}); err != nil {

@@ -231,7 +231,7 @@ func TestPinnedSnapshotReadsPreImages(t *testing.T) {
 	}
 	tx := inner.BeginWrite()
 	tx.SetContext(newCancelAfter(2))
-	if err := tx.UpdateBatch(rids, news); !errors.Is(err, context.Canceled) {
+	if err := tx.UpdateBatch(imagesOf(t, inner, rids), withRows(news)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("an update under a cancelling context returned %v", err)
 	}
 	tx.Abort()

@@ -40,6 +40,13 @@ type PageKey struct {
 	Page int64
 }
 
+// packed is the key as one word, which is how the shards' page tables
+// are keyed: a map with uint64 keys takes Go's fast 64-bit path, where a
+// struct key goes through the generic hasher. The file takes the top 24
+// bits and the page the low 40, far more pages than a simulated disk
+// holds.
+func (k PageKey) packed() uint64 { return uint64(k.File)<<40 | uint64(k.Page) }
+
 // Stats aggregates buffer pool counters. Every counter lives in this
 // struct — per shard, reset by one zero-assignment in ResetStats — so
 // counters added later are covered by reset automatically (a
@@ -78,7 +85,7 @@ const (
 type shard struct {
 	mu     sync.Mutex
 	frames []Frame
-	table  map[PageKey]int
+	table  map[uint64]int // PageKey.packed → frame
 	hand   int
 	stats  Stats
 }
@@ -112,7 +119,7 @@ func NewPool(disk *sim.Disk, capacity int) *Pool {
 		}
 		sh := &p.shards[i]
 		sh.frames = make([]Frame, sz)
-		sh.table = make(map[PageKey]int, sz)
+		sh.table = make(map[uint64]int, sz)
 	}
 	return p
 }
@@ -218,7 +225,7 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 				return i, owed, err
 			}
 		}
-		delete(sh.table, fr.key)
+		delete(sh.table, fr.key.packed())
 		sh.stats.Evictions++
 		fr.used = false
 		return i, owed, nil
@@ -260,7 +267,7 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 	key := PageKey{file, page}
 	sh := p.shardFor(key)
 	sh.mu.Lock()
-	if i, ok := sh.table[key]; ok {
+	if i, ok := sh.table[key.packed()]; ok {
 		fr := &sh.frames[i]
 		fr.pin++
 		fr.ref = true
@@ -288,7 +295,7 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 	fr.dirty = false
 	fr.ref = true
 	fr.used = true
-	sh.table[key] = i
+	sh.table[key.packed()] = i
 	sh.mu.Unlock()
 	p.disk.PayWait(owed)
 	return fr, nil
@@ -304,7 +311,7 @@ func (p *Pool) Resident(file sim.FileID, page int64) bool {
 	key := PageKey{file, page}
 	sh := p.shardFor(key)
 	sh.mu.Lock()
-	_, ok := sh.table[key]
+	_, ok := sh.table[key.packed()]
 	sh.mu.Unlock()
 	return ok
 }
@@ -331,7 +338,7 @@ func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 	fr.dirty = true // a new page must eventually be written
 	fr.ref = true
 	fr.used = true
-	sh.table[key] = i
+	sh.table[key.packed()] = i
 	sh.mu.Unlock()
 	p.disk.PayWait(owed)
 	return page, fr, nil
@@ -364,7 +371,7 @@ func (p *Pool) WriteBack(file sim.FileID, page int64) error {
 	key := PageKey{file, page}
 	sh := p.shardFor(key)
 	sh.mu.Lock()
-	i, ok := sh.table[key]
+	i, ok := sh.table[key.packed()]
 	if !ok || !sh.frames[i].dirty {
 		sh.mu.Unlock()
 		return nil

@@ -202,7 +202,7 @@ func TestOrFilterMatchesRowSemantics(t *testing.T) {
 	for _, oq := range oqs {
 		f := CompileOrFilter(sch, oq)
 		for _, row := range rows {
-			tuple, err := sch.EncodeRow(row)
+			tuple, err := sch.AppendRow(nil, row)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -150,7 +150,7 @@ func TestTupleFilterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for iter := 0; iter < 3000; iter++ {
 		row := randFilterRow(rng)
-		tuple, err := sch.EncodeRow(row)
+		tuple, err := sch.AppendRow(nil, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestTupleFilterTruncationParity(t *testing.T) {
 		value.NewInt(-3),
 		value.NewString("yy"),
 	}
-	tuple, err := sch.EncodeRow(row)
+	tuple, err := sch.AppendRow(nil, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTupleFilterTruncationParity(t *testing.T) {
 		table.Column{Name: "x", Kind: value.Int},
 		table.Column{Name: "y", Kind: value.Float},
 	)
-	ftuple, err := fixed.EncodeRow(value.Row{value.NewInt(1), value.NewFloat(2)})
+	ftuple, err := fixed.AppendRow(nil, value.Row{value.NewInt(1), value.NewFloat(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func FuzzTupleFilter(f *testing.F) {
 	sch := filterTestSchema()
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 8; i++ {
-		tuple, err := sch.EncodeRow(randFilterRow(rng))
+		tuple, err := sch.AppendRow(nil, randFilterRow(rng))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func FuzzProjectionJSON(f *testing.F) {
 			}
 		}
 		sch := table.NewSchema(cols...)
-		tuple, err := sch.EncodeRow(row)
+		tuple, err := sch.AppendRow(nil, row)
 		if err != nil {
 			t.Skip(err) // a string past the 64 KiB column limit
 		}

@@ -145,8 +145,30 @@ func churn(t *testing.T, db *testDB) {
 	if len(olds) == 0 || len(dead) == 0 {
 		t.Fatal("churn slice empty; fixture broken")
 	}
-	write(func(tx *table.WriteTxn) error { return tx.UpdateBatch(olds, news) })
-	write(func(tx *table.WriteTxn) error { return tx.DeleteBatch(dead) })
+	write(func(tx *table.WriteTxn) error {
+		return tx.UpdateBatch(imagesOf(t, db.tbl, olds), func(i int, row value.Row) { copy(row, news[i]) })
+	})
+	write(func(tx *table.WriteTxn) error { return tx.DeleteBatch(imagesOf(t, db.tbl, dead)) })
+}
+
+// imagesOf reads the latest bytes of the live rows at rids, as a writer
+// statement's read phase captures them.
+func imagesOf(t *testing.T, tbl *table.Table, rids []heap.RID) *table.Images {
+	t.Helper()
+	tbl.RLock()
+	defer tbl.RUnlock()
+	var im table.Images
+	for _, rid := range rids {
+		n := im.Len()
+		err := tbl.Heap().ViewAt(rid, 0, func(tuple []byte) error {
+			im.Add(rid, tuple)
+			return nil
+		})
+		if err != nil || im.Len() == n {
+			t.Fatalf("reading %v: %v", rid, err)
+		}
+	}
+	return &im
 }
 
 // TestParallelMatchesSerial is the executor's one equivalence test: every

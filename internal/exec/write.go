@@ -11,10 +11,12 @@ import (
 
 // This file is the write-statement executor. An UPDATE or DELETE runs in
 // two phases under the table's writer gate: a read phase that collects
-// the RIDs (and, for UPDATE, the new images) of every matching row
-// through the planned access path, and a write phase that applies them
-// as one MVCC writer statement (WriteTxn.UpdateBatch — Algorithm 1's
-// retraction + reinsert per row — or WriteTxn.DeleteBatch). Collecting
+// the RID and tuple bytes of every matching row through the planned
+// access path into one arena (table.Images), decoding nothing, and a
+// write phase that applies them as one MVCC writer statement
+// (WriteTxn.UpdateBatch — Algorithm 1's retraction + reinsert per row,
+// each old row decoded once from its image and the SETs applied to a
+// copy — or WriteTxn.DeleteBatch), which reads no row again. Collecting
 // fully before writing sidesteps the Halloween problem: the scan can
 // never see the rows it is about to produce. Because every access path
 // emits rows in physical heap order at any worker count, the collected
@@ -58,25 +60,16 @@ func CheckSets(sch table.Schema, sets []SetClause) error {
 	return nil
 }
 
-// ApplySets returns a fresh row: src with every assignment applied.
-func ApplySets(src value.Row, sets []SetClause) value.Row {
-	out := src.Clone()
-	for _, s := range sets {
-		out[s.Col] = s.Val
-	}
-	return out
-}
-
 // WriteByScan executes an UPDATE (sets non-nil) or a DELETE (sets nil):
-// run streams the matching rows (physical order; full rows for an
-// UPDATE) out of the chosen access path, and the write phase replaces
-// or ends each under one writer statement. It returns the number of rows
-// written. The caller must NOT hold the table latch — the writer
-// statement takes the writer gate itself and latches per batch. ctx,
-// when non-nil, cancels both phases: the read phase through the access
-// path's own context and the write phase between latched bursts (a
-// cancelled write aborts cleanly, leaving the table untouched).
-func WriteByScan(ctx context.Context, t *table.Table, run func(fn RowFunc) error, sets []SetClause) (int64, error) {
+// run streams the matching tuples (physical order) out of the chosen
+// access path, and the write phase replaces or ends each under one
+// writer statement. It returns the number of rows written. The caller
+// must NOT hold the table latch — the writer statement takes the writer
+// gate itself and latches per batch. ctx, when non-nil, cancels both
+// phases: the read phase through the access path's own context and the
+// write phase between latched bursts (a cancelled write aborts cleanly,
+// leaving the table untouched).
+func WriteByScan(ctx context.Context, t *table.Table, run func(fn TupleFunc) error, sets []SetClause) (int64, error) {
 	if sets != nil {
 		if err := CheckSets(t.Schema(), sets); err != nil {
 			return 0, err
@@ -84,25 +77,25 @@ func WriteByScan(ctx context.Context, t *table.Table, run func(fn RowFunc) error
 	}
 	tx := t.BeginWrite()
 	tx.SetContext(ctx)
-	var rids []heap.RID
-	var news []value.Row
-	err := run(func(rid heap.RID, row value.Row) bool {
-		rids = append(rids, rid)
-		if sets != nil {
-			news = append(news, ApplySets(row, sets))
-		}
-		return true
+	var olds table.Images
+	err := run(func(rid heap.RID, tuple []byte) (bool, error) {
+		olds.Add(rid, tuple)
+		return true, nil
 	})
 	if err == nil {
 		if sets != nil {
-			err = tx.UpdateBatch(rids, news)
+			err = tx.UpdateBatch(&olds, func(_ int, row value.Row) {
+				for _, s := range sets {
+					row[s.Col] = s.Val
+				}
+			})
 		} else {
-			err = tx.DeleteBatch(rids)
+			err = tx.DeleteBatch(&olds)
 		}
 	}
 	if err != nil {
 		tx.Abort()
 		return 0, err
 	}
-	return int64(len(rids)), tx.Publish()
+	return int64(olds.Len()), tx.Publish()
 }

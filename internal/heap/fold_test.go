@@ -273,7 +273,7 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 			data := randBytes(rng, len(s.data))
 			s.pre = &mPre{data: s.data, ver: mVer{begin: s.ver.begin, end: ts}}
 			s.data, s.ver = data, mVer{begin: ts}
-			must("ReplaceAt", rid, h.ReplaceAt(rid, data, ts))
+			must("ReplaceAt", rid, h.ReplaceAt(rid, data, bytes.Clone(s.pre.data), ts))
 		}
 	case 6:
 		if rid, s, ok := m.pick(rng, held(func(s *mSlot) bool { return s.ver.end == 0 && s.pre != nil })); ok {

@@ -138,7 +138,8 @@ func (pv *pageVersions) at(s int) tupleVersion {
 }
 
 // preImage is the version an in-place replacement overwrote: a copy of its
-// bytes and its timestamps, ended at the replacement's begin.
+// bytes (the replacing writer's) and its timestamps, ended at the
+// replacement's begin.
 type preImage struct {
 	tuple []byte
 	ver   tupleVersion
@@ -461,13 +462,16 @@ func pageFree(d []byte) int {
 // AppendAt stores tuple at the end of the file — on the last page when it
 // has room, else on a new one — with the given MVCC begin timestamp: the
 // tuple is invisible to snapshots older than begin, which is how a writer
-// statement keeps its new row versions hidden until it publishes.
+// statement keeps its new row versions hidden until it publishes. A page
+// AppendAt opens starts folded, so a bulk load's pages keep their one
+// page-level version as they fill instead of growing a per-slot array
+// for Clip to fold.
 func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 	page := h.numPages
 	if page > 0 && h.Room(page-1) >= TupleCost(len(tuple)) {
 		page--
 	}
-	return h.PutAt(page, tuple, begin)
+	return h.put(page, tuple, begin, true)
 }
 
 // PutAt stores tuple on page with the given MVCC begin timestamp and
@@ -477,6 +481,11 @@ func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 // chooses page by Room; a page short of room is an error, and so is a
 // zero begin, which would make the tuple visible to every snapshot.
 func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
+	return h.put(page, tuple, begin, false)
+}
+
+// put is PutAt; fold opens a new page folded at begin (AppendAt).
+func (h *File) put(page int64, tuple []byte, begin uint64, fold bool) (RID, error) {
 	if begin == 0 {
 		return RID{}, fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
 	}
@@ -491,7 +500,11 @@ func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
 			return RID{}, err
 		}
 		initPage(fr.Data)
-		h.vers = append(h.vers, pageVersions{})
+		pv := pageVersions{}
+		if fold {
+			pv.begin = begin
+		}
+		h.vers = append(h.vers, pv)
 		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
 		h.numPages++
 	case page < 0 || page > h.numPages:
@@ -523,7 +536,11 @@ func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
 	setSlotAt(d, slot, start, len(tuple))
 	if v := (tupleVersion{begin: begin}); slot == pageNumSlots(d) {
 		setPageNumSlots(d, slot+1)
-		h.vers[page].slots = append(h.exact(page), v)
+		if pv := &h.vers[page]; pv.folded() && pv.begin == begin {
+			pv.n++ // a new slot with the page's one begin keeps it folded
+		} else {
+			pv.slots = append(h.exact(page), v)
+		}
 	} else {
 		h.exact(page)[slot] = v
 	}
@@ -604,12 +621,14 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 }
 
 // ReplaceAt overwrites the live tuple at rid in its slot with tuple, a new
-// version begun at ts, and keeps a copy of the old bytes as the slot's
+// version begun at ts, and keeps pre — the caller's copy of the slot's
+// current bytes, which it must not change afterwards — as the slot's
 // pre-image, ended at ts: snapshots older than ts read it until
 // DropPreImage. The RID, the page's space and the live-tuple count do not
-// change. It refuses a tuple of another length, a slot whose version is
-// ended, dead or erased, and a slot that already holds a pre-image.
-func (h *File) ReplaceAt(rid RID, tuple []byte, ts uint64) error {
+// change. It refuses a tuple of another length, a pre that is not the
+// slot's bytes, a slot whose version is ended, dead or erased, and a slot
+// that already holds a pre-image.
+func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 	if ts == 0 {
 		return fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
 	}
@@ -633,10 +652,14 @@ func (h *File) ReplaceAt(rid RID, tuple []byte, ts uint64) error {
 		return fmt.Errorf("heap: RID %v holds %d bytes, replacement has %d", rid, length, len(tuple))
 	}
 	old := fr.Data[off : off+length]
+	if !bytes.Equal(old, pre) {
+		h.pool.Unpin(fr, false)
+		return fmt.Errorf("heap: RID %v does not hold the pre-image given", rid)
+	}
 	if h.pre == nil {
 		h.pre, h.preOn = map[RID]preImage{}, map[int64]int{}
 	}
-	h.pre[rid] = preImage{tuple: bytes.Clone(old), ver: tupleVersion{begin: v.begin, end: ts}}
+	h.pre[rid] = preImage{tuple: pre, ver: tupleVersion{begin: v.begin, end: ts}}
 	h.preOn[rid.Page]++
 	copy(old, tuple)
 	h.setVersion(rid, tupleVersion{begin: ts})
@@ -749,7 +772,7 @@ func (h *File) ClearEnd(rid RID) error {
 
 // MarkDead hands an ended version back to its page: no snapshot reads it
 // again, its slot is reusable at once, and its size bytes — the tuple's
-// length, as Get returned it — count as the page's garbage until a prune
+// length — count as the page's garbage until a prune
 // packs them away. The caller vouches that no snapshot older than the
 // version's end timestamp remains. Marking reads no page.
 func (h *File) MarkDead(rid RID, size int) error {
@@ -789,34 +812,11 @@ func (h *File) setVersion(rid RID, v tupleVersion) {
 	h.exact(rid.Page)[rid.Slot] = v
 }
 
-// Get returns a copy of the tuple at rid as the latest state sees it.
-// Deleted (physically or logically) tuples return nil data.
-func (h *File) Get(rid RID) ([]byte, error) {
-	if rid.Page < 0 || rid.Page >= h.numPages {
-		return nil, fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
-	}
-	fr, err := h.pool.Get(h.file, rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.pool.Unpin(fr, false)
-	if int(rid.Slot) >= pageNumSlots(fr.Data) {
-		return nil, fmt.Errorf("heap: RID %v slot out of range", rid)
-	}
-	off, length := slotAt(fr.Data, int(rid.Slot))
-	if length == 0 || !visibleAt(h.vers[rid.Page].at(int(rid.Slot)), 0) {
-		return nil, nil // deleted
-	}
-	out := make([]byte, length)
-	copy(out, fr.Data[off:off+length])
-	return out, nil
-}
-
 // ViewAt calls fn with the tuple bytes at rid that the snapshot sees
 // (snapshot 0 means latest): the slot's own bytes or, when only its
 // pre-image is visible, the pre-image's. fn does not run when no version
 // is visible. The slice aliases the pinned frame and is only valid
-// during the call; unlike Get, ViewAt copies nothing, so tuples the
+// during the call; ViewAt copies nothing, so tuples the
 // executor's compiled filter rejects cost no allocation.
 func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	if rid.Page < 0 || rid.Page >= h.numPages {

@@ -317,3 +317,27 @@ func TestView(t *testing.T) {
 		t.Errorf("ViewAt swallowed fn's error: %v", err)
 	}
 }
+
+// Get returns a copy of the tuple at rid as the latest state sees it —
+// the tests' reading of one slot. Deleted (physically or logically)
+// tuples return nil data.
+func (h *File) Get(rid RID) ([]byte, error) {
+	if rid.Page < 0 || rid.Page >= h.numPages {
+		return nil, fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)
+	}
+	fr, err := h.pool.Get(h.file, rid.Page)
+	if err != nil {
+		return nil, err
+	}
+	defer h.pool.Unpin(fr, false)
+	if int(rid.Slot) >= pageNumSlots(fr.Data) {
+		return nil, fmt.Errorf("heap: RID %v slot out of range", rid)
+	}
+	off, length := slotAt(fr.Data, int(rid.Slot))
+	if length == 0 || !visibleAt(h.vers[rid.Page].at(int(rid.Slot)), 0) {
+		return nil, nil // deleted
+	}
+	out := make([]byte, length)
+	copy(out, fr.Data[off:off+length])
+	return out, nil
+}

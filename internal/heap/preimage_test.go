@@ -20,9 +20,10 @@ func appendAll(t *testing.T, h *File, begin uint64, tuples ...string) []RID {
 }
 
 // TestReplaceAtRefusals covers what ReplaceAt must refuse — a tuple of
-// another length, an ended slot, a dead slot, an erased slot, a slot
-// that already holds a pre-image, and a zero timestamp — and checks
-// that a refusal changes neither the slot nor the pre-images.
+// another length, a pre-image that is not the slot's bytes, an ended
+// slot, a dead slot, an erased slot, a slot that already holds a
+// pre-image, and a zero timestamp — and checks that a refusal changes
+// neither the slot nor the pre-images.
 func TestReplaceAtRefusals(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	rids := appendAll(t, h, 1, "live", "ends", "dies", "gone")
@@ -41,21 +42,22 @@ func TestReplaceAtRefusals(t *testing.T) {
 	}
 
 	refusals := []struct {
-		name  string
-		rid   RID
-		tuple string
-		ts    uint64
+		name       string
+		rid        RID
+		tuple, pre string
+		ts         uint64
 	}{
-		{"a longer tuple", live, "lives", 3},
-		{"a shorter tuple", live, "liv", 3},
-		{"a zero timestamp", live, "LIVE", 0},
-		{"an ended slot", ended, "ENDS", 3},
-		{"a dead slot", dead, "DIES", 3},
-		{"an erased slot", erased, "GONE", 3},
-		{"a slot out of range", RID{Page: 0, Slot: 9}, "NONE", 3},
+		{"a longer tuple", live, "lives", "live", 3},
+		{"a shorter tuple", live, "liv", "live", 3},
+		{"a pre-image of other bytes", live, "LIVE", "lave", 3},
+		{"a zero timestamp", live, "LIVE", "live", 0},
+		{"an ended slot", ended, "ENDS", "ends", 3},
+		{"a dead slot", dead, "DIES", "dies", 3},
+		{"an erased slot", erased, "GONE", "gone", 3},
+		{"a slot out of range", RID{Page: 0, Slot: 9}, "NONE", "none", 3},
 	}
 	for _, r := range refusals {
-		if err := h.ReplaceAt(r.rid, []byte(r.tuple), r.ts); err == nil {
+		if err := h.ReplaceAt(r.rid, []byte(r.tuple), []byte(r.pre), r.ts); err == nil {
 			t.Errorf("ReplaceAt accepted %s", r.name)
 		}
 	}
@@ -63,10 +65,10 @@ func TestReplaceAtRefusals(t *testing.T) {
 		t.Fatalf("after the refusals the live slot reads %q with %d pre-images", got, h.PreImages())
 	}
 
-	if err := h.ReplaceAt(live, []byte("LIVE"), 3); err != nil {
+	if err := h.ReplaceAt(live, []byte("LIVE"), []byte("live"), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.ReplaceAt(live, []byte("L1VE"), 4); err == nil {
+	if err := h.ReplaceAt(live, []byte("L1VE"), []byte("LIVE"), 4); err == nil {
 		t.Error("ReplaceAt accepted a slot that already holds a pre-image")
 	}
 	if got, _ := h.Get(live); string(got) != "LIVE" || h.PreImages() != 1 {
@@ -124,7 +126,7 @@ func TestPreImageVisibility(t *testing.T) {
 		}
 	}
 
-	if err := h.ReplaceAt(rid, []byte("new-bytes"), 5); err != nil {
+	if err := h.ReplaceAt(rid, []byte("new-bytes"), []byte("old-bytes"), 5); err != nil {
 		t.Fatal(err)
 	}
 	expect("replaced", map[uint64]string{1: "", 2: "old-bytes", 4: "old-bytes", 5: "new-bytes", 9: "new-bytes", 0: "new-bytes"})
@@ -144,7 +146,7 @@ func TestPreImageVisibility(t *testing.T) {
 		t.Errorf("%d pre-images after RestoreAt", h.PreImages())
 	}
 
-	if err := h.ReplaceAt(rid, []byte("new-bytes"), 5); err != nil {
+	if err := h.ReplaceAt(rid, []byte("new-bytes"), []byte("old-bytes"), 5); err != nil {
 		t.Fatal(err)
 	}
 	reclaimed := h.ReclaimedVersions()
@@ -157,7 +159,7 @@ func TestPreImageVisibility(t *testing.T) {
 			h.PreImages(), h.ReclaimedVersions(), reclaimed+1)
 	}
 
-	if err := h.ReplaceAt(rid, []byte("third-one"), 7); err != nil {
+	if err := h.ReplaceAt(rid, []byte("third-one"), []byte("new-bytes"), 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Delete(rid); err != nil {

@@ -85,7 +85,7 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 // again under the writer gate and sweeps what they resolve to now.
 func (wt *WriteTree) Run(workers int) (int64, error) {
 	tr := wt.inner
-	return exec.WriteByScan(tr.spec.Ctx, tr.t, func(fn exec.RowFunc) error {
+	return exec.WriteByScan(tr.spec.Ctx, tr.t, func(fn exec.TupleFunc) error {
 		for i := range tr.legs {
 			l, q := &tr.legs[i], tr.spec.Disjuncts[i]
 			var err error
@@ -100,7 +100,7 @@ func (wt *WriteTree) Run(workers int) (int64, error) {
 				return err
 			}
 		}
-		return tr.runRows(tr.spec.Proj, workers, fn)
+		return tr.runAccess(tr.spec.Proj, workers, fn)
 	}, wt.sets)
 }
 

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"fmt"
+
 	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/sim"
@@ -30,10 +32,54 @@ func insertRows(tbl *Table, rows ...value.Row) ([]heap.RID, error) {
 	return rids, tx.Publish()
 }
 
+// imagesOf reads the latest bytes of the rows at rids, as a writer
+// statement's read phase captures them; a row that is not live fails.
+func imagesOf(tbl *Table, rids []heap.RID) (*Images, error) {
+	tbl.RLock()
+	defer tbl.RUnlock()
+	im := &Images{}
+	for _, rid := range rids {
+		n := im.Len()
+		if err := tbl.Heap().ViewAt(rid, 0, func(tuple []byte) error {
+			im.Add(rid, tuple)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if im.Len() == n {
+			return nil, fmt.Errorf("no live row at %v", rid)
+		}
+	}
+	return im, nil
+}
+
+// withRows is an UpdateBatch set that makes image i's new row news[i].
+func withRows(news []value.Row) func(int, value.Row) {
+	return func(i int, row value.Row) { copy(row, news[i]) }
+}
+
+// updateRows replaces the rows at rids with news within tx.
+func updateRows(tx *WriteTxn, rids []heap.RID, news []value.Row) error {
+	olds, err := imagesOf(tx.t, rids)
+	if err != nil {
+		return err
+	}
+	return tx.UpdateBatch(olds, withRows(news))
+}
+
+// endRows ends the rows at rids within tx.
+func endRows(tx *WriteTxn, rids []heap.RID) error {
+	olds, err := imagesOf(tx.t, rids)
+	if err != nil {
+		return err
+	}
+	return tx.DeleteBatch(olds)
+}
+
 // deleteRows ends the rows at rids as one writer statement.
 func deleteRows(tbl *Table, rids ...heap.RID) error {
 	tx := tbl.BeginWrite()
-	if err := tx.DeleteBatch(rids); err != nil {
+	if err := endRows(tx, rids); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -41,10 +87,10 @@ func deleteRows(tbl *Table, rids ...heap.RID) error {
 }
 
 // fetchRow decodes the latest version at rid; nil when none is live.
-func fetchRow(tbl *Table, rid heap.RID) (value.Row, error) {
-	data, err := tbl.Heap().Get(rid)
-	if err != nil || data == nil {
-		return nil, err
-	}
-	return tbl.Schema().DecodeRow(data)
+func fetchRow(tbl *Table, rid heap.RID) (row value.Row, err error) {
+	err = tbl.Heap().ViewAt(rid, 0, func(tuple []byte) error {
+		row, err = tbl.Schema().DecodeRow(tuple)
+		return err
+	})
+	return row, err
 }

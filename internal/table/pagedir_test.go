@@ -159,11 +159,11 @@ func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {
 						news[i][1] = value.NewInt(news[i][0].I / 4)
 					}
 				}
-				if err := tx.UpdateBatch(rids[at:at+20], news); err != nil {
+				if err := updateRows(tx, rids[at:at+20], news); err != nil {
 					return err
 				}
 				checkPageDir(t, tbl, fmt.Sprintf("step %d mid-statement, after UpdateBatch", step))
-				return tx.DeleteBatch(rids[at+20 : at+30])
+				return endRows(tx, rids[at+20:at+30])
 			}
 
 			for step := 0; step < 40; step++ {
@@ -284,7 +284,7 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 			news[i][1] = value.NewInt(news[i][0].I / 4)
 		}
 		tx := tbl.BeginWrite()
-		if err := tx.UpdateBatch(rids[at:at+len(news)], news); err != nil {
+		if err := updateRows(tx, rids[at:at+len(news)], news); err != nil {
 			t.Fatal(err)
 		}
 		if stmt%3 == 2 {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/heap"
-	"repro/internal/value"
 )
 
 // This file bounds the heap: it decides when a published statement's old
@@ -113,26 +112,15 @@ func (t *Table) markDead(versions []retraction) {
 	}
 }
 
-// reserve locates the clustered bucket of each new row and adds the
-// row's bytes to its bucket's need, so the bucket's first placement can
-// pick one page for all of them; a row that stays in its slot (a
-// non-zero stays[i]) needs no room. It runs under the writer gate,
-// outside the latch: only Load, which holds the gate, moves bucket
-// bounds.
-func (tx *WriteTxn) reserve(rows []value.Row, encs [][]byte, stays []stay) []int32 {
-	t := tx.t
-	cbs := make([]int32, len(rows))
-	for i, r := range rows {
-		cbs[i] = t.ClusterBucketFor(r)
-		if stays != nil && stays[i].data != nil {
-			continue
-		}
-		p := t.placing[cbs[i]]
-		p.cost += heap.TupleCost(len(encs[i]))
-		p.tuples++
-		t.placing[cbs[i]] = p
-	}
-	return cbs
+// reserve adds a new version of n encoded bytes to clustered bucket cb's
+// need, so the bucket's first placement can pick one page for all of its
+// versions; a row that stays in its slot reserves nothing. It runs under
+// the writer gate, outside the latch.
+func (tx *WriteTxn) reserve(cb int32, n int) {
+	p := tx.t.placing[cb]
+	p.cost += heap.TupleCost(n)
+	p.tuples++
+	tx.t.placing[cb] = p
 }
 
 // place stores one new version of bucket cb: on the page the bucket is

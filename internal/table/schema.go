@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -137,16 +138,17 @@ func (s Schema) Validate(row value.Row) error {
 	return nil
 }
 
-// EncodeRow serializes a row for heap storage: ints and floats as 8
-// little-endian bytes, strings as a 2-byte length prefix plus bytes.
-func (s Schema) EncodeRow(row value.Row) ([]byte, error) {
+// AppendRow validates a row and appends its heap encoding to dst: ints
+// and floats as 8 little-endian bytes, strings as a 2-byte length prefix
+// plus bytes. A rejected row appends nothing.
+func (s Schema) AppendRow(dst []byte, row value.Row) ([]byte, error) {
 	if err := s.checkRow(row); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return s.appendRow(make([]byte, 0, encodedSize(row)), row), nil
+	return s.appendRow(dst, row), nil
 }
 
-// checkRow is EncodeRow's validation: Validate, and every string short
+// checkRow is AppendRow's validation: Validate, and every string short
 // enough for its length prefix.
 func (s Schema) checkRow(row value.Row) error {
 	if err := s.Validate(row); err != nil {
@@ -296,16 +298,30 @@ func (s Schema) Field(tuple []byte, col int) ([]byte, error) {
 	return tuple[start : start+n], nil
 }
 
-// decodeField materializes one field payload (as returned by Field).
-func decodeField(c Column, b []byte) value.Value {
+// decodeField materializes one field payload (as returned by Field). A
+// view string aliases b instead of copying it (viewString).
+func decodeField(c Column, b []byte, view bool) value.Value {
 	switch c.Kind {
 	case value.Int:
 		return value.NewInt(int64(binary.LittleEndian.Uint64(b)))
 	case value.Float:
 		return value.NewFloat(floatFromBits(binary.LittleEndian.Uint64(b)))
 	default:
+		if view {
+			return value.NewString(viewString(b))
+		}
 		return value.NewString(string(b))
 	}
+}
+
+// viewString is b as a string without a copy: valid only while b's bytes
+// stay as they are. The decoders that hand out views say whose bytes
+// those are and for how long.
+func viewString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // DecodeCols decodes only the listed columns of an encoded tuple into
@@ -316,6 +332,11 @@ func decodeField(c Column, b []byte) value.Value {
 // primitive: survivors of the compiled filter decode just the referenced
 // and projected columns into a reusable scratch row.
 func (s Schema) DecodeCols(dst value.Row, tuple []byte, cols []int) error {
+	return s.decodeCols(dst, tuple, cols, false)
+}
+
+// decodeCols is DecodeCols; view decodes strings as views of tuple.
+func (s Schema) decodeCols(dst value.Row, tuple []byte, cols []int, view bool) error {
 	if len(dst) != len(s.Cols) {
 		return fmt.Errorf("table: scratch row has %d values, schema has %d columns", len(dst), len(s.Cols))
 	}
@@ -335,7 +356,7 @@ func (s Schema) DecodeCols(dst value.Row, tuple []byte, cols []int) error {
 			if err != nil {
 				return err
 			}
-			dst[col] = decodeField(s.Cols[col], b)
+			dst[col] = decodeField(s.Cols[col], b, view)
 		}
 		return nil
 	}
@@ -353,7 +374,7 @@ func (s Schema) DecodeCols(dst value.Row, tuple []byte, cols []int) error {
 				return truncatedErr(c)
 			}
 			if want {
-				dst[i] = decodeField(c, tuple[off:off+8])
+				dst[i] = decodeField(c, tuple[off:off+8], view)
 				ci++
 			}
 			off += 8
@@ -368,7 +389,7 @@ func (s Schema) DecodeCols(dst value.Row, tuple []byte, cols []int) error {
 			return truncatedErr(c)
 		}
 		if want {
-			dst[i] = decodeField(c, tuple[off:off+n])
+			dst[i] = decodeField(c, tuple[off:off+n], view)
 			ci++
 		}
 		off += n
@@ -379,36 +400,34 @@ func (s Schema) DecodeCols(dst value.Row, tuple []byte, cols []int) error {
 // DecodeRow deserializes a heap tuple.
 func (s Schema) DecodeRow(data []byte) (value.Row, error) {
 	row := make(value.Row, len(s.Cols))
-	off := 0
-	for i, c := range s.Cols {
-		switch c.Kind {
-		case value.Int:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("table: truncated int column %s", c.Name)
-			}
-			row[i] = value.NewInt(int64(binary.LittleEndian.Uint64(data[off:])))
-			off += 8
-		case value.Float:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("table: truncated float column %s", c.Name)
-			}
-			row[i] = value.NewFloat(floatFromBits(binary.LittleEndian.Uint64(data[off:])))
-			off += 8
-		default:
-			if off+2 > len(data) {
-				return nil, fmt.Errorf("table: truncated string column %s", c.Name)
-			}
-			n := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return nil, fmt.Errorf("table: truncated string column %s", c.Name)
-			}
-			row[i] = value.NewString(string(data[off : off+n]))
-			off += n
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("table: %d trailing bytes after row", len(data)-off)
+	if err := s.decodeRow(row, data, false); err != nil {
+		return nil, err
 	}
 	return row, nil
+}
+
+// decodeRow decodes every column of a heap tuple into dst, which has
+// len(s.Cols) entries, failing on a truncated tuple or trailing bytes as
+// DecodeRow does; view decodes strings as views of data.
+func (s Schema) decodeRow(dst value.Row, data []byte, view bool) error {
+	off := 0
+	for i, c := range s.Cols {
+		n := 8
+		if c.Kind == value.String {
+			if off+2 > len(data) {
+				return truncatedErr(c)
+			}
+			n = int(binary.LittleEndian.Uint16(data[off:]))
+			off += 2
+		}
+		if off+n > len(data) {
+			return truncatedErr(c)
+		}
+		dst[i] = decodeField(c, data[off:off+n], view)
+		off += n
+	}
+	if off != len(data) {
+		return fmt.Errorf("table: %d trailing bytes after row", len(data)-off)
+	}
+	return nil
 }

@@ -367,7 +367,7 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 	// Both keys are encoded into buffers reused across rows (the tree
 	// copies what it keeps), so the count allocates nothing per row.
 	var key, ckey []byte
-	err = t.Scan(scanCols(cols, t.cfg.ClusteredCols), func(rid heap.RID, row value.Row) bool {
+	err = t.scan(scanCols(cols, t.cfg.ClusteredCols), true, func(rid heap.RID, row value.Row) bool {
 		key = keyenc.AppendRowPrefix(key[:0], row, cols)
 		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
 		pc.Add(key, ckey)
@@ -462,7 +462,7 @@ func (t *Table) fillCM(cm *core.CM) error {
 	// so the first row locates its own.)
 	var ckey, prev []byte
 	var cb int32
-	return t.Scan(scanCols(spec.UCols, spec.StatCols, t.cfg.ClusteredCols), func(_ heap.RID, row value.Row) bool {
+	return t.scan(scanCols(spec.UCols, spec.StatCols, t.cfg.ClusteredCols), true, func(_ heap.RID, row value.Row) bool {
 		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
 		if !bytes.Equal(ckey, prev) {
 			cb, prev = t.cbuckets.Locate(ckey), append(prev[:0], ckey...)
@@ -612,6 +612,14 @@ func (t *Table) CheckpointCM(cm *core.CM, w io.Writer) (lsn int64, err error) {
 // (Schema.CheckTuple), so a malformed one fails the scan with DecodeRow's
 // error whichever columns are decoded. Returning false stops the scan.
 func (t *Table) Scan(cols []int, fn func(rid heap.RID, row value.Row) bool) error {
+	return t.scan(cols, false, fn)
+}
+
+// scan is Scan; view decodes strings as views of the tuple, valid only
+// during the call, so a scan that only compares or encodes its rows'
+// strings (building an index or a CM, counting pair statistics)
+// allocates none.
+func (t *Table) scan(cols []int, view bool, fn func(rid heap.RID, row value.Row) bool) error {
 	sch := t.cfg.Schema
 	if cols == nil {
 		cols = make([]int, len(sch.Cols))
@@ -623,7 +631,7 @@ func (t *Table) Scan(cols []int, fn func(rid heap.RID, row value.Row) bool) erro
 	var decodeErr error
 	err := t.heapf.Scan(func(rid heap.RID, tuple []byte) bool {
 		if decodeErr = sch.CheckTuple(tuple); decodeErr == nil {
-			decodeErr = sch.DecodeCols(row, tuple, cols)
+			decodeErr = sch.decodeCols(row, tuple, cols, view)
 		}
 		return decodeErr == nil && fn(rid, row)
 	})
@@ -685,7 +693,7 @@ func (t *Table) Stats() Stats {
 func (t *Table) PairStats(uCols []int) (*stats.PairCounter, error) {
 	pc := stats.NewPairCounter()
 	var ukey, ckey []byte
-	err := t.Scan(scanCols(uCols, t.cfg.ClusteredCols), func(_ heap.RID, row value.Row) bool {
+	err := t.scan(scanCols(uCols, t.cfg.ClusteredCols), true, func(_ heap.RID, row value.Row) bool {
 		ukey = keyenc.AppendRowPrefix(ukey[:0], row, uCols)
 		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
 		pc.Add(ukey, ckey)

@@ -428,7 +428,7 @@ func TestLargerTableClusteredCorrelation(t *testing.T) {
 func TestRowCodecRoundTrip(t *testing.T) {
 	sch := peopleSchema()
 	row := value.Row{value.NewString("MA"), value.NewString("bo\x00ston"), value.NewInt(-5)}
-	enc, err := sch.EncodeRow(row)
+	enc, err := sch.AppendRow(nil, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func TestFloatColumnRoundTrip(t *testing.T) {
 	sch := NewSchema(Column{Name: "f", Kind: value.Float})
-	enc, err := sch.EncodeRow(value.Row{value.NewFloat(-12.75)})
+	enc, err := sch.AppendRow(nil, value.Row{value.NewFloat(-12.75)})
 	if err != nil {
 		t.Fatal(err)
 	}

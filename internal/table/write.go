@@ -3,9 +3,11 @@ package table
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/heap"
+	"repro/internal/keyenc"
 	"repro/internal/metrics"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -122,13 +124,79 @@ type undoInsert struct {
 	inPlace bool
 }
 
-// stay is the current version of an updated row that its new image
-// overwrites in place: its bytes, logged as the update's RecDelete, and
-// its row, retracted from the CMs at Publish. The zero stay marks a row
-// that relocates.
-type stay struct {
-	data []byte
-	row  value.Row
+// Images is what a writer statement's read phase saw of the rows it
+// rewrites or ends: each row's RID and tuple bytes, copied into one arena
+// as the scan passed them. UpdateBatch and DeleteBatch take them instead
+// of reading the rows again — under the writer gate nothing changes a
+// row between the two phases. The statement keeps the bytes as they are
+// until it is done and beyond: its old rows' strings are views of them,
+// its WAL records carry them, and an old version replaced in place keeps
+// them as its pre-image.
+type Images struct {
+	refs []imageRef
+	buf  []byte
+}
+
+// imageRef locates image i: its RID, and the end of its bytes in the
+// arena, which start where image i-1's end.
+type imageRef struct {
+	rid heap.RID
+	end int
+}
+
+// imagesPresize is the rows the first Add makes room for, at the first
+// tuple's length each: a statement of up to this many rows of that size
+// grows neither slice again.
+const imagesPresize = 16
+
+// Add appends one row's image: its RID and a copy of its bytes.
+func (im *Images) Add(rid heap.RID, tuple []byte) {
+	if im.refs == nil {
+		im.refs = make([]imageRef, 0, imagesPresize)
+		im.buf = make([]byte, 0, imagesPresize*len(tuple))
+	}
+	im.buf = append(im.buf, tuple...)
+	im.refs = append(im.refs, imageRef{rid: rid, end: len(im.buf)})
+}
+
+// Len returns the number of images.
+func (im *Images) Len() int { return len(im.refs) }
+
+// tuple returns image i's bytes.
+func (im *Images) tuple(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = im.refs[i-1].end
+	}
+	end := im.refs[i].end
+	return im.buf[start:end:end]
+}
+
+// decode decodes every image into one flat arena of rows, each stride
+// values wide (stride ≥ the schema's width, room for a second row image
+// after the decoded one); strings are views of the images' bytes. Row i
+// starts at vals[i*stride].
+func (im *Images) decode(sch Schema, stride int) ([]value.Value, error) {
+	nc := len(sch.Cols)
+	vals := make([]value.Value, len(im.refs)*stride)
+	for i := range im.refs {
+		if err := sch.decodeRow(vals[i*stride:i*stride+nc:i*stride+nc], im.tuple(i), true); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
+}
+
+// update is one row of an UPDATE: the old version at rid (bytes oldEnc,
+// row old in clustered bucket oldCB), the new image (row new, encoded
+// enc, in bucket cb), and whether the new image overwrites the old in
+// its slot.
+type update struct {
+	rid         heap.RID
+	old, new    value.Row
+	oldEnc, enc []byte
+	oldCB, cb   int32
+	inPlace     bool
 }
 
 // WriteTxn is one MVCC writer statement on a table: a sequence of
@@ -145,6 +213,7 @@ type WriteTxn struct {
 	load     bool // a bulk load: unlogged, appended at the heap's tail
 	done     bool
 	ctx      context.Context
+	key      []byte // bucketFor's clustering-key buffer
 }
 
 // SetContext attaches a cancellation context to the statement. Batch
@@ -188,7 +257,21 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	if err != nil {
 		return err
 	}
-	return tx.insertBatch(rows, encs, tx.reserve(rows, encs, nil))
+	cbs := make([]int32, len(rows))
+	for i, r := range rows {
+		cbs[i] = tx.bucketFor(r)
+		tx.reserve(cbs[i], len(encs[i]))
+	}
+	tx.inserted = slices.Grow(tx.inserted, len(rows))
+	tx.recs = slices.Grow(tx.recs, len(rows))
+	return tx.insertBatch(rows, encs, cbs)
+}
+
+// bucketFor returns the clustered bucket of the row's clustering key,
+// encoding the key into a buffer the statement reuses.
+func (tx *WriteTxn) bucketFor(row value.Row) int32 {
+	tx.key = keyenc.AppendRowPrefix(tx.key[:0], row, tx.t.cfg.ClusteredCols)
+	return tx.t.cbuckets.Locate(tx.key)
 }
 
 // insertBatch applies rows, already encoded as encs, in clustered buckets
@@ -216,18 +299,22 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) er
 	return nil
 }
 
-// encode validates and encodes the statement's new row images
-// (EncodeRow validates); a rejected row's error carries its 1-based
-// position in rows.
+// encode validates and encodes the statement's new row images into one
+// arena; a rejected row's error carries its 1-based position in rows.
 func (tx *WriteTxn) encode(rows []value.Row) ([][]byte, error) {
-	sch := tx.t.cfg.Schema
+	size := 0
+	for _, r := range rows {
+		size += encodedSize(r)
+	}
+	buf := make([]byte, 0, size)
 	encs := make([][]byte, len(rows))
 	for i, r := range rows {
-		enc, err := sch.EncodeRow(r)
-		if err != nil {
+		start := len(buf)
+		var err error
+		if buf, err = tx.t.cfg.Schema.AppendRow(buf, r); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i+1, err)
 		}
-		encs[i] = enc
+		encs[i] = buf[start:len(buf):len(buf)]
 	}
 	return encs, nil
 }
@@ -270,23 +357,32 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	return nil
 }
 
-// DeleteBatch logically ends the rows at the given RIDs, applying in
-// writeBatchRows chunks under short exclusive latch holds. The tuple
-// bytes stay readable by older snapshots; index entries and CM pairs are
-// retracted at Publish.
-func (tx *WriteTxn) DeleteBatch(rids []heap.RID) error {
+// DeleteBatch logically ends the rows olds holds, the read phase's
+// images: each old row is decoded from its image once, outside the
+// latch, and the versions end in writeBatchRows chunks under short
+// exclusive latch holds. The tuple bytes stay readable by older
+// snapshots; index entries and CM pairs are retracted at Publish.
+func (tx *WriteTxn) DeleteBatch(olds *Images) error {
 	t := tx.t
-	for start := 0; start < len(rids); start += writeBatchRows {
+	n, nc := olds.Len(), len(t.cfg.Schema.Cols)
+	vals, err := olds.decode(t.cfg.Schema, nc)
+	if err != nil {
+		return err
+	}
+	cbs := make([]int32, n)
+	for i := range cbs {
+		cbs[i] = tx.bucketFor(vals[i*nc : (i+1)*nc])
+	}
+	tx.retract = slices.Grow(tx.retract, n)
+	tx.recs = slices.Grow(tx.recs, n)
+	for start := 0; start < n; start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
 		}
-		end := start + writeBatchRows
-		if end > len(rids) {
-			end = len(rids)
-		}
+		end := min(start+writeBatchRows, n)
 		held := t.lockLatched()
 		for i := start; i < end; i++ {
-			if err := tx.applyDelete(rids[i]); err != nil {
+			if err := tx.applyDelete(olds.refs[i].rid, olds.tuple(i), vals[i*nc:(i+1)*nc:(i+1)*nc], cbs[i]); err != nil {
 				t.unlockLatched(held)
 				return err
 			}
@@ -296,69 +392,86 @@ func (tx *WriteTxn) DeleteBatch(rids []heap.RID) error {
 	return nil
 }
 
-// applyDelete ends one row version. Caller holds the latch.
-func (tx *WriteTxn) applyDelete(rid heap.RID) error {
+// applyDelete ends the version at rid, whose bytes are tuple and row
+// row, in clustered bucket cb. Caller holds the latch.
+func (tx *WriteTxn) applyDelete(rid heap.RID, tuple []byte, row value.Row, cb int32) error {
 	t := tx.t
-	data, err := t.heapf.Get(rid)
-	if err != nil {
-		return err
-	}
-	if data == nil {
-		return fmt.Errorf("table %s: delete of missing row %v", t.cfg.Name, rid)
-	}
-	row, err := t.cfg.Schema.DecodeRow(data)
-	if err != nil {
-		return err
-	}
 	if err := t.heapf.SetEnd(rid, tx.ts); err != nil {
 		return err
 	}
-	tx.retract = append(tx.retract, retraction{row: row, rid: rid, cb: t.ClusterBucketFor(row), size: len(data)})
-	if !tx.load {
-		tx.recs = append(tx.recs, wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: data})
-	}
+	tx.retract = append(tx.retract, retraction{row: row, rid: rid, cb: cb, size: len(tuple)})
+	tx.recs = append(tx.recs, wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: tuple})
 	return nil
 }
 
-// UpdateBatch replaces the rows at olds with news (position-matched) —
-// Algorithm 1's retraction + reinsert: the old version is ended and
-// queued for CM retraction at Publish and the new version is added to
-// every CM, so per-entry statistics come out exact once the statement
-// publishes. A new image that may stay in its old one's slot (see
-// stayers) overwrites it there; any other ends the old version, whose
-// index entries and page-directory reference go at Publish too, and is
-// placed with its bucket's others and indexed. Which rows stay is
-// decided before placement is reserved, so only the rows that move
-// reserve room. Mutations apply in writeBatchRows chunks under short
-// exclusive latch holds.
-func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
+// UpdateBatch replaces the rows olds holds, the read phase's images,
+// with new images — Algorithm 1's retraction + reinsert: the old version
+// is ended and queued for CM retraction at Publish and the new version is
+// added to every CM, so per-entry statistics come out exact once the
+// statement publishes. Each old row is decoded from its image once, and
+// its new image starts as a copy that set changes in place (set(i, row)
+// for image i); the new images are validated and encoded into one arena.
+//
+// A new image that may stay in its old one's slot — by the eligibility
+// rule of PostgreSQL's HOT updates: the same clustered bucket, the same
+// encoded length, no secondary-index column changed, and no pre-image
+// still in the slot — overwrites it there. Any other ends the old
+// version, whose index entries and page-directory reference go at Publish
+// too, and is placed with its bucket's others and indexed. The old row's
+// bucket is located only when its clustering columns differ from the new
+// image's, so a SET that touches none of them locates each row once.
+// Which rows stay is decided before placement is reserved, so only the
+// rows that move reserve room. Mutations apply in writeBatchRows chunks
+// under short exclusive latch holds.
+func (tx *WriteTxn) UpdateBatch(olds *Images, set func(i int, row value.Row)) error {
 	t := tx.t
-	if len(olds) != len(news) {
-		return fmt.Errorf("table %s: update batch mismatch: %d rids, %d rows", t.cfg.Name, len(olds), len(news))
-	}
-	encs, err := tx.encode(news)
+	sch := t.cfg.Schema
+	n, nc := olds.Len(), len(sch.Cols)
+	// Row i's old image is vals[2i*nc:], its new one the nc values after.
+	vals, err := olds.decode(sch, 2*nc)
 	if err != nil {
 		return err
 	}
-	stays, err := tx.stayers(olds, news, encs)
-	if err != nil {
-		return err
+	ups := make([]update, n)
+	size := 0
+	for i := range ups {
+		u := &ups[i]
+		at := 2 * i * nc
+		u.rid, u.oldEnc = olds.refs[i].rid, olds.tuple(i)
+		u.old, u.new = vals[at:at+nc:at+nc], vals[at+nc:at+2*nc:at+2*nc]
+		copy(u.new, u.old)
+		set(i, u.new)
+		size += encodedSize(u.new)
 	}
-	cbs := tx.reserve(news, encs, stays)
-	for start := 0; start < len(olds); start += writeBatchRows {
+	buf := make([]byte, 0, size)
+	for i := range ups {
+		start := len(buf)
+		if buf, err = sch.AppendRow(buf, ups[i].new); err != nil {
+			return fmt.Errorf("row %d: %w", i+1, err)
+		}
+		ups[i].enc = buf[start:len(buf):len(buf)]
+	}
+	tx.stayers(ups)
+	for i := range ups {
+		if !ups[i].inPlace {
+			tx.reserve(ups[i].cb, len(ups[i].enc))
+		}
+	}
+	tx.retract = slices.Grow(tx.retract, n)
+	tx.inserted = slices.Grow(tx.inserted, n)
+	tx.recs = slices.Grow(tx.recs, 2*n)
+	for start := 0; start < n; start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
 		}
-		end := start + writeBatchRows
-		if end > len(olds) {
-			end = len(olds)
-		}
+		end := min(start+writeBatchRows, n)
 		held := t.lockLatched()
 		for i := start; i < end; i++ {
-			if stays[i].data != nil {
-				err = tx.applyReplace(olds[i], stays[i], news[i], encs[i], cbs[i])
-			} else if err = tx.applyDelete(olds[i]); err == nil {
-				err = tx.applyInsert(news[i], encs[i], cbs[i])
+			u := &ups[i]
+			if u.inPlace {
+				err = tx.applyReplace(u)
+			} else if err = tx.applyDelete(u.rid, u.oldEnc, u.old, u.oldCB); err == nil {
+				err = tx.applyInsert(u.new, u.enc, u.cb)
 			}
 			if err != nil {
 				t.unlockLatched(held)
@@ -370,71 +483,68 @@ func (tx *WriteTxn) UpdateBatch(olds []heap.RID, news []value.Row) error {
 	return nil
 }
 
-// stayers reads, under a shared latch hold, the current version of each
-// updated row and returns those its new image may overwrite in its slot,
-// by the eligibility rule of PostgreSQL's HOT updates: the same clustered
-// bucket, the same encoded length, no secondary-index column changed, and
-// no pre-image still in the slot. The others come back zero
-// and relocate (a missing row among them fails in applyDelete). Under the
-// writer gate nothing else changes the versions read here.
-func (tx *WriteTxn) stayers(olds []heap.RID, news []value.Row, encs [][]byte) ([]stay, error) {
+// stayers locates each updated row's buckets and marks the rows whose new
+// image may overwrite the old in its slot (see UpdateBatch); the others
+// relocate. The pre-image check reads the heap under a shared latch
+// hold. Under the writer gate nothing else changes the versions.
+func (tx *WriteTxn) stayers(ups []update) {
 	t := tx.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	stays := make([]stay, len(olds))
-	for i, rid := range olds {
-		data, err := t.heapf.Get(rid)
-		if err != nil {
-			return nil, err
+	for i := range ups {
+		u := &ups[i]
+		u.cb = tx.bucketFor(u.new)
+		u.oldCB = u.cb
+		if !sameValues(u.old, u.new, t.cfg.ClusteredCols) {
+			u.oldCB = tx.bucketFor(u.old)
 		}
-		if data == nil || len(data) != len(encs[i]) || t.heapf.HasPreImage(rid) {
-			continue
-		}
-		row, err := t.cfg.Schema.DecodeRow(data)
-		if err != nil {
-			return nil, err
-		}
-		if t.ClusterBucketFor(row) != t.ClusterBucketFor(news[i]) || t.indexedChange(row, news[i]) {
-			continue
-		}
-		stays[i] = stay{data: data, row: row}
+		u.inPlace = u.oldCB == u.cb && len(u.enc) == len(u.oldEnc) &&
+			!t.indexedChange(u.old, u.new) && !t.heapf.HasPreImage(u.rid)
 	}
-	return stays, nil
 }
 
 // indexedChange reports whether a secondary-index key differs between
-// two images of a row: a value of another kind or payload, floats
-// compared bit for bit as the key encodes them.
+// two images of a row.
 func (t *Table) indexedChange(old, new value.Row) bool {
 	for _, ix := range t.secondary {
-		for _, c := range ix.Cols {
-			a, b := old[c], new[c]
-			if a.K != b.K || a.I != b.I || a.S != b.S || floatBits(a.F) != floatBits(b.F) {
-				return true
-			}
+		if !sameValues(old, new, ix.Cols) {
+			return true
 		}
 	}
 	return false
 }
 
-// applyReplace overwrites the version at rid, read as old, with the new
-// image row (encoded enc, in old's bucket cb) in its slot. The heap keeps
-// old's bytes as the slot's pre-image; the statement adds the new image
-// to every CM now and retracts old from them at Publish, and logs the
-// pair an UPDATE always logs. Caller holds the latch.
-func (tx *WriteTxn) applyReplace(rid heap.RID, old stay, row value.Row, enc []byte, cb int32) error {
+// sameValues reports whether two images of a row hold the same values in
+// cols, which then encode to the same key: the same kind and payload,
+// floats compared bit for bit as the key encodes them.
+func sameValues(a, b value.Row, cols []int) bool {
+	for _, c := range cols {
+		x, y := a[c], b[c]
+		if x.K != y.K || x.I != y.I || x.S != y.S || floatBits(x.F) != floatBits(y.F) {
+			return false
+		}
+	}
+	return true
+}
+
+// applyReplace overwrites the old version of u in its slot with the new
+// image. The heap keeps the old image's bytes as the slot's pre-image;
+// the statement adds the new image to every CM now and retracts the old
+// from them at Publish, and logs the pair an UPDATE always logs. Caller
+// holds the latch.
+func (tx *WriteTxn) applyReplace(u *update) error {
 	t := tx.t
-	if err := t.heapf.ReplaceAt(rid, enc, tx.ts); err != nil {
+	if err := t.heapf.ReplaceAt(u.rid, u.enc, u.oldEnc, tx.ts); err != nil {
 		return err
 	}
-	tx.retract = append(tx.retract, retraction{row: old.row, rid: rid, cb: cb, inPlace: true})
-	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb, inPlace: true})
+	tx.retract = append(tx.retract, retraction{row: u.old, rid: u.rid, cb: u.cb, inPlace: true})
+	tx.inserted = append(tx.inserted, undoInsert{row: u.new, rid: u.rid, cb: u.cb, inPlace: true})
 	for _, cm := range t.cms {
-		cm.AddRow(row, cb)
+		cm.AddRow(u.new, u.cb)
 	}
 	tx.recs = append(tx.recs,
-		wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: old.data},
-		wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc})
+		wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: u.oldEnc},
+		wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: u.enc})
 	return nil
 }
 
@@ -493,41 +603,56 @@ func (tx *WriteTxn) Publish() error {
 
 // applyRetractions removes the index entries, page-directory references
 // and CM pairs of every retracted old version — only the CM pairs of one
-// replaced in place. Caller holds the latch. On error every
-// operation already applied is reverted (in reverse order, best
-// effort), so the old versions stay fully indexed and counted and the
-// caller sees a clean pre-retraction state.
+// replaced in place. Caller holds the latch. On error every operation
+// already applied is reverted (in reverse order, best effort), so the
+// old versions stay fully indexed and counted and the caller sees a
+// clean pre-retraction state.
 func (tx *WriteTxn) applyRetractions() error {
-	t := tx.t
-	var undo []func()
-	fail := func(err error) error {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
-		return err
-	}
-	for _, r := range tx.retract {
-		r := r
-		if !r.inPlace {
-			t.pageDir.remove(r.cb, r.rid.Page)
-			undo = append(undo, func() { t.pageDir.add(r.cb, r.rid.Page) })
-			for _, ix := range t.secondary {
-				ix := ix
-				if _, err := ix.Delete(r.row, r.rid); err != nil {
-					return fail(err)
-				}
-				undo = append(undo, func() { _ = ix.Insert(r.row, r.rid) })
+	for i, r := range tx.retract {
+		if err := tx.t.retractVersion(r); err != nil {
+			for j := i - 1; j >= 0; j-- {
+				tx.t.restoreVersion(tx.retract[j], len(tx.t.secondary), len(tx.t.cms))
 			}
-		}
-		for _, cm := range t.cms {
-			cm := cm
-			if err := cm.RemoveRow(r.row, r.cb); err != nil {
-				return fail(err)
-			}
-			undo = append(undo, func() { cm.AddRow(r.row, r.cb) })
+			return err
 		}
 	}
 	return nil
+}
+
+// retractVersion removes one old version's index entries, page-directory
+// reference and CM pairs; on error it restores what it removed.
+func (t *Table) retractVersion(r retraction) error {
+	if !r.inPlace {
+		t.pageDir.remove(r.cb, r.rid.Page)
+		for i, ix := range t.secondary {
+			if _, err := ix.Delete(r.row, r.rid); err != nil {
+				t.restoreVersion(r, i, 0)
+				return err
+			}
+		}
+	}
+	for i, cm := range t.cms {
+		if err := cm.RemoveRow(r.row, r.cb); err != nil {
+			t.restoreVersion(r, len(t.secondary), i)
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreVersion undoes retractVersion for a version whose first ixs index entries and
+// first cms CM pairs were removed, in the reverse order of removal.
+func (t *Table) restoreVersion(r retraction, ixs, cms int) {
+	for i := cms - 1; i >= 0; i-- {
+		t.cms[i].AddRow(r.row, r.cb)
+	}
+	if r.inPlace {
+		return
+	}
+	for i := ixs - 1; i >= 0; i-- {
+		_ = t.secondary[i].Insert(r.row, r.rid)
+	}
+	t.pageDir.add(r.cb, r.rid.Page)
 }
 
 // unwind physically removes the statement's work: appended versions are

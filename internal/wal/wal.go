@@ -120,7 +120,8 @@ func (l *Log) Flushes() uint64 {
 
 // Append adds a record to the log buffer. The record becomes durable at
 // the next Flush. Record framing: type byte, target length (u16), target,
-// payload length (u32), payload.
+// payload length (u32), payload. The frame's pieces are copied straight
+// into the tail page, so an append allocates nothing.
 //
 // Append is atomic against disk faults: a failed page write rolls the
 // log back to its pre-append state (length, page and tail image), so a
@@ -130,21 +131,19 @@ func (l *Log) Append(r Record) error {
 	if len(r.Target) > 0xFFFF {
 		return fmt.Errorf("wal: target name too long")
 	}
-	// Build the whole frame up front so one writeBytes call covers it
-	// and the rollback mark brackets the entire record.
-	frame := make([]byte, 0, 7+len(r.Target)+len(r.Payload))
-	frame = append(frame, byte(r.Type))
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(r.Target)))
-	frame = append(frame, r.Target...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(r.Payload)))
-	frame = append(frame, r.Payload...)
+	var head [3]byte
+	head[0] = byte(r.Type)
+	binary.LittleEndian.PutUint16(head[1:], uint16(len(r.Target)))
+	var plen [4]byte
+	binary.LittleEndian.PutUint32(plen[:], uint32(len(r.Payload)))
 	l.mu.Lock()
 	var err error
 	if l.broken {
 		err = errBroken
 	} else {
+		// One mark brackets the whole record, whichever piece fails.
 		mark := walMark{length: l.length, page: l.page, bufUsed: l.bufUsed}
-		if err = l.writeBytes(frame); err != nil {
+		if err = l.writeFrame(head[:], r.Target, plen[:], r.Payload); err != nil {
 			l.rollback(mark)
 			err = fmt.Errorf("wal: append: %w", err)
 		} else {
@@ -157,6 +156,20 @@ func (l *Log) Append(r Record) error {
 	return err
 }
 
+// writeFrame streams one record's pieces, in order, into the log.
+func (l *Log) writeFrame(head []byte, target string, plen, payload []byte) error {
+	if err := writeBytes(l, head); err != nil {
+		return err
+	}
+	if err := writeBytes(l, target); err != nil {
+		return err
+	}
+	if err := writeBytes(l, plen); err != nil {
+		return err
+	}
+	return writeBytes(l, payload)
+}
+
 // walMark snapshots the append cursor for rollback.
 type walMark struct {
 	length  int64
@@ -164,7 +177,7 @@ type walMark struct {
 	bufUsed int
 }
 
-// rollback restores the pre-append state after a failed writeBytes so
+// rollback restores the pre-append state after a failed writeFrame so
 // the log stays replayable. When the failed append had already rotated
 // past the marked page, that page was necessarily written out in full
 // (rotation only follows a successful tail write), so its committed
@@ -189,12 +202,12 @@ func (l *Log) rollback(m walMark) {
 	l.page, l.bufUsed = m.page, m.bufUsed
 }
 
-// writeBytes streams bytes across page boundaries, writing out full
-// pages as they fill. Outside a call the cursor invariant holds:
-// l.bufUsed < len(l.buf) (a full page is written and rotated past
-// before returning), so Append's rollback only ever restores a
-// partially filled tail.
-func (l *Log) writeBytes(b []byte) error {
+// writeBytes streams bytes, a slice or a string, across page
+// boundaries, writing out full pages as they fill. Outside a call the
+// cursor invariant holds: l.bufUsed < len(l.buf) (a full page is written
+// and rotated past before returning), so Append's rollback only ever
+// restores a partially filled tail.
+func writeBytes[B []byte | string](l *Log, b B) error {
 	for len(b) > 0 {
 		if l.page < 0 {
 			l.rotatePage()

@@ -120,6 +120,31 @@ func liveTableRows(t *testing.T, inner *table.Table) (rids []heap.RID, rows []va
 	return rids, rows
 }
 
+// imagesOf reads the latest bytes of the live rows at rids, as a writer
+// statement's read phase captures them.
+func imagesOf(t *testing.T, inner *table.Table, rids []heap.RID) *table.Images {
+	t.Helper()
+	inner.RLock()
+	defer inner.RUnlock()
+	var im table.Images
+	for _, rid := range rids {
+		n := im.Len()
+		err := inner.Heap().ViewAt(rid, 0, func(tuple []byte) error {
+			im.Add(rid, tuple)
+			return nil
+		})
+		if err != nil || im.Len() == n {
+			t.Fatalf("reading %v: %v", rid, err)
+		}
+	}
+	return &im
+}
+
+// withRows is an UpdateBatch set that makes image i's new row news[i].
+func withRows(news []value.Row) func(int, value.Row) {
+	return func(i int, row value.Row) { copy(row, news[i]) }
+}
+
 // snapDigest returns how many tuples the heap holds at snap and a hash
 // of their bytes in RID order. It takes the shared latch.
 func snapDigest(t *testing.T, inner *table.Table, snap uint64) [2]uint64 {
@@ -339,7 +364,7 @@ func TestReclaimChurnInvariants(t *testing.T) {
 					news = append(news, value.Row{r[0], r[1], value.NewInt(-1), r[3]})
 				}
 			}
-			if err := tx.UpdateBatch(olds, news); !errors.Is(err, context.Canceled) {
+			if err := tx.UpdateBatch(imagesOf(t, inner, olds), withRows(news)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: update of %d rows under a cancelling context returned %v", stage, len(olds), err)
 			}
 			tx.Abort()
@@ -442,7 +467,7 @@ func updateEachCat(t *testing.T, inner *table.Table, p int64) {
 			news[j] = value.Row{rows[i][0], rows[i][1], value.NewInt(p), rows[i][3]}
 		}
 		tx := inner.BeginWrite()
-		if err := tx.UpdateBatch(olds, news); err != nil {
+		if err := tx.UpdateBatch(imagesOf(t, inner, olds), withRows(news)); err != nil {
 			tx.Abort()
 			t.Fatal(err)
 		}
