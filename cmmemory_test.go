@@ -1,10 +1,13 @@
 package repro
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/heap"
 )
 
@@ -84,10 +87,13 @@ func TestLoadLiveBytes(t *testing.T) {
 }
 
 // TestVersionBytesGauge: table.version_bytes reads the heap's version
-// state. After the Figure 6 fixture's Load every page holds one
-// page-level version, at most 16 bytes a heap page; an in-place UPDATE
-// of one cat's rows raises it by exactly the per-slot arrays of the pages
-// those rows sit on, 16 bytes a slot.
+// state, and the pages a published write touched fold back once no
+// snapshot can tell. After the Figure 6 fixture's Load every page holds
+// one page-level version, 16 bytes a heap page, and an in-place UPDATE of
+// one cat's rows published with no pin leaves the gauge there. With a
+// snapshot pinned before such an UPDATE, the pages its rows sit on keep
+// their per-slot arrays, 16 bytes a slot, past the pin's release, until
+// the next write's drain freezes them.
 func TestVersionBytesGauge(t *testing.T) {
 	db := Open(Config{BufferPoolPages: 128})
 	tbl := emptyItems(t, db)
@@ -95,12 +101,26 @@ func TestVersionBytesGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := metricValue(t, db, "table.version_bytes")
-	if pages := tbl.HeapPages(); loaded <= 0 || loaded > 16*pages {
-		t.Fatalf("table.version_bytes = %d after the load, want at most 16 × %d pages", loaded, pages)
+	if pages := tbl.HeapPages(); loaded != 16*pages {
+		t.Fatalf("table.version_bytes = %d after the load, want 16 × %d pages", loaded, pages)
 	}
+	gauge := func(stage string, want int64) {
+		t.Helper()
+		if got := metricValue(t, db, "table.version_bytes"); got != want {
+			t.Errorf("%s: table.version_bytes = %d, want %d (%d after the load)", stage, got, want, loaded)
+		}
+	}
+	update := func(cat int) {
+		t.Helper()
+		if _, err := db.Exec(fmt.Sprintf("UPDATE items SET price = %d WHERE cat = %d", cat, cat)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(7)
+	gauge("an UPDATE published with no pin", loaded)
 
 	// Every slot of the loaded heap holds a tuple: count each page's, and
-	// note the pages cat 7's rows sit on.
+	// note the pages cat 8's rows sit on.
 	slots, touched := map[int64]int64{}, map[int64]bool{}
 	inner := tbl.inner
 	inner.RLock()
@@ -111,24 +131,66 @@ func TestVersionBytesGauge(t *testing.T) {
 			t.Error(err)
 			return false
 		}
-		if row[0].I == 7 {
+		if row[0].I == 8 {
 			touched[rid.Page] = true
 		}
 		return true
 	})
 	inner.RUnlock()
 	if err != nil || len(touched) == 0 {
-		t.Fatalf("finding cat 7's pages: %d pages, %v", len(touched), err)
+		t.Fatalf("finding cat 8's pages: %d pages, %v", len(touched), err)
 	}
-	want := loaded
+	raised := loaded
 	for p := range touched {
-		want += 16 * slots[p]
+		raised += 16 * slots[p]
 	}
-	if _, err := db.Exec("UPDATE items SET price = 1 WHERE cat = 7"); err != nil {
-		t.Fatal(err)
+	_, release := inner.PinSnapshot()
+	update(8)
+	gauge("an UPDATE behind a pin", raised)
+	release()
+	gauge("the pin released, before the next write", raised)
+	update(9)
+	gauge("the next write drained", loaded)
+}
+
+// TestVersionBytesBoundedUnderChurn runs a fixed, seeded stream of 10,000
+// statements on the Figure 6 fixture, mixed like the benchmark's mixed_rw
+// — 70 % point probes, 15 % aggregates, 10 % one-cat UPDATEs and 5 %
+// one-row INSERTs — and reads table.version_bytes at the end of every
+// decile. Each write's pages fold back at its publish, so the last
+// decile's reading stays within 10 % of the 21,344 bytes it measured
+// when that freeze arrived (16 bytes a heap page); before it, every page
+// a write had touched kept its per-slot array, and the reading was
+// 1,024,496 bytes and still climbing (172,016 at the first decile).
+func TestVersionBytesBoundedUnderChurn(t *testing.T) {
+	db, _ := itemsFixture(t, 1)
+	rng := rand.New(rand.NewPCG(45, 70))
+	const statements = 10_000
+	var deciles []int64
+	for i := range statements {
+		var stmt string
+		switch r := i % 20; {
+		case r < 14:
+			stmt = fmt.Sprintf("SELECT price FROM items WHERE subcat = %d", rng.IntN(datagen.CorrelatedSubcats))
+		case r < 17:
+			stmt = fmt.Sprintf("SELECT COUNT(*), AVG(price) FROM items WHERE subcat = %d", rng.IntN(datagen.CorrelatedSubcats))
+		case r < 19:
+			stmt = fmt.Sprintf("UPDATE items SET price = %d WHERE cat = %d", rng.IntN(10_000), rng.IntN(datagen.CorrelatedCats))
+		default:
+			c := rng.IntN(datagen.CorrelatedCats)
+			stmt = fmt.Sprintf("INSERT INTO items VALUES (%d, %d, %d, 'new')", c, c/8, rng.IntN(10_000))
+		}
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("statement %d, %s: %v", i, stmt, err)
+		}
+		if (i+1)%(statements/10) == 0 {
+			deciles = append(deciles, metricValue(t, db, "table.version_bytes"))
+		}
 	}
-	if got := metricValue(t, db, "table.version_bytes"); got != want {
-		t.Errorf("table.version_bytes = %d after an UPDATE touching %d pages, want %d (%d before)",
-			got, len(touched), want, loaded)
+	last := deciles[len(deciles)-1]
+	t.Logf("table.version_bytes by decile: %v", deciles)
+	const bound = 21_344 * 11 / 10
+	if last > bound {
+		t.Errorf("table.version_bytes reads %d bytes at the last decile, bound %d", last, bound)
 	}
 }

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -145,6 +146,47 @@ func TestMultiRowInsertIsAtomic(t *testing.T) {
 	}
 	if n := tbl.RowCount(); n != 4 {
 		t.Fatalf("%d rows after the INSERT, want 4", n)
+	}
+}
+
+// TestFailedPublishLogsNothing: a Publish whose WAL append fails part way
+// leaves none of the statement's records in the log, so a CM recovered
+// from a checkpoint taken just before the statement equals the live CM.
+// On the Figure 6 fixture a relocating UPDATE of 31 cats logs more than
+// one WAL page, and with every page cached that page's write is the
+// first disk write after arming.
+func TestFailedPublishLogsNothing(t *testing.T) {
+	db, tbl := itemsFixture(t, 1)
+	inner := tbl.inner
+	cm := cmOn(inner, 1)
+	var ckpt bytes.Buffer
+	inner.LockWrite()
+	lsn, err := inner.CheckpointCM(cm, &ckpt)
+	inner.UnlockWrite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	length := db.log.Len()
+	db.SetFaultPlan(&FaultPlan{FailWriteN: 1})
+	_, err = db.Exec("UPDATE items SET subcat = 7 WHERE cat BETWEEN 300 AND 330")
+	db.SetFaultPlan(nil)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("UPDATE under a WAL write fault returned %v, want ErrInjected", err)
+	}
+	if got := db.log.Len(); got != length {
+		t.Errorf("the failed UPDATE grew the log from %d to %d bytes", length, got)
+	}
+	spec := cm.Spec()
+	spec.Name = "subcat_cm_recovered"
+	inner.LockWrite()
+	rec, err := inner.RecoverCM(spec, &ckpt, lsn)
+	diff := ""
+	if err == nil {
+		diff = cmEntriesDiff(rec, cm)
+	}
+	inner.UnlockWrite()
+	if err != nil || diff != "" {
+		t.Fatalf("recovery from the checkpoint before the failed UPDATE: err=%v, %s", err, diff)
 	}
 }
 

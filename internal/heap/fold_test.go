@@ -52,6 +52,11 @@ type foldModel struct {
 	dead, reclaimed int64
 	prunes          int            // placements only a prune first explains
 	ran             map[string]int // operations applied, by name
+	// pins are the pinned snapshots; floor is the oldest snapshot that
+	// can still be taken, raised to each freeze's horizon. The heap
+	// answers for the snapshots from floor on, and for snapshot 0.
+	pins  []uint64
+	floor uint64
 }
 
 // read returns the bytes of slot s that the snapshot sees, if any.
@@ -143,10 +148,10 @@ func (m *foldModel) pick(rng *rand.Rand, keep func(s *mSlot) bool) (RID, *mSlot,
 	return rid, &m.pages[rid.Page][rid.Slot], true
 }
 
-// check holds the heap to the model: its counters, and at every snapshot
-// from the latest sentinel 0 to one past the newest timestamp, its scan,
-// the view of every RID (and the error one past a page's last slot) and
-// the unretracted scan; then Get of every RID.
+// check holds the heap to the model: its counters, and at the latest
+// sentinel 0 and every snapshot from the floor to one past the newest
+// timestamp, its scan, the view of every RID (and the error one past a
+// page's last slot) and the unretracted scan; then Get of every RID.
 func (m *foldModel) check(clock uint64) {
 	m.t.Helper()
 	h := m.h
@@ -180,6 +185,9 @@ func (m *foldModel) check(clock uint64) {
 		return got
 	}
 	for snap := uint64(0); snap <= clock+1; snap++ {
+		if snap != 0 && snap < m.floor {
+			continue
+		}
 		var visible, unretracted []seen
 		for p, ps := range m.pages {
 			for s, sl := range ps {
@@ -243,7 +251,7 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 	held := func(keep func(s *mSlot) bool) func(s *mSlot) bool {
 		return func(s *mSlot) bool { return s.state == mHeld && keep(s) }
 	}
-	switch op := rng.IntN(10); op {
+	switch op := rng.IntN(13); op {
 	case 0, 1, 2: // a placement on a page that fits it, with one of several begins
 		data := randTuple(rng)
 		begin := tick()
@@ -299,6 +307,27 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 			}
 			must("Delete", rid, h.Delete(rid))
 		}
+	case 10: // pin the newest snapshot
+		m.pins = append(m.pins, *clock)
+		m.ran["Pin"]++
+	case 11:
+		if len(m.pins) > 0 {
+			m.pins = slices.Delete(m.pins, 0, 1)
+			m.ran["Release"]++
+		}
+	case 12: // freeze a page at a horizon no pin and no future snapshot predates
+		limit := *clock
+		if len(m.pins) > 0 {
+			limit = slices.Min(m.pins)
+		}
+		horizon := m.floor + rng.Uint64N(limit-m.floor+1)
+		page := rng.Int64N(h.NumPages())
+		was := h.vers[page].folded()
+		h.Freeze(page, horizon)
+		m.floor = horizon
+		if !was && h.vers[page].folded() {
+			m.ran["Freeze"]++
+		}
 	}
 }
 
@@ -314,11 +343,12 @@ func randBytes(rng *rand.Rand, n int) []byte {
 
 // TestFoldedHeapMatchesModel runs seeded random streams of placements
 // with several begins (some forcing a prune), ends and their undoing,
-// in-place replacements, restores and dropped pre-images, dead-markings
-// and erasures against a heap whose load Clip folded, and holds the heap
-// to the fold model after every operation: every snapshot's scan, view
-// and unretracted scan, Get, and the slot, tuple, dead and reclaimed
-// counts.
+// in-place replacements, restores and dropped pre-images, dead-markings,
+// erasures, pins and their release, and freezes at horizons no pin
+// predates against a heap whose load left some pages folded, and holds
+// the heap to the fold model after every operation: the scan, view and
+// unretracted scan at every snapshot that can still be taken, Get, and
+// the slot, tuple, dead and reclaimed counts.
 func TestFoldedHeapMatchesModel(t *testing.T) {
 	prunes, ran := 0, map[string]int{}
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -334,7 +364,6 @@ func TestFoldedHeapMatchesModel(t *testing.T) {
 			}
 			m.placed(rid.Page, rid, data, begin)
 		}
-		m.h.Clip()
 		clock := uint64(2)
 		m.check(clock)
 		folded := 0
@@ -344,15 +373,15 @@ func TestFoldedHeapMatchesModel(t *testing.T) {
 			}
 		}
 		if folded == 0 || folded == len(m.h.vers) {
-			t.Fatalf("seed %d: Clip folded %d of %d pages; the stream needs both kinds", seed, folded, len(m.h.vers))
+			t.Fatalf("seed %d: the load left %d of %d pages folded; the stream needs both kinds", seed, folded, len(m.h.vers))
 		}
-		for range 100 {
+		for range 150 {
 			m.step(rng, &clock)
 			m.check(clock)
 		}
 		prunes += m.prunes
 	}
-	for _, op := range []string{"PutAt", "SetEnd", "ClearEnd", "ReplaceAt", "RestoreAt", "DropPreImage", "MarkDead", "Delete"} {
+	for _, op := range []string{"PutAt", "SetEnd", "ClearEnd", "ReplaceAt", "RestoreAt", "DropPreImage", "MarkDead", "Delete", "Pin", "Release", "Freeze"} {
 		if ran[op] == 0 {
 			t.Errorf("the streams never ran %s", op)
 		}

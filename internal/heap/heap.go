@@ -11,10 +11,12 @@
 // sentinel that sees exactly the tuples whose end timestamp is unset.
 // Every tuple begins at its writer statement's timestamp, which is never
 // 0 — a bulk load's included — so no snapshot taken before the statement
-// sees it. Version state grows with writes, not with rows: a page whose
-// slots all share one begin and none has ended (a bulk load's pages, once
-// Clip folds them) keeps that one page-level version, and the first write
-// to the page builds its per-slot array.
+// sees it. A page's MVCC state lives in its pageVersions alone and grows
+// with the writes no snapshot has passed, not with rows: a page whose
+// slots all read as begun at one timestamp, none ended, keeps one
+// page-level version — every page starts so — and a write builds its
+// per-slot array, which Freeze folds away once no snapshot can predate
+// the page's newest begin.
 //
 // Space is reclaimed inside its page. An ended version that no snapshot
 // can read any more is marked dead (MarkDead), and a physically deleted
@@ -32,12 +34,12 @@
 //
 // A version can also be replaced in its slot (ReplaceAt): the new bytes
 // overwrite the old ones, of the same length, and a copy of the old ones
-// stays in memory as the slot's pre-image, ended at the new version's
+// stays with the page as the slot's pre-image, ended at the new version's
 // begin. A snapshot that cannot see the slot's own version reads the
 // pre-image instead when it can see that, until the owner drops it
-// (DropPreImage) or an abort puts it back (RestoreAt). A per-page count
-// guards the lookup, so a sweep of a page without pre-images pays one
-// check for the page.
+// (DropPreImage) or an abort puts it back (RestoreAt). A page lists its
+// own pre-images, so a sweep of a page without any pays one length test
+// for the page.
 package heap
 
 import (
@@ -45,6 +47,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/buffer"
@@ -101,22 +104,25 @@ func retracted(v tupleVersion, published uint64) bool {
 // versionSize is the bytes one slot's version takes in a per-slot array.
 const versionSize = int64(unsafe.Sizeof(tupleVersion{}))
 
-// pageVersions holds one page's MVCC versions in one of two forms. A
-// folded page — every slot begun at the same timestamp, none ended, dead
-// or erased, no pre-image — keeps that begin and its slot count and no
+// pageVersions is one page's whole MVCC state: its versions, in one of
+// two forms, and the pre-images of its slots replaced in place. A folded
+// page — every slot read as begun at one timestamp, none ended, dead or
+// erased, no pre-image — keeps that begin and its slot count and no
 // per-slot array; any other page keeps slots, one version per slot of its
-// directory. Clip folds; exact, which every write to a page's versions
-// goes through, builds a folded page's array. Reads go through at and
-// len, which see both forms alike.
+// directory. Every page starts folded; exact, which every write to a
+// page's versions goes through, builds a folded page's array, and Freeze
+// folds it again. Reads go through at and len, which see both forms
+// alike.
 type pageVersions struct {
 	slots []tupleVersion
+	pre   []preImage
 	begin uint64 // the folded page's one begin; 0 when slots holds the versions
 	n     int    // the folded page's slot count
 }
 
 // pageLevelSize is the bytes of a page's page-level version: the folded
-// form's begin and slot count, which every page carries beside slots.
-const pageLevelSize = int64(unsafe.Sizeof(pageVersions{}) - unsafe.Sizeof([]tupleVersion(nil)))
+// form's begin and slot count, which every page carries.
+const pageLevelSize = int64(unsafe.Sizeof(pageVersions{}.begin) + unsafe.Sizeof(pageVersions{}.n))
 
 // folded reports whether the page keeps one page-level version.
 func (pv *pageVersions) folded() bool { return pv.begin != 0 }
@@ -137,10 +143,30 @@ func (pv *pageVersions) at(s int) tupleVersion {
 	return pv.slots[s]
 }
 
-// preImage is the version an in-place replacement overwrote: a copy of its
-// bytes (the replacing writer's) and its timestamps, ended at the
-// replacement's begin.
+// preAt returns the index of slot's pre-image in pre, or -1.
+func (pv *pageVersions) preAt(slot uint16) int {
+	for i := range pv.pre {
+		if pv.pre[i].slot == slot {
+			return i
+		}
+	}
+	return -1
+}
+
+// preImageAt returns slot's pre-image bytes when the snapshot sees them,
+// else nil. Snapshot 0 never does: a pre-image is ended.
+func (pv *pageVersions) preImageAt(slot uint16, snap uint64) []byte {
+	if i := pv.preAt(slot); i >= 0 && visibleAt(pv.pre[i].ver, snap) {
+		return pv.pre[i].tuple
+	}
+	return nil
+}
+
+// preImage is the version an in-place replacement overwrote in slot: a
+// copy of its bytes (the replacing writer's) and its timestamps, ended at
+// the replacement's begin.
 type preImage struct {
+	slot  uint16
 	tuple []byte
 	ver   tupleVersion
 }
@@ -167,7 +193,7 @@ type pageReuse struct {
 // Concurrency matches the owning table's latch discipline: the version side
 // arrays and the space accounts are plain slices and maps, so mutators
 // (AppendAt, PutAt, ReplaceAt, RestoreAt, DropPreImage, SetEnd,
-// ClearEnd, MarkDead, Delete) must hold the
+// ClearEnd, MarkDead, Delete, Freeze) must hold the
 // table latch exclusively while readers hold it shared. A placement may
 // prune its page, moving tuple bytes within it, so no reader keeps a
 // tuple slice across a release of the latch.
@@ -178,8 +204,8 @@ type File struct {
 	numPages int64
 	tuples   int64
 
-	// vers[page] carries the page's MVCC timestamps, folded or per slot.
-	// Grown and trimmed in lockstep with the slot directories.
+	// vers[page] is the page's MVCC state. Grown and trimmed in lockstep
+	// with the slot directories.
 	vers []pageVersions
 
 	// space[page] is the page's space account; reuse the pages that
@@ -189,14 +215,6 @@ type File struct {
 	reuse    map[int64]*pageReuse
 	classes  [][]int64
 	nonEmpty []uint64
-
-	// pre holds the pre-images of slots replaced in place, and
-	// preOn[page] how many of them the page has: the per-page guard
-	// that keeps a sweep of a page without any off the map. Both stay
-	// nil until the first ReplaceAt, so a heap never updated in place
-	// carries nothing for them.
-	pre   map[RID]preImage
-	preOn map[int64]int
 
 	dead, reclaimed int64
 	scratch         []byte // one page of packing space for prune
@@ -241,7 +259,7 @@ func (h *File) Slots() int64 {
 
 // VersionBytes returns the bytes the MVCC versions take in memory: the
 // per-slot arrays' capacities plus every page's page-level version. A
-// file no write has touched since Clip holds only the latter.
+// file whose pages are all folded holds only the latter.
 func (h *File) VersionBytes() int64 {
 	n := int64(len(h.vers)) * pageLevelSize
 	for _, pv := range h.vers {
@@ -250,55 +268,40 @@ func (h *File) VersionBytes() int64 {
 	return n
 }
 
-// Clip gives back what a bulk load's appends left in memory once it has
-// filled the file. A page whose slots all share one begin and none has
-// ended, with no pre-image, folds into its page-level version; any other
-// page's versions move into an array of exactly its length. A later write
-// to a page builds or grows that page's array alone.
-func (h *File) Clip() {
-	vers := make([]pageVersions, len(h.vers))
-	for p, pv := range h.vers {
-		switch {
-		case pv.folded():
-			vers[p] = pv
-		case h.foldable(int64(p)):
-			vers[p] = pageVersions{begin: pv.slots[0].begin, n: len(pv.slots)}
-		default:
-			vers[p].slots = make([]tupleVersion, len(pv.slots))
-			copy(vers[p].slots, pv.slots)
+// Freeze folds page into one page-level version begun at its newest
+// begin when every slot holds a live, un-ended version, no slot holds a
+// pre-image, and that begin is at or before horizon; any other page
+// stays as it is. The caller vouches that no snapshot older than horizon
+// exists or can still be taken: every snapshot then sees every slot of
+// the page, folded or not.
+func (h *File) Freeze(page int64, horizon uint64) {
+	pv := &h.vers[page]
+	if pv.folded() || len(pv.pre) != 0 || len(pv.slots) == 0 {
+		return
+	}
+	var newest uint64
+	for _, v := range pv.slots {
+		if v.end != 0 {
+			return // ended, dead or erased
 		}
+		newest = max(newest, v.begin)
 	}
-	h.vers = vers
-	h.space = append(make([]pageSpace, 0, len(h.space)), h.space...)
-}
-
-// foldable reports whether a page's per-slot versions can fold into one:
-// it has a slot, every slot carries the first one's begin and no end (a
-// dead or erased slot's begin is gone), and no slot holds a pre-image.
-func (h *File) foldable(page int64) bool {
-	slots := h.vers[page].slots
-	if len(slots) == 0 || slots[0].begin == gone || h.hasPreOn(page) {
-		return false
+	if newest <= horizon {
+		*pv = pageVersions{begin: newest, n: len(pv.slots)}
 	}
-	for _, v := range slots {
-		if v != (tupleVersion{begin: slots[0].begin}) {
-			return false
-		}
-	}
-	return true
 }
 
 // exact returns the page's per-slot versions for a write to change,
-// building a folded page's array first. Every write to a version goes
-// through it.
-func (h *File) exact(page int64) []tupleVersion {
+// building a folded page's array first, with room for extra more slots.
+// Every write to a version goes through it.
+func (h *File) exact(page int64, extra int) []tupleVersion {
 	pv := &h.vers[page]
 	if pv.folded() {
-		slots := make([]tupleVersion, pv.n)
-		for i := range slots {
-			slots[i].begin = pv.begin
+		pv.slots = make([]tupleVersion, pv.n, pv.n+extra)
+		for i := range pv.slots {
+			pv.slots[i].begin = pv.begin
 		}
-		*pv = pageVersions{slots: slots}
+		pv.begin, pv.n = 0, 0
 	}
 	return pv.slots
 }
@@ -462,16 +465,13 @@ func pageFree(d []byte) int {
 // AppendAt stores tuple at the end of the file — on the last page when it
 // has room, else on a new one — with the given MVCC begin timestamp: the
 // tuple is invisible to snapshots older than begin, which is how a writer
-// statement keeps its new row versions hidden until it publishes. A page
-// AppendAt opens starts folded, so a bulk load's pages keep their one
-// page-level version as they fill instead of growing a per-slot array
-// for Clip to fold.
+// statement keeps its new row versions hidden until it publishes.
 func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 	page := h.numPages
 	if page > 0 && h.Room(page-1) >= TupleCost(len(tuple)) {
 		page--
 	}
-	return h.put(page, tuple, begin, true)
+	return h.PutAt(page, tuple, begin)
 }
 
 // PutAt stores tuple on page with the given MVCC begin timestamp and
@@ -479,13 +479,10 @@ func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 // tuple takes an erased slot, else a dead one, else a new slot, and a
 // page whose contiguous gap is too short is pruned first. The caller
 // chooses page by Room; a page short of room is an error, and so is a
-// zero begin, which would make the tuple visible to every snapshot.
+// zero begin, which would make the tuple visible to every snapshot. A
+// page PutAt opens starts folded at begin, so a bulk load's pages keep
+// their one page-level version as they fill.
 func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
-	return h.put(page, tuple, begin, false)
-}
-
-// put is PutAt; fold opens a new page folded at begin (AppendAt).
-func (h *File) put(page int64, tuple []byte, begin uint64, fold bool) (RID, error) {
 	if begin == 0 {
 		return RID{}, fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
 	}
@@ -500,11 +497,7 @@ func (h *File) put(page int64, tuple []byte, begin uint64, fold bool) (RID, erro
 			return RID{}, err
 		}
 		initPage(fr.Data)
-		pv := pageVersions{}
-		if fold {
-			pv.begin = begin
-		}
-		h.vers = append(h.vers, pv)
+		h.vers = append(h.vers, pageVersions{begin: begin})
 		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
 		h.numPages++
 	case page < 0 || page > h.numPages:
@@ -539,10 +532,10 @@ func (h *File) put(page int64, tuple []byte, begin uint64, fold bool) (RID, erro
 		if pv := &h.vers[page]; pv.folded() && pv.begin == begin {
 			pv.n++ // a new slot with the page's one begin keeps it folded
 		} else {
-			pv.slots = append(h.exact(page), v)
+			pv.slots = append(h.exact(page, 1), v)
 		}
 	} else {
-		h.exact(page)[slot] = v
+		h.exact(page, 0)[slot] = v
 	}
 	setPageCellStart(d, start)
 	h.space[page].free = uint16(pageFree(d))
@@ -615,7 +608,7 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 	}
 	r.erased = kept
 	if n < pv.len() {
-		pv.slots = h.exact(page)[:n]
+		pv.slots = h.exact(page, 0)[:n]
 	}
 	h.space[page] = pageSpace{free: uint16(pageFree(d))}
 }
@@ -656,13 +649,10 @@ func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 		h.pool.Unpin(fr, false)
 		return fmt.Errorf("heap: RID %v does not hold the pre-image given", rid)
 	}
-	if h.pre == nil {
-		h.pre, h.preOn = map[RID]preImage{}, map[int64]int{}
-	}
-	h.pre[rid] = preImage{tuple: pre, ver: tupleVersion{begin: v.begin, end: ts}}
-	h.preOn[rid.Page]++
 	copy(old, tuple)
 	h.setVersion(rid, tupleVersion{begin: ts})
+	pv := &h.vers[rid.Page]
+	pv.pre = append(pv.pre, preImage{slot: rid.Slot, tuple: pre, ver: tupleVersion{begin: v.begin, end: ts}})
 	h.pool.Unpin(fr, true)
 	return nil
 }
@@ -671,25 +661,22 @@ func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 // bytes go back into the slot, live under their old begin timestamp, and
 // the pre-image is gone. The slot's version must be live.
 func (h *File) RestoreAt(rid RID) error {
-	p, ok := h.pre[rid]
-	if !ok {
+	i := h.preIndex(rid)
+	if i < 0 {
 		return fmt.Errorf("heap: RID %v holds no pre-image", rid)
 	}
-	v, err := h.version(rid)
-	if err != nil {
-		return err
-	}
-	if v.end != 0 || v.begin == gone {
+	if v, _ := h.version(rid); v.end != 0 || v.begin == gone {
 		return fmt.Errorf("heap: RID %v is not a live version", rid)
 	}
 	fr, err := h.pool.Get(h.file, rid.Page)
 	if err != nil {
 		return err
 	}
+	pv := &h.vers[rid.Page]
 	off, length := slotAt(fr.Data, int(rid.Slot))
-	copy(fr.Data[off:off+length], p.tuple)
-	h.setVersion(rid, tupleVersion{begin: p.ver.begin})
-	h.dropPre(rid)
+	copy(fr.Data[off:off+length], pv.pre[i].tuple)
+	h.setVersion(rid, tupleVersion{begin: pv.pre[i].ver.begin})
+	pv.pre = slices.Delete(pv.pre, i, i+1)
 	h.pool.Unpin(fr, true)
 	return nil
 }
@@ -698,43 +685,35 @@ func (h *File) RestoreAt(rid RID) error {
 // version. The caller vouches that no snapshot older than its end
 // remains.
 func (h *File) DropPreImage(rid RID) error {
-	if !h.HasPreImage(rid) {
+	i := h.preIndex(rid)
+	if i < 0 {
 		return fmt.Errorf("heap: RID %v holds no pre-image", rid)
 	}
-	h.dropPre(rid)
+	pv := &h.vers[rid.Page]
+	pv.pre = slices.Delete(pv.pre, i, i+1)
 	h.reclaimed++
 	return nil
 }
 
 // HasPreImage reports whether the slot at rid holds a pre-image.
-func (h *File) HasPreImage(rid RID) bool {
-	_, ok := h.pre[rid]
-	return ok
+func (h *File) HasPreImage(rid RID) bool { return h.preIndex(rid) >= 0 }
+
+// preIndex returns the index of rid's pre-image in its page's list, or
+// -1 when it has none.
+func (h *File) preIndex(rid RID) int {
+	if rid.Page < 0 || rid.Page >= h.numPages {
+		return -1
+	}
+	return h.vers[rid.Page].preAt(rid.Slot)
 }
 
 // PreImages returns how many slots hold a pre-image.
-func (h *File) PreImages() int { return len(h.pre) }
-
-func (h *File) dropPre(rid RID) {
-	delete(h.pre, rid)
-	h.preOn[rid.Page]--
-	if h.preOn[rid.Page] == 0 {
-		delete(h.preOn, rid.Page)
+func (h *File) PreImages() int {
+	n := 0
+	for _, pv := range h.vers {
+		n += len(pv.pre)
 	}
-}
-
-// hasPreOn reports whether any slot on page holds a pre-image.
-func (h *File) hasPreOn(page int64) bool {
-	return len(h.pre) != 0 && h.preOn[page] != 0
-}
-
-// preImageAt returns the pre-image bytes at rid when the snapshot sees
-// them, else nil. Snapshot 0 never does: a pre-image is ended.
-func (h *File) preImageAt(rid RID, snap uint64) []byte {
-	if p, ok := h.pre[rid]; ok && visibleAt(p.ver, snap) {
-		return p.tuple
-	}
-	return nil
+	return n
 }
 
 // SetEnd marks the tuple at rid logically deleted as of timestamp end: it
@@ -809,7 +788,7 @@ func (h *File) version(rid RID) (tupleVersion, error) {
 
 // setVersion writes the MVCC timestamps of a slot within bounds.
 func (h *File) setVersion(rid RID, v tupleVersion) {
-	h.exact(rid.Page)[rid.Slot] = v
+	h.exact(rid.Page, 0)[rid.Slot] = v
 }
 
 // ViewAt calls fn with the tuple bytes at rid that the snapshot sees
@@ -832,12 +811,9 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	}
 	off, length := slotAt(fr.Data, int(rid.Slot))
 	tuple := fr.Data[off : off+length]
-	if length == 0 || !visibleAt(h.vers[rid.Page].at(int(rid.Slot)), snap) {
-		if !h.hasPreOn(rid.Page) {
+	if pv := &h.vers[rid.Page]; length == 0 || !visibleAt(pv.at(int(rid.Slot)), snap) {
+		if tuple = pv.preImageAt(rid.Slot, snap); tuple == nil {
 			return nil // deleted or invisible to this snapshot
-		}
-		if tuple = h.preImageAt(rid, snap); tuple == nil {
-			return nil
 		}
 	}
 	return fn(tuple)
@@ -872,8 +848,9 @@ func (h *File) Delete(rid RID) error {
 		h.tuples-- // erasing a live tuple; ended ones were already counted out
 	}
 	h.setVersion(rid, tupleVersion{begin: gone, end: gone})
-	if h.HasPreImage(rid) {
-		h.dropPre(rid)
+	if i := h.preIndex(rid); i >= 0 {
+		pv := &h.vers[rid.Page]
+		pv.pre = slices.Delete(pv.pre, i, i+1)
 	}
 	r := h.reuseOf(rid.Page)
 	r.erased = append(r.erased, rid.Slot)
@@ -906,7 +883,6 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 		}
 		n := pageNumSlots(fr.Data)
 		pv := &h.vers[p]
-		pre := h.hasPreOn(p)
 		// A folded page's one version is tested once: the snapshot sees
 		// every slot or none (and a folded page holds no pre-image).
 		all := pv.folded()
@@ -917,10 +893,7 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 			off, length := slotAt(fr.Data, s)
 			tuple := fr.Data[off : off+length]
 			if length == 0 || !all && !visibleAt(pv.slots[s], snap) {
-				if !pre {
-					continue
-				}
-				if tuple = h.preImageAt(RID{Page: p, Slot: uint16(s)}, snap); tuple == nil {
+				if tuple = pv.preImageAt(uint16(s), snap); tuple == nil {
 					continue
 				}
 			}

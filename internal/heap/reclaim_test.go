@@ -63,7 +63,7 @@ func (rm *reclaimModel) step(op, arg byte) {
 	tuple := bytes.Repeat([]byte{byte(rm.ts)}, 1+int(arg)%60)
 	live := func(mt *modelTuple) bool { return !mt.ended }
 	ended := func(mt *modelTuple) bool { return mt.ended }
-	switch op % 7 {
+	switch op % 8 {
 	case 0: // tail append
 		rid, err := h.AppendAt(tuple, rm.ts)
 		if err != nil {
@@ -113,6 +113,10 @@ func (rm *reclaimModel) step(op, arg byte) {
 				rm.t.Fatalf("ClearEnd(%v): %v", rid, err)
 			}
 			mt.ended = false
+		}
+	case 7: // freeze a page: every version begun so far is published
+		if n := h.NumPages(); n > 0 {
+			h.Freeze(int64(arg)%n, rm.ts)
 		}
 	}
 }
@@ -226,14 +230,15 @@ func (rm *reclaimModel) checkErr() error {
 }
 
 // FuzzHeapReclaim runs random appends, placements, ends, dead-markings,
-// erasures and restores against a map model. After every operation each
-// tuple's bytes equal the model's, no two tuples of a page overlap, the
-// in-memory account equals the page, and every placement the account
-// offered succeeds.
+// erasures, restores and freezes against a map model. After every
+// operation each tuple's bytes equal the model's, no two tuples of a page
+// overlap, the in-memory account equals the page, and every placement the
+// account offered succeeds.
 func FuzzHeapReclaim(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 3, 0, 4, 0, 1, 9, 2, 0})
 	f.Add(bytes.Repeat([]byte{0, 50, 3, 1, 4, 0, 2, 7, 5, 3, 1, 40, 6, 2}, 12))
 	f.Add(bytes.Repeat([]byte{0, 59, 0, 59, 3, 0, 3, 1, 4, 0, 4, 0, 1, 2, 2, 1}, 20))
+	f.Add(bytes.Repeat([]byte{0, 30, 2, 0, 7, 0, 3, 2, 7, 1, 4, 0, 7, 0, 1, 20, 7, 2}, 12))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 600 {
 			ops = ops[:600]

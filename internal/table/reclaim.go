@@ -20,7 +20,10 @@ import (
 // gone. The version's index entries, CM pairs and page-directory
 // reference left at Publish; reclamation touches the heap slot alone. A
 // version an UPDATE replaced in place has no slot of its own, only the
-// slot's pre-image, and the same rule drops that.
+// slot's pre-image, and the same rule drops that. The same step freezes
+// the pages the statement wrote or retracted (heap.File.Freeze), so only
+// pages written since the oldest snapshot that can still be taken keep
+// per-slot versions.
 
 // placement is one clustered bucket's share of the running statement:
 // the versions it still has to place and their heap.TupleCosts, and the
@@ -31,11 +34,12 @@ type placement struct {
 	open         bool // page is set
 }
 
-// retiredStmt is a published statement's old versions, waiting for the
-// pins older than its timestamp to go.
+// retiredStmt is a published statement's old and new versions, waiting
+// for the pins older than its timestamp to go.
 type retiredStmt struct {
 	ts       uint64
 	versions []retraction
+	inserted []undoInsert
 }
 
 // PinSnapshot pins the published clock as a snapshot that stays readable
@@ -61,28 +65,26 @@ func (t *Table) PinSnapshot() (snap uint64, release func()) {
 	}
 }
 
-// oldestPin returns the oldest pinned snapshot, or false without pins.
-func (t *Table) oldestPin() (uint64, bool) {
+// horizon returns the oldest snapshot that exists or can still be
+// taken: the oldest pin, else the published clock.
+func (t *Table) horizon() uint64 {
 	t.pinMu.Lock()
 	defer t.pinMu.Unlock()
 	if len(t.pins) == 0 {
-		return 0, false
+		return t.clock.Load()
 	}
-	return slices.Min(t.pins), true
+	return slices.Min(t.pins)
 }
 
-// retire reclaims the old versions of the statement published at ts, or
-// queues them while a pin older than ts remains. Caller holds the latch
-// exclusively, after storing the clock.
-func (t *Table) retire(ts uint64, versions []retraction) {
-	if len(versions) == 0 {
+// retire reclaims statement s, published at s.ts, or queues it while a
+// pin older than s.ts remains. Caller holds the latch exclusively, after
+// storing the clock.
+func (t *Table) retire(s retiredStmt) {
+	if t.horizon() < s.ts {
+		t.retired = append(t.retired, s)
 		return
 	}
-	if oldest, pinned := t.oldestPin(); pinned && oldest < ts {
-		t.retired = append(t.retired, retiredStmt{ts: ts, versions: versions})
-		return
-	}
-	t.markDead(versions)
+	t.reclaim(s, s.ts)
 }
 
 // drainRetired reclaims the queued statements no pin can read any more,
@@ -91,17 +93,19 @@ func (t *Table) drainRetired() {
 	if len(t.retired) == 0 {
 		return
 	}
-	oldest, pinned := t.oldestPin()
+	horizon := t.horizon()
 	n := 0
-	for ; n < len(t.retired) && (!pinned || t.retired[n].ts <= oldest); n++ {
-		t.markDead(t.retired[n].versions)
+	for ; n < len(t.retired) && t.retired[n].ts <= horizon; n++ {
+		t.reclaim(t.retired[n], horizon)
 	}
 	t.retired = slices.Delete(t.retired, 0, n)
 }
 
-// markDead hands the versions' slots, or pre-images, back to the heap.
-func (t *Table) markDead(versions []retraction) {
-	for _, r := range versions {
+// reclaim hands statement s's old versions — slots, or pre-images — back
+// to the heap, and freezes the pages s wrote or retracted against
+// horizon, the oldest snapshot that exists or can still be taken.
+func (t *Table) reclaim(s retiredStmt, horizon uint64) {
+	for _, r := range s.versions {
 		// The statement has published; a failure (a bug) can only leave
 		// the slot unreclaimed, never make a row wrong.
 		if r.inPlace {
@@ -109,6 +113,10 @@ func (t *Table) markDead(versions []retraction) {
 		} else {
 			_ = t.heapf.MarkDead(r.rid, r.size)
 		}
+		t.heapf.Freeze(r.rid.Page, horizon)
+	}
+	for _, u := range s.inserted {
+		t.heapf.Freeze(u.rid.Page, horizon)
 	}
 }
 
@@ -193,9 +201,5 @@ func (t *Table) DeadVersions() int64 {
 // OldestPinAge returns how many commits the oldest pinned snapshot lags
 // the published clock; 0 without pins.
 func (t *Table) OldestPinAge() int64 {
-	oldest, pinned := t.oldestPin()
-	if !pinned {
-		return 0
-	}
-	return int64(t.clock.Load() - oldest)
+	return int64(t.clock.Load() - t.horizon())
 }

@@ -335,7 +335,6 @@ func (t *Table) Load(rows []value.Row) error {
 	t.mu.Lock()
 	t.cbuckets = builder.Finish()
 	t.pageDir.clip()
-	t.heapf.Clip()
 	if len(rows) > 0 {
 		t.keyWidth = (len(keys) + len(rows) - 1) / len(rows)
 	}

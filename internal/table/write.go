@@ -553,13 +553,16 @@ func (tx *WriteTxn) applyReplace(u *update) error {
 // (index entries, page-directory references and CM pairs of replaced and
 // deleted versions —
 // Algorithm 1's retraction half), advances the published clock so new
-// reader snapshots see the statement's versions, and retires the old
-// versions' heap slots (see retire). Then it releases the writer gate.
+// reader snapshots see the statement's versions, and retires the
+// statement (see retire): the old versions' heap slots go back and its
+// pages refold. Then it releases the writer gate.
 //
-// WAL appends go first on purpose: a failing log (injected or real disk
-// fault) then leaves the in-memory structures untouched, and the
-// physical unwind below restores exactly the pre-statement state — the
-// statement fails cleanly and the table stays consistent. A failed
+// The WAL append goes first on purpose, all of the statement's records
+// in one atomic Append: a failing log (injected or real disk fault) then
+// holds none of them and leaves the in-memory structures untouched, and
+// the physical unwind below restores exactly the pre-statement state —
+// the statement fails cleanly, the table stays consistent and a CM
+// recovery replay never sees the statement. A failed
 // Publish self-aborts; callers must not call Abort afterwards (doing so
 // is a no-op).
 func (tx *WriteTxn) Publish() error {
@@ -567,11 +570,7 @@ func (tx *WriteTxn) Publish() error {
 	held := t.lockLatched()
 	var err error
 	if t.log != nil {
-		for _, rec := range tx.recs {
-			if err = t.log.Append(rec); err != nil {
-				break
-			}
-		}
+		err = t.log.Append(tx.recs...)
 	}
 	if err == nil {
 		// A retraction failure past this point restores the retracted
@@ -584,7 +583,7 @@ func (tx *WriteTxn) Publish() error {
 	if err == nil {
 		t.written.Add(int64(len(tx.inserted) + len(tx.retract)))
 		t.clock.Store(tx.ts)
-		t.retire(tx.ts, tx.retract)
+		t.retire(retiredStmt{ts: tx.ts, versions: tx.retract, inserted: tx.inserted})
 	} else {
 		tx.unwind()
 	}

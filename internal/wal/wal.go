@@ -118,36 +118,38 @@ func (l *Log) Flushes() uint64 {
 	return l.flushes
 }
 
-// Append adds a record to the log buffer. The record becomes durable at
-// the next Flush. Record framing: type byte, target length (u16), target,
-// payload length (u32), payload. The frame's pieces are copied straight
+// Append adds records to the log buffer. They become durable at the
+// next Flush. Record framing: type byte, target length (u16), target,
+// payload length (u32), payload. The frames' pieces are copied straight
 // into the tail page, so an append allocates nothing.
 //
 // Append is atomic against disk faults: a failed page write rolls the
 // log back to its pre-append state (length, page and tail image), so a
-// later Append or Replay sees no torn record. Only when the rollback
-// itself cannot reconstruct the tail does the log mark itself broken.
-func (l *Log) Append(r Record) error {
-	if len(r.Target) > 0xFFFF {
-		return fmt.Errorf("wal: target name too long")
+// later Append or Replay sees none of the records — not a torn one, and
+// not the ones before it. Only when the rollback itself cannot
+// reconstruct the tail does the log mark itself broken.
+func (l *Log) Append(recs ...Record) error {
+	for _, r := range recs {
+		if len(r.Target) > 0xFFFF {
+			return fmt.Errorf("wal: target name too long")
+		}
 	}
-	var head [3]byte
-	head[0] = byte(r.Type)
-	binary.LittleEndian.PutUint16(head[1:], uint16(len(r.Target)))
-	var plen [4]byte
-	binary.LittleEndian.PutUint32(plen[:], uint32(len(r.Payload)))
 	l.mu.Lock()
 	var err error
 	if l.broken {
 		err = errBroken
 	} else {
-		// One mark brackets the whole record, whichever piece fails.
+		// One mark brackets every record, whichever piece fails.
 		mark := walMark{length: l.length, page: l.page, bufUsed: l.bufUsed}
-		if err = l.writeFrame(head[:], r.Target, plen[:], r.Payload); err != nil {
-			l.rollback(mark)
-			err = fmt.Errorf("wal: append: %w", err)
-		} else {
-			l.appends++
+		for _, r := range recs {
+			if err = l.writeFrame(r); err != nil {
+				l.rollback(mark)
+				err = fmt.Errorf("wal: append: %w", err)
+				break
+			}
+		}
+		if err == nil {
+			l.appends += uint64(len(recs))
 		}
 	}
 	owed := l.takeOwed()
@@ -157,17 +159,22 @@ func (l *Log) Append(r Record) error {
 }
 
 // writeFrame streams one record's pieces, in order, into the log.
-func (l *Log) writeFrame(head []byte, target string, plen, payload []byte) error {
-	if err := writeBytes(l, head); err != nil {
+func (l *Log) writeFrame(r Record) error {
+	var head [3]byte
+	head[0] = byte(r.Type)
+	binary.LittleEndian.PutUint16(head[1:], uint16(len(r.Target)))
+	var plen [4]byte
+	binary.LittleEndian.PutUint32(plen[:], uint32(len(r.Payload)))
+	if err := writeBytes(l, head[:]); err != nil {
 		return err
 	}
-	if err := writeBytes(l, target); err != nil {
+	if err := writeBytes(l, r.Target); err != nil {
 		return err
 	}
-	if err := writeBytes(l, plen); err != nil {
+	if err := writeBytes(l, plen[:]); err != nil {
 		return err
 	}
-	return writeBytes(l, payload)
+	return writeBytes(l, r.Payload)
 }
 
 // walMark snapshots the append cursor for rollback.

@@ -189,3 +189,70 @@ func TestReplayFrom(t *testing.T) {
 		t.Error("past-end LSN accepted")
 	}
 }
+
+// TestAppendOfManyRecordsIsAtomic: a page write that fails part way
+// through one Append of many records — after an earlier page of them
+// reached disk — leaves none of them in the log: its length, its append
+// count and what Replay returns are as before the call, and the next
+// Append continues from there.
+func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
+	l, d := newLog()
+	rec := func(i int) Record {
+		return Record{Type: RecInsert, Target: "t", Payload: bytes.Repeat([]byte{byte(i)}, 30)}
+	}
+	var kept []Record
+	for i := 0; i < 3; i++ {
+		kept = append(kept, rec(i))
+	}
+	if err := l.Append(kept...); err != nil {
+		t.Fatal(err)
+	}
+	length, appends := l.Len(), l.Appends()
+	var batch []Record
+	for i := 3; i < 13; i++ {
+		batch = append(batch, rec(i))
+	}
+	// The batch fills the 128-byte tail page and the one after it: the
+	// second page write fails once the first has gone to disk.
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 2})
+	err := l.Append(batch...)
+	d.SetFaultPlan(nil)
+	if err == nil {
+		t.Fatal("Append succeeded through a failed page write")
+	}
+	if l.Len() != length || l.Appends() != appends {
+		t.Fatalf("after the failed Append: length %d, %d appends; want %d, %d", l.Len(), l.Appends(), length, appends)
+	}
+	replayed := func() []Record {
+		t.Helper()
+		var got []Record
+		if err := l.Replay(func(r Record) bool {
+			r.Payload = bytes.Clone(r.Payload)
+			got = append(got, r)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	same := func(got, want []Record) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].Type != want[i].Type || got[i].Target != want[i].Target || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				return false
+			}
+		}
+		return true
+	}
+	if got := replayed(); !same(got, kept) {
+		t.Fatalf("replay after the failed Append returned %d records, want the %d before it", len(got), len(kept))
+	}
+	if err := l.Append(batch[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayed(), append(kept, batch[:2]...); !same(got, want) {
+		t.Fatalf("replay after the next Append returned %d records, want %d", len(got), len(want))
+	}
+}
