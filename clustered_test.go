@@ -280,10 +280,9 @@ func TestWritesPlanTheirReadSide(t *testing.T) {
 				wt, err = plan.CompileDelete(tbl.inner, spec, planStats)
 			} else {
 				kind = "update"
-				esets := make([]exec.SetClause, len(sets))
-				for i, s := range sets {
-					ci, _ := tbl.colIndex(s.Col)
-					esets[i] = exec.SetClause{Col: ci, Val: s.Val.v}
+				var esets []exec.SetClause
+				if esets, err = tbl.setClauses(sets); err != nil {
+					t.Fatal(err)
 				}
 				wt, err = plan.CompileUpdate(tbl.inner, spec, esets, planStats)
 			}

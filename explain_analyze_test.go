@@ -300,6 +300,48 @@ LOAD INTO kv VALUES (1, 10), (2, 20), (3, 30), (4, 40);
 	if res.Plan.Analyzed != nil {
 		t.Error("plain EXPLAIN carries an Analyzed summary")
 	}
+
+	// LIMIT 0 is decided where the statement binds, so the SELECT, its
+	// EXPLAIN and its EXPLAIN ANALYZE are one statement: a chain topped by
+	// a limit of no rows, under which nothing is read.
+	for _, q := range []string{
+		"SELECT v FROM kv LIMIT 0",
+		"SELECT COUNT(*) FROM kv LIMIT 0",
+		"SELECT k FROM kv WHERE k >= 2 ORDER BY v LIMIT 0",
+	} {
+		res, err := db.Exec(q)
+		if err != nil || len(res.Rows) != 0 {
+			t.Errorf("%s: %d rows, %v; want none", q, len(res.Rows), err)
+			continue
+		}
+		explained, err := db.Exec("EXPLAIN " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := explained.Plan.Nodes
+		if top := nodes[len(nodes)-1]; top.Kind != "limit" || top.Detail != "first 0 rows" {
+			t.Errorf("EXPLAIN %s tops its chain with %+v, want the limit of 0 rows", q, top)
+		}
+		analyzed, err := db.Exec("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := planKinds(analyzed.Plan), planKinds(explained.Plan); got != want {
+			t.Errorf("EXPLAIN ANALYZE %s ran %s, EXPLAIN shows %s", q, got, want)
+		}
+		if a := analyzed.Plan.Analyzed; a.Rows != 0 || a.TuplesExamined != 0 || a.HeapPages != 0 {
+			t.Errorf("EXPLAIN ANALYZE %s: %s; want 0 rows, 0 tuples examined, 0 heap pages", q, analyzed.Message)
+		}
+	}
+}
+
+// planKinds renders a plan's operator chain, bottom-up.
+func planKinds(pi *PlanInfo) string {
+	kinds := make([]string, len(pi.Nodes))
+	for i, n := range pi.Nodes {
+		kinds[i] = n.Kind
+	}
+	return strings.Join(kinds, " → ")
 }
 
 // TestShowMetricsSQL exercises SHOW METRICS and its LIKE filter, and

@@ -171,6 +171,11 @@ type preImage struct {
 	ver   tupleVersion
 }
 
+// firstPreImages is the room a page's pre-image list starts with. Sizing
+// it by the page's slot count would hold ≈ 70 entries per touched page
+// for the few a statement writes.
+const firstPreImages = 16
+
 // pageSpace is a page's in-memory space account: free is the contiguous
 // gap between the slot directory and the tuple bytes, garbage the bytes
 // of dead and erased tuples that a prune gives back. Their sum is the
@@ -652,6 +657,12 @@ func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 	copy(old, tuple)
 	h.setVersion(rid, tupleVersion{begin: ts})
 	pv := &h.vers[rid.Page]
+	if pv.pre == nil {
+		// Freeze drops the list with the rest of the page's versions, so
+		// each UPDATE that reopens a page starts one; starting with room
+		// spares its doubling from one entry.
+		pv.pre = make([]preImage, 0, firstPreImages)
+	}
 	pv.pre = append(pv.pre, preImage{slot: rid.Slot, tuple: pre, ver: tupleVersion{begin: v.begin, end: ts}})
 	h.pool.Unpin(fr, true)
 	return nil

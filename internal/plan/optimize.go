@@ -330,13 +330,13 @@ func (tr *Tree) buildNodes() {
 			parts[i] = name + " " + dir
 		}
 		mode := "full sort"
-		if spec.Limit > 0 {
-			mode = fmt.Sprintf("top-%d heap", spec.Limit)
+		if spec.Limit != 0 {
+			mode = fmt.Sprintf("top-%d heap", max(spec.Limit, 0))
 		}
 		chain = append(chain, &Node{Kind: KindSort, Detail: strings.Join(parts, ", ") + " (" + mode + ")"})
 	}
-	if spec.Limit > 0 {
-		chain = append(chain, &Node{Kind: KindLimit, Detail: fmt.Sprintf("first %d rows", spec.Limit)})
+	if spec.Limit != 0 {
+		chain = append(chain, &Node{Kind: KindLimit, Detail: fmt.Sprintf("first %d rows", max(spec.Limit, 0))})
 	}
 
 	// Link top-down: root is the topmost operator, Child points toward

@@ -57,8 +57,9 @@ type Order struct {
 }
 
 // Spec is a resolved query: every column is an index, every predicate
-// an executor predicate. It is what the facade lowers a QuerySpec (or a
-// bound SQL statement) into before compilation.
+// an executor predicate. The SQL binder (internal/sql) resolves a
+// statement straight into one, and the facade resolves a QuerySpec into
+// one; either way the names are resolved once, before compilation.
 type Spec struct {
 	// Disjuncts holds the WHERE clause in disjunctive normal form; a
 	// query without predicates is one empty conjunction.
@@ -84,7 +85,9 @@ type Spec struct {
 	// OrderBy sorts the result; see Order for the Col convention.
 	OrderBy []Order
 	// Limit caps the result rows when positive (plain unsorted queries
-	// stop their scan early; sorted ones bound the top-K heap).
+	// stop their scan early; sorted ones bound the top-K heap). 0 leaves
+	// them uncapped; a negative Limit — SQL's LIMIT 0 — caps them at none,
+	// and Run returns before the access path reads anything.
 	Limit int
 	// Snap is the MVCC snapshot every access path reads as of (see
 	// exec.Query.Snap). Build stamps it onto each disjunct, so the whole

@@ -34,6 +34,9 @@ func (tr *Tree) Run(workers int, out Sink) error {
 	if !tr.optimized {
 		return fmt.Errorf("plan: Run before Optimize")
 	}
+	if tr.spec.Limit < 0 {
+		return nil
+	}
 	if tr.spec.IsAggregate() {
 		return tr.runAggregate(workers, out.Row)
 	}

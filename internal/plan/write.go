@@ -53,7 +53,7 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 	if spec.IsAggregate() || len(spec.Having) > 0 {
 		return nil, fmt.Errorf("plan: %s cannot aggregate", stmt)
 	}
-	if len(spec.OrderBy) > 0 || spec.Limit > 0 {
+	if len(spec.OrderBy) > 0 || spec.Limit != 0 {
 		return nil, fmt.Errorf("plan: %s takes no ORDER BY or LIMIT", stmt)
 	}
 	if spec.Proj != nil {

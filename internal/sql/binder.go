@@ -3,14 +3,19 @@ package sql
 import (
 	"fmt"
 
+	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
-// The binder resolves parsed statements against a Catalog: column names
-// become indices, literals become typed values coerced to their column's
-// kind, and semantic errors (unknown tables/columns, kind mismatches,
-// inapplicable bucketing options) surface here with statement context,
-// before anything touches the engine.
+// The binder resolves parsed statements against a Catalog, and resolves
+// a SELECT, UPDATE or DELETE straight into the plan layer's vocabulary —
+// a plan.Spec of executor predicates, aggregates and orderings over
+// column indices and output positions, and exec.SetClauses — so a SQL
+// statement's names are resolved once, here: literals become typed values
+// coerced to their column's kind, and semantic errors (unknown
+// tables/columns, kind mismatches, inapplicable bucketing options)
+// surface with statement context, before anything touches the engine.
 
 // ColMeta describes one column to the binder.
 type ColMeta struct {
@@ -41,69 +46,21 @@ type Catalog interface {
 	TableMeta(name string) (TableMeta, bool)
 }
 
-// BoundCond is a Cond with its column resolved and literals typed. For
-// CondBetween Vals is [lo, hi]; for CondIn it is the member list; every
-// other operator carries one value.
-type BoundCond struct {
-	Col    string
-	ColIdx int
-	Op     CondOp
-	Vals   []value.Value
-}
-
-// BoundAgg is one aggregate of a bound SELECT: the function and the
-// resolved column (ColIdx -1 for COUNT(*)).
-type BoundAgg struct {
-	Fn     AggFn
-	Col    string
-	ColIdx int
-}
-
-// BoundOrder is one resolved ORDER BY key. For plain selects Name is a
-// table column; for aggregate selects it is an output column — a
-// GROUP BY column name or a canonical aggregate name (SelExpr.Name).
-type BoundOrder struct {
-	Name string
-	Desc bool
-}
-
-// BoundHaving is one resolved HAVING conjunct: the output column it
-// filters on (a GROUP BY column name or canonical aggregate name —
-// aggregates the SELECT list omits are computed as hidden trailing
-// entries, like ORDER BY keys) with literals coerced to that output's
-// kind (COUNT and integer SUM are Int, AVG is Float, MIN/MAX and
-// grouped columns follow the column).
-type BoundHaving struct {
-	Name string
-	Op   CondOp
-	Vals []value.Value
-}
-
-// BoundSelect is a SELECT resolved against the catalog.
+// BoundSelect is a SELECT resolved against the catalog: the plan layer's
+// Spec, which is every column an index and every literal a typed value,
+// plus what a plan does not carry — the table and the result header.
 //
-// Aggregate selects (Aggs or GroupBy non-empty) evaluate in canonical
-// output shape — the GROUP BY columns in GroupBy order followed by Aggs
-// in order — and OutPerm maps each SELECT-list position onto that
-// canonical row, restoring the written order (Aggs may carry hidden
-// trailing entries that ORDER BY needs but the SELECT list omits).
+// Aggregate selects evaluate in canonical output shape — the GROUP BY
+// columns in order followed by the aggregates in order — and OutPerm maps
+// each SELECT-list position onto that canonical row, restoring the
+// written order (the aggregates may carry hidden trailing entries that
+// HAVING or ORDER BY needs but the SELECT list omits).
 type BoundSelect struct {
-	Table string
-	Proj  []int    // plain selects: projected column indices, SELECT-list order
-	Cols  []string // result header, SELECT-list order
-	Where [][]BoundCond
-	Limit int // -1 means no limit
-
-	Aggs       []BoundAgg
-	GroupBy    []string // resolved GROUP BY column names
-	GroupByIdx []int
-	Having     []BoundHaving
-	OrderBy    []BoundOrder
-	OutPerm    []int // aggregate selects: SELECT position -> canonical position
+	Table   string
+	Cols    []string // result header, SELECT-list order
+	OutPerm []int    // aggregate selects: SELECT position -> canonical position
+	Spec    plan.Spec
 }
-
-// IsAggregate reports whether the SELECT computes aggregates or groups
-// (GROUP BY without aggregates is a distinct-values query).
-func (b *BoundSelect) IsAggregate() bool { return len(b.Aggs) > 0 || len(b.GroupBy) > 0 }
 
 // BoundInsert is an INSERT with rows coerced to the table schema.
 type BoundInsert struct {
@@ -111,10 +68,20 @@ type BoundInsert struct {
 	Rows  []value.Row
 }
 
-// BoundDelete is a DELETE resolved against the catalog.
+// BoundDelete is a DELETE resolved against the catalog: its WHERE
+// conjunction is the Spec's one disjunct.
 type BoundDelete struct {
 	Table string
-	Where []BoundCond
+	Spec  plan.Spec
+}
+
+// BoundUpdate is an UPDATE resolved against the catalog: its WHERE clause
+// is the Spec's disjuncts, bound like a SELECT's, and Sets its
+// assignments, each value coerced to its column's kind.
+type BoundUpdate struct {
+	Table string
+	Spec  plan.Spec
+	Sets  []exec.SetClause
 }
 
 // lookupTable fetches table metadata or fails with a uniform error.
@@ -149,61 +116,105 @@ func bindLit(l Lit, kind value.Kind, col string) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("sql: literal %s does not fit %s column %q", l, kind, col)
 }
 
-// bindDNF resolves a WHERE clause in disjunctive normal form.
-func bindDNF(tm TableMeta, dnf [][]Cond) ([][]BoundCond, error) {
+// bindDNF resolves a WHERE clause in disjunctive normal form into the
+// plan's disjuncts, one conjunctive exec.Query each; no WHERE clause is
+// one empty conjunction.
+func bindDNF(tm TableMeta, dnf [][]Cond) ([]exec.Query, error) {
 	if len(dnf) == 0 {
-		return nil, nil
+		return []exec.Query{{}}, nil
 	}
-	out := make([][]BoundCond, 0, len(dnf))
-	for _, conj := range dnf {
-		b, err := bindConds(tm, conj)
+	out := make([]exec.Query, len(dnf))
+	for i, conj := range dnf {
+		q, err := bindConds(tm, conj)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, b)
+		out[i] = q
 	}
 	return out, nil
 }
 
 // bindConds resolves a WHERE conjunction against a table.
-func bindConds(tm TableMeta, conds []Cond) ([]BoundCond, error) {
-	out := make([]BoundCond, 0, len(conds))
+func bindConds(tm TableMeta, conds []Cond) (exec.Query, error) {
+	var q exec.Query
+	if len(conds) > 0 {
+		q.Preds = make([]exec.Pred, 0, len(conds))
+	}
 	for _, c := range conds {
 		ci := tm.colIndex(c.Col)
 		if ci < 0 {
-			return nil, fmt.Errorf("sql: table %q has no column %q", tm.Name, c.Col)
+			return exec.Query{}, fmt.Errorf("sql: table %q has no column %q", tm.Name, c.Col)
 		}
-		kind := tm.Cols[ci].Kind
-		bc := BoundCond{Col: c.Col, ColIdx: ci, Op: c.Op}
-		for _, a := range c.Args {
-			v, err := bindLit(a, kind, c.Col)
-			if err != nil {
-				return nil, err
-			}
-			bc.Vals = append(bc.Vals, v)
+		p, err := bindPred(ci, c.Op, c.Args, tm.Cols[ci].Kind, c.Col, "")
+		if err != nil {
+			return exec.Query{}, err
 		}
-		if c.Op == CondBetween && bc.Vals[0].Compare(bc.Vals[1]) > 0 {
-			return nil, fmt.Errorf("sql: BETWEEN bounds on %q are inverted (%s > %s)",
-				c.Col, c.Args[0], c.Args[1])
-		}
-		out = append(out, bc)
+		q.Preds = append(q.Preds, p)
 	}
-	return out, nil
+	return q, nil
+}
+
+// bindPred coerces a condition's literals to kind and builds its executor
+// predicate over col — a column index for WHERE, a canonical output
+// position for HAVING (clause prefixes its errors). name is the operand
+// as the statement wrote it.
+func bindPred(col int, op CondOp, args []Lit, kind value.Kind, name, clause string) (exec.Pred, error) {
+	if op == CondIn {
+		vals := make([]value.Value, len(args))
+		for i, a := range args {
+			v, err := bindLit(a, kind, name)
+			if err != nil {
+				return exec.Pred{}, err
+			}
+			vals[i] = v
+		}
+		return exec.In(col, vals...), nil
+	}
+	v, err := bindLit(args[0], kind, name)
+	if err != nil {
+		return exec.Pred{}, err
+	}
+	switch op {
+	case CondEq:
+		return exec.Eq(col, v), nil
+	case CondNe:
+		return exec.Ne(col, v), nil
+	case CondLt:
+		return exec.Lt(col, v), nil
+	case CondLe:
+		return exec.Le(col, v), nil
+	case CondGt:
+		return exec.Gt(col, v), nil
+	case CondGe:
+		return exec.Ge(col, v), nil
+	}
+	hi, err := bindLit(args[1], kind, name) // CondBetween
+	if err != nil {
+		return exec.Pred{}, err
+	}
+	if v.Compare(hi) > 0 {
+		return exec.Pred{}, fmt.Errorf("sql: %sBETWEEN bounds on %q are inverted (%s > %s)", clause, name, args[0], args[1])
+	}
+	return exec.Between(col, v, hi), nil
 }
 
 // BindSelect resolves a SELECT statement: columns to indices, the WHERE
-// DNF to typed conditions, aggregates/GROUP BY/ORDER BY validated
-// against the schema (SUM/AVG need numeric columns, plain SELECT-list
-// columns of a grouped query must be grouped, ORDER BY keys must be
-// resolvable — table columns for plain selects, output columns for
-// aggregate ones).
+// DNF to executor predicates over typed values, aggregates/GROUP BY/ORDER
+// BY validated against the schema (SUM/AVG need numeric columns, plain
+// SELECT-list columns of a grouped query must be grouped, ORDER BY keys
+// must be resolvable — table columns for plain selects, output columns
+// for aggregate ones). LIMIT 0 binds to the Spec's negative Limit: the
+// statement, executed or explained, runs nothing.
 func BindSelect(cat Catalog, sel *SelectStmt) (*BoundSelect, error) {
 	tm, err := lookupTable(cat, sel.Table)
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundSelect{Table: sel.Table, Limit: sel.Limit}
-	b.Where, err = bindDNF(tm, sel.Where)
+	b := &BoundSelect{Table: sel.Table, Spec: plan.Spec{Limit: max(sel.Limit, 0)}}
+	if sel.Limit == 0 {
+		b.Spec.Limit = -1
+	}
+	b.Spec.Disjuncts, err = bindDNF(tm, sel.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -247,37 +258,52 @@ func BindSelect(cat Catalog, sel *SelectStmt) (*BoundSelect, error) {
 	}
 
 	if sel.Exprs == nil {
+		// SELECT * leaves Proj nil: every column, in schema order.
+		b.Cols = make([]string, len(tm.Cols))
 		for i, c := range tm.Cols {
-			b.Proj = append(b.Proj, i)
-			b.Cols = append(b.Cols, c.Name)
+			b.Cols[i] = c.Name
 		}
 	} else {
-		for _, e := range sel.Exprs {
+		b.Cols = make([]string, len(sel.Exprs))
+		b.Spec.Proj = make([]int, len(sel.Exprs))
+		for i, e := range sel.Exprs {
 			ci := tm.colIndex(e.Col)
 			if ci < 0 {
 				return nil, fmt.Errorf("sql: table %q has no column %q", tm.Name, e.Col)
 			}
-			b.Proj = append(b.Proj, ci)
-			b.Cols = append(b.Cols, e.Col)
+			b.Spec.Proj[i], b.Cols[i] = ci, e.Col
 		}
 	}
 	for _, o := range sel.OrderBy {
 		if o.Expr.Fn != AggNone {
 			return nil, fmt.Errorf("sql: ORDER BY %s needs an aggregate or grouped query", o.Expr.Name())
 		}
-		if tm.colIndex(o.Expr.Col) < 0 {
+		ci := tm.colIndex(o.Expr.Col)
+		if ci < 0 {
 			return nil, fmt.Errorf("sql: table %q has no column %q", tm.Name, o.Expr.Col)
 		}
-		b.OrderBy = append(b.OrderBy, BoundOrder{Name: o.Expr.Col, Desc: o.Desc})
+		b.Spec.OrderBy = append(b.Spec.OrderBy, plan.Order{Col: ci, Desc: o.Desc})
 	}
 	return b, nil
 }
 
-// bindAggSelect resolves the aggregate/grouped form of a SELECT.
+// aggKinds maps the dialect's aggregate functions onto the executor's.
+var aggKinds = [...]exec.AggKind{
+	AggCount: exec.AggCount,
+	AggSum:   exec.AggSum,
+	AggAvg:   exec.AggAvg,
+	AggMin:   exec.AggMin,
+	AggMax:   exec.AggMax,
+}
+
+// bindAggSelect resolves the aggregate/grouped form of a SELECT. GROUP BY
+// columns, HAVING operands and ORDER BY keys resolve to canonical output
+// positions.
 func bindAggSelect(tm TableMeta, sel *SelectStmt, b *BoundSelect) (*BoundSelect, error) {
 	if sel.Exprs == nil {
 		return nil, fmt.Errorf("sql: SELECT * cannot be grouped or aggregated")
 	}
+	spec := &b.Spec
 	grouped := map[string]int{} // group column name -> canonical position
 	for _, name := range sel.GroupBy {
 		ci := tm.colIndex(name)
@@ -287,16 +313,15 @@ func bindAggSelect(tm TableMeta, sel *SelectStmt, b *BoundSelect) (*BoundSelect,
 		if _, dup := grouped[name]; dup {
 			return nil, fmt.Errorf("sql: column %q named twice in GROUP BY", name)
 		}
-		grouped[name] = len(b.GroupBy)
-		b.GroupBy = append(b.GroupBy, name)
-		b.GroupByIdx = append(b.GroupByIdx, ci)
+		grouped[name] = len(spec.GroupBy)
+		spec.GroupBy = append(spec.GroupBy, ci)
 	}
 
 	// bindAgg validates one aggregate expression and appends it to Aggs
 	// (deduplicating identical expressions), returning its canonical
 	// output position.
 	bindAgg := func(e SelExpr) (int, error) {
-		a := BoundAgg{Fn: e.Fn, Col: e.Col, ColIdx: -1}
+		a := exec.AggSpec{Kind: aggKinds[e.Fn], Col: -1}
 		if !e.Star {
 			ci := tm.colIndex(e.Col)
 			if ci < 0 {
@@ -306,17 +331,17 @@ func bindAggSelect(tm TableMeta, sel *SelectStmt, b *BoundSelect) (*BoundSelect,
 			if (e.Fn == AggSum || e.Fn == AggAvg) && kind == value.String {
 				return 0, fmt.Errorf("sql: %s does not apply to string column %q", e.Name(), e.Col)
 			}
-			a.ColIdx = ci
+			a.Col = ci
 		} else if e.Fn != AggCount {
 			return 0, fmt.Errorf("sql: %s(*) is not valid (only COUNT takes *)", e.Fn)
 		}
-		for i, have := range b.Aggs {
+		for i, have := range spec.Aggs {
 			if have == a {
-				return len(b.GroupBy) + i, nil
+				return len(spec.GroupBy) + i, nil
 			}
 		}
-		b.Aggs = append(b.Aggs, a)
-		return len(b.GroupBy) + len(b.Aggs) - 1, nil
+		spec.Aggs = append(spec.Aggs, a)
+		return len(spec.GroupBy) + len(spec.Aggs) - 1, nil
 	}
 
 	for _, e := range sel.Exprs {
@@ -340,61 +365,46 @@ func bindAggSelect(tm TableMeta, sel *SelectStmt, b *BoundSelect) (*BoundSelect,
 		b.Cols = append(b.Cols, e.Name())
 	}
 
-	// HAVING conjuncts resolve like ORDER BY keys: grouped columns by
-	// name, aggregates by canonical name (computed as hidden trailing
-	// aggregates when the SELECT list omits them), with literals coerced
-	// to the referenced output's kind.
-	for _, hc := range sel.Having {
-		var kind value.Kind
-		if hc.Expr.Fn == AggNone {
-			if _, ok := grouped[hc.Expr.Col]; !ok {
-				return nil, fmt.Errorf("sql: HAVING %q: not a GROUP BY column of this aggregate query", hc.Expr.Col)
-			}
-			kind = tm.Cols[tm.colIndex(hc.Expr.Col)].Kind
-		} else {
-			if _, err := bindAgg(hc.Expr); err != nil {
-				return nil, err
-			}
-			kind = aggOutputKind(tm, hc.Expr)
+	// outPos resolves a HAVING operand or an ORDER BY key to its canonical
+	// output position: a grouped column by name, an aggregate through
+	// bindAgg — computed as a hidden trailing aggregate when the SELECT
+	// list omits it, which OutPerm never points at, so it stays out of the
+	// result.
+	outPos := func(clause string, e SelExpr) (int, error) {
+		if e.Fn != AggNone {
+			return bindAgg(e)
 		}
-		name := hc.Expr.Name()
-		bh := BoundHaving{Name: name, Op: hc.Op}
-		for _, a := range hc.Args {
-			v, err := bindLit(a, kind, name)
-			if err != nil {
-				return nil, err
-			}
-			bh.Vals = append(bh.Vals, v)
+		pos, ok := grouped[e.Col]
+		if !ok {
+			return 0, fmt.Errorf("sql: %s %q: not a GROUP BY column of this aggregate query", clause, e.Col)
 		}
-		if hc.Op == CondBetween && bh.Vals[0].Compare(bh.Vals[1]) > 0 {
-			return nil, fmt.Errorf("sql: HAVING BETWEEN bounds on %q are inverted (%s > %s)",
-				name, hc.Args[0], hc.Args[1])
-		}
-		b.Having = append(b.Having, bh)
+		return pos, nil
 	}
-
-	for _, o := range sel.OrderBy {
-		if o.Expr.Fn == AggNone {
-			if _, ok := grouped[o.Expr.Col]; !ok {
-				return nil, fmt.Errorf("sql: ORDER BY %q: not a GROUP BY column of this aggregate query", o.Expr.Col)
-			}
-			b.OrderBy = append(b.OrderBy, BoundOrder{Name: o.Expr.Col, Desc: o.Desc})
-			continue
-		}
-		// An aggregate ORDER BY key the SELECT list omits is computed as
-		// a hidden trailing aggregate; OutPerm never points at it, so it
-		// stays out of the result.
-		if _, err := bindAgg(o.Expr); err != nil {
+	// HAVING literals coerce to the kind of the output they compare with.
+	for _, hc := range sel.Having {
+		pos, err := outPos("HAVING", hc.Expr)
+		if err != nil {
 			return nil, err
 		}
-		b.OrderBy = append(b.OrderBy, BoundOrder{Name: o.Expr.Name(), Desc: o.Desc})
+		p, err := bindPred(pos, hc.Op, hc.Args, outputKind(tm, hc.Expr), hc.Expr.Name(), "HAVING ")
+		if err != nil {
+			return nil, err
+		}
+		spec.Having = append(spec.Having, p)
+	}
+	for _, o := range sel.OrderBy {
+		pos, err := outPos("ORDER BY", o.Expr)
+		if err != nil {
+			return nil, err
+		}
+		spec.OrderBy = append(spec.OrderBy, plan.Order{Col: pos, Desc: o.Desc})
 	}
 	return b, nil
 }
 
-// aggOutputKind is the result kind of an aggregate expression: COUNT is
-// Int, AVG is Float, SUM/MIN/MAX follow their column.
-func aggOutputKind(tm TableMeta, e SelExpr) value.Kind {
+// outputKind is the result kind of an output expression: COUNT is Int,
+// AVG is Float, SUM/MIN/MAX and a grouped column follow the column.
+func outputKind(tm TableMeta, e SelExpr) value.Kind {
 	switch e.Fn {
 	case AggCount:
 		return value.Int
@@ -465,27 +475,11 @@ func BindDelete(cat Catalog, del *DeleteStmt) (*BoundDelete, error) {
 	if err != nil {
 		return nil, err
 	}
-	where, err := bindConds(tm, del.Where)
+	q, err := bindConds(tm, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	return &BoundDelete{Table: del.Table, Where: where}, nil
-}
-
-// BoundSet is one resolved assignment of an UPDATE: the target column
-// and the value (coerced to the column's kind) every matching row takes.
-type BoundSet struct {
-	Col    string
-	ColIdx int
-	Val    value.Value
-}
-
-// BoundUpdate is an UPDATE resolved against the catalog. Where follows
-// BoundSelect.Where: disjunctive normal form, nil for update-all.
-type BoundUpdate struct {
-	Table string
-	Sets  []BoundSet
-	Where [][]BoundCond
+	return &BoundDelete{Table: del.Table, Spec: plan.Spec{Disjuncts: []exec.Query{q}}}, nil
 }
 
 // BindUpdate resolves an UPDATE statement: assignment targets to column
@@ -496,7 +490,7 @@ func BindUpdate(cat Catalog, up *UpdateStmt) (*BoundUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundUpdate{Table: up.Table}
+	b := &BoundUpdate{Table: up.Table, Sets: make([]exec.SetClause, 0, len(up.Sets))}
 	seen := map[string]bool{}
 	for _, s := range up.Sets {
 		ci := tm.colIndex(s.Col)
@@ -511,9 +505,9 @@ func BindUpdate(cat Catalog, up *UpdateStmt) (*BoundUpdate, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Sets = append(b.Sets, BoundSet{Col: s.Col, ColIdx: ci, Val: v})
+		b.Sets = append(b.Sets, exec.SetClause{Col: ci, Val: v})
 	}
-	b.Where, err = bindDNF(tm, up.Where)
+	b.Spec.Disjuncts, err = bindDNF(tm, up.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -547,40 +541,42 @@ func BindCreateTable(cat Catalog, ct *CreateTableStmt) error {
 	return nil
 }
 
-// BindCreateIndex checks a CREATE INDEX statement against the catalog.
-func BindCreateIndex(cat Catalog, ci *CreateIndexStmt) error {
+// BindCreateIndex resolves a CREATE INDEX statement's columns to their
+// indices.
+func BindCreateIndex(cat Catalog, ci *CreateIndexStmt) ([]int, error) {
 	tm, err := lookupTable(cat, ci.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, col := range ci.Cols {
-		if tm.colIndex(col) < 0 {
-			return fmt.Errorf("sql: table %q has no column %q", tm.Name, col)
+	cols := make([]int, len(ci.Cols))
+	for i, col := range ci.Cols {
+		if cols[i] = tm.colIndex(col); cols[i] < 0 {
+			return nil, fmt.Errorf("sql: table %q has no column %q", tm.Name, col)
 		}
 	}
-	return nil
+	return cols, nil
 }
 
-// BindCreateCM checks a CREATE CORRELATION MAP statement: columns exist
-// and bucketing options fit their column kinds (WIDTH needs a numeric
-// column, PREFIX a string column).
-func BindCreateCM(cat Catalog, cc *CreateCMStmt) error {
+// BindCreateCM resolves a CREATE CORRELATION MAP statement's columns to
+// their indices, checking that bucketing options fit their column kinds
+// (WIDTH needs a numeric column, PREFIX a string column).
+func BindCreateCM(cat Catalog, cc *CreateCMStmt) ([]int, error) {
 	tm, err := lookupTable(cat, cc.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, col := range cc.Cols {
-		ci := tm.colIndex(col.Name)
-		if ci < 0 {
-			return fmt.Errorf("sql: table %q has no column %q", tm.Name, col.Name)
+	cols := make([]int, len(cc.Cols))
+	for i, col := range cc.Cols {
+		if cols[i] = tm.colIndex(col.Name); cols[i] < 0 {
+			return nil, fmt.Errorf("sql: table %q has no column %q", tm.Name, col.Name)
 		}
-		kind := tm.Cols[ci].Kind
+		kind := tm.Cols[cols[i]].Kind
 		if col.Width > 0 && kind == value.String {
-			return fmt.Errorf("sql: WIDTH does not apply to string column %q (use PREFIX)", col.Name)
+			return nil, fmt.Errorf("sql: WIDTH does not apply to string column %q (use PREFIX)", col.Name)
 		}
 		if col.Prefix > 0 && kind != value.String {
-			return fmt.Errorf("sql: PREFIX does not apply to %s column %q (use WIDTH)", kind, col.Name)
+			return nil, fmt.Errorf("sql: PREFIX does not apply to %s column %q (use WIDTH)", kind, col.Name)
 		}
 	}
-	return nil
+	return cols, nil
 }

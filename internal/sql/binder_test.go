@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -37,17 +39,28 @@ func TestBindSelectStarAndProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(b.Proj, []int{0, 1, 2}) ||
-		!reflect.DeepEqual(b.Cols, []string{"cat", "price", "title"}) {
+	if b.Spec.Proj != nil || !reflect.DeepEqual(b.Cols, []string{"cat", "price", "title"}) {
 		t.Errorf("star projection: %+v", b)
+	}
+	if !reflect.DeepEqual(b.Spec.Disjuncts, []exec.Query{{}}) || b.Spec.Limit != 0 {
+		t.Errorf("no WHERE, no LIMIT: %+v", b.Spec)
 	}
 
 	b, err = BindSelect(cat, sel(t, "SELECT title, cat FROM items LIMIT 7"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(b.Proj, []int{2, 0}) || b.Limit != 7 {
+	if !reflect.DeepEqual(b.Spec.Proj, []int{2, 0}) || b.Spec.Limit != 7 {
 		t.Errorf("named projection: %+v", b)
+	}
+
+	// LIMIT 0 binds to the plan's negative limit: no rows, nothing run.
+	b, err = BindSelect(cat, sel(t, "SELECT cat FROM items LIMIT 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Spec.Limit >= 0 {
+		t.Errorf("LIMIT 0 bound to Limit %d", b.Spec.Limit)
 	}
 }
 
@@ -58,7 +71,7 @@ func TestBindSelectCoercion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Where[0][0].Vals[0]; got.K != value.Float || got.F != 10 {
+	if got := *b.Spec.Disjuncts[0].Preds[0].Lo; got.K != value.Float || got.F != 10 {
 		t.Errorf("int->float coercion: %+v", got)
 	}
 	// Float literal does not narrow to an int column.
@@ -97,7 +110,7 @@ func TestBindAggSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.IsAggregate() {
+	if !b.Spec.IsAggregate() {
 		t.Fatal("aggregate select not flagged")
 	}
 	if !reflect.DeepEqual(b.Cols, []string{"count(*)", "title", "avg(price)"}) {
@@ -107,15 +120,16 @@ func TestBindAggSelect(t *testing.T) {
 	if !reflect.DeepEqual(b.OutPerm, []int{1, 0, 2}) {
 		t.Errorf("OutPerm = %v", b.OutPerm)
 	}
-	if want := []BoundAgg{{Fn: AggCount, ColIdx: -1}, {Fn: AggAvg, Col: "price", ColIdx: 1}}; !reflect.DeepEqual(b.Aggs, want) {
-		t.Errorf("aggs = %+v", b.Aggs)
+	if want := []exec.AggSpec{{Kind: exec.AggCount, Col: -1}, {Kind: exec.AggAvg, Col: 1}}; !reflect.DeepEqual(b.Spec.Aggs, want) {
+		t.Errorf("aggs = %+v", b.Spec.Aggs)
 	}
-	if !reflect.DeepEqual(b.GroupBy, []string{"title"}) || !reflect.DeepEqual(b.GroupByIdx, []int{2}) {
-		t.Errorf("group by = %v / %v", b.GroupBy, b.GroupByIdx)
+	if !reflect.DeepEqual(b.Spec.GroupBy, []int{2}) {
+		t.Errorf("group by = %v", b.Spec.GroupBy)
 	}
-	want := []BoundOrder{{Name: "avg(price)", Desc: true}, {Name: "title"}}
-	if !reflect.DeepEqual(b.OrderBy, want) {
-		t.Errorf("order by = %+v", b.OrderBy)
+	// ORDER BY keys address canonical positions: avg(price) is 2, title 0.
+	want := []plan.Order{{Col: 2, Desc: true}, {Col: 0}}
+	if !reflect.DeepEqual(b.Spec.OrderBy, want) {
+		t.Errorf("order by = %+v", b.Spec.OrderBy)
 	}
 
 	// An ORDER BY aggregate the list omits binds as a hidden trailing agg.
@@ -123,11 +137,11 @@ func TestBindAggSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []BoundAgg{{Fn: AggSum, Col: "price", ColIdx: 1}}; !reflect.DeepEqual(b.Aggs, want) || !reflect.DeepEqual(b.OutPerm, []int{0}) {
-		t.Errorf("hidden agg: aggs=%+v perm=%v", b.Aggs, b.OutPerm)
+	if want := []exec.AggSpec{{Kind: exec.AggSum, Col: 1}}; !reflect.DeepEqual(b.Spec.Aggs, want) || !reflect.DeepEqual(b.OutPerm, []int{0}) {
+		t.Errorf("hidden agg: aggs=%+v perm=%v", b.Spec.Aggs, b.OutPerm)
 	}
-	if b.OrderBy[0].Name != "sum(price)" {
-		t.Errorf("hidden agg order name = %q", b.OrderBy[0].Name)
+	if b.Spec.OrderBy[0].Col != 1 {
+		t.Errorf("hidden agg order position = %d, want 1", b.Spec.OrderBy[0].Col)
 	}
 
 	// Duplicate aggregate expressions share one canonical slot.
@@ -135,8 +149,8 @@ func TestBindAggSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Aggs) != 1 || !reflect.DeepEqual(b.OutPerm, []int{0, 0}) {
-		t.Errorf("dedup: aggs=%+v perm=%v", b.Aggs, b.OutPerm)
+	if len(b.Spec.Aggs) != 1 || !reflect.DeepEqual(b.OutPerm, []int{0, 0}) {
+		t.Errorf("dedup: aggs=%+v perm=%v", b.Spec.Aggs, b.OutPerm)
 	}
 
 	for _, bad := range []string{
@@ -164,11 +178,15 @@ func TestBindSelectDNFAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Where) != 2 || b.Where[0][0].ColIdx != 0 || b.Where[1][0].ColIdx != 1 {
-		t.Errorf("bound dnf = %+v", b.Where)
+	wantDNF := []exec.Query{
+		{Preds: []exec.Pred{exec.Eq(0, value.NewInt(1))}},
+		{Preds: []exec.Pred{exec.Gt(1, value.NewFloat(2.5))}},
 	}
-	if !reflect.DeepEqual(b.OrderBy, []BoundOrder{{Name: "price", Desc: true}}) {
-		t.Errorf("order by = %+v", b.OrderBy)
+	if !reflect.DeepEqual(b.Spec.Disjuncts, wantDNF) {
+		t.Errorf("bound dnf = %+v", b.Spec.Disjuncts)
+	}
+	if !reflect.DeepEqual(b.Spec.OrderBy, []plan.Order{{Col: 1, Desc: true}}) {
+		t.Errorf("order by = %+v", b.Spec.OrderBy)
 	}
 	// Every disjunct binds (and fails) independently.
 	if _, err := BindSelect(cat, sel(t, "SELECT * FROM items WHERE cat = 1 OR zz = 2")); err == nil {
@@ -215,8 +233,8 @@ func TestBindDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Where[0].Op != CondNe || b.Where[0].ColIdx != 0 {
-		t.Errorf("bound delete: %+v", b.Where[0])
+	if want := []exec.Query{{Preds: []exec.Pred{exec.Ne(0, value.NewInt(4))}}}; !reflect.DeepEqual(b.Spec.Disjuncts, want) {
+		t.Errorf("bound delete: %+v", b.Spec.Disjuncts)
 	}
 	if _, err := BindDelete(cat, mustParse(t, "DELETE FROM items WHERE zz = 1").(*DeleteStmt)); err == nil {
 		t.Error("unknown column accepted")
@@ -242,15 +260,23 @@ func TestBindCreateTable(t *testing.T) {
 
 func TestBindCreateIndexAndCM(t *testing.T) {
 	cat := testCatalog()
-	if err := BindCreateIndex(cat, mustParse(t, "CREATE INDEX ix ON items (price, cat)").(*CreateIndexStmt)); err != nil {
+	cols, err := BindCreateIndex(cat, mustParse(t, "CREATE INDEX ix ON items (price, cat)").(*CreateIndexStmt))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := BindCreateIndex(cat, mustParse(t, "CREATE INDEX ix ON items (zz)").(*CreateIndexStmt)); err == nil {
+	if !reflect.DeepEqual(cols, []int{1, 0}) {
+		t.Errorf("index columns = %v, want [1 0]", cols)
+	}
+	if _, err := BindCreateIndex(cat, mustParse(t, "CREATE INDEX ix ON items (zz)").(*CreateIndexStmt)); err == nil {
 		t.Error("unknown index column accepted")
 	}
 
-	if err := BindCreateCM(cat, mustParse(t, "CREATE CORRELATION MAP cm ON items (price WIDTH 5, title PREFIX 3)").(*CreateCMStmt)); err != nil {
+	cols, err = BindCreateCM(cat, mustParse(t, "CREATE CORRELATION MAP cm ON items (price WIDTH 5, title PREFIX 3)").(*CreateCMStmt))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cols, []int{1, 2}) {
+		t.Errorf("CM columns = %v, want [1 2]", cols)
 	}
 	for _, bad := range []string{
 		"CREATE CORRELATION MAP cm ON items (title WIDTH 5)", // width on string
@@ -258,7 +284,7 @@ func TestBindCreateIndexAndCM(t *testing.T) {
 		"CREATE CORRELATION MAP cm ON items (zz)",
 		"CREATE CORRELATION MAP cm ON nope (cat)",
 	} {
-		if err := BindCreateCM(cat, mustParse(t, bad).(*CreateCMStmt)); err == nil {
+		if _, err := BindCreateCM(cat, mustParse(t, bad).(*CreateCMStmt)); err == nil {
 			t.Errorf("BindCreateCM(%q) did not fail", bad)
 		}
 	}

@@ -196,8 +196,15 @@ func TestUpdateSQLNativeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err = natTbl.writeStmt(nil, false, []Set{{Col: "wide", Val: IntVal(7)}},
-		[][]Pred{{Eq("qty", IntVal(42))}, {Eq("cat", IntVal(9))}}, runPlain)
+	spec, err := natTbl.planSpec(QuerySpec{AnyOf: [][]Pred{{Eq("qty", IntVal(42))}, {Eq("cat", IntVal(9))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	esets, err := natTbl.setClauses([]Set{{Col: "wide", Val: IntVal(7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, err = natTbl.writeStmt(nil, false, spec, esets, runPlain)
 	if err != nil {
 		t.Fatal(err)
 	}

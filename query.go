@@ -142,11 +142,11 @@ func (m AccessMethod) String() string {
 // error. A nil ctx never cancels; the configured statement timeout
 // applies either way.
 func (db *DB) SelectSpec(ctx context.Context, spec QuerySpec, fn func(Row) bool) error {
-	tbl, err := db.lookup(spec.Table)
+	tbl, ps, err := db.resolve(spec)
 	if err != nil {
 		return err
 	}
-	_, err = tbl.readStmt(ctx, spec, db.workers, runPlain, externalSink(fn))
+	_, err = tbl.readStmt(ctx, ps, db.workers, runPlain, externalSink(fn))
 	return err
 }
 
@@ -167,7 +167,11 @@ func (t *Table) SelectProject(cols []string, fn func(Row) bool, preds ...Pred) e
 
 // SelectProjectVia is SelectProject with an explicit access method.
 func (t *Table) SelectProjectVia(method AccessMethod, cols []string, fn func(Row) bool, preds ...Pred) error {
-	_, err := t.readStmt(nil, QuerySpec{Table: t.Name(), Via: method, Preds: preds, Cols: cols}, t.db.workers, runPlain, externalSink(fn))
+	ps, err := t.planSpec(QuerySpec{Table: t.Name(), Via: method, Preds: preds, Cols: cols})
+	if err != nil {
+		return err
+	}
+	_, err = t.readStmt(nil, ps, t.db.workers, runPlain, externalSink(fn))
 	return err
 }
 
@@ -356,6 +360,11 @@ func (t *Table) Advise(maxSlowdownPct float64, preds ...Pred) ([]Recommendation,
 	if err != nil {
 		return nil, err
 	}
+	return t.advise(maxSlowdownPct, q)
+}
+
+// advise is Advise over a resolved conjunction, SQL ADVISE's door.
+func (t *Table) advise(maxSlowdownPct float64, q exec.Query) ([]Recommendation, error) {
 	// Only indexable predicates can ever be served by a CM (Ne plans as
 	// a table scan), so advising on them would recommend designs whose
 	// estimated probes can never run.

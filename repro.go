@@ -482,6 +482,19 @@ type Set struct {
 	Val Value
 }
 
+// setClauses resolves UpdateCtx's assignments against the schema.
+func (t *Table) setClauses(sets []Set) ([]exec.SetClause, error) {
+	out := make([]exec.SetClause, len(sets))
+	for i, s := range sets {
+		ci, err := t.colIndex(s.Col)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = exec.SetClause{Col: ci, Val: s.Val.v}
+	}
+	return out, nil
+}
+
 // UpdateCtx replaces the named columns of every row of the named table
 // matching the predicates and returns how many rows changed — the native
 // form of SQL's UPDATE. It compiles through the plan layer (EXPLAIN-able,
@@ -495,11 +508,15 @@ type Set struct {
 // unchanged. A nil ctx never cancels; the configured statement timeout
 // applies either way.
 func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...Pred) (int64, error) {
-	t, err := db.lookup(table)
+	t, spec, err := db.resolve(QuerySpec{Table: table, Preds: preds})
 	if err != nil {
 		return 0, err
 	}
-	n, _, err := t.writeStmt(ctx, false, sets, [][]Pred{preds}, runPlain)
+	esets, err := t.setClauses(sets)
+	if err != nil {
+		return 0, err
+	}
+	n, _, err := t.writeStmt(ctx, false, spec, esets, runPlain)
 	return n, err
 }
 
@@ -512,11 +529,11 @@ func (db *DB) UpdateCtx(ctx context.Context, table string, sets []Set, preds ...
 // A nil ctx never cancels; the configured statement timeout applies
 // either way.
 func (db *DB) DeleteCtx(ctx context.Context, table string, preds ...Pred) (int64, error) {
-	t, err := db.lookup(table)
+	t, spec, err := db.resolve(QuerySpec{Table: table, Preds: preds})
 	if err != nil {
 		return 0, err
 	}
-	n, _, err := t.writeStmt(ctx, true, nil, [][]Pred{preds}, runPlain)
+	n, _, err := t.writeStmt(ctx, true, spec, nil, runPlain)
 	return n, err
 }
 
@@ -553,9 +570,14 @@ func (t *Table) CreateIndex(name string, cols ...string) error {
 		}
 		idxCols[i] = ci
 	}
+	return t.createIndex(name, idxCols)
+}
+
+// createIndex is CreateIndex over resolved columns, SQL's door.
+func (t *Table) createIndex(name string, cols []int) error {
 	t.inner.LockWrite()
 	defer t.inner.UnlockWrite()
-	_, err := t.inner.CreateIndex(name, idxCols)
+	_, err := t.inner.CreateIndex(name, cols)
 	return err
 }
 
@@ -576,15 +598,26 @@ type CMColumn struct {
 // CreateCM builds a correlation map over the given columns (Algorithm 1:
 // one clustered scan recording co-occurrences).
 func (t *Table) CreateCM(name string, cols ...CMColumn) error {
-	if len(cols) == 0 {
-		return fmt.Errorf("repro: CM %q needs at least one column", name)
-	}
-	spec := core.Spec{Name: name}
-	for _, c := range cols {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
 		ci, err := t.colIndex(c.Name)
 		if err != nil {
 			return err
 		}
+		idx[i] = ci
+	}
+	return t.createCM(name, cols, idx)
+}
+
+// createCM is CreateCM over resolved columns (idx[i] is cols[i]'s index),
+// SQL's door.
+func (t *Table) createCM(name string, cols []CMColumn, idx []int) error {
+	if len(cols) == 0 {
+		return fmt.Errorf("repro: CM %q needs at least one column", name)
+	}
+	spec := core.Spec{Name: name}
+	for i, c := range cols {
+		ci := idx[i]
 		spec.UCols = append(spec.UCols, ci)
 		kind := t.inner.Schema().Cols[ci].Kind
 		var b core.Bucketer

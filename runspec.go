@@ -11,15 +11,17 @@ import (
 	"repro/internal/value"
 )
 
-// This file lowers QuerySpecs onto the physical plan layer — the one
-// lowering every query surface shares. DB.SelectSpec (and its sugar
-// SelectProject, SelectProjectVia and SelectAggregateCtx), every SQL
-// SELECT (DB.Exec, a script through DB.ExecScriptStreamCtx) and EXPLAIN
-// [ANALYZE] all resolve names here and compile through internal/plan's
-// Build → Optimize → Run pipeline, so a statement cannot behave
-// differently between surfaces (or explained vs executed): projection, LIMIT, OR, aggregation, HAVING and ORDER BY are
-// lowered exactly once, and EXPLAIN prints the operator tree Run
-// executes.
+// This file is where every statement meets the physical plan layer.
+// Each surface resolves names once, into internal/plan's Spec: the SQL
+// binder (internal/sql) resolves a SELECT, UPDATE or DELETE itself, and
+// planSpec resolves the Go API's QuerySpec — for DB.SelectSpec and its
+// sugar (SelectProject, SelectProjectVia, SelectAggregateCtx),
+// ExplainSpec, ExplainAnalyzeSpec, UpdateCtx, DeleteCtx and Advise.
+// readStmt and writeStmt then compile every statement through
+// internal/plan's Build → Optimize → Run pipeline, so a statement cannot
+// behave differently between surfaces (or explained vs executed):
+// projection, LIMIT, OR, aggregation, HAVING and ORDER BY are lowered
+// exactly once, and EXPLAIN prints the operator tree Run executes.
 
 // AggFunc identifies an aggregate function of a QuerySpec.
 type AggFunc int
@@ -136,18 +138,14 @@ const (
 )
 
 // readStmt is the one prologue of every read statement — SelectSpec and
-// its sugar, SQL SELECT, EXPLAIN and EXPLAIN ANALYZE: lower the spec, apply the
-// statement timeout, refuse a context that is already dead, take the
-// table latch shared, capture the MVCC snapshot under it, attach the
-// scan observer, compile, then run as mode says, time the statement and
-// classify its outcome. The latch is held from compile through run, so
+// its sugar, SQL SELECT, EXPLAIN and EXPLAIN ANALYZE — over a resolved
+// spec: apply the statement timeout, refuse a context that is already
+// dead, take the table latch shared, capture the MVCC snapshot under it,
+// attach the scan observer, compile, then run as mode says, time the
+// statement and classify its outcome. The latch is held from compile through run, so
 // the tree sweeps the pages its planner resolved. The PlanInfo is built
 // for the explaining modes only.
-func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode stmtMode, out plan.Sink) (PlanInfo, error) {
-	ps, err := t.planSpec(spec)
-	if err != nil {
-		return PlanInfo{}, err
-	}
+func (t *Table) readStmt(ctx context.Context, ps plan.Spec, workers int, mode stmtMode, out plan.Sink) (PlanInfo, error) {
 	ctx, cancel := t.db.stmtCtx(ctx)
 	defer cancel()
 	if err := t.db.ctxDead(ctx); err != nil {
@@ -183,40 +181,23 @@ func (t *Table) readStmt(ctx context.Context, spec QuerySpec, workers int, mode 
 }
 
 // writeStmt is the one prologue of the planned write statements — UPDATE
-// (sets are its assignments) and DELETE (del; no sets), whose WHERE clause
-// arrives in disjunctive normal form, one []Pred conjunction per
-// disjunct: lower names to indices, apply the statement timeout, refuse a
+// (sets are its assignments) and DELETE (del; no sets), whose resolved
+// WHERE clause is spec's disjuncts: apply the statement timeout, refuse a
 // context that is already dead, compile the read side under a shared
 // latch hold — so the WHERE clause reads through whichever access path
 // the cost model prefers — release the latch, then run as mode says
 // under the writer gate (where the tree probes its CMs afresh), time the
 // statement and classify its outcome. It returns the rows written.
-func (t *Table) writeStmt(ctx context.Context, del bool, sets []Set, anyOf [][]Pred, mode stmtMode) (int64, PlanInfo, error) {
-	// The read side carries no snapshot: it runs under the writer gate,
-	// where nothing else mutates the table, and reads the latest state.
-	spec := plan.Spec{Disjuncts: make([]exec.Query, 0, len(anyOf))}
-	for _, preds := range anyOf {
-		q, err := buildQuery(t, preds)
-		if err != nil {
-			return 0, PlanInfo{}, err
-		}
-		spec.Disjuncts = append(spec.Disjuncts, q)
-	}
-	esets := make([]exec.SetClause, len(sets))
-	for i, s := range sets {
-		ci, err := t.colIndex(s.Col)
-		if err != nil {
-			return 0, PlanInfo{}, err
-		}
-		esets[i] = exec.SetClause{Col: ci, Val: s.Val.v}
-	}
+func (t *Table) writeStmt(ctx context.Context, del bool, spec plan.Spec, sets []exec.SetClause, mode stmtMode) (int64, PlanInfo, error) {
 	ctx, cancel := t.db.stmtCtx(ctx)
 	defer cancel()
 	if err := t.db.ctxDead(ctx); err != nil {
 		return 0, PlanInfo{}, err
 	}
+	// The read side carries no snapshot: it runs under the writer gate,
+	// where nothing else mutates the table, and reads the latest state.
 	spec.Ctx, spec.Obs = ctx, t.db.obs()
-	wt, err := t.compileWrite(del, spec, esets)
+	wt, err := t.compileWrite(del, spec, sets)
 	if err != nil {
 		return 0, PlanInfo{}, err
 	}
@@ -322,10 +303,20 @@ func StatementOutcome(err error) string {
 	}
 }
 
-// planSpec resolves a QuerySpec's names against the table schema and
-// lowers it to the plan layer's index-based Spec — the single
-// translation between the public facade vocabulary and the physical
-// plan tree.
+// resolve looks up a QuerySpec's table and resolves the spec against it.
+func (db *DB) resolve(spec QuerySpec) (*Table, plan.Spec, error) {
+	tbl, err := db.lookup(spec.Table)
+	if err != nil {
+		return nil, plan.Spec{}, err
+	}
+	ps, err := tbl.planSpec(spec)
+	return tbl, ps, err
+}
+
+// planSpec resolves a QuerySpec's names against the table schema into
+// the plan layer's index-based Spec — the Go API's binder, as
+// internal/sql's is SQL's. Its Limit reads a negative count as
+// unlimited, like 0; the plan's negative Limit is SQL's LIMIT 0.
 func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
 	if spec.Via < 0 || int(spec.Via) >= len(execMethods) {
 		return plan.Spec{}, fmt.Errorf("repro: unknown access method %v", spec.Via)
@@ -333,7 +324,7 @@ func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
 	if spec.CM != "" && spec.Via != CMScan {
 		return plan.Spec{}, fmt.Errorf("repro: CM %q needs Via CMScan, not %v", spec.CM, spec.Via)
 	}
-	ps := plan.Spec{Limit: spec.Limit, Method: execMethods[spec.Via], CM: spec.CM}
+	ps := plan.Spec{Limit: max(spec.Limit, 0), Method: execMethods[spec.Via], CM: spec.CM}
 
 	// The WHERE clause — Preds AND (AnyOf[0] OR ...) — lowers to
 	// disjunctive normal form: one conjunctive exec.Query per disjunct.
@@ -420,8 +411,12 @@ func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
 	return ps, nil
 }
 
-// aggSpecs resolves and validates facade aggregates against the schema.
+// aggSpecs resolves and validates facade aggregates against the schema;
+// none resolve to nil, as the SQL binder's do.
 func (t *Table) aggSpecs(aggs []Agg) ([]exec.AggSpec, error) {
+	if len(aggs) == 0 {
+		return nil, nil
+	}
 	sch := t.inner.Schema()
 	out := make([]exec.AggSpec, len(aggs))
 	for i, a := range aggs {
@@ -463,11 +458,11 @@ func (t *Table) aggSpecs(aggs []Agg) ([]exec.AggSpec, error) {
 // the access node (scan, union or cm-agg), then filter, project, agg,
 // having, sort and limit as applicable — without running it.
 func (db *DB) ExplainSpec(spec QuerySpec) (PlanInfo, error) {
-	tbl, err := db.lookup(spec.Table)
+	tbl, ps, err := db.resolve(spec)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	return tbl.readStmt(nil, spec, 0, explainOnly, plan.Sink{})
+	return tbl.readStmt(nil, ps, 0, explainOnly, plan.Sink{})
 }
 
 // execMethods is the one translation between the facade's AccessMethod
@@ -549,16 +544,16 @@ func attachActuals(pi *PlanInfo, an *plan.Analysis) {
 // identical to SelectSpec; its physical work still counts into the
 // engine-wide query.* metrics.
 func (db *DB) ExplainAnalyzeSpec(spec QuerySpec) (PlanInfo, error) {
-	tbl, err := db.lookup(spec.Table)
+	tbl, ps, err := db.resolve(spec)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	return tbl.analyzeSpec(nil, spec)
+	return tbl.analyze(nil, ps)
 }
 
-// analyzeSpec compiles and executes the spec under a shared latch
+// analyze compiles and executes a resolved spec under a shared latch
 // hold, measuring per-node actuals. ctx (plus the statement timeout)
 // bounds the run like SelectSpec.
-func (t *Table) analyzeSpec(ctx context.Context, spec QuerySpec) (PlanInfo, error) {
-	return t.readStmt(ctx, spec, t.db.workers, runAnalyzed, plan.Sink{Row: func(value.Row) bool { return true }})
+func (t *Table) analyze(ctx context.Context, ps plan.Spec) (PlanInfo, error) {
+	return t.readStmt(ctx, ps, t.db.workers, runAnalyzed, plan.Sink{Row: func(value.Row) bool { return true }})
 }

@@ -6,23 +6,27 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/plan"
 	sqlfe "repro/internal/sql"
 	"repro/internal/value"
 )
 
 // This file is the top of the SQL front-end: ExecScriptStreamCtx
-// (stream.go) parses a script with internal/sql, binds each statement
-// against the live catalog and lowers it onto the native facade: SELECT
-// and EXPLAIN [ANALYZE] onto the QuerySpec lowering SelectSpec and
-// ExplainSpec share (runspec.go), UPDATE and DELETE onto the writer
-// statement UpdateCtx and DeleteCtx run, INSERT onto Insert's, and DDL,
-// ADVISE, SHOW SOFT FDS and COMMIT onto CreateTable, CreateIndex,
-// CreateCM, Advise, DiscoverFDs and Commit. Every SQL statement
-// therefore has exactly the semantics of the equivalent native call —
-// the equivalence tests in sql_test.go assert this statement form by
-// statement form. Scripts run statements in order, each measured alone;
-// ExecScriptCtx is that loop with a sink that collects the rows, and
-// Exec runs one statement.
+// (stream.go) parses a script with internal/sql and binds each statement
+// against the live catalog, which resolves its names once. A SELECT,
+// UPDATE or DELETE binds straight into the plan layer's Spec: SELECT and
+// EXPLAIN [ANALYZE] hand it to the read statement SelectSpec and
+// ExplainSpec run (runspec.go readStmt), UPDATE and DELETE to the writer
+// statement UpdateCtx and DeleteCtx run (writeStmt). INSERT runs
+// Insert's statement, and DDL, ADVISE, SHOW SOFT FDS and COMMIT run
+// what CreateTable, CreateIndex, CreateCM, Advise, DiscoverFDs and
+// Commit do past their name resolution. Every SQL statement therefore
+// has exactly the semantics of the equivalent native call — the
+// equivalence tests in sql_test.go assert this statement form by
+// statement form, and TestSQLLowersLikeQuerySpec that both binders
+// resolve a statement alike. Scripts run statements in order, each
+// measured alone; ExecScriptCtx is that loop with a sink that collects
+// the rows, and Exec runs one statement.
 
 // Result is the outcome of one SQL statement. Row-producing statements
 // (SELECT, EXPLAIN, ADVISE, SHOW) fill Columns and Rows; mutating
@@ -130,129 +134,6 @@ func (db *DB) ExecScriptCtx(ctx context.Context, script string) ([]ScriptResult,
 	return out, err
 }
 
-// specFromBound lowers a bound SELECT onto the facade QuerySpec — the
-// single lowering shared by execution (PreparedSelect.run) and EXPLAIN,
-// so the two cannot drift. Aggregate results come back in canonical
-// (GroupBy..., Aggs...) shape; run restores the SELECT-list order.
-func specFromBound(b *sqlfe.BoundSelect) QuerySpec {
-	spec := QuerySpec{Table: b.Table}
-	switch len(b.Where) {
-	case 0:
-	case 1:
-		spec.Preds = predsFromBound(b.Where[0])
-	default:
-		spec.AnyOf = make([][]Pred, len(b.Where))
-		for i, conj := range b.Where {
-			spec.AnyOf[i] = predsFromBound(conj)
-		}
-	}
-	if b.IsAggregate() {
-		for _, a := range b.Aggs {
-			spec.Aggs = append(spec.Aggs, Agg{Func: aggFuncFrom(a.Fn), Col: starToEmpty(a)})
-		}
-		spec.GroupBy = b.GroupBy
-		spec.Having = havingFromBound(b.Having)
-	} else {
-		// The SELECT list pushes down into the scan: rows come back
-		// already projected, and the executor decodes only the
-		// referenced columns of each surviving tuple.
-		spec.Cols = b.Cols
-	}
-	for _, o := range b.OrderBy {
-		spec.OrderBy = append(spec.OrderBy, Order{Col: o.Name, Desc: o.Desc})
-	}
-	if b.Limit > 0 {
-		spec.Limit = b.Limit
-	}
-	return spec
-}
-
-// starToEmpty maps a COUNT(*) aggregate to the facade's empty-column
-// form.
-func starToEmpty(a sqlfe.BoundAgg) string {
-	if a.ColIdx < 0 {
-		return ""
-	}
-	return a.Col
-}
-
-// aggFuncFrom maps the front-end aggregate enum onto the facade's.
-func aggFuncFrom(fn sqlfe.AggFn) AggFunc {
-	switch fn {
-	case sqlfe.AggSum:
-		return Sum
-	case sqlfe.AggAvg:
-		return Avg
-	case sqlfe.AggMin:
-		return Min
-	case sqlfe.AggMax:
-		return Max
-	default:
-		return Count
-	}
-}
-
-// predsFromBound lowers one bound conjunction to facade predicates.
-func predsFromBound(conds []sqlfe.BoundCond) []Pred {
-	out := make([]Pred, len(conds))
-	for i, c := range conds {
-		out[i] = predFromBound(c.Col, c.Op, c.Vals)
-	}
-	return out
-}
-
-// havingFromBound lowers bound HAVING conjuncts onto facade predicates
-// whose column names address the aggregate output (a GROUP BY column or
-// a canonical aggregate name); planSpec resolves them to output
-// positions.
-func havingFromBound(conds []sqlfe.BoundHaving) []Pred {
-	out := make([]Pred, len(conds))
-	for i, c := range conds {
-		out[i] = predFromBound(c.Name, c.Op, c.Vals)
-	}
-	return out
-}
-
-// predFromBound is the one lowering of a bound condition — a WHERE
-// conjunct or a HAVING conjunct — onto a facade predicate over name.
-func predFromBound(name string, op sqlfe.CondOp, vals []value.Value) Pred {
-	vs := make([]Value, len(vals))
-	for k, v := range vals {
-		vs[k] = Value{v}
-	}
-	switch op {
-	case sqlfe.CondEq:
-		return Eq(name, vs[0])
-	case sqlfe.CondNe:
-		return Ne(name, vs[0])
-	case sqlfe.CondLt:
-		return Lt(name, vs[0])
-	case sqlfe.CondLe:
-		return Le(name, vs[0])
-	case sqlfe.CondGt:
-		return Gt(name, vs[0])
-	case sqlfe.CondGe:
-		return Ge(name, vs[0])
-	case sqlfe.CondBetween:
-		return Between(name, vs[0], vs[1])
-	default:
-		return In(name, vs...)
-	}
-}
-
-// conjFromBound extracts the single conjunction of a bound WHERE, for
-// ADVISE, which cannot consume a disjunction.
-func conjFromBound(b *sqlfe.BoundSelect) ([]Pred, error) {
-	switch len(b.Where) {
-	case 0:
-		return nil, nil
-	case 1:
-		return predsFromBound(b.Where[0]), nil
-	default:
-		return nil, fmt.Errorf("sql: a conjunctive WHERE is required here (no OR)")
-	}
-}
-
 // sqlTable resolves a statement's target table.
 func (db *DB) sqlTable(name string) (*Table, error) {
 	t := db.Table(name)
@@ -272,7 +153,7 @@ func (db *DB) execStmt(ctx context.Context, stmt sqlfe.Stmt) (*Result, error) {
 	case *sqlfe.DeleteStmt:
 		return db.execDelete(ctx, cat, s)
 	case *sqlfe.UpdateStmt:
-		return db.execUpdate(ctx, cat, s)
+		return db.execUpdate(ctx, cat, s, runPlain)
 	case *sqlfe.CreateTableStmt:
 		return db.execCreateTable(cat, s)
 	case *sqlfe.CreateIndexStmt:
@@ -351,52 +232,44 @@ func (db *DB) execDelete(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.Delete
 	if err != nil {
 		return nil, err
 	}
-	n, _, err := tbl.writeStmt(ctx, true, nil, [][]Pred{predsFromBound(b.Where)}, runPlain)
+	n, _, err := tbl.writeStmt(ctx, true, b.Spec, nil, runPlain)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Affected: int(n), Message: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
-// execUpdate lowers a bound UPDATE onto the same compiled update path
+// execUpdate runs a bound UPDATE through the compiled update path
 // DB.UpdateCtx uses, carrying the full WHERE disjunction through so
 // UPDATE ... WHERE a OR b plans its access per disjunct like a SELECT.
-func (db *DB) execUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.UpdateStmt) (*Result, error) {
-	tbl, sets, anyOf, err := db.boundUpdateParts(cat, s)
-	if err != nil {
-		return nil, err
-	}
-	n, _, err := tbl.writeStmt(ctx, false, sets, anyOf, runPlain)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: int(n), Message: fmt.Sprintf("UPDATE %d", n)}, nil
-}
-
-// boundUpdateParts binds an UPDATE and lowers it to the facade's
-// sets + WHERE disjunction — shared by execUpdate and EXPLAIN
-// [ANALYZE] UPDATE, so the explained plan is the executed one.
-func (db *DB) boundUpdateParts(cat sqlfe.Catalog, s *sqlfe.UpdateStmt) (*Table, []Set, [][]Pred, error) {
+// EXPLAIN UPDATE (explainOnly) only compiles it; EXPLAIN ANALYZE UPDATE
+// (runAnalyzed) executes it — the rows really change, and Affected
+// reports how many.
+func (db *DB) execUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.UpdateStmt, mode stmtMode) (*Result, error) {
 	b, err := sqlfe.BindUpdate(cat, s)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	tbl, err := db.sqlTable(b.Table)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	sets := make([]Set, len(b.Sets))
-	for i, bs := range b.Sets {
-		sets[i] = Set{Col: bs.Col, Val: Value{bs.Val}}
+	if mode == explainOnly {
+		ctx = nil
 	}
-	anyOf := make([][]Pred, 0, len(b.Where))
-	for _, conj := range b.Where {
-		anyOf = append(anyOf, predsFromBound(conj))
+	n, info, err := tbl.writeStmt(ctx, false, b.Spec, b.Sets, mode)
+	if err != nil {
+		return nil, err
 	}
-	if len(anyOf) == 0 {
-		anyOf = [][]Pred{nil} // no WHERE: update every row
+	switch mode {
+	case explainOnly:
+		return explainResult(&info), nil
+	case runAnalyzed:
+		res := analyzeResult(&info)
+		res.Affected = int(n)
+		return res, nil
 	}
-	return tbl, sets, anyOf, nil
+	return &Result{Affected: int(n), Message: fmt.Sprintf("UPDATE %d", n)}, nil
 }
 
 func (db *DB) execCreateTable(cat sqlfe.Catalog, s *sqlfe.CreateTableStmt) (*Result, error) {
@@ -431,21 +304,23 @@ func kindFromInternal(k value.Kind) Kind {
 }
 
 func (db *DB) execCreateIndex(cat sqlfe.Catalog, s *sqlfe.CreateIndexStmt) (*Result, error) {
-	if err := sqlfe.BindCreateIndex(cat, s); err != nil {
+	idx, err := sqlfe.BindCreateIndex(cat, s)
+	if err != nil {
 		return nil, err
 	}
 	tbl, err := db.sqlTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if err := tbl.CreateIndex(s.Name, s.Cols...); err != nil {
+	if err := tbl.createIndex(s.Name, idx); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("CREATE INDEX %s", s.Name)}, nil
 }
 
 func (db *DB) execCreateCM(cat sqlfe.Catalog, s *sqlfe.CreateCMStmt) (*Result, error) {
-	if err := sqlfe.BindCreateCM(cat, s); err != nil {
+	idx, err := sqlfe.BindCreateCM(cat, s)
+	if err != nil {
 		return nil, err
 	}
 	tbl, err := db.sqlTable(s.Table)
@@ -456,56 +331,38 @@ func (db *DB) execCreateCM(cat sqlfe.Catalog, s *sqlfe.CreateCMStmt) (*Result, e
 	for i, c := range s.Cols {
 		cols[i] = CMColumn{Name: c.Name, Level: c.Level, Width: c.Width, Prefix: c.Prefix}
 	}
-	if err := tbl.CreateCM(s.Name, cols...); err != nil {
+	if err := tbl.createCM(s.Name, cols, idx); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("CREATE CORRELATION MAP %s", s.Name)}, nil
 }
 
+// execExplain handles EXPLAIN [ANALYZE]: the bound statement's plan,
+// compiled only, or executed with its actuals measured.
 func (db *DB) execExplain(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.ExplainStmt) (*Result, error) {
+	mode := explainOnly
+	if s.Analyze {
+		mode = runAnalyzed
+	}
 	if s.Upd != nil {
-		return db.execExplainUpdate(ctx, cat, s)
+		return db.execUpdate(ctx, cat, s.Upd, mode)
 	}
 	b, err := sqlfe.BindSelect(cat, s.Sel)
 	if err != nil {
 		return nil, err
 	}
+	tbl, err := db.sqlTable(b.Table)
+	if err != nil {
+		return nil, err
+	}
 	if s.Analyze {
-		tbl, err := db.sqlTable(b.Table)
-		if err != nil {
-			return nil, err
-		}
-		info, err := tbl.analyzeSpec(ctx, specFromBound(b))
+		info, err := tbl.analyze(ctx, b.Spec)
 		if err != nil {
 			return nil, err
 		}
 		return analyzeResult(&info), nil
 	}
-	info, err := db.ExplainSpec(specFromBound(b))
-	if err != nil {
-		return nil, err
-	}
-	return explainResult(&info), nil
-}
-
-// execExplainUpdate handles EXPLAIN [ANALYZE] UPDATE. Plain EXPLAIN
-// only compiles the update; EXPLAIN ANALYZE executes it — the rows
-// really change, and Affected reports how many.
-func (db *DB) execExplainUpdate(ctx context.Context, cat sqlfe.Catalog, s *sqlfe.ExplainStmt) (*Result, error) {
-	tbl, sets, anyOf, err := db.boundUpdateParts(cat, s.Upd)
-	if err != nil {
-		return nil, err
-	}
-	if s.Analyze {
-		n, info, err := tbl.writeStmt(ctx, false, sets, anyOf, runAnalyzed)
-		if err != nil {
-			return nil, err
-		}
-		res := analyzeResult(&info)
-		res.Affected = int(n)
-		return res, nil
-	}
-	_, info, err := tbl.writeStmt(nil, false, sets, anyOf, explainOnly)
+	info, err := tbl.readStmt(nil, b.Spec, 0, explainOnly, plan.Sink{})
 	if err != nil {
 		return nil, err
 	}
@@ -605,11 +462,10 @@ func (db *DB) execAdvise(cat sqlfe.Catalog, s *sqlfe.AdviseStmt) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	preds, err := conjFromBound(b)
-	if err != nil {
-		return nil, err
+	if len(b.Spec.Disjuncts) != 1 {
+		return nil, fmt.Errorf("sql: a conjunctive WHERE is required here (no OR)")
 	}
-	recs, err := tbl.Advise(s.MaxSlowdownPct, preds...)
+	recs, err := tbl.advise(s.MaxSlowdownPct, b.Spec.Disjuncts[0])
 	if err != nil {
 		return nil, err
 	}

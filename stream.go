@@ -14,8 +14,9 @@ import (
 // This file holds the two things every SQL SELECT shares and the entry
 // points built on them. PreparedSelect is the one bound-SELECT object:
 // Exec and a script both execute a SELECT through its run method, so
-// lowering, LIMIT 0, the table lookup and the SELECT-list permutation
-// exist once. ExecScriptStreamCtx is the one script executor:
+// the table lookup and the SELECT-list permutation exist once (the
+// binder has already resolved the rest, LIMIT 0 included, into the
+// plan's Spec). ExecScriptStreamCtx is the one script executor:
 // statements in order, each measured alone, result rows delivered
 // through callbacks as the executor produces them — the server's
 // responder encodes them straight onto the wire in both modes, and
@@ -211,9 +212,10 @@ func (db *DB) streamStmt(ctx context.Context, stmt sqlfe.Stmt, i int, rs RowStre
 	return ScriptResult{Res: res, Rows: out.n}
 }
 
-// PreparedSelect is one parsed-and-bound plain SELECT, and the one way
-// a SQL SELECT runs: every entry point — Exec and a script — binds to
-// one and calls run.
+// PreparedSelect is one parsed-and-bound SELECT — its plan.Spec, header
+// and SELECT-list permutation, resolved once by the binder — and the one
+// way a SQL SELECT runs: every entry point — Exec and a script — binds
+// to one and calls run.
 type PreparedSelect struct {
 	db    *DB
 	bound *sqlfe.BoundSelect
@@ -252,38 +254,34 @@ func (db *DB) PrepareSelect(line string) *PreparedSelect {
 
 // run executes the SELECT under ctx with the configured scan fan-out
 // and hands its result rows, in SELECT-list order, to out (a consumer
-// that stops stops the scan). The one lowering (specFromBound) covers
-// every SELECT form — projection pushdown, aggregates, ORDER BY, OR;
-// LIMIT flows into QuerySpec.Limit and stops plain scans early. A plain
-// SELECT's rows reach an encoding consumer straight from the heap
-// tuples (plan.Sink.JSON).
+// that stops stops the scan). The bound spec covers every SELECT form —
+// projection pushdown, aggregates, ORDER BY, OR, LIMIT. A plain SELECT's
+// rows reach an encoding consumer straight from the heap tuples
+// (plan.Sink.JSON).
 func (p *PreparedSelect) run(ctx context.Context, out *rowOut) error {
 	b := p.bound
-	if b.Limit == 0 { // LIMIT 0: nothing to run
-		return nil
-	}
 	tbl := p.db.Table(b.Table)
 	if tbl == nil {
 		return fmt.Errorf("repro: no table %q", b.Table)
 	}
-	sink := plan.Sink{Row: func(r value.Row) bool {
-		if b.IsAggregate() {
-			// Aggregate rows arrive in canonical (GroupBy..., Aggs...)
-			// shape; OutPerm restores the SELECT-list order. Hidden ORDER BY
-			// aggregates sit past every OutPerm index and drop out here.
-			// (Plain selects are already projected in list order.)
-			pr := make(value.Row, len(b.OutPerm))
+	sink := plan.Sink{Row: out.put}
+	if b.Spec.IsAggregate() {
+		// Aggregate rows arrive in canonical (GroupBy..., Aggs...) shape;
+		// OutPerm restores the SELECT-list order. Hidden HAVING and ORDER
+		// BY aggregates sit past every OutPerm index and drop out here.
+		// (Plain selects are already projected in list order.)
+		pr := make(value.Row, len(b.OutPerm)) // out.put copies what it keeps
+		sink.Row = func(r value.Row) bool {
 			for j, at := range b.OutPerm {
 				pr[j] = r[at]
 			}
-			r = pr
+			return out.put(pr)
 		}
-		return out.put(r)
-	}}
+	}
 	if out.rs.RowJSON != nil {
 		sink.JSON = out.putJSON
 	}
-	_, err := tbl.readStmt(ctx, specFromBound(b), p.db.workers, runPlain, sink)
+	_, err := tbl.readStmt(ctx, b.Spec, p.db.workers, runPlain, sink)
 	return err
 }
 
