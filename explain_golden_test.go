@@ -107,7 +107,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&out, "== %s\n", upd)
-	explained, _ := sqlPlans(t, db, "EXPLAIN "+upd, &out)
+	explained := sqlPlan(t, db, "EXPLAIN "+upd, &out)
 	_, info, err := tbl.writeStmt(context.Background(), false, ps, sets, explainOnly)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Errorf("EXPLAIN UPDATE: SQL plan\n%s\nGo plan\n%s", explained, got)
 	}
 	out.WriteString(explained)
-	_, analyzed := sqlPlans(t, db, "EXPLAIN ANALYZE "+upd, &out)
+	analyzed := sqlPlan(t, db, "EXPLAIN ANALYZE "+upd, &out)
 	out.WriteString(analyzed + "-- Go (the same UPDATE again)\n" + writePlan(t, db, tbl, ps, sets, false))
 
 	del, err := tbl.planSpec(QuerySpec{Table: "items", Preds: []Pred{Eq("qty", IntVal(8))}})
@@ -208,40 +208,31 @@ func specPlans(t *testing.T, db *DB, spec QuerySpec) (explained, analyzed string
 	return dumpPlan(&info), dumpPlan(&an)
 }
 
-// sqlPlans runs EXPLAIN and EXPLAIN ANALYZE of q (or q itself when it
-// already is an EXPLAIN), the analyzed run from a cold cache, printing
-// each result table into out; it returns the plans the results carry.
+// sqlPlans runs EXPLAIN and EXPLAIN ANALYZE of q through SQL, printing
+// both result tables into out, and returns the plans the results carry.
 func sqlPlans(t *testing.T, db *DB, q string, out *strings.Builder) (explained, analyzed string) {
 	t.Helper()
-	stmts := []string{"EXPLAIN " + q, "EXPLAIN ANALYZE " + q}
-	if strings.HasPrefix(q, "EXPLAIN ") {
-		stmts = []string{q}
+	return sqlPlan(t, db, "EXPLAIN "+q, out), sqlPlan(t, db, "EXPLAIN ANALYZE "+q, out)
+}
+
+// sqlPlan runs one EXPLAIN statement — an EXPLAIN ANALYZE from a cold
+// cache — printing its result table into out, and returns the plan the
+// result carries.
+func sqlPlan(t *testing.T, db *DB, stmt string, out *strings.Builder) string {
+	t.Helper()
+	label := "EXPLAIN"
+	if strings.HasPrefix(stmt, "EXPLAIN ANALYZE ") {
+		label = "EXPLAIN ANALYZE"
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var plans []string
-	for _, s := range stmts {
-		if strings.HasPrefix(s, "EXPLAIN ANALYZE ") {
-			if err := db.ColdCache(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := db.Exec(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		label := "EXPLAIN"
-		if res.Plan.Analyzed != nil {
-			label = "EXPLAIN ANALYZE"
-		}
-		fmt.Fprintf(out, "-- %s\n%s", label, dumpResult(res))
-		plans = append(plans, dumpPlan(res.Plan))
+	res, err := db.Exec(stmt)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
 	}
-	if len(plans) == 1 {
-		if strings.HasPrefix(q, "EXPLAIN ANALYZE ") {
-			return "", plans[0]
-		}
-		return plans[0], ""
-	}
-	return plans[0], plans[1]
+	fmt.Fprintf(out, "-- %s\n%s", label, dumpResult(res))
+	return dumpPlan(res.Plan)
 }
 
 // writePlan runs a resolved UPDATE (sets) or DELETE (del) analyzed from

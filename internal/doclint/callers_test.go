@@ -188,25 +188,11 @@ func (r *repoImporter) Import(path string) (*types.Package, error) {
 // counts as referenced when its type implements an interface holding
 // it: a call through the interface reaches it.
 func unreferencedExports(root string, allow map[string]string) (lonely, stale []string, err error) {
-	pkgs, err := goPackages(root)
+	imp, pkgs, err := checkRepo(root)
 	if err != nil {
 		return nil, nil, err
 	}
-	fset := token.NewFileSet()
-	imp := &repoImporter{
-		fset:    fset,
-		pkgs:    map[string]goPackage{},
-		checked: map[string]*typedPackage{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
-	for _, p := range pkgs {
-		imp.pkgs[p.path] = p
-	}
-	for _, p := range pkgs {
-		if _, err := imp.Import(p.path); err != nil {
-			return nil, nil, fmt.Errorf("type-check %s: %w", p.path, err)
-		}
-	}
+	fset := imp.fset
 
 	type candidate struct {
 		key  string
@@ -281,6 +267,39 @@ func unreferencedExports(root string, allow map[string]string) (lonely, stale []
 	sort.Strings(lonely)
 	sort.Strings(stale)
 	return lonely, stale, nil
+}
+
+// checkedRepos memoizes checkRepo by root, so the lints of one test run
+// share one type-check of the repository.
+var checkedRepos = map[string]*repoImporter{}
+
+// checkRepo type-checks every non-test package under root and returns
+// the importer holding them, with the packages goPackages found.
+func checkRepo(root string) (*repoImporter, []goPackage, error) {
+	pkgs, err := goPackages(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	if imp, ok := checkedRepos[root]; ok {
+		return imp, pkgs, nil
+	}
+	fset := token.NewFileSet()
+	imp := &repoImporter{
+		fset:    fset,
+		pkgs:    map[string]goPackage{},
+		checked: map[string]*typedPackage{},
+		std:     importer.ForCompiler(fset, "source", nil),
+	}
+	for _, p := range pkgs {
+		imp.pkgs[p.path] = p
+	}
+	for _, p := range pkgs {
+		if _, err := imp.Import(p.path); err != nil {
+			return nil, nil, fmt.Errorf("type-check %s: %w", p.path, err)
+		}
+	}
+	checkedRepos[root] = imp
+	return imp, pkgs, nil
 }
 
 // receiverName is the name of a method's receiver type, without the

@@ -3,8 +3,10 @@
 // of both modules (the engine's and bench/'s): a revive-style doc-comment
 // lint — every exported top-level symbol must carry a doc comment — a
 // type-checked lint that every exported function and method under
-// internal/ has a caller outside test files, and a check that every test
-// CI names by -run still exists.
+// internal/ has a caller outside test files, a check that every test
+// CI names by -run still exists, and a check that every backticked Go
+// reference, repository path and ROADMAP item citation in the documents
+// a reader is sent to resolves.
 package doclint
 
 import (

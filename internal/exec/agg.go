@@ -59,7 +59,7 @@ func (k AggKind) String() string {
 	case AggMax:
 		return "max"
 	default:
-		return fmt.Sprintf("agg(%d)", int(k))
+		return fmt.Sprintf("aggfunc(%d)", int(k))
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // choose compiles the one-conjunction query under Auto and returns the
 // tree with its access-path summary.
-func choose(t *testing.T, tbl *table.Table, q exec.Query, sp exec.StatsProvider) (*plan.Tree, plan.Info) {
+func choose(t *testing.T, tbl *table.Table, q exec.Query, sp exec.StatsProvider) (*plan.Tree, plan.PlanInfo) {
 	t.Helper()
 	tr, err := plan.Compile(tbl, plan.Spec{Disjuncts: []exec.Query{q}}, sp)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestPlannerPrefersIndexAtPaperScale(t *testing.T) {
 	if p.Method == exec.MethodTableScan {
 		t.Errorf("plan = %v, expected an index-based method at paper scale", p.Method)
 	}
-	if p.Cost <= 0 {
+	if p.EstimatedCost <= 0 {
 		t.Error("plan cost not positive")
 	}
 }
@@ -142,22 +142,22 @@ func TestPlannerClusteredCrossover(t *testing.T) {
 	for _, c := range cases {
 		_, p := choose(t, tbl, c.q, sp)
 		if p.Method != c.want {
-			t.Errorf("%s: planned %v (cost %v, scan %v), want %v", c.name, p.Method, p.Cost, scan, c.want)
+			t.Errorf("%s: planned %v (cost %v, scan %v), want %v", c.name, p.Method, p.EstimatedCost, scan, c.want)
 			continue
 		}
 		if c.want == exec.MethodClustered {
 			if p.Uses != tbl.Name()+".clustered" {
 				t.Errorf("%s: clustered plan reads %q, not the clustered index", c.name, p.Uses)
 			}
-			if p.Cost <= 0 || p.Cost >= scan {
-				t.Errorf("%s: clustered cost %v not in (0, scan %v)", c.name, p.Cost, scan)
+			if p.EstimatedCost <= 0 || p.EstimatedCost >= scan {
+				t.Errorf("%s: clustered cost %v not in (0, scan %v)", c.name, p.EstimatedCost, scan)
 			}
 		}
 		switch c.name {
 		case "point":
-			pointCost = p.Cost
+			pointCost = p.EstimatedCost
 		case "narrow range":
-			rangeCost = p.Cost
+			rangeCost = p.EstimatedCost
 		}
 	}
 	// A range is charged for the buckets it spans, not as one lookup.

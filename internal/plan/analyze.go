@@ -53,49 +53,50 @@ func (st *analysisState) addAccessTime(start time.Time) {
 	}
 }
 
-// NodeActuals is one operator's measured execution, paired by position
-// with the Info.Nodes entry of the same tree.
+// NodeActuals is one operator's measured execution from an analyzed
+// run — the live counterpart of the cost model's estimates (the paper's
+// Figure 6 estimated-vs-measured comparison, per node).
 type NodeActuals struct {
-	// Rows is the node's output cardinality (for the update node: rows
-	// written).
+	// Rows is the node's output cardinality (rows written, for the
+	// update and delete nodes).
 	Rows int64
 	// TuplesIn is the node's input cardinality where it differs from
 	// Rows: tuples examined for access/filter nodes, rows folded for
 	// agg, rows sorted for sort. Zero for pure pass-through nodes.
 	TuplesIn int64
-	// HeapPages counts heap page visits (access nodes only).
+	// HeapPages counts the query's own heap page visits (access nodes;
+	// exact, from the executors' per-chunk tallies).
 	HeapPages int64
-	// DiskReads is the sim.Disk page-read delta during the run,
-	// attributed to the access node (engine-wide; exact when the query
-	// runs alone).
-	DiskReads uint64
-	// BufferHits is the buffer-pool hit delta during the run
-	// (attributed like DiskReads).
+	// DiskReads and BufferHits are engine-wide deltas captured around
+	// the run and attributed to the access node — exact when the
+	// statement runs alone, approximate under concurrent load.
+	DiskReads  uint64
 	BufferHits uint64
 	// Elapsed is the node's phase wall time. Streaming plans fuse
-	// filter/project/agg into the access sweep, so their shared phase
+	// filter/project/agg into the access sweep, so the shared phase
 	// reports on the access node and fused nodes show zero.
 	Elapsed time.Duration
 	// FalsePositivePages counts, on a cm-scan node, the heap pages the
-	// sweep visited on which no tuple survived the re-filter (HeapPages
-	// is all it swept). Zero on every other node.
+	// scan visited on which no tuple survived the re-filter: pages the
+	// correlation map pointed at for nothing (HeapPages is the pages it
+	// swept in all). Zero on every other node.
 	FalsePositivePages int64
-	// Chunks says whether the access node's page sweep fanned out: 0
-	// when it ran inline on the caller's goroutine, otherwise the number
-	// of chunks its page set was cut into for the worker pool.
+	// Chunks says whether the access node's page sweep fanned out over
+	// the worker pool: 0 when it ran inline on the calling goroutine (one
+	// worker, or a page set with neither enough pages to split nor a
+	// cache miss to overlap), otherwise the number of chunks the page set
+	// was cut into.
 	Chunks int64
 }
 
-// Analysis is an analyzed run's full measurement: per-node actuals
-// aligned with Explain().Nodes plus run-wide totals.
-type Analysis struct {
-	// Nodes holds one NodeActuals per Explain().Nodes entry, same order.
-	Nodes []NodeActuals
-	// TotalRows is the number of rows delivered to the sink.
-	TotalRows int64
-	// Elapsed is the whole run's wall time.
+// RunActuals summarizes an analyzed run: result cardinality, wall
+// time and the physical-work totals behind the per-node actuals.
+type RunActuals struct {
+	// Rows is the number of rows delivered (written, for a write), and
+	// Elapsed the whole run's wall time.
+	Rows    int64
 	Elapsed time.Duration
-	// DiskReads and BufferHits/BufferMisses are engine-wide deltas
+	// DiskReads, BufferHits and BufferMisses are engine-wide deltas
 	// captured around the run (see NodeActuals.DiskReads).
 	DiskReads    uint64
 	BufferHits   uint64
@@ -107,27 +108,31 @@ type Analysis struct {
 }
 
 // RunAnalyzed executes the optimized tree like Run while measuring
-// per-operator actuals, streaming result rows to sink and returning
-// the measurements. The run itself is the real one — side effects,
-// locking discipline and results are identical to Run.
-func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (*Analysis, error) {
+// per-operator actuals, streaming result rows to sink and returning the
+// plan with the measurements attached. The run itself is the real one —
+// side effects, locking discipline and results are identical to Run.
+func (tr *Tree) RunAnalyzed(workers int, sink RowSink) (PlanInfo, error) {
 	if !tr.optimized {
-		return nil, fmt.Errorf("plan: RunAnalyzed before Optimize")
+		return PlanInfo{}, fmt.Errorf("plan: RunAnalyzed before Optimize")
 	}
-	return tr.measure(func(st *analysisState) error {
+	st, run, err := tr.measure(func(st *analysisState) error {
 		return tr.Run(workers, Sink{Row: func(row value.Row) bool {
 			st.outRows++
 			return sink(row)
 		}})
 	})
+	if err != nil {
+		return PlanInfo{}, err
+	}
+	return tr.analyzed(st, run), nil
 }
 
 // measure is the one measured run under a SELECT's and a write
-// statement's RunAnalyzed: it activates the analysis hooks, captures the
-// engine-wide disk and pool deltas around run — which leaves the
-// statement's row count in st.outRows — and distributes the measurements
-// over the tree's operator chain.
-func (tr *Tree) measure(run func(st *analysisState) error) (*Analysis, error) {
+// statement's RunAnalyzed: it activates the analysis hooks and captures
+// the engine-wide disk and pool deltas around run — which leaves the
+// statement's row count in st.outRows — returning the hooks' state and
+// the run's summary.
+func (tr *Tree) measure(run func(st *analysisState) error) (*analysisState, *RunActuals, error) {
 	st := &analysisState{}
 	tr.an = st
 	defer func() { tr.an = nil }()
@@ -140,50 +145,46 @@ func (tr *Tree) measure(run func(st *analysisState) error) (*Analysis, error) {
 	elapsed := time.Since(start)
 	d1, p1 := disk.Stats(), pool.Stats()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Fold the private scan observations into the engine-wide counters
 	// so analyzed queries still show up in SHOW METRICS totals.
 	tr.spec.Obs.AddFrom(&st.obs)
 
-	an := &Analysis{
-		TotalRows:      st.outRows,
+	return st, &RunActuals{
+		Rows:           st.outRows,
 		Elapsed:        elapsed,
 		DiskReads:      d1.Reads - d0.Reads,
 		BufferHits:     p1.Hits - p0.Hits,
 		BufferMisses:   p1.Misses - p0.Misses,
 		TuplesExamined: st.obs.Tuples.Load(),
 		HeapPages:      st.obs.Pages.Load(),
-	}
-	an.Nodes = tr.nodeActuals(st, an)
-	return an, nil
+	}, nil
 }
 
-// nodeActuals distributes the run's measurements over the operator
-// chain, one entry per Explain().Nodes row (bottom-up order).
-func (tr *Tree) nodeActuals(st *analysisState, an *Analysis) []NodeActuals {
-	var out []NodeActuals
-	// Walk bottom-up like Explain: collect the chain, then reverse.
-	var chain []*Node
-	for n := tr.chain(); n != nil; n = n.Child {
-		chain = append(chain, n)
+// analyzed describes the tree with a measured run's actuals on each
+// node and its summary in Analyzed.
+func (tr *Tree) analyzed(st *analysisState, run *RunActuals) PlanInfo {
+	info := tr.Explain()
+	acts := make([]NodeActuals, len(info.Nodes))
+	for i := range info.Nodes {
+		acts[i] = tr.actualsFor(info.Nodes[i].Kind, st, run)
+		info.Nodes[i].Actual = &acts[i]
 	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, tr.actualsFor(chain[i].Kind, st, an))
-	}
-	return out
+	info.Analyzed = run
+	return info
 }
 
 // actualsFor computes one node kind's measured row. The row counts
-// thread through the chain the way rows flowed at run time: access
+// thread through the nodes the way rows flowed at run time: access
 // emits accessRows (or groups for cm-agg), the fused filter reports
 // the scan's tuple examinations, aggregation reports folded rows in
 // and groups out, HAVING/sort/limit report their survivors.
-func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals {
+func (tr *Tree) actualsFor(kind string, st *analysisState, run *RunActuals) NodeActuals {
 	tuples := st.obs.Tuples.Load()
 	scanRows := st.obs.Rows.Load()
-	switch k {
-	case KindScan, KindUnion:
+	switch kind {
+	case kindScan, kindUnion:
 		rows := st.accessRows
 		if tr.spec.IsAggregate() {
 			// The fold consumes scan survivors without emitting rows
@@ -194,45 +195,41 @@ func (tr *Tree) actualsFor(k Kind, st *analysisState, an *Analysis) NodeActuals 
 			Rows:       rows,
 			TuplesIn:   tuples,
 			HeapPages:  st.obs.Pages.Load(),
-			DiskReads:  an.DiskReads,
-			BufferHits: an.BufferHits,
+			DiskReads:  run.DiskReads,
+			BufferHits: run.BufferHits,
 			Elapsed:    st.accessTime,
 			Chunks:     st.obs.Chunks.Load(),
 		}
-		if l := tr.soleLeg(); k == KindScan && l != nil && l.method == exec.MethodCM {
+		if l := tr.soleLeg(); kind == kindScan && l != nil && l.method == exec.MethodCM {
 			na.FalsePositivePages = st.obs.EmptyPages.Load()
 		}
 		return na
-	case KindCMAgg:
+	case kindCMAgg:
 		// Index-only answers show zero physical work here; a hybrid
 		// sweep's pages/tuples come from the impure-bucket leg.
 		return NodeActuals{
 			Rows:       st.groups,
 			TuplesIn:   tuples,
 			HeapPages:  st.obs.Pages.Load(),
-			DiskReads:  an.DiskReads,
-			BufferHits: an.BufferHits,
+			DiskReads:  run.DiskReads,
+			BufferHits: run.BufferHits,
 			Elapsed:    st.accessTime,
 		}
-	case KindFilter:
+	case kindFilter:
 		return NodeActuals{Rows: scanRows, TuplesIn: tuples}
-	case KindProject:
+	case kindProject:
 		rows := st.accessRows
 		if tr.spec.IsAggregate() {
 			rows = scanRows
 		}
 		return NodeActuals{Rows: rows}
-	case KindGroupAgg:
+	case kindGroupAgg:
 		return NodeActuals{Rows: st.groups, TuplesIn: scanRows}
-	case KindHaving:
+	case kindHaving:
 		return NodeActuals{Rows: st.havingOut, TuplesIn: st.groups}
-	case KindSort:
+	case kindSort:
 		return NodeActuals{Rows: st.sortOut, TuplesIn: st.sortIn, Elapsed: st.sortTime}
-	case KindLimit:
+	default: // kindLimit
 		return NodeActuals{Rows: st.outRows}
-	case KindUpdate:
-		return NodeActuals{Rows: st.outRows}
-	default:
-		return NodeActuals{}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Optimize finalizes the tree: it chooses the access path
-// (chooseAccess). The operator node chain EXPLAIN prints is built from
-// that choice the first time something asks for it (chain). Optimize
+// (chooseAccess). The operator nodes EXPLAIN prints are described from
+// that choice only when something asks for them (Explain). Optimize
 // must run under the same shared table latch hold as Run.
 func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 	if err := tr.chooseAccess(sp); err != nil {
@@ -19,18 +19,6 @@ func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 	}
 	tr.optimized = true
 	return nil
-}
-
-// chain returns the top of the operator node chain, building it — and
-// the decoded-column count EXPLAIN reports beside it — on first use:
-// only EXPLAIN, EXPLAIN ANALYZE and a write tree read them, so a plain
-// run never renders a detail string.
-func (tr *Tree) chain() *Node {
-	if tr.root == nil {
-		tr.decodedCols = tr.computeDecodedCols()
-		tr.buildNodes()
-	}
-	return tr.root
 }
 
 // pricing is what one Optimize call prices paths with: the statistics
@@ -220,12 +208,12 @@ func (tr *Tree) chooseCMAgg(pr pricing) {
 	}
 }
 
-// computeDecodedCols mirrors what execution materializes per surviving
+// decodedCols mirrors what execution materializes per surviving
 // tuple: the projection (plus predicated and order columns) for plain
 // selects, the aggregated + grouped + predicated columns for heap
 // aggregation, and the hybrid sweep's column set (zero when fully
 // index-only) for cm-agg.
-func (tr *Tree) computeDecodedCols() int {
+func (tr *Tree) decodedCols() int {
 	spec := tr.spec
 	ncols := len(tr.t.Schema().Cols)
 	if tr.cmagg != nil {
@@ -253,13 +241,12 @@ func (tr *Tree) computeDecodedCols() int {
 	return len(oq.MaterializeCols(ncols))
 }
 
-// buildNodes materializes the operator chain from the physical
-// decisions, bottom-up: access (scan | union | cm-agg), filter,
-// project, agg, having, sort, limit — each present only when it does
-// work.
-func (tr *Tree) buildNodes() {
+// nodes describes the operator nodes from the physical decisions,
+// bottom-up: access (scan | union | cm-agg), filter, project, agg,
+// having, sort, limit — each present only when it does work.
+func (tr *Tree) nodes() []PlanNode {
 	spec := tr.spec
-	var chain []*Node
+	var nodes []PlanNode
 
 	hasPreds := false
 	for _, q := range spec.Disjuncts {
@@ -268,16 +255,16 @@ func (tr *Tree) buildNodes() {
 		}
 	}
 
-	access := &Node{Kind: KindScan, Cost: tr.cost}
+	access := PlanNode{Kind: kindScan, EstCost: tr.cost}
 	parts := make([]string, len(tr.legs))
 	for i, l := range tr.legs {
 		parts[i] = fmt.Sprintf("%s(%s)", l.method, tr.uses(l))
 	}
 	switch {
 	case tr.cmagg != nil:
-		access.Kind, access.Detail = KindCMAgg, tr.cmagg.Describe()
+		access.Kind, access.Detail = kindCMAgg, tr.cmagg.Describe()
 	case len(tr.legs) > 1:
-		access.Kind, access.Detail = KindUnion, fmt.Sprintf(
+		access.Kind, access.Detail = kindUnion, fmt.Sprintf(
 			"%d disjuncts, rid-dedup union: %s", len(tr.legs), strings.Join(parts, " + "))
 	case len(tr.legs) == 1:
 		access.Detail = parts[0]
@@ -286,14 +273,14 @@ func (tr *Tree) buildNodes() {
 	default:
 		access.Detail = exec.MethodTableScan.String()
 	}
-	chain = append(chain, access)
+	nodes = append(nodes, access)
 
 	if tr.cmagg == nil {
 		if hasPreds {
-			chain = append(chain, &Node{Kind: KindFilter, Detail: tr.filterDetail()})
+			nodes = append(nodes, PlanNode{Kind: kindFilter, Detail: tr.filterDetail()})
 		}
 		if !spec.IsAggregate() && len(spec.Proj) > 0 && !tr.identityProj(spec.Proj) {
-			chain = append(chain, &Node{Kind: KindProject, Detail: strings.Join(tr.colNames(spec.Proj), ", ")})
+			nodes = append(nodes, PlanNode{Kind: kindProject, Detail: strings.Join(tr.colNames(spec.Proj), ", ")})
 		}
 		if spec.IsAggregate() {
 			detail := strings.Join(tr.aggNames(), ", ")
@@ -304,7 +291,7 @@ func (tr *Tree) buildNodes() {
 					detail = withAggs + " " + detail
 				}
 			}
-			chain = append(chain, &Node{Kind: KindGroupAgg, Detail: detail})
+			nodes = append(nodes, PlanNode{Kind: kindGroupAgg, Detail: detail})
 		}
 	}
 	if len(spec.Having) > 0 {
@@ -312,7 +299,7 @@ func (tr *Tree) buildNodes() {
 		for i := range spec.Having {
 			parts[i] = tr.havingDetail(spec.Having[i])
 		}
-		chain = append(chain, &Node{Kind: KindHaving, Detail: strings.Join(parts, " and ")})
+		nodes = append(nodes, PlanNode{Kind: kindHaving, Detail: strings.Join(parts, " and ")})
 	}
 	if len(spec.OrderBy) > 0 {
 		parts := make([]string, len(spec.OrderBy))
@@ -333,18 +320,12 @@ func (tr *Tree) buildNodes() {
 		if spec.Limit != 0 {
 			mode = fmt.Sprintf("top-%d heap", max(spec.Limit, 0))
 		}
-		chain = append(chain, &Node{Kind: KindSort, Detail: strings.Join(parts, ", ") + " (" + mode + ")"})
+		nodes = append(nodes, PlanNode{Kind: kindSort, Detail: strings.Join(parts, ", ") + " (" + mode + ")"})
 	}
 	if spec.Limit != 0 {
-		chain = append(chain, &Node{Kind: KindLimit, Detail: fmt.Sprintf("first %d rows", max(spec.Limit, 0))})
+		nodes = append(nodes, PlanNode{Kind: kindLimit, Detail: fmt.Sprintf("first %d rows", max(spec.Limit, 0))})
 	}
-
-	// Link top-down: root is the topmost operator, Child points toward
-	// the access leaf.
-	for i := len(chain) - 1; i > 0; i-- {
-		chain[i].Child = chain[i-1]
-	}
-	tr.root = chain[len(chain)-1]
+	return nodes
 }
 
 // identityProj reports a projection that selects every column in schema

@@ -27,7 +27,14 @@
 // gate before sweeping. The facade's query surfaces (SelectSpec and its
 // sugar, Exec, the one script executor and EXPLAIN) all lower through
 // this package, so a statement cannot behave differently between
-// surfaces, and EXPLAIN prints exactly the operator chain Run executes.
+// surfaces, and EXPLAIN prints exactly the operator nodes Run executes.
+//
+// There is one plan description: PlanInfo, its PlanNode list bottom-up,
+// and the NodeActuals and RunActuals an analyzed run fills into it in
+// place. Explain builds it from the physical decisions only when asked,
+// so a plain run — a write statement's included — renders no detail
+// string. The facade's PlanInfo, PlanNode, NodeActuals and RunActuals
+// are aliases of these types, not copies.
 //
 // The operator vocabulary: scan | union (access), filter (predicate
 // evaluation — fused into the access path's compiled tuple filter at
@@ -35,7 +42,7 @@
 // fold), cm-agg (index-only aggregation from CM bucket statistics, with
 // an embedded hybrid sweep of impure buckets), having (post-aggregate
 // filter), sort (full sort or bounded top-K heap), limit, and the write
-// nodes update | delete on top of a write statement's read chain. New
+// nodes update | delete on top of a write statement's read nodes. New
 // operators are node insertions here, not new lowering branches.
 package plan
 
@@ -108,87 +115,42 @@ type Spec struct {
 // IsAggregate reports whether the spec computes aggregates or groups.
 func (s Spec) IsAggregate() bool { return len(s.Aggs) > 0 || len(s.GroupBy) > 0 }
 
-// Kind identifies an operator node of a plan tree.
-type Kind int
-
-// The operator kinds, bottom-up through a typical tree.
+// The operator kinds a PlanNode names, bottom-up through a typical tree.
 const (
-	// KindScan is a single-path access node (table scan, index scan or
+	// kindScan is a single-path access node (table scan, index scan or
 	// CM scan; the detail names the method and structure).
-	KindScan Kind = iota
-	// KindUnion is the OR access node: per-disjunct probes whose RIDs
+	kindScan = "scan"
+	// kindUnion is the OR access node: per-disjunct probes whose RIDs
 	// union into one deduplicated page sweep.
-	KindUnion
-	// KindCMAgg answers aggregates from CM per-entry bucket statistics,
+	kindUnion = "union"
+	// kindCMAgg answers aggregates from CM per-entry bucket statistics,
 	// sweeping only impure buckets (the hybrid leg is embedded).
-	KindCMAgg
-	// KindFilter evaluates the WHERE predicates. At run time it is fused
+	kindCMAgg = "cm-agg"
+	// kindFilter evaluates the WHERE predicates. At run time it is fused
 	// into the access node's compiled tuple filter, so rejected tuples
 	// are never materialized.
-	KindFilter
-	// KindProject narrows rows to the projected columns; pushed into the
+	kindFilter = "filter"
+	// kindProject narrows rows to the projected columns; pushed into the
 	// scan, which decodes only projected + predicated columns.
-	KindProject
-	// KindGroupAgg is the streaming grouped aggregation fold.
-	KindGroupAgg
-	// KindHaving filters aggregate output rows.
-	KindHaving
-	// KindSort orders result rows (bounded top-K under a limit).
-	KindSort
-	// KindLimit caps the result row count.
-	KindLimit
-	// KindUpdate is the write operator of an UPDATE statement: it
-	// consumes the matching rows from the access chain below it and
+	kindProject = "project"
+	// kindGroupAgg is the streaming grouped aggregation fold.
+	kindGroupAgg = "agg"
+	// kindHaving filters aggregate output rows.
+	kindHaving = "having"
+	// kindSort orders result rows (bounded top-K under a limit).
+	kindSort = "sort"
+	// kindLimit caps the result row count.
+	kindLimit = "limit"
+	// kindUpdate is the write operator of an UPDATE statement: it
+	// consumes the matching rows from the access nodes below it and
 	// replaces each under one MVCC writer statement (Algorithm-1
 	// retraction + reinsert per row).
-	KindUpdate
-	// KindDelete is the write operator of a DELETE statement: it
-	// consumes the matching RIDs from the access chain below it and ends
+	kindUpdate = "update"
+	// kindDelete is the write operator of a DELETE statement: it
+	// consumes the matching RIDs from the access nodes below it and ends
 	// each row version under one MVCC writer statement.
-	KindDelete
+	kindDelete = "delete"
 )
-
-// String names the kind as EXPLAIN prints it.
-func (k Kind) String() string {
-	switch k {
-	case KindScan:
-		return "scan"
-	case KindUnion:
-		return "union"
-	case KindCMAgg:
-		return "cm-agg"
-	case KindFilter:
-		return "filter"
-	case KindProject:
-		return "project"
-	case KindGroupAgg:
-		return "agg"
-	case KindHaving:
-		return "having"
-	case KindSort:
-		return "sort"
-	case KindLimit:
-		return "limit"
-	case KindUpdate:
-		return "update"
-	case KindDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Node is one operator of a compiled plan tree. Nodes form a chain from
-// the access operator up (Child points one level down, nil at the
-// leaf). Multi-leg access shapes stay one node: a union node's Detail
-// names every disjunct probe, and a hybrid cm-agg node's Detail names
-// its sweep leg — exactly what EXPLAIN prints.
-type Node struct {
-	Kind   Kind
-	Detail string
-	Cost   time.Duration // access and cm-agg nodes; zero elsewhere
-	Child  *Node
-}
 
 // leg is one disjunct's access path: the method, the index or CM it
 // reads and its predicted cost (zero under a forced method, which is not
@@ -213,10 +175,11 @@ func (tr *Tree) uses(l leg) string {
 	return l.index.Name
 }
 
-// Tree is a compiled query: the operator chain plus the physical
-// decisions Run executes. Build constructs it, Optimize finalizes it,
-// and Run/Rows execute it; all three must happen under one shared table
-// latch hold so the plan sees a consistent table state.
+// Tree is a compiled query: the physical decisions Run executes, from
+// which Explain describes the operator nodes. Build constructs it,
+// Optimize finalizes it, and Run/Rows execute it; all three must happen
+// under one shared table latch hold so the plan sees a consistent table
+// state.
 type Tree struct {
 	t    *table.Table
 	spec Spec
@@ -229,10 +192,6 @@ type Tree struct {
 	// cost is the chosen path's predicted cost; zero when the method was
 	// forced.
 	cost time.Duration
-	// root tops the operator chain and decodedCols counts the columns a
-	// surviving tuple materializes; both are EXPLAIN's, built by chain.
-	root        *Node
-	decodedCols int
 
 	// an is the live analysis state of a RunAnalyzed call; nil for
 	// plain runs, so the hooks in the run functions cost one branch.
@@ -281,45 +240,62 @@ func Compile(t *table.Table, spec Spec, sp exec.StatsProvider) (*Tree, error) {
 	return tr, nil
 }
 
-// NodeInfo is one operator row of an explained plan.
-type NodeInfo struct {
-	Kind   string
-	Detail string
-	// Cost is the node's predicted cost (access and cm-agg nodes; zero
-	// elsewhere). EXPLAIN ANALYZE prints it beside the measured work.
-	Cost time.Duration
-}
-
-// Info summarizes a compiled tree for EXPLAIN: the flattened operator
-// chain bottom-up plus the access-path fields the facade's PlanInfo
-// surfaces.
-type Info struct {
-	// Nodes is the operator chain bottom-up, one entry per node.
-	Nodes []NodeInfo
-	// Method and Uses name the access path of a single-path plan: the
-	// method and the index or CM it reads (a table scan, and the OR
-	// fallback, read none). A union and a cm-agg plan are no single
-	// path — Method is exec.MethodAuto and Nodes[0] is authoritative —
-	// and cm-agg puts its CM in Uses.
-	Method exec.Method
-	Uses   string
-	// Cost is the cost model's prediction; zero under a forced method,
-	// whose cost is not computed.
-	Cost time.Duration
+// PlanInfo describes a compiled plan — what EXPLAIN prints, and with
+// an analyzed run's measurements attached, what EXPLAIN ANALYZE prints.
+// Method, Uses and EstimatedCost summarize the access path (for an OR
+// union plan or a cm-agg plan, Method is exec.MethodAuto and Nodes[0] is
+// authoritative; a cm-agg plan puts the CM name in Uses); Nodes lists
+// the full operator tree.
+type PlanInfo struct {
+	Method        exec.Method
+	EstimatedCost time.Duration // zero under a forced method, which is not priced
+	Uses          string        // name of the index or CM used, if any
 	// DecodedCols counts the columns the executor materializes per
-	// surviving tuple; TotalCols is the schema arity.
+	// surviving row under the requested projection (predicated columns
+	// included); TotalCols is the schema arity. DecodedCols < TotalCols
+	// means projection pushdown engaged, and 0 means the plan is
+	// index-only (a pure cm-agg answer never touches the heap).
 	DecodedCols int
 	TotalCols   int
+	// Nodes is the operator tree bottom-up; see PlanNode.
+	Nodes []PlanNode
+	// Analyzed summarizes the measured run after RunAnalyzed (the
+	// facade's ExplainAnalyzeSpec, or SQL's EXPLAIN ANALYZE); nil after
+	// a plain Explain.
+	Analyzed *RunActuals
 }
 
-// Explain flattens the optimized tree into an Info.
-func (tr *Tree) Explain() Info {
-	root := tr.chain()
-	info := Info{
-		Method:      exec.MethodTableScan,
-		Cost:        tr.cost,
-		DecodedCols: tr.decodedCols,
-		TotalCols:   len(tr.t.Schema().Cols),
+// PlanNode is one operator of an explained plan, bottom-up: an access
+// node first ("scan", "union" or "cm-agg"), then "filter", "project",
+// "agg", "having", "sort", "limit", and "update" or "delete" on a write
+// statement, as the query uses them. Detail is a human-readable summary
+// (the method and structure for access nodes, the expressions
+// elsewhere). The nodes are exactly what execution runs: filter and
+// project are fused into the access path's compiled tuple filter and
+// projection pushdown at run time. A multi-leg access shape stays one
+// node: a union's Detail names every disjunct probe, and a hybrid
+// cm-agg's names its sweep leg.
+type PlanNode struct {
+	Kind   string
+	Detail string
+	// EstCost is the cost model's prediction for the node (access and
+	// cm-agg nodes; zero elsewhere and for forced methods).
+	EstCost time.Duration
+	// Actual holds the node's measured execution after an analyzed run;
+	// nil after a plain Explain.
+	Actual *NodeActuals
+}
+
+// Explain describes the optimized tree: its access path and its operator
+// nodes, built from the physical decisions each time it is asked, so a
+// plain run never renders a detail string.
+func (tr *Tree) Explain() PlanInfo {
+	info := PlanInfo{
+		Method:        exec.MethodTableScan,
+		EstimatedCost: tr.cost,
+		DecodedCols:   tr.decodedCols(),
+		TotalCols:     len(tr.t.Schema().Cols),
+		Nodes:         tr.nodes(),
 	}
 	switch l := tr.soleLeg(); {
 	case tr.cmagg != nil:
@@ -328,10 +304,6 @@ func (tr *Tree) Explain() Info {
 		info.Method, info.Uses = l.method, tr.uses(*l)
 	case len(tr.legs) > 1:
 		info.Method = exec.MethodAuto
-	}
-	for n := root; n != nil; n = n.Child {
-		// The chain is rooted at the top operator; collect bottom-up.
-		info.Nodes = append([]NodeInfo{{Kind: n.Kind.String(), Detail: n.Detail, Cost: n.Cost}}, info.Nodes...)
 	}
 	return info
 }

@@ -210,7 +210,7 @@ func TestWriteTreeShapes(t *testing.T) {
 	tbl := fixture(t)
 	sp := exec.NewExactStats()
 	where := Spec{Disjuncts: []exec.Query{exec.NewQuery(exec.Between(0, value.NewInt(10), value.NewInt(19)))}}
-	nodeKinds := func(info Info) string {
+	nodeKinds := func(info PlanInfo) string {
 		out := make([]string, len(info.Nodes))
 		for i, n := range info.Nodes {
 			out[i] = n.Kind

@@ -13,11 +13,9 @@ import (
 // side goes through the same Build → Optimize pipeline as a select, so
 // UPDATE/DELETE ... WHERE pick their access path (clustered index,
 // secondary index, CM or table scan) with the Section 4 cost model and
-// EXPLAIN shows exactly the chain Run executes.
+// EXPLAIN shows exactly the nodes Run executes — described only when
+// Explain or RunAnalyzed asks, so a plain run renders no detail string.
 type WriteTree struct {
-	// Root is the operator chain: the write node above the read plan.
-	Root *Node
-
 	inner *Tree
 	sets  []exec.SetClause // the UPDATE's assignments; nil for DELETE
 }
@@ -30,12 +28,7 @@ func CompileUpdate(t *table.Table, spec Spec, sets []exec.SetClause, sp exec.Sta
 	if err := exec.CheckSets(t.Schema(), sets); err != nil {
 		return nil, err
 	}
-	sch := t.Schema()
-	parts := make([]string, len(sets))
-	for i, s := range sets {
-		parts[i] = fmt.Sprintf("%s = %v", sch.Cols[s.Col].Name, s.Val)
-	}
-	return compileWrite(t, spec, sp, &Node{Kind: KindUpdate, Detail: "set " + strings.Join(parts, ", ")}, sets)
+	return compileWrite(t, spec, sp, sets)
 }
 
 // CompileDelete builds and optimizes a DELETE. The spec is the read
@@ -43,13 +36,16 @@ func CompileUpdate(t *table.Table, spec Spec, sets []exec.SetClause, sp exec.Sta
 // nothing beyond the predicated columns, since only RIDs reach the
 // write phase.
 func CompileDelete(t *table.Table, spec Spec, sp exec.StatsProvider) (*WriteTree, error) {
-	return compileWrite(t, spec, sp, &Node{Kind: KindDelete}, nil)
+	return compileWrite(t, spec, sp, nil)
 }
 
-// compileWrite validates the read-side spec, compiles it and hangs the
-// write node on top.
-func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, sets []exec.SetClause) (*WriteTree, error) {
-	stmt := strings.ToUpper(root.Kind.String())
+// compileWrite validates the read-side spec of an UPDATE (sets) or a
+// DELETE (nil sets) and compiles it.
+func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, sets []exec.SetClause) (*WriteTree, error) {
+	stmt := "UPDATE"
+	if sets == nil {
+		stmt = "DELETE"
+	}
 	if spec.IsAggregate() || len(spec.Having) > 0 {
 		return nil, fmt.Errorf("plan: %s cannot aggregate", stmt)
 	}
@@ -66,8 +62,7 @@ func compileWrite(t *table.Table, spec Spec, sp exec.StatsProvider, root *Node, 
 	if err != nil {
 		return nil, err
 	}
-	root.Child = inner.chain()
-	return &WriteTree{Root: root, inner: inner, sets: sets}, nil
+	return &WriteTree{inner: inner, sets: sets}, nil
 }
 
 // Run executes the statement with the given scan fan-out and returns
@@ -105,30 +100,45 @@ func (wt *WriteTree) Run(workers int) (int64, error) {
 }
 
 // RunAnalyzed executes the statement like Run while measuring per-node
-// actuals — it really writes. The read chain's actuals mirror a
+// actuals — it really writes — and returns the rows written and the
+// plan with the measurements attached. The read nodes' actuals mirror a
 // select's; the write node reports rows written and the whole
 // statement's wall time (read, write batches and publish together,
 // since the MVCC writer interleaves them).
-func (wt *WriteTree) RunAnalyzed(workers int) (int64, *Analysis, error) {
+func (wt *WriteTree) RunAnalyzed(workers int) (int64, PlanInfo, error) {
 	var affected, read int64
-	an, err := wt.inner.measure(func(st *analysisState) (err error) {
+	st, run, err := wt.inner.measure(func(st *analysisState) (err error) {
 		affected, err = wt.Run(workers)
 		st.outRows, read = affected, st.accessRows
 		return err
 	})
 	if err != nil {
-		return affected, nil, err
+		return affected, PlanInfo{}, err
 	}
-	// The write node sits above the read chain; its phase time is the
-	// whole statement (the writer interleaves reading and writing).
-	an.Nodes = append(an.Nodes, NodeActuals{Rows: affected, TuplesIn: read, Elapsed: an.Elapsed})
-	return affected, an, nil
+	info := wt.inner.analyzed(st, run)
+	info.Nodes = append(info.Nodes, wt.node())
+	info.Nodes[len(info.Nodes)-1].Actual = &NodeActuals{Rows: affected, TuplesIn: read, Elapsed: run.Elapsed}
+	return affected, info, nil
 }
 
-// Explain flattens the write tree for EXPLAIN: the read plan's info
-// with the write node appended at the top of the chain.
-func (wt *WriteTree) Explain() Info {
+// Explain describes the write tree for EXPLAIN: the read plan with the
+// write node on top.
+func (wt *WriteTree) Explain() PlanInfo {
 	info := wt.inner.Explain()
-	info.Nodes = append(info.Nodes, NodeInfo{Kind: wt.Root.Kind.String(), Detail: wt.Root.Detail})
+	info.Nodes = append(info.Nodes, wt.node())
 	return info
+}
+
+// node describes the write node: DELETE's bare, UPDATE's naming its
+// assignments.
+func (wt *WriteTree) node() PlanNode {
+	if wt.sets == nil {
+		return PlanNode{Kind: kindDelete}
+	}
+	sch := wt.inner.t.Schema()
+	parts := make([]string, len(wt.sets))
+	for i, s := range wt.sets {
+		parts[i] = fmt.Sprintf("%s = %v", sch.Cols[s.Col].Name, s.Val)
+	}
+	return PlanNode{Kind: kindUpdate, Detail: "set " + strings.Join(parts, ", ")}
 }

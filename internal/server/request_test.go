@@ -117,13 +117,14 @@ func TestPointProbeRequestAllocs(t *testing.T) {
 // Server.dispatch with a warm pool, each line naming another cat as the
 // benchmark's do: an UPDATE of one cat's price (about 15 rows, each
 // rewritten in its slot) and a one-row INSERT. Every allocation from the
-// request line through Publish to the reply counts. The bounds are about
-// 10 % above what the write path measures now that a statement's names
-// are resolved once and a page's pre-image list starts with room for 16:
-// UPDATE 80.6 allocations / 27.1 kB, INSERT 31.7 / 4.5 kB (86.8 /
-// 30.4 kB and 34.3 / 4.7 kB in a -race build). The UPDATE's byte bounds
-// stay where its 87.2 / 25.9 kB put them before its pages refolded after
-// each statement, which cost it 92.5 / 27.4 kB. While UPDATE re-read and
+// request line through Publish to the reply counts. The allocation
+// bounds are about 10 % above what the write path measures now that a
+// write tree describes its EXPLAIN nodes only when asked: UPDATE 59.6
+// allocations / 26.6 kB, INSERT 31.7 / 4.5 kB (63.6 / 29.7 kB and
+// 34.2 / 4.7 kB in a -race build). The UPDATE read 80.6 / 27.1 kB while
+// every compile rendered its plan text. Its byte bounds stay where its
+// 87.2 / 25.9 kB put them before its pages refolded after each
+// statement, which cost it 92.5 / 27.4 kB. While UPDATE re-read and
 // re-decoded every row, cloned it for its SETs, framed each WAL record in
 // a fresh buffer and kept an undo closure per CM per row, this test
 // measured 279.5 / 41.6 kB and 32.1 / 5.5 kB; a profile of one warm
@@ -139,7 +140,7 @@ func TestWriteRequestAllocs(t *testing.T) {
 		// raceAllocs and raceBytes bound a -race build (raceBuild).
 		raceAllocs, raceBytes float64
 	}{
-		{"in-place UPDATE", "UPDATE items SET price = 77 WHERE cat = %d", 88.7, 28_450, 95.5, 32_100},
+		{"in-place UPDATE", "UPDATE items SET price = 77 WHERE cat = %d", 65.6, 28_450, 70.0, 32_100},
 		{"one-row INSERT", "INSERT INTO items VALUES (%d, 251, 77, 'new')", 34.9, 4_940, 37.7, 5_144},
 	} {
 		if raceBuild {

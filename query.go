@@ -83,49 +83,31 @@ func buildQuery(t *Table, preds []Pred) (exec.Query, error) {
 	return q, nil
 }
 
-// AccessMethod selects a query access path explicitly.
-type AccessMethod int
+// AccessMethod selects a query access path explicitly. It is the
+// engine's own method type, so a plan reports the method it runs in the
+// same values a QuerySpec forces it with.
+type AccessMethod = exec.Method
 
 // The access paths of the paper's comparison, plus the clustered-index
 // scan they all bottom out in.
 const (
 	// Auto lets the correlation-aware cost model choose.
-	Auto AccessMethod = iota
+	Auto = exec.MethodAuto
 	// TableScan forces a full sequential scan.
-	TableScan
+	TableScan = exec.MethodTableScan
 	// SortedIndexScan forces a bitmap-style secondary index scan (RIDs
 	// sorted before the heap sweep).
-	SortedIndexScan
+	SortedIndexScan = exec.MethodSorted
 	// PipelinedIndexScan forces per-tuple index probing.
-	PipelinedIndexScan
+	PipelinedIndexScan = exec.MethodPipelined
 	// CMScan forces the correlation-map path.
-	CMScan
+	CMScan = exec.MethodCM
 	// ClusteredIndexScan forces the clustered-index scan: predicates on
 	// the leading clustering column(s) resolve to clustered buckets and
 	// their heap pages, from memory, and the pages sweep in physical
 	// order.
-	ClusteredIndexScan
+	ClusteredIndexScan = exec.MethodClustered
 )
-
-// String names the method.
-func (m AccessMethod) String() string {
-	switch m {
-	case Auto:
-		return "auto"
-	case TableScan:
-		return "table-scan"
-	case SortedIndexScan:
-		return "sorted-index-scan"
-	case PipelinedIndexScan:
-		return "pipelined-index-scan"
-	case CMScan:
-		return "cm-scan"
-	case ClusteredIndexScan:
-		return "clustered-index-scan"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
 
 // SelectSpec runs one query and streams its result rows to fn — the one
 // native query door. Every QuerySpec form is accepted: a projection
@@ -248,94 +230,22 @@ type QuerySpec struct {
 // isAggregate reports whether the spec computes aggregates or groups.
 func (spec QuerySpec) isAggregate() bool { return len(spec.Aggs) > 0 || len(spec.GroupBy) > 0 }
 
-// PlanNode is one operator of an explained plan, bottom-up: an access
-// node first ("scan", "union" or "cm-agg"), then "filter", "project",
-// "agg", "having", "sort", "limit" and "update" as the query uses
-// them. Detail is a human-readable summary (the method and structure
-// for access nodes, the expressions elsewhere). The chain is exactly
-// what execution runs: filter and project are fused into the access
-// path's compiled tuple filter and projection pushdown at run time.
-type PlanNode struct {
-	Kind   string
-	Detail string
-	// EstCost is the cost model's prediction for the node (access and
-	// cm-agg nodes; zero elsewhere and for forced methods).
-	EstCost time.Duration
-	// Actual holds the node's measured execution after an analyzed run
-	// (ExplainAnalyzeSpec, or SQL's EXPLAIN ANALYZE); nil after a plain
-	// EXPLAIN.
-	Actual *NodeActuals
-}
-
-// NodeActuals is one operator's measured execution from an analyzed
-// run — the live counterpart of the cost model's estimates (the
-// paper's Figure 6 estimated-vs-measured comparison, per node).
-type NodeActuals struct {
-	// Rows is the node's output cardinality (rows written, for the
-	// update node).
-	Rows int64
-	// TuplesIn is the node's input cardinality where it differs from
-	// Rows: tuples examined for access/filter nodes, rows folded for
-	// agg, rows sorted for sort. Zero for pure pass-through nodes.
-	TuplesIn int64
-	// HeapPages counts the query's own heap page visits (access nodes;
-	// exact, from the executors' per-chunk tallies).
-	HeapPages int64
-	// DiskReads and BufferHits are engine-wide deltas captured around
-	// the run and attributed to the access node — exact when the
-	// statement runs alone, approximate under concurrent load.
-	DiskReads  uint64
-	BufferHits uint64
-	// Elapsed is the node's phase wall time. Streaming plans fuse
-	// filter/project/agg into the access sweep, so the shared phase
-	// reports on the access node and fused nodes show zero.
-	Elapsed time.Duration
-	// FalsePositivePages counts, on a cm-scan node, the heap pages the
-	// scan visited on which no tuple survived the re-filter: pages the
-	// correlation map pointed at for nothing (HeapPages is the pages it
-	// swept in all). Zero on every other node.
-	FalsePositivePages int64
-	// Chunks says whether the access node's page sweep fanned out over
-	// the worker pool: 0 when it ran inline on the calling goroutine (one
-	// worker, or a page set with neither enough pages to split nor a
-	// cache miss to overlap), otherwise the number of chunks the page set
-	// was cut into.
-	Chunks int64
-}
-
-// RunActuals summarizes an analyzed run: result cardinality, wall
-// time and the physical-work totals behind the per-node actuals.
-type RunActuals struct {
-	Rows           int64
-	Elapsed        time.Duration
-	DiskReads      uint64
-	BufferHits     uint64
-	BufferMisses   uint64
-	TuplesExamined int64
-	HeapPages      int64
-}
-
-// PlanInfo describes the plan the engine would execute. Method, Uses
-// and EstimatedCost summarize the access path (for an OR union plan or
-// a cm-agg plan, Method is Auto and Nodes[0] is authoritative; a cm-agg
-// plan puts the CM name in Uses); Nodes lists the full operator tree.
-type PlanInfo struct {
-	Method        AccessMethod
-	EstimatedCost time.Duration
-	Uses          string // name of the index or CM used, if any
-	// DecodedCols counts the columns the executor materializes per
-	// surviving row under the requested projection (predicated columns
-	// included); TotalCols is the schema arity. DecodedCols < TotalCols
-	// means projection pushdown engaged, and 0 means the plan is
-	// index-only (a pure cm-agg answer never touches the heap).
-	DecodedCols int
-	TotalCols   int
-	// Nodes is the operator tree bottom-up; see PlanNode.
-	Nodes []PlanNode
-	// Analyzed summarizes the measured run after ExplainAnalyzeSpec or
-	// EXPLAIN ANALYZE; nil after a plain EXPLAIN.
-	Analyzed *RunActuals
-}
+// The plan description EXPLAIN and EXPLAIN ANALYZE return is the plan
+// layer's own: ExplainSpec's PlanInfo lists the operator nodes
+// (PlanNode), ExplainAnalyzeSpec's attaches each node's measured
+// NodeActuals and the run's RunActuals.
+type (
+	// PlanInfo describes the plan the engine would execute: the access
+	// path's method, structure and estimated cost, the decoded column
+	// count and the operator nodes bottom-up.
+	PlanInfo = plan.PlanInfo
+	// PlanNode is one operator of an explained plan.
+	PlanNode = plan.PlanNode
+	// NodeActuals is one operator's measured execution.
+	NodeActuals = plan.NodeActuals
+	// RunActuals summarizes an analyzed run.
+	RunActuals = plan.RunActuals
+)
 
 // Recommendation is one CM design proposed by the advisor.
 type Recommendation struct {

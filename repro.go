@@ -52,26 +52,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Kind identifies a column type.
-type Kind int
+// Kind identifies a column type: the engine's own value kind.
+type Kind = value.Kind
 
 // Column kinds.
 const (
-	Int Kind = iota
-	Float
-	String
+	Int    = value.Int
+	Float  = value.Float
+	String = value.String
 )
-
-func (k Kind) internal() value.Kind {
-	switch k {
-	case Int:
-		return value.Int
-	case Float:
-		return value.Float
-	default:
-		return value.String
-	}
-}
 
 // Value is a dynamically typed scalar.
 type Value struct {
@@ -267,7 +256,10 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 	}
 	cols := make([]table.Column, len(spec.Columns))
 	for i, c := range spec.Columns {
-		cols[i] = table.Column{Name: c.Name, Kind: c.Kind.internal()}
+		if c.Kind > String {
+			return nil, fmt.Errorf("repro: column %q has unknown kind %v", c.Name, c.Kind)
+		}
+		cols[i] = table.Column{Name: c.Name, Kind: c.Kind}
 	}
 	sch := table.NewSchema(cols...)
 	var ccols []int

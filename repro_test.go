@@ -130,6 +130,14 @@ func TestCreateTableValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown clustering column accepted")
 	}
+	_, err := db.CreateTable(TableSpec{
+		Name:        "v",
+		Columns:     []Column{{Name: "a", Kind: Int}, {Name: "b", Kind: Kind(7)}},
+		ClusteredBy: []string{"a"},
+	})
+	if err == nil || err.Error() != `repro: column "b" has unknown kind kind(7)` {
+		t.Errorf("a column of kind 7: err = %v", err)
+	}
 	if db.Table("t") == nil || db.Table("nope") != nil {
 		t.Error("Table lookup wrong")
 	}

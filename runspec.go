@@ -23,43 +23,26 @@ import (
 // projection, LIMIT, OR, aggregation, HAVING and ORDER BY are lowered
 // exactly once, and EXPLAIN prints the operator tree Run executes.
 
-// AggFunc identifies an aggregate function of a QuerySpec.
-type AggFunc int
+// AggFunc identifies an aggregate function of a QuerySpec. It is the
+// executor's own aggregate kind.
+type AggFunc = exec.AggKind
 
 // The aggregate functions.
 const (
 	// Count counts rows; with an empty (or "*") column it is COUNT(*).
 	// The engine has no NULLs, so COUNT(col) always equals COUNT(*).
-	Count AggFunc = iota
+	Count = exec.AggCount
 	// Sum sums a numeric column (int columns sum exactly in int64).
-	Sum
+	Sum = exec.AggSum
 	// Avg averages a numeric column. Partial aggregates carry AVG as
 	// sum + count and divide only at the end, so parallel workers merge
 	// exactly (see the README's partial-aggregate merge contract).
-	Avg
+	Avg = exec.AggAvg
 	// Min tracks the smallest value of a column (any kind).
-	Min
+	Min = exec.AggMin
 	// Max tracks the largest value of a column (any kind).
-	Max
+	Max = exec.AggMax
 )
-
-// String names the function in lowercase SQL form.
-func (f AggFunc) String() string {
-	switch f {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Avg:
-		return "avg"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	default:
-		return fmt.Sprintf("aggfunc(%d)", int(f))
-	}
-}
 
 // Agg is one aggregate expression of a QuerySpec: Func over column Col.
 // Count with an empty (or "*") Col is COUNT(*).
@@ -165,19 +148,16 @@ func (t *Table) readStmt(ctx context.Context, ps plan.Spec, workers int, mode st
 		return PlanInfo{}, err
 	}
 	if mode == explainOnly {
-		return facadePlan(tree.Explain(), nil), nil
+		return tree.Explain(), nil
 	}
-	var an *plan.Analysis
+	var info PlanInfo
 	if mode == runAnalyzed {
-		an, err = tree.RunAnalyzed(workers, out.Row)
+		info, err = tree.RunAnalyzed(workers, out.Row)
 	} else {
 		err = tree.Run(workers, out)
 	}
 	t.db.noteOutcome(err)
-	if err != nil || an == nil {
-		return PlanInfo{}, err
-	}
-	return facadePlan(tree.Explain(), an), nil
+	return info, err
 }
 
 // writeStmt is the one prologue of the planned write statements — UPDATE
@@ -202,21 +182,18 @@ func (t *Table) writeStmt(ctx context.Context, del bool, spec plan.Spec, sets []
 		return 0, PlanInfo{}, err
 	}
 	if mode == explainOnly {
-		return 0, facadePlan(wt.Explain(), nil), nil
+		return 0, wt.Explain(), nil
 	}
 	defer t.db.observeQuery(time.Now())
 	var n int64
-	var an *plan.Analysis
+	var info PlanInfo
 	if mode == runAnalyzed {
-		n, an, err = wt.RunAnalyzed(t.db.workers)
+		n, info, err = wt.RunAnalyzed(t.db.workers)
 	} else {
 		n, err = wt.Run(t.db.workers)
 	}
 	t.db.noteOutcome(err)
-	if err != nil || an == nil {
-		return n, PlanInfo{}, err
-	}
-	return n, facadePlan(wt.Explain(), an), nil
+	return n, info, err
 }
 
 // compileWrite compiles a write statement's tree under a shared latch
@@ -318,13 +295,13 @@ func (db *DB) resolve(spec QuerySpec) (*Table, plan.Spec, error) {
 // internal/sql's is SQL's. Its Limit reads a negative count as
 // unlimited, like 0; the plan's negative Limit is SQL's LIMIT 0.
 func (t *Table) planSpec(spec QuerySpec) (plan.Spec, error) {
-	if spec.Via < 0 || int(spec.Via) >= len(execMethods) {
+	if spec.Via < Auto || spec.Via > ClusteredIndexScan {
 		return plan.Spec{}, fmt.Errorf("repro: unknown access method %v", spec.Via)
 	}
 	if spec.CM != "" && spec.Via != CMScan {
 		return plan.Spec{}, fmt.Errorf("repro: CM %q needs Via CMScan, not %v", spec.CM, spec.Via)
 	}
-	ps := plan.Spec{Limit: max(spec.Limit, 0), Method: execMethods[spec.Via], CM: spec.CM}
+	ps := plan.Spec{Limit: max(spec.Limit, 0), Method: spec.Via, CM: spec.CM}
 
 	// The WHERE clause — Preds AND (AnyOf[0] OR ...) — lowers to
 	// disjunctive normal form: one conjunctive exec.Query per disjunct.
@@ -420,21 +397,10 @@ func (t *Table) aggSpecs(aggs []Agg) ([]exec.AggSpec, error) {
 	sch := t.inner.Schema()
 	out := make([]exec.AggSpec, len(aggs))
 	for i, a := range aggs {
-		spec := exec.AggSpec{Col: -1}
-		switch a.Func {
-		case Count:
-			spec.Kind = exec.AggCount
-		case Sum:
-			spec.Kind = exec.AggSum
-		case Avg:
-			spec.Kind = exec.AggAvg
-		case Min:
-			spec.Kind = exec.AggMin
-		case Max:
-			spec.Kind = exec.AggMax
-		default:
+		if a.Func < Count || a.Func > Max {
 			return nil, fmt.Errorf("repro: unknown aggregate function %v", a.Func)
 		}
+		spec := exec.AggSpec{Kind: a.Func, Col: -1}
 		if a.Col == "" || a.Col == "*" {
 			if a.Func != Count {
 				return nil, fmt.Errorf("repro: %s needs a column (only COUNT takes *)", a.Func)
@@ -463,77 +429,6 @@ func (db *DB) ExplainSpec(spec QuerySpec) (PlanInfo, error) {
 		return PlanInfo{}, err
 	}
 	return tbl.readStmt(nil, ps, 0, explainOnly, plan.Sink{})
-}
-
-// execMethods is the one translation between the facade's AccessMethod
-// and the executor's Method, indexed by the former; accessMethod reads
-// it backwards.
-var execMethods = [...]exec.Method{
-	Auto:               exec.MethodAuto,
-	TableScan:          exec.MethodTableScan,
-	SortedIndexScan:    exec.MethodSorted,
-	PipelinedIndexScan: exec.MethodPipelined,
-	CMScan:             exec.MethodCM,
-	ClusteredIndexScan: exec.MethodClustered,
-}
-
-// accessMethod maps an executor method onto the facade enum.
-func accessMethod(m exec.Method) AccessMethod {
-	for am, em := range execMethods {
-		if em == m {
-			return AccessMethod(am)
-		}
-	}
-	return Auto
-}
-
-// facadePlan converts the plan layer's Info into the facade PlanInfo,
-// attaching an analyzed run's measurements when there are any.
-func facadePlan(info plan.Info, an *plan.Analysis) PlanInfo {
-	pi := PlanInfo{
-		Method:        accessMethod(info.Method),
-		Uses:          info.Uses,
-		EstimatedCost: info.Cost,
-		TotalCols:     info.TotalCols,
-		DecodedCols:   info.DecodedCols,
-	}
-	for _, n := range info.Nodes {
-		pi.Nodes = append(pi.Nodes, PlanNode{Kind: n.Kind, Detail: n.Detail, EstCost: n.Cost})
-	}
-	if an != nil {
-		attachActuals(&pi, an)
-	}
-	return pi
-}
-
-// attachActuals pairs an analyzed run's measurements with the plan's
-// nodes (same bottom-up order) and fills the run summary.
-func attachActuals(pi *PlanInfo, an *plan.Analysis) {
-	for i := range pi.Nodes {
-		if i >= len(an.Nodes) {
-			break
-		}
-		a := an.Nodes[i]
-		pi.Nodes[i].Actual = &NodeActuals{
-			Rows:               a.Rows,
-			TuplesIn:           a.TuplesIn,
-			HeapPages:          a.HeapPages,
-			DiskReads:          a.DiskReads,
-			BufferHits:         a.BufferHits,
-			Elapsed:            a.Elapsed,
-			FalsePositivePages: a.FalsePositivePages,
-			Chunks:             a.Chunks,
-		}
-	}
-	pi.Analyzed = &RunActuals{
-		Rows:           an.TotalRows,
-		Elapsed:        an.Elapsed,
-		DiskReads:      an.DiskReads,
-		BufferHits:     an.BufferHits,
-		BufferMisses:   an.BufferMisses,
-		TuplesExamined: an.TuplesExamined,
-		HeapPages:      an.HeapPages,
-	}
 }
 
 // ExplainAnalyzeSpec executes the spec for real and returns its plan

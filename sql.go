@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/plan"
 	sqlfe "repro/internal/sql"
-	"repro/internal/value"
 )
 
 // This file is the top of the SQL front-end: ExecScriptStreamCtx
@@ -60,16 +59,7 @@ type ScriptResult struct {
 }
 
 // Kind returns the value's dynamic kind.
-func (v Value) Kind() Kind {
-	switch v.v.K {
-	case value.Int:
-		return Int
-	case value.Float:
-		return Float
-	default:
-		return String
-	}
-}
+func (v Value) Kind() Kind { return v.v.K }
 
 // catalogDB adapts DB to the binder's Catalog interface.
 type catalogDB struct{ db *DB }
@@ -283,24 +273,12 @@ func (db *DB) execCreateTable(cat sqlfe.Catalog, s *sqlfe.CreateTableStmt) (*Res
 		BucketTuples: s.BucketTuples,
 	}
 	for _, c := range s.Cols {
-		spec.Columns = append(spec.Columns, Column{Name: c.Name, Kind: kindFromInternal(c.Kind)})
+		spec.Columns = append(spec.Columns, Column{Name: c.Name, Kind: c.Kind})
 	}
 	if _, err := db.CreateTable(spec); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("CREATE TABLE %s", s.Name)}, nil
-}
-
-// kindFromInternal maps a value kind back onto the facade enum.
-func kindFromInternal(k value.Kind) Kind {
-	switch k {
-	case value.Int:
-		return Int
-	case value.Float:
-		return Float
-	default:
-		return String
-	}
 }
 
 func (db *DB) execCreateIndex(cat sqlfe.Catalog, s *sqlfe.CreateIndexStmt) (*Result, error) {
