@@ -138,8 +138,11 @@ func readAt(t *testing.T, inner *table.Table, m AccessMethod, ix *table.Index, q
 			err = exec.SweepTuples(inner, oq, exec.PageList(pages), 1, emit)
 		}
 	case CMScan:
-		var probe exec.Probe
-		if probe, err = exec.ProbeCM(inner, cmOn(inner, 1), q); err == nil {
+		probe, ok, perr := exec.ProbeCM(inner, cmOn(inner, 1), q)
+		if !ok {
+			t.Fatal("the CM does not cover the query")
+		}
+		if err = perr; err == nil {
 			err = exec.SweepTuples(inner, oq, exec.PageList(probe.Pages), 1, emit)
 		}
 	case ClusteredIndexScan:

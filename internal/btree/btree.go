@@ -16,15 +16,20 @@
 //
 // Ascending inserts take a shortcut, after PostgreSQL nbtree's fastpath
 // for monotonically increasing keys: the tree remembers the largest key
-// it was ever given, and a key above it goes after the last entry of
-// every node it passes, so its descent runs no binary search and the
-// leaf no overwrite check. It reads the same pages, in the same order, as
-// a searching descent. When the full rightmost leaf then splits 100/0
-// and its cells already lie packed in slot order, as ascending inserts
-// leave them, its cells stay where they are rather than being copied
-// out and rewritten: the new right leaf, holding just the new entry, is
-// the only page the split writes cells to. Both shortcuts write exactly
-// the bytes the general path writes.
+// it was ever given and the page of its rightmost leaf, and a key above
+// that largest key goes after the leaf's last entry with no descent, no
+// binary search and no overwrite check — one pool access when it fits.
+// When it does not, the insert descends through each node's last child
+// to re-find the leaf and splits it 100/0. A build in key order never
+// returns to the full leaf it leaves, so the split writes the remembered
+// leaf back at once (buffer.Pool.WriteBack): the leaves reach the disk
+// in page order instead of in the order the pool's clock evicts them.
+// When the full leaf's cells already lie packed in slot order, as
+// ascending inserts leave them, they stay where they are rather than
+// being copied out and rewritten: the new right leaf, holding just the
+// new entry, is the only page the split writes cells to. Any other
+// insert, and every Delete, forgets the remembered leaf. The shortcuts
+// write exactly the bytes the general path writes.
 package btree
 
 import (
@@ -69,6 +74,9 @@ type Tree struct {
 	// tree: a key above it goes after the last entry of every node on its
 	// way down (see Insert).
 	top []byte
+	// last is the page of the rightmost leaf, where the next key above
+	// top goes, or noSibling when the tree does not know it.
+	last int64
 }
 
 // New creates an empty tree in a fresh file on the pool's disk.
@@ -80,7 +88,7 @@ func New(pool *buffer.Pool) (*Tree, error) {
 	}
 	initNode(fr.Data, nodeLeaf)
 	pool.Unpin(fr, true)
-	t.root = page
+	t.root, t.last = page, page
 	return t, nil
 }
 
@@ -283,6 +291,18 @@ type splitResult struct {
 }
 
 // Insert adds or overwrites the entry for key.
+//
+// A key above every key in the tree (asc) needs no search. When the tree
+// remembers its rightmost leaf and the entry fits there, it goes after
+// the leaf's last slot: one pool access. Otherwise it descends through
+// each node's last child, re-finding the rightmost leaf, and a full leaf
+// splits 100/0. When the split leaf is the remembered one, every insert
+// since the tree found it was ascending: the run has left the leaf for
+// good, so it is written back at once (buffer.Pool.WriteBack) rather
+// than left dirty for the pool's clock. Any other key searches its way
+// down and makes the tree forget its rightmost leaf, which a split in
+// the middle of the key range can move; the next ascending insert
+// re-finds it, and a leaf it splits at once is left to the clock.
 func (t *Tree) Insert(key, val []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("btree: empty key")
@@ -291,34 +311,62 @@ func (t *Tree) Insert(key, val []byte) error {
 	if leafCellSize(key, val) > maxCell {
 		return fmt.Errorf("btree: entry of %d bytes too large for page", leafCellSize(key, val))
 	}
-	// A key above every key in the tree (asc) needs no search: it
-	// descends through each node's last child and lands after the last
-	// slot of the rightmost leaf. It still reads every node a search
-	// would, so the pool sees the same accesses in the same order.
 	asc := bytes.Compare(key, t.top) > 0
 	if asc {
 		t.top = append(t.top[:0], key...)
+		if t.last != noSibling {
+			if done, err := t.appendLast(key, val); done || err != nil {
+				return err
+			}
+		}
+	} else {
+		t.last = noSibling
 	}
+	remembered := t.last
 	res, err := t.insertRec(t.root, key, val, asc)
 	if err != nil {
 		return err
 	}
-	if !res.split {
-		return nil
+	if res.split {
+		// Root split: build a new internal root.
+		page, fr, err := t.pool.NewPage(t.file)
+		if err != nil {
+			return err
+		}
+		initNode(fr.Data, nodeInternal)
+		setAux(fr.Data, t.root)
+		insertSlot(fr.Data, 0)
+		writeInternalCell(fr.Data, 0, res.sepKey, res.newPage)
+		t.pool.Unpin(fr, true)
+		t.root = page
+		t.height++
 	}
-	// Root split: build a new internal root.
-	page, fr, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return err
+	if remembered != noSibling && t.last != remembered {
+		// The remembered leaf split. It took only ascending inserts
+		// since the tree found it: the sorted run has left it for good,
+		// so it goes to disk now, once the split is complete.
+		return t.pool.WriteBack(t.file, remembered)
 	}
-	initNode(fr.Data, nodeInternal)
-	setAux(fr.Data, t.root)
-	insertSlot(fr.Data, 0)
-	writeInternalCell(fr.Data, 0, res.sepKey, res.newPage)
-	t.pool.Unpin(fr, true)
-	t.root = page
-	t.height++
 	return nil
+}
+
+// appendLast places (key, val), which sorts after every key in the tree,
+// after the last slot of the remembered rightmost leaf when it fits there
+// without a split. It reports false, having changed nothing, when the
+// leaf is full.
+func (t *Tree) appendLast(key, val []byte) (bool, error) {
+	fr, err := t.pool.Get(t.file, t.last)
+	if err != nil {
+		return false, err
+	}
+	d := fr.Data
+	if need := leafCellSize(key, val) + slotSize; freeSpace(d) < need && liveBytes(d)+need > len(d)-headerSize {
+		t.pool.Unpin(fr, false)
+		return false, nil
+	}
+	_, dirty, err := t.insertLeaf(d, key, val, true)
+	t.pool.Unpin(fr, dirty)
+	return true, err
 }
 
 func (t *Tree) insertRec(page int64, key, val []byte, asc bool) (splitResult, error) {
@@ -330,6 +378,13 @@ func (t *Tree) insertRec(page int64, key, val []byte, asc bool) (splitResult, er
 	if nodeType(d) == nodeLeaf {
 		res, dirty, err := t.insertLeaf(d, key, val, asc)
 		t.pool.Unpin(fr, dirty)
+		if err == nil && asc {
+			// The rightmost leaf, or its new right sibling.
+			t.last = page
+			if res.split {
+				t.last = res.newPage
+			}
+		}
 		return res, err
 	}
 	idx := numKeys(d)
@@ -572,8 +627,10 @@ func PackedHeight(pageSize int, n int64, keyLen int) int {
 	return height
 }
 
-// Delete removes the entry for key, reporting whether it existed.
+// Delete removes the entry for key, reporting whether it existed. It
+// forgets the rightmost leaf (see Insert).
 func (t *Tree) Delete(key []byte) (bool, error) {
+	t.last = noSibling
 	page := t.root
 	for {
 		fr, err := t.pool.Get(t.file, page)

@@ -463,14 +463,21 @@ func get(tr *Tree, key []byte) (val []byte, ok bool, err error) {
 }
 
 // TestAscendingShortcutAgainstModel drives the search-free ascending
-// insert and the packed 100/0 split against a sorted model: random
-// streams of inserts above the largest key, inserts into the middle,
-// overwrites (the largest key's too, with values of other lengths, so
-// the rightmost leaf stops being packed) and deletes, a share of them of
-// the largest keys, so the rightmost leaf empties and refills. Every few
-// hundred operations the tree must hold exactly the model, in order.
+// insert, the remembered rightmost leaf and the packed 100/0 split
+// against a sorted model: random streams of inserts above the largest
+// key, inserts into the middle, overwrites (the largest key's too, with
+// values of other lengths, so the rightmost leaf stops being packed) and
+// deletes, a share of them of the largest keys, so the rightmost leaf
+// empties and refills. Each insert elsewhere and each delete makes the
+// tree forget its leaf, so the stream checks that the next ascending
+// insert never lands in a stale one. Every few hundred operations the
+// tree must hold exactly the model, in order.
 func TestAscendingShortcutAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
+		// Ascending inserts that found the rightmost leaf remembered, and
+		// ones that had to re-find it after an insert elsewhere or a
+		// Delete: the stream must exercise both.
+		remembered, refound := 0, 0
 		tr := newTree(t, 256, 64)
 		model := map[string]string{}
 		rng := rand.New(rand.NewSource(seed))
@@ -521,6 +528,13 @@ func TestAscendingShortcutAgainstModel(t *testing.T) {
 				}
 				delete(model, string(k))
 			} else {
+				if bytes.Compare(k, tr.top) > 0 {
+					if tr.last != noSibling {
+						remembered++
+					} else {
+						refound++
+					}
+				}
 				if err := tr.Insert(k, []byte(v)); err != nil {
 					t.Fatal(err)
 				}
@@ -532,6 +546,9 @@ func TestAscendingShortcutAgainstModel(t *testing.T) {
 		}
 		if tr.Height() < 3 {
 			t.Errorf("seed %d: height %d, want the stream to grow a 3-level tree", seed, tr.Height())
+		}
+		if remembered < 1000 || refound < 200 {
+			t.Errorf("seed %d: %d ascending inserts into the remembered leaf, %d after forgetting it; want ≥ 1000 and ≥ 200", seed, remembered, refound)
 		}
 	}
 }
@@ -570,15 +587,17 @@ func requireModel(t *testing.T, tr *Tree, model map[string]string) {
 	}
 }
 
-// TestAscendingInsertReadsTheSearchPath: an insert above every key skips
-// the searches but not the pages — in two- and three-level trees it
-// reads one page per level, as an insert below every key does, so the
-// pool's clock sees what it saw before the shortcut (the B+Tree
-// maintenance of Figure 8 depends on it).
-func TestAscendingInsertReadsTheSearchPath(t *testing.T) {
+// TestAscendingInsertAppendsToTheRightmostLeaf: in two- and
+// three-level trees, an insert above every key that fits in the
+// remembered rightmost leaf costs one pool Get; one that splits it
+// leaves the old leaf clean, its bytes on disk, when Insert returns.
+// An insert below every key and a Delete make the tree forget the leaf,
+// so the next ascending insert re-finds it through one page per level.
+func TestAscendingInsertAppendsToTheRightmostLeaf(t *testing.T) {
 	tr := newTree(t, 256, 64)
-	n := int64(0)
+	disk := tr.pool.Disk()
 	gets := func(key []byte) uint64 {
+		t.Helper()
 		before := tr.pool.Stats()
 		if err := tr.Insert(key, nil); err != nil {
 			t.Fatal(err)
@@ -586,18 +605,81 @@ func TestAscendingInsertReadsTheSearchPath(t *testing.T) {
 		after := tr.pool.Stats()
 		return after.Hits + after.Misses - before.Hits - before.Misses
 	}
+	n := int64(0)
 	for _, height := range []int{2, 3} {
-		for ; tr.Height() < height; n++ {
-			if err := tr.Insert(ikey(n), nil); err != nil {
+		fits, splits := 0, 0
+		for tr.Height() < height || splits < 3 {
+			leaf, pages := tr.last, tr.PageCount()
+			g := gets(ikey(n))
+			n++
+			if tr.PageCount() == pages {
+				fits++
+				if g != 1 || tr.last != leaf {
+					t.Fatalf("ascending insert that fits leaf %d: %d pool Gets, then leaf %d; want 1 and the same leaf", leaf, g, tr.last)
+				}
+				continue
+			}
+			splits++
+			// The finished leaf is clean: writing it back costs nothing,
+			// and the disk holds what the pool does.
+			writes := disk.Stats().Writes
+			if err := tr.pool.WriteBack(tr.file, leaf); err != nil {
 				t.Fatal(err)
 			}
+			if disk.Stats().Writes != writes {
+				t.Fatalf("leaf %d was left dirty by the ascending split", leaf)
+			}
+			onDisk := make([]byte, disk.PageSize())
+			if _, err := disk.ReadPageDeferWait(tr.file, leaf, onDisk); err != nil {
+				t.Fatal(err)
+			}
+			fr, err := tr.pool.Get(tr.file, leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := bytes.Equal(fr.Data, onDisk)
+			tr.pool.Unpin(fr, false)
+			if !same {
+				t.Fatalf("leaf %d on disk differs from the pool's copy", leaf)
+			}
 		}
-		if g := gets(ikey(n)); g != uint64(height) {
-			t.Errorf("ascending insert into a height-%d tree: %d pool Gets, want %d", height, g, height)
+		if fits < 10 {
+			t.Fatalf("height %d: only %d ascending inserts fit the rightmost leaf", height, fits)
 		}
-		n++
-		if g := gets(ikey(-n)); g != uint64(height) {
-			t.Errorf("insert below every key of a height-%d tree: %d pool Gets, want %d", height, g, height)
+
+		// Forgetting: below every key, then a Delete.
+		for _, forget := range []func(){
+			func() {
+				if err := tr.Insert(ikey(-n), nil); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func() {
+				if _, err := tr.Delete(ikey(n - 1)); err != nil {
+					t.Fatal(err)
+				}
+			},
+		} {
+			forget()
+			if tr.last != noSibling {
+				t.Fatalf("height %d: the tree still remembers leaf %d", height, tr.last)
+			}
+			for {
+				pages := tr.PageCount()
+				g := gets(ikey(n))
+				n++
+				if tr.PageCount() != pages {
+					continue // a split: try again on a leaf with room
+				}
+				if g != uint64(tr.Height()) {
+					t.Errorf("first ascending insert after forgetting, height %d: %d pool Gets, want %d", tr.Height(), g, tr.Height())
+				}
+				break
+			}
+			if g := gets(ikey(n)); g != 1 {
+				t.Errorf("second ascending insert after forgetting: %d pool Gets, want 1", g)
+			}
+			n++
 		}
 	}
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"slices"
 
 	"repro/internal/core"
@@ -191,19 +191,22 @@ func (r *cmResolver) lookup(parts [][]keyPart, fn cmEntryFunc) {
 	}
 }
 
+// ErrCMNotApplicable is the error of a caller that was told to probe a
+// CM whose columns the query does not predicate (ProbeCM's ok false).
+var ErrCMNotApplicable = errors.New("exec: query predicates none of the CM's columns")
+
 // cmBuckets returns the sorted distinct clustered buckets of the entries
-// the query's predicates select. It fails when the query predicates none
-// of the CM's columns.
-func cmBuckets(cm *core.CM, q Query) ([]int32, error) {
+// the query's predicates select. ok is false, and nothing is resolved,
+// when the query predicates none of the CM's columns.
+func cmBuckets(cm *core.CM, q Query) (buckets []int32, ok bool, err error) {
 	r, ok := newCMResolver(cm, q)
 	if !ok {
-		return nil, fmt.Errorf("exec: query predicates none of the CM's columns")
+		return nil, false, nil
 	}
-	var buckets []int32
-	err := r.each(func(e core.Entry, _ []value.Value, _ bool) {
+	err = r.each(func(e core.Entry, _ []value.Value, _ bool) {
 		buckets = append(buckets, e.Buckets...)
 	})
-	return sortedDistinct(buckets), err
+	return sortedDistinct(buckets), true, err
 }
 
 // bucketPages resolves sorted clustered bucket IDs to the sorted distinct
@@ -236,14 +239,15 @@ type Probe struct {
 // ProbeCM probes the CM with the query's predicates and resolves the
 // matching clustered buckets to heap pages through the page directory —
 // the whole of a CM scan up to its sweep, and what the planner prices
-// the scan from. It fails when the query predicates none of the CM's
-// columns.
-func ProbeCM(t *table.Table, cm *core.CM, q Query) (Probe, error) {
-	buckets, err := cmBuckets(cm, q)
-	if err != nil {
-		return Probe{}, err
+// the scan from. ok is false when the query predicates none of the CM's
+// columns: the CM does not apply, which costs no error value (the
+// planner asks every CM of the table on every plan).
+func ProbeCM(t *table.Table, cm *core.CM, q Query) (p Probe, ok bool, err error) {
+	buckets, ok, err := cmBuckets(cm, q)
+	if !ok || err != nil {
+		return Probe{}, ok, err
 	}
-	return Probe{CM: cm, Pages: bucketPages(t, buckets)}, nil
+	return Probe{CM: cm, Pages: bucketPages(t, buckets)}, true, nil
 }
 
 // ProbeClustered resolves the query's predicates on the leading

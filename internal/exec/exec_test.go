@@ -295,9 +295,9 @@ func TestRewriteWithCMBostonExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQuery(Eq(1, value.NewString("boston")))
-	buckets, err := cmBuckets(cm, q)
-	if err != nil {
-		t.Fatal(err)
+	buckets, ok, err := cmBuckets(cm, q)
+	if !ok || err != nil {
+		t.Fatal(ok, err)
 	}
 	var states []string
 	for _, b := range buckets {
@@ -311,9 +311,9 @@ func TestRewriteWithCMBostonExample(t *testing.T) {
 	if len(states) != 2 || states[0] != "MA" || states[1] != "NH" {
 		t.Errorf("rewrite states = %v, want [MA NH]", states)
 	}
-	probe, err := ProbeCM(tbl, cm, q)
-	if err != nil {
-		t.Fatal(err)
+	probe, ok, err := ProbeCM(tbl, cm, q)
+	if !ok || err != nil {
+		t.Fatal(ok, err)
 	}
 	if want := bucketPages(tbl, buckets); !slices.Equal(probe.Pages, want) {
 		t.Errorf("probe pages = %v, want the MA and NH buckets' %v", probe.Pages, want)

@@ -631,7 +631,10 @@ func scanVia(tbl *table.Table, m Method, ix *table.Index, cm *core.CM, q Query, 
 			return err
 		}
 	case MethodCM:
-		probe, err := ProbeCM(tbl, cm, q)
+		probe, ok, err := ProbeCM(tbl, cm, q)
+		if !ok {
+			return ErrCMNotApplicable
+		}
 		if err != nil {
 			return err
 		}

@@ -28,9 +28,10 @@
 // account per page (contiguous free bytes plus reclaimable bytes) answers
 // Room without reading the page, and the pages that have anything to
 // reclaim sit in size classes so BestFit finds the tightest one in a few
-// word operations. Appends (Load's) still go to the tail, in order, and
-// Load writes each full tail page back as it opens the next, so a bulk
-// load reaches disk as one sequential run of heap pages.
+// word operations. Appends (Load's) still go to the tail, in order, each
+// page taking a run of tuples under one pin (Append), and Load writes
+// each full tail page back as it opens the next, so a bulk load reaches
+// disk as one sequential run of heap pages.
 //
 // A version can also be replaced in its slot (ReplaceAt): the new bytes
 // overwrite the old ones, of the same length, and a copy of the old ones
@@ -197,7 +198,7 @@ type pageReuse struct {
 //
 // Concurrency matches the owning table's latch discipline: the version side
 // arrays and the space accounts are plain slices and maps, so mutators
-// (AppendAt, PutAt, ReplaceAt, RestoreAt, DropPreImage, SetEnd,
+// (Append, PutAt, ReplaceAt, RestoreAt, DropPreImage, SetEnd,
 // ClearEnd, MarkDead, Delete, Freeze) must hold the
 // table latch exclusively while readers hold it shared. A placement may
 // prune its page, moving tuple bytes within it, so no reader keeps a
@@ -467,16 +468,24 @@ func pageFree(d []byte) int {
 	return pageCellStart(d) - headerSize - pageNumSlots(d)*slotSize
 }
 
-// AppendAt stores tuple at the end of the file — on the last page when it
-// has room, else on a new one — with the given MVCC begin timestamp: the
-// tuple is invisible to snapshots older than begin, which is how a writer
-// statement keeps its new row versions hidden until it publishes.
-func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
+// Append stores tuples at the end of the file, in order, with the given
+// MVCC begin timestamp: the tuples are invisible to snapshots older than
+// begin, which is how a writer statement keeps its new row versions
+// hidden until it publishes. The first tuple goes on the last page when
+// it has room, else on a new one, and every tuple after it that still
+// fits goes on the same page under the same pin; the rest are left for
+// the next call. It appends the placed tuples' RIDs to dst and returns
+// it: they are the first len(result)-len(dst) of tuples, at least one
+// unless it fails.
+func (h *File) Append(dst []RID, tuples [][]byte, begin uint64) ([]RID, error) {
+	if len(tuples) == 0 {
+		return dst, nil
+	}
 	page := h.numPages
-	if page > 0 && h.Room(page-1) >= TupleCost(len(tuple)) {
+	if page > 0 && h.Room(page-1) >= TupleCost(len(tuples[0])) {
 		page--
 	}
-	return h.PutAt(page, tuple, begin)
+	return h.put(dst, page, tuples, begin)
 }
 
 // PutAt stores tuple on page with the given MVCC begin timestamp and
@@ -488,35 +497,54 @@ func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
 // page PutAt opens starts folded at begin, so a bulk load's pages keep
 // their one page-level version as they fill.
 func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
+	var rid [1]RID
+	_, err := h.put(rid[:0], page, [][]byte{tuple}, begin)
+	return rid[0], err
+}
+
+// put places tuples on page under one pin, as PutAt places one, until
+// the next does not fit; the first must. It appends their RIDs to dst.
+func (h *File) put(dst []RID, page int64, tuples [][]byte, begin uint64) ([]RID, error) {
 	if begin == 0 {
-		return RID{}, fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
+		return dst, fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
 	}
-	if TupleCost(len(tuple)) > h.EmptyRoom() {
-		return RID{}, fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(tuple))
+	if TupleCost(len(tuples[0])) > h.EmptyRoom() {
+		return dst, fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(tuples[0]))
 	}
 	var fr *buffer.Frame
 	var err error
 	switch {
 	case page == h.numPages:
 		if page, fr, err = h.pool.NewPage(h.file); err != nil {
-			return RID{}, err
+			return dst, err
 		}
 		initPage(fr.Data)
 		h.vers = append(h.vers, pageVersions{begin: begin})
 		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
 		h.numPages++
 	case page < 0 || page > h.numPages:
-		return RID{}, fmt.Errorf("heap: page %d out of range (pages=%d)", page, h.numPages)
+		return dst, fmt.Errorf("heap: page %d out of range (pages=%d)", page, h.numPages)
 	default:
 		if fr, err = h.pool.Get(h.file, page); err != nil {
-			return RID{}, err
+			return dst, err
 		}
 	}
-	d := fr.Data
-	if !h.Fits(page, TupleCost(len(tuple)), 1) {
-		h.pool.Unpin(fr, false)
-		return RID{}, fmt.Errorf("heap: page %d has %d bytes of room, tuple needs %d", page, h.Room(page), len(tuple))
+	for i, tuple := range tuples {
+		if !h.Fits(page, TupleCost(len(tuple)), 1) {
+			if i == 0 {
+				h.pool.Unpin(fr, false)
+				return dst, fmt.Errorf("heap: page %d has %d bytes of room, tuple needs %d", page, h.Room(page), len(tuple))
+			}
+			break
+		}
+		dst = append(dst, h.place(page, fr.Data, tuple, begin))
 	}
+	h.pool.Unpin(fr, true)
+	return dst, nil
+}
+
+// place stores tuple on the pinned page d, which Fits it.
+func (h *File) place(page int64, d []byte, tuple []byte, begin uint64) RID {
 	r := h.reuse[page]
 	need := TupleCost(len(tuple))
 	if r != nil && len(r.dead)+len(r.erased) > 0 {
@@ -544,10 +572,9 @@ func (h *File) PutAt(page int64, tuple []byte, begin uint64) (RID, error) {
 	}
 	setPageCellStart(d, start)
 	h.space[page].free = uint16(pageFree(d))
-	h.pool.Unpin(fr, true)
 	h.tuples++
 	h.refile(page)
-	return RID{Page: page, Slot: uint16(slot)}, nil
+	return RID{Page: page, Slot: uint16(slot)}
 }
 
 // takeSlot picks the slot a new tuple on the page goes into: an erased

@@ -15,6 +15,87 @@ func newHeap(t *testing.T, pageSize, frames int) *File {
 	return NewFile(buffer.NewPool(d, frames))
 }
 
+// AppendAt stores one tuple through Append, the heap's one append path,
+// and returns its RID.
+func (h *File) AppendAt(tuple []byte, begin uint64) (RID, error) {
+	rids, err := h.Append(nil, [][]byte{tuple}, begin)
+	if err != nil {
+		return RID{}, err
+	}
+	return rids[0], nil
+}
+
+// TestAppendFillsAPageUnderOnePin: Append places a run of tuples on the
+// tail page with one pool access per page, leaves the tuples that do
+// not fit for the next call, and writes exactly what appending the
+// tuples one at a time writes, at the same RIDs.
+func TestAppendFillsAPageUnderOnePin(t *testing.T) {
+	tuples := make([][]byte, 200)
+	for i := range tuples {
+		tuples[i] = []byte(fmt.Sprintf("tuple-%03d%s", i, make([]byte, i%7)))
+	}
+	one, run := newHeap(t, 256, 4), newHeap(t, 256, 4)
+	var want []RID
+	for _, tup := range tuples {
+		rid, err := one.AppendAt(tup, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rid)
+	}
+	var got []RID
+	calls := 0
+	for len(got) < len(tuples) {
+		before := run.pool.Stats()
+		n := len(got)
+		var err error
+		if got, err = run.Append(got, tuples[n:], 3); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+		after := run.pool.Stats()
+		if gets := after.Hits + after.Misses - before.Hits - before.Misses; gets > 1 {
+			t.Fatalf("Append call %d: %d pool Gets, want at most 1", calls, gets)
+		}
+		if len(got) == n {
+			t.Fatalf("Append call %d placed nothing", calls)
+		}
+		for _, rid := range got[n:] {
+			if rid.Page != got[n].Page {
+				t.Fatalf("Append call %d spread its run over pages %d and %d", calls, got[n].Page, rid.Page)
+			}
+		}
+	}
+	if int64(calls) != run.NumPages() || run.NumPages() != one.NumPages() {
+		t.Errorf("%d Append calls over %d pages; AppendAt filled %d", calls, run.NumPages(), one.NumPages())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tuple %d: Append placed it at %v, AppendAt at %v", i, got[i], want[i])
+		}
+	}
+	for _, h := range []*File{one, run} {
+		if err := h.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := make([]byte, 256), make([]byte, 256)
+	for p := range one.NumPages() {
+		if _, err := one.pool.Disk().ReadPageDeferWait(one.file, p, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.pool.Disk().ReadPageDeferWait(run.file, p, b); err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Fatalf("page %d differs between Append and AppendAt", p)
+		}
+	}
+	if rids, err := run.Append(nil, nil, 3); err != nil || len(rids) != 0 {
+		t.Errorf("Append of no tuples: %v, %v", rids, err)
+	}
+}
+
 func TestAppendGetRoundTrip(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	var rids []RID

@@ -2,11 +2,13 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/exec"
+	"repro/internal/table"
 )
 
 // Optimize finalizes the tree: it chooses the access path
@@ -23,12 +25,76 @@ func (tr *Tree) Optimize(sp exec.StatsProvider) error {
 
 // pricing is what one Optimize call prices paths with: the statistics
 // provider, the table's Table 1 numbers, the two constants of the disk
-// under it and the sequential scan's cost they imply.
+// under it and the sequential scan's cost they imply, and the rows a
+// sweep stops after (limit; -1 when it reads to the end).
 type pricing struct {
-	sp   exec.StatsProvider
-	ts   costmodel.TableStats
-	h    costmodel.Hardware
-	scan time.Duration
+	sp    exec.StatsProvider
+	ts    costmodel.TableStats
+	h     costmodel.Hardware
+	scan  time.Duration
+	limit int
+}
+
+// rowLimit returns the rows a plain unsorted select's access path stops
+// after — its LIMIT, 0 for LIMIT 0, which reads nothing — or -1 for
+// every other plan, whose access path reads to the end.
+func (tr *Tree) rowLimit() int {
+	spec := tr.spec
+	switch {
+	case spec.IsAggregate() || len(spec.OrderBy) > 0 || spec.Limit == 0:
+		return -1
+	case spec.Limit < 0:
+		return 0
+	default:
+		return spec.Limit
+	}
+}
+
+// firstRows caps cost, the price of sweeping read pages in runs runs
+// for conjunction q of table t, at what the sweep pays when it stops
+// after pr.limit rows, with the rows q is expected to match
+// (expectedRows) spread evenly over those pages: it reads the
+// ceil(limit × read / matches) pages that hold them, opening the same
+// share of the runs (at least one, its seek). LIMIT 0 reads nothing. A
+// sweep with no limit, or no estimate of its matches, keeps its price.
+func (pr pricing) firstRows(cost time.Duration, runs int, read int64, t *table.Table, q exec.Query) time.Duration {
+	switch {
+	case pr.limit == 0:
+		return 0
+	case pr.limit < 0 || read <= 0:
+		return cost
+	}
+	matches := pr.expectedRows(t, q)
+	if matches <= 0 {
+		return cost
+	}
+	need := math.Ceil(float64(pr.limit) * float64(read) / matches)
+	if need >= float64(read) {
+		return cost
+	}
+	opened := max(1, int(math.Ceil(float64(runs)*need/float64(read))))
+	return min(cost, costmodel.PageRuns(pr.h, pr.ts, opened, int64(need)))
+}
+
+// expectedRows estimates the rows conjunction q matches: every tuple
+// when it has no predicate, else the lookups of its most selective
+// equality or IN predicate on a column whose pair statistics are known
+// times that column's u_tups; 0 when nothing says.
+func (pr pricing) expectedRows(t *table.Table, q exec.Query) float64 {
+	if len(q.Preds) == 0 {
+		return pr.ts.TotalTups
+	}
+	rows := 0.0
+	for _, p := range q.Preds {
+		if p.Op != exec.OpEq && p.Op != exec.OpIn {
+			continue
+		}
+		ps, ok := pr.sp.PairStats(t, []int{p.Col})
+		if n := float64(p.NLookups()) * ps.UTups; ok && n > 0 && (rows == 0 || n < rows) {
+			rows = n
+		}
+	}
+	return rows
 }
 
 // chooseAccess is the one place an access path is chosen. A forced
@@ -51,8 +117,14 @@ func (tr *Tree) chooseAccess(sp exec.StatsProvider) error {
 		tr.legs = []leg{l}
 		return nil
 	}
-	pr := pricing{sp: sp, ts: sp.TableStats(tr.t), h: exec.Hardware(tr.t)}
+	pr := pricing{sp: sp, ts: sp.TableStats(tr.t), h: exec.Hardware(tr.t), limit: tr.rowLimit()}
 	pr.scan = costmodel.Scan(pr.h, pr.ts)
+	if len(spec.Disjuncts) == 1 && len(spec.Disjuncts[0].Preds) == 0 {
+		// Every tuple matches, so a limited scan stops within its first
+		// pages. Under a predicate the scan keeps its whole-heap price:
+		// correlated matches may all sit past the pages a count predicts.
+		pr.scan = pr.firstRows(pr.scan, 1, int64(math.Ceil(pr.ts.Pages())), tr.t, spec.Disjuncts[0])
+	}
 	for _, q := range spec.Disjuncts {
 		l := tr.cheapestLeg(q, pr)
 		if l.method == exec.MethodTableScan {
@@ -102,26 +174,28 @@ func (tr *Tree) cheapestLeg(q exec.Query, pr pricing) leg {
 		consider(leg{method: exec.MethodPipelined, index: ix, cost: costmodel.PipelinedIndex(pr.h, pr.ts, ps, n)})
 	}
 	if probe, ok := exec.ProbeClustered(t, q); ok {
-		consider(leg{method: exec.MethodClustered, probe: probe, cost: tr.sweepCost(pr, probe.Pages)})
+		consider(leg{method: exec.MethodClustered, probe: probe, cost: tr.sweepCost(pr, probe.Pages, q)})
 	}
 	for _, cm := range t.CMs() {
-		probe, err := exec.ProbeCM(t, cm, q)
-		if err != nil {
+		probe, ok, err := exec.ProbeCM(t, cm, q)
+		if !ok || err != nil {
 			continue // no predicate on the CM's columns
 		}
-		consider(leg{method: exec.MethodCM, probe: probe, cost: tr.sweepCost(pr, probe.Pages)})
+		consider(leg{method: exec.MethodCM, probe: probe, cost: tr.sweepCost(pr, probe.Pages, q)})
 	}
 	return best
 }
 
 // sweepCost predicts a physical-order sweep of the given sorted distinct
-// heap pages, counted the way the sweep kernel reads them
-// (exec.PageRuns): each run opens with one seek, and nothing costs more
-// than the scan. It prices every path whose page list is known before
-// execution — the clustered and CM scans and cm-agg's hybrid sweep.
-func (tr *Tree) sweepCost(pr pricing, pages []int64) time.Duration {
+// heap pages for conjunction q, counted the way the sweep kernel reads
+// them (exec.PageRuns): each run opens with one seek, and nothing costs
+// more than the scan; a limited plain select's sweep stops once it has
+// its rows (firstRows). It prices every path whose page list is known
+// before execution — the clustered and CM scans and cm-agg's hybrid
+// sweep.
+func (tr *Tree) sweepCost(pr pricing, pages []int64, q exec.Query) time.Duration {
 	runs, read := exec.PageRuns(tr.t, pages)
-	return costmodel.PageRuns(pr.h, pr.ts, runs, read)
+	return pr.firstRows(costmodel.PageRuns(pr.h, pr.ts, runs, read), runs, read, tr.t, q)
 }
 
 // forcedLeg resolves a forced method to the first structure it applies
@@ -144,9 +218,12 @@ func (tr *Tree) forcedLeg(q exec.Query) (leg, error) {
 			if named && cm.Spec().Name != tr.spec.CM {
 				continue
 			}
-			probe, err := exec.ProbeCM(tr.t, cm, q)
-			if err != nil && !named {
-				continue // not this CM's columns: try the next
+			probe, ok, err := exec.ProbeCM(tr.t, cm, q)
+			if !ok {
+				if !named {
+					continue // not this CM's columns: try the next
+				}
+				err = exec.ErrCMNotApplicable
 			}
 			return leg{method: m, probe: probe}, err
 		}
@@ -191,7 +268,7 @@ func (tr *Tree) chooseCMAgg(pr pricing) {
 		// The pure part folds from memory-resident statistics and costs
 		// nothing; the hybrid remainder is priced from the heap pages
 		// the page directory gives for its impure buckets.
-		cost := tr.sweepCost(pr, cp.ImpurePages)
+		cost := tr.sweepCost(pr, cp.ImpurePages, spec.Disjuncts[0])
 		// Engage when the §4 model says the hybrid remainder is
 		// strictly cheaper than the best heap-visiting path — at the
 		// cap (hybrid sweep ~ full scan) the simpler plan wins the

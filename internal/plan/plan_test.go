@@ -1,11 +1,14 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/sim"
 	"repro/internal/table"
@@ -392,6 +395,68 @@ func TestTableScanLegRejected(t *testing.T) {
 		tr.legs = []leg{{method: exec.MethodTableScan}}
 		if rows, err := tr.Rows(1); err == nil {
 			t.Errorf("%s over a table-scan leg returned %v; it under-reports", name, rows)
+		}
+	}
+}
+
+// TestLimitPricesThePagesItReads: a plain unsorted select with a LIMIT
+// is priced by the pages its sweep reads before it has the rows. With
+// no predicate every tuple matches, so the scan reads a run of
+// ceil(k / tuples per page) pages; LIMIT 0 reads nothing. A CM leg
+// stops within the share of its probed pages that holds k of the rows
+// the index's pair statistics expect. A scan under a predicate, a
+// sorted select and an aggregate keep their whole-path prices.
+func TestLimitPricesThePagesItReads(t *testing.T) {
+	tbl := fixtureOf(t, 200000)
+	if _, err := tbl.CreateIndex("ix_u", []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	sp := exec.NewExactStats()
+	h, ts := exec.Hardware(tbl), sp.TableStats(tbl)
+	cost := func(spec Spec) time.Duration {
+		t.Helper()
+		tr, err := Compile(tbl, spec, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Explain().EstimatedCost
+	}
+	scan := costmodel.Scan(h, ts)
+	if got, want := cost(Spec{Limit: 5}), costmodel.PageRuns(h, ts, 1, int64(math.Ceil(5/ts.TupsPerPage))); got != want || got >= scan {
+		t.Errorf("LIMIT 5 scan priced %v, want %v (the full scan is %v)", got, want, scan)
+	}
+	if got := cost(Spec{Limit: -1}); got != 0 {
+		t.Errorf("LIMIT 0 priced %v, want 0", got)
+	}
+	onV := []exec.Query{exec.NewQuery(exec.Eq(2, value.NewInt(3)))}
+	if got := cost(Spec{Disjuncts: onV, Limit: 5}); got != scan {
+		t.Errorf("LIMIT 5 under a predicate no structure serves priced %v, want the whole scan %v", got, scan)
+	}
+
+	// u IN (three values far apart): three runs of probed pages, of
+	// which the first row needs one.
+	inU := []exec.Query{exec.NewQuery(exec.In(1, value.NewInt(10), value.NewInt(10000), value.NewInt(20000)))}
+	whole := cost(Spec{Disjuncts: inU})
+	probe, _, err := exec.ProbeCM(tbl, tbl.CMs()[0], inU[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := exec.PageRuns(tbl, probe.Pages); runs != 3 {
+		t.Fatalf("the probe opens %d runs, want 3", runs)
+	}
+	if got, want := cost(Spec{Disjuncts: inU, Limit: 1}), costmodel.PageRuns(h, ts, 1, 1); got != want || got >= whole {
+		t.Errorf("LIMIT 1 CM scan priced %v, want %v (unlimited %v)", got, want, whole)
+	}
+	if got := cost(Spec{Disjuncts: inU, Limit: 1000}); got != whole {
+		t.Errorf("a LIMIT above the expected rows priced %v, want the whole sweep %v", got, whole)
+	}
+	sorted := Spec{Disjuncts: inU, OrderBy: []Order{{Col: 2}}, Limit: 1}
+	agg := Spec{Disjuncts: inU, Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 2}}, GroupBy: []int{2}, Limit: 1}
+	for name, spec := range map[string]Spec{"sorted": sorted, "aggregate": agg} {
+		unlimited := spec
+		unlimited.Limit = 0
+		if got, want := cost(spec), cost(unlimited); got != want {
+			t.Errorf("%s LIMIT 1 priced %v, want its unlimited price %v", name, got, want)
 		}
 	}
 }

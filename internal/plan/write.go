@@ -86,7 +86,8 @@ func (wt *WriteTree) Run(workers int) (int64, error) {
 			var err error
 			switch l.method {
 			case exec.MethodCM:
-				l.probe, err = exec.ProbeCM(tr.t, l.probe.CM, q)
+				// The leg was planned: the CM applies to q.
+				l.probe, _, err = exec.ProbeCM(tr.t, l.probe.CM, q)
 			case exec.MethodClustered:
 				// The leg was planned: the clustered index applies to q.
 				l.probe, _ = exec.ProbeClustered(tr.t, q)

@@ -301,39 +301,50 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 	checkPageDir(t, tbl, "after the writer")
 }
 
-// TestPageDirectoryLoadAbort fails a bulk load half way on an injected
-// fault: the unwind must take every page back out of the directory and
-// leave no frame pinned.
+// TestPageDirectoryLoadAbort fails a bulk load part way on an injected
+// fault, at many points: in a heap page's write-back, in an eviction,
+// and in an index insert after the heap has taken the rest of its page's
+// run. The unwind must take every row back out of the heap, the index
+// and the directory, and leave no frame pinned.
 func TestPageDirectoryLoadAbort(t *testing.T) {
-	d := sim.NewDisk(sim.Config{PageSize: 512})
-	// A pool far smaller than the load: the load's write-backs and
-	// evictions write dirty pages, and the 40th such write fails.
-	tbl, err := New(buffer.NewPool(d, 16), wal.NewLog(d), Config{
-		Name:          "dir",
-		Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
-		ClusteredCols: []int{0},
-		BucketTuples:  10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows := make([]value.Row, 600)
 	for i := range rows {
 		rows[i] = dirRow(int64(i), "load")
 	}
-	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 40})
-	err = tbl.Load(rows)
-	d.SetFaultPlan(nil)
-	if !errors.Is(err, sim.ErrInjected) {
-		t.Fatalf("Load under a write fault returned %v", err)
-	}
-	if n := tbl.Pool().PinnedFrames(); n != 0 {
-		t.Errorf("%d frames still pinned after the failed Load", n)
-	}
-	checkPageDir(t, tbl, "after the failed Load")
-	for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
-		if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
-			t.Fatalf("bucket %d still holds pages %v after the load unwound", b, pages)
+	for n := int64(1); n <= 60; n += 3 {
+		d := sim.NewDisk(sim.Config{PageSize: 512})
+		// A pool far smaller than the load: the load's write-backs and
+		// evictions write dirty pages, and the nth such write fails.
+		tbl, err := New(buffer.NewPool(d, 16), wal.NewLog(d), Config{
+			Name:          "dir",
+			Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
+			ClusteredCols: []int{0},
+			BucketTuples:  10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := tbl.CreateIndex("ix_u", []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
+		err = tbl.Load(rows)
+		d.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) {
+			t.Fatalf("write %d: Load under a write fault returned %v", n, err)
+		}
+		if n := tbl.Pool().PinnedFrames(); n != 0 {
+			t.Errorf("%d frames still pinned after the failed Load", n)
+		}
+		if got, entries := tbl.Heap().TupleCount(), ix.Tree.Len(); got != 0 || entries != 0 {
+			t.Fatalf("write %d: the failed Load left %d heap tuples and %d index entries", n, got, entries)
+		}
+		checkPageDir(t, tbl, "after the failed Load")
+		for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
+			if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
+				t.Fatalf("write %d: bucket %d still holds pages %v after the load unwound", n, b, pages)
+			}
 		}
 	}
 }

@@ -45,8 +45,9 @@ import (
 // bucket's new versions are placed together on one page — one of the
 // bucket's own pages with room, else the reclaimed page that fits them
 // most tightly, else the tail — which keeps the heap clustered and the
-// page directory's lists short. Only Load appends at the tail, and it
-// writes each full tail page back as it leaves it (applyInsert).
+// page directory's lists short. Only Load appends at the tail, a page at
+// a time under one pin, and it writes each full tail page back as it
+// leaves it (appendLoaded).
 //
 // An updated row whose new image can stay where it is does not move at
 // all (applyReplace): the new bytes overwrite the old in their slot, and
@@ -288,13 +289,18 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) er
 			end = len(rows)
 		}
 		held := t.lockLatched()
-		for i := start; i < end; i++ {
-			if err := tx.applyInsert(rows[i], encs[i], cbs[i]); err != nil {
-				t.unlockLatched(held)
-				return err
+		var err error
+		if tx.load {
+			err = tx.appendLoaded(rows[start:end], encs[start:end], cbs[start:end])
+		} else {
+			for i := start; i < end && err == nil; i++ {
+				err = tx.applyInsert(rows[i], encs[i], cbs[i])
 			}
 		}
 		t.unlockLatched(held)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -319,28 +325,56 @@ func (tx *WriteTxn) encode(rows []value.Row) ([][]byte, error) {
 	return encs, nil
 }
 
-// applyInsert installs one new row version in clustered bucket cb: at the
-// heap's tail for a load, else where place puts the bucket's versions.
-// Caller holds the latch.
+// applyInsert installs one new row version in clustered bucket cb, where
+// place puts the bucket's versions. Caller holds the latch.
 func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
+	rid, err := tx.place(enc, cb)
+	if err != nil {
+		return err
+	}
+	return tx.added(row, enc, rid, cb)
+}
+
+// appendLoaded appends a load's rows at the heap's tail a page at a
+// time: each page takes every row that fits under one pin, and then the
+// rows it took are recorded and indexed. A load never returns to a page
+// it has left: before the append opens a new tail, the full one goes to
+// disk (see Load). Caller holds the latch.
+func (tx *WriteTxn) appendLoaded(rows []value.Row, encs [][]byte, cbs []int32) error {
 	t := tx.t
-	var rid heap.RID
-	var err error
-	if tx.load {
-		// A load never returns to a page it has left: before the append
-		// opens a new tail, the full one goes to disk (see Load).
-		if tail := t.heapf.NumPages() - 1; tail >= 0 && t.heapf.Room(tail) < heap.TupleCost(len(enc)) {
+	var buf [writeBatchRows]heap.RID
+	for i := 0; i < len(rows); {
+		if tail := t.heapf.NumPages() - 1; tail >= 0 && t.heapf.Room(tail) < heap.TupleCost(len(encs[i])) {
 			if err := t.pool.WriteBack(t.heapf.FileID(), tail); err != nil {
 				return err
 			}
 		}
-		rid, err = t.heapf.AppendAt(enc, tx.ts)
-	} else {
-		rid, err = tx.place(enc, cb)
+		rids, err := t.heapf.Append(buf[:0], encs[i:], tx.ts)
+		if err != nil {
+			return err
+		}
+		for k, rid := range rids {
+			if err := tx.added(rows[i+k], encs[i+k], rid, cbs[i+k]); err != nil {
+				// The undo log does not hold the rows placed after this
+				// one yet: take them back out of the heap here. Like the
+				// unwind, this reports err, not a failure to erase.
+				for j := len(rids) - 1; j > k; j-- {
+					_ = t.heapf.Delete(rids[j])
+				}
+				return err
+			}
+		}
+		i += len(rids)
 	}
-	if err != nil {
-		return err
-	}
+	return nil
+}
+
+// added records and indexes the new row version at rid, whose encoding
+// is enc, in clustered bucket cb: the undo log, the page directory,
+// every secondary index and CM, and (but for a load) the WAL. Caller
+// holds the latch.
+func (tx *WriteTxn) added(row value.Row, enc []byte, rid heap.RID, cb int32) error {
+	t := tx.t
 	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
 	t.pageDir.add(cb, rid.Page)
 	for _, ix := range t.secondary {
