@@ -78,8 +78,9 @@ func measureConfig(t *testing.T, cfg Config) configEffect {
 // TestPoolFrameBytesFollowResidentPages: BufferPoolPages bounds what the
 // pool may hold, it is not what the pool allocates. A 4,096-page DB over
 // a small table reports pool.frame_bytes equal to its resident pages ×
-// the page size — every heap and index page it wrote, none evicted —
-// not the capacity; a cold cache and a full re-read keep that figure.
+// the page size — every heap page it wrote, none evicted (its index is
+// built past the pool) — not the capacity; a cold cache and a full
+// re-read keep that figure.
 func TestPoolFrameBytesFollowResidentPages(t *testing.T) {
 	const capacity = 4096
 	db := Open(Config{BufferPoolPages: capacity})

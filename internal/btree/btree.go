@@ -11,19 +11,31 @@
 // Deletion is by key removal without rebalancing ("lazy" deletion, as in
 // PostgreSQL where vacuum reclaims space later); the workloads of the
 // paper are insert- and read-heavy, so under-full pages only waste space.
-// Sorted (rightmost) insertion uses the classic 100/0 split so bulk loads
-// produce nearly full pages, matching the size of a freshly built index.
 //
-// Ascending inserts take a shortcut, after PostgreSQL nbtree's fastpath
-// for monotonically increasing keys: the tree remembers the largest key
-// it was ever given and the page of its rightmost leaf, and a key above
-// that largest key goes after the leaf's last entry with no descent, no
-// binary search and no overwrite check — one pool access when it fits.
-// When it does not, the insert descends through each node's last child
-// to re-find the leaf and splits it 100/0. A build in key order never
-// returns to the full leaf it leaves, so the split writes the remembered
-// leaf back at once (buffer.Pool.WriteBack): the leaves reach the disk
-// in page order instead of in the order the pool's clock evicts them.
+// A tree over existing entries is built bottom-up by Build, after
+// PostgreSQL's sorted CREATE INDEX: from entries in ascending key order it
+// fills the open leaf until the next entry does not fit, starts the
+// leaf's right sibling with that entry and sends its key up as a
+// separator, and each internal level does the same with separators,
+// splitting a full node at its middle entry. Every page is written once,
+// straight to the disk and charged like a pool write-back, so a build
+// takes no pool frame and leaves no page cached. The pages, their numbers
+// and their bytes are exactly those inserting the entries one by one in
+// ascending order would leave: Insert splits the rightmost leaf 100/0
+// (the new entry alone goes right) and any other leaf at half its bytes.
+// A built tree is in the state those inserts leave, down to what the
+// shortcut below remembers.
+//
+// Insert is the runtime path. Ascending inserts take a shortcut, after
+// PostgreSQL nbtree's fastpath for monotonically increasing keys: the
+// tree remembers the largest key it holds or was given and the page of
+// its rightmost leaf, and a key above that largest key goes after the
+// leaf's last entry with no descent, no binary search and no overwrite
+// check — one pool access when it fits. When it does not, the insert
+// descends through each node's last child to re-find the leaf and splits
+// it 100/0. A run of ascending inserts never returns to the full leaf it
+// leaves, so the split writes the remembered leaf back at once
+// (buffer.Pool.WriteBack) instead of leaving it for the pool's clock.
 // When the full leaf's cells already lie packed in slot order, as
 // ascending inserts leave them, they stay where they are rather than
 // being copied out and rewritten: the new right leaf, holding just the
@@ -36,6 +48,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/buffer"
@@ -90,6 +103,130 @@ func New(pool *buffer.Pool) (*Tree, error) {
 	pool.Unpin(fr, true)
 	t.root, t.last = page, page
 	return t, nil
+}
+
+// Build writes a tree of n entries, entry(i) giving the i-th, whose keys
+// must strictly ascend, to a fresh file on the pool's disk, bottom-up
+// (see the package comment). It keeps one open page per level and writes
+// each page as it fills, the root last; no page passes through the pool.
+// Each entry is checked as Insert checks it, and a failed Build leaves a
+// file no tree refers to. The tree remembers its largest key and
+// rightmost leaf as ascending Inserts would have left them.
+func Build(pool *buffer.Pool, n int, entry func(i int) (key, val []byte)) (*Tree, error) {
+	b := &builder{t: &Tree{pool: pool, file: pool.Disk().CreateFile()}}
+	b.open = []node{b.newNode(nodeLeaf)}
+	for i := range n {
+		if err := b.add(entry(i)); err != nil {
+			return nil, err
+		}
+	}
+	for _, nd := range b.open {
+		if err := b.write(nd); err != nil {
+			return nil, err
+		}
+	}
+	b.t.root, b.t.height = b.open[len(b.open)-1].page, len(b.open)
+	b.t.top, b.t.last = b.prev, b.open[0].page
+	return b.t, nil
+}
+
+// builder is Build's state: the open (rightmost) node of every level,
+// leaf first, and the previous key.
+type builder struct {
+	t     *Tree
+	open  []node
+	spare []byte // takes the right half of an internal split
+	prev  []byte
+}
+
+// node is a page being built: its number and its bytes.
+type node struct {
+	page int64
+	d    []byte
+}
+
+// newNode allocates the file's next page for an empty node of type typ.
+func (b *builder) newNode(typ byte) node {
+	d := make([]byte, b.t.pool.Disk().PageSize())
+	initNode(d, typ)
+	return node{page: b.alloc(), d: d}
+}
+
+// alloc appends a page to the tree's file and returns its number.
+func (b *builder) alloc() int64 { return b.t.pool.Disk().AllocPage(b.t.file) }
+
+// write puts a finished node on disk and pays the write as a pool
+// write-back does.
+func (b *builder) write(nd node) error {
+	disk := b.t.pool.Disk()
+	cost, err := disk.WritePageDeferWait(b.t.file, nd.page, nd.d)
+	disk.PayWait(cost)
+	return err
+}
+
+// add appends (key, val) to the open leaf. When it does not fit, the leaf
+// gets its right sibling's page and goes to disk, and the sibling starts
+// with the entry, its key the separator for the level above.
+func (b *builder) add(key, val []byte) error {
+	if err := b.t.checkEntry(key, val); err != nil {
+		return err
+	}
+	if b.t.count > 0 && bytes.Compare(key, b.prev) <= 0 {
+		return fmt.Errorf("btree: build entry %d is not above the one before it", b.t.count)
+	}
+	b.prev = append(b.prev[:0], key...)
+	if leaf := b.open[0]; freeSpace(leaf.d) < leafCellSize(key, val)+slotSize {
+		next := b.alloc()
+		setAux(leaf.d, next)
+		if err := b.write(leaf); err != nil {
+			return err
+		}
+		// The finished leaf's buffer takes its sibling, zeroed as a new
+		// page is.
+		clear(leaf.d)
+		initNode(leaf.d, nodeLeaf)
+		b.open[0].page = next
+		if err := b.push(1, key, next, leaf.page); err != nil {
+			return err
+		}
+	}
+	d := b.open[0].d
+	i := numKeys(d)
+	insertSlot(d, i)
+	writeLeafCell(d, i, key, val)
+	b.t.count++
+	return nil
+}
+
+// push appends the separator (key, child) to the open node of level l,
+// where left is the node of level l-1 that child follows. A level with no
+// node yet gets one, left as its leftmost child: the new root. A full node
+// splits at its middle entry as Insert's does: the left half goes to disk,
+// the right half stays open on a new page, and the middle key goes up.
+func (b *builder) push(l int, key []byte, child, left int64) error {
+	if l == len(b.open) {
+		root := b.newNode(nodeInternal)
+		setAux(root.d, left)
+		b.open = append(b.open, root)
+	}
+	nd := b.open[l]
+	idx := numKeys(nd.d)
+	if freeSpace(nd.d) >= internalCellSize(key)+slotSize {
+		insertSlot(nd.d, idx)
+		writeInternalCell(nd.d, idx, key, child)
+		return nil
+	}
+	if b.spare == nil {
+		b.spare = make([]byte, len(nd.d))
+	}
+	clear(b.spare)
+	right := node{page: b.alloc(), d: b.spare}
+	up := splitInternal(nd.d, right.d, idx, key, child)
+	if err := b.write(nd); err != nil {
+		return err
+	}
+	b.open[l], b.spare = right, nd.d
+	return b.push(l+1, up, right.page, nd.page)
 }
 
 // FileID returns the simulated-disk file holding the tree.
@@ -290,7 +427,21 @@ type splitResult struct {
 	newPage int64
 }
 
-// Insert adds or overwrites the entry for key.
+// checkEntry rejects an entry no leaf could hold: an empty key, or a cell
+// above a quarter of the page, so every split leaves both halves room.
+func (t *Tree) checkEntry(key, val []byte) error {
+	if len(key) == 0 {
+		return fmt.Errorf("btree: empty key")
+	}
+	maxCell := (t.pool.Disk().PageSize() - headerSize - slotSize*4) / 4
+	if leafCellSize(key, val) > maxCell {
+		return fmt.Errorf("btree: entry of %d bytes too large for page", leafCellSize(key, val))
+	}
+	return nil
+}
+
+// Insert adds or overwrites the entry for key. A failed Insert changes no
+// leaf, and counts the entry only once a leaf holds it.
 //
 // A key above every key in the tree (asc) needs no search. When the tree
 // remembers its rightmost leaf and the entry fits there, it goes after
@@ -304,12 +455,8 @@ type splitResult struct {
 // the middle of the key range can move; the next ascending insert
 // re-finds it, and a leaf it splits at once is left to the clock.
 func (t *Tree) Insert(key, val []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("btree: empty key")
-	}
-	maxCell := (t.pool.Disk().PageSize() - headerSize - slotSize*4) / 4
-	if leafCellSize(key, val) > maxCell {
-		return fmt.Errorf("btree: entry of %d bytes too large for page", leafCellSize(key, val))
+	if err := t.checkEntry(key, val); err != nil {
+		return err
 	}
 	asc := bytes.Compare(key, t.top) > 0
 	if asc {
@@ -409,24 +556,38 @@ func (t *Tree) insertRec(page int64, key, val []byte, asc bool) (splitResult, er
 }
 
 // insertLeaf places (key, val) into the leaf, splitting when necessary.
-// An existing entry for key is replaced (delete-then-insert). A key above
-// every key in the tree (asc) goes last, with no search.
+// An existing entry for key is replaced; a replacement that needs a split
+// leaves the old entry in place until the split has its new page. A key
+// above every key in the tree (asc) goes last, with no search.
 func (t *Tree) insertLeaf(d []byte, key, val []byte, asc bool) (splitResult, bool, error) {
 	pos := numKeys(d)
 	if !asc {
 		pos = searchLeaf(d, key)
 	}
-	if pos < numKeys(d) && bytes.Equal(leafCellKey(d, pos), key) {
+	replace := pos < numKeys(d) && bytes.Equal(leafCellKey(d, pos), key)
+	need := leafCellSize(key, val) + slotSize
+	// The room the leaf has once a replaced entry's slot is gone; its
+	// cell's bytes stay until a compaction.
+	free := freeSpace(d)
+	if replace {
+		free += slotSize
+	}
+	squeeze := free < need
+	if squeeze {
+		live := liveBytes(d)
+		if replace {
+			live -= leafCellSize(leafCellKey(d, pos), leafCellVal(d, pos)) + slotSize
+		}
+		if live+need > len(d)-headerSize {
+			return t.splitLeafAndInsert(d, key, val, pos, replace)
+		}
+	}
+	if replace {
 		removeSlot(d, pos)
 		t.count--
 	}
-	need := leafCellSize(key, val) + slotSize
-	if freeSpace(d) < need {
-		if liveBytes(d)+need <= len(d)-headerSize {
-			compact(d)
-		} else {
-			return t.splitLeafAndInsert(d, key, val, pos)
-		}
+	if squeeze {
+		compact(d)
 	}
 	insertSlot(d, pos)
 	writeLeafCell(d, pos, key, val)
@@ -435,8 +596,10 @@ func (t *Tree) insertLeaf(d []byte, key, val []byte, asc bool) (splitResult, boo
 }
 
 // splitLeafAndInsert splits a full leaf around the insertion of (key,val)
-// at slot position pos.
-func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int) (splitResult, bool, error) {
+// at slot position pos, which replaces the entry there when replace is
+// set. The leaf is rewritten only once the new right page is pinned, so a
+// split that fails leaves it, and the count, as they were.
+func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int, replace bool) (splitResult, bool, error) {
 	n := numKeys(d)
 	if pos == n && aux(d) == noSibling && packed(d) {
 		return t.splitLast(d, key, val)
@@ -444,16 +607,18 @@ func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int) (splitResu
 	type entry struct{ k, v []byte }
 	entries := make([]entry, 0, n+1)
 	for i := 0; i < n; i++ {
+		if replace && i == pos {
+			continue
+		}
 		entries = append(entries, entry{
 			k: append([]byte(nil), leafCellKey(d, i)...),
 			v: append([]byte(nil), leafCellVal(d, i)...),
 		})
 	}
-	entries = append(entries[:pos], append([]entry{{k: append([]byte(nil), key...), v: append([]byte(nil), val...)}}, entries[pos:]...)...)
-	t.count++
+	entries = slices.Insert(entries, pos, entry{k: append([]byte(nil), key...), v: append([]byte(nil), val...)})
 
 	// Choose the split point. Rightmost insertion into the rightmost leaf
-	// uses a 100/0 split so ascending bulk loads fill pages completely.
+	// uses a 100/0 split so ascending inserts fill pages completely.
 	var splitAt int
 	if pos == n && aux(d) == noSibling {
 		splitAt = len(entries) - 1
@@ -484,19 +649,21 @@ func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int) (splitResu
 	if err != nil {
 		return splitResult{}, false, err
 	}
+	if !replace {
+		t.count++
+	}
 	nd := nfr.Data
 	initNode(nd, nodeLeaf)
 	setAux(nd, aux(d)) // new right node inherits old sibling
 
 	// Rewrite left node with entries[:splitAt].
-	oldSib := newPage
 	setNumKeys(d, 0)
 	setCellStart(d, len(d))
 	for i, e := range entries[:splitAt] {
 		insertSlot(d, i)
 		writeLeafCell(d, i, e.k, e.v)
 	}
-	setAux(d, oldSib)
+	setAux(d, newPage)
 
 	for i, e := range entries[splitAt:] {
 		insertSlot(nd, i)
@@ -556,7 +723,24 @@ func (t *Tree) insertInternal(d []byte, idx int, sepKey []byte, newChild int64) 
 	return splitResult{}, nil
 }
 
+// splitInternalAndInsert splits the full internal node d onto a new page
+// (splitInternal); d is unchanged when the page cannot be had.
 func (t *Tree) splitInternalAndInsert(d []byte, idx int, sepKey []byte, newChild int64) (splitResult, error) {
+	newPage, nfr, err := t.pool.NewPage(t.file)
+	if err != nil {
+		return splitResult{}, err
+	}
+	up := splitInternal(d, nfr.Data, idx, sepKey, newChild)
+	t.pool.Unpin(nfr, true)
+	return splitResult{split: true, sepKey: up, newPage: newPage}, nil
+}
+
+// splitInternal splits the full internal node d around the insertion of
+// (sepKey, newChild) at child index idx: d keeps the entries left of the
+// middle one, nd (a page of the same size) takes those right of it, its
+// leftmost child the middle entry's, and the middle key is returned to
+// go up a level.
+func splitInternal(d, nd []byte, idx int, sepKey []byte, newChild int64) []byte {
 	n := numKeys(d)
 	type entry struct {
 		k     []byte
@@ -569,24 +753,15 @@ func (t *Tree) splitInternalAndInsert(d []byte, idx int, sepKey []byte, newChild
 			child: internalCellChild(d, i),
 		})
 	}
-	entries = append(entries[:idx], append([]entry{{k: append([]byte(nil), sepKey...), child: newChild}}, entries[idx:]...)...)
+	entries = slices.Insert(entries, idx, entry{k: append([]byte(nil), sepKey...), child: newChild})
 
 	mid := len(entries) / 2
-	upKey := entries[mid].k
-	rightLeftmost := entries[mid].child
-
-	newPage, nfr, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return splitResult{}, err
-	}
-	nd := nfr.Data
 	initNode(nd, nodeInternal)
-	setAux(nd, rightLeftmost)
+	setAux(nd, entries[mid].child)
 	for i, e := range entries[mid+1:] {
 		insertSlot(nd, i)
 		writeInternalCell(nd, i, e.k, e.child)
 	}
-	t.pool.Unpin(nfr, true)
 
 	leftmost := aux(d)
 	setNumKeys(d, 0)
@@ -596,7 +771,7 @@ func (t *Tree) splitInternalAndInsert(d []byte, idx int, sepKey []byte, newChild
 		insertSlot(d, i)
 		writeInternalCell(d, i, e.k, e.child)
 	}
-	return splitResult{split: true, sepKey: upKey, newPage: newPage}, nil
+	return entries[mid].k
 }
 
 // PackedHeight returns the height Insert gives a tree of n entries, each

@@ -409,7 +409,9 @@ func TestTable6CompositeCMWins(t *testing.T) {
 	if pair.Runtime >= bt.Runtime {
 		t.Errorf("composite CM (%v) not faster than composite B+Tree (%v)", pair.Runtime, bt.Runtime)
 	}
-	if pair.SizeBytes*10 > bt.SizeBytes {
+	// 8x: the composite B+Tree is built packed, as a fresh index is
+	// (9.1x here; the bound was 10x while inserts split its leaves 50/50).
+	if pair.SizeBytes*8 > bt.SizeBytes {
 		t.Errorf("composite CM %d bytes not ≪ B+Tree %d bytes", pair.SizeBytes, bt.SizeBytes)
 	}
 	if pair.Rows == 0 {
@@ -437,7 +439,9 @@ func paperScale[R Result](t *testing.T, name string) R {
 
 // TestPaperScaleFigure6 is the paper's headline at the paper's shape: the
 // CM answers every price range faster than the secondary B+Tree, from a
-// structure a small fraction of its size.
+// structure a small fraction of its size: at most 1/30 of the packed
+// tree a bulk build makes (1:33 measured; the bound was 1/40 while the
+// tree was grown by inserts that split its leaves 50/50, 1:51).
 func TestPaperScaleFigure6(t *testing.T) {
 	res := paperScale[*Figure6Result](t, "figure6")
 	for _, p := range res.Points {
@@ -445,8 +449,8 @@ func TestPaperScaleFigure6(t *testing.T) {
 			t.Errorf("range %d: CM %v not faster than B+Tree %v", p.RangeDollars, p.CM, p.BTree)
 		}
 	}
-	if res.TreeBytes < 40*res.CMBytes {
-		t.Errorf("B+Tree %d bytes is under 40x the CM's %d", res.TreeBytes, res.CMBytes)
+	if res.TreeBytes < 30*res.CMBytes {
+		t.Errorf("B+Tree %d bytes is under 30x the CM's %d", res.TreeBytes, res.CMBytes)
 	}
 }
 

@@ -3,11 +3,8 @@ package table_test
 import (
 	"testing"
 
-	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/datagen"
-	"repro/internal/heap"
-	"repro/internal/keyenc"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -16,8 +13,9 @@ import (
 // TestBTreeHeightMatchesPackedTree holds Stats.BTreeHeight, which the
 // table computes, to the height of a real dense B+Tree built the way the
 // paper's clustered index is: one (clustering key ‖ RID) entry per row,
-// inserted in key order. The fixtures are the ones the experiments and
-// the benchmark price with it, at their paper scale: the benchmark's
+// in key order — what CreateIndex builds over the clustering columns.
+// The fixtures are the ones the experiments and the benchmark price
+// with it, at their paper scale: the benchmark's
 // correlated items, Lineitem clustered on receiptdate and on its
 // primary key, eBay clustered on catid and SDSS clustered on objID.
 func TestBTreeHeightMatchesPackedTree(t *testing.T) {
@@ -52,24 +50,13 @@ func TestBTreeHeightMatchesPackedTree(t *testing.T) {
 			if err := tbl.Load(f.rows); err != nil {
 				t.Fatal(err)
 			}
-			tree, err := btree.New(pool)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// A loaded heap is in clustering-key order, equal keys by
-			// ascending RID: the entries arrive sorted.
-			var key []byte
-			err = tbl.Scan(nil, func(rid heap.RID, row value.Row) bool {
-				key = table.AppendRID(keyenc.AppendRowPrefix(key[:0], row, f.cols), rid)
-				if e := tree.Insert(key, nil); e != nil {
-					err = e
-					return false
-				}
-				return true
-			})
+			// ascending RID: the index gets its entries sorted.
+			ix, err := tbl.CreateIndex("clustering", f.cols)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tree := ix.Tree
 			got := tbl.Stats().BTreeHeight
 			t.Logf("%d rows: computed height %d, built tree %d (%d pages)", tree.Len(), got, tree.Height(), tree.PageCount())
 			if got != tree.Height() || tree.Len() != int64(len(f.rows)) {

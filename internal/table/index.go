@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/stats"
@@ -80,6 +82,52 @@ func countedPairs(pc *stats.PairCounter, at int64) *Pairs {
 // keyFor builds the full entry key for a row at rid.
 func (ix *Index) keyFor(row value.Row, rid heap.RID) []byte {
 	return AppendRID(keyenc.EncodeRowPrefix(row, ix.Cols), rid)
+}
+
+// entries is an arena of index entry keys, (attribute key ‖ RID), for a
+// bulk build: entry i is keys[offs[i]:offs[i+1]], and offs starts at 0.
+type entries struct {
+	keys []byte
+	offs []int
+}
+
+// reset empties the arena, keeping its buffers.
+func (e *entries) reset() { e.keys, e.offs = e.keys[:0], e.offs[:1] }
+
+// add appends the entry of row at rid for an index over cols and returns
+// its attribute key, which aliases the arena until the next add.
+func (e *entries) add(row value.Row, cols []int, rid heap.RID) []byte {
+	start := len(e.keys)
+	e.keys = keyenc.AppendRowPrefix(e.keys, row, cols)
+	if len(e.offs) == 1 {
+		// Size the arena from the first entry: fixed-width keys fill it.
+		e.keys = slices.Grow(e.keys, (len(e.keys)+ridKeyLen)*cap(e.offs))
+	}
+	ukey := e.keys[start:]
+	e.keys = AppendRID(e.keys, rid)
+	e.offs = append(e.offs, len(e.keys))
+	return ukey
+}
+
+// build writes the B+Tree of the entries bottom-up (btree.Build), taking
+// them in key order: as they arrive when the rows came in that order,
+// else as keyOrder sorts them.
+func (e *entries) build(pool *buffer.Pool) (*btree.Tree, error) {
+	n := len(e.offs) - 1
+	key := func(i int) []byte { return e.keys[e.offs[i]:e.offs[i+1]] }
+	var order []int
+	for i := 1; i < n; i++ {
+		if bytes.Compare(key(i-1), key(i)) > 0 {
+			order = keyOrder(e.keys, e.offs)
+			break
+		}
+	}
+	return btree.Build(pool, n, func(i int) ([]byte, []byte) {
+		if order != nil {
+			i = order[i]
+		}
+		return key(i), nil
+	})
 }
 
 // Insert adds the entry for row at rid.

@@ -301,20 +301,24 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 	checkPageDir(t, tbl, "after the writer")
 }
 
-// TestPageDirectoryLoadAbort fails a bulk load part way on an injected
-// fault, at many points: in a heap page's write-back, in an eviction,
-// and in an index insert after the heap has taken the rest of its page's
-// run. The unwind must take every row back out of the heap, the index
-// and the directory, and leave no frame pinned.
+// TestPageDirectoryLoadAbort fails a bulk load, and an index build, on
+// an injected fault at each disk write they make in turn: a heap page's
+// write-back, an eviction, and a page of an index's bottom-up build. A
+// failed Load must take every row back out of the heap and the directory
+// and leave the index created before it with no entries, and can then be
+// run again; a failed CreateIndex must add no index. Neither may leave a
+// frame pinned.
 func TestPageDirectoryLoadAbort(t *testing.T) {
 	rows := make([]value.Row, 600)
 	for i := range rows {
 		rows[i] = dirRow(int64(i), "load")
+		// Out of key order, so the index build sorts its entries.
+		rows[i][1] = value.NewInt(int64(i * 7 % 97))
 	}
-	for n := int64(1); n <= 60; n += 3 {
+	newTable := func() (*Table, *sim.Disk) {
 		d := sim.NewDisk(sim.Config{PageSize: 512})
-		// A pool far smaller than the load: the load's write-backs and
-		// evictions write dirty pages, and the nth such write fails.
+		// A pool far smaller than the load: its write-backs and evictions
+		// write dirty pages.
 		tbl, err := New(buffer.NewPool(d, 16), wal.NewLog(d), Config{
 			Name:          "dir",
 			Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
@@ -324,28 +328,68 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := tbl.CreateIndex("ix_u", []int{1})
-		if err != nil {
+		return tbl, d
+	}
+	createIndex := func(tbl *Table) error {
+		_, err := tbl.CreateIndex("ix_u", []int{1})
+		return err
+	}
+	load := func(tbl *Table) error { return tbl.Load(rows) }
+	for _, c := range []struct {
+		name       string
+		setup, run func(*Table) error
+		check      func(*Table, int64)
+	}{
+		{"Load", createIndex, load, func(tbl *Table, n int64) {
+			ix := tbl.Indexes()[0]
+			if got, entries := tbl.Heap().TupleCount(), ix.Tree.Len(); got != 0 || entries != 0 {
+				t.Fatalf("write %d: the failed Load left %d heap tuples and %d index entries", n, got, entries)
+			}
+			if it, err := ix.Tree.SeekFirst(); err != nil || it.Valid() {
+				t.Fatalf("write %d: the index yields an entry after the failed Load (%v)", n, err)
+			}
+			checkPageDir(t, tbl, "after the failed Load")
+			for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
+				if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
+					t.Fatalf("write %d: bucket %d still holds pages %v after the load unwound", n, b, pages)
+				}
+			}
+			if err := tbl.Load(rows); err != nil || ix.Tree.Len() != int64(len(rows)) {
+				t.Fatalf("write %d: Load after the failed one: %v, %d index entries", n, err, ix.Tree.Len())
+			}
+		}},
+		{"CreateIndex", load, createIndex, func(tbl *Table, n int64) {
+			if ixs := len(tbl.Indexes()); ixs != 0 {
+				t.Fatalf("write %d: the failed CreateIndex left %d indexes", n, ixs)
+			}
+		}},
+	} {
+		tbl, d := newTable()
+		if err := c.setup(tbl); err != nil {
 			t.Fatal(err)
 		}
-		d.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
-		err = tbl.Load(rows)
-		d.SetFaultPlan(nil)
-		if !errors.Is(err, sim.ErrInjected) {
-			t.Fatalf("write %d: Load under a write fault returned %v", n, err)
+		before := d.Stats().Writes
+		if err := c.run(tbl); err != nil {
+			t.Fatal(err)
 		}
-		if n := tbl.Pool().PinnedFrames(); n != 0 {
-			t.Errorf("%d frames still pinned after the failed Load", n)
-		}
-		if got, entries := tbl.Heap().TupleCount(), ix.Tree.Len(); got != 0 || entries != 0 {
-			t.Fatalf("write %d: the failed Load left %d heap tuples and %d index entries", n, got, entries)
-		}
-		checkPageDir(t, tbl, "after the failed Load")
-		for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
-			if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
-				t.Fatalf("write %d: bucket %d still holds pages %v after the load unwound", n, b, pages)
+		writes := int64(d.Stats().Writes - before)
+		for n := int64(1); n <= writes; n++ {
+			tbl, d := newTable()
+			if err := c.setup(tbl); err != nil {
+				t.Fatal(err)
 			}
+			d.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
+			err := c.run(tbl)
+			d.SetFaultPlan(nil)
+			if !errors.Is(err, sim.ErrInjected) {
+				t.Fatalf("%s, write %d of %d: returned %v under a write fault", c.name, n, writes, err)
+			}
+			if p := tbl.Pool().PinnedFrames(); p != 0 {
+				t.Fatalf("%s, write %d: %d frames still pinned after the failure", c.name, n, p)
+			}
+			c.check(tbl, n)
 		}
+		t.Logf("%s: a fault at each of its %d writes", c.name, writes)
 	}
 }
 
@@ -366,4 +410,52 @@ func TestDirectorySizeIsCompact(t *testing.T) {
 		t.Errorf("directory is %d bytes for %d buckets (%d per bucket), want at most 64 each",
 			got, nb, got/max(nb, 1))
 	}
+}
+
+// TestLoadPublishFailureRestoresTheEmptyIndex: a Load whose Publish
+// fails, on a log broken by an earlier unrecoverable tail fault, has
+// already put its built tree in the index; the unwind must put the
+// empty one back, so the index yields nothing.
+func TestLoadPublishFailureRestoresTheEmptyIndex(t *testing.T) {
+	d := sim.NewDisk(sim.Config{PageSize: 512})
+	log := wal.NewLog(d)
+	tbl, err := New(buffer.NewPool(d, 64), log, Config{
+		Name:          "dir",
+		Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
+		ClusteredCols: []int{0},
+		BucketTuples:  10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tbl.CreateIndex("ix_u", []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := ix.Tree
+	// Break the log: a record that rotates past a page whose second page
+	// write fails, and whose rollback cannot read the first page back.
+	if err := log.Append(wal.Record{Type: wal.RecInsert, Target: "dir", Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 2, FailReadN: 1})
+	if err := log.Append(wal.Record{Type: wal.RecInsert, Target: "dir", Payload: make([]byte, 1500)}); err == nil {
+		t.Fatal("the append under a write fault succeeded")
+	}
+	d.SetFaultPlan(nil)
+	rows := make([]value.Row, 300)
+	for i := range rows {
+		rows[i] = dirRow(int64(i), "load")
+	}
+	if err := tbl.Load(rows); err == nil {
+		t.Fatal("Load published on a broken log")
+	}
+	if ix.Tree != empty || ix.Tree.Len() != 0 || tbl.Heap().TupleCount() != 0 {
+		t.Fatalf("the failed Load left the index tree %p (empty one %p, %d entries) and %d heap tuples",
+			ix.Tree, empty, ix.Tree.Len(), tbl.Heap().TupleCount())
+	}
+	if it, err := ix.Tree.SeekFirst(); err != nil || it.Valid() {
+		t.Fatalf("the index yields an entry after the failed Load (%v)", err)
+	}
+	checkPageDir(t, tbl, "after the failed Load")
 }

@@ -212,10 +212,11 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // row is assigned goes straight into the page directory with the row's
 // page, so the directory is complete when the load is. Load runs only on
 // an empty table, and before any CM is created. A secondary index
-// created before it gets the loaded rows' entries, and its pair
-// statistics are recounted from the sorted rows in hand, not from a
-// scan. Each row is validated and encoded once, and equal keys keep
-// their input order.
+// created before it gets a tree built bottom-up from the loaded rows'
+// entries, as CreateIndex builds one, in place of its empty tree, and its
+// pair statistics are counted from the rows in hand, not from a scan.
+// Each row is validated and encoded once, and equal keys keep their
+// input order.
 //
 // The heap is written once, in page order: as the append moves on to a
 // new tail page, the full page it leaves is written back
@@ -317,18 +318,27 @@ func (t *Table) Load(rows []value.Row) error {
 			return abort(err)
 		}
 	}
-	// The loaded rows are the whole table. Their statistics are stamped
-	// as of after the Publish below, which adds them to the written count.
+	// The loaded rows are the whole table: each secondary index, empty
+	// until now, gets a tree built from them, and pair statistics counted
+	// in the same pass over its entries, stamped as of after the Publish
+	// below, which adds the rows to the written count. The entries share
+	// one arena, reused index to index.
 	var pairs []*Pairs
-	if len(rows) > 0 {
+	var trees []*btree.Tree
+	if len(rows) > 0 && len(t.secondary) > 0 {
 		at := t.written.Load() + int64(len(rows))
-		var ukey []byte
+		ent := entries{offs: make([]int, 1, len(rows)+1)}
 		for _, ix := range t.secondary {
+			ent.reset()
 			pc := stats.NewPairCounter()
-			for i, pos := range order {
-				ukey = keyenc.AppendRowPrefix(ukey[:0], sorted[i], ix.Cols)
-				pc.Add(ukey, key(pos))
+			for i, u := range tx.inserted {
+				pc.Add(ent.add(u.row, ix.Cols, u.rid), key(order[i]))
 			}
+			tree, err := ent.build(t.pool)
+			if err != nil {
+				return abort(err)
+			}
+			trees = append(trees, tree)
 			pairs = append(pairs, countedPairs(pc, at))
 		}
 	}
@@ -340,7 +350,11 @@ func (t *Table) Load(rows []value.Row) error {
 	}
 	t.loaded = true
 	for j, p := range pairs {
-		t.secondary[j].pairs.Store(p)
+		ix := t.secondary[j]
+		ix.pairs.Store(p)
+		// The unwind of a failed Publish puts the empty tree back.
+		tx.replaced = append(tx.replaced, ix.Tree)
+		ix.Tree = trees[j]
 	}
 	t.mu.Unlock()
 	return tx.Publish()
@@ -350,36 +364,31 @@ func (t *Table) Load(rows []value.Row) error {
 // the heap, and counts the index's pair statistics (Index.Pairs) in the
 // same scan, from each entry's encoded key and the row's clustered key:
 // the planner prices the index from them without reading the heap again.
-// Over an empty table it counts nothing; a later Load does.
+// The scan encodes every entry once, into one arena, and the tree is
+// built from it bottom-up (btree.Build), so it takes no pool frame. Over
+// an empty table it counts nothing; a later Load does.
 func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 	for _, c := range cols {
 		if c < 0 || c >= len(t.cfg.Schema.Cols) {
 			return nil, fmt.Errorf("table %s: index column %d out of range", t.cfg.Name, c)
 		}
 	}
-	tree, err := btree.New(t.pool)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{Name: name, Cols: cols, Tree: tree}
 	pc := stats.NewPairCounter()
-	// Both keys are encoded into buffers reused across rows (the tree
-	// copies what it keeps), so the count allocates nothing per row.
-	var key, ckey []byte
-	err = t.scan(scanCols(cols, t.cfg.ClusteredCols), true, func(rid heap.RID, row value.Row) bool {
-		key = keyenc.AppendRowPrefix(key[:0], row, cols)
+	ent := entries{offs: make([]int, 1, t.heapf.TupleCount()+1)}
+	var ckey []byte
+	err := t.scan(scanCols(cols, t.cfg.ClusteredCols), true, func(rid heap.RID, row value.Row) bool {
 		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
-		pc.Add(key, ckey)
-		key = AppendRID(key, rid)
-		if e := ix.Tree.Insert(key, nil); e != nil {
-			err = e
-			return false
-		}
+		pc.Add(ent.add(row, cols, rid), ckey)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
+	tree, err := ent.build(t.pool)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{Name: name, Cols: cols, Tree: tree}
 	if pc.Rows() > 0 {
 		ix.pairs.Store(countedPairs(pc, t.written.Load()))
 	}

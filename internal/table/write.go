@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/metrics"
@@ -212,6 +213,9 @@ type WriteTxn struct {
 	retract  []retraction
 	recs     []wal.Record
 	load     bool // a bulk load: unlogged, appended at the heap's tail
+	// replaced holds a load's empty secondary trees once Load has put
+	// the trees it built in their place, for the unwind to restore.
+	replaced []*btree.Tree
 	done     bool
 	ctx      context.Context
 	key      []byte // bucketFor's clustering-key buffer
@@ -370,24 +374,25 @@ func (tx *WriteTxn) appendLoaded(rows []value.Row, encs [][]byte, cbs []int32) e
 }
 
 // added records and indexes the new row version at rid, whose encoding
-// is enc, in clustered bucket cb: the undo log, the page directory,
-// every secondary index and CM, and (but for a load) the WAL. Caller
-// holds the latch.
+// is enc, in clustered bucket cb: the undo log, the page directory, every
+// CM and, but for a load, every secondary index and the WAL (Load builds
+// its indexes once every row is in). Caller holds the latch.
 func (tx *WriteTxn) added(row value.Row, enc []byte, rid heap.RID, cb int32) error {
 	t := tx.t
 	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
 	t.pageDir.add(cb, rid.Page)
+	for _, cm := range t.cms {
+		cm.AddRow(row, cb)
+	}
+	if tx.load {
+		return nil
+	}
 	for _, ix := range t.secondary {
 		if err := ix.Insert(row, rid); err != nil {
 			return err
 		}
 	}
-	for _, cm := range t.cms {
-		cm.AddRow(row, cb)
-	}
-	if !tx.load {
-		tx.recs = append(tx.recs, wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc})
-	}
+	tx.recs = append(tx.recs, wal.Record{Type: wal.RecInsert, Target: t.cfg.Name, Payload: enc})
 	return nil
 }
 
@@ -698,6 +703,9 @@ func (t *Table) restoreVersion(r retraction, ixs, cms int) {
 // a failure here means the structure was already inconsistent.
 func (tx *WriteTxn) unwind() {
 	t := tx.t
+	for i, tree := range tx.replaced {
+		t.secondary[i].Tree = tree
+	}
 	for i := len(tx.inserted) - 1; i >= 0; i-- {
 		u := tx.inserted[i]
 		if u.inPlace {
@@ -707,8 +715,10 @@ func (tx *WriteTxn) unwind() {
 			continue
 		}
 		t.pageDir.remove(u.cb, u.rid.Page)
-		for _, ix := range t.secondary {
-			_, _ = ix.Delete(u.row, u.rid)
+		if !tx.load {
+			for _, ix := range t.secondary {
+				_, _ = ix.Delete(u.row, u.rid)
+			}
 		}
 		for _, cm := range t.cms {
 			_ = cm.RemoveRow(u.row, u.cb)
