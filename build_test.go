@@ -43,10 +43,10 @@ func diskDigest(t *testing.T, db *DB, tbl *Table) string {
 	files := tbl.inner.Indexes()[0].Tree.FileID() + 1
 	tbl.inner.RUnlock()
 	h := sha256.New()
-	page := make([]byte, db.disk.PageSize())
 	for f := sim.FileID(0); f < files; f++ {
 		for p := range db.disk.NumPages(f) {
-			if _, err := db.disk.ReadPageDeferWait(f, p, page); err != nil {
+			page, _, err := db.disk.ReadPageDeferWait(f, p)
+			if err != nil {
 				t.Fatal(err)
 			}
 			h.Write(page)
@@ -124,9 +124,7 @@ func TestBuildGoldenBytes(t *testing.T) {
 
 // TestBuildKeepsTheIndexOutOfThePool: the Figure 6 build's index takes
 // no pool frame. At pool 4096, where the build evicts nothing, none of
-// the index's pages is resident afterwards, and pool.frame_bytes is the
-// heap's 1,334 pages of 8,192 B (1,519 pages while the index was built
-// by inserts through the pool).
+// the index's pages is resident afterwards.
 func TestBuildKeepsTheIndexOutOfThePool(t *testing.T) {
 	db := Open(Config{BufferPoolPages: 4096})
 	tbl := buildItems(t, db, itemsRows(60000))
@@ -138,34 +136,34 @@ func TestBuildKeepsTheIndexOutOfThePool(t *testing.T) {
 			t.Fatalf("index page %d of %d is resident after the build", p, tree.PageCount())
 		}
 	}
-	if got, want := db.Metrics("pool.frame_bytes")[0].Value, int64(1334*8192); got != want {
-		t.Errorf("pool.frame_bytes = %d after the build, want %d", got, want)
-	}
 }
 
 // TestBuildAllocs gates the objects each step of building the Figure 6
 // fixture allocates, at one P as the benchmark builds it, about 10 %
-// above what it measures: Load 5,211 (14,549 while each page grew a
+// above what it measures: Load 3,877 (5,211 while each frame the load
+// filled allocated a second page buffer; 14,549 while each page grew a
 // per-slot version array for Clip to fold; 194,568 with an encoding, a
 // clustering key and a converted row per row), CreateIndex 323 (686
 // while it inserted each entry through the pool; 180,887 while every row
 // was decoded whole into a fresh row) and CreateCM 3,147 (63,147 while
 // its stat columns decoded each row's desc into a string; 183,143
-// before).
-// The bytes each allocates are logged.
+// before). The bytes each allocates are logged, and Load's are gated
+// 10 % above its 31.6 MB (42.5 MB with the frames' buffers); the other
+// steps' bytes move under the race detector.
 func TestBuildAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rows := itemsRows(60000)
 	db := Open(Config{})
 	tbl := emptyItems(t, db)
 	for _, s := range []struct {
-		name  string
-		run   func() error
-		bound uint64
+		name       string
+		run        func() error
+		bound      uint64
+		bytesBound uint64 // 0: not gated
 	}{
-		{"Load", func() error { return tbl.Load(rows) }, 5_730},
-		{"CreateIndex", func() error { return tbl.CreateIndex("ix_subcat", "subcat") }, 355},
-		{"CreateCM", func() error { return tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}) }, 3_450},
+		{"Load", func() error { return tbl.Load(rows) }, 4_265, 34_760_000},
+		{"CreateIndex", func() error { return tbl.CreateIndex("ix_subcat", "subcat") }, 355, 0},
+		{"CreateCM", func() error { return tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}) }, 3_450, 0},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -174,10 +172,13 @@ func TestBuildAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		objs := after.Mallocs - before.Mallocs
-		t.Logf("%s: %d objects, %.1f MB", s.name, objs, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+		objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s: %d objects, %.1f MB", s.name, objs, float64(bytes)/1e6)
 		if objs > s.bound {
 			t.Errorf("%s allocated %d objects, bound %d", s.name, objs, s.bound)
+		}
+		if s.bytesBound > 0 && bytes > s.bytesBound {
+			t.Errorf("%s allocated %d bytes, bound %d", s.name, bytes, s.bytesBound)
 		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // configEffect is what one cold full-table scan and an immediate second
@@ -73,70 +71,6 @@ func measureConfig(t *testing.T, cfg Config) configEffect {
 	}
 	eff.rereads = db.Stats().Reads - s1.Reads
 	return eff
-}
-
-// TestPoolFrameBytesFollowResidentPages: BufferPoolPages bounds what the
-// pool may hold, it is not what the pool allocates. A 4,096-page DB over
-// a small table reports pool.frame_bytes equal to its resident pages ×
-// the page size — every heap page it wrote, none evicted (its index is
-// built past the pool) — not the capacity; a cold cache and a full
-// re-read keep that figure.
-func TestPoolFrameBytesFollowResidentPages(t *testing.T) {
-	const capacity = 4096
-	db := Open(Config{BufferPoolPages: capacity})
-	tbl, err := db.CreateTable(TableSpec{
-		Name:        "small",
-		Columns:     []Column{{Name: "c", Kind: Int}, {Name: "u", Kind: Int}, {Name: "pad", Kind: String}},
-		ClusteredBy: []string{"c"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]Row, 2000)
-	for i := range data {
-		data[i] = Row{IntVal(int64(i)), IntVal(int64(i / 10)), StringVal(strings.Repeat("p", 200))}
-	}
-	if err := tbl.Load(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateIndex("ix_u", "u"); err != nil {
-		t.Fatal(err)
-	}
-	metric := func(name string) int64 { return db.Metrics(name)[0].Value }
-	if ev := metric("pool.evictions"); ev != 0 {
-		t.Fatalf("the fixture evicted %d pages; it must fit the pool", ev)
-	}
-
-	inner := tbl.inner
-	files := []sim.FileID{inner.Heap().FileID()}
-	for _, ix := range inner.Indexes() {
-		files = append(files, ix.Tree.FileID())
-	}
-	resident := int64(0)
-	for _, f := range files {
-		for pg := int64(0); pg < db.disk.NumPages(f); pg++ {
-			if db.pool.Resident(f, pg) {
-				resident++
-			}
-		}
-	}
-	ps := int64(db.disk.PageSize())
-	got := metric("pool.frame_bytes")
-	if resident == 0 || got != resident*ps {
-		t.Fatalf("pool.frame_bytes = %d, want %d resident pages × %d bytes = %d (capacity would be %d)",
-			got, resident, ps, resident*ps, capacity*ps)
-	}
-
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := db.SelectSpec(context.Background(), QuerySpec{Table: tbl.Name(), Via: TableScan}, func(Row) bool { n++; return true }); err != nil || n != len(data) {
-		t.Fatalf("cold scan saw %d rows, err %v", n, err)
-	}
-	if after := metric("pool.frame_bytes"); after != got {
-		t.Errorf("pool.frame_bytes moved %d -> %d over a cold cache and a full scan; frames keep their buffers", got, after)
-	}
 }
 
 // TestConfigFieldsHaveEffect holds every Config field to a measurable

@@ -286,3 +286,46 @@ func TestFaultDuringUpdateLeavesTableUnchanged(t *testing.T) {
 		t.Fatalf("update after disarm changed %d rows, want %d", changed, 31*25)
 	}
 }
+
+// faultOnCancel cancels at its polls-th Done poll, as cancelAfter does,
+// and arms a one-shot read fault on db's disk at that moment, so the
+// fault lands in whatever the cancelled statement does next.
+type faultOnCancel struct {
+	*cancelAfter
+	db *DB
+}
+
+func (c faultOnCancel) Done() <-chan struct{} {
+	ch := c.cancelAfter.Done()
+	if c.polls == 0 {
+		c.db.SetFaultPlan(&FaultPlan{FailReadN: 1})
+	}
+	return ch
+}
+
+// TestUnwindFaultReachesTheStatement: an INSERT whose rollback cannot
+// undo everything says so in its error. The statement's 300 rows go in
+// batches of 128 through a 4-frame pool; its context cancels it at the
+// second batch and arms a read fault as it does, so the fault fires in
+// the unwind of the first batch, whose index and heap removals read
+// evicted pages back. The error carries both the cancellation and
+// ErrInjected.
+func TestUnwindFaultReachesTheStatement(t *testing.T) {
+	db, tbl := itemsTable(t, Config{BufferPoolPages: 4}, 2000)
+	rows := make([]value.Row, 300)
+	for i := range rows {
+		rows[i] = Row{IntVal(int64(i * 13 % 4000)), IntVal(int64(i % 97)), IntVal(5), StringVal("unwound")}.internal()
+	}
+	// Polls: the statement's liveness check, then one per batch.
+	err := tbl.insertRows(faultOnCancel{newCancelAfter(3), db}, rows)
+	db.SetFaultPlan(nil)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrInjected) {
+		t.Fatalf("the cancelled INSERT returned %v, want the cancellation joined with the unwind's ErrInjected", err)
+	}
+	if n := db.disk.Stats().InjectedFaults; n != 1 {
+		t.Errorf("%d faults fired, want the unwind's one", n)
+	}
+	if n := db.pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames pinned after the unwind", n)
+	}
+}

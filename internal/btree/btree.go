@@ -153,7 +153,10 @@ func (b *builder) newNode(typ byte) node {
 }
 
 // alloc appends a page to the tree's file and returns its number.
-func (b *builder) alloc() int64 { return b.t.pool.Disk().AllocPage(b.t.file) }
+func (b *builder) alloc() int64 {
+	page, _ := b.t.pool.Disk().AllocPage(b.t.file)
+	return page
+}
 
 // write puts a finished node on disk and pays the write as a pool
 // write-back does.

@@ -620,27 +620,15 @@ func TestAscendingInsertAppendsToTheRightmostLeaf(t *testing.T) {
 				continue
 			}
 			splits++
-			// The finished leaf is clean: writing it back costs nothing,
-			// and the disk holds what the pool does.
+			// The finished leaf is clean: writing it back costs nothing.
+			// (The frame holds the disk's own page, so there is no
+			// second copy to compare.)
 			writes := disk.Stats().Writes
 			if err := tr.pool.WriteBack(tr.file, leaf); err != nil {
 				t.Fatal(err)
 			}
 			if disk.Stats().Writes != writes {
 				t.Fatalf("leaf %d was left dirty by the ascending split", leaf)
-			}
-			onDisk := make([]byte, disk.PageSize())
-			if _, err := disk.ReadPageDeferWait(tr.file, leaf, onDisk); err != nil {
-				t.Fatal(err)
-			}
-			fr, err := tr.pool.Get(tr.file, leaf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same := bytes.Equal(fr.Data, onDisk)
-			tr.pool.Unpin(fr, false)
-			if !same {
-				t.Fatalf("leaf %d on disk differs from the pool's copy", leaf)
 			}
 		}
 		if fits < 10 {

@@ -13,11 +13,13 @@
 // it, so the heap goes to disk as one sequential stream and the clock
 // later evicts clean pages. It changes no hit, miss or eviction.
 //
-// Capacity bounds residency; it is not an allocation. A new pool holds
-// only its frame table, and a frame gets its page buffer the first time
-// it is handed a page, keeping it through every later eviction and
-// Invalidate. The memory the pool holds (FrameBytes) therefore follows
-// the pages the workload has touched, up to capacity × page size.
+// The pool owns no page memory. A miss points the frame at the page the
+// simulated disk lends (sim.Disk.ReadPageDeferWait), and NewPage at the
+// page the disk allocates, so a cached page exists once, in the disk's
+// store. A writer's bytes are therefore in the store as it writes them;
+// what the pool keeps is residency, pins, the clock and which pages are
+// dirty, and a write-back charges the write that makes the bytes
+// durable. Capacity bounds residency and costs only the frame table.
 //
 // The pool is safe for concurrent use. Frames are partitioned into shards
 // (pages hash to a shard by identity), each with its own lock, frame
@@ -58,12 +60,15 @@ type Stats struct {
 	DirtyWrites uint64 // evictions (or flushes) that wrote a dirty page
 }
 
-// Frame is a pinned page in the pool. Callers mutate Data in place and
-// must Unpin (marking dirty when modified) when done. Frame contents may
-// be read concurrently by multiple pinners; mutation requires external
-// write serialization (the table-level write lock in this engine).
+// Frame is a pinned page in the pool. Data is the disk store's page
+// itself, not a copy: callers mutate it in place and must Unpin (marking
+// dirty when modified) when done, since a change is in the store at once
+// but its write is charged only when the page is written back. Frame
+// contents may be read concurrently by multiple pinners; mutation
+// requires external write serialization (the table-level write lock in
+// this engine).
 type Frame struct {
-	Data []byte // nil until the frame first holds a page
+	Data []byte // the store's page, lent by the disk; use it only while pinned
 
 	key   PageKey
 	pin   int
@@ -97,8 +102,7 @@ type Pool struct {
 }
 
 // NewPool creates a pool of at most capacity pages over disk. Only the
-// frame table is allocated; each frame's page buffer comes with its
-// first use (shard.frame).
+// frame table is allocated: a frame's bytes are the page the disk lends.
 func NewPool(disk *sim.Disk, capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
@@ -140,22 +144,6 @@ func (p *Pool) Disk() *sim.Disk { return p.disk }
 
 // Shards returns the number of lock domains the frames are split into.
 func (p *Pool) Shards() int { return len(p.shards) }
-
-// FrameBytes returns the bytes of page buffer the frames hold: one page
-// for every frame that has ever held a page, so at most the frame count
-// × the page size.
-func (p *Pool) FrameBytes() int64 {
-	var n int64
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for j := range sh.frames {
-			n += int64(len(sh.frames[j].Data))
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
 
 // Stats returns a snapshot of the counters, aggregated over shards.
 func (p *Pool) Stats() Stats {
@@ -233,9 +221,10 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 	return 0, 0, fmt.Errorf("buffer: all %d frames of shard pinned", len(sh.frames))
 }
 
-// write puts the frame's dirty page on disk, counts it in DirtyWrites and
-// marks the frame clean; on an error the frame stays dirty. It returns
-// the deferred real-wait cost. Called with the shard lock held.
+// write charges the disk write of the frame's dirty page (its bytes are
+// the store's already, so nothing is copied), counts it in DirtyWrites
+// and marks the frame clean; on an error the frame stays dirty. It
+// returns the deferred real-wait cost. Called with the shard lock held.
 func (sh *shard) write(disk *sim.Disk, fr *Frame) (time.Duration, error) {
 	cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
 	if err != nil {
@@ -244,18 +233,6 @@ func (sh *shard) write(disk *sim.Disk, fr *Frame) (time.Duration, error) {
 	sh.stats.DirtyWrites++
 	fr.dirty = false
 	return cost, nil
-}
-
-// frame returns the victim frame i with its page buffer, allocating the
-// buffer on the frame's first use; fresh reports that it did, so the
-// buffer is still all zero. Called with the shard lock held.
-func (sh *shard) frame(i, pageSize int) (fr *Frame, fresh bool) {
-	fr = &sh.frames[i]
-	if fr.Data == nil {
-		fr.Data = make([]byte, pageSize)
-		return fr, true
-	}
-	return fr, false
 }
 
 // Get pins the page into the pool, reading it from disk on a miss. The
@@ -282,14 +259,15 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 		p.disk.PayWait(owed)
 		return nil, err
 	}
-	fr, _ := sh.frame(i, p.disk.PageSize())
-	cost, err := p.disk.ReadPageDeferWait(file, page, fr.Data)
+	data, cost, err := p.disk.ReadPageDeferWait(file, page)
 	owed += cost
 	if err != nil {
 		sh.mu.Unlock()
 		p.disk.PayWait(owed)
 		return nil, err
 	}
+	fr := &sh.frames[i]
+	fr.Data = data
 	fr.key = key
 	fr.pin = 1
 	fr.dirty = false
@@ -316,10 +294,11 @@ func (p *Pool) Resident(file sim.FileID, page int64) bool {
 	return ok
 }
 
-// NewPage allocates a fresh page in the file and pins a zeroed frame for
-// it without any read I/O. The page reaches disk when evicted or flushed.
+// NewPage allocates a fresh page in the file and pins a frame holding
+// it, zeroed, without any read I/O. Its write is charged when it is
+// evicted or flushed.
 func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
-	page := p.disk.AllocPage(file)
+	page, data := p.disk.AllocPage(file)
 	key := PageKey{file, page}
 	sh := p.shardFor(key)
 	sh.mu.Lock()
@@ -329,10 +308,8 @@ func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 		p.disk.PayWait(owed)
 		return 0, nil, err
 	}
-	fr, fresh := sh.frame(i, p.disk.PageSize())
-	if !fresh {
-		clear(fr.Data) // a reused buffer still holds its last page
-	}
+	fr := &sh.frames[i]
+	fr.Data = data
 	fr.key = key
 	fr.pin = 1
 	fr.dirty = true // a new page must eventually be written
@@ -406,32 +383,30 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// Invalidate drops every cached page without writing dirty contents. It
-// models the paper's cold-cache methodology (dropping OS caches between
-// runs); callers flush first when contents must survive, and must ensure
-// no frames are pinned (no queries in flight).
-//
-// Frames keep their page buffers, and each shard's clock hand rewinds to
-// its first frame: the clock fills an empty shard in order from the
-// hand, so the next misses land on frames that already have buffers
-// instead of walking the hand onto ones that never held a page. An empty
-// shard fills and then evicts in the same page order from any starting
-// frame, so the rewind changes no hit, miss or eviction.
+// Invalidate drops every cached page. It models the paper's cold-cache
+// methodology (dropping OS caches between runs). Callers must FlushAll
+// first and ensure no frames are pinned (no queries in flight): it
+// panics on a pinned frame and on a dirty one, whose bytes are already
+// in the store but whose write would never be charged.
 func (p *Pool) Invalidate() {
 	for si := range p.shards {
 		sh := &p.shards[si]
 		sh.mu.Lock()
 		for i := range sh.frames {
 			fr := &sh.frames[i]
-			if fr.pin > 0 {
+			switch {
+			case fr.pin > 0:
 				sh.mu.Unlock()
 				panic("buffer: invalidate with pinned frames")
+			case fr.used && fr.dirty:
+				sh.mu.Unlock()
+				panic("buffer: invalidate with dirty frames; FlushAll first")
 			}
-			fr.used = false
-			fr.dirty = false
+		}
+		for i := range sh.frames {
+			sh.frames[i].used = false
 		}
 		clear(sh.table)
-		sh.hand = 0
 		sh.mu.Unlock()
 	}
 }

@@ -108,8 +108,8 @@ func TestFlushAll(t *testing.T) {
 		t.Error("dirty pages remain after flush")
 	}
 	// Verify on-disk contents directly.
-	buf := make([]byte, 64)
-	if _, err := d.ReadPageDeferWait(f, pg, buf); err != nil {
+	buf, _, err := d.ReadPageDeferWait(f, pg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xAB {
@@ -143,8 +143,8 @@ func TestWriteBack(t *testing.T) {
 	if !p.Resident(f, pg) || p.DirtyCount() != 0 {
 		t.Errorf("after WriteBack: resident %v, %d dirty frames; want resident and clean", p.Resident(f, pg), p.DirtyCount())
 	}
-	buf := make([]byte, d.PageSize())
-	if _, err := d.ReadPageDeferWait(f, pg, buf); err != nil {
+	buf, _, err := d.ReadPageDeferWait(f, pg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if string(buf[:12]) != "written back" {
@@ -391,80 +391,103 @@ func TestResidentIsOnlyAHint(t *testing.T) {
 	}
 }
 
-// TestFramesAllocateOnFirstUse pins capacity as a bound, not an
-// allocation: a frame gets its page buffer the first time it holds a
-// page and keeps it through Invalidate and eviction, and Invalidate's
-// rewound clock hand sends the next misses to frames that already have
-// buffers — without the rewind, rounds of Invalidate plus a few reads
-// walk the hand across every frame and give each one a buffer.
-func TestFramesAllocateOnFirstUse(t *testing.T) {
-	const frames, filePages = 64, 200
+// TestFramesLendTheStoresPages: the pool owns no page memory. A miss
+// hands out the disk's stored page itself (the same backing array a
+// direct read lends) and allocates nothing, NewPage hands out the page
+// the disk allocated, and a write-back charges one disk write while the
+// bytes, already in the store, stay where they are.
+func TestFramesLendTheStoresPages(t *testing.T) {
+	const frames, filePages = 4, 8
 	d := sim.NewDisk(sim.Config{PageSize: 64})
-	ps := int64(d.PageSize())
 	f := d.CreateFile()
-	full := make([]byte, ps)
-	for i := range full {
-		full[i] = 0xA5
-	}
 	for i := 0; i < filePages; i++ {
-		if _, err := d.WritePageDeferWait(f, d.AllocPage(f), full); err != nil {
-			t.Fatal(err)
-		}
+		d.AllocPage(f)
 	}
 	p := NewPool(d, frames)
-	if p.Shards() != 1 {
-		t.Fatalf("a %d-frame pool has %d shards, want 1", frames, p.Shards())
+
+	fr, err := p.Get(f, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	read := func(page int64) {
-		t.Helper()
-		fr, err := p.Get(f, page)
+	stored, _, err := d.ReadPageDeferWait(f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &fr.Data[0] != &stored[0] {
+		t.Fatal("a miss copied the page into the frame instead of lending the store's")
+	}
+	copy(fr.Data, "in the store")
+	p.Unpin(fr, true)
+	if string(stored[:12]) != "in the store" {
+		t.Errorf("the store reads %q before the write-back, want the frame's bytes", stored[:12])
+	}
+	writes := d.Stats().Writes
+	if err := p.WriteBack(f, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Writes - writes; got != 1 {
+		t.Errorf("write-back charged %d writes, want 1", got)
+	}
+	if again, _, _ := d.ReadPageDeferWait(f, 3); &again[0] != &stored[0] || string(again[:12]) != "in the store" {
+		t.Errorf("the write-back moved or changed the stored page: it reads %q", again[:12])
+	}
+
+	page, nf, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(nf, true)
+	if fresh, _, _ := d.ReadPageDeferWait(f, page); &fresh[0] != &nf.Data[0] {
+		t.Error("NewPage's frame is not the page the disk allocated")
+	}
+
+	// Cold misses, each evicting a clean page: no allocation at all.
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pg := int64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Invalidate()
+		fr, err := p.Get(f, pg%filePages)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Unpin(fr, false)
+		pg++
+	}); n != 0 {
+		t.Errorf("a cold Get allocates %.1f objects, want 0", n)
 	}
-	want := func(stage string, bytes int64) {
-		t.Helper()
-		if got := p.FrameBytes(); got != bytes {
-			t.Errorf("%s: frames hold %d bytes, want %d", stage, got, bytes)
-		}
-	}
+}
 
-	want("a new pool", 0)
-	const n = 10
-	for pg := int64(0); pg < n; pg++ {
-		read(pg)
-	}
-	want("after reading 10 pages", n*ps)
-	p.Invalidate()
-	for pg := int64(0); pg < n; pg++ {
-		read(pg)
-	}
-	want("after Invalidate and reading them again", n*ps)
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 1000; round++ {
-		p.Invalidate()
-		for i := 0; i < 5; i++ {
-			read(int64(rng.Intn(filePages)))
-		}
-	}
-	want("after 1,000 rounds of Invalidate plus 5 random pages", n*ps)
-	for pg := int64(0); pg < filePages; pg++ {
-		read(pg)
-	}
-	want("after reading past capacity", frames*ps)
-
-	_, fr, err := p.NewPage(f)
+// TestInvalidateRefusesDirtyFrames: dropping a dirty frame would leave
+// its bytes in the store without ever charging their write, so
+// Invalidate panics on one, as on a pinned frame; after FlushAll it
+// drops the page.
+func TestInvalidateRefusesDirtyFrames(t *testing.T) {
+	p, _, f := newPool(t, 4)
+	pg, fr, err := p.NewPage(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range fr.Data {
-		if b != 0 {
-			t.Fatalf("NewPage on a reused frame: byte %d is %#x, want a zeroed page", i, b)
-		}
+	p.Unpin(fr, true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Invalidate dropped a dirty frame without panicking")
+			}
+		}()
+		p.Invalidate()
+	}()
+	if !p.Resident(f, pg) || p.DirtyCount() != 1 {
+		t.Fatalf("the refused Invalidate changed the pool: resident %v, %d dirty", p.Resident(f, pg), p.DirtyCount())
 	}
-	p.Unpin(fr, false)
-	want("after NewPage on a reused frame", frames*ps)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate()
+	if p.Resident(f, pg) {
+		t.Error("page still resident after FlushAll and Invalidate")
+	}
 }
 
 // TestCacheResetStatsCoversEveryField drives traffic that moves every

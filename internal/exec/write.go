@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/heap"
@@ -94,8 +95,7 @@ func WriteByScan(ctx context.Context, t *table.Table, run func(fn TupleFunc) err
 		}
 	}
 	if err != nil {
-		tx.Abort()
-		return 0, err
+		return 0, errors.Join(err, tx.Abort())
 	}
 	return int64(olds.Len()), tx.Publish()
 }

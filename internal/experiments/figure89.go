@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -162,8 +163,7 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 func insertStmt(tbl *table.Table, rows []value.Row) error {
 	tx := tbl.BeginWrite()
 	if err := tx.InsertBatch(rows); err != nil {
-		tx.Abort()
-		return err
+		return errors.Join(err, tx.Abort())
 	}
 	return tx.Publish()
 }

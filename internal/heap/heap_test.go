@@ -79,12 +79,13 @@ func TestAppendFillsAPageUnderOnePin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a, b := make([]byte, 256), make([]byte, 256)
 	for p := range one.NumPages() {
-		if _, err := one.pool.Disk().ReadPageDeferWait(one.file, p, a); err != nil {
+		a, _, err := one.pool.Disk().ReadPageDeferWait(one.file, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := run.pool.Disk().ReadPageDeferWait(run.file, p, b); err != nil {
+		b, _, err := run.pool.Disk().ReadPageDeferWait(run.file, p)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if string(a) != string(b) {

@@ -11,7 +11,10 @@
 // sim.Disk stores pages in memory, classifies each access as sequential or
 // random by comparing it with the recently active access streams (the
 // read-ahead contexts a drive or OS keeps alive — see Disk), and
-// accumulates a virtual elapsed time from the same constants. Every
+// accumulates a virtual elapsed time from the same constants. A read
+// lends the stored page rather than copying it: the buffer pool's frame
+// holds the store's bytes, so every page exists once in memory, and a
+// dirty page's bytes are in the store before its write is charged. Every
 // "Elapsed [s]" number in our experiment output is this virtual,
 // disk-bound time, so result shapes are independent of host hardware and
 // dataset scale.
@@ -236,13 +239,15 @@ func (d *Disk) NumPages(f FileID) int64 {
 	return int64(len(d.files[f]))
 }
 
-// AllocPage appends a zeroed page to the file and returns its page number.
+// AllocPage appends a zeroed page to the file and returns its page
+// number and its bytes, lent as ReadPageDeferWait lends them.
 // Allocation itself is free; the subsequent write pays the I/O cost.
-func (d *Disk) AllocPage(f FileID) int64 {
+func (d *Disk) AllocPage(f FileID) (int64, []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.files[f] = append(d.files[f], make([]byte, d.cfg.PageSize))
-	return int64(len(d.files[f]) - 1)
+	pg := make([]byte, d.cfg.PageSize)
+	d.files[f] = append(d.files[f], pg)
+	return int64(len(d.files[f]) - 1), pg
 }
 
 // SetFaultPlan installs (or, with nil, removes) a fault-injection plan.
@@ -387,28 +392,32 @@ func (d *Disk) wait(cost time.Duration) {
 	}
 }
 
-// ReadPageDeferWait reads page p of file f into dst (which must be
-// PageSize bytes) and charges the access. It does not wait: it returns
-// the access's virtual cost for the caller to pay with PayWait once it
-// has released its own locks (the buffer pool holds a shard lock across
-// the read, and sleeping inside it would convoy unrelated accessors).
-func (d *Disk) ReadPageDeferWait(f FileID, p int64, dst []byte) (time.Duration, error) {
+// ReadPageDeferWait charges a read of page p of file f and lends the
+// page: it returns the store's own bytes, not a copy, so a caller that
+// mutates them mutates the stored page. The buffer pool's frames hold
+// these bytes, which is why a cached page costs no second buffer. It
+// does not wait: it returns the access's virtual cost for the caller to
+// pay with PayWait once it has released its own locks (the buffer pool
+// holds a shard lock across the read, and sleeping inside it would
+// convoy unrelated accessors).
+func (d *Disk) ReadPageDeferWait(f FileID, p int64) ([]byte, time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pg, err := d.page(f, p)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if err := d.injectFault(f, p, false); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	cost := d.charge(f, p, false)
-	copy(dst, pg)
-	return cost, nil
+	return pg, d.charge(f, p, false), nil
 }
 
-// WritePageDeferWait writes src to page p of file f and charges the
-// access, returning its cost for PayWait; see ReadPageDeferWait.
+// WritePageDeferWait charges a write of page p of file f and puts src
+// there, returning the access's cost for PayWait; see
+// ReadPageDeferWait. When src is the page the store lent, its bytes
+// are already in place and nothing is copied: the write is only the
+// charge. On an error (an injected fault) nothing is copied either.
 func (d *Disk) WritePageDeferWait(f FileID, p int64, src []byte) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -420,7 +429,9 @@ func (d *Disk) WritePageDeferWait(f FileID, p int64, src []byte) (time.Duration,
 		return 0, err
 	}
 	cost := d.charge(f, p, true)
-	copy(pg, src)
+	if len(src) == 0 || &src[0] != &pg[0] {
+		copy(pg, src)
+	}
 	return cost, nil
 }
 

@@ -22,18 +22,52 @@ func TestDefaults(t *testing.T) {
 func TestReadWriteRoundTrip(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
-	p := d.AllocPage(f)
+	p, _ := d.AllocPage(f)
 	src := make([]byte, 128)
 	copy(src, "hello")
 	if _, err := d.WritePageDeferWait(f, p, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 128)
-	if _, err := d.ReadPageDeferWait(f, p, dst); err != nil {
+	dst, _, err := d.ReadPageDeferWait(f, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if string(dst[:5]) != "hello" {
 		t.Errorf("read back %q", dst[:5])
+	}
+}
+
+// TestReadsLendTheStoredPage: AllocPage and every read hand out the one
+// stored page, not a copy, so a change made through it is what the next
+// read sees; writing that page back charges a write and leaves its
+// bytes as they are.
+func TestReadsLendTheStoredPage(t *testing.T) {
+	d := newTestDisk()
+	f := d.CreateFile()
+	p, alloc := d.AllocPage(f)
+	a, _, err := d.ReadPageDeferWait(f, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := d.ReadPageDeferWait(f, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a[0] != &alloc[0] || &b[0] != &alloc[0] {
+		t.Fatal("a read handed out a copy of the stored page")
+	}
+	copy(a, "lent")
+	if _, err := d.WritePageDeferWait(f, p, a); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Reads != 2 || st.Writes != 1 {
+		t.Errorf("reads %d, writes %d; want 2 and 1", st.Reads, st.Writes)
+	}
+	if c, _, _ := d.ReadPageDeferWait(f, p); string(c[:4]) != "lent" {
+		t.Errorf("read back %q after writing the lent page", c[:4])
+	}
+	if n := testing.AllocsPerRun(100, func() { d.ReadPageDeferWait(f, p) }); n != 0 {
+		t.Errorf("a read allocates %.1f objects, want 0", n)
 	}
 }
 
@@ -43,10 +77,9 @@ func TestSequentialVsRandomClassification(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.AllocPage(f)
 	}
-	buf := make([]byte, 128)
 	// Pages 0..9 in order: first read is a seek, the rest sequential.
 	for p := int64(0); p < 10; p++ {
-		if _, err := d.ReadPageDeferWait(f, p, buf); err != nil {
+		if _, _, err := d.ReadPageDeferWait(f, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +88,7 @@ func TestSequentialVsRandomClassification(t *testing.T) {
 		t.Errorf("rand=%d seq=%d, want 1/9", st.RandReads, st.SeqReads)
 	}
 	// Jumping backwards is a seek.
-	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 2 {
@@ -68,11 +101,10 @@ func TestCrossFileAccessIsSeek(t *testing.T) {
 	f1, f2 := d.CreateFile(), d.CreateFile()
 	d.AllocPage(f1)
 	d.AllocPage(f2)
-	buf := make([]byte, 128)
-	if _, err := d.ReadPageDeferWait(f1, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadPageDeferWait(f2, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 2 {
@@ -86,9 +118,8 @@ func TestElapsedAccounting(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		d.AllocPage(f)
 	}
-	buf := make([]byte, 128)
 	for p := int64(0); p < 4; p++ {
-		if _, err := d.ReadPageDeferWait(f, p, buf); err != nil {
+		if _, _, err := d.ReadPageDeferWait(f, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,12 +134,11 @@ func TestSyncCostsOneSeekAndForgetsPosition(t *testing.T) {
 	f := d.CreateFile()
 	d.AllocPage(f)
 	d.AllocPage(f)
-	buf := make([]byte, 128)
-	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.SyncDeferWait()
-	if _, err := d.ReadPageDeferWait(f, 1, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -129,8 +159,7 @@ func TestResetStats(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
 	d.AllocPage(f)
-	buf := make([]byte, 128)
-	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.ResetStats()
@@ -138,7 +167,7 @@ func TestResetStats(t *testing.T) {
 		t.Error("reset did not clear stats")
 	}
 	// First access after reset is a seek again (cold cache methodology).
-	if _, err := d.ReadPageDeferWait(f, 0, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.RandReads != 1 {
@@ -149,11 +178,11 @@ func TestResetStats(t *testing.T) {
 func TestErrors(t *testing.T) {
 	d := newTestDisk()
 	buf := make([]byte, 128)
-	if _, err := d.ReadPageDeferWait(5, 0, buf); err == nil {
+	if _, _, err := d.ReadPageDeferWait(5, 0); err == nil {
 		t.Error("read of missing file should fail")
 	}
 	f := d.CreateFile()
-	if _, err := d.ReadPageDeferWait(f, 0, buf); err == nil {
+	if _, _, err := d.ReadPageDeferWait(f, 0); err == nil {
 		t.Error("read of missing page should fail")
 	}
 	if _, err := d.WritePageDeferWait(f, 3, buf); err == nil {
@@ -189,16 +218,15 @@ func TestStreamStatsAndReset(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
 	const pages = 64
-	buf := make([]byte, 128)
 	for i := 0; i < pages; i++ {
 		d.AllocPage(f)
 	}
 	// Two interleaved sequential runs: two live streams.
 	for i := 0; i < 8; i++ {
-		if _, err := d.ReadPageDeferWait(f, int64(i), buf); err != nil {
+		if _, _, err := d.ReadPageDeferWait(f, int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.ReadPageDeferWait(f, int64(32+i), buf); err != nil {
+		if _, _, err := d.ReadPageDeferWait(f, int64(32+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +247,7 @@ func TestStreamStatsAndReset(t *testing.T) {
 	// The stream table was dropped with the counters: continuing one of
 	// the pre-reset runs is a fresh stream start (a seek), not a
 	// sequential continuation of forgotten history.
-	if _, err := d.ReadPageDeferWait(f, 8, buf); err != nil {
+	if _, _, err := d.ReadPageDeferWait(f, 8); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Stats()

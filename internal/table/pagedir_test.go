@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -458,4 +459,54 @@ func TestLoadPublishFailureRestoresTheEmptyIndex(t *testing.T) {
 		t.Fatalf("the index yields an entry after the failed Load (%v)", err)
 	}
 	checkPageDir(t, tbl, "after the failed Load")
+}
+
+// TestUnwindFaultsAreReported: what an unwind fails to undo is part of
+// the statement's error, from Publish's self-abort and from Abort. The
+// table sits on a 4-frame pool, so unwinding 300 inserted rows reads
+// evicted heap and index pages back, and a one-shot read fault armed
+// just before the unwind fires inside it. For Publish the log lives on a
+// second disk whose first page write fails, so the only fault on the
+// table's disk is the unwind's.
+func TestUnwindFaultsAreReported(t *testing.T) {
+	rows := make([]value.Row, 300)
+	for i := range rows {
+		rows[i] = dirRow(int64(i*7919%300), "unwind")
+	}
+	for _, publish := range []bool{true, false} {
+		d, logDisk := sim.NewDisk(sim.Config{PageSize: 512}), sim.NewDisk(sim.Config{PageSize: 512})
+		tbl, err := New(buffer.NewPool(d, 4), wal.NewLog(logDisk), Config{
+			Name:          "dir",
+			Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
+			ClusteredCols: []int{0},
+			BucketTuples:  10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.CreateIndex("ix_u", []int{1}); err != nil {
+			t.Fatal(err)
+		}
+		tx := tbl.BeginWrite()
+		if err := tx.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		d.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+		if publish {
+			logDisk.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+			err = tx.Publish()
+		} else {
+			err = tx.Abort()
+		}
+		d.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) || !strings.Contains(fmt.Sprint(err), "unwind") {
+			t.Errorf("publish %v: the statement's error %v does not carry the unwind's fault", publish, err)
+		}
+		if n := d.Stats().InjectedFaults; n != 1 {
+			t.Errorf("publish %v: %d faults fired on the table's disk, want the unwind's one", publish, n)
+		}
+		if n := tbl.Pool().PinnedFrames(); n != 0 {
+			t.Errorf("publish %v: %d frames pinned after the unwind", publish, n)
+		}
+	}
 }

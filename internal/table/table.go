@@ -9,6 +9,7 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -234,13 +235,9 @@ func (t *Table) Load(rows []value.Row) error {
 	// append in clustered-key order. The undo log holds every row.
 	tx.load = true
 	tx.inserted = make([]undoInsert, 0, len(rows))
+	abort := func(err error) error { return errors.Join(err, tx.Abort()) }
 	if t.loaded || t.heapf.TupleCount() > 0 {
-		tx.Abort()
-		return fmt.Errorf("table %s: already loaded", t.cfg.Name)
-	}
-	abort := func(err error) error {
-		tx.Abort()
-		return err
+		return abort(fmt.Errorf("table %s: already loaded", t.cfg.Name))
 	}
 	sch := t.cfg.Schema
 	for i, r := range rows {

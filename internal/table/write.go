@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -602,8 +603,8 @@ func (tx *WriteTxn) applyReplace(u *update) error {
 // the physical unwind below restores exactly the pre-statement state —
 // the statement fails cleanly, the table stays consistent and a CM
 // recovery replay never sees the statement. A failed
-// Publish self-aborts; callers must not call Abort afterwards (doing so
-// is a no-op).
+// Publish self-aborts, and its error joins what that unwind failed to
+// undo; callers must not call Abort afterwards (doing so is a no-op).
 func (tx *WriteTxn) Publish() error {
 	t := tx.t
 	held := t.lockLatched()
@@ -624,7 +625,7 @@ func (tx *WriteTxn) Publish() error {
 		t.clock.Store(tx.ts)
 		t.retire(retiredStmt{ts: tx.ts, versions: tx.retract, inserted: tx.inserted})
 	} else {
-		tx.unwind()
+		err = errors.Join(err, tx.unwind())
 	}
 	t.unlockLatched(held)
 	if o := t.writeObs.Load(); o != nil {
@@ -698,11 +699,20 @@ func (t *Table) restoreVersion(r retraction, ixs, cms int) {
 // reusable at once — and logically-ended old versions are restored to
 // live and versions replaced in place get their old bytes back, also in
 // reverse order, so a slot replaced and then ended is live again before
-// its bytes go back. Caller holds the latch. Inverse
-// operations are best-effort — they undo work that was just applied, so
-// a failure here means the structure was already inconsistent.
-func (tx *WriteTxn) unwind() {
+// its bytes go back. Caller holds the latch. Every inverse operation is
+// tried, and the errors of those that fail are returned joined: they
+// undo work that was just applied, so a failure (a page read fault, say)
+// leaves a structure the statement changed, and the caller must hear of
+// it. An index entry the unwind does not find is not an error: the row's
+// insert into that index may be what failed.
+func (tx *WriteTxn) unwind() error {
 	t := tx.t
+	var errs []error
+	note := func(err error) {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
 	for i, tree := range tx.replaced {
 		t.secondary[i].Tree = tree
 	}
@@ -710,47 +720,54 @@ func (tx *WriteTxn) unwind() {
 		u := tx.inserted[i]
 		if u.inPlace {
 			for _, cm := range t.cms {
-				_ = cm.RemoveRow(u.row, u.cb)
+				note(cm.RemoveRow(u.row, u.cb))
 			}
 			continue
 		}
 		t.pageDir.remove(u.cb, u.rid.Page)
 		if !tx.load {
 			for _, ix := range t.secondary {
-				_, _ = ix.Delete(u.row, u.rid)
+				_, err := ix.Delete(u.row, u.rid)
+				note(err)
 			}
 		}
 		for _, cm := range t.cms {
-			_ = cm.RemoveRow(u.row, u.cb)
+			note(cm.RemoveRow(u.row, u.cb))
 		}
-		_ = t.heapf.Delete(u.rid)
+		note(t.heapf.Delete(u.rid))
 	}
 	for i := len(tx.retract) - 1; i >= 0; i-- {
 		if r := tx.retract[i]; r.inPlace {
-			_ = t.heapf.RestoreAt(r.rid)
+			note(t.heapf.RestoreAt(r.rid))
 		} else {
-			_ = t.heapf.ClearEnd(r.rid)
+			note(t.heapf.ClearEnd(r.rid))
 		}
 	}
+	if len(errs) > 0 {
+		return fmt.Errorf("table %s: unwind: %w", t.cfg.Name, errors.Join(errs...))
+	}
+	return nil
 }
 
 // Abort rolls the statement back: the physical unwind removes appended
-// versions and restores logically-ended old versions. No WAL records
-// were written, so recovery replay never sees the statement. The writer
-// gate is released. Abort after a failed Publish (which self-aborts) is
-// a no-op.
-func (tx *WriteTxn) Abort() {
+// versions and restores logically-ended old versions, and Abort returns
+// what it failed to undo (nil when it undid everything); a caller joins
+// that into the statement's error. No WAL records were written, so
+// recovery replay never sees the statement. The writer gate is
+// released. Abort after a failed Publish (which self-aborts) is a no-op.
+func (tx *WriteTxn) Abort() error {
 	if tx.done {
-		return
+		return nil
 	}
 	t := tx.t
 	held := t.lockLatched()
-	tx.unwind()
+	err := tx.unwind()
 	t.unlockLatched(held)
 	if o := t.writeObs.Load(); o != nil {
 		o.Aborts.Inc()
 	}
 	tx.release()
+	return err
 }
 
 // release drops the writer gate once, whether publishing or aborting.

@@ -199,12 +199,13 @@ func (l *Log) rollback(m walMark) {
 		return
 	}
 	if m.page >= 0 && m.bufUsed > 0 {
-		cost, err := l.disk.ReadPageDeferWait(l.file, m.page, l.buf)
+		pg, cost, err := l.disk.ReadPageDeferWait(l.file, m.page)
 		l.owed += cost
 		if err != nil {
 			l.broken = true
 			return
 		}
+		copy(l.buf, pg)
 	}
 	l.page, l.bufUsed = m.page, m.bufUsed
 }
@@ -241,7 +242,7 @@ func writeBytes[B []byte | string](l *Log, b B) error {
 func (l *Log) rotatePage() {
 	next := l.page + 1
 	if next >= l.disk.NumPages(l.file) {
-		next = l.disk.AllocPage(l.file)
+		next, _ = l.disk.AllocPage(l.file)
 	}
 	l.page = next
 	l.bufUsed = 0
@@ -326,15 +327,14 @@ func (l *Log) ReplayFrom(lsn int64, fn func(Record) bool) error {
 	pageSize := int64(len(l.buf))
 	firstPage := lsn / pageSize
 	stream := make([]byte, 0, l.length-firstPage*pageSize)
-	pageBuf := make([]byte, len(l.buf))
 	numPages := l.disk.NumPages(l.file)
 	for p := firstPage; p < numPages; p++ {
-		cost, err := l.disk.ReadPageDeferWait(l.file, p, pageBuf)
+		pg, cost, err := l.disk.ReadPageDeferWait(l.file, p)
 		l.owed += cost
 		if err != nil {
 			return err
 		}
-		stream = append(stream, pageBuf...)
+		stream = append(stream, pg...)
 	}
 	if max := l.length - firstPage*pageSize; int64(len(stream)) > max {
 		stream = stream[:max]

@@ -36,6 +36,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -461,7 +462,7 @@ func (t *Table) insertRows(ctx context.Context, rows []value.Row) error {
 	if err == nil {
 		err = tx.Publish()
 	} else {
-		tx.Abort()
+		err = errors.Join(err, tx.Abort())
 	}
 	t.db.noteOutcome(err)
 	return err

@@ -68,12 +68,12 @@ func writeState(t *testing.T, db *DB, tbl *Table) string {
 	in.RLock()
 	defer in.RUnlock()
 	var b strings.Builder
-	page := make([]byte, db.disk.PageSize())
 	files := map[sim.FileID]string{0: "wal", in.Heap().FileID(): "heap", in.Indexes()[0].Tree.FileID(): "ix_subcat"}
 	for f := sim.FileID(0); f < sim.FileID(len(files)); f++ {
 		h := sha256.New()
 		for p := range db.disk.NumPages(f) {
-			if _, err := db.disk.ReadPageDeferWait(f, p, page); err != nil {
+			page, _, err := db.disk.ReadPageDeferWait(f, p)
+			if err != nil {
 				t.Fatal(err)
 			}
 			h.Write(page)
