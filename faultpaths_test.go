@@ -329,3 +329,43 @@ func TestUnwindFaultReachesTheStatement(t *testing.T) {
 		t.Errorf("%d frames pinned after the unwind", n)
 	}
 }
+
+// TestInsertsAfterAFailedEviction runs single-row INSERTs through a
+// 4-frame pool with a write fault armed at each disk write in turn. A
+// fault in the eviction that would make room for a new heap page fails
+// that INSERT; it must leave no page behind, so the clean INSERTs after
+// it succeed and every row that was acknowledged is there.
+func TestInsertsAfterAFailedEviction(t *testing.T) {
+	for n := int64(1); n <= 120; n++ {
+		db, tbl := itemsTable(t, Config{BufferPoolPages: 4, PageSize: 1024}, 2000)
+		rows := tbl.RowCount()
+		insert := func(i int) error {
+			cat := i * 37 % 4000
+			_, err := db.Exec(fmt.Sprintf("INSERT INTO items VALUES (%d, %d, %d, '%s')", cat, cat/8, i, strings.Repeat("y", 150)))
+			if err == nil {
+				rows++
+			}
+			return err
+		}
+		db.SetFaultPlan(&FaultPlan{FailWriteN: n})
+		var failed error
+		for i := 0; i < 40 && failed == nil; i++ {
+			failed = insert(i)
+		}
+		db.SetFaultPlan(nil)
+		if failed != nil && !errors.Is(failed, ErrInjected) {
+			t.Fatalf("write %d: INSERT failed with %v, want ErrInjected", n, failed)
+		}
+		for i := 40; i < 60; i++ {
+			if err := insert(i); err != nil {
+				t.Fatalf("write %d: clean INSERT %d after the fault (%v): %v", n, i, failed, err)
+			}
+		}
+		if got := tbl.RowCount(); got != rows {
+			t.Fatalf("write %d: %d rows, want %d", n, got, rows)
+		}
+		if p := db.pool.PinnedFrames(); p != 0 {
+			t.Fatalf("write %d: %d frames pinned", n, p)
+		}
+	}
+}

@@ -17,14 +17,15 @@
 // fills the open leaf until the next entry does not fit, starts the
 // leaf's right sibling with that entry and sends its key up as a
 // separator, and each internal level does the same with separators,
-// splitting a full node at its middle entry. Every page is written once,
-// straight to the disk and charged like a pool write-back, so a build
-// takes no pool frame and leaves no page cached. The pages, their numbers
-// and their bytes are exactly those inserting the entries one by one in
-// ascending order would leave: Insert splits the rightmost leaf 100/0
-// (the new entry alone goes right) and any other leaf at half its bytes.
-// A built tree is in the state those inserts leave, down to what the
-// shortcut below remembers.
+// splitting a full node at its middle entry. Each node is built in the
+// page the disk lends (sim.Disk.AllocPage) and its write charged once,
+// like a pool write-back, so a build takes no pool frame, leaves no page
+// cached and copies no page; a failed build gives its pages back. The
+// pages, their numbers and their bytes are exactly those inserting the
+// entries one by one in ascending order would leave: Insert splits the
+// rightmost leaf 100/0 (the new entry alone goes right) and any other
+// leaf at half its bytes. A built tree is in the state those inserts
+// leave, down to what the shortcut below remembers.
 //
 // Insert is the runtime path. Ascending inserts take a shortcut, after
 // PostgreSQL nbtree's fastpath for monotonically increasing keys: the
@@ -109,60 +110,63 @@ func New(pool *buffer.Pool) (*Tree, error) {
 // must strictly ascend, to a fresh file on the pool's disk, bottom-up
 // (see the package comment). It keeps one open page per level and writes
 // each page as it fills, the root last; no page passes through the pool.
-// Each entry is checked as Insert checks it, and a failed Build leaves a
-// file no tree refers to. The tree remembers its largest key and
-// rightmost leaf as ascending Inserts would have left them.
+// Each entry is checked as Insert checks it, and a failed Build gives
+// every page of its file back to the disk. The tree remembers its
+// largest key and rightmost leaf as ascending Inserts would have left
+// them.
 func Build(pool *buffer.Pool, n int, entry func(i int) (key, val []byte)) (*Tree, error) {
 	b := &builder{t: &Tree{pool: pool, file: pool.Disk().CreateFile()}}
+	if err := b.build(n, entry); err != nil {
+		pool.Disk().Shrink(b.t.file, 0)
+		return nil, err
+	}
+	return b.t, nil
+}
+
+// build runs Build on b's empty file.
+func (b *builder) build(n int, entry func(i int) (key, val []byte)) error {
 	b.open = []node{b.newNode(nodeLeaf)}
 	for i := range n {
 		if err := b.add(entry(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, nd := range b.open {
 		if err := b.write(nd); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	b.t.root, b.t.height = b.open[len(b.open)-1].page, len(b.open)
 	b.t.top, b.t.last = b.prev, b.open[0].page
-	return b.t, nil
+	return nil
 }
 
 // builder is Build's state: the open (rightmost) node of every level,
 // leaf first, and the previous key.
 type builder struct {
-	t     *Tree
-	open  []node
-	spare []byte // takes the right half of an internal split
-	prev  []byte
+	t    *Tree
+	open []node
+	prev []byte
 }
 
-// node is a page being built: its number and its bytes.
+// node is a page being built: its number and its bytes, lent by the disk.
 type node struct {
 	page int64
 	d    []byte
 }
 
-// newNode allocates the file's next page for an empty node of type typ.
+// newNode allocates the file's next page, zeroed, for a node of type typ.
 func (b *builder) newNode(typ byte) node {
-	d := make([]byte, b.t.pool.Disk().PageSize())
+	page, d := b.t.pool.Disk().AllocPage(b.t.file)
 	initNode(d, typ)
-	return node{page: b.alloc(), d: d}
+	return node{page: page, d: d}
 }
 
-// alloc appends a page to the tree's file and returns its number.
-func (b *builder) alloc() int64 {
-	page, _ := b.t.pool.Disk().AllocPage(b.t.file)
-	return page
-}
-
-// write puts a finished node on disk and pays the write as a pool
-// write-back does.
+// write charges the write of a finished node, whose bytes are already in
+// the store, and pays it as a pool write-back does.
 func (b *builder) write(nd node) error {
 	disk := b.t.pool.Disk()
-	cost, err := disk.WritePageDeferWait(b.t.file, nd.page, nd.d)
+	cost, err := disk.WritePageDeferWait(b.t.file, nd.page)
 	disk.PayWait(cost)
 	return err
 }
@@ -179,17 +183,13 @@ func (b *builder) add(key, val []byte) error {
 	}
 	b.prev = append(b.prev[:0], key...)
 	if leaf := b.open[0]; freeSpace(leaf.d) < leafCellSize(key, val)+slotSize {
-		next := b.alloc()
-		setAux(leaf.d, next)
+		next := b.newNode(nodeLeaf)
+		setAux(leaf.d, next.page)
 		if err := b.write(leaf); err != nil {
 			return err
 		}
-		// The finished leaf's buffer takes its sibling, zeroed as a new
-		// page is.
-		clear(leaf.d)
-		initNode(leaf.d, nodeLeaf)
-		b.open[0].page = next
-		if err := b.push(1, key, next, leaf.page); err != nil {
+		b.open[0] = next
+		if err := b.push(1, key, next.page, leaf.page); err != nil {
 			return err
 		}
 	}
@@ -219,16 +219,12 @@ func (b *builder) push(l int, key []byte, child, left int64) error {
 		writeInternalCell(nd.d, idx, key, child)
 		return nil
 	}
-	if b.spare == nil {
-		b.spare = make([]byte, len(nd.d))
-	}
-	clear(b.spare)
-	right := node{page: b.alloc(), d: b.spare}
+	right := b.newNode(nodeInternal)
 	up := splitInternal(nd.d, right.d, idx, key, child)
 	if err := b.write(nd); err != nil {
 		return err
 	}
-	b.open[l], b.spare = right, nd.d
+	b.open[l] = right
 	return b.push(l+1, up, right.page, nd.page)
 }
 

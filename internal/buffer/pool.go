@@ -226,7 +226,7 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 // and marks the frame clean; on an error the frame stays dirty. It
 // returns the deferred real-wait cost. Called with the shard lock held.
 func (sh *shard) write(disk *sim.Disk, fr *Frame) (time.Duration, error) {
-	cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page, fr.Data)
+	cost, err := disk.WritePageDeferWait(fr.key.File, fr.key.Page)
 	if err != nil {
 		return cost, err
 	}
@@ -296,7 +296,10 @@ func (p *Pool) Resident(file sim.FileID, page int64) bool {
 
 // NewPage allocates a fresh page in the file and pins a frame holding
 // it, zeroed, without any read I/O. Its write is charged when it is
-// evicted or flushed.
+// evicted or flushed. When no frame can be had (the victim's write-back
+// fails, or every frame is pinned), the page is given back to the disk,
+// so the file's next page is the number the next NewPage returns. The
+// caller owns the file's tail, as sim.Disk.Shrink requires.
 func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 	page, data := p.disk.AllocPage(file)
 	key := PageKey{file, page}
@@ -305,6 +308,7 @@ func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 	i, owed, err := sh.victim(p.disk)
 	if err != nil {
 		sh.mu.Unlock()
+		p.disk.Shrink(file, page)
 		p.disk.PayWait(owed)
 		return 0, nil, err
 	}

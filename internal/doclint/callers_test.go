@@ -32,7 +32,6 @@ var productionCallerAllowlist = map[string]string{
 	"heap.File.PreImages":              "oracle: root tests count in-place UPDATE pre-images awaiting reclaim",
 	"heap.File.Slots":                  "oracle: root tests check a page's slots after in-place UPDATEs",
 	"core.ClusteredBuckets.LowerBound": "oracle: exec and table tests decode a clustered bucket's first key",
-	"btree.Tree.FileID":                "oracle: a root test counts an index's resident pool pages",
 }
 
 // TestExportedNamesHaveProductionCallers fails when an exported

@@ -134,6 +134,56 @@ func TestTuplesSpanMultiplePages(t *testing.T) {
 	}
 }
 
+// TestFailedNewPageLeavesNoPage: an append whose new page gets no frame,
+// because the write-back of the victim it evicts fails, leaves no page
+// in the file, so the heap's page count stays the disk's and the
+// appends after it place their tuples where they say.
+func TestFailedNewPageLeavesNoPage(t *testing.T) {
+	h := newHeap(t, 256, 2)
+	disk := h.pool.Disk()
+	tuple := func(i int) []byte { return []byte(fmt.Sprintf("tuple-%03d%0100d", i, 0)) }
+	var rids []RID
+	appendOne := func(i int) error {
+		rid, err := h.AppendAt(tuple(i), 1)
+		if err == nil {
+			rids = append(rids, rid)
+		}
+		return err
+	}
+	for i := range 10 {
+		if err := appendOne(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both frames hold dirty pages, so the next new page's victim is
+	// written back, and that write fails.
+	disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	failed := false
+	for i := 10; i < 14 && !failed; i++ {
+		failed = appendOne(i) != nil
+	}
+	disk.SetFaultPlan(nil)
+	if !failed {
+		t.Fatal("no append failed under the write fault")
+	}
+	if n, m := h.NumPages(), disk.NumPages(h.FileID()); n != m {
+		t.Fatalf("after the failed append the heap has %d pages and its file %d", n, m)
+	}
+	for i := 20; i < 40; i++ {
+		if err := appendOne(i); err != nil {
+			t.Fatalf("append %d after the failed one: %v", i, err)
+		}
+	}
+	if n, m := h.NumPages(), disk.NumPages(h.FileID()); n != m {
+		t.Fatalf("the heap has %d pages and its file %d", n, m)
+	}
+	for _, rid := range rids {
+		if got, err := h.Get(rid); err != nil || len(got) != len(tuple(0)) {
+			t.Fatalf("Get(%v) = %q, %v", rid, got, err)
+		}
+	}
+}
+
 func TestOversizedTupleRejected(t *testing.T) {
 	h := newHeap(t, 128, 4)
 	if _, err := h.AppendAt(make([]byte, 130), 1); err == nil {

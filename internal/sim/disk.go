@@ -11,11 +11,14 @@
 // sim.Disk stores pages in memory, classifies each access as sequential or
 // random by comparing it with the recently active access streams (the
 // read-ahead contexts a drive or OS keeps alive — see Disk), and
-// accumulates a virtual elapsed time from the same constants. A read
-// lends the stored page rather than copying it: the buffer pool's frame
-// holds the store's bytes, so every page exists once in memory, and a
-// dirty page's bytes are in the store before its write is charged. Every
-// "Elapsed [s]" number in our experiment output is this virtual,
+// accumulates a virtual elapsed time from the same constants. The store
+// lends its pages rather than copying them: AllocPage and a read return
+// the stored bytes, and every writer — a buffer pool frame, the
+// write-ahead log's tail, a B+Tree build's open nodes — writes in them in
+// place, so every page exists once in memory and a write is only the
+// charge that makes bytes already in the store durable. Shrink gives a
+// file's last pages back, and AllocPage hands their numbers out again.
+// Every "Elapsed [s]" number in our experiment output is this virtual,
 // disk-bound time, so result shapes are independent of host hardware and
 // dataset scale.
 package sim
@@ -250,6 +253,34 @@ func (d *Disk) AllocPage(f FileID) (int64, []byte) {
 	return int64(len(d.files[f]) - 1), pg
 }
 
+// Shrink drops the file's pages from page number pages on, with their
+// bytes; a file no longer than that is left as it is. A dropped page is
+// out of range for reads and writes, and AllocPage hands its number out
+// again, zeroed. It costs no I/O. The caller owns the file's tail: no
+// other writer may allocate in it meanwhile, and no buffer pool frame
+// may hold a dropped page.
+func (d *Disk) Shrink(f FileID, pages int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fs := d.files[f]
+	if pages >= int64(len(fs)) {
+		return
+	}
+	clear(fs[pages:]) // the backing array must not keep the bytes alive
+	d.files[f] = fs[:pages]
+}
+
+// StoreBytes returns the bytes of every page the disk holds.
+func (d *Disk) StoreBytes() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pages := 0
+	for _, fs := range d.files {
+		pages += len(fs)
+	}
+	return int64(pages) * int64(d.cfg.PageSize)
+}
+
 // SetFaultPlan installs (or, with nil, removes) a fault-injection plan.
 // Installation resets the plan's access counters and reseeds its
 // probability stream, so the same plan on the same workload injects the
@@ -413,26 +444,20 @@ func (d *Disk) ReadPageDeferWait(f FileID, p int64) ([]byte, time.Duration, erro
 	return pg, d.charge(f, p, false), nil
 }
 
-// WritePageDeferWait charges a write of page p of file f and puts src
-// there, returning the access's cost for PayWait; see
-// ReadPageDeferWait. When src is the page the store lent, its bytes
-// are already in place and nothing is copied: the write is only the
-// charge. On an error (an injected fault) nothing is copied either.
-func (d *Disk) WritePageDeferWait(f FileID, p int64, src []byte) (time.Duration, error) {
+// WritePageDeferWait charges a write of page p of file f, returning the
+// access's cost for PayWait; see ReadPageDeferWait. It takes no bytes:
+// the writer wrote in the page the store lent, so the bytes are in place
+// and the write is only the charge.
+func (d *Disk) WritePageDeferWait(f FileID, p int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pg, err := d.page(f, p)
-	if err != nil {
+	if _, err := d.page(f, p); err != nil {
 		return 0, err
 	}
 	if err := d.injectFault(f, p, true); err != nil {
 		return 0, err
 	}
-	cost := d.charge(f, p, true)
-	if len(src) == 0 || &src[0] != &pg[0] {
-		copy(pg, src)
-	}
-	return cost, nil
+	return d.charge(f, p, true), nil
 }
 
 // PayWait blocks for a previously deferred access cost. A zero cost is

@@ -22,10 +22,9 @@ func TestDefaults(t *testing.T) {
 func TestReadWriteRoundTrip(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
-	p, _ := d.AllocPage(f)
-	src := make([]byte, 128)
-	copy(src, "hello")
-	if _, err := d.WritePageDeferWait(f, p, src); err != nil {
+	p, pg := d.AllocPage(f)
+	copy(pg, "hello")
+	if _, err := d.WritePageDeferWait(f, p); err != nil {
 		t.Fatal(err)
 	}
 	dst, _, err := d.ReadPageDeferWait(f, p)
@@ -57,7 +56,7 @@ func TestReadsLendTheStoredPage(t *testing.T) {
 		t.Fatal("a read handed out a copy of the stored page")
 	}
 	copy(a, "lent")
-	if _, err := d.WritePageDeferWait(f, p, a); err != nil {
+	if _, err := d.WritePageDeferWait(f, p); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.Reads != 2 || st.Writes != 1 {
@@ -68,6 +67,50 @@ func TestReadsLendTheStoredPage(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { d.ReadPageDeferWait(f, p) }); n != 0 {
 		t.Errorf("a read allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestShrinkDropsTheTailPages: Shrink drops a file's last pages with
+// their bytes (StoreBytes falls, the other file keeps its own), a
+// dropped page is out of range for reads and writes, and AllocPage hands
+// its number out again as a new zeroed page. A write charges and copies
+// nothing.
+func TestShrinkDropsTheTailPages(t *testing.T) {
+	d := newTestDisk()
+	f, g := d.CreateFile(), d.CreateFile()
+	d.AllocPage(g)
+	var pages [][]byte
+	for range 3 {
+		_, pg := d.AllocPage(f)
+		copy(pg, "old")
+		pages = append(pages, pg)
+	}
+	if got := d.StoreBytes(); got != 4*128 {
+		t.Fatalf("store holds %d bytes, want %d", got, 4*128)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.WritePageDeferWait(f, 2) }); n != 0 {
+		t.Errorf("a write allocates %.1f objects, want 0", n)
+	}
+	d.Shrink(f, 1)
+	d.Shrink(f, 5) // past the end: nothing to drop
+	if n, got := d.NumPages(f), d.StoreBytes(); n != 1 || got != 2*128 {
+		t.Fatalf("after Shrink: %d pages, store %d bytes; want 1 and %d", n, got, 2*128)
+	}
+	if _, _, err := d.ReadPageDeferWait(f, 1); err == nil {
+		t.Error("read of a dropped page succeeded")
+	}
+	if _, err := d.WritePageDeferWait(f, 2); err == nil {
+		t.Error("write of a dropped page succeeded")
+	}
+	p, pg := d.AllocPage(f)
+	if p != 1 || &pg[0] == &pages[1][0] || string(pg[:3]) != "\x00\x00\x00" {
+		t.Errorf("AllocPage after Shrink gave page %d starting %q; want page 1, a new zeroed page", p, pg[:3])
+	}
+	if kept, _, err := d.ReadPageDeferWait(f, 0); err != nil || &kept[0] != &pages[0][0] {
+		t.Errorf("the page below the cut is not the one stored (%v)", err)
+	}
+	if d.NumPages(g) != 1 {
+		t.Error("Shrink of one file changed another")
 	}
 }
 
@@ -177,7 +220,6 @@ func TestResetStats(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	d := newTestDisk()
-	buf := make([]byte, 128)
 	if _, _, err := d.ReadPageDeferWait(5, 0); err == nil {
 		t.Error("read of missing file should fail")
 	}
@@ -185,7 +227,7 @@ func TestErrors(t *testing.T) {
 	if _, _, err := d.ReadPageDeferWait(f, 0); err == nil {
 		t.Error("read of missing page should fail")
 	}
-	if _, err := d.WritePageDeferWait(f, 3, buf); err == nil {
+	if _, err := d.WritePageDeferWait(f, 3); err == nil {
 		t.Error("write of missing page should fail")
 	}
 }
@@ -196,9 +238,8 @@ func TestWriteClassification(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.AllocPage(f)
 	}
-	buf := make([]byte, 128)
 	for p := int64(0); p < 3; p++ {
-		if _, err := d.WritePageDeferWait(f, p, buf); err != nil {
+		if _, err := d.WritePageDeferWait(f, p); err != nil {
 			t.Fatal(err)
 		}
 	}

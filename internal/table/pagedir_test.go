@@ -308,7 +308,9 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 // failed Load must take every row back out of the heap and the directory
 // and leave the index created before it with no entries, and can then be
 // run again; a failed CreateIndex must add no index. Neither may leave a
-// frame pinned.
+// frame pinned, nor a page on disk but those of the heap pages the table
+// now holds: a failed index build gives its file's pages back, and so
+// does a new heap page that got no frame.
 func TestPageDirectoryLoadAbort(t *testing.T) {
 	rows := make([]value.Row, 600)
 	for i := range rows {
@@ -379,11 +381,15 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 			if err := c.setup(tbl); err != nil {
 				t.Fatal(err)
 			}
+			store, heapPages := d.StoreBytes(), tbl.Heap().NumPages()
 			d.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
 			err := c.run(tbl)
 			d.SetFaultPlan(nil)
 			if !errors.Is(err, sim.ErrInjected) {
 				t.Fatalf("%s, write %d of %d: returned %v under a write fault", c.name, n, writes, err)
+			}
+			if grown, heap := d.StoreBytes()-store, (tbl.Heap().NumPages()-heapPages)*int64(d.PageSize()); grown != heap {
+				t.Fatalf("%s, write %d: the store grew by %d bytes, its heap pages by %d", c.name, n, grown, heap)
 			}
 			if p := tbl.Pool().PinnedFrames(); p != 0 {
 				t.Fatalf("%s, write %d: %d frames still pinned after the failure", c.name, n, p)
@@ -413,52 +419,38 @@ func TestDirectorySizeIsCompact(t *testing.T) {
 	}
 }
 
-// TestLoadPublishFailureRestoresTheEmptyIndex: a Load whose Publish
-// fails, on a log broken by an earlier unrecoverable tail fault, has
-// already put its built tree in the index; the unwind must put the
-// empty one back, so the index yields nothing.
-func TestLoadPublishFailureRestoresTheEmptyIndex(t *testing.T) {
-	d := sim.NewDisk(sim.Config{PageSize: 512})
-	log := wal.NewLog(d)
-	tbl, err := New(buffer.NewPool(d, 64), log, Config{
-		Name:          "dir",
-		Schema:        NewSchema(Column{Name: "k", Kind: value.Int}, Column{Name: "u", Kind: value.Int}, Column{Name: "pad", Kind: value.String}),
-		ClusteredCols: []int{0},
-		BucketTuples:  10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLoadKeepsAReplacedTreeAFrameHolds: Load gives the empty tree it
+// replaces back to the disk only when no pool frame holds one of its
+// pages. Here an entry inserted and deleted before the load left the
+// empty tree's root dirty in the pool, so the tree keeps its page and
+// the flush that writes that frame back still finds it.
+func TestLoadKeepsAReplacedTreeAFrameHolds(t *testing.T) {
+	tbl, d := newDirTable(t)
 	ix, err := tbl.CreateIndex("ix_u", []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty := ix.Tree
-	// Break the log: a record that rotates past a page whose second page
-	// write fails, and whose rollback cannot read the first page back.
-	if err := log.Append(wal.Record{Type: wal.RecInsert, Target: "dir", Payload: []byte("x")}); err != nil {
+	row, rid := dirRow(1, "gone"), heap.RID{Page: 0, Slot: 0}
+	if err := ix.Insert(row, rid); err != nil {
 		t.Fatal(err)
 	}
-	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 2, FailReadN: 1})
-	if err := log.Append(wal.Record{Type: wal.RecInsert, Target: "dir", Payload: make([]byte, 1500)}); err == nil {
-		t.Fatal("the append under a write fault succeeded")
+	if _, err := ix.Delete(row, rid); err != nil {
+		t.Fatal(err)
 	}
-	d.SetFaultPlan(nil)
-	rows := make([]value.Row, 300)
+	rows := make([]value.Row, 100)
 	for i := range rows {
 		rows[i] = dirRow(int64(i), "load")
 	}
-	if err := tbl.Load(rows); err == nil {
-		t.Fatal("Load published on a broken log")
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
 	}
-	if ix.Tree != empty || ix.Tree.Len() != 0 || tbl.Heap().TupleCount() != 0 {
-		t.Fatalf("the failed Load left the index tree %p (empty one %p, %d entries) and %d heap tuples",
-			ix.Tree, empty, ix.Tree.Len(), tbl.Heap().TupleCount())
+	if n := d.NumPages(empty.FileID()); n != 1 {
+		t.Fatalf("the replaced tree's file has %d pages, want the 1 a frame holds", n)
 	}
-	if it, err := ix.Tree.SeekFirst(); err != nil || it.Valid() {
-		t.Fatalf("the index yields an entry after the failed Load (%v)", err)
+	if err := tbl.Pool().FlushAll(); err != nil {
+		t.Fatalf("flushing the pool after the load: %v", err)
 	}
-	checkPageDir(t, tbl, "after the failed Load")
 }
 
 // TestUnwindFaultsAreReported: what an unwind fails to undo is part of

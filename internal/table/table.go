@@ -349,12 +349,25 @@ func (t *Table) Load(rows []value.Row) error {
 	for j, p := range pairs {
 		ix := t.secondary[j]
 		ix.pairs.Store(p)
-		// The unwind of a failed Publish puts the empty tree back.
-		tx.replaced = append(tx.replaced, ix.Tree)
+		t.dropTree(ix.Tree)
 		ix.Tree = trees[j]
 	}
 	t.mu.Unlock()
+	// A load logs nothing, so its Publish cannot fail.
 	return tx.Publish()
+}
+
+// dropTree gives the pages of a replaced tree back to the disk. Built
+// trees take no frame, but a reader may have read one since, or a write
+// changed it, so a tree with a page in the pool keeps its pages. Caller
+// holds the latch exclusively, so no reader is in the tree.
+func (t *Table) dropTree(tree *btree.Tree) {
+	for p := range tree.PageCount() {
+		if t.pool.Resident(tree.FileID(), p) {
+			return
+		}
+	}
+	t.pool.Disk().Shrink(tree.FileID(), 0)
 }
 
 // CreateIndex builds a dense secondary B+Tree index over cols by scanning

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
 	"repro/internal/metrics"
@@ -214,9 +213,6 @@ type WriteTxn struct {
 	retract  []retraction
 	recs     []wal.Record
 	load     bool // a bulk load: unlogged, appended at the heap's tail
-	// replaced holds a load's empty secondary trees once Load has put
-	// the trees it built in their place, for the unwind to restore.
-	replaced []*btree.Tree
 	done     bool
 	ctx      context.Context
 	key      []byte // bucketFor's clustering-key buffer
@@ -712,9 +708,6 @@ func (tx *WriteTxn) unwind() error {
 		if err != nil {
 			errs = append(errs, err)
 		}
-	}
-	for i, tree := range tx.replaced {
-		t.secondary[i].Tree = tree
 	}
 	for i := len(tx.inserted) - 1; i >= 0; i-- {
 		u := tx.inserted[i]

@@ -6,11 +6,16 @@
 // (Section 7.1). This log reproduces that cost structure: appends fill
 // sequential pages, and Flush writes the partial tail page and pays one
 // fsync barrier (a seek).
+//
+// The log keeps no page image of its own. It appends into the tail page
+// the simulated disk lends (sim.Disk.AllocPage), so a page write is only
+// the charge for bytes already in the store, and an append that fails
+// gives back the pages it opened (sim.Disk.Shrink) and restores its
+// cursor, reading nothing.
 package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,12 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
-
-// errBroken reports a log whose in-memory tail could not be
-// reconstructed after a failed append (the rollback read-back itself
-// faulted). Every later Append, Flush or Replay fails fast with it
-// rather than writing a tail image that no longer matches the log.
-var errBroken = errors.New("wal: log broken by an unrecoverable tail fault")
 
 // RecordType distinguishes logged operations.
 type RecordType uint8
@@ -53,15 +52,12 @@ type Log struct {
 
 	mu      sync.Mutex
 	page    int64  // page currently being filled, -1 before first write
-	buf     []byte // in-memory tail page image
-	bufUsed int
-	length  int64 // total logged bytes (LSN of the end of log)
-	flushed int64 // bytes durably on disk
+	tail    []byte // that page's bytes, lent by the disk
+	used    int    // bytes of tail holding records
+	length  int64  // total logged bytes (LSN of the end of log)
+	flushed int64  // bytes durably on disk
 	appends uint64
 	flushes uint64
-	// broken is set when a failed append could not be rolled back (see
-	// errBroken); it poisons every later operation.
-	broken bool
 	// owed accumulates deferred real-wait disk cost incurred under mu;
 	// the public entry points pay it after unlocking so a flushing
 	// writer does not convoy appenders and stat readers.
@@ -93,7 +89,6 @@ func NewLog(disk *sim.Disk) *Log {
 		disk: disk,
 		file: disk.CreateFile(),
 		page: -1,
-		buf:  make([]byte, disk.PageSize()),
 	}
 }
 
@@ -118,16 +113,15 @@ func (l *Log) Flushes() uint64 {
 	return l.flushes
 }
 
-// Append adds records to the log buffer. They become durable at the
-// next Flush. Record framing: type byte, target length (u16), target,
+// Append adds records to the log. They become durable at the next
+// Flush. Record framing: type byte, target length (u16), target,
 // payload length (u32), payload. The frames' pieces are copied straight
 // into the tail page, so an append allocates nothing.
 //
 // Append is atomic against disk faults: a failed page write rolls the
-// log back to its pre-append state (length, page and tail image), so a
-// later Append or Replay sees none of the records — not a torn one, and
-// not the ones before it. Only when the rollback itself cannot
-// reconstruct the tail does the log mark itself broken.
+// log back to its pre-append state (length, page and cursor), so a later
+// Append or Replay sees none of the records — not a torn one, and not
+// the ones before it.
 func (l *Log) Append(recs ...Record) error {
 	for _, r := range recs {
 		if len(r.Target) > 0xFFFF {
@@ -136,21 +130,17 @@ func (l *Log) Append(recs ...Record) error {
 	}
 	l.mu.Lock()
 	var err error
-	if l.broken {
-		err = errBroken
-	} else {
-		// One mark brackets every record, whichever piece fails.
-		mark := walMark{length: l.length, page: l.page, bufUsed: l.bufUsed}
-		for _, r := range recs {
-			if err = l.writeFrame(r); err != nil {
-				l.rollback(mark)
-				err = fmt.Errorf("wal: append: %w", err)
-				break
-			}
+	// One mark brackets every record, whichever piece fails.
+	mark := walMark{length: l.length, page: l.page, tail: l.tail, used: l.used}
+	for _, r := range recs {
+		if err = l.writeFrame(r); err != nil {
+			l.rollback(mark)
+			err = fmt.Errorf("wal: append: %w", err)
+			break
 		}
-		if err == nil {
-			l.appends += uint64(len(recs))
-		}
+	}
+	if err == nil {
+		l.appends += uint64(len(recs))
 	}
 	owed := l.takeOwed()
 	l.mu.Unlock()
@@ -179,40 +169,26 @@ func (l *Log) writeFrame(r Record) error {
 
 // walMark snapshots the append cursor for rollback.
 type walMark struct {
-	length  int64
-	page    int64
-	bufUsed int
+	length int64
+	page   int64
+	tail   []byte
+	used   int
 }
 
 // rollback restores the pre-append state after a failed writeFrame so
-// the log stays replayable. When the failed append had already rotated
-// past the marked page, that page was necessarily written out in full
-// (rotation only follows a successful tail write), so its committed
-// prefix reads back from disk. A failed read-back leaves the tail image
-// unreconstructable: the log marks itself broken.
+// the log stays replayable. The pages the failed append opened go back
+// to the disk, so the file ends at the marked page again. That page's
+// bytes past m.used are the torn record: the restored cursor masks them,
+// and the next append overwrites them.
 func (l *Log) rollback(m walMark) {
 	l.length = m.length
-	if l.page == m.page {
-		// The failed write never left the marked page; bytes past
-		// m.bufUsed are the torn record, masked by restoring the cursor.
-		l.bufUsed = m.bufUsed
-		return
-	}
-	if m.page >= 0 && m.bufUsed > 0 {
-		pg, cost, err := l.disk.ReadPageDeferWait(l.file, m.page)
-		l.owed += cost
-		if err != nil {
-			l.broken = true
-			return
-		}
-		copy(l.buf, pg)
-	}
-	l.page, l.bufUsed = m.page, m.bufUsed
+	l.disk.Shrink(l.file, m.page+1)
+	l.page, l.tail, l.used = m.page, m.tail, m.used
 }
 
 // writeBytes streams bytes, a slice or a string, across page
 // boundaries, writing out full pages as they fill. Outside a call the
-// cursor invariant holds: l.bufUsed < len(l.buf) (a full page is written
+// cursor invariant holds: l.used < len(l.tail) (a full page is written
 // and rotated past before returning), so Append's rollback only ever
 // restores a partially filled tail.
 func writeBytes[B []byte | string](l *Log, b B) error {
@@ -220,11 +196,11 @@ func writeBytes[B []byte | string](l *Log, b B) error {
 		if l.page < 0 {
 			l.rotatePage()
 		}
-		n := copy(l.buf[l.bufUsed:], b)
-		l.bufUsed += n
+		n := copy(l.tail[l.used:], b)
+		l.used += n
 		l.length += int64(n)
 		b = b[n:]
-		if l.bufUsed == len(l.buf) {
+		if l.used == len(l.tail) {
 			// Full page: write it immediately (sequential I/O) and
 			// advance to the next page.
 			if err := l.writeTail(); err != nil {
@@ -236,22 +212,17 @@ func writeBytes[B []byte | string](l *Log, b B) error {
 	return nil
 }
 
-// rotatePage advances the cursor to the next page, reusing a page a
-// rolled-back append already allocated before extending the file —
-// allocation holes would break Replay's contiguous page arithmetic.
+// rotatePage advances the cursor to a new page at the end of the file.
 func (l *Log) rotatePage() {
-	next := l.page + 1
-	if next >= l.disk.NumPages(l.file) {
-		next, _ = l.disk.AllocPage(l.file)
-	}
-	l.page = next
-	l.bufUsed = 0
+	l.page, l.tail = l.disk.AllocPage(l.file)
+	l.used = 0
 }
 
-// writeTail writes the in-memory tail image to its page. The real wait
-// is deferred into l.owed and paid outside the log mutex.
+// writeTail charges the write of the tail page, whose bytes are already
+// in the store. The real wait is deferred into l.owed and paid outside
+// the log mutex.
 func (l *Log) writeTail() error {
-	cost, err := l.disk.WritePageDeferWait(l.file, l.page, l.buf)
+	cost, err := l.disk.WritePageDeferWait(l.file, l.page)
 	l.owed += cost
 	if err != nil {
 		return fmt.Errorf("tail write: %w", err)
@@ -261,7 +232,7 @@ func (l *Log) writeTail() error {
 
 // Flush makes every appended record durable: it writes the partial tail
 // page and issues an fsync barrier. On error nothing is marked durable;
-// the tail stays buffered and a later Flush retries it.
+// a later Flush retries the tail's write.
 func (l *Log) Flush() error {
 	var start time.Time
 	if l.flushHist.Load() != nil {
@@ -269,11 +240,8 @@ func (l *Log) Flush() error {
 	}
 	l.mu.Lock()
 	var err error
-	switch {
-	case l.broken:
-		err = errBroken
-	case l.length > l.flushed:
-		if l.page >= 0 && l.bufUsed > 0 {
+	if l.length > l.flushed {
+		if l.page >= 0 && l.used > 0 {
 			err = l.writeTail()
 		}
 		if err == nil {
@@ -290,7 +258,7 @@ func (l *Log) Flush() error {
 	if h := l.flushHist.Load(); h != nil && err == nil {
 		h.ObserveSince(start)
 	}
-	if err != nil && !errors.Is(err, errBroken) {
+	if err != nil {
 		err = fmt.Errorf("wal: flush: %w", err)
 	}
 	return err
@@ -311,11 +279,8 @@ func (l *Log) ReplayFrom(lsn int64, fn func(Record) bool) error {
 	payOwed := func() { l.disk.PayWait(l.takeOwed()) }
 	defer l.mu.Unlock()
 	defer payOwed() // runs before Unlock: recovery is exclusive anyway
-	if l.broken {
-		return errBroken
-	}
-	// Ensure the tail is readable from disk.
-	if l.page >= 0 && l.bufUsed > 0 {
+	// Ensure the tail is durable before it is read back.
+	if l.page >= 0 && l.used > 0 {
 		if err := l.writeTail(); err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
@@ -324,7 +289,7 @@ func (l *Log) ReplayFrom(lsn int64, fn func(Record) bool) error {
 	if lsn < 0 || lsn > l.length {
 		return fmt.Errorf("wal: LSN %d out of range [0, %d]", lsn, l.length)
 	}
-	pageSize := int64(len(l.buf))
+	pageSize := int64(l.disk.PageSize())
 	firstPage := lsn / pageSize
 	stream := make([]byte, 0, l.length-firstPage*pageSize)
 	numPages := l.disk.NumPages(l.file)

@@ -193,8 +193,9 @@ func TestReplayFrom(t *testing.T) {
 // TestAppendOfManyRecordsIsAtomic: a page write that fails part way
 // through one Append of many records — after an earlier page of them
 // reached disk — leaves none of them in the log: its length, its append
-// count and what Replay returns are as before the call, and the next
-// Append continues from there.
+// count, its file's pages and what Replay returns are as before the
+// call, the rollback reads nothing back, and the next Append continues
+// from there.
 func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
 	l, d := newLog()
 	rec := func(i int) Record {
@@ -208,6 +209,7 @@ func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	length, appends := l.Len(), l.Appends()
+	pages, reads := d.NumPages(l.file), d.Stats().Reads
 	var batch []Record
 	for i := 3; i < 13; i++ {
 		batch = append(batch, rec(i))
@@ -222,6 +224,9 @@ func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
 	}
 	if l.Len() != length || l.Appends() != appends {
 		t.Fatalf("after the failed Append: length %d, %d appends; want %d, %d", l.Len(), l.Appends(), length, appends)
+	}
+	if n, r := d.NumPages(l.file), d.Stats().Reads; n != pages || r != reads {
+		t.Fatalf("after the failed Append: %d pages, %d reads; want %d pages and no read (%d)", n, r, pages, reads)
 	}
 	replayed := func() []Record {
 		t.Helper()

@@ -1,5 +1,6 @@
 // Bulk-load tests: Load writes the heap to disk as one sequential run of
-// pages, and rows that share a clustered key keep their input order.
+// pages, rows that share a clustered key keep their input order, and a
+// load over an index leaves no page of the index's empty tree behind.
 package repro
 
 import (
@@ -85,5 +86,35 @@ func TestLoadKeepsInputOrderWithinAKey(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("scan returned %d rows, want %d", got, n)
+	}
+}
+
+// TestLoadOverAnIndexStoresWhatCreateIndexDoes: an index created before
+// Load gets a tree built from the loaded rows in place of its empty one,
+// and the empty tree's page goes back to the disk, so the store holds
+// exactly what Load followed by CreateIndex leaves (disk.store_bytes).
+func TestLoadOverAnIndexStoresWhatCreateIndexDoes(t *testing.T) {
+	stored := func(indexFirst bool) int64 {
+		t.Helper()
+		db := Open(Config{})
+		tbl := emptyItems(t, db)
+		index := func() {
+			if err := tbl.CreateIndex("ix_subcat", "subcat"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if indexFirst {
+			index()
+		}
+		if err := tbl.Load(itemsRows(2000)); err != nil {
+			t.Fatal(err)
+		}
+		if !indexFirst {
+			index()
+		}
+		return db.Metrics("disk.store_bytes")[0].Value
+	}
+	if over, after := stored(true), stored(false); over != after {
+		t.Errorf("Load over the index stores %d bytes, Load then CreateIndex %d", over, after)
 	}
 }

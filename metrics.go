@@ -24,8 +24,11 @@ import (
 //   - disk.*: simulated-disk page traffic — reads, writes, their
 //     sequential/random split (seq_reads, rand_reads, seq_writes,
 //     rand_writes), seeks, syncs, the virtual clock (virtual_ns), real
-//     I/O wait slept under IOWaitScale (io_wait_ns) and read-ahead
-//     stream churn (stream_starts, stream_evictions, active_streams).
+//     I/O wait slept under IOWaitScale (io_wait_ns), read-ahead
+//     stream churn (stream_starts, stream_evictions, active_streams)
+//     and disk.store_bytes, the bytes of every page the in-memory store
+//     holds (pages a failed writer opened are given back, so it does not
+//     count them).
 //   - pool.*: buffer-pool totals (hits, misses, evictions,
 //     dirty_writes) plus the same counters per shard (pool.shard3.hits).
 //     The pool holds no page memory of its own: a frame's bytes are the
@@ -95,6 +98,7 @@ func (db *DB) initMetrics() {
 	r.Func("disk.stream_evictions", func() int64 { return int64(db.disk.Stats().StreamEvictions) })
 	r.Func("disk.active_streams", func() int64 { return int64(db.disk.Stats().ActiveStreams) })
 	r.Func("disk.injected_faults", func() int64 { return int64(db.disk.Stats().InjectedFaults) })
+	r.Func("disk.store_bytes", db.disk.StoreBytes)
 
 	r.Func("pool.hits", func() int64 { return int64(db.pool.Stats().Hits) })
 	r.Func("pool.misses", func() int64 { return int64(db.pool.Stats().Misses) })
