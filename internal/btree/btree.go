@@ -12,37 +12,48 @@
 // PostgreSQL where vacuum reclaims space later); the workloads of the
 // paper are insert- and read-heavy, so under-full pages only waste space.
 //
+// Insert has one path. It pins the nodes from the root to the leaf
+// (descend). A node with room for the new cell takes it; a full one gets
+// a new page, lists its cells with the new one among them (cellsWith),
+// writes the two halves from that list (halve) and sends the key between
+// them up to its parent as the next level's new cell, and a root that
+// splits gets a new root above it. A leaf splits at half its bytes,
+// except that the rightmost leaf taking a key above all of its own splits
+// 100/0 (the new entry alone goes right), so ascending inserts fill their
+// leaves; an internal node splits at its middle entry. An Insert either
+// completes or changes nothing. Each node that splits first copies its
+// page, and the path stays pinned until the insert is whole, so when a
+// NewPage (or the write-back below) fails, the split nodes get their
+// copies back and the new pages are dropped unwritten
+// (buffer.Pool.Discard) and given back to the file (sim.Disk.Shrink). An
+// insert pins at most the path and one more frame: the new root, or a new
+// right node until it is written.
+//
 // A tree over existing entries is built bottom-up by Build, after
 // PostgreSQL's sorted CREATE INDEX: from entries in ascending key order it
 // fills the open leaf until the next entry does not fit, starts the
 // leaf's right sibling with that entry and sends its key up as a
 // separator, and each internal level does the same with separators,
-// splitting a full node at its middle entry. Each node is built in the
-// page the disk lends (sim.Disk.AllocPage) and its write charged once,
-// like a pool write-back, so a build takes no pool frame, leaves no page
-// cached and copies no page; a failed build gives its pages back. The
-// pages, their numbers and their bytes are exactly those inserting the
-// entries one by one in ascending order would leave: Insert splits the
-// rightmost leaf 100/0 (the new entry alone goes right) and any other
-// leaf at half its bytes. A built tree is in the state those inserts
-// leave, down to what the shortcut below remembers.
+// splitting a full node at its middle entry as Insert does. Each node is
+// built in the page the disk lends (sim.Disk.AllocPage) and its write
+// charged once, like a pool write-back, so a build takes no pool frame
+// and leaves no page cached; a failed build gives its pages back. The pages, their numbers and their bytes are exactly those
+// inserting the entries one by one in ascending order would leave, and
+// a built tree is in the state those inserts leave, down to what the
+// shortcut below remembers.
 //
-// Insert is the runtime path. Ascending inserts take a shortcut, after
-// PostgreSQL nbtree's fastpath for monotonically increasing keys: the
-// tree remembers the largest key it holds or was given and the page of
-// its rightmost leaf, and a key above that largest key goes after the
-// leaf's last entry with no descent, no binary search and no overwrite
-// check — one pool access when it fits. When it does not, the insert
-// descends through each node's last child to re-find the leaf and splits
-// it 100/0. A run of ascending inserts never returns to the full leaf it
-// leaves, so the split writes the remembered leaf back at once
-// (buffer.Pool.WriteBack) instead of leaving it for the pool's clock.
-// When the full leaf's cells already lie packed in slot order, as
-// ascending inserts leave them, they stay where they are rather than
-// being copied out and rewritten: the new right leaf, holding just the
-// new entry, is the only page the split writes cells to. Any other
-// insert, and every Delete, forgets the remembered leaf. The shortcuts
-// write exactly the bytes the general path writes.
+// Ascending inserts take a shortcut, after PostgreSQL nbtree's fastpath
+// for monotonically increasing keys: the tree remembers the largest key
+// it holds or was given and the page of its rightmost leaf, and a key
+// above that largest key goes after the leaf's last entry with no
+// descent, no binary search and no overwrite check — one pool access
+// when it fits. When it does not, the insert descends through each
+// node's last child to re-find the leaf and splits it 100/0. A run of
+// ascending inserts never returns to the full leaf it leaves, so the
+// split writes the remembered leaf back at once (buffer.Pool.WriteBack)
+// instead of leaving it for the pool's clock. Any other insert, and
+// every Delete, forgets the remembered leaf. The shortcut writes exactly
+// the bytes the descent writes.
 package btree
 
 import (
@@ -91,6 +102,36 @@ type Tree struct {
 	// last is the page of the rightmost leaf, where the next key above
 	// top goes, or noSibling when the tree does not know it.
 	last int64
+	// path is the tree's levels, leaf first, and cells the list a split
+	// halves. Their buffers are reused from one insert to the next.
+	path  []level
+	cells [][]byte
+}
+
+// level is one level of the tree as an insert descends it or Build
+// fills it: the node the operation is at, and its scratch.
+type level struct {
+	page int64
+	d    []byte        // the node's bytes: the store's page
+	fr   *buffer.Frame // an insert's pin on d; nil above the root
+	// idx is the child index the descent took, or in the leaf the slot
+	// the new entry goes to.
+	idx int
+	// cell is the cell this level takes: the new entry in the leaf, the
+	// separator of the split below elsewhere.
+	cell []byte
+	// old is the node's page as it was before it split, and right the
+	// page its right half went to.
+	old   []byte
+	right int64
+}
+
+// levelAt returns the buffers of level l, counted from the leaf.
+func (t *Tree) levelAt(l int) *level {
+	for len(t.path) <= l {
+		t.path = append(t.path, level{})
+	}
+	return &t.path[l]
 }
 
 // New creates an empty tree in a fresh file on the pool's disk.
@@ -123,50 +164,46 @@ func Build(pool *buffer.Pool, n int, entry func(i int) (key, val []byte)) (*Tree
 	return b.t, nil
 }
 
-// build runs Build on b's empty file.
+// build runs Build on b's empty file. The open (rightmost) node of each
+// level is that level's page in b.t.path.
 func (b *builder) build(n int, entry func(i int) (key, val []byte)) error {
-	b.open = []node{b.newNode(nodeLeaf)}
+	b.open(0, nodeLeaf)
 	for i := range n {
 		if err := b.add(entry(i)); err != nil {
 			return err
 		}
 	}
-	for _, nd := range b.open {
-		if err := b.write(nd); err != nil {
+	for l := range b.t.path {
+		if err := b.write(b.t.path[l].page); err != nil {
 			return err
 		}
+		b.t.path[l].d = nil
 	}
-	b.t.root, b.t.height = b.open[len(b.open)-1].page, len(b.open)
-	b.t.top, b.t.last = b.prev, b.open[0].page
+	b.t.root, b.t.height = b.t.path[len(b.t.path)-1].page, len(b.t.path)
+	b.t.top, b.t.last = b.prev, b.t.path[0].page
 	return nil
 }
 
-// builder is Build's state: the open (rightmost) node of every level,
-// leaf first, and the previous key.
+// builder is Build's state: the tree and the previous key.
 type builder struct {
 	t    *Tree
-	open []node
 	prev []byte
 }
 
-// node is a page being built: its number and its bytes, lent by the disk.
-type node struct {
-	page int64
-	d    []byte
+// open gives level l a new open node of type typ on the file's next page,
+// zeroed, and returns the level.
+func (b *builder) open(l int, typ byte) *level {
+	lv := b.t.levelAt(l)
+	lv.page, lv.d = b.t.pool.Disk().AllocPage(b.t.file)
+	initNode(lv.d, typ)
+	return lv
 }
 
-// newNode allocates the file's next page, zeroed, for a node of type typ.
-func (b *builder) newNode(typ byte) node {
-	page, d := b.t.pool.Disk().AllocPage(b.t.file)
-	initNode(d, typ)
-	return node{page: page, d: d}
-}
-
-// write charges the write of a finished node, whose bytes are already in
+// write charges the write of a finished page, whose bytes are already in
 // the store, and pays it as a pool write-back does.
-func (b *builder) write(nd node) error {
+func (b *builder) write(page int64) error {
 	disk := b.t.pool.Disk()
-	cost, err := disk.WritePageDeferWait(b.t.file, nd.page)
+	cost, err := disk.WritePageDeferWait(b.t.file, page)
 	disk.PayWait(cost)
 	return err
 }
@@ -182,21 +219,21 @@ func (b *builder) add(key, val []byte) error {
 		return fmt.Errorf("btree: build entry %d is not above the one before it", b.t.count)
 	}
 	b.prev = append(b.prev[:0], key...)
-	if leaf := b.open[0]; freeSpace(leaf.d) < leafCellSize(key, val)+slotSize {
-		next := b.newNode(nodeLeaf)
-		setAux(leaf.d, next.page)
-		if err := b.write(leaf); err != nil {
+	leaf := &b.t.path[0]
+	leaf.cell = appendLeafCell(leaf.cell[:0], key, val)
+	if freeSpace(leaf.d) < len(leaf.cell)+slotSize {
+		full, d := leaf.page, leaf.d
+		b.open(0, nodeLeaf)
+		setAux(d, leaf.page)
+		if err := b.write(full); err != nil {
 			return err
 		}
-		b.open[0] = next
-		if err := b.push(1, key, next.page, leaf.page); err != nil {
+		if err := b.push(1, key, leaf.page, full); err != nil {
 			return err
 		}
+		leaf = &b.t.path[0] // push may have grown the path
 	}
-	d := b.open[0].d
-	i := numKeys(d)
-	insertSlot(d, i)
-	writeLeafCell(d, i, key, val)
+	place(leaf.d, numKeys(leaf.d), leaf.cell, false)
 	b.t.count++
 	return nil
 }
@@ -204,28 +241,25 @@ func (b *builder) add(key, val []byte) error {
 // push appends the separator (key, child) to the open node of level l,
 // where left is the node of level l-1 that child follows. A level with no
 // node yet gets one, left as its leftmost child: the new root. A full node
-// splits at its middle entry as Insert's does: the left half goes to disk,
-// the right half stays open on a new page, and the middle key goes up.
+// splits as Insert's does (split): the left half goes to disk, and the
+// right half stays open on a new page and sends its separator up.
 func (b *builder) push(l int, key []byte, child, left int64) error {
-	if l == len(b.open) {
-		root := b.newNode(nodeInternal)
-		setAux(root.d, left)
-		b.open = append(b.open, root)
+	if l == len(b.t.path) {
+		setAux(b.open(l, nodeInternal).d, left)
 	}
-	nd := b.open[l]
-	idx := numKeys(nd.d)
-	if freeSpace(nd.d) >= internalCellSize(key)+slotSize {
-		insertSlot(nd.d, idx)
-		writeInternalCell(nd.d, idx, key, child)
+	lv := &b.t.path[l]
+	lv.idx, lv.cell = numKeys(lv.d), appendInternalCell(lv.cell[:0], key, child)
+	if fits(lv.d, len(lv.cell), lv.idx, false) {
+		place(lv.d, lv.idx, lv.cell, false)
 		return nil
 	}
-	right := b.newNode(nodeInternal)
-	up := splitInternal(nd.d, right.d, idx, key, child)
-	if err := b.write(nd); err != nil {
+	full, d := lv.page, lv.d
+	b.open(l, nodeInternal)
+	up := b.t.split(lv, d, lv.d, lv.page, false)
+	if err := b.write(full); err != nil {
 		return err
 	}
-	b.open[l] = right
-	return b.push(l+1, up, right.page, nd.page)
+	return b.push(l+1, up, lv.page, full)
 }
 
 // FileID returns the simulated-disk file holding the tree.
@@ -300,8 +334,6 @@ func internalCellChild(d []byte, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(d[off+2:]))
 }
 
-func internalCellSize(key []byte) int { return 10 + len(key) }
-
 func freeSpace(d []byte) int {
 	return cellStart(d) - headerSize - numKeys(d)*slotSize
 }
@@ -311,15 +343,8 @@ func freeSpace(d []byte) int {
 func liveBytes(d []byte) int {
 	n := numKeys(d)
 	total := n * slotSize
-	for i := 0; i < n; i++ {
-		off := slotOff(d, i)
-		klen := int(binary.LittleEndian.Uint16(d[off:]))
-		if nodeType(d) == nodeLeaf {
-			vlen := int(binary.LittleEndian.Uint16(d[off+2:]))
-			total += 4 + klen + vlen
-		} else {
-			total += 10 + klen
-		}
+	for i := range n {
+		total += len(cellAt(d, i))
 	}
 	return total
 }
@@ -327,57 +352,53 @@ func liveBytes(d []byte) int {
 // compact rewrites the node's cells contiguously, reclaiming dead space
 // left by deletions and overwrites.
 func compact(d []byte) {
-	n := numKeys(d)
-	typ := nodeType(d)
-	type cell struct {
-		key, val []byte
-		child    int64
-	}
-	cells := make([]cell, n)
-	for i := 0; i < n; i++ {
-		if typ == nodeLeaf {
-			cells[i] = cell{
-				key: append([]byte(nil), leafCellKey(d, i)...),
-				val: append([]byte(nil), leafCellVal(d, i)...),
-			}
-		} else {
-			cells[i] = cell{
-				key:   append([]byte(nil), internalCellKey(d, i)...),
-				child: internalCellChild(d, i),
-			}
-		}
-	}
+	old := slices.Clone(d)
 	setCellStart(d, len(d))
-	for i, c := range cells {
-		if typ == nodeLeaf {
-			writeLeafCell(d, i, c.key, c.val)
-		} else {
-			writeInternalCell(d, i, c.key, c.child)
-		}
+	for i := range numKeys(d) {
+		putCell(d, i, cellAt(old, i))
 	}
 }
 
-// writeLeafCell places a leaf cell's bytes and points slot i at it. The
-// slot directory entry for i must already be accounted in numKeys.
-func writeLeafCell(d []byte, i int, key, val []byte) {
-	size := leafCellSize(key, val)
-	start := cellStart(d) - size
-	binary.LittleEndian.PutUint16(d[start:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(d[start+2:], uint16(len(val)))
-	copy(d[start+4:], key)
-	copy(d[start+4+len(key):], val)
+// appendLeafCell appends the leaf cell of (key, val) to dst.
+func appendLeafCell(dst, key, val []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(val)))
+	return append(append(dst, key...), val...)
+}
+
+// appendInternalCell appends the internal cell of (key, child) to dst.
+func appendInternalCell(dst, key []byte, child int64) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(child))
+	return append(dst, key...)
+}
+
+// putCell places cell c's bytes below the node's cells and points slot i
+// at them. The slot directory entry for i must already be accounted in
+// numKeys.
+func putCell(d []byte, i int, c []byte) {
+	start := cellStart(d) - len(c)
+	copy(d[start:], c)
 	setSlotOff(d, i, start)
 	setCellStart(d, start)
 }
 
-func writeInternalCell(d []byte, i int, key []byte, child int64) {
-	size := internalCellSize(key)
-	start := cellStart(d) - size
-	binary.LittleEndian.PutUint16(d[start:], uint16(len(key)))
-	binary.LittleEndian.PutUint64(d[start+2:], uint64(child))
-	copy(d[start+10:], key)
-	setSlotOff(d, i, start)
-	setCellStart(d, start)
+// cellAt returns the bytes of the cell in slot i, of either node type.
+func cellAt(d []byte, i int) []byte {
+	off := slotOff(d, i)
+	klen := int(binary.LittleEndian.Uint16(d[off:]))
+	if nodeType(d) == nodeLeaf {
+		return d[off : off+4+klen+int(binary.LittleEndian.Uint16(d[off+2:]))]
+	}
+	return d[off : off+10+klen]
+}
+
+// cellKey returns the key of cell c of a node of type typ.
+func cellKey(typ byte, c []byte) []byte {
+	if typ == nodeLeaf {
+		return c[4 : 4+binary.LittleEndian.Uint16(c)]
+	}
+	return c[10:]
 }
 
 // insertSlot shifts the slot directory right to open position i.
@@ -419,13 +440,6 @@ func childPage(d []byte, idx int) int64 {
 	return internalCellChild(d, idx-1)
 }
 
-// splitResult propagates a node split upward.
-type splitResult struct {
-	split   bool
-	sepKey  []byte
-	newPage int64
-}
-
 // checkEntry rejects an entry no leaf could hold: an empty key, or a cell
 // above a quarter of the page, so every split leaves both halves room.
 func (t *Tree) checkEntry(key, val []byte) error {
@@ -439,8 +453,9 @@ func (t *Tree) checkEntry(key, val []byte) error {
 	return nil
 }
 
-// Insert adds or overwrites the entry for key. A failed Insert changes no
-// leaf, and counts the entry only once a leaf holds it.
+// Insert adds or overwrites the entry for key. It either completes or
+// changes nothing: a failed Insert leaves every page, the file and Len as
+// they were.
 //
 // A key above every key in the tree (asc) needs no search. When the tree
 // remembers its rightmost leaf and the entry fits there, it goes after
@@ -458,319 +473,279 @@ func (t *Tree) Insert(key, val []byte) error {
 		return err
 	}
 	asc := bytes.Compare(key, t.top) > 0
-	if asc {
-		t.top = append(t.top[:0], key...)
-		if t.last != noSibling {
-			if done, err := t.appendLast(key, val); done || err != nil {
-				return err
-			}
-		}
-	} else {
+	if !asc {
 		t.last = noSibling
 	}
-	remembered := t.last
-	res, err := t.insertRec(t.root, key, val, asc)
-	if err != nil {
-		return err
+	leaf := t.levelAt(0)
+	leaf.cell = appendLeafCell(leaf.cell[:0], key, val)
+	var done bool
+	var err error
+	if asc && t.last != noSibling {
+		done, err = t.appendLast(leaf.cell)
 	}
-	if res.split {
-		// Root split: build a new internal root.
-		page, fr, err := t.pool.NewPage(t.file)
-		if err != nil {
-			return err
-		}
-		initNode(fr.Data, nodeInternal)
-		setAux(fr.Data, t.root)
-		insertSlot(fr.Data, 0)
-		writeInternalCell(fr.Data, 0, res.sepKey, res.newPage)
-		t.pool.Unpin(fr, true)
-		t.root = page
-		t.height++
+	if !done && err == nil {
+		err = t.insert(key, asc)
 	}
-	if remembered != noSibling && t.last != remembered {
-		// The remembered leaf split. It took only ascending inserts
-		// since the tree found it: the sorted run has left it for good,
-		// so it goes to disk now, once the split is complete.
-		return t.pool.WriteBack(t.file, remembered)
+	if err == nil && asc {
+		t.top = append(t.top[:0], key...)
 	}
-	return nil
+	return err
 }
 
-// appendLast places (key, val), which sorts after every key in the tree,
-// after the last slot of the remembered rightmost leaf when it fits there
-// without a split. It reports false, having changed nothing, when the
-// leaf is full.
-func (t *Tree) appendLast(key, val []byte) (bool, error) {
+// appendLast places the leaf cell c, whose key sorts after every key in
+// the tree, after the last slot of the remembered rightmost leaf when it
+// fits there without a split. It reports false, having changed nothing,
+// when the leaf is full.
+func (t *Tree) appendLast(c []byte) (bool, error) {
 	fr, err := t.pool.Get(t.file, t.last)
 	if err != nil {
 		return false, err
 	}
 	d := fr.Data
-	if need := leafCellSize(key, val) + slotSize; freeSpace(d) < need && liveBytes(d)+need > len(d)-headerSize {
+	if !fits(d, len(c), numKeys(d), false) {
 		t.pool.Unpin(fr, false)
 		return false, nil
 	}
-	_, dirty, err := t.insertLeaf(d, key, val, true)
-	t.pool.Unpin(fr, dirty)
-	return true, err
-}
-
-func (t *Tree) insertRec(page int64, key, val []byte, asc bool) (splitResult, error) {
-	fr, err := t.pool.Get(t.file, page)
-	if err != nil {
-		return splitResult{}, err
-	}
-	d := fr.Data
-	if nodeType(d) == nodeLeaf {
-		res, dirty, err := t.insertLeaf(d, key, val, asc)
-		t.pool.Unpin(fr, dirty)
-		if err == nil && asc {
-			// The rightmost leaf, or its new right sibling.
-			t.last = page
-			if res.split {
-				t.last = res.newPage
-			}
-		}
-		return res, err
-	}
-	idx := numKeys(d)
-	if !asc {
-		idx = childIndexFor(d, key)
-	}
-	child := childPage(d, idx)
-	// Recurse without holding the parent pinned? We must keep it pinned so
-	// that a child split can be applied; pool capacity covers tree height.
-	res, err := t.insertRec(child, key, val, asc)
-	if err != nil {
-		t.pool.Unpin(fr, false)
-		return splitResult{}, err
-	}
-	if !res.split {
-		t.pool.Unpin(fr, false)
-		return splitResult{}, nil
-	}
-	up, err := t.insertInternal(d, idx, res.sepKey, res.newPage)
+	place(d, numKeys(d), c, false)
 	t.pool.Unpin(fr, true)
-	return up, err
-}
-
-// insertLeaf places (key, val) into the leaf, splitting when necessary.
-// An existing entry for key is replaced; a replacement that needs a split
-// leaves the old entry in place until the split has its new page. A key
-// above every key in the tree (asc) goes last, with no search.
-func (t *Tree) insertLeaf(d []byte, key, val []byte, asc bool) (splitResult, bool, error) {
-	pos := numKeys(d)
-	if !asc {
-		pos = searchLeaf(d, key)
-	}
-	replace := pos < numKeys(d) && bytes.Equal(leafCellKey(d, pos), key)
-	need := leafCellSize(key, val) + slotSize
-	// The room the leaf has once a replaced entry's slot is gone; its
-	// cell's bytes stay until a compaction.
-	free := freeSpace(d)
-	if replace {
-		free += slotSize
-	}
-	squeeze := free < need
-	if squeeze {
-		live := liveBytes(d)
-		if replace {
-			live -= leafCellSize(leafCellKey(d, pos), leafCellVal(d, pos)) + slotSize
-		}
-		if live+need > len(d)-headerSize {
-			return t.splitLeafAndInsert(d, key, val, pos, replace)
-		}
-	}
-	if replace {
-		removeSlot(d, pos)
-		t.count--
-	}
-	if squeeze {
-		compact(d)
-	}
-	insertSlot(d, pos)
-	writeLeafCell(d, pos, key, val)
 	t.count++
-	return splitResult{}, true, nil
+	return true, nil
 }
 
-// splitLeafAndInsert splits a full leaf around the insertion of (key,val)
-// at slot position pos, which replaces the entry there when replace is
-// set. The leaf is rewritten only once the new right page is pinned, so a
-// split that fails leaves it, and the count, as they were.
-func (t *Tree) splitLeafAndInsert(d []byte, key, val []byte, pos int, replace bool) (splitResult, bool, error) {
-	n := numKeys(d)
-	if pos == n && aux(d) == noSibling && packed(d) {
-		return t.splitLast(d, key, val)
+// insert places the leaf cell of levelAt(0) for key along the path
+// descend pins. Each full node on the way up splits onto a new page and
+// sends its separator to the level above; a root that splits gets a new
+// root. Until a level with room takes its cell, the path stays pinned and
+// each split node's old page is kept, so a failure takes every split back
+// (undo).
+func (t *Tree) insert(key []byte, asc bool) error {
+	remembered := t.last
+	if err := t.descend(key, asc); err != nil {
+		return err
 	}
-	type entry struct{ k, v []byte }
-	entries := make([]entry, 0, n+1)
-	for i := 0; i < n; i++ {
-		if replace && i == pos {
-			continue
-		}
-		entries = append(entries, entry{
-			k: append([]byte(nil), leafCellKey(d, i)...),
-			v: append([]byte(nil), leafCellVal(d, i)...),
-		})
-	}
-	entries = slices.Insert(entries, pos, entry{k: append([]byte(nil), key...), v: append([]byte(nil), val...)})
-
-	// Choose the split point. Rightmost insertion into the rightmost leaf
-	// uses a 100/0 split so ascending inserts fill pages completely.
-	var splitAt int
-	if pos == n && aux(d) == noSibling {
-		splitAt = len(entries) - 1
-	} else {
-		// Split at half the bytes.
-		total := 0
-		for _, e := range entries {
-			total += leafCellSize(e.k, e.v) + slotSize
-		}
-		acc := 0
-		splitAt = len(entries) / 2
-		for i, e := range entries {
-			acc += leafCellSize(e.k, e.v) + slotSize
-			if acc >= total/2 {
-				splitAt = i + 1
-				break
+	leaf := &t.path[0]
+	replace := leaf.idx < numKeys(leaf.d) && bytes.Equal(leafCellKey(leaf.d, leaf.idx), key)
+	l, repl := 0, replace
+	for {
+		lv := &t.path[l]
+		if lv.fr == nil { // the root split: a new root goes above it
+			page, fr, err := t.pool.NewPage(t.file)
+			if err != nil {
+				return t.undo(l, err)
 			}
+			initNode(fr.Data, nodeInternal)
+			setAux(fr.Data, t.root)
+			lv.page, lv.d, lv.fr, lv.idx = page, fr.Data, fr, 0
 		}
-		if splitAt >= len(entries) {
-			splitAt = len(entries) - 1
+		if fits(lv.d, len(lv.cell), lv.idx, repl) {
+			break
 		}
-		if splitAt < 1 {
-			splitAt = 1
+		page, fr, err := t.pool.NewPage(t.file)
+		if err != nil {
+			return t.undo(l, err)
+		}
+		sep := t.split(lv, lv.d, fr.Data, page, repl)
+		t.pool.Unpin(fr, true)
+		lv.right = page
+		up := &t.path[l+1]
+		up.cell = appendInternalCell(up.cell[:0], sep, page)
+		l, repl = l+1, false
+	}
+	// Every page is in hand. The insert is whole once the remembered
+	// leaf, when it split, is on disk and level l takes its cell, which
+	// cannot fail. The leaf is unpinned dirty first, so that the write
+	// sees the split; undo restores it through its bytes.
+	if l > 0 && remembered != noSibling {
+		t.pool.Unpin(leaf.fr, true)
+		leaf.fr = nil
+		if err := t.pool.WriteBack(t.file, remembered); err != nil {
+			return t.undo(l, err)
 		}
 	}
-
-	newPage, nfr, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return splitResult{}, false, err
-	}
+	lv := &t.path[l]
+	place(lv.d, lv.idx, lv.cell, repl)
 	if !replace {
 		t.count++
 	}
-	nd := nfr.Data
-	initNode(nd, nodeLeaf)
-	setAux(nd, aux(d)) // new right node inherits old sibling
-
-	// Rewrite left node with entries[:splitAt].
-	setNumKeys(d, 0)
-	setCellStart(d, len(d))
-	for i, e := range entries[:splitAt] {
-		insertSlot(d, i)
-		writeLeafCell(d, i, e.k, e.v)
-	}
-	setAux(d, newPage)
-
-	for i, e := range entries[splitAt:] {
-		insertSlot(nd, i)
-		writeLeafCell(nd, i, e.k, e.v)
-	}
-	sep := append([]byte(nil), entries[splitAt].k...)
-	t.pool.Unpin(nfr, true)
-	return splitResult{split: true, sepKey: sep, newPage: newPage}, true, nil
-}
-
-// packed reports whether a leaf's cells lie back to back from the end of
-// the page in slot order, with nothing below them: the layout rewriting
-// them in slot order gives.
-func packed(d []byte) bool {
-	off := len(d)
-	for i := range numKeys(d) {
-		off -= len(leafCellKey(d, i)) + len(leafCellVal(d, i)) + 4
-		if slotOff(d, i) != off {
-			return false
+	if asc {
+		t.last = leaf.page
+		if l > 0 {
+			t.last = leaf.right
 		}
 	}
-	return cellStart(d) == off
-}
-
-// splitLast is the 100/0 split of the full rightmost leaf d around
-// (key, val), which sorts after all of d's keys, when d is packed: the
-// left half keeps every cell where it is and only gains its new right
-// sibling, which takes the one new entry.
-func (t *Tree) splitLast(d []byte, key, val []byte) (splitResult, bool, error) {
-	newPage, nfr, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return splitResult{}, false, err
+	if l == t.height {
+		t.root, t.height = lv.page, t.height+1
 	}
-	nd := nfr.Data
-	initNode(nd, nodeLeaf)
-	insertSlot(nd, 0)
-	writeLeafCell(nd, 0, key, val)
-	t.pool.Unpin(nfr, true)
-	setAux(d, newPage)
-	t.count++
-	return splitResult{split: true, sepKey: append([]byte(nil), key...), newPage: newPage}, true, nil
+	t.release(l + 1)
+	return nil
 }
 
-// insertInternal places (sepKey, newChild) after child index idx,
-// splitting the internal node when necessary.
-func (t *Tree) insertInternal(d []byte, idx int, sepKey []byte, newChild int64) (splitResult, error) {
-	need := internalCellSize(sepKey) + slotSize
-	if freeSpace(d) < need {
-		if liveBytes(d)+need <= len(d)-headerSize {
-			compact(d)
-		} else {
-			return t.splitInternalAndInsert(d, idx, sepKey, newChild)
+// descend pins the nodes from the root to the leaf where key goes into
+// t.path, leaf first, each with the child index it takes (the last for an
+// ascending key) or, in the leaf, the slot. The level above the root is
+// left without a node, for a root split. On an error nothing stays pinned.
+func (t *Tree) descend(key []byte, asc bool) error {
+	t.levelAt(t.height)
+	page := t.root
+	for l := t.height - 1; l >= 0; l-- {
+		fr, err := t.pool.Get(t.file, page)
+		if err != nil {
+			t.release(0)
+			return err
+		}
+		d := fr.Data
+		idx := numKeys(d)
+		switch {
+		case asc:
+		case l == 0:
+			idx = searchLeaf(d, key)
+		default:
+			idx = childIndexFor(d, key)
+		}
+		lv := &t.path[l]
+		lv.page, lv.d, lv.fr, lv.idx = page, d, fr, idx
+		if l > 0 {
+			page = childPage(d, idx)
 		}
 	}
-	insertSlot(d, idx)
-	writeInternalCell(d, idx, sepKey, newChild)
-	return splitResult{}, nil
+	return nil
 }
 
-// splitInternalAndInsert splits the full internal node d onto a new page
-// (splitInternal); d is unchanged when the page cannot be had.
-func (t *Tree) splitInternalAndInsert(d []byte, idx int, sepKey []byte, newChild int64) (splitResult, error) {
-	newPage, nfr, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return splitResult{}, err
+// undo takes back an insert that failed at level l: each level below it
+// gets back its page as it was before it split, and the pages the insert
+// added (the new right halves, and a new root) leave the pool unwritten
+// and the file. It returns err.
+func (t *Tree) undo(l int, err error) error {
+	for _, lv := range t.path[:l] {
+		copy(lv.d, lv.old)
 	}
-	up := splitInternal(d, nfr.Data, idx, sepKey, newChild)
-	t.pool.Unpin(nfr, true)
-	return splitResult{split: true, sepKey: up, newPage: newPage}, nil
+	t.release(0)
+	if l > 0 {
+		// The leaf's new right half was the insert's first new page, and
+		// every page after it in the file is the insert's too.
+		disk, first := t.pool.Disk(), t.path[0].right
+		for p := first; p < disk.NumPages(t.file); p++ {
+			t.pool.Discard(t.file, p)
+		}
+		disk.Shrink(t.file, first)
+	}
+	return err
 }
 
-// splitInternal splits the full internal node d around the insertion of
-// (sepKey, newChild) at child index idx: d keeps the entries left of the
-// middle one, nd (a page of the same size) takes those right of it, its
-// leftmost child the middle entry's, and the middle key is returned to
-// go up a level.
-func splitInternal(d, nd []byte, idx int, sepKey []byte, newChild int64) []byte {
+// release unpins the path, marking the levels below changed dirty.
+func (t *Tree) release(changed int) {
+	for l := range t.path {
+		lv := &t.path[l]
+		if lv.fr != nil {
+			t.pool.Unpin(lv.fr, l < changed)
+		}
+		lv.fr, lv.d = nil, nil
+	}
+}
+
+// fits reports whether node d has room for a cell of size bytes at slot
+// pos, the cell there gone when replace is set, once compacted if need be.
+func fits(d []byte, size, pos int, replace bool) bool {
+	need, free := size+slotSize, freeSpace(d)
+	if replace {
+		free += slotSize
+	}
+	if free >= need {
+		return true
+	}
+	live := liveBytes(d)
+	if replace {
+		live -= len(cellAt(d, pos)) + slotSize
+	}
+	return live+need <= len(d)-headerSize
+}
+
+// place puts cell c, which fits, at slot pos of node d, in place of the
+// cell there when replace is set, compacting d first when its free space
+// alone is too small.
+func place(d []byte, pos int, c []byte, replace bool) {
+	if replace {
+		removeSlot(d, pos)
+	}
+	if freeSpace(d) < len(c)+slotSize {
+		compact(d)
+	}
+	insertSlot(d, pos)
+	putCell(d, pos, c)
+}
+
+// split halves level lv's full node d around the level's cell at slot
+// lv.idx (in place of the cell there when replace is set) onto nd, the
+// new node on page page, and returns the key that goes up. lv.old keeps
+// d's page as it was; the halves are written from its cells.
+func (t *Tree) split(lv *level, d, nd []byte, page int64, replace bool) []byte {
+	lv.old = append(lv.old[:0], d...)
+	t.cells = cellsWith(t.cells[:0], lv.old, lv.idx, lv.cell, replace)
+	return halve(d, nd, page, t.cells, lv.idx)
+}
+
+// cellsWith appends to cells the cells of node d in slot order, with c at
+// slot pos, in place of the cell there when replace is set.
+func cellsWith(cells [][]byte, d []byte, pos int, c []byte, replace bool) [][]byte {
 	n := numKeys(d)
-	type entry struct {
-		k     []byte
-		child int64
+	for i := range n {
+		if i == pos {
+			cells = append(cells, c)
+			if replace {
+				continue
+			}
+		}
+		cells = append(cells, cellAt(d, i))
 	}
-	entries := make([]entry, 0, n+1)
-	for i := 0; i < n; i++ {
-		entries = append(entries, entry{
-			k:     append([]byte(nil), internalCellKey(d, i)...),
-			child: internalCellChild(d, i),
-		})
+	if pos == n {
+		cells = append(cells, c)
 	}
-	entries = slices.Insert(entries, idx, entry{k: append([]byte(nil), sepKey...), child: newChild})
+	return cells
+}
 
-	mid := len(entries) / 2
-	initNode(nd, nodeInternal)
-	setAux(nd, entries[mid].child)
-	for i, e := range entries[mid+1:] {
-		insertSlot(nd, i)
-		writeInternalCell(nd, i, e.k, e.child)
+// halve writes cells, the cells of the full node d with a new one at slot
+// pos, into d and nd, a new node of d's type on page page, and returns
+// the key that separates the two in the parent. An internal node splits
+// at its middle cell, whose key goes up alone and whose child becomes
+// nd's leftmost. A leaf splits at half its bytes, or 100/0 when it is the
+// rightmost leaf and the new cell goes last, and nd follows d in the leaf
+// chain.
+func halve(d, nd []byte, page int64, cells [][]byte, pos int) []byte {
+	typ := nodeType(d)
+	initNode(nd, typ)
+	at, right := len(cells)/2, 0
+	if typ == nodeInternal {
+		right = at + 1
+		setAux(nd, int64(binary.LittleEndian.Uint64(cells[at][2:])))
+	} else {
+		if pos == numKeys(d) && aux(d) == noSibling {
+			at = len(cells) - 1
+		} else {
+			total, acc := 0, 0
+			for _, c := range cells {
+				total += len(c) + slotSize
+			}
+			for at = 0; acc < total/2; at++ {
+				acc += len(cells[at]) + slotSize
+			}
+			at = max(min(at, len(cells)-1), 1)
+		}
+		right = at
+		setAux(nd, aux(d))
+		setAux(d, page)
 	}
+	fill(d, cells[:at])
+	fill(nd, cells[right:])
+	return cellKey(typ, cells[at])
+}
 
-	leftmost := aux(d)
-	setNumKeys(d, 0)
+// fill rewrites node d to hold cells, in slot order.
+func fill(d []byte, cells [][]byte) {
+	setNumKeys(d, len(cells))
 	setCellStart(d, len(d))
-	setAux(d, leftmost)
-	for i, e := range entries[:mid] {
-		insertSlot(d, i)
-		writeInternalCell(d, i, e.k, e.child)
+	for i, c := range cells {
+		putCell(d, i, c)
 	}
-	return entries[mid].k
 }
 
 // PackedHeight returns the height Insert gives a tree of n entries, each
@@ -784,11 +759,11 @@ func splitInternal(d, nd []byte, idx int, sepKey []byte, newChild int64) []byte 
 func PackedHeight(pageSize int, n int64, keyLen int) int {
 	room := int64(pageSize - headerSize)
 	leafCap := max(room/int64(4+keyLen+slotSize), 1)   // leafCellSize
-	innerCap := max(room/int64(10+keyLen+slotSize), 2) // internalCellSize
+	innerCap := max(room/int64(10+keyLen+slotSize), 2) // an internal cell
 	// A level that receives s separators makes its first node from the
 	// first, splits on the (innerCap+1)-th and then on every
-	// (mid+1)-th: splitInternalAndInsert leaves innerCap-mid entries on
-	// the right, the node the next separators go to.
+	// (mid+1)-th: an internal split (halve) leaves innerCap-mid entries
+	// on the right, the node the next separators go to.
 	mid := (innerCap + 1) / 2
 	height := 1
 	for s := (n+leafCap-1)/leafCap - 1; s > 0; {

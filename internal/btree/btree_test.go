@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -672,63 +673,33 @@ func TestAscendingInsertAppendsToTheRightmostLeaf(t *testing.T) {
 	}
 }
 
-// TestPackedLeafRewritesToItself holds the split's shortcut to the bytes
-// of the general path: on leaves shaped by random inserts, deletes,
-// overwrites and compactions, whenever packed reports a leaf packed,
-// rewriting its cells in slot order (what splitLeafAndInsert does to
-// the left half) leaves every byte of the page as it was.
-func TestPackedLeafRewritesToItself(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	checked := 0
-	for round := 0; round < 300; round++ {
-		d := make([]byte, 256)
-		initNode(d, nodeLeaf)
-		for op := 0; op < 40; op++ {
-			n := numKeys(d)
-			switch r := rng.Intn(10); {
-			case r < 6: // append, or insert at a random slot
-				key := bytes.Repeat([]byte{byte(rng.Intn(256))}, 1+rng.Intn(8))
-				val := bytes.Repeat([]byte{'v'}, rng.Intn(4))
-				if freeSpace(d) < leafCellSize(key, val)+slotSize {
-					continue
-				}
-				pos := n
-				if rng.Intn(3) == 0 {
-					pos = rng.Intn(n + 1)
-				}
-				insertSlot(d, pos)
-				writeLeafCell(d, pos, key, val)
-			case r < 8 && n > 0: // delete, the last slot half the time
-				pos := n - 1
-				if rng.Intn(2) == 0 {
-					pos = rng.Intn(n)
-				}
-				removeSlot(d, pos)
-			case r < 9:
-				compact(d)
-			}
-			if !packed(d) {
-				continue
-			}
-			checked++
-			want := append([]byte(nil), d...)
-			keys, vals := make([][]byte, numKeys(d)), make([][]byte, numKeys(d))
-			for i := range keys {
-				keys[i] = append([]byte(nil), leafCellKey(d, i)...)
-				vals[i] = append([]byte(nil), leafCellVal(d, i)...)
-			}
-			setNumKeys(d, 0)
-			setCellStart(d, len(d))
-			for i := range keys {
-				insertSlot(d, i)
-				writeLeafCell(d, i, keys[i], vals[i])
-			}
-			if !bytes.Equal(d, want) {
-				t.Fatalf("round %d op %d: a packed leaf of %d cells changed when rewritten", round, op, len(keys))
-			}
+// TestRandomInsertsAllocateNothing: an Insert into a warm tree on 8 KiB
+// pages allocates nothing of its own. What remains is the disk's new
+// page at each split, well under one allocation per 20 inserts.
+func TestRandomInsertsAllocateNothing(t *testing.T) {
+	const n = 50_000
+	tr := newTree(t, 8192, 1024)
+	rng := rand.New(rand.NewSource(3))
+	keys := make([][]byte, 2*n)
+	for i := range keys {
+		keys[i] = ikey(rng.Int63())
+	}
+	for _, k := range keys[:n] { // warm: the tree and its buffers
+		if err := tr.Insert(k, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if checked < 1000 {
-		t.Fatalf("only %d packed leaves checked", checked)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys[n:] {
+		if err := tr.Insert(k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocations, %.0f B per Insert", per, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	if per >= 0.05 {
+		t.Errorf("%.3f allocations per Insert; want < 0.05", per)
 	}
 }

@@ -178,66 +178,131 @@ func TestBuildRejectsWhatInsertRejects(t *testing.T) {
 	}
 }
 
-// TestFailedInsertKeepsLen sweeps a write fault over every eviction of a
+// TestFailedInsertKeepsLen sweeps a write fault over every write of a
 // random insert stream into a 4-frame pool, on two page sizes: the
-// failing Insert returns the injected error, pins no frame, and leaves
-// Len equal to the entries the tree yields — every key inserted before
-// it, and its own key only if a leaf took it. (A split that failed after
-// counting its entry, or after the replace path had removed the old
-// one, left Len one off.)
+// insert the fault fails changes nothing (requireFailedStepChangesNothing).
+// A share of the inserts replace, with values of other lengths. Then
+// ascending inserts into a pool with room, where the only writes are
+// the write-backs of the remembered leaves they split, fail each of the
+// first of those.
 func TestFailedInsertKeepsLen(t *testing.T) {
+	writes := func(s sim.Stats) int64 { return int64(s.Writes) }
+	failWrite := func(n int64) *sim.FaultPlan { return &sim.FaultPlan{FailWriteN: n} }
 	for _, pageSize := range []int{256, 512} {
 		for n := int64(1); n <= 240; n++ {
 			tr := newTree(t, pageSize, 4)
-			disk := tr.pool.Disk()
 			rng := rand.New(rand.NewSource(n))
 			model := map[string]string{}
-			disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
-			var err error
-			var failed kv
-			for i := 0; err == nil && i < 5000; i++ {
-				// A key space small enough that a share of the inserts
-				// replace, with values of other lengths.
+			insert := func() error {
 				e := kv{ikey(rng.Int63n(600)), bytes.Repeat([]byte{'v'}, rng.Intn(12))}
-				if err = tr.Insert(e.k, e.v); err == nil {
+				err := tr.Insert(e.k, e.v)
+				if err == nil {
 					model[string(e.k)] = string(e.v)
-				} else {
-					failed = e
 				}
+				return err
 			}
-			disk.SetFaultPlan(nil)
-			if !errors.Is(err, sim.ErrInjected) {
-				t.Fatalf("page %d, write %d: Insert returned %v", pageSize, n, err)
-			}
-			if p := tr.pool.PinnedFrames(); p != 0 {
-				t.Fatalf("page %d, write %d: %d frames pinned after the failed Insert", pageSize, n, p)
-			}
-			// The entries, in order, must be the model's, with the failed
-			// Insert's entry in place of its key's earlier one when a leaf
-			// took it. (Iteration follows the leaf chain: a failed internal
-			// split leaves the new right node unreachable from the root,
-			// so a descent can miss keys that iteration still yields.)
-			it, err := tr.SeekFirst()
-			if err != nil {
-				t.Fatal(err)
-			}
-			yielded := 0
-			for ; it.Valid(); yielded++ {
-				k, v := string(it.Key()), string(it.vals[it.idx])
-				if k == string(failed.k) && v == string(failed.v) {
-					model[k] = v
-				}
-				if want, ok := model[k]; !ok || v != want {
-					t.Fatalf("page %d, write %d: the tree yields %x=%q, the model %q (%v)", pageSize, n, k, v, want, ok)
-				}
-				if err := it.Next(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if yielded != len(model) || tr.Len() != int64(yielded) {
-				t.Fatalf("page %d, write %d: Len %d after the failed Insert; the tree yields %d entries, the model has %d",
-					pageSize, n, tr.Len(), yielded, len(model))
-			}
+			name := fmt.Sprintf("page %d, write %d", pageSize, n)
+			requireFailedStepChangesNothing(t, name, tr, model, insert, failWrite, writes, n)
 		}
 	}
+	for n := int64(1); n <= 20; n++ {
+		tr := newTree(t, 256, 64)
+		model := map[string]string{}
+		next := int64(0)
+		insert := func() error {
+			k := ikey(next)
+			next++
+			err := tr.Insert(k, nil)
+			if err == nil {
+				model[string(k)] = ""
+			}
+			return err
+		}
+		requireFailedStepChangesNothing(t, fmt.Sprintf("ascending, write-back %d", n), tr, model, insert, failWrite, writes, n)
+	}
+}
+
+// TestFailedDeleteChangesNothing sweeps a read fault over every read of
+// a random Delete stream through a 4-frame pool, on two page sizes, each
+// over a tree of a few hundred random entries: the Delete the fault fails
+// changes nothing.
+func TestFailedDeleteChangesNothing(t *testing.T) {
+	for _, pageSize := range []int{256, 512} {
+		for n := int64(1); n <= 240; n++ {
+			tr := newTree(t, pageSize, 4)
+			rng := rand.New(rand.NewSource(n))
+			model := map[string]string{}
+			for range 400 {
+				k, v := ikey(rng.Int63n(600)), bytes.Repeat([]byte{'v'}, rng.Intn(12))
+				if err := tr.Insert(k, v); err != nil {
+					t.Fatal(err)
+				}
+				model[string(k)] = string(v)
+			}
+			del := func() error {
+				k := ikey(rng.Int63n(600))
+				ok, err := tr.Delete(k)
+				if err == nil {
+					if _, in := model[string(k)]; ok != in {
+						t.Fatalf("Delete(%x) reported %v, the model %v", k, ok, in)
+					}
+					delete(model, string(k))
+				}
+				return err
+			}
+			name := fmt.Sprintf("page %d, read %d", pageSize, n)
+			requireFailedStepChangesNothing(t, name, tr, model, del,
+				func(n int64) *sim.FaultPlan { return &sim.FaultPlan{FailReadN: n} },
+				func(s sim.Stats) int64 { return int64(s.Reads) }, n)
+		}
+	}
+}
+
+// requireFailedStepChangesNothing runs step, an operation on tr that
+// keeps model up to date when it succeeds, until the n-th disk access
+// that counted counts fails under the fault plan plan(n). The failing
+// step must return the injected error, pin no frame and change nothing:
+// the tree holds exactly the model, so SeekGE finds every key that
+// iteration yields and Len agrees, and the tree's file has the pages and
+// bytes it had before the step. Before each step the file is copied with
+// no plan installed, and the plan is installed again for the accesses
+// left.
+func requireFailedStepChangesNothing(t *testing.T, name string, tr *Tree, model map[string]string,
+	step func() error, plan func(n int64) *sim.FaultPlan, counted func(sim.Stats) int64, n int64) {
+	t.Helper()
+	disk := tr.pool.Disk()
+	var before [][]byte
+	for range 5000 {
+		pages := filePages(t, tr)
+		before = slices.Grow(before[:0], len(pages))[:len(pages)]
+		for p, pg := range pages {
+			before[p] = append(before[p][:0], pg...)
+		}
+		disk.SetFaultPlan(plan(n))
+		start := counted(disk.Stats())
+		err := step()
+		disk.SetFaultPlan(nil)
+		n -= counted(disk.Stats()) - start
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, sim.ErrInjected) {
+			t.Fatalf("%s: the step returned %v", name, err)
+		}
+		if p := tr.pool.PinnedFrames(); p != 0 {
+			t.Fatalf("%s: %d frames pinned after the failed step", name, p)
+		}
+		requireModel(t, tr, model)
+		after := filePages(t, tr)
+		if len(after) != len(before) {
+			t.Fatalf("%s: the failed step left %d pages in the file, %d before it", name, len(after), len(before))
+		}
+		for p := range after {
+			if !bytes.Equal(after[p], before[p]) {
+				t.Fatalf("%s: the failed step changed page %d", name, p)
+			}
+		}
+		return
+	}
+	t.Fatalf("%s: no step failed", name)
 }

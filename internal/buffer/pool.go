@@ -363,6 +363,21 @@ func (p *Pool) WriteBack(file sim.FileID, page int64) error {
 	return err
 }
 
+// Discard drops the page from the pool without writing it when it is
+// resident and unpinned, dirty or not: a writer that gives a page back to
+// the disk (sim.Disk.Shrink) discards it first. A pinned or absent page is
+// left alone.
+func (p *Pool) Discard(file sim.FileID, page int64) {
+	key := PageKey{file, page}
+	sh := p.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if i, ok := sh.table[key.packed()]; ok && sh.frames[i].pin == 0 {
+		delete(sh.table, key.packed())
+		sh.frames[i] = Frame{}
+	}
+}
+
 // FlushAll writes every dirty page back to disk. Pages stay cached.
 func (p *Pool) FlushAll() error {
 	for si := range p.shards {

@@ -196,6 +196,57 @@ func TestWriteBack(t *testing.T) {
 	}
 }
 
+// TestDiscard: a dirty, unpinned new page leaves the pool without a
+// write, and its frame is free for the next page. A pinned frame and an
+// absent page are left alone.
+func TestDiscard(t *testing.T) {
+	p, d, f := newPool(t, 2)
+	pg, fr, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(fr.Data, "discarded")
+	p.Unpin(fr, true)
+	disk, pool := d.Stats(), p.Stats()
+	p.Discard(f, pg)
+	if p.Resident(f, pg) || p.DirtyCount() != 0 {
+		t.Errorf("after Discard: resident %v, %d dirty frames; want neither", p.Resident(f, pg), p.DirtyCount())
+	}
+	if d.Stats() != disk || p.Stats() != pool {
+		t.Errorf("Discard moved the counters: disk %+v → %+v, pool %+v → %+v", disk, d.Stats(), pool, p.Stats())
+	}
+	d.Shrink(f, pg)
+
+	pinned, fr, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool = p.Stats()
+	p.Discard(f, pinned)
+	p.Discard(f, 99)
+	p.Discard(d.CreateFile(), 0)
+	if !p.Resident(f, pinned) || p.PinnedFrames() != 1 || p.DirtyCount() != 1 || p.Stats() != pool {
+		t.Errorf("Discard of a pinned or absent page: resident %v, %d pinned, %d dirty; want the pinned page kept",
+			p.Resident(f, pinned), p.PinnedFrames(), p.DirtyCount())
+	}
+	p.Unpin(fr, true)
+
+	// The discarded frame was free: the second new page evicts nothing.
+	if _, fr, err = p.NewPage(f); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	if got := p.Stats().Evictions; got != pool.Evictions {
+		t.Errorf("%d evictions filling the discarded frame, want 0", got-pool.Evictions)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Writes - disk.Writes; got != 2 {
+		t.Errorf("flushing the two kept pages wrote %d pages, want 2", got)
+	}
+}
+
 func TestInvalidateDropsCache(t *testing.T) {
 	p, d, f := newPool(t, 4)
 	pg, fr, err := p.NewPage(f)
