@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/sim"
 )
 
@@ -180,5 +181,25 @@ func TestBuildAllocs(t *testing.T) {
 		if s.bytesBound > 0 && bytes > s.bytesBound {
 			t.Errorf("%s allocated %d bytes, bound %d", s.name, bytes, s.bytesBound)
 		}
+	}
+}
+
+// BenchmarkFixtureBuild times what the benchmark's set-up times of the
+// Figure 6 fixture, less its server: the rows built from 60,000
+// correlated items, then CreateTable, Load, CreateIndex and CreateCM on
+// point_warm's 4096-page pool. The items are generated once, outside the
+// timer, as the benchmark generates them once per run. Compare builds
+// from alternated runs at -cpu 1.
+func BenchmarkFixtureBuild(b *testing.B) {
+	items := datagen.CorrelatedItems(60000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		db := Open(Config{BufferPoolPages: 4096, Workers: runtime.NumCPU()})
+		rows := make([]Row, len(items))
+		for i, it := range items {
+			rows[i] = Row{IntVal(it.Cat), IntVal(it.Subcat), IntVal(it.Price), StringVal(it.Desc)}
+		}
+		buildItems(b, db, rows)
 	}
 }
