@@ -153,6 +153,37 @@ func (cm *CM) AddRow(row value.Row, cbucket int32) {
 	}
 }
 
+// StatRun is what a run of rows of one pair holds in one stat column,
+// as a bulk scan summarizes it for AddRun: an int column's sum and
+// extremes, a float column's values in row order (its sum is folded a
+// value at a time, rounding as AddRow's does), a string column's
+// extremes, which may be views of scanned bytes (AddRun interns what it
+// keeps). Kind is the column's kind.
+type StatRun struct {
+	Kind             value.Kind
+	SumI, MinI, MaxI int64
+	F                []float64
+	MinS, MaxS       string
+}
+
+// AddRun records n rows of one pair — their encoded bucketed key (as
+// AppendKeyForRow encodes it) and clustered bucket — with runs[i] what
+// they hold in stat column i. It leaves exactly what AddRow of each of
+// the rows, in order, would: a scan in clustered order meets such runs,
+// and folds each with one pair lookup.
+func (cm *CM) AddRun(key []byte, cbucket int32, n int64, runs []StatRun) {
+	s := cm.pair(key, cbucket)
+	first := cm.stats.count[s] == 0
+	cm.stats.count[s] += n
+	for i, r := range runs {
+		if col, ok := cm.stats.col(i, r.Kind); ok {
+			col.addRun(s, r, first)
+		} else {
+			cm.statsInvalid = true
+		}
+	}
+}
+
 // NoteSweep records one scan's heap sweep against the CM: pages visited
 // and, of those, the pages on which no tuple survived the re-filter.
 func (cm *CM) NoteSweep(pages, falsePositive int64) {

@@ -145,6 +145,34 @@ func (c *statCol) add(s int32, v value.Value, first bool) {
 	}
 }
 
+// addRun folds a run of rows, summarized as r, into slot s as add folds
+// each of them in turn; first says the run's first row is the pair's
+// first. Extremes move only on a strict comparison, so a run's extremes
+// move the slot's as its rows would.
+func (c *statCol) addRun(s int32, r StatRun, first bool) {
+	switch c.kind {
+	case value.Int:
+		c.sumI[s] += r.SumI
+		if first || r.MinI < c.minI[s] {
+			c.minI[s] = r.MinI
+		}
+		if first || r.MaxI > c.maxI[s] {
+			c.maxI[s] = r.MaxI
+		}
+	case value.Float:
+		for i, f := range r.F {
+			c.add(s, value.NewFloat(f), first && i == 0)
+		}
+	default:
+		if first || r.MinS < str(c.minS[s]) {
+			c.minS[s] = unique.Make(r.MinS)
+		}
+		if first || r.MaxS > str(c.maxS[s]) {
+			c.maxS[s] = unique.Make(r.MaxS)
+		}
+	}
+}
+
 // retract takes v, of the column's kind, out of slot s's sum and reports
 // whether v compares equal to one of the recorded extremes, which may
 // then be stale.

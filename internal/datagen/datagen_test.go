@@ -28,7 +28,7 @@ func TestEBaySchemaMatchesRows(t *testing.T) {
 	sch := EBaySchema()
 	rows := EBayItems(EBayConfig{Categories: 5, ItemsPerCatMin: 3, ItemsPerCatMax: 5})
 	for _, r := range rows {
-		if err := sch.Validate(r); err != nil {
+		if _, err := sch.AppendRow(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestLineitemCorrelations(t *testing.T) {
 	}
 	sch := LineitemSchema()
 	for _, r := range rows[:50] {
-		if err := sch.Validate(r); err != nil {
+		if _, err := sch.AppendRow(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestSDSSShape(t *testing.T) {
 		t.Fatalf("schema has %d cols, want %d", len(sch.Cols), SDSSNumCols)
 	}
 	for _, r := range rows[:20] {
-		if err := sch.Validate(r); err != nil {
+		if _, err := sch.AppendRow(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -488,6 +488,45 @@ func (h *File) Append(dst []RID, tuples [][]byte, begin uint64) ([]RID, error) {
 	return h.put(dst, page, tuples, begin)
 }
 
+// Truncate gives back every page from page number pages on, with all it
+// holds: the pool drops their frames unwritten (buffer.Pool.Discard), the
+// disk their bytes (sim.Disk.Shrink), and the file its account of their
+// versions, live or dead. A writer that appended those pages undoes its
+// appends with one call. None of their frames may be pinned, and the
+// caller holds the table latch exclusively.
+func (h *File) Truncate(pages int64) {
+	pages = max(pages, 0)
+	for p := pages; p < h.numPages; p++ {
+		pv := &h.vers[p]
+		for s := range pv.len() {
+			if v := pv.at(s); v.begin != gone && v.end == 0 {
+				h.tuples--
+			}
+		}
+		if r := h.reuse[p]; r != nil {
+			h.dead -= int64(len(r.dead))
+			h.unfile(r)
+			delete(h.reuse, p)
+		}
+		h.pool.Discard(h.file, p)
+	}
+	if pages < h.numPages {
+		clear(h.vers[pages:]) // the pre-images' bytes go with their pages
+		h.vers, h.space, h.numPages = h.vers[:pages], h.space[:pages], pages
+		h.pool.Disk().Shrink(h.file, pages)
+	}
+}
+
+// AppendPage is Append on a new page at the end of the file, whether or
+// not the last page has room: a writer that must own every page it
+// appends to starts with it.
+func (h *File) AppendPage(dst []RID, tuples [][]byte, begin uint64) ([]RID, error) {
+	if len(tuples) == 0 {
+		return dst, nil
+	}
+	return h.put(dst, h.numPages, tuples, begin)
+}
+
 // PutAt stores tuple on page with the given MVCC begin timestamp and
 // returns its RID; page NumPages() allocates a new page at the end. The
 // tuple takes an erased slot, else a dead one, else a new slot, and a

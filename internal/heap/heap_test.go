@@ -473,3 +473,80 @@ func (h *File) Get(rid RID) ([]byte, error) {
 	copy(out, fr.Data[off:off+length])
 	return out, nil
 }
+
+// TestTruncateGivesBackTheTailPages: a writer that opened pages with
+// AppendPage and appended to them undoes all of it with one Truncate —
+// pages, live and dead tuples, reuse filing, pool frames and the disk's
+// bytes — and the heap before those pages reads as it did. The pool is
+// smaller than the appends, so some truncated pages were written back
+// and some are still dirty in a frame.
+func TestTruncateGivesBackTheTailPages(t *testing.T) {
+	h := newHeap(t, 256, 4)
+	for i := 0; i < 12; i++ {
+		if _, err := h.AppendAt([]byte(fmt.Sprintf("kept-%03d", i)), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before []string
+	if err := h.Scan(func(_ RID, tuple []byte) bool { before = append(before, string(tuple)); return true }); err != nil {
+		t.Fatal(err)
+	}
+	first, tuples, dead := h.NumPages(), h.TupleCount(), h.DeadVersions()
+	if h.Room(first-1) < TupleCost(len("load-000")) {
+		t.Fatalf("the last kept page has no room left; the test needs it to")
+	}
+	var loaded []RID
+	for len(loaded) < 80 {
+		var err error
+		if len(loaded) == 0 {
+			loaded, err = h.AppendPage(loaded, [][]byte{[]byte("load-000")}, 5)
+		} else {
+			loaded, err = h.Append(loaded, [][]byte{[]byte(fmt.Sprintf("load-%03d", len(loaded)))}, 5)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if loaded[0].Page != first {
+		t.Fatalf("AppendPage placed its first tuple on page %d, want a new page %d", loaded[0].Page, first)
+	}
+	// Give the truncated pages dead slots and reuse state too.
+	for _, rid := range loaded[3:6] {
+		if err := h.SetEnd(rid, 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.MarkDead(rid, len("load-000")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Truncate(first)
+	if h.NumPages() != first || h.TupleCount() != tuples || h.DeadVersions() != dead {
+		t.Fatalf("after Truncate: %d pages, %d tuples, %d dead; want %d, %d, %d",
+			h.NumPages(), h.TupleCount(), h.DeadVersions(), first, tuples, dead)
+	}
+	if n := h.pool.Disk().NumPages(h.file); n != first {
+		t.Fatalf("the disk keeps %d pages of the file, want %d", n, first)
+	}
+	for p := first; p <= loaded[len(loaded)-1].Page; p++ {
+		if h.pool.Resident(h.file, p) {
+			t.Fatalf("truncated page %d is still in the pool", p)
+		}
+	}
+	if page, ok := h.BestFit(TupleCost(8), 1); ok && page >= first {
+		t.Fatalf("BestFit offers truncated page %d", page)
+	}
+	var after []string
+	if err := h.Scan(func(_ RID, tuple []byte) bool { after = append(after, string(tuple)); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("after Truncate the heap reads %v, want %v", after, before)
+	}
+	if err := h.pool.FlushAll(); err != nil {
+		t.Fatalf("flushing after Truncate: %v", err)
+	}
+	rids, err := h.AppendPage(nil, [][]byte{[]byte("again")}, 7)
+	if err != nil || rids[0].Page != first {
+		t.Fatalf("AppendPage after Truncate: %v at %v, want page %d", err, rids, first)
+	}
+}

@@ -41,33 +41,41 @@ const (
 func AppendValue(dst []byte, v value.Value) []byte {
 	switch v.K {
 	case value.Int:
-		dst = append(dst, tagInt)
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.I)^(1<<63))
-		return append(dst, buf[:]...)
+		return AppendInt(dst, v.I)
 	case value.Float:
-		dst = append(dst, tagFloat)
-		bits := math.Float64bits(v.F)
-		if bits&(1<<63) != 0 {
-			bits = ^bits // negative: flip all so larger magnitude sorts first
-		} else {
-			bits |= 1 << 63 // positive: set sign so it sorts after negatives
-		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
-		return append(dst, buf[:]...)
+		return AppendFloat(dst, v.F)
 	default:
-		dst = append(dst, tagString)
-		for i := 0; i < len(v.S); i++ {
-			c := v.S[i]
-			if c == strEscape {
-				dst = append(dst, strEscape, strEscaped)
-			} else {
-				dst = append(dst, c)
-			}
-		}
-		return append(dst, strEscape, strTerm)
+		return AppendString(dst, v.S)
 	}
+}
+
+// AppendInt appends the encoding of an int value.
+func AppendInt(dst []byte, i int64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, tagInt), uint64(i)^(1<<63))
+}
+
+// AppendFloat appends the encoding of a float value.
+func AppendFloat(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if bits&(1<<63) != 0 {
+		bits = ^bits // negative: flip all so larger magnitude sorts first
+	} else {
+		bits |= 1 << 63 // positive: set sign so it sorts after negatives
+	}
+	return binary.BigEndian.AppendUint64(append(dst, tagFloat), bits)
+}
+
+// AppendString appends the encoding of a string value whose bytes are s.
+func AppendString[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, tagString)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == strEscape {
+			dst = append(dst, strEscape, strEscaped)
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, strEscape, strTerm)
 }
 
 // EncodeValue returns the order-preserving encoding of a single value.

@@ -236,10 +236,14 @@ func NewPairCounter() *PairCounter {
 }
 
 // Add feeds one tuple's encoded Au and Ac keys.
-func (p *PairCounter) Add(uKey, cKey []byte) {
+func (p *PairCounter) Add(uKey, cKey []byte) { p.AddRun(uKey, cKey, 1) }
+
+// AddRun feeds n tuples that share their encoded Au and Ac keys, as n
+// calls of Add would: a scan in clustered order finds such runs.
+func (p *PairCounter) AddRun(uKey, cKey []byte, n int64) {
 	hu, hc := hash64(uKey), hash64(cKey)
 	newU, newC := p.n == 0 || hu != p.lastU, p.n == 0 || hc != p.lastC
-	p.n++
+	p.n += n
 	p.lastU, p.lastC = hu, hc
 	if newU {
 		p.u[hu] = struct{}{}

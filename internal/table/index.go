@@ -94,19 +94,62 @@ type entries struct {
 // reset empties the arena, keeping its buffers.
 func (e *entries) reset() { e.keys, e.offs = e.keys[:0], e.offs[:1] }
 
-// add appends the entry of row at rid for an index over cols and returns
-// its attribute key, which aliases the arena until the next add.
-func (e *entries) add(row value.Row, cols []int, rid heap.RID) []byte {
+// addRow appends the entry of row at rid for an index over cols and
+// returns its attribute key, which aliases the arena until the next add.
+func (e *entries) addRow(row value.Row, cols []int, rid heap.RID) []byte {
 	start := len(e.keys)
 	e.keys = keyenc.AppendRowPrefix(e.keys, row, cols)
+	return e.seal(start, rid)
+}
+
+// addTuple is addRow for the row a checked tuple encodes, its key
+// (fields) read from the tuple's bytes.
+func (e *entries) addTuple(fields keyFields, tuple []byte, rid heap.RID) []byte {
+	start := len(e.keys)
+	e.keys = fields.appendKey(e.keys, tuple)
+	return e.seal(start, rid)
+}
+
+// seal ends the entry whose attribute key the arena holds from start:
+// it appends rid's suffix and returns the attribute key.
+func (e *entries) seal(start int, rid heap.RID) []byte {
 	if len(e.offs) == 1 {
 		// Size the arena from the first entry: fixed-width keys fill it.
-		e.keys = slices.Grow(e.keys, (len(e.keys)+ridKeyLen)*cap(e.offs))
+		e.keys = slices.Grow(e.keys, (len(e.keys)-start+ridKeyLen)*cap(e.offs))
 	}
 	ukey := e.keys[start:]
 	e.keys = AppendRID(e.keys, rid)
 	e.offs = append(e.offs, len(e.keys))
 	return ukey
+}
+
+// pairRuns counts a secondary index's pair statistics
+// (stats.PairCounter) a run at a time: rows in clustered order come in
+// runs of equal attribute and clustering keys, and each run costs the
+// counter one call.
+type pairRuns struct {
+	pc   *stats.PairCounter
+	u, c []byte // the current run's keys
+	n    int64  // and its rows
+}
+
+// add counts one row with attribute key u and clustering key c.
+func (r *pairRuns) add(u, c []byte) {
+	if r.n > 0 && bytes.Equal(u, r.u) && bytes.Equal(c, r.c) {
+		r.n++
+		return
+	}
+	r.counter()
+	r.u, r.c, r.n = append(r.u[:0], u...), append(r.c[:0], c...), 1
+}
+
+// counter counts the current run and returns the counter.
+func (r *pairRuns) counter() *stats.PairCounter {
+	if r.n > 0 {
+		r.pc.AddRun(r.u, r.c, r.n)
+		r.n = 0
+	}
+	return r.pc
 }
 
 // build writes the B+Tree of the entries bottom-up (btree.Build), taking

@@ -12,7 +12,8 @@ import (
 
 // TestKeyOrderIsStableSort holds keyOrder to a stable comparison sort
 // over key sets that exercise each of its paths: fixed-width integer
-// keys (most byte positions constant), strings shorter and longer than
+// keys (most byte positions constant; non-negative ones small enough
+// that at most four bytes vary, the packed path), strings shorter and longer than
 // the 16 radix bytes sharing long prefixes, empty keys, keys that are
 // zero-padded prefixes of others, and many duplicates.
 func TestKeyOrderIsStableSort(t *testing.T) {
@@ -20,6 +21,9 @@ func TestKeyOrderIsStableSort(t *testing.T) {
 	alphabet := []string{"", "\x00", "a", "ab", "ab\x00", "abcdefghijklmno", "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefghijklmnopqr", "b"}
 	gens := map[string]func() []byte{
 		"int": func() []byte { return keyenc.EncodeValue(value.NewInt(int64(rng.Intn(4000) - 2000))) },
+		"non-negative int": func() []byte {
+			return keyenc.EncodeValue(value.NewInt(int64(rng.Intn(70000))))
+		},
 		"wide int": func() []byte {
 			return keyenc.EncodeValue(value.NewInt(rng.Int63() - rng.Int63()))
 		},

@@ -77,10 +77,45 @@ func (d *PageDirectory) add(b int32, page int64) {
 	d.buckets[b] = refs
 }
 
-// clip drops the bucket list's spare capacity once a bulk load has
-// sized it.
-func (d *PageDirectory) clip() {
-	d.buckets = append(make([][]uint64, 0, len(d.buckets)), d.buckets...)
+// loadedDirectory collects a bulk load's page directory as the load
+// appends: runs of versions arrive in bucket and page order, so each run
+// extends its bucket's last reference or follows it, and no search or
+// per-bucket slice is needed until the load is done (directory).
+type loadedDirectory struct {
+	refs   []uint64 // every bucket's references, back to back
+	starts []int    // bucket b's references start at refs[starts[b]]
+}
+
+// add counts n more versions of bucket b on page; b is the last bucket
+// added or a later one, and page is at or past that bucket's last page.
+func (d *loadedDirectory) add(b int32, page int64, n int) {
+	for int(b) >= len(d.starts) {
+		d.starts = append(d.starts, len(d.refs))
+	}
+	if last := len(d.refs) - 1; last >= d.starts[b] && refPage(d.refs[last]) == page {
+		d.refs[last] += uint64(n)
+		return
+	}
+	if page < 0 || page >= 1<<(64-pageRefCountBits) {
+		panic(fmt.Sprintf("table: heap page %d outside the page directory's range", page))
+	}
+	d.refs = append(d.refs, uint64(page)<<pageRefCountBits|uint64(n))
+}
+
+// directory returns the collected directory: each bucket's list a
+// window, without spare capacity, of one array sized to the references.
+func (d *loadedDirectory) directory() PageDirectory {
+	refs := make([]uint64, len(d.refs))
+	copy(refs, d.refs)
+	buckets := make([][]uint64, len(d.starts))
+	for b, start := range d.starts {
+		end := len(refs)
+		if b+1 < len(d.starts) {
+			end = d.starts[b+1]
+		}
+		buckets[b] = refs[start:end:end]
+	}
+	return PageDirectory{buckets: buckets}
 }
 
 // remove takes back one version of bucket b on page; the page leaves the

@@ -308,9 +308,9 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 // failed Load must take every row back out of the heap and the directory
 // and leave the index created before it with no entries, and can then be
 // run again; a failed CreateIndex must add no index. Neither may leave a
-// frame pinned, nor a page on disk but those of the heap pages the table
-// now holds: a failed index build gives its file's pages back, and so
-// does a new heap page that got no frame.
+// frame pinned, nor a page the disk did not hold before it: a failed Load
+// truncates the heap back to the pages it had, a failed index build gives
+// its file's pages back, and so does a new heap page that got no frame.
 func TestPageDirectoryLoadAbort(t *testing.T) {
 	rows := make([]value.Row, 600)
 	for i := range rows {
@@ -388,7 +388,7 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 			if !errors.Is(err, sim.ErrInjected) {
 				t.Fatalf("%s, write %d of %d: returned %v under a write fault", c.name, n, writes, err)
 			}
-			if grown, heap := d.StoreBytes()-store, (tbl.Heap().NumPages()-heapPages)*int64(d.PageSize()); grown != heap {
+			if grown, heap := d.StoreBytes()-store, (tbl.Heap().NumPages()-heapPages)*int64(d.PageSize()); grown != heap || heap != 0 {
 				t.Fatalf("%s, write %d: the store grew by %d bytes, its heap pages by %d", c.name, n, grown, heap)
 			}
 			if p := tbl.Pool().PinnedFrames(); p != 0 {

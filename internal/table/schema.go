@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/keyenc"
 	"repro/internal/value"
 )
 
@@ -125,60 +126,38 @@ func (s Schema) FixedOffset(col int) (int, bool) {
 	return o, o >= 0
 }
 
-// Validate checks a row against the schema.
-func (s Schema) Validate(row value.Row) error {
-	if len(row) != len(s.Cols) {
-		return fmt.Errorf("table: row has %d values, schema has %d columns", len(row), len(s.Cols))
-	}
-	for i, v := range row {
-		if v.K != s.Cols[i].Kind {
-			return fmt.Errorf("table: column %s expects %v, got %v", s.Cols[i].Name, s.Cols[i].Kind, v.K)
-		}
-	}
-	return nil
-}
-
-// AppendRow validates a row and appends its heap encoding to dst: ints
-// and floats as 8 little-endian bytes, strings as a 2-byte length prefix
-// plus bytes. A rejected row appends nothing.
+// AppendRow validates a row and appends its heap encoding to dst, in
+// one pass over its values: ints and floats as 8 little-endian bytes,
+// strings as a 2-byte length prefix plus bytes. A row of another width,
+// a value of another kind than its column's, or a string too long for
+// its prefix is rejected, and a rejected row appends nothing.
 func (s Schema) AppendRow(dst []byte, row value.Row) ([]byte, error) {
-	if err := s.checkRow(row); err != nil {
-		return dst, err
+	if len(row) != len(s.Cols) {
+		return dst, fmt.Errorf("table: row has %d values, schema has %d columns", len(row), len(s.Cols))
 	}
-	return s.appendRow(dst, row), nil
-}
-
-// checkRow is AppendRow's validation: Validate, and every string short
-// enough for its length prefix.
-func (s Schema) checkRow(row value.Row) error {
-	if err := s.Validate(row); err != nil {
-		return err
-	}
+	start := len(dst)
 	for i, c := range s.Cols {
-		if c.Kind == value.String && len(row[i].S) > 0xFFFF {
-			return fmt.Errorf("table: string too long in column %s", c.Name)
+		v := row[i]
+		if v.K != c.Kind {
+			return dst[:start], fmt.Errorf("table: column %s expects %v, got %v", c.Name, c.Kind, v.K)
 		}
-	}
-	return nil
-}
-
-// appendRow appends the encoding of a row checkRow accepts.
-func (s Schema) appendRow(dst []byte, row value.Row) []byte {
-	for i, c := range s.Cols {
 		switch c.Kind {
 		case value.Int:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(row[i].I))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 		case value.Float:
-			dst = binary.LittleEndian.AppendUint64(dst, floatBits(row[i].F))
+			dst = binary.LittleEndian.AppendUint64(dst, floatBits(v.F))
 		default:
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(row[i].S)))
-			dst = append(dst, row[i].S...)
+			if len(v.S) > 0xFFFF {
+				return dst[:start], fmt.Errorf("table: string too long in column %s", c.Name)
+			}
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.S)))
+			dst = append(dst, v.S...)
 		}
 	}
-	return dst
+	return dst, nil
 }
 
-// encodedSize returns the bytes appendRow appends for row.
+// encodedSize returns the bytes AppendRow appends for row.
 func encodedSize(row value.Row) int {
 	size := 0
 	for _, v := range row {
@@ -207,9 +186,12 @@ func truncatedErr(c Column) error {
 // return on the same bytes, or nil when DecodeRow would succeed. The
 // compiled tuple filter runs it once per tuple before addressing fields,
 // so rejected tuples never allocate.
-func (s Schema) CheckTuple(data []byte) error {
-	l := s.layout()
-	if l.firstVar == len(s.Cols) {
+func (s Schema) CheckTuple(data []byte) error { return s.layout().check(s.Cols, data) }
+
+// check is CheckTuple on the layout of cols: a scan resolves the layout
+// once and checks every tuple against it.
+func (l *layout) check(cols []Column, data []byte) error {
+	if l.firstVar == len(cols) {
 		// All fixed-width: the tuple is valid iff it is exactly minSize.
 		if len(data) == l.minSize {
 			return nil
@@ -217,16 +199,16 @@ func (s Schema) CheckTuple(data []byte) error {
 		if len(data) > l.minSize {
 			return fmt.Errorf("table: %d trailing bytes after row", len(data)-l.minSize)
 		}
-		return truncatedErr(s.Cols[len(data)/8])
+		return truncatedErr(cols[len(data)/8])
 	}
 	// Every column before the first string is fixed-width, so that
 	// string's offset is constant: a shorter tuple ends inside the fixed
 	// prefix, in the column its length says.
 	off := l.off[l.firstVar]
 	if off > len(data) {
-		return truncatedErr(s.Cols[len(data)/8])
+		return truncatedErr(cols[len(data)/8])
 	}
-	for _, c := range s.Cols[l.firstVar:] {
+	for _, c := range cols[l.firstVar:] {
 		if c.Kind != value.String {
 			if off+8 > len(data) {
 				return truncatedErr(c)
@@ -296,6 +278,47 @@ func (s Schema) Field(tuple []byte, col int) ([]byte, error) {
 		return nil, truncatedErr(c)
 	}
 	return tuple[start : start+n], nil
+}
+
+// keyFields locates the columns of a key in the tuples of a schema, once
+// for a scan that encodes the key of every tuple (appendKey).
+type keyFields struct {
+	sch  Schema
+	cols []int
+	off  []int // each column's constant offset, or -1
+}
+
+// keyFields resolves cols, in key order.
+func (s Schema) keyFields(cols []int) keyFields {
+	l := s.layout()
+	k := keyFields{sch: s, cols: cols, off: make([]int, len(cols))}
+	for i, c := range cols {
+		k.off[i] = l.off[c]
+	}
+	return k
+}
+
+// appendKey appends to dst the key keyenc.AppendRowPrefix encodes from
+// the key's columns of the decoded tuple, reading each field where it
+// lies in the tuple instead: at its constant offset where the layout has
+// one. The tuple must be one CheckTuple accepts.
+func (k keyFields) appendKey(dst, tuple []byte) []byte {
+	for i, col := range k.cols {
+		off := k.off[i]
+		if off < 0 {
+			off, _ = k.sch.fieldStart(tuple, col) // a checked tuple has every field
+		}
+		switch k.sch.Cols[col].Kind {
+		case value.Int:
+			dst = keyenc.AppendInt(dst, int64(binary.LittleEndian.Uint64(tuple[off:])))
+		case value.Float:
+			dst = keyenc.AppendFloat(dst, floatFromBits(binary.LittleEndian.Uint64(tuple[off:])))
+		default:
+			n := int(binary.LittleEndian.Uint16(tuple[off:]))
+			dst = keyenc.AppendString(dst, tuple[off+2:off+2+n])
+		}
+	}
+	return dst
 }
 
 // decodeField materializes one field payload (as returned by Field). A

@@ -8,7 +8,6 @@
 package table
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -209,152 +208,252 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 
 // Load bulk-loads rows in clustered order: rows are sorted by the
 // clustering key, appended to the heap, indexed, and assigned to
-// clustered buckets with the Section 6.1.1 boundary rule; the bucket each
-// row is assigned goes straight into the page directory with the row's
-// page, so the directory is complete when the load is. Load runs only on
-// an empty table, and before any CM is created. A secondary index
-// created before it gets a tree built bottom-up from the loaded rows'
-// entries, as CreateIndex builds one, in place of its empty tree, and its
-// pair statistics are counted from the rows in hand, not from a scan.
-// Each row is validated and encoded once, and equal keys keep their
-// input order.
+// clustered buckets with the Section 6.1.1 boundary rule; each run of a
+// bucket's rows on one page goes into the page directory as one
+// reference, so the directory is complete when the load is. Load runs
+// only on an empty table, and before any CM is created. A secondary
+// index created before it gets a tree built bottom-up from the loaded
+// rows' entries, as CreateIndex builds one, in place of its empty tree,
+// and its pair statistics are counted from the rows in hand, not from a
+// scan. Each row is validated and encoded in one pass (Schema.AppendRow),
+// equal keys keep their input order, and Load keeps no row: it reads
+// rows during the call only.
 //
 // The heap is written once, in page order: as the append moves on to a
 // new tail page, the full page it leaves is written back
 // (buffer.Pool.WriteBack) and stays cached, clean. The pool's shards
 // would otherwise evict the load's dirty pages as interleaved ascending
-// runs, and the disk prices every switch between them as a seek.
+// runs, and the disk prices every switch between them as a seek. A
+// load's pages are born folded (heap.File.PutAt), one page-level version
+// each, so nothing is left to freeze.
 //
 // Load is itself an MVCC writer statement: it takes the writer gate (not
 // the table latch) and appends in short batched exclusive holds, so
 // concurrent readers keep running — they see an empty table until the
-// load publishes, then all of it.
+// load publishes, then all of it. It keeps no undo log: the load's rows
+// are the only ones on its pages, so a failed load truncates the heap
+// back to the pages it had (heap.File.Truncate) and empties the CMs,
+// which were empty before it; the bucket bounds, the directory and the
+// indexes are installed only once every row is in.
 func (t *Table) Load(rows []value.Row) error {
 	tx := t.BeginWrite()
-	// Bulk loads predate every CM, so replay starts after them, and they
-	// append in clustered-key order. The undo log holds every row.
-	tx.load = true
-	tx.inserted = make([]undoInsert, 0, len(rows))
-	abort := func(err error) error { return errors.Join(err, tx.Abort()) }
 	if t.loaded || t.heapf.TupleCount() > 0 {
-		return abort(fmt.Errorf("table %s: already loaded", t.cfg.Name))
+		return errors.Join(fmt.Errorf("table %s: already loaded", t.cfg.Name), tx.Abort())
 	}
-	sch := t.cfg.Schema
-	for i, r := range rows {
-		if err := sch.checkRow(r); err != nil {
-			return abort(fmt.Errorf("row %d: %w", i+1, err))
+	l := &load{t: t, tx: tx, rows: rows, first: t.heapf.NumPages()}
+	if err := l.run(); err != nil {
+		held := t.lockLatched()
+		t.heapf.Truncate(l.first)
+		for _, cm := range t.cms {
+			cm.Reset()
 		}
-	}
-	// The clustering keys share one arena, sized from the first key (a
-	// fixed-width key fills it exactly); key i is keys[offs[i]:offs[i+1]].
-	// Rows with equal keys keep their input order (keyOrder is stable).
-	offs := make([]int, len(rows)+1)
-	var keys []byte
-	for i, r := range rows {
-		keys = keyenc.AppendRowPrefix(keys, r, t.cfg.ClusteredCols)
-		if i == 0 {
-			keys = slices.Grow(keys, len(keys)*(len(rows)-1))
+		t.unlockLatched(held)
+		for _, tree := range l.trees {
+			t.dropTree(tree)
 		}
-		offs[i+1] = len(keys)
-	}
-	key := func(pos int) []byte { return keys[offs[pos]:offs[pos+1]] }
-	order := keyOrder(keys, offs)
-
-	// Estimate tuples per page to convert the pages-per-bucket setting
-	// into the bucket builder's tuples-per-bucket target.
-	var rowBytes int64
-	for i := 0; i < len(order) && i < 100; i++ {
-		rowBytes += int64(encodedSize(rows[order[i]]) + 4)
-	}
-	target := 1
-	switch {
-	case t.cfg.BucketTuples > 0:
-		target = t.cfg.BucketTuples
-	case len(rows) > 0 && rowBytes > 0:
-		sampled := int64(len(rows))
-		if sampled > 100 {
-			sampled = 100
-		}
-		perRow := rowBytes / sampled
-		if perRow < 1 {
-			perRow = 1
-		}
-		tpp := int64(t.pool.Disk().PageSize()) / perRow
-		if tpp < 1 {
-			tpp = 1
-		}
-		target = int(tpp) * t.cfg.BucketPages
-	}
-	// The bounds are installed only when the load ends, so the rows carry
-	// the builder's bucket IDs instead of locating their own.
-	builder := core.NewBuilder(target)
-	sorted := make([]value.Row, len(rows))
-	cbs := make([]int32, len(rows))
-	for i, pos := range order {
-		sorted[i] = rows[pos]
-		cbs[i] = builder.Add(key(pos))
-	}
-	// Each latch batch of rows is encoded into one buffer reused for the
-	// next (the heap copies what it stores), so every row is encoded
-	// once and the encodings never all exist at once.
-	var buf []byte
-	encs := make([][]byte, writeBatchRows)
-	for start := 0; start < len(sorted); start += writeBatchRows {
-		batch := sorted[start:min(start+writeBatchRows, len(sorted))]
-		size := 0
-		for _, r := range batch {
-			size += encodedSize(r)
-		}
-		buf = slices.Grow(buf[:0], size)
-		for i, r := range batch {
-			end := len(buf)
-			buf = sch.appendRow(buf, r)
-			encs[i] = buf[end:]
-		}
-		if err := tx.insertBatch(batch, encs[:len(batch)], cbs[start:]); err != nil {
-			return abort(err)
-		}
-	}
-	// The loaded rows are the whole table: each secondary index, empty
-	// until now, gets a tree built from them, and pair statistics counted
-	// in the same pass over its entries, stamped as of after the Publish
-	// below, which adds the rows to the written count. The entries share
-	// one arena, reused index to index.
-	var pairs []*Pairs
-	var trees []*btree.Tree
-	if len(rows) > 0 && len(t.secondary) > 0 {
-		at := t.written.Load() + int64(len(rows))
-		ent := entries{offs: make([]int, 1, len(rows)+1)}
-		for _, ix := range t.secondary {
-			ent.reset()
-			pc := stats.NewPairCounter()
-			for i, u := range tx.inserted {
-				pc.Add(ent.add(u.row, ix.Cols, u.rid), key(order[i]))
-			}
-			tree, err := ent.build(t.pool)
-			if err != nil {
-				return abort(err)
-			}
-			trees = append(trees, tree)
-			pairs = append(pairs, countedPairs(pc, at))
-		}
+		return errors.Join(err, tx.Abort())
 	}
 	t.mu.Lock()
-	t.cbuckets = builder.Finish()
-	t.pageDir.clip()
+	if l.builder == nil {
+		l.builder = core.NewBuilder(1)
+	}
+	t.cbuckets = l.builder.Finish()
+	t.pageDir = l.dir.directory()
 	if len(rows) > 0 {
-		t.keyWidth = (len(keys) + len(rows) - 1) / len(rows)
+		t.keyWidth = (len(l.keys) + len(rows) - 1) / len(rows)
 	}
 	t.loaded = true
-	for j, p := range pairs {
+	for j, tree := range l.trees {
 		ix := t.secondary[j]
-		ix.pairs.Store(p)
+		ix.pairs.Store(l.pairs[j])
 		t.dropTree(ix.Tree)
-		ix.Tree = trees[j]
+		ix.Tree = tree
 	}
 	t.mu.Unlock()
 	// A load logs nothing, so its Publish cannot fail.
+	tx.loaded = int64(len(rows))
 	return tx.Publish()
+}
+
+// load is one Load's state: the rows' clustering keys and their order,
+// the bucket builder, the directory it collects, and for the indexes
+// created before it, each loaded row's RID and the trees and pair
+// statistics built from them.
+type load struct {
+	t     *Table
+	tx    *WriteTxn
+	rows  []value.Row
+	first int64 // the heap's pages before the load; the load's own follow
+
+	keys    []byte // the clustering keys; row i's is keys[offs[i]:offs[i+1]]
+	offs    []int
+	order   []int // row positions in clustering-key order
+	builder *core.Builder
+	dir     loadedDirectory
+	rids    []heap.RID // sorted row i's RID, kept only for indexes
+
+	trees []*btree.Tree
+	pairs []*Pairs
+}
+
+// key returns row pos's clustering key.
+func (l *load) key(pos int) []byte { return l.keys[l.offs[pos]:l.offs[pos+1]] }
+
+// run sorts the rows by their clustering keys and appends them in that
+// order, each latch batch validated and encoded into one buffer reused
+// for the next (the heap copies what it stores), then builds the
+// indexes created before the load.
+func (l *load) run() error {
+	t := l.t
+	ncols := len(t.cfg.Schema.Cols)
+	// The clustering keys share one arena, sized from the first key (a
+	// fixed-width key fills it exactly). Rows with equal keys keep their
+	// input order (keyOrder is stable).
+	l.offs = make([]int, len(l.rows)+1)
+	for i, r := range l.rows {
+		if len(r) != ncols {
+			return fmt.Errorf("row %d: table: row has %d values, schema has %d columns", i+1, len(r), ncols)
+		}
+		l.keys = keyenc.AppendRowPrefix(l.keys, r, t.cfg.ClusteredCols)
+		if i == 0 {
+			l.keys = slices.Grow(l.keys, len(l.keys)*(len(l.rows)-1))
+		}
+		l.offs[i+1] = len(l.keys)
+	}
+	l.order = keyOrder(l.keys, l.offs)
+	if len(t.secondary) > 0 {
+		l.rids = make([]heap.RID, 0, len(l.rows))
+	}
+	var buf, key []byte
+	var ends [writeBatchRows]int
+	var encs [writeBatchRows][]byte
+	var cbs [writeBatchRows]int32
+	for start := 0; start < len(l.order); start += writeBatchRows {
+		batch := l.order[start:min(start+writeBatchRows, len(l.order))]
+		buf = buf[:0]
+		for k, pos := range batch {
+			var err error
+			if buf, err = t.cfg.Schema.AppendRow(buf, l.rows[pos]); err != nil {
+				return fmt.Errorf("row %d: %w", pos+1, err)
+			}
+			ends[k] = len(buf)
+		}
+		at := 0
+		for k := range batch {
+			encs[k], at = buf[at:ends[k]:ends[k]], ends[k]
+		}
+		if l.builder == nil {
+			l.builder = core.NewBuilder(t.bucketTarget(encs[:len(batch)]))
+		}
+		// The builder takes each key encoded again from its row, which
+		// the encoding just read, rather than from the key arena, which
+		// the sorted order would read at random.
+		for k, pos := range batch {
+			key = keyenc.AppendRowPrefix(key[:0], l.rows[pos], t.cfg.ClusteredCols)
+			cbs[k] = l.builder.Add(key)
+		}
+		if err := l.append(batch, encs[:len(batch)], cbs[:len(batch)]); err != nil {
+			return err
+		}
+	}
+	return l.buildIndexes()
+}
+
+// bucketTarget converts the pages-per-bucket setting into the bucket
+// builder's tuples-per-bucket target, estimating tuples per page from the
+// first 100 encodings in clustered order (encs, the first batch).
+func (t *Table) bucketTarget(encs [][]byte) int {
+	if t.cfg.BucketTuples > 0 {
+		return t.cfg.BucketTuples
+	}
+	sample := encs[:min(len(encs), 100)]
+	if len(sample) == 0 {
+		return 1
+	}
+	var rowBytes int64
+	for _, enc := range sample {
+		rowBytes += int64(len(enc) + 4)
+	}
+	perRow := max(rowBytes/int64(len(sample)), 1)
+	tpp := max(int64(t.pool.Disk().PageSize())/perRow, 1)
+	return int(tpp) * t.cfg.BucketPages
+}
+
+// append places one batch of rows (positions batch, encoded as encs, in
+// clustered buckets cbs) under one exclusive latch hold, a page at a time:
+// each page takes every row that fits under one pin, and each run of one
+// bucket's rows on it becomes one directory reference. A load never
+// returns to a page it has left: before it opens a new page, the full
+// tail goes to disk (see Load).
+func (l *load) append(batch []int, encs [][]byte, cbs []int32) error {
+	t, h := l.t, l.t.heapf
+	held := t.lockLatched()
+	defer t.unlockLatched(held)
+	var buf [writeBatchRows]heap.RID
+	for i := 0; i < len(encs); {
+		var rids []heap.RID
+		var err error
+		if tail := h.NumPages() - 1; tail >= l.first && h.Room(tail) >= heap.TupleCost(len(encs[i])) {
+			rids, err = h.Append(buf[:0], encs[i:], l.tx.ts)
+		} else {
+			if tail >= l.first {
+				if err := t.pool.WriteBack(h.FileID(), tail); err != nil {
+					return err
+				}
+			}
+			rids, err = h.AppendPage(buf[:0], encs[i:], l.tx.ts)
+		}
+		if err != nil {
+			return err
+		}
+		page := rids[0].Page
+		for k := 0; k < len(rids); {
+			cb, n := cbs[i+k], 1
+			for k+n < len(rids) && cbs[i+k+n] == cb {
+				n++
+			}
+			l.dir.add(cb, page, n)
+			k += n
+		}
+		for _, cm := range t.cms {
+			for k := range rids {
+				cm.AddRow(l.rows[batch[i+k]], cbs[i+k])
+			}
+		}
+		if l.rids != nil {
+			l.rids = append(l.rids, rids...)
+		}
+		i += len(rids)
+	}
+	return nil
+}
+
+// buildIndexes gives each secondary index created before the load a tree
+// of the loaded rows' entries and their pair statistics, counted in the
+// same pass and stamped as of after the load's Publish, which adds the
+// rows to the written count. The entries share one arena, reused index
+// to index.
+func (l *load) buildIndexes() error {
+	t := l.t
+	if len(l.rows) == 0 || len(t.secondary) == 0 {
+		return nil
+	}
+	at := t.written.Load() + int64(len(l.rows))
+	ent := entries{offs: make([]int, 1, len(l.rows)+1)}
+	for _, ix := range t.secondary {
+		ent.reset()
+		pairs := pairRuns{pc: stats.NewPairCounter()}
+		for i, pos := range l.order {
+			pairs.add(ent.addRow(l.rows[pos], ix.Cols, l.rids[i]), l.key(pos))
+		}
+		tree, err := ent.build(t.pool)
+		if err != nil {
+			return err
+		}
+		l.trees = append(l.trees, tree)
+		l.pairs = append(l.pairs, countedPairs(pairs.counter(), at))
+	}
+	return nil
 }
 
 // dropTree gives the pages of a replaced tree back to the disk. Built
@@ -372,23 +471,26 @@ func (t *Table) dropTree(tree *btree.Tree) {
 
 // CreateIndex builds a dense secondary B+Tree index over cols by scanning
 // the heap, and counts the index's pair statistics (Index.Pairs) in the
-// same scan, from each entry's encoded key and the row's clustered key:
-// the planner prices the index from them without reading the heap again.
-// The scan encodes every entry once, into one arena, and the tree is
-// built from it bottom-up (btree.Build), so it takes no pool frame. Over
-// an empty table it counts nothing; a later Load does.
+// same scan, from each entry's encoded key and the row's clustered key,
+// a run of equal keys at a time: the planner prices the index from them
+// without reading the heap again. The scan encodes every entry once,
+// into one arena, straight from the tuple's bytes (no row is decoded),
+// and the tree is built from it bottom-up (btree.Build), so it takes no
+// pool frame. Over an empty table it counts nothing; a later Load does.
 func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
+	sch, ccols := t.cfg.Schema, t.cfg.ClusteredCols
 	for _, c := range cols {
-		if c < 0 || c >= len(t.cfg.Schema.Cols) {
+		if c < 0 || c >= len(sch.Cols) {
 			return nil, fmt.Errorf("table %s: index column %d out of range", t.cfg.Name, c)
 		}
 	}
-	pc := stats.NewPairCounter()
+	pairs := pairRuns{pc: stats.NewPairCounter()}
 	ent := entries{offs: make([]int, 1, t.heapf.TupleCount()+1)}
+	ixFields, cFields := sch.keyFields(cols), sch.keyFields(ccols)
 	var ckey []byte
-	err := t.scan(scanCols(cols, t.cfg.ClusteredCols), true, func(rid heap.RID, row value.Row) bool {
-		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
-		pc.Add(ent.add(row, cols, rid), ckey)
+	err := t.scanTuples(func(rid heap.RID, tuple []byte) bool {
+		ckey = cFields.appendKey(ckey[:0], tuple)
+		pairs.add(ent.addTuple(ixFields, tuple, rid), ckey)
 		return true
 	})
 	if err != nil {
@@ -399,7 +501,7 @@ func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{Name: name, Cols: cols, Tree: tree}
-	if pc.Rows() > 0 {
+	if pc := pairs.counter(); pc.Rows() > 0 {
 		ix.pairs.Store(countedPairs(pc, t.written.Load()))
 	}
 	t.secondary = append(t.secondary, ix)
@@ -468,26 +570,6 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 	}
 	t.cms = append(t.cms, cm)
 	return cm, nil
-}
-
-// fillCM adds every live row to cm in its clustered bucket (Algorithm
-// 1's scan), decoding only the columns the CM keys, keeps statistics on
-// or clusters by.
-func (t *Table) fillCM(cm *core.CM) error {
-	spec := cm.Spec()
-	// The heap is in clustered order, so a row's clustering key is
-	// mostly its predecessor's, and so is its bucket. (No key is empty,
-	// so the first row locates its own.)
-	var ckey, prev []byte
-	var cb int32
-	return t.scan(scanCols(spec.UCols, spec.StatCols, t.cfg.ClusteredCols), true, func(_ heap.RID, row value.Row) bool {
-		ckey = keyenc.AppendRowPrefix(ckey[:0], row, t.cfg.ClusteredCols)
-		if !bytes.Equal(ckey, prev) {
-			cb, prev = t.cbuckets.Locate(ckey), append(prev[:0], ckey...)
-		}
-		cm.AddRow(row, cb)
-		return true
-	})
 }
 
 // statSpec completes a CM spec's statistics: every column when it names
@@ -647,14 +729,29 @@ func (t *Table) scan(cols []int, view bool, fn func(rid heap.RID, row value.Row)
 	}
 	row := make(value.Row, len(sch.Cols))
 	var decodeErr error
-	err := t.heapf.Scan(func(rid heap.RID, tuple []byte) bool {
-		if decodeErr = sch.CheckTuple(tuple); decodeErr == nil {
-			decodeErr = sch.decodeCols(row, tuple, cols, view)
-		}
+	err := t.scanTuples(func(rid heap.RID, tuple []byte) bool {
+		decodeErr = sch.decodeCols(row, tuple, cols, view)
 		return decodeErr == nil && fn(rid, row)
 	})
 	if decodeErr != nil {
 		return decodeErr
+	}
+	return err
+}
+
+// scanTuples visits every live tuple in physical order, each checked
+// whole first (Schema.CheckTuple): a malformed one fails the scan with
+// DecodeRow's error. The tuple is valid only during the call. Returning
+// false stops the scan.
+func (t *Table) scanTuples(fn func(rid heap.RID, tuple []byte) bool) error {
+	cols, l := t.cfg.Schema.Cols, t.cfg.Schema.layout()
+	var checkErr error
+	err := t.heapf.Scan(func(rid heap.RID, tuple []byte) bool {
+		checkErr = l.check(cols, tuple)
+		return checkErr == nil && fn(rid, tuple)
+	})
+	if checkErr != nil {
+		return checkErr
 	}
 	return err
 }

@@ -1,7 +1,9 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -464,4 +466,105 @@ func TestFloatColumnRoundTrip(t *testing.T) {
 	if got[0].F != -12.75 {
 		t.Errorf("float = %v", got[0].F)
 	}
+}
+
+// TestKeyFromTupleMatchesKeyFromRow: the key a scan reads straight from
+// a tuple's bytes (keyFields.appendKey) is the key keyenc encodes from
+// the decoded row, for every mix of column kinds — fields at constant
+// offsets and fields past a string — and key column order.
+func TestKeyFromTupleMatchesKeyFromRow(t *testing.T) {
+	sch := NewSchema(
+		Column{Name: "a", Kind: value.Int}, Column{Name: "f", Kind: value.Float},
+		Column{Name: "s", Kind: value.String}, Column{Name: "b", Kind: value.Int},
+		Column{Name: "t", Kind: value.String}, Column{Name: "g", Kind: value.Float},
+	)
+	rng := rand.New(rand.NewSource(5))
+	strs := []string{"", "x", "bo\x00ston", "\xff\x00", strings.Repeat("z", 300)}
+	floats := []float64{-1.5, 0, math.Copysign(0, -1), math.Inf(-1), 1e300, math.NaN()}
+	for _, cols := range [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {3, 0}, {5, 2, 1}, {4, 3, 2, 1, 0, 5}} {
+		fields := sch.keyFields(cols)
+		for range 50 {
+			row := value.Row{
+				value.NewInt(rng.Int63() - rng.Int63()), value.NewFloat(floats[rng.Intn(len(floats))]),
+				value.NewString(strs[rng.Intn(len(strs))]), value.NewInt(int64(rng.Intn(3)) - 1),
+				value.NewString(strs[rng.Intn(len(strs))]), value.NewFloat(rng.NormFloat64()),
+			}
+			tuple, err := sch.AppendRow(nil, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sch.CheckTuple(tuple); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fields.appendKey([]byte("prefix"), tuple), keyenc.AppendRowPrefix([]byte("prefix"), row, cols); !bytes.Equal(got, want) {
+				t.Fatalf("cols %v of %v: key from the tuple %x, from the row %x", cols, row, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendRowRejectsWhatTheSchemaCannotHold: one validating pass
+// rejects a row of another width, a value of another kind than its
+// column's and a string longer than its length prefix can say, and a
+// rejected row appends nothing.
+func TestAppendRowRejectsWhatTheSchemaCannotHold(t *testing.T) {
+	sch := NewSchema(Column{Name: "a", Kind: value.Int}, Column{Name: "s", Kind: value.String})
+	for _, c := range []struct {
+		row  value.Row
+		want string
+	}{
+		{value.Row{value.NewInt(1)}, "row has 1 values, schema has 2 columns"},
+		{value.Row{value.NewInt(1), value.NewInt(2)}, "column s expects"},
+		{value.Row{value.NewString("1"), value.NewString("2")}, "column a expects"},
+		{value.Row{value.NewInt(1), value.NewString(strings.Repeat("x", 0x10000))}, "string too long in column s"},
+	} {
+		dst, err := sch.AppendRow([]byte("kept"), c.row)
+		if err == nil || !strings.Contains(err.Error(), c.want) || string(dst) != "kept" {
+			t.Errorf("%v: appended %q, error %v; want only %q's error", c.row, dst, err, c.want)
+		}
+	}
+}
+
+// TestLoadOwnsItsPages: a Load on a table whose heap already has a page
+// — an INSERT aborted before it, which leaves an erased slot — starts on
+// a page of its own, so a failed Load truncates exactly its own pages
+// and a later Load succeeds.
+func TestLoadOwnsItsPages(t *testing.T) {
+	tbl, d := newDirTable(t)
+	tx := tbl.BeginWrite()
+	if err := tx.InsertBatch([]value.Row{dirRow(1, "aborted")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Heap().NumPages() != 1 || tbl.Heap().TupleCount() != 0 {
+		t.Fatalf("the aborted INSERT left %d pages, %d tuples", tbl.Heap().NumPages(), tbl.Heap().TupleCount())
+	}
+	rows := make([]value.Row, 300)
+	for i := range rows {
+		rows[i] = dirRow(int64(i), "load")
+	}
+	bad := append(slices.Clone(rows), value.Row{value.NewInt(1)})
+	if err := tbl.Load(bad); err == nil || !strings.Contains(err.Error(), "row 301") {
+		t.Fatalf("Load of a short row: %v", err)
+	}
+	if tbl.Heap().NumPages() != 1 || d.NumPages(tbl.Heap().FileID()) != 1 {
+		t.Fatalf("the failed Load left %d heap pages, %d on disk; want the 1 it found", tbl.Heap().NumPages(), d.NumPages(tbl.Heap().FileID()))
+	}
+	bad[150] = value.Row{value.NewInt(150), value.NewString("not an int"), value.NewString("x")}
+	if err := tbl.Load(bad[:300]); err == nil || !strings.Contains(err.Error(), "row 151") {
+		t.Fatalf("Load of a mistyped row: %v", err)
+	}
+	if tbl.Heap().NumPages() != 1 || tbl.Heap().TupleCount() != 0 || tbl.Buckets().NumBuckets() != 0 {
+		t.Fatalf("the failed Load left %d heap pages, %d tuples, %d buckets", tbl.Heap().NumPages(), tbl.Heap().TupleCount(), tbl.Buckets().NumBuckets())
+	}
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	rids, got := liveRows(t, tbl)
+	if len(got) != len(rows) || rids[0].Page != 1 {
+		t.Fatalf("the Load placed %d rows from page %d, want %d from page 1", len(got), rids[0].Page, len(rows))
+	}
+	checkPageDir(t, tbl, "after the Load")
 }

@@ -48,7 +48,7 @@ import (
 // most tightly, else the tail — which keeps the heap clustered and the
 // page directory's lists short. Only Load appends at the tail, a page at
 // a time under one pin, and it writes each full tail page back as it
-// leaves it (appendLoaded).
+// leaves it (see Table.Load).
 //
 // An updated row whose new image can stay where it is does not move at
 // all (applyReplace): the new bytes overwrite the old in their slot, and
@@ -212,10 +212,12 @@ type WriteTxn struct {
 	inserted []undoInsert
 	retract  []retraction
 	recs     []wal.Record
-	load     bool // a bulk load: unlogged, appended at the heap's tail
-	done     bool
-	ctx      context.Context
-	key      []byte // bucketFor's clustering-key buffer
+	// loaded counts the rows a bulk load appended: it keeps no undo
+	// record of them, since a failed load truncates the heap instead.
+	loaded int64
+	done   bool
+	ctx    context.Context
+	key    []byte // bucketFor's clustering-key buffer
 }
 
 // SetContext attaches a cancellation context to the statement. Batch
@@ -266,37 +268,15 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	}
 	tx.inserted = slices.Grow(tx.inserted, len(rows))
 	tx.recs = slices.Grow(tx.recs, len(rows))
-	return tx.insertBatch(rows, encs, cbs)
-}
-
-// bucketFor returns the clustered bucket of the row's clustering key,
-// encoding the key into a buffer the statement reuses.
-func (tx *WriteTxn) bucketFor(row value.Row) int32 {
-	tx.key = keyenc.AppendRowPrefix(tx.key[:0], row, tx.t.cfg.ClusteredCols)
-	return tx.t.cbuckets.Locate(tx.key)
-}
-
-// insertBatch applies rows, already encoded as encs, in clustered buckets
-// cbs: InsertBatch's reserved buckets, or Load's from its bucket builder,
-// which is ahead of the installed bounds.
-func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) error {
 	t := tx.t
 	for start := 0; start < len(rows); start += writeBatchRows {
 		if err := tx.ctxErr(); err != nil {
 			return err
 		}
-		end := start + writeBatchRows
-		if end > len(rows) {
-			end = len(rows)
-		}
+		end := min(start+writeBatchRows, len(rows))
 		held := t.lockLatched()
-		var err error
-		if tx.load {
-			err = tx.appendLoaded(rows[start:end], encs[start:end], cbs[start:end])
-		} else {
-			for i := start; i < end && err == nil; i++ {
-				err = tx.applyInsert(rows[i], encs[i], cbs[i])
-			}
+		for i := start; i < end && err == nil; i++ {
+			err = tx.applyInsert(rows[i], encs[i], cbs[i])
 		}
 		t.unlockLatched(held)
 		if err != nil {
@@ -304,6 +284,13 @@ func (tx *WriteTxn) insertBatch(rows []value.Row, encs [][]byte, cbs []int32) er
 		}
 	}
 	return nil
+}
+
+// bucketFor returns the clustered bucket of the row's clustering key,
+// encoding the key into a buffer the statement reuses.
+func (tx *WriteTxn) bucketFor(row value.Row) int32 {
+	tx.key = keyenc.AppendRowPrefix(tx.key[:0], row, tx.t.cfg.ClusteredCols)
+	return tx.t.cbuckets.Locate(tx.key)
 }
 
 // encode validates and encodes the statement's new row images into one
@@ -336,53 +323,15 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 	return tx.added(row, enc, rid, cb)
 }
 
-// appendLoaded appends a load's rows at the heap's tail a page at a
-// time: each page takes every row that fits under one pin, and then the
-// rows it took are recorded and indexed. A load never returns to a page
-// it has left: before the append opens a new tail, the full one goes to
-// disk (see Load). Caller holds the latch.
-func (tx *WriteTxn) appendLoaded(rows []value.Row, encs [][]byte, cbs []int32) error {
-	t := tx.t
-	var buf [writeBatchRows]heap.RID
-	for i := 0; i < len(rows); {
-		if tail := t.heapf.NumPages() - 1; tail >= 0 && t.heapf.Room(tail) < heap.TupleCost(len(encs[i])) {
-			if err := t.pool.WriteBack(t.heapf.FileID(), tail); err != nil {
-				return err
-			}
-		}
-		rids, err := t.heapf.Append(buf[:0], encs[i:], tx.ts)
-		if err != nil {
-			return err
-		}
-		for k, rid := range rids {
-			if err := tx.added(rows[i+k], encs[i+k], rid, cbs[i+k]); err != nil {
-				// The undo log does not hold the rows placed after this
-				// one yet: take them back out of the heap here. Like the
-				// unwind, this reports err, not a failure to erase.
-				for j := len(rids) - 1; j > k; j-- {
-					_ = t.heapf.Delete(rids[j])
-				}
-				return err
-			}
-		}
-		i += len(rids)
-	}
-	return nil
-}
-
 // added records and indexes the new row version at rid, whose encoding
 // is enc, in clustered bucket cb: the undo log, the page directory, every
-// CM and, but for a load, every secondary index and the WAL (Load builds
-// its indexes once every row is in). Caller holds the latch.
+// CM, every secondary index and the WAL. Caller holds the latch.
 func (tx *WriteTxn) added(row value.Row, enc []byte, rid heap.RID, cb int32) error {
 	t := tx.t
 	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
 	t.pageDir.add(cb, rid.Page)
 	for _, cm := range t.cms {
 		cm.AddRow(row, cb)
-	}
-	if tx.load {
-		return nil
 	}
 	for _, ix := range t.secondary {
 		if err := ix.Insert(row, rid); err != nil {
@@ -616,8 +565,9 @@ func (tx *WriteTxn) Publish() error {
 		// except for B+Tree page faults, so the window is narrow.
 		err = tx.applyRetractions()
 	}
+	rows := int64(len(tx.inserted)+len(tx.retract)) + tx.loaded
 	if err == nil {
-		t.written.Add(int64(len(tx.inserted) + len(tx.retract)))
+		t.written.Add(rows)
 		t.clock.Store(tx.ts)
 		t.retire(retiredStmt{ts: tx.ts, versions: tx.retract, inserted: tx.inserted})
 	} else {
@@ -627,7 +577,7 @@ func (tx *WriteTxn) Publish() error {
 	if o := t.writeObs.Load(); o != nil {
 		if err == nil {
 			o.Publishes.Inc()
-			o.Rows.Add(int64(len(tx.inserted) + len(tx.retract)))
+			o.Rows.Add(rows)
 		} else {
 			o.Aborts.Inc()
 		}
@@ -718,11 +668,9 @@ func (tx *WriteTxn) unwind() error {
 			continue
 		}
 		t.pageDir.remove(u.cb, u.rid.Page)
-		if !tx.load {
-			for _, ix := range t.secondary {
-				_, err := ix.Delete(u.row, u.rid)
-				note(err)
-			}
+		for _, ix := range t.secondary {
+			_, err := ix.Delete(u.row, u.rid)
+			note(err)
 		}
 		for _, cm := range t.cms {
 			note(cm.RemoveRow(u.row, u.cb))

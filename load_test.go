@@ -1,12 +1,15 @@
 // Bulk-load tests: Load writes the heap to disk as one sequential run of
-// pages, rows that share a clustered key keep their input order, and a
-// load over an index leaves no page of the index's empty tree behind.
+// pages, rows that share a clustered key keep their input order, a load
+// over an index leaves no page of the index's empty tree behind, and
+// Load reads the caller's rows without copying or keeping them.
 package repro
 
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestLoadWritesHeapInPageOrder loads the benchmark's cold fixture
@@ -117,4 +120,52 @@ func TestLoadOverAnIndexStoresWhatCreateIndexDoes(t *testing.T) {
 	if over, after := stored(true), stored(false); over != after {
 		t.Errorf("Load over the index stores %d bytes, Load then CreateIndex %d", over, after)
 	}
+}
+
+// TestLoadKeepsNoRow: the facade hands Load the caller's rows as they
+// are, and the table keeps none of them. Overwriting every row after the
+// load changes nothing the table holds, and once the caller drops them,
+// the rows' array and a row's values are collected.
+func TestLoadKeepsNoRow(t *testing.T) {
+	db := Open(Config{})
+	tbl := emptyItems(t, db)
+	rows := itemsRows(3000)
+	var want int64
+	for _, r := range rows {
+		want += r[2].Int()
+	}
+	collected := make(chan string, 2)
+	runtime.SetFinalizer(&rows[0], func(*Row) { collected <- "the rows' array" })
+	runtime.SetFinalizer(&rows[1][0], func(*Value) { collected <- "a row's values" })
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i][2] = IntVal(-1)
+	}
+	var got int64
+	if err := db.SelectSpec(context.Background(), QuerySpec{Table: "items", Via: TableScan}, func(r Row) bool {
+		got += r[2].Int()
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("the table's prices sum to %d after the caller overwrote its rows, want %d", got, want)
+	}
+	rows = nil
+	deadline := time.Now().Add(5 * time.Second)
+	for n := 0; n < 2; {
+		select {
+		case <-collected:
+			n++
+		default:
+			if time.Now().After(deadline) {
+				t.Fatalf("after the load, %d of 2 caller objects were collected: the table keeps the caller's rows", n)
+			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	runtime.KeepAlive(tbl)
 }

@@ -42,6 +42,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -67,6 +68,11 @@ const (
 type Value struct {
 	v value.Value
 }
+
+// A Value is its engine value and nothing more, so a Row has a
+// value.Row's layout and Load can hand its rows over without copying
+// them; this fails to compile if the sizes ever differ.
+var _ = [1]struct{}{}[unsafe.Sizeof(Value{})-unsafe.Sizeof(value.Value{})]
 
 // IntVal builds an integer value.
 func IntVal(i int64) Value { return Value{value.NewInt(i)} }
@@ -418,23 +424,12 @@ func (t *Table) colIndex(name string) (int, error) {
 // created, and only once; an index created before it gets the rows, and
 // its pair statistics are counted from them. The load runs as one MVCC
 // writer statement: concurrent readers proceed against the empty table
-// until it publishes.
+// until it publishes. The table reads rows during the call, in place,
+// and keeps none of them: the caller may reuse them once Load returns.
 func (t *Table) Load(rows []Row) error {
-	// Every converted row is a window of one backing array.
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	vals := make([]value.Value, 0, n)
-	internal := make([]value.Row, len(rows))
-	for i, r := range rows {
-		start := len(vals)
-		for _, v := range r {
-			vals = append(vals, v.v)
-		}
-		internal[i] = vals[start:len(vals):len(vals)]
-	}
-	return t.inner.Load(internal)
+	// A Row and a value.Row share their layout (see Value), so the rows
+	// go through as they are.
+	return t.inner.Load(unsafe.Slice((*value.Row)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows)))
 }
 
 // Insert appends one row, maintaining the clustered index, all secondary
