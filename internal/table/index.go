@@ -94,17 +94,10 @@ type entries struct {
 // reset empties the arena, keeping its buffers.
 func (e *entries) reset() { e.keys, e.offs = e.keys[:0], e.offs[:1] }
 
-// addRow appends the entry of row at rid for an index over cols and
-// returns its attribute key, which aliases the arena until the next add.
-func (e *entries) addRow(row value.Row, cols []int, rid heap.RID) []byte {
-	start := len(e.keys)
-	e.keys = keyenc.AppendRowPrefix(e.keys, row, cols)
-	return e.seal(start, rid)
-}
-
-// addTuple is addRow for the row a checked tuple encodes, its key
-// (fields) read from the tuple's bytes.
-func (e *entries) addTuple(fields keyFields, tuple []byte, rid heap.RID) []byte {
+// add appends the entry at rid of the row a checked tuple encodes, its
+// key (fields) read from the tuple's bytes, and returns its attribute
+// key, which aliases the arena until the next add.
+func (e *entries) add(fields keyFields, tuple []byte, rid heap.RID) []byte {
 	start := len(e.keys)
 	e.keys = fields.appendKey(e.keys, tuple)
 	return e.seal(start, rid)

@@ -126,35 +126,42 @@ func (s Schema) FixedOffset(col int) (int, bool) {
 	return o, o >= 0
 }
 
-// AppendRow validates a row and appends its heap encoding to dst, in
-// one pass over its values: ints and floats as 8 little-endian bytes,
-// strings as a 2-byte length prefix plus bytes. A row of another width,
-// a value of another kind than its column's, or a string too long for
-// its prefix is rejected, and a rejected row appends nothing.
+// AppendRow validates a row (checkRow) and appends its heap encoding to
+// dst: ints and floats as 8 little-endian bytes, strings as a 2-byte
+// length prefix plus bytes. A rejected row appends nothing.
 func (s Schema) AppendRow(dst []byte, row value.Row) ([]byte, error) {
-	if len(row) != len(s.Cols) {
-		return dst, fmt.Errorf("table: row has %d values, schema has %d columns", len(row), len(s.Cols))
+	if err := s.checkRow(row); err != nil {
+		return dst, err
 	}
-	start := len(dst)
 	for i, c := range s.Cols {
-		v := row[i]
-		if v.K != c.Kind {
-			return dst[:start], fmt.Errorf("table: column %s expects %v, got %v", c.Name, c.Kind, v.K)
-		}
 		switch c.Kind {
 		case value.Int:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(row[i].I))
 		case value.Float:
-			dst = binary.LittleEndian.AppendUint64(dst, floatBits(v.F))
+			dst = binary.LittleEndian.AppendUint64(dst, floatBits(row[i].F))
 		default:
-			if len(v.S) > 0xFFFF {
-				return dst[:start], fmt.Errorf("table: string too long in column %s", c.Name)
-			}
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.S)))
-			dst = append(dst, v.S...)
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(row[i].S)))
+			dst = append(dst, row[i].S...)
 		}
 	}
 	return dst, nil
+}
+
+// checkRow reports why the schema cannot hold row: another width, a
+// value of another kind than its column's, or a string too long for its
+// length prefix.
+func (s Schema) checkRow(row value.Row) error {
+	if len(row) != len(s.Cols) {
+		return fmt.Errorf("table: row has %d values, schema has %d columns", len(row), len(s.Cols))
+	}
+	for i, c := range s.Cols {
+		if v := row[i]; v.K != c.Kind {
+			return fmt.Errorf("table: column %s expects %v, got %v", c.Name, c.Kind, v.K)
+		} else if c.Kind == value.String && len(v.S) > 0xFFFF {
+			return fmt.Errorf("table: string too long in column %s", c.Name)
+		}
+	}
+	return nil
 }
 
 // encodedSize returns the bytes AppendRow appends for row.

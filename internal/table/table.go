@@ -8,7 +8,6 @@
 package table
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -206,269 +205,6 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 	return t.cbuckets.Locate(t.clusteredKey(row))
 }
 
-// Load bulk-loads rows in clustered order: rows are sorted by the
-// clustering key, appended to the heap, indexed, and assigned to
-// clustered buckets with the Section 6.1.1 boundary rule; each run of a
-// bucket's rows on one page goes into the page directory as one
-// reference, so the directory is complete when the load is. Load runs
-// only on an empty table, and before any CM is created. A secondary
-// index created before it gets a tree built bottom-up from the loaded
-// rows' entries, as CreateIndex builds one, in place of its empty tree,
-// and its pair statistics are counted from the rows in hand, not from a
-// scan. Each row is validated and encoded in one pass (Schema.AppendRow),
-// equal keys keep their input order, and Load keeps no row: it reads
-// rows during the call only.
-//
-// The heap is written once, in page order: as the append moves on to a
-// new tail page, the full page it leaves is written back
-// (buffer.Pool.WriteBack) and stays cached, clean. The pool's shards
-// would otherwise evict the load's dirty pages as interleaved ascending
-// runs, and the disk prices every switch between them as a seek. A
-// load's pages are born folded (heap.File.PutAt), one page-level version
-// each, so nothing is left to freeze.
-//
-// Load is itself an MVCC writer statement: it takes the writer gate (not
-// the table latch) and appends in short batched exclusive holds, so
-// concurrent readers keep running — they see an empty table until the
-// load publishes, then all of it. It keeps no undo log: the load's rows
-// are the only ones on its pages, so a failed load truncates the heap
-// back to the pages it had (heap.File.Truncate) and empties the CMs,
-// which were empty before it; the bucket bounds, the directory and the
-// indexes are installed only once every row is in.
-func (t *Table) Load(rows []value.Row) error {
-	tx := t.BeginWrite()
-	if t.loaded || t.heapf.TupleCount() > 0 {
-		return errors.Join(fmt.Errorf("table %s: already loaded", t.cfg.Name), tx.Abort())
-	}
-	l := &load{t: t, tx: tx, rows: rows, first: t.heapf.NumPages()}
-	if err := l.run(); err != nil {
-		held := t.lockLatched()
-		t.heapf.Truncate(l.first)
-		for _, cm := range t.cms {
-			cm.Reset()
-		}
-		t.unlockLatched(held)
-		for _, tree := range l.trees {
-			t.dropTree(tree)
-		}
-		return errors.Join(err, tx.Abort())
-	}
-	t.mu.Lock()
-	if l.builder == nil {
-		l.builder = core.NewBuilder(1)
-	}
-	t.cbuckets = l.builder.Finish()
-	t.pageDir = l.dir.directory()
-	if len(rows) > 0 {
-		t.keyWidth = (len(l.keys) + len(rows) - 1) / len(rows)
-	}
-	t.loaded = true
-	for j, tree := range l.trees {
-		ix := t.secondary[j]
-		ix.pairs.Store(l.pairs[j])
-		t.dropTree(ix.Tree)
-		ix.Tree = tree
-	}
-	t.mu.Unlock()
-	// A load logs nothing, so its Publish cannot fail.
-	tx.loaded = int64(len(rows))
-	return tx.Publish()
-}
-
-// load is one Load's state: the rows' clustering keys and their order,
-// the bucket builder, the directory it collects, and for the indexes
-// created before it, each loaded row's RID and the trees and pair
-// statistics built from them.
-type load struct {
-	t     *Table
-	tx    *WriteTxn
-	rows  []value.Row
-	first int64 // the heap's pages before the load; the load's own follow
-
-	keys    []byte // the clustering keys; row i's is keys[offs[i]:offs[i+1]]
-	offs    []int
-	order   []int // row positions in clustering-key order
-	builder *core.Builder
-	dir     loadedDirectory
-	rids    []heap.RID // sorted row i's RID, kept only for indexes
-
-	trees []*btree.Tree
-	pairs []*Pairs
-}
-
-// key returns row pos's clustering key.
-func (l *load) key(pos int) []byte { return l.keys[l.offs[pos]:l.offs[pos+1]] }
-
-// run sorts the rows by their clustering keys and appends them in that
-// order, each latch batch validated and encoded into one buffer reused
-// for the next (the heap copies what it stores), then builds the
-// indexes created before the load.
-func (l *load) run() error {
-	t := l.t
-	ncols := len(t.cfg.Schema.Cols)
-	// The clustering keys share one arena, sized from the first key (a
-	// fixed-width key fills it exactly). Rows with equal keys keep their
-	// input order (keyOrder is stable).
-	l.offs = make([]int, len(l.rows)+1)
-	for i, r := range l.rows {
-		if len(r) != ncols {
-			return fmt.Errorf("row %d: table: row has %d values, schema has %d columns", i+1, len(r), ncols)
-		}
-		l.keys = keyenc.AppendRowPrefix(l.keys, r, t.cfg.ClusteredCols)
-		if i == 0 {
-			l.keys = slices.Grow(l.keys, len(l.keys)*(len(l.rows)-1))
-		}
-		l.offs[i+1] = len(l.keys)
-	}
-	l.order = keyOrder(l.keys, l.offs)
-	if len(t.secondary) > 0 {
-		l.rids = make([]heap.RID, 0, len(l.rows))
-	}
-	var buf, key []byte
-	var ends [writeBatchRows]int
-	var encs [writeBatchRows][]byte
-	var cbs [writeBatchRows]int32
-	for start := 0; start < len(l.order); start += writeBatchRows {
-		batch := l.order[start:min(start+writeBatchRows, len(l.order))]
-		buf = buf[:0]
-		for k, pos := range batch {
-			var err error
-			if buf, err = t.cfg.Schema.AppendRow(buf, l.rows[pos]); err != nil {
-				return fmt.Errorf("row %d: %w", pos+1, err)
-			}
-			ends[k] = len(buf)
-		}
-		at := 0
-		for k := range batch {
-			encs[k], at = buf[at:ends[k]:ends[k]], ends[k]
-		}
-		if l.builder == nil {
-			l.builder = core.NewBuilder(t.bucketTarget(encs[:len(batch)]))
-		}
-		// The builder takes each key encoded again from its row, which
-		// the encoding just read, rather than from the key arena, which
-		// the sorted order would read at random.
-		for k, pos := range batch {
-			key = keyenc.AppendRowPrefix(key[:0], l.rows[pos], t.cfg.ClusteredCols)
-			cbs[k] = l.builder.Add(key)
-		}
-		if err := l.append(batch, encs[:len(batch)], cbs[:len(batch)]); err != nil {
-			return err
-		}
-	}
-	return l.buildIndexes()
-}
-
-// bucketTarget converts the pages-per-bucket setting into the bucket
-// builder's tuples-per-bucket target, estimating tuples per page from the
-// first 100 encodings in clustered order (encs, the first batch).
-func (t *Table) bucketTarget(encs [][]byte) int {
-	if t.cfg.BucketTuples > 0 {
-		return t.cfg.BucketTuples
-	}
-	sample := encs[:min(len(encs), 100)]
-	if len(sample) == 0 {
-		return 1
-	}
-	var rowBytes int64
-	for _, enc := range sample {
-		rowBytes += int64(len(enc) + 4)
-	}
-	perRow := max(rowBytes/int64(len(sample)), 1)
-	tpp := max(int64(t.pool.Disk().PageSize())/perRow, 1)
-	return int(tpp) * t.cfg.BucketPages
-}
-
-// append places one batch of rows (positions batch, encoded as encs, in
-// clustered buckets cbs) under one exclusive latch hold, a page at a time:
-// each page takes every row that fits under one pin, and each run of one
-// bucket's rows on it becomes one directory reference. A load never
-// returns to a page it has left: before it opens a new page, the full
-// tail goes to disk (see Load).
-func (l *load) append(batch []int, encs [][]byte, cbs []int32) error {
-	t, h := l.t, l.t.heapf
-	held := t.lockLatched()
-	defer t.unlockLatched(held)
-	var buf [writeBatchRows]heap.RID
-	for i := 0; i < len(encs); {
-		var rids []heap.RID
-		var err error
-		if tail := h.NumPages() - 1; tail >= l.first && h.Room(tail) >= heap.TupleCost(len(encs[i])) {
-			rids, err = h.Append(buf[:0], encs[i:], l.tx.ts)
-		} else {
-			if tail >= l.first {
-				if err := t.pool.WriteBack(h.FileID(), tail); err != nil {
-					return err
-				}
-			}
-			rids, err = h.AppendPage(buf[:0], encs[i:], l.tx.ts)
-		}
-		if err != nil {
-			return err
-		}
-		page := rids[0].Page
-		for k := 0; k < len(rids); {
-			cb, n := cbs[i+k], 1
-			for k+n < len(rids) && cbs[i+k+n] == cb {
-				n++
-			}
-			l.dir.add(cb, page, n)
-			k += n
-		}
-		for _, cm := range t.cms {
-			for k := range rids {
-				cm.AddRow(l.rows[batch[i+k]], cbs[i+k])
-			}
-		}
-		if l.rids != nil {
-			l.rids = append(l.rids, rids...)
-		}
-		i += len(rids)
-	}
-	return nil
-}
-
-// buildIndexes gives each secondary index created before the load a tree
-// of the loaded rows' entries and their pair statistics, counted in the
-// same pass and stamped as of after the load's Publish, which adds the
-// rows to the written count. The entries share one arena, reused index
-// to index.
-func (l *load) buildIndexes() error {
-	t := l.t
-	if len(l.rows) == 0 || len(t.secondary) == 0 {
-		return nil
-	}
-	at := t.written.Load() + int64(len(l.rows))
-	ent := entries{offs: make([]int, 1, len(l.rows)+1)}
-	for _, ix := range t.secondary {
-		ent.reset()
-		pairs := pairRuns{pc: stats.NewPairCounter()}
-		for i, pos := range l.order {
-			pairs.add(ent.addRow(l.rows[pos], ix.Cols, l.rids[i]), l.key(pos))
-		}
-		tree, err := ent.build(t.pool)
-		if err != nil {
-			return err
-		}
-		l.trees = append(l.trees, tree)
-		l.pairs = append(l.pairs, countedPairs(pairs.counter(), at))
-	}
-	return nil
-}
-
-// dropTree gives the pages of a replaced tree back to the disk. Built
-// trees take no frame, but a reader may have read one since, or a write
-// changed it, so a tree with a page in the pool keeps its pages. Caller
-// holds the latch exclusively, so no reader is in the tree.
-func (t *Table) dropTree(tree *btree.Tree) {
-	for p := range tree.PageCount() {
-		if t.pool.Resident(tree.FileID(), p) {
-			return
-		}
-	}
-	t.pool.Disk().Shrink(tree.FileID(), 0)
-}
-
 // CreateIndex builds a dense secondary B+Tree index over cols by scanning
 // the heap, and counts the index's pair statistics (Index.Pairs) in the
 // same scan, from each entry's encoded key and the row's clustered key,
@@ -478,34 +214,46 @@ func (t *Table) dropTree(tree *btree.Tree) {
 // and the tree is built from it bottom-up (btree.Build), so it takes no
 // pool frame. Over an empty table it counts nothing; a later Load does.
 func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
-	sch, ccols := t.cfg.Schema, t.cfg.ClusteredCols
 	for _, c := range cols {
-		if c < 0 || c >= len(sch.Cols) {
+		if c < 0 || c >= len(t.cfg.Schema.Cols) {
 			return nil, fmt.Errorf("table %s: index column %d out of range", t.cfg.Name, c)
 		}
 	}
-	pairs := pairRuns{pc: stats.NewPairCounter()}
-	ent := entries{offs: make([]int, 1, t.heapf.TupleCount()+1)}
-	ixFields, cFields := sch.keyFields(cols), sch.keyFields(ccols)
-	var ckey []byte
-	err := t.scanTuples(func(rid heap.RID, tuple []byte) bool {
-		ckey = cFields.appendKey(ckey[:0], tuple)
-		pairs.add(ent.addTuple(ixFields, tuple, rid), ckey)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	tree, err := ent.build(t.pool)
+	tree, pc, err := t.buildIndex(cols)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{Name: name, Cols: cols, Tree: tree}
-	if pc := pairs.counter(); pc.Rows() > 0 {
+	if pc.Rows() > 0 {
 		ix.pairs.Store(countedPairs(pc, t.written.Load()))
 	}
 	t.secondary = append(t.secondary, ix)
 	return ix, nil
+}
+
+// buildIndex is CreateIndex's build, and Load's for the indexes created
+// before it: one scan of the heap encodes every entry of an index over
+// cols and counts its pair statistics, and the tree is built from the
+// entries.
+func (t *Table) buildIndex(cols []int) (*btree.Tree, *stats.PairCounter, error) {
+	sch := t.cfg.Schema
+	pairs := pairRuns{pc: stats.NewPairCounter()}
+	ent := entries{offs: make([]int, 1, t.heapf.TupleCount()+1)}
+	ixFields, cFields := sch.keyFields(cols), sch.keyFields(t.cfg.ClusteredCols)
+	var ckey []byte
+	err := t.scanTuples(func(rid heap.RID, tuple []byte) bool {
+		ckey = cFields.appendKey(ckey[:0], tuple)
+		pairs.add(ent.add(ixFields, tuple, rid), ckey)
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	tree, err := ent.build(t.pool)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tree, pairs.counter(), nil
 }
 
 // IndexPairs returns the pair statistics of the secondary index whose

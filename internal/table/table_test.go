@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -527,8 +528,10 @@ func TestAppendRowRejectsWhatTheSchemaCannotHold(t *testing.T) {
 
 // TestLoadOwnsItsPages: a Load on a table whose heap already has a page
 // — an INSERT aborted before it, which leaves an erased slot — starts on
-// a page of its own, so a failed Load truncates exactly its own pages
-// and a later Load succeeds.
+// a page of its own, so a Load that fails mid-append (a write fault)
+// truncates exactly its own pages, and a later Load succeeds. A rejected
+// row fails the Load before anything is appended; the first one in the
+// caller's order is reported.
 func TestLoadOwnsItsPages(t *testing.T) {
 	tbl, d := newDirTable(t)
 	tx := tbl.BeginWrite()
@@ -543,21 +546,23 @@ func TestLoadOwnsItsPages(t *testing.T) {
 	}
 	rows := make([]value.Row, 300)
 	for i := range rows {
-		rows[i] = dirRow(int64(i), "load")
+		rows[i] = dirRow(int64(300-i), "load")
 	}
 	bad := append(slices.Clone(rows), value.Row{value.NewInt(1)})
-	if err := tbl.Load(bad); err == nil || !strings.Contains(err.Error(), "row 301") {
-		t.Fatalf("Load of a short row: %v", err)
-	}
-	if tbl.Heap().NumPages() != 1 || d.NumPages(tbl.Heap().FileID()) != 1 {
-		t.Fatalf("the failed Load left %d heap pages, %d on disk; want the 1 it found", tbl.Heap().NumPages(), d.NumPages(tbl.Heap().FileID()))
-	}
 	bad[150] = value.Row{value.NewInt(150), value.NewString("not an int"), value.NewString("x")}
-	if err := tbl.Load(bad[:300]); err == nil || !strings.Contains(err.Error(), "row 151") {
-		t.Fatalf("Load of a mistyped row: %v", err)
+	if err := tbl.Load(bad); err == nil || !strings.Contains(err.Error(), "row 151") {
+		t.Fatalf("Load of a mistyped row and a short one: %v", err)
 	}
-	if tbl.Heap().NumPages() != 1 || tbl.Heap().TupleCount() != 0 || tbl.Buckets().NumBuckets() != 0 {
-		t.Fatalf("the failed Load left %d heap pages, %d tuples, %d buckets", tbl.Heap().NumPages(), tbl.Heap().TupleCount(), tbl.Buckets().NumBuckets())
+	writes := d.Stats().Writes
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 3})
+	err := tbl.Load(rows)
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || d.Stats().Writes-writes < 2 {
+		t.Fatalf("Load under a fault at its third write: %v after %d writes", err, d.Stats().Writes-writes)
+	}
+	if tbl.Heap().NumPages() != 1 || d.NumPages(tbl.Heap().FileID()) != 1 || tbl.Heap().TupleCount() != 0 || tbl.Buckets().NumBuckets() != 0 {
+		t.Fatalf("the failed Load left %d heap pages (%d on disk), %d tuples, %d buckets; want the 1 page it found",
+			tbl.Heap().NumPages(), d.NumPages(tbl.Heap().FileID()), tbl.Heap().TupleCount(), tbl.Buckets().NumBuckets())
 	}
 	if err := tbl.Load(rows); err != nil {
 		t.Fatal(err)
