@@ -91,24 +91,15 @@ type entries struct {
 	offs []int
 }
 
-// reset empties the arena, keeping its buffers.
-func (e *entries) reset() { e.keys, e.offs = e.keys[:0], e.offs[:1] }
-
 // add appends the entry at rid of the row a checked tuple encodes, its
 // key (fields) read from the tuple's bytes, and returns its attribute
 // key, which aliases the arena until the next add.
-func (e *entries) add(fields keyFields, tuple []byte, rid heap.RID) []byte {
+func (e *entries) add(fields *keyFields, tuple []byte, rid heap.RID) []byte {
 	start := len(e.keys)
 	e.keys = fields.appendKey(e.keys, tuple)
-	return e.seal(start, rid)
-}
-
-// seal ends the entry whose attribute key the arena holds from start:
-// it appends rid's suffix and returns the attribute key.
-func (e *entries) seal(start int, rid heap.RID) []byte {
 	if len(e.offs) == 1 {
 		// Size the arena from the first entry: fixed-width keys fill it.
-		e.keys = slices.Grow(e.keys, (len(e.keys)-start+ridKeyLen)*cap(e.offs))
+		e.keys = slices.Grow(e.keys, (len(e.keys)+ridKeyLen)*cap(e.offs))
 	}
 	ukey := e.keys[start:]
 	e.keys = AppendRID(e.keys, rid)

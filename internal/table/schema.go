@@ -291,27 +291,22 @@ func (s Schema) Field(tuple []byte, col int) ([]byte, error) {
 // for a scan that encodes the key of every tuple (appendKey).
 type keyFields struct {
 	sch  Schema
+	lay  *layout
 	cols []int
-	off  []int // each column's constant offset, or -1
 }
 
-// keyFields resolves cols, in key order.
+// keyFields resolves the layout for cols, in key order.
 func (s Schema) keyFields(cols []int) keyFields {
-	l := s.layout()
-	k := keyFields{sch: s, cols: cols, off: make([]int, len(cols))}
-	for i, c := range cols {
-		k.off[i] = l.off[c]
-	}
-	return k
+	return keyFields{sch: s, lay: s.layout(), cols: cols}
 }
 
 // appendKey appends to dst the key keyenc.AppendRowPrefix encodes from
 // the key's columns of the decoded tuple, reading each field where it
 // lies in the tuple instead: at its constant offset where the layout has
 // one. The tuple must be one CheckTuple accepts.
-func (k keyFields) appendKey(dst, tuple []byte) []byte {
-	for i, col := range k.cols {
-		off := k.off[i]
+func (k *keyFields) appendKey(dst, tuple []byte) []byte {
+	for _, col := range k.cols {
+		off := k.lay.off[col]
 		if off < 0 {
 			off, _ = k.sch.fieldStart(tuple, col) // a checked tuple has every field
 		}

@@ -243,7 +243,7 @@ func (t *Table) buildIndex(cols []int) (*btree.Tree, *stats.PairCounter, error) 
 	var ckey []byte
 	err := t.scanTuples(func(rid heap.RID, tuple []byte) bool {
 		ckey = cFields.appendKey(ckey[:0], tuple)
-		pairs.add(ent.add(ixFields, tuple, rid), ckey)
+		pairs.add(ent.add(&ixFields, tuple, rid), ckey)
 		return true
 	})
 	if err != nil {
