@@ -4,15 +4,21 @@
 package repro
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/datagen"
+	"repro/internal/heap"
 	"repro/internal/sim"
+	"repro/internal/table"
+	"repro/internal/value"
 )
 
 // buildItems builds the benchmark's fixture: the 60,000-row correlated
@@ -205,5 +211,39 @@ func BenchmarkFixtureBuild(b *testing.B) {
 			rows[i] = Row{IntVal(it.Cat), IntVal(it.Subcat), IntVal(it.Price), StringVal(it.Desc)}
 		}
 		buildItems(b, db, rows)
+	}
+}
+
+// TestCreateIndexOverAnUnsortedColumn: CREATE INDEX over price, which the
+// heap, clustered on cat, holds in no order, sorts its entries only once
+// btree.Build has found them unsorted, and holds exactly the entries that
+// inserting each live row into an empty tree leaves.
+func TestCreateIndexOverAnUnsortedColumn(t *testing.T) {
+	db, tbl := itemsTable(t, Config{}, 2000)
+	if err := tbl.CreateIndex("ix_price", "price"); err != nil {
+		t.Fatal(err)
+	}
+	inner := tbl.inner
+	built := inner.Indexes()[1]
+	tree, err := btree.New(db.pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := &table.Index{Cols: built.Cols, Tree: tree}
+	ascending, prev := true, int64(-1)
+	if err := inner.Scan(nil, func(rid heap.RID, row value.Row) bool {
+		ascending = ascending && row[2].I >= prev
+		prev = row[2].I
+		err = inserted.Insert(row, rid)
+		return err == nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ascending {
+		t.Fatal("the heap holds price in order; the test needs it unsorted")
+	}
+	got, want := treeKeys(t, built.Tree), treeKeys(t, inserted.Tree)
+	if len(got) != 2000 || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("CREATE INDEX on price holds %d entries, %d inserted one by one, and they differ", len(got), len(want))
 	}
 }

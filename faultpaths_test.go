@@ -10,9 +10,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/btree"
+	"repro/internal/core"
+	"repro/internal/heap"
+	"repro/internal/table"
 	"repro/internal/value"
 )
 
@@ -303,30 +308,60 @@ func (c faultOnCancel) Done() <-chan struct{} {
 	return ch
 }
 
-// TestUnwindFaultReachesTheStatement: an INSERT whose rollback cannot
-// undo everything says so in its error. The statement's 300 rows go in
-// batches of 128 through a 4-frame pool; its context cancels it at the
-// second batch and arms a read fault as it does, so the fault fires in
-// the unwind of the first batch, whose index and heap removals read
-// evicted pages back. The error carries both the cancellation and
-// ErrInjected.
-func TestUnwindFaultReachesTheStatement(t *testing.T) {
+// TestAbortFaultLeavesNoPhantomRow: an INSERT whose abort meets a read
+// fault leaves no row behind. The statement's 300 rows go in batches of
+// 128 through a 4-frame pool; its context cancels it at the second batch
+// and arms a read fault as it does, so the fault fires in the abort's
+// cleanup of the first batch, whose index deletes read evicted pages
+// back. The error carries both the cancellation and ErrInjected; the
+// table already holds its 2,000 rows, and after one more INSERT, which
+// finishes the queued cleanup, every access path and cm-agg's COUNT(*)
+// read 2,001 — with the spent fault plan still set and after it clears.
+func TestAbortFaultLeavesNoPhantomRow(t *testing.T) {
 	db, tbl := itemsTable(t, Config{BufferPoolPages: 4}, 2000)
 	rows := make([]value.Row, 300)
 	for i := range rows {
-		rows[i] = Row{IntVal(int64(i * 13 % 4000)), IntVal(int64(i % 97)), IntVal(5), StringVal("unwound")}.internal()
+		rows[i] = Row{IntVal(int64(i * 13 % 4000)), IntVal(int64(i % 97)), IntVal(5), StringVal("aborted")}.internal()
 	}
 	// Polls: the statement's liveness check, then one per batch.
 	err := tbl.insertRows(faultOnCancel{newCancelAfter(3), db}, rows)
-	db.SetFaultPlan(nil)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrInjected) {
-		t.Fatalf("the cancelled INSERT returned %v, want the cancellation joined with the unwind's ErrInjected", err)
+		t.Fatalf("the cancelled INSERT returned %v, want the cancellation joined with the cleanup's ErrInjected", err)
 	}
 	if n := db.disk.Stats().InjectedFaults; n != 1 {
-		t.Errorf("%d faults fired, want the unwind's one", n)
+		t.Errorf("%d faults fired, want the cleanup's one", n)
 	}
 	if n := db.pool.PinnedFrames(); n != 0 {
-		t.Errorf("%d frames pinned after the unwind", n)
+		t.Errorf("%d frames pinned after the abort", n)
+	}
+	if n := tbl.RowCount(); n != 2000 {
+		t.Fatalf("RowCount reads %d after the abort, want 2000", n)
+	}
+	counts := func(stage string, want int) {
+		t.Helper()
+		for _, m := range stressMethods {
+			got, err := selectRows(db, QuerySpec{Table: "items", Via: m, Preds: []Pred{Ge("subcat", IntVal(0)), Ge("cat", IntVal(0))}})
+			if err != nil || len(got) != want {
+				t.Errorf("%s: %s returned %d rows (%v), want %d", stage, m, len(got), err, want)
+			}
+		}
+		res, err := db.Exec("SELECT COUNT(*) FROM items")
+		if err != nil || res.Rows[0][0].Int() != int64(want) {
+			t.Errorf("%s: cm-agg COUNT(*) read %v (%v), want %d", stage, res.Rows, err, want)
+		}
+		if n := tbl.RowCount(); n != int64(want) {
+			t.Errorf("%s: RowCount reads %d, want %d", stage, n, want)
+		}
+	}
+	counts("after the abort", 2000)
+	if _, err := db.Exec("INSERT INTO items VALUES (4001, 7, 5, 'after')"); err != nil {
+		t.Fatal(err)
+	}
+	counts("after one more INSERT", 2001)
+	db.SetFaultPlan(nil)
+	counts("with the fault plan cleared", 2001)
+	if info, err := db.ExplainSpec(QuerySpec{Table: "items", Aggs: []Agg{{Func: Count}}}); err != nil || info.Nodes[0].Kind != "cm-agg" {
+		t.Errorf("COUNT(*) plans %+v (%v), want cm-agg", info.Nodes, err)
 	}
 }
 
@@ -367,5 +402,263 @@ func TestInsertsAfterAFailedEviction(t *testing.T) {
 		if p := db.pool.PinnedFrames(); p != 0 {
 			t.Fatalf("write %d: %d frames pinned", n, p)
 		}
+	}
+}
+
+// treeKeys lists a B+Tree's keys in order.
+func treeKeys(t *testing.T, tree *btree.Tree) [][]byte {
+	t.Helper()
+	var keys [][]byte
+	it, err := tree.SeekGE(nil)
+	for ; err == nil && it.Valid(); err = it.Next() {
+		keys = append(keys, bytes.Clone(it.Key()))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// rebuildDiff holds the table to what a rebuild from its heap leaves:
+// the page directory (table.Table.RebuildPageDirectory), each index's
+// entries against an index built now over the same columns
+// (btree.Build over a scan), and each CM's entries against a CM filled
+// from a scan: keys, buckets, counts, sums, and the extremes of every
+// pair no retraction has marked dirty — a retracted extreme stays dirty
+// (core.CM.PairDirty), so a checkpoint's bytes differ from a rebuild's
+// there alone. It describes the first difference ("" when none).
+func rebuildDiff(t *testing.T, inner *table.Table) string {
+	t.Helper()
+	if d := dirDiff(inner); d != "" {
+		return "directory: " + d
+	}
+	for _, ix := range inner.Indexes() {
+		live := treeKeys(t, ix.Tree)
+		fresh, err := inner.CreateIndex(ix.Name+"_rebuilt", ix.Cols)
+		if err != nil {
+			return err.Error()
+		}
+		if want := treeKeys(t, fresh.Tree); !slices.EqualFunc(live, want, bytes.Equal) {
+			return fmt.Sprintf("index %s: %d entries, a rebuild has %d", ix.Name, len(live), len(want))
+		}
+	}
+	for _, cm := range inner.CMs() {
+		scratch := core.New(cm.Spec())
+		if err := inner.Scan(nil, func(_ heap.RID, row value.Row) bool {
+			scratch.AddRow(row, inner.ClusterBucketFor(row))
+			return true
+		}); err != nil {
+			return err.Error()
+		}
+		if d := cmEntriesDiff(cm, scratch); d != "" {
+			return fmt.Sprintf("CM %s: %s", cm.Spec().Name, d)
+		}
+	}
+	return ""
+}
+
+// TestAbortFaultSweepEqualsRebuild cancels a statement after its first
+// 128-row batch — an INSERT, an in-place UPDATE of price, and an UPDATE
+// of subcat, which relocates its rows, each over rows spread across the
+// heap — and, from a cold pool, fails its abort at read 1, 2, … until an
+// abort reads no page more. At every fault point the
+// latest state reads as before the statement; once the next writer has
+// drained the queued cleanup, the directory, every index and every CM
+// equal a rebuild from the heap (rebuildDiff).
+func TestAbortFaultSweepEqualsRebuild(t *testing.T) {
+	const n = 300
+	news := make([]value.Row, n)
+	for i := range news {
+		news[i] = Row{IntVal(int64(i * 13 % 4000)), IntVal(int64(i % 97)), IntVal(5), StringVal("aborted")}.internal()
+	}
+	kinds := []struct {
+		name string
+		run  func(tx *table.WriteTxn, olds *table.Images) error
+	}{
+		{"insert", func(tx *table.WriteTxn, _ *table.Images) error { return tx.InsertBatch(news) }},
+		{"in-place update", func(tx *table.WriteTxn, olds *table.Images) error {
+			return tx.UpdateBatch(olds, func(_ int, row value.Row) { row[2] = value.NewInt(1) })
+		}},
+		{"relocating update", func(tx *table.WriteTxn, olds *table.Images) error {
+			return tx.UpdateBatch(olds, func(_ int, row value.Row) { row[1] = value.NewInt(row[1].I + 1) })
+		}},
+	}
+	for _, k := range kinds {
+		faults := 0
+		for read := int64(1); ; read++ {
+			db, tbl := itemsTable(t, Config{BufferPoolPages: 4}, 2000)
+			inner := tbl.inner
+			before := snapDigest(t, inner, 0)
+			olds := spreadImages(t, inner, n)
+			tx := inner.BeginWrite()
+			tx.SetContext(newCancelAfter(2))
+			if err := k.run(tx, olds); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: the statement returned %v, want it cancelled at its second batch", k.name, err)
+			}
+			coldPool(t, db)
+			db.SetFaultPlan(&FaultPlan{FailReadN: read})
+			err := tx.Abort()
+			db.SetFaultPlan(nil)
+			fired := db.disk.Stats().InjectedFaults == 1
+			if fired != errors.Is(err, ErrInjected) {
+				t.Fatalf("%s, read %d: the abort returned %v with the fault fired %v", k.name, read, err, fired)
+			}
+			if got := snapDigest(t, inner, 0); got != before {
+				t.Fatalf("%s, read %d: the latest state reads %v after the abort, %v before the statement", k.name, read, got, before)
+			}
+			if p := db.pool.PinnedFrames(); p != 0 {
+				t.Fatalf("%s, read %d: %d frames pinned", k.name, read, p)
+			}
+			tx = inner.BeginWrite()
+			if err := tx.Publish(); err != nil {
+				t.Fatalf("%s, read %d: the next writer: %v", k.name, read, err)
+			}
+			if d := rebuildDiff(t, inner); d != "" {
+				t.Fatalf("%s, read %d: after the drain: %s", k.name, read, d)
+			}
+			if !fired {
+				break
+			}
+			faults++
+		}
+		if faults == 0 {
+			t.Errorf("%s: the abort read no page; the sweep tested nothing", k.name)
+		}
+		t.Logf("%s: %d fault points", k.name, faults)
+	}
+}
+
+// spreadImages returns the images of n live rows spread evenly over the
+// heap, as a writer's read phase captures them.
+func spreadImages(t *testing.T, inner *table.Table, n int) *table.Images {
+	t.Helper()
+	all, _ := liveTableRows(t, inner)
+	rids := make([]heap.RID, n)
+	for i := range rids {
+		rids[i] = all[i*len(all)/n]
+	}
+	return imagesOf(t, inner, rids)
+}
+
+// coldPool writes back and drops every cached page while a writer holds
+// the gate that db.ColdCache takes.
+func coldPool(t *testing.T, db *DB) {
+	t.Helper()
+	if err := db.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.pool.Invalidate()
+}
+
+// TestPublishFaultAfterTheLogKeepsTheStatement: once the log holds a
+// statement, a fault cannot fail it. A relocating UPDATE of subcat on 300
+// rows publishes through a cold 4-frame pool with a read fault armed; the
+// WAL append reads nothing, so the fault fires in the first delete of the
+// old versions' index entries. Publish returns nil and every access path
+// reads the update; the deletes wait on the queue, counted in
+// table.dead_versions. Once the next writer has drained them the table
+// equals a rebuild, and a CM recovered from a checkpoint taken before the
+// statement and the log equals the live CM.
+func TestPublishFaultAfterTheLogKeepsTheStatement(t *testing.T) {
+	const n = 300
+	db, tbl := itemsTable(t, Config{BufferPoolPages: 4}, 2000)
+	inner := tbl.inner
+	cm := cmOn(inner, 1)
+	var ckpt bytes.Buffer
+	inner.LockWrite()
+	lsn, err := inner.CheckpointCM(cm, &ckpt)
+	inner.UnlockWrite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	subcats := func(rows []Row) (sum int64) {
+		for _, r := range rows {
+			sum += r[1].Int()
+		}
+		return sum
+	}
+	want := subcats(mustSelect(t, db, QuerySpec{Table: "items"})) + n
+	olds := spreadImages(t, inner, n)
+	tx := inner.BeginWrite()
+	if err := tx.UpdateBatch(olds, func(_ int, row value.Row) { row[1] = value.NewInt(row[1].I + 1) }); err != nil {
+		t.Fatal(err)
+	}
+	coldPool(t, db)
+	db.SetFaultPlan(&FaultPlan{FailReadN: 1})
+	err = tx.Publish()
+	db.SetFaultPlan(nil)
+	if err != nil {
+		t.Fatalf("Publish after its log append returned %v", err)
+	}
+	if f := db.disk.Stats().InjectedFaults; f != 1 {
+		t.Fatalf("%d faults fired, want the index delete's one", f)
+	}
+	if q := metricValue(t, db, "table.dead_versions"); q != n {
+		t.Errorf("table.dead_versions reads %d with the retraction queued, want %d", q, n)
+	}
+	for _, m := range stressMethods {
+		rows, err := selectRows(db, QuerySpec{Table: "items", Via: m, Preds: []Pred{Ge("subcat", IntVal(0)), Ge("cat", IntVal(0))}})
+		if err != nil || len(rows) != 2000 || subcats(rows) != want {
+			t.Errorf("%s: %d rows, subcats summing to %d (%v); want 2000 rows summing to %d", m, len(rows), subcats(rows), err, want)
+		}
+	}
+	tx = inner.BeginWrite()
+	if err := tx.Publish(); err != nil {
+		t.Fatalf("the next writer: %v", err)
+	}
+	if d := rebuildDiff(t, inner); d != "" {
+		t.Fatalf("after the drain: %s", d)
+	}
+	spec := cm.Spec()
+	spec.Name = "subcat_cm_recovered"
+	inner.LockWrite()
+	rec, err := inner.RecoverCM(spec, &ckpt, lsn)
+	diff := ""
+	if err == nil {
+		diff = cmEntriesDiff(rec, cm)
+	}
+	inner.UnlockWrite()
+	if err != nil || diff != "" {
+		t.Fatalf("recovery from the checkpoint and the log: err=%v, %s", err, diff)
+	}
+}
+
+// TestQueuedCleanupFaultShowsInDeadVersions: a cleanup step that fails is
+// visible until a writer finishes it. An in-place UPDATE of price on 300
+// rows is cancelled after its first 128-row batch, and its abort, from a
+// cold 4-frame pool, fails to copy the first pre-image back: the 128
+// replaced rows wait on the queue, and table.dead_versions counts them
+// while every row still reads as before. The next writer drains the
+// queue: the gauge reads 0 again and no frame stays pinned.
+func TestQueuedCleanupFaultShowsInDeadVersions(t *testing.T) {
+	db, tbl := itemsTable(t, Config{BufferPoolPages: 4}, 2000)
+	inner := tbl.inner
+	before := snapDigest(t, inner, 0)
+	tx := inner.BeginWrite()
+	tx.SetContext(newCancelAfter(2))
+	if err := tx.UpdateBatch(spreadImages(t, inner, 300), func(_ int, row value.Row) { row[2] = value.NewInt(1) }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the UPDATE returned %v, want it cancelled at its second batch", err)
+	}
+	coldPool(t, db)
+	db.SetFaultPlan(&FaultPlan{FailReadN: 1})
+	err := tx.Abort()
+	db.SetFaultPlan(nil)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("the abort returned %v, want its cleanup's ErrInjected", err)
+	}
+	if q := metricValue(t, db, "table.dead_versions"); q != 128 {
+		t.Errorf("table.dead_versions reads %d with the cleanup queued, want the first batch's 128", q)
+	}
+	if got := snapDigest(t, inner, 0); got != before {
+		t.Errorf("the latest state reads %v with the cleanup queued, %v before the UPDATE", got, before)
+	}
+	if _, err := db.Exec("INSERT INTO items VALUES (4001, 7, 5, 'after')"); err != nil {
+		t.Fatal(err)
+	}
+	if q := metricValue(t, db, "table.dead_versions"); q != 0 {
+		t.Errorf("table.dead_versions reads %d after the next writer, want 0", q)
+	}
+	if p := db.pool.PinnedFrames(); p != 0 {
+		t.Errorf("%d frames pinned", p)
 	}
 }

@@ -59,6 +59,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -147,15 +148,26 @@ func New(pool *buffer.Pool) (*Tree, error) {
 	return t, nil
 }
 
+// ErrUnsorted is Build's error for keys that do not strictly ascend,
+// found before Build touches the disk: a caller may sort on it alone.
+var ErrUnsorted = errors.New("btree: build keys do not strictly ascend")
+
 // Build writes a tree of n entries, entry(i) giving the i-th, whose keys
 // must strictly ascend, to a fresh file on the pool's disk, bottom-up
-// (see the package comment). It keeps one open page per level and writes
-// each page as it fills, the root last; no page passes through the pool.
-// Each entry is checked as Insert checks it, and a failed Build gives
-// every page of its file back to the disk. The tree remembers its
-// largest key and rightmost leaf as ascending Inserts would have left
-// them.
+// (see the package comment). A first pass over the keys checks their
+// order, so entry(i)'s key must stay as it is while entry(i+1) is
+// called. It keeps one open page per level and writes each page as it
+// fills, the root last; no page passes through the pool. Each entry is
+// checked as Insert checks it, and a failed Build gives every page of its
+// file back to the disk. The tree remembers its largest key and
+// rightmost leaf as ascending Inserts would have left them.
 func Build(pool *buffer.Pool, n int, entry func(i int) (key, val []byte)) (*Tree, error) {
+	for i := 1; i < n; i++ {
+		prev, _ := entry(i - 1)
+		if key, _ := entry(i); bytes.Compare(key, prev) <= 0 {
+			return nil, fmt.Errorf("%w: entry %d is not above the one before it", ErrUnsorted, i)
+		}
+	}
 	b := &builder{t: &Tree{pool: pool, file: pool.Disk().CreateFile()}}
 	if err := b.build(n, entry); err != nil {
 		pool.Disk().Shrink(b.t.file, 0)
@@ -214,9 +226,6 @@ func (b *builder) write(page int64) error {
 func (b *builder) add(key, val []byte) error {
 	if err := b.t.checkEntry(key, val); err != nil {
 		return err
-	}
-	if b.t.count > 0 && bytes.Compare(key, b.prev) <= 0 {
-		return fmt.Errorf("btree: build entry %d is not above the one before it", b.t.count)
 	}
 	b.prev = append(b.prev[:0], key...)
 	leaf := &b.t.path[0]

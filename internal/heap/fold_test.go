@@ -30,7 +30,7 @@ type mState uint8
 const (
 	mHeld   mState = iota // a live or ended version
 	mDead                 // handed back; its bytes wait for a prune
-	mErased               // deleted, or pruned
+	mErased               // pruned
 )
 
 type mSlot struct {
@@ -159,8 +159,8 @@ func (m *foldModel) check(clock uint64) {
 	for _, ps := range m.pages {
 		slots += int64(len(ps))
 		for _, s := range ps {
-			if s.state == mHeld && s.ver.end == 0 {
-				live++
+			if s.state == mHeld && s.ver.end == 0 || s.pre != nil && s.pre.ver.end == 0 {
+				live++ // a reopened pre-image is the slot's live version
 			}
 		}
 	}
@@ -271,7 +271,7 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 			must("SetEnd", rid, h.SetEnd(rid, s.ver.end))
 		}
 	case 4:
-		if rid, s, ok := m.pick(rng, held(func(s *mSlot) bool { return s.ver.end != 0 })); ok {
+		if rid, s, ok := m.pick(rng, held(func(s *mSlot) bool { return s.ver.end != 0 && (s.pre == nil || s.pre.ver.end != 0) })); ok {
 			s.ver.end = 0
 			must("ClearEnd", rid, h.ClearEnd(rid))
 		}
@@ -283,13 +283,18 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 			s.data, s.ver = data, mVer{begin: ts}
 			must("ReplaceAt", rid, h.ReplaceAt(rid, data, bytes.Clone(s.pre.data), ts))
 		}
-	case 6:
-		if rid, s, ok := m.pick(rng, held(func(s *mSlot) bool { return s.ver.end == 0 && s.pre != nil })); ok {
-			s.data, s.ver, s.pre = s.pre.data, mVer{begin: s.pre.ver.begin}, nil
+	case 6: // an abort's two halves: reopen the pre-image, then copy it back
+		if rid, s, ok := m.pick(rng, held(func(s *mSlot) bool { return s.ver.end == 0 && s.pre != nil && s.pre.ver.end == s.ver.begin })); ok {
+			s.ver.end, s.pre.ver.end = s.ver.begin, 0
+			must("ReopenPreImage", rid, h.ReopenPreImage(rid))
+		}
+	case 9:
+		if rid, s, ok := m.pick(rng, func(s *mSlot) bool { return s.pre != nil && s.pre.ver.end == 0 }); ok {
+			s.data, s.ver, s.pre = s.pre.data, s.pre.ver, nil
 			must("RestoreAt", rid, h.RestoreAt(rid))
 		}
 	case 7:
-		if rid, s, ok := m.pick(rng, func(s *mSlot) bool { return s.pre != nil }); ok {
+		if rid, s, ok := m.pick(rng, func(s *mSlot) bool { return s.pre != nil && s.pre.ver.end != 0 }); ok {
 			s.pre = nil
 			m.reclaimed++
 			must("DropPreImage", rid, h.DropPreImage(rid))
@@ -299,13 +304,6 @@ func (m *foldModel) step(rng *rand.Rand, clock *uint64) {
 			s.state = mDead
 			m.dead++
 			must("MarkDead", rid, h.MarkDead(rid, len(s.data)))
-		}
-	case 9: // erase any slot; a dead or erased one stays as it is
-		if rid, s, ok := m.pick(rng, func(*mSlot) bool { return true }); ok {
-			if s.state == mHeld {
-				s.state, s.pre = mErased, nil
-			}
-			must("Delete", rid, h.Delete(rid))
 		}
 	case 10: // pin the newest snapshot
 		m.pins = append(m.pins, *clock)
@@ -343,8 +341,8 @@ func randBytes(rng *rand.Rand, n int) []byte {
 
 // TestFoldedHeapMatchesModel runs seeded random streams of placements
 // with several begins (some forcing a prune), ends and their undoing,
-// in-place replacements, restores and dropped pre-images, dead-markings,
-// erasures, pins and their release, and freezes at horizons no pin
+// in-place replacements, an abort's reopened and restored pre-images,
+// dropped pre-images, dead-markings, pins and their release, and freezes at horizons no pin
 // predates against a heap whose load left some pages folded, and holds
 // the heap to the fold model after every operation: the scan, view and
 // unretracted scan at every snapshot that can still be taken, Get, and
@@ -381,7 +379,7 @@ func TestFoldedHeapMatchesModel(t *testing.T) {
 		}
 		prunes += m.prunes
 	}
-	for _, op := range []string{"PutAt", "SetEnd", "ClearEnd", "ReplaceAt", "RestoreAt", "DropPreImage", "MarkDead", "Delete", "Pin", "Release", "Freeze"} {
+	for _, op := range []string{"PutAt", "SetEnd", "ClearEnd", "ReplaceAt", "ReopenPreImage", "RestoreAt", "DropPreImage", "MarkDead", "Pin", "Release", "Freeze"} {
 		if ran[op] == 0 {
 			t.Errorf("the streams never ran %s", op)
 		}

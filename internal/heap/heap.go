@@ -19,26 +19,27 @@
 // the page's newest begin.
 //
 // Space is reclaimed inside its page. An ended version that no snapshot
-// can read any more is marked dead (MarkDead), and a physically deleted
-// tuple leaves an erased slot; both slots are reusable at once, and their
-// bytes come back when a placement needs the page's contiguous gap: the
-// prune erases the dead slots, packs the remaining tuples toward the end
-// of the page, and trims empty slots off the directory's end. Slot numbers
-// of surviving tuples never change, so RIDs stay valid. An in-memory
-// account per page (contiguous free bytes plus reclaimable bytes) answers
-// Room without reading the page, and the pages that have anything to
-// reclaim sit in size classes so BestFit finds the tightest one in a few
-// word operations. Appends (Load's) still go to the tail, in order, each
-// page taking a run of tuples under one pin (Append), and Load writes
-// each full tail page back as it opens the next, so a bulk load reaches
-// disk as one sequential run of heap pages.
+// can read any more is marked dead (MarkDead); its slot is reusable at
+// once, and its bytes come back when a placement needs the page's
+// contiguous gap: the prune erases the dead slots, packs the remaining
+// tuples toward the end of the page, and trims empty slots off the
+// directory's end. Slot numbers of surviving tuples never change, so RIDs
+// stay valid. An in-memory account per page (contiguous free bytes plus
+// reclaimable bytes) answers Room without reading the page, and the pages
+// that have anything to reclaim sit in size classes so BestFit finds the
+// tightest one in a few word operations. Appends (Load's) still go to the
+// tail, in order, each page taking a run of tuples under one pin
+// (Append), and Load writes each full tail page back as it opens the
+// next, so a bulk load reaches disk as one sequential run of heap pages.
 //
 // A version can also be replaced in its slot (ReplaceAt): the new bytes
 // overwrite the old ones, of the same length, and a copy of the old ones
 // stays with the page as the slot's pre-image, ended at the new version's
 // begin. A snapshot that cannot see the slot's own version reads the
 // pre-image instead when it can see that, until the owner drops it
-// (DropPreImage) or an abort puts it back (RestoreAt). A page lists its
+// (DropPreImage). An abort reopens the pre-image (ReopenPreImage), which
+// every snapshot then reads in the slot's place, and later copies it back
+// (RestoreAt). A page lists its
 // own pre-images, so a sweep of a page without any pays one length test
 // for the page.
 package heap
@@ -198,8 +199,8 @@ type pageReuse struct {
 //
 // Concurrency matches the owning table's latch discipline: the version side
 // arrays and the space accounts are plain slices and maps, so mutators
-// (Append, PutAt, ReplaceAt, RestoreAt, DropPreImage, SetEnd,
-// ClearEnd, MarkDead, Delete, Freeze) must hold the
+// (Append, PutAt, ReplaceAt, ReopenPreImage, RestoreAt, DropPreImage,
+// SetEnd, ClearEnd, MarkDead, Freeze) must hold the
 // table latch exclusively while readers hold it shared. A placement may
 // prune its page, moving tuple bytes within it, so no reader keeps a
 // tuple slice across a release of the latch.
@@ -690,8 +691,8 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 // pre-image, ended at ts: snapshots older than ts read it until
 // DropPreImage. The RID, the page's space and the live-tuple count do not
 // change. It refuses a tuple of another length, a pre that is not the
-// slot's bytes, a slot whose version is ended, dead or erased, and a slot
-// that already holds a pre-image.
+// slot's bytes, a slot whose version is ended, dead or erased, and one
+// that is not Replaceable.
 func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 	if ts == 0 {
 		return fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
@@ -703,8 +704,8 @@ func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 	if v.end != 0 || v.begin == gone {
 		return fmt.Errorf("heap: RID %v is not a live version", rid)
 	}
-	if h.HasPreImage(rid) {
-		return fmt.Errorf("heap: RID %v already holds a pre-image", rid)
+	if !h.Replaceable(rid, ts) {
+		return fmt.Errorf("heap: RID %v holds a pre-image or a version begun at %d", rid, ts)
 	}
 	fr, err := h.pool.Get(h.file, rid.Page)
 	if err != nil {
@@ -734,16 +735,34 @@ func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
 	return nil
 }
 
-// RestoreAt undoes a ReplaceAt (writer-statement abort): the pre-image's
-// bytes go back into the slot, live under their old begin timestamp, and
-// the pre-image is gone. The slot's version must be live.
-func (h *File) RestoreAt(rid RID) error {
+// ReopenPreImage takes a ReplaceAt back in memory (writer-statement
+// abort): the slot's version ends at its own begin, so no snapshot reads
+// it, and the pre-image's end is cleared, so every snapshot that read the
+// replaced version reads the pre-image again. The live-tuple count does
+// not change. RestoreAt later copies the bytes back; until then the slot
+// keeps its pre-image. Reopening reads no page.
+func (h *File) ReopenPreImage(rid RID) error {
 	i := h.preIndex(rid)
 	if i < 0 {
 		return fmt.Errorf("heap: RID %v holds no pre-image", rid)
 	}
-	if v, _ := h.version(rid); v.end != 0 || v.begin == gone {
-		return fmt.Errorf("heap: RID %v is not a live version", rid)
+	pv := &h.vers[rid.Page]
+	v := pv.at(int(rid.Slot))
+	if v.end != 0 || v.begin == gone || pv.pre[i].ver.end != v.begin {
+		return fmt.Errorf("heap: RID %v is not a version replaced in place", rid)
+	}
+	h.setVersion(rid, tupleVersion{begin: v.begin, end: v.begin})
+	pv.pre[i].ver.end = 0
+	return nil
+}
+
+// RestoreAt finishes what ReopenPreImage began: the reopened pre-image's
+// bytes go back into the slot, live under their old begin timestamp, and
+// the pre-image is gone. Every snapshot reads what it read before.
+func (h *File) RestoreAt(rid RID) error {
+	i := h.preIndex(rid)
+	if i < 0 || h.vers[rid.Page].pre[i].ver.end != 0 {
+		return fmt.Errorf("heap: RID %v holds no reopened pre-image", rid)
 	}
 	fr, err := h.pool.Get(h.file, rid.Page)
 	if err != nil {
@@ -752,7 +771,7 @@ func (h *File) RestoreAt(rid RID) error {
 	pv := &h.vers[rid.Page]
 	off, length := slotAt(fr.Data, int(rid.Slot))
 	copy(fr.Data[off:off+length], pv.pre[i].tuple)
-	h.setVersion(rid, tupleVersion{begin: pv.pre[i].ver.begin})
+	h.setVersion(rid, pv.pre[i].ver)
 	pv.pre = slices.Delete(pv.pre, i, i+1)
 	h.pool.Unpin(fr, true)
 	return nil
@@ -772,8 +791,14 @@ func (h *File) DropPreImage(rid RID) error {
 	return nil
 }
 
-// HasPreImage reports whether the slot at rid holds a pre-image.
-func (h *File) HasPreImage(rid RID) bool { return h.preIndex(rid) >= 0 }
+// Replaceable reports whether ReplaceAt may replace the version at rid
+// with one begun at ts: the slot holds no pre-image, and its version
+// began before ts. A writer never replaces its own new version in place,
+// so every pre-image an abort reopens is one some snapshot could read.
+func (h *File) Replaceable(rid RID, ts uint64) bool {
+	v, err := h.version(rid)
+	return err == nil && v.begin < ts && h.preIndex(rid) < 0
+}
 
 // preIndex returns the index of rid's pre-image in its page's list, or
 // -1 when it has none.
@@ -812,7 +837,7 @@ func (h *File) SetEnd(rid RID, end uint64) error {
 }
 
 // ClearEnd undoes a SetEnd (writer-statement abort), restoring the tuple
-// to live.
+// to live. It reads no page.
 func (h *File) ClearEnd(rid RID) error {
 	v, err := h.version(rid)
 	if err != nil {
@@ -896,46 +921,6 @@ func (h *File) ViewAt(rid RID, snap uint64, fn func(tuple []byte) error) error {
 	return fn(tuple)
 }
 
-// Delete physically erases the tuple at rid: the slot's length is zeroed,
-// so no snapshot can read it afterward, and the slot is reusable at once
-// (its bytes come back at the page's next prune). Writer statements use
-// it only to discard their own never-published appends (abort); published
-// history instead ends logically with SetEnd so older snapshots keep
-// reading the bytes. The slot's pre-image, if any, goes too. Erasing a
-// deleted or dead tuple is a no-op.
-func (h *File) Delete(rid RID) error {
-	if rid.Page < 0 || rid.Page >= h.numPages {
-		return fmt.Errorf("heap: RID %v out of range", rid)
-	}
-	fr, err := h.pool.Get(h.file, rid.Page)
-	if err != nil {
-		return err
-	}
-	defer h.pool.Unpin(fr, true)
-	if int(rid.Slot) >= pageNumSlots(fr.Data) {
-		return fmt.Errorf("heap: RID %v slot out of range", rid)
-	}
-	off, length := slotAt(fr.Data, int(rid.Slot))
-	v := h.vers[rid.Page].at(int(rid.Slot))
-	if length == 0 || v.begin == gone {
-		return nil // already deleted, or dead and awaiting its prune
-	}
-	setSlotAt(fr.Data, int(rid.Slot), off, 0)
-	if v.end == 0 {
-		h.tuples-- // erasing a live tuple; ended ones were already counted out
-	}
-	h.setVersion(rid, tupleVersion{begin: gone, end: gone})
-	if i := h.preIndex(rid); i >= 0 {
-		pv := &h.vers[rid.Page]
-		pv.pre = slices.Delete(pv.pre, i, i+1)
-	}
-	r := h.reuseOf(rid.Page)
-	r.erased = append(r.erased, rid.Slot)
-	h.space[rid.Page].garbage += uint16(length)
-	h.refile(rid.Page)
-	return nil
-}
-
 // Scan visits every latest-visible tuple in physical order. The
 // callback's tuple slice is only valid during the call. Returning false
 // stops the scan.
@@ -987,10 +972,11 @@ func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple [
 // ScanUnretracted visits, in physical order, every version that no
 // statement published at or before timestamp published has ended: the
 // live ones, and those begun or ended by a statement stamped later (one
-// not yet published), whatever snapshot could read them. Dead and
-// erased slots are skipped, and so are pre-images, which sit on their
-// slot's page. It is ScanPagesAt's loop under another
-// predicate, kept as its own loop so the sweep's hot loop tests one.
+// not yet published, or an aborted one whose slots are not yet dead),
+// whatever snapshot could read them. Dead and erased slots are skipped,
+// and so are pre-images, which sit on their slot's page. It is
+// ScanPagesAt's loop under another predicate, kept as its own loop so
+// the sweep's hot loop tests one.
 func (h *File) ScanUnretracted(published uint64, fn func(rid RID, tuple []byte) bool) error {
 	for p := int64(0); p < h.numPages; p++ {
 		fr, err := h.pool.Get(h.file, p)

@@ -254,45 +254,6 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	h := newHeap(t, 256, 8)
-	rid1, err := h.AppendAt([]byte("one"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid2, err := h.AppendAt([]byte("two"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Delete(rid1); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := h.Get(rid1); err != nil || got != nil {
-		t.Errorf("deleted tuple Get = %q, %v", got, err)
-	}
-	if got, _ := h.Get(rid2); string(got) != "two" {
-		t.Error("delete damaged neighbour")
-	}
-	if h.TupleCount() != 1 {
-		t.Errorf("tuple count after delete = %d", h.TupleCount())
-	}
-	// Idempotent.
-	if err := h.Delete(rid1); err != nil {
-		t.Fatal(err)
-	}
-	if h.TupleCount() != 1 {
-		t.Error("double delete decremented count twice")
-	}
-	// Scan skips deleted tuples.
-	n := 0
-	if err := h.Scan(func(RID, []byte) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("scan visited %d tuples", n)
-	}
-}
-
 func TestGetErrors(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	if _, err := h.Get(RID{Page: 0, Slot: 0}); err == nil {
@@ -304,8 +265,8 @@ func TestGetErrors(t *testing.T) {
 	if _, err := h.Get(RID{Page: 0, Slot: 9}); err == nil {
 		t.Error("Get with bad slot should fail")
 	}
-	if err := h.Delete(RID{Page: 7}); err == nil {
-		t.Error("Delete with bad page should fail")
+	if err := h.SetEnd(RID{Page: 7}, 2); err == nil {
+		t.Error("SetEnd with bad page should fail")
 	}
 }
 
@@ -364,11 +325,11 @@ func TestTuplesOnPage(t *testing.T) {
 	if n := onPage(); n != 10 {
 		t.Errorf("tuples on page 0 = %d", n)
 	}
-	if err := h.Delete(rids[3]); err != nil {
+	if err := h.SetEnd(rids[3], 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := onPage(); n != 9 {
-		t.Errorf("tuples on page 0 after delete = %d", n)
+		t.Errorf("tuples on page 0 after an end = %d", n)
 	}
 }
 
@@ -431,7 +392,10 @@ func TestView(t *testing.T) {
 	if got != "alpha" {
 		t.Errorf("ViewAt = %q, want alpha", got)
 	}
-	if err := h.Delete(b); err != nil {
+	if err := h.SetEnd(b, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.MarkDead(b, len("beta")); err != nil {
 		t.Fatal(err)
 	}
 	called := false
@@ -439,7 +403,7 @@ func TestView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if called {
-		t.Error("ViewAt invoked fn for a deleted tuple")
+		t.Error("ViewAt invoked fn for a dead tuple")
 	}
 	if err := h.ViewAt(RID{Page: 99, Slot: 0}, 0, func([]byte) error { return nil }); err == nil {
 		t.Error("ViewAt accepted an out-of-range RID")
@@ -451,8 +415,8 @@ func TestView(t *testing.T) {
 }
 
 // Get returns a copy of the tuple at rid as the latest state sees it —
-// the tests' reading of one slot. Deleted (physically or logically)
-// tuples return nil data.
+// the tests' reading of one slot. Ended and dead tuples return nil
+// data.
 func (h *File) Get(rid RID) ([]byte, error) {
 	if rid.Page < 0 || rid.Page >= h.numPages {
 		return nil, fmt.Errorf("heap: RID %v out of range (pages=%d)", rid, h.numPages)

@@ -21,13 +21,13 @@ func appendAll(t *testing.T, h *File, begin uint64, tuples ...string) []RID {
 
 // TestReplaceAtRefusals covers what ReplaceAt must refuse — a tuple of
 // another length, a pre-image that is not the slot's bytes, an ended
-// slot, a dead slot, an erased slot, a slot that already holds a
-// pre-image, and a zero timestamp — and checks that a refusal changes
-// neither the slot nor the pre-images.
+// slot, a dead slot, a slot that already holds a pre-image, and a zero
+// timestamp — and checks that a refusal changes neither the slot nor the
+// pre-images. RestoreAt refuses a pre-image not reopened first.
 func TestReplaceAtRefusals(t *testing.T) {
 	h := newHeap(t, 256, 8)
-	rids := appendAll(t, h, 1, "live", "ends", "dies", "gone")
-	live, ended, dead, erased := rids[0], rids[1], rids[2], rids[3]
+	rids := appendAll(t, h, 1, "live", "ends", "dies")
+	live, ended, dead := rids[0], rids[1], rids[2]
 	if err := h.SetEnd(ended, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,6 @@ func TestReplaceAtRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := h.MarkDead(dead, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Delete(erased); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +50,6 @@ func TestReplaceAtRefusals(t *testing.T) {
 		{"a zero timestamp", live, "LIVE", "live", 0},
 		{"an ended slot", ended, "ENDS", "ends", 3},
 		{"a dead slot", dead, "DIES", "dies", 3},
-		{"an erased slot", erased, "GONE", "gone", 3},
 		{"a slot out of range", RID{Page: 0, Slot: 9}, "NONE", "none", 3},
 	}
 	for _, r := range refusals {
@@ -77,6 +73,12 @@ func TestReplaceAtRefusals(t *testing.T) {
 	if err := h.RestoreAt(ended); err == nil {
 		t.Error("RestoreAt accepted a slot without a pre-image")
 	}
+	if err := h.RestoreAt(live); err == nil {
+		t.Error("RestoreAt accepted a pre-image that was not reopened")
+	}
+	if err := h.ReopenPreImage(ended); err == nil {
+		t.Error("ReopenPreImage accepted a slot without a pre-image")
+	}
 	if err := h.DropPreImage(ended); err == nil {
 		t.Error("DropPreImage accepted a slot without a pre-image")
 	}
@@ -87,9 +89,10 @@ func TestReplaceAtRefusals(t *testing.T) {
 // Visible. Snapshot 1 sees neither version, snapshots 2 to 4 the old
 // bytes, and snapshot 5 and the latest sentinel 0 the new ones. The
 // replacement leaves the page's space, the slot count and the live-tuple
-// count as they were. RestoreAt brings the old version back live;
-// replaced again, DropPreImage leaves the new version alone and counts
-// one reclaimed version, and Delete takes a pre-image with the slot.
+// count as they were. ReopenPreImage shows every snapshot the old
+// version again, the live-tuple count unchanged, and RestoreAt puts it
+// back in the slot; replaced again, DropPreImage leaves the new version
+// alone and counts one reclaimed version.
 func TestPreImageVisibility(t *testing.T) {
 	h := newHeap(t, 256, 8)
 	appendAll(t, h, 1, "before")
@@ -138,8 +141,18 @@ func TestPreImageVisibility(t *testing.T) {
 		t.Errorf("Get after the replacement = %q", got)
 	}
 
+	if err := h.ReopenPreImage(rid); err != nil {
+		t.Fatal(err)
+	}
+	expect("reopened", map[uint64]string{1: "", 2: "old-bytes", 5: "old-bytes", 0: "old-bytes"})
+	if h.TupleCount() != tuples {
+		t.Errorf("reopening moved the live-tuple count %d→%d", tuples, h.TupleCount())
+	}
 	if err := h.RestoreAt(rid); err != nil {
 		t.Fatal(err)
+	}
+	if got, _ := h.Get(rid); !bytes.Equal(got, []byte("old-bytes")) || h.TupleCount() != tuples {
+		t.Errorf("after RestoreAt the slot reads %q with %d live tuples", got, h.TupleCount())
 	}
 	expect("restored", map[uint64]string{1: "", 2: "old-bytes", 5: "old-bytes", 0: "old-bytes"})
 	if h.PreImages() != 0 {
@@ -159,14 +172,4 @@ func TestPreImageVisibility(t *testing.T) {
 			h.PreImages(), h.ReclaimedVersions(), reclaimed+1)
 	}
 
-	if err := h.ReplaceAt(rid, []byte("third-one"), []byte("new-bytes"), 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	expect("deleted", map[uint64]string{5: "", 6: "", 7: "", 0: ""})
-	if h.PreImages() != 0 {
-		t.Errorf("%d pre-images after Delete", h.PreImages())
-	}
 }

@@ -100,10 +100,13 @@ func (rm *reclaimModel) step(op, arg byte) {
 			}
 			delete(rm.m, rid)
 		}
-	case 5: // erase a live or ended tuple
-		if rid, _, ok := rm.pick(arg, func(*modelTuple) bool { return true }); ok {
-			if err := h.Delete(rid); err != nil {
-				rm.t.Fatalf("Delete(%v): %v", rid, err)
+	case 5: // a live version goes at once, as an aborted statement's does
+		if rid, mt, ok := rm.pick(arg, live); ok {
+			if err := h.SetEnd(rid, rm.ts); err != nil {
+				rm.t.Fatalf("SetEnd(%v): %v", rid, err)
+			}
+			if err := h.MarkDead(rid, len(mt.data)); err != nil {
+				rm.t.Fatalf("MarkDead(%v): %v", rid, err)
 			}
 			delete(rm.m, rid)
 		}
@@ -230,7 +233,7 @@ func (rm *reclaimModel) checkErr() error {
 }
 
 // FuzzHeapReclaim runs random appends, placements, ends, dead-markings,
-// erasures, restores and freezes against a map model. After every
+// restores and freezes against a map model. After every
 // operation each tuple's bytes equal the model's, no two tuples of a page
 // overlap, the in-memory account equals the page, and every placement the
 // account offered succeeds.

@@ -118,12 +118,13 @@ func TestPointProbeRequestAllocs(t *testing.T) {
 // benchmark's do: an UPDATE of one cat's price (about 15 rows, each
 // rewritten in its slot) and a one-row INSERT. Every allocation from the
 // request line through Publish to the reply counts. The allocation
-// bounds are about 10 % above what the write path measures now that the
-// planner asks a CM whose columns the WHERE clause does not predicate
-// for no error value: UPDATE 57.6 allocations / 26.5 kB, INSERT 31.7 /
-// 4.5 kB (61.0 / 29.5 kB and 34.3 / 4.7 kB in a -race build). The
-// UPDATE read 59.6 / 26.6 kB (63.6 / 29.7 kB) while each such CM built
-// one, and 80.6 / 27.1 kB while every compile rendered its plan text.
+// bounds are about 10 % above what the write path measures: UPDATE 57.6
+// allocations / 26.5 kB, INSERT 30.1 / 4.3 kB (60.8 / 29.5 kB and 32.6 /
+// 4.5 kB in a -race build); INSERT's bounds were last set over 31.7 /
+// 4.5 kB (34.3 / 4.7 kB). The UPDATE read 59.6 / 26.6 kB (63.6 / 29.7
+// kB) while the planner built an error value for each CM whose columns
+// the WHERE clause does not predicate, and 80.6 / 27.1 kB while every
+// compile rendered its plan text.
 // Its byte bounds stay where its
 // 87.2 / 25.9 kB put them before its pages refolded after each
 // statement, which cost it 92.5 / 27.4 kB. While UPDATE re-read and
@@ -142,8 +143,8 @@ func TestWriteRequestAllocs(t *testing.T) {
 		// raceAllocs and raceBytes bound a -race build (raceBuild).
 		raceAllocs, raceBytes float64
 	}{
-		{"in-place UPDATE", "UPDATE items SET price = 77 WHERE cat = %d", 63.4, 28_450, 67.1, 32_100},
-		{"one-row INSERT", "INSERT INTO items VALUES (%d, 251, 77, 'new')", 34.9, 4_940, 37.7, 5_144},
+		{"in-place UPDATE", "UPDATE items SET price = 77 WHERE cat = %d", 63.4, 28_450, 66.9, 32_100},
+		{"one-row INSERT", "INSERT INTO items VALUES (%d, 251, 77, 'new')", 33.1, 4_729, 35.9, 4_948},
 	} {
 		if raceBuild {
 			c.allocs, c.bytes = c.raceAllocs, c.raceBytes

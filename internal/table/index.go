@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -138,23 +139,16 @@ func (r *pairRuns) counter() *stats.PairCounter {
 
 // build writes the B+Tree of the entries bottom-up (btree.Build), taking
 // them in key order: as they arrive when the rows came in that order,
-// else as keyOrder sorts them.
+// else, once Build has found them unsorted, as keyOrder sorts them.
 func (e *entries) build(pool *buffer.Pool) (*btree.Tree, error) {
 	n := len(e.offs) - 1
 	key := func(i int) []byte { return e.keys[e.offs[i]:e.offs[i+1]] }
-	var order []int
-	for i := 1; i < n; i++ {
-		if bytes.Compare(key(i-1), key(i)) > 0 {
-			order = keyOrder(e.keys, e.offs)
-			break
-		}
+	tree, err := btree.Build(pool, n, func(i int) ([]byte, []byte) { return key(i), nil })
+	if !errors.Is(err, btree.ErrUnsorted) {
+		return tree, err
 	}
-	return btree.Build(pool, n, func(i int) ([]byte, []byte) {
-		if order != nil {
-			i = order[i]
-		}
-		return key(i), nil
-	})
+	order := keyOrder(e.keys, e.offs)
+	return btree.Build(pool, n, func(i int) ([]byte, []byte) { return key(order[i]), nil })
 }
 
 // Insert adds the entry for row at rid.

@@ -51,6 +51,9 @@ import (
 // indexes are installed only once every row is in.
 func (t *Table) Load(rows []value.Row) error {
 	tx := t.BeginWrite()
+	if tx.err != nil {
+		return errors.Join(tx.err, tx.Abort())
+	}
 	if t.loaded || t.heapf.TupleCount() > 0 {
 		return errors.Join(fmt.Errorf("table %s: already loaded", t.cfg.Name), tx.Abort())
 	}

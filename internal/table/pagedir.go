@@ -19,10 +19,11 @@ import (
 // The invariant is: bucket b's pages are the pages holding a version of
 // b that has not been retracted — a live version, or one begun or ended
 // by a writer statement that has not yet published — counted once per
-// version, at every release of the table latch. A writer statement's new
-// versions are counted as they are placed; the versions it ends leave
-// the directory at Publish, when their index entries and CM pairs do; an
-// unwind takes back precisely what was added. A version's bucket is
+// version, at every release of the table latch with no aborted statement
+// queued for cleanup. A writer statement's new versions are counted as
+// they are placed; the versions it ends leave the directory at Publish,
+// when their CM pairs do; an abort takes its new versions out at once,
+// though their slots stay in the heap until its cleanup marks them dead. A version's bucket is
 // Locate of its clustering key (Load's builder assigns the same ones, and
 // bounds move only at Load), so the invariant can be checked, or the
 // directory rebuilt, from the heap alone (RebuildPageDirectory). Readers
@@ -191,7 +192,8 @@ func (t *Table) DirectorySizeBytes() int64 {
 // pass over the heap — what the live directory must equal: every slot
 // holding a version that has not been retracted (live, or begun or ended
 // by a writer statement that has not yet published) counts its page into
-// ClusterBucketFor of its row. It is the tests' oracle, and what a
+// ClusterBucketFor of its row, once no aborted statement's cleanup waits
+// on the queue (see BeginWrite). It is the tests' oracle, and what a
 // restart can rebuild the directory from; no query path calls it. Caller
 // holds the latch.
 func (t *Table) RebuildPageDirectory() (*PageDirectory, error) {

@@ -182,7 +182,9 @@ func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {
 					if err := apply(tx, step); err != nil {
 						t.Fatalf("%s: %v", stage, err)
 					}
-					tx.Abort()
+					if err := tx.Abort(); err != nil {
+						t.Fatalf("%s: abort: %v", stage, err)
+					}
 					stage += " (aborted)"
 				case 3: // cancelled between two batches
 					ctx, cancel := context.WithCancel(context.Background())
@@ -232,8 +234,9 @@ func TestPageDirectoryEqualsRebuildThroughChurn(t *testing.T) {
 // TestPageDirectoryBetweenWriterBatches runs readers beside an in-flight
 // writer: each reader takes the latch shared — so it lands between two
 // of the writer's latched batches — and holds the directory to the
-// rebuild there. Under -race this is also the proof that the directory
-// moves only under the exclusive latch.
+// rebuild there. Under -race this is also the proof that the directory,
+// and the cleanup queue DeadVersions reads, move only under the
+// exclusive latch.
 func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 	tbl, _ := newDirTable(t)
 	rows := make([]value.Row, 800)
@@ -262,6 +265,7 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 				}
 				tbl.RLock()
 				diff := pageDirDiff(tbl)
+				_ = tbl.DeadVersions() // reads the cleanup queue beside the writer
 				tbl.RUnlock()
 				if diff != "" {
 					t.Errorf("reader between writer batches: %s", diff)
@@ -453,17 +457,21 @@ func TestLoadKeepsAReplacedTreeAFrameHolds(t *testing.T) {
 	}
 }
 
-// TestUnwindFaultsAreReported: what an unwind fails to undo is part of
-// the statement's error, from Publish's self-abort and from Abort. The
-// table sits on a 4-frame pool, so unwinding 300 inserted rows reads
-// evicted heap and index pages back, and a one-shot read fault armed
-// just before the unwind fires inside it. For Publish the log lives on a
+// TestAbortFaultStaysQueuedUntilTheNextWriter: an abort whose cleanup
+// meets a read fault — from Publish's abort and from Abort — says so in
+// the statement's error, and the table already reads as before the
+// statement: no live row. What read pages waits on the queue, counted in DeadVersions, and the next
+// writer's BeginWrite finishes it: the index holds no entry again, and
+// the directory equals its rebuild from the heap. The
+// table sits on a 4-frame pool, so the cleanup of 300 inserted rows
+// reads evicted index pages back, and a one-shot read fault armed just
+// before the abort fires inside it. For Publish the log lives on a
 // second disk whose first page write fails, so the only fault on the
-// table's disk is the unwind's.
-func TestUnwindFaultsAreReported(t *testing.T) {
+// table's disk is the cleanup's.
+func TestAbortFaultStaysQueuedUntilTheNextWriter(t *testing.T) {
 	rows := make([]value.Row, 300)
 	for i := range rows {
-		rows[i] = dirRow(int64(i*7919%300), "unwind")
+		rows[i] = dirRow(int64(i*7919%300), "abort")
 	}
 	for _, publish := range []bool{true, false} {
 		d, logDisk := sim.NewDisk(sim.Config{PageSize: 512}), sim.NewDisk(sim.Config{PageSize: 512})
@@ -476,7 +484,8 @@ func TestUnwindFaultsAreReported(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tbl.CreateIndex("ix_u", []int{1}); err != nil {
+		ix, err := tbl.CreateIndex("ix_u", []int{1})
+		if err != nil {
 			t.Fatal(err)
 		}
 		tx := tbl.BeginWrite()
@@ -491,14 +500,28 @@ func TestUnwindFaultsAreReported(t *testing.T) {
 			err = tx.Abort()
 		}
 		d.SetFaultPlan(nil)
-		if !errors.Is(err, sim.ErrInjected) || !strings.Contains(fmt.Sprint(err), "unwind") {
-			t.Errorf("publish %v: the statement's error %v does not carry the unwind's fault", publish, err)
+		if !errors.Is(err, sim.ErrInjected) || !strings.Contains(fmt.Sprint(err), "abort") {
+			t.Errorf("publish %v: the statement's error %v does not carry the cleanup's fault", publish, err)
 		}
 		if n := d.Stats().InjectedFaults; n != 1 {
-			t.Errorf("publish %v: %d faults fired on the table's disk, want the unwind's one", publish, n)
+			t.Errorf("publish %v: %d faults fired on the table's disk, want the cleanup's one", publish, n)
 		}
 		if n := tbl.Pool().PinnedFrames(); n != 0 {
-			t.Errorf("publish %v: %d frames pinned after the unwind", publish, n)
+			t.Errorf("publish %v: %d frames pinned after the abort", publish, n)
 		}
+		if n, dead := tbl.Heap().TupleCount(), tbl.DeadVersions(); n != 0 || dead != int64(len(rows)) {
+			t.Errorf("publish %v: %d live rows and %d dead versions after the abort, want 0 and the %d queued", publish, n, dead, len(rows))
+		}
+		tx = tbl.BeginWrite()
+		if err := tx.InsertBatch(nil); err != nil {
+			t.Fatalf("publish %v: the next writer's drain: %v", publish, err)
+		}
+		if err := tx.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if n, q := ix.Tree.Len(), len(tbl.retired); n != 0 || q != 0 {
+			t.Errorf("publish %v: after the next writer the index holds %d entries and %d statements are queued", publish, n, q)
+		}
+		checkPageDir(t, tbl, fmt.Sprintf("publish %v, the cleanup drained", publish))
 	}
 }

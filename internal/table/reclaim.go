@@ -7,23 +7,25 @@ import (
 	"repro/internal/heap"
 )
 
-// This file bounds the heap: it decides when a published statement's old
-// row versions are dead, and where a statement's new versions go.
+// This file bounds the heap: it decides when a statement's outgoing row
+// versions are dead, and where a statement's new versions go.
 //
 // A version ended by a published statement at timestamp ts is invisible
 // to every snapshot taken at or after ts. Facade readers take their
 // snapshot inside a shared latch hold and keep it only that long, and
 // Publish runs under the exclusive latch, so once Publish returns only a
 // pinned snapshot (PinSnapshot) older than ts can still read the version.
-// Without such a pin the version is marked dead in the heap at once;
-// with one it waits in t.retired until an exclusive hold finds the pin
-// gone. The version's index entries, CM pairs and page-directory
-// reference left at Publish; reclamation touches the heap slot alone. A
-// version an UPDATE replaced in place has no slot of its own, only the
-// slot's pre-image, and the same rule drops that. The same step freezes
-// the pages the statement wrote or retracted (heap.File.Freeze), so only
-// pages written since the oldest snapshot that can still be taken keep
-// per-slot versions.
+// Its CM pairs and page-directory reference left at Publish; retirement
+// deletes its index entries and marks it dead in the heap, at once
+// without such a pin, else once an exclusive hold finds the pin gone. A
+// version an UPDATE replaced in place has only the slot's pre-image, and
+// the same rule drops that. An aborted statement's versions, which no
+// snapshot reads, retire at once (see WriteTxn.rollback). A step that
+// reads a page can fail; its statement then stays queued with its
+// progress for the next writer. The same step freezes the pages the
+// statement wrote or ended (heap.File.Freeze), so only pages written
+// since the oldest snapshot that can still be taken keep per-slot
+// versions.
 
 // placement is one clustered bucket's share of the running statement:
 // the versions it still has to place and their heap.TupleCosts, and the
@@ -34,12 +36,17 @@ type placement struct {
 	open         bool // page is set
 }
 
-// retiredStmt is a published statement's old and new versions, waiting
-// for the pins older than its timestamp to go.
+// retiredStmt is a finished statement's outgoing versions — a published
+// one's old versions, an aborted one's new versions and replaced slots —
+// with its other versions, whose pages refold with theirs (touched). The
+// page steps of the first done are complete, and ixs index deletes of
+// the next.
 type retiredStmt struct {
-	ts       uint64
-	versions []retraction
-	inserted []undoInsert
+	ts        uint64
+	aborted   bool
+	versions  []rowVersion
+	touched   []rowVersion
+	done, ixs int
 }
 
 // PinSnapshot pins the published clock as a snapshot that stays readable
@@ -76,47 +83,83 @@ func (t *Table) horizon() uint64 {
 	return slices.Min(t.pins)
 }
 
-// retire reclaims statement s, published at s.ts, or queues it while a
-// pin older than s.ts remains. Caller holds the latch exclusively, after
-// storing the clock.
-func (t *Table) retire(s retiredStmt) {
-	if t.horizon() < s.ts {
-		t.retired = append(t.retired, s)
-		return
-	}
-	t.reclaim(s, s.ts)
+// retire queues statement s, published or aborted at s.ts, for
+// reclamation and drains the queue. Caller holds the latch exclusively,
+// after storing the clock.
+func (t *Table) retire(s retiredStmt) error {
+	t.retired = append(t.retired, s)
+	return t.drain()
 }
 
-// drainRetired reclaims the queued statements no pin can read any more,
-// oldest first. Caller holds the latch exclusively.
-func (t *Table) drainRetired() {
+// drain works through the queue, oldest first: each statement's page
+// steps, then, once no pin can read its versions (at once for an aborted
+// statement), their reclamation. It stops at the first page step that
+// fails and returns its error. Caller holds the latch exclusively.
+func (t *Table) drain() error {
 	if len(t.retired) == 0 {
-		return
+		return nil
 	}
 	horizon := t.horizon()
-	n := 0
-	for ; n < len(t.retired) && t.retired[n].ts <= horizon; n++ {
-		t.reclaim(t.retired[n], horizon)
+	kept := t.retired[:0]
+	var err error
+	for i := range t.retired {
+		s := t.retired[i]
+		if err == nil {
+			err = t.pageSteps(&s)
+		}
+		if err == nil && (s.aborted || s.ts <= horizon) {
+			t.reclaim(s, horizon)
+			continue
+		}
+		kept = append(kept, s)
 	}
-	t.retired = slices.Delete(t.retired, 0, n)
+	clear(t.retired[len(kept):])
+	t.retired = kept
+	return err
 }
 
-// reclaim hands statement s's old versions — slots, or pre-images — back
-// to the heap, and freezes the pages s wrote or retracted against
-// horizon, the oldest snapshot that exists or can still be taken.
-func (t *Table) reclaim(s retiredStmt, horizon uint64) {
-	for _, r := range s.versions {
-		// The statement has published; a failure (a bug) can only leave
-		// the slot unreclaimed, never make a row wrong.
-		if r.inPlace {
-			_ = t.heapf.DropPreImage(r.rid)
-		} else {
-			_ = t.heapf.MarkDead(r.rid, r.size)
+// pageSteps does what of s's removal reads pages, from where it stopped:
+// the index entries of each version that leaves its slot, and, for an
+// aborted statement, the pre-image copied back into each slot it replaced
+// in place (heap.File.RestoreAt).
+func (t *Table) pageSteps(s *retiredStmt) error {
+	for ; s.done < len(s.versions); s.done, s.ixs = s.done+1, 0 {
+		v := s.versions[s.done]
+		if v.inPlace {
+			if s.aborted {
+				if err := t.heapf.RestoreAt(v.rid); err != nil {
+					return err
+				}
+			}
+			continue
 		}
-		t.heapf.Freeze(r.rid.Page, horizon)
+		for ; s.ixs < len(t.secondary); s.ixs++ {
+			if _, err := t.secondary[s.ixs].Delete(v.row, v.rid); err != nil {
+				return err
+			}
+		}
 	}
-	for _, u := range s.inserted {
-		t.heapf.Freeze(u.rid.Page, horizon)
+	return nil
+}
+
+// reclaim hands statement s's versions — slots, or a published
+// statement's pre-images — back to the heap, and freezes the pages s
+// wrote or ended against horizon, the oldest snapshot that exists or can
+// still be taken.
+func (t *Table) reclaim(s retiredStmt, horizon uint64) {
+	for _, v := range s.versions {
+		// The versions are invisible to every snapshot left; a failure (a
+		// bug) can only leave the slot unreclaimed, never make a row wrong.
+		switch {
+		case !v.inPlace:
+			_ = t.heapf.MarkDead(v.rid, int(v.size))
+		case !s.aborted:
+			_ = t.heapf.DropPreImage(v.rid)
+		}
+		t.heapf.Freeze(v.rid.Page, horizon)
+	}
+	for _, v := range s.touched {
+		t.heapf.Freeze(v.rid.Page, horizon)
 	}
 }
 
@@ -187,9 +230,9 @@ func (t *Table) pickPage(cb int32, cost, tuples, next int) int64 {
 	return h.NumPages()
 }
 
-// DeadVersions returns how many old versions await reclamation: dead in
-// the heap and not yet pruned or overwritten, plus those queued behind a
-// pinned snapshot. Caller holds the latch (shared suffices).
+// DeadVersions returns how many versions await reclamation: dead in the
+// heap and not yet pruned or overwritten, plus those queued behind a pin
+// or a failed cleanup step. Caller holds the latch (shared suffices).
 func (t *Table) DeadVersions() int64 {
 	n := t.heapf.DeadVersions()
 	for _, r := range t.retired {

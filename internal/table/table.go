@@ -104,8 +104,9 @@ type Table struct {
 	// (reclaim.go), owned by the writer gate and cleared by BeginWrite.
 	placing map[int32]placement
 	// pins are the snapshots PinSnapshot holds, guarded by pinMu;
-	// retired are published statements' old versions some pin can
-	// still read, oldest first, guarded by the latch.
+	// retired are finished statements' versions on their way out,
+	// oldest first (reclaim.go), changed only by writer-gate holders
+	// under the latch.
 	pinMu   sync.Mutex
 	pins    []uint64
 	retired []retiredStmt
@@ -213,7 +214,11 @@ func (t *Table) ClusterBucketFor(row value.Row) int32 {
 // into one arena, straight from the tuple's bytes (no row is decoded),
 // and the tree is built from it bottom-up (btree.Build), so it takes no
 // pool frame. Over an empty table it counts nothing; a later Load does.
+// It first drains the cleanup queue, as BeginWrite does.
 func (t *Table) CreateIndex(name string, cols []int) (*Index, error) {
+	if err := t.drain(); err != nil {
+		return nil, err
+	}
 	for _, c := range cols {
 		if c < 0 || c >= len(t.cfg.Schema.Cols) {
 			return nil, fmt.Errorf("table %s: index column %d out of range", t.cfg.Name, c)
@@ -301,8 +306,12 @@ func (t *Table) RowsSincePairStats() int64 {
 // the co-occurrence of each (bucketed) CM key with its clustered bucket.
 // When the spec does not name stat columns, every table column's
 // per-entry aggregate statistics are maintained, so covered aggregates
-// can later answer index-only (the cm-agg path).
+// can later answer index-only (the cm-agg path). It first drains the
+// cleanup queue, as BeginWrite does.
 func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
+	if err := t.drain(); err != nil {
+		return nil, err
+	}
 	for _, c := range spec.UCols {
 		if c < 0 || c >= len(t.cfg.Schema.Cols) {
 			return nil, fmt.Errorf("table %s: CM column %d out of range", t.cfg.Name, c)

@@ -33,13 +33,14 @@ import (
 // access path. The same deferral covers the old versions' secondary index
 // entries and their references in the page directory (the clustered
 // index). WAL records are also queued until Publish, so an aborted
-// statement leaves no trace for CM recovery replay.
+// statement leaves no trace for CM recovery replay; an abort takes its
+// new versions out of every snapshot at once (rollback).
 //
-// After Publish only the heap slot of an old version remains, and one
-// last step reclaims it (reclaim.go): the version is handed to the heap
-// as dead — its slot and bytes reusable — unless a pinned snapshot older
-// than the statement can still read it, in which case it waits in a
-// queue drained at a later exclusive hold. A facade reader's snapshot
+// After Publish, retirement (reclaim.go) deletes an old version's index
+// entries and hands the version to the heap as dead — its slot and bytes
+// reusable — unless a pinned snapshot older than the statement can still
+// read it, in which case it waits in a queue drained at a later
+// exclusive hold. An aborted statement retires the same way. A facade reader's snapshot
 // lives inside one shared latch hold, and reclamation runs only under
 // the exclusive latch, so no such reader can be left holding a reclaimed
 // version. New versions do not go to the heap's tail: each clustered
@@ -80,15 +81,16 @@ type WriteObs struct {
 }
 
 // lockLatched takes the exclusive latch, reclaims the retired versions
-// no pin holds any more (drainRetired), and, when latch observation is
-// wired, returns the acquisition time for unlockLatched to record.
+// no pin holds any more (drain; a step that fails stays queued for the
+// next BeginWrite to report), and, when latch observation is wired,
+// returns the acquisition time for unlockLatched to record.
 func (t *Table) lockLatched() time.Time {
 	t.mu.Lock()
 	var start time.Time
 	if o := t.writeObs.Load(); o != nil && o.LatchHold != nil {
 		start = time.Now()
 	}
-	t.drainRetired()
+	_ = t.drain()
 	return start
 }
 
@@ -103,26 +105,14 @@ func (t *Table) unlockLatched(start time.Time) {
 	}
 }
 
-// retraction is one old row version the statement ended: its index
-// entries, page-directory reference and CM pairs are removed when the
-// statement publishes, and then its heap slot (size bytes) is reclaimed.
-// An old version replaced in place (inPlace) keeps its index entries and
-// reference, which its new version inherits, and leaves a pre-image
-// where the others leave a slot.
-type retraction struct {
+// rowVersion is one row version a statement wrote or ended: its row,
+// RID, clustered bucket and encoded size, and whether it shares its slot
+// with the version it replaced in place (inPlace).
+type rowVersion struct {
 	row     value.Row
 	rid     heap.RID
 	cb      int32
-	size    int
-	inPlace bool
-}
-
-// undoInsert is one new row version to unwind if the statement aborts;
-// one written in place (inPlace) has only its CM pairs to take back.
-type undoInsert struct {
-	row     value.Row
-	rid     heap.RID
-	cb      int32
+	size    int32
 	inPlace bool
 }
 
@@ -209,28 +199,30 @@ type WriteTxn struct {
 	t  *Table
 	ts uint64
 
-	inserted []undoInsert
-	retract  []retraction
+	inserted []rowVersion // new versions
+	ended    []rowVersion // old versions, ended or replaced in place
 	recs     []wal.Record
 	// loaded counts the rows a bulk load appended: it keeps no undo
 	// record of them, since a failed load truncates the heap instead.
 	loaded int64
 	done   bool
 	ctx    context.Context
+	err    error  // BeginWrite's drain failure: batches and Publish return it
 	key    []byte // bucketFor's clustering-key buffer
 }
 
 // SetContext attaches a cancellation context to the statement. Batch
 // application checks it between latch bursts: a cancelled statement
 // stops at the next chunk boundary with the context's error, leaving
-// the caller to Abort (the physical unwind restores the pre-statement
-// state). A nil context — the default — never cancels.
+// the caller to Abort, which takes the statement's work back. A nil
+// context — the default — never cancels.
 func (tx *WriteTxn) SetContext(ctx context.Context) { tx.ctx = ctx }
 
-// ctxErr reports the statement context's cancellation error, if any.
-func (tx *WriteTxn) ctxErr() error {
-	if tx.ctx == nil {
-		return nil
+// stopErr reports why the statement must stop before its next latch
+// burst: BeginWrite's drain failure, or the context's cancellation.
+func (tx *WriteTxn) stopErr() error {
+	if tx.err != nil || tx.ctx == nil {
+		return tx.err
 	}
 	select {
 	case <-tx.ctx.Done():
@@ -240,14 +232,23 @@ func (tx *WriteTxn) ctxErr() error {
 	}
 }
 
-// BeginWrite starts a writer statement: it acquires the writer gate and
-// assigns the statement's version timestamp (published clock + 1). Every
-// BeginWrite must be paired with exactly one Publish or Abort.
+// BeginWrite starts a writer statement: it acquires the writer gate,
+// finishes the cleanup earlier statements left queued (drain), and
+// assigns the statement's version timestamp (published clock + 1). A
+// cleanup step that fails stays queued, and the statement's batches and
+// Publish return its error, so no writer starts over a half-restored slot.
+// Every BeginWrite must be paired with exactly one Publish or Abort.
 func (t *Table) BeginWrite() *WriteTxn {
 	t.wmu.Lock()
 	t.writerActive.Store(true)
 	clear(t.placing)
-	return &WriteTxn{t: t, ts: t.clock.Load() + 1}
+	tx := &WriteTxn{t: t, ts: t.clock.Load() + 1}
+	if len(t.retired) > 0 { // only writer-gate holders change the queue
+		t.mu.Lock()
+		tx.err = t.drain()
+		t.mu.Unlock()
+	}
+	return tx
 }
 
 // InsertBatch appends the rows as new versions: heap placement at the
@@ -270,7 +271,7 @@ func (tx *WriteTxn) InsertBatch(rows []value.Row) error {
 	tx.recs = slices.Grow(tx.recs, len(rows))
 	t := tx.t
 	for start := 0; start < len(rows); start += writeBatchRows {
-		if err := tx.ctxErr(); err != nil {
+		if err := tx.stopErr(); err != nil {
 			return err
 		}
 		end := min(start+writeBatchRows, len(rows))
@@ -328,7 +329,7 @@ func (tx *WriteTxn) applyInsert(row value.Row, enc []byte, cb int32) error {
 // CM, every secondary index and the WAL. Caller holds the latch.
 func (tx *WriteTxn) added(row value.Row, enc []byte, rid heap.RID, cb int32) error {
 	t := tx.t
-	tx.inserted = append(tx.inserted, undoInsert{row: row, rid: rid, cb: cb})
+	tx.inserted = append(tx.inserted, rowVersion{row: row, rid: rid, cb: cb, size: int32(len(enc))})
 	t.pageDir.add(cb, rid.Page)
 	for _, cm := range t.cms {
 		cm.AddRow(row, cb)
@@ -358,10 +359,10 @@ func (tx *WriteTxn) DeleteBatch(olds *Images) error {
 	for i := range cbs {
 		cbs[i] = tx.bucketFor(vals[i*nc : (i+1)*nc])
 	}
-	tx.retract = slices.Grow(tx.retract, n)
+	tx.ended = slices.Grow(tx.ended, n)
 	tx.recs = slices.Grow(tx.recs, n)
 	for start := 0; start < n; start += writeBatchRows {
-		if err := tx.ctxErr(); err != nil {
+		if err := tx.stopErr(); err != nil {
 			return err
 		}
 		end := min(start+writeBatchRows, n)
@@ -384,7 +385,7 @@ func (tx *WriteTxn) applyDelete(rid heap.RID, tuple []byte, row value.Row, cb in
 	if err := t.heapf.SetEnd(rid, tx.ts); err != nil {
 		return err
 	}
-	tx.retract = append(tx.retract, retraction{row: row, rid: rid, cb: cb, size: len(tuple)})
+	tx.ended = append(tx.ended, rowVersion{row: row, rid: rid, cb: cb, size: int32(len(tuple))})
 	tx.recs = append(tx.recs, wal.Record{Type: wal.RecDelete, Target: t.cfg.Name, Payload: tuple})
 	return nil
 }
@@ -399,10 +400,12 @@ func (tx *WriteTxn) applyDelete(rid heap.RID, tuple []byte, row value.Row, cb in
 //
 // A new image that may stay in its old one's slot — by the eligibility
 // rule of PostgreSQL's HOT updates: the same clustered bucket, the same
-// encoded length, no secondary-index column changed, and no pre-image
-// still in the slot — overwrites it there. Any other ends the old
-// version, whose index entries and page-directory reference go at Publish
-// too, and is placed with its bucket's others and indexed. The old row's
+// encoded length, no secondary-index column changed, no pre-image still
+// in the slot, and an old version an earlier statement wrote
+// (heap.File.Replaceable) — overwrites it there. Any other ends the old
+// version, whose page-directory reference goes at Publish and its index
+// entries at its retirement, and is placed with its bucket's others and
+// indexed. The old row's
 // bucket is located only when its clustering columns differ from the new
 // image's, so a SET that touches none of them locates each row once.
 // Which rows stay is decided before placement is reserved, so only the
@@ -442,11 +445,11 @@ func (tx *WriteTxn) UpdateBatch(olds *Images, set func(i int, row value.Row)) er
 			tx.reserve(ups[i].cb, len(ups[i].enc))
 		}
 	}
-	tx.retract = slices.Grow(tx.retract, n)
+	tx.ended = slices.Grow(tx.ended, n)
 	tx.inserted = slices.Grow(tx.inserted, n)
 	tx.recs = slices.Grow(tx.recs, 2*n)
 	for start := 0; start < n; start += writeBatchRows {
-		if err := tx.ctxErr(); err != nil {
+		if err := tx.stopErr(); err != nil {
 			return err
 		}
 		end := min(start+writeBatchRows, n)
@@ -470,8 +473,8 @@ func (tx *WriteTxn) UpdateBatch(olds *Images, set func(i int, row value.Row)) er
 
 // stayers locates each updated row's buckets and marks the rows whose new
 // image may overwrite the old in its slot (see UpdateBatch); the others
-// relocate. The pre-image check reads the heap under a shared latch
-// hold. Under the writer gate nothing else changes the versions.
+// relocate. The slot check reads the heap's versions under a shared
+// latch hold. Under the writer gate nothing else changes the versions.
 func (tx *WriteTxn) stayers(ups []update) {
 	t := tx.t
 	t.mu.RLock()
@@ -484,7 +487,7 @@ func (tx *WriteTxn) stayers(ups []update) {
 			u.oldCB = tx.bucketFor(u.old)
 		}
 		u.inPlace = u.oldCB == u.cb && len(u.enc) == len(u.oldEnc) &&
-			!t.indexedChange(u.old, u.new) && !t.heapf.HasPreImage(u.rid)
+			!t.indexedChange(u.old, u.new) && t.heapf.Replaceable(u.rid, tx.ts)
 	}
 }
 
@@ -522,8 +525,8 @@ func (tx *WriteTxn) applyReplace(u *update) error {
 	if err := t.heapf.ReplaceAt(u.rid, u.enc, u.oldEnc, tx.ts); err != nil {
 		return err
 	}
-	tx.retract = append(tx.retract, retraction{row: u.old, rid: u.rid, cb: u.cb, inPlace: true})
-	tx.inserted = append(tx.inserted, undoInsert{row: u.new, rid: u.rid, cb: u.cb, inPlace: true})
+	tx.ended = append(tx.ended, rowVersion{row: u.old, rid: u.rid, cb: u.cb, inPlace: true})
+	tx.inserted = append(tx.inserted, rowVersion{row: u.new, rid: u.rid, cb: u.cb, inPlace: true})
 	for _, cm := range t.cms {
 		cm.AddRow(u.new, u.cb)
 	}
@@ -534,44 +537,37 @@ func (tx *WriteTxn) applyReplace(u *update) error {
 }
 
 // Publish commits the statement: under one final exclusive latch hold it
-// appends the statement's WAL records, applies the deferred retractions
-// (index entries, page-directory references and CM pairs of replaced and
-// deleted versions —
-// Algorithm 1's retraction half), advances the published clock so new
+// appends the statement's WAL records, takes the CM pairs and
+// page-directory references of the versions it ended out of memory
+// (Algorithm 1's retraction half), advances the published clock so new
 // reader snapshots see the statement's versions, and retires the
-// statement (see retire): the old versions' heap slots go back and its
-// pages refold. Then it releases the writer gate.
+// statement (see retire): the old versions' index entries go, then their
+// heap slots. Then it releases the writer gate.
 //
 // The WAL append goes first on purpose, all of the statement's records
-// in one atomic Append: a failing log (injected or real disk fault) then
-// holds none of them and leaves the in-memory structures untouched, and
-// the physical unwind below restores exactly the pre-statement state —
-// the statement fails cleanly, the table stays consistent and a CM
-// recovery replay never sees the statement. A failed
-// Publish self-aborts, and its error joins what that unwind failed to
-// undo; callers must not call Abort afterwards (doing so is a no-op).
+// in one atomic Append: a failing log (injected or real disk fault) holds
+// none of them, and Publish aborts the statement as Abort does, so a CM
+// recovery replay never sees it. Once the log holds the statement,
+// Publish cannot fail on a disk fault: an index delete that fails stays
+// queued for the next writer (the version is ended, so readers skip its
+// stale entry). A failed Publish has aborted; calling Abort afterwards is
+// a no-op.
 func (tx *WriteTxn) Publish() error {
 	t := tx.t
 	held := t.lockLatched()
-	var err error
-	if t.log != nil {
+	err := tx.err
+	if err == nil && t.log != nil {
 		err = t.log.Append(tx.recs...)
 	}
+	rows := int64(len(tx.inserted)+len(tx.ended)) + tx.loaded
 	if err == nil {
-		// A retraction failure past this point restores the retracted
-		// entries (see applyRetractions) and unwinds, but the appended
-		// WAL records cannot be taken back; a later CM recovery replay
-		// would include the aborted statement. Retractions are in-memory
-		// except for B+Tree page faults, so the window is narrow.
 		err = tx.applyRetractions()
-	}
-	rows := int64(len(tx.inserted)+len(tx.retract)) + tx.loaded
-	if err == nil {
 		t.written.Add(rows)
 		t.clock.Store(tx.ts)
-		t.retire(retiredStmt{ts: tx.ts, versions: tx.retract, inserted: tx.inserted})
+		// The log holds the statement: a failed index delete stays queued.
+		_ = t.retire(retiredStmt{ts: tx.ts, versions: tx.ended, touched: tx.inserted})
 	} else {
-		err = errors.Join(err, tx.unwind())
+		err = errors.Join(err, tx.rollback())
 	}
 	t.unlockLatched(held)
 	if o := t.writeObs.Load(); o != nil {
@@ -586,123 +582,81 @@ func (tx *WriteTxn) Publish() error {
 	return err
 }
 
-// applyRetractions removes the index entries, page-directory references
-// and CM pairs of every retracted old version — only the CM pairs of one
-// replaced in place. Caller holds the latch. On error every operation
-// already applied is reverted (in reverse order, best effort), so the
-// old versions stay fully indexed and counted and the caller sees a
-// clean pre-retraction state.
+// applyRetractions removes the CM pairs of every old version, and the
+// page-directory reference of each that leaves its slot; its index
+// entries wait for retire. Both are in memory, so only a bug can fail
+// them: the error is returned, and the rest are still applied. Caller
+// holds the latch.
 func (tx *WriteTxn) applyRetractions() error {
-	for i, r := range tx.retract {
-		if err := tx.t.retractVersion(r); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				tx.t.restoreVersion(tx.retract[j], len(tx.t.secondary), len(tx.t.cms))
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// retractVersion removes one old version's index entries, page-directory
-// reference and CM pairs; on error it restores what it removed.
-func (t *Table) retractVersion(r retraction) error {
-	if !r.inPlace {
-		t.pageDir.remove(r.cb, r.rid.Page)
-		for i, ix := range t.secondary {
-			if _, err := ix.Delete(r.row, r.rid); err != nil {
-				t.restoreVersion(r, i, 0)
-				return err
-			}
-		}
-	}
-	for i, cm := range t.cms {
-		if err := cm.RemoveRow(r.row, r.cb); err != nil {
-			t.restoreVersion(r, len(t.secondary), i)
-			return err
-		}
-	}
-	return nil
-}
-
-// restoreVersion undoes retractVersion for a version whose first ixs index entries and
-// first cms CM pairs were removed, in the reverse order of removal.
-func (t *Table) restoreVersion(r retraction, ixs, cms int) {
-	for i := cms - 1; i >= 0; i-- {
-		t.cms[i].AddRow(r.row, r.cb)
-	}
-	if r.inPlace {
-		return
-	}
-	for i := ixs - 1; i >= 0; i-- {
-		_ = t.secondary[i].Insert(r.row, r.rid)
-	}
-	t.pageDir.add(r.cb, r.rid.Page)
-}
-
-// unwind physically removes the statement's work: appended versions are
-// deleted (heap, page directory, indexes, CMs) in reverse order — their heap slots
-// reusable at once — and logically-ended old versions are restored to
-// live and versions replaced in place get their old bytes back, also in
-// reverse order, so a slot replaced and then ended is live again before
-// its bytes go back. Caller holds the latch. Every inverse operation is
-// tried, and the errors of those that fail are returned joined: they
-// undo work that was just applied, so a failure (a page read fault, say)
-// leaves a structure the statement changed, and the caller must hear of
-// it. An index entry the unwind does not find is not an error: the row's
-// insert into that index may be what failed.
-func (tx *WriteTxn) unwind() error {
 	t := tx.t
-	var errs []error
-	note := func(err error) {
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for i := len(tx.inserted) - 1; i >= 0; i-- {
-		u := tx.inserted[i]
-		if u.inPlace {
-			for _, cm := range t.cms {
-				note(cm.RemoveRow(u.row, u.cb))
-			}
-			continue
-		}
-		t.pageDir.remove(u.cb, u.rid.Page)
-		for _, ix := range t.secondary {
-			_, err := ix.Delete(u.row, u.rid)
-			note(err)
+	var err error
+	for _, v := range tx.ended {
+		if !v.inPlace {
+			t.pageDir.remove(v.cb, v.rid.Page)
 		}
 		for _, cm := range t.cms {
-			note(cm.RemoveRow(u.row, u.cb))
+			err = errors.Join(err, cm.RemoveRow(v.row, v.cb))
 		}
-		note(t.heapf.Delete(u.rid))
 	}
-	for i := len(tx.retract) - 1; i >= 0; i-- {
-		if r := tx.retract[i]; r.inPlace {
-			note(t.heapf.RestoreAt(r.rid))
+	return err
+}
+
+// rollback takes the statement's work back. What is in memory goes at
+// once: the CM pairs and page-directory references of its new versions,
+// which end at their own begin timestamp (visible to no snapshot, and out
+// of the live-tuple count), the ends it set, and the pre-images of the
+// slots it replaced, reopened for every snapshot. What reads pages — the
+// new versions' index entries and slots, the pre-images copied back — is
+// retired as an aborted statement. Caller holds the latch exclusively.
+func (tx *WriteTxn) rollback() error {
+	t := tx.t
+	var err error
+	// Reverse order, so a slot ended after its replacement is live
+	// again before its pre-image reopens.
+	for i := len(tx.ended) - 1; i >= 0; i-- {
+		if v := tx.ended[i]; v.inPlace {
+			err = errors.Join(err, t.heapf.ReopenPreImage(v.rid))
 		} else {
-			note(t.heapf.ClearEnd(r.rid))
+			err = errors.Join(err, t.heapf.ClearEnd(v.rid))
 		}
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("table %s: unwind: %w", t.cfg.Name, errors.Join(errs...))
+	var gone []rowVersion
+	for i := len(tx.inserted) - 1; i >= 0; i-- {
+		v := tx.inserted[i]
+		for _, cm := range t.cms {
+			err = errors.Join(err, cm.RemoveRow(v.row, v.cb))
+		}
+		if !v.inPlace {
+			t.pageDir.remove(v.cb, v.rid.Page)
+			err = errors.Join(err, t.heapf.SetEnd(v.rid, tx.ts))
+			gone = append(gone, v)
+		}
+	}
+	for i := len(tx.ended) - 1; i >= 0; i-- {
+		if v := tx.ended[i]; v.inPlace {
+			gone = append(gone, v)
+		}
+	}
+	if err = errors.Join(err, t.retire(retiredStmt{ts: tx.ts, aborted: true, versions: gone, touched: tx.ended})); err != nil {
+		return fmt.Errorf("table %s: abort: %w", t.cfg.Name, err)
 	}
 	return nil
 }
 
-// Abort rolls the statement back: the physical unwind removes appended
-// versions and restores logically-ended old versions, and Abort returns
-// what it failed to undo (nil when it undid everything); a caller joins
-// that into the statement's error. No WAL records were written, so
-// recovery replay never sees the statement. The writer gate is
-// released. Abort after a failed Publish (which self-aborts) is a no-op.
+// Abort rolls the statement back (see rollback) and returns what failed:
+// nil, or the error of a cleanup step that reads pages, which stays
+// queued for the next writer; a caller joins it into the statement's
+// error. Readers see the pre-statement state either way. No WAL records
+// were written, so recovery replay never sees the statement. The writer
+// gate is released. Abort after a failed Publish (which aborts) is a
+// no-op.
 func (tx *WriteTxn) Abort() error {
 	if tx.done {
 		return nil
 	}
 	t := tx.t
 	held := t.lockLatched()
-	err := tx.unwind()
+	err := tx.rollback()
 	t.unlockLatched(held)
 	if o := t.writeObs.Load(); o != nil {
 		o.Aborts.Inc()

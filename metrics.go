@@ -44,9 +44,9 @@ import (
 //     memory every table's heap MVCC versions take (a page no write has
 //     touched since its bulk load keeps one page-level version; a
 //     written page one 16-byte version per slot). Heap reclamation,
-//     summed over tables: table.dead_versions (old row versions awaiting reuse —
+//     summed over tables: table.dead_versions (row versions awaiting reuse —
 //     dead in the heap and not yet pruned, plus those queued behind a
-//     pinned snapshot), table.reclaimed_versions (running total of dead
+//     pinned snapshot or a cleanup step that failed), table.reclaimed_versions (running total of dead
 //     versions whose slot and bytes were taken back) and
 //     table.oldest_pin_age (commits the oldest pinned snapshot lags the
 //     published clock; 0 without pins). table.rows_since_pair_stats is
