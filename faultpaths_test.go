@@ -528,6 +528,63 @@ func TestAbortFaultSweepEqualsRebuild(t *testing.T) {
 	}
 }
 
+// TestAbortedInsertLeavesItsPairDirty pins what an aborted INSERT
+// leaves in a CM when its value had become its pair's new maximum:
+// core.CM.RemoveRow cannot know the pair's next maximum, so the pair
+// stays dirty. cm-agg then sweeps that pair's bucket as impure for MIN
+// and MAX, and still answers exactly what a table scan does.
+func TestAbortedInsertLeavesItsPairDirty(t *testing.T) {
+	rows := itemsRows(20000)
+	db, tbl := itemsTable(t, Config{}, len(rows))
+	k := rows[0][1].Int()
+	maxPrice := int64(0)
+	for _, r := range rows {
+		if r[1].Int() == k {
+			maxPrice = max(maxPrice, r[2].Int())
+		}
+	}
+	spec := QuerySpec{Table: "items", Preds: []Pred{Eq("subcat", IntVal(k))},
+		Aggs: []Agg{{Func: Min, Col: "price"}, {Func: Max, Col: "price"}}}
+	detail := func() string {
+		t.Helper()
+		info, err := db.ExplainAnalyzeSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Nodes) == 0 || info.Nodes[0].Kind != "cm-agg" {
+			t.Fatalf("plan nodes = %+v, want cm-agg", info.Nodes)
+		}
+		return info.Nodes[0].Detail
+	}
+	if d := detail(); !strings.HasSuffix(d, "index-only") {
+		t.Fatalf("before the INSERT: %q, want an index-only answer", d)
+	}
+	// The new row shares the first row's cat, so its pair exists and
+	// keeps a count after the abort takes the row back.
+	tx := tbl.inner.BeginWrite()
+	if err := tx.InsertBatch([]value.Row{Row{rows[0][0], IntVal(k), IntVal(maxPrice + 1000), StringVal("aborted")}.internal()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if d := detail(); !strings.Contains(d, "hybrid sweep of 1 impure buckets") {
+		t.Fatalf("after the aborted INSERT: %q, want the pair's bucket swept as impure", d)
+	}
+	res, err := db.Exec(fmt.Sprintf("SELECT MIN(price), MAX(price) FROM items WHERE subcat = %d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := db.SelectAggregateCtx(context.Background(), withVia(spec, TableScan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, "cm-agg after the aborted INSERT vs a table scan", res.Rows, want)
+	if want[0][1].Int() != maxPrice {
+		t.Fatalf("MAX(price) = %d after the abort, want %d", want[0][1].Int(), maxPrice)
+	}
+}
+
 // spreadImages returns the images of n live rows spread evenly over the
 // heap, as a writer's read phase captures them.
 func spreadImages(t *testing.T, inner *table.Table, n int) *table.Images {

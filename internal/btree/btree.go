@@ -287,9 +287,10 @@ func (t *Tree) PageCount() int64 { return t.pool.Disk().NumPages(t.file) }
 // SizeBytes returns the on-disk footprint.
 func (t *Tree) SizeBytes() int64 { return t.PageCount() * int64(t.pool.Disk().PageSize()) }
 
+// initNode makes a new page, zeroed (so it has no key yet), a node of
+// type typ.
 func initNode(d []byte, typ byte) {
 	d[offType] = typ
-	binary.LittleEndian.PutUint16(d[offNumKeys:], 0)
 	binary.LittleEndian.PutUint16(d[offCellStart:], uint16(len(d)))
 	setAux(d, noSibling)
 }
@@ -413,16 +414,14 @@ func cellKey(typ byte, c []byte) []byte {
 // insertSlot shifts the slot directory right to open position i.
 func insertSlot(d []byte, i int) {
 	n := numKeys(d)
-	copy(d[headerSize+(i+1)*slotSize:headerSize+(n+1)*slotSize],
-		d[headerSize+i*slotSize:headerSize+n*slotSize])
+	copy(d[headerSize+(i+1)*slotSize:], d[headerSize+i*slotSize:headerSize+n*slotSize])
 	setNumKeys(d, n+1)
 }
 
 // removeSlot shifts the slot directory left over position i.
 func removeSlot(d []byte, i int) {
 	n := numKeys(d)
-	copy(d[headerSize+i*slotSize:headerSize+(n-1)*slotSize],
-		d[headerSize+(i+1)*slotSize:headerSize+n*slotSize])
+	copy(d[headerSize+i*slotSize:], d[headerSize+(i+1)*slotSize:headerSize+n*slotSize])
 	setNumKeys(d, n-1)
 }
 
@@ -820,13 +819,12 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // uniform leaves), not per entry — index probes sweep millions of
 // entries and a per-entry key copy dominated their profile.
 type Iterator struct {
-	tree    *Tree
-	buf     []byte   // arena backing keys and vals of the current leaf
-	keys    [][]byte // alias buf
-	vals    [][]byte // alias buf
-	idx     int
-	next    int64
-	invalid bool
+	tree *Tree
+	buf  []byte   // arena backing keys and vals of the current leaf
+	keys [][]byte // alias buf
+	vals [][]byte // alias buf
+	idx  int
+	next int64
 }
 
 // SeekGE positions an iterator at the first entry with key >= key.
@@ -889,8 +887,7 @@ func (it *Iterator) loadLeafLocked(d []byte) {
 func (it *Iterator) advanceLeaf() error {
 	for {
 		if it.next == noSibling {
-			it.invalid = true
-			return nil
+			return nil // idx stays past the last leaf's keys: not Valid
 		}
 		fr, err := it.tree.pool.Get(it.tree.file, it.next)
 		if err != nil {
@@ -905,7 +902,7 @@ func (it *Iterator) advanceLeaf() error {
 }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool { return !it.invalid && it.idx < len(it.keys) }
+func (it *Iterator) Valid() bool { return it.idx < len(it.keys) }
 
 // Key returns the current key. The slice aliases the iterator's arena:
 // it is valid only until the next call to Next — copy it to retain.

@@ -79,6 +79,22 @@ func TestOverwrite(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Errorf("len after overwrite = %d", tr.Len())
 	}
+
+	// In a leaf filled to its last byte (nine cells of 4+9+12 bytes and
+	// their 2-byte slots take the page's 243), a value overwritten by one
+	// of its size fits once the old cell is gone: nothing splits.
+	full := newTree(t, 256, 16)
+	for i := range int64(9) {
+		if err := full.Insert(ikey(i), make([]byte, 12)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := full.Insert(ikey(4), bytes.Repeat([]byte{1}, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if full.Height() != 1 || full.PageCount() != 1 {
+		t.Errorf("overwriting in a full leaf left height %d over %d pages, want one leaf", full.Height(), full.PageCount())
+	}
 }
 
 func TestSplitsAscending(t *testing.T) {
@@ -181,6 +197,13 @@ func TestSeekGE(t *testing.T) {
 	if it.Valid() {
 		t.Error("iterator should be exhausted")
 	}
+	// SeekFirst finds the smallest key there can be, one zero byte.
+	if err := tr.Insert([]byte{0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if it, err = tr.SeekFirst(); err != nil || !it.Valid() || !bytes.Equal(it.Key(), []byte{0}) {
+		t.Fatalf("SeekFirst over a key of one zero byte: %v", err)
+	}
 }
 
 func TestDelete(t *testing.T) {
@@ -257,10 +280,23 @@ func TestEmptyKeyRejected(t *testing.T) {
 	}
 }
 
+// TestHugeEntryRejected: a leaf cell (two 2-byte lengths, the key and
+// the value) may take a quarter of a page less its header and four
+// slots, rounded down; an entry one byte larger is refused.
 func TestHugeEntryRejected(t *testing.T) {
-	tr := newTree(t, 256, 8)
-	if err := tr.Insert(ikey(1), make([]byte, 500)); err == nil {
-		t.Error("oversized entry accepted")
+	for _, pageSize := range []int{256, 254} {
+		tr := newTree(t, pageSize, 8)
+		if err := tr.Insert(ikey(1), make([]byte, 500)); err == nil {
+			t.Error("oversized entry accepted")
+		}
+		maxCell := (pageSize - headerSize - slotSize*4) / 4
+		fit := make([]byte, maxCell-4-len(ikey(2)))
+		if err := tr.Insert(ikey(2), fit); err != nil {
+			t.Errorf("page %d: an entry of the largest cell: %v", pageSize, err)
+		}
+		if err := tr.Insert(ikey(3), append(fit, 0)); err == nil {
+			t.Errorf("page %d: an entry one byte over the largest cell accepted", pageSize)
+		}
 	}
 }
 
@@ -433,6 +469,10 @@ func TestPackedHeightMatchesSortedInserts(t *testing.T) {
 		{256, 19, 20000},
 		{256, 40, 8000},
 		{512, 9, 20000},
+		{256, 10, 3000},
+		{256, 12, 3000},
+		{256, 14, 3000},
+		{256, 16, 3000},
 	} {
 		t.Run(fmt.Sprintf("page=%d/key=%d", c.pageSize, c.keyLen), func(t *testing.T) {
 			tr := newTree(t, c.pageSize, 1<<14)

@@ -53,6 +53,13 @@ func buildInputs(pageSize int) map[string][]kv {
 		}
 		in["one leaf and one more"] = append(in["one leaf and one more"], e)
 	}
+	// A leaf filled to its last byte: the full leaf's entries and one
+	// whose value takes up the rest, then one entry more.
+	full := slices.Clone(in["one leaf"][:leafCap-1])
+	rest := pageSize - headerSize - len(full)*(leafCellSize(ikey(0), ival(0))+slotSize)
+	full = append(full, kv{ikey(int64(leafCap)), make([]byte, rest-slotSize-leafCellSize(ikey(0), nil))})
+	in["a leaf to its last byte"] = full
+	in["a leaf to its last byte and one more"] = append(slices.Clone(full), kv{ikey(int64(leafCap + 1)), nil})
 	return in
 }
 
@@ -305,4 +312,150 @@ func requireFailedStepChangesNothing(t *testing.T, name string, tr *Tree, model 
 		return
 	}
 	t.Fatalf("%s: no step failed", name)
+}
+
+// TestWritesChargeChangedPages: once an Insert returns, flushing the pool
+// writes exactly the pages it changed or added — a split's nodes and the
+// parent that took the separator, no untouched level above — and after
+// an Insert that failed, nothing.
+func TestWritesChargeChangedPages(t *testing.T) {
+	tr := newTree(t, 256, 256)
+	rng := rand.New(rand.NewSource(5))
+	disk := tr.pool.Disk()
+	for i := range 3000 {
+		before := filePages(t, tr)
+		snap := make([][]byte, len(before))
+		for p, pg := range before {
+			snap[p] = bytes.Clone(pg)
+		}
+		if err := tr.Insert(ikey(rng.Int63n(1<<40)), bytes.Repeat([]byte{'v'}, rng.Intn(20))); err != nil {
+			t.Fatal(err)
+		}
+		writes := disk.Stats().Writes
+		if err := tr.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		changed := 0
+		for p, pg := range filePages(t, tr) {
+			if p >= len(snap) || !bytes.Equal(pg, snap[p]) {
+				changed++
+			}
+		}
+		if got := int(disk.Stats().Writes - writes); got != changed {
+			t.Fatalf("insert %d: flushing wrote %d pages, the insert changed %d", i, got, changed)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("the tree reached height %d; the stream tested no split under a parent", tr.Height())
+	}
+
+	// A full root leaf whose split cannot get a page (the one other
+	// frame holds a dirty page whose write-back fails) is left clean.
+	small := newTree(t, 256, 2)
+	for i := range int64(16) {
+		if err := small.Insert(ikey(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk = small.pool.Disk()
+	if err := small.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	other := disk.CreateFile()
+	_, fr, err := small.pool.NewPage(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.pool.Unpin(fr, true)
+	disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	err = small.Insert(ikey(16), nil)
+	disk.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || small.Height() != 1 {
+		t.Fatalf("the split under a failing write-back: %v, height %d", err, small.Height())
+	}
+	writes := disk.Stats().Writes
+	if err := small.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := disk.Stats().Writes - writes; got != 1 {
+		t.Fatalf("after the failed Insert flushing wrote %d pages, want only the other file's", got)
+	}
+}
+
+// TestFaultedReadsFail: a read fault fails an ascending Insert whose
+// rightmost leaf left the pool and a SeekGE at any of its reads, and a
+// write fault at any of a three-level Build's writes fails it and gives
+// every page it took back to the disk.
+func TestFaultedReadsFail(t *testing.T) {
+	tr := newTree(t, 256, 4)
+	for i := range int64(200) {
+		if err := tr.Insert(ikey(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk := tr.pool.Disk()
+	for _, step := range []func() error{
+		func() error { return tr.Insert(ikey(1000), nil) },
+		func() error { _, err := tr.SeekGE(ikey(7)); return err },
+	} {
+		if err := tr.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		tr.pool.Invalidate()
+		disk.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+		err := step()
+		disk.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) || tr.pool.PinnedFrames() != 0 {
+			t.Fatalf("under a read fault: %v, %d frames pinned", err, tr.pool.PinnedFrames())
+		}
+	}
+	// A fault at any read of a SeekGE fails it, also at the read of the
+	// next leaf, where a key past the end of its leaf steps on.
+	cold := func() {
+		t.Helper()
+		if err := tr.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		tr.pool.Invalidate()
+	}
+	for i := range int64(200) {
+		probe := append(ikey(i), 0)
+		cold()
+		before := disk.Stats().Reads
+		if _, err := tr.SeekGE(probe); err != nil {
+			t.Fatal(err)
+		}
+		reads := int64(disk.Stats().Reads - before)
+		for n := int64(1); n <= reads; n++ {
+			cold()
+			disk.SetFaultPlan(&sim.FaultPlan{FailReadN: n})
+			_, err := tr.SeekGE(probe)
+			disk.SetFaultPlan(nil)
+			if !errors.Is(err, sim.ErrInjected) || tr.pool.PinnedFrames() != 0 {
+				t.Fatalf("SeekGE past key %d under a fault at read %d of %d: %v, %d frames pinned", i, n, reads, err, tr.pool.PinnedFrames())
+			}
+		}
+	}
+
+	build := func() error {
+		built, err := Build(tr.pool, 500, func(i int) ([]byte, []byte) { return ikey(int64(i)), nil })
+		if err == nil && built.Height() != 3 {
+			t.Fatalf("the build reached height %d; it tested no write above the first internal level", built.Height())
+		}
+		return err
+	}
+	before := disk.Stats().Writes
+	if err := build(); err != nil {
+		t.Fatal(err)
+	}
+	writes := int64(disk.Stats().Writes - before)
+	store := disk.StoreBytes()
+	for n := int64(1); n <= writes; n++ {
+		disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
+		err := build()
+		disk.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) || disk.StoreBytes() != store {
+			t.Fatalf("Build under a fault at write %d of %d: %v, the store grew by %d bytes", n, writes, err, disk.StoreBytes()-store)
+		}
+	}
 }

@@ -104,16 +104,8 @@ type Pool struct {
 // NewPool creates a pool of at most capacity pages over disk. Only the
 // frame table is allocated: a frame's bytes are the page the disk lends.
 func NewPool(disk *sim.Disk, capacity int) *Pool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	n := capacity / minShardFrames
-	if n > maxShards {
-		n = maxShards
-	}
-	if n < 1 {
-		n = 1
-	}
+	capacity = max(capacity, 1)
+	n := min(max(capacity/minShardFrames, 1), maxShards)
 	p := &Pool{disk: disk, shards: make([]shard, n)}
 	base, extra := capacity/n, capacity%n
 	for i := range p.shards {
@@ -130,9 +122,6 @@ func NewPool(disk *sim.Disk, capacity int) *Pool {
 
 // shardFor maps a page identity to its shard.
 func (p *Pool) shardFor(key PageKey) *shard {
-	if len(p.shards) == 1 {
-		return &p.shards[0]
-	}
 	h := (uint64(key.File) + 1) * 0x9E3779B97F4A7C15
 	h ^= uint64(key.Page) * 0xBF58476D1CE4E5B9
 	h ^= h >> 29
@@ -188,10 +177,11 @@ func (p *Pool) ResetStats() {
 // unused slot or an unpinned frame whose reference bit has expired —
 // and evicts it, writing back dirty contents and dropping its page-table
 // entry. It returns the frame index and the deferred real-wait cost of
-// any write-back, or an error if every frame is pinned. Called with the
-// shard lock held.
+// any write-back, or an error if every frame is pinned or the write-back
+// fails; the disk charges a failed write nothing, so an error costs no
+// wait. Called with the shard lock held.
 func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
-	for scanned := 0; scanned < 2*len(sh.frames); scanned++ {
+	for range 2 * len(sh.frames) {
 		i := sh.hand
 		sh.hand = (sh.hand + 1) % len(sh.frames)
 		fr := &sh.frames[i]
@@ -207,9 +197,8 @@ func (sh *shard) victim(disk *sim.Disk) (int, time.Duration, error) {
 		}
 		var owed time.Duration
 		if fr.dirty {
-			cost, err := sh.write(disk, fr)
-			owed += cost
-			if err != nil {
+			var err error
+			if owed, err = sh.write(disk, fr); err != nil {
 				return i, owed, err
 			}
 		}
@@ -256,7 +245,6 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 	i, owed, err := sh.victim(p.disk)
 	if err != nil {
 		sh.mu.Unlock()
-		p.disk.PayWait(owed)
 		return nil, err
 	}
 	data, cost, err := p.disk.ReadPageDeferWait(file, page)
@@ -269,8 +257,7 @@ func (p *Pool) Get(file sim.FileID, page int64) (*Frame, error) {
 	fr := &sh.frames[i]
 	fr.Data = data
 	fr.key = key
-	fr.pin = 1
-	fr.dirty = false
+	fr.pin = 1 // a free frame is clean: the clock writes a dirty page before it frees its frame
 	fr.ref = true
 	fr.used = true
 	sh.table[key.packed()] = i
@@ -309,7 +296,6 @@ func (p *Pool) NewPage(file sim.FileID) (int64, *Frame, error) {
 	if err != nil {
 		sh.mu.Unlock()
 		p.disk.Shrink(file, page)
-		p.disk.PayWait(owed)
 		return 0, nil, err
 	}
 	fr := &sh.frames[i]

@@ -319,6 +319,47 @@ func TestClockSecondChance(t *testing.T) {
 	if p.Stats().Misses != misses+1 {
 		t.Error("unreferenced page pg1 should have been the eviction victim")
 	}
+
+	// A new page gets its second chance too: after a read page, then a
+	// new one, the next miss evicts the read page, whose reference bit
+	// the sweep cleared first.
+	q, _, f := newPool(t, 2)
+	for range 3 {
+		_, fr, err := q.NewPage(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Unpin(fr, true)
+	}
+	if err := q.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	q.Invalidate()
+	fr, err = q.Get(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Unpin(fr, false)
+	fresh := newPageIn(t, q, f)
+	fr, err = q.Get(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Unpin(fr, false)
+	if !q.Resident(f, fresh) || q.Resident(f, 0) {
+		t.Errorf("after a read, a new page and a miss: new page resident %v, read page resident %v; want the read page evicted", q.Resident(f, fresh), q.Resident(f, 0))
+	}
+}
+
+// newPageIn adds a new page to the pool, unpinned and dirty.
+func newPageIn(t *testing.T, p *Pool, f sim.FileID) int64 {
+	t.Helper()
+	pg, fr, err := p.NewPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	return pg
 }
 
 func TestMinimumCapacity(t *testing.T) {
@@ -329,18 +370,20 @@ func TestMinimumCapacity(t *testing.T) {
 	}
 }
 
+// TestShardingPreservesCapacity: a pool has one shard per 64 frames,
+// at least one and at most 16, and its shards hold every frame asked
+// for.
 func TestShardingPreservesCapacity(t *testing.T) {
 	d := sim.NewDisk(sim.Config{PageSize: 64})
-	for _, cap := range []int{1, 2, 63, 64, 128, 1000, 4096} {
-		p := NewPool(d, cap)
-		if p.Capacity() != cap {
-			t.Errorf("capacity %d: got %d", cap, p.Capacity())
+	for _, c := range []struct{ cap, shards int }{
+		{1, 1}, {2, 1}, {63, 1}, {64, 1}, {127, 1}, {128, 2}, {1000, 15}, {1023, 15}, {1024, 16}, {4096, 16},
+	} {
+		p := NewPool(d, c.cap)
+		if p.Capacity() != c.cap {
+			t.Errorf("capacity %d: got %d", c.cap, p.Capacity())
 		}
-		if cap < 2*minShardFrames && p.Shards() != 1 {
-			t.Errorf("capacity %d: %d shards, want 1 (small pools keep one clock)", cap, p.Shards())
-		}
-		if p.Shards() > maxShards {
-			t.Errorf("capacity %d: %d shards exceeds max %d", cap, p.Shards(), maxShards)
+		if p.Shards() != c.shards {
+			t.Errorf("capacity %d: %d shards, want %d", c.cap, p.Shards(), c.shards)
 		}
 	}
 }
@@ -535,6 +578,19 @@ func TestInvalidateRefusesDirtyFrames(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	fr, err = p.Get(f, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Invalidate dropped a pinned frame without panicking")
+			}
+		}()
+		p.Invalidate()
+	}()
+	p.Unpin(fr, false) // the refused Invalidate released the shard
 	p.Invalidate()
 	if p.Resident(f, pg) {
 		t.Error("page still resident after FlushAll and Invalidate")
@@ -570,6 +626,16 @@ func TestCacheResetStatsCoversEveryField(t *testing.T) {
 		if st.Field(i).Uint() == 0 {
 			t.Errorf("workload left Stats.%s at zero; extend the workload so reset coverage is meaningful", st.Type().Field(i).Name)
 		}
+	}
+	var sum Stats
+	for _, ss := range p.ShardStats() {
+		sum.Hits += ss.Hits
+		sum.Misses += ss.Misses
+		sum.Evictions += ss.Evictions
+		sum.DirtyWrites += ss.DirtyWrites
+	}
+	if sum != p.Stats() {
+		t.Errorf("the shards' counters add up to %+v, the pool's are %+v", sum, p.Stats())
 	}
 	p.ResetStats()
 	after := reflect.ValueOf(p.Stats())
@@ -611,4 +677,126 @@ func (p *Pool) DirtyCount() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// TestPoolPaysEveryWait: with real waits on, every pool operation pays
+// the disk time it charged before it returns — a miss's read, the clock's
+// write-back of a dirty victim, WriteBack's and FlushAll's writes — and
+// so do the ones that fail part way, once: the disk's slept time equals
+// its virtual time at each step (each step here charges a seek, above the
+// disk's 2 ms pay-out chunk). A failed step leaves the pool usable and
+// its counters and the file's pages as the step found them.
+func TestPoolPaysEveryWait(t *testing.T) {
+	d := sim.NewDisk(sim.Config{PageSize: 64, RealWaitScale: 1})
+	p, f := NewPool(d, 1), d.CreateFile()
+	paid := func(step string) {
+		t.Helper()
+		if s := d.Stats(); s.IOWait != s.Elapsed {
+			t.Fatalf("after %s: slept %v of %v charged", step, s.IOWait, s.Elapsed)
+		}
+	}
+	for range 3 {
+		d.AllocPage(f)
+	}
+	fr, err := p.Get(f, 0) // a miss into the free frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	paid("a miss")
+	if _, err := p.Get(f, 1); err == nil {
+		t.Fatal("Get found a frame with the only one pinned")
+	}
+	if page, fr, err := p.NewPage(f); err == nil || fr != nil || page != 0 {
+		t.Fatalf("NewPage with the only frame pinned: page %d, %v", page, err)
+	}
+	if n := d.NumPages(f); n != 3 {
+		t.Fatalf("the failed NewPage left %d pages, want 3", n)
+	}
+	p.Unpin(fr, true)
+
+	// The victim's write-back is paid with the read that failed after it.
+	d.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+	_, err = p.Get(f, 1)
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) {
+		t.Fatalf("Get under a read fault: %v", err)
+	}
+	paid("a write-back and a failed read")
+	if fr, err = p.Get(f, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	if s := p.Stats(); s.Evictions != 1 || s.Misses != 4 || s.DirtyWrites != 1 {
+		t.Fatalf("after the failed read and a re-read: %+v, want 1 eviction, 4 misses, 1 dirty write", s)
+	}
+	paid("a miss after the failed read")
+
+	// A victim whose write-back fails stays, dirty, and Get and NewPage
+	// fail; the next Get pays the retried write-back.
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	_, err = p.Get(f, 2)
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || !p.Resident(f, 0) || p.DirtyCount() != 1 {
+		t.Fatalf("Get whose victim's write fails: %v, page 0 resident %v, %d dirty", err, p.Resident(f, 0), p.DirtyCount())
+	}
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	_, _, err = p.NewPage(f)
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || d.NumPages(f) != 3 {
+		t.Fatalf("NewPage whose victim's write fails: %v, %d pages", err, d.NumPages(f))
+	}
+	if fr, err = p.Get(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	paid("a write-back and a miss")
+	p.Unpin(fr, true)
+
+	if err := p.WriteBack(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	paid("WriteBack")
+	if fr, err = p.Get(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	err = p.FlushAll()
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || p.DirtyCount() != 1 {
+		t.Fatalf("FlushAll under a write fault: %v, %d dirty", err, p.DirtyCount())
+	}
+	if err := p.FlushAll(); err != nil || p.DirtyCount() != 0 {
+		t.Fatalf("FlushAll: %v, %d dirty", err, p.DirtyCount())
+	}
+	paid("FlushAll")
+
+	// A new page whose victim is dirty pays that write-back.
+	if fr, err = p.Get(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, true)
+	if _, fr, err = p.NewPage(f); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(fr, false)
+	if s := p.Stats(); s.DirtyWrites != 5 {
+		t.Fatalf("NewPage over a dirty victim: %+v, want its write-back counted", s)
+	}
+	paid("NewPage over a dirty victim")
+
+	// A FlushAll whose second write-back fails pays for the first.
+	two := NewPool(d, 2)
+	for page := range int64(2) {
+		if fr, err = two.Get(f, page); err != nil {
+			t.Fatal(err)
+		}
+		two.Unpin(fr, true)
+	}
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 2})
+	err = two.FlushAll()
+	d.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || two.DirtyCount() != 1 {
+		t.Fatalf("FlushAll failing at its second write: %v, %d dirty", err, two.DirtyCount())
+	}
+	paid("a FlushAll that failed after a write-back")
 }

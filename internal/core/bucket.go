@@ -100,10 +100,6 @@ func BucketerForLevel(kind value.Kind, level int) Bucketer {
 	default:
 		// Strings have no numeric width; shorten the prefix as the level
 		// grows (min prefix 1 byte).
-		l := 16 - level
-		if l < 1 {
-			l = 1
-		}
-		return StringPrefix{Len: l}
+		return StringPrefix{Len: max(16-level, 1)}
 	}
 }

@@ -17,6 +17,9 @@ func TestIntWidthTruncation(t *testing.T) {
 			t.Errorf("IntWidth(10).Bucket(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
+	if got := (IntWidth{Width: 2}).Bucket(value.NewInt(5)).I; got != 4 {
+		t.Errorf("IntWidth(2).Bucket(5) = %d, want 4", got)
+	}
 }
 
 func TestIntWidthMonotone(t *testing.T) {
@@ -81,6 +84,9 @@ func TestStringPrefix(t *testing.T) {
 	if got := (StringPrefix{}).Bucket(value.NewString("xyz")).S; got != "xyz" {
 		t.Error("zero prefix should be identity")
 	}
+	if got := (StringPrefix{Len: 1}).Bucket(value.NewString("xyz")).S; got != "x" {
+		t.Errorf("one-byte prefix = %q", got)
+	}
 }
 
 func TestIdentity(t *testing.T) {
@@ -105,6 +111,12 @@ func TestBucketerForLevel(t *testing.T) {
 	}
 	if b, ok := BucketerForLevel(value.String, 20).(StringPrefix); !ok || b.Len != 1 {
 		t.Errorf("string deep level = %+v", b)
+	}
+	if b, ok := BucketerForLevel(value.Int, 1).(IntWidth); !ok || b.Width != 2 {
+		t.Errorf("int level 1 = %+v", b)
+	}
+	if b, ok := BucketerForLevel(value.String, 15).(StringPrefix); !ok || b.Len != 1 {
+		t.Errorf("string level 15 = %+v", b)
 	}
 }
 

@@ -63,10 +63,7 @@ type Builder struct {
 // NewBuilder creates a builder targeting targetTuples per bucket
 // (minimum 1).
 func NewBuilder(targetTuples int) *Builder {
-	if targetTuples < 1 {
-		targetTuples = 1
-	}
-	return &Builder{target: targetTuples}
+	return &Builder{target: max(targetTuples, 1)}
 }
 
 // Add assigns the next tuple (in clustered order) to a bucket and returns

@@ -86,8 +86,10 @@ func TestUpperLowerBounds(t *testing.T) {
 		b.Add(intKey(k))
 	}
 	cb := b.Finish()
-	if got := cb.LowerBound(1); string(got) != string(intKey(2)) {
-		t.Error("lower bound of bucket 1 wrong")
+	for i := range int32(3) {
+		if got := cb.LowerBound(i); string(got) != string(intKey(int64(i)+1)) {
+			t.Errorf("lower bound of bucket %d is %x", i, got)
+		}
 	}
 	up, ok := cb.UpperBound(0)
 	if !ok || string(up) != string(intKey(2)) {

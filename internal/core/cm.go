@@ -221,11 +221,16 @@ func (cm *CM) pair(key []byte, cbucket int32) int32 {
 // reaches zero and the key when its last pair disappears. Count and sums
 // retract exactly; removing a value equal to the entry's recorded min or
 // max marks the entry MMDirty (the new extreme cannot be known without a
-// rescan), which index-only MIN/MAX answers treat as impure.
+// rescan), which index-only MIN/MAX answers treat as impure. The mark
+// stays until the pair empties or the CM is rebuilt, also when the row
+// taken back is an aborted INSERT's that had become the pair's new
+// extreme: cm-agg then sweeps that pair's bucket for MIN and MAX, which
+// answers exactly at a sweep's cost, and the CM's checkpoint differs
+// from a rebuild's in that bit.
 func (cm *CM) RemoveRow(row value.Row, cbucket int32) error {
 	cm.keyBuf = cm.AppendKeyForRow(cm.keyBuf[:0], row)
 	e, found := cm.m[string(cm.keyBuf)]
-	i := 0
+	var i int
 	if found {
 		i, found = slices.BinarySearch(e.Buckets, cbucket)
 	}

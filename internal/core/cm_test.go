@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -276,23 +279,42 @@ func TestSerializeV2PreservesStats(t *testing.T) {
 // answer aggregates from the CM until the table layer rebuilds them.
 func TestDeserializeStatLayoutMismatch(t *testing.T) {
 	cm := statsCM()
-	other := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{1}})
 	var buf bytes.Buffer
 	if err := cm.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Deserialize(&buf); err != nil {
+	// Another number of stat columns, and as many columns but others.
+	for _, cols := range [][]int{{1}, {0, 2}} {
+		other := New(Spec{Name: "k", UCols: []int{0}, StatCols: cols})
+		if err := other.Deserialize(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if other.StatsValid() {
+			t.Fatalf("stat columns %v: a layout mismatch must invalidate statistics", cols)
+		}
+		if other.Keys() != cm.Keys() || other.Pairs() != cm.Pairs() {
+			t.Fatalf("stat columns %v: layout mismatch lost counts: keys %d/%d pairs %d/%d",
+				cols, other.Keys(), cm.Keys(), other.Pairs(), cm.Pairs())
+		}
+		if got := other.Lookup(value.NewInt(2)); len(got) != 4 {
+			t.Fatalf("stat columns %v: lookup after mismatch = %v, want the 4 buckets", cols, got)
+		}
+	}
+
+	// A string column first reached after such a load holds no string
+	// in the loaded pairs' slots: they read as empty strings.
+	strs := New(Spec{Name: "k", UCols: []int{0}, StatCols: []int{2}})
+	if err := strs.Deserialize(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if other.StatsValid() {
-		t.Fatal("stat-column layout mismatch must invalidate statistics")
+	strs.AddRow(value.Row{value.NewInt(9), value.NewFloat(0), value.NewString("x")}, 9)
+	before := strs.StatsSizeBytes()
+	if err := strs.RemoveRow(value.Row{value.NewInt(2), value.NewFloat(2.25), value.NewString("y")}, 0); err != nil {
+		t.Fatal(err)
 	}
-	if other.Keys() != cm.Keys() || other.Pairs() != cm.Pairs() {
-		t.Fatalf("layout mismatch lost counts: keys %d/%d pairs %d/%d",
-			other.Keys(), cm.Keys(), other.Pairs(), cm.Pairs())
-	}
-	if got := other.Lookup(value.NewInt(2)); len(got) != 4 {
-		t.Fatalf("lookup after mismatch = %v, want the 4 buckets", got)
+	e, _ := strs.Find(strs.AppendKeyForRow(nil, value.Row{value.NewInt(2)}))
+	if _, _, lo, hi := strs.PairStat(e.Slots[0], 0); lo.S != "" || hi.S != "" || strs.StatsSizeBytes() != before {
+		t.Fatalf("a loaded pair's string extremes read %q and %q; stats size %d, was %d", lo.S, hi.S, strs.StatsSizeBytes(), before)
 	}
 }
 
@@ -598,4 +620,158 @@ func FuzzCMDeserialize(f *testing.F) {
 		}
 		requireSameCM(t, cm2, cm)
 	})
+}
+
+// TestCheckpointReaderRejects pins what a checkpoint reader refuses: a
+// value of no known kind, more stat columns than a checkpoint may
+// declare (4,096 is the most), a long value cut short, and buckets of a
+// key out of ascending order or repeated.
+func TestCheckpointReaderRejects(t *testing.T) {
+	c := &checkpointReader{r: bytes.NewReader([]byte{9})}
+	c.value()
+	if c.err == nil || !strings.Contains(c.err.Error(), "bad value kind byte 9") {
+		t.Errorf("value of kind 9: %v", c.err)
+	}
+	cm := New(Spec{Name: "x", UCols: []int{0}})
+	for _, c := range []struct {
+		nstat    uint32
+		declared bool
+	}{{1 << 12, false}, {1<<12 + 1, true}} {
+		_, _, _, err := cm.readEntries(&checkpointReader{r: bytes.NewReader(binary.LittleEndian.AppendUint32(nil, c.nstat))})
+		if got := err != nil && strings.Contains(err.Error(), "stat columns declared"); err == nil || got != c.declared {
+			t.Errorf("%d stat columns: %v", c.nstat, err)
+		}
+	}
+
+	// A string statistic longer than the reader's direct read
+	// round-trips, and a checkpoint cut anywhere is an error.
+	long := New(Spec{Name: "long", UCols: []int{0}, StatCols: []int{1}})
+	long.AddRow(value.Row{value.NewInt(1), value.NewString(strings.Repeat("k", 70000))}, 3)
+	var ckpt bytes.Buffer
+	if err := long.Serialize(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	back := New(long.Spec())
+	if err := back.Deserialize(bytes.NewReader(ckpt.Bytes())); err != nil || back.Pairs() != 1 || !back.StatsValid() {
+		t.Fatalf("a 70,000-byte string statistic: %v, %d pairs", err, back.Pairs())
+	}
+	for cut := 1; cut < ckpt.Len(); cut += 997 {
+		if err := New(long.Spec()).Deserialize(bytes.NewReader(ckpt.Bytes()[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			t.Fatalf("a checkpoint cut to %d of %d bytes: %v, want the cut reported", cut, ckpt.Len(), err)
+		}
+	}
+
+	// A small checkpoint cut at every byte reports the cut, and a read
+	// that fails once fails the load even where the reads after it would
+	// succeed: the first error sticks.
+	ckpt.Reset()
+	if err := statsCM().Serialize(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for cut := range ckpt.Len() {
+		if err := New(statsCM().Spec()).Deserialize(bytes.NewReader(ckpt.Bytes()[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			t.Fatalf("the checkpoint cut to %d of %d bytes: %v, want the cut reported", cut, ckpt.Len(), err)
+		}
+	}
+	errOnce := errors.New("read failed once")
+	for n := 1; ; n++ {
+		r := &failingRead{r: bytes.NewReader(ckpt.Bytes()), n: n, err: errOnce}
+		err := New(statsCM().Spec()).Deserialize(r)
+		if r.n > 0 {
+			break // the load read less than n times
+		}
+		if !errors.Is(err, errOnce) {
+			t.Fatalf("read %d failed: the load returned %v", n, err)
+		}
+	}
+
+	for _, buckets := range [][]int32{{2, 1}, {1, 1}} {
+		bad := New(Spec{Name: "bad", UCols: []int{0}})
+		bad.AddRow(value.Row{value.NewInt(7)}, 1)
+		bad.AddRow(value.Row{value.NewInt(7)}, 2)
+		for _, e := range bad.m {
+			e.Buckets = buckets
+		}
+		ckpt.Reset()
+		if err := bad.Serialize(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := New(bad.Spec()).Deserialize(&ckpt); err == nil || !strings.Contains(err.Error(), "ascending run") {
+			t.Errorf("buckets %v: %v", buckets, err)
+		}
+	}
+}
+
+// failingRead fails its n-th Read with err and serves every other from r.
+type failingRead struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (f *failingRead) Read(p []byte) (int, error) {
+	if f.n--; f.n == 0 {
+		return 0, f.err
+	}
+	return f.r.Read(p)
+}
+
+// TestStatsSizeBytesOfAFewPairs pins StatsSizeBytes on a small CM with an
+// int and a string stat column: each array at its capacity, each slot
+// run, and each distinct live string with its interning entry. Freeing a
+// pair's slot adds the free list and drops what only that pair held; a
+// reset empties everything, and NoteSweep's counters add up.
+func TestStatsSizeBytesOfAFewPairs(t *testing.T) {
+	cm := New(Spec{Name: "s", UCols: []int{0}, StatCols: []int{0, 1}})
+	for i, s := range []string{"aa", "bbbb", "aa"} {
+		cm.AddRow(value.Row{value.NewInt(int64(i % 2)), value.NewString(s)}, int32(i))
+	}
+	if got, want := cm.StatsSizeBytes(), int64(478); got != want {
+		t.Errorf("StatsSizeBytes of three pairs = %d, want %d", got, want)
+	}
+	if err := cm.RemoveRow(value.Row{value.NewInt(1), value.NewString("bbbb")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cm.StatsSizeBytes(), int64(346); got != want {
+		t.Errorf("StatsSizeBytes after freeing a pair = %d, want %d", got, want)
+	}
+	// The freed slot is the next pair's.
+	cm.AddRow(value.Row{value.NewInt(5), value.NewString("aa")}, 9)
+	if n := len(cm.stats.count); n != 3 || len(cm.stats.free) != 0 {
+		t.Errorf("after a new pair: %d slots, %d free; want the freed slot reused", n, len(cm.stats.free))
+	}
+	cm.NoteSweep(5, 2)
+	cm.NoteSweep(3, 1)
+	if cm.PagesSwept() != 8 || cm.FalsePositivePages() != 3 {
+		t.Errorf("sweeps: %d pages, %d false positive; want 8 and 3", cm.PagesSwept(), cm.FalsePositivePages())
+	}
+	cm.Reset()
+	if cm.SizeBytes() != 0 || cm.Pairs() != 0 || cm.StatsSizeBytes() != 0 {
+		t.Errorf("after Reset: size %d, %d pairs, stats %d bytes", cm.SizeBytes(), cm.Pairs(), cm.StatsSizeBytes())
+	}
+}
+
+// TestRetractingAnExtremeMarksThePairDirty: for each stat kind, taking
+// back a pair's middle value leaves its extremes exact, and taking back
+// its maximum marks them dirty.
+func TestRetractingAnExtremeMarksThePairDirty(t *testing.T) {
+	for _, vals := range [][]value.Value{
+		{value.NewInt(1), value.NewInt(2), value.NewInt(3)},
+		{value.NewFloat(1.5), value.NewFloat(2.5), value.NewFloat(3.5)},
+		{value.NewString("a"), value.NewString("b"), value.NewString("c")},
+	} {
+		cm := New(Spec{Name: "d", UCols: []int{0}, StatCols: []int{1}})
+		for _, v := range vals {
+			cm.AddRow(value.Row{value.NewInt(7), v}, 0)
+		}
+		e, _ := cm.Find(cm.AppendKeyForRow(nil, value.Row{value.NewInt(7)}))
+		for i, wantDirty := range []bool{false, true} {
+			if err := cm.RemoveRow(value.Row{value.NewInt(7), vals[i+1]}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if cm.PairDirty(e.Slots[0]) != wantDirty {
+				t.Errorf("after taking back %v the pair is dirty = %v, want %v", vals[i+1], !wantDirty, wantDirty)
+			}
+		}
+	}
 }

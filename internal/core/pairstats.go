@@ -71,8 +71,8 @@ func (c *statCol) adopt(k value.Kind, n int) {
 	c.kind = k
 }
 
-// newSlot hands out a zeroed slot: the last one freed, else a new one at
-// the end of every column.
+// newSlot hands out a slot with a zero count, dirty mark and sums: the
+// last one freed, else a new one at the end of every column.
 func (ps *pairStats) newSlot() int32 {
 	if n := len(ps.free); n > 0 {
 		s := ps.free[n-1]
@@ -96,17 +96,19 @@ func (ps *pairStats) newSlot() int32 {
 	return s
 }
 
-// freeSlot zeroes slot s, whose pair is gone, and files it for reuse.
+// freeSlot files slot s, whose pair is gone and whose count is 0, for
+// reuse. It zeroes what the pair's next first value does not set: the
+// dirty mark and the sums; and it lets go of the string extremes, so
+// their interned strings can be collected before the slot is reused.
 func (ps *pairStats) freeSlot(s int32) {
-	ps.count[s] = 0
 	ps.dirty[s] = false
 	for i := range ps.cols {
 		c := &ps.cols[i]
 		switch c.kind {
 		case value.Int:
-			c.sumI[s], c.minI[s], c.maxI[s] = 0, 0, 0
+			c.sumI[s] = 0
 		case value.Float:
-			c.sumF[s], c.minF[s], c.maxF[s] = 0, 0, 0
+			c.sumF[s] = 0
 		case value.String:
 			c.minS[s], c.maxS[s] = unique.Handle[string]{}, unique.Handle[string]{}
 		}

@@ -137,4 +137,13 @@ func TestFreezeRefoldsPages(t *testing.T) {
 			}
 		}
 	}
+
+	// A page of one slot folds too, once its pre-image is dropped.
+	one := put(4, 1)
+	must(h.ReplaceAt(one, []byte("TUPLE-ONE"), []byte(texts[one]), 7))
+	must(h.DropPreImage(one))
+	h.Freeze(4, 7)
+	if pv := h.vers[4]; !pv.folded() || pv.begin != 7 || pv.len() != 1 {
+		t.Fatalf("Freeze of a one-slot page left %+v", pv)
+	}
 }

@@ -147,12 +147,7 @@ func (pv *pageVersions) at(s int) tupleVersion {
 
 // preAt returns the index of slot's pre-image in pre, or -1.
 func (pv *pageVersions) preAt(slot uint16) int {
-	for i := range pv.pre {
-		if pv.pre[i].slot == slot {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(pv.pre, func(p preImage) bool { return p.slot == slot })
 }
 
 // preImageAt returns slot's pre-image bytes when the snapshot sees them,
@@ -338,9 +333,6 @@ func (h *File) Room(page int64) int {
 // erased slots. It is exact —
 // PutAt succeeds on a page that Fits one TupleCost(len(tuple)).
 func (h *File) Fits(page int64, cost, tuples int) bool {
-	if page < 0 || page >= h.numPages {
-		return false
-	}
 	credit := 0
 	if r := h.reuse[page]; r != nil {
 		credit = slotSize * min(tuples, len(r.dead)+len(r.erased))
@@ -399,7 +391,9 @@ func (h *File) refile(page int64) {
 	if r == nil {
 		return
 	}
-	if len(r.dead) == 0 && len(r.erased) == 0 && h.space[page].garbage == 0 && h.Room(page) < classWidth {
+	// A dead slot's bytes are garbage (MarkDead takes no empty tuple), so
+	// a page without garbage has no dead slot either.
+	if len(r.erased) == 0 && h.space[page].garbage == 0 && h.Room(page) < classWidth {
 		h.unfile(r)
 		delete(h.reuse, page)
 		return
@@ -414,7 +408,8 @@ func (h *File) refile(page int64) {
 	h.nonEmpty[c/64] |= 1 << (c % 64)
 }
 
-// unfile takes the page out of its size class.
+// unfile takes the page out of its size class; the caller files r again
+// or drops it.
 func (h *File) unfile(r *pageReuse) {
 	if r.class < 0 {
 		return
@@ -428,7 +423,6 @@ func (h *File) unfile(r *pageReuse) {
 	if len(pages) == 0 {
 		h.nonEmpty[r.class/64] &^= 1 << (r.class % 64)
 	}
-	r.class = -1
 }
 
 func pageNumSlots(d []byte) int {
@@ -458,12 +452,6 @@ func setSlotAt(d []byte, i, off, length int) {
 	binary.LittleEndian.PutUint16(d[base+2:], uint16(length))
 }
 
-// initPage prepares an empty slotted page.
-func initPage(d []byte) {
-	setPageNumSlots(d, 0)
-	setPageCellStart(d, len(d))
-}
-
 // pageFree returns the free bytes between the slot directory and tuple data.
 func pageFree(d []byte) int {
 	return pageCellStart(d) - headerSize - pageNumSlots(d)*slotSize
@@ -483,7 +471,7 @@ func (h *File) Append(dst []RID, tuples [][]byte, begin uint64) ([]RID, error) {
 		return dst, nil
 	}
 	page := h.numPages
-	if page > 0 && h.Room(page-1) >= TupleCost(len(tuples[0])) {
+	if h.Room(page-1) >= TupleCost(len(tuples[0])) {
 		page--
 	}
 	return h.put(dst, page, tuples, begin)
@@ -496,7 +484,6 @@ func (h *File) Append(dst []RID, tuples [][]byte, begin uint64) ([]RID, error) {
 // appends with one call. None of their frames may be pinned, and the
 // caller holds the table latch exclusively.
 func (h *File) Truncate(pages int64) {
-	pages = max(pages, 0)
 	for p := pages; p < h.numPages; p++ {
 		pv := &h.vers[p]
 		for s := range pv.len() {
@@ -558,7 +545,7 @@ func (h *File) put(dst []RID, page int64, tuples [][]byte, begin uint64) ([]RID,
 		if page, fr, err = h.pool.NewPage(h.file); err != nil {
 			return dst, err
 		}
-		initPage(fr.Data)
+		setPageCellStart(fr.Data, len(fr.Data)) // a new page is zeroed: it has no slot yet
 		h.vers = append(h.vers, pageVersions{begin: begin})
 		h.space = append(h.space, pageSpace{free: uint16(pageFree(fr.Data))})
 		h.numPages++
@@ -680,7 +667,7 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 	}
 	r.erased = kept
 	if n < pv.len() {
-		pv.slots = h.exact(page, 0)[:n]
+		pv.slots = pv.slots[:n] // only a page's per-slot versions mark a slot gone
 	}
 	h.space[page] = pageSpace{free: uint16(pageFree(d))}
 }
@@ -694,9 +681,6 @@ func (h *File) prune(page int64, d []byte, r *pageReuse) {
 // slot's bytes, a slot whose version is ended, dead or erased, and one
 // that is not Replaceable.
 func (h *File) ReplaceAt(rid RID, tuple, pre []byte, ts uint64) error {
-	if ts == 0 {
-		return fmt.Errorf("heap: a tuple needs a nonzero begin timestamp")
-	}
 	v, err := h.version(rid)
 	if err != nil {
 		return err
@@ -932,12 +916,7 @@ func (h *File) Scan(fn func(rid RID, tuple []byte) bool) error {
 // snapshot, in physical order: a slot's own version, or its pre-image
 // when only that is visible. Snapshot 0 means latest.
 func (h *File) ScanPagesAt(from, to int64, snap uint64, fn func(rid RID, tuple []byte) bool) error {
-	if from < 0 {
-		from = 0
-	}
-	if to >= h.numPages {
-		to = h.numPages - 1
-	}
+	from, to = max(from, 0), min(to, h.numPages-1)
 	for p := from; p <= to; p++ {
 		fr, err := h.pool.Get(h.file, p)
 		if err != nil {

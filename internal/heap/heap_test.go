@@ -1,7 +1,9 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -184,10 +186,22 @@ func TestFailedNewPageLeavesNoPage(t *testing.T) {
 	}
 }
 
+// TestOversizedTupleRejected: a tuple larger than an empty page is
+// refused before any page is taken, and a tuple that fills the last
+// page's room to its last byte goes on that page.
 func TestOversizedTupleRejected(t *testing.T) {
 	h := newHeap(t, 128, 4)
-	if _, err := h.AppendAt(make([]byte, 130), 1); err == nil {
-		t.Error("oversized tuple accepted")
+	if _, err := h.AppendAt(make([]byte, 130), 1); err == nil || h.NumPages() != 0 {
+		t.Errorf("oversized tuple: %v, %d pages", err, h.NumPages())
+	}
+	if _, err := h.AppendAt(make([]byte, 10), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.AppendAt(make([]byte, h.Room(0)-slotSize), 1); err != nil || h.NumPages() != 1 || h.Room(0) != 0 {
+		t.Errorf("a tuple of the last page's room: %v, %d pages, %d bytes left", err, h.NumPages(), h.Room(0))
+	}
+	if _, err := h.AppendAt(make([]byte, h.EmptyRoom()-slotSize), 1); err != nil || h.NumPages() != 2 || h.Room(1) != 0 {
+		t.Errorf("a tuple of an empty page's room: %v, %d pages, %d bytes left", err, h.NumPages(), h.Room(1))
 	}
 }
 
@@ -242,15 +256,20 @@ func TestScanEarlyStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count := 0
-	if err := h.Scan(func(RID, []byte) bool {
-		count++
-		return count < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("scan visited %d tuples after stop", count)
+	for name, scan := range map[string]func(func(RID, []byte) bool) error{
+		"Scan":            h.Scan,
+		"ScanUnretracted": func(fn func(RID, []byte) bool) error { return h.ScanUnretracted(1, fn) },
+	} {
+		count := 0
+		if err := scan(func(RID, []byte) bool {
+			count++
+			return count < 5
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count != 5 || h.pool.PinnedFrames() != 0 {
+			t.Errorf("%s visited %d tuples after stop and left %d frames pinned", name, count, h.pool.PinnedFrames())
+		}
 	}
 }
 
@@ -267,6 +286,33 @@ func TestGetErrors(t *testing.T) {
 	}
 	if err := h.SetEnd(RID{Page: 7}, 2); err == nil {
 		t.Error("SetEnd with bad page should fail")
+	}
+	if err := h.SetEnd(RID{Page: h.NumPages()}, 2); err == nil {
+		t.Error("SetEnd on the page past the last should fail")
+	}
+	if _, err := h.PutAt(h.NumPages()+1, []byte("x"), 1); err == nil {
+		t.Error("PutAt past the next new page should fail")
+	}
+	if err := h.ClearEnd(RID{Page: 7}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ClearEnd with bad page: %v", err)
+	}
+	// A page that cannot be read fails a scan, or an append to it, which
+	// pins nothing.
+	for name, step := range map[string]func() error{
+		"Scan":            func() error { return h.Scan(func(RID, []byte) bool { return true }) },
+		"ScanUnretracted": func() error { return h.ScanUnretracted(1, func(RID, []byte) bool { return true }) },
+		"Append":          func() error { _, err := h.AppendAt([]byte("y"), 1); return err },
+	} {
+		if err := h.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		h.pool.Invalidate()
+		h.pool.Disk().SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+		err := step()
+		h.pool.Disk().SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) || h.pool.PinnedFrames() != 0 {
+			t.Errorf("%s under a read fault: %v, %d frames pinned", name, err, h.pool.PinnedFrames())
+		}
 	}
 }
 
@@ -509,8 +555,15 @@ func TestTruncateGivesBackTheTailPages(t *testing.T) {
 	if err := h.pool.FlushAll(); err != nil {
 		t.Fatalf("flushing after Truncate: %v", err)
 	}
+	if rids, err := h.AppendPage(nil, nil, 7); err != nil || len(rids) != 0 || h.NumPages() != first {
+		t.Fatalf("AppendPage of no tuple: %v, %v, %d pages; want nothing and no page opened", err, rids, h.NumPages())
+	}
 	rids, err := h.AppendPage(nil, [][]byte{[]byte("again")}, 7)
 	if err != nil || rids[0].Page != first {
 		t.Fatalf("AppendPage after Truncate: %v at %v, want page %d", err, rids, first)
+	}
+	h.Truncate(0)
+	if h.NumPages() != 0 || h.TupleCount() != 0 || h.pool.Disk().NumPages(h.file) != 0 {
+		t.Fatalf("after Truncate(0): %d pages, %d tuples, %d on disk", h.NumPages(), h.TupleCount(), h.pool.Disk().NumPages(h.file))
 	}
 }

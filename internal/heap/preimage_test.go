@@ -2,7 +2,10 @@ package heap
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // appendAll appends each tuple at begin and returns their RIDs.
@@ -43,26 +46,31 @@ func TestReplaceAtRefusals(t *testing.T) {
 		rid        RID
 		tuple, pre string
 		ts         uint64
+		why        string // in the error, where the refusal has more than one possible reason
 	}{
-		{"a longer tuple", live, "lives", "live", 3},
-		{"a shorter tuple", live, "liv", "live", 3},
-		{"a pre-image of other bytes", live, "LIVE", "lave", 3},
-		{"a zero timestamp", live, "LIVE", "live", 0},
-		{"an ended slot", ended, "ENDS", "ends", 3},
-		{"a dead slot", dead, "DIES", "dies", 3},
-		{"a slot out of range", RID{Page: 0, Slot: 9}, "NONE", "none", 3},
+		{"a longer tuple", live, "lives", "live", 3, ""},
+		{"a shorter tuple", live, "liv", "live", 3, ""},
+		{"a pre-image of other bytes", live, "LIVE", "lave", 3, ""},
+		{"a zero timestamp", live, "LIVE", "live", 0, ""},
+		{"an ended slot", ended, "ENDS", "ends", 3, ""},
+		{"a dead slot", dead, "DIES", "dies", 3, ""},
+		{"a slot out of range", RID{Page: 0, Slot: 9}, "NONE", "none", 3, "slot out of range"},
 	}
 	for _, r := range refusals {
-		if err := h.ReplaceAt(r.rid, []byte(r.tuple), []byte(r.pre), r.ts); err == nil {
-			t.Errorf("ReplaceAt accepted %s", r.name)
+		if err := h.ReplaceAt(r.rid, []byte(r.tuple), []byte(r.pre), r.ts); err == nil || !strings.Contains(err.Error(), r.why) {
+			t.Errorf("ReplaceAt of %s: %v", r.name, err)
 		}
 	}
-	if got, _ := h.Get(live); string(got) != "live" || h.PreImages() != 0 {
-		t.Fatalf("after the refusals the live slot reads %q with %d pre-images", got, h.PreImages())
+	if got, _ := h.Get(live); string(got) != "live" || h.PreImages() != 0 || h.pool.PinnedFrames() != 0 {
+		t.Fatalf("after the refusals the live slot reads %q with %d pre-images, %d frames pinned", got, h.PreImages(), h.pool.PinnedFrames())
 	}
 
 	if err := h.ReplaceAt(live, []byte("LIVE"), []byte("live"), 3); err != nil {
 		t.Fatal(err)
+	}
+	// A page's first pre-image starts its list with room for more.
+	if c := cap(h.vers[live.Page].pre); c != firstPreImages {
+		t.Errorf("the page's pre-image list holds %d, want %d", c, firstPreImages)
 	}
 	if err := h.ReplaceAt(live, []byte("L1VE"), []byte("LIVE"), 4); err == nil {
 		t.Error("ReplaceAt accepted a slot that already holds a pre-image")
@@ -70,11 +78,27 @@ func TestReplaceAtRefusals(t *testing.T) {
 	if got, _ := h.Get(live); string(got) != "LIVE" || h.PreImages() != 1 {
 		t.Fatalf("after the second replacement was refused the slot reads %q with %d pre-images", got, h.PreImages())
 	}
+	// A page that cannot be read fails the replacement, which changes
+	// nothing and pins nothing.
+	more := appendAll(t, h, 1, "more")[0]
+	if err := h.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	h.pool.Invalidate()
+	h.pool.Disk().SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+	err := h.ReplaceAt(more, []byte("MORE"), []byte("more"), 5)
+	h.pool.Disk().SetFaultPlan(nil)
+	if err == nil || h.PreImages() != 1 || h.pool.PinnedFrames() != 0 {
+		t.Fatalf("ReplaceAt under a read fault: %v, %d pre-images, %d frames pinned", err, h.PreImages(), h.pool.PinnedFrames())
+	}
 	if err := h.RestoreAt(ended); err == nil {
 		t.Error("RestoreAt accepted a slot without a pre-image")
 	}
 	if err := h.RestoreAt(live); err == nil {
 		t.Error("RestoreAt accepted a pre-image that was not reopened")
+	}
+	if err := h.ReopenPreImage(more); err == nil {
+		t.Error("ReopenPreImage accepted a live slot without a pre-image")
 	}
 	if err := h.ReopenPreImage(ended); err == nil {
 		t.Error("ReopenPreImage accepted a slot without a pre-image")

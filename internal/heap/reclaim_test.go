@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -271,9 +272,21 @@ func TestPruneKeepsSlotsAndReusesSpace(t *testing.T) {
 	if h.NumPages() != 1 {
 		t.Fatalf("%d pages, want 1", h.NumPages())
 	}
+	if err := h.MarkDead(rids[1], 50); err == nil {
+		t.Fatal("MarkDead accepted a live version")
+	}
+	if err := h.ClearEnd(rids[1]); err == nil || h.TupleCount() != 4 {
+		t.Fatalf("ClearEnd of a live version: %v, %d tuples", err, h.TupleCount())
+	}
 	for _, rid := range []RID{rids[1], rids[3]} {
 		if err := h.SetEnd(rid, 5); err != nil {
 			t.Fatal(err)
+		}
+		if err := h.SetEnd(rid, 6); err == nil {
+			t.Fatal("SetEnd accepted a version already ended")
+		}
+		if err := h.MarkDead(rid, 0); err == nil {
+			t.Fatal("MarkDead accepted a dead tuple of no bytes")
 		}
 		if err := h.MarkDead(rid, 50); err != nil {
 			t.Fatal(err)
@@ -310,5 +323,214 @@ func TestPruneKeepsSlotsAndReusesSpace(t *testing.T) {
 	if h.Slots() != 3 || h.DeadVersions() != 0 || h.ReclaimedVersions() != 2 {
 		t.Fatalf("Slots %d, DeadVersions %d, ReclaimedVersions %d; want 3, 0, 2",
 			h.Slots(), h.DeadVersions(), h.ReclaimedVersions())
+	}
+	if _, err := h.PutAt(0, make([]byte, 200), 7); err == nil || h.pool.PinnedFrames() != 0 {
+		t.Fatalf("PutAt of a tuple the page cannot take: %v, %d frames pinned", err, h.pool.PinnedFrames())
+	}
+
+	// A dead slot reused by a smaller tuple leaves its bytes as garbage;
+	// a tuple that needs them gets the prune that packs them away, and
+	// a new slot.
+	h = newHeap(t, 256, 8)
+	rids = appendAll(t, h, 1, strings.Repeat("a", 40), strings.Repeat("b", 40))
+	if err := h.SetEnd(rids[0], 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.MarkDead(rids[0], 40); err != nil {
+		t.Fatal(err)
+	}
+	if rid, err := h.PutAt(0, []byte("cccccccccc"), 3); err != nil || rid != rids[0] {
+		t.Fatalf("PutAt into the dead slot: %v, %v", rid, err)
+	}
+	fill := bytes.Repeat([]byte{'d'}, int(h.space[0].free)-1)
+	rid, err = h.PutAt(0, fill, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range map[RID]string{rids[0]: "cccccccccc", rids[1]: strings.Repeat("b", 40), rid: string(fill)} {
+		if got, err := h.Get(r); err != nil || string(got) != want {
+			t.Fatalf("slot %v reads %q (%v) after the prune, want %q", r, got, err, want)
+		}
+	}
+
+	// On a page whose every slot is dead, the prune trims them all and
+	// the new tuple takes slot 0.
+	h = newHeap(t, 256, 8)
+	rids = appendAll(t, h, 1, strings.Repeat("e", 100), strings.Repeat("f", 100))
+	for _, r := range rids {
+		if err := h.SetEnd(r, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.MarkDead(r, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rid, err := h.PutAt(0, make([]byte, 210), 3); err != nil || rid != (RID{Page: 0, Slot: 0}) || h.Slots() != 1 {
+		t.Fatalf("PutAt on a page of dead slots: %v, %v, %d slots", rid, err, h.Slots())
+	}
+}
+
+// TestFullPageLeavesItsClass: a full page whose reusable slot is taken
+// has nothing left to give back, so it leaves its size class — class 0
+// too, where pages with less than 64 bytes of room are filed — and its
+// reuse state goes; BestFit finds a class's pages until its last one
+// leaves, and then none.
+func TestFullPageLeavesItsClass(t *testing.T) {
+	h := newHeap(t, 256, 8)
+	// Two full pages of tuples of 60, 60, 60 and 10 bytes.
+	var rids []RID
+	for range 2 {
+		for _, n := range []int{60, 60, 60, 10} {
+			rid, err := h.AppendAt(bytes.Repeat([]byte{'x'}, n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+	}
+	if h.NumPages() != 2 || h.Room(0) >= classWidth-10 {
+		t.Fatalf("%d pages, %d bytes of room; want two pages with little room", h.NumPages(), h.Room(0))
+	}
+	kill := func(rid RID, n int) {
+		t.Helper()
+		if err := h.SetEnd(rid, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.MarkDead(rid, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A tuple larger than the page's gap takes the prune that packs the
+	// dead bytes away, and the dead slot.
+	reuse := func(page int64) {
+		t.Helper()
+		if _, err := h.PutAt(page, bytes.Repeat([]byte{'y'}, int(h.space[page].free)+5), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kill(rids[3], 10)
+	if len(h.classes[0]) != 1 {
+		t.Fatalf("the page with a dead slot and %d bytes of room is not in class 0: %v", h.Room(0), h.classes[:2])
+	}
+	if page, ok := h.BestFit(TupleCost(10), 1); !ok || page != 0 {
+		t.Fatalf("BestFit for a tuple the dead slot fits = %d, %v; want page 0", page, ok)
+	}
+	reuse(0)
+	if len(h.classes[0]) != 0 || len(h.reuse) != 0 {
+		t.Fatalf("after its slot's reuse the page is still filed: class 0 %v, %d reuse states", h.classes[0], len(h.reuse))
+	}
+
+	kill(rids[1], 60)
+	kill(rids[5], 60)
+	if len(h.classes[1]) != 2 {
+		t.Fatalf("class 1 holds %v, want both pages", h.classes[1])
+	}
+	reuse(0)
+	if page, ok := h.BestFit(TupleCost(1), 1); !ok || page != 1 {
+		t.Fatalf("BestFit with one page left in class 1 = %d, %v; want page 1", page, ok)
+	}
+	reuse(1)
+	if page, ok := h.BestFit(TupleCost(1), 1); ok {
+		t.Fatalf("BestFit with every class empty = page %d", page)
+	}
+
+	// On 8 KiB pages the classes run past 64, one bitmap word each: a
+	// page moving from class 64 to 65 leaves class 64 empty.
+	h = newHeap(t, 8192, 8)
+	sizes := []int{4100, 100, 0}
+	sizes[2] = h.EmptyRoom() - TupleCost(4100) - TupleCost(100) - TupleCost(0) - 20
+	rids = rids[:0]
+	for _, n := range sizes {
+		rid, err := h.AppendAt(bytes.Repeat([]byte{'x'}, n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	kill(rids[0], 4100)
+	if c := h.Room(0) / classWidth; c != 64 {
+		t.Fatalf("the page is in class %d, want 64", c)
+	}
+	if page, ok := h.BestFit(64*classWidth, 1); !ok || page != 0 {
+		t.Fatalf("BestFit in class 64 = %d, %v; want the page", page, ok)
+	}
+	kill(rids[1], 100)
+	if len(h.classes[64]) != 0 || len(h.classes[65]) != 1 {
+		t.Fatalf("class 64 holds %v and class 65 %v; want the page in 65", h.classes[64], h.classes[65])
+	}
+	if page, ok := h.BestFit(TupleCost(1), 1); !ok || page != 0 {
+		t.Fatalf("BestFit = %d, %v; want the page in class 65", page, ok)
+	}
+
+	// Class 63 is the first word's last bit: BestFit for it passes over
+	// a page of a lower class in the same word.
+	h = newHeap(t, 8192, 8)
+	rids = rids[:0]
+	for _, n := range []int{4040, 640} {
+		for _, size := range []int{n, h.EmptyRoom() - TupleCost(n) - slotSize - 20} {
+			rid, err := h.AppendAt(bytes.Repeat([]byte{'x'}, size), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+	}
+	kill(rids[0], 4040)
+	kill(rids[2], 640)
+	if c0, c1 := h.Room(0)/classWidth, h.Room(1)/classWidth; c0 != 63 || c1 != 10 {
+		t.Fatalf("pages in classes %d and %d, want 63 and 10", c0, c1)
+	}
+	if page, ok := h.BestFit(63*classWidth, 1); !ok || page != 0 {
+		t.Fatalf("BestFit in class 63 = %d, %v; want page 0", page, ok)
+	}
+
+	// A page whose room grows within its class keeps its place there, so
+	// BestFit still answers with the page filed last.
+	h = newHeap(t, 256, 8)
+	rids = rids[:0]
+	for range 2 {
+		for _, n := range []int{60, 60, 60, 10} {
+			rid, err := h.AppendAt(bytes.Repeat([]byte{'x'}, n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+	}
+	kill(rids[1], 60)
+	kill(rids[5], 60)
+	kill(rids[3], 10)
+	if c0, c1 := h.Room(0)/classWidth, h.Room(1)/classWidth; c0 != 1 || c1 != 1 {
+		t.Fatalf("pages in classes %d and %d, want both in 1", c0, c1)
+	}
+	if page, ok := h.BestFit(TupleCost(1), 1); !ok || page != 1 {
+		t.Fatalf("BestFit = %d, %v; want page 1, filed last", page, ok)
+	}
+
+	// A page left with nothing to give back but a class's worth of room
+	// (64 bytes) stays filed for its room.
+	h = newHeap(t, 256, 8)
+	rids = rids[:0]
+	for _, n := range []int{60, 60, 120} {
+		rid, err := h.AppendAt(bytes.Repeat([]byte{'x'}, n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	kill(rids[2], 120)
+	if _, err := h.PutAt(0, bytes.Repeat([]byte{'z'}, 56), 3); err != nil {
+		t.Fatal(err)
+	}
+	if h.Room(0) != classWidth || h.space[0].garbage != 0 {
+		t.Fatalf("the page has %d bytes of room, %d of garbage; want %d and none", h.Room(0), h.space[0].garbage, classWidth)
+	}
+	if page, ok := h.BestFit(TupleCost(60), 1); !ok || page != 0 {
+		t.Fatalf("BestFit for 64 bytes = %d, %v; want the page with 64 bytes of room", page, ok)
+	}
+	// A group larger than a page fits no page, whatever slots it could
+	// reuse.
+	if page, ok := h.BestFit(h.EmptyRoom()+2*classWidth, 100); ok {
+		t.Fatalf("BestFit for more than a page = page %d", page)
 	}
 }

@@ -76,7 +76,7 @@ var ErrInjected = errors.New("sim: injected disk fault")
 
 // FaultPlan describes deterministic fault injection for chaos testing.
 // All trigger fields compose: an access fails when any armed trigger
-// matches, and the page-range gate (when set) restricts every trigger.
+// matches.
 // Counters are relative to SetFaultPlan, so re-installing a plan replays
 // the same fault sequence — runs are reproducible by construction, and
 // the probabilistic trigger draws from a stream seeded by Seed.
@@ -87,20 +87,12 @@ type FaultPlan struct {
 	FailWriteN int64
 	// EveryKth fails every Kth access (reads and writes pooled).
 	EveryKth int64
-	// PageLo/PageHi, when PageHi > 0, gate every trigger to accesses of
-	// pages in [PageLo, PageHi].
-	PageLo, PageHi int64
 	// ReadProb fails each read independently with this probability,
 	// drawn from a deterministic stream seeded by Seed.
 	ReadProb float64
 	// Seed seeds the ReadProb stream (0 behaves as an arbitrary fixed
 	// seed; equal seeds give equal fault sequences).
 	Seed int64
-}
-
-// armed reports whether the plan can trigger at all.
-func (fp FaultPlan) armed() bool {
-	return fp.FailReadN > 0 || fp.FailWriteN > 0 || fp.EveryKth > 0 || fp.ReadProb > 0
 }
 
 // Stats aggregates I/O counters and the virtual clock. Every field is
@@ -263,9 +255,7 @@ func (d *Disk) Shrink(f FileID, pages int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fs := d.files[f]
-	if pages >= int64(len(fs)) {
-		return
-	}
+	pages = min(pages, int64(len(fs)))
 	clear(fs[pages:]) // the backing array must not keep the bytes alive
 	d.files[f] = fs[:pages]
 }
@@ -288,13 +278,9 @@ func (d *Disk) StoreBytes() int64 {
 func (d *Disk) SetFaultPlan(fp *FaultPlan) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if fp != nil && !fp.armed() {
-		fp = nil
-	}
 	d.fp = fp
 	d.faultReads, d.faultWrites, d.faultAccs = 0, 0, 0
-	d.faultRng = nil
-	if fp != nil && fp.ReadProb > 0 {
+	if fp != nil {
 		d.faultRng = rand.New(rand.NewSource(fp.Seed))
 	}
 }
@@ -315,18 +301,15 @@ func (d *Disk) injectFault(f FileID, p int64, write bool) error {
 	} else {
 		d.faultReads++
 	}
-	if fp.PageHi > 0 && (p < fp.PageLo || p > fp.PageHi) {
-		return nil
-	}
 	fire := false
 	switch {
-	case !write && fp.FailReadN > 0 && d.faultReads == fp.FailReadN:
+	case !write && d.faultReads == fp.FailReadN:
 		fire = true
-	case write && fp.FailWriteN > 0 && d.faultWrites == fp.FailWriteN:
+	case write && d.faultWrites == fp.FailWriteN:
 		fire = true
 	case fp.EveryKth > 0 && d.faultAccs%fp.EveryKth == 0:
 		fire = true
-	case !write && d.faultRng != nil && d.faultRng.Float64() < fp.ReadProb:
+	case !write && d.faultRng.Float64() < fp.ReadProb:
 		fire = true
 	}
 	if !fire {
@@ -402,27 +385,6 @@ func (d *Disk) charge(f FileID, p int64, write bool) time.Duration {
 	return cost
 }
 
-// wait blocks for the access's scaled real-time cost when the disk is
-// configured with RealWaitScale. Called without the mutex held so
-// concurrent accesses overlap their waits. Sub-chunk costs pool in owed
-// and the accessor that pushes the pool past waitChunk sleeps it off.
-func (d *Disk) wait(cost time.Duration) {
-	if d.cfg.RealWaitScale <= 0 {
-		return
-	}
-	real := cost / time.Duration(d.cfg.RealWaitScale)
-	owed := d.owed.Add(int64(real))
-	if owed < int64(waitChunk) {
-		return
-	}
-	// Claim the whole pool; on a lost race the racing accessor observed
-	// an even larger pool and claims it instead.
-	if d.owed.CompareAndSwap(owed, 0) {
-		time.Sleep(time.Duration(owed))
-		d.slept.Add(owed)
-	}
-}
-
 // ReadPageDeferWait charges a read of page p of file f and lends the
 // page: it returns the store's own bytes, not a copy, so a caller that
 // mutates them mutates the stored page. The buffer pool's frames hold
@@ -460,11 +422,25 @@ func (d *Disk) WritePageDeferWait(f FileID, p int64) (time.Duration, error) {
 	return d.charge(f, p, true), nil
 }
 
-// PayWait blocks for a previously deferred access cost. A zero cost is
-// free.
+// PayWait blocks for a previously deferred access cost, scaled down by
+// RealWaitScale (a disk without it never blocks). Called without the
+// mutex held so concurrent accesses overlap their waits. Sub-chunk costs
+// pool in owed and the accessor that pushes the pool past waitChunk
+// sleeps it off.
 func (d *Disk) PayWait(cost time.Duration) {
-	if cost > 0 {
-		d.wait(cost)
+	if d.cfg.RealWaitScale <= 0 {
+		return
+	}
+	real := cost / time.Duration(d.cfg.RealWaitScale)
+	owed := d.owed.Add(int64(real))
+	if owed < int64(waitChunk) {
+		return
+	}
+	// Claim the whole pool; on a lost race the racing accessor observed
+	// an even larger pool and claims it instead.
+	if d.owed.CompareAndSwap(owed, 0) {
+		time.Sleep(time.Duration(owed))
+		d.slept.Add(owed)
 	}
 }
 

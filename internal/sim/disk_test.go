@@ -1,8 +1,14 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"weak"
 )
 
 func newTestDisk() *Disk {
@@ -16,6 +22,11 @@ func TestDefaults(t *testing.T) {
 	}
 	if d.Config().SeekCost != DefaultSeekCost || d.Config().SeqPageCost != DefaultSeqPageCost {
 		t.Error("default costs not applied")
+	}
+	// Any positive field is kept, however small.
+	tiny := Config{PageSize: 1, SeekCost: 1, SeqPageCost: 1}
+	if got := NewDisk(tiny).Config(); got != tiny {
+		t.Errorf("config %+v became %+v", tiny, got)
 	}
 }
 
@@ -112,6 +123,18 @@ func TestShrinkDropsTheTailPages(t *testing.T) {
 	if d.NumPages(g) != 1 {
 		t.Error("Shrink of one file changed another")
 	}
+	// A dropped page is the collector's: the file keeps no reference to
+	// its bytes past the cut.
+	dropped := func() weak.Pointer[byte] {
+		_, pg := d.AllocPage(g)
+		return weak.Make(&pg[0])
+	}()
+	d.Shrink(g, 1)
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Error("a dropped page's bytes are still reachable after Shrink")
+	}
+	runtime.KeepAlive(d)
 }
 
 func TestSequentialVsRandomClassification(t *testing.T) {
@@ -170,6 +193,9 @@ func TestElapsedAccounting(t *testing.T) {
 	if got := d.Elapsed(); got != want {
 		t.Errorf("elapsed = %v, want %v", got, want)
 	}
+	if got := d.Stats().Elapsed; got != want {
+		t.Errorf("Stats().Elapsed = %v, want %v", got, want)
+	}
 }
 
 func TestSyncCostsOneSeekAndForgetsPosition(t *testing.T) {
@@ -218,17 +244,29 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
+// TestErrors: an access of a missing file or page fails, is charged
+// nothing and is no injected fault, even with a plan armed.
 func TestErrors(t *testing.T) {
 	d := newTestDisk()
+	d.SetFaultPlan(&FaultPlan{EveryKth: 1})
 	if _, _, err := d.ReadPageDeferWait(5, 0); err == nil {
 		t.Error("read of missing file should fail")
 	}
 	f := d.CreateFile()
-	if _, _, err := d.ReadPageDeferWait(f, 0); err == nil {
-		t.Error("read of missing page should fail")
+	if _, _, err := d.ReadPageDeferWait(f+1, 0); err == nil {
+		t.Error("read of the file after the last should fail")
 	}
-	if _, err := d.WritePageDeferWait(f, 3); err == nil {
-		t.Error("write of missing page should fail")
+	if _, cost, err := d.ReadPageDeferWait(f, 0); err == nil || errors.Is(err, ErrInjected) || cost != 0 {
+		t.Errorf("read of missing page: %v, cost %v", err, cost)
+	}
+	if cost, err := d.WritePageDeferWait(f, 3); err == nil || errors.Is(err, ErrInjected) || cost != 0 {
+		t.Errorf("write of missing page: %v, cost %v", err, cost)
+	}
+	if _, _, err := d.ReadPageDeferWait(f, -1); err == nil || errors.Is(err, ErrInjected) {
+		t.Errorf("read of page -1: %v", err)
+	}
+	if s := d.Stats(); s.Reads+s.Writes+s.InjectedFaults != 0 || s.Elapsed != 0 {
+		t.Errorf("failed accesses were counted: %+v", s)
 	}
 }
 
@@ -278,6 +316,18 @@ func TestStreamStatsAndReset(t *testing.T) {
 	if s.SeqReads == 0 {
 		t.Fatalf("interleaved sequential runs classified no seq reads: %+v", s)
 	}
+	// At most 64 streams live at once: 65 files' first reads, each a
+	// seek, evict the two runs' streams and the first file's.
+	for range 65 {
+		g := d.CreateFile()
+		d.AllocPage(g)
+		if _, _, err := d.ReadPageDeferWait(g, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := d.Stats(); s.StreamEvictions != 3 || s.ActiveStreams != 64 {
+		t.Fatalf("after 65 more seeks: %d streams evicted, %d active; want 3 and 64", s.StreamEvictions, s.ActiveStreams)
+	}
 
 	d.ResetStats()
 	s = d.Stats()
@@ -297,5 +347,120 @@ func TestStreamStatsAndReset(t *testing.T) {
 	}
 	if s.ActiveStreams != 1 {
 		t.Fatalf("active streams = %d, want 1", s.ActiveStreams)
+	}
+}
+
+// TestFaultTriggers runs one access sequence — reads and writes of a
+// four-page file, alternating as r r w r w w r r — under each trigger and
+// pins which accesses fail: a failed access returns an error wrapping
+// ErrInjected that names it, and is neither charged nor counted.
+// Re-installing a plan restarts its counters.
+func TestFaultTriggers(t *testing.T) {
+	const ops = "rrwrwwrr"
+	// The probabilistic trigger draws one number per read from a stream
+	// seeded by the plan.
+	var probFails []int
+	rng := rand.New(rand.NewSource(7))
+	for i, op := range ops {
+		if op == 'r' && rng.Float64() < 0.5 {
+			probFails = append(probFails, i)
+		}
+	}
+	for _, c := range []struct {
+		plan  *FaultPlan
+		fails []int
+	}{
+		{nil, nil},
+		{&FaultPlan{}, nil},
+		{&FaultPlan{FailReadN: 1}, []int{0}},
+		{&FaultPlan{FailReadN: 4}, []int{6}},
+		{&FaultPlan{FailWriteN: 1}, []int{2}},
+		{&FaultPlan{FailWriteN: 3}, []int{5}},
+		{&FaultPlan{EveryKth: 1}, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{&FaultPlan{EveryKth: 3}, []int{2, 5}},
+		{&FaultPlan{ReadProb: 0.5, Seed: 7}, probFails},
+		{&FaultPlan{FailReadN: 2, FailWriteN: 2}, []int{1, 4}},
+	} {
+		d := NewDisk(Config{PageSize: 64})
+		f := d.CreateFile()
+		for range 4 {
+			d.AllocPage(f)
+		}
+		for round := 0; round < 2; round++ {
+			d.SetFaultPlan(c.plan)
+			var fails []int
+			for i, op := range ops {
+				before := d.Stats()
+				p := int64(i % 4)
+				var cost time.Duration
+				var err error
+				if op == 'r' {
+					_, cost, err = d.ReadPageDeferWait(f, p)
+				} else {
+					cost, err = d.WritePageDeferWait(f, p)
+				}
+				if err == nil {
+					continue
+				}
+				if cost != 0 {
+					t.Errorf("%+v: the failed access %d costs %v", c.plan, i, cost)
+				}
+				fails = append(fails, i)
+				kind := map[rune]string{'r': "read", 'w': "write"}[op]
+				if want := fmt.Sprintf("sim: %s of file %d page %d", kind, f, p); !errors.Is(err, ErrInjected) || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%+v: access %d failed with %v, want %q wrapping ErrInjected", c.plan, i, err, want)
+				}
+				if after := d.Stats(); after.Reads != before.Reads || after.Writes != before.Writes || after.Elapsed != before.Elapsed {
+					t.Errorf("%+v: the failed access %d was charged", c.plan, i)
+				}
+			}
+			if fmt.Sprint(fails) != fmt.Sprint(c.fails) {
+				t.Errorf("%+v, round %d: accesses %v failed, want %v", c.plan, round, fails, c.fails)
+			}
+			if got := d.Stats().InjectedFaults; got != uint64((round+1)*len(c.fails)) {
+				t.Errorf("%+v, round %d: %d injected faults counted", c.plan, round, got)
+			}
+		}
+	}
+}
+
+// TestRealWaits: with RealWaitScale, paid costs pool until they reach
+// the 2 ms chunk and are then slept off whole, divided by the scale;
+// Stats.IOWait is what was slept. Without it nothing is slept.
+// ResetStats forgets the pool as well as the total.
+func TestRealWaits(t *testing.T) {
+	d := NewDisk(Config{RealWaitScale: 1})
+	start := time.Now()
+	d.PayWait(5 * time.Millisecond)
+	if wall, slept := time.Since(start), d.Stats().IOWait; slept != 5*time.Millisecond || wall < slept {
+		t.Fatalf("a 5 ms payment: %v counted, %v of wall time", slept, wall)
+	}
+	d.ResetStats()
+	for i, want := range []time.Duration{0, 2400 * time.Microsecond, 2400 * time.Microsecond, 4800 * time.Microsecond} {
+		d.PayWait(1200 * time.Microsecond)
+		if got := d.Stats().IOWait; got != want {
+			t.Fatalf("after %d payments of 1.2 ms: slept %v, want %v", i+1, got, want)
+		}
+	}
+	d.PayWait(1200 * time.Microsecond)
+	d.ResetStats()
+	d.PayWait(2*time.Millisecond - 1)
+	if got := d.Stats().IOWait; got != 0 {
+		t.Fatalf("after a reset and a payment just under 2 ms: slept %v", got)
+	}
+	exact := NewDisk(Config{RealWaitScale: 1})
+	exact.PayWait(2 * time.Millisecond)
+	if got := exact.Stats().IOWait; got != 2*time.Millisecond {
+		t.Errorf("a 2 ms payment slept %v", got)
+	}
+	half := NewDisk(Config{RealWaitScale: 2})
+	half.PayWait(4800 * time.Microsecond)
+	if got := half.Stats().IOWait; got != 2400*time.Microsecond {
+		t.Errorf("scale 2: a 4.8 ms payment slept %v", got)
+	}
+	none := NewDisk(Config{})
+	none.PayWait(time.Second)
+	if got := none.Stats().IOWait; got != 0 {
+		t.Errorf("no scale: slept %v", got)
 	}
 }

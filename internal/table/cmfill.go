@@ -9,8 +9,9 @@ import (
 	"repro/internal/value"
 )
 
-// fillCM adds every live row to cm in its clustered bucket (Algorithm
-// 1's scan), reading what it needs straight from each tuple's bytes. The
+// fillCM adds every live row to cm in its clustered bucket in bounds
+// (Algorithm 1's scan; a load passes the bounds it has not installed
+// yet), reading what it needs straight from each tuple's bytes. The
 // heap is in clustered order, so a row's clustering key is mostly its
 // predecessor's, and so is its bucket; and its pair — CM key and bucket —
 // is mostly its predecessor's too. Each run of rows of one pair is folded
@@ -18,7 +19,7 @@ import (
 // each row would. Only a CM whose columns are bucketed decodes them, for
 // its bucketers. (No key is empty, so the first row locates its own
 // bucket and starts its own run.)
-func (t *Table) fillCM(cm *core.CM) error {
+func (t *Table) fillCM(cm *core.CM, bounds *core.ClusteredBuckets) error {
 	sch, ccols := t.cfg.Schema, t.cfg.ClusteredCols
 	spec := cm.Spec()
 	run := newCMRun(cm, sch)
@@ -36,7 +37,7 @@ func (t *Table) fillCM(cm *core.CM) error {
 	err := t.scanTuples(func(_ heap.RID, tuple []byte) bool {
 		ckey = cFields.appendKey(ckey[:0], tuple)
 		if !bytes.Equal(ckey, prevC) {
-			cb, prevC = t.cbuckets.Locate(ckey), append(prevC[:0], ckey...)
+			cb, prevC = bounds.Locate(ckey), append(prevC[:0], ckey...)
 		}
 		if bucketed {
 			_ = sch.decodeCols(row, tuple, spec.UCols, true) // a checked tuple decodes

@@ -18,9 +18,10 @@ import (
 // clustered buckets with the Section 6.1.1 boundary rule; each run of a
 // bucket's rows on one page goes into the page directory as one
 // reference, so the directory is complete when the load is. Load runs
-// only on an empty table, and before any CM is created. A secondary
-// index created before it gets the tree and pair statistics CreateIndex
-// would build from the loaded heap, in place of its empty tree. Equal
+// only on an empty table. A secondary index created before it gets the
+// tree and pair statistics CreateIndex would build from the loaded heap,
+// in place of its empty tree, and a CM created before it is filled from
+// the loaded heap as CreateCM fills one (fillCM). Equal
 // keys keep their input order, and Load keeps no row: it reads rows
 // during the call only.
 //
@@ -71,10 +72,7 @@ func (t *Table) Load(rows []value.Row) error {
 		return errors.Join(err, tx.Abort())
 	}
 	t.mu.Lock()
-	if l.builder == nil {
-		l.builder = core.NewBuilder(1)
-	}
-	t.cbuckets = l.builder.Finish()
+	t.cbuckets = l.bounds
 	t.pageDir = l.dir.directory()
 	if len(rows) > 0 {
 		t.keyWidth = (len(l.keys) + len(rows) - 1) / len(rows)
@@ -93,8 +91,8 @@ func (t *Table) Load(rows []value.Row) error {
 }
 
 // load is one Load's state: the rows' clustering keys and their order,
-// the bucket builder, the directory it collects, and the trees and pair
-// statistics of the indexes created before it.
+// the bucket builder, the bounds it finishes, the directory it collects,
+// and the trees and pair statistics of the indexes created before it.
 type load struct {
 	t     *Table
 	tx    *WriteTxn
@@ -105,6 +103,7 @@ type load struct {
 	offs    []int
 	order   []int // row positions in clustering-key order
 	builder *core.Builder
+	bounds  *core.ClusteredBuckets
 	dir     loadedDirectory
 
 	trees []*btree.Tree
@@ -114,7 +113,8 @@ type load struct {
 // run validates the rows and sorts them by their clustering keys, stages
 // them in that order (stageSorted) and appends them, each latch batch
 // encoded into one buffer reused for the next (the heap copies what it
-// stores), then builds the indexes created before the load.
+// stores), then builds the indexes and fills the CMs created before the
+// load.
 func (l *load) run() error {
 	t := l.t
 	sch := t.cfg.Schema
@@ -157,11 +157,18 @@ func (l *load) run() error {
 			key = ckeys.appendKey(key[:0], encs[k])
 			cbs[k] = l.builder.Add(key)
 		}
-		if err := l.append(batch, encs[:len(batch)], cbs[:len(batch)]); err != nil {
+		if err := l.append(encs[:len(batch)], cbs[:len(batch)]); err != nil {
 			return err
 		}
 	}
-	return l.buildIndexes()
+	if l.builder == nil {
+		l.builder = core.NewBuilder(1)
+	}
+	l.bounds = l.builder.Finish()
+	if err := l.buildIndexes(); err != nil {
+		return err
+	}
+	return l.fillCMs()
 }
 
 // bucketTarget converts the pages-per-bucket setting into the bucket
@@ -184,13 +191,13 @@ func (t *Table) bucketTarget(encs [][]byte) int {
 	return int(tpp) * t.cfg.BucketPages
 }
 
-// append places one batch of rows (positions batch, encoded as encs, in
-// clustered buckets cbs) under one exclusive latch hold, a page at a time:
+// append places one batch of rows (encoded as encs, in clustered
+// buckets cbs) under one exclusive latch hold, a page at a time:
 // each page takes every row that fits under one pin, and each run of one
 // bucket's rows on it becomes one directory reference. A load never
 // returns to a page it has left: before it opens a new page, the full
 // tail goes to disk (see Load).
-func (l *load) append(batch []int, encs [][]byte, cbs []int32) error {
+func (l *load) append(encs [][]byte, cbs []int32) error {
 	t, h := l.t, l.t.heapf
 	held := t.lockLatched()
 	defer t.unlockLatched(held)
@@ -220,11 +227,6 @@ func (l *load) append(batch []int, encs [][]byte, cbs []int32) error {
 			l.dir.add(cb, page, n)
 			k += n
 		}
-		for _, cm := range t.cms {
-			for k := range rids {
-				cm.AddRow(l.rows[batch[i+k]], cbs[i+k])
-			}
-		}
 		i += len(rids)
 	}
 	return nil
@@ -248,6 +250,21 @@ func (l *load) buildIndexes() error {
 		}
 		l.trees = append(l.trees, tree)
 		l.pairs = append(l.pairs, countedPairs(pc, at))
+	}
+	return nil
+}
+
+// fillCMs fills each CM created before the load from the loaded heap,
+// as CreateCM fills one, locating rows in the load's bucket bounds. It
+// holds the latch exclusively: readers may probe a CM the table lists.
+func (l *load) fillCMs() error {
+	t := l.t
+	held := t.lockLatched()
+	defer t.unlockLatched(held)
+	for _, cm := range t.cms {
+		if err := t.fillCM(cm, l.bounds); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -307,11 +307,12 @@ func TestPageDirectoryBetweenWriterBatches(t *testing.T) {
 }
 
 // TestPageDirectoryLoadAbort fails a bulk load, and an index build, on
-// an injected fault at each disk write they make in turn: a heap page's
-// write-back, an eviction, and a page of an index's bottom-up build. A
-// failed Load must take every row back out of the heap and the directory
-// and leave the index created before it with no entries, and can then be
-// run again; a failed CreateIndex must add no index. Neither may leave a
+// an injected fault at each disk write they make in turn — a heap page's
+// write-back, an eviction, and a page of an index's bottom-up build —
+// and then at each disk read — the index build's and the CM fill's heap
+// scans. A failed Load must take every row back out of the heap and the
+// directory and leave the index and the CM created before it empty, and
+// can then be run again; a failed CreateIndex must add no index. Neither may leave a
 // frame pinned, nor a page the disk did not hold before it: a failed Load
 // truncates the heap back to the pages it had, a failed index build gives
 // its file's pages back, and so does a new heap page that got no frame.
@@ -341,33 +342,43 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 		_, err := tbl.CreateIndex("ix_u", []int{1})
 		return err
 	}
+	createIndexAndCM := func(tbl *Table) error {
+		if err := createIndex(tbl); err != nil {
+			return err
+		}
+		_, err := tbl.CreateCM(core.Spec{Name: "cm_u", UCols: []int{1}})
+		return err
+	}
 	load := func(tbl *Table) error { return tbl.Load(rows) }
 	for _, c := range []struct {
 		name       string
 		setup, run func(*Table) error
 		check      func(*Table, int64)
 	}{
-		{"Load", createIndex, load, func(tbl *Table, n int64) {
-			ix := tbl.Indexes()[0]
+		{"Load", createIndexAndCM, load, func(tbl *Table, n int64) {
+			ix, cm := tbl.Indexes()[0], tbl.CMs()[0]
+			if pairs := cm.Pairs(); pairs != 0 {
+				t.Fatalf("fault %d: the failed Load left %d pairs in the CM created before it", n, pairs)
+			}
 			if got, entries := tbl.Heap().TupleCount(), ix.Tree.Len(); got != 0 || entries != 0 {
-				t.Fatalf("write %d: the failed Load left %d heap tuples and %d index entries", n, got, entries)
+				t.Fatalf("fault %d: the failed Load left %d heap tuples and %d index entries", n, got, entries)
 			}
 			if it, err := ix.Tree.SeekFirst(); err != nil || it.Valid() {
-				t.Fatalf("write %d: the index yields an entry after the failed Load (%v)", n, err)
+				t.Fatalf("fault %d: the index yields an entry after the failed Load (%v)", n, err)
 			}
 			checkPageDir(t, tbl, "after the failed Load")
 			for b := int32(0); int(b) < len(tbl.PageDir().buckets); b++ {
 				if pages, _ := tbl.PageDir().Refs(b); len(pages) != 0 {
-					t.Fatalf("write %d: bucket %d still holds pages %v after the load unwound", n, b, pages)
+					t.Fatalf("fault %d: bucket %d still holds pages %v after the load unwound", n, b, pages)
 				}
 			}
-			if err := tbl.Load(rows); err != nil || ix.Tree.Len() != int64(len(rows)) {
-				t.Fatalf("write %d: Load after the failed one: %v, %d index entries", n, err, ix.Tree.Len())
+			if err := tbl.Load(rows); err != nil || ix.Tree.Len() != int64(len(rows)) || cm.Pairs() == 0 {
+				t.Fatalf("fault %d: Load after the failed one: %v, %d index entries, %d CM pairs", n, err, ix.Tree.Len(), cm.Pairs())
 			}
 		}},
 		{"CreateIndex", load, createIndex, func(tbl *Table, n int64) {
 			if ixs := len(tbl.Indexes()); ixs != 0 {
-				t.Fatalf("write %d: the failed CreateIndex left %d indexes", n, ixs)
+				t.Fatalf("fault %d: the failed CreateIndex left %d indexes", n, ixs)
 			}
 		}},
 	} {
@@ -375,32 +386,36 @@ func TestPageDirectoryLoadAbort(t *testing.T) {
 		if err := c.setup(tbl); err != nil {
 			t.Fatal(err)
 		}
-		before := d.Stats().Writes
+		before := d.Stats()
 		if err := c.run(tbl); err != nil {
 			t.Fatal(err)
 		}
-		writes := int64(d.Stats().Writes - before)
-		for n := int64(1); n <= writes; n++ {
+		writes, reads := int64(d.Stats().Writes-before.Writes), int64(d.Stats().Reads-before.Reads)
+		for n := int64(1); n <= writes+reads; n++ {
 			tbl, d := newTable()
 			if err := c.setup(tbl); err != nil {
 				t.Fatal(err)
 			}
 			store, heapPages := d.StoreBytes(), tbl.Heap().NumPages()
-			d.SetFaultPlan(&sim.FaultPlan{FailWriteN: n})
+			fp := &sim.FaultPlan{FailWriteN: n}
+			if n > writes {
+				fp = &sim.FaultPlan{FailReadN: n - writes}
+			}
+			d.SetFaultPlan(fp)
 			err := c.run(tbl)
 			d.SetFaultPlan(nil)
 			if !errors.Is(err, sim.ErrInjected) {
-				t.Fatalf("%s, write %d of %d: returned %v under a write fault", c.name, n, writes, err)
+				t.Fatalf("%s, fault %d of %d writes and %d reads: returned %v", c.name, n, writes, reads, err)
 			}
 			if grown, heap := d.StoreBytes()-store, (tbl.Heap().NumPages()-heapPages)*int64(d.PageSize()); grown != heap || heap != 0 {
-				t.Fatalf("%s, write %d: the store grew by %d bytes, its heap pages by %d", c.name, n, grown, heap)
+				t.Fatalf("%s, fault %d: the store grew by %d bytes, its heap pages by %d", c.name, n, grown, heap)
 			}
 			if p := tbl.Pool().PinnedFrames(); p != 0 {
-				t.Fatalf("%s, write %d: %d frames still pinned after the failure", c.name, n, p)
+				t.Fatalf("%s, fault %d: %d frames still pinned after the failure", c.name, n, p)
 			}
 			c.check(tbl, n)
 		}
-		t.Logf("%s: a fault at each of its %d writes", c.name, writes)
+		t.Logf("%s: a fault at each of its %d writes and %d reads", c.name, writes, reads)
 	}
 }
 
@@ -511,6 +526,15 @@ func TestAbortFaultStaysQueuedUntilTheNextWriter(t *testing.T) {
 		}
 		if n, dead := tbl.Heap().TupleCount(), tbl.DeadVersions(); n != 0 || dead != int64(len(rows)) {
 			t.Errorf("publish %v: %d live rows and %d dead versions after the abort, want 0 and the %d queued", publish, n, dead, len(rows))
+		}
+		// DDL drains the queue first, so a fault there fails it.
+		d.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+		_, ixErr := tbl.CreateIndex("ix_k", []int{0})
+		d.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+		_, cmErr := tbl.CreateCM(core.Spec{Name: "cm_u", UCols: []int{1}})
+		d.SetFaultPlan(nil)
+		if !errors.Is(ixErr, sim.ErrInjected) || !errors.Is(cmErr, sim.ErrInjected) || len(tbl.Indexes()) != 1 || len(tbl.CMs()) != 0 {
+			t.Errorf("publish %v: DDL over a faulted drain: %v, %v; %d indexes, %d CMs", publish, ixErr, cmErr, len(tbl.Indexes()), len(tbl.CMs()))
 		}
 		tx = tbl.BeginWrite()
 		if err := tx.InsertBatch(nil); err != nil {

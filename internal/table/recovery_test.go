@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // TestRecoverCMFromCheckpointAndLog reproduces the prototype's recovery
@@ -126,6 +127,25 @@ func TestRecoverCMFullLogWithoutCheckpoint(t *testing.T) {
 	}
 	if cm.Keys() != 0 {
 		t.Error("co-occurrence counts not recovered correctly")
+	}
+
+	// A logged row that does not decode, or the delete of a row no
+	// replayed record added, fails the replay.
+	never, err := tbl.cfg.Schema.AppendRow(nil, value.Row{value.NewString("VT"), value.NewString("nowhere"), value.NewInt(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []wal.Record{
+		{Type: wal.RecInsert, Target: tbl.cfg.Name, Payload: []byte{1, 2, 3}},
+		{Type: wal.RecDelete, Target: tbl.cfg.Name, Payload: never},
+	} {
+		lsn := tbl.log.Len()
+		if err := tbl.log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.RecoverCM(core.Spec{Name: "bad", UCols: []int{1}}, nil, lsn); err == nil {
+			t.Errorf("a replay of record type %v succeeded", rec.Type)
+		}
 	}
 }
 

@@ -322,7 +322,7 @@ func (t *Table) CreateCM(spec core.Spec) (*core.CM, error) {
 		return nil, err
 	}
 	cm := core.New(spec)
-	if err := t.fillCM(cm); err != nil {
+	if err := t.fillCM(cm, t.cbuckets); err != nil {
 		return nil, err
 	}
 	t.cms = append(t.cms, cm)
@@ -438,7 +438,7 @@ func (t *Table) RecoverCM(spec core.Spec, checkpoint io.Reader, fromLSN int64) (
 // for CMs recovered from checkpoints of another stat-column layout.
 func (t *Table) rebuildCMStats(cm *core.CM) error {
 	cm.Reset()
-	return t.fillCM(cm)
+	return t.fillCM(cm, t.cbuckets)
 }
 
 // CheckpointCM serializes a CM to the writer, appends a checkpoint

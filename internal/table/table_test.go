@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/keyenc"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -452,6 +455,31 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	if _, err := sch.DecodeRow(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated row accepted")
 	}
+	// A row decoded without a view owns its strings: overwriting the
+	// tuple changes none of them.
+	// Columns asked for in order, out of order or twice all decode.
+	var owned []value.Row
+	for _, cols := range [][]int{{0, 1}, {1, 0}, {1, 1, 2}} {
+		r := make(value.Row, len(sch.Cols))
+		if err := sch.decodeCols(r, enc, cols, false); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cols {
+			if !r[c].Equal(row[c]) {
+				t.Errorf("columns %v: col %d decoded %v, want %v", cols, c, r[c], row[c])
+			}
+		}
+		owned = append(owned, r)
+	}
+	clear(enc)
+	for _, r := range append(owned, got) {
+		if r[1].S != "bo\x00ston" {
+			t.Errorf("after the tuple was overwritten a decoded row reads %q", r[1].S)
+		}
+	}
+	if got[0].S != "MA" {
+		t.Errorf("after the tuple was overwritten DecodeRow's row reads %q", got[0].S)
+	}
 }
 
 func TestFloatColumnRoundTrip(t *testing.T) {
@@ -572,4 +600,308 @@ func TestLoadOwnsItsPages(t *testing.T) {
 		t.Fatalf("the Load placed %d rows from page %d, want %d from page 1", len(got), rids[0].Page, len(rows))
 	}
 	checkPageDir(t, tbl, "after the Load")
+}
+
+// TestLoadEdges: a load of no row succeeds and leaves the table empty,
+// and Stats then prices a clustering key at 9 bytes a column; a load of
+// one row makes one bucket of one page; a float column is staged and
+// stored like the others; two write batches of small rows share the
+// load's first page; and the clustering keys' width is their mean,
+// rounded up.
+func TestLoadEdges(t *testing.T) {
+	newTable := func(cols ...Column) *Table {
+		t.Helper()
+		d := sim.NewDisk(sim.Config{PageSize: 8192})
+		tbl, err := New(buffer.NewPool(d, 64), wal.NewLog(d), Config{Name: "e", Schema: NewSchema(cols...), ClusteredCols: []int{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	empty := newTable(Column{Name: "k", Kind: value.Int})
+	if err := empty.Load(nil); err != nil || empty.Heap().TupleCount() != 0 {
+		t.Fatalf("Load of no row: %v, %d tuples", err, empty.Heap().TupleCount())
+	}
+	inserted := make([]value.Row, 400)
+	for i := range inserted {
+		inserted[i] = value.Row{value.NewInt(int64(i))}
+	}
+	tx := empty.BeginWrite()
+	if err := tx.InsertBatch(inserted); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := empty.Stats().BTreeHeight, btree.PackedHeight(8192, 400, 9+ridKeyLen); got != want || want != 2 {
+		t.Errorf("BTreeHeight of 400 inserted rows = %d, want %d, a tree of two levels", got, want)
+	}
+
+	one := newTable(Column{Name: "k", Kind: value.Int})
+	if err := one.Load([]value.Row{{value.NewInt(1)}}); err != nil || one.PagesPerCBucket() != 1 {
+		t.Fatalf("Load of one row: %v, %v pages per bucket", err, one.PagesPerCBucket())
+	}
+
+	tbl := newTable(Column{Name: "k", Kind: value.Int}, Column{Name: "f", Kind: value.Float})
+	rows := make([]value.Row, 2*writeBatchRows)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewFloat(float64(i) + 0.25)}
+	}
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl.Heap().NumPages(); n != 1 {
+		t.Errorf("%d rows of 16 bytes took %d pages, want 1", len(rows), n)
+	}
+	var sum float64
+	if err := tbl.Scan(nil, func(_ heap.RID, r value.Row) bool { sum += r[1].F; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(len(rows)*(len(rows)-1)/2) + 0.25*float64(len(rows)); sum != want {
+		t.Errorf("the loaded floats sum to %v, want %v", sum, want)
+	}
+
+	// Keys of one width, and of two widths a byte apart.
+	for _, second := range []string{"b", "bb"} {
+		strs := newTable(Column{Name: "s", Kind: value.String})
+		var keys []byte
+		srows := []value.Row{{value.NewString("a")}, {value.NewString(second)}}
+		for _, r := range srows {
+			keys = keyenc.AppendRowPrefix(keys, r, []int{0})
+		}
+		if err := strs.Load(srows); err != nil {
+			t.Fatal(err)
+		}
+		if want := (len(keys) + 1) / 2; strs.keyWidth != want {
+			t.Errorf("key width %d for keys of %d bytes in all, want %d", strs.keyWidth, len(keys), want)
+		}
+	}
+}
+
+// TestTruncatedTuples: a tuple cut short anywhere fails to decode and
+// fails the structural check, naming the column it is short of.
+func TestTruncatedTuples(t *testing.T) {
+	sch := NewSchema(Column{Name: "a", Kind: value.Int}, Column{Name: "s", Kind: value.String},
+		Column{Name: "b", Kind: value.Int}, Column{Name: "t", Kind: value.String})
+	tuple, err := sch.AppendRow(nil, value.Row{value.NewInt(1), value.NewString("xyz"), value.NewInt(2), value.NewString("uvw")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := range len(tuple) {
+		short := tuple[:cut]
+		_, err := sch.DecodeRow(short)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("DecodeRow of %d of %d bytes: %v", cut, len(tuple), err)
+		}
+		if cerr := sch.layout().check(sch.Cols, short); fmt.Sprint(cerr) != fmt.Sprint(err) {
+			t.Errorf("check of %d of %d bytes: %v, want DecodeRow's %v", cut, len(tuple), cerr, err)
+		}
+		row := make(value.Row, len(sch.Cols))
+		if err := sch.decodeCols(row, short, []int{3}, false); err == nil {
+			t.Errorf("decoding column t of %d of %d bytes passed", cut, len(tuple))
+		}
+		if _, err := sch.Field(short, 3); err == nil {
+			t.Errorf("column t's field in %d of %d bytes was found", cut, len(tuple))
+		}
+	}
+}
+
+// TestPageDirectoryEdges: removing from a page a bucket does not list
+// changes nothing, a page past the references' range is refused, a
+// rebuild over a tuple that does not decode fails, CreateIndex refuses a
+// column out of range, and an aborted statement counts in Aborts.
+func TestPageDirectoryEdges(t *testing.T) {
+	d := &PageDirectory{}
+	d.add(0, 5)
+	d.remove(0, 7)
+	d.remove(3, 5)
+	if pages, _ := d.Refs(0); len(pages) != 1 || pages[0] != 5 {
+		t.Errorf("after removing unlisted pages, bucket 0 lists %v", pages)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a page past the directory's range was accepted")
+			}
+		}()
+		d.add(0, 1<<(64-pageRefCountBits))
+	}()
+
+	tbl, disk := newDirTable(t)
+	rows := make([]value.Row, 40)
+	for i := range rows {
+		rows[i] = dirRow(int64(i), "row")
+	}
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.CreateIndex("bad", []int{3}); err == nil {
+		t.Error("CreateIndex over column 3 of 3 accepted")
+	}
+	obs := &WriteObs{Publishes: &metrics.Counter{}, Aborts: &metrics.Counter{}, Rows: &metrics.Counter{}}
+	tbl.SetWriteObs(obs)
+	if err := tbl.BeginWrite().Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Aborts.Value() != 1 || obs.Publishes.Value() != 0 {
+		t.Errorf("after an abort: %d aborts, %d publishes", obs.Aborts.Value(), obs.Publishes.Value())
+	}
+	// A Publish whose log append fails (its records run past the log's
+	// page) aborts and counts as one.
+	more := make([]value.Row, 20)
+	for i := range more {
+		more[i] = dirRow(int64(100+i), "row")
+	}
+	disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	tx := tbl.BeginWrite()
+	if err := tx.InsertBatch(more); err != nil {
+		t.Fatal(err)
+	}
+	err := tx.Publish()
+	disk.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) || obs.Aborts.Value() != 2 || obs.Publishes.Value() != 0 {
+		t.Errorf("a Publish under a log fault: %v; %d aborts, %d publishes", err, obs.Aborts.Value(), obs.Publishes.Value())
+	}
+	// A row the heap cannot place fails its INSERT.
+	if err := tbl.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Pool().Invalidate()
+	disk.SetFaultPlan(&sim.FaultPlan{FailReadN: 1})
+	tx = tbl.BeginWrite()
+	err = tx.InsertBatch([]value.Row{dirRow(7, "row")})
+	disk.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) {
+		t.Errorf("an INSERT whose page cannot be read: %v", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.CreateCM(core.Spec{Name: "bad", UCols: []int{1}, StatCols: []int{3}}); err == nil || len(tbl.CMs()) != 0 {
+		t.Errorf("CreateCM with stat column 3 of 3: %v, %d CMs", err, len(tbl.CMs()))
+	}
+	rid := heap.RID{Page: 0, Slot: 0}
+	var old []byte
+	if err := tbl.Heap().ViewAt(rid, 0, func(b []byte) error { old = bytes.Clone(b); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Heap().ReplaceAt(rid, bytes.Repeat([]byte{0xff}, len(old)), old, tbl.clock.Load()+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.RebuildPageDirectory(); err == nil {
+		t.Error("RebuildPageDirectory over a tuple that does not decode succeeded")
+	}
+	if _, err := tbl.CreateCM(core.Spec{Name: "c", UCols: []int{1}}); err == nil {
+		t.Error("CreateCM over a tuple that does not decode succeeded")
+	}
+
+	// A checkpoint whose log flush fails, or whose log record cannot be
+	// framed, fails.
+	disk.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	_, err = tbl.CheckpointCM(core.New(core.Spec{Name: "c", UCols: []int{1}}), io.Discard)
+	disk.SetFaultPlan(nil)
+	if !errors.Is(err, sim.ErrInjected) {
+		t.Errorf("a checkpoint under a log write fault: %v", err)
+	}
+	named, err := New(tbl.Pool(), wal.NewLog(disk), Config{Name: strings.Repeat("n", 1<<16), Schema: tbl.Schema(), ClusteredCols: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := named.CheckpointCM(core.New(core.Spec{Name: "c", UCols: []int{1}}), io.Discard); err == nil {
+		t.Error("a checkpoint of a table whose name the log cannot hold succeeded")
+	}
+}
+
+// TestKeyOrderPastSixteenBytes: keys of one length above 16 bytes that
+// tie in their first 16 are ordered by the rest, and a viewed empty
+// string decodes as one.
+func TestKeyOrderPastSixteenBytes(t *testing.T) {
+	var keys []byte
+	offs := []int{0}
+	for i := 4; i >= 0; i-- {
+		keys = append(keys, []byte(fmt.Sprintf("%016d%d", 0, i))...)
+		offs = append(offs, len(keys))
+	}
+	if got := keyOrder(keys, offs); fmt.Sprint(got) != "[4 3 2 1 0]" {
+		t.Errorf("17-byte keys tied in 16 bytes ordered %v, want [4 3 2 1 0]", got)
+	}
+	sch := NewSchema(Column{Name: "s", Kind: value.String})
+	tuple, err := sch.AppendRow(nil, value.Row{value.NewString("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make(value.Row, 1)
+	if err := sch.decodeCols(row, tuple, []int{0}, true); err != nil || row[0].S != "" {
+		t.Errorf("a viewed empty string: %v, %q", err, row[0].S)
+	}
+}
+
+// TestPlacementOnReclaimedPages holds a writer's page choice to the
+// heap's own fit. A bucket's open page with two dead slots, whose room
+// a new version's bytes would fit only with two slots' credit, is left
+// for another page: one slot is reused per version. A bucket whose
+// versions need more than a page is offered a reclaimed page a whole
+// page's worth fits, before the tail or a new page.
+func TestPlacementOnReclaimedPages(t *testing.T) {
+	raw := func(n int) []byte { return bytes.Repeat([]byte{'r'}, n) }
+	kill := func(tbl *Table, rids []heap.RID, sizes ...int) {
+		t.Helper()
+		for i, rid := range rids {
+			if err := tbl.Heap().SetEnd(rid, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Heap().MarkDead(rid, sizes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// 512-byte pages hold 508 bytes: two 20-byte tuples and a 438-byte
+	// one, with their 4-byte slots, leave 18 free.
+	tbl, _ := newDirTable(t)
+	rids, err := tbl.Heap().Append(nil, [][]byte{raw(20), raw(20), raw(438)}, 1)
+	if err != nil || len(rids) != 3 || tbl.Heap().NumPages() != 1 {
+		t.Fatalf("the crafted page: %v, %d tuples, %d pages", err, len(rids), tbl.Heap().NumPages())
+	}
+	kill(tbl, rids[:2], 20, 20)
+	tx := tbl.BeginWrite()
+	tbl.placing[0] = placement{page: 0, open: true}
+	if rid, err := tx.place(raw(60), 0); err != nil || rid.Page != 1 {
+		t.Fatalf("a 60-byte version beside 58 bytes of room and two dead slots: %v, %v; want a new page", rid, err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	tbl, _ = newDirTable(t)
+	rids, err = tbl.Heap().Append(nil, [][]byte{raw(200), raw(200)}, 1)
+	if err != nil || len(rids) != 2 {
+		t.Fatalf("the crafted page: %v, %d tuples", err, len(rids))
+	}
+	if _, err := tbl.Heap().Append(nil, [][]byte{raw(504)}, 1); err != nil || tbl.Heap().NumPages() != 2 {
+		t.Fatalf("the full tail page: %v, %d pages", err, tbl.Heap().NumPages())
+	}
+	kill(tbl, rids, 200, 200)
+	if page := tbl.pickPage(0, 2000, 10, 64); page != 0 {
+		t.Fatalf("2,000 bytes of versions were offered page %d, want the reclaimed page 0", page)
+	}
+
+	// Versions no page fits go on their bucket's own page with the most
+	// room for the next one, before the tail page: bucket 0's first page
+	// and the tail have 12 bytes of room each.
+	tbl, _ = newDirTable(t)
+	rows := make([]value.Row, 40)
+	for i := range rows {
+		rows[i] = dirRow(int64(i), "row")
+	}
+	if err := tbl.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	last := tbl.Heap().NumPages() - 1
+	if tbl.Heap().Room(0) != 12 || tbl.Heap().Room(last) < 12 || last == 0 {
+		t.Fatalf("rooms %d and %d on pages 0 and %d", tbl.Heap().Room(0), tbl.Heap().Room(last), last)
+	}
+	if page := tbl.pickPage(0, 2000, 20, 12); page != 0 {
+		t.Fatalf("versions no page fits were offered page %d, want bucket 0's page 0", page)
+	}
 }

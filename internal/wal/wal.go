@@ -301,9 +301,7 @@ func (l *Log) ReplayFrom(lsn int64, fn func(Record) bool) error {
 		}
 		stream = append(stream, pg...)
 	}
-	if max := l.length - firstPage*pageSize; int64(len(stream)) > max {
-		stream = stream[:max]
-	}
+	stream = stream[:l.length-firstPage*pageSize] // the log's bytes end inside its last page
 	for off := lsn - firstPage*pageSize; off < int64(len(stream)); {
 		rest := stream[off:]
 		if len(rest) < 7 {

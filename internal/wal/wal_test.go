@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -13,6 +17,9 @@ func newLog() (*Log, *sim.Disk) {
 	return NewLog(d), d
 }
 
+// TestAppendReplayRoundTrip replays what was appended, including a
+// record with the longest target the frame's u16 length holds; one byte
+// more is refused and leaves the log as it was.
 func TestAppendReplayRoundTrip(t *testing.T) {
 	l, _ := newLog()
 	var want []Record
@@ -22,10 +29,17 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			Target:  fmt.Sprintf("table%d", i%3),
 			Payload: bytes.Repeat([]byte{byte(i)}, i%40),
 		}
+		if i == 20 {
+			r.Target = strings.Repeat("t", 0xFFFF)
+		}
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, r)
+	}
+	length := l.Len()
+	if err := l.Append(Record{Type: RecInsert, Target: strings.Repeat("t", 0x10000)}); err == nil || l.Len() != length {
+		t.Fatalf("Append of a 65,536-byte target: %v, length %d, want an error and %d", err, l.Len(), length)
 	}
 	l.Flush()
 	var got []Record
@@ -219,8 +233,8 @@ func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
 	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 2})
 	err := l.Append(batch...)
 	d.SetFaultPlan(nil)
-	if err == nil {
-		t.Fatal("Append succeeded through a failed page write")
+	if !errors.Is(err, sim.ErrInjected) || !strings.HasPrefix(err.Error(), "wal: append: ") {
+		t.Fatalf("Append through a failed page write returned %v", err)
 	}
 	if l.Len() != length || l.Appends() != appends {
 		t.Fatalf("after the failed Append: length %d, %d appends; want %d, %d", l.Len(), l.Appends(), length, appends)
@@ -260,4 +274,207 @@ func TestAppendOfManyRecordsIsAtomic(t *testing.T) {
 	if got, want := replayed(), append(kept, batch[:2]...); !same(got, want) {
 		t.Fatalf("replay after the next Append returned %d records, want %d", len(got), len(want))
 	}
+}
+
+// TestAppendFailsWhereverThePageFills fails the write of the page an
+// Append fills, with the page's end inside each piece of the frame in
+// turn — type and target length, target, payload length, payload — and
+// on a fresh log whose first page the record overflows. Each Append
+// returns the fault and leaves the log's length and pages as they were.
+func TestAppendFailsWhereverThePageFills(t *testing.T) {
+	rec := Record{Type: RecInsert, Target: "ab", Payload: []byte{1, 2, 3, 4}} // a 13-byte frame
+	for room := 1; room <= 14; room++ {
+		l, d := newLog()
+		if room < 14 {
+			// An empty-target filler leaves room bytes of the 128-byte page.
+			if err := l.Append(Record{Type: RecInsert, Payload: make([]byte, 121-room)}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			rec.Payload = make([]byte, 200)
+		}
+		length, pages := l.Len(), d.NumPages(l.file)
+		d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+		err := l.Append(rec)
+		d.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) {
+			t.Fatalf("room %d: Append through a failed page write returned %v", room, err)
+		}
+		if l.Len() != length || d.NumPages(l.file) != pages {
+			t.Fatalf("room %d: length %d over %d pages after the failed Append, want %d over %d", room, l.Len(), d.NumPages(l.file), length, pages)
+		}
+	}
+}
+
+// TestTailWrites counts the page writes of Flush and ReplayFrom: each
+// writes the tail page when it holds appended bytes not yet written,
+// the first page of a fresh log too, and a tail that a record filled
+// exactly (written by the Append itself) is not written again.
+func TestTailWrites(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		payload int // of an empty-target record; a frame is 7 bytes more
+		writes  uint64
+	}{
+		{"one record on the first page", 10, 1},
+		{"a record that fills the first page", 121, 0},
+		{"a record one byte past the first page", 122, 1},
+	} {
+		for _, op := range []string{"Flush", "ReplayFrom"} {
+			l, d := newLog()
+			if err := l.Append(Record{Type: RecInsert, Payload: make([]byte, c.payload)}); err != nil {
+				t.Fatal(err)
+			}
+			before := d.Stats().Writes
+			var err error
+			if op == "Flush" {
+				err = l.Flush()
+			} else {
+				err = l.ReplayFrom(0, func(Record) bool { return true })
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Stats().Writes - before; got != c.writes {
+				t.Errorf("%s: %s wrote %d pages, want %d", c.name, op, got, c.writes)
+			}
+			// Either made the tail durable: a Flush now writes nothing.
+			before = d.Stats().Writes
+			if err := l.Flush(); err != nil || d.Stats().Writes != before {
+				t.Errorf("%s: a Flush after %s: %v, %d page writes", c.name, op, err, d.Stats().Writes-before)
+			}
+		}
+	}
+	l, d := newLog()
+	if err := l.Append(Record{Type: RecInsert}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats().Writes
+	if err := l.Flush(); err != nil || d.Stats().Writes != before {
+		t.Errorf("a second Flush with nothing appended: %v, %d page writes", err, d.Stats().Writes-before)
+	}
+}
+
+// TestReplayFaults: a ReplayFrom whose write of the tail or read of a
+// page fails returns the fault and no record.
+func TestReplayFaults(t *testing.T) {
+	for _, fp := range []sim.FaultPlan{{FailWriteN: 1}, {FailReadN: 1}, {FailReadN: 2}} {
+		l, d := newLog()
+		for i := 0; i < 5; i++ {
+			if err := l.Append(Record{Type: RecInsert, Target: "t", Payload: make([]byte, 50)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.SetFaultPlan(&fp)
+		n := 0
+		err := l.ReplayFrom(0, func(Record) bool { n++; return true })
+		d.SetFaultPlan(nil)
+		if !errors.Is(err, sim.ErrInjected) || n != 0 {
+			t.Errorf("%+v: ReplayFrom returned %v after %d records", fp, err, n)
+		}
+	}
+}
+
+// TestReplayFromMidRecord replays from an LSN inside a record's payload,
+// which holds a frame's bytes, or a cut-off frame: a frame that ends
+// exactly at the log's end is a record, and one a byte short is
+// reported as truncated in the piece it is short of.
+func TestReplayFromMidRecord(t *testing.T) {
+	frame := func(target string, plen uint32, payload int) []byte {
+		b := []byte{byte(RecDelete), byte(len(target)), byte(len(target) >> 8)}
+		b = append(b, target...)
+		b = append(b, byte(plen), byte(plen>>8), byte(plen>>16), byte(plen>>24))
+		return append(b, make([]byte, payload)...)
+	}
+	for _, c := range []struct {
+		tail []byte
+		want string // the error, or "" for one record
+	}{
+		{frame("", 0, 0), ""},
+		{frame("", 0, 0)[:6], "truncated record header"},
+		{frame("ab", 0, 0), ""},
+		{frame("ab", 0, 0)[:8], "truncated record target"},
+		{frame("ab", 3, 3), ""},
+		{frame("ab", 3, 2), "truncated record payload"},
+	} {
+		l, _ := newLog()
+		if err := l.Append(Record{Type: RecInsert, Target: "t", Payload: c.tail}); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		err := l.ReplayFrom(l.Len()-int64(len(c.tail)), func(r Record) bool {
+			n++
+			if r.Type != RecDelete || len(r.Target) != int(c.tail[1]) {
+				t.Errorf("tail %v: replayed %+v", c.tail, r)
+			}
+			return true
+		})
+		switch {
+		case c.want == "" && (err != nil || n != 1):
+			t.Errorf("tail %v: %d records, %v; want one record", c.tail, n, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("tail %v: %v, want %q", c.tail, err, c.want)
+		}
+	}
+}
+
+// TestFlushHistogram: a wired histogram records each successful Flush's
+// wall time, and not a failed one.
+func TestFlushHistogram(t *testing.T) {
+	l, d := newLog()
+	h := metrics.NewHistogram([]int64{int64(time.Millisecond)})
+	l.SetFlushHistogram(h)
+	for i := 0; i < 2; i++ {
+		if err := l.Append(Record{Type: RecCommit, Target: "t"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Append(Record{Type: RecCommit, Target: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaultPlan(&sim.FaultPlan{FailWriteN: 1})
+	err := l.Flush()
+	d.SetFaultPlan(nil)
+	if err == nil {
+		t.Fatal("Flush succeeded through a failed tail write")
+	}
+	if s := h.Snapshot(); s.Count != 2 || s.Max > int64(time.Minute) {
+		t.Fatalf("histogram after two Flushes and a failed one: %d observations, max %v", s.Count, time.Duration(s.Max))
+	}
+}
+
+// TestLogPaysItsWaits: with real waits on, each of Append, Flush and
+// ReplayFrom pays the waits it charged before it returns, once: the
+// disk's slept time trails its virtual time, divided by the scale, by
+// less than the disk's 2 ms pay-out chunk.
+func TestLogPaysItsWaits(t *testing.T) {
+	d := sim.NewDisk(sim.Config{PageSize: 128, SeekCost: 3 * time.Millisecond, SeqPageCost: time.Millisecond, RealWaitScale: 1})
+	l := NewLog(d)
+	check := func(step string) {
+		t.Helper()
+		s := d.Stats()
+		if s.IOWait > s.Elapsed || s.Elapsed-s.IOWait >= 2*time.Millisecond {
+			t.Fatalf("after %s: slept %v of %v charged", step, s.IOWait, s.Elapsed)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(Record{Type: RecInsert, Target: "t", Payload: make([]byte, 300)}); err != nil {
+			t.Fatal(err)
+		}
+		check("Append")
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("Flush")
+	}
+	if err := l.ReplayFrom(0, func(Record) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	check("ReplayFrom")
 }

@@ -1,10 +1,12 @@
 // Bulk-load tests: Load writes the heap to disk as one sequential run of
 // pages, rows that share a clustered key keep their input order, a load
-// over an index leaves no page of the index's empty tree behind, and
+// over an index leaves no page of the index's empty tree behind, a CM
+// created before the load holds what one created after it does, and
 // Load reads the caller's rows without copying or keeping them.
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"runtime"
@@ -119,6 +121,54 @@ func TestLoadOverAnIndexStoresWhatCreateIndexDoes(t *testing.T) {
 	}
 	if over, after := stored(true), stored(false); over != after {
 		t.Errorf("Load over the index stores %d bytes, Load then CreateIndex %d", over, after)
+	}
+}
+
+// TestLoadOverACMBuildsWhatCreateCMDoes: CMs created before Load are
+// filled once the rows are in, by CreateCM's own fill, whose scan sees
+// the load's unpublished rows; so each serializes to the bytes of the
+// same CM created after the load. One CM is unbucketed and one buckets
+// its column, the fill's two ways to a key.
+func TestLoadOverACMBuildsWhatCreateCMDoes(t *testing.T) {
+	serialized := func(cmFirst bool) [][]byte {
+		t.Helper()
+		db := Open(Config{})
+		tbl := emptyItems(t, db)
+		create := func() {
+			if err := tbl.CreateCM("subcat_cm", CMColumn{Name: "subcat"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.CreateCM("price_cm", CMColumn{Name: "price", Width: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cmFirst {
+			create()
+		}
+		if err := tbl.Load(itemsRows(2000)); err != nil {
+			t.Fatal(err)
+		}
+		if !cmFirst {
+			create()
+		}
+		var out [][]byte
+		for _, cm := range tbl.inner.CMs() {
+			var b bytes.Buffer
+			if err := cm.Serialize(&b); err != nil {
+				t.Fatal(err)
+			}
+			if cm.Pairs() == 0 {
+				t.Fatalf("CM %s is empty after the load", cm.Spec().Name)
+			}
+			out = append(out, b.Bytes())
+		}
+		return out
+	}
+	over, after := serialized(true), serialized(false)
+	for i := range after {
+		if !bytes.Equal(over[i], after[i]) {
+			t.Errorf("CM %d: created before Load it serializes to %d bytes, after Load to %d, and they differ", i, len(over[i]), len(after[i]))
+		}
 	}
 }
 

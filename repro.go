@@ -358,8 +358,7 @@ func (db *DB) PinnedFrames() int { return db.pool.PinnedFrames() }
 
 // FaultPlan is the simulated disk's deterministic fault-injection plan,
 // an alias of sim.FaultPlan; its fields select which accesses fail (the
-// Nth read or write, every Kth access, a page range, a seeded read
-// probability).
+// Nth read or write, every Kth access, a seeded read probability).
 type FaultPlan = sim.FaultPlan
 
 // ErrInjected marks every error produced by an armed fault plan; test

@@ -12,7 +12,8 @@ import (
 // UpdateCtx and DeleteCtx (write), ExplainSpec and ExplainAnalyzeSpec
 // (plan), ExecScriptStreamCtx (SQL) — plus the sugar over them and the
 // engine's knobs and counters; *Table has its schema-level operations
-// and the projection sugar.
+// and the projection sugar. FaultPlan's fields are pinned the same way:
+// each is a trigger the README documents.
 func TestFacadeSurface(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -41,5 +42,13 @@ func TestFacadeSurface(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(c.want, " ") {
 			t.Errorf("%v exports %d methods:\n got  %v\n want %v", typ, len(got), got, c.want)
 		}
+	}
+	fp := reflect.TypeOf(FaultPlan{})
+	fields := make([]string, fp.NumField())
+	for i := range fields {
+		fields[i] = fp.Field(i).Name
+	}
+	if got, want := strings.Join(fields, " "), "FailReadN FailWriteN EveryKth ReadProb Seed"; got != want {
+		t.Errorf("FaultPlan fields:\n got  %s\n want %s", got, want)
 	}
 }
